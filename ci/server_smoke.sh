@@ -13,7 +13,10 @@ if [ ! -x "$server" ] || [ ! -x "$client" ]; then
 fi
 
 log=$(mktemp)
-"$server" 127.0.0.1:0 >"$log" &
+# The golden transcript contains an EXPLAIN, which names the session's
+# parallel degree when it is above 1: pin it so the transcript does not
+# depend on the runner's width.
+PREFSQL_THREADS=1 "$server" 127.0.0.1:0 >"$log" &
 server_pid=$!
 trap 'kill "$server_pid" 2>/dev/null || true' EXIT
 

@@ -3,32 +3,30 @@
 //! generalized skyline operator in the kernel of an SQL-system clearly
 //! holds much promise").
 //!
-//! Instead of rewriting to a `NOT EXISTS` anti-join, this path plans the
-//! hard part of the query (FROM/WHERE plus the base-preference slot
-//! columns) on the host engine's operator pipeline and splices a
-//! first-class [`PreferenceOp`] physical operator on top: it drains its
-//! input, evaluates the `BUT ONLY` threshold, and runs a maximal-set
-//! algorithm from `prefsql-pref` — by default [`SkylineAlgo::Auto`], which
-//! picks naive/BNL/SFS from input cardinality and preference shape.
+//! Instead of rewriting to a `NOT EXISTS` anti-join, native mode asks the
+//! host engine for a plan with a first-class BMO node in it. Everything
+//! about that plan lives in `prefsql-engine`: it is *planned* by
+//! [`prefsql_engine::plan::plan_preference`] (FROM/WHERE source → slot
+//! projection → `PlanNode::Preference`, or a materialized-view scan on a
+//! cache hit → the ordinary Sort/Project/Distinct/Limit tail), *built* by
+//! `physical::build` like every other operator (so `EXPLAIN ANALYZE`
+//! instruments it), and *rendered* by `explain::render`. What is left
+//! here is the facade's part: [`NativeOptions`] (the session knobs the
+//! planner bakes in) and [`run_native_in`] — resolve named preferences
+//! through the session's registry, plan, execute, wrap the [`ResultSet`].
 //! Semantics are identical to the rewrite path — the `rewrite_vs_native`
 //! differential test suite and ablation benchmark A1 depend on that.
 
 use crate::knobs;
 use crate::result::{ResultSet, ViewActivity};
-use prefsql_engine::eval::{eval, truth, Frame};
-use prefsql_engine::physical::{
-    batch_from, build, drain_batched, drain_tuple_at_a_time, slice_from, BoxOperator, Operator,
-    DEFAULT_BATCH,
-};
-use prefsql_engine::{Engine, ExecCtx, PlanNode, Relation};
-use prefsql_parser::ast::{Expr, Query, SelectItem, Statement, TableRef};
-use prefsql_pref::external::ExternalSkyline;
-use prefsql_pref::{bmo_grouped, maximal_with_threads, should_spill, BasePref};
-use prefsql_rewrite::compile::{compile_preference, CompiledPreference};
+use prefsql_engine::physical::{execute, DEFAULT_BATCH};
+use prefsql_engine::plan::{plan_preference, QueryPlan};
+use prefsql_engine::{Engine, ExecCtx};
+use prefsql_parser::ast::Query;
 use prefsql_rewrite::PreferenceRegistry;
-use prefsql_storage::spill::{tuple_spill_bytes, RunReader, SpillManager};
-use prefsql_types::{Column, DataType, Error, Result, Schema, Tuple, Value};
+use prefsql_types::{Error, Result};
 use std::path::Path;
+use std::sync::Arc;
 
 pub use prefsql_pref::{SkylineAlgo, SpillMetrics};
 
@@ -43,7 +41,7 @@ pub struct NativeOptions {
     /// [`prefsql_pref::PARALLEL_CUTOFF`]; `1` forces the serial window.
     pub threads: usize,
     /// Batch size of the drive loop pulling the source plan; `None`
-    /// drives tuple-at-a-time through [`Operator::next`] (the
+    /// drives tuple-at-a-time through `Operator::next` (the
     /// differential suites pin batched ≡ streaming with this).
     pub batch: Option<usize>,
     /// External-memory window budget in bytes (the shell's
@@ -78,589 +76,29 @@ impl NativeOptions {
     }
 }
 
-/// The validated, compiled ingredients of one native preference query.
-struct NativeQuery {
-    compiled: CompiledPreference,
-    aux: Query,
-    n_groups: usize,
-}
-
-/// Validate `query`, compile its preference and build the auxiliary query
-/// that fetches WHERE-qualified tuples with slot and grouping columns
-/// appended.
-fn prepare(registry: &PreferenceRegistry, query: &Query) -> Result<NativeQuery> {
-    let pref_ast = query
-        .preferring
-        .as_ref()
-        .ok_or_else(|| Error::Plan("native evaluation requires a PREFERRING clause".into()))?;
-    if !query.group_by.is_empty() || query.having.is_some() {
-        return Err(Error::Unsupported(
-            "GROUP BY/HAVING combined with PREFERRING is only supported in \
-             rewrite mode"
-                .into(),
-        ));
-    }
-    let resolved = registry.resolve(pref_ast)?;
-    let compiled = compile_preference(&resolved)?;
-    let mut aux_select: Vec<SelectItem> = vec![SelectItem::Wildcard];
-    for (i, e) in compiled.base_exprs.iter().enumerate() {
-        aux_select.push(SelectItem::Expr {
-            expr: e.clone(),
-            alias: Some(format!("prefsql_s{i}")),
-        });
-    }
-    for (j, g) in query.grouping.iter().enumerate() {
-        aux_select.push(SelectItem::Expr {
-            expr: g.clone(),
-            alias: Some(format!("prefsql_g{j}")),
-        });
-    }
-    let aux = Query {
-        select: aux_select,
-        from: query.from.clone(),
-        where_clause: query.where_clause.clone(),
-        ..Default::default()
-    };
-    Ok(NativeQuery {
-        compiled,
-        aux,
-        n_groups: query.grouping.len(),
-    })
-}
-
-/// How a native preference query relates to the materialized preference
-/// views registered on its base table.
-enum ViewMatch {
-    /// A fresh view defines exactly this BMO — serve its stored winners.
-    Hit(String),
-    /// A view defines this BMO but is stale (refuses reads until
-    /// `REFRESH MATERIALIZED PREFERENCE VIEW` rebuilds it).
-    Stale(String),
-    /// Views exist on the base table, but none can serve this query.
-    Miss(String),
-    /// No views on the query's base table (or no single base table).
-    None,
-}
-
-/// True iff `expr` mentions a quality function (`TOP`/`LEVEL`/`DISTANCE`)
-/// anywhere. Quality functions need the data-dependent optima, which a
-/// view cache hit does not compute — such queries always recompute.
-fn uses_quality(expr: &Expr) -> bool {
-    if let Expr::Function { name, .. } = expr {
-        if matches!(name.as_str(), "top" | "level" | "distance") {
-            return true;
-        }
-    }
-    expr.children().into_iter().any(uses_quality)
-}
-
-/// True iff the plan reads through a B-tree index probe anywhere. Index
-/// probes surface candidates in *key* order, while a view's entries are
-/// in *row-id* order — serving from the view under an index plan could
-/// reorder the winners relative to a cold recompute, so such plans never
-/// hit the cache.
-fn plan_uses_index(node: &PlanNode) -> bool {
-    match node {
-        PlanNode::IndexScan { .. } => true,
-        PlanNode::Materialize { input, .. }
-        | PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::Sort { input, .. }
-        | PlanNode::Distinct { input, .. }
-        | PlanNode::Limit { input, .. }
-        | PlanNode::Aggregate { input, .. } => plan_uses_index(input),
-        PlanNode::NestedLoopJoin { left, right, .. } | PlanNode::HashJoin { left, right, .. } => {
-            plan_uses_index(left) || plan_uses_index(right)
-        }
-        PlanNode::Nothing { .. } | PlanNode::SeqScan { .. } | PlanNode::MatViewScan { .. } => false,
-    }
-}
-
-/// Classify `query` against the registered materialized preference views:
-/// a [`ViewMatch::Hit`] means the stored winner set *is* the BMO result of
-/// this query (same FROM, same WHERE, same resolved preference), so the
-/// native path can skip the dominance pass entirely.
-///
-/// Serving stays byte-identical to recomputation because view entries
-/// mirror base-table row ids in order — the same order a sequential scan
-/// feeds the skyline — and the caller reruns its own ORDER BY /
-/// projection / DISTINCT / LIMIT tail over the served winners.
-fn classify_view(
+/// Plan `query` inside `ctx`: named preferences resolve through the
+/// session's `registry` (the engine has none), the engine does the rest.
+fn plan(
     ctx: &ExecCtx<'_>,
     registry: &PreferenceRegistry,
     query: &Query,
-    plan_root: &PlanNode,
-) -> ViewMatch {
-    let [TableRef::Named { name: base, .. }] = query.from.as_slice() else {
-        return ViewMatch::None;
-    };
-    let cat = ctx.catalog();
-    let candidates = cat.matviews_on(base);
-    let Some(first) = candidates.first().cloned() else {
-        return ViewMatch::None;
-    };
-    let Some(resolved) = query
+    opts: NativeOptions,
+) -> Result<QueryPlan> {
+    let pref = query
         .preferring
         .as_ref()
-        .and_then(|p| registry.resolve(p).ok())
-    else {
-        return ViewMatch::Miss(first);
-    };
-    for name in &candidates {
-        let Some(def) = cat.matview(name) else {
-            continue;
-        };
-        // The stored SQL is the canonical defining query (preferences
-        // already resolved at CREATE time).
-        let Ok(Statement::Select(vq)) = prefsql_parser::parse_statement(&def.sql) else {
-            continue;
-        };
-        let defines = vq.from == query.from
-            && vq.where_clause == query.where_clause
-            && vq.preferring.as_ref() == Some(&resolved);
-        if !defines {
-            continue;
-        }
-        if def.stale {
-            return ViewMatch::Stale(name.clone());
-        }
-        let serveable = query.grouping.is_empty()
-            && query.but_only.is_none()
-            && !query.select.iter().any(|item| match item {
-                SelectItem::Expr { expr, .. } => uses_quality(expr),
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => false,
-            })
-            && !query.order_by.iter().any(|o| uses_quality(&o.expr))
-            && !plan_uses_index(plan_root);
-        if serveable {
-            return ViewMatch::Hit(name.clone());
-        }
-        return ViewMatch::Miss(name.clone());
-    }
-    ViewMatch::Miss(first)
+        .ok_or_else(|| Error::Plan("native evaluation requires a PREFERRING clause".into()))?;
+    let resolved = registry.resolve(pref)?;
+    plan_preference(ctx, query, &resolved, opts.algo, opts.threads, opts.batch)
 }
 
-/// The stored winner set of a view, re-extended with its slot columns so
-/// the served tuples are shaped exactly like [`PreferenceOp`] output
-/// (base row followed by `prefsql_s*` slots) and the post-processing
-/// tail of [`run_native_ctx`] applies unchanged.
-fn served_winners(ctx: &ExecCtx<'_>, view: &str) -> Result<Vec<Tuple>> {
-    let cat = ctx.catalog();
-    let def = cat
-        .matview(view)
-        .ok_or_else(|| Error::Catalog(format!("unknown materialized preference view '{view}'")))?;
-    Ok(def
-        .entries
-        .iter()
-        .filter(|e| e.winner)
-        .map(|e| {
-            let mut values = e.output.values().to_vec();
-            values.extend(e.slots.iter().cloned());
-            Tuple::new(values)
-        })
-        .collect())
-}
-
-/// The Best-Matches-Only physical operator: a pipeline breaker that
-/// drains its input (tuples extended with slot and grouping columns),
-/// applies the `BUT ONLY` quality threshold, runs the maximal-set
-/// selection and streams the winners.
+/// Evaluate a preference query natively as one read statement on
+/// `engine`'s shared core: plan it with a `Preference` node (or a
+/// materialized-view scan when a view serves it) and run that one tree.
 ///
-/// Implements the host engine's [`Operator`] contract, so it composes
-/// with any engine-planned source tree.
-pub struct PreferenceOp<'a> {
-    input: BoxOperator<'a>,
-    ctx: &'a ExecCtx<'a>,
-    /// Schema of the extended input tuples.
-    schema: &'a Schema,
-    compiled: &'a CompiledPreference,
-    but_only: Option<&'a Expr>,
-    opts: NativeOptions,
-    /// Columns of the original relation (before the appended slots).
-    n_orig: usize,
-    n_groups: usize,
-    winners: Vec<Tuple>,
-    best_scores: Vec<Option<f64>>,
-    spill: Option<SpillMetrics>,
-    /// Base directory for spill runs (`None` = the system temp dir);
-    /// sessions point this at their own spill dir.
-    spill_base: Option<&'a Path>,
-    pos: usize,
-}
-
-impl<'a> PreferenceOp<'a> {
-    /// Wrap `input`, whose tuples carry `arity` slot columns and
-    /// `n_groups` grouping columns appended to the original row.
-    pub fn new(
-        input: BoxOperator<'a>,
-        ctx: &'a ExecCtx<'a>,
-        schema: &'a Schema,
-        compiled: &'a CompiledPreference,
-        but_only: Option<&'a Expr>,
-        opts: NativeOptions,
-        n_groups: usize,
-    ) -> Self {
-        let n_orig = schema.len() - compiled.preference.arity() - n_groups;
-        PreferenceOp {
-            input,
-            ctx,
-            schema,
-            compiled,
-            but_only,
-            opts,
-            n_orig,
-            n_groups,
-            winners: Vec::new(),
-            best_scores: Vec::new(),
-            spill: None,
-            spill_base: None,
-            pos: 0,
-        }
-    }
-
-    /// Root the operator's spill runs under `base` instead of the system
-    /// temp dir (sessions own their spill dir).
-    pub fn with_spill_base(mut self, base: Option<&'a Path>) -> Self {
-        self.spill_base = base;
-        self
-    }
-
-    /// A spill manager rooted at this operator's spill base.
-    fn spill_manager(&self) -> Result<SpillManager> {
-        match self.spill_base {
-            Some(dir) => SpillManager::new_in(dir),
-            None => SpillManager::new(),
-        }
-    }
-
-    fn slot_of(&self, row: &Tuple) -> Vec<Value> {
-        (0..self.compiled.preference.arity())
-            .map(|i| row[self.n_orig + i].clone())
-            .collect()
-    }
-
-    /// Data-dependent optima per base preference (`LOWEST`/`HIGHEST`
-    /// quality functions need them), valid after [`Operator::open`].
-    pub fn best_scores(&self) -> &[Option<f64>] {
-        &self.best_scores
-    }
-
-    /// Move the buffered winner set out of the operator (valid after
-    /// [`Operator::open`]; subsequent [`Operator::next`] calls see an
-    /// exhausted stream). Lets a driver that wants the whole result
-    /// avoid re-cloning every tuple through `next()`.
-    pub fn take_winners(&mut self) -> Vec<Tuple> {
-        std::mem::take(&mut self.winners)
-    }
-
-    /// Spill observability of the last [`Operator::open`]: `Some`
-    /// whenever a window budget governed the evaluation (`passes == 0`
-    /// means the candidates fit and the selection stayed in memory),
-    /// `None` when no budget applied (forced algorithm, GROUPING, or no
-    /// `\window`/`PREFSQL_WINDOW`).
-    pub fn spill_metrics(&self) -> Option<&SpillMetrics> {
-        self.spill.as_ref()
-    }
-
-    /// `BUT ONLY` filter for one extended row (§2.2.5), evaluated with
-    /// the final data-dependent optima.
-    fn passes_but_only(&self, row: &Tuple, best_scores: &[Option<f64>]) -> Result<bool> {
-        let Some(b) = self.but_only else {
-            return Ok(true);
-        };
-        let substituted = substitute_quality(b, self.compiled, &self.slot_of(row), best_scores)?;
-        let frames = [Frame {
-            schema: self.schema,
-            tuple: row,
-        }];
-        Ok(truth(&eval(&substituted, &frames, self.ctx)?) == Some(true))
-    }
-
-    /// Running update of the per-base minima that `LOWEST`/`HIGHEST`
-    /// quality functions need — the streaming path folds this over every
-    /// input row, matching the batch path's global `min_by`.
-    fn update_best_scores(best: &mut [Option<f64>], bases: &[BasePref], slots: &[Value]) {
-        for ((best, base), v) in best.iter_mut().zip(bases).zip(slots) {
-            if let Some(s) = base.score(v) {
-                *best = Some(match best {
-                    Some(b) => {
-                        if s.total_cmp(b).is_lt() {
-                            s
-                        } else {
-                            *b
-                        }
-                    }
-                    None => s,
-                });
-            }
-        }
-    }
-
-    /// The in-memory tail shared by the materializing path and the
-    /// under-budget streaming path: compute the data-dependent optima,
-    /// apply `BUT ONLY`, run the maximal-set selection, buffer winners.
-    fn select_in_memory(&mut self, rows: Vec<Tuple>) -> Result<()> {
-        let arity = self.compiled.preference.arity();
-
-        // Data-dependent optima for LOWEST/HIGHEST quality functions.
-        self.best_scores = (0..arity)
-            .map(|i| {
-                rows.iter()
-                    .filter_map(|r| self.compiled.preference.bases()[i].score(&r[self.n_orig + i]))
-                    .min_by(|a, b| a.total_cmp(b))
-            })
-            .collect();
-
-        // BUT ONLY filters candidates before dominance (§2.2.5).
-        let candidates: Vec<Tuple> = if self.but_only.is_none() {
-            rows
-        } else {
-            let best = self.best_scores.clone();
-            let mut kept = Vec::new();
-            for row in rows {
-                if self.passes_but_only(&row, &best)? {
-                    kept.push(row);
-                }
-            }
-            kept
-        };
-
-        // Maximal-set selection.
-        let slot_vectors: Vec<Vec<Value>> = candidates.iter().map(|r| self.slot_of(r)).collect();
-        let winner_indices: Vec<usize> = if self.n_groups > 0 {
-            let keys: Vec<Vec<Value>> = candidates
-                .iter()
-                .map(|r| {
-                    (0..self.n_groups)
-                        .map(|j| r[self.n_orig + arity + j].clone())
-                        .collect()
-                })
-                .collect();
-            bmo_grouped(&slot_vectors, &keys, &self.compiled.preference)
-        } else {
-            maximal_with_threads(
-                &slot_vectors,
-                &self.compiled.preference,
-                self.opts.algo,
-                self.opts.threads,
-            )
-        };
-        let mut candidates = candidates.into_iter().map(Some).collect::<Vec<_>>();
-        self.winners = winner_indices
-            .iter()
-            .map(|&i| candidates[i].take().expect("winner indices are unique"))
-            .collect();
-        Ok(())
-    }
-
-    /// The external-memory path: pull input through the batch API,
-    /// buffering until the window budget trips, then hand the stream to
-    /// the bounded-window multi-pass BNL (spilling overflow runs to
-    /// disk). Queries with a `BUT ONLY` threshold first spool the input
-    /// to a run — the threshold's quality functions need the
-    /// data-dependent optima, which are only final after the last input
-    /// row — and feed the skyline from the spool on a second pass.
-    fn open_external(&mut self, budget: usize) -> Result<()> {
-        let bases = self.compiled.preference.bases().to_vec();
-        let arity = bases.len();
-        let n_orig = self.n_orig;
-        let mut best: Vec<Option<f64>> = vec![None; arity];
-        let mut buffered: Vec<Tuple> = Vec::new();
-        let mut buffered_bytes = 0usize;
-
-        // Pull phase. `sink` engages once the budget trips: the skyline
-        // machine directly, or a spool run when BUT ONLY must wait for
-        // the optima.
-        enum Sink<'p> {
-            Skyline(ExternalSkyline<'p>),
-            Spool {
-                manager: SpillManager,
-                writer: prefsql_storage::spill::RunWriter,
-            },
-        }
-        let mut sink: Option<Sink<'_>> = None;
-
-        let mut scratch: Vec<Tuple> = Vec::new();
-        loop {
-            scratch.clear();
-            let more = match self.opts.batch {
-                Some(batch) => self.input.next_batch(&mut scratch, batch.max(1))?,
-                None => match self.input.next()? {
-                    Some(t) => {
-                        scratch.push(t);
-                        true
-                    }
-                    None => false,
-                },
-            };
-            for row in &scratch {
-                Self::update_best_scores(&mut best, &bases, &row.values()[n_orig..n_orig + arity]);
-            }
-            let mut rows = scratch.drain(..);
-            // Buffering phase: accumulate until the budget trips, then
-            // replay the buffer into the engaged sink.
-            if sink.is_none() {
-                for row in rows.by_ref() {
-                    buffered_bytes += tuple_spill_bytes(&row);
-                    buffered.push(row);
-                    if should_spill(self.opts.algo, buffered_bytes, Some(budget)) {
-                        if self.but_only.is_some() {
-                            let mut manager = self.spill_manager()?;
-                            let mut writer = manager.begin_run()?;
-                            writer.write_batch(&buffered)?;
-                            buffered = Vec::new();
-                            sink = Some(Sink::Spool { manager, writer });
-                        } else {
-                            let mut machine = ExternalSkyline::with_manager(
-                                &self.compiled.preference,
-                                n_orig,
-                                budget,
-                                self.spill_manager()?,
-                            );
-                            machine.push_batch(buffered.drain(..))?;
-                            sink = Some(Sink::Skyline(machine));
-                        }
-                        break;
-                    }
-                }
-            }
-            // Streaming phase: the rest of the batch goes to the sink
-            // whole — the spool writes one frame per pulled batch, not
-            // one per tuple.
-            match &mut sink {
-                Some(Sink::Skyline(machine)) => machine.push_batch(rows)?,
-                Some(Sink::Spool { writer, .. }) => {
-                    let rest: Vec<Tuple> = rows.collect();
-                    writer.write_batch(&rest)?;
-                }
-                None => debug_assert_eq!(rows.count(), 0, "unbuffered rows without a sink"),
-            }
-            if !more {
-                break;
-            }
-        }
-
-        match sink {
-            None => {
-                // The whole candidate set fits the budget: stay in
-                // memory (and report that the budget was honored).
-                self.select_in_memory(buffered)?;
-                self.spill = Some(SpillMetrics::default());
-            }
-            Some(Sink::Skyline(machine)) => {
-                self.best_scores = best;
-                let (winners, metrics) = machine.finish()?;
-                self.winners = winners.into_iter().map(|(_, row)| row).collect();
-                self.spill = Some(metrics);
-            }
-            Some(Sink::Spool {
-                mut manager,
-                writer,
-            }) => {
-                // Optima are final now; filter the spooled candidates
-                // and feed the survivors through the bounded window.
-                self.best_scores = best;
-                let spool = writer.finish()?;
-                manager.record_run(&spool);
-                let mut machine = ExternalSkyline::with_manager(
-                    &self.compiled.preference,
-                    n_orig,
-                    budget,
-                    manager,
-                );
-                let mut reader = RunReader::open(&spool)?;
-                while let Some(row) = reader.next_tuple()? {
-                    if self.passes_but_only(&row, &self.best_scores)? {
-                        machine.push(row)?;
-                    }
-                }
-                drop(reader);
-                spool.delete()?;
-                let (winners, mut metrics) = machine.finish()?;
-                // The spool pass reads the whole candidate set once more.
-                metrics.passes += 1;
-                self.winners = winners.into_iter().map(|(_, row)| row).collect();
-                self.spill = Some(metrics);
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Operator for PreferenceOp<'_> {
-    fn open(&mut self) -> Result<()> {
-        self.pos = 0;
-        self.spill = None;
-        // External-memory mode: a window budget under [`SkylineAlgo::Auto`]
-        // streams the input through the bounded window instead of
-        // materializing it (GROUPING runs the grouped BMO, which stays
-        // in memory; forced algorithms stay pinned for the differential
-        // suites).
-        if self.n_groups == 0 && matches!(self.opts.algo, SkylineAlgo::Auto) {
-            if let Some(budget) = self.opts.window_bytes {
-                let result = self.input.open().and_then(|()| self.open_external(budget));
-                self.input.close();
-                return result;
-            }
-        }
-        // Consume the source through the batched drive loop (or the
-        // tuple-at-a-time baseline when the differential suites ask).
-        let rows = match self.opts.batch {
-            Some(batch) => drain_batched(self.input.as_mut(), batch)?,
-            None => drain_tuple_at_a_time(self.input.as_mut())?,
-        };
-        self.select_in_memory(rows)
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.winners.get(self.pos) {
-            Some(t) => {
-                self.pos += 1;
-                Ok(Some(t.clone()))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        Ok(batch_from(&self.winners, &mut self.pos, out, max))
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        Ok(Some(slice_from(&self.winners, &mut self.pos, max)))
-    }
-
-    fn close(&mut self) {
-        self.input.close();
-        self.winners = Vec::new();
-    }
-}
-
-/// Evaluate a preference query natively with the default knobs for
-/// `algo`: see [`run_native_opts`].
-pub fn run_native(
-    engine: &Engine,
-    registry: &PreferenceRegistry,
-    query: &Query,
-    algo: SkylineAlgo,
-) -> Result<ResultSet> {
-    run_native_opts(engine, registry, query, NativeOptions::with_algo(algo))
-}
-
-/// Evaluate a preference query natively: see [`run_native_ctx`]. Runs as
-/// one read statement on `engine`'s shared core.
-pub fn run_native_opts(
-    engine: &Engine,
-    registry: &PreferenceRegistry,
-    query: &Query,
-    opts: NativeOptions,
-) -> Result<ResultSet> {
-    run_native_in(engine, registry, query, opts, None)
-}
-
-/// [`run_native_opts`] with the session's spill directory: spill runs of
-/// the external-memory path land under `spill_base` instead of the
-/// system temp dir.
+/// The statement context is `engine`'s own ([`Engine::read_ctx`]: the
+/// session's `\window` budget and spill directory); `opts.window_bytes`
+/// and a `Some` `spill_base` override it for this call only.
 pub fn run_native_in(
     engine: &Engine,
     registry: &PreferenceRegistry,
@@ -668,553 +106,45 @@ pub fn run_native_in(
     opts: NativeOptions,
     spill_base: Option<&Path>,
 ) -> Result<ResultSet> {
-    engine.with_read_ctx(|ctx| run_native_ctx(ctx, registry, query, opts, spill_base))
+    let mut ctx = engine.read_ctx()?.with_window(opts.window_bytes);
+    if let Some(base) = spill_base {
+        ctx = ctx.with_spill_base(Some(base.to_path_buf()));
+    }
+    // Report only this statement's spill (see `Session::forward`).
+    let _ = engine.take_spill_metrics();
+    let (rel, served_by, dominance) = engine.run_in_ctx(ctx, |ctx| {
+        let plan = Arc::new(plan(ctx, registry, query, opts)?);
+        // Under EXPLAIN ANALYZE (or the server's slow-query log) the
+        // context carries a profiler: keep the plan alive for rendering.
+        ctx.profile_plan(&plan);
+        let rel = execute(ctx, plan.root(), &[])?;
+        let served_by = plan.served_by().map(str::to_owned);
+        // A view hit skipped the dominance pass entirely (its upkeep was
+        // charged at DML time), so a served query reports zero.
+        Ok((rel, served_by, ctx.stats().dominance_tests))
+    })?;
+    Ok(ResultSet::new(rel)
+        .with_spill(engine.take_spill_metrics())
+        .with_dominance(dominance)
+        .with_views(served_by.map(|name| ViewActivity {
+            served_by: Some(name),
+            maintained: 0,
+        })))
 }
 
-/// Evaluate a preference query natively inside one statement context:
-/// FROM/WHERE run on the host engine's planned operator pipeline
-/// (consumed through the batched drive loop); a [`PreferenceOp`] on top
-/// performs the BMO selection (parallelizing the window per
-/// `opts.threads`); ORDER BY, projection (with quality functions),
-/// DISTINCT and LIMIT post-process the winners.
-pub fn run_native_ctx(
-    ctx: &ExecCtx<'_>,
+/// The plan [`run_native_in`] would execute, rendered by the engine's
+/// one EXPLAIN renderer.
+pub fn explain(
+    engine: &Engine,
     registry: &PreferenceRegistry,
     query: &Query,
     opts: NativeOptions,
-    spill_base: Option<&Path>,
-) -> Result<ResultSet> {
-    let native = prepare(registry, query)?;
-    let plan = ctx.plan_for(&native.aux)?;
-    let schema = plan.root().schema().clone();
-    let n_orig = schema.len() - native.compiled.preference.arity() - native.n_groups;
-
-    // A registered materialized preference view that defines exactly this
-    // BMO serves its stored winner set — the dominance pass is skipped
-    // and the tail below post-processes the cached rows instead.
-    let served = match classify_view(ctx, registry, query, plan.root()) {
-        ViewMatch::Hit(name) => Some(name),
-        _ => None,
-    };
-    let (mut winners, best_scores, spill): (Vec<Tuple>, Vec<Option<f64>>, Option<SpillMetrics>) =
-        if let Some(view) = &served {
-            // Quality functions are excluded from hits (`classify_view`),
-            // so the data-dependent optima are never consulted.
-            let winners = served_winners(ctx, view)?;
-            (
-                winners,
-                vec![None; native.compiled.preference.arity()],
-                None,
-            )
-        } else {
-            // Under EXPLAIN ANALYZE (or the server's slow-query log) the
-            // statement context carries a profiler: register the source
-            // plan so the per-node metrics can be rendered against it.
-            ctx.profile_plan(&plan);
-            let mut op = PreferenceOp::new(
-                build(ctx, plan.root(), &[]),
-                ctx,
-                &schema,
-                &native.compiled,
-                query.but_only.as_ref(),
-                opts,
-                native.n_groups,
-            )
-            .with_spill_base(spill_base);
-            op.open()?;
-            let winners: Vec<Tuple> = op.take_winners();
-            let best_scores = op.best_scores().to_vec();
-            let mut spill = op.spill_metrics().cloned();
-            op.close();
-            // A hash join feeding the preference input may itself have
-            // spilled under the window budget; fold its runs into this
-            // query's account.
-            if let Some(join) = ctx.take_spill() {
-                match &mut spill {
-                    Some(s) => s.absorb(&join),
-                    None => spill = Some(join),
-                }
-            }
-            (winners, best_scores, spill)
-        };
-
-    // Harvest the dominance tally of this statement's maximal-set
-    // selection — the paper's unit of preference-evaluation cost. A view
-    // hit skipped the pass entirely (its upkeep was charged at DML
-    // time), so a served query reports zero.
-    let comparisons = native.compiled.preference.take_comparisons();
-    ctx.note_dominance_tests(comparisons);
-
-    let compiled = &native.compiled;
-    let arity = compiled.preference.arity();
-    let slot_of =
-        |row: &Tuple| -> Vec<Value> { (0..arity).map(|i| row[n_orig + i].clone()).collect() };
-
-    // ORDER BY (quality functions allowed).
-    if !query.order_by.is_empty() {
-        let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::with_capacity(winners.len());
-        for row in winners {
-            let mut key = Vec::with_capacity(query.order_by.len());
-            for o in &query.order_by {
-                let substituted =
-                    substitute_quality(&o.expr, compiled, &slot_of(&row), &best_scores)?;
-                let frames = [Frame {
-                    schema: &schema,
-                    tuple: &row,
-                }];
-                key.push(eval(&substituted, &frames, ctx)?);
-            }
-            keyed.push((key, row));
-        }
-        keyed.sort_by(|a, b| {
-            for (i, o) in query.order_by.iter().enumerate() {
-                let ord = a.0[i].total_cmp(&b.0[i]);
-                let ord = if o.asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        winners = keyed.into_iter().map(|(_, r)| r).collect();
-    }
-
-    // Projection.
-    let mut columns: Vec<Column> = Vec::new();
-    let mut cells_per_row: Vec<Vec<Value>> = vec![Vec::new(); winners.len()];
-    for item in &query.select {
-        match item {
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                for c in schema.columns().iter().take(n_orig) {
-                    let mut col = c.clone();
-                    col.qualifier = None;
-                    columns.push(col);
-                }
-                for (out, row) in cells_per_row.iter_mut().zip(&winners) {
-                    out.extend(row.values().iter().take(n_orig).cloned());
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column { name, .. } => name.clone(),
-                    Expr::Function { name, args } => match args.first() {
-                        Some(Expr::Column { name: col, .. })
-                            if matches!(name.as_str(), "top" | "level" | "distance") =>
-                        {
-                            format!("{name}_{col}")
-                        }
-                        _ => name.clone(),
-                    },
-                    other => other.to_string().to_ascii_lowercase(),
-                });
-                // Plain column references take their declared type from
-                // the source schema, so an all-NULL winner set still
-                // reports the same schema as the rewrite path; other
-                // expressions infer from the first typed value.
-                let mut dtype = match expr {
-                    Expr::Column { qualifier, name } => schema
-                        .resolve(qualifier.as_deref(), name)
-                        .map(|i| schema.column(i).data_type)
-                        .unwrap_or(DataType::Str),
-                    _ => DataType::Str,
-                };
-                for (out, row) in cells_per_row.iter_mut().zip(&winners) {
-                    let substituted =
-                        substitute_quality(expr, compiled, &slot_of(row), &best_scores)?;
-                    let frames = [Frame {
-                        schema: &schema,
-                        tuple: row,
-                    }];
-                    let v = eval(&substituted, &frames, ctx)?;
-                    if let Some(t) = v.data_type() {
-                        dtype = t;
-                    }
-                    out.push(v);
-                }
-                columns.push(Column::new(name, dtype));
-            }
-        }
-    }
-    // Unique output names (mirrors the engine's projection behaviour).
-    let mut seen: Vec<String> = Vec::new();
-    for c in &mut columns {
-        if seen.contains(&c.name) {
-            let mut k = 2;
-            while seen.contains(&format!("{}_{k}", c.name)) {
-                k += 1;
-            }
-            c.name = format!("{}_{k}", c.name);
-        }
-        seen.push(c.name.clone());
-    }
-    let out_schema = Schema::new(columns)?;
-    let mut rows: Vec<Tuple> = cells_per_row.into_iter().map(Tuple::new).collect();
-
-    // DISTINCT and LIMIT.
-    if query.distinct {
-        let mut kept: Vec<Tuple> = Vec::new();
-        for row in rows {
-            if !kept.iter().any(|k| {
-                k.values()
-                    .iter()
-                    .zip(row.values())
-                    .all(|(a, b)| a.key_eq(b))
-            }) {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-    if let Some(n) = query.limit {
-        rows.truncate(n as usize);
-    }
-    Ok(ResultSet::new(Relation {
-        schema: out_schema,
-        rows,
+) -> Result<String> {
+    let ctx = engine.read_ctx()?.with_window(opts.window_bytes);
+    engine.run_in_ctx(ctx, |ctx| {
+        let plan = plan(ctx, registry, query, opts)?;
+        let mut out = String::new();
+        prefsql_engine::explain::render(plan.root(), 0, &mut out);
+        Ok(out)
     })
-    .with_spill(spill)
-    .with_dominance(comparisons)
-    .with_views(served.map(|name| ViewActivity {
-        served_by: Some(name),
-        maintained: 0,
-    })))
-}
-
-/// Render the native execution plan with the default knobs for `algo`:
-/// see [`explain_native_opts`].
-pub fn explain_native(
-    engine: &Engine,
-    registry: &PreferenceRegistry,
-    query: &Query,
-    algo: SkylineAlgo,
-) -> Result<String> {
-    explain_native_opts(engine, registry, query, NativeOptions::with_algo(algo))
-}
-
-/// Render the native execution plan for a preference query: the
-/// [`PreferenceOp`] description on top of the very source plan
-/// [`run_native_opts`] would execute, surfacing the parallel-window
-/// degree the session knob allows.
-pub fn explain_native_opts(
-    engine: &Engine,
-    registry: &PreferenceRegistry,
-    query: &Query,
-    opts: NativeOptions,
-) -> Result<String> {
-    engine.with_read_ctx(|ctx| explain_native_ctx(ctx, registry, query, opts))
-}
-
-/// [`explain_native_opts`] inside an existing statement context.
-pub fn explain_native_ctx(
-    ctx: &ExecCtx<'_>,
-    registry: &PreferenceRegistry,
-    query: &Query,
-    opts: NativeOptions,
-) -> Result<String> {
-    let native = prepare(registry, query)?;
-    let plan = ctx.plan_for(&native.aux)?;
-    let arity = native.compiled.preference.arity();
-    let mut out = String::new();
-    let mut steps = Vec::new();
-    if !query.order_by.is_empty() {
-        steps.push(format!("sort({} keys)", query.order_by.len()));
-    }
-    if query.distinct {
-        steps.push("distinct".into());
-    }
-    if let Some(n) = query.limit {
-        steps.push(format!("limit {n}"));
-    }
-    let steps = if steps.is_empty() {
-        String::new()
-    } else {
-        format!(" [{}]", steps.join(", "))
-    };
-    out.push_str(&format!("Project{steps}\n"));
-    // GROUPING queries always run the grouped BMO (the algo choice only
-    // applies to the ungrouped maximal-set selection) — say so, instead
-    // of naming an algorithm the executor would not use.
-    let mut algo_shown = if native.n_groups > 0 {
-        format!("grouped-bmo, {} key(s)", native.n_groups)
-    } else if matches!(opts.algo, SkylineAlgo::Auto) && opts.threads > 1 {
-        // The effective degree is cost-based per input (serial under
-        // PARALLEL_CUTOFF candidates) — surface the session's ceiling.
-        format!("algo={}, threads={}", opts.algo.label(), opts.threads)
-    } else {
-        format!("algo={}", opts.algo.label())
-    };
-    // External-memory mode: surface the window budget the operator will
-    // stream under (spilled_runs/passes are runtime facts — the shell
-    // prints them as a metrics line after each execution).
-    if native.n_groups == 0 && matches!(opts.algo, SkylineAlgo::Auto) {
-        if let Some(budget) = opts.window_bytes {
-            algo_shown.push_str(&format!(", window={}", knobs::fmt_bytes(budget as u64)));
-        }
-    }
-    let but_only = if query.but_only.is_some() {
-        ", but-only threshold"
-    } else {
-        ""
-    };
-    // Materialized-preference-view annotation: a hit replaces the whole
-    // dominance pass (and its source plan) with the stored winner set;
-    // stale/miss keep the normal plan but say why the cache didn't serve.
-    match classify_view(ctx, registry, query, plan.root()) {
-        ViewMatch::Hit(name) => {
-            let winners = ctx
-                .catalog()
-                .matview(&name)
-                .map(|d| d.winner_count())
-                .unwrap_or(0);
-            out.push_str(&format!(
-                "  Materialized view scan: {name} ({winners} winners) [view={name} hit]\n"
-            ));
-        }
-        other => {
-            let tag = match &other {
-                ViewMatch::Stale(name) => format!(" [view={name} stale]"),
-                ViewMatch::Miss(name) => format!(" [view={name} miss]"),
-                ViewMatch::Hit(_) | ViewMatch::None => String::new(),
-            };
-            out.push_str(&format!(
-                "  Preference (BMO, {algo_shown}, {arity} base preference(s){but_only}){tag}\n"
-            ));
-            prefsql_engine::explain::render(plan.root(), 2, &mut out);
-        }
-    }
-    Ok(out)
-}
-
-/// Replace `TOP`/`LEVEL`/`DISTANCE` calls with their computed values for
-/// one tuple. Non-quality sub-expressions are left for the engine
-/// evaluator.
-fn substitute_quality(
-    expr: &Expr,
-    compiled: &CompiledPreference,
-    slots: &[Value],
-    best_scores: &[Option<f64>],
-) -> Result<Expr> {
-    if let Expr::Function { name, args } = expr {
-        if matches!(name.as_str(), "top" | "level" | "distance") {
-            if args.len() != 1 {
-                return Err(Error::Plan(format!(
-                    "{name}() expects exactly one attribute argument"
-                )));
-            }
-            let slot = compiled.slot_of(&args[0]).ok_or_else(|| {
-                Error::Rewrite(format!(
-                    "{name}({}) does not match any base preference",
-                    args[0]
-                ))
-            })?;
-            let base = &compiled.preference.bases()[slot];
-            let v = &slots[slot];
-            return Ok(Expr::Literal(native_quality_value(
-                name,
-                base,
-                v,
-                best_scores[slot],
-            )?));
-        }
-    }
-    // Rebuild with substituted children.
-    let rebuilt = match expr {
-        Expr::Unary { op, expr: e } => Expr::Unary {
-            op: *op,
-            expr: Box::new(substitute_quality(e, compiled, slots, best_scores)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(substitute_quality(left, compiled, slots, best_scores)?),
-            op: *op,
-            right: Box::new(substitute_quality(right, compiled, slots, best_scores)?),
-        },
-        Expr::IsNull { expr: e, negated } => Expr::IsNull {
-            expr: Box::new(substitute_quality(e, compiled, slots, best_scores)?),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr: e,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(substitute_quality(e, compiled, slots, best_scores)?),
-            low: Box::new(substitute_quality(low, compiled, slots, best_scores)?),
-            high: Box::new(substitute_quality(high, compiled, slots, best_scores)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr: e,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(substitute_quality(e, compiled, slots, best_scores)?),
-            list: list
-                .iter()
-                .map(|i| substitute_quality(i, compiled, slots, best_scores))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => Expr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| substitute_quality(o, compiled, slots, best_scores).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| {
-                    Ok((
-                        substitute_quality(w, compiled, slots, best_scores)?,
-                        substitute_quality(t, compiled, slots, best_scores)?,
-                    ))
-                })
-                .collect::<Result<_>>()?,
-            else_result: else_result
-                .as_ref()
-                .map(|e| substitute_quality(e, compiled, slots, best_scores).map(Box::new))
-                .transpose()?,
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| substitute_quality(a, compiled, slots, best_scores))
-                .collect::<Result<_>>()?,
-        },
-        other => other.clone(),
-    };
-    Ok(rebuilt)
-}
-
-/// The value of one quality function for one attribute value.
-fn native_quality_value(
-    func: &str,
-    base: &BasePref,
-    v: &Value,
-    best_score: Option<f64>,
-) -> Result<Value> {
-    match func {
-        "level" => Ok(base.level(v).map(Value::Int).unwrap_or(Value::Null)),
-        "distance" => match base {
-            BasePref::Around { .. } | BasePref::Between { .. } => {
-                Ok(base.score(v).map(float_or_int).unwrap_or(Value::Null))
-            }
-            BasePref::Lowest | BasePref::Highest => match (base.score(v), best_score) {
-                (Some(s), Some(b)) => Ok(float_or_int(s - b)),
-                _ => Ok(Value::Null),
-            },
-            _ => Err(Error::Plan(
-                "DISTANCE() applies to numeric preferences; use LEVEL() for \
-                 categorical preferences"
-                    .into(),
-            )),
-        },
-        "top" => match base {
-            BasePref::Lowest | BasePref::Highest => Ok(Value::Bool(
-                matches!((base.score(v), best_score), (Some(s), Some(b)) if s == b),
-            )),
-            _ => Ok(Value::Bool(base.top(v, None))),
-        },
-        other => Err(Error::Plan(format!("unknown quality function '{other}'"))),
-    }
-}
-
-/// Distances are conceptually numeric; keep integers integral for display
-/// parity with the rewrite path.
-fn float_or_int(f: f64) -> Value {
-    if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-        Value::Int(f as i64)
-    } else {
-        Value::Float(f)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use prefsql_parser::ast::Statement;
-
-    /// [`PreferenceOp`] advertises the engine's full [`Operator`]
-    /// contract, so its buffered `next_batch`/`next_slice` overrides
-    /// must walk the same cursor as `next()` — pinned here by driving
-    /// three identical operators through the three surfaces (the
-    /// batched calls interleaved with `next()`) over a winner set that
-    /// straddles the batch boundary.
-    #[test]
-    fn preference_op_batched_surface_matches_next() {
-        let mut engine = Engine::new();
-        engine
-            .execute_sql("CREATE TABLE t (id INTEGER, x INTEGER, y INTEGER)")
-            .unwrap();
-        // Five pairwise-incomparable rows (the winners) plus two
-        // dominated ones, so batches of 2 end with a short final batch.
-        engine
-            .execute_sql(
-                "INSERT INTO t VALUES (1, 0, 9), (2, 1, 7), (3, 2, 5), \
-                 (4, 3, 3), (5, 4, 1), (6, 5, 9), (7, 9, 9)",
-            )
-            .unwrap();
-        let registry = PreferenceRegistry::new();
-        let Statement::Select(query) = prefsql_parser::parse_statement(
-            "SELECT id FROM t PREFERRING x AROUND 0 AND y AROUND 0",
-        )
-        .unwrap() else {
-            panic!("expected a SELECT");
-        };
-        let native = prepare(&registry, &query).unwrap();
-        let ctx = engine.read_ctx().unwrap();
-        let plan = ctx.plan_for(&native.aux).unwrap();
-        let schema = plan.root().schema().clone();
-        let open = || {
-            let mut op = PreferenceOp::new(
-                build(&ctx, plan.root(), &[]),
-                &ctx,
-                &schema,
-                &native.compiled,
-                query.but_only.as_ref(),
-                NativeOptions::default(),
-                native.n_groups,
-            );
-            op.open().unwrap();
-            op
-        };
-
-        let mut baseline = open();
-        let mut expected = Vec::new();
-        while let Some(t) = baseline.next().unwrap() {
-            expected.push(t);
-        }
-        baseline.close();
-        assert_eq!(expected.len(), 5, "winner set should be the antichain");
-
-        // next_batch interleaved with next(): one shared cursor.
-        let mut op = open();
-        let mut got = vec![op.next().unwrap().expect("first winner")];
-        loop {
-            let more = op.next_batch(&mut got, 2).unwrap();
-            if !more {
-                break;
-            }
-        }
-        assert!(!op.next_batch(&mut got, 2).unwrap(), "stays exhausted");
-        op.close();
-        assert_eq!(got, expected);
-
-        // next_slice lends the same stream; empty slice marks the end.
-        let mut op = open();
-        let mut got = vec![op.next().unwrap().expect("first winner")];
-        loop {
-            let slice = op.next_slice(2).unwrap().expect("buffered operator");
-            if slice.is_empty() {
-                break;
-            }
-            got.extend_from_slice(slice);
-        }
-        op.close();
-        assert_eq!(got, expected);
-    }
 }

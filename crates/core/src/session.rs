@@ -43,9 +43,9 @@ pub enum ExecutionMode {
     /// evaluate the `NOT EXISTS` dominance anti-join.
     #[default]
     Rewrite,
-    /// Native in-layer evaluation through the [`crate::native::PreferenceOp`]
-    /// physical operator (ablation A1: "implementing a generalized skyline
-    /// operator in the kernel ... holds much promise"). The default
+    /// Native evaluation through the engine's `Preference` plan node
+    /// (ablation A1: "implementing a generalized skyline operator in the
+    /// kernel ... holds much promise"). The default
     /// algorithm is [`SkylineAlgo::Auto`], which picks naive/BNL/SFS per
     /// input — see [`ExecutionMode::native`].
     Native(SkylineAlgo),
@@ -129,9 +129,6 @@ pub struct Session {
     /// Parallel-window degree knob for native preference evaluation
     /// (default: `PREFSQL_THREADS` or the host width).
     threads: usize,
-    /// External-memory window budget in bytes for native preference
-    /// evaluation (default: `PREFSQL_WINDOW`, or `None` = unbounded).
-    window_bytes: Option<usize>,
     /// This session's private spill directory, created on first use and
     /// removed when the session drops.
     spill_dir: Option<PathBuf>,
@@ -163,11 +160,10 @@ impl Session {
             mode: ExecutionMode::Rewrite,
             algo: SkylineAlgo::default(),
             threads: crate::knobs::default_threads(),
-            window_bytes: crate::knobs::default_window_bytes(),
             spill_dir: None,
             last_view_maintained: 0,
         };
-        session.sync_engine_window();
+        session.set_window_bytes(crate::knobs::default_window_bytes());
         session
     }
 
@@ -227,19 +223,26 @@ impl Session {
         self.threads
     }
 
-    /// Set the external-memory window budget for native preference
-    /// evaluation: `Some(bytes)` streams candidate sets larger than the
-    /// budget through the bounded-window multi-pass BNL with
-    /// spill-to-disk overflow runs (clamped to at least
+    /// Set the external-memory window budget (default: `PREFSQL_WINDOW`,
+    /// or `None` = unbounded): `Some(bytes)` streams native candidate
+    /// sets larger than the budget through the bounded-window multi-pass
+    /// BNL with spill-to-disk overflow runs, and partitions oversized
+    /// hash-join build sides (clamped to at least
     /// [`crate::knobs::MIN_WINDOW_BYTES`]); `None` never spills.
+    ///
+    /// The budget and the session's spill directory are set once, here,
+    /// on the engine: every statement context — plain SQL joins and
+    /// native preference evaluation alike — reads them from there.
     pub fn set_window_bytes(&mut self, window_bytes: Option<usize>) {
-        self.window_bytes = window_bytes.map(|b| b.max(crate::knobs::MIN_WINDOW_BYTES));
-        self.sync_engine_window();
+        let window_bytes = window_bytes.map(|b| b.max(crate::knobs::MIN_WINDOW_BYTES));
+        self.engine.set_window_bytes(window_bytes);
+        let base = window_bytes.map(|_| self.spill_base().to_path_buf());
+        self.engine.set_spill_base(base);
     }
 
     /// The external-memory window budget knob.
     pub fn window_bytes(&self) -> Option<usize> {
-        self.window_bytes
+        self.engine.window_bytes()
     }
 
     /// The session's private spill directory, named on first use.
@@ -250,29 +253,13 @@ impl Session {
     /// creates the whole path), so sessions that never overflow never
     /// touch the filesystem.
     fn spill_base(&mut self) -> &Path {
-        if self.spill_dir.is_none() {
-            let dir = std::env::temp_dir().join(format!(
+        self.spill_dir.get_or_insert_with(|| {
+            std::env::temp_dir().join(format!(
                 "prefsql-session-{}-{}",
                 std::process::id(),
                 SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            self.spill_dir = Some(dir);
-        }
-        self.spill_dir.as_deref().expect("just named")
-    }
-
-    /// Push the session's window budget down to the host engine so plain
-    /// SQL joins obey the same external-memory discipline as native
-    /// preference evaluation: when `\window` is set, an oversized hash
-    /// join build side partitions to this session's spill directory.
-    fn sync_engine_window(&mut self) {
-        self.engine.set_window_bytes(self.window_bytes);
-        let base = if self.window_bytes.is_some() {
-            Some(self.spill_base().to_path_buf())
-        } else {
-            None
-        };
-        self.engine.set_spill_base(base);
+            ))
+        })
     }
 
     /// Execute one statement of Preference SQL.
@@ -351,63 +338,16 @@ impl Session {
             };
             return self.forward(&resolved, false);
         }
-        // Native mode evaluates preference SELECTs inside this layer and
-        // explains them with the native plan it would run.
+        // Native mode hands preference SELECTs — plain or under EXPLAIN
+        // [ANALYZE] — to the engine's preference planner.
         if let ExecutionMode::Native(algo) = self.mode {
-            // Built literally: the session's own `\threads` knob must
-            // win over `NativeOptions::default()`'s session default.
-            let opts = NativeOptions {
-                algo,
-                threads: self.threads,
-                batch: Some(prefsql_engine::physical::DEFAULT_BATCH),
-                window_bytes: self.window_bytes,
+            let (target, explain) = match stmt {
+                Statement::Explain { analyze, statement } => (statement.as_ref(), Some(*analyze)),
+                other => (other, None),
             };
-            if let Statement::Select(q) = stmt {
+            if let Statement::Select(q) = target {
                 if q.preferring.is_some() {
-                    // A bounded window may spill; root the runs in this
-                    // session's own directory.
-                    let spill = if self.window_bytes.is_some() {
-                        Some(self.spill_base().to_path_buf())
-                    } else {
-                        None
-                    };
-                    // Like `forward`, report the buffer-pool delta this
-                    // statement caused (paged backend only).
-                    let pool_before = match self.engine.backend_kind() {
-                        BackendKind::Paged => Some(self.engine.pool_stats()),
-                        BackendKind::Mem => None,
-                    };
-                    let rs = native::run_native_in(
-                        &self.engine,
-                        self.rewriter.registry(),
-                        q,
-                        opts,
-                        spill.as_deref(),
-                    )?;
-                    let rs = rs.with_pool(pool_before.map(|b| self.engine.pool_stats().since(&b)));
-                    return Ok(QueryResult::Rows(rs));
-                }
-            }
-            if let Statement::Explain {
-                analyze,
-                statement: inner,
-            } = stmt
-            {
-                if let Statement::Select(q) = inner.as_ref() {
-                    if q.preferring.is_some() {
-                        let plan = native::explain_native_opts(
-                            &self.engine,
-                            self.rewriter.registry(),
-                            q,
-                            opts,
-                        )?;
-                        if *analyze {
-                            return self.explain_analyze_native(q, opts, plan);
-                        }
-                        return Ok(QueryResult::Explain(format!(
-                            "Native preference plan:\n{plan}"
-                        )));
-                    }
+                    return self.run_native(q, algo, explain);
                 }
             }
         }
@@ -469,6 +409,16 @@ impl Session {
         }
     }
 
+    /// The shared buffer pool's counters before a statement, so its row
+    /// result can report the statement's own delta (paged backend only —
+    /// the counters are cumulative across all sessions on the core).
+    fn pool_snapshot(&self) -> Option<prefsql_storage::PoolStats> {
+        match self.engine.backend_kind() {
+            BackendKind::Paged => Some(self.engine.pool_stats()),
+            BackendKind::Mem => None,
+        }
+    }
+
     fn forward(&mut self, stmt: &Statement, strip_generated: bool) -> Result<QueryResult> {
         // Discard spill and view-maintenance accounting a prior rowless
         // statement (e.g. an INSERT ... SELECT whose join spilled) may
@@ -476,13 +426,7 @@ impl Session {
         let _ = self.engine.take_spill_metrics();
         let _ = self.engine.take_view_maintenance();
         self.last_view_maintained = 0;
-        // Snapshot the shared buffer pool so a row result can report this
-        // statement's delta (paged backend only — the counters are
-        // cumulative across all sessions on the core).
-        let pool_before = match self.engine.backend_kind() {
-            BackendKind::Paged => Some(self.engine.pool_stats()),
-            BackendKind::Mem => None,
-        };
+        let pool_before = self.pool_snapshot();
         let outcome = self.engine.execute(stmt)?;
         self.last_view_maintained = self.engine.take_view_maintenance();
         match outcome {
@@ -506,42 +450,48 @@ impl Session {
         }
     }
 
-    /// `EXPLAIN ANALYZE` of a native-mode preference query: actually run
-    /// the statement with the host source plan instrumented, then report
-    /// the planned tree, the dominance tally, spill/pool activity, the
-    /// executed source tree with per-node metrics, and the wall time.
-    /// `plan` is the already-rendered plain native plan.
-    fn explain_analyze_native(
+    /// A native-mode preference SELECT: executed (`explain: None`),
+    /// explained (`Some(false)`), or — `EXPLAIN ANALYZE`, `Some(true)` —
+    /// executed with every operator of its one plan tree instrumented and
+    /// reported as that tree plus the statement's footer lines.
+    fn run_native(
         &mut self,
         q: &Query,
-        opts: NativeOptions,
-        plan: String,
+        algo: SkylineAlgo,
+        explain: Option<bool>,
     ) -> Result<QueryResult> {
-        let spill = if self.window_bytes.is_some() {
-            Some(self.spill_base().to_path_buf())
-        } else {
-            None
+        // Built literally: the session's own `\threads` knob must win
+        // over `NativeOptions::default()`'s session default.
+        let opts = NativeOptions {
+            algo,
+            threads: self.threads,
+            batch: Some(prefsql_engine::physical::DEFAULT_BATCH),
+            window_bytes: self.window_bytes(),
         };
-        let pool_before = match self.engine.backend_kind() {
-            BackendKind::Paged => Some(self.engine.pool_stats()),
-            BackendKind::Mem => None,
-        };
+        let registry = self.rewriter.registry();
+        if explain == Some(false) {
+            let plan = native::explain(&self.engine, registry, q, opts)?;
+            return Ok(QueryResult::Explain(format!(
+                "Native preference plan:\n{plan}"
+            )));
+        }
+        // Like `forward`, report this statement's buffer-pool delta.
+        let pool_before = self.pool_snapshot();
+        let analyze = explain.is_some();
         let was = self.engine.profiling();
-        self.engine.set_profiling(true);
+        self.engine.set_profiling(was || analyze);
         let started = Instant::now();
-        let result = native::run_native_in(
-            &self.engine,
-            self.rewriter.registry(),
-            q,
-            opts,
-            spill.as_deref(),
-        );
+        let result = native::run_native_in(&self.engine, registry, q, opts, None);
         self.engine.set_profiling(was);
-        let rs = result?;
         let elapsed = started.elapsed();
-        let rs = rs.with_pool(pool_before.map(|b| self.engine.pool_stats().since(&b)));
-
-        let mut text = format!("Native preference plan:\n{plan}");
+        let rs = result?.with_pool(pool_before.map(|b| self.engine.pool_stats().since(&b)));
+        if !analyze {
+            return Ok(QueryResult::Rows(rs));
+        }
+        let mut text = format!(
+            "Native preference plan:\n{}",
+            self.engine.take_analyzed().unwrap_or_default()
+        );
         let _ = writeln!(
             text,
             "Preference evaluation: {} winner(s), {} dominance comparison(s)",
@@ -557,14 +507,6 @@ impl Session {
         }
         if let Some(p) = rs.pool_stats() {
             let _ = writeln!(text, "{}", crate::footer::pool_line(&self.pool_label(), p));
-        }
-        // The executed source tree, annotated per node — absent when a
-        // view cache hit replaced the whole scan-and-select pipeline.
-        if let Some(src) = self.engine.take_analyzed() {
-            text.push_str("Source plan (actual):\n");
-            for line in src.lines() {
-                let _ = writeln!(text, "  {line}");
-            }
         }
         let _ = writeln!(
             text,
@@ -722,7 +664,7 @@ impl Session {
 
     /// The `\window` display label: `64 KiB` or `off`.
     pub fn window_label(&self) -> String {
-        match self.window_bytes {
+        match self.window_bytes() {
             Some(b) => crate::knobs::fmt_bytes(b as u64),
             None => "off".into(),
         }

@@ -233,11 +233,15 @@ fn three_table_join_preference_query_reports_all_counters() {
     let expected = dump(&mut s, sql);
     let report = analyze(&mut s, sql);
 
-    // Per-node actuals on the executed source tree, joins included.
-    assert!(report.contains("Source plan (actual):"), "{report}");
+    // One annotated tree: per-node actuals from the Preference operator
+    // down through the joins to the scans.
+    let pref = preference_line(&report);
+    assert!(pref.contains("window=4 KiB"), "{pref}");
+    assert_eq!(counter(pref, "actual rows"), 200, "every car wins: {pref}");
+    assert!(counter(pref, "comparisons") > 0, "{pref}");
     assert!(report.contains("join=hash"), "{report}");
-    assert!(report.contains("actual rows="), "{report}");
     assert!(counter(&report, "probe_rows") > 0, "{report}");
+    assert!(!report.contains("(never executed)"), "{report}");
     // The paper's cost unit.
     assert!(report.contains("dominance comparison(s)"), "{report}");
     // Spill and buffer-pool activity for this statement.
@@ -247,4 +251,89 @@ fn three_table_join_preference_query_reports_all_counters() {
 
     // Side effects: none — the analyzed run returns the same skyline.
     assert_eq!(dump(&mut s, sql), expected);
+
+    // The forced spill landed in the session's own directory (set once on
+    // the engine by `\window`), and every run file is gone again.
+    let rs = s.query(sql).unwrap();
+    let m = rs.spill_metrics().expect("bounded window reports metrics");
+    assert!(m.runs_written > 0, "{m:?}");
+    let run_dir = m.spill_dir.as_deref().expect("spilling names its dir");
+    let session_dir = run_dir.parent().expect("runs live under the session dir");
+    let name = session_dir.file_name().unwrap().to_string_lossy();
+    assert!(name.starts_with("prefsql-session-"), "{session_dir:?}");
+    assert_eq!(
+        std::fs::read_dir(session_dir).unwrap().count(),
+        0,
+        "spill dir not empty after the statement: {session_dir:?}"
+    );
+}
+
+/// The `Preference (BMO, …)` line of a native plan rendering.
+fn preference_line(report: &str) -> &str {
+    report
+        .lines()
+        .find(|l| l.trim_start().starts_with("Preference (BMO"))
+        .unwrap_or_else(|| panic!("no Preference node in:\n{report}"))
+}
+
+/// Indentation depth of the first line containing `needle`.
+fn depth_of(report: &str, needle: &str) -> usize {
+    let line = report
+        .lines()
+        .find(|l| l.contains(needle))
+        .unwrap_or_else(|| panic!("no `{needle}` in:\n{report}"));
+    line.len() - line.trim_start().len()
+}
+
+/// Native mode has no tail of its own: ORDER BY / DISTINCT / LIMIT are
+/// the engine's Sort / Distinct / Limit nodes, stacked above `Preference`
+/// in the one plan tree EXPLAIN renders.
+#[test]
+fn native_explain_shows_engine_tail_above_preference() {
+    let mut s = seeded();
+    s.set_mode(ExecutionMode::native());
+    let sql = "SELECT DISTINCT make FROM cars PREFERRING LOWEST(price) AND LOWEST(mileage) \
+               ORDER BY DISTANCE(price), make LIMIT 2";
+    let QueryResult::Explain(plan) = run(&mut s, &format!("EXPLAIN {sql}")) else {
+        panic!("expected EXPLAIN output");
+    };
+    assert!(plan.starts_with("Native preference plan:\n"), "{plan}");
+    let pref = depth_of(&plan, "Preference (BMO, algo=auto");
+    for node in ["limit 2", "distinct", "Project: make", "sort(2 keys)"] {
+        assert!(
+            depth_of(&plan, node) < pref,
+            "{node} not above Preference:\n{plan}"
+        );
+    }
+    assert!(depth_of(&plan, "Seq scan: cars") > pref, "{plan}");
+    // ... and the tree it shows is the tree it runs.
+    assert_eq!(
+        s.query(sql).unwrap().column_as_strings(0),
+        vec!["VW", "Porsche"]
+    );
+}
+
+/// Native `EXPLAIN ANALYZE` is the ordinary profiled execution of that
+/// tree: the `Preference` line carries its own actuals and dominance
+/// tally, and every node below it ran.
+#[test]
+fn native_analyze_annotates_the_preference_node() {
+    let mut s = seeded();
+    s.set_mode(ExecutionMode::Native(SkylineAlgo::Bnl));
+    let report = analyze(&mut s, PREF_SELECT);
+    let pref = preference_line(&report);
+    let winners = s.query(PREF_SELECT).unwrap().len() as u64;
+    assert_eq!(counter(pref, "actual rows"), winners, "{pref}");
+    let comparisons = counter(pref, "comparisons");
+    assert!((1..=36).contains(&comparisons), "BNL over 6 rows: {pref}");
+    // The per-node counter and the statement footer are one tally.
+    assert!(
+        report.contains(&format!("{comparisons} dominance comparison(s)")),
+        "{report}"
+    );
+    assert!(!report.contains("(never executed)"), "{report}");
+    assert!(
+        report.contains(&format!("Execution: returned {winners} row(s)")),
+        "{report}"
+    );
 }

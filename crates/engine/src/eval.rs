@@ -42,12 +42,8 @@ pub fn eval(expr: &Expr, frames: &[Frame<'_>], sq: &dyn SubqueryEval) -> Result<
         Expr::Column { qualifier, name } => {
             // Innermost frame wins; outer frames provide correlation.
             for frame in frames {
-                match frame.schema.resolve(qualifier.as_deref(), name) {
-                    Ok(idx) => return Ok(frame.tuple[idx].clone()),
-                    Err(Error::Plan(msg)) if msg.starts_with("ambiguous") => {
-                        return Err(Error::Plan(msg))
-                    }
-                    Err(_) => continue,
+                if let Some(idx) = frame.schema.lookup(qualifier.as_deref(), name)? {
+                    return Ok(frame.tuple[idx].clone());
                 }
             }
             let shown = match qualifier {

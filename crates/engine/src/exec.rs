@@ -26,7 +26,7 @@ use crate::eval::{eval, truth, Frame, SubqueryEval};
 use crate::plan::{plan_query, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
-use prefsql_storage::spill::SpillMetrics;
+use prefsql_storage::spill::{SpillManager, SpillMetrics};
 use prefsql_storage::{BufferPool, Catalog, HeapFile, IndexKind, PoolStats, Table};
 use prefsql_types::knobs::{ceiling_from_value, parse_size, DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
 use prefsql_types::{Column, Error, Result, Schema, Tuple, Value};
@@ -522,9 +522,13 @@ impl<'c> ExecCtx<'c> {
         self
     }
 
-    /// The directory spill managers root their run dirs in, if pinned.
-    pub fn spill_base(&self) -> Option<&std::path::Path> {
-        self.spill_base.as_deref()
+    /// A spill manager for one spilling operator of this statement,
+    /// rooted in the session's spill directory when one is pinned.
+    pub(crate) fn spill_manager(&self) -> Result<SpillManager> {
+        match &self.spill_base {
+            Some(dir) => SpillManager::new_in(dir),
+            None => SpillManager::new(),
+        }
     }
 
     /// Attach a per-operator profiler to this statement (builder style):
@@ -546,8 +550,8 @@ impl<'c> ExecCtx<'c> {
 
     /// Register `plan` as this statement's top-level profiled plan (a
     /// no-op without a profiler, or once a plan is already registered).
-    /// The Preference SQL facade calls this for the source plan it
-    /// builds operators over directly, bypassing [`ExecCtx::run_query`].
+    /// The Preference SQL facade calls this for the native plan it gets
+    /// from [`crate::plan::plan_preference`] and executes itself.
     pub fn profile_plan(&self, plan: &Arc<QueryPlan>) {
         if self.profiler.is_some() {
             let mut slot = self.profiled_plan.borrow_mut();
@@ -557,8 +561,8 @@ impl<'c> ExecCtx<'c> {
         }
     }
 
-    /// Charge dominance comparisons to this statement (the Preference
-    /// SQL facade and view maintenance report the choke-point counter of
+    /// Charge dominance comparisons to this statement (the preference
+    /// operator reports the choke-point counter of
     /// [`prefsql_pref::compose::Preference`] here).
     pub fn note_dominance_tests(&self, n: u64) {
         self.stats.borrow_mut().dominance_tests += n;
@@ -577,6 +581,11 @@ impl<'c> ExecCtx<'c> {
     /// Read and reset the statement's accumulated spill metrics.
     pub fn take_spill(&self) -> Option<SpillMetrics> {
         self.spill.borrow_mut().take()
+    }
+
+    /// This statement's execution counters so far.
+    pub fn stats(&self) -> ExecStats {
+        *self.stats.borrow()
     }
 
     /// Read and reset this statement's execution counters.
@@ -921,7 +930,17 @@ impl Engine {
     /// context's counters (and any spill metrics) into the session
     /// accumulators.
     pub fn with_read_ctx<R>(&self, f: impl FnOnce(&ExecCtx<'_>) -> Result<R>) -> Result<R> {
-        let ctx = self.read_ctx()?;
+        self.run_in_ctx(self.read_ctx()?, f)
+    }
+
+    /// [`Engine::with_read_ctx`] over a context the caller prepared
+    /// ([`Engine::read_ctx`] plus per-call overrides of the window budget
+    /// or spill directory).
+    pub fn run_in_ctx<R>(
+        &self,
+        ctx: ExecCtx<'_>,
+        f: impl FnOnce(&ExecCtx<'_>) -> Result<R>,
+    ) -> Result<R> {
         let out = f(&ctx);
         self.harvest_profile(&ctx);
         self.note_stats(ctx.take_stats());

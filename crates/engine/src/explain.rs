@@ -8,11 +8,19 @@
 //! rewrite and the host plan. [`render_analyzed`] prints the same tree
 //! annotated with a [`Profiler`]'s observed per-node metrics — what
 //! `EXPLAIN ANALYZE` shows after actually executing the statement.
+//!
+//! Native mode has no renderer of its own: its plan is a tree of these
+//! same nodes with a [`PlanNode::Preference`] (or, on a materialized
+//! view hit, a tagged [`PlanNode::MatViewScan`]) in it, so `render` /
+//! `render_analyzed` print it — `comparisons=` on the `Preference` line
+//! comes from the operator's [`crate::physical::Operator::counters`].
 
 use crate::exec::ExecCtx;
 use crate::metrics::Profiler;
 use crate::plan::{PlanNode, Projection};
 use prefsql_parser::ast::Statement;
+use prefsql_pref::SkylineAlgo;
+use prefsql_types::knobs::fmt_bytes;
 use prefsql_types::Result;
 use std::fmt::Write as _;
 
@@ -41,8 +49,7 @@ pub fn explain(ctx: &ExecCtx<'_>, stmt: &Statement) -> Result<String> {
 }
 
 /// Render a plan sub-tree into `out`, one node per line, children
-/// indented below their parent. Public so the Preference SQL facade can
-/// splice its own operators above an engine-planned source.
+/// indented below their parent.
 pub fn render(node: &PlanNode, depth: usize, out: &mut String) {
     for _ in 0..depth {
         out.push_str("  ");
@@ -88,20 +95,10 @@ pub fn render_analyzed(node: &PlanNode, prof: &Profiler, depth: usize, out: &mut
 /// The direct children of a plan node, in render order.
 fn children(node: &PlanNode) -> Vec<&PlanNode> {
     match node {
-        PlanNode::Nothing { .. }
-        | PlanNode::SeqScan { .. }
-        | PlanNode::MatViewScan { .. }
-        | PlanNode::IndexScan { .. } => Vec::new(),
-        PlanNode::Materialize { input, .. }
-        | PlanNode::Filter { input, .. }
-        | PlanNode::Project { input, .. }
-        | PlanNode::Sort { input, .. }
-        | PlanNode::Distinct { input }
-        | PlanNode::Limit { input, .. }
-        | PlanNode::Aggregate { input, .. } => vec![input],
         PlanNode::NestedLoopJoin { left, right, .. } | PlanNode::HashJoin { left, right, .. } => {
             vec![left, right]
         }
+        other => other.input().into_iter().collect(),
     }
 }
 
@@ -126,8 +123,57 @@ fn node_line(node: &PlanNode, out: &mut String) {
                 let _ = write!(out, " [backend={backend}]");
             }
         }
-        PlanNode::MatViewScan { view, rows, .. } => {
+        PlanNode::MatViewScan {
+            view,
+            winners,
+            serves,
+            ..
+        } => {
+            let rows = winners.len();
             let _ = write!(out, "Materialized view scan: {view} ({rows} winners)");
+            if *serves {
+                let _ = write!(out, " [view={view} hit]");
+            }
+        }
+        PlanNode::Preference { spec, .. } => {
+            // GROUPING queries always run the grouped BMO (the algo choice
+            // only applies to the ungrouped maximal-set selection) — say
+            // so, instead of naming an algorithm the executor would not
+            // use. Under Auto the effective degree is cost-based per input
+            // (serial under PARALLEL_CUTOFF candidates) — surface the
+            // session's ceiling.
+            if spec.n_groups > 0 {
+                let _ = write!(
+                    out,
+                    "Preference (BMO, grouped-bmo, {} key(s)",
+                    spec.n_groups
+                );
+            } else {
+                let _ = write!(out, "Preference (BMO, algo={}", spec.algo.label());
+                if matches!(spec.algo, SkylineAlgo::Auto) && spec.threads > 1 {
+                    let _ = write!(out, ", threads={}", spec.threads);
+                }
+            }
+            // External-memory mode: the window budget the operator streams
+            // under (spilled_runs/passes are runtime facts — the shell
+            // prints them as a metrics line after each execution).
+            if let Some(budget) = spec.external_budget() {
+                let _ = write!(out, ", window={}", fmt_bytes(budget as u64));
+            }
+            let _ = write!(
+                out,
+                ", {} base preference(s)",
+                spec.compiled.preference.arity()
+            );
+            if spec.but_only.is_some() {
+                out.push_str(", but-only threshold");
+            }
+            out.push(')');
+            // Why a materialized preference view on the base table did
+            // not serve this query.
+            if let Some((name, state)) = &spec.view {
+                let _ = write!(out, " [view={name} {state}]");
+            }
         }
         PlanNode::IndexScan {
             table,

@@ -523,10 +523,7 @@ impl<'a> HashJoinOp<'a> {
     /// process partition pairs (recursing once, then block-NLJ), and
     /// leave a k-way merge over the sorted output runs.
     fn grace_phase(&mut self, cfg: &JoinCfg<'a>, collected: Vec<Tuple>) -> Result<State> {
-        let mut mgr = match self.ctx.spill_base() {
-            Some(base) => SpillManager::new_in(base)?,
-            None => SpillManager::new()?,
-        };
+        let mut mgr = self.ctx.spill_manager()?;
         let mut passes = 1u32;
 
         // Partition the build side: the rows drained so far, then the

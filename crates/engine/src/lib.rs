@@ -12,10 +12,13 @@
 //! GROUP BY / HAVING with `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`, ORDER BY, LIMIT,
 //! INSERT (VALUES and SELECT), CREATE/DROP TABLE/VIEW/INDEX, and EXPLAIN.
 //!
-//! Not supported (by design — the engine is the *target* of the rewrite):
-//! the `PREFERRING`/`GROUPING`/`BUT ONLY` clauses and the quality
-//! functions. Feeding a preference query to the engine is an error; the
-//! `prefsql` facade crate rewrites such queries first.
+//! The plain-SQL entry points ([`Engine::execute`], [`plan::plan_query`])
+//! reject the `PREFERRING`/`GROUPING`/`BUT ONLY` clauses and the quality
+//! functions — there the engine is the *target* of the rewrite, and the
+//! `prefsql` facade rewrites such queries first. Native mode asks for
+//! them explicitly through [`plan::plan_preference`], which plans the
+//! BMO selection as one more node ([`PlanNode::Preference`], operator in
+//! [`preference`]) of the same tree, executed and explained like the rest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +32,7 @@ mod matview;
 pub mod metrics;
 pub mod physical;
 pub mod plan;
+pub mod preference;
 
 pub use exec::{BackendKind, Engine, EngineCore, ExecCtx, ExecOutcome, ExecStats, Relation};
 pub use metrics::{MetricsRegistry, NodeMetrics, Profiler};

@@ -20,6 +20,7 @@ use crate::eval::{eval, truth, Frame};
 use crate::exec::ExecCtx;
 use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, Statement, TableRef};
 use prefsql_parser::parse_statement;
+use prefsql_rewrite::levels::uses_quality;
 use prefsql_rewrite::{compile_preference, CompiledPreference};
 use prefsql_storage::{Catalog, MatViewDef, MatViewEntry, Table};
 use prefsql_types::{Error, Result, Schema, Tuple};
@@ -74,18 +75,6 @@ fn has_subquery(expr: &Expr) -> bool {
         expr,
         Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_)
     ) || expr.children().iter().any(|c| has_subquery(c))
-}
-
-/// True if `expr` calls a quality function (`TOP`/`LEVEL`/`DISTANCE`).
-/// Quality functions need the optima over *all* candidates, which the
-/// stored winner set cannot answer, so view definitions reject them.
-fn uses_quality(expr: &Expr) -> bool {
-    if let Expr::Function { name, .. } = expr {
-        if matches!(name.as_str(), "top" | "level" | "distance") {
-            return true;
-        }
-    }
-    expr.children().iter().any(|c| uses_quality(c))
 }
 
 /// True if the preference term contains an unresolved named preference.
@@ -227,7 +216,7 @@ pub(crate) fn build_def(
     let schema = eval_schema(table, &spec.qual);
     // Resolve the select list now so a broken projection fails CREATE,
     // not the first read.
-    crate::plan::projection_plan(&spec.query, &schema)?;
+    crate::plan::projection_plan(&spec.query.select, &schema, schema.len())?;
     let ctx = ExecCtx::over(cat, use_indexes);
     let mut entries = Vec::with_capacity(table.len());
     table.for_each_row(|_, row| {
@@ -304,7 +293,7 @@ fn rebuild_from_base(
     // `projection_plan` resolves wildcards eagerly but computed columns
     // lazily, so every referenced column is additionally checked here —
     // an empty base table must not let a dangling reference slide.
-    crate::plan::projection_plan(&spec.query, &schema)?;
+    crate::plan::projection_plan(&spec.query.select, &schema, schema.len())?;
     for item in &spec.query.select {
         if let SelectItem::Expr { expr, .. } = item {
             check_columns(expr, &schema)?;

@@ -144,6 +144,7 @@ pub fn node_kind(node: &PlanNode) -> &'static str {
         PlanNode::Sort { .. } => "sort",
         PlanNode::Distinct { .. } => "distinct",
         PlanNode::Limit { .. } => "limit",
+        PlanNode::Preference { .. } => "preference",
         PlanNode::Aggregate { .. } => "aggregate",
     }
 }

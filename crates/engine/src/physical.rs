@@ -9,9 +9,9 @@
 //! derived tables) buffer exactly where the semantics require it and
 //! nowhere else.
 //!
-//! The layer is open: other crates can implement [`Operator`] and splice
-//! their own nodes on top of [`build`]-produced sources — the Preference
-//! SQL facade does exactly that for its native BMO operator.
+//! [`build`] is the only place operators are constructed — the BMO
+//! operator of [`crate::preference`] included — so the instrumentation
+//! shim wraps every node of every plan alike.
 
 use crate::eval::{eval, truth, Frame};
 use crate::exec::{ExecCtx, Relation};
@@ -131,9 +131,21 @@ fn build_plain<'a>(
             buf_pos: 0,
             scan_pos: 0,
         }),
-        PlanNode::MatViewScan { view, .. } => Box::new(MatViewScanOp {
+        PlanNode::Preference {
+            input,
+            spec,
+            schema,
+        } => Box::new(crate::preference::PreferenceOp::new(
+            build(ctx, input, outer),
+            ctx,
+            input.schema(),
+            spec,
+            schema,
+        )),
+        PlanNode::MatViewScan { view, winners, .. } => Box::new(MatViewScanOp {
             ctx,
             view,
+            ids: winners,
             rows: Vec::new(),
             pos: 0,
         }),
@@ -261,10 +273,23 @@ pub fn execute(ctx: &ExecCtx<'_>, node: &PlanNode, outer: &[Frame<'_>]) -> Resul
 /// run of tuples, small enough to keep scratch buffers resident.
 pub const DEFAULT_BATCH: usize = 1024;
 
+/// Shared [`Operator::next`] body for buffered operators: a clone of the
+/// tuple at `pos`, advancing it. `None` at exhaustion.
+pub(crate) fn next_from(rows: &[Tuple], pos: &mut usize) -> Option<Tuple> {
+    let t = rows.get(*pos)?;
+    *pos += 1;
+    Some(t.clone())
+}
+
 /// Shared [`Operator::next_batch`] body for buffered operators: append
 /// the next run of up to `max` tuples of `rows` to `out`, advancing
 /// `pos`. Returns `true` while tuples remain.
-pub fn batch_from(rows: &[Tuple], pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> bool {
+pub(crate) fn batch_from(
+    rows: &[Tuple],
+    pos: &mut usize,
+    out: &mut Vec<Tuple>,
+    max: usize,
+) -> bool {
     let end = (*pos + max).min(rows.len());
     out.extend_from_slice(&rows[*pos..end]);
     *pos = end;
@@ -274,7 +299,7 @@ pub fn batch_from(rows: &[Tuple], pos: &mut usize, out: &mut Vec<Tuple>, max: us
 /// Shared [`Operator::next_slice`] body for buffered operators: lend
 /// the next run of up to `max` tuples of `rows`, advancing `pos`.
 /// Empty at exhaustion.
-pub fn slice_from<'a>(rows: &'a [Tuple], pos: &mut usize, max: usize) -> &'a [Tuple] {
+pub(crate) fn slice_from<'a>(rows: &'a [Tuple], pos: &mut usize, max: usize) -> &'a [Tuple] {
     let end = (*pos + max).min(rows.len());
     let slice = &rows[*pos..end];
     *pos = end;
@@ -504,12 +529,14 @@ impl Operator for SeqScanOp<'_> {
     }
 }
 
-/// Materialized preference view scan: stream the stored winner rows in
-/// entry order. Winners are cloned at open (the stored entries stay put),
-/// and count as scanned rows — the serving cost of a cache hit.
+/// Materialized preference view scan: stream the stored winner rows
+/// chosen at plan time, in entry order. Winners are cloned at open (the
+/// stored entries stay put), and count as scanned rows — the serving cost
+/// of a cache hit.
 struct MatViewScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     view: &'a str,
+    ids: &'a [usize],
     rows: Vec<Tuple>,
     pos: usize,
 }
@@ -523,19 +550,22 @@ impl Operator for MatViewScanOp<'_> {
                 self.view
             ))
         })?;
-        self.rows = def.winners();
+        let fetch = |&i: &usize| {
+            let entry = def.entries.get(i).ok_or_else(|| {
+                Error::Exec(format!(
+                    "materialized preference view '{}' changed under its plan",
+                    self.view
+                ))
+            })?;
+            Ok(entry.output.clone())
+        };
+        self.rows = self.ids.iter().map(fetch).collect::<Result<_>>()?;
         self.ctx.stats.borrow_mut().rows_scanned += self.rows.len() as u64;
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.rows.get(self.pos) {
-            Some(t) => {
-                self.pos += 1;
-                Ok(Some(t.clone()))
-            }
-            None => Ok(None),
-        }
+        Ok(next_from(&self.rows, &mut self.pos))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
@@ -579,13 +609,7 @@ impl Operator for IndexScanOp<'_> {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.rows.get(self.pos) {
-            Some(t) => {
-                self.pos += 1;
-                Ok(Some(t.clone()))
-            }
-            None => Ok(None),
-        }
+        Ok(next_from(&self.rows, &mut self.pos))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
@@ -636,13 +660,7 @@ impl Operator for MaterializeOp<'_> {
 
     fn next(&mut self) -> Result<Option<Tuple>> {
         let rel = self.rel.as_ref().expect("open() before next()");
-        match rel.rows.get(self.pos) {
-            Some(t) => {
-                self.pos += 1;
-                Ok(Some(t.clone()))
-            }
-            None => Ok(None),
-        }
+        Ok(next_from(&rel.rows, &mut self.pos))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
@@ -964,13 +982,7 @@ impl Operator for SortOp<'_> {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.sorted.get(self.pos) {
-            Some(t) => {
-                self.pos += 1;
-                Ok(Some(t.clone()))
-            }
-            None => Ok(None),
-        }
+        Ok(next_from(&self.sorted, &mut self.pos))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
@@ -1113,13 +1125,7 @@ impl Operator for AggregateOp<'_> {
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
-        match self.out.get(self.pos) {
-            Some(t) => {
-                self.pos += 1;
-                Ok(Some(t.clone()))
-            }
-            None => Ok(None),
-        }
+        Ok(next_from(&self.out, &mut self.pos))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
@@ -1244,83 +1250,15 @@ fn fold_aggregates(
     members: &[Tuple],
     outer: &[Frame<'_>],
 ) -> Result<Expr> {
-    if let Expr::Function { name, args } = expr {
-        if matches!(name.as_str(), "count" | "sum" | "avg" | "min" | "max") {
+    expr.try_map(&mut |e| match e {
+        Expr::Function { name, args }
+            if matches!(name.as_str(), "count" | "sum" | "avg" | "min" | "max") =>
+        {
             let v = compute_aggregate(ctx, name, args, input_schema, members, outer)?;
-            return Ok(Expr::Literal(v));
+            Ok(Some(Expr::Literal(v)))
         }
-    }
-    // Rebuild the node with folded children.
-    let rebuilt = match expr {
-        Expr::Unary { op, expr: e } => Expr::Unary {
-            op: *op,
-            expr: Box::new(fold_aggregates(ctx, e, input_schema, members, outer)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(fold_aggregates(ctx, left, input_schema, members, outer)?),
-            op: *op,
-            right: Box::new(fold_aggregates(ctx, right, input_schema, members, outer)?),
-        },
-        Expr::IsNull { expr: e, negated } => Expr::IsNull {
-            expr: Box::new(fold_aggregates(ctx, e, input_schema, members, outer)?),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr: e,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(fold_aggregates(ctx, e, input_schema, members, outer)?),
-            low: Box::new(fold_aggregates(ctx, low, input_schema, members, outer)?),
-            high: Box::new(fold_aggregates(ctx, high, input_schema, members, outer)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr: e,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(fold_aggregates(ctx, e, input_schema, members, outer)?),
-            list: list
-                .iter()
-                .map(|i| fold_aggregates(ctx, i, input_schema, members, outer))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => Expr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| fold_aggregates(ctx, o, input_schema, members, outer).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| {
-                    Ok((
-                        fold_aggregates(ctx, w, input_schema, members, outer)?,
-                        fold_aggregates(ctx, t, input_schema, members, outer)?,
-                    ))
-                })
-                .collect::<Result<_>>()?,
-            else_result: else_result
-                .as_ref()
-                .map(|e| fold_aggregates(ctx, e, input_schema, members, outer).map(Box::new))
-                .transpose()?,
-        },
-        Expr::Function { name, args } => Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| fold_aggregates(ctx, a, input_schema, members, outer))
-                .collect::<Result<_>>()?,
-        },
-        other => other.clone(),
-    };
-    Ok(rebuilt)
+        _ => Ok(None),
+    })
 }
 
 fn compute_aggregate(

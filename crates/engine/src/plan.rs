@@ -7,11 +7,25 @@
 //! single source of truth for execution: `EXPLAIN` renders it and the
 //! physical operators of [`crate::physical`] run it, so the two can never
 //! drift apart.
+//!
+//! Preference queries take the same road: [`plan_preference`] (the native
+//! mode's planner — [`plan_query`] itself keeps rejecting `PREFERRING`,
+//! because in rewrite mode the engine is the plain-SQL oracle) lays
+//! [`PlanNode::Preference`] over the ordinary FROM/WHERE source, or swaps
+//! the whole BMO for a [`PlanNode::MatViewScan`] when a materialized
+//! preference view defines it, and hands the result to the very
+//! `plan_block` that layers Sort/Project/Distinct/Limit on plain SQL.
 
 use crate::access::{choose_access_path, AccessPath};
 use crate::exec::ExecCtx;
-use prefsql_parser::ast::{Expr, Query, SelectItem, Statement, TableRef};
+use crate::preference::{PrefSpec, QualityCol};
+use prefsql_parser::ast::{Expr, OrderByItem, PrefExpr, Query, SelectItem, Statement, TableRef};
 use prefsql_parser::parse_statement;
+use prefsql_pref::SkylineAlgo;
+use prefsql_rewrite::levels::{
+    check_quality, default_quality_alias, quality_call, uses_quality, GEN_PREFIX,
+};
+use prefsql_rewrite::{compile_preference, CompiledPreference};
 use prefsql_types::{Column, DataType, Error, Result, Schema};
 
 /// One compiled query block, ready for execution and EXPLAIN.
@@ -24,6 +38,20 @@ impl QueryPlan {
     /// The root of the operator tree.
     pub fn root(&self) -> &PlanNode {
         &self.root
+    }
+
+    /// The materialized preference view whose stored winner set replaced
+    /// this plan's BMO (a native-mode cache hit), if any.
+    pub fn served_by(&self) -> Option<&str> {
+        let mut node = &self.root;
+        loop {
+            match node {
+                PlanNode::MatViewScan {
+                    view, serves: true, ..
+                } => return Some(view),
+                _ => node = node.input()?,
+            }
+        }
     }
 }
 
@@ -58,8 +86,13 @@ pub enum PlanNode {
     MatViewScan {
         /// View name in the catalog.
         view: String,
-        /// Winner count at plan time (informational, for EXPLAIN).
-        rows: usize,
+        /// Entry ids of the stored winners, taken at plan time like an
+        /// index probe's row ids (EXPLAIN shows their count).
+        winners: Vec<usize>,
+        /// The scan stands in for a [`PlanNode::Preference`] the view
+        /// defines (EXPLAIN tags it `[view=… hit]`), rather than reading
+        /// the view by name.
+        serves: bool,
         /// Output schema (base-table schema under the view's qualifier).
         schema: Schema,
     },
@@ -161,6 +194,17 @@ pub enum PlanNode {
         /// EXPLAIN label.
         label: String,
     },
+    /// Best-Matches-Only selection (`PREFERRING` / `GROUPING` /
+    /// `BUT ONLY`) over an input extended with slot and grouping columns;
+    /// emits the winners extended with the quality-function columns.
+    Preference {
+        /// Input node (source rows + `prefsql_s*` + `prefsql_g*`).
+        input: Box<PlanNode>,
+        /// Everything the preference operator needs.
+        spec: PrefSpec,
+        /// Output schema (input schema + quality columns).
+        schema: Schema,
+    },
     /// Grouped aggregation (GROUP BY / HAVING / aggregate SELECT items,
     /// including the post-aggregate ORDER BY).
     Aggregate {
@@ -229,6 +273,7 @@ impl PlanNode {
             | PlanNode::NestedLoopJoin { schema, .. }
             | PlanNode::HashJoin { schema, .. }
             | PlanNode::Project { schema, .. }
+            | PlanNode::Preference { schema, .. }
             | PlanNode::Aggregate { schema, .. } => schema,
             PlanNode::Filter { input, .. }
             | PlanNode::Sort { input, .. }
@@ -246,6 +291,7 @@ impl PlanNode {
             | PlanNode::Sort { input, .. }
             | PlanNode::Distinct { input }
             | PlanNode::Limit { input, .. }
+            | PlanNode::Preference { input, .. }
             | PlanNode::Aggregate { input, .. } => Some(input),
             _ => None,
         }
@@ -257,12 +303,14 @@ impl PlanNode {
     pub fn estimate_rows(&self) -> Option<usize> {
         match self {
             PlanNode::Nothing { .. } => Some(1),
-            PlanNode::SeqScan { rows, .. } | PlanNode::MatViewScan { rows, .. } => Some(*rows),
-            PlanNode::IndexScan { row_ids, .. } => Some(row_ids.len()),
+            PlanNode::SeqScan { rows, .. } => Some(*rows),
+            PlanNode::MatViewScan { winners: ids, .. }
+            | PlanNode::IndexScan { row_ids: ids, .. } => Some(ids.len()),
             PlanNode::Materialize { input, .. }
             | PlanNode::Filter { input, .. }
             | PlanNode::Project { input, .. }
             | PlanNode::Sort { input, .. }
+            | PlanNode::Preference { input, .. }
             | PlanNode::Distinct { input } => input.estimate_rows(),
             PlanNode::Limit { input, n, .. } => {
                 Some(input.estimate_rows()?.min(usize::try_from(*n).ok()?))
@@ -300,7 +348,8 @@ pub(crate) fn reject_preference_constructs(query: &Query) -> Result<()> {
 pub fn plan_query(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
     reject_preference_constructs(query)?;
     let source = plan_source(ctx, query)?;
-    let root = plan_block(query, source)?;
+    let visible = source.schema().len();
+    let root = plan_block(query, source, visible)?;
     Ok(QueryPlan { root })
 }
 
@@ -317,8 +366,211 @@ pub(crate) fn plan_source(ctx: &ExecCtx<'_>, query: &Query) -> Result<PlanNode> 
     })
 }
 
+/// Compile a preference query block into the one plan tree native mode
+/// executes: `plan_source` → slot/grouping projection →
+/// [`PlanNode::Preference`] → the ordinary `plan_block` tail. `pref` is
+/// `query.preferring` with named preferences already resolved (the engine
+/// has no preference registry); `algo`/`threads`/`batch` are the session's
+/// native-evaluation knobs, the window budget comes from `ctx`.
+///
+/// Quality functions in SELECT / ORDER BY / BUT ONLY are lowered to
+/// references to columns the preference operator appends once the
+/// data-dependent optima are final. When a fresh materialized preference
+/// view defines exactly this BMO and nothing in the block needs more than
+/// the winner set, a scan of the view replaces source and operator alike.
+pub fn plan_preference(
+    ctx: &ExecCtx<'_>,
+    query: &Query,
+    pref: &PrefExpr,
+    algo: SkylineAlgo,
+    threads: usize,
+    batch: Option<usize>,
+) -> Result<QueryPlan> {
+    if !query.group_by.is_empty() || query.having.is_some() {
+        return Err(Error::Unsupported(
+            "GROUP BY/HAVING combined with PREFERRING is only supported in \
+             rewrite mode"
+                .into(),
+        ));
+    }
+    let compiled = compile_preference(pref)?;
+    let source = plan_source(ctx, query)?;
+    let n_orig = source.schema().len();
+
+    // The outer block, quality calls lowered to generated columns.
+    let mut quality = Vec::new();
+    let mut lower = |e: &Expr| lower_quality(e, &compiled, &mut quality);
+    let mut block = Query {
+        distinct: query.distinct,
+        limit: query.limit,
+        ..Default::default()
+    };
+    for item in &query.select {
+        block.select.push(match item {
+            SelectItem::Expr { expr, alias } => SelectItem::Expr {
+                expr: lower(expr)?,
+                // Output names come from the expression as written, not
+                // from the generated column it was lowered to.
+                alias: alias.clone().or_else(|| {
+                    uses_quality(expr).then(|| {
+                        default_quality_alias(expr)
+                            .unwrap_or_else(|| expr.to_string().to_ascii_lowercase())
+                    })
+                }),
+            },
+            wildcard => wildcard.clone(),
+        });
+    }
+    for o in &query.order_by {
+        block.order_by.push(OrderByItem {
+            expr: lower(&o.expr)?,
+            asc: o.asc,
+        });
+    }
+    let but_only = query.but_only.as_ref().map(&mut lower).transpose()?;
+
+    // A view hit is byte-identical to recomputation only if the block
+    // needs nothing but the winner set (no optima, no threshold, no
+    // groups) and the cold plan would feed the skyline in row-id order —
+    // the order view entries are kept in; an index probe feeds key order.
+    let probes_index = matches!(
+        match &source {
+            PlanNode::Filter { input, .. } => input,
+            other => other,
+        },
+        PlanNode::IndexScan { .. }
+    );
+    let servable =
+        query.grouping.is_empty() && but_only.is_none() && quality.is_empty() && !probes_index;
+    let view = classify_view(ctx, query, pref, servable);
+
+    let bmo = match &view {
+        Some((name, "hit")) => {
+            let def = ctx.catalog().matview(name).expect("classified above");
+            PlanNode::MatViewScan {
+                view: def.name.clone(),
+                winners: def.winner_ids(),
+                serves: true,
+                schema: def.schema.clone(),
+            }
+        }
+        _ => {
+            // Extend every source row with one slot column per base
+            // preference and one column per GROUPING expression.
+            let slots = compiled.base_exprs.iter().enumerate();
+            let groups = query.grouping.iter().enumerate();
+            let generated = slots
+                .map(|(i, e)| (format!("{GEN_PREFIX}s{i}"), e))
+                .chain(groups.map(|(j, e)| (format!("{GEN_PREFIX}g{j}"), e)));
+            let mut extended = vec![SelectItem::Wildcard];
+            extended.extend(generated.map(|(alias, e)| SelectItem::Expr {
+                expr: e.clone(),
+                alias: Some(alias),
+            }));
+            let (schema, projections) = projection_plan(&extended, source.schema(), n_orig)?;
+            let mut columns = schema.columns().to_vec();
+            for q in &quality {
+                columns.push(q.column(schema.column(n_orig + q.slot).data_type));
+            }
+            PlanNode::Preference {
+                input: Box::new(PlanNode::Project {
+                    input: Box::new(source),
+                    projections,
+                    schema,
+                }),
+                spec: PrefSpec {
+                    compiled,
+                    but_only,
+                    quality,
+                    n_groups: query.grouping.len(),
+                    algo,
+                    threads,
+                    batch,
+                    window: ctx.window_bytes(),
+                    view,
+                },
+                schema: Schema::new(columns)?,
+            }
+        }
+    };
+    let root = plan_block(&block, bmo, n_orig)?;
+    Ok(QueryPlan { root })
+}
+
+/// Replace the quality-function calls in `expr` with references to the
+/// columns the preference operator appends, registering each distinct
+/// `(function, slot)` pair in `quality`. Validation happens here, at plan
+/// time, so both modes reject `LEVEL(numeric)` & co. with one error.
+fn lower_quality(
+    expr: &Expr,
+    compiled: &CompiledPreference,
+    quality: &mut Vec<QualityCol>,
+) -> Result<Expr> {
+    expr.try_map(&mut |e| {
+        let Some((func, args)) = quality_call(e) else {
+            return Ok(None);
+        };
+        let slot = compiled.quality_slot(func, args)?;
+        check_quality(func, &compiled.preference.bases()[slot])?;
+        let col = QualityCol {
+            func: func.to_string(),
+            slot,
+        };
+        let name = col.name();
+        if !quality.contains(&col) {
+            quality.push(col);
+        }
+        Ok(Some(Expr::Column {
+            qualifier: None,
+            name,
+        }))
+    })
+}
+
+/// How the materialized preference views on the query's base table relate
+/// to it: the view's name plus `"hit"` (a fresh view defines exactly this
+/// BMO — same FROM, WHERE and resolved preference — and the block is
+/// `servable` from its winner set), `"stale"` (it does, but refuses reads
+/// until REFRESH) or `"miss"`. `None` without views on a single base table.
+fn classify_view(
+    ctx: &ExecCtx<'_>,
+    query: &Query,
+    pref: &PrefExpr,
+    servable: bool,
+) -> Option<(String, &'static str)> {
+    let [TableRef::Named { name: base, .. }] = query.from.as_slice() else {
+        return None;
+    };
+    let cat = ctx.catalog();
+    let candidates = cat.matviews_on(base);
+    for name in &candidates {
+        let Some(def) = cat.matview(name) else {
+            continue;
+        };
+        // The stored SQL is the canonical defining query (preferences
+        // already resolved at CREATE time).
+        let Ok(Statement::Select(vq)) = parse_statement(&def.sql) else {
+            continue;
+        };
+        if vq.from == query.from
+            && vq.where_clause == query.where_clause
+            && vq.preferring.as_ref() == Some(pref)
+        {
+            let state = match (def.stale, servable) {
+                (true, _) => "stale",
+                (false, true) => "hit",
+                (false, false) => "miss",
+            };
+            return Some((name.clone(), state));
+        }
+    }
+    Some((candidates.into_iter().next()?, "miss"))
+}
+
 /// Layer projection/aggregation, DISTINCT and LIMIT on top of a source.
-fn plan_block(query: &Query, source: PlanNode) -> Result<PlanNode> {
+/// Wildcards expand to the first `visible` source columns (a preference
+/// source carries generated slot/quality columns behind them).
+fn plan_block(query: &Query, source: PlanNode, visible: usize) -> Result<PlanNode> {
     let needs_agg = !query.group_by.is_empty()
         || query.having.is_some()
         || query.select.iter().any(|item| match item {
@@ -344,7 +596,7 @@ fn plan_block(query: &Query, source: PlanNode) -> Result<PlanNode> {
                     .collect(),
             }
         };
-        let (schema, projections) = projection_plan(query, &input_schema)?;
+        let (schema, projections) = projection_plan(&query.select, &input_schema, visible)?;
         PlanNode::Project {
             input: Box::new(sorted),
             projections,
@@ -512,6 +764,11 @@ fn plan_named(
     allow_index: bool,
 ) -> Result<PlanNode> {
     let qual = alias.unwrap_or(name).to_ascii_lowercase();
+    // How EXPLAIN names an expanded (materialized) view.
+    let shown = match alias {
+        Some(a) => format!("{name} AS {a}"),
+        None => name.to_string(),
+    };
     // Views expand recursively at plan time.
     if let Some(view) = ctx.catalog().view(name) {
         let depth = *ctx.view_depth.borrow();
@@ -536,10 +793,6 @@ fn plan_named(
             .schema()
             .without_qualifiers()
             .with_qualifier(&qual);
-        let shown = match alias {
-            Some(a) => format!("{name} AS {a}"),
-            None => name.to_string(),
-        };
         return Ok(PlanNode::Materialize {
             label: format!("View expansion: {shown}"),
             cache_key: format!("view:{name}:{qual}"),
@@ -567,20 +820,17 @@ fn plan_named(
         };
         let scan = PlanNode::MatViewScan {
             view: mv.name.clone(),
-            rows: mv.winner_count(),
+            winners: mv.winner_ids(),
+            serves: false,
             schema: mv.schema.clone(),
         };
-        let (schema, projections) = projection_plan(&body, &mv.schema)?;
+        let (schema, projections) = projection_plan(&body.select, &mv.schema, mv.schema.len())?;
         let project = PlanNode::Project {
             input: Box::new(scan),
             projections,
             schema,
         };
         let schema = project.schema().without_qualifiers().with_qualifier(&qual);
-        let shown = match alias {
-            Some(a) => format!("{name} AS {a}"),
-            None => name.to_string(),
-        };
         return Ok(PlanNode::Materialize {
             label: format!("Materialized preference view: {shown}"),
             cache_key: format!("matview:{name}:{qual}"),
@@ -615,17 +865,20 @@ fn plan_named(
     })
 }
 
-/// Expand the SELECT list against the input schema.
+/// Expand a SELECT list against the input schema; wildcards cover its
+/// first `visible` columns.
 pub(crate) fn projection_plan(
-    query: &Query,
+    select: &[SelectItem],
     input_schema: &Schema,
+    visible: usize,
 ) -> Result<(Schema, Vec<Projection>)> {
     let mut columns = Vec::new();
     let mut projections = Vec::new();
-    for item in &query.select {
+    let wild = &input_schema.columns()[..visible];
+    for item in select {
         match item {
             SelectItem::Wildcard => {
-                for (i, c) in input_schema.columns().iter().enumerate() {
+                for (i, c) in wild.iter().enumerate() {
                     columns.push(c.clone());
                     projections.push(Projection::Passthrough(i));
                 }
@@ -633,7 +886,7 @@ pub(crate) fn projection_plan(
             SelectItem::QualifiedWildcard(t) => {
                 let t = t.to_ascii_lowercase();
                 let mut any = false;
-                for (i, c) in input_schema.columns().iter().enumerate() {
+                for (i, c) in wild.iter().enumerate() {
                     if c.qualifier.as_deref() == Some(t.as_str()) {
                         columns.push(c.clone());
                         projections.push(Projection::Passthrough(i));

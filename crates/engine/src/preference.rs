@@ -1,0 +1,541 @@
+//! The Best-Matches-Only physical operator — the "generalized skyline
+//! operator in the kernel of an SQL-system" the paper's outlook points at
+//! (§3.3).
+//!
+//! [`PlanNode::Preference`](crate::plan::PlanNode::Preference) is planned
+//! by [`crate::plan::plan_preference`], built here (only) through
+//! [`crate::physical::build`], and rendered by [`crate::explain`] like
+//! every other node. The operator is a pipeline breaker: it drains its
+//! input (source rows extended with one *slot* column per base
+//! preference plus the `GROUPING` columns), applies the `BUT ONLY`
+//! threshold, runs a maximal-set algorithm from `prefsql-pref` — by
+//! default [`SkylineAlgo::Auto`], which picks naive/BNL/SFS from input
+//! cardinality and preference shape — and streams the winners, each
+//! extended with the quality-function columns ([`QualityCol`]) the plan
+//! above it references. Semantics are identical to the rewrite path; the
+//! `rewrite_vs_native` differential suite and ablation A1 depend on that.
+
+use crate::eval::{eval, truth, Frame};
+use crate::exec::ExecCtx;
+use crate::physical::{
+    batch_from, drain_batched, drain_tuple_at_a_time, next_from, slice_from, BoxOperator, Operator,
+};
+use prefsql_parser::ast::Expr;
+use prefsql_pref::external::ExternalSkyline;
+use prefsql_pref::{bmo_grouped, maximal_with_threads, should_spill, BasePref, SkylineAlgo};
+use prefsql_rewrite::levels::GEN_PREFIX;
+use prefsql_rewrite::CompiledPreference;
+use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics};
+use prefsql_types::{Column, DataType, Result, Schema, Tuple, Value};
+
+/// Everything the preference operator needs, fixed at plan time.
+#[derive(Debug, Clone)]
+pub struct PrefSpec {
+    /// The compiled preference; `base_exprs[i]` feeds input slot `i`.
+    pub compiled: CompiledPreference,
+    /// `BUT ONLY` threshold with quality calls lowered to column
+    /// references into [`PrefSpec::quality`].
+    pub but_only: Option<Expr>,
+    /// The quality-function columns appended to every winner.
+    pub quality: Vec<QualityCol>,
+    /// Number of `GROUPING` columns following the slots in the input.
+    pub n_groups: usize,
+    /// Maximal-set algorithm ([`SkylineAlgo::Auto`] = cost-based).
+    pub algo: SkylineAlgo,
+    /// Parallel-window degree ceiling (`\threads`).
+    pub threads: usize,
+    /// Batch size of the loop draining the input; `None` drives it
+    /// tuple-at-a-time (the differential baseline).
+    pub batch: Option<usize>,
+    /// External-memory window budget (`\window`), taken from the
+    /// statement context at plan time like the hash join's.
+    pub window: Option<usize>,
+    /// A materialized preference view on the base table that could not
+    /// serve this query, and why (`"miss"` / `"stale"`) — EXPLAIN only.
+    pub view: Option<(String, &'static str)>,
+}
+
+impl PrefSpec {
+    /// The window budget the operator streams under: only the ungrouped
+    /// cost-based mode goes external (GROUPING runs the grouped BMO,
+    /// which stays in memory; forced algorithms stay pinned for the
+    /// differential suites).
+    pub(crate) fn external_budget(&self) -> Option<usize> {
+        match (self.n_groups, self.algo) {
+            (0, SkylineAlgo::Auto) => self.window,
+            _ => None,
+        }
+    }
+}
+
+/// One quality-function column: `func(slot's attribute)` per §2.2.3.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QualityCol {
+    /// `"top"`, `"level"` or `"distance"` (validated against the slot's
+    /// base preference at plan time).
+    pub func: String,
+    /// The base-preference slot the call refers to.
+    pub slot: usize,
+}
+
+impl QualityCol {
+    /// The generated column name, e.g. `prefsql_distance0`.
+    pub(crate) fn name(&self) -> String {
+        format!("{GEN_PREFIX}{}{}", self.func, self.slot)
+    }
+
+    /// The output column. `slot_type` is the inferred type of the slot's
+    /// attribute expression (distances of integer attributes stay
+    /// integral, as on the rewrite path).
+    pub(crate) fn column(&self, slot_type: DataType) -> Column {
+        let dtype = match self.func.as_str() {
+            "top" => DataType::Bool,
+            "distance" if slot_type == DataType::Float => DataType::Float,
+            _ => DataType::Int,
+        };
+        Column::new(self.name(), dtype)
+    }
+
+    /// The function's value for attribute value `v`; `best` is the
+    /// data-dependent optimum of the slot (`LOWEST`/`HIGHEST` only).
+    fn value(&self, base: &BasePref, v: &Value, best: Option<f64>) -> Value {
+        // SQL semantics, as on the rewrite path (whose level columns are
+        // NULL-guarded): the quality of an unknown value is unknown.
+        if v.is_null() {
+            return Value::Null;
+        }
+        let relative = matches!(base, BasePref::Lowest | BasePref::Highest);
+        match self.func.as_str() {
+            "level" => base.level(v).map(Value::Int).unwrap_or(Value::Null),
+            "distance" => match (base.score(v), best) {
+                (Some(s), Some(b)) if relative => float_or_int(s - b),
+                (Some(s), _) if !relative => float_or_int(s),
+                _ => Value::Null,
+            },
+            _ if relative => {
+                Value::Bool(matches!((base.score(v), best), (Some(s), Some(b)) if s == b))
+            }
+            _ => Value::Bool(base.top(v, None)),
+        }
+    }
+}
+
+/// Distances are conceptually numeric; keep integers integral for display
+/// parity with the rewrite path.
+fn float_or_int(f: f64) -> Value {
+    if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
+        Value::Int(f as i64)
+    } else {
+        Value::Float(f)
+    }
+}
+
+/// The Best-Matches-Only physical operator (see the module docs).
+pub(crate) struct PreferenceOp<'a> {
+    input: BoxOperator<'a>,
+    ctx: &'a ExecCtx<'a>,
+    /// Schema of the extended input tuples.
+    schema: &'a Schema,
+    spec: &'a PrefSpec,
+    /// Schema of just the appended quality columns: `BUT ONLY` sees a
+    /// candidate as two frames (quality values, input row) instead of a
+    /// re-allocated extended row.
+    quality_schema: Schema,
+    /// Columns of the original relation (before the appended slots).
+    n_orig: usize,
+    winners: Vec<Tuple>,
+    pos: usize,
+    /// Dominance comparisons of the last [`Operator::open`].
+    comparisons: u64,
+}
+
+impl<'a> PreferenceOp<'a> {
+    /// Wrap `input`, whose tuples (described by `schema`) carry the slot
+    /// and grouping columns appended to the original row; `out_schema`
+    /// is the node's output schema (`schema` + the quality columns).
+    pub(crate) fn new(
+        input: BoxOperator<'a>,
+        ctx: &'a ExecCtx<'a>,
+        schema: &'a Schema,
+        spec: &'a PrefSpec,
+        out_schema: &Schema,
+    ) -> Self {
+        let arity = spec.compiled.preference.arity();
+        let quality_schema = Schema::new(out_schema.columns()[schema.len()..].to_vec())
+            .expect("a suffix of a valid schema");
+        PreferenceOp {
+            input,
+            ctx,
+            schema,
+            spec,
+            quality_schema,
+            n_orig: schema.len() - arity - spec.n_groups,
+            winners: Vec::new(),
+            pos: 0,
+            comparisons: 0,
+        }
+    }
+
+    fn bases(&self) -> &'a [BasePref] {
+        self.spec.compiled.preference.bases()
+    }
+
+    /// The slot values of one extended row.
+    fn slots<'r>(&self, row: &'r Tuple) -> &'r [Value] {
+        &row.values()[self.n_orig..self.n_orig + self.bases().len()]
+    }
+
+    /// The quality-column values of one extended row.
+    fn quality_values(&self, row: &Tuple, best: &[Option<f64>]) -> Vec<Value> {
+        let slots = self.slots(row);
+        self.spec
+            .quality
+            .iter()
+            .map(|q| q.value(&self.bases()[q.slot], &slots[q.slot], best[q.slot]))
+            .collect()
+    }
+
+    /// `BUT ONLY` filter for one extended row (§2.2.5), evaluated with
+    /// the final data-dependent optima.
+    fn passes_but_only(&self, row: &Tuple, best: &[Option<f64>]) -> Result<bool> {
+        let Some(threshold) = &self.spec.but_only else {
+            return Ok(true);
+        };
+        let quality = Tuple::new(self.quality_values(row, best));
+        let frames = [
+            Frame {
+                schema: &self.quality_schema,
+                tuple: &quality,
+            },
+            Frame {
+                schema: self.schema,
+                tuple: row,
+            },
+        ];
+        Ok(truth(&eval(threshold, &frames, self.ctx)?) == Some(true))
+    }
+
+    /// Fold one row's slots into the per-base minima that
+    /// `LOWEST`/`HIGHEST` quality functions are relative to.
+    fn update_best(best: &mut [Option<f64>], bases: &[BasePref], slots: &[Value]) {
+        for ((best, base), v) in best.iter_mut().zip(bases).zip(slots) {
+            if let Some(s) = base.score(v) {
+                if best.map_or(true, |b| s.total_cmp(&b).is_lt()) {
+                    *best = Some(s);
+                }
+            }
+        }
+    }
+
+    /// Buffer the winners, each extended with its quality columns.
+    fn set_winners(&mut self, winners: impl Iterator<Item = Tuple>, best: &[Option<f64>]) {
+        self.winners = if self.spec.quality.is_empty() {
+            winners.collect()
+        } else {
+            winners
+                .map(|row| {
+                    let quality = self.quality_values(&row, best);
+                    let mut values = row.into_values();
+                    values.extend(quality);
+                    Tuple::new(values)
+                })
+                .collect()
+        };
+    }
+
+    /// The in-memory selection shared by the materializing path and the
+    /// under-budget streaming path: compute the data-dependent optima,
+    /// apply `BUT ONLY`, run the maximal-set selection, buffer winners.
+    fn select_in_memory(&mut self, rows: Vec<Tuple>) -> Result<()> {
+        let arity = self.bases().len();
+        let mut best = vec![None; arity];
+        // Only quality functions ever read the optima.
+        if !self.spec.quality.is_empty() {
+            for row in &rows {
+                Self::update_best(&mut best, self.bases(), self.slots(row));
+            }
+        }
+
+        // BUT ONLY filters candidates before dominance (§2.2.5).
+        let candidates: Vec<Tuple> = if self.spec.but_only.is_none() {
+            rows
+        } else {
+            let mut kept = Vec::new();
+            for row in rows {
+                if self.passes_but_only(&row, &best)? {
+                    kept.push(row);
+                }
+            }
+            kept
+        };
+
+        let preference = &self.spec.compiled.preference;
+        let slot_vectors: Vec<Vec<Value>> =
+            candidates.iter().map(|r| self.slots(r).to_vec()).collect();
+        let winner_indices: Vec<usize> = if self.spec.n_groups > 0 {
+            let keys: Vec<Vec<Value>> = candidates
+                .iter()
+                .map(|r| r.values()[self.n_orig + arity..].to_vec())
+                .collect();
+            bmo_grouped(&slot_vectors, &keys, preference)
+        } else {
+            maximal_with_threads(&slot_vectors, preference, self.spec.algo, self.spec.threads)
+        };
+        let mut candidates = candidates.into_iter().map(Some).collect::<Vec<_>>();
+        let winners = winner_indices
+            .iter()
+            .map(|&i| candidates[i].take().expect("winner indices are unique"));
+        self.set_winners(winners, &best);
+        Ok(())
+    }
+
+    /// The external-memory path: pull input through the batch API,
+    /// buffering until the window budget trips, then hand the stream to
+    /// the bounded-window multi-pass BNL (spilling overflow runs to
+    /// disk). Queries with a `BUT ONLY` threshold first spool the input
+    /// to a run — the threshold's quality functions need the
+    /// data-dependent optima, which are only final after the last input
+    /// row — and feed the skyline from the spool on a second pass.
+    fn open_external(&mut self, budget: usize) -> Result<()> {
+        let preference = &self.spec.compiled.preference;
+        let bases = self.bases();
+        let n_orig = self.n_orig;
+        let mut best: Vec<Option<f64>> = vec![None; bases.len()];
+        let mut buffered: Vec<Tuple> = Vec::new();
+        let mut buffered_bytes = 0usize;
+
+        // Pull phase. `sink` engages once the budget trips: the skyline
+        // machine directly, or a spool run when BUT ONLY must wait for
+        // the optima.
+        enum Sink<'p> {
+            Skyline(ExternalSkyline<'p>),
+            Spool {
+                manager: SpillManager,
+                writer: RunWriter,
+            },
+        }
+        let mut sink: Option<Sink<'_>> = None;
+
+        let mut scratch: Vec<Tuple> = Vec::new();
+        loop {
+            scratch.clear();
+            let more = match self.spec.batch {
+                Some(batch) => self.input.next_batch(&mut scratch, batch.max(1))?,
+                None => match self.input.next()? {
+                    Some(t) => {
+                        scratch.push(t);
+                        true
+                    }
+                    None => false,
+                },
+            };
+            for row in &scratch {
+                Self::update_best(&mut best, bases, self.slots(row));
+            }
+            let mut rows = scratch.drain(..);
+            // Buffering phase: accumulate until the budget trips, then
+            // replay the buffer into the engaged sink.
+            if sink.is_none() {
+                for row in rows.by_ref() {
+                    buffered_bytes += tuple_spill_bytes(&row);
+                    buffered.push(row);
+                    if should_spill(self.spec.algo, buffered_bytes, Some(budget)) {
+                        if self.spec.but_only.is_some() {
+                            let mut manager = self.ctx.spill_manager()?;
+                            let mut writer = manager.begin_run()?;
+                            writer.write_batch(&buffered)?;
+                            buffered = Vec::new();
+                            sink = Some(Sink::Spool { manager, writer });
+                        } else {
+                            let mut machine = ExternalSkyline::with_manager(
+                                preference,
+                                n_orig,
+                                budget,
+                                self.ctx.spill_manager()?,
+                            );
+                            machine.push_batch(buffered.drain(..))?;
+                            sink = Some(Sink::Skyline(machine));
+                        }
+                        break;
+                    }
+                }
+            }
+            // Streaming phase: the rest of the batch goes to the sink
+            // whole — the spool writes one frame per pulled batch, not
+            // one per tuple.
+            match &mut sink {
+                Some(Sink::Skyline(machine)) => machine.push_batch(rows)?,
+                Some(Sink::Spool { writer, .. }) => {
+                    let rest: Vec<Tuple> = rows.collect();
+                    writer.write_batch(&rest)?;
+                }
+                None => debug_assert_eq!(rows.count(), 0, "unbuffered rows without a sink"),
+            }
+            if !more {
+                break;
+            }
+        }
+
+        let (winners, metrics) = match sink {
+            None => {
+                // The whole candidate set fits the budget: stay in
+                // memory (and report that the budget was honored).
+                self.select_in_memory(buffered)?;
+                self.ctx.note_spill(SpillMetrics::default());
+                return Ok(());
+            }
+            Some(Sink::Skyline(machine)) => machine.finish()?,
+            Some(Sink::Spool {
+                mut manager,
+                writer,
+            }) => {
+                // Optima are final now; filter the spooled candidates
+                // and feed the survivors through the bounded window.
+                let spool = writer.finish()?;
+                manager.record_run(&spool);
+                let mut machine =
+                    ExternalSkyline::with_manager(preference, n_orig, budget, manager);
+                let mut reader = RunReader::open(&spool)?;
+                while let Some(row) = reader.next_tuple()? {
+                    if self.passes_but_only(&row, &best)? {
+                        machine.push(row)?;
+                    }
+                }
+                drop(reader);
+                spool.delete()?;
+                let (winners, mut metrics) = machine.finish()?;
+                // The spool pass reads the whole candidate set once more.
+                metrics.passes += 1;
+                (winners, metrics)
+            }
+        };
+        self.set_winners(winners.into_iter().map(|(_, row)| row), &best);
+        self.ctx.note_spill(metrics);
+        Ok(())
+    }
+}
+
+impl Operator for PreferenceOp<'_> {
+    fn open(&mut self) -> Result<()> {
+        self.pos = 0;
+        let result = match self.spec.external_budget() {
+            Some(budget) => {
+                let result = self.input.open().and_then(|()| self.open_external(budget));
+                self.input.close();
+                result
+            }
+            // Consume the source through the batched drive loop (or the
+            // tuple-at-a-time baseline when the differential suites ask).
+            None => match self.spec.batch {
+                Some(batch) => drain_batched(self.input.as_mut(), batch),
+                None => drain_tuple_at_a_time(self.input.as_mut()),
+            }
+            .and_then(|rows| self.select_in_memory(rows)),
+        };
+        // Harvest the dominance tally of this selection — the paper's
+        // unit of preference-evaluation cost — and charge the statement.
+        self.comparisons = self.spec.compiled.preference.take_comparisons();
+        self.ctx.note_dominance_tests(self.comparisons);
+        result
+    }
+
+    fn next(&mut self) -> Result<Option<Tuple>> {
+        Ok(next_from(&self.winners, &mut self.pos))
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
+        Ok(batch_from(&self.winners, &mut self.pos, out, max))
+    }
+
+    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
+        Ok(Some(slice_from(&self.winners, &mut self.pos, max)))
+    }
+
+    fn close(&mut self) {
+        self.input.close();
+        self.winners = Vec::new();
+    }
+
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![("comparisons", self.comparisons)]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::exec::Engine;
+    use crate::physical::build;
+    use crate::plan::{plan_preference, PlanNode};
+    use prefsql_parser::ast::Statement;
+    use prefsql_pref::SkylineAlgo;
+
+    /// The operator advertises the engine's full `Operator` contract, so
+    /// its buffered `next_batch`/`next_slice` overrides must walk the
+    /// same cursor as `next()` — pinned here by driving three identical
+    /// operators through the three surfaces (the batched calls
+    /// interleaved with `next()`) over a winner set that straddles the
+    /// batch boundary.
+    #[test]
+    fn batched_surface_matches_next() {
+        let mut engine = Engine::new();
+        engine
+            .execute_sql("CREATE TABLE t (id INTEGER, x INTEGER, y INTEGER)")
+            .unwrap();
+        // Five pairwise-incomparable rows (the winners) plus two
+        // dominated ones, so batches of 2 end with a short final batch.
+        engine
+            .execute_sql(
+                "INSERT INTO t VALUES (1, 0, 9), (2, 1, 7), (3, 2, 5), \
+                 (4, 3, 3), (5, 4, 1), (6, 5, 9), (7, 9, 9)",
+            )
+            .unwrap();
+        let Statement::Select(query) = prefsql_parser::parse_statement(
+            "SELECT id FROM t PREFERRING x AROUND 0 AND y AROUND 0",
+        )
+        .unwrap() else {
+            panic!("expected a SELECT");
+        };
+        let ctx = engine.read_ctx().unwrap();
+        let pref = query.preferring.as_ref().unwrap();
+        let plan = plan_preference(&ctx, &query, pref, SkylineAlgo::Auto, 1, Some(1024)).unwrap();
+        let PlanNode::Project { input: node, .. } = plan.root() else {
+            panic!("expected Project over Preference, got {:?}", plan.root());
+        };
+        assert!(matches!(**node, PlanNode::Preference { .. }));
+        let open = || {
+            let mut op = build(&ctx, node, &[]);
+            op.open().unwrap();
+            op
+        };
+
+        let mut baseline = open();
+        let mut expected = Vec::new();
+        while let Some(t) = baseline.next().unwrap() {
+            expected.push(t);
+        }
+        assert_eq!(baseline.counters()[0].0, "comparisons");
+        baseline.close();
+        assert_eq!(expected.len(), 5, "winner set should be the antichain");
+
+        // next_batch interleaved with next(): one shared cursor.
+        let mut op = open();
+        let mut got = vec![op.next().unwrap().expect("first winner")];
+        while op.next_batch(&mut got, 2).unwrap() {}
+        assert!(!op.next_batch(&mut got, 2).unwrap(), "stays exhausted");
+        op.close();
+        assert_eq!(got, expected);
+
+        // next_slice lends the same stream; empty slice marks the end.
+        let mut op = open();
+        let mut got = vec![op.next().unwrap().expect("first winner")];
+        loop {
+            let slice = op.next_slice(2).unwrap().expect("buffered operator");
+            if slice.is_empty() {
+                break;
+            }
+            got.extend_from_slice(slice);
+        }
+        op.close();
+        assert_eq!(got, expected);
+    }
+}

@@ -1,6 +1,6 @@
 //! The abstract syntax tree for SQL + Preference SQL.
 
-use prefsql_types::{DataType, Value};
+use prefsql_types::{DataType, Result, Value};
 
 /// A top-level statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -436,6 +436,95 @@ impl Expr {
             }
             Expr::Function { args, .. } => args.iter().collect(),
         }
+    }
+
+    /// Fallible top-down rewrite — the one recursive `Expr` clone in the
+    /// stack. `f` sees every node before its children: `Ok(Some(e))`
+    /// replaces the node with `e` (whose children are not visited),
+    /// `Ok(None)` keeps the node and maps the children listed by
+    /// [`Expr::children`]. Sub-queries are never entered.
+    pub fn try_map(&self, f: &mut impl FnMut(&Expr) -> Result<Option<Expr>>) -> Result<Expr> {
+        if let Some(replaced) = f(self)? {
+            return Ok(replaced);
+        }
+        let mut bx = |e: &Expr| e.try_map(f).map(Box::new);
+        Ok(match self {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Wildcard
+            | Expr::Exists { .. }
+            | Expr::ScalarSubquery(_) => self.clone(),
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: bx(expr)?,
+            },
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: bx(left)?,
+                op: *op,
+                right: bx(right)?,
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: bx(expr)?,
+                negated: *negated,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                expr: bx(expr)?,
+                low: bx(low)?,
+                high: bx(high)?,
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: bx(expr)?,
+                list: list.iter().map(|e| e.try_map(f)).collect::<Result<_>>()?,
+                negated: *negated,
+            },
+            Expr::InSubquery {
+                expr,
+                query,
+                negated,
+            } => Expr::InSubquery {
+                expr: bx(expr)?,
+                query: query.clone(),
+                negated: *negated,
+            },
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: bx(expr)?,
+                pattern: bx(pattern)?,
+                negated: *negated,
+            },
+            Expr::Case {
+                operand,
+                branches,
+                else_result,
+            } => Expr::Case {
+                operand: operand.as_deref().map(&mut bx).transpose()?,
+                branches: branches
+                    .iter()
+                    .map(|(w, t)| Ok((w.try_map(f)?, t.try_map(f)?)))
+                    .collect::<Result<_>>()?,
+                else_result: else_result
+                    .as_deref()
+                    .map(|e| e.try_map(f).map(Box::new))
+                    .transpose()?,
+            },
+            Expr::Function { name, args } => Expr::Function {
+                name: name.clone(),
+                args: args.iter().map(|e| e.try_map(f)).collect::<Result<_>>()?,
+            },
+        })
     }
 }
 

@@ -43,6 +43,22 @@ impl CompiledPreference {
         }
         None
     }
+
+    /// The slot a quality-function call `func(args)` refers to — the one
+    /// argument-count and attribute-match check both execution modes run.
+    pub fn quality_slot(&self, func: &str, args: &[Expr]) -> Result<usize> {
+        let [attr] = args else {
+            return Err(Error::Rewrite(format!(
+                "{func}() expects exactly one attribute argument"
+            )));
+        };
+        self.slot_of(attr).ok_or_else(|| {
+            Error::Rewrite(format!(
+                "{func}({attr}) does not match any base preference of the \
+                 PREFERRING clause"
+            ))
+        })
+    }
 }
 
 /// Compile `pref` (with all [`PrefExpr::Named`] references already

@@ -7,7 +7,7 @@
 //! | base preference | column expression |
 //! |-----------------|-------------------|
 //! | `AROUND t`      | `ABS(e - t)` |
-//! | `BETWEEN l, u`  | `CASE WHEN e < l THEN l - e WHEN e > u THEN e - u ELSE 0 END` |
+//! | `BETWEEN l, u`  | `CASE WHEN e IS NULL THEN NULL WHEN e < l THEN l - e WHEN e > u THEN e - u ELSE 0 END` |
 //! | `LOWEST`        | `e` |
 //! | `HIGHEST`       | `-(e)` |
 //! | `POS (v...)`    | `CASE WHEN e IS NULL THEN NULL WHEN e IN (v...) THEN 1 ELSE 2 END` |
@@ -75,6 +75,7 @@ pub fn level_column_expr(leaf: &PrefExpr) -> Result<Expr> {
             Ok(Expr::Case {
                 operand: None,
                 branches: vec![
+                    null_guard(expr),
                     (
                         Expr::binary(expr.clone(), BinaryOp::Lt, l.clone()),
                         Expr::binary(l, BinaryOp::Minus, expr.clone()),
@@ -286,6 +287,59 @@ fn base_equiv(slot: usize, w: &str, l: &str) -> Expr {
 
 // ------------------------------------------------------ quality functions
 
+/// `Some((function, args))` iff `expr` is itself a call of a quality
+/// function (`TOP`/`LEVEL`/`DISTANCE`, §2.2.3).
+pub fn quality_call(expr: &Expr) -> Option<(&str, &[Expr])> {
+    match expr {
+        Expr::Function { name, args } if matches!(name.as_str(), "top" | "level" | "distance") => {
+            Some((name, args))
+        }
+        _ => None,
+    }
+}
+
+/// True iff `expr` calls a quality function anywhere. Quality functions
+/// need the optima over *all* candidates, which a materialized view's
+/// stored winner set cannot answer — view definitions reject them and
+/// view cache hits never serve them.
+pub fn uses_quality(expr: &Expr) -> bool {
+    quality_call(expr).is_some() || expr.children().into_iter().any(uses_quality)
+}
+
+/// Default output alias for a quality-function select item, e.g.
+/// `LEVEL(color)` → `level_color` (keeps the adorned result readable).
+pub fn default_quality_alias(expr: &Expr) -> Option<String> {
+    let (func, args) = quality_call(expr)?;
+    Some(match args.first() {
+        Some(Expr::Column { name: col, .. }) => format!("{func}_{col}"),
+        _ => func.to_string(),
+    })
+}
+
+/// Which quality function applies to which base preference (§2.2.3):
+/// `LEVEL` is categorical, `DISTANCE` numeric, `TOP` universal. Both
+/// execution modes validate through this, so they raise the same error.
+pub fn check_quality(func: &str, base: &BasePref) -> Result<()> {
+    let numeric = matches!(
+        base,
+        BasePref::Around { .. } | BasePref::Between { .. } | BasePref::Lowest | BasePref::Highest
+    );
+    match func {
+        "level" if numeric => Err(Error::Plan(
+            "LEVEL() applies to categorical preferences; use DISTANCE() for \
+             numeric preferences"
+                .into(),
+        )),
+        "distance" if !numeric => Err(Error::Plan(
+            "DISTANCE() applies to numeric preferences; use LEVEL() for \
+             categorical preferences"
+                .into(),
+        )),
+        "level" | "distance" | "top" => Ok(()),
+        other => Err(Error::Plan(format!("unknown quality function '{other}'"))),
+    }
+}
+
 /// Translate a `TOP`/`LEVEL`/`DISTANCE` call into an expression over the
 /// level columns of the relation aliased `qual`. `aux` is the auxiliary
 /// derived-table query, needed for the data-dependent optimum of
@@ -297,6 +351,7 @@ pub fn quality_expr(
     qual: &str,
     aux: &prefsql_parser::ast::Query,
 ) -> Result<Expr> {
+    check_quality(func, base)?;
     let col = qcol(qual, slot);
     let min_subquery = || {
         let alias = format!("{GEN_PREFIX}a3");
@@ -316,12 +371,7 @@ pub fn quality_expr(
         };
         Expr::ScalarSubquery(Box::new(q))
     };
-    match (func, base) {
-        ("level", BasePref::Pos { .. })
-        | ("level", BasePref::Neg { .. })
-        | ("level", BasePref::PosPos { .. })
-        | ("level", BasePref::PosNeg { .. })
-        | ("level", BasePref::Contains { .. }) => Ok(col),
+    Ok(match (func, base) {
         ("level", BasePref::Explicit { .. }) => {
             // Map each known value to its depth in the closure DAG;
             // unmentioned values are undominated, hence level 1.
@@ -335,40 +385,36 @@ pub fn quality_expr(
                     values.push(w.clone());
                 }
             }
-            let branches = values
-                .into_iter()
-                .map(|v| {
-                    let depth = base.level(&v).unwrap_or(1);
-                    (Expr::Literal(v), Expr::lit(depth))
-                })
-                .collect();
-            Ok(Expr::Case {
-                operand: Some(Box::new(col)),
+            // NULL stays NULL, like every other quality of an unknown
+            // value (a simple `CASE col WHEN …` would send it to ELSE).
+            let unknown = Expr::IsNull {
+                expr: Box::new(col.clone()),
+                negated: false,
+            };
+            let mut branches = vec![(unknown, Expr::Literal(Value::Null))];
+            branches.extend(values.into_iter().map(|v| {
+                let depth = base.level(&v).unwrap_or(1);
+                let is_v = Expr::binary(col.clone(), BinaryOp::Eq, Expr::Literal(v));
+                (is_v, Expr::lit(depth))
+            }));
+            Expr::Case {
+                operand: None,
                 branches,
                 else_result: Some(Box::new(Expr::lit(1))),
-            })
+            }
         }
-        ("level", _) => Err(Error::Plan(
-            "LEVEL() applies to categorical preferences; use DISTANCE() for \
-             numeric preferences"
-                .into(),
-        )),
-        ("distance", BasePref::Around { .. }) | ("distance", BasePref::Between { .. }) => Ok(col),
-        ("distance", BasePref::Lowest) | ("distance", BasePref::Highest) => {
-            Ok(Expr::binary(col, BinaryOp::Minus, min_subquery()))
+        ("distance", BasePref::Lowest | BasePref::Highest) => {
+            Expr::binary(col, BinaryOp::Minus, min_subquery())
         }
-        ("distance", _) => Err(Error::Plan(
-            "DISTANCE() applies to numeric preferences; use LEVEL() for \
-             categorical preferences"
-                .into(),
-        )),
-        ("top", BasePref::Around { .. }) | ("top", BasePref::Between { .. }) => {
-            Ok(Expr::binary(col, BinaryOp::Eq, Expr::lit(0)))
+        // The level column *is* the categorical level / numeric distance.
+        ("level" | "distance", _) => col,
+        (_, BasePref::Around { .. } | BasePref::Between { .. }) => {
+            Expr::binary(col, BinaryOp::Eq, Expr::lit(0))
         }
-        ("top", BasePref::Lowest) | ("top", BasePref::Highest) => {
-            Ok(Expr::binary(col, BinaryOp::Eq, min_subquery()))
+        (_, BasePref::Lowest | BasePref::Highest) => {
+            Expr::binary(col, BinaryOp::Eq, min_subquery())
         }
-        ("top", BasePref::Explicit { .. }) => {
+        (_, BasePref::Explicit { .. }) => {
             // Top iff the value is never on the worse side of the closure.
             let closure = base.explicit_closure();
             let mut dominated: Vec<Value> = Vec::new();
@@ -380,15 +426,14 @@ pub fn quality_expr(
             if dominated.is_empty() {
                 return Ok(Expr::lit(true));
             }
-            Ok(Expr::InList {
+            Expr::InList {
                 expr: Box::new(col),
                 list: dominated.into_iter().map(Expr::Literal).collect(),
                 negated: true,
-            })
+            }
         }
-        ("top", _) => Ok(Expr::binary(col, BinaryOp::Eq, Expr::lit(1))),
-        (other, _) => Err(Error::Plan(format!("unknown quality function '{other}'"))),
-    }
+        _ => Expr::binary(col, BinaryOp::Eq, Expr::lit(1)),
+    })
 }
 
 #[cfg(test)]

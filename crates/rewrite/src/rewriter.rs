@@ -2,8 +2,8 @@
 
 use crate::compile::{compile_preference, CompiledPreference};
 use crate::levels::{
-    and_all, both_null, dominance_condition, grouping_column_name, level_column_expr,
-    level_column_name, or, quality_expr, GEN_PREFIX,
+    and_all, both_null, default_quality_alias, dominance_condition, grouping_column_name,
+    level_column_expr, level_column_name, or, quality_call, quality_expr,
 };
 use crate::registry::PreferenceRegistry;
 use prefsql_parser::ast::{
@@ -271,14 +271,20 @@ fn rewrite_query_rec(
     for item in &q.select {
         out_select.push(match item {
             SelectItem::Wildcard => SelectItem::Wildcard,
-            // Original qualifiers vanish behind the derived table; a
-            // qualified wildcard over a FROM alias becomes `*` (exact for
-            // single-table FROM, the common case for search-engine queries).
-            SelectItem::QualifiedWildcard(t) if from_aliases.contains(&t.to_ascii_lowercase()) => {
-                SelectItem::Wildcard
-            }
-            SelectItem::QualifiedWildcard(t) => {
+            // Original qualifiers vanish behind the derived table, so
+            // `t.*` over the only FROM item becomes `*`. With several
+            // FROM items the rewriter (which sees no catalog) cannot tell
+            // which columns are `t`'s: refuse rather than return more
+            // columns than plain SQL would.
+            SelectItem::QualifiedWildcard(t) if !from_aliases.contains(&t.to_ascii_lowercase()) => {
                 return Err(Error::Rewrite(format!("unknown table '{t}' in '{t}.*'")))
+            }
+            SelectItem::QualifiedWildcard(_) if from_aliases.len() == 1 => SelectItem::Wildcard,
+            SelectItem::QualifiedWildcard(t) => {
+                return Err(Error::Unsupported(format!(
+                    "'{t}.*' over a multi-table FROM combined with PREFERRING is only \
+                     supported in native mode"
+                )))
             }
             SelectItem::Expr { expr, alias } => {
                 let translated = translate_clause(expr, &compiled, A1, &aux, &from_aliases)?;
@@ -390,7 +396,9 @@ fn collect_aliases(from: &[TableRef]) -> HashSet<String> {
 /// Translate one outer-query expression: quality-function calls become
 /// level-column expressions over `qual`, and column references qualified by
 /// an original FROM alias are re-qualified onto `qual` (all original
-/// columns are visible there through the aux `SELECT *`).
+/// columns are visible there through the aux `SELECT *`). Sub-queries
+/// inside translated clauses stay as-is (correlation into the rewritten
+/// aliases is not supported).
 fn translate_clause(
     expr: &Expr,
     compiled: &CompiledPreference,
@@ -398,113 +406,23 @@ fn translate_clause(
     aux: &Query,
     from_aliases: &HashSet<String>,
 ) -> Result<Expr> {
-    let recurse = |e: &Expr| translate_clause(e, compiled, qual, aux, from_aliases);
-    match expr {
-        Expr::Function { name, args } if matches!(name.as_str(), "top" | "level" | "distance") => {
-            if args.len() != 1 {
-                return Err(Error::Rewrite(format!(
-                    "{name}() expects exactly one attribute argument"
-                )));
-            }
-            let slot = compiled.slot_of(&args[0]).ok_or_else(|| {
-                Error::Rewrite(format!(
-                    "{name}({}) does not match any base preference of the \
-                     PREFERRING clause",
-                    args[0]
-                ))
-            })?;
-            quality_expr(name, slot, &compiled.preference.bases()[slot], qual, aux)
+    expr.try_map(&mut |e| {
+        if let Some((func, args)) = quality_call(e) {
+            let slot = compiled.quality_slot(func, args)?;
+            let base = &compiled.preference.bases()[slot];
+            return quality_expr(func, slot, base, qual, aux).map(Some);
         }
-        Expr::Column {
-            qualifier: Some(t),
-            name,
-        } if from_aliases.contains(&t.to_ascii_lowercase()) => Ok(Expr::Column {
-            qualifier: Some(qual.to_string()),
-            name: name.clone(),
-        }),
-        Expr::Column { .. } | Expr::Literal(_) | Expr::Wildcard => Ok(expr.clone()),
-        Expr::Unary { op, expr } => Ok(Expr::Unary {
-            op: *op,
-            expr: Box::new(recurse(expr)?),
-        }),
-        Expr::Binary { left, op, right } => Ok(Expr::Binary {
-            left: Box::new(recurse(left)?),
-            op: *op,
-            right: Box::new(recurse(right)?),
-        }),
-        Expr::IsNull { expr, negated } => Ok(Expr::IsNull {
-            expr: Box::new(recurse(expr)?),
-            negated: *negated,
-        }),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Ok(Expr::Between {
-            expr: Box::new(recurse(expr)?),
-            low: Box::new(recurse(low)?),
-            high: Box::new(recurse(high)?),
-            negated: *negated,
-        }),
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Ok(Expr::InList {
-            expr: Box::new(recurse(expr)?),
-            list: list.iter().map(&recurse).collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Ok(Expr::Like {
-            expr: Box::new(recurse(expr)?),
-            pattern: Box::new(recurse(pattern)?),
-            negated: *negated,
-        }),
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => Ok(Expr::Case {
-            operand: operand
-                .as_ref()
-                .map(|o| recurse(o).map(Box::new))
-                .transpose()?,
-            branches: branches
-                .iter()
-                .map(|(w, t)| Ok((recurse(w)?, recurse(t)?)))
-                .collect::<Result<_>>()?,
-            else_result: else_result
-                .as_ref()
-                .map(|e| recurse(e).map(Box::new))
-                .transpose()?,
-        }),
-        Expr::Function { name, args } => Ok(Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(&recurse).collect::<Result<_>>()?,
-        }),
-        // Sub-queries inside translated clauses stay as-is (correlation
-        // into the rewritten aliases is not supported).
-        Expr::Exists { .. } | Expr::InSubquery { .. } | Expr::ScalarSubquery(_) => Ok(expr.clone()),
-    }
-}
-
-/// Default output alias for a quality-function select item, e.g.
-/// `LEVEL(color)` → `level_color` (keeps the adorned result readable).
-fn default_quality_alias(expr: &Expr) -> Option<String> {
-    if let Expr::Function { name, args } = expr {
-        if matches!(name.as_str(), "top" | "level" | "distance") {
-            if let Some(Expr::Column { name: col, .. }) = args.first() {
-                return Some(format!("{name}_{col}"));
-            }
-            return Some(name.clone());
-        }
-    }
-    None
+        Ok(match e {
+            Expr::Column {
+                qualifier: Some(t),
+                name,
+            } if from_aliases.contains(&t.to_ascii_lowercase()) => Some(Expr::Column {
+                qualifier: Some(qual.to_string()),
+                name: name.clone(),
+            }),
+            _ => None,
+        })
+    })
 }
 
 fn check_no_preferring_in_expr_subqueries(expr: &Expr) -> Result<()> {
@@ -531,10 +449,4 @@ fn check_no_preferring_in_expr_subqueries(expr: &Expr) -> Result<()> {
         check_no_preferring_in_expr_subqueries(child)?;
     }
     Ok(())
-}
-
-// Silence an unused-import lint for GEN_PREFIX re-export convenience.
-#[allow(unused)]
-fn _gen_prefix_is_public() -> &'static str {
-    GEN_PREFIX
 }

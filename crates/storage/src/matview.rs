@@ -65,13 +65,12 @@ pub struct MatViewDef {
 }
 
 impl MatViewDef {
-    /// The current view contents: winners, in entry (= base row) order.
-    pub fn winners(&self) -> Vec<Tuple> {
-        self.entries
-            .iter()
-            .filter(|e| e.winner)
-            .map(|e| e.output.clone())
-            .collect()
+    /// The current view contents as entry positions (= base row ids):
+    /// the winners, in entry order. One pass over the entries — the
+    /// planner takes it once per statement and the scan fetches by id.
+    pub fn winner_ids(&self) -> Vec<usize> {
+        let winners = self.entries.iter().enumerate().filter(|(_, e)| e.winner);
+        winners.map(|(i, _)| i).collect()
     }
 
     /// Number of rows currently served by the view.
@@ -103,7 +102,7 @@ mod tests {
             entries: vec![entry(3, true), entry(9, false), entry(3, true)],
             stale: false,
         };
-        assert_eq!(v.winners(), vec![tuple![3], tuple![3]]);
+        assert_eq!(v.winner_ids(), vec![0, 2]);
         assert_eq!(v.winner_count(), 2);
     }
 }

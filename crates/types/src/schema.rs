@@ -130,6 +130,19 @@ impl Schema {
     /// Matching is case-insensitive. Unqualified names that match several
     /// columns are ambiguous; unknown names are a plan error.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        self.lookup(qualifier, name)?.ok_or_else(|| {
+            let shown = match qualifier {
+                Some(q) => format!("{q}.{name}").to_ascii_lowercase(),
+                None => name.to_ascii_lowercase(),
+            };
+            Error::Plan(format!("unknown column '{shown}'"))
+        })
+    }
+
+    /// [`Schema::resolve`] with a typed answer for "not here": `Ok(None)`
+    /// when no column matches (the evaluator then tries the enclosing
+    /// frame), `Err` only for an ambiguous reference.
+    pub fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<Option<usize>> {
         let name = name.to_ascii_lowercase();
         let qualifier = qualifier.map(str::to_ascii_lowercase);
         let mut hit = None;
@@ -147,13 +160,7 @@ impl Schema {
                 hit = Some(i);
             }
         }
-        hit.ok_or_else(|| {
-            let shown = match &qualifier {
-                Some(q) => format!("{q}.{name}"),
-                None => name.clone(),
-            };
-            Error::Plan(format!("unknown column '{shown}'"))
-        })
+        Ok(hit)
     }
 
     /// Re-qualify every column under a new table alias (used by `FROM t AS a`).

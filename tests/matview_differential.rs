@@ -132,6 +132,11 @@ fn check(inc: &mut Session, cold: &mut Session, pref: &PrefExpr) {
         Some("v"),
         "query must be served from the materialized view: {sql}"
     );
+    assert_eq!(
+        served.dominance_tests(),
+        0,
+        "a view hit skips the dominance pass: {sql}"
+    );
     cold.set_mode(ExecutionMode::native());
     let recomputed = cold.query(&sql).unwrap();
     assert!(
@@ -283,6 +288,51 @@ fn delete_of_winner_promotes_dominated_rows() {
         vec![1, 2, 3, 4],
         "rows dominated only by the deleted winner are promoted"
     );
+
+    // The hit is a plan-time choice: the one native plan tree has the
+    // view scan where `Preference` and its source would be, under the
+    // engine's ordinary Sort / Project / Limit.
+    s.set_mode(ExecutionMode::native());
+    let sql = format!("SELECT id FROM r PREFERRING {pref} ORDER BY id DESC LIMIT 2");
+    let explain = |s: &mut Session, prefix: &str| match s.execute(&format!("{prefix} {sql}")) {
+        Ok(prefsql::QueryResult::Explain(text)) => text,
+        other => panic!("expected EXPLAIN output, got {other:?}"),
+    };
+    let plan = explain(&mut s, "EXPLAIN");
+    let lines: Vec<&str> = plan.lines().map(str::trim_start).collect();
+    assert_eq!(
+        lines,
+        [
+            "Native preference plan:",
+            "limit 2",
+            "Project: id",
+            "sort(1 keys)",
+            "Materialized view scan: v (4 winners) [view=v hit]",
+        ],
+        "{plan}"
+    );
+    let report = explain(&mut s, "EXPLAIN ANALYZE");
+    let scan = report
+        .lines()
+        .find(|l| l.contains("Materialized view scan: v"))
+        .unwrap_or_else(|| panic!("no view scan in:\n{report}"));
+    assert!(scan.contains("(actual rows=4 "), "{scan}");
+    assert!(!report.contains("Preference (BMO"), "{report}");
+    assert!(report.contains(", 0 dominance comparison(s)"), "{report}");
+    let served = s.query(&sql).unwrap();
+    assert_eq!(served.column_as_ints(0), vec![4, 3]);
+    assert_eq!(served.dominance_tests(), 0);
+    // A stale view refuses to serve, and the plan says why it recomputes.
+    s.engine_mut().catalog_mut().matview_mut("v").unwrap().stale = true;
+    let plan = explain(&mut s, "EXPLAIN");
+    assert!(
+        plan.contains("base preference(s)) [view=v stale]"),
+        "{plan}"
+    );
+    assert!(plan.contains("Seq scan: r"), "{plan}");
+    let cold = s.query(&sql).unwrap();
+    assert_eq!(cold, served);
+    assert!(cold.dominance_tests() > 0 && cold.view_activity().is_none());
 }
 
 /// Layer 3: concurrent writers and cache-served readers over one shared

@@ -166,7 +166,7 @@ fn native_ids(table: &Table, query: &Query, opts: NativeOptions) -> Vec<i64> {
         .catalog_mut()
         .create_table(table.clone())
         .expect("fresh catalog");
-    let rs = prefsql::native::run_native_opts(conn.engine(), &registry, query, opts)
+    let rs = prefsql::native::run_native_in(conn.engine(), &registry, query, opts, None)
         .expect("native evaluation succeeds");
     rs.column_as_ints(0)
 }

@@ -117,6 +117,63 @@ fn explicit_preference_agrees() {
     );
 }
 
+/// One run per execution mode of `sql` over `tables`: the rendered rows
+/// (in result order) or the error message.
+fn outcomes_per_mode(
+    tables: &[prefsql::storage::Table],
+    sql: &str,
+) -> Vec<(ExecutionMode, Result<Vec<String>, String>)> {
+    [
+        ExecutionMode::Rewrite,
+        ExecutionMode::Native(SkylineAlgo::Naive),
+        ExecutionMode::Native(SkylineAlgo::Bnl),
+        ExecutionMode::Native(SkylineAlgo::Sfs),
+        ExecutionMode::Native(SkylineAlgo::Auto),
+    ]
+    .into_iter()
+    .map(|mode| {
+        let mut conn = PrefSqlConnection::new();
+        for t in tables {
+            conn.engine_mut()
+                .catalog_mut()
+                .create_table(t.clone())
+                .unwrap();
+        }
+        conn.set_mode(mode);
+        let outcome = conn
+            .query(sql)
+            .map(|rs| rs.rows().iter().map(|r| r.to_string()).collect())
+            .map_err(|e| e.to_string());
+        (mode, outcome)
+    })
+    .collect()
+}
+
+/// Every mode must produce the same rows in the same order — or fail
+/// with the same error.
+fn assert_modes_agree_on_value_or_error(tables: &[prefsql::storage::Table], sql: &str) {
+    let outcomes = outcomes_per_mode(tables, sql);
+    let (_, oracle) = &outcomes[0];
+    for (mode, outcome) in &outcomes[1..] {
+        assert_eq!(outcome, oracle, "{mode:?} vs the rewrite oracle on: {sql}");
+    }
+}
+
+/// A small table with a numeric and a categorical attribute, NULLs in
+/// both, for the quality-function matrix.
+fn quality_fixture() -> prefsql::storage::Table {
+    let mut conn = PrefSqlConnection::new();
+    conn.execute("CREATE TABLE q (id INTEGER, a INTEGER, c VARCHAR)")
+        .unwrap();
+    conn.execute(
+        "INSERT INTO q VALUES (1, 7, 'red'), (2, 3, 'blue'), (3, 12, 'green'), \
+         (4, 7, 'pink'), (5, NULL, 'red'), (6, 9, NULL), (7, 5, 'blue'), (8, 3, 'red')",
+    )
+    .unwrap();
+    let table = conn.engine().catalog().table("q").unwrap().clone();
+    table
+}
+
 #[test]
 fn quality_functions_in_select_agree() {
     assert_all_modes_agree(
@@ -124,6 +181,138 @@ fn quality_functions_in_select_agree() {
         "SELECT id, duration, DISTANCE(duration), TOP(duration) FROM trips \
          PREFERRING duration AROUND 12",
     );
+
+    // Every (function × base-preference kind) pair: the modes agree on
+    // the value, or on the plan error (LEVEL of a numeric preference,
+    // DISTANCE of a categorical one).
+    let table = [quality_fixture()];
+    let kinds = [
+        ("a", "a AROUND 7"),
+        ("a", "a BETWEEN 5, 9"),
+        ("a", "LOWEST(a)"),
+        ("a", "HIGHEST(a)"),
+        ("c", "c IN ('red', 'blue')"),
+        ("c", "c <> 'green'"),
+        ("c", "c = 'red' ELSE c = 'blue'"),
+        ("c", "c = 'red' ELSE c <> 'blue'"),
+        (
+            "c",
+            "c EXPLICIT ('red' BETTER 'blue', 'blue' BETTER 'green')",
+        ),
+        ("c", "c CONTAINS ('re', 'd')"),
+    ];
+    let mut errors = 0;
+    for (attr, pref) in kinds {
+        for func in ["TOP", "LEVEL", "DISTANCE"] {
+            // The second base preference keeps the winner set wide, so
+            // the functions are evaluated on imperfect matches too.
+            let sql = format!(
+                "SELECT id, {func}({attr}) FROM q PREFERRING {pref} AND HIGHEST(id) ORDER BY id"
+            );
+            assert_modes_agree_on_value_or_error(&table, &sql);
+            errors += usize::from(outcomes_per_mode(&table, &sql)[0].1.is_err());
+        }
+    }
+    // 4 numeric kinds reject LEVEL, 6 categorical kinds reject DISTANCE.
+    assert_eq!(errors, 10);
+    let level_of_numeric = "SELECT LEVEL(a) FROM q PREFERRING LOWEST(a)";
+    for (mode, outcome) in outcomes_per_mode(&table, level_of_numeric) {
+        let err = outcome.expect_err("LEVEL() of a numeric preference");
+        assert!(
+            err.contains("LEVEL() applies to categorical preferences"),
+            "{mode:?}: {err}"
+        );
+    }
+
+    // Quality functions in ORDER BY, combined with DISTINCT and LIMIT,
+    // nested in expressions and in BUT ONLY.
+    for sql in [
+        "SELECT DISTINCT c FROM q PREFERRING LOWEST(a) AND HIGHEST(id) \
+         ORDER BY DISTANCE(a) DESC, c LIMIT 3",
+        "SELECT id, DISTANCE(a) + 1 AS d1 FROM q PREFERRING a AROUND 6 AND HIGHEST(id) \
+         ORDER BY DISTANCE(a), id LIMIT 4",
+        "SELECT DISTINCT LEVEL(c) FROM q PREFERRING c = 'red' ELSE c = 'blue' AND LOWEST(id) \
+         ORDER BY LEVEL(c) DESC LIMIT 2",
+        "SELECT id, TOP(a), LEVEL(c) FROM q PREFERRING HIGHEST(a) AND c IN ('blue') \
+         BUT ONLY DISTANCE(a) <= 5 AND LEVEL(c) <= 2 ORDER BY TOP(a), id",
+        "SELECT id FROM q PREFERRING a AROUND 7 AND HIGHEST(id) ORDER BY TOP(a) DESC, id LIMIT 1",
+    ] {
+        assert_modes_agree_on_value_or_error(&table, sql);
+        let outcomes = outcomes_per_mode(&table, sql);
+        assert!(outcomes[0].1.is_ok(), "{sql}: {:?}", outcomes[0].1);
+    }
+}
+
+/// `t.*` must mean what it means in plain SQL — never silently more
+/// columns. Native mode plans the select list with the engine's own
+/// projection; the rewriter, which widens `t.*` to `*` over its derived
+/// table, refuses when that would not be exact.
+#[test]
+fn qualified_wildcards_match_plain_sql() {
+    let mut conn = PrefSqlConnection::new();
+    conn.execute("CREATE TABLE a (k INTEGER, x INTEGER)")
+        .unwrap();
+    conn.execute("CREATE TABLE b (k INTEGER, y INTEGER)")
+        .unwrap();
+    conn.execute("INSERT INTO a VALUES (1, 10), (2, 20), (3, 5)")
+        .unwrap();
+    conn.execute("INSERT INTO b VALUES (1, 7), (2, 8), (3, 9)")
+        .unwrap();
+    let join = "FROM a JOIN b ON a.k = b.k";
+    let plain_columns: Vec<String> = conn
+        .query(&format!("SELECT a.* {join}"))
+        .unwrap()
+        .column_names()
+        .iter()
+        .map(|c| c.to_string())
+        .collect();
+    assert_eq!(plain_columns, ["k", "x"]);
+    let plain_err = conn
+        .query(&format!("SELECT zz.* {join}"))
+        .unwrap_err()
+        .to_string();
+    assert!(
+        plain_err.contains("unknown table 'zz' in 'zz.*'"),
+        "{plain_err}"
+    );
+
+    for mode in [
+        ExecutionMode::native(),
+        ExecutionMode::Native(SkylineAlgo::Bnl),
+    ] {
+        conn.set_mode(mode);
+        let err = conn
+            .query(&format!("SELECT zz.* {join} PREFERRING LOWEST(a.x)"))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, plain_err, "{mode:?}");
+        let rs = conn
+            .query(&format!("SELECT a.* {join} PREFERRING LOWEST(a.x)"))
+            .unwrap();
+        assert_eq!(rs.column_names(), plain_columns, "{mode:?}");
+        assert_eq!(rs.rows().len(), 1);
+        assert_eq!(rs.rows()[0].to_string(), "(3, 5)", "{mode:?}");
+        let both = conn
+            .query(&format!("SELECT b.*, a.x {join} PREFERRING LOWEST(a.x)"))
+            .unwrap();
+        assert_eq!(both.column_names(), ["k", "y", "x"], "{mode:?}");
+    }
+
+    // The rewriter: unknown qualifier is the same complaint; a known one
+    // over a multi-table FROM is refused outright, not widened to `*`.
+    conn.set_mode(ExecutionMode::Rewrite);
+    let err = conn
+        .query(&format!("SELECT zz.* {join} PREFERRING LOWEST(a.x)"))
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("unknown table 'zz' in 'zz.*'"), "{err}");
+    let err = conn
+        .query(&format!("SELECT a.* {join} PREFERRING LOWEST(a.x)"))
+        .unwrap_err();
+    assert!(matches!(err, prefsql::Error::Unsupported(_)), "{err}");
+    // Over a single FROM item `t.*` ≡ `*`, and every mode agrees.
+    let a = conn.engine().catalog().table("a").unwrap().clone();
+    assert_modes_agree_on_value_or_error(&[a], "SELECT a.* FROM a PREFERRING LOWEST(x)");
 }
 
 #[test]
