@@ -4,8 +4,8 @@
 //!
 //! * `batched_scan_filter` vs `tuple_scan_filter` — the same planned
 //!   scan → filter → project pipeline driven through
-//!   `Operator::next_batch` (1024-tuple batches) and through the
-//!   tuple-at-a-time `Operator::next` baseline;
+//!   `Operator::next_batch` asking for 1024 rows per pull and for one
+//!   row per pull (what batching buys over a tuple-at-a-time drive);
 //! * `skyline_threads/{workload}_{n}/{t}` — the full native preference
 //!   query at `\threads ∈ {1, 2, 4}`: above `PARALLEL_CUTOFF`
 //!   candidates the auto mode partitions the BNL window across `t`
@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prefsql::parser::ast::Statement;
 use prefsql::{ExecutionMode, PrefSqlConnection};
 use prefsql_bench::{conn_with, run};
-use prefsql_engine::physical::{build, drain_batched, drain_tuple_at_a_time, DEFAULT_BATCH};
+use prefsql_engine::physical::{build, drain_batched, DEFAULT_BATCH};
 use prefsql_workload::{cars, jobs};
 
 const SIZES: [usize; 2] = [8_000, 64_000];
@@ -51,9 +51,7 @@ fn bench_batched_vs_tuple(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tuple_scan_filter", n), &n, |b, _| {
             b.iter(|| {
                 let mut op = build(&ctx, plan.root(), &[]);
-                drain_tuple_at_a_time(op.as_mut())
-                    .expect("clean drive")
-                    .len()
+                drain_batched(op.as_mut(), 1).expect("clean drive").len()
             })
         });
         group.bench_with_input(BenchmarkId::new("batched_scan_filter", n), &n, |b, _| {

@@ -40,9 +40,10 @@ pub struct NativeOptions {
     /// scoped OS threads once the candidate set exceeds
     /// [`prefsql_pref::PARALLEL_CUTOFF`]; `1` forces the serial window.
     pub threads: usize,
-    /// Batch size of the drive loop pulling the source plan; `None`
-    /// drives tuple-at-a-time through `Operator::next` (the
-    /// differential suites pin batched ≡ streaming with this).
+    /// Rows requested per pull by the loop draining the source plan;
+    /// `None` drives it one tuple per pull, like `Some(1)` (the
+    /// differential suites pin that the result does not depend on the
+    /// drive granularity with this).
     pub batch: Option<usize>,
     /// External-memory window budget in bytes (the shell's
     /// `\window N[k|m]`): [`SkylineAlgo::Auto`] streams the candidate

@@ -181,6 +181,51 @@ fn hash_join_probe_rows_exact() {
     assert!(report.contains("Execution: returned 3 row(s)"), "{report}");
 }
 
+/// One pull protocol, one accounting path: `actual rows=` is what the
+/// node *emitted* — for a filter the selected rows, not the run of the
+/// scan's buffer it selected them from — and `batches=` is the number
+/// of pulls it answered, the one reporting the end included.
+#[test]
+fn filter_actuals_count_emitted_rows_and_pulls() {
+    let mut s = seeded();
+    // Two of the six cars cost less than 30 000.
+    let report = analyze(&mut s, "SELECT id FROM cars WHERE price < 30000");
+    for (node, rows) in [("Project:", 2), ("Filter:", 2), ("Seq scan:", 6)] {
+        assert_eq!(
+            counter(node_line(&report, node), "actual rows"),
+            rows,
+            "{report}"
+        );
+        // One pull carried every row, the next one found the end.
+        assert_eq!(counter(node_line(&report, node), "batches"), 2, "{report}");
+    }
+
+    // Under LIMIT 1 every pull asks for one row: the scan lends rows 1,
+    // 2 and 3, the filter answers those three pulls with 0, 0 and 1
+    // selected rows, and the satisfied limit never pulls again.
+    let report = analyze(&mut s, "SELECT id FROM cars WHERE price < 30000 LIMIT 1");
+    assert_eq!(
+        counter(node_line(&report, "Filter:"), "actual rows"),
+        1,
+        "{report}"
+    );
+    assert_eq!(
+        counter(node_line(&report, "Filter:"), "batches"),
+        3,
+        "{report}"
+    );
+    assert_eq!(
+        counter(node_line(&report, "Seq scan:"), "actual rows"),
+        3,
+        "{report}"
+    );
+    assert_eq!(
+        counter(node_line(&report, "Seq scan:"), "batches"),
+        3,
+        "{report}"
+    );
+}
+
 /// The ISSUE's acceptance scenario: a three-table hash-join preference
 /// query under `EXPLAIN ANALYZE` reports per-node rows/time, the
 /// dominance-comparison tally, and spill/pool counters.
@@ -268,12 +313,18 @@ fn three_table_join_preference_query_reports_all_counters() {
     );
 }
 
-/// The `Preference (BMO, …)` line of a native plan rendering.
-fn preference_line(report: &str) -> &str {
+/// The first plan line of a rendering whose node label starts with
+/// `label`.
+fn node_line<'r>(report: &'r str, label: &str) -> &'r str {
     report
         .lines()
-        .find(|l| l.trim_start().starts_with("Preference (BMO"))
-        .unwrap_or_else(|| panic!("no Preference node in:\n{report}"))
+        .find(|l| l.trim_start().starts_with(label))
+        .unwrap_or_else(|| panic!("no `{label}` node in:\n{report}"))
+}
+
+/// The `Preference (BMO, …)` line of a native plan rendering.
+fn preference_line(report: &str) -> &str {
+    node_line(report, "Preference (BMO")
 }
 
 /// Indentation depth of the first line containing `needle`.

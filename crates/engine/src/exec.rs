@@ -637,9 +637,7 @@ impl<'c> ExecCtx<'c> {
         match exists_probe_root(plan.root()) {
             Some(node) => {
                 let mut op = crate::physical::build(self, node, outer);
-                let found = op.open().and_then(|()| op.next());
-                op.close();
-                Ok(found?.is_some())
+                crate::physical::any_row(op.as_mut())
             }
             None => Ok(!crate::physical::execute(self, plan.root(), outer)?
                 .rows

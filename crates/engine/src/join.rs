@@ -39,9 +39,9 @@
 //! Spill totals are reported through [`ExecCtx::note_spill`] and ride
 //! the same `SpillMetrics` surface as the external skyline.
 
-use crate::eval::{truth, Frame};
+use crate::eval::Frame;
 use crate::exec::ExecCtx;
-use crate::physical::{eval_row, BoxOperator, Operator, DEFAULT_BATCH};
+use crate::physical::{accepts, eval_row, Batch, BoxOperator, Operator, RowKey, DEFAULT_BATCH};
 use prefsql_parser::ast::{BinaryOp, Expr};
 use prefsql_storage::spill::{
     tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics, SpillRun,
@@ -233,53 +233,28 @@ fn sides_of(expr: &Expr, left: &Schema, combined: &Schema) -> Option<SideMask> {
 
 // ----------------------------------------------------------- join keys
 
-/// A hash-table key over the evaluated key expressions of one row.
-/// Equality is [`Value::key_eq`] per field, which — after the
-/// normalization in [`JoinKey::new`] — matches SQL `=` exactly; hashing
-/// uses [`Value`]'s `Hash`, consistent with `key_eq` by the type
-/// crate's proptest contract.
-#[derive(Debug, Clone)]
-struct JoinKey(Vec<Value>);
-
-impl JoinKey {
-    /// Build a key, or `None` when the row can never match: a NULL key
-    /// field makes `=` UNKNOWN, a NaN field makes it FALSE (while both
-    /// would compare equal to themselves under the total order).
-    /// `-0.0` is folded to `0.0` so SQL-equal floats share a bucket.
-    fn new(values: Vec<Value>) -> Option<JoinKey> {
-        let mut out = Vec::with_capacity(values.len());
-        for v in values {
-            match v {
-                Value::Null => return None,
-                Value::Float(f) if f.is_nan() => return None,
-                Value::Float(f) => out.push(Value::Float(if f == 0.0 { 0.0 } else { f })),
-                other => out.push(other),
-            }
-        }
-        Some(JoinKey(out))
-    }
-}
-
-impl PartialEq for JoinKey {
-    fn eq(&self, other: &JoinKey) -> bool {
-        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.key_eq(b))
-    }
-}
-
-impl Eq for JoinKey {}
-
-impl Hash for JoinKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            v.hash(state);
+/// The hash-table key over the evaluated key expressions of one row, or
+/// `None` when the row can never match: a NULL key field makes `=`
+/// UNKNOWN, a NaN field makes it FALSE (while both would compare equal to
+/// themselves under the total order). `-0.0` is folded to `0.0` so
+/// SQL-equal floats share a bucket. After this normalization
+/// [`RowKey`]'s equality matches SQL `=` exactly.
+fn join_key(mut values: Vec<Value>) -> Option<RowKey> {
+    for v in &mut values {
+        match v {
+            Value::Null => return None,
+            Value::Float(f) if f.is_nan() => return None,
+            Value::Float(f) if *f == 0.0 => *f = 0.0,
+            _ => {}
         }
     }
+    Some(RowKey(values))
 }
 
 /// The Grace partition a key routes to at `depth`: a fresh salt per
 /// depth, so a re-partitioned pair actually redistributes instead of
 /// collapsing back into one bucket.
-fn partition_of(key: &JoinKey, depth: u32) -> usize {
+fn partition_of(key: &RowKey, depth: u32) -> usize {
     let mut h = DefaultHasher::new();
     0x9e37_79b9_7f4a_7c15u64
         .wrapping_mul(u64::from(depth) + 1)
@@ -290,8 +265,10 @@ fn partition_of(key: &JoinKey, depth: u32) -> usize {
 
 // ------------------------------------------------------- the operator
 
-/// Everything the Grace helpers need, bundled so the recursive pair
-/// processing does not thread eight parameters.
+/// Everything about one join that is fixed at plan time, bundled so the
+/// operator's phases and the recursive Grace pair processing do not
+/// thread eight parameters.
+#[derive(Clone, Copy)]
 struct JoinCfg<'a> {
     ctx: &'a ExecCtx<'a>,
     keys: &'a [(Expr, Expr)],
@@ -301,12 +278,13 @@ struct JoinCfg<'a> {
     /// Combined schema, for the residual predicate.
     schema: &'a Schema,
     outer: &'a [Frame<'a>],
+    /// The build-side byte budget (`usize::MAX` = never spill).
     window: usize,
 }
 
 impl JoinCfg<'_> {
     /// Evaluate one side's key expressions for one row.
-    fn key_of(&self, row: &Tuple, left_side: bool) -> Result<Option<JoinKey>> {
+    fn key_of(&self, row: &Tuple, left_side: bool) -> Result<Option<RowKey>> {
         let mut vals = Vec::with_capacity(self.keys.len());
         for (lk, rk) in self.keys {
             let (e, schema) = if left_side {
@@ -316,37 +294,29 @@ impl JoinCfg<'_> {
             };
             vals.push(eval_row(self.ctx, e, schema, row, self.outer)?);
         }
-        Ok(JoinKey::new(vals))
+        Ok(join_key(vals))
     }
 
     /// Does the residual predicate accept this combined row?
     fn residual_ok(&self, joined: &Tuple) -> Result<bool> {
         match self.residual {
             None => Ok(true),
-            Some(p) => {
-                let v = eval_row(self.ctx, p, self.schema, joined, self.outer)?;
-                Ok(truth(&v) == Some(true))
-            }
+            Some(p) => accepts(self.ctx, p, self.schema, joined, self.outer),
         }
     }
 }
 
 /// The hash-join physical operator. All heavy lifting happens in
-/// [`Operator::open`]; `next`/`next_batch` then stream from whichever
-/// state the build phase settled into.
+/// [`Operator::open`]; [`Operator::next_batch`] then streams from
+/// whichever state the build phase settled into.
 pub struct HashJoinOp<'a> {
-    ctx: &'a ExecCtx<'a>,
+    cfg: JoinCfg<'a>,
     left: BoxOperator<'a>,
     right: BoxOperator<'a>,
-    keys: &'a [(Expr, Expr)],
-    residual: Option<&'a Expr>,
     build_left: bool,
-    window: Option<usize>,
-    left_schema: &'a Schema,
-    right_schema: &'a Schema,
-    schema: &'a Schema,
-    outer: &'a [Frame<'a>],
     state: State,
+    /// Output scratch of the streaming states, handed to the consumer.
+    out: Vec<Tuple>,
     /// Rows hashed into the build table (observability; `Cell` so the
     /// Grace source closures can count while the children are borrowed).
     build_rows: Cell<u64>,
@@ -361,14 +331,15 @@ enum State {
     Closed,
     /// In-memory, build=right: the left side streams through the probe
     /// in batched pulls; output order is the nested loop's by
-    /// construction.
+    /// construction. `lbuf[..lpos]` has been probed, and
+    /// `matches[midx..]` are the build rows `lbuf[lpos - 1]` has yet to
+    /// meet.
     Probe {
         right_rows: Vec<Tuple>,
-        table: HashMap<JoinKey, Vec<u32>>,
+        table: HashMap<RowKey, Vec<u32>>,
         lbuf: Vec<Tuple>,
         lpos: usize,
         left_done: bool,
-        cur: Option<Tuple>,
         matches: Vec<u32>,
         midx: usize,
     },
@@ -399,41 +370,31 @@ impl<'a> HashJoinOp<'a> {
         outer: &'a [Frame<'a>],
     ) -> Self {
         HashJoinOp {
-            ctx,
+            cfg: JoinCfg {
+                ctx,
+                keys,
+                residual,
+                left_schema,
+                right_schema,
+                schema,
+                outer,
+                window: window.unwrap_or(usize::MAX),
+            },
             left,
             right,
-            keys,
-            residual,
             build_left,
-            window,
-            left_schema,
-            right_schema,
-            schema,
-            outer,
             state: State::Closed,
+            out: Vec::new(),
             build_rows: Cell::new(0),
             probe_rows: Cell::new(0),
             spilled_rows: Cell::new(0),
         }
     }
 
-    fn cfg(&self) -> JoinCfg<'a> {
-        JoinCfg {
-            ctx: self.ctx,
-            keys: self.keys,
-            residual: self.residual,
-            left_schema: self.left_schema,
-            right_schema: self.right_schema,
-            schema: self.schema,
-            outer: self.outer,
-            window: self.window.unwrap_or(usize::MAX),
-        }
-    }
-
     /// Drain the build side until it either ends (in-memory join) or
     /// overflows the window (Grace), then set up the streaming state.
     fn build_phase(&mut self) -> Result<State> {
-        let cfg = self.cfg();
+        let cfg = self.cfg;
         let build_op: &mut BoxOperator<'a> = if self.build_left {
             &mut self.left
         } else {
@@ -441,25 +402,17 @@ impl<'a> HashJoinOp<'a> {
         };
         let mut rows: Vec<Tuple> = Vec::new();
         let mut bytes = 0usize;
-        let mut batch: Vec<Tuple> = Vec::new();
-        let mut overflowed = false;
-        loop {
-            batch.clear();
-            let more = build_op.next_batch(&mut batch, DEFAULT_BATCH)?;
-            for t in batch.drain(..) {
-                bytes += tuple_spill_bytes(&t);
-                rows.push(t);
+        let overflowed = loop {
+            let batch = build_op.next_batch(DEFAULT_BATCH)?;
+            if batch.is_end() {
+                break false;
             }
-            if let Some(w) = self.window {
-                if bytes > w {
-                    overflowed = true;
-                    break;
-                }
+            bytes += batch.rows().map(tuple_spill_bytes).sum::<usize>();
+            batch.take_into(&mut rows);
+            if bytes > cfg.window {
+                break true;
             }
-            if !more {
-                break;
-            }
-        }
+        };
         if overflowed {
             // Grace counts the full build side (these rows included) at
             // its own source, so nothing is charged here.
@@ -477,7 +430,6 @@ impl<'a> HashJoinOp<'a> {
                 lbuf: Vec::new(),
                 lpos: 0,
                 left_done: false,
-                cur: None,
                 matches: Vec::new(),
                 midx: 0,
             })
@@ -489,27 +441,25 @@ impl<'a> HashJoinOp<'a> {
     fn buffered_phase(&mut self, cfg: &JoinCfg<'a>, left_rows: Vec<Tuple>) -> Result<State> {
         let table = build_table(cfg, &left_rows, true)?;
         let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); left_rows.len()];
-        let mut batch: Vec<Tuple> = Vec::new();
         loop {
-            batch.clear();
-            let more = self.right.next_batch(&mut batch, DEFAULT_BATCH)?;
+            let batch = self.right.next_batch(DEFAULT_BATCH)?;
+            if batch.is_end() {
+                break;
+            }
             self.probe_rows
                 .set(self.probe_rows.get() + batch.len() as u64);
-            for r in batch.drain(..) {
-                let Some(key) = cfg.key_of(&r, false)? else {
+            for r in batch.rows() {
+                let Some(key) = cfg.key_of(r, false)? else {
                     continue;
                 };
                 if let Some(idxs) = table.get(&key) {
                     for &i in idxs {
-                        let joined = left_rows[i as usize].join(&r);
+                        let joined = left_rows[i as usize].join(r);
                         if cfg.residual_ok(&joined)? {
                             buckets[i as usize].push(joined);
                         }
                     }
                 }
-            }
-            if !more {
-                break;
             }
         }
         let mut out = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
@@ -523,7 +473,7 @@ impl<'a> HashJoinOp<'a> {
     /// process partition pairs (recursing once, then block-NLJ), and
     /// leave a k-way merge over the sorted output runs.
     fn grace_phase(&mut self, cfg: &JoinCfg<'a>, collected: Vec<Tuple>) -> Result<State> {
-        let mut mgr = self.ctx.spill_manager()?;
+        let mut mgr = cfg.ctx.spill_manager()?;
         let mut passes = 1u32;
 
         // Partition the build side: the rows drained so far, then the
@@ -554,7 +504,7 @@ impl<'a> HashJoinOp<'a> {
             process_pair(cfg, &mut mgr, l, r, 1, &mut out_runs, &mut passes, spilled)?;
         }
 
-        self.ctx.note_spill(SpillMetrics {
+        cfg.ctx.note_spill(SpillMetrics {
             runs_written: mgr.runs_written(),
             bytes_spilled: mgr.bytes_spilled(),
             passes,
@@ -576,113 +526,76 @@ impl Operator for HashJoinOp<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        let cfg = self.cfg;
+        self.out.clear();
         match &mut self.state {
-            State::Closed => Ok(None),
-            State::Buffered { out, pos } => match out.get(*pos) {
-                Some(t) => {
-                    *pos += 1;
-                    Ok(Some(t.clone()))
+            State::Closed => {}
+            State::Buffered { out, pos } => return Ok(Batch::lend(out, pos, max)),
+            State::Grace(g) => {
+                while self.out.len() < max {
+                    match g.next()? {
+                        Some(t) => self.out.push(t),
+                        None => break,
+                    }
                 }
-                None => Ok(None),
-            },
-            State::Grace(g) => g.next(),
+            }
             State::Probe {
                 right_rows,
                 table,
                 lbuf,
                 lpos,
                 left_done,
-                cur,
                 matches,
                 midx,
             } => {
-                loop {
-                    if let Some(l) = cur.as_ref() {
-                        while *midx < matches.len() {
-                            let r = &right_rows[matches[*midx] as usize];
-                            *midx += 1;
-                            let joined = l.join(r);
-                            let keep = match self.residual {
-                                None => true,
-                                Some(p) => {
-                                    let v =
-                                        eval_row(self.ctx, p, self.schema, &joined, self.outer)?;
-                                    truth(&v) == Some(true)
-                                }
-                            };
-                            if keep {
-                                return Ok(Some(joined));
-                            }
+                while self.out.len() < max {
+                    if *midx < matches.len() {
+                        let joined = lbuf[*lpos - 1].join(&right_rows[matches[*midx] as usize]);
+                        *midx += 1;
+                        if cfg.residual_ok(&joined)? {
+                            self.out.push(joined);
                         }
-                        *cur = None;
+                        continue;
                     }
-                    // Pull the next probe row, refilling the batch
+                    // Advance to the next probe row, refilling the batch
                     // buffer from the left child as needed.
-                    if *lpos >= lbuf.len() {
+                    if *lpos == lbuf.len() {
                         if *left_done {
-                            return Ok(None);
+                            break;
                         }
                         lbuf.clear();
                         *lpos = 0;
-                        *left_done = !self.left.next_batch(lbuf, DEFAULT_BATCH)?;
-                        if lbuf.is_empty() {
-                            return Ok(None);
-                        }
+                        let batch = self.left.next_batch(DEFAULT_BATCH)?;
+                        *left_done = batch.is_end();
+                        batch.take_into(lbuf);
+                        continue;
                     }
-                    let l = std::mem::take(&mut lbuf[*lpos]);
-                    *lpos += 1;
-                    self.probe_rows.set(self.probe_rows.get() + 1);
                     matches.clear();
                     *midx = 0;
-                    let mut vals = Vec::with_capacity(self.keys.len());
-                    let mut key_ok = true;
-                    for (lk, _) in self.keys {
-                        let v = eval_row(self.ctx, lk, self.left_schema, &l, self.outer)?;
-                        vals.push(v);
-                    }
-                    let key = match JoinKey::new(vals) {
-                        Some(k) => k,
-                        None => {
-                            key_ok = false;
-                            JoinKey(Vec::new())
-                        }
-                    };
-                    if key_ok {
+                    if let Some(key) = cfg.key_of(&lbuf[*lpos], true)? {
                         if let Some(idxs) = table.get(&key) {
                             matches.extend_from_slice(idxs);
                         }
                     }
-                    *cur = Some(l);
+                    *lpos += 1;
+                    self.probe_rows.set(self.probe_rows.get() + 1);
                 }
             }
         }
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        if let State::Buffered { out: rows, pos } = &mut self.state {
-            return Ok(crate::physical::batch_from(rows, pos, out, max));
+        // The streaming states fill the quota unless their input ran
+        // dry, so an empty scratch is the end.
+        if self.out.is_empty() {
+            return Ok(Batch::end());
         }
-        for _ in 0..max {
-            match self.next()? {
-                Some(t) => out.push(t),
-                None => return Ok(false),
-            }
-        }
-        Ok(true)
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        if let State::Buffered { out, pos } = &mut self.state {
-            return Ok(Some(crate::physical::slice_from(out, pos, max)));
-        }
-        Ok(None)
+        Ok(Batch::owned(&mut self.out))
     }
 
     fn close(&mut self) {
         self.left.close();
         self.right.close();
         self.state = State::Closed;
+        self.out = Vec::new();
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -700,8 +613,8 @@ fn build_table(
     cfg: &JoinCfg<'_>,
     rows: &[Tuple],
     left_side: bool,
-) -> Result<HashMap<JoinKey, Vec<u32>>> {
-    let mut table: HashMap<JoinKey, Vec<u32>> = HashMap::with_capacity(rows.len());
+) -> Result<HashMap<RowKey, Vec<u32>>> {
+    let mut table: HashMap<RowKey, Vec<u32>> = HashMap::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
         if let Some(key) = cfg.key_of(row, left_side)? {
             table.entry(key).or_default().push(i as u32);
@@ -777,7 +690,9 @@ fn operator_source<'s>(
         }
         buf.clear();
         pos = 0;
-        done = !op.next_batch(&mut buf, DEFAULT_BATCH)?;
+        let batch = op.next_batch(DEFAULT_BATCH)?;
+        done = batch.is_end();
+        batch.take_into(&mut buf);
     }
 }
 
@@ -903,7 +818,7 @@ fn pair_in_memory(
     out_runs: &mut Vec<SpillRun>,
 ) -> Result<()> {
     let right_rows = read_run(right)?;
-    let mut table: HashMap<JoinKey, Vec<u32>> = HashMap::with_capacity(right_rows.len());
+    let mut table: HashMap<RowKey, Vec<u32>> = HashMap::with_capacity(right_rows.len());
     for (i, (_, row)) in right_rows.iter().enumerate() {
         if let Some(key) = cfg.key_of(row, false)? {
             table.entry(key).or_default().push(i as u32);
@@ -969,7 +884,7 @@ fn pair_block_nlj(
         if chunk.is_empty() {
             return Ok(());
         }
-        let mut table: HashMap<JoinKey, Vec<u32>> = HashMap::with_capacity(chunk.len());
+        let mut table: HashMap<RowKey, Vec<u32>> = HashMap::with_capacity(chunk.len());
         for (i, (_, row)) in chunk.iter().enumerate() {
             if let Some(key) = cfg.key_of(row, false)? {
                 table.entry(key).or_default().push(i as u32);
@@ -1208,24 +1123,24 @@ mod tests {
     #[test]
     fn join_key_normalizes_sql_equality() {
         // INT and FLOAT of equal value collide.
-        let a = JoinKey::new(vec![Value::Int(1)]).unwrap();
-        let b = JoinKey::new(vec![Value::Float(1.0)]).unwrap();
+        let a = join_key(vec![Value::Int(1)]).unwrap();
+        let b = join_key(vec![Value::Float(1.0)]).unwrap();
         assert_eq!(a, b);
         // -0.0 and 0.0 are SQL-equal and must share a key.
-        let n = JoinKey::new(vec![Value::Float(-0.0)]).unwrap();
-        let z = JoinKey::new(vec![Value::Int(0)]).unwrap();
+        let n = join_key(vec![Value::Float(-0.0)]).unwrap();
+        let z = join_key(vec![Value::Int(0)]).unwrap();
         assert_eq!(n, z);
         // NULL and NaN keys can never satisfy `=`.
-        assert!(JoinKey::new(vec![Value::Null]).is_none());
-        assert!(JoinKey::new(vec![Value::Float(f64::NAN)]).is_none());
+        assert!(join_key(vec![Value::Null]).is_none());
+        assert!(join_key(vec![Value::Float(f64::NAN)]).is_none());
     }
 
     #[test]
     fn depth_salts_redistribute_partitions() {
         // Keys that collide at one depth must not all collide at the
         // next (otherwise re-partitioning a skewed pair is a no-op).
-        let keys: Vec<JoinKey> = (0..64)
-            .map(|i| JoinKey::new(vec![Value::Int(i)]).unwrap())
+        let keys: Vec<RowKey> = (0..64)
+            .map(|i| join_key(vec![Value::Int(i)]).unwrap())
             .collect();
         let moved = keys
             .iter()

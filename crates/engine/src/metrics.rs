@@ -21,10 +21,10 @@
 //!   `METRICS` verb and the slow-query log all read the same snapshot.
 
 use crate::exec::ExecStats;
-use crate::physical::{BoxOperator, Operator};
+use crate::physical::{Batch, BoxOperator, Operator};
 use crate::plan::PlanNode;
 use prefsql_storage::spill::SpillMetrics;
-use prefsql_types::{Result, Tuple};
+use prefsql_types::Result;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,16 +33,17 @@ use std::time::Instant;
 
 /// Observed execution profile of one plan node: output volume plus the
 /// wall time spent inside the operator (children included — this is a
-/// Volcano tree, so a parent's `next` contains its children's).
+/// Volcano tree, so a parent's pull contains its children's).
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NodeMetrics {
     /// Tuples this node produced.
     pub rows: u64,
-    /// Batched producer calls (`next_batch`/`next_slice`) answered.
+    /// Pulls ([`Operator::next_batch`] calls) answered, the one that
+    /// reported the end included.
     pub batches: u64,
     /// Wall time spent in `open`, nanoseconds.
     pub open_ns: u64,
-    /// Wall time spent in `next`/`next_batch`/`next_slice`, nanoseconds.
+    /// Wall time spent in `next_batch`, nanoseconds.
     pub next_ns: u64,
     /// Wall time spent in `close`, nanoseconds.
     pub close_ns: u64,
@@ -188,46 +189,15 @@ impl Operator for Instrumented<'_> {
         r
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         let t = Instant::now();
-        let r = self.inner.next();
+        let r = self.inner.next_batch(max);
         self.local.next_ns += t.elapsed().as_nanos() as u64;
-        if matches!(r, Ok(Some(_))) {
-            self.local.rows += 1;
-        }
-        r
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        let before = out.len();
-        let t = Instant::now();
-        let r = self.inner.next_batch(out, max);
-        self.local.next_ns += t.elapsed().as_nanos() as u64;
-        self.local.rows += (out.len() - before) as u64;
         self.local.batches += 1;
-        r
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        let t = Instant::now();
-        let r = self.inner.next_slice(max);
-        self.local.next_ns += t.elapsed().as_nanos() as u64;
-        if let Ok(Some(s)) = &r {
-            self.local.rows += s.len() as u64;
-            self.local.batches += 1;
-        }
-        r
-    }
-
-    fn next_selection(&mut self, max: usize, sel: &mut Vec<usize>) -> Result<Option<&[Tuple]>> {
-        let before = sel.len();
-        let t = Instant::now();
-        let r = self.inner.next_selection(max, sel);
-        self.local.next_ns += t.elapsed().as_nanos() as u64;
-        if matches!(r, Ok(Some(_))) {
-            // The emitted rows are the selected ones, not the lent slice.
-            self.local.rows += (sel.len() - before) as u64;
-            self.local.batches += 1;
+        if let Ok(batch) = &r {
+            // The emitted rows: for a narrowed batch the selected ones,
+            // not the run of the buffer they were selected from.
+            self.local.rows += batch.len() as u64;
         }
         r
     }
@@ -428,6 +398,7 @@ mod tests {
     struct Counting {
         n: usize,
         produced: usize,
+        scratch: Vec<prefsql_types::Tuple>,
     }
 
     impl Operator for Counting {
@@ -435,13 +406,17 @@ mod tests {
             self.produced = 0;
             Ok(())
         }
-        fn next(&mut self) -> Result<Option<Tuple>> {
-            if self.produced < self.n {
+        fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+            self.scratch.clear();
+            while self.produced < self.n && self.scratch.len() < max {
                 self.produced += 1;
-                Ok(Some(prefsql_types::tuple![self.produced as i64]))
-            } else {
-                Ok(None)
+                self.scratch
+                    .push(prefsql_types::tuple![self.produced as i64]);
             }
+            if self.scratch.is_empty() {
+                return Ok(Batch::end());
+            }
+            Ok(Batch::owned(&mut self.scratch))
         }
         fn close(&mut self) {}
         fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -456,13 +431,19 @@ mod tests {
         let node = PlanNode::Nothing {
             schema: prefsql_types::Schema::empty(),
         };
-        let mut op = Instrumented::new(Box::new(Counting { n: 3, produced: 0 }), &profiler, &node);
+        let source = Counting {
+            n: 3,
+            produced: 0,
+            scratch: Vec::new(),
+        };
+        let mut op = Instrumented::new(Box::new(source), &profiler, &node);
         op.open().unwrap();
-        while op.next().unwrap().is_some() {}
+        while !op.next_batch(2).unwrap().is_end() {}
         op.close();
         op.close(); // idempotent: must not double-flush
         let m = profiler.node(&node).expect("profiled");
         assert_eq!(m.rows, 3);
+        assert_eq!(m.batches, 3, "two pulls with rows plus the end");
         assert_eq!(m.extras, vec![("probes", 3)]);
         let per_kind = profiler.per_kind();
         assert_eq!(per_kind.len(), 1);

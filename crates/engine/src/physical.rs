@@ -1,13 +1,24 @@
 //! The physical operator layer: Volcano-style streaming execution of a
 //! [`PlanNode`] tree.
 //!
-//! Every operator implements [`Operator`] (`open`/`next`/`close`) and
-//! pulls [`Tuple`]s from its children one at a time, so large inputs
-//! stream through filters, joins, projections and limits instead of
+//! Every operator implements [`Operator`] — `open`, one batched pull
+//! method ([`Operator::next_batch`]) and `close` — and pulls [`Batch`]es
+//! of at most `max` rows from its children, so large inputs stream
+//! through filters, joins, projections and limits instead of
 //! materializing at every step. Pipeline breakers (sort, distinct's seen
 //! set, aggregation, the per-statement materialization of views and
 //! derived tables) buffer exactly where the semantics require it and
 //! nowhere else.
+//!
+//! There is one pull protocol. A [`Batch`] hides how its rows are held:
+//! buffered operators (scans, materializations, sort/aggregate/BMO
+//! output) *lend* a slice of their buffer, a filter narrows a lent slice
+//! with a selection vector instead of copying it, and streaming
+//! producers (projection, joins) hand over their own scratch buffer so a
+//! draining consumer moves the rows out. Tuples are heap-allocated, so
+//! this is what makes batching pay on this engine: a `scan → filter →
+//! project` chain decides on borrowed tuples and builds nothing but the
+//! final narrow output rows, and no wide row is cloned for being dropped.
 //!
 //! [`build`] is the only place operators are constructed — the BMO
 //! operator of [`crate::preference`] included — so the instrumentation
@@ -19,69 +30,26 @@ use crate::plan::{AggSpec, PlanNode, Projection, SortKey};
 use prefsql_parser::ast::Expr;
 use prefsql_types::{DataType, Error, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A Volcano-style physical operator: a pull-based tuple cursor.
+/// A Volcano-style physical operator: a pull-based cursor over batches
+/// of tuples.
 pub trait Operator {
     /// Acquire resources and prepare to produce tuples.
     fn open(&mut self) -> Result<()>;
-    /// The next output tuple, or `None` when exhausted.
-    fn next(&mut self) -> Result<Option<Tuple>>;
-    /// Append up to `max` tuples (`max >= 1`) to `out`. Returns
-    /// `Ok(true)` while the stream may still have tuples and `Ok(false)`
-    /// once it is exhausted; a `true` return with a coincidentally
-    /// drained input simply makes the following call report `false`
-    /// having appended nothing.
+    /// The next batch of at most `max` rows (`max >= 1`).
     ///
-    /// The default implementation loops [`Operator::next`]; hot
-    /// operators override it to amortize dynamic dispatch and per-tuple
-    /// `Result` plumbing (scans and materialized buffers copy slices,
-    /// filters and projections process whole child batches). `next` and
-    /// `next_batch` advance the same cursor, so callers may interleave
-    /// them freely.
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        for _ in 0..max {
-            match self.next()? {
-                Some(t) => out.push(t),
-                None => return Ok(false),
-            }
-        }
-        Ok(true)
-    }
-    /// Borrowed batched access: operators whose output already sits in a
-    /// buffer (scans, index probes, materialized views, sorted or
-    /// aggregated results) expose the next run of up to `max` tuples
-    /// (`max >= 1`) as a borrowed slice, advancing the same cursor
-    /// `next`/`next_batch` use. Returns `Ok(None)` when the operator
-    /// streams and has no buffer to lend (the default) — callers then
-    /// fall back to [`Operator::next_batch`]; an empty slice means
-    /// exhausted.
-    ///
-    /// This is what makes batching pay on this engine: tuples are
-    /// heap-allocated, so consumers that can work on borrowed tuples
-    /// (filters deciding survival, projections building narrow output
-    /// rows) skip cloning the wide source tuples entirely.
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        let _ = max;
-        Ok(None)
-    }
-    /// Selection-vector variant of [`Operator::next_slice`]: lend a
-    /// borrowed batch together with the indices into it that this
-    /// operator actually emits (appended to `sel`). Filters implement
-    /// this by lending their child's slice untouched and selecting the
-    /// surviving indices, which lets a projection above a filtered scan
-    /// run the whole chain without cloning a single wide source tuple.
-    /// The default delegates to `next_slice` with an all-rows selection;
-    /// `Ok(None)` and the empty-slice end marker behave as there.
-    fn next_selection(&mut self, max: usize, sel: &mut Vec<usize>) -> Result<Option<&[Tuple]>> {
-        match self.next_slice(max)? {
-            Some(slice) => {
-                sel.extend(0..slice.len());
-                Ok(Some(slice))
-            }
-            None => Ok(None),
-        }
-    }
+    /// `max` is a pull quota, not a hint: an operator asked for `k` rows
+    /// never asks a child for more than `k` at a time, so a `LIMIT` or a
+    /// one-row `EXISTS` probe above stops the sources beneath it exactly
+    /// where a tuple-at-a-time pull would. A batch may hold fewer rows
+    /// than `max` — even none, when this pull's share of the input was
+    /// filtered away — without the stream being over: the end is the one
+    /// batch for which [`Batch::is_end`] holds, it carries no rows, and
+    /// every call after it returns it again.
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>>;
     /// Release resources (idempotent).
     fn close(&mut self);
     /// Operator-specific observability counters, read at close by the
@@ -95,6 +63,142 @@ pub trait Operator {
 
 /// A boxed operator tied to the lifetime of its plan/context/environment.
 pub type BoxOperator<'a> = Box<dyn Operator + 'a>;
+
+/// One pull's worth of rows, borrowed from the operator that produced it
+/// until the next call on that operator.
+///
+/// Consumers read the rows in place ([`Batch::rows`]), narrow them
+/// ([`Batch::retain`]) or take them ([`Batch::take_into`]) and never
+/// learn which of the three holdings is behind the batch.
+pub struct Batch<'a>(Held<'a>);
+
+enum Held<'a> {
+    /// The stream is exhausted.
+    End,
+    /// Rows lent from a buffer the producer keeps; `sel`, when present,
+    /// lists (ascending) the indices of `rows` the batch consists of.
+    Lent {
+        rows: &'a [Tuple],
+        sel: Option<&'a [usize]>,
+    },
+    /// Rows in the producer's scratch buffer, which it clears on its next
+    /// pull anyway: the consumer may move them out.
+    Owned(&'a mut Vec<Tuple>),
+}
+
+impl<'a> Batch<'a> {
+    /// The end-of-stream batch.
+    pub fn end() -> Self {
+        Batch(Held::End)
+    }
+
+    /// Lend the next run of up to `max` rows of a buffer, advancing the
+    /// cursor `pos`; the end once the buffer is spent. This is the whole
+    /// pull method of every buffered operator.
+    pub fn lend(rows: &'a [Tuple], pos: &mut usize, max: usize) -> Self {
+        if *pos >= rows.len() {
+            return Batch::end();
+        }
+        let end = pos.saturating_add(max).min(rows.len());
+        let run = &rows[*pos..end];
+        *pos = end;
+        Batch(Held::Lent {
+            rows: run,
+            sel: None,
+        })
+    }
+
+    /// Hand over the rows of a streaming producer's scratch buffer (an
+    /// empty buffer is an empty batch, not the end).
+    pub fn owned(rows: &'a mut Vec<Tuple>) -> Self {
+        Batch(Held::Owned(rows))
+    }
+
+    /// Is this the end of the stream?
+    pub fn is_end(&self) -> bool {
+        matches!(self.0, Held::End)
+    }
+
+    /// Number of rows in the batch.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Held::End => 0,
+            Held::Lent { rows, sel } => sel.map_or(rows.len(), <[usize]>::len),
+            Held::Owned(rows) => rows.len(),
+        }
+    }
+
+    /// True iff the batch has no rows (the end, or a pull whose input
+    /// was all filtered away).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rows, in order, borrowed.
+    pub fn rows(&self) -> impl Iterator<Item = &Tuple> + '_ {
+        let (rows, sel): (&[Tuple], Option<&[usize]>) = match &self.0 {
+            Held::End => (&[], None),
+            Held::Lent { rows, sel } => (rows, *sel),
+            Held::Owned(rows) => (rows, None),
+        };
+        selected(rows.len(), sel).map(move |i| &rows[i])
+    }
+
+    /// Append the rows to `out`: moved when the producer handed them
+    /// over, cloned when it only lent them.
+    pub fn take_into(self, out: &mut Vec<Tuple>) {
+        match self.0 {
+            Held::End => {}
+            Held::Lent { rows, sel } => {
+                out.extend(selected(rows.len(), sel).map(|i| rows[i].clone()))
+            }
+            Held::Owned(rows) => out.append(rows),
+        }
+    }
+
+    /// Narrow the batch to the rows `keep` accepts, preserving order.
+    /// Lent rows stay where they are — the survivors' indices go to the
+    /// caller's `sel` scratch, so a dropped row is never copied; rows
+    /// that were handed over are compacted in place.
+    pub fn retain(
+        self,
+        sel: &'a mut Vec<usize>,
+        mut keep: impl FnMut(&Tuple) -> Result<bool>,
+    ) -> Result<Self> {
+        match self.0 {
+            Held::End => Ok(self),
+            Held::Lent { rows, sel: from } => {
+                sel.clear();
+                for i in selected(rows.len(), from) {
+                    if keep(&rows[i])? {
+                        sel.push(i);
+                    }
+                }
+                Ok(Batch(Held::Lent {
+                    rows,
+                    sel: Some(sel),
+                }))
+            }
+            Held::Owned(rows) => {
+                let mut kept = 0;
+                for i in 0..rows.len() {
+                    if keep(&rows[i])? {
+                        rows.swap(kept, i);
+                        kept += 1;
+                    }
+                }
+                rows.truncate(kept);
+                Ok(Batch(Held::Owned(rows)))
+            }
+        }
+    }
+}
+
+/// The indices a lent batch consists of: those listed in `sel`, or all
+/// `n` of the lent run.
+fn selected(n: usize, sel: Option<&[usize]>) -> impl Iterator<Item = usize> + '_ {
+    (0..sel.map_or(n, <[usize]>::len)).map(move |k| sel.map_or(k, |s| s[k]))
+}
 
 /// Build the physical operator tree for a plan node. `outer` is the
 /// enclosing environment for correlated sub-queries (empty for top-level
@@ -120,7 +224,10 @@ fn build_plain<'a>(
     outer: &'a [Frame<'a>],
 ) -> BoxOperator<'a> {
     match node {
-        PlanNode::Nothing { .. } => Box::new(NothingOp { done: false }),
+        PlanNode::Nothing { .. } => Box::new(NothingOp {
+            row: [Tuple::new(vec![])],
+            pos: 0,
+        }),
         PlanNode::SeqScan { table, .. } => Box::new(SeqScanOp {
             ctx,
             table,
@@ -182,8 +289,11 @@ fn build_plain<'a>(
             schema,
             outer,
             right_rows: None,
-            cur: None,
+            lbuf: Vec::new(),
+            lpos: 0,
             ridx: 0,
+            left_done: false,
+            out: Vec::new(),
         }),
         PlanNode::HashJoin {
             left,
@@ -212,7 +322,7 @@ fn build_plain<'a>(
             input: build(ctx, input, outer),
             pred,
             outer,
-            batch: Vec::new(),
+            sel: Vec::new(),
         }),
         PlanNode::Project {
             input, projections, ..
@@ -222,8 +332,7 @@ fn build_plain<'a>(
             input: build(ctx, input, outer),
             projections,
             outer,
-            batch: Vec::new(),
-            sel: Vec::new(),
+            out: Vec::new(),
         }),
         PlanNode::Sort { input, keys } => Box::new(SortOp {
             ctx,
@@ -236,7 +345,8 @@ fn build_plain<'a>(
         }),
         PlanNode::Distinct { input } => Box::new(DistinctOp {
             input: build(ctx, input, outer),
-            seen: Vec::new(),
+            seen: HashSet::new(),
+            sel: Vec::new(),
         }),
         PlanNode::Limit { input, n, .. } => Box::new(LimitOp {
             input: build(ctx, input, outer),
@@ -268,43 +378,10 @@ pub fn execute(ctx: &ExecCtx<'_>, node: &PlanNode, outer: &[Frame<'_>]) -> Resul
     Ok(Relation { schema, rows })
 }
 
-/// Tuples pulled per [`Operator::next_batch`] call by the default drive
+/// Rows requested per [`Operator::next_batch`] call by the default drive
 /// loops: large enough to amortize a virtual call over a cache-friendly
 /// run of tuples, small enough to keep scratch buffers resident.
 pub const DEFAULT_BATCH: usize = 1024;
-
-/// Shared [`Operator::next`] body for buffered operators: a clone of the
-/// tuple at `pos`, advancing it. `None` at exhaustion.
-pub(crate) fn next_from(rows: &[Tuple], pos: &mut usize) -> Option<Tuple> {
-    let t = rows.get(*pos)?;
-    *pos += 1;
-    Some(t.clone())
-}
-
-/// Shared [`Operator::next_batch`] body for buffered operators: append
-/// the next run of up to `max` tuples of `rows` to `out`, advancing
-/// `pos`. Returns `true` while tuples remain.
-pub(crate) fn batch_from(
-    rows: &[Tuple],
-    pos: &mut usize,
-    out: &mut Vec<Tuple>,
-    max: usize,
-) -> bool {
-    let end = (*pos + max).min(rows.len());
-    out.extend_from_slice(&rows[*pos..end]);
-    *pos = end;
-    *pos < rows.len()
-}
-
-/// Shared [`Operator::next_slice`] body for buffered operators: lend
-/// the next run of up to `max` tuples of `rows`, advancing `pos`.
-/// Empty at exhaustion.
-pub(crate) fn slice_from<'a>(rows: &'a [Tuple], pos: &mut usize, max: usize) -> &'a [Tuple] {
-    let end = (*pos + max).min(rows.len());
-    let slice = &rows[*pos..end];
-    *pos = end;
-    slice
-}
 
 /// Open `op`, pull every tuple, and close it — the operator is closed
 /// even when opening or pulling errors, so resources held by the
@@ -315,14 +392,15 @@ pub fn drain(op: &mut (dyn Operator + '_)) -> Result<Vec<Tuple>> {
 }
 
 /// [`drain`] with an explicit batch size (clamped to at least 1) — the
-/// batch-boundary tests sweep this to pin batched ≡ streaming.
+/// batch-boundary tests sweep this to pin that results do not depend on
+/// the drive granularity.
 pub fn drain_batched(op: &mut (dyn Operator + '_), batch: usize) -> Result<Vec<Tuple>> {
     let batch = batch.max(1);
     let mut rows = Vec::new();
     let result = op.open().and_then(|()| loop {
-        match op.next_batch(&mut rows, batch) {
-            Ok(true) => {}
-            Ok(false) => break Ok(()),
+        match op.next_batch(batch) {
+            Ok(b) if b.is_end() => break Ok(()),
+            Ok(b) => b.take_into(&mut rows),
             Err(e) => break Err(e),
         }
     });
@@ -331,21 +409,21 @@ pub fn drain_batched(op: &mut (dyn Operator + '_), batch: usize) -> Result<Vec<T
     Ok(rows)
 }
 
-/// The tuple-at-a-time drive loop: one virtual call and one `Result`
-/// per tuple through [`Operator::next`]. Kept as the differential
-/// baseline the batched loop is tested against.
-pub fn drain_tuple_at_a_time(op: &mut (dyn Operator + '_)) -> Result<Vec<Tuple>> {
-    let mut rows = Vec::new();
-    let result = op.open().and_then(|()| loop {
-        match op.next() {
-            Ok(Some(t)) => rows.push(t),
-            Ok(None) => break Ok(()),
+/// Open `op`, pull one row at a time until a row arrives or the stream
+/// ends, and close it: does `op` produce any row at all? One-row pulls
+/// are what makes an `EXISTS` probe stop every source beneath it at the
+/// first qualifying row.
+pub(crate) fn any_row(op: &mut (dyn Operator + '_)) -> Result<bool> {
+    let found = op.open().and_then(|()| loop {
+        match op.next_batch(1) {
+            Ok(b) if b.is_end() => break Ok(false),
+            Ok(b) if b.is_empty() => {}
+            Ok(_) => break Ok(true),
             Err(e) => break Err(e),
         }
     });
     op.close();
-    result?;
-    Ok(rows)
+    found
 }
 
 /// Evaluate `expr` for `tuple` under `schema`, with the enclosing
@@ -364,6 +442,17 @@ pub(crate) fn eval_row(
     eval(expr, &frames, ctx)
 }
 
+/// Does `pred` evaluate to exactly TRUE for `tuple`?
+pub(crate) fn accepts(
+    ctx: &ExecCtx<'_>,
+    pred: &Expr,
+    schema: &Schema,
+    tuple: &Tuple,
+    outer: &[Frame<'_>],
+) -> Result<bool> {
+    Ok(truth(&eval_row(ctx, pred, schema, tuple, outer)?) == Some(true))
+}
+
 fn compare_key_rows(a: &[Value], b: &[Value], asc: &[bool]) -> Ordering {
     for (i, &up) in asc.iter().enumerate() {
         let ord = a[i].total_cmp(&b[i]);
@@ -375,73 +464,72 @@ fn compare_key_rows(a: &[Value], b: &[Value], asc: &[bool]) -> Ordering {
     Ordering::Equal
 }
 
+/// A hash key over the values of one row — a `DISTINCT` row, a
+/// `GROUP BY` key, a join key. Equality is [`Value::key_eq`] per field
+/// (NULLs are equal, INT 1 equals FLOAT 1.0); hashing uses [`Value`]'s
+/// `Hash`, consistent with `key_eq` by the type crate's proptest
+/// contract.
+#[derive(Debug, Clone)]
+pub(crate) struct RowKey(pub(crate) Vec<Value>);
+
+impl PartialEq for RowKey {
+    fn eq(&self, other: &RowKey) -> bool {
+        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.key_eq(b))
+    }
+}
+
+impl Eq for RowKey {}
+
+impl Hash for RowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in &self.0 {
+            v.hash(state);
+        }
+    }
+}
+
 // ------------------------------------------------------------- sources
 
 /// `SELECT` without `FROM`: one empty tuple.
 struct NothingOp {
-    done: bool,
+    row: [Tuple; 1],
+    pos: usize,
 }
 
 impl Operator for NothingOp {
     fn open(&mut self) -> Result<()> {
-        self.done = false;
+        self.pos = 0;
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.done {
-            Ok(None)
-        } else {
-            self.done = true;
-            Ok(Some(Tuple::new(vec![])))
-        }
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        Ok(Batch::lend(&self.row, &mut self.pos, max))
     }
 
     fn close(&mut self) {
-        self.done = true;
+        self.pos = self.row.len();
     }
 }
 
-/// Full table scan. The in-memory backend streams straight off the
-/// catalog's stored rows with no upfront copy — a `LIMIT` above stops
-/// the scan after a handful of clones no matter how large the table is.
-/// The paged backend decodes page-sized batches through the buffer pool
-/// into an owned buffer that `next_slice` then lends, so consumers see
-/// the same borrowed-batch interface either way.
+/// Full table scan. The in-memory backend lends runs of the catalog's
+/// stored rows with no upfront copy — a `LIMIT` above stops the scan
+/// after a handful of rows no matter how large the table is. The paged
+/// backend decodes the requested number of rows through the buffer pool
+/// into one owned buffer, lends that, and refills it once it is spent,
+/// so consumers see the same borrowed batches either way.
 struct SeqScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     table: &'a str,
-    /// Mem fast path: the backend's contiguous rows.
+    /// Mem backend: the backend's contiguous rows.
     rows: &'a [Tuple],
     pos: usize,
-    /// Paged path: the table handle to pull batches from (`None` = mem).
+    /// Paged backend: the table handle to decode from (`None` = mem).
     paged: Option<&'a prefsql_storage::Table>,
-    /// Paged path: the owned decode buffer `next_slice` lends from.
+    /// Paged backend: the decode buffer batches are lent from.
     buf: Vec<Tuple>,
     buf_pos: usize,
-    /// Paged path: the backend scan cursor (rid of the next refill).
+    /// Paged backend: the backend scan cursor (rid of the next refill).
     scan_pos: usize,
-}
-
-impl SeqScanOp<'_> {
-    /// Refill the paged buffer with up to `max` rows; `false` at EOF.
-    fn refill(&mut self, max: usize) -> Result<bool> {
-        let table = self.paged.expect("refill is paged-only");
-        self.buf.clear();
-        self.buf_pos = 0;
-        table.scan_batch(&mut self.scan_pos, &mut self.buf, max)?;
-        Ok(!self.buf.is_empty())
-    }
-
-    /// Charge `n` rows to the statement's scan counter. Rows are charged
-    /// as they are *produced*, not at open: a `LIMIT` (or a
-    /// short-circuiting `EXISTS`) that stops pulling early really did
-    /// touch fewer rows, and `rows_scanned` reports exactly that.
-    fn charge(&self, n: usize) {
-        if n > 0 {
-            self.ctx.stats.borrow_mut().rows_scanned += n as u64;
-        }
-    }
 }
 
 impl Operator for SeqScanOp<'_> {
@@ -464,62 +552,26 @@ impl Operator for SeqScanOp<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.paged.is_none() {
-            return match self.rows.get(self.pos) {
-                Some(t) => {
-                    self.pos += 1;
-                    self.charge(1);
-                    Ok(Some(t.clone()))
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        let batch = match self.paged {
+            None => Batch::lend(self.rows, &mut self.pos, max),
+            Some(table) => {
+                if self.buf_pos >= self.buf.len() {
+                    self.buf.clear();
+                    self.buf_pos = 0;
+                    table.scan_batch(&mut self.scan_pos, &mut self.buf, max)?;
                 }
-                None => Ok(None),
-            };
-        }
-        if self.buf_pos >= self.buf.len() && !self.refill(DEFAULT_BATCH)? {
-            return Ok(None);
-        }
-        let t = self.buf[self.buf_pos].clone();
-        self.buf_pos += 1;
-        self.charge(1);
-        Ok(Some(t))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        let Some(table) = self.paged else {
-            let before = out.len();
-            let more = batch_from(self.rows, &mut self.pos, out, max);
-            self.charge(out.len() - before);
-            return Ok(more);
+                Batch::lend(&self.buf, &mut self.buf_pos, max)
+            }
         };
-        // Emit any rows `next`/`next_slice` already decoded first, then
-        // pull straight from the backend into the caller's buffer.
-        if self.buf_pos < self.buf.len() {
-            let end = (self.buf_pos + max).min(self.buf.len());
-            out.extend_from_slice(&self.buf[self.buf_pos..end]);
-            self.charge(end - self.buf_pos);
-            self.buf_pos = end;
-            return Ok(true);
+        // Rows are charged to the statement's scan counter as they are
+        // *produced*, not at open: a `LIMIT` (or a short-circuiting
+        // `EXISTS`) that stops pulling early really did touch fewer
+        // rows, and `rows_scanned` reports exactly that.
+        if !batch.is_empty() {
+            self.ctx.stats.borrow_mut().rows_scanned += batch.len() as u64;
         }
-        let before = out.len();
-        let more = table.scan_batch(&mut self.scan_pos, out, max)?;
-        self.charge(out.len() - before);
-        Ok(more)
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        if self.paged.is_none() {
-            let slice = slice_from(self.rows, &mut self.pos, max);
-            self.charge(slice.len());
-            return Ok(Some(slice));
-        }
-        if self.buf_pos >= self.buf.len() && !self.refill(max)? {
-            return Ok(Some(&[]));
-        }
-        let end = (self.buf_pos + max).min(self.buf.len());
-        self.charge(end - self.buf_pos);
-        let slice = &self.buf[self.buf_pos..end];
-        self.buf_pos = end;
-        Ok(Some(slice))
+        Ok(batch)
     }
 
     fn close(&mut self) {
@@ -564,16 +616,8 @@ impl Operator for MatViewScanOp<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        Ok(next_from(&self.rows, &mut self.pos))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        Ok(batch_from(&self.rows, &mut self.pos, out, max))
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        Ok(Some(slice_from(&self.rows, &mut self.pos, max)))
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        Ok(Batch::lend(&self.rows, &mut self.pos, max))
     }
 
     fn close(&mut self) {
@@ -608,16 +652,8 @@ impl Operator for IndexScanOp<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        Ok(next_from(&self.rows, &mut self.pos))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        Ok(batch_from(&self.rows, &mut self.pos, out, max))
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        Ok(Some(slice_from(&self.rows, &mut self.pos, max)))
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        Ok(Batch::lend(&self.rows, &mut self.pos, max))
     }
 
     fn close(&mut self) {
@@ -658,19 +694,9 @@ impl Operator for MaterializeOp<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let rel = self.rel.as_ref().expect("open() before next()");
-        Ok(next_from(&rel.rows, &mut self.pos))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         let rel = self.rel.as_ref().expect("open() before next_batch()");
-        Ok(batch_from(&rel.rows, &mut self.pos, out, max))
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        let rel = self.rel.as_ref().expect("open() before next_slice()");
-        Ok(Some(slice_from(&rel.rows, &mut self.pos, max)))
+        Ok(Batch::lend(&rel.rows, &mut self.pos, max))
     }
 
     fn close(&mut self) {
@@ -687,8 +713,8 @@ struct FilterOp<'a> {
     input: BoxOperator<'a>,
     pred: &'a Expr,
     outer: &'a [Frame<'a>],
-    /// Reused child-batch scratch buffer for [`Operator::next_batch`].
-    batch: Vec<Tuple>,
+    /// Reused selection-vector scratch (survivors of a lent batch).
+    sel: Vec<usize>,
 }
 
 impl Operator for FilterOp<'_> {
@@ -696,80 +722,18 @@ impl Operator for FilterOp<'_> {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.input.next()? {
-            let v = eval_row(self.ctx, self.pred, self.child_schema, &t, self.outer)?;
-            if truth(&v) == Some(true) {
-                return Ok(Some(t));
-            }
-        }
-        Ok(None)
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        // The filter only shrinks a batch, so requesting `max - appended`
-        // from the child can never overfill `out`.
-        let mut appended = 0;
-        // Fast path: a buffered child lends borrowed slices — evaluate
-        // the predicate on borrowed tuples and clone only the survivors,
-        // so dropped rows are never copied at all.
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        // A filter only shrinks a batch, so forwarding `max` keeps the
+        // quota; survivors are selected, not copied.
         let (ctx, schema, pred, outer) = (self.ctx, self.child_schema, self.pred, self.outer);
-        while appended < max {
-            let Some(slice) = self.input.next_slice(max - appended)? else {
-                break;
-            };
-            if slice.is_empty() {
-                return Ok(false);
-            }
-            for t in slice {
-                let v = eval_row(ctx, pred, schema, t, outer)?;
-                if truth(&v) == Some(true) {
-                    out.push(t.clone());
-                    appended += 1;
-                }
-            }
-        }
-        // General path: a streaming child hands owned batches through
-        // the scratch buffer.
-        while appended < max {
-            self.batch.clear();
-            let more = self.input.next_batch(&mut self.batch, max - appended)?;
-            for t in self.batch.drain(..) {
-                let v = eval_row(self.ctx, self.pred, self.child_schema, &t, self.outer)?;
-                if truth(&v) == Some(true) {
-                    out.push(t);
-                    appended += 1;
-                }
-            }
-            if !more {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    fn next_selection(&mut self, max: usize, sel: &mut Vec<usize>) -> Result<Option<&[Tuple]>> {
-        // Lend the child's borrowed slice untouched and select the
-        // surviving indices — no tuple is cloned at all; the parent
-        // copies only what it keeps.
-        let (ctx, schema, pred, outer) = (self.ctx, self.child_schema, self.pred, self.outer);
-        match self.input.next_slice(max)? {
-            None => Ok(None),
-            Some(slice) => {
-                for (i, t) in slice.iter().enumerate() {
-                    let v = eval_row(ctx, pred, schema, t, outer)?;
-                    if truth(&v) == Some(true) {
-                        sel.push(i);
-                    }
-                }
-                Ok(Some(slice))
-            }
-        }
+        self.input
+            .next_batch(max)?
+            .retain(&mut self.sel, |t| accepts(ctx, pred, schema, t, outer))
     }
 
     fn close(&mut self) {
         self.input.close();
-        self.batch = Vec::new();
+        self.sel = Vec::new();
     }
 }
 
@@ -802,51 +766,78 @@ struct NestedLoopJoinOp<'a> {
     schema: &'a Schema,
     outer: &'a [Frame<'a>],
     right_rows: Option<Arc<Relation>>,
-    cur: Option<Tuple>,
+    /// The left rows of the last pull; `lbuf[lpos]` is the current one,
+    /// about to meet right row `ridx`.
+    lbuf: Vec<Tuple>,
+    lpos: usize,
     ridx: usize,
+    left_done: bool,
+    /// Output scratch handed to the consumer.
+    out: Vec<Tuple>,
 }
 
 impl Operator for NestedLoopJoinOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right_rows = Some(materialize_join_side(self.ctx, self.right)?);
-        self.cur = None;
+        self.lbuf.clear();
+        self.lpos = 0;
         self.ridx = 0;
+        self.left_done = false;
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let right_rows = &self.right_rows.as_ref().expect("open() before next()").rows;
-        loop {
-            if self.cur.is_none() {
-                self.cur = self.left.next()?;
-                self.ridx = 0;
-                if self.cur.is_none() {
-                    return Ok(None);
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        let right_rows = &self
+            .right_rows
+            .as_ref()
+            .expect("open() before next_batch()")
+            .rows;
+        self.out.clear();
+        while self.out.len() < max {
+            let Some(l) = self.lbuf.get(self.lpos) else {
+                if self.left_done {
+                    break;
                 }
-            }
-            let l = self.cur.as_ref().expect("left row set above");
-            while self.ridx < right_rows.len() {
+                // One left row yields at most `right_rows.len()` output
+                // rows, so this many more are needed whatever they hold:
+                // the left input is never asked for a row a
+                // tuple-at-a-time pull would not also have fetched.
+                let need = (max - self.out.len()).div_ceil(right_rows.len().max(1));
+                self.lbuf.clear();
+                self.lpos = 0;
+                let batch = self.left.next_batch(need)?;
+                self.left_done = batch.is_end();
+                batch.take_into(&mut self.lbuf);
+                continue;
+            };
+            while self.ridx < right_rows.len() && self.out.len() < max {
                 let joined = l.join(&right_rows[self.ridx]);
                 self.ridx += 1;
                 let keep = match self.on {
                     None => true,
-                    Some(cond) => {
-                        let v = eval_row(self.ctx, cond, self.schema, &joined, self.outer)?;
-                        truth(&v) == Some(true)
-                    }
+                    Some(cond) => accepts(self.ctx, cond, self.schema, &joined, self.outer)?,
                 };
                 if keep {
-                    return Ok(Some(joined));
+                    self.out.push(joined);
                 }
             }
-            self.cur = None;
+            if self.ridx == right_rows.len() {
+                self.lpos += 1;
+                self.ridx = 0;
+            }
         }
+        if self.out.is_empty() && self.left_done {
+            return Ok(Batch::end());
+        }
+        Ok(Batch::owned(&mut self.out))
     }
 
     fn close(&mut self) {
         self.left.close();
         self.right_rows = None;
+        self.lbuf = Vec::new();
+        self.out = Vec::new();
     }
 }
 
@@ -857,28 +848,8 @@ struct ProjectOp<'a> {
     input: BoxOperator<'a>,
     projections: &'a [Projection],
     outer: &'a [Frame<'a>],
-    /// Reused child-batch scratch buffer for [`Operator::next_batch`].
-    batch: Vec<Tuple>,
-    /// Reused selection-vector scratch for the borrowed fast path.
-    sel: Vec<usize>,
-}
-
-/// Evaluate one SELECT list against one (borrowed) child tuple.
-fn project_one(
-    ctx: &ExecCtx<'_>,
-    child_schema: &Schema,
-    projections: &[Projection],
-    outer: &[Frame<'_>],
-    t: &Tuple,
-) -> Result<Tuple> {
-    let mut values = Vec::with_capacity(projections.len());
-    for p in projections {
-        values.push(match p {
-            Projection::Passthrough(idx) => t[*idx].clone(),
-            Projection::Computed(e) => eval_row(ctx, e, child_schema, t, outer)?,
-        });
-    }
-    Ok(Tuple::new(values))
+    /// Output scratch handed to the consumer.
+    out: Vec<Tuple>,
 }
 
 impl Operator for ProjectOp<'_> {
@@ -886,67 +857,32 @@ impl Operator for ProjectOp<'_> {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        let Some(t) = self.input.next()? else {
-            return Ok(None);
-        };
-        Ok(Some(project_one(
-            self.ctx,
-            self.child_schema,
-            self.projections,
-            self.outer,
-            &t,
-        )?))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        let mut appended = 0;
-        // Fast path: project straight off a borrowed slice-with-selection
-        // (a buffered child, or a filter lending its own buffered
-        // child's slice) — the wide source tuples are never cloned.
-        let (ctx, schema, projections, outer) =
-            (self.ctx, self.child_schema, self.projections, self.outer);
-        let mut sel = std::mem::take(&mut self.sel);
-        while appended < max {
-            sel.clear();
-            let Some(slice) = self.input.next_selection(max - appended, &mut sel)? else {
-                break;
-            };
-            if slice.is_empty() {
-                self.sel = sel;
-                return Ok(false);
-            }
-            for &i in &sel {
-                out.push(project_one(ctx, schema, projections, outer, &slice[i])?);
-                appended += 1;
-            }
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        // The narrow output rows are built straight from the child's
+        // (borrowed) rows — the wide source tuples are never cloned.
+        let batch = self.input.next_batch(max)?;
+        if batch.is_end() {
+            return Ok(batch);
         }
-        self.sel = sel;
-        // General path: one projected tuple per owned child-batch tuple
-        // through the scratch buffer.
-        while appended < max {
-            self.batch.clear();
-            let more = self.input.next_batch(&mut self.batch, max - appended)?;
-            for t in &self.batch {
-                out.push(project_one(
-                    self.ctx,
-                    self.child_schema,
-                    self.projections,
-                    self.outer,
-                    t,
-                )?);
-                appended += 1;
+        self.out.clear();
+        for t in batch.rows() {
+            let mut values = Vec::with_capacity(self.projections.len());
+            for p in self.projections {
+                values.push(match p {
+                    Projection::Passthrough(idx) => t[*idx].clone(),
+                    Projection::Computed(e) => {
+                        eval_row(self.ctx, e, self.child_schema, t, self.outer)?
+                    }
+                });
             }
-            if !more {
-                return Ok(false);
-            }
+            self.out.push(Tuple::new(values));
         }
-        Ok(true)
+        Ok(Batch::owned(&mut self.out))
     }
 
     fn close(&mut self) {
         self.input.close();
-        self.batch = Vec::new();
+        self.out = Vec::new();
     }
 }
 
@@ -981,16 +917,8 @@ impl Operator for SortOp<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        Ok(next_from(&self.sorted, &mut self.pos))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        Ok(batch_from(&self.sorted, &mut self.pos, out, max))
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        Ok(Some(slice_from(&self.sorted, &mut self.pos, max)))
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        Ok(Batch::lend(&self.sorted, &mut self.pos, max))
     }
 
     fn close(&mut self) {
@@ -1002,7 +930,9 @@ impl Operator for SortOp<'_> {
 /// Duplicate elimination; first occurrence wins, input order preserved.
 struct DistinctOp<'a> {
     input: BoxOperator<'a>,
-    seen: Vec<Tuple>,
+    seen: HashSet<RowKey>,
+    /// Reused selection-vector scratch (first occurrences of a lent batch).
+    sel: Vec<usize>,
 }
 
 impl Operator for DistinctOp<'_> {
@@ -1011,23 +941,17 @@ impl Operator for DistinctOp<'_> {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        while let Some(t) = self.input.next()? {
-            let dup = self
-                .seen
-                .iter()
-                .any(|s| s.values().iter().zip(t.values()).all(|(a, b)| a.key_eq(b)));
-            if !dup {
-                self.seen.push(t.clone());
-                return Ok(Some(t));
-            }
-        }
-        Ok(None)
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        let seen = &mut self.seen;
+        self.input.next_batch(max)?.retain(&mut self.sel, |t| {
+            Ok(seen.insert(RowKey(t.values().to_vec())))
+        })
     }
 
     fn close(&mut self) {
         self.input.close();
-        self.seen = Vec::new();
+        self.seen = HashSet::new();
+        self.sel = Vec::new();
     }
 }
 
@@ -1042,51 +966,20 @@ impl Operator for LimitOp<'_> {
         self.input.open()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(t) => {
-                self.remaining -= 1;
-                Ok(Some(t))
-            }
-            None => {
-                self.remaining = 0;
-                Ok(None)
-            }
-        }
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        if self.remaining == 0 {
-            return Ok(false);
+            return Ok(Batch::end());
         }
         // Never request more than the remaining quota from the child: a
         // LIMIT cutoff in the middle of a batch must stop the pull there.
         let want = self.remaining.min(max as u64) as usize;
-        let mut taken = 0;
-        let mut more = true;
-        while taken < want && more {
-            // Prefer the child's borrowed slice (still quota-clamped).
-            match self.input.next_slice(want - taken)? {
-                Some([]) => more = false,
-                Some(slice) => {
-                    out.extend_from_slice(slice);
-                    taken += slice.len();
-                }
-                None => {
-                    let before = out.len();
-                    more = self.input.next_batch(out, want - taken)?;
-                    taken += out.len() - before;
-                }
-            }
-        }
-        self.remaining -= taken as u64;
-        if !more {
-            self.remaining = 0;
-        }
-        Ok(self.remaining > 0)
+        let batch = self.input.next_batch(want)?;
+        self.remaining = if batch.is_end() {
+            0
+        } else {
+            self.remaining.saturating_sub(batch.len() as u64)
+        };
+        Ok(batch)
     }
 
     fn close(&mut self) {
@@ -1124,16 +1017,8 @@ impl Operator for AggregateOp<'_> {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        Ok(next_from(&self.out, &mut self.pos))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        Ok(batch_from(&self.out, &mut self.pos, out, max))
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        Ok(Some(slice_from(&self.out, &mut self.pos, max)))
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        Ok(Batch::lend(&self.out, &mut self.pos, max))
     }
 
     fn close(&mut self) {
@@ -1150,36 +1035,29 @@ fn run_aggregate(
     rows: Vec<Tuple>,
     outer: &[Frame<'_>],
 ) -> Result<Vec<Tuple>> {
-    // Partition.
-    let mut groups: Vec<(Vec<Value>, Vec<Tuple>)> = Vec::new();
-    let mut index: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    // Partition, groups in order of first appearance.
+    let mut groups: Vec<Vec<Tuple>> = Vec::new();
+    let mut index: HashMap<RowKey, usize> = HashMap::new();
     for row in rows {
         let key: Vec<Value> = spec
             .group_by
             .iter()
             .map(|e| eval_row(ctx, e, input_schema, &row, outer))
             .collect::<Result<_>>()?;
-        let norm = key
-            .iter()
-            .map(|v| format!("{v:?}"))
-            .collect::<Vec<_>>()
-            .join("\x1f");
-        match index.get(&norm) {
-            Some(&g) => groups[g].1.push(row),
-            None => {
-                index.insert(norm, groups.len());
-                groups.push((key, vec![row]));
-            }
+        let g = *index.entry(RowKey(key)).or_insert(groups.len());
+        if g == groups.len() {
+            groups.push(Vec::new());
         }
+        groups[g].push(row);
     }
     // No GROUP BY + aggregates: one global group, even when empty.
     if spec.group_by.is_empty() && groups.is_empty() {
-        groups.push((vec![], vec![]));
+        groups.push(vec![]);
     }
 
     // HAVING.
     let mut kept_groups = Vec::new();
-    for (key, members) in groups {
+    for members in groups {
         let keep = match &spec.having {
             None => true,
             Some(h) => {
@@ -1188,13 +1066,13 @@ fn run_aggregate(
             }
         };
         if keep {
-            kept_groups.push((key, members));
+            kept_groups.push(members);
         }
     }
 
     // Project each group.
     let mut out_rows = Vec::with_capacity(kept_groups.len());
-    for (_, members) in &kept_groups {
+    for members in &kept_groups {
         let mut values = Vec::with_capacity(spec.select.len());
         for expr in &spec.select {
             values.push(eval_agg(ctx, expr, input_schema, members, outer)?);
@@ -1213,7 +1091,7 @@ fn run_aggregate(
                 // from the group.
                 let v = match eval_row(ctx, &o.output, out_schema, row, &[]) {
                     Ok(v) => v,
-                    Err(_) => eval_agg(ctx, &o.original, input_schema, &kept_groups[i].1, outer)?,
+                    Err(_) => eval_agg(ctx, &o.original, input_schema, &kept_groups[i], outer)?,
                 };
                 key.push(v);
             }
@@ -1325,16 +1203,18 @@ fn compute_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Engine;
+    use prefsql_parser::ast::{BinaryOp, Statement};
+    use prefsql_types::Column;
     use std::cell::Cell;
     use std::rc::Rc;
 
-    /// An instrumented source: serves integer tuples and records how many
-    /// tuples it handed out and the largest batch ever requested, so the
-    /// tests can prove a parent stopped pulling mid-batch.
+    /// A counting source: lends integer tuples and records how many it
+    /// handed out and the largest batch ever requested, so the tests can
+    /// prove a parent stopped pulling exactly where it should.
     struct ProbeSource {
         rows: Vec<Tuple>,
         pos: usize,
-        serve_slices: bool,
         served: Rc<Cell<usize>>,
         largest_request: Rc<Cell<usize>>,
     }
@@ -1345,7 +1225,6 @@ mod tests {
         let src = ProbeSource {
             rows: (0..n).map(|i| Tuple::new(vec![Value::Int(i)])).collect(),
             pos: 0,
-            serve_slices: false,
             served: Rc::clone(&served),
             largest_request: Rc::clone(&largest),
         };
@@ -1358,64 +1237,41 @@ mod tests {
             Ok(())
         }
 
-        fn next(&mut self) -> Result<Option<Tuple>> {
-            self.largest_request.set(self.largest_request.get().max(1));
-            match self.rows.get(self.pos) {
-                Some(t) => {
-                    self.pos += 1;
-                    self.served.set(self.served.get() + 1);
-                    Ok(Some(t.clone()))
-                }
-                None => Ok(None),
-            }
-        }
-
-        fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
+        fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
             self.largest_request
                 .set(self.largest_request.get().max(max));
-            let end = (self.pos + max).min(self.rows.len());
-            out.extend_from_slice(&self.rows[self.pos..end]);
-            self.served.set(self.served.get() + (end - self.pos));
-            self.pos = end;
-            Ok(self.pos < self.rows.len())
-        }
-
-        fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-            if !self.serve_slices {
-                return Ok(None);
-            }
-            self.largest_request
-                .set(self.largest_request.get().max(max));
-            let end = (self.pos + max).min(self.rows.len());
-            let slice = &self.rows[self.pos..end];
-            self.served.set(self.served.get() + slice.len());
-            self.pos = end;
-            Ok(Some(slice))
+            let batch = Batch::lend(&self.rows, &mut self.pos, max);
+            self.served.set(self.served.get() + batch.len());
+            Ok(batch)
         }
 
         fn close(&mut self) {}
     }
 
-    fn ints(rows: &[Tuple]) -> Vec<i64> {
-        rows.iter().map(|t| t[0].as_int().expect("int")).collect()
+    fn ints<'t>(rows: impl IntoIterator<Item = &'t Tuple>) -> Vec<i64> {
+        rows.into_iter()
+            .map(|t| t[0].as_int().expect("int"))
+            .collect()
     }
 
-    #[test]
-    fn limit_stops_pulling_its_child_mid_batch_via_slices() {
-        // Same quota discipline when the child lends borrowed slices.
-        let (mut src, served, largest) = probe(100);
-        src.serve_slices = true;
-        let mut limit = LimitOp {
-            input: Box::new(src),
-            remaining: 3,
-        };
-        limit.open().unwrap();
-        let mut out = Vec::new();
-        assert!(!limit.next_batch(&mut out, 10).unwrap());
-        assert_eq!(ints(&out), vec![0, 1, 2]);
-        assert_eq!(served.get(), 3);
-        assert_eq!(largest.get(), 3);
-        limit.close();
+    /// The probe source's schema (`x INTEGER`) and `x = v` over it.
+    fn x_schema() -> Schema {
+        Schema::new(vec![Column::new("x", DataType::Int)]).unwrap()
+    }
+
+    fn column(name: &str) -> Expr {
+        Expr::Column {
+            qualifier: None,
+            name: name.into(),
+        }
+    }
+
+    fn equals(left: Expr, right: Expr) -> Expr {
+        Expr::Binary {
+            left: Box::new(left),
+            op: BinaryOp::Eq,
+            right: Box::new(right),
+        }
     }
 
     #[test]
@@ -1426,108 +1282,50 @@ mod tests {
             remaining: 3,
         };
         limit.open().unwrap();
-        let mut out = Vec::new();
         // One oversized request: the limit must clamp the child pull to
         // its quota, not forward `max` and discard the overshoot.
-        let more = limit.next_batch(&mut out, 10).unwrap();
-        assert_eq!(ints(&out), vec![0, 1, 2]);
-        assert!(!more, "quota exhausted must report end-of-stream");
+        let batch = limit.next_batch(10).unwrap();
+        assert_eq!(ints(batch.rows()), vec![0, 1, 2]);
         assert_eq!(served.get(), 3, "child must serve exactly the quota");
         assert_eq!(largest.get(), 3, "child must never be asked for more");
-        // Exhausted limits never touch the child again.
-        let mut out2 = Vec::new();
-        assert!(!limit.next_batch(&mut out2, 10).unwrap());
-        assert!(out2.is_empty());
+        // Exhausted limits report the end and never touch the child again.
+        assert!(limit.next_batch(10).unwrap().is_end());
+        assert!(limit.next_batch(10).unwrap().is_end());
         assert_eq!(served.get(), 3);
         limit.close();
     }
 
     #[test]
-    fn limit_batches_straddling_the_cutoff_agree_with_next() {
+    fn limit_cutoffs_do_not_depend_on_the_batch_size() {
         for (rows, lim, batch) in [
             (10i64, 4u64, 3usize), // cutoff mid-batch
             (10, 10, 3),           // cutoff == input end, short final batch
             (10, 0, 5),            // LIMIT 0
             (0, 5, 4),             // empty input
             (7, 20, 7),            // limit beyond input, exact batch fit
+            (10, 4, 1),            // one row per pull
         ] {
             let (src, _, _) = probe(rows);
-            let mut batched = LimitOp {
+            let mut limit = LimitOp {
                 input: Box::new(src),
                 remaining: lim,
             };
-            let batched_rows = drain_batched(&mut batched, batch).unwrap();
-
-            let (src, _, _) = probe(rows);
-            let mut streamed = LimitOp {
-                input: Box::new(src),
-                remaining: lim,
-            };
-            let streamed_rows = drain_tuple_at_a_time(&mut streamed).unwrap();
-            assert_eq!(
-                ints(&batched_rows),
-                ints(&streamed_rows),
-                "rows={rows} lim={lim} batch={batch}"
-            );
+            let got = drain_batched(&mut limit, batch).unwrap();
+            let expected: Vec<i64> = (0..rows.min(lim as i64)).collect();
+            assert_eq!(ints(&got), expected, "rows={rows} lim={lim} batch={batch}");
         }
     }
 
     #[test]
-    fn default_next_batch_mirrors_next() {
-        // Drive the default implementation (ProbeSource wrapped so the
-        // override is not used) against plain next().
-        struct DefaultOnly(ProbeSource);
-        impl Operator for DefaultOnly {
-            fn open(&mut self) -> Result<()> {
-                self.0.open()
-            }
-            fn next(&mut self) -> Result<Option<Tuple>> {
-                self.0.next()
-            }
-            fn close(&mut self) {
-                self.0.close()
-            }
-        }
-        let (src, _, _) = probe(10);
-        let mut op = DefaultOnly(src);
-        op.open().unwrap();
-        let mut out = Vec::new();
-        assert!(op.next_batch(&mut out, 7).unwrap());
-        assert_eq!(out.len(), 7);
-        // Final short batch reports exhaustion.
-        assert!(!op.next_batch(&mut out, 7).unwrap());
-        assert_eq!(ints(&out), (0..10).collect::<Vec<_>>());
-        // Subsequent calls keep reporting exhaustion with no tuples.
-        assert!(!op.next_batch(&mut out, 7).unwrap());
-        assert_eq!(out.len(), 10);
-        op.close();
-    }
-
-    #[test]
-    fn scan_style_emission_yields_final_short_batch() {
+    fn lent_cursor_ends_after_a_short_final_batch_and_stays_ended() {
         let (mut src, _, _) = probe(10);
         src.open().unwrap();
-        let mut out = Vec::new();
-        assert!(src.next_batch(&mut out, 7).unwrap());
-        assert_eq!(out.len(), 7);
-        assert!(!src.next_batch(&mut out, 7).unwrap());
-        assert_eq!(out.len(), 10);
-        // Empty batch after exhaustion.
-        assert!(!src.next_batch(&mut out, 7).unwrap());
-        assert_eq!(out.len(), 10);
-    }
-
-    #[test]
-    fn interleaving_next_and_next_batch_shares_the_cursor() {
-        let (mut src, _, _) = probe(6);
-        src.open().unwrap();
-        assert_eq!(src.next().unwrap().unwrap()[0], Value::Int(0));
-        let mut out = Vec::new();
-        assert!(src.next_batch(&mut out, 3).unwrap());
-        assert_eq!(ints(&out), vec![1, 2, 3]);
-        assert_eq!(src.next().unwrap().unwrap()[0], Value::Int(4));
-        assert!(!src.next_batch(&mut out, 3).unwrap());
-        assert_eq!(ints(&out), vec![1, 2, 3, 5]);
+        assert_eq!(src.next_batch(7).unwrap().len(), 7);
+        let last = src.next_batch(7).unwrap();
+        assert_eq!(ints(last.rows()), vec![7, 8, 9]);
+        assert!(!last.is_end(), "a batch with rows is never the end");
+        assert!(src.next_batch(7).unwrap().is_end());
+        assert!(src.next_batch(7).unwrap().is_end());
     }
 
     #[test]
@@ -1541,6 +1339,127 @@ mod tests {
         assert_eq!(
             ints(&drain_batched(&mut limit, 0).unwrap()),
             vec![0, 1, 2, 3]
+        );
+    }
+
+    #[test]
+    fn retain_selects_lent_rows_and_compacts_handed_over_rows() {
+        let rows: Vec<Tuple> = (0..6).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
+        let even = |t: &Tuple| Ok(t[0].as_int().unwrap() % 2 == 0);
+        let big = |t: &Tuple| Ok(t[0].as_int().unwrap() >= 2);
+
+        // Lent: nothing is copied, a second narrowing composes.
+        let (mut sel1, mut sel2, mut pos) = (Vec::new(), Vec::new(), 0);
+        let batch = Batch::lend(&rows, &mut pos, 10)
+            .retain(&mut sel1, even)
+            .unwrap()
+            .retain(&mut sel2, big)
+            .unwrap();
+        assert_eq!(ints(batch.rows()), vec![2, 4]);
+        assert_eq!(batch.len(), 2);
+        let mut taken = Vec::new();
+        batch.take_into(&mut taken);
+        assert_eq!(ints(&taken), vec![2, 4]);
+
+        // Handed over: compacted in place, then moved out.
+        let mut scratch = rows.clone();
+        let mut sel = Vec::new();
+        let batch = Batch::owned(&mut scratch).retain(&mut sel, even).unwrap();
+        assert_eq!(ints(batch.rows()), vec![0, 2, 4]);
+        batch.take_into(&mut taken);
+        assert_eq!(ints(&taken), vec![2, 4, 0, 2, 4]);
+        assert!(scratch.is_empty(), "the rows were moved, not cloned");
+
+        // A batch narrowed to nothing is empty, not the end.
+        let mut pos = 0;
+        let none = Batch::lend(&rows, &mut pos, 10)
+            .retain(&mut sel, |_| Ok(false))
+            .unwrap();
+        assert!(none.is_empty() && !none.is_end());
+    }
+
+    #[test]
+    fn exists_probe_over_a_filter_stops_at_the_first_match() {
+        let engine = Engine::new();
+        let ctx = engine.read_ctx().unwrap();
+        let schema = x_schema();
+        let pred = equals(column("x"), Expr::Literal(Value::Int(7)));
+        let (src, served, largest) = probe(100);
+        let mut filter = FilterOp {
+            ctx: &ctx,
+            child_schema: &schema,
+            input: Box::new(src),
+            pred: &pred,
+            outer: &[],
+            sel: Vec::new(),
+        };
+        assert!(any_row(&mut filter).unwrap());
+        assert_eq!(served.get(), 8, "rows 0..=7, nothing past the match");
+        assert_eq!(largest.get(), 1, "a filter asked for one row asks for one");
+
+        // No match: the probe reads the whole input and reports false.
+        let pred = equals(column("x"), Expr::Literal(Value::Int(-1)));
+        let (src, served, _) = probe(20);
+        let mut filter = FilterOp {
+            ctx: &ctx,
+            child_schema: &schema,
+            input: Box::new(src),
+            pred: &pred,
+            outer: &[],
+            sel: Vec::new(),
+        };
+        assert!(!any_row(&mut filter).unwrap());
+        assert_eq!(served.get(), 20);
+    }
+
+    #[test]
+    fn exists_probe_over_a_nested_loop_join_stops_at_the_first_match() {
+        let mut engine = Engine::new();
+        engine.execute_sql("CREATE TABLE r (y INTEGER)").unwrap();
+        engine
+            .execute_sql("INSERT INTO r VALUES (9), (5), (7)")
+            .unwrap();
+        let Statement::Select(query) = prefsql_parser::parse_statement("SELECT y FROM r").unwrap()
+        else {
+            panic!("expected a SELECT");
+        };
+        let ctx = engine.read_ctx().unwrap();
+        let right = ctx.plan_for(&query).unwrap();
+        let schema = x_schema().join(right.root().schema());
+        let on = equals(column("x"), column("y"));
+        let (src, served, largest) = probe(100);
+        let mut join = NestedLoopJoinOp {
+            ctx: &ctx,
+            left: Box::new(src),
+            right: right.root(),
+            on: Some(&on),
+            schema: &schema,
+            outer: &[],
+            right_rows: None,
+            lbuf: Vec::new(),
+            lpos: 0,
+            ridx: 0,
+            left_done: false,
+            out: Vec::new(),
+        };
+        // The first left row with a partner is x = 5.
+        assert!(any_row(&mut join).unwrap());
+        assert_eq!(served.get(), 6, "left rows 0..=5, nothing past the match");
+        assert_eq!(largest.get(), 1);
+
+        // Driven in full at a batch size that splits a left row's
+        // matches, the join emits left-major, right-minor order.
+        let (src, _, _) = probe(10);
+        join.left = Box::new(src);
+        join.on = None;
+        let all = drain_batched(&mut join, 2).unwrap();
+        assert_eq!(all.len(), 30);
+        assert_eq!(
+            all[..4]
+                .iter()
+                .map(|t| (t[0].as_int().unwrap(), t[1].as_int().unwrap()))
+                .collect::<Vec<_>>(),
+            vec![(0, 9), (0, 5), (0, 7), (1, 9)]
         );
     }
 }

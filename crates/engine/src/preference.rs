@@ -17,9 +17,7 @@
 
 use crate::eval::{eval, truth, Frame};
 use crate::exec::ExecCtx;
-use crate::physical::{
-    batch_from, drain_batched, drain_tuple_at_a_time, next_from, slice_from, BoxOperator, Operator,
-};
+use crate::physical::{drain_batched, Batch, BoxOperator, Operator};
 use prefsql_parser::ast::Expr;
 use prefsql_pref::external::ExternalSkyline;
 use prefsql_pref::{bmo_grouped, maximal_with_threads, should_spill, BasePref, SkylineAlgo};
@@ -44,8 +42,9 @@ pub struct PrefSpec {
     pub algo: SkylineAlgo,
     /// Parallel-window degree ceiling (`\threads`).
     pub threads: usize,
-    /// Batch size of the loop draining the input; `None` drives it
-    /// tuple-at-a-time (the differential baseline).
+    /// Rows requested per pull by the loop draining the input; `None`
+    /// drives it one tuple per pull, like `Some(1)` (the differential
+    /// suites pin that the result does not depend on the granularity).
     pub batch: Option<usize>,
     /// External-memory window budget (`\window`), taken from the
     /// statement context at plan time like the hash join's.
@@ -65,6 +64,11 @@ impl PrefSpec {
             (0, SkylineAlgo::Auto) => self.window,
             _ => None,
         }
+    }
+
+    /// Rows requested from the input per pull.
+    fn pull_size(&self) -> usize {
+        self.batch.unwrap_or(1).max(1)
     }
 }
 
@@ -318,17 +322,11 @@ impl<'a> PreferenceOp<'a> {
 
         let mut scratch: Vec<Tuple> = Vec::new();
         loop {
-            scratch.clear();
-            let more = match self.spec.batch {
-                Some(batch) => self.input.next_batch(&mut scratch, batch.max(1))?,
-                None => match self.input.next()? {
-                    Some(t) => {
-                        scratch.push(t);
-                        true
-                    }
-                    None => false,
-                },
-            };
+            let pulled = self.input.next_batch(self.spec.pull_size())?;
+            if pulled.is_end() {
+                break;
+            }
+            pulled.take_into(&mut scratch);
             for row in &scratch {
                 Self::update_best(&mut best, bases, self.slots(row));
             }
@@ -370,9 +368,6 @@ impl<'a> PreferenceOp<'a> {
                     writer.write_batch(&rest)?;
                 }
                 None => debug_assert_eq!(rows.count(), 0, "unbuffered rows without a sink"),
-            }
-            if !more {
-                break;
             }
         }
 
@@ -424,13 +419,8 @@ impl Operator for PreferenceOp<'_> {
                 self.input.close();
                 result
             }
-            // Consume the source through the batched drive loop (or the
-            // tuple-at-a-time baseline when the differential suites ask).
-            None => match self.spec.batch {
-                Some(batch) => drain_batched(self.input.as_mut(), batch),
-                None => drain_tuple_at_a_time(self.input.as_mut()),
-            }
-            .and_then(|rows| self.select_in_memory(rows)),
+            None => drain_batched(self.input.as_mut(), self.spec.pull_size())
+                .and_then(|rows| self.select_in_memory(rows)),
         };
         // Harvest the dominance tally of this selection — the paper's
         // unit of preference-evaluation cost — and charge the statement.
@@ -439,16 +429,8 @@ impl Operator for PreferenceOp<'_> {
         result
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        Ok(next_from(&self.winners, &mut self.pos))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        Ok(batch_from(&self.winners, &mut self.pos, out, max))
-    }
-
-    fn next_slice(&mut self, max: usize) -> Result<Option<&[Tuple]>> {
-        Ok(Some(slice_from(&self.winners, &mut self.pos, max)))
+    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
+        Ok(Batch::lend(&self.winners, &mut self.pos, max))
     }
 
     fn close(&mut self) {
@@ -469,14 +451,11 @@ mod tests {
     use prefsql_parser::ast::Statement;
     use prefsql_pref::SkylineAlgo;
 
-    /// The operator advertises the engine's full `Operator` contract, so
-    /// its buffered `next_batch`/`next_slice` overrides must walk the
-    /// same cursor as `next()` — pinned here by driving three identical
-    /// operators through the three surfaces (the batched calls
-    /// interleaved with `next()`) over a winner set that straddles the
-    /// batch boundary.
+    /// The winners are lent from the operator's buffer like any buffered
+    /// operator's rows: pulls of 2 over a winner set of 5 end with a
+    /// short batch, then the end, and the end is sticky.
     #[test]
-    fn batched_surface_matches_next() {
+    fn winners_are_lent_in_batches() {
         let mut engine = Engine::new();
         engine
             .execute_sql("CREATE TABLE t (id INTEGER, x INTEGER, y INTEGER)")
@@ -502,40 +481,23 @@ mod tests {
             panic!("expected Project over Preference, got {:?}", plan.root());
         };
         assert!(matches!(**node, PlanNode::Preference { .. }));
-        let open = || {
-            let mut op = build(&ctx, node, &[]);
-            op.open().unwrap();
-            op
-        };
-
-        let mut baseline = open();
-        let mut expected = Vec::new();
-        while let Some(t) = baseline.next().unwrap() {
-            expected.push(t);
-        }
-        assert_eq!(baseline.counters()[0].0, "comparisons");
-        baseline.close();
-        assert_eq!(expected.len(), 5, "winner set should be the antichain");
-
-        // next_batch interleaved with next(): one shared cursor.
-        let mut op = open();
-        let mut got = vec![op.next().unwrap().expect("first winner")];
-        while op.next_batch(&mut got, 2).unwrap() {}
-        assert!(!op.next_batch(&mut got, 2).unwrap(), "stays exhausted");
-        op.close();
-        assert_eq!(got, expected);
-
-        // next_slice lends the same stream; empty slice marks the end.
-        let mut op = open();
-        let mut got = vec![op.next().unwrap().expect("first winner")];
+        let mut op = build(&ctx, node, &[]);
+        op.open().unwrap();
+        let mut ids = Vec::new();
+        let mut sizes = Vec::new();
         loop {
-            let slice = op.next_slice(2).unwrap().expect("buffered operator");
-            if slice.is_empty() {
+            let batch = op.next_batch(2).unwrap();
+            if batch.is_end() {
                 break;
             }
-            got.extend_from_slice(slice);
+            sizes.push(batch.len());
+            ids.extend(batch.rows().map(|t| t[0].as_int().unwrap()));
         }
+        assert!(op.next_batch(2).unwrap().is_end(), "stays exhausted");
+        assert_eq!(op.counters()[0].0, "comparisons");
         op.close();
-        assert_eq!(got, expected);
+        assert_eq!(sizes, vec![2, 2, 1]);
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5], "the antichain, nothing else");
     }
 }

@@ -306,3 +306,34 @@ fn update_everything_and_delete_everything_counts() {
         other => panic!("{other:?}"),
     }
 }
+
+#[test]
+fn group_by_keys_use_key_equality_like_distinct_and_joins() {
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE t (id INTEGER, x INTEGER)")
+        .unwrap();
+    e.execute_sql("INSERT INTO t VALUES (1, 7), (2, NULL), (3, NULL)")
+        .unwrap();
+    // INT 1 and FLOAT 1.0 are equal under `=`, DISTINCT and the hash
+    // join, so they are one group, not two.
+    let key = "CASE WHEN id = 1 THEN 1 ELSE 1.0 END";
+    let r = rows(
+        &mut e,
+        &format!("SELECT COUNT(*) FROM t WHERE id < 3 GROUP BY {key}"),
+    );
+    assert_eq!(r, vec![vec![Value::Int(2)]]);
+    let r = rows(
+        &mut e,
+        &format!("SELECT DISTINCT {key} FROM t WHERE id < 3"),
+    );
+    assert_eq!(r.len(), 1);
+    // NULL stays a group of its own.
+    let r = rows(&mut e, "SELECT x, COUNT(*) FROM t GROUP BY x ORDER BY x");
+    assert_eq!(
+        r,
+        vec![
+            vec![Value::Null, Value::Int(2)],
+            vec![Value::Int(7), Value::Int(1)]
+        ]
+    );
+}

@@ -74,6 +74,9 @@ impl Client {
     /// Connect and consume the server greeting.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Requests are single small writes, but see the server side: no
+        // write of this protocol should wait on a delayed ACK.
+        let _ = stream.set_nodelay(true);
         let mut client = Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),

@@ -178,6 +178,11 @@ fn serve_connection(
     core: Arc<EngineCore>,
     slow_query_ms: Option<u64>,
 ) -> io::Result<()> {
+    // A reply larger than the `BufWriter` goes out as several writes;
+    // with Nagle on, the last one waits for the peer's delayed ACK
+    // (~40 ms on loopback). Best effort: a socket that refuses the
+    // option still works.
+    let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     writeln!(writer, "{}", protocol::GREETING)?;

@@ -5,8 +5,8 @@
 //!
 //! 1. A property test over *random preference compositions* (Pareto ⊗ and
 //!    prioritization & trees, not just single base preferences): every
-//!    tree is executed four ways — tuple-at-a-time, batched (batch sizes
-//!    1, 7, 1024), parallel (1, 2, 8 threads, both through the full
+//!    tree is executed four ways — one tuple per pull (`batch: None`),
+//!    batched (batch sizes 1, 7, 1024), parallel (1, 2, 8 threads, both through the full
 //!    pipeline and directly on the decomposable window), and the naive
 //!    abstract §3.2 selection — asserting identical result *sequences*
 //!    (the native path guarantees input order, so order is part of the
@@ -197,7 +197,7 @@ proptest! {
         }
     }
 
-    /// The four execution shapes — tuple-at-a-time, batched (1, 7, 1024)
+    /// The four execution shapes — one tuple per pull, batched (1, 7, 1024)
     /// and parallel (1, 2, 8 threads) — all reproduce the abstract
     /// selection, in the same order (winners stream in input order).
     #[test]
