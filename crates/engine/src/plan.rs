@@ -200,8 +200,9 @@ pub enum PlanNode {
     Preference {
         /// Input node (source rows + `prefsql_s*` + `prefsql_g*`).
         input: Box<PlanNode>,
-        /// Everything the preference operator needs.
-        spec: PrefSpec,
+        /// Everything the preference operator needs (boxed: it holds the
+        /// compiled preference and would dwarf every other variant).
+        spec: Box<PrefSpec>,
         /// Output schema (input schema + quality columns).
         schema: Schema,
     },
@@ -478,7 +479,7 @@ pub fn plan_preference(
                     projections,
                     schema,
                 }),
-                spec: PrefSpec {
+                spec: Box::new(PrefSpec {
                     compiled,
                     but_only,
                     quality,
@@ -488,7 +489,7 @@ pub fn plan_preference(
                     batch,
                     window: ctx.window_bytes(),
                     view,
-                },
+                }),
                 schema: Schema::new(columns)?,
             }
         }

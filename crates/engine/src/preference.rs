@@ -12,7 +12,10 @@
 //! default [`SkylineAlgo::Auto`], which picks naive/BNL/SFS from input
 //! cardinality and preference shape — and streams the winners, each
 //! extended with the quality-function columns ([`QualityCol`]) the plan
-//! above it references. Semantics are identical to the rewrite path; the
+//! above it references. The slot columns are lowered once, straight from
+//! each row, into a [`ScoreMatrix`]; the dominance tests, the
+//! `LOWEST`/`HIGHEST` optima and the quality values are all read off its
+//! cells. Semantics are identical to the rewrite path; the
 //! `rewrite_vs_native` differential suite and ablation A1 depend on that.
 
 use crate::eval::{eval, truth, Frame};
@@ -20,7 +23,11 @@ use crate::exec::ExecCtx;
 use crate::physical::{drain_batched, Batch, BoxOperator, Operator};
 use prefsql_parser::ast::Expr;
 use prefsql_pref::external::ExternalSkyline;
-use prefsql_pref::{bmo_grouped, maximal_with_threads, should_spill, BasePref, SkylineAlgo};
+use prefsql_pref::score::{is_null_cell, score_of};
+use prefsql_pref::{
+    bmo_grouped_scored, maximal_scored, should_spill, BasePref, Preference, ScoreMatrix,
+    SkylineAlgo,
+};
 use prefsql_rewrite::levels::GEN_PREFIX;
 use prefsql_rewrite::CompiledPreference;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics};
@@ -100,26 +107,33 @@ impl QualityCol {
         Column::new(self.name(), dtype)
     }
 
-    /// The function's value for attribute value `v`; `best` is the
-    /// data-dependent optimum of the slot (`LOWEST`/`HIGHEST` only).
-    fn value(&self, base: &BasePref, v: &Value, best: Option<f64>) -> Value {
+    /// The function's value for a row whose lowered slots are `cells`;
+    /// `best` holds the data-dependent optimum of each slot
+    /// (`LOWEST`/`HIGHEST` only).
+    fn value(&self, pref: &Preference, cells: &[f64], best: &[Option<f64>]) -> Value {
+        let (cell, best) = (cells[self.slot], best[self.slot]);
         // SQL semantics, as on the rewrite path (whose level columns are
         // NULL-guarded): the quality of an unknown value is unknown.
-        if v.is_null() {
+        if is_null_cell(cell) {
             return Value::Null;
         }
+        let base = &pref.bases()[self.slot];
         let relative = matches!(base, BasePref::Lowest | BasePref::Highest);
+        let numeric = matches!(base, BasePref::Around { .. } | BasePref::Between { .. });
         match self.func.as_str() {
-            "level" => base.level(v).map(Value::Int).unwrap_or(Value::Null),
-            "distance" => match (base.score(v), best) {
+            "level" => pref
+                .level_of(self.slot, cell)
+                .map_or(Value::Null, Value::Int),
+            "distance" => match (score_of(cell), best) {
                 (Some(s), Some(b)) if relative => float_or_int(s - b),
                 (Some(s), _) if !relative => float_or_int(s),
                 _ => Value::Null,
             },
             _ if relative => {
-                Value::Bool(matches!((base.score(v), best), (Some(s), Some(b)) if s == b))
+                Value::Bool(matches!((score_of(cell), best), (Some(s), Some(b)) if s == b))
             }
-            _ => Value::Bool(base.top(v, None)),
+            _ if numeric => Value::Bool(score_of(cell) == Some(0.0)),
+            _ => Value::Bool(pref.level_of(self.slot, cell) == Some(1)),
         }
     }
 }
@@ -180,32 +194,30 @@ impl<'a> PreferenceOp<'a> {
         }
     }
 
-    fn bases(&self) -> &'a [BasePref] {
-        self.spec.compiled.preference.bases()
+    fn preference(&self) -> &'a Preference {
+        &self.spec.compiled.preference
     }
 
     /// The slot values of one extended row.
     fn slots<'r>(&self, row: &'r Tuple) -> &'r [Value] {
-        &row.values()[self.n_orig..self.n_orig + self.bases().len()]
+        &row.values()[self.n_orig..self.n_orig + self.preference().arity()]
     }
 
-    /// The quality-column values of one extended row.
-    fn quality_values(&self, row: &Tuple, best: &[Option<f64>]) -> Vec<Value> {
-        let slots = self.slots(row);
-        self.spec
-            .quality
-            .iter()
-            .map(|q| q.value(&self.bases()[q.slot], &slots[q.slot], best[q.slot]))
+    /// The quality-column values of a row whose lowered slots are `cells`.
+    fn quality_values(&self, cells: &[f64], best: &[Option<f64>]) -> Vec<Value> {
+        let quality = self.spec.quality.iter();
+        quality
+            .map(|q| q.value(self.preference(), cells, best))
             .collect()
     }
 
     /// `BUT ONLY` filter for one extended row (§2.2.5), evaluated with
     /// the final data-dependent optima.
-    fn passes_but_only(&self, row: &Tuple, best: &[Option<f64>]) -> Result<bool> {
+    fn passes_but_only(&self, row: &Tuple, cells: &[f64], best: &[Option<f64>]) -> Result<bool> {
         let Some(threshold) = &self.spec.but_only else {
             return Ok(true);
         };
-        let quality = Tuple::new(self.quality_values(row, best));
+        let quality = Tuple::new(self.quality_values(cells, best));
         let frames = [
             Frame {
                 schema: &self.quality_schema,
@@ -219,28 +231,22 @@ impl<'a> PreferenceOp<'a> {
         Ok(truth(&eval(threshold, &frames, self.ctx)?) == Some(true))
     }
 
-    /// Fold one row's slots into the per-base minima that
-    /// `LOWEST`/`HIGHEST` quality functions are relative to.
-    fn update_best(best: &mut [Option<f64>], bases: &[BasePref], slots: &[Value]) {
-        for ((best, base), v) in best.iter_mut().zip(bases).zip(slots) {
-            if let Some(s) = base.score(v) {
-                if best.map_or(true, |b| s.total_cmp(&b).is_lt()) {
-                    *best = Some(s);
-                }
-            }
-        }
-    }
-
-    /// Buffer the winners, each extended with its quality columns.
-    fn set_winners(&mut self, winners: impl Iterator<Item = Tuple>, best: &[Option<f64>]) {
+    /// Buffer the winners, each extended with its quality columns;
+    /// `cells(i)` are the lowered slots of the `i`-th winner.
+    fn set_winners<'c>(
+        &mut self,
+        winners: impl Iterator<Item = Tuple>,
+        cells: impl Fn(usize) -> &'c [f64],
+        best: &[Option<f64>],
+    ) {
         self.winners = if self.spec.quality.is_empty() {
             winners.collect()
         } else {
             winners
-                .map(|row| {
-                    let quality = self.quality_values(&row, best);
+                .enumerate()
+                .map(|(i, row)| {
                     let mut values = row.into_values();
-                    values.extend(quality);
+                    values.extend(self.quality_values(cells(i), best));
                     Tuple::new(values)
                 })
                 .collect()
@@ -248,48 +254,41 @@ impl<'a> PreferenceOp<'a> {
     }
 
     /// The in-memory selection shared by the materializing path and the
-    /// under-budget streaming path: compute the data-dependent optima,
-    /// apply `BUT ONLY`, run the maximal-set selection, buffer winners.
+    /// under-budget streaming path: lower the slot columns once, read the
+    /// data-dependent optima off the matrix, apply `BUT ONLY`, run the
+    /// maximal-set selection over the surviving row ids, buffer winners.
     fn select_in_memory(&mut self, rows: Vec<Tuple>) -> Result<()> {
-        let arity = self.bases().len();
-        let mut best = vec![None; arity];
+        let preference = self.preference();
+        let matrix = ScoreMatrix::lower(preference, rows.iter().map(|r| self.slots(r)));
+        let mut best = vec![None; preference.arity()];
         // Only quality functions ever read the optima.
         if !self.spec.quality.is_empty() {
-            for row in &rows {
-                Self::update_best(&mut best, self.bases(), self.slots(row));
-            }
+            matrix.fold_minima(&mut best);
         }
 
         // BUT ONLY filters candidates before dominance (§2.2.5).
-        let candidates: Vec<Tuple> = if self.spec.but_only.is_none() {
-            rows
-        } else {
+        let mut candidates = matrix.ids();
+        if self.spec.but_only.is_some() {
             let mut kept = Vec::new();
-            for row in rows {
-                if self.passes_but_only(&row, &best)? {
-                    kept.push(row);
+            for i in candidates {
+                if self.passes_but_only(&rows[i], matrix.row(i), &best)? {
+                    kept.push(i);
                 }
             }
-            kept
-        };
+            candidates = kept;
+        }
 
-        let preference = &self.spec.compiled.preference;
-        let slot_vectors: Vec<Vec<Value>> =
-            candidates.iter().map(|r| self.slots(r).to_vec()).collect();
-        let winner_indices: Vec<usize> = if self.spec.n_groups > 0 {
-            let keys: Vec<Vec<Value>> = candidates
-                .iter()
-                .map(|r| r.values()[self.n_orig + arity..].to_vec())
-                .collect();
-            bmo_grouped(&slot_vectors, &keys, preference)
+        let winner_ids: Vec<usize> = if self.spec.n_groups > 0 {
+            let first_key = self.n_orig + preference.arity();
+            bmo_grouped_scored(&matrix, &candidates, |i| &rows[i].values()[first_key..])
         } else {
-            maximal_with_threads(&slot_vectors, preference, self.spec.algo, self.spec.threads)
+            maximal_scored(&matrix, &candidates, self.spec.algo, self.spec.threads)
         };
-        let mut candidates = candidates.into_iter().map(Some).collect::<Vec<_>>();
-        let winners = winner_indices
+        let mut rows = rows.into_iter().map(Some).collect::<Vec<_>>();
+        let winners = winner_ids
             .iter()
-            .map(|&i| candidates[i].take().expect("winner indices are unique"));
-        self.set_winners(winners, &best);
+            .map(|&i| rows[i].take().expect("winner indices are unique"));
+        self.set_winners(winners, |w| matrix.row(winner_ids[w]), &best);
         Ok(())
     }
 
@@ -301,10 +300,14 @@ impl<'a> PreferenceOp<'a> {
     /// data-dependent optima, which are only final after the last input
     /// row — and feed the skyline from the spool on a second pass.
     fn open_external(&mut self, budget: usize) -> Result<()> {
-        let preference = &self.spec.compiled.preference;
-        let bases = self.bases();
+        let preference = self.preference();
         let n_orig = self.n_orig;
-        let mut best: Vec<Option<f64>> = vec![None; bases.len()];
+        // Quality functions need the optima over the whole input, which
+        // never sits in one matrix here: rows are lowered batch by batch
+        // (and winners once more at the end) through this scratch matrix.
+        let wants_quality = !self.spec.quality.is_empty();
+        let mut scored = ScoreMatrix::new(preference);
+        let mut best: Vec<Option<f64>> = vec![None; preference.arity()];
         let mut buffered: Vec<Tuple> = Vec::new();
         let mut buffered_bytes = 0usize;
 
@@ -327,8 +330,12 @@ impl<'a> PreferenceOp<'a> {
                 break;
             }
             pulled.take_into(&mut scratch);
-            for row in &scratch {
-                Self::update_best(&mut best, bases, self.slots(row));
+            if wants_quality {
+                scored.clear();
+                for row in &scratch {
+                    scored.push(self.slots(row));
+                }
+                scored.fold_minima(&mut best);
             }
             let mut rows = scratch.drain(..);
             // Buffering phase: accumulate until the budget trips, then
@@ -392,7 +399,9 @@ impl<'a> PreferenceOp<'a> {
                     ExternalSkyline::with_manager(preference, n_orig, budget, manager);
                 let mut reader = RunReader::open(&spool)?;
                 while let Some(row) = reader.next_tuple()? {
-                    if self.passes_but_only(&row, &best)? {
+                    scored.clear();
+                    scored.push(self.slots(&row));
+                    if self.passes_but_only(&row, scored.row(0), &best)? {
                         machine.push(row)?;
                     }
                 }
@@ -404,7 +413,14 @@ impl<'a> PreferenceOp<'a> {
                 (winners, metrics)
             }
         };
-        self.set_winners(winners.into_iter().map(|(_, row)| row), &best);
+        scored.clear();
+        if wants_quality {
+            for (_, row) in &winners {
+                scored.push(self.slots(row));
+            }
+        }
+        let winners = winners.into_iter().map(|(_, row)| row);
+        self.set_winners(winners, |i| scored.row(i), &best);
         self.ctx.note_spill(metrics);
         Ok(())
     }

@@ -1,6 +1,6 @@
 //! Maximal-set (generalized skyline) algorithms.
 //!
-//! Three implementations with identical semantics:
+//! Four implementations with identical semantics:
 //!
 //! * [`maximal_naive`] — the paper's "abstract selection method" (§3.2):
 //!   keep a tuple iff no other tuple is better. O(n²) comparisons, no
@@ -19,13 +19,24 @@
 //!   skylines. Dominance is transitive, so checking survivors against
 //!   the union of local skylines is exact.
 //!
+//! All of them run on a [`ScoreMatrix`]: the candidates' slot vectors are
+//! lowered to flat score rows once, every dominance test is the
+//! preference's compiled comparison program over two such rows, and the
+//! SFS pre-sort orders the same rows. [`maximal_scored`] takes a matrix
+//! the caller lowered itself plus the row ids that compete (all of them,
+//! the `BUT ONLY` survivors, one `GROUPING` partition); the functions
+//! over `&[Vec<Value>]` lower and delegate. Each call counts its directed
+//! dominance tests locally — one when a window entry beats the candidate,
+//! two otherwise, one per probe of the nested loop — and charges the
+//! preference's counter once at the end.
+//!
 //! The ablation benchmark A1 compares them against the rewrite; the
 //! `parallel_skyline` bench target covers the threaded window.
 
 use crate::base::BasePref;
 use crate::compose::Preference;
+use crate::score::{ScoreMatrix, Verdict};
 use prefsql_types::Value;
-use std::cmp::Ordering;
 
 /// Which maximal-set algorithm evaluates a preference.
 ///
@@ -112,20 +123,26 @@ pub fn choose_algo(n: usize, pref: &Preference) -> SkylineAlgo {
     }
 }
 
+/// Lower `slot_vectors` and run `select` over all rows, charging the
+/// tests it tallies to `pref`.
+pub(crate) fn lowered(
+    slot_vectors: &[Vec<Value>],
+    pref: &Preference,
+    select: impl FnOnce(&ScoreMatrix<'_>, &[usize], &mut u64) -> Vec<usize>,
+) -> Vec<usize> {
+    let m = ScoreMatrix::lower(pref, slot_vectors.iter().map(Vec::as_slice));
+    let mut tests = 0;
+    let winners = select(&m, &m.ids(), &mut tests);
+    pref.add_comparisons(tests);
+    winners
+}
+
 /// Run the maximal-set selection with `algo`, resolving
 /// [`SkylineAlgo::Auto`] through [`choose_algo`]. All algorithms return
 /// identical index sets in input order (the cross-algorithm equivalence
 /// test suites depend on that).
 pub fn maximal(slot_vectors: &[Vec<Value>], pref: &Preference, algo: SkylineAlgo) -> Vec<usize> {
-    match algo {
-        SkylineAlgo::Naive => maximal_naive(slot_vectors, pref),
-        SkylineAlgo::Bnl => maximal_bnl(slot_vectors, pref),
-        SkylineAlgo::Sfs => maximal_sfs(slot_vectors, pref),
-        SkylineAlgo::Auto => {
-            let chosen = choose_algo(slot_vectors.len(), pref);
-            maximal(slot_vectors, pref, chosen)
-        }
-    }
+    maximal_with_threads(slot_vectors, pref, algo, 1)
 }
 
 /// [`maximal`] with a parallel-degree knob: [`SkylineAlgo::Auto`] runs
@@ -138,13 +155,41 @@ pub fn maximal_with_threads(
     algo: SkylineAlgo,
     threads: usize,
 ) -> Vec<usize> {
-    if matches!(algo, SkylineAlgo::Auto) {
-        let degree = choose_degree(slot_vectors.len(), threads);
-        if degree > 1 {
-            return maximal_parallel(slot_vectors, pref, degree);
-        }
+    lowered(slot_vectors, pref, |m, ids, tests| {
+        select(m, ids, algo, threads, tests)
+    })
+}
+
+/// [`maximal_with_threads`] over rows the caller already lowered: the
+/// maximal rows among `ids` (ascending row ids of `m`), ascending.
+pub fn maximal_scored(
+    m: &ScoreMatrix<'_>,
+    ids: &[usize],
+    algo: SkylineAlgo,
+    threads: usize,
+) -> Vec<usize> {
+    let mut tests = 0;
+    let winners = select(m, ids, algo, threads, &mut tests);
+    m.preference().add_comparisons(tests);
+    winners
+}
+
+fn select(
+    m: &ScoreMatrix<'_>,
+    ids: &[usize],
+    algo: SkylineAlgo,
+    threads: usize,
+    tests: &mut u64,
+) -> Vec<usize> {
+    match algo {
+        SkylineAlgo::Naive => naive(m, ids, tests),
+        SkylineAlgo::Bnl => bnl(m, ids, tests),
+        SkylineAlgo::Sfs => sfs(m, ids, tests),
+        SkylineAlgo::Auto => match choose_degree(ids.len(), threads) {
+            1 => select(m, ids, choose_algo(ids.len(), m.preference()), 1, tests),
+            degree => parallel(m, ids, degree, tests),
+        },
     }
-    maximal(slot_vectors, pref, algo)
 }
 
 /// The external-memory engagement test for [`SkylineAlgo::Auto`] — the
@@ -162,25 +207,27 @@ pub fn should_spill(
     matches!(algo, SkylineAlgo::Auto) && window_bytes.is_some_and(|b| candidate_bytes > b)
 }
 
-/// One pass of the BNL window filter over `candidates` (global indices
-/// into `slot_vectors`): dominated candidates are dropped, candidates
-/// evict dominated window entries. Returns the window in insertion
-/// order — callers sort when they need input order.
+/// One pass of the BNL window filter over `candidates` (row ids of `m`):
+/// dominated candidates are dropped, candidates evict dominated window
+/// entries. One kernel call answers both directions of a probe; `tests`
+/// still counts them as the directed tests they stand for. Returns the
+/// window in insertion order — callers sort when they need input order.
 fn window_filter(
-    slot_vectors: &[Vec<Value>],
-    pref: &Preference,
+    m: &ScoreMatrix<'_>,
     candidates: impl IntoIterator<Item = usize>,
+    tests: &mut u64,
 ) -> Vec<usize> {
     let mut window: Vec<usize> = Vec::new();
     'candidates: for i in candidates {
-        let cand = &slot_vectors[i];
         let mut k = 0;
         while k < window.len() {
-            let w = &slot_vectors[window[k]];
-            if pref.better(w, cand) {
+            let verdict = m.compare(window[k], i);
+            if verdict == Verdict::A_WINS {
+                *tests += 1;
                 continue 'candidates; // dominated: drop the candidate
             }
-            if pref.better(cand, w) {
+            *tests += 2;
+            if verdict == Verdict::B_WINS {
                 window.swap_remove(k); // candidate evicts window entry
             } else {
                 k += 1;
@@ -211,18 +258,25 @@ pub fn maximal_parallel(
     pref: &Preference,
     threads: usize,
 ) -> Vec<usize> {
-    let n = slot_vectors.len();
+    lowered(slot_vectors, pref, |m, ids, tests| {
+        parallel(m, ids, threads, tests)
+    })
+}
+
+fn parallel(m: &ScoreMatrix<'_>, ids: &[usize], threads: usize, tests: &mut u64) -> Vec<usize> {
+    let n = ids.len();
     let degree = threads.clamp(1, n.max(1));
     if degree <= 1 {
-        return maximal_bnl(slot_vectors, pref);
+        return bnl(m, ids, tests);
     }
-    let chunk = n.div_ceil(degree);
-    let locals: Vec<Vec<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..degree)
-            .map(|t| {
-                let lo = (t * chunk).min(n);
-                let hi = ((t + 1) * chunk).min(n);
-                s.spawn(move || window_filter(slot_vectors, pref, lo..hi))
+    let locals: Vec<(Vec<usize>, u64)> = std::thread::scope(|s| {
+        let handles: Vec<_> = ids
+            .chunks(n.div_ceil(degree))
+            .map(|part| {
+                s.spawn(move || {
+                    let mut tests = 0;
+                    (window_filter(m, part.iter().copied(), &mut tests), tests)
+                })
             })
             .collect();
         handles
@@ -230,7 +284,9 @@ pub fn maximal_parallel(
             .map(|h| h.join().expect("skyline worker panicked"))
             .collect()
     });
-    let mut merged = window_filter(slot_vectors, pref, locals.into_iter().flatten());
+    *tests += locals.iter().map(|(_, t)| t).sum::<u64>();
+    let survivors = locals.into_iter().flat_map(|(window, _)| window);
+    let mut merged = window_filter(m, survivors, tests);
     merged.sort_unstable();
     merged
 }
@@ -238,62 +294,60 @@ pub fn maximal_parallel(
 /// The paper's abstract selection method: `t1` is maximal iff no `t2` in
 /// the input is better. Returns indices in input order.
 pub fn maximal_naive(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    (0..slot_vectors.len())
-        .filter(|&i| {
-            !slot_vectors
-                .iter()
-                .enumerate()
-                .any(|(j, other)| j != i && pref.better(other, &slot_vectors[i]))
+    maximal(slot_vectors, pref, SkylineAlgo::Naive)
+}
+
+pub(crate) fn naive(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
+    let mut dominated = |i: usize| {
+        ids.iter().any(|&j| {
+            j != i && {
+                *tests += 1;
+                m.compare(j, i) == Verdict::A_WINS
+            }
         })
-        .collect()
+    };
+    ids.iter().copied().filter(|&i| !dominated(i)).collect()
 }
 
 /// Block-nested-loops skyline \[BKS01\] with an unbounded window (the
 /// in-memory case — the candidate sets of the paper's benchmark fit in
 /// memory by construction). Returns indices sorted in input order.
 pub fn maximal_bnl(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    let mut window = window_filter(slot_vectors, pref, 0..slot_vectors.len());
+    maximal(slot_vectors, pref, SkylineAlgo::Bnl)
+}
+
+fn bnl(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
+    let mut window = window_filter(m, ids.iter().copied(), tests);
     window.sort_unstable();
     window
 }
 
 /// Sort-filter-skyline: pre-sort candidates lexicographically by their
-/// base-preference score vectors (NULL/unscorable slots last), which is a
-/// topological order for the dominance relation of scored preferences,
-/// then run the BNL window filter. Returns indices sorted in input order.
+/// score rows (NULL/unscorable slots last), which is a topological order
+/// for the dominance relation of scored preferences, then run the BNL
+/// window filter. Returns indices sorted in input order.
 ///
 /// For preferences containing `EXPLICIT` bases (which have no scores) the
 /// pre-sort degenerates to arbitrary order among ties; the window filter
 /// still checks both dominance directions, so the result stays correct.
 pub fn maximal_sfs(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    let scores: Vec<Vec<Option<f64>>> = slot_vectors
-        .iter()
-        .map(|sv| {
-            pref.bases()
-                .iter()
-                .zip(sv.iter())
-                .map(|(b, v)| b.score(v))
-                .collect()
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..slot_vectors.len()).collect();
+    maximal(slot_vectors, pref, SkylineAlgo::Sfs)
+}
+
+fn sfs(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
+    let mut order = ids.to_vec();
+    // `total_cmp` is a total order even with NaN scores, and agrees with
+    // `<` on everything else (cells hold no -0.0).
     order.sort_by(|&a, &b| {
-        for (x, y) in scores[a].iter().zip(scores[b].iter()) {
-            let ord = match (x, y) {
-                (Some(x), Some(y)) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (None, None) => Ordering::Equal,
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
+        let cells = m.row(a).iter().zip(m.row(b));
+        cells
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
     });
     // Evictions inside the window remain possible only among sort ties
     // (EXPLICIT bases); the filter checks both directions regardless.
-    let mut window = window_filter(slot_vectors, pref, order);
+    let mut window = window_filter(m, order, tests);
     window.sort_unstable();
     window
 }
@@ -387,6 +441,40 @@ mod tests {
         let c = maximal_sfs(&pts, &p);
         assert_eq!(a, b);
         assert_eq!(a, c);
+    }
+
+    /// NaN scores used to make the SFS pre-sort's comparator
+    /// inconsistent (`partial_cmp(..).unwrap_or(Equal)`), which `sort_by`
+    /// is allowed to answer with a panic. In the sizes `Auto` sends to
+    /// serial SFS (65–1023 candidates) NaN rows are sorted like any
+    /// other and stay undominated and undominating.
+    #[test]
+    fn sfs_sorts_nan_scores_without_panicking() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [65, 300, 1023] {
+            let pts: Vec<Vec<Value>> = (0..n)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| match rng.gen_range(0..6) {
+                            0 => Value::Float(f64::NAN),
+                            1 => Value::Float(-f64::NAN),
+                            _ => Value::Float(rng.gen_range(0..40) as f64 / 4.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let p = pareto(3);
+            let expected = maximal_naive(&pts, &p);
+            assert_eq!(maximal_sfs(&pts, &p), expected, "n={n}");
+            assert_eq!(choose_algo(n, &p), SkylineAlgo::Sfs);
+            assert_eq!(maximal(&pts, &p, SkylineAlgo::Auto), expected, "n={n}");
+            // A row with a NaN slot neither dominates nor is dominated.
+            for (i, row) in pts.iter().enumerate() {
+                if row.iter().any(|v| v.as_f64().is_some_and(f64::is_nan)) {
+                    assert!(expected.contains(&i), "NaN row {i} must survive");
+                }
+            }
+        }
     }
 
     #[test]

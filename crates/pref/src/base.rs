@@ -10,7 +10,6 @@
 //! those edges.
 
 use prefsql_types::{Error, Result, Value};
-use std::collections::{HashMap, HashSet};
 
 /// A built-in base preference over a single attribute expression.
 ///
@@ -143,14 +142,18 @@ impl BasePref {
                 2
             }),
             BasePref::Contains { terms } => {
-                let text = v.as_str()?.to_ascii_lowercase();
+                let text = v.as_str()?;
                 let missing = terms
                     .iter()
-                    .filter(|t| !text.contains(&t.to_ascii_lowercase()))
+                    .filter(|t| !contains_ignore_ascii_case(text, t))
                     .count() as i64;
                 Some(1 + missing)
             }
-            BasePref::Explicit { .. } => Some(self.explicit_depth(v)),
+            BasePref::Explicit { edges } => {
+                // Values the graph does not mention are undominated.
+                let graph = ExplicitGraph::new(edges);
+                Some(graph.node_of(v).map_or(1, |n| graph.depth(n)))
+            }
             BasePref::Around { .. }
             | BasePref::Between { .. }
             | BasePref::Lowest
@@ -183,7 +186,6 @@ impl BasePref {
             BasePref::Lowest | BasePref::Highest => {
                 matches!(self.distance(v, best), Some(d) if d == 0.0)
             }
-            BasePref::Explicit { .. } => self.explicit_depth_opt(v) == Some(1),
             _ => self.level(v) == Some(1),
         }
     }
@@ -195,7 +197,13 @@ impl BasePref {
             return false;
         }
         match self {
-            BasePref::Explicit { .. } => self.explicit_better(a, b),
+            BasePref::Explicit { edges } => {
+                let graph = ExplicitGraph::new(edges);
+                matches!(
+                    (graph.node_of(a), graph.node_of(b)),
+                    (Some(x), Some(y)) if graph.better(x, y)
+                )
+            }
             _ => match (self.score(a), self.score(b)) {
                 (Some(x), Some(y)) => x < y,
                 _ => false,
@@ -230,18 +238,13 @@ impl BasePref {
             BasePref::Between { low, up } if low > up => Err(Error::Plan(format!(
                 "BETWEEN preference has low {low} > up {up}"
             ))),
-            BasePref::Explicit { edges } => {
-                let closure = transitive_closure(edges);
-                for (a, b) in &closure {
-                    if closure.contains(&(b.clone(), a.clone())) {
-                        return Err(Error::Plan(format!(
-                            "EXPLICIT preference graph has a cycle involving \
-                             '{a}' and '{b}' — not a strict partial order"
-                        )));
-                    }
-                }
-                Ok(())
-            }
+            BasePref::Explicit { edges } => match ExplicitGraph::new(edges).cycle() {
+                Some((a, b)) => Err(Error::Plan(format!(
+                    "EXPLICIT preference graph has a cycle involving \
+                     '{a}' and '{b}' — not a strict partial order"
+                ))),
+                None => Ok(()),
+            },
             BasePref::Contains { terms } if terms.is_empty() => Err(Error::Plan(
                 "CONTAINS preference needs at least one search term".into(),
             )),
@@ -253,85 +256,132 @@ impl BasePref {
     /// pairs — also used by the rewriter to emit pairwise SQL conditions.
     pub fn explicit_closure(&self) -> Vec<(Value, Value)> {
         match self {
-            BasePref::Explicit { edges } => {
-                let mut v: Vec<(Value, Value)> = transitive_closure(edges).into_iter().collect();
-                v.sort_by(|(a1, b1), (a2, b2)| a1.total_cmp(a2).then_with(|| b1.total_cmp(b2)));
-                v
-            }
+            BasePref::Explicit { edges } => ExplicitGraph::new(edges).pairs(),
             _ => Vec::new(),
         }
     }
-
-    fn explicit_better(&self, a: &Value, b: &Value) -> bool {
-        match self {
-            BasePref::Explicit { edges } => {
-                transitive_closure(edges).contains(&(a.clone(), b.clone()))
-            }
-            _ => false,
-        }
-    }
-
-    /// Depth of a value in the EXPLICIT DAG: 1 = maximal (nothing better),
-    /// deeper = longer chain of better values above it. Values not
-    /// mentioned in the graph are undominated, hence depth 1.
-    fn explicit_depth(&self, v: &Value) -> i64 {
-        self.explicit_depth_opt(v).unwrap_or(1)
-    }
-
-    fn explicit_depth_opt(&self, v: &Value) -> Option<i64> {
-        let BasePref::Explicit { edges } = self else {
-            return None;
-        };
-        // Longest chain ending at v, via memoized DFS over the edge list.
-        fn depth(
-            v: &Value,
-            preds: &HashMap<Value, Vec<Value>>,
-            memo: &mut HashMap<Value, i64>,
-        ) -> i64 {
-            if let Some(&d) = memo.get(v) {
-                return d;
-            }
-            let d = preds
-                .get(v)
-                .map(|ps| 1 + ps.iter().map(|p| depth(p, preds, memo)).max().unwrap_or(0))
-                .unwrap_or(1);
-            memo.insert(v.clone(), d);
-            d
-        }
-        let mut preds: HashMap<Value, Vec<Value>> = HashMap::new();
-        for (better, worse) in edges {
-            preds.entry(worse.clone()).or_default().push(better.clone());
-        }
-        let mut memo = HashMap::new();
-        Some(depth(v, &preds, &mut memo))
-    }
 }
 
-/// Transitive closure of a better-than edge list (Warshall over the value
-/// universe mentioned in the edges).
-fn transitive_closure(edges: &[(Value, Value)]) -> HashSet<(Value, Value)> {
-    let mut closure: HashSet<(Value, Value)> = edges.iter().cloned().collect();
-    let mut universe: Vec<Value> = Vec::new();
-    for (a, b) in edges {
-        if !universe.iter().any(|u| u.key_eq(a)) {
-            universe.push(a.clone());
+/// Case-insensitive (ASCII) substring test without allocating — the
+/// `CONTAINS` match, run once per lowered value and per two-row test.
+fn contains_ignore_ascii_case(text: &str, term: &str) -> bool {
+    term.is_empty()
+        || text
+            .as_bytes()
+            .windows(term.len())
+            .any(|w| w.eq_ignore_ascii_case(term.as_bytes()))
+}
+
+/// An `EXPLICIT` better-than graph with everything dominance needs
+/// computed once: the distinct values it mentions (identity is
+/// [`Value::key_eq`], like SQL `=` in the rewrite), the transitive
+/// closure as a boolean matrix, and every node's depth.
+/// [`crate::Preference::new`] builds one per `EXPLICIT` base; the
+/// standalone [`BasePref`] methods build a throw-away one per call.
+#[derive(Debug, Clone)]
+pub(crate) struct ExplicitGraph {
+    nodes: Vec<Value>,
+    /// Row-major `nodes.len()²`: `closure[i * n + j]` iff node `i` is
+    /// better than node `j`.
+    closure: Vec<bool>,
+    /// Longest chain of better values ending at each node (1 = maximal).
+    depth: Vec<i64>,
+}
+
+impl ExplicitGraph {
+    pub(crate) fn new(edges: &[(Value, Value)]) -> Self {
+        let mut nodes: Vec<Value> = Vec::new();
+        let mut index = |v: &Value| {
+            nodes.iter().position(|u| u.key_eq(v)).unwrap_or_else(|| {
+                nodes.push(v.clone());
+                nodes.len() - 1
+            })
+        };
+        let edges: Vec<(usize, usize)> = edges.iter().map(|(a, b)| (index(a), index(b))).collect();
+        let n = nodes.len();
+        let mut closure = vec![false; n * n];
+        for (a, b) in edges {
+            closure[a * n + b] = true;
         }
-        if !universe.iter().any(|u| u.key_eq(b)) {
-            universe.push(b.clone());
-        }
-    }
-    for k in &universe {
-        for i in &universe {
-            for j in &universe {
-                if closure.contains(&(i.clone(), k.clone()))
-                    && closure.contains(&(k.clone(), j.clone()))
-                {
-                    closure.insert((i.clone(), j.clone()));
+        // Warshall.
+        for k in 0..n {
+            for i in 0..n {
+                if closure[i * n + k] {
+                    for j in 0..n {
+                        closure[i * n + j] |= closure[k * n + j];
+                    }
                 }
             }
         }
+        // Every ancestor of a node has strictly fewer ancestors than the
+        // node itself, so that count is a topological order (on a cyclic
+        // graph — rejected by `validate` — this still terminates).
+        let ancestors = |j: usize| (0..n).filter(|&i| closure[i * n + j]).count();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&j| ancestors(j));
+        let mut depth = vec![1; n];
+        for j in order {
+            for i in 0..n {
+                if closure[i * n + j] {
+                    depth[j] = depth[j].max(depth[i] + 1);
+                }
+            }
+        }
+        ExplicitGraph {
+            nodes,
+            closure,
+            depth,
+        }
     }
-    closure
+
+    /// Number of distinct values the graph mentions.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The node `v` is, if the graph mentions it (NULL never is).
+    pub(crate) fn node_of(&self, v: &Value) -> Option<usize> {
+        if v.is_null() {
+            return None;
+        }
+        self.nodes.iter().position(|u| u.key_eq(v))
+    }
+
+    /// Is node `a` better than node `b` (transitively)?
+    pub(crate) fn better(&self, a: usize, b: usize) -> bool {
+        self.closure[a * self.nodes.len() + b]
+    }
+
+    /// Depth of a node in the DAG: 1 = nothing better, deeper = longer
+    /// chain of better values above it.
+    pub(crate) fn depth(&self, node: usize) -> i64 {
+        self.depth[node]
+    }
+
+    /// Every `(better, worse)` node pair of the closure.
+    fn better_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.nodes.len();
+        (0..n * n)
+            .filter(|&at| self.closure[at])
+            .map(move |at| (at / n, at % n))
+    }
+
+    /// Two values each better than the other, if the graph is cyclic.
+    fn cycle(&self) -> Option<(&Value, &Value)> {
+        self.better_pairs()
+            .find(|&(i, j)| self.better(j, i))
+            .map(|(i, j)| (&self.nodes[i], &self.nodes[j]))
+    }
+
+    /// The closure as `(better, worse)` value pairs in `total_cmp` order.
+    fn pairs(&self) -> Vec<(Value, Value)> {
+        let mut v: Vec<(Value, Value)> = self
+            .better_pairs()
+            .map(|(i, j)| (self.nodes[i].clone(), self.nodes[j].clone()))
+            .collect();
+        v.sort_by(|(a1, b1), (a2, b2)| a1.total_cmp(a2).then_with(|| b1.total_cmp(b2)));
+        v
+    }
 }
 
 #[cfg(test)]

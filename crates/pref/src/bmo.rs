@@ -7,9 +7,12 @@
 //! matches exist they *are* the maximal set (provided no tuple opts out of
 //! comparability via NULL slots — the implementation guards for that).
 
+use crate::algo::{lowered, naive};
 use crate::compose::Preference;
+use crate::score::{is_null_cell, ByKey, ScoreMatrix};
 use prefsql_types::Value;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 /// Indices of the maximal slot vectors under `pref`, in input order.
 ///
@@ -30,22 +33,24 @@ use std::collections::HashMap;
 /// assert_eq!(bmo(&candidates, &p), vec![1, 2]); // both minima survive
 /// ```
 pub fn bmo(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
+    lowered(slot_vectors, pref, bmo_of)
+}
+
+/// BMO over the rows `ids` of `m`.
+fn bmo_of(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
     // Perfect-match short-circuit (§2.2.5, step 1). Sound only when no
     // candidate has a NULL slot: NULL-slotted tuples are incomparable to
     // everything and must survive as maximal.
-    let any_null = slot_vectors.iter().any(|v| v.iter().any(Value::is_null));
+    let any_null = ids
+        .iter()
+        .any(|&i| m.row(i).iter().any(|&cell| is_null_cell(cell)));
     if !any_null {
-        let perfect: Vec<usize> = slot_vectors
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| pref.is_perfect(v))
-            .map(|(i, _)| i)
-            .collect();
+        let perfect: Vec<usize> = ids.iter().copied().filter(|&i| m.is_perfect(i)).collect();
         if !perfect.is_empty() {
             return perfect;
         }
     }
-    crate::algo::maximal_naive(slot_vectors, pref)
+    naive(m, ids, tests)
 }
 
 /// Per-group BMO for the `GROUPING` clause: dominance is only tested
@@ -64,33 +69,35 @@ pub fn bmo_grouped(
         keys.len(),
         "one grouping key per candidate"
     );
-    let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, key) in keys.iter().enumerate() {
-        groups.entry(normalize_key(key)).or_default().push(i);
-    }
-    let mut out = Vec::new();
-    for members in groups.values() {
-        let local: Vec<Vec<Value>> = members.iter().map(|&i| slot_vectors[i].clone()).collect();
-        for local_idx in bmo(&local, pref) {
-            out.push(members[local_idx]);
-        }
-    }
-    out.sort_unstable();
-    out
+    let m = ScoreMatrix::lower(pref, slot_vectors.iter().map(Vec::as_slice));
+    bmo_grouped_scored(&m, &m.ids(), |i| &keys[i])
 }
 
-/// Normalize a grouping key so that values that compare `key_eq` (e.g.
-/// `Int(5)` and `Float(5.0)`) land in the same hash bucket *and* compare
-/// equal under `==`.
-fn normalize_key(key: &[Value]) -> Vec<Value> {
-    key.iter()
-        .map(|v| match v {
-            Value::Float(f) if f.fract() == 0.0 && f.is_finite() && f.abs() < i64::MAX as f64 => {
-                Value::Int(*f as i64)
-            }
-            other => other.clone(),
-        })
-        .collect()
+/// [`bmo_grouped`] over rows the caller already lowered: `ids` are the
+/// competing rows of `m`, `key_of(i)` the grouping key of row `i`. A
+/// group is an index subset of the one matrix; keys are equal when they
+/// are [`Value::key_eq`] field by field (`Int(5)` and `Float(5.0)` are
+/// the same group).
+pub fn bmo_grouped_scored<'k>(
+    m: &ScoreMatrix<'_>,
+    ids: &[usize],
+    key_of: impl Fn(usize) -> &'k [Value],
+) -> Vec<usize> {
+    let mut groups: BTreeMap<ByKey<'k>, Vec<usize>> = BTreeMap::new();
+    for &i in ids {
+        groups
+            .entry(ByKey(Cow::Borrowed(key_of(i))))
+            .or_default()
+            .push(i);
+    }
+    let mut tests = 0;
+    let mut out: Vec<usize> = groups
+        .values()
+        .flat_map(|members| bmo_of(m, members, &mut tests))
+        .collect();
+    m.preference().add_comparisons(tests);
+    out.sort_unstable();
+    out
 }
 
 #[cfg(test)]

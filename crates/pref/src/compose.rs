@@ -1,13 +1,20 @@
 //! Complex preference composition (paper §2.2.2): Pareto accumulation
 //! (`AND`) and prioritization (`CASCADE`).
 //!
-//! A [`Preference`] evaluates over *slot vectors*: the engine (or a test)
-//! evaluates each base preference's attribute expression against a tuple
-//! once, producing one [`Value`] per base preference. The composition tree
-//! then compares slot vectors without ever re-touching tuples. This keeps
-//! the preference algebra independent of the SQL layer.
+//! A [`Preference`] is defined over *slot vectors*: the engine (or a
+//! test) evaluates each base preference's attribute expression against a
+//! tuple once, producing one [`Value`] per base preference, which keeps
+//! the preference algebra independent of the SQL layer. Dominance is not
+//! evaluated by walking the tree over those values: [`Preference::new`]
+//! compiles the tree into a flat comparison program over *score rows*
+//! (see [`crate::score`]), the skyline loops lower each candidate's slot
+//! vector to such a row once, and [`Preference::better`] /
+//! [`Preference::equiv`] run the same program over two slot vectors
+//! scored on the fly — the one implementation of the composition
+//! semantics below.
 
 use crate::base::BasePref;
+use crate::score::{Program, Verdict};
 use prefsql_types::{Error, Result, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,11 +56,12 @@ pub enum PrefNode {
 pub struct Preference {
     root: PrefNode,
     bases: Vec<BasePref>,
-    /// Dominance tests performed through [`Preference::better`] — the
-    /// paper's real cost unit. Every skyline algorithm (in-memory,
-    /// external, incremental maintenance) funnels through `better`, so
-    /// this one counter observes them all. Relaxed atomics: the parallel
-    /// skyline shares one `&Preference` across scoped threads and only
+    /// `root` compiled for the comparison kernel.
+    program: Program,
+    /// Dominance tests performed — the paper's real cost unit. A skyline
+    /// loop counts its directed tests in a local tally and adds it here
+    /// once per call (per worker, for the parallel window);
+    /// [`Preference::better`] adds one per call. Relaxed atomics: only
     /// the total matters.
     comparisons: AtomicU64,
 }
@@ -63,6 +71,7 @@ impl Clone for Preference {
         Preference {
             root: self.root.clone(),
             bases: self.bases.clone(),
+            program: self.program.clone(),
             // A clone is a fresh preference instance: it starts with a
             // zeroed comparison tally of its own.
             comparisons: AtomicU64::new(0),
@@ -107,6 +116,7 @@ impl Preference {
             b.validate()?;
         }
         Ok(Preference {
+            program: Program::compile(&root, &bases),
             root,
             bases,
             comparisons: AtomicU64::new(0),
@@ -133,13 +143,32 @@ impl Preference {
         self.bases.len()
     }
 
-    /// Strict dominance: is slot vector `a` better than `b`?
-    pub fn better(&self, a: &[Value], b: &[Value]) -> bool {
-        self.comparisons.fetch_add(1, Ordering::Relaxed);
-        self.node_better(&self.root, a, b)
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
     }
 
-    /// Dominance tests performed so far through [`Preference::better`].
+    /// Strict dominance: is slot vector `a` better than `b`? Pareto
+    /// (§2.2.2): better in at least one component, equal or better in
+    /// every other; prioritization: lexicographic over (better, equiv).
+    /// Scores both vectors on the stack — for the one-against-few tests of
+    /// incremental maintenance; candidate sets go through
+    /// [`crate::ScoreMatrix`].
+    pub fn better(&self, a: &[Value], b: &[Value]) -> bool {
+        self.add_comparisons(1);
+        self.program.compare_values(&self.bases, a, b) == Verdict::A_WINS
+    }
+
+    /// Substitutability: are `a` and `b` interchangeable?
+    pub fn equiv(&self, a: &[Value], b: &[Value]) -> bool {
+        self.program.compare_values(&self.bases, a, b) == Verdict::EQUIV
+    }
+
+    /// Charge `n` dominance tests a skyline loop tallied locally.
+    pub(crate) fn add_comparisons(&self, n: u64) {
+        self.comparisons.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Dominance tests performed so far.
     pub fn comparisons(&self) -> u64 {
         self.comparisons.load(Ordering::Relaxed)
     }
@@ -148,67 +177,6 @@ impl Preference {
     /// the executor drains this into its stats after each run).
     pub fn take_comparisons(&self) -> u64 {
         self.comparisons.swap(0, Ordering::Relaxed)
-    }
-
-    /// Substitutability: are `a` and `b` interchangeable?
-    pub fn equiv(&self, a: &[Value], b: &[Value]) -> bool {
-        self.node_equiv(&self.root, a, b)
-    }
-
-    /// `a` is better than or equivalent to `b`.
-    pub fn better_or_equiv(&self, a: &[Value], b: &[Value]) -> bool {
-        self.node_better(&self.root, a, b) || self.node_equiv(&self.root, a, b)
-    }
-
-    fn node_better(&self, node: &PrefNode, a: &[Value], b: &[Value]) -> bool {
-        match node {
-            PrefNode::Base { slot } => self.bases[*slot].better(&a[*slot], &b[*slot]),
-            // Pareto (§2.2.2): better in at least one component, equal or
-            // better in every other.
-            PrefNode::Pareto(children) => {
-                let mut strictly = false;
-                for c in children {
-                    if self.node_better(c, a, b) {
-                        strictly = true;
-                    } else if !self.node_equiv(c, a, b) {
-                        return false;
-                    }
-                }
-                strictly
-            }
-            // Prioritization: lexicographic over (better, equiv).
-            PrefNode::Prioritized(children) => {
-                for c in children {
-                    if self.node_better(c, a, b) {
-                        return true;
-                    }
-                    if !self.node_equiv(c, a, b) {
-                        return false;
-                    }
-                }
-                false
-            }
-        }
-    }
-
-    fn node_equiv(&self, node: &PrefNode, a: &[Value], b: &[Value]) -> bool {
-        match node {
-            PrefNode::Base { slot } => self.bases[*slot].equiv(&a[*slot], &b[*slot]),
-            PrefNode::Pareto(children) | PrefNode::Prioritized(children) => {
-                children.iter().all(|c| self.node_equiv(c, a, b))
-            }
-        }
-    }
-
-    /// True iff `v` is a *perfect match*: best possible in every base
-    /// preference (used for the BMO short-circuit; `LOWEST`/`HIGHEST` are
-    /// never statically perfect since their optimum is data-dependent).
-    pub fn is_perfect(&self, v: &[Value]) -> bool {
-        self.bases.iter().zip(v.iter()).all(|(b, val)| match b {
-            BasePref::Lowest | BasePref::Highest => false,
-            BasePref::Explicit { .. } => false,
-            _ => b.top(val, None),
-        })
     }
 }
 
@@ -323,23 +291,141 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn perfect_match_detection() {
-        let p = Preference::new(
-            PrefNode::Pareto(vec![PrefNode::Base { slot: 0 }, PrefNode::Base { slot: 1 }]),
-            vec![
-                BasePref::Around { target: 14.0 },
-                BasePref::Pos {
-                    values: vec![Value::str("java")],
-                },
-            ],
-        )
-        .unwrap();
-        assert!(p.is_perfect(&[Value::Int(14), Value::str("java")]));
-        assert!(!p.is_perfect(&[Value::Int(13), Value::str("java")]));
-        // HIGHEST is never statically perfect.
-        let h = Preference::single(BasePref::Highest).unwrap();
-        assert!(!h.is_perfect(&[Value::Int(1_000_000)]));
+    // ---- reference oracle: the composition semantics as a tree walk over
+    // `Value`s, one base preference at a time — what the compiled
+    // program must agree with on every input ----
+
+    fn node_better(p: &Preference, node: &PrefNode, a: &[Value], b: &[Value]) -> bool {
+        match node {
+            PrefNode::Base { slot } => p.bases[*slot].better(&a[*slot], &b[*slot]),
+            PrefNode::Pareto(children) => {
+                let mut strictly = false;
+                for c in children {
+                    if node_better(p, c, a, b) {
+                        strictly = true;
+                    } else if !node_equiv(p, c, a, b) {
+                        return false;
+                    }
+                }
+                strictly
+            }
+            PrefNode::Prioritized(children) => {
+                for c in children {
+                    if node_better(p, c, a, b) {
+                        return true;
+                    }
+                    if !node_equiv(p, c, a, b) {
+                        return false;
+                    }
+                }
+                false
+            }
+        }
+    }
+
+    fn node_equiv(p: &Preference, node: &PrefNode, a: &[Value], b: &[Value]) -> bool {
+        match node {
+            PrefNode::Base { slot } => p.bases[*slot].equiv(&a[*slot], &b[*slot]),
+            PrefNode::Pareto(children) | PrefNode::Prioritized(children) => {
+                children.iter().all(|c| node_equiv(p, c, a, b))
+            }
+        }
+    }
+
+    /// Every base-preference kind, over three slots.
+    fn arb_any_pref() -> impl Strategy<Value = Preference> {
+        let s = Value::str;
+        let base = prop_oneof![
+            Just(BasePref::Lowest),
+            Just(BasePref::Highest),
+            (-3.0f64..3.0).prop_map(|t| BasePref::Around { target: t }),
+            Just(BasePref::Between { low: -1.0, up: 1.0 }),
+            Just(BasePref::Pos {
+                values: vec![Value::Int(1), s("red")]
+            }),
+            Just(BasePref::Neg {
+                values: vec![Value::Float(0.0)]
+            }),
+            Just(BasePref::PosPos {
+                first: vec![s("red")],
+                second: vec![Value::Int(2), s("blue")]
+            }),
+            Just(BasePref::PosNeg {
+                pos: vec![Value::Int(0)],
+                neg: vec![s("grey")]
+            }),
+            Just(BasePref::Contains {
+                terms: vec!["re".into(), "D".into()]
+            }),
+            Just(BasePref::Explicit {
+                edges: vec![
+                    (s("red"), s("blue")),
+                    (s("blue"), s("grey")),
+                    (Value::Int(1), s("grey")),
+                    (Value::Int(1), Value::Int(2)),
+                ]
+            }),
+        ];
+        proptest::collection::vec(base, 3).prop_flat_map(|bs| {
+            arb_tree(bs.len()).prop_map(move |t| Preference::new(t, bs.clone()).unwrap())
+        })
+    }
+
+    /// The values whose treatment differs between base preferences: NULL,
+    /// NaN, signed zeros, `Int`/`Float` twins, strings and booleans where
+    /// numbers are expected and numbers where strings are, dates,
+    /// `EXPLICIT` nodes and values outside the graph.
+    fn arb_any_slots() -> impl Strategy<Value = Vec<Value>> {
+        let values = vec![
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::Float(f64::INFINITY),
+            Value::Bool(true),
+            Value::Date(prefsql_types::Date::from_days(1)),
+            Value::Date(prefsql_types::Date::from_days(2)),
+            Value::str("red"),
+            Value::str("Red dress"),
+            Value::str("blue"),
+            Value::str("grey"),
+            Value::str("pink"),
+        ];
+        proptest::collection::vec((0..values.len()).prop_map(move |i| values[i].clone()), 3)
+    }
+
+    proptest! {
+        /// The compiled program is the tree walk: same `better` and
+        /// `equiv` through the two-row entry points and through a lowered
+        /// matrix, for every composition shape and value kind.
+        #[test]
+        fn compiled_program_matches_the_tree_walk(
+            p in arb_any_pref(),
+            rows in proptest::collection::vec(arb_any_slots(), 2..6)
+        ) {
+            let m = crate::ScoreMatrix::lower(&p, rows.iter().map(Vec::as_slice));
+            for (i, a) in rows.iter().enumerate() {
+                for (j, b) in rows.iter().enumerate() {
+                    let better = node_better(&p, &p.root, a, b);
+                    let equiv = node_equiv(&p, &p.root, a, b);
+                    prop_assert_eq!(p.better(a, b), better, "better({:?}, {:?})", a, b);
+                    prop_assert_eq!(p.equiv(a, b), equiv, "equiv({:?}, {:?})", a, b);
+                    let verdict = m.compare(i, j);
+                    prop_assert_eq!(verdict == Verdict::A_WINS, better, "rows {} {}", i, j);
+                    prop_assert_eq!(verdict == Verdict::EQUIV, equiv, "rows {} {}", i, j);
+                    prop_assert_eq!(
+                        verdict == Verdict::B_WINS,
+                        node_better(&p, &p.root, b, a),
+                        "rows {} {}", i, j
+                    );
+                }
+            }
+        }
     }
 
     // ---- property tests: composition preserves the SPO axioms ----

@@ -42,6 +42,7 @@
 //! harness pins that across random composition trees and window budgets.
 
 use crate::compose::Preference;
+use crate::score::{ScoreMatrix, Verdict};
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager};
 use prefsql_types::{Error, Result, Tuple, Value};
 
@@ -62,6 +63,8 @@ struct WinEntry {
     /// Byte weight charged against the window budget.
     bytes: usize,
     row: Tuple,
+    /// The row's slots lowered when it entered the window.
+    scores: Vec<f64>,
 }
 
 /// Spilled tuples buffered into frames of this many before hitting the
@@ -91,6 +94,17 @@ pub struct ExternalSkyline<'a> {
     winners: Vec<(u64, Tuple)>,
     next_seq: u64,
     passes: u32,
+    /// Lowers each arriving row (as its only row) and keeps the interned
+    /// tags consistent across pushes and passes.
+    scorer: ScoreMatrix<'a>,
+    /// Directed dominance tests so far; charged to `pref` on drop.
+    tests: u64,
+}
+
+impl Drop for ExternalSkyline<'_> {
+    fn drop(&mut self) {
+        self.pref.add_comparisons(self.tests);
+    }
 }
 
 impl<'a> ExternalSkyline<'a> {
@@ -127,26 +141,29 @@ impl<'a> ExternalSkyline<'a> {
             winners: Vec::new(),
             next_seq: 0,
             passes: 0,
+            scorer: ScoreMatrix::new(pref),
+            tests: 0,
         }
-    }
-
-    fn slots_of(row: &Tuple, slot_start: usize, arity: usize) -> &[Value] {
-        &row.values()[slot_start..slot_start + arity]
     }
 
     /// Compare `row` against the window: drop it if dominated, evict
     /// entries it dominates, then keep it in the window (budget
     /// permitting) or spill it to the current pass's overflow run.
     fn process(&mut self, row: Tuple, seq: u64) -> Result<()> {
-        let arity = self.pref.arity();
-        let slots = Self::slots_of(&row, self.slot_start, arity);
+        self.scorer.clear();
+        self.scorer
+            .push(&row.values()[self.slot_start..self.slot_start + self.pref.arity()]);
+        let scores = self.scorer.row(0);
+        let program = self.pref.program();
         let mut k = 0;
         while k < self.window.len() {
-            let w_slots = Self::slots_of(&self.window[k].row, self.slot_start, arity);
-            if self.pref.better(w_slots, slots) {
+            let verdict = program.compare(&self.window[k].scores, scores);
+            if verdict == Verdict::A_WINS {
+                self.tests += 1;
                 return Ok(()); // dominated: the candidate dies here
             }
-            if self.pref.better(slots, w_slots) {
+            self.tests += 2;
+            if verdict == Verdict::B_WINS {
                 let evicted = self.window.swap_remove(k);
                 self.window_bytes -= evicted.bytes;
             } else {
@@ -160,6 +177,7 @@ impl<'a> ExternalSkyline<'a> {
                 seen_spills: self.spilled_this_pass,
                 carried: false,
                 bytes,
+                scores: scores.to_vec(),
                 row,
             });
             self.window_bytes += bytes;

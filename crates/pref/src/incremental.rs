@@ -26,7 +26,7 @@
 //!   qualifying entries decrement by the number of deleted winners that
 //!   dominated them. Entries whose count reaches zero are *candidates*
 //!   for promotion — but they may dominate each other, so the promoted
-//!   set is the maximal set over the candidates ([`maximal`]); every
+//!   set is the maximal set over the candidates ([`maximal_scored`]); every
 //!   non-promoted candidate (and every other non-winner) then counts the
 //!   newly promoted winners that dominate it.
 //! * **Update** ([`apply_replace`]): a delete followed by an insert at
@@ -37,8 +37,9 @@
 //! [`rebuild`] recomputes the whole state from scratch (CREATE/REFRESH
 //! and the differential oracle of the maintenance proptests).
 
-use crate::algo::{maximal, SkylineAlgo};
+use crate::algo::{maximal_scored, SkylineAlgo};
 use crate::compose::Preference;
+use crate::score::{ScoreMatrix, Verdict};
 use prefsql_storage::MatViewEntry;
 use std::collections::HashSet;
 
@@ -49,26 +50,30 @@ pub fn rebuild(entries: &mut [MatViewEntry], pref: &Preference) {
     let qualifying: Vec<usize> = (0..entries.len())
         .filter(|&i| entries[i].qualifies)
         .collect();
-    let slots: Vec<Vec<prefsql_types::Value>> = qualifying
-        .iter()
-        .map(|&i| entries[i].slots.clone())
-        .collect();
-    let winners: HashSet<usize> = maximal(&slots, pref, SkylineAlgo::Auto)
-        .into_iter()
-        .map(|qi| qualifying[qi])
-        .collect();
-    for i in 0..entries.len() {
-        if !entries[i].qualifies {
-            entries[i].winner = false;
-            entries[i].dominators = 0;
-            continue;
-        }
-        let count = winners
-            .iter()
-            .filter(|&&w| w != i && pref.better(&entries[w].slots, &entries[i].slots))
+    let m = ScoreMatrix::lower(
+        pref,
+        qualifying.iter().map(|&i| entries[i].slots.as_slice()),
+    );
+    let ids = m.ids();
+    let winners = maximal_scored(&m, &ids, SkylineAlgo::Auto, 1);
+    for e in entries.iter_mut() {
+        e.winner = false;
+        e.dominators = 0;
+    }
+    let mut tests = 0;
+    for &q in &ids {
+        let others = winners.iter().filter(|&&w| w != q);
+        let count = others
+            .filter(|&&w| {
+                tests += 1;
+                m.compare(w, q) == Verdict::A_WINS
+            })
             .count() as u32;
-        entries[i].winner = winners.contains(&i);
-        entries[i].dominators = count;
+        entries[qualifying[q]].dominators = count;
+    }
+    pref.add_comparisons(tests);
+    for w in winners {
+        entries[qualifying[w]].winner = true;
     }
 }
 
@@ -207,9 +212,8 @@ fn retract(entries: &mut [MatViewEntry], doomed: &HashSet<usize>, pref: &Prefere
     if zero.is_empty() {
         return;
     }
-    let zero_slots: Vec<Vec<prefsql_types::Value>> =
-        zero.iter().map(|&e| entries[e].slots.clone()).collect();
-    let promoted: Vec<usize> = maximal(&zero_slots, pref, SkylineAlgo::Auto)
+    let m = ScoreMatrix::lower(pref, zero.iter().map(|&e| entries[e].slots.as_slice()));
+    let promoted: Vec<usize> = maximal_scored(&m, &m.ids(), SkylineAlgo::Auto, 1)
         .into_iter()
         .map(|zi| zero[zi])
         .collect();

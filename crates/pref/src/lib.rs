@@ -9,9 +9,12 @@
 //!   level/distance semantics and the quality functions `TOP`, `LEVEL`,
 //!   `DISTANCE` (§2.2.3);
 //! * [`Preference`] — complex preferences assembled with **Pareto
-//!   accumulation** (`AND`) and **prioritization** (`CASCADE`), evaluated
-//!   over *slot vectors* (the base-preference expressions of a tuple,
-//!   pre-evaluated by the engine);
+//!   accumulation** (`AND`) and **prioritization** (`CASCADE`) over *slot
+//!   vectors* (the base-preference expressions of a tuple, pre-evaluated
+//!   by the engine), compiled once into a flat comparison program;
+//! * [`score`] — scored dominance: a candidate set is lowered once into a
+//!   [`ScoreMatrix`] of `f64` score rows, and every dominance test of
+//!   every algorithm below is that program over two rows;
 //! * [`bmo()`](bmo::bmo) — the Best-Matches-Only query model (§2.2.5);
 //! * [`algo`] — maximal-set algorithms: the paper's abstract nested-loop
 //!   selection method (§3.2), BNL \[BKS01\] and SFS, used as native
@@ -37,13 +40,15 @@ pub mod bmo;
 pub mod compose;
 pub mod external;
 pub mod incremental;
+pub mod score;
 
 pub use algo::{
-    choose_algo, choose_degree, maximal, maximal_bnl, maximal_naive, maximal_parallel, maximal_sfs,
-    maximal_with_threads, should_spill, SkylineAlgo, PARALLEL_CUTOFF,
+    choose_algo, choose_degree, maximal, maximal_bnl, maximal_naive, maximal_parallel,
+    maximal_scored, maximal_sfs, maximal_with_threads, should_spill, SkylineAlgo, PARALLEL_CUTOFF,
 };
 pub use base::BasePref;
-pub use bmo::{bmo, bmo_grouped};
+pub use bmo::{bmo, bmo_grouped, bmo_grouped_scored};
 pub use compose::{PrefNode, Preference};
 pub use external::{maximal_external, ExternalSkyline, SpillMetrics};
 pub use incremental::{apply_delete, apply_insert, apply_replace, check_invariant, rebuild};
+pub use score::ScoreMatrix;

@@ -538,3 +538,94 @@ fn non_panicking_row_accessors() {
     assert_eq!(sel.rows().map(|rs| rs.len()), Some(1));
     assert!(sel.into_rows().is_some());
 }
+
+// ---------------------------------------------------------------- tally
+
+/// The dominance-test tally is the paper's cost unit and the exact
+/// counter every benchmark comparison leans on. One seeded input (bks01
+/// independent, d = 4, 2 000 rows), every algorithm, the exact counts
+/// recorded at the commit before the skyline loops moved to per-call
+/// tallies: a fold that drops or double-counts a worker shows here. A
+/// window probe still counts as the directed tests it stands for — one
+/// when the window entry wins, two otherwise.
+#[test]
+fn dominance_tally_is_pinned_for_every_algorithm() {
+    use prefsql::pref::{maximal_bnl, maximal_external, maximal_sfs, BasePref, PrefNode};
+    use prefsql_workload::bks01::{points, Distribution};
+    let pref = Preference::new(
+        PrefNode::Pareto((0..4).map(|slot| PrefNode::Base { slot }).collect()),
+        vec![BasePref::Lowest; 4],
+    )
+    .unwrap();
+    let slots: Vec<Vec<Value>> = points(2_000, 4, Distribution::Independent, 7)
+        .into_iter()
+        .map(|p| p.into_iter().map(Value::Float).collect())
+        .collect();
+
+    let naive = maximal_naive(&slots, &pref);
+    assert_eq!(naive.len(), 107);
+    assert_eq!(pref.take_comparisons(), 426_037, "naive");
+    assert_eq!(maximal_bnl(&slots, &pref), naive);
+    assert_eq!(pref.take_comparisons(), 48_826, "bnl");
+    assert_eq!(maximal_sfs(&slots, &pref), naive);
+    assert_eq!(pref.take_comparisons(), 55_703, "sfs");
+    assert_eq!(maximal_parallel(&slots, &pref, 2), naive);
+    assert_eq!(pref.take_comparisons(), 63_276, "parallel(2)");
+    let (external, metrics) = maximal_external(&slots, &pref, 4096).unwrap();
+    assert_eq!(external, naive);
+    assert_eq!(metrics.passes, 2);
+    assert_eq!(pref.take_comparisons(), 48_826, "external");
+}
+
+/// `EXPLICIT` used to rebuild its transitive closure inside every
+/// dominance test. A 6-node graph Pareto-composed with `LOWEST` over
+/// 2 000 rows (two colours outside the graph): the closure is built once
+/// with the preference, the winners agree with the nested loop, and the
+/// number of tests is what it was when each one paid for a closure.
+#[test]
+fn explicit_preference_over_2000_rows_tests_exactly_as_before() {
+    use prefsql::pref::{maximal, BasePref, PrefNode};
+    let e = |a: &str, b: &str| (Value::str(a), Value::str(b));
+    let pref = Preference::new(
+        PrefNode::Pareto(vec![PrefNode::Base { slot: 0 }, PrefNode::Base { slot: 1 }]),
+        vec![
+            BasePref::Explicit {
+                edges: vec![
+                    e("red", "blue"),
+                    e("red", "green"),
+                    e("blue", "grey"),
+                    e("green", "grey"),
+                    e("grey", "brown"),
+                    e("white", "brown"),
+                ],
+            },
+            BasePref::Lowest,
+        ],
+    )
+    .unwrap();
+    let colors = [
+        "red", "blue", "green", "grey", "brown", "white", "pink", "teal",
+    ];
+    // A small LCG keeps the input independent of any RNG crate.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |m: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % m
+    };
+    let slots: Vec<Vec<Value>> = (0..2_000)
+        .map(|_| {
+            vec![
+                Value::str(colors[next(colors.len() as u64) as usize]),
+                Value::Int(next(500) as i64),
+            ]
+        })
+        .collect();
+
+    let auto = maximal(&slots, &pref, SkylineAlgo::Auto);
+    assert_eq!(auto.len(), 6);
+    assert_eq!(pref.take_comparisons(), 8_759, "auto (BNL)");
+    assert_eq!(maximal_naive(&slots, &pref), auto);
+    assert_eq!(pref.take_comparisons(), 59_431, "naive");
+}

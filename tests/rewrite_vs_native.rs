@@ -335,6 +335,45 @@ fn nulls_agree_across_modes() {
     );
 }
 
+/// The value kinds the scored kernel treats specially — NULL, NaN,
+/// `-0.0` next to `0.0`, an `INTEGER` column against a `1.0` literal in an
+/// `EXPLICIT` graph, values the graph does not mention, dates, mixed-case
+/// `CONTAINS` text — as one table, every mode against the rewrite. (The
+/// `compose.rs` proptest holds the same kinds against the reference tree
+/// walk, plus the wrong-typed ones: a string under `LOWEST` or a number
+/// under `CONTAINS` means something else to the host SQL — `<` on
+/// strings, a `LIKE` type error — so the modes have nothing to agree on
+/// there.)
+#[test]
+fn value_semantics_agree_across_modes() {
+    let mut conn = PrefSqlConnection::new();
+    conn.execute("CREATE TABLE v (id INTEGER, x FLOAT, n INTEGER, c VARCHAR, d DATE)")
+        .unwrap();
+    conn.execute(
+        "INSERT INTO v VALUES \
+         (1, 0.0, 1, 'red', '1999-07-03'), (2, -0.0, 1, 'Red dress', '1999-07-05'), \
+         (3, 1.0, 2, 'blue', '1999-07-01'), (4, NULL, NULL, NULL, NULL), \
+         (5, 0.0 / 0.0, 3, 'pink', '1999-07-03'), (6, 2.5, 2, 'grey', '1999-07-04'), \
+         (7, 1.0, 1, 'red', NULL)",
+    )
+    .unwrap();
+    let table = conn.engine().catalog().table("v").unwrap().clone();
+    for pref in [
+        "LOWEST(x) AND HIGHEST(n)",
+        "x AROUND 0 CASCADE LOWEST(n)",
+        "HIGHEST(x) CASCADE x BETWEEN -1, 1",
+        // Int(1) in the data is the graph's 1.0, as SQL `=` has it; 3
+        // and NULL are outside the graph.
+        "n EXPLICIT (1.0 BETTER 2) AND LOWEST(x)",
+        "c EXPLICIT ('red' BETTER 'blue', 'blue' BETTER 'grey') AND HIGHEST(x)",
+        "d AROUND '1999-07-03' CASCADE c CONTAINS 'red'",
+        "(c = 'red' ELSE c <> 'pink') AND LOWEST(d)",
+    ] {
+        let sql = format!("SELECT id FROM v PREFERRING {pref}");
+        assert_all_modes_agree(table.clone(), &sql);
+    }
+}
+
 mod random_query_sweep {
     use super::assert_all_modes_agree;
     use prefsql::storage::Table;
