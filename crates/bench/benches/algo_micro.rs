@@ -1,18 +1,17 @@
-//! **A1-micro** — the maximal-set algorithms in isolation (no SQL layer):
-//! naive nested-loop (§3.2's abstract selection method) vs BNL vs SFS on
-//! raw slot vectors. Complements the end-to-end A1 sweep by separating
-//! algorithm cost from engine overhead. Every timed call includes
-//! lowering the slot vectors to score rows, as a query pays it.
+//! **A1-micro** — the maximal-set selection in isolation (no SQL layer):
+//! the naive nested loop (§3.2's abstract selection method) vs the serial
+//! window vs the 2-way threaded window on raw slot vectors. Complements
+//! the end-to-end A1 sweep by separating algorithm cost from engine
+//! overhead. Every timed call includes lowering the slot vectors to score
+//! rows, as a query pays it.
 //!
-//! The last group prints the table `choose_algo` / `choose_degree` are to
-//! be re-set from (ROADMAP item 3a): BNL vs SFS vs the 2-way parallel
-//! window at 4 k and 16 k candidates, with the exact dominance-test count
-//! of each and the resulting `ns_per_test`.
+//! The last group prints the table `PARALLEL_CUTOFF` was set from and the
+//! nested loop was retired on (ROADMAP item 3a): 32 to 45 k candidates of
+//! each bks01 distribution, with the exact dominance-test count of each
+//! run and the resulting `ns_per_test`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use prefsql_pref::{
-    maximal_bnl, maximal_naive, maximal_parallel, maximal_sfs, BasePref, PrefNode, Preference,
-};
+use prefsql_pref::{maximal_bnl, maximal_naive, maximal_parallel, BasePref, PrefNode, Preference};
 use prefsql_types::Value;
 use prefsql_workload::bks01::{points, Distribution};
 use std::time::Instant;
@@ -37,29 +36,17 @@ fn bench_algorithms(c: &mut Criterion) {
     group.sample_size(20);
     let d = 3;
     let pref = pareto(d);
-    for n in [1_000usize, 4_000] {
+    for n in [1_000usize, 4_000, 16_000] {
         let sv = slot_vectors(n, d, Distribution::Independent, 9);
         // The O(n²) naive method is only benched at sizes where a single
         // iteration stays sub-second.
-        group.bench_with_input(BenchmarkId::new("naive", n), &sv, |b, sv| {
-            b.iter(|| maximal_naive(sv, &pref).len())
-        });
+        if n <= 4_000 {
+            group.bench_with_input(BenchmarkId::new("naive", n), &sv, |b, sv| {
+                b.iter(|| maximal_naive(sv, &pref).len())
+            });
+        }
         group.bench_with_input(BenchmarkId::new("bnl", n), &sv, |b, sv| {
             b.iter(|| maximal_bnl(sv, &pref).len())
-        });
-        group.bench_with_input(BenchmarkId::new("sfs", n), &sv, |b, sv| {
-            b.iter(|| maximal_sfs(sv, &pref).len())
-        });
-    }
-    // BNL/SFS scale further; show them alone at larger n.
-    {
-        let n = 16_000usize;
-        let sv = slot_vectors(n, d, Distribution::Independent, 9);
-        group.bench_with_input(BenchmarkId::new("bnl", n), &sv, |b, sv| {
-            b.iter(|| maximal_bnl(sv, &pref).len())
-        });
-        group.bench_with_input(BenchmarkId::new("sfs", n), &sv, |b, sv| {
-            b.iter(|| maximal_sfs(sv, &pref).len())
         });
     }
     group.finish();
@@ -67,21 +54,18 @@ fn bench_algorithms(c: &mut Criterion) {
     // The hard case: anti-correlated data, where the window grows large.
     let mut group = c.benchmark_group("a1_micro_anticorrelated");
     group.sample_size(10);
-    let pref = pareto(d);
     for n in [1_000usize, 2_000] {
         let sv = slot_vectors(n, d, Distribution::AntiCorrelated, 10);
         group.bench_with_input(BenchmarkId::new("bnl", n), &sv, |b, sv| {
             b.iter(|| maximal_bnl(sv, &pref).len())
         });
-        group.bench_with_input(BenchmarkId::new("sfs", n), &sv, |b, sv| {
-            b.iter(|| maximal_sfs(sv, &pref).len())
-        });
     }
     group.finish();
 }
 
-/// Median wall time of `runs` calls, in nanoseconds.
-fn median_ns(runs: usize, mut f: impl FnMut() -> usize) -> f64 {
+/// Median wall time of `runs` calls and the distance between their
+/// quartiles, in nanoseconds.
+fn median_iqr_ns(runs: usize, mut f: impl FnMut() -> usize) -> (f64, f64) {
     let mut samples: Vec<f64> = (0..runs)
         .map(|_| {
             let start = Instant::now();
@@ -90,38 +74,52 @@ fn median_ns(runs: usize, mut f: impl FnMut() -> usize) -> f64 {
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    let at = |q: usize| samples[(samples.len() - 1) * q / 4];
+    (at(2), at(3) - at(1))
 }
 
 type Algo = fn(&[Vec<Value>], &Preference) -> Vec<usize>;
 
 fn bench_kernel(_c: &mut Criterion) {
     println!(
-        "\n── table: a1_micro_kernel (bks01 independent d=3, seed 9; host parallelism {}) ──",
+        "\n── table: a1_micro_kernel (bks01 d=3, seed 9; host parallelism {}) ──",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!(
-        "{:<12} {:>7} {:>12} {:>10} {:>12}",
-        "algo", "n", "tests", "ms", "ns_per_test"
+        "{:<15} {:<12} {:>6} {:>5} {:>12} {:>10} {:>10} {:>12}",
+        "distribution", "algo", "n", "runs", "tests", "ms", "iqr_ms", "ns_per_test"
     );
     let pref = pareto(3);
     let parallel2: Algo = |sv, p| maximal_parallel(sv, p, 2);
-    for n in [4_000usize, 16_000] {
-        let sv = slot_vectors(n, 3, Distribution::Independent, 9);
-        for (name, algo) in [
-            ("bnl", maximal_bnl as Algo),
-            ("sfs", maximal_sfs as Algo),
-            ("parallel(2)", parallel2),
-        ] {
-            algo(&sv, &pref);
-            let tests = pref.take_comparisons();
-            let ns = median_ns(21, || algo(black_box(&sv), &pref).len());
-            pref.take_comparisons();
-            println!(
-                "{name:<12} {n:>7} {tests:>12} {:>10.3} {:>12.2}",
-                ns / 1e6,
-                ns / tests as f64
-            );
+    for dist in Distribution::ALL {
+        for n in [32usize, 64, 128, 512, 2_000, 4_000, 16_000, 45_000] {
+            let sv = slot_vectors(n, 3, dist, 9);
+            // The O(n²) nested loop is tabled up to 4 k rows only.
+            for (name, algo, largest) in [
+                ("naive", maximal_naive as Algo, 4_000),
+                ("window", maximal_bnl as Algo, usize::MAX),
+                ("parallel(2)", parallel2, usize::MAX),
+            ] {
+                if n > largest {
+                    continue;
+                }
+                // The warm-up call yields the test count and sizes the
+                // sample: about half a second per line, 5 to 201 calls.
+                let start = Instant::now();
+                algo(&sv, &pref);
+                let warm = start.elapsed().as_secs_f64();
+                let tests = pref.take_comparisons();
+                let runs = ((0.5 / warm) as usize).clamp(5, 201) | 1;
+                let (ns, iqr) = median_iqr_ns(runs, || algo(black_box(&sv), &pref).len());
+                pref.take_comparisons();
+                println!(
+                    "{:<15} {name:<12} {n:>6} {runs:>5} {tests:>12} {:>10.4} {:>10.4} {:>12.2}",
+                    dist.label(),
+                    ns / 1e6,
+                    iqr / 1e6,
+                    ns / tests as f64
+                );
+            }
         }
     }
 }

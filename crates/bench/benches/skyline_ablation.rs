@@ -3,20 +3,20 @@
 //! SQL-system clearly holds much promise for additional speed-ups").
 //!
 //! Sweeps candidate-set size and data distribution ([BKS01] model) over
-//! four evaluation strategies: the paper's NOT EXISTS rewrite on the host
-//! engine, and the native naive/BNL/SFS operators in the preference layer.
+//! three evaluation strategies: the paper's NOT EXISTS rewrite on the host
+//! engine, and the native operator run as the naive nested loop and as
+//! the serial window.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prefsql::{ExecutionMode, PrefSqlConnection, SkylineAlgo};
 use prefsql_bench::{conn_with, run};
 use prefsql_workload::bks01::{self, Distribution};
 
-fn modes() -> [(&'static str, ExecutionMode); 4] {
+fn modes() -> [(&'static str, ExecutionMode); 3] {
     [
         ("rewrite_not_exists", ExecutionMode::Rewrite),
         ("native_naive", ExecutionMode::Native(SkylineAlgo::Naive)),
         ("native_bnl", ExecutionMode::Native(SkylineAlgo::Bnl)),
-        ("native_sfs", ExecutionMode::Native(SkylineAlgo::Sfs)),
     ]
 }
 

@@ -227,11 +227,11 @@ fn a1() {
         ("rewrite", ExecutionMode::Rewrite),
         ("naive", ExecutionMode::Native(SkylineAlgo::Naive)),
         ("bnl", ExecutionMode::Native(SkylineAlgo::Bnl)),
-        ("sfs", ExecutionMode::Native(SkylineAlgo::Sfs)),
+        ("auto", ExecutionMode::Native(SkylineAlgo::Auto)),
     ];
     println!(
         "{:<28} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "workload", "skyline", "rewrite", "naive", "bnl", "sfs"
+        "workload", "skyline", "rewrite", "naive", "bnl", "auto"
     );
     let mut rows: Vec<(String, usize, usize, u64)> = Vec::new();
     for n in [250usize, 500, 1000] {
@@ -267,7 +267,7 @@ fn a1() {
             label, skyline, cells[0], cells[1], cells[2], cells[3]
         );
     }
-    println!("\nShape: natives beat the rewrite by a constant factor; SFS/BNL ≤ naive;");
+    println!("\nShape: natives beat the rewrite by a constant factor; the window ≤ naive;");
     println!("anti-correlated data (huge skylines) is the hard case everywhere.");
 }
 

@@ -3,273 +3,16 @@
 //! SQL; preference queries are rewritten to standard SQL and forwarded to
 //! the host engine; everything else passes through untouched.
 //!
-//! Since the concurrent-runtime refactor this type is a thin
-//! single-session façade: all execution state lives in [`Session`], and
-//! a `PrefSqlConnection` is simply a session over its own private
-//! [`EngineCore`]. Embedders who want many
-//! connections against one catalog use [`Session::with_core`] directly
-//! (or the `prefsql-server` front end).
+//! All execution state lives in [`Session`], so the driver *is* a
+//! session: [`PrefSqlConnection::new`] is one over its own private
+//! `EngineCore`, [`PrefSqlConnection::with_core`] one of many against a
+//! shared catalog (what the `prefsql-server` front end opens per
+//! connection).
 
-use crate::result::ResultSet;
 use crate::session::Session;
-use prefsql_engine::{Engine, EngineCore};
-use prefsql_parser::ast::Statement;
-use prefsql_types::Result;
-use std::sync::Arc;
 
 pub use crate::session::{ExecutionMode, QueryResult};
 
 /// An in-process Preference SQL connection: rewriter + host engine +
-/// named-preference registry, wrapped in one self-contained session.
-pub struct PrefSqlConnection {
-    session: Session,
-}
-
-impl Default for PrefSqlConnection {
-    fn default() -> Self {
-        PrefSqlConnection::new()
-    }
-}
-
-impl PrefSqlConnection {
-    /// A fresh connection with an empty catalog. Preference queries
-    /// execute via the paper's rewrite by default; switching to native
-    /// evaluation without naming an algorithm
-    /// ([`ExecutionMode::native`]) uses [`crate::SkylineAlgo::Auto`],
-    /// the default native mode.
-    pub fn new() -> Self {
-        PrefSqlConnection {
-            session: Session::new(),
-        }
-    }
-
-    /// A connection sharing an existing engine core with other sessions.
-    pub fn with_core(core: Arc<EngineCore>) -> Self {
-        PrefSqlConnection {
-            session: Session::with_core(core),
-        }
-    }
-
-    /// The underlying session (knobs, spill dir, shared-core handle).
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Mutable access to the underlying session.
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    /// Switch the evaluation strategy for preference queries.
-    pub fn set_mode(&mut self, mode: ExecutionMode) {
-        self.session.set_mode(mode);
-    }
-
-    /// The current evaluation strategy.
-    pub fn mode(&self) -> ExecutionMode {
-        self.session.mode()
-    }
-
-    /// Cap the parallel-window degree for native preference evaluation
-    /// (clamped to at least 1; `1` forces the serial window). The
-    /// skyline only actually parallelizes above
-    /// [`prefsql_pref::PARALLEL_CUTOFF`] candidates.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.session.set_threads(threads);
-    }
-
-    /// The parallel-window degree knob.
-    pub fn threads(&self) -> usize {
-        self.session.threads()
-    }
-
-    /// Set the external-memory window budget for native preference
-    /// evaluation: `Some(bytes)` streams candidate sets larger than the
-    /// budget through the bounded-window multi-pass BNL with
-    /// spill-to-disk overflow runs (clamped to at least
-    /// [`crate::knobs::MIN_WINDOW_BYTES`]); `None` never spills.
-    pub fn set_window_bytes(&mut self, window_bytes: Option<usize>) {
-        self.session.set_window_bytes(window_bytes);
-    }
-
-    /// The external-memory window budget knob.
-    pub fn window_bytes(&self) -> Option<usize> {
-        self.session.window_bytes()
-    }
-
-    /// The underlying host engine (catalog access, stats, index toggles).
-    pub fn engine(&self) -> &Engine {
-        self.session.engine()
-    }
-
-    /// Mutable host-engine access (bulk loading, index toggles).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        self.session.engine_mut()
-    }
-
-    /// Execute one statement of Preference SQL.
-    pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        self.session.execute(sql)
-    }
-
-    /// Execute a `;`-separated script, returning one result per statement.
-    pub fn execute_script(&mut self, sql: &str) -> Result<Vec<QueryResult>> {
-        self.session.execute_script(sql)
-    }
-
-    /// Execute a query and return its rows (errors on non-SELECT).
-    pub fn query(&mut self, sql: &str) -> Result<ResultSet> {
-        self.session.query(sql)
-    }
-
-    /// The SQL a preference statement is rewritten into (passthrough
-    /// statements return `None`). Purely introspective — nothing is
-    /// executed.
-    pub fn rewritten_sql(&mut self, sql: &str) -> Result<Option<String>> {
-        self.session.rewritten_sql(sql)
-    }
-
-    /// Execute a parsed statement.
-    pub fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        self.session.execute_statement(stmt)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn passthrough_standard_sql() {
-        let mut c = PrefSqlConnection::new();
-        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
-        assert_eq!(
-            c.execute("INSERT INTO t VALUES (1), (2)").unwrap(),
-            QueryResult::Count(2)
-        );
-        let rs = c.query("SELECT x FROM t ORDER BY x DESC").unwrap();
-        assert_eq!(rs.column_as_ints(0), vec![2, 1]);
-    }
-
-    #[test]
-    fn preference_query_executes_via_rewrite() {
-        let mut c = PrefSqlConnection::new();
-        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
-        c.execute("INSERT INTO t VALUES (5), (9), (14), (20)")
-            .unwrap();
-        let rs = c.query("SELECT x FROM t PREFERRING x AROUND 13").unwrap();
-        assert_eq!(rs.column_as_ints(0), vec![14]);
-    }
-
-    #[test]
-    fn select_star_hides_level_columns() {
-        let mut c = PrefSqlConnection::new();
-        c.execute("CREATE TABLE t (x INTEGER, y VARCHAR)").unwrap();
-        c.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
-            .unwrap();
-        let rs = c.query("SELECT * FROM t PREFERRING LOWEST(x)").unwrap();
-        assert_eq!(rs.column_names(), vec!["x", "y"]);
-        assert_eq!(rs.rows().len(), 1);
-    }
-
-    #[test]
-    fn rewritten_sql_introspection() {
-        let mut c = PrefSqlConnection::new();
-        let sql = c
-            .rewritten_sql("SELECT * FROM t PREFERRING LOWEST(x)")
-            .unwrap()
-            .unwrap();
-        assert!(sql.contains("NOT EXISTS"), "{sql}");
-        assert!(c.rewritten_sql("SELECT * FROM t").unwrap().is_none());
-    }
-
-    #[test]
-    fn preference_ddl_is_handled_in_layer() {
-        let mut c = PrefSqlConnection::new();
-        c.execute("CREATE TABLE cars (price INTEGER)").unwrap();
-        c.execute("INSERT INTO cars VALUES (10), (20)").unwrap();
-        let r = c
-            .execute("CREATE PREFERENCE cheap AS LOWEST(price)")
-            .unwrap();
-        assert!(matches!(r, QueryResult::Message(_)));
-        let rs = c
-            .query("SELECT price FROM cars PREFERRING PREFERENCE cheap")
-            .unwrap();
-        assert_eq!(rs.column_as_ints(0), vec![10]);
-        c.execute("DROP PREFERENCE cheap").unwrap();
-        assert!(c
-            .query("SELECT price FROM cars PREFERRING PREFERENCE cheap")
-            .is_err());
-    }
-
-    #[test]
-    fn explain_shows_rewrite_and_plan() {
-        let mut c = PrefSqlConnection::new();
-        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
-        let out = c
-            .execute("EXPLAIN SELECT * FROM t PREFERRING LOWEST(x)")
-            .unwrap();
-        match out {
-            QueryResult::Explain(text) => {
-                assert!(text.contains("Preference SQL rewrite:"), "{text}");
-                assert!(text.contains("NOT EXISTS"), "{text}");
-                assert!(text.contains("Host engine plan:"), "{text}");
-            }
-            other => panic!("expected explain, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn threads_knob_is_clamped_and_preserves_results() {
-        let mut c = PrefSqlConnection::new();
-        assert!(c.threads() >= 1);
-        c.set_threads(0);
-        assert_eq!(c.threads(), 1);
-        c.set_threads(8);
-        assert_eq!(c.threads(), 8);
-        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
-        c.execute("INSERT INTO t VALUES (5), (3), (9)").unwrap();
-        c.set_mode(ExecutionMode::native());
-        let rs = c.query("SELECT x FROM t PREFERRING LOWEST(x)").unwrap();
-        assert_eq!(rs.column_as_ints(0), vec![3]);
-    }
-
-    #[test]
-    fn window_knob_is_clamped_and_preserves_results() {
-        let mut c = PrefSqlConnection::new();
-        c.set_window_bytes(None);
-        assert_eq!(c.window_bytes(), None);
-        // Sub-minimum budgets clamp up to the smallest sane window.
-        c.set_window_bytes(Some(1));
-        assert_eq!(c.window_bytes(), Some(crate::knobs::MIN_WINDOW_BYTES));
-        c.set_window_bytes(Some(1 << 20));
-        assert_eq!(c.window_bytes(), Some(1 << 20));
-        // A bounded window returns the same rows, with metrics attached.
-        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
-        c.execute("INSERT INTO t VALUES (5), (3), (9)").unwrap();
-        c.set_mode(ExecutionMode::native());
-        c.set_window_bytes(Some(4096));
-        let rs = c.query("SELECT x FROM t PREFERRING LOWEST(x)").unwrap();
-        assert_eq!(rs.column_as_ints(0), vec![3]);
-        let m = rs.spill_metrics().expect("window budget reports metrics");
-        assert_eq!(m.runs_written, 0, "3 tuples fit any window");
-        assert_eq!(m.passes, 0, "stayed in memory");
-        // Without a budget there are no metrics.
-        c.set_window_bytes(None);
-        let rs = c.query("SELECT x FROM t PREFERRING LOWEST(x)").unwrap();
-        assert!(rs.spill_metrics().is_none());
-    }
-
-    #[test]
-    fn script_execution() {
-        let mut c = PrefSqlConnection::new();
-        let results = c
-            .execute_script(
-                "CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (3), (1); \
-                 SELECT x FROM t PREFERRING LOWEST(x);",
-            )
-            .unwrap();
-        assert_eq!(results.len(), 3);
-        assert!(matches!(&results[2], QueryResult::Rows(rs) if rs.len() == 1));
-    }
-}
+/// named-preference registry, in one self-contained [`Session`].
+pub type PrefSqlConnection = Session;

@@ -13,12 +13,12 @@
 //! ```
 //!
 //! Concurrency: all shared engine state lives in a `Send + Sync`
-//! [`engine::EngineCore`]; each connection wraps a [`Session`] carrying
-//! its own execution knobs (mode, `\algo`, threads, window) and private
-//! spill directory. [`PrefSqlConnection::new`] makes a private core;
-//! [`PrefSqlConnection::with_core`] / [`Session::with_core`] share one
-//! across threads (that is what the `prefsql-server` TCP front end
-//! does, one session per connection).
+//! [`engine::EngineCore`]; each connection is a [`Session`]
+//! ([`PrefSqlConnection`] is the paper's name for it) carrying its own
+//! execution knobs (mode, `\algo`, threads, window) and private spill
+//! directory. [`Session::new`] makes a private core; [`Session::with_core`]
+//! shares one across threads (that is what the `prefsql-server` TCP front
+//! end does, one session per connection).
 //!
 //! # Quickstart
 //!

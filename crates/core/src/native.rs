@@ -33,11 +33,11 @@ pub use prefsql_pref::{SkylineAlgo, SpillMetrics};
 /// Execution knobs for the native preference path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NativeOptions {
-    /// Maximal-set algorithm ([`SkylineAlgo::Auto`] = cost-based).
+    /// How the maximal-set selection is driven (the shell's `\algo`).
     pub algo: SkylineAlgo,
     /// Parallel-window degree knob (the shell's `\threads N`):
-    /// [`SkylineAlgo::Auto`] splits the skyline across up to this many
-    /// scoped OS threads once the candidate set exceeds
+    /// [`SkylineAlgo::Auto`] splits the window across up to this many
+    /// scoped OS threads once the candidate set reaches
     /// [`prefsql_pref::PARALLEL_CUTOFF`]; `1` forces the serial window.
     pub threads: usize,
     /// Rows requested per pull by the loop draining the source plan;

@@ -45,9 +45,8 @@ pub enum ExecutionMode {
     Rewrite,
     /// Native evaluation through the engine's `Preference` plan node
     /// (ablation A1: "implementing a generalized skyline operator in the
-    /// kernel ... holds much promise"). The default
-    /// algorithm is [`SkylineAlgo::Auto`], which picks naive/BNL/SFS per
-    /// input — see [`ExecutionMode::native`].
+    /// kernel ... holds much promise"). The default is
+    /// [`SkylineAlgo::Auto`] — see [`ExecutionMode::native`].
     Native(SkylineAlgo),
 }
 
@@ -65,7 +64,6 @@ impl ExecutionMode {
             ExecutionMode::Rewrite => "rewrite",
             ExecutionMode::Native(SkylineAlgo::Naive) => "native (naive)",
             ExecutionMode::Native(SkylineAlgo::Bnl) => "native (bnl)",
-            ExecutionMode::Native(SkylineAlgo::Sfs) => "native (sfs)",
             ExecutionMode::Native(SkylineAlgo::Auto) => "native (auto)",
         }
     }
@@ -557,7 +555,7 @@ impl Session {
                     format!("mode: {}\n", self.mode.label())
                 }
                 other => {
-                    format!("unknown mode '{other}' (rewrite|native|naive|bnl|sfs|auto)\n")
+                    format!("unknown mode '{other}' (rewrite|native|naive|bnl|auto)\n")
                 }
             },
             "\\algo" => match arg {
@@ -567,7 +565,7 @@ impl Session {
                         self.set_algo(algo);
                         format!("algo: {}\n", algo.label())
                     }
-                    None => format!("unknown algorithm '{a}' (auto|naive|bnl|sfs)\n"),
+                    None => format!("unknown algorithm '{a}' (auto|naive|bnl)\n"),
                 },
             },
             "\\threads" => match arg {
@@ -772,8 +770,12 @@ mod tests {
         assert_eq!(s.command("\\mode", "").unwrap(), "mode: rewrite\n");
         assert_eq!(s.command("\\mode", "bnl").unwrap(), "mode: native (bnl)\n");
         assert_eq!(s.command("\\algo", "").unwrap(), "algo: bnl\n");
-        assert_eq!(s.command("\\algo", "sfs").unwrap(), "algo: sfs\n");
-        assert_eq!(s.mode(), ExecutionMode::Native(SkylineAlgo::Sfs));
+        assert_eq!(s.command("\\algo", "naive").unwrap(), "algo: naive\n");
+        assert_eq!(s.mode(), ExecutionMode::Native(SkylineAlgo::Naive));
+        assert_eq!(
+            s.command("\\algo", "warp").unwrap(),
+            "unknown algorithm 'warp' (auto|naive|bnl)\n"
+        );
         assert_eq!(s.command("\\threads", "4").unwrap(), "threads: 4\n");
         assert_eq!(s.threads(), 4);
         assert_eq!(s.command("\\window", "64k").unwrap(), "window: 64 KiB\n");
@@ -810,14 +812,14 @@ mod tests {
     #[test]
     fn algo_is_remembered_across_mode_switches() {
         let mut s = Session::new();
-        s.set_algo(SkylineAlgo::Sfs);
+        s.set_algo(SkylineAlgo::Naive);
         assert_eq!(
             s.mode(),
             ExecutionMode::Rewrite,
             "algo alone doesn't switch"
         );
         s.set_mode(ExecutionMode::Native(s.algo()));
-        assert_eq!(s.mode(), ExecutionMode::Native(SkylineAlgo::Sfs));
+        assert_eq!(s.mode(), ExecutionMode::Native(SkylineAlgo::Naive));
         // Changing the algorithm while native applies immediately.
         s.set_algo(SkylineAlgo::Bnl);
         assert_eq!(s.mode(), ExecutionMode::Native(SkylineAlgo::Bnl));
@@ -912,5 +914,139 @@ mod tests {
         assert!(dir.exists());
         drop(s);
         assert!(!dir.exists(), "session teardown removes its spill dir");
+    }
+
+    #[test]
+    fn passthrough_standard_sql() {
+        let mut c = Session::new();
+        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        assert_eq!(
+            c.execute("INSERT INTO t VALUES (1), (2)").unwrap(),
+            QueryResult::Count(2)
+        );
+        let rs = c.query("SELECT x FROM t ORDER BY x DESC").unwrap();
+        assert_eq!(rs.column_as_ints(0), vec![2, 1]);
+    }
+
+    #[test]
+    fn preference_query_executes_via_rewrite() {
+        let mut c = Session::new();
+        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        c.execute("INSERT INTO t VALUES (5), (9), (14), (20)")
+            .unwrap();
+        let rs = c.query("SELECT x FROM t PREFERRING x AROUND 13").unwrap();
+        assert_eq!(rs.column_as_ints(0), vec![14]);
+    }
+
+    #[test]
+    fn select_star_hides_level_columns() {
+        let mut c = Session::new();
+        c.execute("CREATE TABLE t (x INTEGER, y VARCHAR)").unwrap();
+        c.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+            .unwrap();
+        let rs = c.query("SELECT * FROM t PREFERRING LOWEST(x)").unwrap();
+        assert_eq!(rs.column_names(), vec!["x", "y"]);
+        assert_eq!(rs.rows().len(), 1);
+    }
+
+    #[test]
+    fn rewritten_sql_introspection() {
+        let mut c = Session::new();
+        let sql = c
+            .rewritten_sql("SELECT * FROM t PREFERRING LOWEST(x)")
+            .unwrap()
+            .unwrap();
+        assert!(sql.contains("NOT EXISTS"), "{sql}");
+        assert!(c.rewritten_sql("SELECT * FROM t").unwrap().is_none());
+    }
+
+    #[test]
+    fn preference_ddl_is_handled_in_layer() {
+        let mut c = Session::new();
+        c.execute("CREATE TABLE cars (price INTEGER)").unwrap();
+        c.execute("INSERT INTO cars VALUES (10), (20)").unwrap();
+        let r = c
+            .execute("CREATE PREFERENCE cheap AS LOWEST(price)")
+            .unwrap();
+        assert!(matches!(r, QueryResult::Message(_)));
+        let rs = c
+            .query("SELECT price FROM cars PREFERRING PREFERENCE cheap")
+            .unwrap();
+        assert_eq!(rs.column_as_ints(0), vec![10]);
+        c.execute("DROP PREFERENCE cheap").unwrap();
+        assert!(c
+            .query("SELECT price FROM cars PREFERRING PREFERENCE cheap")
+            .is_err());
+    }
+
+    #[test]
+    fn explain_shows_rewrite_and_plan() {
+        let mut c = Session::new();
+        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        let out = c
+            .execute("EXPLAIN SELECT * FROM t PREFERRING LOWEST(x)")
+            .unwrap();
+        match out {
+            QueryResult::Explain(text) => {
+                assert!(text.contains("Preference SQL rewrite:"), "{text}");
+                assert!(text.contains("NOT EXISTS"), "{text}");
+                assert!(text.contains("Host engine plan:"), "{text}");
+            }
+            other => panic!("expected explain, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn threads_knob_is_clamped_and_preserves_results() {
+        let mut c = Session::new();
+        assert!(c.threads() >= 1);
+        c.set_threads(0);
+        assert_eq!(c.threads(), 1);
+        c.set_threads(8);
+        assert_eq!(c.threads(), 8);
+        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        c.execute("INSERT INTO t VALUES (5), (3), (9)").unwrap();
+        c.set_mode(ExecutionMode::native());
+        let rs = c.query("SELECT x FROM t PREFERRING LOWEST(x)").unwrap();
+        assert_eq!(rs.column_as_ints(0), vec![3]);
+    }
+
+    #[test]
+    fn window_knob_is_clamped_and_preserves_results() {
+        let mut c = Session::new();
+        c.set_window_bytes(None);
+        assert_eq!(c.window_bytes(), None);
+        // Sub-minimum budgets clamp up to the smallest sane window.
+        c.set_window_bytes(Some(1));
+        assert_eq!(c.window_bytes(), Some(crate::knobs::MIN_WINDOW_BYTES));
+        c.set_window_bytes(Some(1 << 20));
+        assert_eq!(c.window_bytes(), Some(1 << 20));
+        // A bounded window returns the same rows, with metrics attached.
+        c.execute("CREATE TABLE t (x INTEGER)").unwrap();
+        c.execute("INSERT INTO t VALUES (5), (3), (9)").unwrap();
+        c.set_mode(ExecutionMode::native());
+        c.set_window_bytes(Some(4096));
+        let rs = c.query("SELECT x FROM t PREFERRING LOWEST(x)").unwrap();
+        assert_eq!(rs.column_as_ints(0), vec![3]);
+        let m = rs.spill_metrics().expect("window budget reports metrics");
+        assert_eq!(m.runs_written, 0, "3 tuples fit any window");
+        assert_eq!(m.passes, 0, "stayed in memory");
+        // Without a budget there are no metrics.
+        c.set_window_bytes(None);
+        let rs = c.query("SELECT x FROM t PREFERRING LOWEST(x)").unwrap();
+        assert!(rs.spill_metrics().is_none());
+    }
+
+    #[test]
+    fn script_execution() {
+        let mut c = Session::new();
+        let results = c
+            .execute_script(
+                "CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (3), (1); \
+                 SELECT x FROM t PREFERRING LOWEST(x);",
+            )
+            .unwrap();
+        assert_eq!(results.len(), 3);
+        assert!(matches!(&results[2], QueryResult::Rows(rs) if rs.len() == 1));
     }
 }

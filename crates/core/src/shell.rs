@@ -8,8 +8,8 @@
 //! |---|---|
 //! | `\d` | list tables, views and named preferences |
 //! | `\d <table>` | show a table's schema and indexes |
-//! | `\mode [rewrite\|native\|naive\|bnl\|sfs\|auto]` | show/switch the execution mode |
-//! | `\algo [auto\|naive\|bnl\|sfs]` | show/set the native skyline algorithm |
+//! | `\mode [rewrite\|native\|naive\|bnl\|auto]` | show/switch the execution mode |
+//! | `\algo [auto\|naive\|bnl]` | show/set the native skyline algorithm |
 //! | `\threads [N]` | show/set the parallel skyline degree |
 //! | `\window [N[k\|m]\|off]` | show/set the external-memory window budget |
 //! | `\pool [N[k\|m]]` | show/resize the shared buffer pool (paged backend) |
@@ -147,8 +147,8 @@ impl Shell {
                 "bye\n".into()
             }
             "\\help" | "\\?" => "\\d [table]   list relations / describe a table\n\
-                 \\mode [m]    show or set execution mode (rewrite|native|naive|bnl|sfs|auto)\n\
-                 \\algo [a]    show or set the native skyline algorithm (auto|naive|bnl|sfs)\n\
+                 \\mode [m]    show or set execution mode (rewrite|native|naive|bnl|auto)\n\
+                 \\algo [a]    show or set the native skyline algorithm (auto|naive|bnl)\n\
                  \\threads [n] show or set the parallel skyline degree (1 = serial)\n\
                  \\window [w]  show or set the external-memory window budget\n\
                  \\            (bytes with optional k/m suffix, or 'off' = never spill)\n\
@@ -288,9 +288,9 @@ mod tests {
         let mut sh = Shell::new();
         assert_eq!(sh.feed_line("\\algo"), "algo: auto\n");
         // Setting the algorithm outside native mode is remembered...
-        assert_eq!(sh.feed_line("\\algo sfs"), "algo: sfs\n");
+        assert_eq!(sh.feed_line("\\algo bnl"), "algo: bnl\n");
         assert_eq!(sh.feed_line("\\mode"), "mode: rewrite\n");
-        assert_eq!(sh.feed_line("\\mode native"), "mode: native (sfs)\n");
+        assert_eq!(sh.feed_line("\\mode native"), "mode: native (bnl)\n");
         // ...and changing it while native applies immediately.
         assert_eq!(sh.feed_line("\\algo auto"), "algo: auto\n");
         assert_eq!(sh.feed_line("\\mode"), "mode: native (auto)\n");

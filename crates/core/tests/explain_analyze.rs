@@ -388,3 +388,77 @@ fn native_analyze_annotates_the_preference_node() {
         "{report}"
     );
 }
+
+/// The §2.2.5 perfect-match pre-pass, seen from SQL: when perfect
+/// matches exist among comparable candidates they are the answer and the
+/// `Preference` node reports no dominance test at all — over the whole
+/// candidate set, over the `BUT ONLY` survivors, and once per `GROUPING`
+/// partition. `prefbench`'s `wire_short` runs the first query
+/// (`hotels::table(300, 1)`): its ~240 perfect matches used to cost
+/// 56 943 tests comparing them with each other.
+#[test]
+fn perfect_matches_cost_no_dominance_test() {
+    use prefsql_workload::hotels;
+    let mut s = Session::new();
+    s.engine_mut()
+        .catalog_mut()
+        .create_table(hotels::table(300, 1))
+        .unwrap();
+    s.set_mode(ExecutionMode::native());
+    let rewrite_agrees = |s: &mut Session, sql: &str| {
+        let native = dump(s, sql);
+        s.set_mode(ExecutionMode::Rewrite);
+        assert_eq!(dump(s, sql), native, "{sql}");
+        s.set_mode(ExecutionMode::native());
+    };
+
+    let neg = "SELECT id, price FROM hotels PREFERRING location <> 'downtown' ORDER BY id";
+    let rs = s.query(neg).unwrap();
+    assert!(rs.len() > 200, "{} perfect matches", rs.len());
+    assert_eq!(rs.dominance_tests(), 0);
+    let report = analyze(&mut s, neg);
+    assert!(report.contains(", 0 dominance comparison(s)"), "{report}");
+    rewrite_agrees(&mut s, neg);
+
+    // BUT ONLY removes the rows that would have blocked the shortcut.
+    run(
+        &mut s,
+        "INSERT INTO hotels VALUES (900, 'Nowhere', NULL, 10, 1, 1.0)",
+    );
+    let blocked = s.query(neg).unwrap();
+    assert!(
+        blocked.dominance_tests() > 0,
+        "a NULL location is incomparable"
+    );
+    assert_eq!(blocked.len(), rs.len() + 1, "and survives");
+    rewrite_agrees(&mut s, neg);
+    let but_only = "SELECT id FROM hotels PREFERRING location <> 'downtown' \
+                    BUT ONLY LEVEL(location) <= 1 ORDER BY id";
+    let filtered = s.query(but_only).unwrap();
+    assert_eq!(filtered.column_as_ints(0), rs.column_as_ints(0));
+    assert_eq!(filtered.dominance_tests(), 0);
+    rewrite_agrees(&mut s, but_only);
+    run(&mut s, "DELETE FROM hotels WHERE id = 900");
+
+    // Per group: every star class with a hotel outside downtown answers
+    // from the pre-pass; one made up of downtown hotels alone falls
+    // through to the window.
+    let grouped = "SELECT id, stars FROM hotels PREFERRING location <> 'downtown' \
+                   GROUPING stars ORDER BY id";
+    let per_group = s.query(grouped).unwrap();
+    assert_eq!(per_group.column_as_ints(0), rs.column_as_ints(0));
+    assert_eq!(per_group.dominance_tests(), 0);
+    run(
+        &mut s,
+        "INSERT INTO hotels VALUES (901, 'A', 'downtown', 10, 9, 1.0), \
+         (902, 'B', 'downtown', 20, 9, 2.0)",
+    );
+    let with_downtown_group = s.query(grouped).unwrap();
+    assert_eq!(with_downtown_group.len(), rs.len() + 2);
+    assert_eq!(
+        with_downtown_group.dominance_tests(),
+        2,
+        "one probe, both ways"
+    );
+    rewrite_agrees(&mut s, grouped);
+}

@@ -362,17 +362,6 @@ impl EngineCore {
         self.use_hash_join.load(Ordering::Relaxed)
     }
 
-    /// Begin a read statement: a fresh [`ExecCtx`] holding the catalog
-    /// read lock for the statement's duration. Fails with
-    /// [`Error::Concurrency`] if the lock was poisoned.
-    pub fn read_ctx(&self) -> Result<ExecCtx<'_>> {
-        let guard = self.catalog.read().map_err(poisoned)?;
-        Ok(
-            ExecCtx::with_source(CatalogSource::Guard(guard), self.use_indexes())
-                .with_hash_join(self.use_hash_join()),
-        )
-    }
-
     /// Take the catalog read lock directly (catalog inspection without
     /// statement machinery).
     pub fn catalog_read(&self) -> Result<RwLockReadGuard<'_, Catalog>> {
@@ -472,9 +461,10 @@ impl<'c> ExecCtx<'c> {
         }
     }
 
-    /// A statement context over a plain catalog borrow — the DML path
-    /// (expression evaluation under the statement's write lock) and tests
-    /// that drive the operators against a hand-built catalog.
+    /// A statement context over a plain catalog borrow with default
+    /// knobs — for tests that drive the operators against a hand-built
+    /// catalog. The engine builds its own contexts, session knobs
+    /// applied, in one private `Engine` constructor.
     pub fn over(catalog: &'c Catalog, use_indexes: bool) -> Self {
         ExecCtx::with_source(CatalogSource::Borrowed(catalog), use_indexes)
     }
@@ -907,21 +897,29 @@ impl Engine {
         self.stats.borrow_mut().absorb(stats);
     }
 
+    /// The one place a statement context is built — for a read, for the
+    /// source query of a DML statement, for view validation and for view
+    /// maintenance alike: the core's index and hash-join toggles, this
+    /// session's window budget and spill directory, and a profiler when
+    /// statements run instrumented.
+    fn ctx<'c>(&self, catalog: CatalogSource<'c>) -> ExecCtx<'c> {
+        let ctx = ExecCtx::with_source(catalog, self.core.use_indexes())
+            .with_hash_join(self.core.use_hash_join())
+            .with_window(self.window_bytes)
+            .with_spill_base(self.spill_base.clone());
+        if self.profiling.get() {
+            ctx.with_profiler()
+        } else {
+            ctx
+        }
+    }
+
     /// Begin a read statement against the shared core. The context holds
     /// the catalog read lock until dropped; its counters are *not*
     /// automatically folded into [`Engine::take_stats`] — use
     /// [`Engine::with_read_ctx`] (or [`Engine::note_stats`]) for that.
     pub fn read_ctx(&self) -> Result<ExecCtx<'_>> {
-        let ctx = self
-            .core
-            .read_ctx()?
-            .with_window(self.window_bytes)
-            .with_spill_base(self.spill_base.clone());
-        Ok(if self.profiling.get() {
-            ctx.with_profiler()
-        } else {
-            ctx
-        })
+        Ok(self.ctx(CatalogSource::Guard(self.core.catalog_read()?)))
     }
 
     /// Run `f` inside a fresh read-statement context and fold the
@@ -929,6 +927,17 @@ impl Engine {
     /// accumulators.
     pub fn with_read_ctx<R>(&self, f: impl FnOnce(&ExecCtx<'_>) -> Result<R>) -> Result<R> {
         self.run_in_ctx(self.read_ctx()?, f)
+    }
+
+    /// [`Engine::with_read_ctx`] for the statements that hold the
+    /// catalog write lock: the context borrows `cat`, the catalog the
+    /// statement's guard protects.
+    pub(crate) fn with_ctx_over<R>(
+        &self,
+        cat: &Catalog,
+        f: impl FnOnce(&ExecCtx<'_>) -> Result<R>,
+    ) -> Result<R> {
+        self.run_in_ctx(self.ctx(CatalogSource::Borrowed(cat)), f)
     }
 
     /// [`Engine::with_read_ctx`] over a context the caller prepared
@@ -976,8 +985,7 @@ impl Engine {
                 let mut cat = self.core.catalog_write()?;
                 let before = cat.table(table)?.len();
                 let out = self.run_insert(&mut cat, table, columns.as_deref(), source)?;
-                let (m, cmp) =
-                    crate::matview::after_insert(&mut cat, table, before, self.core.use_indexes());
+                let (m, cmp) = crate::matview::after_insert(self, &mut cat, table, before);
                 self.note_view_maintenance(m);
                 self.note_maintenance_dominance(cmp);
                 Ok(out)
@@ -989,8 +997,7 @@ impl Engine {
                 let mut cat = self.core.catalog_write()?;
                 let doomed = self.matching_row_ids(&cat, table, where_clause.as_ref())?;
                 let n = cat.table_mut(table)?.delete_rows(&doomed)?;
-                let (m, cmp) =
-                    crate::matview::after_delete(&mut cat, table, &doomed, self.core.use_indexes());
+                let (m, cmp) = crate::matview::after_delete(self, &mut cat, table, &doomed);
                 self.note_view_maintenance(m);
                 self.note_maintenance_dominance(cmp);
                 Ok(ExecOutcome::Count(n))
@@ -1002,8 +1009,7 @@ impl Engine {
             } => {
                 let mut cat = self.core.catalog_write()?;
                 let ids = self.run_update(&mut cat, table, assignments, where_clause.as_ref())?;
-                let (m, cmp) =
-                    crate::matview::after_update(&mut cat, table, &ids, self.core.use_indexes());
+                let (m, cmp) = crate::matview::after_update(self, &mut cat, table, &ids);
                 self.note_view_maintenance(m);
                 self.note_maintenance_dominance(cmp);
                 Ok(ExecOutcome::Count(ids.len()))
@@ -1025,11 +1031,7 @@ impl Engine {
                 let mut cat = self.core.catalog_write()?;
                 // Validate the view body against the current catalog by
                 // planning and running it once on an empty environment.
-                {
-                    let ctx = ExecCtx::over(&cat, self.core.use_indexes());
-                    ctx.run_query(query, &[])?;
-                    self.note_stats(ctx.take_stats());
-                }
+                self.with_ctx_over(&cat, |ctx| ctx.run_query(query, &[]))?;
                 cat.create_view(name.clone(), query.to_string())?;
                 Ok(ExecOutcome::Ddl(format!("created view {name}")))
             }
@@ -1054,7 +1056,7 @@ impl Engine {
             }
             Statement::CreateMaterializedView { name, query } => {
                 let mut cat = self.core.catalog_write()?;
-                let def = crate::matview::build_def(&cat, name, query, self.core.use_indexes())?;
+                let def = crate::matview::build_def(self, &cat, name, query)?;
                 let n = def.winner_count();
                 cat.create_matview(def)?;
                 Ok(ExecOutcome::Ddl(format!(
@@ -1069,7 +1071,7 @@ impl Engine {
             }
             Statement::RefreshMaterializedView(name) => {
                 let mut cat = self.core.catalog_write()?;
-                let n = crate::matview::refresh(&mut cat, name, self.core.use_indexes())?;
+                let n = crate::matview::refresh(self, &mut cat, name)?;
                 Ok(ExecOutcome::Ddl(format!(
                     "refreshed materialized preference view {name} ({n} rows)"
                 )))
@@ -1172,31 +1174,16 @@ impl Engine {
         // Materialize the rows before touching the target table (also makes
         // `INSERT INTO t SELECT ... FROM t` well-defined). Evaluation runs
         // in a statement context borrowing the write-locked catalog.
-        let incoming: Vec<Tuple> = {
-            let mut ctx = ExecCtx::over(cat, self.core.use_indexes());
-            if self.profiling.get() {
-                // EXPLAIN ANALYZE of `INSERT ... SELECT`: profile the
-                // source plan like any query.
-                ctx = ctx.with_profiler();
-            }
-            let rows = match source {
-                InsertSource::Values(rows) => {
-                    let mut out = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        let values = row
-                            .iter()
-                            .map(|e| eval(e, &[], &ctx))
-                            .collect::<Result<Vec<_>>>()?;
-                        out.push(Tuple::new(values));
-                    }
-                    out
-                }
-                InsertSource::Query(q) => ctx.run_query(q, &[])?.rows,
-            };
-            self.harvest_profile(&ctx);
-            self.note_stats(ctx.take_stats());
-            rows
-        };
+        let incoming: Vec<Tuple> = self.with_ctx_over(cat, |ctx| match source {
+            InsertSource::Values(rows) => rows
+                .iter()
+                .map(|row| {
+                    let values = row.iter().map(|e| eval(e, &[], ctx));
+                    Ok(Tuple::new(values.collect::<Result<Vec<_>>>()?))
+                })
+                .collect(),
+            InsertSource::Query(q) => Ok(ctx.run_query(q, &[])?.rows),
+        })?;
         let target = cat.table(table)?;
         let schema = target.schema().clone();
         // Map the incoming positions onto the target columns.
@@ -1243,26 +1230,26 @@ impl Engine {
     ) -> Result<Vec<usize>> {
         let t = cat.table(table)?;
         let schema = t.schema().without_qualifiers().with_qualifier(t.name());
-        let ctx = ExecCtx::over(cat, self.core.use_indexes());
-        let mut ids = Vec::new();
-        t.for_each_row(|rid, row| {
-            let keep = match predicate {
-                None => true,
-                Some(pred) => {
-                    let frames = [Frame {
-                        schema: &schema,
-                        tuple: row,
-                    }];
-                    truth(&eval(pred, &frames, &ctx)?) == Some(true)
+        self.with_ctx_over(cat, |ctx| {
+            let mut ids = Vec::new();
+            t.for_each_row(|rid, row| {
+                let keep = match predicate {
+                    None => true,
+                    Some(pred) => {
+                        let frames = [Frame {
+                            schema: &schema,
+                            tuple: row,
+                        }];
+                        truth(&eval(pred, &frames, ctx)?) == Some(true)
+                    }
+                };
+                if keep {
+                    ids.push(rid);
                 }
-            };
-            if keep {
-                ids.push(rid);
-            }
-            Ok(())
-        })?;
-        self.note_stats(ctx.take_stats());
-        Ok(ids)
+                Ok(())
+            })?;
+            Ok(ids)
+        })
     }
 
     /// Apply an UPDATE and return the ids of the replaced rows (the
@@ -1285,26 +1272,26 @@ impl Engine {
                 .map(|(c, _)| schema.resolve(None, c))
                 .collect::<Result<_>>()?;
             let eval_schema = schema.without_qualifiers().with_qualifier(t.name());
-            let ctx = ExecCtx::over(cat, self.core.use_indexes());
-            let mut new_rows = Vec::with_capacity(ids.len());
-            for &rid in &ids {
-                let row = t.fetch_row(rid)?;
-                let frames = [Frame {
-                    schema: &eval_schema,
-                    tuple: &row,
-                }];
-                let mut values = row.values().to_vec();
-                for ((_, expr), &pos) in assignments.iter().zip(&positions) {
-                    let v = eval(expr, &frames, &ctx)?;
-                    let target_type = schema.column(pos).data_type;
-                    values[pos] = v.coerce_to(target_type).unwrap_or(v);
+            self.with_ctx_over(cat, |ctx| {
+                let mut new_rows = Vec::with_capacity(ids.len());
+                for &rid in &ids {
+                    let row = t.fetch_row(rid)?;
+                    let frames = [Frame {
+                        schema: &eval_schema,
+                        tuple: &row,
+                    }];
+                    let mut values = row.values().to_vec();
+                    for ((_, expr), &pos) in assignments.iter().zip(&positions) {
+                        let v = eval(expr, &frames, ctx)?;
+                        let target_type = schema.column(pos).data_type;
+                        values[pos] = v.coerce_to(target_type).unwrap_or(v);
+                    }
+                    let tuple = Tuple::new(values);
+                    tuple.check_against(&schema)?;
+                    new_rows.push(tuple);
                 }
-                let tuple = Tuple::new(values);
-                tuple.check_against(&schema)?;
-                new_rows.push(tuple);
-            }
-            self.note_stats(ctx.take_stats());
-            new_rows
+                Ok(new_rows)
+            })?
         };
         let t = cat.table_mut(table)?;
         for (&rid, row) in ids.iter().zip(new_rows) {

@@ -136,23 +136,15 @@ fn node_line(node: &PlanNode, out: &mut String) {
             }
         }
         PlanNode::Preference { spec, .. } => {
-            // GROUPING queries always run the grouped BMO (the algo choice
-            // only applies to the ungrouped maximal-set selection) — say
-            // so, instead of naming an algorithm the executor would not
-            // use. Under Auto the effective degree is cost-based per input
+            // Under Auto the effective degree is cost-based per input
             // (serial under PARALLEL_CUTOFF candidates) — surface the
             // session's ceiling.
+            let _ = write!(out, "Preference (BMO, algo={}", spec.algo.label());
+            if matches!(spec.algo, SkylineAlgo::Auto) && spec.threads > 1 {
+                let _ = write!(out, ", threads={}", spec.threads);
+            }
             if spec.n_groups > 0 {
-                let _ = write!(
-                    out,
-                    "Preference (BMO, grouped-bmo, {} key(s)",
-                    spec.n_groups
-                );
-            } else {
-                let _ = write!(out, "Preference (BMO, algo={}", spec.algo.label());
-                if matches!(spec.algo, SkylineAlgo::Auto) && spec.threads > 1 {
-                    let _ = write!(out, ", threads={}", spec.threads);
-                }
+                let _ = write!(out, ", {} grouping key(s)", spec.n_groups);
             }
             // External-memory mode: the window budget the operator streams
             // under (spilled_runs/passes are runtime facts — the shell

@@ -737,21 +737,12 @@ fn partition_pass(
     Ok(runs)
 }
 
-/// Read one side's partition run fully back into `(seq, row)` pairs.
-fn read_run(run: &SpillRun) -> Result<Vec<(i64, Tuple)>> {
-    let mut reader = RunReader::open(run)?;
-    let mut rows = Vec::with_capacity(usize::try_from(run.tuples).unwrap_or(0));
-    while let Some(t) = reader.next_tuple()? {
-        rows.push(untag1(t));
-    }
-    Ok(rows)
-}
-
-/// Join one partition pair. Fits-in-window pairs hash-join in memory;
-/// oversized pairs re-partition once with a fresh salt; still-oversized
-/// pairs (skew) fall back to block nested-loop. Every path appends
-/// output runs sorted by `(left seq, right seq)` and deletes its input
-/// runs when done.
+/// Join one partition pair. An oversized pair re-partitions once with a
+/// fresh salt; everything else — a pair whose right half fits the window,
+/// or one still oversized after re-partitioning (skew) — goes to
+/// [`pair_block_nlj`], which reads a fitting right half as its one chunk.
+/// Every path appends output runs sorted by `(left seq, right seq)` and
+/// deletes its input runs when done.
 #[allow(clippy::too_many_arguments)]
 fn process_pair(
     cfg: &JoinCfg<'_>,
@@ -773,13 +764,7 @@ fn process_pair(
         (None, None) => return Ok(()),
     };
     let right_bytes = usize::try_from(right.bytes).unwrap_or(usize::MAX);
-    if right_bytes <= cfg.window {
-        return pair_in_memory(cfg, mgr, &left, &right, out_runs).map(|()| {
-            let _ = left.delete();
-            let _ = right.delete();
-        });
-    }
-    if depth < MAX_DEPTH {
+    if right_bytes > cfg.window && depth < MAX_DEPTH {
         *passes += 1;
         let left_subs = {
             let mut reader = RunReader::open(&left)?;
@@ -806,60 +791,12 @@ fn process_pair(
     })
 }
 
-/// Join a fits-in-window pair: hash the right half, stream the left
-/// half in its spilled (= sequence) order. Probing in ascending left
-/// sequence against match lists in ascending right sequence makes the
-/// pair's output run sorted by `(left seq, right seq)` with no sort.
-fn pair_in_memory(
-    cfg: &JoinCfg<'_>,
-    mgr: &mut SpillManager,
-    left: &SpillRun,
-    right: &SpillRun,
-    out_runs: &mut Vec<SpillRun>,
-) -> Result<()> {
-    let right_rows = read_run(right)?;
-    let mut table: HashMap<RowKey, Vec<u32>> = HashMap::with_capacity(right_rows.len());
-    for (i, (_, row)) in right_rows.iter().enumerate() {
-        if let Some(key) = cfg.key_of(row, false)? {
-            table.entry(key).or_default().push(i as u32);
-        }
-    }
-    let mut reader = RunReader::open(left)?;
-    let mut writer: Option<RunWriter> = None;
-    while let Some(t) = reader.next_tuple()? {
-        let (lseq, lrow) = untag1(t);
-        let Some(key) = cfg.key_of(&lrow, true)? else {
-            continue;
-        };
-        let Some(idxs) = table.get(&key) else {
-            continue;
-        };
-        for &i in idxs {
-            let (rseq, rrow) = &right_rows[i as usize];
-            let joined = lrow.join(rrow);
-            if cfg.residual_ok(&joined)? {
-                if writer.is_none() {
-                    writer = Some(mgr.begin_run()?);
-                }
-                writer
-                    .as_mut()
-                    .expect("writer created above")
-                    .write_tuple(&tag2(lseq, *rseq, &joined))?;
-            }
-        }
-    }
-    if let Some(w) = writer {
-        let run = w.finish()?;
-        mgr.record_run(&run);
-        out_runs.push(run);
-    }
-    Ok(())
-}
-
-/// Skew fallback: hash the right half in window-sized chunks and
-/// re-stream the left half against each chunk. Each chunk's output is
-/// sorted by `(left seq, right seq)` on its own — one output run per
-/// chunk; the global merge interleaves them correctly.
+/// Hash the right half in window-sized chunks — one chunk when it fits,
+/// several under skew — and stream the left half, in its spilled
+/// (= sequence) order, against each chunk. Probing in ascending left
+/// sequence against match lists in ascending right sequence makes each
+/// chunk's output sorted by `(left seq, right seq)` with no sort — one
+/// output run per chunk; the global merge interleaves them correctly.
 fn pair_block_nlj(
     cfg: &JoinCfg<'_>,
     mgr: &mut SpillManager,

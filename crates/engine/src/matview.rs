@@ -17,7 +17,7 @@
 //! PREFERENCE VIEW` rebuilds them from scratch.
 
 use crate::eval::{eval, truth, Frame};
-use crate::exec::ExecCtx;
+use crate::exec::{Engine, ExecCtx};
 use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, Statement, TableRef};
 use prefsql_parser::parse_statement;
 use prefsql_rewrite::levels::uses_quality;
@@ -201,29 +201,18 @@ fn entry_for(
 }
 
 /// Build a fresh [`MatViewDef`] for `CREATE MATERIALIZED PREFERENCE
-/// VIEW`: validate the defining query, evaluate every base-table row and
-/// run the full skyline rebuild.
+/// VIEW`: validate the defining query, then compute the stored state
+/// exactly as REFRESH does — a broken projection fails CREATE, not the
+/// first read.
 pub(crate) fn build_def(
+    engine: &Engine,
     cat: &Catalog,
     name: &str,
     query: &Query,
-    use_indexes: bool,
 ) -> Result<MatViewDef> {
     let (base, _) = validate_definition(query)?;
     let sql = query.to_string();
-    let spec = view_spec(&sql)?;
-    let table = cat.table(&base)?;
-    let schema = eval_schema(table, &spec.qual);
-    // Resolve the select list now so a broken projection fails CREATE,
-    // not the first read.
-    crate::plan::projection_plan(&spec.query.select, &schema, schema.len())?;
-    let ctx = ExecCtx::over(cat, use_indexes);
-    let mut entries = Vec::with_capacity(table.len());
-    table.for_each_row(|_, row| {
-        entries.push(entry_for(&ctx, &spec, &schema, row)?);
-        Ok(())
-    })?;
-    prefsql_pref::incremental::rebuild(&mut entries, &spec.compiled.preference);
+    let (schema, entries) = rebuild_from_base(engine, cat, &sql, &base)?;
     Ok(MatViewDef {
         name: name.to_string(),
         sql,
@@ -243,7 +232,7 @@ pub(crate) fn build_def(
 /// marks the view *stale* and returns a diagnostic: the one thing REFRESH
 /// must never do is leave a non-stale view serving rows that no longer
 /// match the definition.
-pub(crate) fn refresh(cat: &mut Catalog, name: &str, use_indexes: bool) -> Result<usize> {
+pub(crate) fn refresh(engine: &Engine, cat: &mut Catalog, name: &str) -> Result<usize> {
     let (sql, base) = {
         let def = cat.matview(name).ok_or_else(|| {
             Error::Catalog(format!(
@@ -253,7 +242,7 @@ pub(crate) fn refresh(cat: &mut Catalog, name: &str, use_indexes: bool) -> Resul
         })?;
         (def.sql.clone(), def.base_table.clone())
     };
-    match rebuild_from_base(cat, &sql, &base, use_indexes) {
+    match rebuild_from_base(engine, cat, &sql, &base) {
         Ok((schema, entries)) => {
             let def = cat
                 .matview_mut(name)
@@ -275,13 +264,14 @@ pub(crate) fn refresh(cat: &mut Catalog, name: &str, use_indexes: bool) -> Resul
     }
 }
 
-/// The rebuild phase of [`refresh`]: re-validate the definition against
-/// the *current* base table and recompute every entry.
+/// The view state computed from scratch (CREATE and REFRESH): validate
+/// the definition against the *current* base table, compute one entry per
+/// row, run the full skyline rebuild.
 fn rebuild_from_base(
+    engine: &Engine,
     cat: &Catalog,
     sql: &str,
     base: &str,
-    use_indexes: bool,
 ) -> Result<(Schema, Vec<MatViewEntry>)> {
     let spec = view_spec(sql)?;
     let table = cat.table(base)?;
@@ -305,11 +295,12 @@ fn rebuild_from_base(
     for e in &spec.compiled.base_exprs {
         check_columns(e, &schema)?;
     }
-    let ctx = ExecCtx::over(cat, use_indexes);
     let mut entries = Vec::with_capacity(table.len());
-    table.for_each_row(|_, row| {
-        entries.push(entry_for(&ctx, &spec, &schema, row)?);
-        Ok(())
+    engine.with_ctx_over(cat, |ctx| {
+        table.for_each_row(|_, row| {
+            entries.push(entry_for(ctx, &spec, &schema, row)?);
+            Ok(())
+        })
     })?;
     prefsql_pref::incremental::rebuild(&mut entries, &spec.compiled.preference);
     Ok((schema, entries))
@@ -340,22 +331,21 @@ fn live_views_on(cat: &Catalog, table: &str) -> Vec<String> {
 /// `from_rid..len`. Returns `(views maintained, dominance comparisons)`;
 /// a failing view is marked stale instead of failing the INSERT.
 pub(crate) fn after_insert(
+    engine: &Engine,
     cat: &mut Catalog,
     table: &str,
     from_rid: usize,
-    use_indexes: bool,
 ) -> (u64, u64) {
     maintain(
+        engine,
         cat,
         table,
-        use_indexes,
-        |cat, spec, use_indexes| {
-            let t = cat.table(table)?;
+        |ctx, spec| {
+            let t = ctx.catalog().table(table)?;
             let schema = eval_schema(t, &spec.qual);
-            let ctx = ExecCtx::over(cat, use_indexes);
             let mut out = Vec::new();
             t.for_each_row_from(from_rid.min(t.len()), |_, row| {
-                out.push(entry_for(&ctx, spec, &schema, row)?);
+                out.push(entry_for(ctx, spec, &schema, row)?);
                 Ok(())
             })?;
             Ok(out)
@@ -377,19 +367,19 @@ pub(crate) fn after_insert(
 /// [`Table::delete_rows`]). Returns `(views maintained, dominance
 /// comparisons)`.
 pub(crate) fn after_delete(
+    engine: &Engine,
     cat: &mut Catalog,
     table: &str,
     doomed: &[usize],
-    use_indexes: bool,
 ) -> (u64, u64) {
     if doomed.is_empty() {
         return (0, 0);
     }
     maintain(
+        engine,
         cat,
         table,
-        use_indexes,
-        |_, _, _| Ok(()),
+        |_, _| Ok(()),
         |def, spec, ()| {
             prefsql_pref::incremental::apply_delete(
                 &mut def.entries,
@@ -404,24 +394,23 @@ pub(crate) fn after_delete(
 /// at `ids` in place. Returns `(views maintained, dominance
 /// comparisons)`.
 pub(crate) fn after_update(
+    engine: &Engine,
     cat: &mut Catalog,
     table: &str,
     ids: &[usize],
-    use_indexes: bool,
 ) -> (u64, u64) {
     if ids.is_empty() {
         return (0, 0);
     }
     maintain(
+        engine,
         cat,
         table,
-        use_indexes,
-        |cat, spec, use_indexes| {
-            let t = cat.table(table)?;
+        |ctx, spec| {
+            let t = ctx.catalog().table(table)?;
             let schema = eval_schema(t, &spec.qual);
-            let ctx = ExecCtx::over(cat, use_indexes);
             ids.iter()
-                .map(|&rid| entry_for(&ctx, spec, &schema, &t.fetch_row(rid)?))
+                .map(|&rid| entry_for(ctx, spec, &schema, &t.fetch_row(rid)?))
                 .collect::<Result<Vec<_>>>()
         },
         |def, spec, new_entries| {
@@ -447,20 +436,22 @@ pub(crate) fn on_drop_table(cat: &mut Catalog, table: &str) {
 }
 
 /// The shared two-phase shape of every DML hook: phase 1 computes the
-/// delta against a shared catalog borrow (expression evaluation needs
-/// the whole catalog), phase 2 applies it to the view through the
-/// mutable borrow. Any phase-1 error marks the view stale; the DML
-/// statement itself never fails on view maintenance. Returns `(views
-/// maintained, dominance comparisons)` — the spec's freshly compiled
-/// preference counts every [`better`] call the incremental algebra
-/// makes, which the caller charges to the triggering DML statement.
+/// delta in a statement context of `engine` over a shared catalog borrow
+/// (expression evaluation needs the whole catalog, and the session's
+/// knobs apply as to any statement), phase 2 applies it to the view
+/// through the mutable borrow. Any phase-1 error marks the view stale;
+/// the DML statement itself never fails on view maintenance. Returns
+/// `(views maintained, dominance comparisons)` — the spec's freshly
+/// compiled preference counts every [`better`] call the incremental
+/// algebra makes, which the caller charges to the triggering DML
+/// statement.
 ///
 /// [`better`]: prefsql_pref::compose::Preference::better
 fn maintain<D>(
+    engine: &Engine,
     cat: &mut Catalog,
     table: &str,
-    use_indexes: bool,
-    prepare: impl Fn(&Catalog, &ViewSpec, bool) -> Result<D>,
+    prepare: impl Fn(&ExecCtx<'_>, &ViewSpec) -> Result<D>,
     apply: impl Fn(&mut MatViewDef, &ViewSpec, D),
 ) -> (u64, u64) {
     let mut maintained = 0;
@@ -471,7 +462,7 @@ fn maintain<D>(
             None => continue,
         };
         let delta = view_spec(&sql).and_then(|spec| {
-            let d = prepare(cat, &spec, use_indexes)?;
+            let d = engine.with_ctx_over(cat, |ctx| prepare(ctx, &spec))?;
             Ok((spec, d))
         });
         let Some(def) = cat.matview_mut(&name) else {
@@ -605,6 +596,29 @@ mod tests {
             .unwrap();
         let rel = e.execute_sql("SELECT x FROM low").unwrap().expect_rows();
         assert_eq!(rel.rows, vec![prefsql_types::tuple![1]]);
+    }
+
+    /// CREATE computes the stored state the way REFRESH does, dangling
+    /// column references included: an empty base table evaluates nothing,
+    /// and a computed select-list column resolves lazily, so neither may
+    /// let one slide into the catalog.
+    #[test]
+    fn create_rejects_dangling_columns_over_an_empty_table() {
+        use crate::exec::Engine;
+        let mut e = Engine::new();
+        e.execute_sql("CREATE TABLE t (x INTEGER)").unwrap();
+        for body in [
+            "SELECT nope + 1 FROM t PREFERRING LOWEST(x)",
+            "SELECT x FROM t WHERE nope > 0 PREFERRING LOWEST(x)",
+            "SELECT x FROM t PREFERRING LOWEST(nope)",
+        ] {
+            let sql = format!("CREATE MATERIALIZED PREFERENCE VIEW v AS {body}");
+            assert!(e.execute_sql(&sql).is_err(), "accepted: {body}");
+        }
+        e.execute_sql(
+            "CREATE MATERIALIZED PREFERENCE VIEW v AS SELECT x FROM t PREFERRING LOWEST(x)",
+        )
+        .unwrap();
     }
 
     #[test]

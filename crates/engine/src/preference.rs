@@ -8,14 +8,14 @@
 //! every other node. The operator is a pipeline breaker: it drains its
 //! input (source rows extended with one *slot* column per base
 //! preference plus the `GROUPING` columns), applies the `BUT ONLY`
-//! threshold, runs a maximal-set algorithm from `prefsql-pref` — by
-//! default [`SkylineAlgo::Auto`], which picks naive/BNL/SFS from input
-//! cardinality and preference shape — and streams the winners, each
-//! extended with the quality-function columns ([`QualityCol`]) the plan
-//! above it references. The slot columns are lowered once, straight from
-//! each row, into a [`ScoreMatrix`]; the dominance tests, the
-//! `LOWEST`/`HIGHEST` optima and the quality values are all read off its
-//! cells. Semantics are identical to the rewrite path; the
+//! threshold, runs the maximal-set selection of `prefsql-pref` — the
+//! perfect-match pre-pass and the window, over the whole candidate set or
+//! once per `GROUPING` partition, driven as [`SkylineAlgo`] says — and
+//! streams the winners, each extended with the quality-function columns
+//! ([`QualityCol`]) the plan above it references. The slot columns are
+//! lowered once, straight from each row, into a [`ScoreMatrix`]; the
+//! dominance tests, the `LOWEST`/`HIGHEST` optima and the quality values
+//! are all read off its cells. Semantics are identical to the rewrite path; the
 //! `rewrite_vs_native` differential suite and ablation A1 depend on that.
 
 use crate::eval::{eval, truth, Frame};
@@ -25,8 +25,7 @@ use prefsql_parser::ast::Expr;
 use prefsql_pref::external::ExternalSkyline;
 use prefsql_pref::score::{is_null_cell, score_of};
 use prefsql_pref::{
-    bmo_grouped_scored, maximal_scored, should_spill, BasePref, Preference, ScoreMatrix,
-    SkylineAlgo,
+    bmo_grouped_scored, maximal_scored, BasePref, Preference, ScoreMatrix, SkylineAlgo,
 };
 use prefsql_rewrite::levels::GEN_PREFIX;
 use prefsql_rewrite::CompiledPreference;
@@ -45,7 +44,7 @@ pub struct PrefSpec {
     pub quality: Vec<QualityCol>,
     /// Number of `GROUPING` columns following the slots in the input.
     pub n_groups: usize,
-    /// Maximal-set algorithm ([`SkylineAlgo::Auto`] = cost-based).
+    /// How the maximal-set selection is driven.
     pub algo: SkylineAlgo,
     /// Parallel-window degree ceiling (`\threads`).
     pub threads: usize,
@@ -63,9 +62,9 @@ pub struct PrefSpec {
 
 impl PrefSpec {
     /// The window budget the operator streams under: only the ungrouped
-    /// cost-based mode goes external (GROUPING runs the grouped BMO,
-    /// which stays in memory; forced algorithms stay pinned for the
-    /// differential suites).
+    /// [`SkylineAlgo::Auto`] goes external (a GROUPING query selects per
+    /// partition of one in-memory matrix; forced algorithms stay pinned
+    /// for the differential suites).
     pub(crate) fn external_budget(&self) -> Option<usize> {
         match (self.n_groups, self.algo) {
             (0, SkylineAlgo::Auto) => self.window,
@@ -278,11 +277,13 @@ impl<'a> PreferenceOp<'a> {
             candidates = kept;
         }
 
+        let (algo, threads) = (self.spec.algo, self.spec.threads);
         let winner_ids: Vec<usize> = if self.spec.n_groups > 0 {
             let first_key = self.n_orig + preference.arity();
-            bmo_grouped_scored(&matrix, &candidates, |i| &rows[i].values()[first_key..])
+            let key_of = |i: usize| &rows[i].values()[first_key..];
+            bmo_grouped_scored(&matrix, &candidates, key_of, algo, threads)
         } else {
-            maximal_scored(&matrix, &candidates, self.spec.algo, self.spec.threads)
+            maximal_scored(&matrix, &candidates, algo, threads)
         };
         let mut rows = rows.into_iter().map(Some).collect::<Vec<_>>();
         let winners = winner_ids
@@ -344,7 +345,7 @@ impl<'a> PreferenceOp<'a> {
                 for row in rows.by_ref() {
                     buffered_bytes += tuple_spill_bytes(&row);
                     buffered.push(row);
-                    if should_spill(self.spec.algo, buffered_bytes, Some(budget)) {
+                    if buffered_bytes > budget {
                         if self.spec.but_only.is_some() {
                             let mut manager = self.ctx.spill_manager()?;
                             let mut writer = manager.begin_run()?;

@@ -1,68 +1,85 @@
-//! Maximal-set (generalized skyline) algorithms.
+//! Maximal-set (generalized skyline) selection: one window, three ways
+//! to drive it.
 //!
-//! Four implementations with identical semantics:
+//! The paper has one Best-Matches-Only query model (§2.2.5: perfect
+//! matches first, otherwise the maximal set) and one "skyline operator in
+//! the kernel" (§3.3). So does this crate: `select` is the one in-memory
+//! selection rule —
 //!
-//! * [`maximal_naive`] — the paper's "abstract selection method" (§3.2):
-//!   keep a tuple iff no other tuple is better. O(n²) comparisons, no
-//!   extra memory. This is also the computational shape of the SQL
-//!   `NOT EXISTS` rewrite.
-//! * [`maximal_bnl`] — block-nested-loops \[BKS01\]: maintain a window of
-//!   incomparable tuples; each candidate is compared against the window,
-//!   evicting dominated window entries.
-//! * [`maximal_sfs`] — sort-filter-skyline: pre-sort by a topological
-//!   order compatible with dominance (lexicographic over base-preference
-//!   scores), then run the window filter. Sorting makes most dominated
-//!   candidates die on their first window probe.
-//! * [`maximal_parallel`] — the decomposable-window formulation of
-//!   \[BKS01\]: partition the candidates across OS threads, skyline each
-//!   partition locally, then merge-filter the union of the local
-//!   skylines. Dominance is transitive, so checking survivors against
-//!   the union of local skylines is exact.
+//! 1. the §2.2.5 perfect-match pre-pass, run once per candidate set when
+//!    every base preference has a static optimum and no candidate has an
+//!    unscorable slot;
+//! 2. the block-nested-loops window of \[BKS01\]: each candidate is probed
+//!    against a window of pairwise incomparable rows, is dropped when a
+//!    window entry dominates it, and evicts the entries it dominates;
 //!
-//! All of them run on a [`ScoreMatrix`]: the candidates' slot vectors are
-//! lowered to flat score rows once, every dominance test is the
-//! preference's compiled comparison program over two such rows, and the
-//! SFS pre-sort orders the same rows. [`maximal_scored`] takes a matrix
-//! the caller lowered itself plus the row ids that compete (all of them,
-//! the `BUT ONLY` survivors, one `GROUPING` partition); the functions
-//! over `&[Vec<Value>]` lower and delegate. Each call counts its directed
-//! dominance tests locally — one when a window entry beats the candidate,
-//! two otherwise, one per probe of the nested loop — and charges the
-//! preference's counter once at the end.
+//! and the window is driven
 //!
-//! The ablation benchmark A1 compares them against the rewrite; the
-//! `parallel_skyline` bench target covers the threaded window.
+//! * **serially** — one pass over the candidates ([`SkylineAlgo::Bnl`],
+//!   and [`SkylineAlgo::Auto`] below [`PARALLEL_CUTOFF`]);
+//! * **threaded** — \[BKS01\]'s decomposable formulation: one window per
+//!   contiguous partition, each on its own scoped OS thread, then one
+//!   serial pass over the union of the local windows ([`SkylineAlgo::Auto`]
+//!   at the degree [`choose_degree`] picks, [`maximal_parallel`] at an
+//!   exact degree);
+//! * **spilled** — [`crate::external::ExternalSkyline`] bounds the window
+//!   in bytes and re-feeds its overflow runs; it calls the same probe
+//!   step.
+//!
+//! Grouped BMO ([`crate::bmo_grouped_scored`]) and incremental view
+//! maintenance ([`crate::incremental`]) run the same rule over index
+//! subsets of one matrix. [`SkylineAlgo::Naive`] — the paper's "abstract
+//! selection method" (§3.2): keep a tuple iff no other tuple is better,
+//! O(n²), the computational shape of the SQL `NOT EXISTS` rewrite — stays
+//! as the oracle every differential suite compares the window against.
+//!
+//! Why there is nothing else: in the `a1_micro_kernel` table of the
+//! `algo_micro` bench (bks01 d = 3, 32 to 45 k rows, four invocations;
+//! CHANGES.md, PR 20) the serial window is ahead of the nested loop from
+//! 32 rows up on independent, correlated and anti-correlated data, and a
+//! sort-filter-skyline pre-sort in front of the window is behind it at
+//! every tabled size from 2 k rows up (2–3× at 16 k and 45 k).
+//!
+//! Everything runs on a [`ScoreMatrix`]: the candidates' slot vectors are
+//! lowered to flat score rows once and every dominance test is the
+//! preference's compiled comparison program over two such rows.
+//! [`maximal_scored`] takes a matrix the caller lowered itself plus the
+//! row ids that compete (all of them, the `BUT ONLY` survivors, one
+//! `GROUPING` partition); the functions over `&[Vec<Value>]` lower and
+//! delegate. Each call counts its directed dominance tests locally — one
+//! when a window entry beats the candidate, two otherwise, one per probe
+//! of the nested loop — and charges the preference's counter once at the
+//! end.
 
-use crate::base::BasePref;
 use crate::compose::Preference;
 use crate::score::{ScoreMatrix, Verdict};
 use prefsql_types::Value;
 
-/// Which maximal-set algorithm evaluates a preference.
+/// How the maximal-set selection of a preference is driven.
 ///
-/// `Naive`, `Bnl` and `Sfs` force one implementation; [`SkylineAlgo::Auto`]
-/// (the default) picks among them per evaluation with [`choose_algo`],
-/// based on input cardinality and the shape of the preference.
+/// [`SkylineAlgo::Auto`] (the default) is the rule described in the
+/// module docs; the other two pin one way of running it so the
+/// differential suites have something fixed to compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SkylineAlgo {
-    /// The paper's abstract selection method (§3.2): O(n²) nested loop.
+    /// The paper's abstract selection method (§3.2): O(n²) nested loop,
+    /// no pre-pass — the oracle.
     Naive,
-    /// Block-nested-loops \[BKS01\].
+    /// The serial in-memory window, whatever the thread and window knobs
+    /// say.
     Bnl,
-    /// Sort-filter-skyline (pre-sort by a dominance-compatible order).
-    Sfs,
-    /// Cost-based selection among the three, per input.
+    /// The window at the degree [`choose_degree`] picks, spilled when a
+    /// window budget is set and exceeded.
     #[default]
     Auto,
 }
 
 impl SkylineAlgo {
-    /// Short lowercase label (`naive`/`bnl`/`sfs`/`auto`).
+    /// Short lowercase label (`naive`/`bnl`/`auto`).
     pub fn label(self) -> &'static str {
         match self {
             SkylineAlgo::Naive => "naive",
             SkylineAlgo::Bnl => "bnl",
-            SkylineAlgo::Sfs => "sfs",
             SkylineAlgo::Auto => "auto",
         }
     }
@@ -72,22 +89,33 @@ impl SkylineAlgo {
         match s {
             "naive" => Some(SkylineAlgo::Naive),
             "bnl" => Some(SkylineAlgo::Bnl),
-            "sfs" => Some(SkylineAlgo::Sfs),
             "auto" => Some(SkylineAlgo::Auto),
             _ => None,
         }
     }
 }
 
-/// Below this cardinality the O(n²) nested loop wins: no window
-/// bookkeeping, no pre-sort, perfect cache locality.
-const NAIVE_CUTOFF: usize = 64;
+/// Below this candidate count [`SkylineAlgo::Auto`] stays serial.
+///
+/// Set from the `a1_micro_kernel` table (bks01 d = 3, seed 9, two-CPU
+/// host, four invocations; median ms of the serial window → of the window
+/// at degree 2; every row is in CHANGES.md, PR 20). Independent:
+/// 2 k 0.155/0.152/0.156/0.154 → 0.183/0.206/0.231/0.254 (behind 4 of 4),
+/// 4 k 0.320/0.443/0.308/0.308 → 0.401/0.562/0.350/0.339 (behind 4 of 4),
+/// 16 k 1.18/1.24/1.20/1.22 → 1.36/1.33/1.07/1.03 (behind 2 of 4),
+/// 45 k 2.79/2.96/2.95/2.96 → 3.12/2.76/2.47/2.38 (behind 1 of 4);
+/// correlated 45 k 1.46/1.53/1.47/1.47 → 1.65/1.74/1.56/1.99 (behind
+/// 4 of 4, twice by more than the serial runs' quartile distance). No
+/// tabled size has the threaded window ahead in every invocation on
+/// independent data without falling behind on correlated data, so the
+/// cutoff sits above the largest tabled size. That host has two CPUs;
+/// it cannot speak for wider ones.
+pub const PARALLEL_CUTOFF: usize = 65_536;
 
-/// Below this candidate count [`SkylineAlgo::Auto`] never parallelizes:
-/// thread spawn + merge-filter overhead beats the window work saved.
-pub const PARALLEL_CUTOFF: usize = 1024;
-
-/// Minimum rows per partition worth dedicating a thread to.
+/// Minimum rows per partition worth dedicating a thread to. The table
+/// has no row below [`PARALLEL_CUTOFF`] that could move it: at degree 2
+/// every tabled partition of 256 rows up (n = 512) is behind the serial
+/// window.
 const MIN_PARTITION: usize = 256;
 
 /// The parallel degree [`SkylineAlgo::Auto`] runs `n` candidates at,
@@ -102,30 +130,9 @@ pub fn choose_degree(n: usize, threads: usize) -> usize {
     }
 }
 
-/// Cost-based algorithm selection for [`SkylineAlgo::Auto`]: pick the
-/// concrete algorithm from the input cardinality `n` and the preference
-/// shape. Small inputs run the naive nested loop; larger inputs run SFS
-/// when every base preference is scorable (the pre-sort is then a true
-/// topological order and most dominated tuples die on their first window
-/// probe), and BNL otherwise (`EXPLICIT` bases have no scores, so the SFS
-/// pre-sort would degenerate to an arbitrary order).
-pub fn choose_algo(n: usize, pref: &Preference) -> SkylineAlgo {
-    if n <= NAIVE_CUTOFF {
-        SkylineAlgo::Naive
-    } else if pref
-        .bases()
-        .iter()
-        .any(|b| matches!(b, BasePref::Explicit { .. }))
-    {
-        SkylineAlgo::Bnl
-    } else {
-        SkylineAlgo::Sfs
-    }
-}
-
 /// Lower `slot_vectors` and run `select` over all rows, charging the
 /// tests it tallies to `pref`.
-pub(crate) fn lowered(
+fn lowered(
     slot_vectors: &[Vec<Value>],
     pref: &Preference,
     select: impl FnOnce(&ScoreMatrix<'_>, &[usize], &mut u64) -> Vec<usize>,
@@ -137,18 +144,16 @@ pub(crate) fn lowered(
     winners
 }
 
-/// Run the maximal-set selection with `algo`, resolving
-/// [`SkylineAlgo::Auto`] through [`choose_algo`]. All algorithms return
-/// identical index sets in input order (the cross-algorithm equivalence
-/// test suites depend on that).
+/// Run the maximal-set selection serially. Every [`SkylineAlgo`] returns
+/// the identical index set in input order (the cross-algorithm
+/// equivalence suites depend on that).
 pub fn maximal(slot_vectors: &[Vec<Value>], pref: &Preference, algo: SkylineAlgo) -> Vec<usize> {
     maximal_with_threads(slot_vectors, pref, algo, 1)
 }
 
 /// [`maximal`] with a parallel-degree knob: [`SkylineAlgo::Auto`] runs
-/// the threaded window ([`maximal_parallel`]) at the degree picked by
-/// [`choose_degree`]; forced algorithms stay serial so the differential
-/// suites can pin each implementation individually.
+/// the window at the degree [`choose_degree`] picks; the forced
+/// algorithms stay serial so the differential suites can pin them.
 pub fn maximal_with_threads(
     slot_vectors: &[Vec<Value>],
     pref: &Preference,
@@ -174,43 +179,80 @@ pub fn maximal_scored(
     winners
 }
 
-fn select(
+/// The one in-memory selection rule (see the module docs): the maximal
+/// rows among `ids`, ascending, with the directed tests made added to
+/// `tests`.
+pub(crate) fn select(
     m: &ScoreMatrix<'_>,
     ids: &[usize],
     algo: SkylineAlgo,
     threads: usize,
     tests: &mut u64,
 ) -> Vec<usize> {
-    match algo {
-        SkylineAlgo::Naive => naive(m, ids, tests),
-        SkylineAlgo::Bnl => bnl(m, ids, tests),
-        SkylineAlgo::Sfs => sfs(m, ids, tests),
-        SkylineAlgo::Auto => match choose_degree(ids.len(), threads) {
-            1 => select(m, ids, choose_algo(ids.len(), m.preference()), 1, tests),
-            degree => parallel(m, ids, degree, tests),
-        },
+    let degree = match algo {
+        SkylineAlgo::Naive => return naive(m, ids, tests),
+        SkylineAlgo::Bnl => 1,
+        SkylineAlgo::Auto => choose_degree(ids.len(), threads),
+    };
+    perfect_matches(m, ids).unwrap_or_else(|| windowed(m, ids, degree, tests))
+}
+
+/// The perfect-match pre-pass (§2.2.5, step 1): a row that is best
+/// possible in every base preference dominates every row that is not, so
+/// when such rows exist they *are* the maximal set and no dominance test
+/// is needed. `None` when the shortcut does not apply: some base
+/// preference has no static optimum (`LOWEST`/`HIGHEST`/`EXPLICIT` —
+/// decided once, when the preference is compiled), some candidate has a
+/// cell without a score (NULL, a wrong-typed value, a NaN — incomparable
+/// to the perfect row, so it may be maximal too), or no candidate is
+/// perfect.
+fn perfect_matches(m: &ScoreMatrix<'_>, ids: &[usize]) -> Option<Vec<usize>> {
+    let best = m.preference().program().perfect_row()?;
+    let mut perfect = Vec::new();
+    for &i in ids {
+        let row = m.row(i);
+        if row.iter().any(|cell| cell.is_nan()) {
+            return None;
+        }
+        if row == best {
+            perfect.push(i);
+        }
     }
+    (!perfect.is_empty()).then_some(perfect)
 }
 
-/// The external-memory engagement test for [`SkylineAlgo::Auto`] — the
-/// cost model the native operator consults per input: spill when a
-/// window budget is set and the estimated candidate bytes (the run
-/// encoding's own size table, [`crate::external::slot_vectors_bytes`] /
-/// `tuple_spill_bytes`) exceed it. Forced algorithms (`naive`/`bnl`/
-/// `sfs`) always stay in memory so the differential suites can pin each
-/// implementation individually.
-pub fn should_spill(
-    algo: SkylineAlgo,
-    candidate_bytes: usize,
-    window_bytes: Option<usize>,
+/// One probe of the window (the step the serial, threaded and spilled
+/// windows share): `verdict_of(entry)` compares a window entry (as row
+/// `a`) with the candidate (as row `b`). A dominated candidate is dropped
+/// — `false` — at the first entry that beats it; entries the candidate
+/// dominates are handed to `evict`; `true` means the candidate is
+/// incomparable to everything left and belongs in the window. One kernel
+/// call answers both directions of a probe; `tests` still counts them as
+/// the directed tests they stand for.
+pub(crate) fn probe<E>(
+    window: &mut Vec<E>,
+    mut verdict_of: impl FnMut(&E) -> Verdict,
+    mut evict: impl FnMut(E),
+    tests: &mut u64,
 ) -> bool {
-    matches!(algo, SkylineAlgo::Auto) && window_bytes.is_some_and(|b| candidate_bytes > b)
+    let mut k = 0;
+    while k < window.len() {
+        let verdict = verdict_of(&window[k]);
+        if verdict == Verdict::A_WINS {
+            *tests += 1;
+            return false;
+        }
+        *tests += 2;
+        if verdict == Verdict::B_WINS {
+            evict(window.swap_remove(k));
+        } else {
+            k += 1;
+        }
+    }
+    true
 }
 
-/// One pass of the BNL window filter over `candidates` (row ids of `m`):
-/// dominated candidates are dropped, candidates evict dominated window
-/// entries. One kernel call answers both directions of a probe; `tests`
-/// still counts them as the directed tests they stand for. Returns the
+/// One pass of the window over `candidates` (row ids of `m`). Returns the
 /// window in insertion order — callers sort when they need input order.
 fn window_filter(
     m: &ScoreMatrix<'_>,
@@ -218,77 +260,65 @@ fn window_filter(
     tests: &mut u64,
 ) -> Vec<usize> {
     let mut window: Vec<usize> = Vec::new();
-    'candidates: for i in candidates {
-        let mut k = 0;
-        while k < window.len() {
-            let verdict = m.compare(window[k], i);
-            if verdict == Verdict::A_WINS {
-                *tests += 1;
-                continue 'candidates; // dominated: drop the candidate
-            }
-            *tests += 2;
-            if verdict == Verdict::B_WINS {
-                window.swap_remove(k); // candidate evicts window entry
-            } else {
-                k += 1;
-            }
+    for i in candidates {
+        if probe(&mut window, |&w| m.compare(w, i), |_| {}, tests) {
+            window.push(i);
         }
-        window.push(i);
     }
     window
 }
 
-/// Parallel BNL \[BKS01\]'s decomposable window: split the candidates
-/// into `threads` contiguous partitions, run the window filter on each
-/// partition in its own scoped OS thread, then merge-filter the union of
-/// the local skylines serially.
-///
-/// Exactness: `better` is a strict partial order, so if a candidate `t`
-/// is dominated by some `u` outside its partition, then either `u`
-/// survives its own local window, or something dominating `u` does — and
-/// by transitivity that survivor dominates `t`. Checking the union of
-/// local skylines therefore suffices.
-///
-/// The requested `threads` is honored exactly (clamped only to the
-/// candidate count), so tests can force partitioning on tiny inputs;
-/// cost-based clamping lives in [`choose_degree`]. Returns indices
-/// sorted in input order, identical to every serial algorithm.
+/// The window at an exact parallel degree, bypassing the pre-pass and
+/// [`choose_degree`] (the requested `threads` is clamped only to the
+/// candidate count, so tests can force partitioning on tiny inputs).
+/// Returns indices sorted in input order, identical to the serial window.
 pub fn maximal_parallel(
     slot_vectors: &[Vec<Value>],
     pref: &Preference,
     threads: usize,
 ) -> Vec<usize> {
     lowered(slot_vectors, pref, |m, ids, tests| {
-        parallel(m, ids, threads, tests)
+        windowed(m, ids, threads, tests)
     })
 }
 
-fn parallel(m: &ScoreMatrix<'_>, ids: &[usize], threads: usize, tests: &mut u64) -> Vec<usize> {
+/// Run the window over `ids` at `degree`: serially, or — \[BKS01\]'s
+/// decomposable window — on `degree` contiguous partitions, each in its
+/// own scoped OS thread, followed by one serial pass over the union of
+/// the local windows.
+///
+/// Exactness of the threaded form: `better` is a strict partial order, so
+/// if a candidate `t` is dominated by some `u` outside its partition,
+/// then either `u` survives its own local window, or something
+/// dominating `u` does — and by transitivity that survivor dominates
+/// `t`. Checking the union of local windows therefore suffices.
+fn windowed(m: &ScoreMatrix<'_>, ids: &[usize], degree: usize, tests: &mut u64) -> Vec<usize> {
     let n = ids.len();
-    let degree = threads.clamp(1, n.max(1));
-    if degree <= 1 {
-        return bnl(m, ids, tests);
-    }
-    let locals: Vec<(Vec<usize>, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = ids
-            .chunks(n.div_ceil(degree))
-            .map(|part| {
-                s.spawn(move || {
-                    let mut tests = 0;
-                    (window_filter(m, part.iter().copied(), &mut tests), tests)
+    let degree = degree.clamp(1, n.max(1));
+    let mut window = if degree == 1 {
+        window_filter(m, ids.iter().copied(), tests)
+    } else {
+        let locals: Vec<(Vec<usize>, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = ids
+                .chunks(n.div_ceil(degree))
+                .map(|part| {
+                    s.spawn(move || {
+                        let mut tests = 0;
+                        (window_filter(m, part.iter().copied(), &mut tests), tests)
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("skyline worker panicked"))
-            .collect()
-    });
-    *tests += locals.iter().map(|(_, t)| t).sum::<u64>();
-    let survivors = locals.into_iter().flat_map(|(window, _)| window);
-    let mut merged = window_filter(m, survivors, tests);
-    merged.sort_unstable();
-    merged
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("skyline worker panicked"))
+                .collect()
+        });
+        *tests += locals.iter().map(|(_, t)| t).sum::<u64>();
+        let survivors = locals.into_iter().flat_map(|(window, _)| window);
+        window_filter(m, survivors, tests)
+    };
+    window.sort_unstable();
+    window
 }
 
 /// The paper's abstract selection method: `t1` is maximal iff no `t2` in
@@ -297,7 +327,7 @@ pub fn maximal_naive(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usiz
     maximal(slot_vectors, pref, SkylineAlgo::Naive)
 }
 
-pub(crate) fn naive(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
+fn naive(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
     let mut dominated = |i: usize| {
         ids.iter().any(|&j| {
             j != i && {
@@ -309,47 +339,10 @@ pub(crate) fn naive(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<
     ids.iter().copied().filter(|&i| !dominated(i)).collect()
 }
 
-/// Block-nested-loops skyline \[BKS01\] with an unbounded window (the
-/// in-memory case — the candidate sets of the paper's benchmark fit in
-/// memory by construction). Returns indices sorted in input order.
+/// The serial in-memory window ([`SkylineAlgo::Bnl`]). Returns indices
+/// sorted in input order.
 pub fn maximal_bnl(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
     maximal(slot_vectors, pref, SkylineAlgo::Bnl)
-}
-
-fn bnl(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
-    let mut window = window_filter(m, ids.iter().copied(), tests);
-    window.sort_unstable();
-    window
-}
-
-/// Sort-filter-skyline: pre-sort candidates lexicographically by their
-/// score rows (NULL/unscorable slots last), which is a topological order
-/// for the dominance relation of scored preferences, then run the BNL
-/// window filter. Returns indices sorted in input order.
-///
-/// For preferences containing `EXPLICIT` bases (which have no scores) the
-/// pre-sort degenerates to arbitrary order among ties; the window filter
-/// still checks both dominance directions, so the result stays correct.
-pub fn maximal_sfs(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    maximal(slot_vectors, pref, SkylineAlgo::Sfs)
-}
-
-fn sfs(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
-    let mut order = ids.to_vec();
-    // `total_cmp` is a total order even with NaN scores, and agrees with
-    // `<` on everything else (cells hold no -0.0).
-    order.sort_by(|&a, &b| {
-        let cells = m.row(a).iter().zip(m.row(b));
-        cells
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    // Evictions inside the window remain possible only among sort ties
-    // (EXPLICIT bases); the filter checks both directions regardless.
-    let mut window = window_filter(m, order, tests);
-    window.sort_unstable();
-    window
 }
 
 #[cfg(test)]
@@ -378,16 +371,16 @@ mod tests {
     }
 
     #[test]
-    fn all_three_agree_on_random_pareto_inputs() {
+    fn every_algo_agrees_on_random_pareto_inputs() {
         for seed in 0..10 {
             for d in [1, 2, 3, 5] {
                 let pts = random_points(120, d, seed * 31 + d as u64);
                 let p = pareto(d);
                 let a = maximal_naive(&pts, &p);
                 let b = maximal_bnl(&pts, &p);
-                let c = maximal_sfs(&pts, &p);
+                let c = maximal(&pts, &p, SkylineAlgo::Auto);
                 assert_eq!(a, b, "naive vs bnl, d={d} seed={seed}");
-                assert_eq!(a, c, "naive vs sfs, d={d} seed={seed}");
+                assert_eq!(a, c, "naive vs auto, d={d} seed={seed}");
             }
         }
     }
@@ -406,7 +399,7 @@ mod tests {
             let pts = random_points(150, 3, seed);
             let a = maximal_naive(&pts, &p);
             let b = maximal_bnl(&pts, &p);
-            let c = maximal_sfs(&pts, &p);
+            let c = maximal(&pts, &p, SkylineAlgo::Auto);
             assert_eq!(a, b);
             assert_eq!(a, c);
         }
@@ -438,18 +431,16 @@ mod tests {
             .collect();
         let a = maximal_naive(&pts, &p);
         let b = maximal_bnl(&pts, &p);
-        let c = maximal_sfs(&pts, &p);
+        let c = maximal(&pts, &p, SkylineAlgo::Auto);
         assert_eq!(a, b);
         assert_eq!(a, c);
     }
 
-    /// NaN scores used to make the SFS pre-sort's comparator
-    /// inconsistent (`partial_cmp(..).unwrap_or(Equal)`), which `sort_by`
-    /// is allowed to answer with a panic. In the sizes `Auto` sends to
-    /// serial SFS (65–1023 candidates) NaN rows are sorted like any
-    /// other and stay undominated and undominating.
+    /// NaN scores are stored like any other cell: at the sizes the old
+    /// selection rules switched algorithms on, a row with a NaN slot
+    /// neither dominates nor is dominated.
     #[test]
-    fn sfs_sorts_nan_scores_without_panicking() {
+    fn nan_scores_stay_undominated_and_undominating() {
         let mut rng = StdRng::seed_from_u64(23);
         for n in [65, 300, 1023] {
             let pts: Vec<Vec<Value>> = (0..n)
@@ -465,8 +456,7 @@ mod tests {
                 .collect();
             let p = pareto(3);
             let expected = maximal_naive(&pts, &p);
-            assert_eq!(maximal_sfs(&pts, &p), expected, "n={n}");
-            assert_eq!(choose_algo(n, &p), SkylineAlgo::Sfs);
+            assert_eq!(maximal_bnl(&pts, &p), expected, "n={n}");
             assert_eq!(maximal(&pts, &p, SkylineAlgo::Auto), expected, "n={n}");
             // A row with a NaN slot neither dominates nor is dominated.
             for (i, row) in pts.iter().enumerate() {
@@ -474,6 +464,103 @@ mod tests {
                     assert!(expected.contains(&i), "NaN row {i} must survive");
                 }
             }
+        }
+    }
+
+    /// AROUND 14 ⊗ POS 'java': both base preferences have a static
+    /// optimum, so the §2.2.5 pre-pass can fire.
+    fn around_and_pos() -> Preference {
+        Preference::new(
+            PrefNode::Pareto(vec![PrefNode::Base { slot: 0 }, PrefNode::Base { slot: 1 }]),
+            vec![
+                BasePref::Around { target: 14.0 },
+                BasePref::Pos {
+                    values: vec![Value::str("java")],
+                },
+            ],
+        )
+        .unwrap()
+    }
+
+    /// Winners and directed-test count of `algo` over `rows`.
+    fn tally(rows: &[Vec<Value>], p: &Preference, algo: SkylineAlgo) -> (Vec<usize>, u64) {
+        let _ = p.take_comparisons();
+        let winners = maximal(rows, p, algo);
+        (winners, p.take_comparisons())
+    }
+
+    #[test]
+    fn perfect_matches_are_returned_without_a_dominance_test() {
+        let p = around_and_pos();
+        let row = |x: i64, lang: &str| vec![Value::Int(x), Value::str(lang)];
+        // All perfect, and perfect rows among imperfect ones.
+        for rows in [
+            vec![row(14, "java"); 5],
+            vec![
+                row(13, "java"),
+                row(14, "java"),
+                row(14, "cobol"),
+                row(14, "java"),
+            ],
+        ] {
+            let expected = maximal_naive(&rows, &p);
+            for algo in [SkylineAlgo::Bnl, SkylineAlgo::Auto] {
+                assert_eq!(tally(&rows, &p, algo), (expected.clone(), 0), "{algo:?}");
+            }
+            let (winners, tests) = tally(&rows, &p, SkylineAlgo::Naive);
+            assert_eq!(winners, expected);
+            assert!(tests > 0, "the oracle takes no shortcut");
+        }
+    }
+
+    #[test]
+    fn pre_pass_stands_aside_when_it_does_not_apply() {
+        let p = around_and_pos();
+        let row = |x: i64, lang: &str| vec![Value::Int(x), Value::str(lang)];
+        // No perfect row; a perfect row beside a row that is incomparable
+        // to it — a NULL slot, a wrong-typed value, a NaN score — which
+        // must survive with it.
+        let unscorable = [Value::Null, Value::str("fourteen"), Value::Float(f64::NAN)];
+        let mut inputs = vec![vec![row(13, "java"), row(14, "cobol"), row(12, "cobol")]];
+        for v in unscorable {
+            inputs.push(vec![
+                row(14, "java"),
+                vec![v, Value::str("java")],
+                row(12, "java"),
+            ]);
+        }
+        for (case, rows) in inputs.iter().enumerate() {
+            let expected = maximal_naive(rows, &p);
+            if case > 0 {
+                assert_eq!(expected, vec![0, 1], "case {case}");
+            }
+            for algo in [SkylineAlgo::Bnl, SkylineAlgo::Auto] {
+                let (winners, tests) = tally(rows, &p, algo);
+                assert_eq!(winners, expected, "case {case} {algo:?}");
+                assert!(tests > 0, "case {case} {algo:?}: the window ran");
+            }
+        }
+    }
+
+    #[test]
+    fn pre_pass_never_fires_with_a_data_dependent_optimum() {
+        // AROUND 14 ⊗ LOWEST: row 0 is perfect in the only slot that has
+        // a static optimum, and dominated all the same.
+        let p = Preference::new(
+            PrefNode::Pareto(vec![PrefNode::Base { slot: 0 }, PrefNode::Base { slot: 1 }]),
+            vec![BasePref::Around { target: 14.0 }, BasePref::Lowest],
+        )
+        .unwrap();
+        assert_eq!(p.program().perfect_row(), None);
+        let rows = vec![
+            vec![Value::Int(14), Value::Int(9)],
+            vec![Value::Int(14), Value::Int(3)],
+            vec![Value::Int(14), Value::Int(9)],
+        ];
+        for algo in [SkylineAlgo::Bnl, SkylineAlgo::Auto] {
+            let (winners, tests) = tally(&rows, &p, algo);
+            assert_eq!(winners, vec![1], "{algo:?}");
+            assert!(tests > 0, "{algo:?}");
         }
     }
 
@@ -486,7 +573,6 @@ mod tests {
         ];
         assert_eq!(maximal_naive(&pts, &p), vec![0, 1]);
         assert_eq!(maximal_bnl(&pts, &p), vec![0, 1]);
-        assert_eq!(maximal_sfs(&pts, &p), vec![0, 1]);
     }
 
     #[test]
@@ -519,24 +605,6 @@ mod tests {
                 assert_eq!(auto, maximal_naive(&pts, &p), "n={n} d={d}");
             }
         }
-    }
-
-    #[test]
-    fn choose_algo_heuristics() {
-        let p = pareto(2);
-        assert_eq!(choose_algo(10, &p), SkylineAlgo::Naive);
-        assert_eq!(choose_algo(10_000, &p), SkylineAlgo::Sfs);
-        let explicit = Preference::new(
-            PrefNode::Pareto(vec![PrefNode::Base { slot: 0 }, PrefNode::Base { slot: 1 }]),
-            vec![
-                BasePref::Explicit {
-                    edges: vec![(Value::Int(0), Value::Int(1))],
-                },
-                BasePref::Lowest,
-            ],
-        )
-        .unwrap();
-        assert_eq!(choose_algo(10_000, &explicit), SkylineAlgo::Bnl);
     }
 
     #[test]
@@ -611,9 +679,11 @@ mod tests {
         assert_eq!(choose_degree(PARALLEL_CUTOFF - 1, 8), 1);
         // Above the cutoff: the knob, clamped to MIN_PARTITION-sized work.
         assert_eq!(choose_degree(PARALLEL_CUTOFF, 2), 2);
-        assert_eq!(choose_degree(64_000, 8), 8);
-        assert_eq!(choose_degree(2_048, 64), 8); // 2048 / 256
-        assert_eq!(choose_degree(PARALLEL_CUTOFF, 4096), 4);
+        assert_eq!(choose_degree(4 * PARALLEL_CUTOFF, 8), 8);
+        assert_eq!(
+            choose_degree(PARALLEL_CUTOFF, usize::MAX),
+            PARALLEL_CUTOFF / MIN_PARTITION
+        );
     }
 
     #[test]
@@ -628,7 +698,7 @@ mod tests {
         );
         // ...and stays serial when forced or when the knob is 1.
         assert_eq!(
-            maximal_with_threads(&pts, &p, SkylineAlgo::Sfs, 8),
+            maximal_with_threads(&pts, &p, SkylineAlgo::Bnl, 8),
             expected
         );
         assert_eq!(
@@ -643,44 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn should_spill_requires_auto_and_an_exceeded_budget() {
-        assert!(should_spill(SkylineAlgo::Auto, 10_000, Some(4_096)));
-        assert!(!should_spill(SkylineAlgo::Auto, 4_000, Some(4_096)));
-        assert!(!should_spill(SkylineAlgo::Auto, 10_000, None));
-        // Forced algorithms never take the external path.
-        for algo in [SkylineAlgo::Naive, SkylineAlgo::Bnl, SkylineAlgo::Sfs] {
-            assert!(!should_spill(algo, 10_000, Some(64)));
-        }
-    }
-
-    #[test]
-    fn external_dispatch_under_should_spill_matches_in_memory() {
-        let p = pareto(2);
-        let pts = random_points(400, 2, 15);
-        let expected = maximal_naive(&pts, &p);
-        let bytes = crate::external::slot_vectors_bytes(&pts);
-        // The budgets the engagement test fires at run the external
-        // window to the same winners as the in-memory dispatch.
-        assert!(should_spill(SkylineAlgo::Auto, bytes, Some(64)));
-        let (got, metrics) = crate::external::maximal_external(&pts, &p, 64).unwrap();
-        assert_eq!(got, expected);
-        assert!(metrics.passes >= 1);
-        // ...and the budgets it declines keep the in-memory result.
-        assert!(!should_spill(SkylineAlgo::Auto, bytes, Some(1 << 20)));
-        assert_eq!(
-            maximal_with_threads(&pts, &p, SkylineAlgo::Auto, 1),
-            expected
-        );
-    }
-
-    #[test]
     fn labels_round_trip() {
-        for algo in [
-            SkylineAlgo::Naive,
-            SkylineAlgo::Bnl,
-            SkylineAlgo::Sfs,
-            SkylineAlgo::Auto,
-        ] {
+        for algo in [SkylineAlgo::Naive, SkylineAlgo::Bnl, SkylineAlgo::Auto] {
             assert_eq!(SkylineAlgo::parse(algo.label()), Some(algo));
         }
         assert_eq!(SkylineAlgo::parse("warp"), None);
@@ -705,19 +739,6 @@ mod tests {
                 let dominated = pts.iter().any(|o| p.better(o, cand));
                 prop_assert_eq!(result.contains(&i), !dominated);
             }
-        }
-
-        #[test]
-        fn sfs_agrees_with_naive(
-            pts in proptest::collection::vec(
-                proptest::collection::vec(0i64..8, 2),
-                0..50
-            )
-        ) {
-            let pts: Vec<Vec<Value>> =
-                pts.into_iter().map(|r| r.into_iter().map(Value::Int).collect()).collect();
-            let p = pareto(2);
-            prop_assert_eq!(maximal_sfs(&pts, &p), maximal_naive(&pts, &p));
         }
     }
 }

@@ -1,15 +1,19 @@
 //! The Best-Matches-Only (BMO) query model (paper §2.2.5).
 //!
 //! Given the slot vectors of the WHERE-qualified candidate tuples, BMO
-//! returns exactly the non-dominated ("maximal") ones. The paper's
-//! perfect-match short-circuit is an optimization, not a semantic change:
-//! a perfect match dominates every non-perfect tuple, so when perfect
-//! matches exist they *are* the maximal set (provided no tuple opts out of
-//! comparability via NULL slots — the implementation guards for that).
+//! returns exactly the non-dominated ("maximal") ones — through the one
+//! selection rule of [`crate::algo`] (perfect-match pre-pass, then one
+//! window with three ways to drive it; the measurements behind that are
+//! referenced there), here for the whole candidate set or once per
+//! `GROUPING` partition. The paper's perfect-match short-circuit is an optimization,
+//! not a semantic change: a perfect match dominates every non-perfect
+//! tuple, so when perfect matches exist they *are* the maximal set
+//! (provided no tuple opts out of comparability through a NULL or
+//! otherwise unscorable slot — the rule guards for that).
 
-use crate::algo::{lowered, naive};
+use crate::algo::{maximal, select, SkylineAlgo};
 use crate::compose::Preference;
-use crate::score::{is_null_cell, ByKey, ScoreMatrix};
+use crate::score::{ByKey, ScoreMatrix};
 use prefsql_types::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -33,24 +37,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(bmo(&candidates, &p), vec![1, 2]); // both minima survive
 /// ```
 pub fn bmo(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    lowered(slot_vectors, pref, bmo_of)
-}
-
-/// BMO over the rows `ids` of `m`.
-fn bmo_of(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
-    // Perfect-match short-circuit (§2.2.5, step 1). Sound only when no
-    // candidate has a NULL slot: NULL-slotted tuples are incomparable to
-    // everything and must survive as maximal.
-    let any_null = ids
-        .iter()
-        .any(|&i| m.row(i).iter().any(|&cell| is_null_cell(cell)));
-    if !any_null {
-        let perfect: Vec<usize> = ids.iter().copied().filter(|&i| m.is_perfect(i)).collect();
-        if !perfect.is_empty() {
-            return perfect;
-        }
-    }
-    naive(m, ids, tests)
+    maximal(slot_vectors, pref, SkylineAlgo::Auto)
 }
 
 /// Per-group BMO for the `GROUPING` clause: dominance is only tested
@@ -70,18 +57,22 @@ pub fn bmo_grouped(
         "one grouping key per candidate"
     );
     let m = ScoreMatrix::lower(pref, slot_vectors.iter().map(Vec::as_slice));
-    bmo_grouped_scored(&m, &m.ids(), |i| &keys[i])
+    bmo_grouped_scored(&m, &m.ids(), |i| &keys[i], SkylineAlgo::Auto, 1)
 }
 
 /// [`bmo_grouped`] over rows the caller already lowered: `ids` are the
 /// competing rows of `m`, `key_of(i)` the grouping key of row `i`. A
-/// group is an index subset of the one matrix; keys are equal when they
-/// are [`Value::key_eq`] field by field (`Int(5)` and `Float(5.0)` are
-/// the same group).
+/// group is an index subset of the one matrix, selected from like any
+/// other candidate set (`algo` and `threads` as in
+/// [`crate::maximal_scored`]); keys are equal when they are
+/// [`Value::key_eq`] field by field (`Int(5)` and `Float(5.0)` are the
+/// same group).
 pub fn bmo_grouped_scored<'k>(
     m: &ScoreMatrix<'_>,
     ids: &[usize],
     key_of: impl Fn(usize) -> &'k [Value],
+    algo: SkylineAlgo,
+    threads: usize,
 ) -> Vec<usize> {
     let mut groups: BTreeMap<ByKey<'k>, Vec<usize>> = BTreeMap::new();
     for &i in ids {
@@ -93,7 +84,7 @@ pub fn bmo_grouped_scored<'k>(
     let mut tests = 0;
     let mut out: Vec<usize> = groups
         .values()
-        .flat_map(|members| bmo_of(m, members, &mut tests))
+        .flat_map(|members| select(m, members, algo, threads, &mut tests))
         .collect();
     m.preference().add_comparisons(tests);
     out.sort_unstable();

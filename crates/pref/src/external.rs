@@ -41,8 +41,9 @@
 //! in-memory algorithm in [`crate::algo`]; the repo's differential
 //! harness pins that across random composition trees and window budgets.
 
+use crate::algo::probe;
 use crate::compose::Preference;
-use crate::score::{ScoreMatrix, Verdict};
+use crate::score::ScoreMatrix;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager};
 use prefsql_types::{Error, Result, Tuple, Value};
 
@@ -146,29 +147,25 @@ impl<'a> ExternalSkyline<'a> {
         }
     }
 
-    /// Compare `row` against the window: drop it if dominated, evict
-    /// entries it dominates, then keep it in the window (budget
-    /// permitting) or spill it to the current pass's overflow run.
+    /// Probe `row` against the window ([`crate::algo`]'s one probe step:
+    /// dropped if dominated, evicting the entries it dominates), then
+    /// keep it in the window (budget permitting) or spill it to the
+    /// current pass's overflow run.
     fn process(&mut self, row: Tuple, seq: u64) -> Result<()> {
         self.scorer.clear();
         self.scorer
             .push(&row.values()[self.slot_start..self.slot_start + self.pref.arity()]);
         let scores = self.scorer.row(0);
         let program = self.pref.program();
-        let mut k = 0;
-        while k < self.window.len() {
-            let verdict = program.compare(&self.window[k].scores, scores);
-            if verdict == Verdict::A_WINS {
-                self.tests += 1;
-                return Ok(()); // dominated: the candidate dies here
-            }
-            self.tests += 2;
-            if verdict == Verdict::B_WINS {
-                let evicted = self.window.swap_remove(k);
-                self.window_bytes -= evicted.bytes;
-            } else {
-                k += 1;
-            }
+        let window_bytes = &mut self.window_bytes;
+        let survives = probe(
+            &mut self.window,
+            |entry| program.compare(&entry.scores, scores),
+            |evicted| *window_bytes -= evicted.bytes,
+            &mut self.tests,
+        );
+        if !survives {
+            return Ok(()); // dominated: the candidate dies here
         }
         let bytes = tuple_spill_bytes(&row);
         if self.window.is_empty() || self.window_bytes + bytes <= self.budget {
@@ -315,18 +312,6 @@ impl<'a> ExternalSkyline<'a> {
         Ok((std::mem::take(&mut self.winners), metrics))
         // `self.spill` drops here, removing the run directory.
     }
-}
-
-/// Estimated spill bytes of a slot-vector candidate set — the quantity
-/// [`crate::algo::should_spill`] weighs against the window budget,
-/// summed from the run encoding's own size table so the estimate can't
-/// drift from the true on-disk size.
-pub fn slot_vectors_bytes(slot_vectors: &[Vec<Value>]) -> usize {
-    use prefsql_storage::spill::value_spill_bytes;
-    slot_vectors
-        .iter()
-        .map(|sv| 4 + sv.iter().map(value_spill_bytes).sum::<usize>())
-        .sum()
 }
 
 /// The external-memory maximal-set selection over materialized slot
@@ -506,24 +491,5 @@ mod tests {
             assert_eq!(row[0], Value::Int(seq as i64));
             assert_eq!(row.len(), 4);
         }
-    }
-
-    #[test]
-    fn slot_vectors_bytes_matches_tuple_estimate() {
-        // Every Value variant, so the estimate can't silently diverge
-        // from the run encoding for any type.
-        let pts = vec![
-            vec![Value::Int(1), Value::Str("abc".into())],
-            vec![Value::Null, Value::Float(2.0)],
-            vec![
-                Value::Bool(true),
-                Value::Date(prefsql_types::Date::from_days(10_000)),
-            ],
-        ];
-        let by_tuple: usize = pts
-            .iter()
-            .map(|sv| tuple_spill_bytes(&Tuple::new(sv.clone())))
-            .sum();
-        assert_eq!(slot_vectors_bytes(&pts), by_tuple);
     }
 }

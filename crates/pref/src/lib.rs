@@ -14,19 +14,19 @@
 //!   by the engine), compiled once into a flat comparison program;
 //! * [`score`] — scored dominance: a candidate set is lowered once into a
 //!   [`ScoreMatrix`] of `f64` score rows, and every dominance test of
-//!   every algorithm below is that program over two rows;
+//!   every selection below is that program over two rows;
 //! * [`bmo()`](bmo::bmo) — the Best-Matches-Only query model (§2.2.5);
-//! * [`algo`] — maximal-set algorithms: the paper's abstract nested-loop
-//!   selection method (§3.2), BNL \[BKS01\] and SFS, used as native
-//!   baselines in the ablation experiments, plus [`SkylineAlgo`] with a
-//!   cost-based [`SkylineAlgo::Auto`] mode that picks among them from
-//!   input cardinality and preference shape — and, above
-//!   [`PARALLEL_CUTOFF`] candidates, runs the decomposable window
-//!   ([`maximal_parallel`]) across scoped OS threads;
-//! * [`external`] — the external-memory skyline: \[BKS01\]'s multi-pass
-//!   BNL with a bounded window and spill-to-disk overflow runs
-//!   ([`ExternalSkyline`]), engaged by [`should_spill`] when the
-//!   estimated candidate bytes exceed the session's window budget;
+//! * [`algo`] — the maximal-set selection: one window, three ways to
+//!   drive it. The perfect-match pre-pass and the block-nested-loops
+//!   window \[BKS01\] are the one rule every BMO runs — serially, across
+//!   scoped OS threads above [`PARALLEL_CUTOFF`] candidates
+//!   ([`choose_degree`]), or spilled; the paper's abstract nested-loop
+//!   selection method (§3.2) stays beside it as [`SkylineAlgo::Naive`],
+//!   the oracle (measurements: the `a1_micro_kernel` table of the
+//!   `algo_micro` bench, recorded in CHANGES.md);
+//! * [`external`] — the spilled drive: \[BKS01\]'s multi-pass BNL with a
+//!   window bounded in bytes and spill-to-disk overflow runs
+//!   ([`ExternalSkyline`]), running the same probe step;
 //! * [`incremental`] — the skyline delta algebra behind
 //!   `MATERIALIZED PREFERENCE VIEW`: per-winner domination counts let
 //!   INSERT/DELETE/UPDATE maintain the BMO result without recomputation.
@@ -43,8 +43,8 @@ pub mod incremental;
 pub mod score;
 
 pub use algo::{
-    choose_algo, choose_degree, maximal, maximal_bnl, maximal_naive, maximal_parallel,
-    maximal_scored, maximal_sfs, maximal_with_threads, should_spill, SkylineAlgo, PARALLEL_CUTOFF,
+    choose_degree, maximal, maximal_bnl, maximal_naive, maximal_parallel, maximal_scored,
+    maximal_with_threads, SkylineAlgo, PARALLEL_CUTOFF,
 };
 pub use base::BasePref;
 pub use bmo::{bmo, bmo_grouped, bmo_grouped_scored};

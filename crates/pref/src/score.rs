@@ -113,9 +113,10 @@ pub(crate) struct Program {
     steps: Vec<Step>,
     /// The precomputed graph of every `EXPLICIT` base, slot-indexed.
     graphs: Vec<Option<ExplicitGraph>>,
-    /// Per slot, the score of a statically perfect match (§2.2.5), if
-    /// the base preference has one.
-    perfect: Vec<Option<f64>>,
+    /// The row of a statically perfect match (§2.2.5): per slot, the best
+    /// score the base preference can give. `None` when some base has no
+    /// static optimum (`LOWEST`/`HIGHEST`/`EXPLICIT`).
+    perfect: Option<Vec<f64>>,
 }
 
 impl Program {
@@ -245,6 +246,12 @@ impl Program {
             Step::Score { .. } | Step::Explicit { .. } => pc + 1,
             Step::Pareto { end } | Step::Prioritized { end } => end,
         }
+    }
+
+    /// The lowered row of a perfect match, if every base preference has
+    /// a static optimum.
+    pub(crate) fn perfect_row(&self) -> Option<&[f64]> {
+        self.perfect.as_deref()
     }
 
     /// Compare two lowered rows.
@@ -393,16 +400,6 @@ impl<'p> ScoreMatrix<'p> {
         self.pref.program().compare(self.row(a), self.row(b))
     }
 
-    /// Is row `i` best possible in every base preference (§2.2.5)?
-    /// `LOWEST`/`HIGHEST`/`EXPLICIT` have no static optimum.
-    pub(crate) fn is_perfect(&self, i: usize) -> bool {
-        let perfect = &self.pref.program().perfect;
-        self.row(i)
-            .iter()
-            .zip(perfect)
-            .all(|(&cell, &best)| best == Some(cell))
-    }
-
     /// Fold the rows' scores into `best`, the per-slot minima so far —
     /// the data-dependent optima `LOWEST`/`HIGHEST` quality functions are
     /// relative to.
@@ -506,13 +503,13 @@ mod tests {
             vec![Value::str("14"), Value::str("java")],
         ];
         let m = ScoreMatrix::lower(&p, rows.iter().map(Vec::as_slice));
-        assert!(m.is_perfect(0));
-        assert!(!m.is_perfect(1));
-        assert!(!m.is_perfect(2));
+        let best = p.program().perfect_row().unwrap();
+        assert_eq!(m.row(0), best);
+        assert_ne!(m.row(1), best);
+        assert_ne!(m.row(2), best);
         // HIGHEST is never statically perfect.
         let h = Preference::single(BasePref::Highest).unwrap();
-        let m = ScoreMatrix::lower(&h, [[Value::Int(1_000_000)].as_slice()]);
-        assert!(!m.is_perfect(0));
+        assert_eq!(h.program().perfect_row(), None);
     }
 
     #[test]

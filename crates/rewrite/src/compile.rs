@@ -6,7 +6,7 @@
 //! * the **rewrite** path derives one level/distance column per base
 //!   preference from `bases[i]` + `base_exprs[i]`;
 //! * the **native** path (ablation baselines) evaluates `base_exprs[i]`
-//!   per tuple into slot vectors and runs BMO/BNL/SFS directly.
+//!   per tuple into slot vectors and runs the BMO selection directly.
 
 use prefsql_parser::ast::{BinaryOp, Expr, PrefExpr, UnaryOp};
 use prefsql_pref::{BasePref, PrefNode, Preference};

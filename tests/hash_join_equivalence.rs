@@ -23,6 +23,8 @@
 //! 5. The nested-loop rematerialization fix: a correlated EXISTS that
 //!    re-opens a cross join must not re-scan the join's sides once per
 //!    outer row.
+//! 6. Session knobs under DML: the window budget and the hash-join
+//!    toggle reach a join inside `INSERT ... SELECT` and `CREATE VIEW`.
 
 use prefsql::engine::physical::{build, drain_batched};
 use prefsql::parser::ast::Statement;
@@ -286,6 +288,52 @@ fn grace_overflow_is_byte_identical_and_reports_runs() {
     assert!(m.passes >= 1, "{m:?}");
     let dir = m.spill_dir.as_deref().expect("metrics name the spill dir");
     assert!(!dir.exists(), "spill dir survived the query: {dir:?}");
+}
+
+// ------------------------------------------- session knobs under DML
+
+/// A join is planned and bounded the same way wherever it runs: as a
+/// SELECT, as the source of `INSERT ... SELECT`, and as the body a
+/// `CREATE VIEW` validates. The write-side statements used to build
+/// their contexts with default knobs — always a hash join, never a
+/// window.
+#[test]
+fn dml_and_view_validation_honour_the_session_knobs() {
+    let join = "SELECT f.id, d.name FROM fact f JOIN dim d ON f.k = d.k";
+    let mut conn = conn_with(vec![fact_table(600, 149, 31), dim_table(600, 149, 32)]);
+    conn.execute("CREATE TABLE o (id INTEGER, name VARCHAR)")
+        .expect("target table");
+
+    // The memory bound: every statement that runs the join spills it.
+    conn.set_window_bytes(Some(4096));
+    let select_runs = conn
+        .query(join)
+        .expect("bounded select")
+        .spill_metrics()
+        .expect("a 4 KiB window spills a 600-row build side")
+        .runs_written;
+    assert!(select_runs >= 2, "{select_runs}");
+    let _ = conn.engine().take_spill_metrics();
+    for sql in [
+        format!("INSERT INTO o {join}"),
+        format!("CREATE VIEW joined AS {join}"),
+    ] {
+        conn.execute(&sql).expect("write-side statement");
+        let m = conn.engine().take_spill_metrics();
+        let m = m.unwrap_or_else(|| panic!("window ignored by: {sql}"));
+        assert_eq!(m.runs_written, select_runs, "{sql}");
+    }
+    conn.set_window_bytes(None);
+
+    // The hash-join toggle: the source plan of the INSERT is the plan
+    // the SELECT gets.
+    for (on, node) in [(true, "join=hash"), (false, "Nested-loop join")] {
+        conn.engine_mut().set_use_hash_join(on);
+        for sql in [join.to_string(), format!("INSERT INTO o {join}")] {
+            let plan = explain(&mut conn, &format!("EXPLAIN ANALYZE {sql}"));
+            assert!(plan.contains(node), "hash join {on}: {sql}\n{plan}");
+        }
+    }
 }
 
 // ----------------------------------------------- NLJ rematerialization

@@ -174,7 +174,7 @@ fn native_ids(table: &Table, query: &Query, opts: NativeOptions) -> Vec<i64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// naive ≡ bnl ≡ sfs ≡ auto ≡ the planned Preference operator, over
+    /// naive ≡ bnl ≡ auto ≡ the planned Preference operator, over
     /// random composition trees and random slot vectors.
     #[test]
     fn algorithms_and_planned_operator_agree(rows in arb_rows(), pref in arb_pref()) {
@@ -184,7 +184,6 @@ proptest! {
         for algo in [
             SkylineAlgo::Naive,
             SkylineAlgo::Bnl,
-            SkylineAlgo::Sfs,
             SkylineAlgo::Auto,
         ] {
             let ids = native_ids(&table, &query, NativeOptions::with_algo(algo));
@@ -355,8 +354,7 @@ fn golden_thread_sweep_demo_queries() {
 fn golden_default_threads_follow_env_on_large_query() {
     use prefsql::pref::PARALLEL_CUTOFF;
     use prefsql_workload::jobs;
-    let n = 5_000;
-    assert!(n > PARALLEL_CUTOFF);
+    let n = PARALLEL_CUTOFF + 1_000;
     let table = jobs::table(n, 82);
     let soft: Vec<&str> = jobs::second_selection(0).iter().map(|&(_, s)| s).collect();
     let sql = format!("SELECT id FROM profiles PREFERRING {}", soft.join(" AND "));
@@ -391,10 +389,9 @@ fn golden_default_threads_follow_env_on_large_query() {
 fn golden_thread_sweep_engages_parallel_window() {
     use prefsql::pref::{choose_degree, PARALLEL_CUTOFF};
     use prefsql_workload::jobs;
-    // 5 000 unfiltered profiles: above the cutoff, so threads >= 2
-    // genuinely run the partitioned window, not the serial fallback.
-    let n = 5_000;
-    assert!(n > PARALLEL_CUTOFF);
+    // Unfiltered profiles above the cutoff, so threads >= 2 genuinely
+    // run the partitioned window, not the serial fallback.
+    let n = PARALLEL_CUTOFF + 1_000;
     assert!(choose_degree(n, 2) > 1, "cost model must engage here");
     let soft: Vec<&str> = jobs::second_selection(0).iter().map(|&(_, s)| s).collect();
     let sql = format!("SELECT id FROM profiles PREFERRING {}", soft.join(" AND "));
@@ -539,6 +536,69 @@ fn non_panicking_row_accessors() {
     assert!(sel.into_rows().is_some());
 }
 
+// -------------------------------------------------------- switch points
+
+/// `auto ≡ naive` on either side of every size a selection rule switches
+/// on, or used to: 64 (the retired nested-loop cutoff) and
+/// `PARALLEL_CUTOFF`, at the thread knobs that engage the partitioned
+/// window above it — for each bks01 distribution under a Pareto
+/// preference and for a CASCADE tree with ties in its first level.
+#[test]
+fn auto_agrees_with_the_abstract_selection_around_every_switch_point() {
+    use prefsql::pref::{choose_degree, maximal_with_threads, BasePref, PrefNode, PARALLEL_CUTOFF};
+    use prefsql_workload::bks01::{points, Distribution};
+    let lowest =
+        |root: PrefNode, d: usize| Preference::new(root, vec![BasePref::Lowest; d]).unwrap();
+    let bases = |d: usize| {
+        (0..d)
+            .map(|slot| PrefNode::Base { slot })
+            .collect::<Vec<_>>()
+    };
+    assert!(choose_degree(PARALLEL_CUTOFF, 2) > 1 && choose_degree(PARALLEL_CUTOFF - 1, 8) == 1);
+    for n in [63, 64, 65, PARALLEL_CUTOFF - 1, PARALLEL_CUTOFF + 1] {
+        for dist in Distribution::ALL {
+            // The oracle is quadratic in the skyline: at the large sizes
+            // two dimensions keep the anti-correlated one small.
+            let d = if n > 1_000 && dist == Distribution::AntiCorrelated {
+                2
+            } else {
+                3
+            };
+            let floats: Vec<Vec<Value>> = points(n, d, dist, 11)
+                .into_iter()
+                .map(|p| p.into_iter().map(Value::Float).collect())
+                .collect();
+            // d0 in eight buckets CASCADE the remaining dimensions.
+            let bucketed: Vec<Vec<Value>> = floats
+                .iter()
+                .map(|row| {
+                    let mut row = row.clone();
+                    row[0] = Value::Int((row[0].as_f64().unwrap() * 8.0) as i64);
+                    row
+                })
+                .collect();
+            let rest = match d {
+                2 => PrefNode::Base { slot: 1 },
+                _ => PrefNode::Pareto(bases(d).split_off(1)),
+            };
+            let cascade = PrefNode::Prioritized(vec![PrefNode::Base { slot: 0 }, rest]);
+            for (slots, pref) in [
+                (&floats, lowest(PrefNode::Pareto(bases(d)), d)),
+                (&bucketed, lowest(cascade, d)),
+            ] {
+                let expected = maximal_naive(slots, &pref);
+                for threads in [1, 2, 8] {
+                    assert_eq!(
+                        maximal_with_threads(slots, &pref, SkylineAlgo::Auto, threads),
+                        expected,
+                        "n={n} {dist:?} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------- tally
 
 /// The dominance-test tally is the paper's cost unit and the exact
@@ -550,7 +610,7 @@ fn non_panicking_row_accessors() {
 /// when the window entry wins, two otherwise.
 #[test]
 fn dominance_tally_is_pinned_for_every_algorithm() {
-    use prefsql::pref::{maximal_bnl, maximal_external, maximal_sfs, BasePref, PrefNode};
+    use prefsql::pref::{maximal_bnl, maximal_external, BasePref, PrefNode};
     use prefsql_workload::bks01::{points, Distribution};
     let pref = Preference::new(
         PrefNode::Pareto((0..4).map(|slot| PrefNode::Base { slot }).collect()),
@@ -567,8 +627,6 @@ fn dominance_tally_is_pinned_for_every_algorithm() {
     assert_eq!(pref.take_comparisons(), 426_037, "naive");
     assert_eq!(maximal_bnl(&slots, &pref), naive);
     assert_eq!(pref.take_comparisons(), 48_826, "bnl");
-    assert_eq!(maximal_sfs(&slots, &pref), naive);
-    assert_eq!(pref.take_comparisons(), 55_703, "sfs");
     assert_eq!(maximal_parallel(&slots, &pref, 2), naive);
     assert_eq!(pref.take_comparisons(), 63_276, "parallel(2)");
     let (external, metrics) = maximal_external(&slots, &pref, 4096).unwrap();
