@@ -1,24 +1,22 @@
-//! **P1** — the physical operator pipeline on the jobs workload.
-//!
-//! The seed engine was a materializing interpreter that re-derived access
-//! paths and re-materialized FROM sources per correlated-sub-query call;
-//! its numbers are recorded by the earlier `job_search`/`passthrough`
-//! bench targets in BENCH_*.json. This target captures the refactored
-//! pipeline from this point on, split by the stages the refactor changed:
+//! **P1** — the physical operator pipeline on the jobs workload, at
+//! `PREFSQL_BENCH_ROWS` rows and a quarter of that (CI runs it reduced):
 //!
 //! * `streamed_scan_filter_limit` — streaming scan → filter → sort →
 //!   limit (the limit stops pulling, so the projection never touches
 //!   dropped rows);
-//! * `rewrite_not_exists` — the paper's dominance anti-join, where the
-//!   per-statement plan cache makes the per-outer-row re-planning of the
-//!   correlated sub-query free;
+//! * `rewrite_not_exists` — the paper's dominance anti-join: the
+//!   correlated sub-query is planned and bound once with the statement,
+//!   then every outer row runs one `NOT EXISTS` probe that evaluates the
+//!   dominance predicate by column ordinal;
 //! * `native_preference_op` — the same preference query through the
-//!   `PreferenceOp` physical operator with cost-based algorithm
-//!   selection (`SkylineAlgo::Auto`).
+//!   `PreferenceOp` physical operator (`SkylineAlgo::Auto`).
+//!
+//! The last two are the pair ROADMAP item 2 reads: an anti-join node is
+//! only worth building while the probe path stays far behind native.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prefsql::{ExecutionMode, SkylineAlgo};
-use prefsql_bench::{conn_with, run};
+use prefsql_bench::{bench_rows, conn_with, run};
 use prefsql_workload::jobs;
 
 fn preference_sql() -> String {
@@ -33,7 +31,8 @@ fn bench_streaming_stages(c: &mut Criterion) {
     let mut group = c.benchmark_group("p1_plan_pipeline");
     group.sample_size(10);
 
-    for n in [2_000usize, 8_000] {
+    let rows = bench_rows();
+    for n in [rows / 4, rows] {
         let table = jobs::table(n, 21);
 
         // Streaming scan → filter → sort → limit.
@@ -53,7 +52,7 @@ fn bench_streaming_stages(c: &mut Criterion) {
             },
         );
 
-        // The rewritten dominance anti-join (plan cached across outer rows).
+        // The rewritten dominance anti-join (one probe per outer row).
         let sql = preference_sql();
         let mut conn = conn_with(table.clone());
         conn.set_mode(ExecutionMode::Rewrite);
@@ -61,7 +60,7 @@ fn bench_streaming_stages(c: &mut Criterion) {
             b.iter(|| run(&mut conn, sql).len())
         });
 
-        // The native Preference operator with auto algorithm selection.
+        // The native Preference operator.
         let mut conn = conn_with(table);
         conn.set_mode(ExecutionMode::Native(SkylineAlgo::Auto));
         group.bench_with_input(

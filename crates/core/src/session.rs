@@ -385,7 +385,7 @@ impl Session {
                     source: InsertSource::Query(q),
                 } = statement.as_ref()
                 {
-                    let rel = self.engine.run_query(q, &[])?;
+                    let rel = self.engine.run_query(q)?;
                     let rs = ResultSet::new(rel).strip_generated_columns();
                     let values: Vec<Vec<PExpr>> = rs
                         .rows()

@@ -1,346 +1,342 @@
-//! The scalar expression evaluator.
+//! The scalar expression evaluator: bind once, then evaluate by ordinal.
 //!
-//! Expressions are evaluated against an *environment*: a stack of
-//! `(schema, tuple)` frames, innermost first, so correlated sub-queries can
-//! see the columns of enclosing query blocks (the paper's rewritten
-//! `NOT EXISTS` predicates reference `A1.*` from inside the `A2` block).
+//! Every expression reaching this module was bound at plan time by
+//! [`crate::bind`], so a column reference is a `(depth, ordinal)` pair and
+//! the environment is nothing but rows: [`Env`] holds the evaluating
+//! node's own input row and the rows of the enclosing query blocks,
+//! innermost first — no schemas, no names, no per-row allocation. Column
+//! values are read by reference; a comparison of two columns clones
+//! neither. A sub-query is a plan bound with this environment's shape as
+//! its outer scope, so its operators see the current row as depth 1.
 //!
 //! Predicate truth follows SQL three-valued logic: `NULL` comparisons
 //! produce `NULL`, `AND`/`OR`/`NOT` use Kleene logic, and a `WHERE` clause
-//! keeps a row only when the predicate is exactly `TRUE`.
+//! keeps a row only when the predicate is exactly `TRUE` ([`holds`]).
+//! Resolution errors (unknown or ambiguous columns, unknown functions)
+//! were raised by the binder; what remains here are data errors —
+//! division by zero, type mismatches, a scalar sub-query with two rows.
 
-use prefsql_parser::ast::{BinaryOp, Expr, Query, UnaryOp};
-use prefsql_types::{Error, Result, Schema, Tuple, Value};
+use crate::bind::{AggCall, AggExpr, AggFunc, ArithOp, BoundExpr, CmpOp, Func, LikeOperand};
+use crate::exec::ExecCtx;
+use crate::physical;
+use crate::plan::QueryPlan;
+use prefsql_types::{DataType, Error, Result, Tuple, Value};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 
-/// One name-resolution frame: the schema and current tuple of a query block.
+/// The rows an expression is evaluated against: the node's own input row
+/// (depth 0) and the enclosing blocks' rows (depth 1.., innermost first).
 #[derive(Debug, Clone, Copy)]
-pub struct Frame<'a> {
-    /// The block's input schema.
-    pub schema: &'a Schema,
-    /// The current tuple.
-    pub tuple: &'a Tuple,
+pub struct Env<'a> {
+    /// The evaluating node's input row.
+    row: &'a Tuple,
+    /// The enclosing query blocks' current rows, innermost first.
+    outer: &'a [&'a Tuple],
 }
 
-/// Callback used to evaluate sub-queries; implemented by the executor.
-pub trait SubqueryEval {
-    /// Execute `query` with `frames` as the outer environment and return
-    /// its rows.
-    fn eval_subquery(&self, query: &Query, frames: &[Frame<'_>]) -> Result<Vec<Tuple>>;
+impl<'a> Env<'a> {
+    /// `row` inside the enclosing rows `outer`.
+    pub fn new(row: &'a Tuple, outer: &'a [&'a Tuple]) -> Self {
+        Env { row, outer }
+    }
 
-    /// Does `query` return at least one row? Implementations may
-    /// short-circuit after the first qualifying row (real DBMSs do for
-    /// `EXISTS`, and the paper's `NOT EXISTS` rewrite leans on it).
-    fn eval_subquery_exists(&self, query: &Query, frames: &[Frame<'_>]) -> Result<bool> {
-        Ok(!self.eval_subquery(query, frames)?.is_empty())
+    fn column(self, depth: usize, ordinal: usize) -> &'a Value {
+        match depth {
+            0 => &self.row[ordinal],
+            d => &self.outer[d - 1][ordinal],
+        }
+    }
+
+    /// The outer environment a sub-query evaluated here runs in.
+    fn chain(self) -> Vec<&'a Tuple> {
+        let mut rows = Vec::with_capacity(self.outer.len() + 1);
+        rows.push(self.row);
+        rows.extend_from_slice(self.outer);
+        rows
     }
 }
 
-/// Evaluate `expr` in the environment `frames` (innermost first).
-pub fn eval(expr: &Expr, frames: &[Frame<'_>], sq: &dyn SubqueryEval) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { qualifier, name } => {
-            // Innermost frame wins; outer frames provide correlation.
-            for frame in frames {
-                if let Some(idx) = frame.schema.lookup(qualifier.as_deref(), name)? {
-                    return Ok(frame.tuple[idx].clone());
-                }
-            }
-            let shown = match qualifier {
-                Some(q) => format!("{q}.{name}"),
-                None => name.clone(),
-            };
-            Err(Error::Plan(format!("unknown column '{shown}'")))
+/// Evaluate `expr` in `env`.
+pub fn eval(expr: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Value> {
+    value(expr, env, ctx).map(Cow::into_owned)
+}
+
+/// Is `pred` exactly TRUE in `env` (the `WHERE` / `ON` / `HAVING` test)?
+pub fn holds(pred: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<bool> {
+    Ok(truth_of(pred, env, ctx)? == Some(true))
+}
+
+/// The value of a scalar expression — borrowed straight from the row or
+/// the plan for columns and literals; predicates go through [`truth_of`].
+fn value<'v>(e: &'v BoundExpr, env: Env<'v>, ctx: &ExecCtx<'_>) -> Result<Cow<'v, Value>> {
+    Ok(Cow::Owned(match e {
+        BoundExpr::Literal(v) => return Ok(Cow::Borrowed(v)),
+        BoundExpr::Column { depth, ordinal } => {
+            return Ok(Cow::Borrowed(env.column(*depth, *ordinal)))
         }
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, frames, sq)?;
+        BoundExpr::Neg(x) => value(x, env, ctx)?.neg()?,
+        BoundExpr::Arith { op, left, right } => {
+            let (l, r) = (value(left, env, ctx)?, value(right, env, ctx)?);
             match op {
-                UnaryOp::Neg => v.neg(),
-                UnaryOp::Not => Ok(truth_not(v)?),
+                ArithOp::Add => l.add(&r)?,
+                ArithOp::Sub => l.sub(&r)?,
+                ArithOp::Mul => l.mul(&r)?,
+                ArithOp::Div => l.div(&r)?,
             }
         }
-        Expr::Binary { left, op, right } => eval_binary(left, *op, right, frames, sq),
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, frames, sq)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval(expr, frames, sq)?;
-            let lo = eval(low, frames, sq)?;
-            let hi = eval(high, frames, sq)?;
-            let ge = sql_ge(&v, &lo);
-            let le = sql_le(&v, &hi);
-            let t = three_and(ge, le);
-            Ok(truth_negate(t, *negated))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, frames, sq)?;
-            let mut saw_null = false;
-            let mut found = false;
-            for item in list {
-                let w = eval(item, frames, sq)?;
-                match v.sql_eq(&w) {
-                    Some(true) => {
-                        found = true;
-                        break;
-                    }
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            let t = if found {
-                Some(true)
-            } else if saw_null {
-                None
-            } else {
-                Some(false)
-            };
-            Ok(truth_negate(t, *negated))
-        }
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => {
-            let v = eval(expr, frames, sq)?;
-            let rows = sq.eval_subquery(query, frames)?;
-            let mut saw_null = false;
-            let mut found = false;
-            for row in &rows {
-                if row.len() != 1 {
-                    return Err(Error::Exec(
-                        "IN sub-query must return exactly one column".into(),
-                    ));
-                }
-                match v.sql_eq(&row[0]) {
-                    Some(true) => {
-                        found = true;
-                        break;
-                    }
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            let t = if found {
-                Some(true)
-            } else if saw_null {
-                None
-            } else {
-                Some(false)
-            };
-            Ok(truth_negate(t, *negated))
-        }
-        Expr::Exists { query, negated } => {
-            let any = sq.eval_subquery_exists(query, frames)?;
-            Ok(Value::Bool(any != *negated))
-        }
-        Expr::ScalarSubquery(query) => {
-            let rows = sq.eval_subquery(query, frames)?;
+        BoundExpr::ScalarSubquery(plan) => {
+            let mut rows = run_subquery(plan, env, ctx)?;
             match rows.len() {
-                0 => Ok(Value::Null),
+                0 => Value::Null,
                 1 => {
                     if rows[0].len() != 1 {
                         return Err(Error::Exec(
                             "scalar sub-query must return exactly one column".into(),
                         ));
                     }
-                    Ok(rows[0][0].clone())
+                    rows.swap_remove(0).into_values().swap_remove(0)
                 }
-                n => Err(Error::Exec(format!("scalar sub-query returned {n} rows"))),
+                n => return Err(Error::Exec(format!("scalar sub-query returned {n} rows"))),
             }
         }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(expr, frames, sq)?;
-            let p = eval(pattern, frames, sq)?;
-            match (&v, &p) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                (Value::Str(s), Value::Str(pat)) => Ok(Value::Bool(like_match(s, pat) != *negated)),
-                _ => Err(Error::Type(format!(
-                    "LIKE expects string operands, got {} and {}",
-                    v.type_name(),
-                    p.type_name()
-                ))),
-            }
-        }
-        Expr::Case {
+        BoundExpr::Case {
             operand,
             branches,
             else_result,
         } => {
-            let op_val = operand.as_ref().map(|o| eval(o, frames, sq)).transpose()?;
+            let op_val = operand.as_ref().map(|o| value(o, env, ctx)).transpose()?;
             for (when, then) in branches {
                 let hit = match &op_val {
-                    Some(ov) => {
-                        let wv = eval(when, frames, sq)?;
-                        ov.sql_eq(&wv) == Some(true)
-                    }
-                    None => {
-                        let wv = eval(when, frames, sq)?;
-                        truth(&wv) == Some(true)
-                    }
+                    Some(ov) => ov.sql_eq(value(when, env, ctx)?.as_ref()) == Some(true),
+                    None => truth_of(when, env, ctx)? == Some(true),
                 };
                 if hit {
-                    return eval(then, frames, sq);
+                    return value(then, env, ctx);
                 }
             }
             match else_result {
-                Some(e) => eval(e, frames, sq),
-                None => Ok(Value::Null),
+                Some(e) => return value(e, env, ctx),
+                None => Value::Null,
             }
         }
-        Expr::Function { name, args } => eval_scalar_function(name, args, frames, sq),
-        Expr::Wildcard => Err(Error::Plan("'*' is only valid inside COUNT(*)".into())),
-    }
+        BoundExpr::Call { func, args } => return call(*func, args, env, ctx),
+        predicate => truth_to_value(truth_of(predicate, env, ctx)?),
+    }))
 }
 
-fn eval_binary(
-    left: &Expr,
-    op: BinaryOp,
-    right: &Expr,
-    frames: &[Frame<'_>],
-    sq: &dyn SubqueryEval,
-) -> Result<Value> {
-    // Kleene logic with short-circuiting for AND/OR.
-    match op {
-        BinaryOp::And => {
-            let l = truth(&eval(left, frames, sq)?);
-            if l == Some(false) {
-                return Ok(Value::Bool(false));
+/// The SQL truth of an expression: predicates are decided without
+/// building a [`Value`]; any other expression is evaluated and its value
+/// read as a truth (non-boolean values are UNKNOWN).
+fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<bool>> {
+    Ok(match e {
+        BoundExpr::And(l, r) => {
+            let a = truth_of(l, env, ctx)?;
+            if a == Some(false) {
+                return Ok(a);
             }
-            let r = truth(&eval(right, frames, sq)?);
-            return Ok(truth_to_value(three_and(l, r)));
+            three_and(a, truth_of(r, env, ctx)?)
         }
-        BinaryOp::Or => {
-            let l = truth(&eval(left, frames, sq)?);
-            if l == Some(true) {
-                return Ok(Value::Bool(true));
+        BoundExpr::Or(l, r) => {
+            let a = truth_of(l, env, ctx)?;
+            if a == Some(true) {
+                return Ok(a);
             }
-            let r = truth(&eval(right, frames, sq)?);
-            return Ok(truth_to_value(three_or(l, r)));
+            three_or(a, truth_of(r, env, ctx)?)
         }
-        _ => {}
-    }
-    let l = eval(left, frames, sq)?;
-    let r = eval(right, frames, sq)?;
-    match op {
-        BinaryOp::Plus => l.add(&r),
-        BinaryOp::Minus => l.sub(&r),
-        BinaryOp::Mul => l.mul(&r),
-        BinaryOp::Div => l.div(&r),
-        BinaryOp::Eq => Ok(truth_to_value(l.sql_eq(&r))),
-        BinaryOp::NotEq => Ok(truth_to_value(l.sql_eq(&r).map(|b| !b))),
-        BinaryOp::Lt => Ok(truth_to_value(
-            l.sql_cmp(&r).map(|o| o == std::cmp::Ordering::Less),
-        )),
-        BinaryOp::LtEq => Ok(truth_to_value(
-            l.sql_cmp(&r).map(|o| o != std::cmp::Ordering::Greater),
-        )),
-        BinaryOp::Gt => Ok(truth_to_value(
-            l.sql_cmp(&r).map(|o| o == std::cmp::Ordering::Greater),
-        )),
-        BinaryOp::GtEq => Ok(truth_to_value(
-            l.sql_cmp(&r).map(|o| o != std::cmp::Ordering::Less),
-        )),
-        BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
-    }
+        BoundExpr::Not(x) => match value(x, env, ctx)?.as_ref() {
+            Value::Bool(b) => Some(!b),
+            Value::Null => None,
+            other => {
+                return Err(Error::Type(format!(
+                    "NOT expects a boolean, got {}",
+                    other.type_name()
+                )))
+            }
+        },
+        BoundExpr::Compare { op, left, right } => {
+            let (l, r) = (value(left, env, ctx)?, value(right, env, ctx)?);
+            match op {
+                CmpOp::Eq => l.sql_eq(&r),
+                CmpOp::NotEq => l.sql_eq(&r).map(|b| !b),
+                CmpOp::Lt => l.sql_cmp(&r).map(|o| o == Ordering::Less),
+                CmpOp::LtEq => l.sql_cmp(&r).map(|o| o != Ordering::Greater),
+                CmpOp::Gt => l.sql_cmp(&r).map(|o| o == Ordering::Greater),
+                CmpOp::GtEq => l.sql_cmp(&r).map(|o| o != Ordering::Less),
+            }
+        }
+        BoundExpr::IsNull { expr, negated } => Some(value(expr, env, ctx)?.is_null() != *negated),
+        BoundExpr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            let v = value(expr, env, ctx)?;
+            let lo = value(low, env, ctx)?;
+            let hi = value(high, env, ctx)?;
+            let ge = v.sql_cmp(&lo).map(|o| o != Ordering::Less);
+            let le = v.sql_cmp(&hi).map(|o| o != Ordering::Greater);
+            three_and(ge, le).map(|b| b != *negated)
+        }
+        BoundExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = value(expr, env, ctx)?;
+            let mut candidates = list.iter().map(|item| value(item, env, ctx));
+            membership(&v, &mut candidates)?.map(|b| b != *negated)
+        }
+        BoundExpr::InSubquery {
+            expr,
+            plan,
+            negated,
+        } => {
+            let v = value(expr, env, ctx)?;
+            let rows = run_subquery(plan, env, ctx)?;
+            let mut candidates = rows.iter().map(|row| {
+                if row.len() != 1 {
+                    return Err(Error::Exec(
+                        "IN sub-query must return exactly one column".into(),
+                    ));
+                }
+                Ok(Cow::Borrowed(&row[0]))
+            });
+            membership(&v, &mut candidates)?.map(|b| b != *negated)
+        }
+        BoundExpr::Exists {
+            plan,
+            first_row,
+            negated,
+        } => Some(any_row(plan, *first_row, env, ctx)? != *negated),
+        BoundExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            let v = value(expr, env, ctx)?;
+            let matched = match pattern {
+                LikeOperand::Fixed(p) => match v.as_ref() {
+                    Value::Null => None,
+                    Value::Str(s) => Some(p.matches(s)),
+                    other => {
+                        return Err(like_type_error(other.type_name(), DataType::Str.sql_name()))
+                    }
+                },
+                LikeOperand::Dynamic(p) => match (v.as_ref(), value(p, env, ctx)?.as_ref()) {
+                    (Value::Null, _) | (_, Value::Null) => None,
+                    (Value::Str(s), Value::Str(p)) => Some(like_match(s, p)),
+                    (a, b) => return Err(like_type_error(a.type_name(), b.type_name())),
+                },
+            };
+            matched.map(|b| b != *negated)
+        }
+        scalar => truth(value(scalar, env, ctx)?.as_ref()),
+    })
 }
 
-fn eval_scalar_function(
-    name: &str,
-    args: &[Expr],
-    frames: &[Frame<'_>],
-    sq: &dyn SubqueryEval,
-) -> Result<Value> {
-    let arity = |n: usize| -> Result<()> {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(Error::Type(format!(
-                "{name}() expects {n} argument(s), got {}",
-                args.len()
-            )))
+fn like_type_error(subject: &str, pattern: &str) -> Error {
+    Error::Type(format!(
+        "LIKE expects string operands, got {subject} and {pattern}"
+    ))
+}
+
+/// SQL `IN`: TRUE on a match, else UNKNOWN if any comparison was, else
+/// FALSE. Candidates are evaluated lazily, up to the first match.
+fn membership<'v>(
+    v: &Value,
+    candidates: &mut dyn Iterator<Item = Result<Cow<'v, Value>>>,
+) -> Result<Option<bool>> {
+    let mut saw_null = false;
+    for w in candidates {
+        match v.sql_eq(w?.as_ref()) {
+            Some(true) => return Ok(Some(true)),
+            Some(false) => {}
+            None => saw_null = true,
         }
-    };
-    match name {
-        "abs" => {
-            arity(1)?;
-            eval(&args[0], frames, sq)?.abs()
-        }
-        "lower" | "upper" => {
-            arity(1)?;
-            let v = eval(&args[0], frames, sq)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Str(if name == "lower" {
-                    s.to_lowercase()
-                } else {
-                    s.to_uppercase()
-                })),
-                other => Err(Error::Type(format!(
+    }
+    Ok(if saw_null { None } else { Some(false) })
+}
+
+/// Run a sub-query to completion in `env` (one `subquery_evals` tick).
+fn run_subquery(plan: &QueryPlan, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Vec<Tuple>> {
+    ctx.stats.borrow_mut().subquery_evals += 1;
+    Ok(physical::execute(ctx, plan.root(), &env.chain())?.rows)
+}
+
+/// Does the `EXISTS` sub-query return a row in `env`? A `first_row` plan
+/// is pulled one row at a time and stops at the first qualifying row
+/// (real DBMSs do, and the paper's `NOT EXISTS` rewrite leans on it).
+fn any_row(plan: &QueryPlan, first_row: bool, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<bool> {
+    if !first_row {
+        return Ok(!run_subquery(plan, env, ctx)?.is_empty());
+    }
+    ctx.stats.borrow_mut().subquery_evals += 1;
+    let outer = env.chain();
+    let mut op = physical::build(ctx, plan.root(), &outer);
+    physical::any_row(op.as_mut())
+}
+
+fn call<'v>(
+    func: Func,
+    args: &'v [BoundExpr],
+    env: Env<'v>,
+    ctx: &ExecCtx<'_>,
+) -> Result<Cow<'v, Value>> {
+    let name = func.name();
+    let arg = |i: usize| value(&args[i], env, ctx);
+    Ok(Cow::Owned(match func {
+        Func::Abs => arg(0)?.abs()?,
+        Func::Lower | Func::Upper => match arg(0)?.as_ref() {
+            Value::Null => Value::Null,
+            Value::Str(s) if func == Func::Lower => Value::Str(s.to_lowercase()),
+            Value::Str(s) => Value::Str(s.to_uppercase()),
+            other => {
+                return Err(Error::Type(format!(
                     "{name}() expects a string, got {}",
                     other.type_name()
-                ))),
+                )))
             }
-        }
-        "length" => {
-            arity(1)?;
-            let v = eval(&args[0], frames, sq)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Str(s) => Ok(Value::Int(s.chars().count() as i64)),
-                other => Err(Error::Type(format!(
+        },
+        Func::Length => match arg(0)?.as_ref() {
+            Value::Null => Value::Null,
+            Value::Str(s) => Value::Int(s.chars().count() as i64),
+            other => {
+                return Err(Error::Type(format!(
                     "length() expects a string, got {}",
                     other.type_name()
-                ))),
+                )))
             }
-        }
-        "round" | "floor" | "ceil" => {
-            arity(1)?;
-            let v = eval(&args[0], frames, sq)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(i)),
-                Value::Float(f) => Ok(Value::Float(match name {
-                    "round" => f.round(),
-                    "floor" => f.floor(),
-                    _ => f.ceil(),
-                })),
-                other => Err(Error::Type(format!(
+        },
+        Func::Round | Func::Floor | Func::Ceil => match arg(0)?.as_ref() {
+            Value::Null => Value::Null,
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(match func {
+                Func::Round => f.round(),
+                Func::Floor => f.floor(),
+                _ => f.ceil(),
+            }),
+            other => {
+                return Err(Error::Type(format!(
                     "{name}() expects a number, got {}",
                     other.type_name()
-                ))),
+                )))
             }
-        }
-        "least" | "greatest" => {
-            if args.is_empty() {
-                return Err(Error::Type(format!("{name}() needs arguments")));
-            }
-            let mut best: Option<Value> = None;
-            for a in args {
-                let v = eval(a, frames, sq)?;
+        },
+        Func::Least | Func::Greatest => {
+            let mut best: Option<Cow<'v, Value>> = None;
+            for i in 0..args.len() {
+                let v = arg(i)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 best = Some(match best {
                     None => v,
                     Some(b) => {
                         let keep_new = match v.sql_cmp(&b) {
                             Some(o) => {
-                                (name == "least") == (o == std::cmp::Ordering::Less)
-                                    && o != std::cmp::Ordering::Equal
+                                (func == Func::Least) == (o == Ordering::Less)
+                                    && o != Ordering::Equal
                             }
                             None => {
                                 return Err(Error::Type(format!(
@@ -356,54 +352,185 @@ fn eval_scalar_function(
                     }
                 });
             }
-            Ok(best.expect("non-empty args"))
+            return Ok(best.expect("the binder rejects an empty argument list"));
         }
-        "coalesce" => {
-            for a in args {
-                let v = eval(a, frames, sq)?;
+        Func::Coalesce => {
+            for i in 0..args.len() {
+                let v = arg(i)?;
                 if !v.is_null() {
                     return Ok(v);
                 }
             }
-            Ok(Value::Null)
+            Value::Null
         }
-        "count" | "sum" | "avg" | "min" | "max" => Err(Error::Plan(format!(
-            "aggregate {name}() is not allowed in this context"
-        ))),
-        "top" | "level" | "distance" => Err(Error::Unsupported(format!(
-            "quality function {name}() requires a PREFERRING clause and is \
-             resolved by the Preference SQL rewriter — it cannot be executed \
-             by the host SQL engine directly"
-        ))),
-        other => Err(Error::Plan(format!("unknown function '{other}'"))),
+    }))
+}
+
+impl AggExpr {
+    /// The expression's value over one group of an aggregate block whose
+    /// input rows are `width` wide. `members` is empty only for the one
+    /// global group of an aggregate over no rows; the residue then sees
+    /// an all-NULL row.
+    pub(crate) fn eval(
+        &self,
+        members: &[Tuple],
+        width: usize,
+        outer: &[&Tuple],
+        ctx: &ExecCtx<'_>,
+    ) -> Result<Value> {
+        let mut row = match members.first() {
+            Some(first) => first.values().to_vec(),
+            None => vec![Value::Null; width],
+        };
+        for c in &self.calls {
+            row.push(c.eval(members, outer, ctx)?);
+        }
+        eval(&self.residue, Env::new(&Tuple::new(row), outer), ctx)
     }
+}
+
+impl AggCall {
+    fn eval(&self, members: &[Tuple], outer: &[&Tuple], ctx: &ExecCtx<'_>) -> Result<Value> {
+        let Some(arg) = &self.arg else {
+            return Ok(Value::Int(members.len() as i64));
+        };
+        let mut values = Vec::with_capacity(members.len());
+        for row in members {
+            let v = eval(arg, Env::new(row, outer), ctx)?;
+            if !v.is_null() {
+                values.push(v);
+            }
+        }
+        let name = self.func.name();
+        match self.func {
+            AggFunc::Count => Ok(Value::Int(values.len() as i64)),
+            AggFunc::Sum | AggFunc::Avg => {
+                if values.is_empty() {
+                    return Ok(Value::Null);
+                }
+                let mut acc = Value::Int(0);
+                for v in &values {
+                    acc = acc.add(v)?;
+                }
+                if self.func == AggFunc::Avg {
+                    acc.coerce_to(DataType::Float)?
+                        .div(&Value::Float(values.len() as f64))
+                } else {
+                    Ok(acc)
+                }
+            }
+            AggFunc::Min | AggFunc::Max => {
+                let mut best: Option<Value> = None;
+                for v in values {
+                    best = Some(match best {
+                        None => v,
+                        Some(b) => match v.sql_cmp(&b) {
+                            Some(Ordering::Less) if self.func == AggFunc::Min => v,
+                            Some(Ordering::Greater) if self.func == AggFunc::Max => v,
+                            Some(_) => b,
+                            None => {
+                                return Err(Error::Type(format!(
+                                    "{name}() over incomparable values"
+                                )))
+                            }
+                        },
+                    });
+                }
+                Ok(best.unwrap_or(Value::Null))
+            }
+        }
+    }
+}
+
+/// A `LIKE` pattern split once at its `%` wildcards into segments of
+/// literal characters and `_` (any one character).
+///
+/// Matching is the greedy segment scan: the first segment is anchored at
+/// the start, the last at the end, and every segment between takes its
+/// leftmost match — which is never worse than a later one, because a `%`
+/// follows it. That is O(|subject| · |pattern|) in the worst case and
+/// allocates nothing; case-sensitive, over Unicode scalar values.
+#[derive(Debug, Clone)]
+pub struct LikePattern {
+    segments: Vec<Vec<char>>,
+}
+
+impl LikePattern {
+    /// Split `pattern` at its `%` wildcards.
+    pub fn new(pattern: &str) -> Self {
+        LikePattern {
+            segments: pattern.split('%').map(|s| s.chars().collect()).collect(),
+        }
+    }
+
+    /// Does `subject` match the whole pattern?
+    pub fn matches(&self, subject: &str) -> bool {
+        let (first, rest) = self
+            .segments
+            .split_first()
+            .expect("split yields at least one segment");
+        let Some((last, middle)) = rest.split_last() else {
+            return strip_segment(first, subject) == Some("");
+        };
+        let Some(mut tail) = strip_segment(first, subject) else {
+            return false;
+        };
+        for seg in middle {
+            match find_segment(seg, tail) {
+                Some(after) => tail = after,
+                None => return false,
+            }
+        }
+        ends_with_segment(last, tail)
+    }
+}
+
+/// `s` after a prefix matching `seg`, if it starts with one.
+fn strip_segment<'s>(seg: &[char], s: &'s str) -> Option<&'s str> {
+    let mut chars = s.chars();
+    for &p in seg {
+        let c = chars.next()?;
+        if p != '_' && p != c {
+            return None;
+        }
+    }
+    Some(chars.as_str())
+}
+
+/// `s` after the leftmost match of `seg`.
+fn find_segment<'s>(seg: &[char], s: &'s str) -> Option<&'s str> {
+    let mut from = s;
+    loop {
+        if let Some(after) = strip_segment(seg, from) {
+            return Some(after);
+        }
+        let mut chars = from.chars();
+        chars.next()?;
+        from = chars.as_str();
+    }
+}
+
+/// Does `s` end with a match of `seg`?
+fn ends_with_segment(seg: &[char], s: &str) -> bool {
+    let mut chars = s.chars();
+    seg.iter()
+        .rev()
+        .all(|&p| chars.next_back().is_some_and(|c| p == '_' || p == c))
 }
 
 /// SQL `LIKE` with `%` (any sequence) and `_` (any single char),
 /// case-sensitive, over Unicode scalar values.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn rec(s: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => s.is_empty(),
-            Some(('%', rest)) => (0..=s.len()).any(|k| rec(&s[k..], rest)),
-            Some(('_', rest)) => !s.is_empty() && rec(&s[1..], rest),
-            Some((c, rest)) => s.first() == Some(c) && rec(&s[1..], rest),
-        }
-    }
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&s, &p)
+    LikePattern::new(pattern).matches(s)
 }
 
 // ------------------------- three-valued logic helpers -------------------
 
-/// SQL truth of a value: `Some(bool)` for BOOL, `None` for NULL, error for
-/// anything else is avoided by treating non-bool as an error at call sites
-/// that require predicates; here non-bool non-null maps to `None`.
+/// SQL truth of a value: `Some(bool)` for BOOL, `None` for NULL and for
+/// any non-boolean value.
 pub fn truth(v: &Value) -> Option<bool> {
     match v {
         Value::Bool(b) => Some(*b),
-        Value::Null => None,
         _ => None,
     }
 }
@@ -413,21 +540,6 @@ fn truth_to_value(t: Option<bool>) -> Value {
         Some(b) => Value::Bool(b),
         None => Value::Null,
     }
-}
-
-fn truth_not(v: Value) -> Result<Value> {
-    match v {
-        Value::Bool(b) => Ok(Value::Bool(!b)),
-        Value::Null => Ok(Value::Null),
-        other => Err(Error::Type(format!(
-            "NOT expects a boolean, got {}",
-            other.type_name()
-        ))),
-    }
-}
-
-fn truth_negate(t: Option<bool>, negated: bool) -> Value {
-    truth_to_value(t.map(|b| b != negated))
 }
 
 fn three_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
@@ -446,26 +558,13 @@ fn three_or(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-fn sql_ge(a: &Value, b: &Value) -> Option<bool> {
-    a.sql_cmp(b).map(|o| o != std::cmp::Ordering::Less)
-}
-
-fn sql_le(a: &Value, b: &Value) -> Option<bool> {
-    a.sql_cmp(b).map(|o| o != std::cmp::Ordering::Greater)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::bind;
+    use crate::exec::Engine;
     use prefsql_parser::parse_expression;
-    use prefsql_types::{tuple, Column, DataType};
-
-    struct NoSubqueries;
-    impl SubqueryEval for NoSubqueries {
-        fn eval_subquery(&self, _: &Query, _: &[Frame<'_>]) -> Result<Vec<Tuple>> {
-            Err(Error::Plan("no sub-queries in this test".into()))
-        }
-    }
+    use prefsql_types::{tuple, Column, Schema};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -476,14 +575,17 @@ mod tests {
         .unwrap()
     }
 
+    /// Bind `src` against `scope`, then evaluate it with `row` innermost
+    /// and `outer` around it.
+    fn run(src: &str, scope: &[&Schema], row: &Tuple, outer: &[&Tuple]) -> Result<Value> {
+        let engine = Engine::new();
+        let ctx = engine.read_ctx()?;
+        let e = bind(&ctx, &parse_expression(src)?, scope)?;
+        eval(&e, Env::new(row, outer), &ctx)
+    }
+
     fn ev(src: &str, t: &Tuple) -> Result<Value> {
-        let e = parse_expression(src).unwrap();
-        let s = schema();
-        let frames = [Frame {
-            schema: &s,
-            tuple: t,
-        }];
-        eval(&e, &frames, &NoSubqueries)
+        run(src, &[&schema()], t, &[])
     }
 
     #[test]
@@ -597,23 +699,19 @@ mod tests {
             Schema::new(vec![Column::new("x", DataType::Int).qualified("a2")]).unwrap();
         let outer_schema =
             Schema::new(vec![Column::new("x", DataType::Int).qualified("a1")]).unwrap();
-        let inner_t = tuple![10];
-        let outer_t = tuple![20];
-        let frames = [
-            Frame {
-                schema: &inner_schema,
-                tuple: &inner_t,
-            },
-            Frame {
-                schema: &outer_schema,
-                tuple: &outer_t,
-            },
-        ];
-        let e = parse_expression("a2.x < a1.x").unwrap();
-        assert_eq!(eval(&e, &frames, &NoSubqueries).unwrap(), Value::Bool(true));
+        let scope = [&inner_schema, &outer_schema];
+        let (inner_t, outer_t) = (tuple![10], tuple![20]);
+        let outer = [&outer_t];
+        assert_eq!(
+            run("a2.x < a1.x", &scope, &inner_t, &outer).unwrap(),
+            Value::Bool(true)
+        );
         // Unqualified resolves innermost-first.
-        let e = parse_expression("x").unwrap();
-        assert_eq!(eval(&e, &frames, &NoSubqueries).unwrap(), Value::Int(10));
+        assert_eq!(run("x", &scope, &inner_t, &outer).unwrap(), Value::Int(10));
+        assert_eq!(
+            run("a1.x", &scope, &inner_t, &outer).unwrap(),
+            Value::Int(20)
+        );
     }
 
     #[test]
@@ -630,6 +728,39 @@ mod tests {
         let t = tuple![1, "audi", 1.0];
         assert_eq!(ev("make LIKE 'au%'", &t).unwrap(), Value::Bool(true));
         assert_eq!(ev("make NOT LIKE 'b%'", &t).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn like_segments_anchor_and_never_overlap() {
+        // The last segment is anchored at the end and may not reuse what
+        // the first one consumed.
+        assert!(!like_match("ab", "ab%b"));
+        assert!(like_match("abb", "ab%b"));
+        assert!(like_match("abcabc", "%bc%bc"));
+        assert!(!like_match("abc", "%bc%bc"));
+        assert!(!like_match("", "_"));
+        assert!(like_match("é", "_"));
+        assert!(like_match("naïve", "na_ve"));
+        assert!(!like_match("Audi", "audi"), "case-sensitive");
+        let t = Tuple::new(vec![Value::Int(1), Value::Null, Value::Float(1.0)]);
+        assert_eq!(ev("make LIKE 'a%'", &t).unwrap(), Value::Null);
+        assert!(ev("price LIKE 'a%'", &t).is_err());
+    }
+
+    /// `LIKE` is O(|subject| · |pattern|): a 200-character subject against
+    /// a pattern that made the old recursive matcher retry every suffix
+    /// per `%` (436 ms at 48 characters) answers at once.
+    #[test]
+    fn like_does_not_backtrack_exponentially() {
+        let subject = "a".repeat(200);
+        let started = std::time::Instant::now();
+        assert!(!like_match(&subject, "%a%a%a%a%a%a%b"));
+        assert!(like_match(&subject, "%a%a%a%a%a%a%a"));
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(200),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   readers-writer lock plus global toggles. Sessions share it through an
 //!   `Arc`; queries take read locks, DML/DDL the write lock, so statements
 //!   are isolated at statement granularity.
-//! * [`ExecCtx`] — per-statement execution state: the FROM/plan caches,
+//! * [`ExecCtx`] — per-statement execution state: the FROM cache,
 //!   execution counters and the view-recursion guard, pinned to a catalog
 //!   borrow (a read guard for queries, a plain borrow under the write lock
 //!   for DML expression evaluation). A fresh context per statement replaces
@@ -17,12 +17,15 @@
 //!   `take_stats`, ...) while delegating to a shared or private core.
 //!
 //! Queries are compiled into a logical plan ([`crate::plan`]) exactly once
-//! per statement (a pointer-keyed, content-verified plan cache makes the
-//! per-outer-row re-planning of correlated sub-queries free) and run by the
-//! streaming physical operators of [`crate::physical`]. `EXPLAIN` renders
-//! the same plan object the executor runs.
+//! per statement — every expression bound ([`crate::bind`]), every
+//! sub-query planned as a child of the expression that runs it — and run
+//! by the streaming physical operators of [`crate::physical`]. `EXPLAIN`
+//! renders the same plan object the executor runs. DML binds its
+//! expressions once per statement the same way and evaluates them per
+//! row by ordinal.
 
-use crate::eval::{eval, truth, Frame, SubqueryEval};
+use crate::bind::bind;
+use crate::eval::{eval, holds, Env};
 use crate::plan::{plan_query, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
@@ -389,18 +392,6 @@ impl Drop for EngineCore {
     }
 }
 
-/// Upper bound on distinct cached plans per statement (a safety valve for
-/// pathological workloads that evaluate transient query clones).
-const PLAN_CACHE_CAP: usize = 128;
-
-/// A cached plan plus the query it was built from: cache keys are AST
-/// node addresses, which are only stable while the statement runs, so a
-/// hit must verify the source still matches before reusing the plan.
-struct CachedPlan {
-    source: Query,
-    plan: Arc<QueryPlan>,
-}
-
 /// How a statement context sees the catalog: queries hold the core's read
 /// guard, DML evaluation borrows the catalog the statement's write guard
 /// already protects.
@@ -428,9 +419,6 @@ pub struct ExecCtx<'c> {
     /// Per-statement cache of materialized FROM sources (tables, views and
     /// derived tables are uncorrelated in SQL92, so caching is sound).
     pub(crate) from_cache: RefCell<HashMap<String, Arc<Relation>>>,
-    /// Per-statement plan cache keyed by AST node address; entries are
-    /// verified against the source query on every hit.
-    plan_cache: RefCell<HashMap<usize, CachedPlan>>,
     pub(crate) stats: RefCell<ExecStats>,
     /// Guard against runaway view recursion (during planning).
     pub(crate) view_depth: RefCell<u32>,
@@ -453,7 +441,6 @@ impl<'c> ExecCtx<'c> {
             spill_base: None,
             spill: RefCell::new(None),
             from_cache: RefCell::new(HashMap::new()),
-            plan_cache: RefCell::new(HashMap::new()),
             stats: RefCell::new(ExecStats::default()),
             view_depth: RefCell::new(0),
             profiler: None,
@@ -583,69 +570,20 @@ impl<'c> ExecCtx<'c> {
         std::mem::take(&mut self.stats.borrow_mut())
     }
 
-    /// Plan `query`, reusing the per-statement plan cache. The cache key
-    /// is the AST node's address; a hit is verified against the stored
-    /// source query, so recycled addresses can never alias a stale plan.
+    /// Plan (and bind) `query` as a top-level block of this statement.
+    /// Its sub-queries are planned with it, once; nothing is re-planned
+    /// per outer row.
     pub fn plan_for(&self, query: &Query) -> Result<Arc<QueryPlan>> {
-        let key = query as *const Query as usize;
-        if let Some(hit) = self.plan_cache.borrow().get(&key) {
-            if hit.source == *query {
-                return Ok(Arc::clone(&hit.plan));
-            }
-        }
-        let plan = Arc::new(plan_query(self, query)?);
-        let mut cache = self.plan_cache.borrow_mut();
-        if cache.len() < PLAN_CACHE_CAP || cache.contains_key(&key) {
-            cache.insert(
-                key,
-                CachedPlan {
-                    source: query.clone(),
-                    plan: Arc::clone(&plan),
-                },
-            );
-        }
-        Ok(plan)
+        Ok(Arc::new(plan_query(self, query)?))
     }
 
-    /// Execute a query block in the environment `outer` (empty for
-    /// top-level queries, enclosing frames for correlated sub-queries).
-    pub fn run_query(&self, query: &Query, outer: &[Frame<'_>]) -> Result<Relation> {
+    /// Plan and execute a top-level query block.
+    pub fn run_query(&self, query: &Query) -> Result<Relation> {
         let plan = self.plan_for(query)?;
-        // The first query of a profiled statement is the top-level one
-        // (sub-queries run nested inside it); keep its plan alive so the
-        // profile can be rendered against it.
+        // Keep the plan alive so a profiled statement's profile can be
+        // rendered against it.
         self.profile_plan(&plan);
-        crate::physical::execute(self, plan.root(), outer)
-    }
-
-    /// Does `query` return at least one row in environment `outer`?
-    /// The streaming pipeline stops at the first qualifying row whenever
-    /// the plan shape allows it (the common `EXISTS (SELECT 1 ...)` shape
-    /// the rewrite emits); falls back to full evaluation otherwise.
-    pub fn run_query_exists(&self, query: &Query, outer: &[Frame<'_>]) -> Result<bool> {
-        let plan = self.plan_for(query)?;
-        match exists_probe_root(plan.root()) {
-            Some(node) => {
-                let mut op = crate::physical::build(self, node, outer);
-                crate::physical::any_row(op.as_mut())
-            }
-            None => Ok(!crate::physical::execute(self, plan.root(), outer)?
-                .rows
-                .is_empty()),
-        }
-    }
-}
-
-/// Sub-query evaluation bridge handed to the expression evaluator.
-impl SubqueryEval for ExecCtx<'_> {
-    fn eval_subquery(&self, query: &Query, frames: &[Frame<'_>]) -> Result<Vec<Tuple>> {
-        self.stats.borrow_mut().subquery_evals += 1;
-        Ok(self.run_query(query, frames)?.rows)
-    }
-
-    fn eval_subquery_exists(&self, query: &Query, frames: &[Frame<'_>]) -> Result<bool> {
-        self.stats.borrow_mut().subquery_evals += 1;
-        self.run_query_exists(query, frames)
+        crate::physical::execute(self, plan.root(), &[])
     }
 }
 
@@ -974,7 +912,7 @@ impl Engine {
     pub fn execute(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
         match stmt {
             Statement::Select(q) => {
-                let rel = self.run_query(q, &[])?;
+                let rel = self.run_query(q)?;
                 Ok(ExecOutcome::Rows(rel))
             }
             Statement::Insert {
@@ -1031,7 +969,7 @@ impl Engine {
                 let mut cat = self.core.catalog_write()?;
                 // Validate the view body against the current catalog by
                 // planning and running it once on an empty environment.
-                self.with_ctx_over(&cat, |ctx| ctx.run_query(query, &[]))?;
+                self.with_ctx_over(&cat, |ctx| ctx.run_query(query))?;
                 cat.create_view(name.clone(), query.to_string())?;
                 Ok(ExecOutcome::Ddl(format!("created view {name}")))
             }
@@ -1156,10 +1094,9 @@ impl Engine {
         self.with_read_ctx(|ctx| ctx.plan_for(query))
     }
 
-    /// Execute a query block as one read statement in the environment
-    /// `outer` (empty for top-level queries).
-    pub fn run_query(&self, query: &Query, outer: &[Frame<'_>]) -> Result<Relation> {
-        self.with_read_ctx(|ctx| ctx.run_query(query, outer))
+    /// Execute a query block as one read statement.
+    pub fn run_query(&self, query: &Query) -> Result<Relation> {
+        self.with_read_ctx(|ctx| ctx.run_query(query))
     }
 
     // ----------------------------------------------------------------- DML
@@ -1175,14 +1112,19 @@ impl Engine {
         // `INSERT INTO t SELECT ... FROM t` well-defined). Evaluation runs
         // in a statement context borrowing the write-locked catalog.
         let incoming: Vec<Tuple> = self.with_ctx_over(cat, |ctx| match source {
-            InsertSource::Values(rows) => rows
-                .iter()
-                .map(|row| {
-                    let values = row.iter().map(|e| eval(e, &[], ctx));
-                    Ok(Tuple::new(values.collect::<Result<Vec<_>>>()?))
-                })
-                .collect(),
-            InsertSource::Query(q) => Ok(ctx.run_query(q, &[])?.rows),
+            InsertSource::Values(rows) => {
+                // VALUES see no columns: bound in an empty scope,
+                // evaluated against an empty row.
+                let empty = Tuple::default();
+                rows.iter()
+                    .map(|row| {
+                        row.iter()
+                            .map(|e| eval(&bind(ctx, e, &[])?, Env::new(&empty, &[]), ctx))
+                            .collect()
+                    })
+                    .collect()
+            }
+            InsertSource::Query(q) => Ok(ctx.run_query(q)?.rows),
         })?;
         let target = cat.table(table)?;
         let schema = target.schema().clone();
@@ -1231,17 +1173,12 @@ impl Engine {
         let t = cat.table(table)?;
         let schema = t.schema().without_qualifiers().with_qualifier(t.name());
         self.with_ctx_over(cat, |ctx| {
+            let pred = predicate.map(|p| bind(ctx, p, &[&schema])).transpose()?;
             let mut ids = Vec::new();
             t.for_each_row(|rid, row| {
-                let keep = match predicate {
+                let keep = match &pred {
                     None => true,
-                    Some(pred) => {
-                        let frames = [Frame {
-                            schema: &schema,
-                            tuple: row,
-                        }];
-                        truth(&eval(pred, &frames, ctx)?) == Some(true)
-                    }
+                    Some(pred) => holds(pred, Env::new(row, &[]), ctx)?,
                 };
                 if keep {
                     ids.push(rid);
@@ -1273,16 +1210,16 @@ impl Engine {
                 .collect::<Result<_>>()?;
             let eval_schema = schema.without_qualifiers().with_qualifier(t.name());
             self.with_ctx_over(cat, |ctx| {
+                let exprs = assignments
+                    .iter()
+                    .map(|(_, e)| bind(ctx, e, &[&eval_schema]))
+                    .collect::<Result<Vec<_>>>()?;
                 let mut new_rows = Vec::with_capacity(ids.len());
                 for &rid in &ids {
                     let row = t.fetch_row(rid)?;
-                    let frames = [Frame {
-                        schema: &eval_schema,
-                        tuple: &row,
-                    }];
                     let mut values = row.values().to_vec();
-                    for ((_, expr), &pos) in assignments.iter().zip(&positions) {
-                        let v = eval(expr, &frames, ctx)?;
+                    for (expr, &pos) in exprs.iter().zip(&positions) {
+                        let v = eval(expr, Env::new(&row, &[]), ctx)?;
                         let target_type = schema.column(pos).data_type;
                         values[pos] = v.coerce_to(target_type).unwrap_or(v);
                     }
@@ -1302,36 +1239,6 @@ impl Engine {
         }
         Ok(ids)
     }
-}
-
-/// The sub-tree an `EXISTS` probe can pull a single row from: strip the
-/// top projection (the select list of an `EXISTS` is irrelevant) and any
-/// sorts (existence is order-independent); the rest must be fully
-/// streaming so the first qualifying row short-circuits. Aggregates,
-/// DISTINCT and LIMIT fall back to full evaluation (`LIMIT 0` must yield
-/// `false`).
-fn exists_probe_root(root: &crate::plan::PlanNode) -> Option<&crate::plan::PlanNode> {
-    use crate::plan::PlanNode;
-    let mut node = match root {
-        PlanNode::Project { input, .. } => input.as_ref(),
-        _ => return None,
-    };
-    while let PlanNode::Sort { input, .. } = node {
-        node = input;
-    }
-    fn streaming(n: &PlanNode) -> bool {
-        match n {
-            PlanNode::Nothing { .. }
-            | PlanNode::SeqScan { .. }
-            | PlanNode::IndexScan { .. }
-            | PlanNode::Materialize { .. } => true,
-            PlanNode::Filter { input, .. } => streaming(input),
-            PlanNode::NestedLoopJoin { left, right, .. }
-            | PlanNode::HashJoin { left, right, .. } => streaming(left) && streaming(right),
-            _ => false,
-        }
-    }
-    streaming(node).then_some(node)
 }
 
 #[cfg(test)]

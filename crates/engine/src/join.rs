@@ -1,13 +1,14 @@
-//! The hash equi-join: plan-time equi-key extraction and the spill-aware
-//! Grace-hash physical operator.
+//! The hash equi-join: the spill-aware Grace-hash physical operator.
 //!
-//! [`split_equi_join`] inspects a join's ON condition and pulls out the
-//! `left-col = right-col` conjuncts a hash join can key on, leaving every
-//! other conjunct as a *residual* predicate re-checked after the probe.
-//! Anything it cannot fully classify — non-equi-only conditions,
+//! The planner's [`split_equi_join`](crate::plan::split_equi_join)
+//! inspects a join's ON condition and pulls out the `left-col =
+//! right-col` conjuncts a hash join can key on, leaving every other
+//! conjunct as a *residual* predicate re-checked after the probe;
+//! anything it cannot fully classify — non-equi-only conditions,
 //! sub-queries (possibly correlated), columns that do not resolve against
 //! the join inputs — keeps the nested-loop join, so evaluation semantics
-//! never change behind the optimizer's back.
+//! never change behind the optimizer's back. Keys and residual arrive
+//! here bound, so the operator evaluates by ordinal.
 //!
 //! [`HashJoinOp`] executes the plan node. Its output contract is strict:
 //! **rows and order are byte-identical to the nested-loop join it
@@ -39,14 +40,14 @@
 //! Spill totals are reported through [`ExecCtx::note_spill`] and ride
 //! the same `SpillMetrics` surface as the external skyline.
 
-use crate::eval::Frame;
+use crate::bind::{Bound, BoundExpr};
+use crate::eval::{eval, holds, Env};
 use crate::exec::ExecCtx;
-use crate::physical::{accepts, eval_row, Batch, BoxOperator, Operator, RowKey, DEFAULT_BATCH};
-use prefsql_parser::ast::{BinaryOp, Expr};
+use crate::physical::{Batch, BoxOperator, Operator, RowKey, DEFAULT_BATCH};
 use prefsql_storage::spill::{
     tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics, SpillRun,
 };
-use prefsql_types::{Result, Schema, Tuple, Value};
+use prefsql_types::{Result, Tuple, Value};
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -60,176 +61,6 @@ const FANOUT: usize = 8;
 /// and falls back to block nested-loop (initial pass = depth 0, the one
 /// permitted re-partition = depth 1).
 const MAX_DEPTH: u32 = 2;
-
-// ----------------------------------------------------- plan-time split
-
-/// The equi-join structure extracted from an ON condition.
-#[derive(Debug)]
-pub struct EquiJoin {
-    /// `(left expr, right expr)` per equi-key conjunct, each resolved
-    /// purely against its own input.
-    pub keys: Vec<(Expr, Expr)>,
-    /// The remaining conjuncts, ANDed in original order; evaluated
-    /// against the combined row after the probe.
-    pub residual: Option<Expr>,
-}
-
-/// Split `on` into hash keys and a residual predicate. Returns `None`
-/// when a hash join must not be planned: no cross-side equi conjunct at
-/// all, a sub-query anywhere in the condition (its correlation could
-/// observe evaluation order), or a column reference that is unknown or
-/// ambiguous against the combined input schema (the nested loop must
-/// surface that error exactly as it always did).
-pub fn split_equi_join(on: &Expr, left: &Schema, right: &Schema) -> Option<EquiJoin> {
-    let combined = left.join(right);
-    let mut conjuncts = Vec::new();
-    collect_conjuncts(on, &mut conjuncts);
-    let mut keys = Vec::new();
-    let mut residual: Option<Expr> = None;
-    for c in conjuncts {
-        // Every conjunct — keyed or residual — must classify cleanly
-        // (a residual with a sub-query or a dangling column keeps the
-        // nested loop's evaluation semantics, so bail).
-        sides_of(c, left, &combined)?;
-        let mut keyed = false;
-        if let Expr::Binary {
-            left: a,
-            op: BinaryOp::Eq,
-            right: b,
-        } = c
-        {
-            let sa = sides_of(a, left, &combined)?;
-            let sb = sides_of(b, left, &combined)?;
-            match (sa, sb) {
-                (SideMask::LEFT, SideMask::RIGHT) => {
-                    keys.push(((**a).clone(), (**b).clone()));
-                    keyed = true;
-                }
-                (SideMask::RIGHT, SideMask::LEFT) => {
-                    keys.push(((**b).clone(), (**a).clone()));
-                    keyed = true;
-                }
-                _ => {}
-            }
-        }
-        if !keyed {
-            residual = Some(match residual {
-                None => c.clone(),
-                Some(r) => Expr::Binary {
-                    left: Box::new(r),
-                    op: BinaryOp::And,
-                    right: Box::new(c.clone()),
-                },
-            });
-        }
-    }
-    if keys.is_empty() {
-        return None;
-    }
-    Some(EquiJoin { keys, residual })
-}
-
-/// Flatten an AND chain into its conjuncts (left-to-right order).
-fn collect_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            collect_conjuncts(left, out);
-            collect_conjuncts(right, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// Which join inputs an expression's columns touch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SideMask(u8);
-
-impl SideMask {
-    const NONE: SideMask = SideMask(0);
-    const LEFT: SideMask = SideMask(1);
-    const RIGHT: SideMask = SideMask(2);
-
-    fn union(self, other: SideMask) -> SideMask {
-        SideMask(self.0 | other.0)
-    }
-}
-
-/// Classify every column of `expr` against the join inputs. `None` bails
-/// the whole hash-join attempt: a sub-query, or a column the combined
-/// schema cannot resolve unambiguously (resolving uniquely in the
-/// combined schema guarantees the reference also resolves against the
-/// single side that holds it, so side-local key evaluation is sound).
-fn sides_of(expr: &Expr, left: &Schema, combined: &Schema) -> Option<SideMask> {
-    match expr {
-        Expr::Column { qualifier, name } => {
-            let idx = combined.resolve(qualifier.as_deref(), name).ok()?;
-            Some(if idx < left.len() {
-                SideMask::LEFT
-            } else {
-                SideMask::RIGHT
-            })
-        }
-        Expr::Literal(_) => Some(SideMask::NONE),
-        Expr::Unary { expr, .. } => sides_of(expr, left, combined),
-        Expr::Binary {
-            left: a, right: b, ..
-        } => Some(sides_of(a, left, combined)?.union(sides_of(b, left, combined)?)),
-        Expr::IsNull { expr, .. } => sides_of(expr, left, combined),
-        Expr::Between {
-            expr, low, high, ..
-        } => Some(
-            sides_of(expr, left, combined)?
-                .union(sides_of(low, left, combined)?)
-                .union(sides_of(high, left, combined)?),
-        ),
-        Expr::InList { expr, list, .. } => {
-            let mut m = sides_of(expr, left, combined)?;
-            for e in list {
-                m = m.union(sides_of(e, left, combined)?);
-            }
-            Some(m)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            Some(sides_of(expr, left, combined)?.union(sides_of(pattern, left, combined)?))
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            let mut m = SideMask::NONE;
-            if let Some(o) = operand {
-                m = m.union(sides_of(o, left, combined)?);
-            }
-            for (w, t) in branches {
-                m = m
-                    .union(sides_of(w, left, combined)?)
-                    .union(sides_of(t, left, combined)?);
-            }
-            if let Some(e) = else_result {
-                m = m.union(sides_of(e, left, combined)?);
-            }
-            Some(m)
-        }
-        Expr::Function { args, .. } => {
-            let mut m = SideMask::NONE;
-            for a in args {
-                m = m.union(sides_of(a, left, combined)?);
-            }
-            Some(m)
-        }
-        // Sub-queries may be correlated; wildcards cannot be evaluated
-        // as values. Either way: keep the nested loop.
-        Expr::InSubquery { .. }
-        | Expr::Exists { .. }
-        | Expr::ScalarSubquery(_)
-        | Expr::Wildcard => None,
-    }
-}
 
 // ----------------------------------------------------------- join keys
 
@@ -271,13 +102,11 @@ fn partition_of(key: &RowKey, depth: u32) -> usize {
 #[derive(Clone, Copy)]
 struct JoinCfg<'a> {
     ctx: &'a ExecCtx<'a>,
-    keys: &'a [(Expr, Expr)],
-    residual: Option<&'a Expr>,
-    left_schema: &'a Schema,
-    right_schema: &'a Schema,
-    /// Combined schema, for the residual predicate.
-    schema: &'a Schema,
-    outer: &'a [Frame<'a>],
+    /// `(left key, right key)` pairs, each bound against its own side.
+    keys: &'a [(Bound, Bound)],
+    /// Bound against the combined row.
+    residual: Option<&'a BoundExpr>,
+    outer: &'a [&'a Tuple],
     /// The build-side byte budget (`usize::MAX` = never spill).
     window: usize,
 }
@@ -285,14 +114,11 @@ struct JoinCfg<'a> {
 impl JoinCfg<'_> {
     /// Evaluate one side's key expressions for one row.
     fn key_of(&self, row: &Tuple, left_side: bool) -> Result<Option<RowKey>> {
+        let env = Env::new(row, self.outer);
         let mut vals = Vec::with_capacity(self.keys.len());
         for (lk, rk) in self.keys {
-            let (e, schema) = if left_side {
-                (lk, self.left_schema)
-            } else {
-                (rk, self.right_schema)
-            };
-            vals.push(eval_row(self.ctx, e, schema, row, self.outer)?);
+            let key = if left_side { lk } else { rk };
+            vals.push(eval(&key.expr, env, self.ctx)?);
         }
         Ok(join_key(vals))
     }
@@ -301,7 +127,7 @@ impl JoinCfg<'_> {
     fn residual_ok(&self, joined: &Tuple) -> Result<bool> {
         match self.residual {
             None => Ok(true),
-            Some(p) => accepts(self.ctx, p, self.schema, joined, self.outer),
+            Some(p) => holds(p, Env::new(joined, self.outer), self.ctx),
         }
     }
 }
@@ -360,23 +186,17 @@ impl<'a> HashJoinOp<'a> {
         ctx: &'a ExecCtx<'a>,
         left: BoxOperator<'a>,
         right: BoxOperator<'a>,
-        keys: &'a [(Expr, Expr)],
-        residual: Option<&'a Expr>,
+        keys: &'a [(Bound, Bound)],
+        residual: Option<&'a BoundExpr>,
         build_left: bool,
         window: Option<usize>,
-        left_schema: &'a Schema,
-        right_schema: &'a Schema,
-        schema: &'a Schema,
-        outer: &'a [Frame<'a>],
+        outer: &'a [&'a Tuple],
     ) -> Self {
         HashJoinOp {
             cfg: JoinCfg {
                 ctx,
                 keys,
                 residual,
-                left_schema,
-                right_schema,
-                schema,
                 outer,
                 window: window.unwrap_or(usize::MAX),
             },
@@ -913,8 +733,12 @@ impl GraceOutput {
 
 #[cfg(test)]
 mod tests {
+    //! The equi-key split the planner runs for this operator, and the
+    //! operator's key normalization and partitioning.
     use super::*;
-    use prefsql_types::{Column, DataType};
+    use crate::plan::split_equi_join;
+    use prefsql_parser::ast::{BinaryOp, Expr};
+    use prefsql_types::{Column, DataType, Schema};
 
     fn schema(qual: &str, cols: &[&str]) -> Schema {
         Schema::new(

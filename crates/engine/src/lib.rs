@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod access;
+pub mod bind;
 pub mod eval;
 pub mod exec;
 pub mod explain;

@@ -16,7 +16,8 @@
 //! instead. Stale views refuse reads until `REFRESH MATERIALIZED
 //! PREFERENCE VIEW` rebuilds them from scratch.
 
-use crate::eval::{eval, truth, Frame};
+use crate::bind::{bind, BoundExpr};
+use crate::eval::{eval, holds, Env};
 use crate::exec::{Engine, ExecCtx};
 use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, Statement, TableRef};
 use prefsql_parser::parse_statement;
@@ -170,34 +171,50 @@ fn eval_schema(table: &Table, qual: &str) -> Schema {
     table.schema().without_qualifiers().with_qualifier(qual)
 }
 
-/// Compute the view entry for one base-table row: evaluate the WHERE
-/// clause (three-valued: only exactly-TRUE qualifies) and the base
-/// preference expressions into the slot vector. Winner/dominator fields
-/// start cold; the caller integrates the entry.
-fn entry_for(
-    ctx: &ExecCtx<'_>,
-    spec: &ViewSpec,
-    schema: &Schema,
-    row: &Tuple,
-) -> Result<MatViewEntry> {
-    let frames = [Frame { schema, tuple: row }];
-    let qualifies = match &spec.query.where_clause {
-        None => true,
-        Some(pred) => truth(&eval(pred, &frames, ctx)?) == Some(true),
-    };
-    let slots = spec
-        .compiled
-        .base_exprs
-        .iter()
-        .map(|e| eval(e, &frames, ctx))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(MatViewEntry {
-        output: row.clone(),
-        slots,
-        qualifies,
-        winner: false,
-        dominators: 0,
-    })
+/// A view's per-row expressions bound against its base table: the WHERE
+/// clause and one expression per base preference (the slot vector).
+struct BoundView {
+    where_clause: Option<BoundExpr>,
+    slots: Vec<BoundExpr>,
+}
+
+impl BoundView {
+    /// Bind `spec`'s expressions against `table` as it exists now — a
+    /// dangling column is an error here, before any row is looked at.
+    fn new(ctx: &ExecCtx<'_>, spec: &ViewSpec, table: &Table) -> Result<BoundView> {
+        let schema = eval_schema(table, &spec.qual);
+        let scope = [&schema];
+        Ok(BoundView {
+            where_clause: (spec.query.where_clause.as_ref())
+                .map(|w| bind(ctx, w, &scope))
+                .transpose()?,
+            slots: (spec.compiled.base_exprs.iter())
+                .map(|e| bind(ctx, e, &scope))
+                .collect::<Result<_>>()?,
+        })
+    }
+
+    /// Compute the view entry for one base-table row: evaluate the WHERE
+    /// clause (three-valued: only exactly-TRUE qualifies) and the base
+    /// preference expressions into the slot vector. Winner/dominator
+    /// fields start cold; the caller integrates the entry.
+    fn entry_for(&self, ctx: &ExecCtx<'_>, row: &Tuple) -> Result<MatViewEntry> {
+        let env = Env::new(row, &[]);
+        let qualifies = match &self.where_clause {
+            None => true,
+            Some(pred) => holds(pred, env, ctx)?,
+        };
+        let slots = (self.slots.iter())
+            .map(|e| eval(e, env, ctx))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(MatViewEntry {
+            output: row.clone(),
+            slots,
+            qualifies,
+            winner: false,
+            dominators: 0,
+        })
+    }
 }
 
 /// Build a fresh [`MatViewDef`] for `CREATE MATERIALIZED PREFERENCE
@@ -276,47 +293,23 @@ fn rebuild_from_base(
     let spec = view_spec(sql)?;
     let table = cat.table(base)?;
     let schema = eval_schema(table, &spec.qual);
-    // Re-resolve the select list against the table as it exists *now* —
-    // the validation CREATE ran binds to the schema of that moment, and a
-    // DROP/CREATE cycle may have replaced the table with a different
-    // shape whose rows must not be served through the old projection.
-    // `projection_plan` resolves wildcards eagerly but computed columns
-    // lazily, so every referenced column is additionally checked here —
-    // an empty base table must not let a dangling reference slide.
-    crate::plan::projection_plan(&spec.query.select, &schema, schema.len())?;
-    for item in &spec.query.select {
-        if let SelectItem::Expr { expr, .. } = item {
-            check_columns(expr, &schema)?;
-        }
-    }
-    if let Some(w) = &spec.query.where_clause {
-        check_columns(w, &schema)?;
-    }
-    for e in &spec.compiled.base_exprs {
-        check_columns(e, &schema)?;
-    }
     let mut entries = Vec::with_capacity(table.len());
     engine.with_ctx_over(cat, |ctx| {
+        // Re-bind the definition against the table as it exists *now* —
+        // the validation CREATE ran bound to the schema of that moment,
+        // and a DROP/CREATE cycle may have replaced the table with a
+        // different shape whose rows must not be served through the old
+        // projection. Binding resolves every column before the first row,
+        // so an empty base table cannot let a dangling reference slide.
+        crate::plan::projection_plan(ctx, &spec.query.select, &schema, schema.len(), &[])?;
+        let view = BoundView::new(ctx, &spec, table)?;
         table.for_each_row(|_, row| {
-            entries.push(entry_for(ctx, &spec, &schema, row)?);
+            entries.push(view.entry_for(ctx, row)?);
             Ok(())
         })
     })?;
     prefsql_pref::incremental::rebuild(&mut entries, &spec.compiled.preference);
     Ok((schema, entries))
-}
-
-/// Every column reference in `expr` must resolve against `schema`
-/// (subqueries are skipped — they bind to their own FROM clause and are
-/// caught by per-row evaluation).
-fn check_columns(expr: &Expr, schema: &Schema) -> Result<()> {
-    if let Expr::Column { qualifier, name } = expr {
-        schema.resolve(qualifier.as_deref(), name)?;
-    }
-    for child in expr.children() {
-        check_columns(child, schema)?;
-    }
-    Ok(())
 }
 
 /// The views on `table` a DML hook must maintain: registered, not stale.
@@ -342,10 +335,10 @@ pub(crate) fn after_insert(
         table,
         |ctx, spec| {
             let t = ctx.catalog().table(table)?;
-            let schema = eval_schema(t, &spec.qual);
+            let view = BoundView::new(ctx, spec, t)?;
             let mut out = Vec::new();
             t.for_each_row_from(from_rid.min(t.len()), |_, row| {
-                out.push(entry_for(ctx, spec, &schema, row)?);
+                out.push(view.entry_for(ctx, row)?);
                 Ok(())
             })?;
             Ok(out)
@@ -408,9 +401,9 @@ pub(crate) fn after_update(
         table,
         |ctx, spec| {
             let t = ctx.catalog().table(table)?;
-            let schema = eval_schema(t, &spec.qual);
+            let view = BoundView::new(ctx, spec, t)?;
             ids.iter()
-                .map(|&rid| entry_for(ctx, spec, &schema, &t.fetch_row(rid)?))
+                .map(|&rid| view.entry_for(ctx, &t.fetch_row(rid)?))
                 .collect::<Result<Vec<_>>>()
         },
         |def, spec, new_entries| {

@@ -79,8 +79,9 @@ impl NodeMetrics {
 /// Per-statement profile of an executed plan, keyed by plan-node address.
 ///
 /// Addresses are stable while the plan `Arc` lives, which the statement
-/// context guarantees (its plan cache and the profiled-plan slot both
-/// hold the `Arc` until the statement ends). A node that never ran —
+/// context guarantees (its profiled-plan slot holds the top-level plan —
+/// and with it every sub-query plan bound into its expressions — until
+/// the statement ends). A node that never ran —
 /// short-circuited `EXISTS` probes, the never-pulled side of an empty
 /// join — simply has no entry.
 #[derive(Debug, Default)]

@@ -24,11 +24,11 @@
 //! operator of [`crate::preference`] included — so the instrumentation
 //! shim wraps every node of every plan alike.
 
-use crate::eval::{eval, truth, Frame};
+use crate::bind::BoundExpr;
+use crate::eval::{eval, holds, truth, Env};
 use crate::exec::{ExecCtx, Relation};
-use crate::plan::{AggSpec, PlanNode, Projection, SortKey};
-use prefsql_parser::ast::Expr;
-use prefsql_types::{DataType, Error, Result, Schema, Tuple, Value};
+use crate::plan::{AggKey, AggSpec, PlanNode, Projection, SortKey};
+use prefsql_types::{Error, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -200,15 +200,17 @@ fn selected(n: usize, sel: Option<&[usize]>) -> impl Iterator<Item = usize> + '_
     (0..sel.map_or(n, <[usize]>::len)).map(move |k| sel.map_or(k, |s| s[k]))
 }
 
-/// Build the physical operator tree for a plan node. `outer` is the
-/// enclosing environment for correlated sub-queries (empty for top-level
-/// queries). When the statement context carries a profiler, every
-/// operator — this node and, through the recursive calls below, each of
-/// its children — is wrapped in the instrumentation shim.
+/// Build the physical operator tree for a plan node. `outer` holds the
+/// enclosing query blocks' current rows, innermost first, for a
+/// correlated sub-query (empty for top-level queries) — the rows its
+/// bound expressions reach at depth 1 and beyond. When the statement
+/// context carries a profiler, every operator — this node and, through
+/// the recursive calls below, each of its children — is wrapped in the
+/// instrumentation shim.
 pub fn build<'a>(
     ctx: &'a ExecCtx<'a>,
     node: &'a PlanNode,
-    outer: &'a [Frame<'a>],
+    outer: &'a [&'a Tuple],
 ) -> BoxOperator<'a> {
     let op = build_plain(ctx, node, outer);
     match ctx.profiler() {
@@ -221,7 +223,7 @@ pub fn build<'a>(
 fn build_plain<'a>(
     ctx: &'a ExecCtx<'a>,
     node: &'a PlanNode,
-    outer: &'a [Frame<'a>],
+    outer: &'a [&'a Tuple],
 ) -> BoxOperator<'a> {
     match node {
         PlanNode::Nothing { .. } => Box::new(NothingOp {
@@ -238,16 +240,11 @@ fn build_plain<'a>(
             buf_pos: 0,
             scan_pos: 0,
         }),
-        PlanNode::Preference {
-            input,
-            spec,
-            schema,
-        } => Box::new(crate::preference::PreferenceOp::new(
+        PlanNode::Preference { input, spec, .. } => Box::new(crate::preference::PreferenceOp::new(
             build(ctx, input, outer),
             ctx,
             input.schema(),
             spec,
-            schema,
         )),
         PlanNode::MatViewScan { view, winners, .. } => Box::new(MatViewScanOp {
             ctx,
@@ -277,16 +274,12 @@ fn build_plain<'a>(
             pos: 0,
         }),
         PlanNode::NestedLoopJoin {
-            left,
-            right,
-            on,
-            schema,
+            left, right, on, ..
         } => Box::new(NestedLoopJoinOp {
             ctx,
             left: build(ctx, left, outer),
             right,
-            on: on.as_ref(),
-            schema,
+            on: on.as_ref().map(|b| &b.expr),
             outer,
             right_rows: None,
             lbuf: Vec::new(),
@@ -302,25 +295,21 @@ fn build_plain<'a>(
             residual,
             build_left,
             window,
-            schema,
+            ..
         } => Box::new(crate::join::HashJoinOp::new(
             ctx,
             build(ctx, left, outer),
             build(ctx, right, outer),
             keys,
-            residual.as_ref(),
+            residual.as_ref().map(|b| &b.expr),
             *build_left,
             *window,
-            left.schema(),
-            right.schema(),
-            schema,
             outer,
         )),
         PlanNode::Filter { input, pred } => Box::new(FilterOp {
             ctx,
-            child_schema: input.schema(),
             input: build(ctx, input, outer),
-            pred,
+            pred: &pred.expr,
             outer,
             sel: Vec::new(),
         }),
@@ -328,7 +317,6 @@ fn build_plain<'a>(
             input, projections, ..
         } => Box::new(ProjectOp {
             ctx,
-            child_schema: input.schema(),
             input: build(ctx, input, outer),
             projections,
             outer,
@@ -336,7 +324,6 @@ fn build_plain<'a>(
         }),
         PlanNode::Sort { input, keys } => Box::new(SortOp {
             ctx,
-            child_schema: input.schema(),
             input: build(ctx, input, outer),
             keys,
             outer,
@@ -352,16 +339,11 @@ fn build_plain<'a>(
             input: build(ctx, input, outer),
             remaining: *n,
         }),
-        PlanNode::Aggregate {
-            input,
-            spec,
-            schema,
-        } => Box::new(AggregateOp {
+        PlanNode::Aggregate { input, spec, .. } => Box::new(AggregateOp {
             ctx,
-            child_schema: input.schema(),
+            width: input.schema().len(),
             input: build(ctx, input, outer),
             spec,
-            schema,
             outer,
             out: Vec::new(),
             pos: 0,
@@ -371,7 +353,7 @@ fn build_plain<'a>(
 
 /// Build, open and fully drain the operator tree for `node` into a
 /// materialized [`Relation`].
-pub fn execute(ctx: &ExecCtx<'_>, node: &PlanNode, outer: &[Frame<'_>]) -> Result<Relation> {
+pub fn execute(ctx: &ExecCtx<'_>, node: &PlanNode, outer: &[&Tuple]) -> Result<Relation> {
     let schema = node.schema().clone();
     let mut op = build(ctx, node, outer);
     let rows = drain(op.as_mut())?;
@@ -424,33 +406,6 @@ pub(crate) fn any_row(op: &mut (dyn Operator + '_)) -> Result<bool> {
     });
     op.close();
     found
-}
-
-/// Evaluate `expr` for `tuple` under `schema`, with the enclosing
-/// environment appended. The statement context doubles as the
-/// sub-query evaluation bridge.
-pub(crate) fn eval_row(
-    ctx: &ExecCtx<'_>,
-    expr: &Expr,
-    schema: &Schema,
-    tuple: &Tuple,
-    outer: &[Frame<'_>],
-) -> Result<Value> {
-    let mut frames = Vec::with_capacity(outer.len() + 1);
-    frames.push(Frame { schema, tuple });
-    frames.extend_from_slice(outer);
-    eval(expr, &frames, ctx)
-}
-
-/// Does `pred` evaluate to exactly TRUE for `tuple`?
-pub(crate) fn accepts(
-    ctx: &ExecCtx<'_>,
-    pred: &Expr,
-    schema: &Schema,
-    tuple: &Tuple,
-    outer: &[Frame<'_>],
-) -> Result<bool> {
-    Ok(truth(&eval_row(ctx, pred, schema, tuple, outer)?) == Some(true))
 }
 
 fn compare_key_rows(a: &[Value], b: &[Value], asc: &[bool]) -> Ordering {
@@ -709,10 +664,9 @@ impl Operator for MaterializeOp<'_> {
 /// Keep tuples whose predicate evaluates to exactly TRUE.
 struct FilterOp<'a> {
     ctx: &'a ExecCtx<'a>,
-    child_schema: &'a Schema,
     input: BoxOperator<'a>,
-    pred: &'a Expr,
-    outer: &'a [Frame<'a>],
+    pred: &'a BoundExpr,
+    outer: &'a [&'a Tuple],
     /// Reused selection-vector scratch (survivors of a lent batch).
     sel: Vec<usize>,
 }
@@ -725,10 +679,10 @@ impl Operator for FilterOp<'_> {
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         // A filter only shrinks a batch, so forwarding `max` keeps the
         // quota; survivors are selected, not copied.
-        let (ctx, schema, pred, outer) = (self.ctx, self.child_schema, self.pred, self.outer);
+        let (ctx, pred, outer) = (self.ctx, self.pred, self.outer);
         self.input
             .next_batch(max)?
-            .retain(&mut self.sel, |t| accepts(ctx, pred, schema, t, outer))
+            .retain(&mut self.sel, |t| holds(pred, Env::new(t, outer), ctx))
     }
 
     fn close(&mut self) {
@@ -762,9 +716,9 @@ struct NestedLoopJoinOp<'a> {
     ctx: &'a ExecCtx<'a>,
     left: BoxOperator<'a>,
     right: &'a PlanNode,
-    on: Option<&'a Expr>,
-    schema: &'a Schema,
-    outer: &'a [Frame<'a>],
+    /// Join condition, over the combined row.
+    on: Option<&'a BoundExpr>,
+    outer: &'a [&'a Tuple],
     right_rows: Option<Arc<Relation>>,
     /// The left rows of the last pull; `lbuf[lpos]` is the current one,
     /// about to meet right row `ridx`.
@@ -816,7 +770,7 @@ impl Operator for NestedLoopJoinOp<'_> {
                 self.ridx += 1;
                 let keep = match self.on {
                     None => true,
-                    Some(cond) => accepts(self.ctx, cond, self.schema, &joined, self.outer)?,
+                    Some(cond) => holds(cond, Env::new(&joined, self.outer), self.ctx)?,
                 };
                 if keep {
                     self.out.push(joined);
@@ -844,10 +798,9 @@ impl Operator for NestedLoopJoinOp<'_> {
 /// Evaluate the SELECT list per tuple.
 struct ProjectOp<'a> {
     ctx: &'a ExecCtx<'a>,
-    child_schema: &'a Schema,
     input: BoxOperator<'a>,
     projections: &'a [Projection],
-    outer: &'a [Frame<'a>],
+    outer: &'a [&'a Tuple],
     /// Output scratch handed to the consumer.
     out: Vec<Tuple>,
 }
@@ -870,9 +823,7 @@ impl Operator for ProjectOp<'_> {
             for p in self.projections {
                 values.push(match p {
                     Projection::Passthrough(idx) => t[*idx].clone(),
-                    Projection::Computed(e) => {
-                        eval_row(self.ctx, e, self.child_schema, t, self.outer)?
-                    }
+                    Projection::Computed(b) => eval(&b.expr, Env::new(t, self.outer), self.ctx)?,
                 });
             }
             self.out.push(Tuple::new(values));
@@ -889,10 +840,9 @@ impl Operator for ProjectOp<'_> {
 /// Stable sort — a pipeline breaker: drains its input at `open`.
 struct SortOp<'a> {
     ctx: &'a ExecCtx<'a>,
-    child_schema: &'a Schema,
     input: BoxOperator<'a>,
     keys: &'a [SortKey],
-    outer: &'a [Frame<'a>],
+    outer: &'a [&'a Tuple],
     sorted: Vec<Tuple>,
     pos: usize,
 }
@@ -906,7 +856,7 @@ impl Operator for SortOp<'_> {
             let key = self
                 .keys
                 .iter()
-                .map(|k| eval_row(self.ctx, &k.expr, self.child_schema, row, self.outer))
+                .map(|k| eval(&k.expr, Env::new(row, self.outer), self.ctx))
                 .collect::<Result<Vec<_>>>()?;
             keyed.push(key);
         }
@@ -993,11 +943,12 @@ impl Operator for LimitOp<'_> {
 /// applies HAVING, projects each group and sorts the aggregate output.
 struct AggregateOp<'a> {
     ctx: &'a ExecCtx<'a>,
-    child_schema: &'a Schema,
+    /// Width of the input rows (an empty global group evaluates its
+    /// residues against an all-NULL row this wide).
+    width: usize,
     input: BoxOperator<'a>,
     spec: &'a AggSpec,
-    schema: &'a Schema,
-    outer: &'a [Frame<'a>],
+    outer: &'a [&'a Tuple],
     out: Vec<Tuple>,
     pos: usize,
 }
@@ -1006,14 +957,7 @@ impl Operator for AggregateOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
         let rows = drain(self.input.as_mut())?;
-        self.out = run_aggregate(
-            self.ctx,
-            self.spec,
-            self.child_schema,
-            self.schema,
-            rows,
-            self.outer,
-        )?;
+        self.out = self.run(rows)?;
         Ok(())
     }
 
@@ -1027,185 +971,84 @@ impl Operator for AggregateOp<'_> {
     }
 }
 
-fn run_aggregate(
-    ctx: &ExecCtx<'_>,
-    spec: &AggSpec,
-    input_schema: &Schema,
-    out_schema: &Schema,
-    rows: Vec<Tuple>,
-    outer: &[Frame<'_>],
-) -> Result<Vec<Tuple>> {
-    // Partition, groups in order of first appearance.
-    let mut groups: Vec<Vec<Tuple>> = Vec::new();
-    let mut index: HashMap<RowKey, usize> = HashMap::new();
-    for row in rows {
-        let key: Vec<Value> = spec
-            .group_by
-            .iter()
-            .map(|e| eval_row(ctx, e, input_schema, &row, outer))
-            .collect::<Result<_>>()?;
-        let g = *index.entry(RowKey(key)).or_insert(groups.len());
-        if g == groups.len() {
-            groups.push(Vec::new());
-        }
-        groups[g].push(row);
-    }
-    // No GROUP BY + aggregates: one global group, even when empty.
-    if spec.group_by.is_empty() && groups.is_empty() {
-        groups.push(vec![]);
-    }
-
-    // HAVING.
-    let mut kept_groups = Vec::new();
-    for members in groups {
-        let keep = match &spec.having {
-            None => true,
-            Some(h) => {
-                let v = eval_agg(ctx, h, input_schema, &members, outer)?;
-                truth(&v) == Some(true)
+impl AggregateOp<'_> {
+    fn run(&self, rows: Vec<Tuple>) -> Result<Vec<Tuple>> {
+        let (ctx, spec, outer) = (self.ctx, self.spec, self.outer);
+        // Partition, groups in order of first appearance.
+        let mut groups: Vec<Vec<Tuple>> = Vec::new();
+        let mut index: HashMap<RowKey, usize> = HashMap::new();
+        for row in rows {
+            let env = Env::new(&row, outer);
+            let key: Vec<Value> = spec
+                .group_by
+                .iter()
+                .map(|e| eval(e, env, ctx))
+                .collect::<Result<_>>()?;
+            let g = *index.entry(RowKey(key)).or_insert(groups.len());
+            if g == groups.len() {
+                groups.push(Vec::new());
             }
-        };
-        if keep {
-            kept_groups.push(members);
+            groups[g].push(row);
         }
-    }
-
-    // Project each group.
-    let mut out_rows = Vec::with_capacity(kept_groups.len());
-    for members in &kept_groups {
-        let mut values = Vec::with_capacity(spec.select.len());
-        for expr in &spec.select {
-            values.push(eval_agg(ctx, expr, input_schema, members, outer)?);
+        // No GROUP BY + aggregates: one global group, even when empty.
+        if spec.group_by.is_empty() && groups.is_empty() {
+            groups.push(vec![]);
         }
-        out_rows.push(Tuple::new(values));
-    }
 
-    // ORDER BY over the aggregate output (references output aliases or
-    // aggregate expressions verbatim).
-    if !spec.order_by.is_empty() {
-        let mut keys: Vec<Vec<Value>> = Vec::with_capacity(out_rows.len());
-        for (i, row) in out_rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(spec.order_by.len());
-            for o in &spec.order_by {
-                // Try against the output schema first, then re-compute
-                // from the group.
-                let v = match eval_row(ctx, &o.output, out_schema, row, &[]) {
-                    Ok(v) => v,
-                    Err(_) => eval_agg(ctx, &o.original, input_schema, &kept_groups[i], outer)?,
-                };
-                key.push(v);
-            }
-            keys.push(key);
-        }
-        let asc: Vec<bool> = spec.order_by.iter().map(|o| o.asc).collect();
-        let mut order: Vec<usize> = (0..out_rows.len()).collect();
-        order.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], &asc));
-        out_rows = order.into_iter().map(|i| out_rows[i].clone()).collect();
-    }
-    Ok(out_rows)
-}
-
-/// Evaluate an expression that may contain aggregate calls over the rows
-/// of one group: aggregates are folded to literals first, then the
-/// residue is evaluated against the group's first row.
-fn eval_agg(
-    ctx: &ExecCtx<'_>,
-    expr: &Expr,
-    input_schema: &Schema,
-    members: &[Tuple],
-    outer: &[Frame<'_>],
-) -> Result<Value> {
-    let folded = fold_aggregates(ctx, expr, input_schema, members, outer)?;
-    let empty_row = Tuple::new(vec![Value::Null; input_schema.len()]);
-    let first = members.first().unwrap_or(&empty_row);
-    eval_row(ctx, &folded, input_schema, first, outer)
-}
-
-fn fold_aggregates(
-    ctx: &ExecCtx<'_>,
-    expr: &Expr,
-    input_schema: &Schema,
-    members: &[Tuple],
-    outer: &[Frame<'_>],
-) -> Result<Expr> {
-    expr.try_map(&mut |e| match e {
-        Expr::Function { name, args }
-            if matches!(name.as_str(), "count" | "sum" | "avg" | "min" | "max") =>
-        {
-            let v = compute_aggregate(ctx, name, args, input_schema, members, outer)?;
-            Ok(Some(Expr::Literal(v)))
-        }
-        _ => Ok(None),
-    })
-}
-
-fn compute_aggregate(
-    ctx: &ExecCtx<'_>,
-    name: &str,
-    args: &[Expr],
-    input_schema: &Schema,
-    members: &[Tuple],
-    outer: &[Frame<'_>],
-) -> Result<Value> {
-    if name == "count" && args.len() == 1 && matches!(args[0], Expr::Wildcard) {
-        return Ok(Value::Int(members.len() as i64));
-    }
-    if args.len() != 1 {
-        return Err(Error::Type(format!(
-            "{name}() expects exactly one argument"
-        )));
-    }
-    let mut values = Vec::with_capacity(members.len());
-    for row in members {
-        let v = eval_row(ctx, &args[0], input_schema, row, outer)?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
-    match name {
-        "count" => Ok(Value::Int(values.len() as i64)),
-        "sum" | "avg" => {
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut acc = Value::Int(0);
-            for v in &values {
-                acc = acc.add(v)?;
-            }
-            if name == "avg" {
-                acc.coerce_to(DataType::Float)?
-                    .div(&Value::Float(values.len() as f64))
-            } else {
-                Ok(acc)
+        // HAVING.
+        let mut kept_groups = Vec::new();
+        for members in groups {
+            let keep = match &spec.having {
+                None => true,
+                Some(h) => truth(&h.eval(&members, self.width, outer, ctx)?) == Some(true),
+            };
+            if keep {
+                kept_groups.push(members);
             }
         }
-        "min" | "max" => {
-            let mut best: Option<Value> = None;
-            for v in values {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => match v.sql_cmp(&b) {
-                        Some(Ordering::Less) if name == "min" => v,
-                        Some(Ordering::Greater) if name == "max" => v,
-                        Some(_) => b,
-                        None => {
-                            return Err(Error::Type(format!("{name}() over incomparable values")))
-                        }
-                    },
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
+
+        // Project each group.
+        let mut out_rows = Vec::with_capacity(kept_groups.len());
+        for members in &kept_groups {
+            let values = spec
+                .select
+                .iter()
+                .map(|e| e.eval(members, self.width, outer, ctx))
+                .collect::<Result<_>>()?;
+            out_rows.push(Tuple::new(values));
         }
-        _ => unreachable!("caller checked the aggregate name"),
+
+        // ORDER BY over the aggregate output (output aliases, or aggregate
+        // expressions recomputed over the group — decided at bind time).
+        if !spec.order_by.is_empty() {
+            let mut keys: Vec<Vec<Value>> = Vec::with_capacity(out_rows.len());
+            for (row, members) in out_rows.iter().zip(&kept_groups) {
+                let key = spec
+                    .order_by
+                    .iter()
+                    .map(|o| match &o.key {
+                        AggKey::Output(e) => eval(e, Env::new(row, &[]), ctx),
+                        AggKey::Group(e) => e.eval(members, self.width, outer, ctx),
+                    })
+                    .collect::<Result<_>>()?;
+                keys.push(key);
+            }
+            let asc: Vec<bool> = spec.order_by.iter().map(|o| o.asc).collect();
+            let mut order: Vec<usize> = (0..out_rows.len()).collect();
+            order.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], &asc));
+            out_rows = order.into_iter().map(|i| out_rows[i].clone()).collect();
+        }
+        Ok(out_rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bind::bind;
     use crate::exec::Engine;
-    use prefsql_parser::ast::{BinaryOp, Statement};
-    use prefsql_types::Column;
+    use prefsql_parser::ast::{BinaryOp, Expr, Statement};
+    use prefsql_types::{Column, DataType};
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -1383,11 +1226,11 @@ mod tests {
         let engine = Engine::new();
         let ctx = engine.read_ctx().unwrap();
         let schema = x_schema();
-        let pred = equals(column("x"), Expr::Literal(Value::Int(7)));
+        let bound = |e: Expr| bind(&ctx, &e, &[&schema]).unwrap();
+        let pred = bound(equals(column("x"), Expr::Literal(Value::Int(7))));
         let (src, served, largest) = probe(100);
         let mut filter = FilterOp {
             ctx: &ctx,
-            child_schema: &schema,
             input: Box::new(src),
             pred: &pred,
             outer: &[],
@@ -1398,11 +1241,10 @@ mod tests {
         assert_eq!(largest.get(), 1, "a filter asked for one row asks for one");
 
         // No match: the probe reads the whole input and reports false.
-        let pred = equals(column("x"), Expr::Literal(Value::Int(-1)));
+        let pred = bound(equals(column("x"), Expr::Literal(Value::Int(-1))));
         let (src, served, _) = probe(20);
         let mut filter = FilterOp {
             ctx: &ctx,
-            child_schema: &schema,
             input: Box::new(src),
             pred: &pred,
             outer: &[],
@@ -1426,14 +1268,13 @@ mod tests {
         let ctx = engine.read_ctx().unwrap();
         let right = ctx.plan_for(&query).unwrap();
         let schema = x_schema().join(right.root().schema());
-        let on = equals(column("x"), column("y"));
+        let on = bind(&ctx, &equals(column("x"), column("y")), &[&schema]).unwrap();
         let (src, served, largest) = probe(100);
         let mut join = NestedLoopJoinOp {
             ctx: &ctx,
             left: Box::new(src),
             right: right.root(),
             on: Some(&on),
-            schema: &schema,
             outer: &[],
             right_rows: None,
             lbuf: Vec::new(),

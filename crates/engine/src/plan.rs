@@ -17,9 +17,12 @@
 //! `plan_block` that layers Sort/Project/Distinct/Limit on plain SQL.
 
 use crate::access::{choose_access_path, AccessPath};
+use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggExpr, Bound, BoundExpr};
 use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
-use prefsql_parser::ast::{Expr, OrderByItem, PrefExpr, Query, SelectItem, Statement, TableRef};
+use prefsql_parser::ast::{
+    BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, Statement, TableRef,
+};
 use prefsql_parser::parse_statement;
 use prefsql_pref::SkylineAlgo;
 use prefsql_rewrite::levels::{
@@ -56,8 +59,9 @@ impl QueryPlan {
 }
 
 /// A node of the logical operator tree. Every node knows its output
-/// schema; expressions are resolved copies of the AST (aliases already
-/// substituted where SQL requires it).
+/// schema; expressions are bound ([`crate::bind`]) against the node's
+/// input and the enclosing blocks (aliases already substituted where SQL
+/// requires it).
 #[derive(Debug, Clone)]
 pub enum PlanNode {
     /// `SELECT` without `FROM`: a single empty tuple.
@@ -129,8 +133,8 @@ pub enum PlanNode {
         left: Box<PlanNode>,
         /// Right (materialized once) input.
         right: Box<PlanNode>,
-        /// Join condition.
-        on: Option<Expr>,
+        /// Join condition, over the combined row.
+        on: Option<Bound>,
         /// Combined output schema.
         schema: Schema,
     },
@@ -143,11 +147,11 @@ pub enum PlanNode {
         /// Right input.
         right: Box<PlanNode>,
         /// Equi-key pairs: (left-side expr, right-side expr), each
-        /// resolved against its own input schema.
-        keys: Vec<(Expr, Expr)>,
+        /// bound against its own input schema.
+        keys: Vec<(Bound, Bound)>,
         /// Non-equi conjuncts of the ON condition, re-checked against
         /// the combined row after the probe.
-        residual: Option<Expr>,
+        residual: Option<Bound>,
         /// Build the hash table on the left input (else the right).
         build_left: bool,
         /// Session window budget baked in at plan time; builds larger
@@ -161,7 +165,7 @@ pub enum PlanNode {
         /// Input node.
         input: Box<PlanNode>,
         /// The predicate.
-        pred: Expr,
+        pred: Bound,
     },
     /// Evaluate the SELECT list.
     Project {
@@ -224,14 +228,14 @@ pub enum Projection {
     /// Copy input column by position (wildcards).
     Passthrough(usize),
     /// Evaluate an expression.
-    Computed(Expr),
+    Computed(Bound),
 }
 
 /// One ORDER BY key.
 #[derive(Debug, Clone)]
 pub struct SortKey {
     /// The key expression (aliases substituted).
-    pub expr: Expr,
+    pub expr: BoundExpr,
     /// Ascending (default) or descending.
     pub asc: bool,
 }
@@ -240,26 +244,34 @@ pub struct SortKey {
 #[derive(Debug, Clone)]
 pub struct AggSpec {
     /// GROUP BY expressions.
-    pub group_by: Vec<Expr>,
+    pub group_by: Vec<BoundExpr>,
     /// HAVING predicate.
-    pub having: Option<Expr>,
+    pub having: Option<AggExpr>,
     /// One output expression per SELECT item (may contain aggregates).
-    pub select: Vec<Expr>,
+    pub select: Vec<AggExpr>,
     /// Post-aggregate ORDER BY keys.
     pub order_by: Vec<AggSortKey>,
 }
 
-/// An ORDER BY key over aggregate output: evaluated against the output
-/// schema first (aliases substituted), recomputed from the group on
-/// failure (aggregate expressions referenced verbatim).
+/// An ORDER BY key over aggregate output.
 #[derive(Debug, Clone)]
 pub struct AggSortKey {
-    /// Alias-substituted expression, tried against the output schema.
-    pub output: Expr,
-    /// The verbatim ORDER BY expression, recomputed over the group.
-    pub original: Expr,
+    /// Where the key is read from.
+    pub key: AggKey,
     /// Ascending or descending.
     pub asc: bool,
+}
+
+/// How an aggregate ORDER BY key is computed, decided at bind time: from
+/// the output row when the (alias-substituted) key binds against the
+/// output schema, else recomputed over the group from the verbatim
+/// expression (aggregate expressions referenced as written).
+#[derive(Debug, Clone)]
+pub enum AggKey {
+    /// Evaluated against the aggregate's output row.
+    Output(BoundExpr),
+    /// Recomputed over the group's rows.
+    Group(AggExpr),
 }
 
 impl PlanNode {
@@ -334,7 +346,7 @@ impl PlanNode {
 
 /// The PREFERRING/GROUPING/BUT ONLY clauses and quality functions never
 /// reach the host engine — the Preference SQL layer rewrites them away.
-pub(crate) fn reject_preference_constructs(query: &Query) -> Result<()> {
+fn reject_preference_constructs(query: &Query) -> Result<()> {
     if query.preferring.is_some() || !query.grouping.is_empty() || query.but_only.is_some() {
         return Err(Error::Unsupported(
             "PREFERRING/GROUPING/BUT ONLY must be rewritten by the Preference \
@@ -345,24 +357,88 @@ pub(crate) fn reject_preference_constructs(query: &Query) -> Result<()> {
     Ok(())
 }
 
-/// Compile one query block into a plan tree.
+/// Compile one (top-level or uncorrelated) query block into a plan tree.
 pub fn plan_query(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
+    plan_query_in(ctx, query, &[])
+}
+
+/// Compile a query block nested in the scopes `outer` (innermost first:
+/// the input schema of the node evaluating the sub-query, then its
+/// enclosing blocks). Every expression of the block is bound here, its
+/// own sub-queries included — once per enclosing plan, not per row.
+pub(crate) fn plan_query_in(
+    ctx: &ExecCtx<'_>,
+    query: &Query,
+    outer: &[&Schema],
+) -> Result<QueryPlan> {
     reject_preference_constructs(query)?;
-    let source = plan_source(ctx, query)?;
+    let source = plan_source(ctx, query, outer)?;
     let visible = source.schema().len();
-    let root = plan_block(query, source, visible)?;
+    let root = plan_block(ctx, query, source, visible, outer)?;
     Ok(QueryPlan { root })
 }
 
-/// Compile only the FROM/WHERE part of a query block (the shape shared by
-/// `EXISTS` probes and the native preference path's candidate fetch).
-pub(crate) fn plan_source(ctx: &ExecCtx<'_>, query: &Query) -> Result<PlanNode> {
-    let input = plan_from(ctx, query)?;
+/// Plan the sub-query of an `EXISTS` in `outer` and decide whether a
+/// probe may stop at its first row: then the plan returned is already
+/// the streaming sub-tree a probe pulls from (`true`), else the whole
+/// block to run to completion (`false`).
+pub(crate) fn plan_exists(
+    ctx: &ExecCtx<'_>,
+    query: &Query,
+    outer: &[&Schema],
+) -> Result<(QueryPlan, bool)> {
+    let plan = plan_query_in(ctx, query, outer)?;
+    if !first_row_probe(&plan.root) {
+        return Ok((plan, false));
+    }
+    let PlanNode::Project { input, .. } = plan.root else {
+        unreachable!("a first-row probe sits under the top projection")
+    };
+    let mut root = *input;
+    while let PlanNode::Sort { input, .. } = root {
+        root = *input;
+    }
+    Ok((QueryPlan { root }, true))
+}
+
+/// Can an `EXISTS` probe pull a single row from this block? Strip the top
+/// projection (the select list of an `EXISTS` is irrelevant) and any
+/// sorts (existence is order-independent); the rest must be fully
+/// streaming so the first qualifying row short-circuits. Aggregates,
+/// DISTINCT and LIMIT need full evaluation (`LIMIT 0` must yield
+/// `false`).
+fn first_row_probe(root: &PlanNode) -> bool {
+    let PlanNode::Project { input, .. } = root else {
+        return false;
+    };
+    let mut node = input.as_ref();
+    while let PlanNode::Sort { input, .. } = node {
+        node = input;
+    }
+    fn streaming(n: &PlanNode) -> bool {
+        match n {
+            PlanNode::Nothing { .. }
+            | PlanNode::SeqScan { .. }
+            | PlanNode::IndexScan { .. }
+            | PlanNode::Materialize { .. } => true,
+            PlanNode::Filter { input, .. } => streaming(input),
+            PlanNode::NestedLoopJoin { left, right, .. }
+            | PlanNode::HashJoin { left, right, .. } => streaming(left) && streaming(right),
+            _ => false,
+        }
+    }
+    streaming(node)
+}
+
+/// Compile only the FROM/WHERE part of a query block (the native
+/// preference path's candidate fetch is this plus the slot projection).
+pub(crate) fn plan_source(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<PlanNode> {
+    let input = plan_from(ctx, query, outer)?;
     Ok(match &query.where_clause {
         None => input,
         Some(pred) => PlanNode::Filter {
+            pred: bind_shown(ctx, pred, input.schema(), outer)?,
             input: Box::new(input),
-            pred: pred.clone(),
         },
     })
 }
@@ -395,7 +471,7 @@ pub fn plan_preference(
         ));
     }
     let compiled = compile_preference(pref)?;
-    let source = plan_source(ctx, query)?;
+    let source = plan_source(ctx, query, &[])?;
     let n_orig = source.schema().len();
 
     // The outer block, quality calls lowered to generated columns.
@@ -468,11 +544,20 @@ pub fn plan_preference(
                 expr: e.clone(),
                 alias: Some(alias),
             }));
-            let (schema, projections) = projection_plan(&extended, source.schema(), n_orig)?;
+            let (schema, projections) =
+                projection_plan(ctx, &extended, source.schema(), n_orig, &[])?;
+            let appended: Vec<Column> = quality
+                .iter()
+                .map(|q| q.column(schema.column(n_orig + q.slot).data_type))
+                .collect();
+            // `BUT ONLY` sees a candidate as two frames: its quality
+            // values innermost, then the extended input row.
+            let quality_schema = Schema::new(appended.clone())?;
+            let but_only = but_only
+                .map(|e| bind(ctx, &e, &[&quality_schema, &schema]))
+                .transpose()?;
             let mut columns = schema.columns().to_vec();
-            for q in &quality {
-                columns.push(q.column(schema.column(n_orig + q.slot).data_type));
-            }
+            columns.extend(appended);
             PlanNode::Preference {
                 input: Box::new(PlanNode::Project {
                     input: Box::new(source),
@@ -494,7 +579,7 @@ pub fn plan_preference(
             }
         }
     };
-    let root = plan_block(&block, bmo, n_orig)?;
+    let root = plan_block(ctx, &block, bmo, n_orig, &[])?;
     Ok(QueryPlan { root })
 }
 
@@ -571,7 +656,13 @@ fn classify_view(
 /// Layer projection/aggregation, DISTINCT and LIMIT on top of a source.
 /// Wildcards expand to the first `visible` source columns (a preference
 /// source carries generated slot/quality columns behind them).
-fn plan_block(query: &Query, source: PlanNode, visible: usize) -> Result<PlanNode> {
+fn plan_block(
+    ctx: &ExecCtx<'_>,
+    query: &Query,
+    source: PlanNode,
+    visible: usize,
+    outer: &[&Schema],
+) -> Result<PlanNode> {
     let needs_agg = !query.group_by.is_empty()
         || query.having.is_some()
         || query.select.iter().any(|item| match item {
@@ -579,25 +670,30 @@ fn plan_block(query: &Query, source: PlanNode, visible: usize) -> Result<PlanNod
             _ => false,
         });
     let mut node = if needs_agg {
-        plan_aggregate(query, source)?
+        plan_aggregate(ctx, query, source, outer)?
     } else {
         let input_schema = source.schema().clone();
         let sorted = if query.order_by.is_empty() {
             source
         } else {
-            PlanNode::Sort {
-                input: Box::new(source),
-                keys: query
-                    .order_by
-                    .iter()
-                    .map(|o| SortKey {
-                        expr: substitute_alias(&o.expr, query),
+            let keys = query
+                .order_by
+                .iter()
+                .map(|o| {
+                    let expr = substitute_alias(&o.expr, query);
+                    Ok(SortKey {
+                        expr: bind_over(ctx, &expr, &input_schema, outer)?,
                         asc: o.asc,
                     })
-                    .collect(),
+                })
+                .collect::<Result<_>>()?;
+            PlanNode::Sort {
+                input: Box::new(source),
+                keys,
             }
         };
-        let (schema, projections) = projection_plan(&query.select, &input_schema, visible)?;
+        let (schema, projections) =
+            projection_plan(ctx, &query.select, &input_schema, visible, outer)?;
         PlanNode::Project {
             input: Box::new(sorted),
             projections,
@@ -619,7 +715,12 @@ fn plan_block(query: &Query, source: PlanNode, visible: usize) -> Result<PlanNod
     Ok(node)
 }
 
-fn plan_aggregate(query: &Query, source: PlanNode) -> Result<PlanNode> {
+fn plan_aggregate(
+    ctx: &ExecCtx<'_>,
+    query: &Query,
+    source: PlanNode,
+    outer: &[&Schema],
+) -> Result<PlanNode> {
     let input_schema = source.schema().clone();
     let mut columns = Vec::new();
     let mut select = Vec::new();
@@ -630,7 +731,7 @@ fn plan_aggregate(query: &Query, source: PlanNode) -> Result<PlanNode> {
                     output_name(expr, alias.as_deref()),
                     infer_type(expr, &input_schema),
                 ));
-                select.push(expr.clone());
+                select.push(expr);
             }
             _ => {
                 return Err(Error::Plan(
@@ -640,20 +741,31 @@ fn plan_aggregate(query: &Query, source: PlanNode) -> Result<PlanNode> {
         }
     }
     let schema = Schema::new(dedupe_columns(columns))?;
+    let group_by = query
+        .group_by
+        .iter()
+        .map(|e| bind_over(ctx, e, &input_schema, outer))
+        .collect::<Result<_>>()?;
+    let agg = |e: &Expr| bind_aggregate(ctx, e, &input_schema, outer);
+    let having = query.having.as_ref().map(agg).transpose()?;
+    let select = select.into_iter().map(agg).collect::<Result<_>>()?;
     let order_by = query
         .order_by
         .iter()
-        .map(|o| AggSortKey {
-            output: substitute_alias(&o.expr, query),
-            original: o.expr.clone(),
-            asc: o.asc,
+        .map(|o| {
+            let output = substitute_alias(&o.expr, query);
+            let key = match bind(ctx, &output, &[&schema]) {
+                Ok(e) => AggKey::Output(e),
+                Err(_) => AggKey::Group(agg(&o.expr)?),
+            };
+            Ok(AggSortKey { key, asc: o.asc })
         })
-        .collect();
+        .collect::<Result<_>>()?;
     Ok(PlanNode::Aggregate {
         input: Box::new(source),
         spec: AggSpec {
-            group_by: query.group_by.clone(),
-            having: query.having.clone(),
+            group_by,
+            having,
             select,
             order_by,
         },
@@ -663,7 +775,12 @@ fn plan_aggregate(query: &Query, source: PlanNode) -> Result<PlanNode> {
 
 /// Resolve the FROM clause into a source node. Multiple FROM items
 /// cross-join left to right.
-fn plan_from(ctx: &ExecCtx<'_>, query: &Query) -> Result<PlanNode> {
+///
+/// Only the leftmost item streams inside the block's environment; every
+/// item joined on to the right is materialized once per statement with
+/// no outer rows (SQL92 FROM items are uncorrelated), so it is planned
+/// with no outer scope.
+fn plan_from(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<PlanNode> {
     if query.from.is_empty() {
         return Ok(PlanNode::Nothing {
             schema: Schema::empty(),
@@ -675,7 +792,8 @@ fn plan_from(ctx: &ExecCtx<'_>, query: &Query) -> Result<PlanNode> {
     let allow_index = query.from.len() == 1 && matches!(&query.from[0], TableRef::Named { .. });
     let mut acc: Option<PlanNode> = None;
     for item in &query.from {
-        let next = plan_table_ref(ctx, item, query, allow_index)?;
+        let scope = if acc.is_none() { outer } else { &[] };
+        let next = plan_table_ref(ctx, item, query, allow_index, scope)?;
         acc = Some(match acc {
             None => next,
             Some(left) => {
@@ -697,13 +815,13 @@ fn plan_table_ref(
     item: &TableRef,
     query: &Query,
     allow_index: bool,
+    outer: &[&Schema],
 ) -> Result<PlanNode> {
     match item {
         TableRef::Named { name, alias } => {
             plan_named(ctx, name, alias.as_deref(), query, allow_index)
         }
         TableRef::Derived { query: sub, alias } => {
-            reject_preference_constructs(sub)?;
             let body = plan_query(ctx, sub)?;
             let schema = body
                 .root
@@ -718,8 +836,8 @@ fn plan_table_ref(
             })
         }
         TableRef::Join { left, right, on } => {
-            let l = plan_table_ref(ctx, left, query, false)?;
-            let r = plan_table_ref(ctx, right, query, false)?;
+            let l = plan_table_ref(ctx, left, query, false, outer)?;
+            let r = plan_table_ref(ctx, right, query, false, &[])?;
             let schema = l.schema().join(r.schema());
             // Equi-join conjuncts in the ON condition select the hash
             // fast path; anything the splitter cannot fully classify
@@ -727,7 +845,7 @@ fn plan_table_ref(
             // the nested loop so evaluation semantics are unchanged.
             if ctx.use_hash_join() {
                 if let Some(cond) = on {
-                    if let Some(equi) = crate::join::split_equi_join(cond, l.schema(), r.schema()) {
+                    if let Some(equi) = split_equi_join(cond, l.schema(), r.schema()) {
                         // Build on the estimated-smaller side; ties and
                         // unknowns keep the right (the side the nested
                         // loop would materialize anyway).
@@ -735,11 +853,25 @@ fn plan_table_ref(
                             (Some(le), Some(re)) => le < re,
                             _ => false,
                         };
+                        let keys = equi
+                            .keys
+                            .iter()
+                            .map(|(lk, rk)| {
+                                Ok((
+                                    bind_shown(ctx, lk, l.schema(), outer)?,
+                                    bind_shown(ctx, rk, r.schema(), outer)?,
+                                ))
+                            })
+                            .collect::<Result<_>>()?;
+                        let residual = equi
+                            .residual
+                            .map(|e| bind_shown(ctx, &e, &schema, outer))
+                            .transpose()?;
                         return Ok(PlanNode::HashJoin {
                             left: Box::new(l),
                             right: Box::new(r),
-                            keys: equi.keys,
-                            residual: equi.residual,
+                            keys,
+                            residual,
                             build_left,
                             window: ctx.window_bytes(),
                             schema,
@@ -748,9 +880,12 @@ fn plan_table_ref(
                 }
             }
             Ok(PlanNode::NestedLoopJoin {
+                on: on
+                    .as_ref()
+                    .map(|e| bind_shown(ctx, e, &schema, outer))
+                    .transpose()?,
                 left: Box::new(l),
                 right: Box::new(r),
-                on: on.clone(),
                 schema,
             })
         }
@@ -825,7 +960,8 @@ fn plan_named(
             serves: false,
             schema: mv.schema.clone(),
         };
-        let (schema, projections) = projection_plan(&body.select, &mv.schema, mv.schema.len())?;
+        let (schema, projections) =
+            projection_plan(ctx, &body.select, &mv.schema, mv.schema.len(), &[])?;
         let project = PlanNode::Project {
             input: Box::new(scan),
             projections,
@@ -866,12 +1002,15 @@ fn plan_named(
     })
 }
 
-/// Expand a SELECT list against the input schema; wildcards cover its
-/// first `visible` columns.
+/// Expand a SELECT list against the input schema, binding computed items
+/// in the enclosing scopes `outer`; wildcards cover its first `visible`
+/// columns.
 pub(crate) fn projection_plan(
+    ctx: &ExecCtx<'_>,
     select: &[SelectItem],
     input_schema: &Schema,
     visible: usize,
+    outer: &[&Schema],
 ) -> Result<(Schema, Vec<Projection>)> {
     let mut columns = Vec::new();
     let mut projections = Vec::new();
@@ -902,7 +1041,12 @@ pub(crate) fn projection_plan(
                 let name = output_name(expr, alias.as_deref());
                 let dtype = infer_type(expr, input_schema);
                 columns.push(Column::new(name, dtype));
-                projections.push(Projection::Computed(expr.clone()));
+                projections.push(Projection::Computed(bind_shown(
+                    ctx,
+                    expr,
+                    input_schema,
+                    outer,
+                )?));
             }
         }
     }
@@ -1019,5 +1163,175 @@ fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
         },
         Expr::ScalarSubquery(_) => DataType::Str,
         Expr::Wildcard => DataType::Str,
+    }
+}
+
+// ------------------------------------------------------ equi-join split
+
+/// The equi-join structure extracted from an ON condition.
+#[derive(Debug)]
+pub struct EquiJoin {
+    /// `(left expr, right expr)` per equi-key conjunct, each resolving
+    /// purely against its own input (the planner binds them so).
+    pub keys: Vec<(Expr, Expr)>,
+    /// The remaining conjuncts, ANDed in original order; evaluated
+    /// against the combined row after the probe.
+    pub residual: Option<Expr>,
+}
+
+/// Split `on` into hash keys and a residual predicate. Returns `None`
+/// when a hash join must not be planned: no cross-side equi conjunct at
+/// all, a sub-query anywhere in the condition (its correlation could
+/// observe evaluation order), or a column reference that is unknown or
+/// ambiguous against the combined input schema (the nested loop must
+/// surface that error exactly as it always did).
+pub fn split_equi_join(on: &Expr, left: &Schema, right: &Schema) -> Option<EquiJoin> {
+    let combined = left.join(right);
+    let mut conjuncts = Vec::new();
+    collect_conjuncts(on, &mut conjuncts);
+    let mut keys = Vec::new();
+    let mut residual: Option<Expr> = None;
+    for c in conjuncts {
+        // Every conjunct — keyed or residual — must classify cleanly
+        // (a residual with a sub-query or a dangling column keeps the
+        // nested loop's evaluation semantics, so bail).
+        sides_of(c, left, &combined)?;
+        let mut keyed = false;
+        if let Expr::Binary {
+            left: a,
+            op: BinaryOp::Eq,
+            right: b,
+        } = c
+        {
+            let sa = sides_of(a, left, &combined)?;
+            let sb = sides_of(b, left, &combined)?;
+            match (sa, sb) {
+                (SideMask::LEFT, SideMask::RIGHT) => {
+                    keys.push(((**a).clone(), (**b).clone()));
+                    keyed = true;
+                }
+                (SideMask::RIGHT, SideMask::LEFT) => {
+                    keys.push(((**b).clone(), (**a).clone()));
+                    keyed = true;
+                }
+                _ => {}
+            }
+        }
+        if !keyed {
+            residual = Some(match residual {
+                None => c.clone(),
+                Some(r) => Expr::Binary {
+                    left: Box::new(r),
+                    op: BinaryOp::And,
+                    right: Box::new(c.clone()),
+                },
+            });
+        }
+    }
+    if keys.is_empty() {
+        return None;
+    }
+    Some(EquiJoin { keys, residual })
+}
+
+/// Flatten an AND chain into its conjuncts (left-to-right order).
+fn collect_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+    match expr {
+        Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => {
+            collect_conjuncts(left, out);
+            collect_conjuncts(right, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// Which join inputs an expression's columns touch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SideMask(u8);
+
+impl SideMask {
+    const NONE: SideMask = SideMask(0);
+    const LEFT: SideMask = SideMask(1);
+    const RIGHT: SideMask = SideMask(2);
+
+    fn union(self, other: SideMask) -> SideMask {
+        SideMask(self.0 | other.0)
+    }
+}
+
+/// Classify every column of `expr` against the join inputs. `None` bails
+/// the whole hash-join attempt: a sub-query, or a column the combined
+/// schema cannot resolve unambiguously (resolving uniquely in the
+/// combined schema guarantees the reference also resolves against the
+/// single side that holds it, so side-local key evaluation is sound).
+fn sides_of(expr: &Expr, left: &Schema, combined: &Schema) -> Option<SideMask> {
+    match expr {
+        Expr::Column { qualifier, name } => {
+            let idx = combined.resolve(qualifier.as_deref(), name).ok()?;
+            Some(if idx < left.len() {
+                SideMask::LEFT
+            } else {
+                SideMask::RIGHT
+            })
+        }
+        Expr::Literal(_) => Some(SideMask::NONE),
+        Expr::Unary { expr, .. } => sides_of(expr, left, combined),
+        Expr::Binary {
+            left: a, right: b, ..
+        } => Some(sides_of(a, left, combined)?.union(sides_of(b, left, combined)?)),
+        Expr::IsNull { expr, .. } => sides_of(expr, left, combined),
+        Expr::Between {
+            expr, low, high, ..
+        } => Some(
+            sides_of(expr, left, combined)?
+                .union(sides_of(low, left, combined)?)
+                .union(sides_of(high, left, combined)?),
+        ),
+        Expr::InList { expr, list, .. } => {
+            let mut m = sides_of(expr, left, combined)?;
+            for e in list {
+                m = m.union(sides_of(e, left, combined)?);
+            }
+            Some(m)
+        }
+        Expr::Like { expr, pattern, .. } => {
+            Some(sides_of(expr, left, combined)?.union(sides_of(pattern, left, combined)?))
+        }
+        Expr::Case {
+            operand,
+            branches,
+            else_result,
+        } => {
+            let mut m = SideMask::NONE;
+            if let Some(o) = operand {
+                m = m.union(sides_of(o, left, combined)?);
+            }
+            for (w, t) in branches {
+                m = m
+                    .union(sides_of(w, left, combined)?)
+                    .union(sides_of(t, left, combined)?);
+            }
+            if let Some(e) = else_result {
+                m = m.union(sides_of(e, left, combined)?);
+            }
+            Some(m)
+        }
+        Expr::Function { args, .. } => {
+            let mut m = SideMask::NONE;
+            for a in args {
+                m = m.union(sides_of(a, left, combined)?);
+            }
+            Some(m)
+        }
+        // Sub-queries may be correlated; wildcards cannot be evaluated
+        // as values. Either way: keep the nested loop.
+        Expr::InSubquery { .. }
+        | Expr::Exists { .. }
+        | Expr::ScalarSubquery(_)
+        | Expr::Wildcard => None,
     }
 }

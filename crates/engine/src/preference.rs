@@ -18,10 +18,10 @@
 //! are all read off its cells. Semantics are identical to the rewrite path; the
 //! `rewrite_vs_native` differential suite and ablation A1 depend on that.
 
-use crate::eval::{eval, truth, Frame};
+use crate::bind::BoundExpr;
+use crate::eval::{holds, Env};
 use crate::exec::ExecCtx;
 use crate::physical::{drain_batched, Batch, BoxOperator, Operator};
-use prefsql_parser::ast::Expr;
 use prefsql_pref::external::ExternalSkyline;
 use prefsql_pref::score::{is_null_cell, score_of};
 use prefsql_pref::{
@@ -38,8 +38,10 @@ pub struct PrefSpec {
     /// The compiled preference; `base_exprs[i]` feeds input slot `i`.
     pub compiled: CompiledPreference,
     /// `BUT ONLY` threshold with quality calls lowered to column
-    /// references into [`PrefSpec::quality`].
-    pub but_only: Option<Expr>,
+    /// references into [`PrefSpec::quality`], bound against two frames:
+    /// the candidate's quality values (depth 0), then its extended input
+    /// row (depth 1).
+    pub but_only: Option<BoundExpr>,
     /// The quality-function columns appended to every winner.
     pub quality: Vec<QualityCol>,
     /// Number of `GROUPING` columns following the slots in the input.
@@ -151,13 +153,7 @@ fn float_or_int(f: f64) -> Value {
 pub(crate) struct PreferenceOp<'a> {
     input: BoxOperator<'a>,
     ctx: &'a ExecCtx<'a>,
-    /// Schema of the extended input tuples.
-    schema: &'a Schema,
     spec: &'a PrefSpec,
-    /// Schema of just the appended quality columns: `BUT ONLY` sees a
-    /// candidate as two frames (quality values, input row) instead of a
-    /// re-allocated extended row.
-    quality_schema: Schema,
     /// Columns of the original relation (before the appended slots).
     n_orig: usize,
     winners: Vec<Tuple>,
@@ -168,24 +164,18 @@ pub(crate) struct PreferenceOp<'a> {
 
 impl<'a> PreferenceOp<'a> {
     /// Wrap `input`, whose tuples (described by `schema`) carry the slot
-    /// and grouping columns appended to the original row; `out_schema`
-    /// is the node's output schema (`schema` + the quality columns).
+    /// and grouping columns appended to the original row.
     pub(crate) fn new(
         input: BoxOperator<'a>,
         ctx: &'a ExecCtx<'a>,
-        schema: &'a Schema,
+        schema: &Schema,
         spec: &'a PrefSpec,
-        out_schema: &Schema,
     ) -> Self {
         let arity = spec.compiled.preference.arity();
-        let quality_schema = Schema::new(out_schema.columns()[schema.len()..].to_vec())
-            .expect("a suffix of a valid schema");
         PreferenceOp {
             input,
             ctx,
-            schema,
             spec,
-            quality_schema,
             n_orig: schema.len() - arity - spec.n_groups,
             winners: Vec::new(),
             pos: 0,
@@ -217,17 +207,7 @@ impl<'a> PreferenceOp<'a> {
             return Ok(true);
         };
         let quality = Tuple::new(self.quality_values(cells, best));
-        let frames = [
-            Frame {
-                schema: &self.quality_schema,
-                tuple: &quality,
-            },
-            Frame {
-                schema: self.schema,
-                tuple: row,
-            },
-        ];
-        Ok(truth(&eval(threshold, &frames, self.ctx)?) == Some(true))
+        holds(threshold, Env::new(&quality, &[row]), self.ctx)
     }
 
     /// Buffer the winners, each extended with its quality columns;

@@ -337,3 +337,94 @@ fn group_by_keys_use_key_equality_like_distinct_and_joins() {
         ]
     );
 }
+
+/// Unknown and ambiguous columns are plan errors raised when the
+/// statement is bound — a deliberate change from evaluation-time errors:
+/// they no longer depend on the data (an empty table), on
+/// short-circuiting (`FALSE AND …`, a never-taken `CASE` branch) or on
+/// the statement running at all (`EXPLAIN`).
+#[test]
+fn name_resolution_errors_are_raised_at_bind_time() {
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE t (x INTEGER)").unwrap();
+    e.execute_sql("CREATE TABLE u (x INTEGER, y INTEGER)")
+        .unwrap();
+    let err = |e: &mut Engine, sql: &str| match e.execute_sql(sql) {
+        Err(err) => err.to_string(),
+        Ok(out) => panic!("{sql} succeeded: {out:?}"),
+    };
+    // Over an empty table, in every clause.
+    for sql in [
+        "SELECT nope FROM t",
+        "SELECT x FROM t WHERE nope = 1",
+        "SELECT x FROM t ORDER BY nope",
+        "SELECT COUNT(*) FROM t GROUP BY nope",
+        "SELECT x FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.y = nope)",
+    ] {
+        assert!(err(&mut e, sql).contains("unknown column 'nope'"), "{sql}");
+    }
+    e.execute_sql("INSERT INTO t VALUES (1)").unwrap();
+    // Behind a short-circuit that never evaluates the reference.
+    for sql in [
+        "SELECT x FROM t WHERE FALSE AND nope = 1",
+        "SELECT CASE WHEN TRUE THEN 1 ELSE nope END FROM t",
+        "DELETE FROM t WHERE FALSE AND nope = 1",
+    ] {
+        assert!(err(&mut e, sql).contains("unknown column 'nope'"), "{sql}");
+    }
+    // EXPLAIN binds without executing.
+    assert!(err(&mut e, "EXPLAIN SELECT nope FROM t").contains("unknown column 'nope'"));
+    // Ambiguity after a join is checked within the one frame that has
+    // the name — also when no row ever reaches the projection.
+    for sql in [
+        "SELECT x FROM t JOIN u ON t.x = u.y",
+        "SELECT x FROM t, u WHERE FALSE",
+        "EXPLAIN SELECT x FROM t, u",
+    ] {
+        assert!(
+            err(&mut e, sql).contains("ambiguous column reference 'x'"),
+            "{sql}"
+        );
+    }
+    // The statement failed before touching anything.
+    assert_eq!(rows(&mut e, "SELECT x FROM t"), vec![vec![Value::Int(1)]]);
+}
+
+/// Native `BUT ONLY` binds against two frames — the candidate's quality
+/// values, then its row — so a threshold can mix a quality function with
+/// a plain column.
+#[test]
+fn native_but_only_mixes_quality_functions_and_columns() {
+    use prefsql_engine::physical::execute;
+    use prefsql_engine::plan::plan_preference;
+    use prefsql_parser::ast::Statement;
+    use prefsql_pref::SkylineAlgo;
+
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE cars (id INTEGER, price INTEGER, color VARCHAR)")
+        .unwrap();
+    e.execute_sql(
+        "INSERT INTO cars VALUES (1, 95, 'red'), (2, 105, 'blue'), (3, 120, 'blue'), \
+         (4, 100, 'red')",
+    )
+    .unwrap();
+    let Statement::Select(query) = prefsql_parser::parse_statement(
+        "SELECT id, DISTANCE(price) FROM cars PREFERRING price AROUND 100 \
+         BUT ONLY DISTANCE(price) <= 10 AND color <> 'red'",
+    )
+    .unwrap() else {
+        panic!("expected a SELECT");
+    };
+    let ctx = e.read_ctx().unwrap();
+    let pref = query.preferring.as_ref().unwrap();
+    let plan = plan_preference(&ctx, &query, pref, SkylineAlgo::Auto, 1, Some(1024)).unwrap();
+    let got: Vec<Vec<Value>> = execute(&ctx, plan.root(), &[])
+        .unwrap()
+        .rows
+        .into_iter()
+        .map(|t| t.into_values())
+        .collect();
+    // Id 4 (distance 0) and id 1 are red, id 3 is 20 away: the threshold
+    // leaves id 2 alone, 5 away.
+    assert_eq!(got, vec![vec![Value::Int(2), Value::Int(5)]]);
+}

@@ -311,3 +311,69 @@ fn boolean_and_null_literals() {
     );
     check(&mut e, "SELECT NULL = NULL", vec![vec![Value::Null]]);
 }
+
+/// Names resolve once, at plan time, innermost block first; a reference
+/// to an enclosing block reaches exactly the row that block is on.
+#[test]
+fn bind_time_scoping() {
+    let mut e = fixture();
+    // The sub-query's own `a` shadows the outer `a`: `a.id = 3` is about
+    // the inner row, so the EXISTS holds for every outer row.
+    check(
+        &mut e,
+        "SELECT a.id FROM emp a WHERE EXISTS (SELECT 1 FROM emp a WHERE a.id = 3) \
+         ORDER BY a.id",
+        (1..=5).map(|k| vec![i(k)]).collect(),
+    );
+    // Two-level correlation: the innermost block reads its parent (`e`,
+    // depth 1) and the outermost block (`d`, depth 2). Only sales has an
+    // employee someone in the same department out-earns.
+    check(
+        &mut e,
+        "SELECT d.id FROM dept d WHERE EXISTS (SELECT 1 FROM emp e WHERE e.dept = d.id \
+         AND EXISTS (SELECT 1 FROM emp f WHERE f.dept = d.id AND f.salary > e.salary))",
+        vec![vec![i(10)]],
+    );
+    // A correlated reference inside IN (...) and inside a scalar sub-query.
+    check(
+        &mut e,
+        "SELECT d.dname FROM dept d WHERE 'bob' IN \
+         (SELECT e.name FROM emp e WHERE e.dept = d.id)",
+        vec![vec![s("sales")]],
+    );
+    check(
+        &mut e,
+        "SELECT d.dname, (SELECT MAX(e.salary) FROM emp e WHERE e.dept = d.id) \
+         FROM dept d ORDER BY d.id",
+        vec![
+            vec![s("sales"), i(5000)],
+            vec![s("tech"), i(6000)],
+            vec![s("empty"), Value::Null],
+        ],
+    );
+    // ORDER BY an output alias; HAVING and ORDER BY over aggregates.
+    check(
+        &mut e,
+        "SELECT name, salary * 2 AS dbl FROM emp WHERE salary IS NOT NULL ORDER BY dbl DESC",
+        vec![
+            vec![s("cat"), i(12000)],
+            vec![s("ann"), i(10000)],
+            vec![s("bob"), i(8000)],
+            vec![s("eve"), i(6000)],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT dept, COUNT(*) FROM emp GROUP BY dept HAVING SUM(salary) > 5000 \
+         ORDER BY MAX(salary) DESC",
+        vec![vec![i(20), i(2)], vec![i(10), i(2)]],
+    );
+    // An assignment reads the row it replaces.
+    e.execute_sql("UPDATE emp SET salary = salary + 1 WHERE dept = 10")
+        .unwrap();
+    check(
+        &mut e,
+        "SELECT id, salary FROM emp WHERE dept = 10 ORDER BY id",
+        vec![vec![i(1), i(5001)], vec![i(2), i(4001)]],
+    );
+}

@@ -68,7 +68,7 @@ impl PoolStats {
 }
 
 #[derive(Debug)]
-struct Frame {
+struct PoolFrame {
     key: Option<(u64, u32)>,
     file: Option<Arc<HeapFile>>,
     data: Vec<u8>,
@@ -77,9 +77,9 @@ struct Frame {
     referenced: bool,
 }
 
-impl Frame {
+impl PoolFrame {
     fn empty() -> Self {
-        Frame {
+        PoolFrame {
             key: None,
             file: None,
             data: vec![0u8; PAGE_SIZE],
@@ -92,7 +92,7 @@ impl Frame {
 
 #[derive(Debug)]
 struct PoolInner {
-    frames: Vec<Frame>,
+    frames: Vec<PoolFrame>,
     map: HashMap<(u64, u32), usize>,
     hand: usize,
     evictions: u64,
@@ -114,7 +114,7 @@ impl BufferPool {
         let capacity = bytes.max(MIN_POOL_BYTES) / PAGE_SIZE;
         BufferPool {
             inner: Mutex::new(PoolInner {
-                frames: (0..capacity).map(|_| Frame::empty()).collect(),
+                frames: (0..capacity).map(|_| PoolFrame::empty()).collect(),
                 map: HashMap::new(),
                 hand: 0,
                 evictions: 0,
@@ -317,7 +317,7 @@ impl BufferPool {
             inner.frames.pop();
         }
         while inner.frames.len() < capacity {
-            inner.frames.push(Frame::empty());
+            inner.frames.push(PoolFrame::empty());
         }
         inner.hand = 0;
         Ok(())

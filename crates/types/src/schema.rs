@@ -8,6 +8,7 @@
 
 use crate::error::{Error, Result};
 use crate::value::{DataType, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// A column of a relation schema.
@@ -140,20 +141,27 @@ impl Schema {
     }
 
     /// [`Schema::resolve`] with a typed answer for "not here": `Ok(None)`
-    /// when no column matches (the evaluator then tries the enclosing
+    /// when no column matches (the binder then tries the enclosing
     /// frame), `Err` only for an ambiguous reference.
+    ///
+    /// Allocation-free for the usual lower-case input: names are only
+    /// lower-cased when they hold an ASCII upper-case byte, and the
+    /// qualifier is compared only on a name hit. Every column is still
+    /// visited, so an ambiguous reference is always detected.
     pub fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<Option<usize>> {
-        let name = name.to_ascii_lowercase();
-        let qualifier = qualifier.map(str::to_ascii_lowercase);
+        let name = ascii_lower(name);
+        let qualifier = qualifier.map(ascii_lower);
         let mut hit = None;
         for (i, c) in self.columns.iter().enumerate() {
-            let name_matches = c.name == name;
+            if c.name != *name {
+                continue;
+            }
             let qual_matches = match (&qualifier, &c.qualifier) {
                 (None, _) => true,
-                (Some(q), Some(cq)) => q == cq,
+                (Some(q), Some(cq)) => **q == *cq,
                 (Some(_), None) => false,
             };
-            if name_matches && qual_matches {
+            if qual_matches {
                 if hit.is_some() {
                     return Err(Error::Plan(format!("ambiguous column reference '{name}'")));
                 }
@@ -199,6 +207,15 @@ impl Schema {
         let mut columns = self.columns.clone();
         columns.extend(other.columns.iter().cloned());
         Schema { columns }
+    }
+}
+
+/// `s` lower-cased, borrowed unless it holds an ASCII upper-case byte.
+fn ascii_lower(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
     }
 }
 
