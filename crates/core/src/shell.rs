@@ -382,6 +382,24 @@ mod tests {
     }
 
     #[test]
+    fn explain_formats_join_and_preference_windows_alike() {
+        let mut sh = Shell::new();
+        sh.feed_line("CREATE TABLE a (k INTEGER, x INTEGER);");
+        sh.feed_line("CREATE TABLE b (k INTEGER, y INTEGER);");
+        sh.feed_line("\\mode native");
+        sh.feed_line("\\window 5000");
+        let out =
+            sh.feed_line("EXPLAIN SELECT a.x FROM a JOIN b ON a.k = b.k PREFERRING LOWEST(b.y);");
+        for node in ["Preference (BMO", "join=hash keys=[a.k = b.k]"] {
+            let line = out
+                .lines()
+                .find(|l| l.contains(node))
+                .unwrap_or_else(|| panic!("no `{node}` line in:\n{out}"));
+            assert!(line.contains("window=4.9 KiB"), "{line}");
+        }
+    }
+
+    #[test]
     fn rewrite_inspection() {
         let mut sh = Shell::new();
         let out = sh.feed_line("\\rewrite SELECT * FROM t PREFERRING LOWEST(x)");

@@ -150,6 +150,73 @@ pub enum BoundExpr {
     },
 }
 
+impl BoundExpr {
+    /// Call `f` on this expression and every sub-expression, parents
+    /// first. A sub-query is a leaf: its plan's expressions are not
+    /// visited.
+    pub(crate) fn visit<F: FnMut(&BoundExpr)>(&self, f: &mut F) {
+        f(self);
+        match self {
+            BoundExpr::Literal(_)
+            | BoundExpr::Column { .. }
+            | BoundExpr::Exists { .. }
+            | BoundExpr::ScalarSubquery(_) => {}
+            BoundExpr::Neg(e)
+            | BoundExpr::Not(e)
+            | BoundExpr::IsNull { expr: e, .. }
+            | BoundExpr::InSubquery { expr: e, .. } => e.visit(f),
+            BoundExpr::And(a, b)
+            | BoundExpr::Or(a, b)
+            | BoundExpr::Arith {
+                left: a, right: b, ..
+            }
+            | BoundExpr::Compare {
+                left: a, right: b, ..
+            } => {
+                a.visit(f);
+                b.visit(f);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.visit(f);
+                low.visit(f);
+                high.visit(f);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.visit(f);
+                for e in list {
+                    e.visit(f);
+                }
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.visit(f);
+                if let LikeOperand::Dynamic(p) = pattern {
+                    p.visit(f);
+                }
+            }
+            BoundExpr::Case {
+                operand,
+                branches,
+                else_result,
+            } => {
+                for e in operand.iter().chain(else_result) {
+                    e.visit(f);
+                }
+                for (w, t) in branches {
+                    w.visit(f);
+                    t.visit(f);
+                }
+            }
+            BoundExpr::Call { args, .. } => {
+                for a in args {
+                    a.visit(f);
+                }
+            }
+        }
+    }
+}
+
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]

@@ -33,6 +33,7 @@ use prefsql_storage::spill::{SpillManager, SpillMetrics};
 use prefsql_storage::{BufferPool, Catalog, HeapFile, IndexKind, PoolStats, Table};
 use prefsql_types::knobs::{ceiling_from_value, parse_size, DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
 use prefsql_types::{Column, Error, Result, Schema, Tuple, Value};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -416,9 +417,9 @@ pub struct ExecCtx<'c> {
     spill_base: Option<PathBuf>,
     /// Spill metrics reported by operators during this statement.
     spill: RefCell<Option<SpillMetrics>>,
-    /// Per-statement cache of materialized FROM sources (tables, views and
-    /// derived tables are uncorrelated in SQL92, so caching is sound).
-    pub(crate) from_cache: RefCell<HashMap<String, Arc<Relation>>>,
+    /// Per-statement cache of materialized FROM sources — views, derived
+    /// tables, join builds (uncorrelated in SQL92, so caching is sound).
+    from_cache: RefCell<HashMap<String, Arc<dyn Any + Send + Sync>>>,
     pub(crate) stats: RefCell<ExecStats>,
     /// Guard against runaway view recursion (during planning).
     pub(crate) view_depth: RefCell<u32>,
@@ -558,6 +559,21 @@ impl<'c> ExecCtx<'c> {
     /// Read and reset the statement's accumulated spill metrics.
     pub fn take_spill(&self) -> Option<SpillMetrics> {
         self.spill.borrow_mut().take()
+    }
+
+    /// The value this statement cached under `key`, if any.
+    pub(crate) fn cached<T: Any + Send + Sync>(&self, key: &str) -> Option<Arc<T>> {
+        let hit = Arc::clone(self.from_cache.borrow().get(key)?);
+        hit.downcast().ok()
+    }
+
+    /// Cache `value` under `key` for the rest of this statement.
+    pub(crate) fn cache<T: Any + Send + Sync>(&self, key: String, value: T) -> Arc<T> {
+        let value = Arc::new(value);
+        self.from_cache
+            .borrow_mut()
+            .insert(key, Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
+        value
     }
 
     /// This statement's execution counters so far.

@@ -95,9 +95,7 @@ pub fn render_analyzed(node: &PlanNode, prof: &Profiler, depth: usize, out: &mut
 /// The direct children of a plan node, in render order.
 fn children(node: &PlanNode) -> Vec<&PlanNode> {
     match node {
-        PlanNode::NestedLoopJoin { left, right, .. } | PlanNode::HashJoin { left, right, .. } => {
-            vec![left, right]
-        }
+        PlanNode::Join { left, right, .. } => vec![left, right],
         other => other.input().into_iter().collect(),
     }
 }
@@ -184,31 +182,25 @@ fn node_line(node: &PlanNode, out: &mut String) {
         PlanNode::Materialize { label, .. } => {
             let _ = write!(out, "{label}");
         }
-        PlanNode::NestedLoopJoin { on, .. } => match on {
-            Some(cond) => {
-                let _ = write!(out, "Nested-loop join on {cond}");
-            }
-            None => out.push_str("Cross join"),
-        },
-        PlanNode::HashJoin {
+        PlanNode::Join {
             keys,
             residual,
-            build_left,
             window,
             ..
-        } => {
-            let shown: Vec<String> = keys.iter().map(|(l, r)| format!("{l} = {r}")).collect();
-            let _ = write!(
-                out,
-                "join=hash keys=[{}] build={} window={}",
-                shown.join(", "),
-                if *build_left { "left" } else { "right" },
-                fmt_window(*window)
-            );
-            if let Some(r) = residual {
-                let _ = write!(out, " residual={r}");
+        } => match (keys.is_empty(), residual) {
+            (true, Some(cond)) => {
+                let _ = write!(out, "Nested-loop join on {cond}");
             }
-        }
+            (true, None) => out.push_str("Cross join"),
+            (false, _) => {
+                let shown: Vec<String> = keys.iter().map(|(l, r)| format!("{l} = {r}")).collect();
+                let window = window.map_or_else(|| "off".to_string(), |b| fmt_bytes(b as u64));
+                let _ = write!(out, "join=hash keys=[{}] window={window}", shown.join(", "));
+                if let Some(r) = residual {
+                    let _ = write!(out, " residual={r}");
+                }
+            }
+        },
         PlanNode::Filter { pred, .. } => {
             let _ = write!(out, "Filter: {pred}");
         }
@@ -248,18 +240,6 @@ fn node_line(node: &PlanNode, out: &mut String) {
             steps.push(')');
             let _ = write!(out, "{steps}");
         }
-    }
-}
-
-/// The hash join's window knob as EXPLAIN shows it: `off` when the
-/// session has no budget, otherwise in the largest exact binary unit
-/// (mirrors the session layer's byte formatting).
-fn fmt_window(w: Option<usize>) -> String {
-    match w {
-        None => "off".to_string(),
-        Some(b) if b > 0 && b % (1024 * 1024) == 0 => format!("{} MiB", b / (1024 * 1024)),
-        Some(b) if b > 0 && b % 1024 == 0 => format!("{} KiB", b / 1024),
-        Some(b) => format!("{b} B"),
     }
 }
 

@@ -1,27 +1,25 @@
-//! The hash equi-join: the spill-aware Grace-hash physical operator.
+//! The join operator: every `JOIN … ON`, `FROM a, b` and cross join runs
+//! one build/probe loop that builds on the *right* input.
 //!
-//! The planner's [`split_equi_join`](crate::plan::split_equi_join)
-//! inspects a join's ON condition and pulls out the `left-col =
-//! right-col` conjuncts a hash join can key on, leaving every other
-//! conjunct as a *residual* predicate re-checked after the probe;
-//! anything it cannot fully classify — non-equi-only conditions,
-//! sub-queries (possibly correlated), columns that do not resolve against
-//! the join inputs — keeps the nested-loop join, so evaluation semantics
-//! never change behind the optimizer's back. Keys and residual arrive
-//! here bound, so the operator evaluates by ordinal.
+//! The planner (`plan::split_on`) binds a join's ON condition once and
+//! splits its AND-chain: a conjunct `=` between an operand reading only
+//! the left input and one reading only the right is a hash *key* (each
+//! side bound against its own input); every other conjunct stays in the
+//! *residual*, checked pair by pair. A sub-query anywhere in ON, or the
+//! hash-join toggle off, plans no keys at all.
 //!
-//! [`HashJoinOp`] executes the plan node. Its output contract is strict:
-//! **rows and order are byte-identical to the nested-loop join it
-//! replaces** (left-major, right-minor — every left row meets the right
-//! rows in their materialization order). The in-memory build=right path
-//! gets this for free by streaming the left side; the build=left path
-//! buckets matches per left row and emits the buckets in left order; the
-//! Grace overflow path tags every spilled tuple with its per-side arrival
-//! sequence, keeps partition-pair output sorted by `(left seq, right
-//! seq)` by construction, and k-way-merges the sorted output runs. The
-//! one permitted divergence is *error timing*: an ON expression that
-//! errors at evaluation may surface the error after a different number
-//! of emitted rows than the nested loop would.
+//! [`JoinOp`] drains the right input into a build: its rows bucketed by
+//! key. A keyless join keeps every right row in one bucket and evaluates
+//! the whole ON as the residual — that *is* the nested-loop join, and the
+//! reference the keyed form is diffed against. The build is cached per
+//! statement (FROM items are uncorrelated in SQL92), so a join re-opened
+//! by a correlated sub-query probes the same build instead of re-scanning
+//! its right input. The left input streams through the probe, so the
+//! output is left-major, right-minor — every left row meets its bucket's
+//! rows in their arrival order — and the keyed and keyless forms emit the
+//! same rows in the same order. The one permitted divergence is *error
+//! timing*: an ON expression that errors at evaluation may surface the
+//! error after a different number of emitted rows.
 //!
 //! Key equality is SQL equality restricted to the cases where it can
 //! hold: rows whose key contains NULL or NaN can never satisfy `=` and
@@ -31,19 +29,25 @@
 //! with `sql_eq == TRUE` — including INT 1 matching FLOAT 1.0, whose
 //! shared hash the `prefsql-types` proptests pin.
 //!
-//! When the build side outgrows the session window budget, both inputs
+//! When a keyed build outgrows the session window budget, both inputs
 //! are hash-partitioned into [`SpillManager`] runs with a depth-salted
-//! hash (`FANOUT` partitions). A partition pair whose build half still
+//! hash (`FANOUT` partitions), every spilled tuple tagged with its
+//! per-side arrival sequence. A partition pair whose right half still
 //! exceeds the window is re-partitioned once with a fresh salt; a pair
 //! that is still too big after that (pathological skew — e.g. one hot
-//! key) is processed by block nested-loop in window-sized build chunks.
-//! Spill totals are reported through [`ExecCtx::note_spill`] and ride
-//! the same `SpillMetrics` surface as the external skyline.
+//! key) is joined in window-sized right chunks. Each chunk is a build
+//! probed exactly like the in-memory one, so partition-pair output is
+//! sorted by `(left seq, right seq)` by construction and a k-way merge of
+//! the output runs restores the nested-loop order. A Grace build is not
+//! cached, and a keyless join never spills. Spill totals are reported
+//! through [`ExecCtx::note_spill`] and ride the same `SpillMetrics`
+//! surface as the external skyline.
 
 use crate::bind::{Bound, BoundExpr};
 use crate::eval::{eval, holds, Env};
 use crate::exec::ExecCtx;
-use crate::physical::{Batch, BoxOperator, Operator, RowKey, DEFAULT_BATCH};
+use crate::physical::{self, Batch, BoxOperator, Operator, RowKey, DEFAULT_BATCH};
+use crate::plan::PlanNode;
 use prefsql_storage::spill::{
     tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics, SpillRun,
 };
@@ -52,13 +56,14 @@ use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Partitions per Grace spill pass. Small enough that a pass keeps one
 /// open run writer per partition; two salted passes separate 64 buckets.
 const FANOUT: usize = 8;
 
 /// Partitioning depth at which a still-oversized pair stops recursing
-/// and falls back to block nested-loop (initial pass = depth 0, the one
+/// and is joined in window-sized chunks (initial pass = depth 0, the one
 /// permitted re-partition = depth 1).
 const MAX_DEPTH: u32 = 2;
 
@@ -69,7 +74,8 @@ const MAX_DEPTH: u32 = 2;
 /// UNKNOWN, a NaN field makes it FALSE (while both would compare equal to
 /// themselves under the total order). `-0.0` is folded to `0.0` so
 /// SQL-equal floats share a bucket. After this normalization
-/// [`RowKey`]'s equality matches SQL `=` exactly.
+/// [`RowKey`]'s equality matches SQL `=` exactly. A keyless join's key is
+/// the empty one, shared by every row.
 fn join_key(mut values: Vec<Value>) -> Option<RowKey> {
     for v in &mut values {
         match v {
@@ -132,21 +138,90 @@ impl JoinCfg<'_> {
     }
 }
 
-/// The hash-join physical operator. All heavy lifting happens in
-/// [`Operator::open`]; [`Operator::next_batch`] then streams from
-/// whichever state the build phase settled into.
-pub struct HashJoinOp<'a> {
+/// Right rows hashed by key — the whole in-memory build, or one
+/// window-sized Grace chunk. Hashing a chunk, finding a left row's
+/// bucket and walking that bucket under the residual are the one
+/// build/probe step both paths run.
+struct Build {
+    rows: Vec<Tuple>,
+    /// Key → bucket number.
+    index: HashMap<RowKey, usize>,
+    /// Row numbers per bucket, in arrival order.
+    buckets: Vec<Vec<u32>>,
+    /// The largest bucket's size: the most rows one left row can join.
+    widest: usize,
+}
+
+impl Build {
+    /// Hash `rows`; a row whose key can never match lands in no bucket.
+    fn new(cfg: &JoinCfg<'_>, rows: Vec<Tuple>) -> Result<Build> {
+        let mut index = HashMap::with_capacity(if cfg.keys.is_empty() { 1 } else { rows.len() });
+        let mut buckets: Vec<Vec<u32>> = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            if let Some(key) = cfg.key_of(row, false)? {
+                let fresh = buckets.len();
+                let b = *index.entry(key).or_insert(fresh);
+                if b == fresh {
+                    buckets.push(Vec::new());
+                }
+                buckets[b].push(i as u32);
+            }
+        }
+        let widest = buckets.iter().map(Vec::len).max().unwrap_or(0);
+        Ok(Build {
+            rows,
+            index,
+            buckets,
+            widest,
+        })
+    }
+
+    /// The bucket `left` joins, if any.
+    fn bucket(&self, cfg: &JoinCfg<'_>, left: &Tuple) -> Result<Option<usize>> {
+        Ok(cfg
+            .key_of(left, true)?
+            .and_then(|key| self.index.get(&key).copied()))
+    }
+
+    /// Join `left` with the rows of `bucket` from `*pos` on, handing each
+    /// pair the residual accepts — with its right row's number — to
+    /// `emit`, until the bucket is spent or `emit` returns `false`.
+    fn probe(
+        &self,
+        cfg: &JoinCfg<'_>,
+        left: &Tuple,
+        bucket: usize,
+        pos: &mut usize,
+        mut emit: impl FnMut(usize, Tuple) -> Result<bool>,
+    ) -> Result<()> {
+        let members = &self.buckets[bucket];
+        while let Some(&i) = members.get(*pos) {
+            *pos += 1;
+            let joined = left.join(&self.rows[i as usize]);
+            if cfg.residual_ok(&joined)? && !emit(i as usize, joined)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The join physical operator. [`Operator::open`] builds on the right
+/// input (or takes the statement's cached build);
+/// [`Operator::next_batch`] then streams the left input through it.
+pub struct JoinOp<'a> {
     cfg: JoinCfg<'a>,
     left: BoxOperator<'a>,
-    right: BoxOperator<'a>,
-    build_left: bool,
+    /// The right input's plan: run at the statement's first open (at
+    /// every open, when its build spills).
+    right: &'a PlanNode,
     state: State,
     /// Output scratch of the streaming states, handed to the consumer.
     out: Vec<Tuple>,
-    /// Rows hashed into the build table (observability; `Cell` so the
-    /// Grace source closures can count while the children are borrowed).
+    /// Right rows hashed into a build (observability; `Cell` so the
+    /// Grace source closures can count while the inputs are borrowed).
     build_rows: Cell<u64>,
-    /// Rows streamed through the probe side.
+    /// Left rows streamed through the probe.
     probe_rows: Cell<u64>,
     /// Input rows written to Grace partition runs (a re-partitioned row
     /// counts again, mirroring the `passes` semantics).
@@ -155,44 +230,34 @@ pub struct HashJoinOp<'a> {
 
 enum State {
     Closed,
-    /// In-memory, build=right: the left side streams through the probe
-    /// in batched pulls; output order is the nested loop's by
-    /// construction. `lbuf[..lpos]` has been probed, and
-    /// `matches[midx..]` are the build rows `lbuf[lpos - 1]` has yet to
-    /// meet.
+    /// In memory: the left input streams through the probe in batched
+    /// pulls. `lbuf[..lpos]` has been probed; `bucket` is the one
+    /// `lbuf[lpos - 1]` joins, its rows from `pos` on yet to meet.
     Probe {
-        right_rows: Vec<Tuple>,
-        table: HashMap<RowKey, Vec<u32>>,
+        build: Arc<Build>,
         lbuf: Vec<Tuple>,
         lpos: usize,
         left_done: bool,
-        matches: Vec<u32>,
-        midx: usize,
-    },
-    /// In-memory, build=left: matches were bucketed per left row and
-    /// concatenated in left order.
-    Buffered {
-        out: Vec<Tuple>,
+        bucket: Option<usize>,
         pos: usize,
     },
     /// Grace overflow: k-way merge of sorted output runs.
     Grace(GraceOutput),
 }
 
-impl<'a> HashJoinOp<'a> {
-    /// Wire up the operator over already-built child operators.
-    #[allow(clippy::too_many_arguments)]
+impl<'a> JoinOp<'a> {
+    /// Wire up the operator over the streamed left child and the right
+    /// input's plan. `window: None` never spills.
     pub fn new(
         ctx: &'a ExecCtx<'a>,
         left: BoxOperator<'a>,
-        right: BoxOperator<'a>,
+        right: &'a PlanNode,
         keys: &'a [(Bound, Bound)],
         residual: Option<&'a BoundExpr>,
-        build_left: bool,
         window: Option<usize>,
         outer: &'a [&'a Tuple],
     ) -> Self {
-        HashJoinOp {
+        JoinOp {
             cfg: JoinCfg {
                 ctx,
                 keys,
@@ -202,7 +267,6 @@ impl<'a> HashJoinOp<'a> {
             },
             left,
             right,
-            build_left,
             state: State::Closed,
             out: Vec::new(),
             build_rows: Cell::new(0),
@@ -211,117 +275,60 @@ impl<'a> HashJoinOp<'a> {
         }
     }
 
-    /// Drain the build side until it either ends (in-memory join) or
-    /// overflows the window (Grace), then set up the streaming state.
-    fn build_phase(&mut self) -> Result<State> {
+    /// Drain the right input until it ends (an in-memory build, cached
+    /// for the statement under `key`) or overflows the window (Grace).
+    fn build_phase(&mut self, right: &mut (dyn Operator + '_), key: String) -> Result<State> {
         let cfg = self.cfg;
-        let build_op: &mut BoxOperator<'a> = if self.build_left {
-            &mut self.left
-        } else {
-            &mut self.right
-        };
+        right.open()?;
         let mut rows: Vec<Tuple> = Vec::new();
         let mut bytes = 0usize;
-        let overflowed = loop {
-            let batch = build_op.next_batch(DEFAULT_BATCH)?;
-            if batch.is_end() {
-                break false;
-            }
-            bytes += batch.rows().map(tuple_spill_bytes).sum::<usize>();
-            batch.take_into(&mut rows);
-            if bytes > cfg.window {
-                break true;
-            }
-        };
-        if overflowed {
-            // Grace counts the full build side (these rows included) at
-            // its own source, so nothing is charged here.
-            return self.grace_phase(&cfg, rows);
-        }
-        self.build_rows
-            .set(self.build_rows.get() + rows.len() as u64);
-        if self.build_left {
-            self.buffered_phase(&cfg, rows)
-        } else {
-            let table = build_table(&cfg, &rows, false)?;
-            Ok(State::Probe {
-                right_rows: rows,
-                table,
-                lbuf: Vec::new(),
-                lpos: 0,
-                left_done: false,
-                matches: Vec::new(),
-                midx: 0,
-            })
-        }
-    }
-
-    /// Build=left in memory: hash the left rows, stream the right side
-    /// into per-left-row buckets, emit the buckets in left order.
-    fn buffered_phase(&mut self, cfg: &JoinCfg<'a>, left_rows: Vec<Tuple>) -> Result<State> {
-        let table = build_table(cfg, &left_rows, true)?;
-        let mut buckets: Vec<Vec<Tuple>> = vec![Vec::new(); left_rows.len()];
         loop {
-            let batch = self.right.next_batch(DEFAULT_BATCH)?;
+            let batch = right.next_batch(DEFAULT_BATCH)?;
             if batch.is_end() {
                 break;
             }
-            self.probe_rows
-                .set(self.probe_rows.get() + batch.len() as u64);
-            for r in batch.rows() {
-                let Some(key) = cfg.key_of(r, false)? else {
-                    continue;
-                };
-                if let Some(idxs) = table.get(&key) {
-                    for &i in idxs {
-                        let joined = left_rows[i as usize].join(r);
-                        if cfg.residual_ok(&joined)? {
-                            buckets[i as usize].push(joined);
-                        }
-                    }
-                }
+            if cfg.window < usize::MAX {
+                bytes += batch.rows().map(tuple_spill_bytes).sum::<usize>();
+            }
+            batch.take_into(&mut rows);
+            if bytes > cfg.window {
+                // Grace counts the whole right input (these rows
+                // included) at its own source, so nothing is charged here.
+                return self.grace_phase(right, rows);
             }
         }
-        let mut out = Vec::with_capacity(buckets.iter().map(Vec::len).sum());
-        for b in &mut buckets {
-            out.append(b);
-        }
-        Ok(State::Buffered { out, pos: 0 })
+        self.build_rows
+            .set(self.build_rows.get() + rows.len() as u64);
+        let build = Build::new(&cfg, rows)?;
+        Ok(probe_state(cfg.ctx.cache(key, build)))
     }
 
     /// The Grace overflow path: partition both inputs to spill runs,
-    /// process partition pairs (recursing once, then block-NLJ), and
-    /// leave a k-way merge over the sorted output runs.
-    fn grace_phase(&mut self, cfg: &JoinCfg<'a>, collected: Vec<Tuple>) -> Result<State> {
+    /// process partition pairs (recursing once, then chunking), and leave
+    /// a k-way merge over the sorted output runs.
+    fn grace_phase(
+        &mut self,
+        right: &mut (dyn Operator + '_),
+        collected: Vec<Tuple>,
+    ) -> Result<State> {
+        let cfg = self.cfg;
         let mut mgr = cfg.ctx.spill_manager()?;
         let mut passes = 1u32;
-
-        // Partition the build side: the rows drained so far, then the
-        // rest of its operator. Sequence numbers count arrival order.
-        let build_left = self.build_left;
         let spilled = &self.spilled_rows;
-        let (build_op, probe_op): (&mut BoxOperator<'a>, &mut BoxOperator<'a>) = if build_left {
-            (&mut self.left, &mut self.right)
-        } else {
-            (&mut self.right, &mut self.left)
+        // Sequence numbers count each side's arrival order: the right
+        // rows drained so far, then the rest of its operator.
+        let right_runs = {
+            let mut src = operator_source(collected, right, &self.build_rows);
+            partition_pass(&cfg, &mut mgr, &mut src, false, 0, spilled)?
         };
-        let build_runs = {
-            let mut src = operator_source(collected, build_op.as_mut(), &self.build_rows);
-            partition_pass(cfg, &mut mgr, &mut src, build_left, 0, spilled)?
-        };
-        let probe_runs = {
-            let mut src = operator_source(Vec::new(), probe_op.as_mut(), &self.probe_rows);
-            partition_pass(cfg, &mut mgr, &mut src, !build_left, 0, spilled)?
-        };
-        let (left_runs, right_runs) = if build_left {
-            (build_runs, probe_runs)
-        } else {
-            (probe_runs, build_runs)
+        let left_runs = {
+            let mut src = operator_source(Vec::new(), self.left.as_mut(), &self.probe_rows);
+            partition_pass(&cfg, &mut mgr, &mut src, true, 0, spilled)?
         };
 
         let mut out_runs: Vec<SpillRun> = Vec::new();
         for (l, r) in left_runs.into_iter().zip(right_runs) {
-            process_pair(cfg, &mut mgr, l, r, 1, &mut out_runs, &mut passes, spilled)?;
+            process_pair(&cfg, &mut mgr, l, r, 1, &mut out_runs, &mut passes, spilled)?;
         }
 
         cfg.ctx.note_spill(SpillMetrics {
@@ -334,70 +341,93 @@ impl<'a> HashJoinOp<'a> {
     }
 }
 
-impl Operator for HashJoinOp<'_> {
+/// The in-memory probe over `build`, before the first left row.
+fn probe_state(build: Arc<Build>) -> State {
+    State::Probe {
+        build,
+        lbuf: Vec::new(),
+        lpos: 0,
+        left_done: false,
+        bucket: None,
+        pos: 0,
+    }
+}
+
+impl Operator for JoinOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.build_rows.set(0);
         self.probe_rows.set(0);
         self.spilled_rows.set(0);
-        self.left.open()?;
-        self.right.open()?;
         self.state = State::Closed;
-        self.state = self.build_phase()?;
+        self.left.open()?;
+        // A build depends on the right input and its key expressions
+        // only (the right input is planned with no outer scope).
+        let right_keys: Vec<&BoundExpr> = self.cfg.keys.iter().map(|(_, r)| &r.expr).collect();
+        let key = format!("join-build:{:?}:{right_keys:?}", self.right);
+        self.state = match self.cfg.ctx.cached::<Build>(&key) {
+            Some(build) => probe_state(build),
+            None => {
+                let mut right = physical::build(self.cfg.ctx, self.right, &[]);
+                let state = self.build_phase(right.as_mut(), key);
+                right.close();
+                state?
+            }
+        };
         Ok(())
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         let cfg = self.cfg;
-        self.out.clear();
+        let out = &mut self.out;
+        out.clear();
         match &mut self.state {
             State::Closed => {}
-            State::Buffered { out, pos } => return Ok(Batch::lend(out, pos, max)),
             State::Grace(g) => {
-                while self.out.len() < max {
+                while out.len() < max {
                     match g.next()? {
-                        Some(t) => self.out.push(t),
+                        Some(t) => out.push(t),
                         None => break,
                     }
                 }
             }
             State::Probe {
-                right_rows,
-                table,
+                build,
                 lbuf,
                 lpos,
                 left_done,
-                matches,
-                midx,
+                bucket,
+                pos,
             } => {
-                while self.out.len() < max {
-                    if *midx < matches.len() {
-                        let joined = lbuf[*lpos - 1].join(&right_rows[matches[*midx] as usize]);
-                        *midx += 1;
-                        if cfg.residual_ok(&joined)? {
-                            self.out.push(joined);
+                while out.len() < max {
+                    if let Some(b) = *bucket {
+                        build.probe(&cfg, &lbuf[*lpos - 1], b, pos, |_, joined| {
+                            out.push(joined);
+                            Ok(out.len() < max)
+                        })?;
+                        if *pos == build.buckets[b].len() {
+                            *bucket = None;
                         }
                         continue;
                     }
-                    // Advance to the next probe row, refilling the batch
-                    // buffer from the left child as needed.
                     if *lpos == lbuf.len() {
                         if *left_done {
                             break;
                         }
+                        // One left row joins at most the widest bucket
+                        // (every right row, when keyless), so this many
+                        // more are needed whatever they hold: the left
+                        // input is never asked for a row a
+                        // tuple-at-a-time pull would not also have fetched.
+                        let need = (max - out.len()).div_ceil(build.widest.max(1));
                         lbuf.clear();
                         *lpos = 0;
-                        let batch = self.left.next_batch(DEFAULT_BATCH)?;
+                        let batch = self.left.next_batch(need)?;
                         *left_done = batch.is_end();
                         batch.take_into(lbuf);
                         continue;
                     }
-                    matches.clear();
-                    *midx = 0;
-                    if let Some(key) = cfg.key_of(&lbuf[*lpos], true)? {
-                        if let Some(idxs) = table.get(&key) {
-                            matches.extend_from_slice(idxs);
-                        }
-                    }
+                    *bucket = build.bucket(&cfg, &lbuf[*lpos])?;
+                    *pos = 0;
                     *lpos += 1;
                     self.probe_rows.set(self.probe_rows.get() + 1);
                 }
@@ -405,15 +435,14 @@ impl Operator for HashJoinOp<'_> {
         }
         // The streaming states fill the quota unless their input ran
         // dry, so an empty scratch is the end.
-        if self.out.is_empty() {
+        if out.is_empty() {
             return Ok(Batch::end());
         }
-        Ok(Batch::owned(&mut self.out))
+        Ok(Batch::owned(out))
     }
 
     fn close(&mut self) {
         self.left.close();
-        self.right.close();
         self.state = State::Closed;
         self.out = Vec::new();
     }
@@ -425,22 +454,6 @@ impl Operator for HashJoinOp<'_> {
             ("spilled_rows", self.spilled_rows.get()),
         ]
     }
-}
-
-/// Hash one side's rows into `key -> row indices` (insertion order per
-/// key, i.e. that side's arrival order).
-fn build_table(
-    cfg: &JoinCfg<'_>,
-    rows: &[Tuple],
-    left_side: bool,
-) -> Result<HashMap<RowKey, Vec<u32>>> {
-    let mut table: HashMap<RowKey, Vec<u32>> = HashMap::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if let Some(key) = cfg.key_of(row, left_side)? {
-            table.entry(key).or_default().push(i as u32);
-        }
-    }
-    Ok(table)
 }
 
 // --------------------------------------------------- spill plumbing
@@ -560,7 +573,7 @@ fn partition_pass(
 /// Join one partition pair. An oversized pair re-partitions once with a
 /// fresh salt; everything else — a pair whose right half fits the window,
 /// or one still oversized after re-partitioning (skew) — goes to
-/// [`pair_block_nlj`], which reads a fitting right half as its one chunk.
+/// [`pair_chunks`], which reads a fitting right half as its one chunk.
 /// Every path appends output runs sorted by `(left seq, right seq)` and
 /// deletes its input runs when done.
 #[allow(clippy::too_many_arguments)]
@@ -605,19 +618,19 @@ fn process_pair(
         }
         return Ok(());
     }
-    pair_block_nlj(cfg, mgr, &left, &right, out_runs).map(|()| {
+    pair_chunks(cfg, mgr, &left, &right, out_runs).map(|()| {
         let _ = left.delete();
         let _ = right.delete();
     })
 }
 
-/// Hash the right half in window-sized chunks — one chunk when it fits,
-/// several under skew — and stream the left half, in its spilled
-/// (= sequence) order, against each chunk. Probing in ascending left
-/// sequence against match lists in ascending right sequence makes each
+/// Build on the right half in window-sized chunks — one chunk when it
+/// fits, several under skew — and stream the left half, in its spilled
+/// (= sequence) order, through each chunk's probe. Probing in ascending
+/// left sequence against buckets in ascending right sequence makes each
 /// chunk's output sorted by `(left seq, right seq)` with no sort — one
 /// output run per chunk; the global merge interleaves them correctly.
-fn pair_block_nlj(
+fn pair_chunks(
     cfg: &JoinCfg<'_>,
     mgr: &mut SpillManager,
     left: &SpillRun,
@@ -626,50 +639,41 @@ fn pair_block_nlj(
 ) -> Result<()> {
     let mut right_reader = RunReader::open(right)?;
     loop {
-        // Next build chunk: at least one tuple, at most a window's worth.
-        let mut chunk: Vec<(i64, Tuple)> = Vec::new();
+        // Next chunk: at least one tuple, at most a window's worth.
+        let (mut seqs, mut rows) = (Vec::new(), Vec::new());
         let mut bytes = 0usize;
         while bytes <= cfg.window {
             match right_reader.next_tuple()? {
                 Some(t) => {
                     bytes += tuple_spill_bytes(&t);
-                    chunk.push(untag1(t));
+                    let (seq, row) = untag1(t);
+                    seqs.push(seq);
+                    rows.push(row);
                 }
                 None => break,
             }
         }
-        if chunk.is_empty() {
+        if rows.is_empty() {
             return Ok(());
         }
-        let mut table: HashMap<RowKey, Vec<u32>> = HashMap::with_capacity(chunk.len());
-        for (i, (_, row)) in chunk.iter().enumerate() {
-            if let Some(key) = cfg.key_of(row, false)? {
-                table.entry(key).or_default().push(i as u32);
-            }
-        }
+        let chunk = Build::new(cfg, rows)?;
         let mut reader = RunReader::open(left)?;
         let mut writer: Option<RunWriter> = None;
         while let Some(t) = reader.next_tuple()? {
             let (lseq, lrow) = untag1(t);
-            let Some(key) = cfg.key_of(&lrow, true)? else {
+            let Some(b) = chunk.bucket(cfg, &lrow)? else {
                 continue;
             };
-            let Some(idxs) = table.get(&key) else {
-                continue;
-            };
-            for &i in idxs {
-                let (rseq, rrow) = &chunk[i as usize];
-                let joined = lrow.join(rrow);
-                if cfg.residual_ok(&joined)? {
-                    if writer.is_none() {
-                        writer = Some(mgr.begin_run()?);
-                    }
-                    writer
-                        .as_mut()
-                        .expect("writer created above")
-                        .write_tuple(&tag2(lseq, *rseq, &joined))?;
+            chunk.probe(cfg, &lrow, b, &mut 0, |i, joined| {
+                if writer.is_none() {
+                    writer = Some(mgr.begin_run()?);
                 }
-            }
+                writer
+                    .as_mut()
+                    .expect("writer created above")
+                    .write_tuple(&tag2(lseq, seqs[i], &joined))?;
+                Ok(true)
+            })?;
         }
         if let Some(w) = writer {
             let run = w.finish()?;
@@ -733,11 +737,12 @@ impl GraceOutput {
 
 #[cfg(test)]
 mod tests {
-    //! The equi-key split the planner runs for this operator, and the
+    //! The bound key split the planner runs for this operator, and the
     //! operator's key normalization and partitioning.
     use super::*;
-    use crate::plan::split_equi_join;
-    use prefsql_parser::ast::{BinaryOp, Expr};
+    use crate::exec::Engine;
+    use crate::plan::split_on;
+    use prefsql_parser::parse_expression;
     use prefsql_types::{Column, DataType, Schema};
 
     fn schema(qual: &str, cols: &[&str]) -> Schema {
@@ -750,135 +755,110 @@ mod tests {
         .with_qualifier(qual)
     }
 
-    fn col(q: &str, n: &str) -> Expr {
-        Expr::Column {
-            qualifier: Some(q.into()),
-            name: n.into(),
-        }
-    }
-
-    fn eq(a: Expr, b: Expr) -> Expr {
-        Expr::Binary {
-            left: Box::new(a),
-            op: BinaryOp::Eq,
-            right: Box::new(b),
-        }
-    }
-
-    fn and(a: Expr, b: Expr) -> Expr {
-        Expr::Binary {
-            left: Box::new(a),
-            op: BinaryOp::And,
-            right: Box::new(b),
-        }
+    /// Split `on` between `left` and `right` inside the scopes `outer`:
+    /// the keys as `l = r` and the residual, as EXPLAIN shows them.
+    fn split(
+        on: &str,
+        left: &Schema,
+        right: &Schema,
+        outer: &[&Schema],
+    ) -> Result<(Vec<String>, Option<String>)> {
+        let engine = Engine::new();
+        let ctx = engine.read_ctx()?;
+        let (keys, residual) = split_on(&ctx, &parse_expression(on)?, left, right, outer)?;
+        Ok((
+            keys.iter().map(|(l, r)| format!("{l} = {r}")).collect(),
+            residual.map(|r| r.to_string()),
+        ))
     }
 
     #[test]
     fn extracts_simple_equi_key() {
-        let l = schema("a", &["x", "z"]);
-        let r = schema("b", &["y", "w"]);
-        let on = eq(col("a", "x"), col("b", "y"));
-        let equi = split_equi_join(&on, &l, &r).expect("equi join");
-        assert_eq!(equi.keys.len(), 1);
-        assert!(equi.residual.is_none());
+        let (l, r) = (schema("a", &["x", "z"]), schema("b", &["y", "w"]));
+        let (keys, residual) = split("a.x = b.y", &l, &r, &[]).unwrap();
+        assert_eq!(keys, ["a.x = b.y"]);
+        assert_eq!(residual, None);
     }
 
     #[test]
     fn reversed_sides_normalize_to_left_right() {
-        let l = schema("a", &["x"]);
-        let r = schema("b", &["y"]);
-        let on = eq(col("b", "y"), col("a", "x"));
-        let equi = split_equi_join(&on, &l, &r).expect("equi join");
-        assert_eq!(equi.keys[0].0, col("a", "x"));
-        assert_eq!(equi.keys[0].1, col("b", "y"));
+        let (l, r) = (schema("a", &["x"]), schema("b", &["y"]));
+        let (keys, _) = split("b.y = a.x", &l, &r, &[]).unwrap();
+        assert_eq!(keys, ["a.x = b.y"]);
+        // Expression keys are bound against their own input too.
+        let (keys, _) = split("b.y = a.x + 1", &l, &r, &[]).unwrap();
+        assert_eq!(keys, ["(a.x + 1) = b.y"]);
     }
 
     #[test]
     fn mixed_condition_keeps_non_equi_as_residual() {
-        let l = schema("a", &["x", "z"]);
-        let r = schema("b", &["y", "w"]);
-        let on = and(
-            eq(col("a", "x"), col("b", "y")),
-            Expr::Binary {
-                left: Box::new(col("a", "z")),
-                op: BinaryOp::Gt,
-                right: Box::new(col("b", "w")),
-            },
-        );
-        let equi = split_equi_join(&on, &l, &r).expect("equi join");
-        assert_eq!(equi.keys.len(), 1);
-        assert!(equi.residual.is_some());
+        let (l, r) = (schema("a", &["x", "z"]), schema("b", &["y", "w"]));
+        let on = "a.z > b.w AND a.x = b.y AND a.z < 9";
+        let (keys, residual) = split(on, &l, &r, &[]).unwrap();
+        assert_eq!(keys, ["a.x = b.y"]);
+        // The other conjuncts, in their original order.
+        assert_eq!(residual.as_deref(), Some("((a.z > b.w) AND (a.z < 9))"));
     }
 
     #[test]
     fn pure_non_equi_condition_bails() {
-        let l = schema("a", &["x"]);
-        let r = schema("b", &["y"]);
-        let on = Expr::Binary {
-            left: Box::new(col("a", "x")),
-            op: BinaryOp::Gt,
-            right: Box::new(col("b", "y")),
-        };
-        assert!(split_equi_join(&on, &l, &r).is_none());
+        // No key: the whole condition is the residual — the nested loop.
+        let (l, r) = (schema("a", &["x"]), schema("b", &["y"]));
+        let (keys, residual) = split("a.x > b.y", &l, &r, &[]).unwrap();
+        assert!(keys.is_empty());
+        assert_eq!(residual.as_deref(), Some("(a.x > b.y)"));
     }
 
     #[test]
     fn same_side_equality_is_residual_not_key() {
-        // a.x = a.z is a filter, not a join key; alone it cannot carry
-        // a hash join.
-        let l = schema("a", &["x", "z"]);
-        let r = schema("b", &["y"]);
-        let on = eq(col("a", "x"), col("a", "z"));
-        assert!(split_equi_join(&on, &l, &r).is_none());
+        // a.x = a.z is a filter, not a join key; alone it carries none.
+        let (l, r) = (schema("a", &["x", "z"]), schema("b", &["y"]));
+        let (keys, _) = split("a.x = a.z", &l, &r, &[]).unwrap();
+        assert!(keys.is_empty());
+        let (keys, residual) = split("a.x = a.z AND a.x = b.y", &l, &r, &[]).unwrap();
+        assert_eq!(keys, ["a.x = b.y"]);
+        assert_eq!(residual.as_deref(), Some("(a.x = a.z)"));
     }
 
     #[test]
     fn unresolvable_column_bails_entirely() {
-        // outer.k resolves against neither input (a correlated ON): the
-        // nested loop must keep raising its resolution error.
-        let l = schema("a", &["x"]);
-        let r = schema("b", &["y"]);
-        let on = and(
-            eq(col("a", "x"), col("b", "y")),
-            eq(col("outer", "k"), col("a", "x")),
-        );
-        assert!(split_equi_join(&on, &l, &r).is_none());
+        // o.k resolves against neither input nor any scope: the binder's
+        // error, whatever the split would have done.
+        let (l, r) = (schema("a", &["x"]), schema("b", &["y"]));
+        let on = "a.x = b.y AND o.k = a.x";
+        let err = split(on, &l, &r, &[]).unwrap_err();
+        assert!(err.to_string().contains("unknown column 'o.k'"), "{err}");
+        // Inside a block that has it, the correlated conjunct is residual
+        // — never a key, so the build stays uncorrelated — and the join
+        // keeps its key.
+        let scope = schema("o", &["k"]);
+        let (keys, residual) = split(on, &l, &r, &[&scope]).unwrap();
+        assert_eq!(keys, ["a.x = b.y"]);
+        assert_eq!(residual.as_deref(), Some("(o.k = a.x)"));
     }
 
     #[test]
     fn subquery_in_condition_bails_entirely() {
-        let l = schema("a", &["x"]);
-        let r = schema("b", &["y"]);
-        let on = and(
-            eq(col("a", "x"), col("b", "y")),
-            Expr::Exists {
-                query: match prefsql_parser::parse_statement("SELECT 1").unwrap() {
-                    prefsql_parser::ast::Statement::Select(q) => q,
-                    other => panic!("unexpected statement {other:?}"),
-                },
-                negated: false,
-            },
+        let (l, r) = (schema("a", &["x"]), schema("b", &["y"]));
+        let (keys, residual) = split("a.x = b.y AND EXISTS (SELECT 1)", &l, &r, &[]).unwrap();
+        assert!(keys.is_empty());
+        let residual = residual.expect("the whole condition");
+        assert!(
+            residual.starts_with("((a.x = b.y) AND EXISTS"),
+            "{residual}"
         );
-        assert!(split_equi_join(&on, &l, &r).is_none());
     }
 
     #[test]
     fn ambiguous_column_bails_entirely() {
-        // Both sides expose x under the same qualifier: the combined
-        // resolution is ambiguous, so the nested loop keeps the error.
-        let l = schema("t", &["x"]);
-        let r = schema("t", &["x"]);
-        let on = eq(
-            Expr::Column {
-                qualifier: None,
-                name: "x".into(),
-            },
-            Expr::Column {
-                qualifier: None,
-                name: "x".into(),
-            },
+        // Both sides expose x under the same qualifier: the binder's
+        // ambiguity error, exactly as with no split.
+        let (l, r) = (schema("t", &["x"]), schema("t", &["x"]));
+        let err = split("x = x", &l, &r, &[]).unwrap_err();
+        assert!(
+            err.to_string().contains("ambiguous column reference 'x'"),
+            "{err}"
         );
-        assert!(split_equi_join(&on, &l, &r).is_none());
     }
 
     #[test]

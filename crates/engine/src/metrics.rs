@@ -48,7 +48,7 @@ pub struct NodeMetrics {
     /// Wall time spent in `close`, nanoseconds.
     pub close_ns: u64,
     /// Operator-specific counters ([`Operator::counters`]) captured at
-    /// close — dominance comparisons, hash-join build/probe rows, ...
+    /// close — dominance comparisons, join build/probe rows, ...
     pub extras: Vec<(&'static str, u64)>,
 }
 
@@ -139,8 +139,8 @@ pub fn node_kind(node: &PlanNode) -> &'static str {
         PlanNode::MatViewScan { .. } => "matview_scan",
         PlanNode::IndexScan { .. } => "index_scan",
         PlanNode::Materialize { .. } => "materialize",
-        PlanNode::NestedLoopJoin { .. } => "nested_loop_join",
-        PlanNode::HashJoin { .. } => "hash_join",
+        PlanNode::Join { keys, .. } if keys.is_empty() => "nested_loop_join",
+        PlanNode::Join { .. } => "hash_join",
         PlanNode::Filter { .. } => "filter",
         PlanNode::Project { .. } => "project",
         PlanNode::Sort { .. } => "sort",

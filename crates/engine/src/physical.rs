@@ -27,6 +27,7 @@
 use crate::bind::BoundExpr;
 use crate::eval::{eval, holds, truth, Env};
 use crate::exec::{ExecCtx, Relation};
+use crate::join::JoinOp;
 use crate::plan::{AggKey, AggSpec, PlanNode, Projection, SortKey};
 use prefsql_types::{Error, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
@@ -53,7 +54,7 @@ pub trait Operator {
     /// Release resources (idempotent).
     fn close(&mut self);
     /// Operator-specific observability counters, read at close by the
-    /// instrumentation shim (`EXPLAIN ANALYZE`): hash joins report
+    /// instrumentation shim (`EXPLAIN ANALYZE`): joins report
     /// build/probe/spilled rows, preference operators dominance
     /// comparisons. The default reports nothing.
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -273,36 +274,19 @@ fn build_plain<'a>(
             rel: None,
             pos: 0,
         }),
-        PlanNode::NestedLoopJoin {
-            left, right, on, ..
-        } => Box::new(NestedLoopJoinOp {
-            ctx,
-            left: build(ctx, left, outer),
-            right,
-            on: on.as_ref().map(|b| &b.expr),
-            outer,
-            right_rows: None,
-            lbuf: Vec::new(),
-            lpos: 0,
-            ridx: 0,
-            left_done: false,
-            out: Vec::new(),
-        }),
-        PlanNode::HashJoin {
+        PlanNode::Join {
             left,
             right,
             keys,
             residual,
-            build_left,
             window,
             ..
-        } => Box::new(crate::join::HashJoinOp::new(
+        } => Box::new(JoinOp::new(
             ctx,
             build(ctx, left, outer),
-            build(ctx, right, outer),
+            right,
             keys,
             residual.as_ref().map(|b| &b.expr),
-            *build_left,
             *window,
             outer,
         )),
@@ -630,21 +614,20 @@ struct MaterializeOp<'a> {
 impl Operator for MaterializeOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
-        if let Some(hit) = self.ctx.from_cache.borrow().get(self.cache_key) {
-            self.rel = Some(Arc::clone(hit));
-            return Ok(());
-        }
-        // Views and derived tables are uncorrelated in SQL92: execute with
-        // an empty environment, then re-qualify the schema.
-        let rel = execute(self.ctx, self.input, &[])?;
-        let rel = Arc::new(Relation {
-            schema: self.schema.clone(),
-            rows: rel.rows,
-        });
-        self.ctx
-            .from_cache
-            .borrow_mut()
-            .insert(self.cache_key.to_string(), Arc::clone(&rel));
+        let rel = match self.ctx.cached::<Relation>(self.cache_key) {
+            Some(hit) => hit,
+            None => {
+                // Views and derived tables are uncorrelated in SQL92:
+                // execute with an empty environment, then re-qualify the
+                // schema.
+                let rows = execute(self.ctx, self.input, &[])?.rows;
+                let rel = Relation {
+                    schema: self.schema.clone(),
+                    rows,
+                };
+                self.ctx.cache(self.cache_key.to_string(), rel)
+            }
+        };
         self.rel = Some(rel);
         Ok(())
     }
@@ -688,110 +671,6 @@ impl Operator for FilterOp<'_> {
     fn close(&mut self) {
         self.input.close();
         self.sel = Vec::new();
-    }
-}
-
-/// Materialize one side of a join once per statement. Join inputs come
-/// from `FROM` table references, which are uncorrelated in SQL92, so
-/// the result is cached in the statement's materialization cache — a
-/// plan re-opened inside the same statement (a correlated sub-query
-/// probed per outer row, a cached statement re-driven) reuses it
-/// instead of re-scanning.
-pub(crate) fn materialize_join_side<'a>(
-    ctx: &'a ExecCtx<'a>,
-    node: &'a PlanNode,
-) -> Result<Arc<Relation>> {
-    let key = format!("join-side:{node:?}");
-    if let Some(hit) = ctx.from_cache.borrow().get(&key) {
-        return Ok(Arc::clone(hit));
-    }
-    let rel = Arc::new(execute(ctx, node, &[])?);
-    ctx.from_cache.borrow_mut().insert(key, Arc::clone(&rel));
-    Ok(rel)
-}
-
-/// Nested-loop join: the right input is materialized once per statement
-/// (see [`materialize_join_side`]), the left input streams.
-struct NestedLoopJoinOp<'a> {
-    ctx: &'a ExecCtx<'a>,
-    left: BoxOperator<'a>,
-    right: &'a PlanNode,
-    /// Join condition, over the combined row.
-    on: Option<&'a BoundExpr>,
-    outer: &'a [&'a Tuple],
-    right_rows: Option<Arc<Relation>>,
-    /// The left rows of the last pull; `lbuf[lpos]` is the current one,
-    /// about to meet right row `ridx`.
-    lbuf: Vec<Tuple>,
-    lpos: usize,
-    ridx: usize,
-    left_done: bool,
-    /// Output scratch handed to the consumer.
-    out: Vec<Tuple>,
-}
-
-impl Operator for NestedLoopJoinOp<'_> {
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right_rows = Some(materialize_join_side(self.ctx, self.right)?);
-        self.lbuf.clear();
-        self.lpos = 0;
-        self.ridx = 0;
-        self.left_done = false;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
-        let right_rows = &self
-            .right_rows
-            .as_ref()
-            .expect("open() before next_batch()")
-            .rows;
-        self.out.clear();
-        while self.out.len() < max {
-            let Some(l) = self.lbuf.get(self.lpos) else {
-                if self.left_done {
-                    break;
-                }
-                // One left row yields at most `right_rows.len()` output
-                // rows, so this many more are needed whatever they hold:
-                // the left input is never asked for a row a
-                // tuple-at-a-time pull would not also have fetched.
-                let need = (max - self.out.len()).div_ceil(right_rows.len().max(1));
-                self.lbuf.clear();
-                self.lpos = 0;
-                let batch = self.left.next_batch(need)?;
-                self.left_done = batch.is_end();
-                batch.take_into(&mut self.lbuf);
-                continue;
-            };
-            while self.ridx < right_rows.len() && self.out.len() < max {
-                let joined = l.join(&right_rows[self.ridx]);
-                self.ridx += 1;
-                let keep = match self.on {
-                    None => true,
-                    Some(cond) => holds(cond, Env::new(&joined, self.outer), self.ctx)?,
-                };
-                if keep {
-                    self.out.push(joined);
-                }
-            }
-            if self.ridx == right_rows.len() {
-                self.lpos += 1;
-                self.ridx = 0;
-            }
-        }
-        if self.out.is_empty() && self.left_done {
-            return Ok(Batch::end());
-        }
-        Ok(Batch::owned(&mut self.out))
-    }
-
-    fn close(&mut self) {
-        self.left.close();
-        self.right_rows = None;
-        self.lbuf = Vec::new();
-        self.out = Vec::new();
     }
 }
 
@@ -1045,9 +924,9 @@ impl AggregateOp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::bind;
+    use crate::bind::{bind, Bound};
     use crate::exec::Engine;
-    use prefsql_parser::ast::{BinaryOp, Expr, Statement};
+    use prefsql_parser::ast::{BinaryOp, Expr, Query, Statement};
     use prefsql_types::{Column, DataType};
     use std::cell::Cell;
     use std::rc::Rc;
@@ -1254,8 +1133,9 @@ mod tests {
         assert_eq!(served.get(), 20);
     }
 
-    #[test]
-    fn exists_probe_over_a_nested_loop_join_stops_at_the_first_match() {
+    /// An engine holding `r(y)` = 9, 5, 7 — a join's right input — and
+    /// the query `SELECT y FROM r` that reads it.
+    fn right_input() -> (Engine, Box<Query>) {
         let mut engine = Engine::new();
         engine.execute_sql("CREATE TABLE r (y INTEGER)").unwrap();
         engine
@@ -1265,24 +1145,18 @@ mod tests {
         else {
             panic!("expected a SELECT");
         };
+        (engine, query)
+    }
+
+    #[test]
+    fn exists_probe_over_a_nested_loop_join_stops_at_the_first_match() {
+        let (engine, query) = right_input();
         let ctx = engine.read_ctx().unwrap();
         let right = ctx.plan_for(&query).unwrap();
         let schema = x_schema().join(right.root().schema());
         let on = bind(&ctx, &equals(column("x"), column("y")), &[&schema]).unwrap();
         let (src, served, largest) = probe(100);
-        let mut join = NestedLoopJoinOp {
-            ctx: &ctx,
-            left: Box::new(src),
-            right: right.root(),
-            on: Some(&on),
-            outer: &[],
-            right_rows: None,
-            lbuf: Vec::new(),
-            lpos: 0,
-            ridx: 0,
-            left_done: false,
-            out: Vec::new(),
-        };
+        let mut join = JoinOp::new(&ctx, Box::new(src), right.root(), &[], Some(&on), None, &[]);
         // The first left row with a partner is x = 5.
         assert!(any_row(&mut join).unwrap());
         assert_eq!(served.get(), 6, "left rows 0..=5, nothing past the match");
@@ -1291,8 +1165,7 @@ mod tests {
         // Driven in full at a batch size that splits a left row's
         // matches, the join emits left-major, right-minor order.
         let (src, _, _) = probe(10);
-        join.left = Box::new(src);
-        join.on = None;
+        let mut join = JoinOp::new(&ctx, Box::new(src), right.root(), &[], None, None, &[]);
         let all = drain_batched(&mut join, 2).unwrap();
         assert_eq!(all.len(), 30);
         assert_eq!(
@@ -1302,5 +1175,24 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(0, 9), (0, 5), (0, 7), (1, 9)]
         );
+    }
+
+    #[test]
+    fn exists_probe_over_a_keyed_join_stops_at_the_first_match() {
+        let (engine, query) = right_input();
+        let ctx = engine.read_ctx().unwrap();
+        let right = ctx.plan_for(&query).unwrap();
+        let key = |name: &str, schema: &Schema| Bound {
+            source: column(name),
+            expr: bind(&ctx, &column(name), &[schema]).unwrap(),
+        };
+        let keys = [(key("x", &x_schema()), key("y", right.root().schema()))];
+        let (src, served, largest) = probe(100);
+        let mut join = JoinOp::new(&ctx, Box::new(src), right.root(), &keys, None, None, &[]);
+        // The left input is pulled one row at a time up to x = 5, the
+        // first row whose bucket is not empty, and not a row further.
+        assert!(any_row(&mut join).unwrap());
+        assert_eq!(served.get(), 6, "left rows 0..=5, nothing past the match");
+        assert_eq!(largest.get(), 1);
     }
 }

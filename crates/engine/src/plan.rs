@@ -127,35 +127,25 @@ pub enum PlanNode {
         /// Output schema (sub-plan schema re-qualified).
         schema: Schema,
     },
-    /// Nested-loop join; `on: None` is a cross join.
-    NestedLoopJoin {
+    /// A join — `JOIN … ON`, `FROM a, b`, a cross join — run by
+    /// [`crate::join::JoinOp`]: the right input is built once per
+    /// statement, bucketed by `keys`, and the left streams through the
+    /// probe; output is left-major, right-minor. No keys is the nested
+    /// loop (and no residual the cross join).
+    Join {
         /// Left (streamed) input.
         left: Box<PlanNode>,
-        /// Right (materialized once) input.
-        right: Box<PlanNode>,
-        /// Join condition, over the combined row.
-        on: Option<Bound>,
-        /// Combined output schema.
-        schema: Schema,
-    },
-    /// Hash equi-join with a Grace-hash overflow path. Output is
-    /// byte-identical — rows and order — to the nested-loop join it
-    /// replaces (left-major, right-minor); see [`crate::join`].
-    HashJoin {
-        /// Left input.
-        left: Box<PlanNode>,
-        /// Right input.
+        /// Right (built) input.
         right: Box<PlanNode>,
         /// Equi-key pairs: (left-side expr, right-side expr), each
         /// bound against its own input schema.
         keys: Vec<(Bound, Bound)>,
-        /// Non-equi conjuncts of the ON condition, re-checked against
-        /// the combined row after the probe.
+        /// The ON conjuncts that are not keys — all of ON when there
+        /// are none — checked against the combined row.
         residual: Option<Bound>,
-        /// Build the hash table on the left input (else the right).
-        build_left: bool,
-        /// Session window budget baked in at plan time; builds larger
-        /// than this partition to spill runs. `None` never spills.
+        /// Session window budget baked in at plan time; a keyed build
+        /// larger than this partitions to spill runs. `None` never
+        /// spills — always so for a keyless join.
         window: Option<usize>,
         /// Combined output schema.
         schema: Schema,
@@ -283,8 +273,7 @@ impl PlanNode {
             | PlanNode::MatViewScan { schema, .. }
             | PlanNode::IndexScan { schema, .. }
             | PlanNode::Materialize { schema, .. }
-            | PlanNode::NestedLoopJoin { schema, .. }
-            | PlanNode::HashJoin { schema, .. }
+            | PlanNode::Join { schema, .. }
             | PlanNode::Project { schema, .. }
             | PlanNode::Preference { schema, .. }
             | PlanNode::Aggregate { schema, .. } => schema,
@@ -307,39 +296,6 @@ impl PlanNode {
             | PlanNode::Preference { input, .. }
             | PlanNode::Aggregate { input, .. } => Some(input),
             _ => None,
-        }
-    }
-
-    /// Plan-time cardinality estimate from catalog row counts (an upper
-    /// bound for filtering nodes). Drives hash-join build-side
-    /// selection; `None` when no estimate is available.
-    pub fn estimate_rows(&self) -> Option<usize> {
-        match self {
-            PlanNode::Nothing { .. } => Some(1),
-            PlanNode::SeqScan { rows, .. } => Some(*rows),
-            PlanNode::MatViewScan { winners: ids, .. }
-            | PlanNode::IndexScan { row_ids: ids, .. } => Some(ids.len()),
-            PlanNode::Materialize { input, .. }
-            | PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Preference { input, .. }
-            | PlanNode::Distinct { input } => input.estimate_rows(),
-            PlanNode::Limit { input, n, .. } => {
-                Some(input.estimate_rows()?.min(usize::try_from(*n).ok()?))
-            }
-            PlanNode::NestedLoopJoin { left, right, .. } => {
-                Some(left.estimate_rows()?.saturating_mul(right.estimate_rows()?))
-            }
-            // An equi-join emits at most |left| x |right| rows, but the
-            // cross-product estimate made every hash join look enormous to
-            // its parent (so a 3-table plan would build on a huge joined
-            // side). `max` keeps the bound sound for the common key-to-key
-            // shape while staying monotone in both inputs.
-            PlanNode::HashJoin { left, right, .. } => {
-                Some(left.estimate_rows()?.max(right.estimate_rows()?))
-            }
-            PlanNode::Aggregate { .. } => None,
         }
     }
 }
@@ -422,8 +378,7 @@ fn first_row_probe(root: &PlanNode) -> bool {
             | PlanNode::IndexScan { .. }
             | PlanNode::Materialize { .. } => true,
             PlanNode::Filter { input, .. } => streaming(input),
-            PlanNode::NestedLoopJoin { left, right, .. }
-            | PlanNode::HashJoin { left, right, .. } => streaming(left) && streaming(right),
+            PlanNode::Join { left, right, .. } => streaming(left) && streaming(right),
             _ => false,
         }
     }
@@ -796,15 +751,7 @@ fn plan_from(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<Plan
         let next = plan_table_ref(ctx, item, query, allow_index, scope)?;
         acc = Some(match acc {
             None => next,
-            Some(left) => {
-                let schema = left.schema().join(next.schema());
-                PlanNode::NestedLoopJoin {
-                    left: Box::new(left),
-                    right: Box::new(next),
-                    on: None,
-                    schema,
-                }
-            }
+            Some(left) => join(ctx, left, next, Vec::new(), None),
         });
     }
     Ok(acc.expect("non-empty FROM"))
@@ -838,57 +785,159 @@ fn plan_table_ref(
         TableRef::Join { left, right, on } => {
             let l = plan_table_ref(ctx, left, query, false, outer)?;
             let r = plan_table_ref(ctx, right, query, false, &[])?;
-            let schema = l.schema().join(r.schema());
-            // Equi-join conjuncts in the ON condition select the hash
-            // fast path; anything the splitter cannot fully classify
-            // (non-equi only, subqueries, unresolvable columns) keeps
-            // the nested loop so evaluation semantics are unchanged.
-            if ctx.use_hash_join() {
-                if let Some(cond) = on {
-                    if let Some(equi) = split_equi_join(cond, l.schema(), r.schema()) {
-                        // Build on the estimated-smaller side; ties and
-                        // unknowns keep the right (the side the nested
-                        // loop would materialize anyway).
-                        let build_left = match (l.estimate_rows(), r.estimate_rows()) {
-                            (Some(le), Some(re)) => le < re,
-                            _ => false,
-                        };
-                        let keys = equi
-                            .keys
-                            .iter()
-                            .map(|(lk, rk)| {
-                                Ok((
-                                    bind_shown(ctx, lk, l.schema(), outer)?,
-                                    bind_shown(ctx, rk, r.schema(), outer)?,
-                                ))
-                            })
-                            .collect::<Result<_>>()?;
-                        let residual = equi
-                            .residual
-                            .map(|e| bind_shown(ctx, &e, &schema, outer))
-                            .transpose()?;
-                        return Ok(PlanNode::HashJoin {
-                            left: Box::new(l),
-                            right: Box::new(r),
-                            keys,
-                            residual,
-                            build_left,
-                            window: ctx.window_bytes(),
-                            schema,
-                        });
-                    }
-                }
-            }
-            Ok(PlanNode::NestedLoopJoin {
-                on: on
-                    .as_ref()
-                    .map(|e| bind_shown(ctx, e, &schema, outer))
-                    .transpose()?,
-                left: Box::new(l),
-                right: Box::new(r),
-                schema,
-            })
+            let (keys, residual) = match on {
+                Some(on) => split_on(ctx, on, l.schema(), r.schema(), outer)?,
+                None => (Vec::new(), None),
+            };
+            Ok(join(ctx, l, r, keys, residual))
         }
+    }
+}
+
+/// A join node; only a keyed one gets the session's window budget.
+fn join(
+    ctx: &ExecCtx<'_>,
+    left: PlanNode,
+    right: PlanNode,
+    keys: Vec<(Bound, Bound)>,
+    residual: Option<Bound>,
+) -> PlanNode {
+    PlanNode::Join {
+        window: if keys.is_empty() {
+            None
+        } else {
+            ctx.window_bytes()
+        },
+        schema: left.schema().join(right.schema()),
+        left: Box::new(left),
+        right: Box::new(right),
+        keys,
+        residual,
+    }
+}
+
+/// A join's `(left, right)` hash keys and its residual.
+pub(crate) type KeysAndResidual = (Vec<(Bound, Bound)>, Option<Bound>);
+
+/// Bind a join's ON condition and split it into hash keys and the
+/// residual ([`PlanNode::Join`]).
+///
+/// The condition is bound once, against the combined input inside the
+/// block's enclosing scopes `outer`, so unknown and ambiguous columns are
+/// the binder's errors whatever the split does. A conjunct of its
+/// AND-chain is a key iff it is `=` between an operand reading only the
+/// left input and one reading only the right; each key side is then bound
+/// against its own input. Every other conjunct stays in the residual, in
+/// its original order — among them a conjunct reaching an enclosing
+/// block's row, which keeps the cached build uncorrelated. A sub-query
+/// anywhere in ON, or the hash-join toggle off, plans no keys: the whole
+/// condition is the residual, the nested loop.
+pub(crate) fn split_on(
+    ctx: &ExecCtx<'_>,
+    on: &Expr,
+    left: &Schema,
+    right: &Schema,
+    outer: &[&Schema],
+) -> Result<KeysAndResidual> {
+    let on = bind_shown(ctx, on, &left.join(right), outer)?;
+    let mut subquery = false;
+    on.expr.visit(&mut |e| {
+        subquery |= matches!(
+            e,
+            BoundExpr::Exists { .. } | BoundExpr::InSubquery { .. } | BoundExpr::ScalarSubquery(_)
+        )
+    });
+    if subquery || !ctx.use_hash_join() {
+        return Ok((Vec::new(), Some(on)));
+    }
+    let mut conjuncts = Vec::new();
+    conjuncts_of(&on.source, &on.expr, &mut conjuncts);
+    let mut keys = Vec::new();
+    let mut rest = Vec::new();
+    for (source, expr) in conjuncts {
+        if let (
+            Expr::Binary {
+                left: a,
+                op: BinaryOp::Eq,
+                right: b,
+            },
+            BoundExpr::Compare {
+                left: ba,
+                right: bb,
+                ..
+            },
+        ) = (source, expr)
+        {
+            let sides = match (input_of(ba, left.len()), input_of(bb, left.len())) {
+                (Some(true), Some(false)) => Some((a, b)),
+                (Some(false), Some(true)) => Some((b, a)),
+                _ => None,
+            };
+            if let Some((lk, rk)) = sides {
+                keys.push((
+                    bind_shown(ctx, lk, left, &[])?,
+                    bind_shown(ctx, rk, right, &[])?,
+                ));
+                continue;
+            }
+        }
+        rest.push(Bound {
+            source: source.clone(),
+            expr: expr.clone(),
+        });
+    }
+    if keys.is_empty() {
+        return Ok((keys, Some(on)));
+    }
+    let residual = rest.into_iter().reduce(|a, b| Bound {
+        source: Expr::Binary {
+            left: Box::new(a.source),
+            op: BinaryOp::And,
+            right: Box::new(b.source),
+        },
+        expr: BoundExpr::And(Box::new(a.expr), Box::new(b.expr)),
+    });
+    Ok((keys, residual))
+}
+
+/// Flatten a bound AND-chain into its conjuncts, left to right, each
+/// beside its source.
+fn conjuncts_of<'e>(
+    source: &'e Expr,
+    expr: &'e BoundExpr,
+    out: &mut Vec<(&'e Expr, &'e BoundExpr)>,
+) {
+    match (source, expr) {
+        (
+            Expr::Binary {
+                left,
+                op: BinaryOp::And,
+                right,
+            },
+            BoundExpr::And(l, r),
+        ) => {
+            conjuncts_of(left, l, out);
+            conjuncts_of(right, r, out);
+        }
+        pair => out.push(pair),
+    }
+}
+
+/// The join input a bound operand reads: `Some(true)` for only the left
+/// (depth-0 ordinals below `split`), `Some(false)` for only the right,
+/// `None` for both, neither, or an enclosing block's row.
+fn input_of(operand: &BoundExpr, split: usize) -> Option<bool> {
+    let (mut left, mut right, mut outer) = (false, false, false);
+    operand.visit(&mut |e| match e {
+        BoundExpr::Column { depth: 0, ordinal } if *ordinal < split => left = true,
+        BoundExpr::Column { depth: 0, .. } => right = true,
+        BoundExpr::Column { .. } => outer = true,
+        _ => {}
+    });
+    match (left, right, outer) {
+        (true, false, false) => Some(true),
+        (false, true, false) => Some(false),
+        _ => None,
     }
 }
 
@@ -1163,175 +1212,5 @@ fn infer_type(expr: &Expr, schema: &Schema) -> DataType {
         },
         Expr::ScalarSubquery(_) => DataType::Str,
         Expr::Wildcard => DataType::Str,
-    }
-}
-
-// ------------------------------------------------------ equi-join split
-
-/// The equi-join structure extracted from an ON condition.
-#[derive(Debug)]
-pub struct EquiJoin {
-    /// `(left expr, right expr)` per equi-key conjunct, each resolving
-    /// purely against its own input (the planner binds them so).
-    pub keys: Vec<(Expr, Expr)>,
-    /// The remaining conjuncts, ANDed in original order; evaluated
-    /// against the combined row after the probe.
-    pub residual: Option<Expr>,
-}
-
-/// Split `on` into hash keys and a residual predicate. Returns `None`
-/// when a hash join must not be planned: no cross-side equi conjunct at
-/// all, a sub-query anywhere in the condition (its correlation could
-/// observe evaluation order), or a column reference that is unknown or
-/// ambiguous against the combined input schema (the nested loop must
-/// surface that error exactly as it always did).
-pub fn split_equi_join(on: &Expr, left: &Schema, right: &Schema) -> Option<EquiJoin> {
-    let combined = left.join(right);
-    let mut conjuncts = Vec::new();
-    collect_conjuncts(on, &mut conjuncts);
-    let mut keys = Vec::new();
-    let mut residual: Option<Expr> = None;
-    for c in conjuncts {
-        // Every conjunct — keyed or residual — must classify cleanly
-        // (a residual with a sub-query or a dangling column keeps the
-        // nested loop's evaluation semantics, so bail).
-        sides_of(c, left, &combined)?;
-        let mut keyed = false;
-        if let Expr::Binary {
-            left: a,
-            op: BinaryOp::Eq,
-            right: b,
-        } = c
-        {
-            let sa = sides_of(a, left, &combined)?;
-            let sb = sides_of(b, left, &combined)?;
-            match (sa, sb) {
-                (SideMask::LEFT, SideMask::RIGHT) => {
-                    keys.push(((**a).clone(), (**b).clone()));
-                    keyed = true;
-                }
-                (SideMask::RIGHT, SideMask::LEFT) => {
-                    keys.push(((**b).clone(), (**a).clone()));
-                    keyed = true;
-                }
-                _ => {}
-            }
-        }
-        if !keyed {
-            residual = Some(match residual {
-                None => c.clone(),
-                Some(r) => Expr::Binary {
-                    left: Box::new(r),
-                    op: BinaryOp::And,
-                    right: Box::new(c.clone()),
-                },
-            });
-        }
-    }
-    if keys.is_empty() {
-        return None;
-    }
-    Some(EquiJoin { keys, residual })
-}
-
-/// Flatten an AND chain into its conjuncts (left-to-right order).
-fn collect_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match expr {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            collect_conjuncts(left, out);
-            collect_conjuncts(right, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// Which join inputs an expression's columns touch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SideMask(u8);
-
-impl SideMask {
-    const NONE: SideMask = SideMask(0);
-    const LEFT: SideMask = SideMask(1);
-    const RIGHT: SideMask = SideMask(2);
-
-    fn union(self, other: SideMask) -> SideMask {
-        SideMask(self.0 | other.0)
-    }
-}
-
-/// Classify every column of `expr` against the join inputs. `None` bails
-/// the whole hash-join attempt: a sub-query, or a column the combined
-/// schema cannot resolve unambiguously (resolving uniquely in the
-/// combined schema guarantees the reference also resolves against the
-/// single side that holds it, so side-local key evaluation is sound).
-fn sides_of(expr: &Expr, left: &Schema, combined: &Schema) -> Option<SideMask> {
-    match expr {
-        Expr::Column { qualifier, name } => {
-            let idx = combined.resolve(qualifier.as_deref(), name).ok()?;
-            Some(if idx < left.len() {
-                SideMask::LEFT
-            } else {
-                SideMask::RIGHT
-            })
-        }
-        Expr::Literal(_) => Some(SideMask::NONE),
-        Expr::Unary { expr, .. } => sides_of(expr, left, combined),
-        Expr::Binary {
-            left: a, right: b, ..
-        } => Some(sides_of(a, left, combined)?.union(sides_of(b, left, combined)?)),
-        Expr::IsNull { expr, .. } => sides_of(expr, left, combined),
-        Expr::Between {
-            expr, low, high, ..
-        } => Some(
-            sides_of(expr, left, combined)?
-                .union(sides_of(low, left, combined)?)
-                .union(sides_of(high, left, combined)?),
-        ),
-        Expr::InList { expr, list, .. } => {
-            let mut m = sides_of(expr, left, combined)?;
-            for e in list {
-                m = m.union(sides_of(e, left, combined)?);
-            }
-            Some(m)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            Some(sides_of(expr, left, combined)?.union(sides_of(pattern, left, combined)?))
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            let mut m = SideMask::NONE;
-            if let Some(o) = operand {
-                m = m.union(sides_of(o, left, combined)?);
-            }
-            for (w, t) in branches {
-                m = m
-                    .union(sides_of(w, left, combined)?)
-                    .union(sides_of(t, left, combined)?);
-            }
-            if let Some(e) = else_result {
-                m = m.union(sides_of(e, left, combined)?);
-            }
-            Some(m)
-        }
-        Expr::Function { args, .. } => {
-            let mut m = SideMask::NONE;
-            for a in args {
-                m = m.union(sides_of(a, left, combined)?);
-            }
-            Some(m)
-        }
-        // Sub-queries may be correlated; wildcards cannot be evaluated
-        // as values. Either way: keep the nested loop.
-        Expr::InSubquery { .. }
-        | Expr::Exists { .. }
-        | Expr::ScalarSubquery(_)
-        | Expr::Wildcard => None,
     }
 }

@@ -20,13 +20,18 @@
 //! 4. A property test over random equi-join schemas: random key
 //!    arities, domains small enough to force duplicate- and NULL-key
 //!    collisions, hash (bounded and unbounded) vs nested-loop.
-//! 5. The nested-loop rematerialization fix: a correlated EXISTS that
-//!    re-opens a cross join must not re-scan the join's sides once per
+//! 5. The per-statement build: a correlated EXISTS that re-opens a
+//!    join — keyless or keyed — must not re-scan its right side once per
 //!    outer row.
 //! 6. Session knobs under DML: the window budget and the hash-join
 //!    toggle reach a join inside `INSERT ... SELECT` and `CREATE VIEW`.
+//! 7. The bound key split: keys and residual per ON shape, byte-diffed
+//!    against the keyless run, and identical binder errors either way.
 
+use prefsql::engine::bind::BoundExpr;
+use prefsql::engine::explain::render;
 use prefsql::engine::physical::{build, drain_batched};
+use prefsql::engine::PlanNode;
 use prefsql::parser::ast::Statement;
 use prefsql::parser::parse_statement;
 use prefsql::storage::Table;
@@ -338,13 +343,16 @@ fn dml_and_view_validation_honour_the_session_knobs() {
 
 // ----------------------------------------------- NLJ rematerialization
 
-/// The nested-loop join materializes each side once per statement, not
-/// once per `open`: a correlated EXISTS over a cross join re-opens the
-/// join for every outer row, and before the fix re-scanned the inner
-/// tables every time. The scan counters pin the fix.
+/// A join builds its right side once per statement, not once per
+/// `open`: a correlated EXISTS over a join re-opens the join for every
+/// outer row, and before the fix re-scanned the inner tables every time
+/// — the nested loop until PR 7, a keyed join (re-hashing its build per
+/// probe) until PR 22. The scan counters pin the fix.
 #[test]
 fn nested_loop_sides_materialize_once_per_statement() {
     let mut conn = conn_with(vec![fact_table(30, 5, 13), dim_table(50, 5, 14)]);
+    // An in-memory build: a spilling (Grace) build is not cached.
+    conn.set_window_bytes(None);
     let _ = conn.engine().take_stats();
     conn.query(
         "SELECT f1.id FROM fact f1 \
@@ -361,6 +369,154 @@ fn nested_loop_sides_materialize_once_per_statement() {
         stats.rows_scanned <= 30 + 30 * 30 + 50,
         "right join side was re-materialized per outer row: {stats:?}"
     );
+
+    // The same probe over a keyed join scans no more than over the
+    // keyless one (the toggle off): one build of `dim`, and the left
+    // scan pulled row by row up to the first match, as the nested loop
+    // does. The keyed join used to re-hash `dim` per probe: 2 430 rows
+    // against the keyless 567.
+    let keyed = "SELECT f1.id FROM fact f1 WHERE EXISTS \
+                 (SELECT 1 FROM fact f2 JOIN dim d ON f2.k = d.k WHERE f2.v = f1.v)";
+    let mut scanned = Vec::new();
+    for hash in [true, false] {
+        conn.engine_mut().set_use_hash_join(hash);
+        let _ = conn.engine().take_stats();
+        conn.query(keyed).expect("correlated exists over a join");
+        scanned.push(conn.engine().take_stats().rows_scanned);
+    }
+    assert!(
+        scanned[0] <= scanned[1],
+        "keyed vs keyless scans: {scanned:?}"
+    );
+}
+
+// ------------------------------------------------------ bound key split
+
+/// The plan of the sub-query behind a WHERE clause's `EXISTS`, rendered
+/// as EXPLAIN renders a tree (EXPLAIN itself prints the outer block).
+fn exists_plan(conn: &PrefSqlConnection, sql: &str) -> String {
+    let Statement::Select(q) = parse_statement(sql).expect("parseable") else {
+        panic!("test query is a SELECT");
+    };
+    conn.engine()
+        .with_read_ctx(|ctx| {
+            let plan = ctx.plan_for(&q)?;
+            let mut node = plan.root();
+            let pred = loop {
+                match node {
+                    PlanNode::Filter { pred, .. } => break pred,
+                    other => node = other.input().expect("a WHERE filter"),
+                }
+            };
+            let BoundExpr::Exists { plan, .. } = &pred.expr else {
+                panic!("not an EXISTS: {pred}");
+            };
+            let mut out = String::new();
+            render(plan.root(), 0, &mut out);
+            Ok(out)
+        })
+        .expect("plans")
+}
+
+/// The planner splits the *bound* ON condition. Per case: the keys and
+/// residual the join's plan line shows with the hash-join toggle on
+/// (no keys: the nested loop), and the rendered rows against the
+/// toggle-off run.
+#[test]
+fn bound_key_split_plans_keys_and_matches_the_nested_loop() {
+    let (fact, dim) = (fact_table(150, 7, 41), dim_table(40, 7, 42));
+    let mut hash = conn_with(vec![fact.clone(), dim.clone()]);
+    let mut nlj = conn_with(vec![fact, dim]);
+    nlj.engine_mut().set_use_hash_join(false);
+    let select = "SELECT f.id, f.v, d.name FROM fact f JOIN dim d ON";
+    // (query, keys — `None` for the nested loop —, residual)
+    let cases: [(String, Option<&str>, Option<&str>); 7] = [
+        // Reversed sides normalize to (left, right).
+        (format!("{select} d.k = f.k"), Some("f.k = d.k"), None),
+        (
+            format!("{select} f.k = d.k AND d.g = f.g"),
+            Some("f.k = d.k, f.g = d.g"),
+            None,
+        ),
+        // An expression key, bound against its own input.
+        (
+            format!("{select} f.k + 1 = d.k"),
+            Some("(f.k + 1) = d.k"),
+            None,
+        ),
+        // A same-side equality is residual, never a key.
+        (
+            format!("{select} f.k = f.g AND f.k = d.k"),
+            Some("f.k = d.k"),
+            Some("(f.k = f.g)"),
+        ),
+        (format!("{select} f.k = f.g"), None, Some("(f.k = f.g)")),
+        // A correlated conjunct is residual and the join keeps its key
+        // (it used to make the whole join a nested loop).
+        (
+            "SELECT f1.id FROM fact f1 WHERE EXISTS \
+             (SELECT 1 FROM fact f2 JOIN dim d ON f2.k = d.k AND d.g = f1.g)"
+                .to_string(),
+            Some("f2.k = d.k"),
+            Some("(d.g = f1.g)"),
+        ),
+        // A sub-query conjunct keeps the join keyless.
+        (
+            format!("{select} f.k = d.k AND EXISTS (SELECT 1 FROM dim x WHERE x.w = f.v)"),
+            None,
+            Some("((f.k = d.k) AND EXISTS"),
+        ),
+    ];
+    for (sql, keys, residual) in cases {
+        let plan = if sql.contains("f1") {
+            exists_plan(&hash, &sql)
+        } else {
+            explain(&mut hash, &format!("EXPLAIN {sql}"))
+        };
+        match keys {
+            Some(keys) => {
+                assert!(
+                    plan.contains(&format!("join=hash keys=[{keys}] window=")),
+                    "{sql}\n{plan}"
+                );
+                match residual {
+                    Some(r) => assert!(plan.contains(&format!(" residual={r}")), "{sql}\n{plan}"),
+                    None => assert!(!plan.contains("residual="), "{sql}\n{plan}"),
+                }
+            }
+            None => {
+                let r = residual.expect("a keyless case has a condition");
+                assert!(
+                    plan.contains(&format!("Nested-loop join on {r}")),
+                    "{sql}\n{plan}"
+                );
+                assert!(!plan.contains("join=hash"), "{sql}\n{plan}");
+            }
+        }
+        assert_eq!(
+            hash.query(&sql).expect("hash run").to_string(),
+            nlj.query(&sql).expect("nested-loop run").to_string(),
+            "{sql}"
+        );
+    }
+
+    // Unknown and ambiguous columns are the binder's errors, the same
+    // text either way.
+    for (sql, message) in [
+        (format!("{select} f.k = d.nope"), "unknown column 'd.nope'"),
+        (
+            format!("{select} k = d.k"),
+            "ambiguous column reference 'k'",
+        ),
+    ] {
+        let error = |conn: &mut PrefSqlConnection| match conn.query(&sql) {
+            Ok(_) => panic!("{sql} succeeded"),
+            Err(e) => e.to_string(),
+        };
+        let on = error(&mut hash);
+        assert!(on.contains(message), "{sql}: {on}");
+        assert_eq!(on, error(&mut nlj), "{sql}");
+    }
 }
 
 // ------------------------------------------------------------ proptest
