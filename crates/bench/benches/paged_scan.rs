@@ -12,14 +12,24 @@
 //!   so every scan runs at ~100% miss/eviction rate and each page comes
 //!   back off the file.
 //!
+//! Two write rows ride on the cold configuration, both single-row DML
+//! found by a full scan (no index on `id`):
+//!
+//! * `update-cold` — `UPDATE r SET v = … WHERE id = k`: the target scan
+//!   decodes only the `id` column, then one slot is rewritten in place;
+//! * `delete-cold` — `DELETE FROM r WHERE id = k`: the same scan, then
+//!   one slot tombstoned (the file is rewritten only once tombstones
+//!   outnumber live rows, which these few deletes never reach).
+//!
 //! Recorded medians land in `BENCH_paged_scan.json`; the spread between
-//! `paged-warm` and `mem` is the slotted-page decode overhead, and the
+//! `paged-warm` and `mem` is the slotted-page decode overhead, the
 //! spread between `paged-cold` and `paged-warm` is the pure I/O cost
-//! the pool exists to amortize.
+//! the pool exists to amortize, and the DML rows against `paged-cold`
+//! show what a write costs beyond finding its row.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use prefsql::types::{Column, DataType, Schema, Tuple, Value};
-use prefsql::Session;
+use prefsql::{QueryResult, Session};
 use prefsql_engine::{BackendKind, EngineCore};
 use prefsql_types::knobs::MIN_POOL_BYTES;
 use std::sync::Arc;
@@ -83,6 +93,27 @@ fn bench_paged_scan(c: &mut Criterion) {
         let mut cold = session_with(BackendKind::Paged, MIN_POOL_BYTES, rows);
         group.bench_with_input(BenchmarkId::new("paged-cold", fmt(rows)), &(), |b, _| {
             b.iter(|| cold.query(QUERY).expect("scan").len())
+        });
+        // Single-row DML on the same cold table. Ids step by a prime so
+        // successive statements land on scattered pages, and no id is
+        // deleted twice.
+        let mut k = 0;
+        let mut next_id = || {
+            k += 1;
+            k * 7_919 % rows
+        };
+        let mut affect_one = |sql: String| match cold.execute(&sql).expect("dml") {
+            QueryResult::Count(1) => {}
+            other => panic!("{sql} must affect one row: {other:?}"),
+        };
+        group.bench_with_input(BenchmarkId::new("update-cold", fmt(rows)), &(), |b, _| {
+            b.iter(|| {
+                let id = next_id();
+                affect_one(format!("UPDATE r SET v = {id} WHERE id = {id}"))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("delete-cold", fmt(rows)), &(), |b, _| {
+            b.iter(|| affect_one(format!("DELETE FROM r WHERE id = {}", next_id())))
         });
     }
     group.finish();

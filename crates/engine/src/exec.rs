@@ -24,7 +24,8 @@
 //! expressions once per statement the same way and evaluates them per
 //! row by ordinal.
 
-use crate::bind::bind;
+use crate::access::{choose_access_path, AccessPath};
+use crate::bind::{bind, BoundExpr};
 use crate::eval::{eval, holds, Env};
 use crate::plan::{plan_query, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
@@ -1179,7 +1180,11 @@ impl Engine {
         Ok(ExecOutcome::Count(n))
     }
 
-    /// Row ids of `table` satisfying `predicate` (all rows when `None`).
+    /// Row ids of `table` satisfying `predicate` (all rows when `None`),
+    /// ascending. The target rows are found as a SELECT finds them: an
+    /// index the WHERE can use yields candidates, which the bound
+    /// predicate re-checks; otherwise a scan decodes only the columns the
+    /// predicate reads.
     fn matching_row_ids(
         &self,
         cat: &Catalog,
@@ -1187,20 +1192,42 @@ impl Engine {
         predicate: Option<&Expr>,
     ) -> Result<Vec<usize>> {
         let t = cat.table(table)?;
+        let Some(predicate) = predicate else {
+            return Ok((0..t.len()).collect());
+        };
         let schema = t.schema().without_qualifiers().with_qualifier(t.name());
         self.with_ctx_over(cat, |ctx| {
-            let pred = predicate.map(|p| bind(ctx, p, &[&schema])).transpose()?;
+            let pred = bind(ctx, predicate, &[&schema])?;
             let mut ids = Vec::new();
-            t.for_each_row(|rid, row| {
-                let keep = match &pred {
-                    None => true,
-                    Some(pred) => holds(pred, Env::new(row, &[]), ctx)?,
-                };
-                if keep {
-                    ids.push(rid);
+            let path = if ctx.use_indexes() {
+                choose_access_path(t, Some(predicate))
+            } else {
+                AccessPath::SeqScan
+            };
+            match path {
+                AccessPath::Index { mut row_ids, .. } => {
+                    ctx.stats.borrow_mut().index_probes += 1;
+                    row_ids.sort_unstable();
+                    row_ids.dedup();
+                    for rid in row_ids {
+                        if holds(&pred, Env::new(&t.fetch_row(rid)?, &[]), ctx)? {
+                            ids.push(rid);
+                        }
+                    }
                 }
-                Ok(())
-            })?;
+                AccessPath::SeqScan => {
+                    let keep = |rid, row: &Tuple| {
+                        if holds(&pred, Env::new(row, &[]), ctx)? {
+                            ids.push(rid);
+                        }
+                        Ok(())
+                    };
+                    match columns_read(&pred, schema.len()) {
+                        Some(mask) => t.for_each_row_masked(&mask, keep)?,
+                        None => t.for_each_row(keep)?,
+                    }
+                }
+            }
             Ok(ids)
         })
     }
@@ -1217,7 +1244,7 @@ impl Engine {
         let ids = self.matching_row_ids(cat, table, predicate)?;
         // Pre-resolve target columns and compute the new tuples before
         // mutating, so a failing assignment leaves the table untouched.
-        let new_rows = {
+        let (positions, new_rows) = {
             let t = cat.table(table)?;
             let schema = t.schema().clone();
             let positions: Vec<usize> = assignments
@@ -1225,7 +1252,7 @@ impl Engine {
                 .map(|(c, _)| schema.resolve(None, c))
                 .collect::<Result<_>>()?;
             let eval_schema = schema.without_qualifiers().with_qualifier(t.name());
-            self.with_ctx_over(cat, |ctx| {
+            let new_rows = self.with_ctx_over(cat, |ctx| {
                 let exprs = assignments
                     .iter()
                     .map(|(_, e)| bind(ctx, e, &[&eval_schema]))
@@ -1244,17 +1271,41 @@ impl Engine {
                     new_rows.push(tuple);
                 }
                 Ok(new_rows)
-            })?
+            })?;
+            (positions, new_rows)
         };
         let t = cat.table_mut(table)?;
         for (&rid, row) in ids.iter().zip(new_rows) {
             t.replace_row(rid, row)?;
         }
+        // UPDATE keeps rids: only indexes keyed on an assigned column
+        // are stale.
         if !ids.is_empty() {
-            t.rebuild_indexes()?;
+            t.rebuild_indexes_over(&positions)?;
         }
         Ok(ids)
     }
+}
+
+/// The columns of its own row `pred` reads, as a mask over `width`
+/// columns — or `None` (read them all) when it holds a sub-query, whose
+/// plan may read the row through a correlated reference the mask cannot
+/// see.
+fn columns_read(pred: &BoundExpr, width: usize) -> Option<Vec<bool>> {
+    let mut mask = vec![false; width];
+    let mut opaque = false;
+    pred.visit(&mut |e| match e {
+        BoundExpr::Column { depth: 0, ordinal } => {
+            if let Some(read) = mask.get_mut(*ordinal) {
+                *read = true;
+            }
+        }
+        BoundExpr::InSubquery { .. } | BoundExpr::Exists { .. } | BoundExpr::ScalarSubquery(_) => {
+            opaque = true;
+        }
+        _ => {}
+    });
+    (!opaque).then_some(mask)
 }
 
 #[cfg(test)]

@@ -2,8 +2,10 @@
 //! correlated NOT EXISTS pattern the Preference SQL rewrite relies on —
 //! including the paper's §3.2 Cars example executed verbatim.
 
-use prefsql_engine::{Engine, ExecOutcome};
+use prefsql_engine::{BackendKind, Engine, EngineCore, ExecOutcome};
+use prefsql_types::knobs::MIN_POOL_BYTES;
 use prefsql_types::Value;
+use std::sync::Arc;
 
 fn setup_cars() -> Engine {
     let mut e = Engine::new();
@@ -486,6 +488,119 @@ fn update_rows() {
         ExecOutcome::Count(n) => assert_eq!(n, 3),
         other => panic!("expected count, got {other:?}"),
     }
+}
+
+fn count(e: &mut Engine, sql: &str) -> usize {
+    match e.execute_sql(sql) {
+        Ok(ExecOutcome::Count(n)) => n,
+        other => panic!("expected a count from {sql}, got {other:?}"),
+    }
+}
+
+/// An engine over a fresh core on `kind`, with a four-page pool when
+/// paged.
+fn engine_on(kind: BackendKind) -> Engine {
+    Engine::with_core(Arc::new(EngineCore::with_storage(kind, MIN_POOL_BYTES)))
+}
+
+/// DML finds its target rows the way a SELECT does: an index the WHERE
+/// can use yields candidates that the bound predicate re-checks. One
+/// probe per statement, and the same rows as a scan with indexes off,
+/// on both backends.
+#[test]
+fn dml_targets_take_the_index_path_and_match_the_scan() {
+    for kind in [BackendKind::Mem, BackendKind::Paged] {
+        let run = |indexed: bool| {
+            let mut e = engine_on(kind);
+            e.execute_sql("CREATE TABLE cars (id INTEGER, make VARCHAR, price INTEGER)")
+                .unwrap();
+            let values: Vec<String> = (0..300)
+                .map(|i| format!("({i}, '{}', {})", ["opel", "audi", "bmw"][i % 3], 1_000 + i))
+                .collect();
+            e.execute_sql(&format!("INSERT INTO cars VALUES {}", values.join(", ")))
+                .unwrap();
+            e.execute_sql("CREATE INDEX by_make ON cars (make) USING hash")
+                .unwrap();
+            e.set_use_indexes(indexed);
+            let mut probes = Vec::new();
+            let mut counts = Vec::new();
+            for dml in [
+                "UPDATE cars SET price = price + 1 WHERE make = 'opel' AND id < 150",
+                "UPDATE cars SET make = 'seat' WHERE make = 'opel' AND id >= 270",
+                "DELETE FROM cars WHERE make = 'opel'",
+            ] {
+                e.take_stats();
+                counts.push(count(&mut e, dml));
+                probes.push(e.take_stats().index_probes);
+            }
+            e.set_use_indexes(true);
+            let all = rows(&mut e, "SELECT id, make, price FROM cars ORDER BY id");
+            // The index saw the assigned key column.
+            let seat = rows(
+                &mut e,
+                "SELECT id FROM cars WHERE make = 'seat' ORDER BY id",
+            );
+            (all, seat, counts, probes)
+        };
+        let (all, seat, counts, probes) = run(true);
+        let (all_scan, seat_scan, counts_scan, probes_scan) = run(false);
+        assert_eq!(all, all_scan, "{kind:?}: index path changed the result");
+        assert_eq!(seat, seat_scan, "{kind:?}");
+        assert_eq!(
+            ints(&seat, 0),
+            vec![270, 273, 276, 279, 282, 285, 288, 291, 294, 297]
+        );
+        assert_eq!(counts, vec![50, 10, 90], "{kind:?}");
+        assert_eq!(counts, counts_scan, "{kind:?}");
+        assert_eq!(
+            probes,
+            vec![1, 1, 1],
+            "{kind:?}: one probe per DML statement"
+        );
+        assert_eq!(probes_scan, vec![0, 0, 0], "{kind:?}");
+    }
+}
+
+/// UPDATE keeps rids, so an index whose key it did not assign stays
+/// exact: updating a non-key column of an indexed paged table reads the
+/// heap once (the target scan), not once more per index.
+#[test]
+fn update_of_a_non_key_column_reads_the_heap_once() {
+    let core = Arc::new(EngineCore::with_storage(BackendKind::Paged, MIN_POOL_BYTES));
+    let mut e = Engine::with_core(Arc::clone(&core));
+    e.execute_sql("CREATE TABLE cars (id INTEGER, make VARCHAR, price INTEGER)")
+        .unwrap();
+    let values: Vec<String> = (0..4_000)
+        .map(|i| format!("({i}, 'make-{}-padding-padding', {i})", i % 7))
+        .collect();
+    e.execute_sql(&format!("INSERT INTO cars VALUES {}", values.join(", ")))
+        .unwrap();
+    e.execute_sql("CREATE INDEX by_make ON cars (make) USING hash")
+        .unwrap();
+    let misses = || core.pool_stats().misses;
+    let before = misses();
+    rows(&mut e, "SELECT COUNT(*) FROM cars");
+    let heap_pass = misses() - before;
+    assert!(
+        heap_pass > 20,
+        "the table must dwarf the pool: {heap_pass} pages"
+    );
+    let before = misses();
+    assert_eq!(
+        count(&mut e, "UPDATE cars SET price = 0 WHERE id = 1234"),
+        1
+    );
+    let update = misses() - before;
+    assert!(
+        update <= heap_pass + heap_pass / 4,
+        "UPDATE missed {update} pages; one heap pass is {heap_pass}"
+    );
+    // The untouched index still answers, at the same rid.
+    let r = rows(
+        &mut e,
+        "SELECT price FROM cars WHERE make = 'make-2-padding-padding' AND id = 1234",
+    );
+    assert_eq!(r, vec![vec![Value::Int(0)]]);
 }
 
 #[test]

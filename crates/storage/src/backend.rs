@@ -17,15 +17,18 @@
 //!   order, including after reopen.
 //!
 //! Deletes compact: both backends renumber survivors densely, matching
-//! the engine's "rid = position" contract (the paged store rewrites its
-//! file; the deferred cost model matches the in-memory drain). Clones
+//! the engine's "rid = position" contract. The paged store deletes in
+//! place — each doomed slot (or jumbo chain) becomes a tombstone and the
+//! rid directory drops its entry — and reclaims the dead space lazily:
+//! once tombstones outnumber live rows, one file rewrite packs the
+//! survivors, so a deleted row costs amortised O(1) page work. Clones
 //! of a paged backend share the heap file and pool (`Arc`) but snapshot
 //! the row directory — the catalog's `Clone` is only used for
 //! whole-catalog copies in tests, never for live aliasing.
 
 use crate::codec;
 use crate::heap::HeapFile;
-use crate::page::{self, JUMBO_PAYLOAD, MAX_INLINE_TUPLE};
+use crate::page::{self, JUMBO_PAYLOAD, MAX_INLINE_TUPLE, PAGE_SIZE};
 use crate::pool::BufferPool;
 use prefsql_types::{Error, Result, Tuple};
 use std::collections::HashSet;
@@ -47,11 +50,22 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
     /// advancing `*pos`. Returns `false` once the scan is exhausted.
     fn scan(&self, pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> Result<bool>;
 
+    /// Run `f` over every row from rid `from` on, in rid order. The row
+    /// is lent, and may be one buffer reused between calls. Columns
+    /// whose `mask` entry is `false` need not be decoded (the paged store
+    /// reads them as `NULL`); the caller must not read them.
+    fn for_each_from(
+        &self,
+        from: usize,
+        mask: Option<&[bool]>,
+        f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
+    ) -> Result<()>;
+
     /// Append a row; returns its rid (always the previous row count).
     fn insert(&mut self, row: Tuple) -> Result<usize>;
 
     /// Remove the rows in `doomed`, compacting rids; returns how many
-    /// were removed.
+    /// were removed (ids past the end remove nothing).
     fn delete(&mut self, doomed: &HashSet<usize>) -> Result<usize>;
 
     /// Replace the row at `rid` in place (same rid afterwards).
@@ -117,6 +131,18 @@ impl StorageBackend for MemBackend {
         Ok(true)
     }
 
+    fn for_each_from(
+        &self,
+        from: usize,
+        _mask: Option<&[bool]>,
+        f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
+    ) -> Result<()> {
+        for (rid, row) in self.rows.iter().enumerate().skip(from) {
+            f(rid, row)?;
+        }
+        Ok(())
+    }
+
     fn insert(&mut self, row: Tuple) -> Result<usize> {
         self.rows.push(row);
         Ok(self.rows.len() - 1)
@@ -165,7 +191,10 @@ pub struct PagedBackend {
     file: Arc<HeapFile>,
     pool: Arc<BufferPool>,
     /// rid → location; insertion order, rebuilt on open by page order.
+    /// Never points at a tombstone.
     dir: Vec<RowLoc>,
+    /// Tombstones in the file: rows deleted since the last rewrite.
+    dead: usize,
     /// Pages allocated so far.
     pages: u32,
     /// The tail slotted page new rows may still append to. `None` after
@@ -181,6 +210,7 @@ impl PagedBackend {
             file,
             pool,
             dir: Vec::new(),
+            dead: 0,
             pages: 0,
             tail: None,
         }
@@ -188,58 +218,56 @@ impl PagedBackend {
 
     /// Open an existing heap file, rebuilding the rid directory by
     /// scanning pages in order (which is insertion order by
-    /// construction).
+    /// construction) and stepping over tombstones.
     pub fn open(file: Arc<HeapFile>, pool: Arc<BufferPool>) -> Result<Self> {
         let pages = file.page_count()?;
         let mut dir = Vec::new();
+        let mut dead = 0;
         let mut tail = None;
         let mut skip_until = 0u32;
         for page_no in 0..pages {
             if page_no < skip_until {
                 continue;
             }
-            let (kind, slots, total) = pool.with_page(&file, page_no, |p| {
-                let k = page::kind(p);
-                Ok((
-                    k,
-                    if k == page::KIND_SLOTTED {
-                        page::slot_count(p)
-                    } else {
-                        0
-                    },
-                    if k == page::KIND_JUMBO_FIRST {
-                        page::jumbo_total(p)?
-                    } else {
-                        0
-                    },
-                ))
-            })?;
-            match kind {
-                page::KIND_SLOTTED => {
-                    for slot in 0..slots {
-                        dir.push(RowLoc::Slot {
-                            page: page_no,
-                            slot,
-                        });
+            pool.with_page(&file, page_no, |p| {
+                match page::kind(p) {
+                    page::KIND_SLOTTED => {
+                        for slot in 0..page::slot_count(p) {
+                            if page::is_tombstone(p, slot) {
+                                dead += 1;
+                            } else {
+                                dir.push(RowLoc::Slot {
+                                    page: page_no,
+                                    slot,
+                                });
+                            }
+                        }
+                        tail = Some(page_no);
                     }
-                    tail = Some(page_no);
+                    page::KIND_JUMBO_FIRST => {
+                        let (total, live) = page::jumbo_head(p)?;
+                        if live {
+                            dir.push(RowLoc::Jumbo { page: page_no });
+                        } else {
+                            dead += 1;
+                        }
+                        skip_until = page_no + page::jumbo_pages(total);
+                        tail = None;
+                    }
+                    other => {
+                        return Err(Error::Io(format!(
+                            "corrupt heap file: unexpected page kind {other} at page {page_no}"
+                        )))
+                    }
                 }
-                page::KIND_JUMBO_FIRST => {
-                    dir.push(RowLoc::Jumbo { page: page_no });
-                    skip_until = page_no + page::jumbo_pages(total);
-                    tail = None;
-                }
-                other => {
-                    return Err(Error::Io(format!(
-                        "corrupt heap file: unexpected page kind {other} at page {page_no}"
-                    )))
-                }
-            }
+                Ok(())
+            })?;
         }
         Ok(PagedBackend {
             file,
             pool,
             dir,
+            dead,
             pages,
             tail,
         })
@@ -302,33 +330,67 @@ impl PagedBackend {
         })
     }
 
-    fn fetch_loc(&self, loc: RowLoc) -> Result<Tuple> {
-        match loc {
-            RowLoc::Slot { page, slot } => self.pool.with_page(&self.file, page, |p| {
-                let mut bytes = page::read_slot(p, slot)?;
-                codec::decode_tuple(&mut bytes)
-            }),
-            RowLoc::Jumbo { page } => {
-                let total = self.pool.with_page(&self.file, page, page::jumbo_total)?;
-                let mut bytes = Vec::with_capacity(total);
-                for i in 0..page::jumbo_pages(total) {
-                    self.pool.with_page(&self.file, page + i, |p| {
-                        bytes.extend_from_slice(page::jumbo_chunk(p, total - bytes.len()));
-                        Ok(())
-                    })?;
-                }
-                codec::decode_tuple(&mut &bytes[..])
-            }
+    /// Reassemble the jumbo chain starting at `page` into `bytes`.
+    fn read_jumbo(&self, page: u32, bytes: &mut Vec<u8>) -> Result<()> {
+        let total = self.pool.with_page(&self.file, page, page::jumbo_total)?;
+        bytes.clear();
+        bytes.reserve(total);
+        for i in 0..page::jumbo_pages(total) {
+            self.pool.with_page(&self.file, page + i, |p| {
+                bytes.extend_from_slice(page::jumbo_chunk(p, total - bytes.len()));
+                Ok(())
+            })?;
         }
+        Ok(())
     }
 
-    /// Rewrite the whole heap file from `rows` (delete compaction,
+    /// Hand the encoded bytes of rows `from..end` to `f`, in rid order,
+    /// a page at a time: each slotted page is pinned once, copied out
+    /// and unpinned before any of its rows reach `f`, so `f` never runs
+    /// under the pool mutex.
+    fn for_each_encoded(
+        &self,
+        from: usize,
+        end: usize,
+        mut f: impl FnMut(usize, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let mut copy = [0u8; PAGE_SIZE];
+        let mut jumbo = Vec::new();
+        let mut rid = from;
+        while rid < end {
+            match self.dir[rid] {
+                RowLoc::Slot { page, .. } => {
+                    self.pool.with_page(&self.file, page, |p| {
+                        copy.copy_from_slice(p);
+                        Ok(())
+                    })?;
+                    // Consecutive rids share pages by construction.
+                    while let Some(&RowLoc::Slot { page: on, slot }) = self.dir[..end].get(rid) {
+                        if on != page {
+                            break;
+                        }
+                        f(rid, page::read_slot(&copy, slot)?)?;
+                        rid += 1;
+                    }
+                }
+                RowLoc::Jumbo { page } => {
+                    self.read_jumbo(page, &mut jumbo)?;
+                    f(rid, &jumbo)?;
+                    rid += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Rewrite the whole heap file from `rows` (lazy delete compaction,
     /// replaces that outgrow their page). The cached pages of the old
     /// layout are dead and dropped without write-back.
     fn rewrite(&mut self, rows: Vec<Tuple>) -> Result<()> {
         self.pool.forget_file(self.file.id())?;
         self.file.truncate()?;
         self.dir.clear();
+        self.dead = 0;
         self.pages = 0;
         self.tail = None;
         for row in rows {
@@ -358,11 +420,14 @@ impl StorageBackend for PagedBackend {
     }
 
     fn fetch(&self, rid: usize) -> Result<Tuple> {
-        let loc = *self
-            .dir
-            .get(rid)
-            .ok_or_else(|| Error::Io(format!("row {rid} out of bounds")))?;
-        self.fetch_loc(loc)
+        if rid >= self.dir.len() {
+            return Err(Error::Io(format!("row {rid} out of bounds")));
+        }
+        let mut row = Tuple::default();
+        self.for_each_encoded(rid, rid + 1, |_, bytes| {
+            codec::decode_slot(bytes, None, &mut row)
+        })?;
+        Ok(row)
     }
 
     fn scan(&self, pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
@@ -370,33 +435,27 @@ impl StorageBackend for PagedBackend {
             return Ok(false);
         }
         let end = (*pos + max).min(self.dir.len());
-        while *pos < end {
-            match self.dir[*pos] {
-                RowLoc::Slot { page, .. } => {
-                    // Decode every requested slot of this page under one
-                    // pin — consecutive rids share pages by construction.
-                    self.pool.with_page(&self.file, page, |p| {
-                        while *pos < end {
-                            let RowLoc::Slot { page: lp, slot } = self.dir[*pos] else {
-                                break;
-                            };
-                            if lp != page {
-                                break;
-                            }
-                            let mut bytes = page::read_slot(p, slot)?;
-                            out.push(codec::decode_tuple(&mut bytes)?);
-                            *pos += 1;
-                        }
-                        Ok(())
-                    })?;
-                }
-                loc @ RowLoc::Jumbo { .. } => {
-                    out.push(self.fetch_loc(loc)?);
-                    *pos += 1;
-                }
-            }
-        }
+        self.for_each_encoded(*pos, end, |_, bytes| {
+            let mut row = Tuple::default();
+            codec::decode_slot(bytes, None, &mut row)?;
+            out.push(row);
+            Ok(())
+        })?;
+        *pos = end;
         Ok(true)
+    }
+
+    fn for_each_from(
+        &self,
+        from: usize,
+        mask: Option<&[bool]>,
+        f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
+    ) -> Result<()> {
+        let mut row = Tuple::default();
+        self.for_each_encoded(from, self.dir.len(), |rid, bytes| {
+            codec::decode_slot(bytes, mask, &mut row)?;
+            f(rid, &row)
+        })
     }
 
     fn insert(&mut self, row: Tuple) -> Result<usize> {
@@ -407,19 +466,55 @@ impl StorageBackend for PagedBackend {
     }
 
     fn delete(&mut self, doomed: &HashSet<usize>) -> Result<usize> {
-        if doomed.is_empty() {
+        let mut rids: Vec<usize> = doomed
+            .iter()
+            .copied()
+            .filter(|&rid| rid < self.dir.len())
+            .collect();
+        if rids.is_empty() {
             return Ok(0);
         }
-        let before = self.dir.len();
-        let mut survivors = Vec::with_capacity(before.saturating_sub(doomed.len()));
-        for (rid, &loc) in self.dir.iter().enumerate() {
-            if !doomed.contains(&rid) {
-                survivors.push(self.fetch_loc(loc)?);
+        rids.sort_unstable();
+        // Tombstone in rid order, so each page is pinned once.
+        let mut i = 0;
+        while i < rids.len() {
+            match self.dir[rids[i]] {
+                RowLoc::Slot { page, .. } => {
+                    self.pool.with_page_mut(&self.file, page, false, |p| {
+                        while let Some(&RowLoc::Slot { page: on, slot }) =
+                            rids.get(i).map(|&rid| &self.dir[rid])
+                        {
+                            if on != page {
+                                break;
+                            }
+                            page::tombstone_slot(p, slot)?;
+                            i += 1;
+                        }
+                        Ok(())
+                    })?;
+                }
+                RowLoc::Jumbo { page } => {
+                    self.pool
+                        .with_page_mut(&self.file, page, false, page::tombstone_jumbo)?;
+                    i += 1;
+                }
             }
         }
-        let removed = before - survivors.len();
-        self.rewrite(survivors)?;
-        Ok(removed)
+        let mut rid = 0;
+        self.dir.retain(|_| {
+            let keep = !doomed.contains(&rid);
+            rid += 1;
+            keep
+        });
+        self.dead += rids.len();
+        // Compact once the dead outnumber the living: the rewrite then
+        // re-places fewer rows than were deleted since the last one, so
+        // compaction costs amortised O(1) per deleted row.
+        if self.dead > self.dir.len() {
+            let rows = self.all_rows()?;
+            self.rewrite(rows)?;
+        }
+        Ok(rids.len())
     }
 
     fn replace(&mut self, rid: usize, row: Tuple) -> Result<()> {
@@ -463,7 +558,6 @@ impl StorageBackend for PagedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::PAGE_SIZE;
     use crate::pool::BufferPool;
     use prefsql_types::knobs::MIN_POOL_BYTES;
     use prefsql_types::{tuple, Value};
@@ -535,34 +629,82 @@ mod tests {
 
     #[test]
     fn writeback_survives_a_cold_reopen() {
-        // Write through one pool, then read the file back through a
-        // *fresh* handle and pool — nothing can come from a warm cache,
-        // so this pins that flush really put the dirty pages on disk.
+        // Write and delete through one pool, then read the file back
+        // through a *fresh* handle and pool — nothing can come from a
+        // warm cache, so this pins that flush really put the dirty
+        // pages, tombstones included, on disk.
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
             "prefsql-backend-test-{}-{}-reopen.heap",
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let expect;
+        let mut mem = MemBackend::default();
         {
             let file = Arc::new(HeapFile::create(&path, false).unwrap());
             let pool = Arc::new(BufferPool::new(MIN_POOL_BYTES));
             let mut paged = PagedBackend::create(file, pool);
             let giant = "j".repeat(PAGE_SIZE * 2);
-            for i in 0..100i64 {
-                paged.insert(tuple![i, format!("row-{i}")]).unwrap();
+            let mut rows: Vec<Tuple> = (0..200i64).map(|i| tuple![i, format!("row-{i}")]).collect();
+            rows.push(tuple![200i64, giant]);
+            rows.push(tuple![201i64, "tail"]);
+            for row in rows {
+                mem.insert(row.clone()).unwrap();
+                paged.insert(row).unwrap();
             }
-            paged.insert(tuple![100i64, giant]).unwrap();
-            paged.insert(tuple![101i64, "tail"]).unwrap();
-            expect = rows_of(&paged);
+            // The jumbo row plus the first and last slots of page 1.
+            let on_page_1: Vec<usize> = (0..paged.dir.len())
+                .filter(|&rid| matches!(paged.dir[rid], RowLoc::Slot { page: 1, .. }))
+                .collect();
+            let doomed: HashSet<usize> = [200, on_page_1[0], *on_page_1.last().unwrap()]
+                .into_iter()
+                .collect();
+            assert_eq!(mem.delete(&doomed).unwrap(), 3);
+            assert_eq!(paged.delete(&doomed).unwrap(), 3);
+            assert_eq!(paged.dead, 3, "three tombstones, no rewrite yet");
+            assert_eq!(rows_of(&paged), rows_of(&mem));
             paged.flush().unwrap();
         }
         let file = Arc::new(HeapFile::open(&path, true).unwrap());
         let pool = Arc::new(BufferPool::new(MIN_POOL_BYTES));
-        let reopened = PagedBackend::open(file, pool).unwrap();
-        assert_eq!(reopened.row_count(), 102);
-        assert_eq!(rows_of(&reopened), expect);
+        let mut reopened = PagedBackend::open(Arc::clone(&file), pool).unwrap();
+        assert_eq!(reopened.row_count(), 199);
+        assert_eq!(reopened.dead, 3, "open steps over the tombstones");
+        assert_eq!(rows_of(&reopened), rows_of(&mem));
+        assert_eq!(reopened.fetch(198).unwrap(), tuple![201i64, "tail"]);
+        // Deleting more than half the rows tips tombstones past the live
+        // rows: the file is rewritten without them and shrinks.
+        let pages_before = file.page_count().unwrap();
+        let doomed: HashSet<usize> = (0..120).collect();
+        assert_eq!(mem.delete(&doomed).unwrap(), 120);
+        assert_eq!(reopened.delete(&doomed).unwrap(), 120);
+        assert_eq!(reopened.dead, 0);
+        reopened.flush().unwrap();
+        assert!(
+            file.page_count().unwrap() < pages_before,
+            "{} pages before the compaction, {} after",
+            pages_before,
+            file.page_count().unwrap()
+        );
+        assert_eq!(rows_of(&reopened), rows_of(&mem));
+    }
+
+    #[test]
+    fn deletes_tolerate_duplicates_and_out_of_range_ids() {
+        let (file, pool) = fixture("dupdelete", MIN_POOL_BYTES);
+        let mut mem = MemBackend::default();
+        let mut paged = PagedBackend::create(file, pool);
+        for i in 0..10i64 {
+            mem.insert(tuple![i]).unwrap();
+            paged.insert(tuple![i]).unwrap();
+        }
+        let doomed: HashSet<usize> = [3, 10, 99].into_iter().collect();
+        assert_eq!(mem.delete(&doomed).unwrap(), 1);
+        assert_eq!(paged.delete(&doomed).unwrap(), 1);
+        assert_eq!(paged.delete(&HashSet::new()).unwrap(), 0);
+        assert_eq!(rows_of(&paged), rows_of(&mem));
+        // Rids stay dense: the old rid 4 is rid 3 now.
+        assert_eq!(paged.fetch(3).unwrap(), tuple![4i64]);
     }
 
     #[test]

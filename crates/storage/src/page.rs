@@ -8,12 +8,18 @@
 //!   slot directory growing *up* from offset 16 (4 bytes per slot:
 //!   `u16` tuple offset, `u16` tuple length), and tuple data growing
 //!   *down* from the page end. Tuples are encoded with the shared
-//!   [`crate::codec`] (arity + tagged values).
+//!   [`crate::codec`] (arity + tagged values). A deleted tuple leaves a
+//!   *tombstone*: its slot's offset becomes 0, which is never a data
+//!   offset (data starts past the header and directory).
 //! * [`KIND_JUMBO_FIRST`] / [`KIND_JUMBO_CONT`] — a tuple whose encoding
 //!   exceeds [`MAX_INLINE_TUPLE`] occupies a dedicated chain of pages:
 //!   the first page stores the `u32` total length at offset 4 and
 //!   payload from offset 8; continuation pages store payload from
-//!   offset 8.
+//!   offset 8. A deleted chain is tombstoned through byte 1 of its first
+//!   page; the length stays, so a reader can still step over the chain.
+//!
+//! Reading a tombstone is an error; dead space is reclaimed only when
+//! the backend rewrites the file.
 //!
 //! The functions here operate on raw page buffers (the bytes a
 //! [`crate::pool::BufferPool`] frame lends out); they never do IO.
@@ -34,6 +40,8 @@ pub const KIND_JUMBO_CONT: u8 = 3;
 const HEADER_LEN: usize = 16;
 /// Bytes per slot-directory entry (`u16` offset + `u16` length).
 const SLOT_BYTES: usize = 4;
+/// Byte-1 flag of a jumbo chain's first page: the chain is deleted.
+const JUMBO_DEAD: u8 = 1;
 /// Payload bytes per jumbo page (after kind byte + length header).
 pub const JUMBO_PAYLOAD: usize = PAGE_SIZE - 8;
 
@@ -104,30 +112,50 @@ pub fn append_slot(page: &mut [u8], bytes: &[u8]) -> Result<u16> {
     Ok(count)
 }
 
-/// The encoded bytes of slot `slot` on a slotted page.
-pub fn read_slot(page: &[u8], slot: u16) -> Result<&[u8]> {
+/// Slot `slot`'s directory position and its `(offset, length)` entry.
+/// Errors unless the slot exists and still holds a tuple.
+fn live_entry(page: &[u8], slot: u16) -> Result<(usize, usize, usize)> {
     if kind(page) != KIND_SLOTTED || slot >= slot_count(page) {
         return Err(Error::Io(format!("no slot {slot} on heap page")));
     }
     let slot_off = HEADER_LEN + SLOT_BYTES * slot as usize;
     let off = u16_at(page, slot_off) as usize;
     let len = u16_at(page, slot_off + 2) as usize;
+    if off == 0 {
+        return Err(Error::Io(format!("slot {slot} on heap page is deleted")));
+    }
     if off + len > PAGE_SIZE {
         return Err(Error::Io("corrupt heap page: slot out of bounds".into()));
     }
+    Ok((slot_off, off, len))
+}
+
+/// The encoded bytes of slot `slot` on a slotted page. A tombstone is
+/// an error.
+pub fn read_slot(page: &[u8], slot: u16) -> Result<&[u8]> {
+    let (_, off, len) = live_entry(page, slot)?;
     Ok(&page[off..off + len])
+}
+
+/// True if slot `slot` (which must exist) is a tombstone.
+pub fn is_tombstone(page: &[u8], slot: u16) -> bool {
+    u16_at(page, HEADER_LEN + SLOT_BYTES * slot as usize) == 0
+}
+
+/// Delete slot `slot`'s tuple, leaving a tombstone. The slot keeps its
+/// index, so the page's other slots keep theirs.
+pub fn tombstone_slot(page: &mut [u8], slot: u16) -> Result<()> {
+    let (slot_off, _, _) = live_entry(page, slot)?;
+    put_u16(page, slot_off, 0);
+    put_u16(page, slot_off + 2, 0);
+    Ok(())
 }
 
 /// Replace slot `slot`'s tuple in place. Returns `false` (page
 /// untouched) when the new encoding neither fits the old slot nor the
 /// page's free space — the caller falls back to a file rewrite.
 pub fn replace_slot(page: &mut [u8], slot: u16, bytes: &[u8]) -> Result<bool> {
-    if kind(page) != KIND_SLOTTED || slot >= slot_count(page) {
-        return Err(Error::Io(format!("no slot {slot} on heap page")));
-    }
-    let slot_off = HEADER_LEN + SLOT_BYTES * slot as usize;
-    let off = u16_at(page, slot_off) as usize;
-    let len = u16_at(page, slot_off + 2) as usize;
+    let (slot_off, off, len) = live_entry(page, slot)?;
     if bytes.len() <= len {
         // Shrinking replace reuses the old slot's bytes (the slack is
         // reclaimed at the next file rewrite).
@@ -163,12 +191,29 @@ pub fn init_jumbo(page: &mut [u8], first: bool, total: u32, chunk: &[u8]) {
     page[8..8 + chunk.len()].copy_from_slice(chunk);
 }
 
-/// Total encoded length stored on a jumbo chain's first page.
-pub fn jumbo_total(page: &[u8]) -> Result<usize> {
+/// A jumbo chain's first page: its total encoded length, and whether
+/// the chain still holds a tuple (`false` once tombstoned).
+pub fn jumbo_head(page: &[u8]) -> Result<(usize, bool)> {
     if kind(page) != KIND_JUMBO_FIRST {
         return Err(Error::Io("heap page is not a jumbo head".into()));
     }
-    Ok(u32::from_le_bytes([page[4], page[5], page[6], page[7]]) as usize)
+    let total = u32::from_le_bytes([page[4], page[5], page[6], page[7]]) as usize;
+    Ok((total, page[1] & JUMBO_DEAD == 0))
+}
+
+/// Total encoded length of a live jumbo chain. A tombstone is an error.
+pub fn jumbo_total(page: &[u8]) -> Result<usize> {
+    match jumbo_head(page)? {
+        (total, true) => Ok(total),
+        (_, false) => Err(Error::Io("jumbo chain on heap page is deleted".into())),
+    }
+}
+
+/// Delete the tuple of the jumbo chain whose first page this is.
+pub fn tombstone_jumbo(page: &mut [u8]) -> Result<()> {
+    jumbo_total(page)?;
+    page[1] |= JUMBO_DEAD;
+    Ok(())
 }
 
 /// The payload region of a jumbo page, truncated to `remaining` bytes.
@@ -265,5 +310,33 @@ mod tests {
         got.extend_from_slice(jumbo_chunk(&cont, total - JUMBO_PAYLOAD));
         assert_eq!(got, data);
         assert!(jumbo_total(&cont).is_err());
+    }
+
+    #[test]
+    fn tombstoned_slots_error_and_neighbours_stay() {
+        let mut p = fresh();
+        for t in [&b"first"[..], b"middle", b"last"] {
+            append_slot(&mut p, t).unwrap();
+        }
+        tombstone_slot(&mut p, 1).unwrap();
+        assert!(is_tombstone(&p, 1));
+        assert!(!is_tombstone(&p, 0) && !is_tombstone(&p, 2));
+        assert_eq!(slot_count(&p), 3, "a tombstone keeps its slot index");
+        assert!(matches!(read_slot(&p, 1), Err(Error::Io(_))));
+        assert!(matches!(replace_slot(&mut p, 1, b"x"), Err(Error::Io(_))));
+        assert!(matches!(tombstone_slot(&mut p, 1), Err(Error::Io(_))));
+        assert_eq!(read_slot(&p, 0).unwrap(), b"first");
+        assert_eq!(read_slot(&p, 2).unwrap(), b"last");
+    }
+
+    #[test]
+    fn tombstoned_jumbo_head_keeps_its_length() {
+        let mut first = vec![0u8; PAGE_SIZE];
+        init_jumbo(&mut first, true, 5000, &[7u8; JUMBO_PAYLOAD]);
+        assert_eq!(jumbo_head(&first).unwrap(), (5000, true));
+        tombstone_jumbo(&mut first).unwrap();
+        assert_eq!(jumbo_head(&first).unwrap(), (5000, false));
+        assert!(matches!(jumbo_total(&first), Err(Error::Io(_))));
+        assert!(matches!(tombstone_jumbo(&mut first), Err(Error::Io(_))));
     }
 }

@@ -11,10 +11,9 @@
 //! Access is closure-scoped: [`BufferPool::with_page`] /
 //! [`BufferPool::with_page_mut`] pin the frame, run the caller's
 //! closure over the raw page bytes, and unpin before returning. Pins
-//! are therefore strictly transient — a scan decodes a page's tuples
-//! into owned memory under the pin and releases it before yielding —
-//! which is what lets eight sessions share a four-page pool without
-//! pin deadlock. The pool serializes frame access behind one mutex
+//! are therefore strictly transient — a scan copies a page out under
+//! the pin and decodes its tuples after releasing it — which is what
+//! lets eight sessions share a four-page pool without pin deadlock. The pool serializes frame access behind one mutex
 //! (IO included); that is deliberate v1 simplicity — the interesting
 //! contention in this engine is above the storage layer.
 //!

@@ -129,36 +129,30 @@ impl Table {
     }
 
     /// Run `f` over every row from rid `from` on, in rid order. The
-    /// in-memory backend iterates its slice; the paged backend decodes
-    /// page-sized batches.
+    /// in-memory backend lends its rows; the paged backend decodes a page
+    /// at a time into one reused row.
     pub fn for_each_row_from(
         &self,
         from: usize,
         mut f: impl FnMut(usize, &Tuple) -> Result<()>,
     ) -> Result<()> {
-        if let Some(rows) = self.backend.as_mem() {
-            for (i, row) in rows.iter().enumerate().skip(from) {
-                f(i, row)?;
-            }
-            return Ok(());
-        }
-        let mut pos = from;
-        let mut buf = Vec::new();
-        loop {
-            let batch_start = pos;
-            buf.clear();
-            if !self.backend.scan(&mut pos, &mut buf, 1024)? {
-                return Ok(());
-            }
-            for (i, row) in buf.iter().enumerate() {
-                f(batch_start + i, row)?;
-            }
-        }
+        self.backend.for_each_from(from, None, &mut f)
     }
 
     /// Run `f` over every row, in rid order.
     pub fn for_each_row(&self, f: impl FnMut(usize, &Tuple) -> Result<()>) -> Result<()> {
         self.for_each_row_from(0, f)
+    }
+
+    /// [`Table::for_each_row`] for a caller that reads only the columns
+    /// `mask` selects: the rest need not be decoded, and may read as
+    /// `NULL`. Every column is still validated.
+    pub fn for_each_row_masked(
+        &self,
+        mask: &[bool],
+        mut f: impl FnMut(usize, &Tuple) -> Result<()>,
+    ) -> Result<()> {
+        self.backend.for_each_from(0, Some(mask), &mut f)
     }
 
     /// Insert one row after validating it against the schema; maintains all
@@ -210,23 +204,20 @@ impl Table {
             .collect::<Result<_>>()?;
         match kind {
             IndexKind::Hash => {
-                let mut idx = HashIndex::new(key_columns);
-                self.for_each_row(|rid, row| {
-                    idx.insert(rid, row);
-                    Ok(())
-                })?;
-                self.hash_indexes.insert(index_name, idx);
+                let idx = HashIndex::new(key_columns);
+                self.hash_indexes.insert(index_name.clone(), idx);
             }
             IndexKind::BTree => {
-                let mut idx = BTreeIndex::new(key_columns);
-                self.for_each_row(|rid, row| {
-                    idx.insert(rid, row);
-                    Ok(())
-                })?;
-                self.btree_indexes.insert(index_name, idx);
+                let idx = BTreeIndex::new(key_columns);
+                self.btree_indexes.insert(index_name.clone(), idx);
             }
         }
-        Ok(())
+        let backfill = self.rebuild_indexes_where(|name, _| name == index_name);
+        if backfill.is_err() {
+            self.hash_indexes.remove(&index_name);
+            self.btree_indexes.remove(&index_name);
+        }
+        backfill
     }
 
     /// Find a hash index whose key is exactly `columns` (schema positions).
@@ -285,7 +276,8 @@ impl Table {
     }
 
     /// Replace the row at `row_id` after validating the new tuple.
-    /// Call [`Table::rebuild_indexes`] once after a batch of updates.
+    /// Call [`Table::rebuild_indexes_over`] once after a batch of
+    /// updates, naming the columns they assigned.
     pub fn replace_row(&mut self, row_id: usize, row: Tuple) -> Result<()> {
         row.check_against(&self.schema)?;
         if row_id >= self.len() {
@@ -299,38 +291,52 @@ impl Table {
 
     /// Rebuild every index from the current rows (after deletes/updates).
     pub fn rebuild_indexes(&mut self) -> Result<()> {
-        for idx in self.hash_indexes.values_mut() {
-            let mut fresh = HashIndex::new(idx.key_columns().to_vec());
-            let mut pos = 0;
-            let mut buf = Vec::new();
-            loop {
-                let start = pos;
-                buf.clear();
-                if !self.backend.scan(&mut pos, &mut buf, 1024)? {
-                    break;
-                }
-                for (i, row) in buf.iter().enumerate() {
-                    fresh.insert(start + i, row);
-                }
-            }
-            *idx = fresh;
+        self.rebuild_indexes_where(|_, _| true)
+    }
+
+    /// Rebuild the indexes whose key includes one of `columns` (schema
+    /// positions) — after updates that assigned those columns. Updates
+    /// keep rids, so every other index is still exact.
+    pub fn rebuild_indexes_over(&mut self, columns: &[usize]) -> Result<()> {
+        self.rebuild_indexes_where(|_, key| key.iter().any(|c| columns.contains(c)))
+    }
+
+    /// Rebuild, in one pass over the rows decoding only key columns,
+    /// every index `stale` selects by name and key columns. The old
+    /// indexes are replaced only once the pass succeeds.
+    fn rebuild_indexes_where(&mut self, stale: impl Fn(&str, &[usize]) -> bool) -> Result<()> {
+        let mut hash: Vec<(String, HashIndex)> = self
+            .hash_indexes
+            .iter()
+            .filter(|(name, idx)| stale(name, idx.key_columns()))
+            .map(|(name, idx)| (name.clone(), HashIndex::new(idx.key_columns().to_vec())))
+            .collect();
+        let mut btree: Vec<(String, BTreeIndex)> = self
+            .btree_indexes
+            .iter()
+            .filter(|(name, idx)| stale(name, idx.key_columns()))
+            .map(|(name, idx)| (name.clone(), BTreeIndex::new(idx.key_columns().to_vec())))
+            .collect();
+        if hash.is_empty() && btree.is_empty() {
+            return Ok(());
         }
-        for idx in self.btree_indexes.values_mut() {
-            let mut fresh = BTreeIndex::new(idx.key_columns().to_vec());
-            let mut pos = 0;
-            let mut buf = Vec::new();
-            loop {
-                let start = pos;
-                buf.clear();
-                if !self.backend.scan(&mut pos, &mut buf, 1024)? {
-                    break;
-                }
-                for (i, row) in buf.iter().enumerate() {
-                    fresh.insert(start + i, row);
-                }
-            }
-            *idx = fresh;
+        let mut mask = vec![false; self.schema.len()];
+        let keys = (hash.iter().map(|(_, idx)| idx.key_columns()))
+            .chain(btree.iter().map(|(_, idx)| idx.key_columns()));
+        for &col in keys.flatten() {
+            mask[col] = true;
         }
+        self.for_each_row_masked(&mask, |rid, row| {
+            for (_, idx) in &mut hash {
+                idx.insert(rid, row);
+            }
+            for (_, idx) in &mut btree {
+                idx.insert(rid, row);
+            }
+            Ok(())
+        })?;
+        self.hash_indexes.extend(hash);
+        self.btree_indexes.extend(btree);
         Ok(())
     }
 
