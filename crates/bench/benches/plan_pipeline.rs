@@ -4,15 +4,15 @@
 //! * `streamed_scan_filter_limit` — streaming scan → filter → sort →
 //!   limit (the limit stops pulling, so the projection never touches
 //!   dropped rows);
-//! * `rewrite_not_exists` — the paper's dominance anti-join: the
-//!   correlated sub-query is planned and bound once with the statement,
-//!   then every outer row runs one `NOT EXISTS` probe that evaluates the
-//!   dominance predicate by column ordinal;
+//! * `rewrite_not_exists` — the paper's §3.2 rewrite: its `NOT EXISTS`
+//!   runs as one anti join — the auxiliary relation materialized once,
+//!   built once, and every outer row probed match-first through the
+//!   dominance predicate;
 //! * `native_preference_op` — the same preference query through the
 //!   `PreferenceOp` physical operator (`SkylineAlgo::Auto`).
 //!
-//! The last two are the pair ROADMAP item 2 reads: an anti-join node is
-//! only worth building while the probe path stays far behind native.
+//! The last two are the pair ROADMAP item 2 reads: the paper's own path
+//! against native BMO over the same rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prefsql::{ExecutionMode, SkylineAlgo};

@@ -175,6 +175,25 @@ fn hash_join_probe_rows_exact() {
     assert!(report.contains("Execution: returned 3 row(s)"), "{report}");
 }
 
+/// The rewrite's `NOT EXISTS` runs as one anti join: the six candidates
+/// are built once and probed once each, no sub-query runs per row, and
+/// `residual_tests` counts the dominance predicates evaluated — 18 with
+/// match-first probing (the last partner, car 3, is tried first), where
+/// walking the build in order would evaluate 24.
+#[test]
+fn rewrite_not_exists_is_one_anti_join() {
+    let mut s = seeded();
+    let report = analyze(&mut s, PREF_SELECT);
+    let anti = node_line(&report, "Anti join on ");
+    assert_eq!(counter(anti, "build_rows"), 6, "{report}");
+    assert_eq!(counter(anti, "probe_rows"), 6, "{report}");
+    assert_eq!(counter(anti, "residual_tests"), 18, "{report}");
+    assert!(report.contains("Execution: returned 2 row(s)"), "{report}");
+    // `prefsql_a1` and `prefsql_a2` share one materialization: the
+    // second body never runs.
+    assert!(report.contains("(never executed)"), "{report}");
+}
+
 /// One pull protocol, one accounting path: `actual rows=` is what the
 /// node *emitted* — for a filter the selected rows, not the run of the
 /// scan's buffer it selected them from — and `batches=` is the number

@@ -215,6 +215,69 @@ impl BoundExpr {
             }
         }
     }
+
+    /// [`BoundExpr::visit`], handing out each node mutably.
+    pub(crate) fn visit_mut<F: FnMut(&mut BoundExpr)>(&mut self, f: &mut F) {
+        f(self);
+        match self {
+            BoundExpr::Literal(_)
+            | BoundExpr::Column { .. }
+            | BoundExpr::Exists { .. }
+            | BoundExpr::ScalarSubquery(_) => {}
+            BoundExpr::Neg(e)
+            | BoundExpr::Not(e)
+            | BoundExpr::IsNull { expr: e, .. }
+            | BoundExpr::InSubquery { expr: e, .. } => e.visit_mut(f),
+            BoundExpr::And(a, b)
+            | BoundExpr::Or(a, b)
+            | BoundExpr::Arith {
+                left: a, right: b, ..
+            }
+            | BoundExpr::Compare {
+                left: a, right: b, ..
+            } => {
+                a.visit_mut(f);
+                b.visit_mut(f);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.visit_mut(f);
+                low.visit_mut(f);
+                high.visit_mut(f);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.visit_mut(f);
+                for e in list {
+                    e.visit_mut(f);
+                }
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.visit_mut(f);
+                if let LikeOperand::Dynamic(p) = pattern {
+                    p.visit_mut(f);
+                }
+            }
+            BoundExpr::Case {
+                operand,
+                branches,
+                else_result,
+            } => {
+                for e in operand.iter_mut().chain(else_result) {
+                    e.visit_mut(f);
+                }
+                for (w, t) in branches {
+                    w.visit_mut(f);
+                    t.visit_mut(f);
+                }
+            }
+            BoundExpr::Call { args, .. } => {
+                for a in args {
+                    a.visit_mut(f);
+                }
+            }
+        }
+    }
 }
 
 /// Arithmetic operators.

@@ -266,7 +266,17 @@ fn run_subquery(plan: &QueryPlan, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Vec
 
 /// Does the `EXISTS` sub-query return a row in `env`? A `first_row` plan
 /// is pulled one row at a time and stops at the first qualifying row
-/// (real DBMSs do, and the paper's `NOT EXISTS` rewrite leans on it).
+/// (real DBMSs do).
+///
+/// This per-row probe is what is left of `EXISTS` once the planner has
+/// taken its share: a correlated `[NOT] EXISTS` that is a top-level AND
+/// conjunct of a WHERE clause never gets here — it runs as a semi/anti
+/// join ([`crate::join`]), built once per statement, probed match-first,
+/// with a NULL or NaN correlation key meaning "no partner". What stays
+/// is an uncorrelated `EXISTS` (one first-row probe per statement
+/// already), one under OR, NOT, CASE or in a SELECT list, one over an
+/// aggregate, DISTINCT or LIMIT, and one whose FROM reads the enclosing
+/// row.
 fn any_row(plan: &QueryPlan, first_row: bool, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<bool> {
     if !first_row {
         return Ok(!run_subquery(plan, env, ctx)?.is_empty());

@@ -17,7 +17,7 @@
 
 use crate::exec::ExecCtx;
 use crate::metrics::Profiler;
-use crate::plan::{PlanNode, Projection};
+use crate::plan::{JoinKind, PlanNode, Projection};
 use prefsql_parser::ast::Statement;
 use prefsql_pref::SkylineAlgo;
 use prefsql_types::knobs::fmt_bytes;
@@ -183,24 +183,45 @@ fn node_line(node: &PlanNode, out: &mut String) {
             let _ = write!(out, "{label}");
         }
         PlanNode::Join {
+            kind,
             keys,
             residual,
             window,
             ..
-        } => match (keys.is_empty(), residual) {
-            (true, Some(cond)) => {
-                let _ = write!(out, "Nested-loop join on {cond}");
-            }
-            (true, None) => out.push_str("Cross join"),
-            (false, _) => {
+        } => {
+            let hash = |out: &mut String| {
                 let shown: Vec<String> = keys.iter().map(|(l, r)| format!("{l} = {r}")).collect();
                 let window = window.map_or_else(|| "off".to_string(), |b| fmt_bytes(b as u64));
-                let _ = write!(out, "join=hash keys=[{}] window={window}", shown.join(", "));
+                let _ = write!(out, "keys=[{}] window={window}", shown.join(", "));
                 if let Some(r) = residual {
                     let _ = write!(out, " residual={r}");
                 }
+            };
+            match (kind, keys.is_empty(), residual) {
+                (JoinKind::Inner, true, Some(cond)) => {
+                    let _ = write!(out, "Nested-loop join on {cond}");
+                }
+                (JoinKind::Inner, true, None) => out.push_str("Cross join"),
+                (JoinKind::Inner, false, _) => {
+                    out.push_str("join=hash ");
+                    hash(out);
+                }
+                (JoinKind::Semi | JoinKind::Anti, ..) => {
+                    let label = if *kind == JoinKind::Semi {
+                        "Semi"
+                    } else {
+                        "Anti"
+                    };
+                    let _ = write!(out, "{label} join on ");
+                    match residual {
+                        Some(cond) if keys.is_empty() => {
+                            let _ = write!(out, "{cond}");
+                        }
+                        _ => hash(out),
+                    }
+                }
             }
-        },
+        }
         PlanNode::Filter { pred, .. } => {
             let _ = write!(out, "Filter: {pred}");
         }

@@ -1,4 +1,5 @@
-//! The join operator: every `JOIN … ON`, `FROM a, b` and cross join runs
+//! The join operator: every `JOIN … ON`, `FROM a, b` and cross join —
+//! and every correlated `[NOT] EXISTS` conjunct of a WHERE clause — runs
 //! one build/probe loop that builds on the *right* input.
 //!
 //! The planner (`plan::split_on`) binds a join's ON condition once and
@@ -42,12 +43,47 @@
 //! cached, and a keyless join never spills. Spill totals are reported
 //! through [`ExecCtx::note_spill`] and ride the same `SpillMetrics`
 //! surface as the external skyline.
+//!
+//! # Semi and anti joins
+//!
+//! `WHERE … [NOT] EXISTS (SELECT … FROM r WHERE p)` with `p` reading the
+//! enclosing row is planned (`plan::exists_join`) as a [`JoinKind::Semi`]
+//! / [`JoinKind::Anti`] join: the block's source is the left input, the
+//! sub-query's FROM — narrowed to the columns the keys and residual read —
+//! the right, `p`'s equalities between the two sides the keys and the
+//! rest of `p` the residual, evaluated as the sub-query's own predicate
+//! (right row innermost, the left row one block out; no combined row).
+//! The rewrite's §3.2 `NOT EXISTS` is the keyless anti join, its
+//! dominance predicate the residual. Both kinds run the same build and
+//! bucket lookup:
+//!
+//! * **Semi** emits a left row at its first bucket row whose residual is
+//!   TRUE; **Anti** emits a left row when none is.
+//! * A left row whose key is NULL or NaN has no partner: Anti emits it,
+//!   Semi drops it — exactly `=` never being TRUE in the sub-query.
+//! * Output is the left rows in their order (a lent left batch is
+//!   narrowed with a selection vector, never copied), so the rows and
+//!   their order are the per-row `EXISTS` filter's.
+//! * **Match-first probing.** Existence does not depend on the order a
+//!   bucket is searched in, so each operator keeps the `MATCH_FIRST` (8)
+//!   build rows that most recently satisfied the residual and tries
+//!   those (of the probed bucket) before walking the bucket in order. A
+//!   row dominating one candidate tends to dominate the next: on the
+//!   rewrite's `NOT EXISTS` this cuts the rows examined per probe from
+//!   51–80 to 14–41. The build and its order stay untouched — the
+//!   statement cache shares them — and error timing is, as above, the
+//!   one permitted divergence.
+//! * A keyed build over the window takes the Grace path with the same
+//!   NULL-key rule (an anti join's unkeyed and partner-less left rows are
+//!   output as they are); each pair tests its left rows against every
+//!   chunk and copies the left run out in order. A keyless build stays
+//!   in memory.
 
 use crate::bind::{Bound, BoundExpr};
 use crate::eval::{eval, holds, Env};
 use crate::exec::ExecCtx;
 use crate::physical::{self, Batch, BoxOperator, Operator, RowKey, DEFAULT_BATCH};
-use crate::plan::PlanNode;
+use crate::plan::{JoinKind, PlanNode};
 use prefsql_storage::spill::{
     tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics, SpillRun,
 };
@@ -57,6 +93,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// How many build rows a semi/anti join remembers as recent partners
+/// and tries first ([`Build::exists`]). Measured on the rewrite's `NOT
+/// EXISTS` (`jobsearch_rewrite`, 51–80 rows examined per probe without
+/// it): 1 → 39–74, 4 → 16–47, 8 → 14–41, 32 → 14–34.
+const MATCH_FIRST: usize = 8;
 
 /// Partitions per Grace spill pass. Small enough that a pass keeps one
 /// open run writer per partition; two salted passes separate 64 buckets.
@@ -108,9 +150,11 @@ fn partition_of(key: &RowKey, depth: u32) -> usize {
 #[derive(Clone, Copy)]
 struct JoinCfg<'a> {
     ctx: &'a ExecCtx<'a>,
+    kind: JoinKind,
     /// `(left key, right key)` pairs, each bound against its own side.
     keys: &'a [(Bound, Bound)],
-    /// Bound against the combined row.
+    /// Bound against the combined row (inner), or as the sub-query's
+    /// predicate over the right row inside the left one (semi/anti).
     residual: Option<&'a BoundExpr>,
     outer: &'a [&'a Tuple],
     /// The build-side byte budget (`usize::MAX` = never spill).
@@ -178,9 +222,55 @@ impl Build {
 
     /// The bucket `left` joins, if any.
     fn bucket(&self, cfg: &JoinCfg<'_>, left: &Tuple) -> Result<Option<usize>> {
+        if cfg.keys.is_empty() {
+            return Ok((!self.buckets.is_empty()).then_some(0));
+        }
         Ok(cfg
             .key_of(left, true)?
             .and_then(|key| self.index.get(&key).copied()))
+    }
+
+    /// Semi/anti: does `left` have a partner — a row of its bucket the
+    /// residual accepts? The rows of that bucket in `recent` (the build
+    /// rows that most recently were a partner, most recent first) are
+    /// tried first, then the rest of the bucket in order; a partner found
+    /// moves to the front of `recent`. Every residual evaluation ticks
+    /// `tests`.
+    fn exists(
+        &self,
+        cfg: &JoinCfg<'_>,
+        left: &Tuple,
+        recent: &mut Vec<(u32, u32)>,
+        tests: &Cell<u64>,
+    ) -> Result<bool> {
+        let Some(bucket) = self.bucket(cfg, left)? else {
+            return Ok(false);
+        };
+        let Some(residual) = cfg.residual else {
+            return Ok(true);
+        };
+        let mut scope = Vec::with_capacity(cfg.outer.len() + 1);
+        scope.push(left);
+        scope.extend_from_slice(cfg.outer);
+        let partner = |i: u32| {
+            tests.set(tests.get() + 1);
+            holds(residual, Env::new(&self.rows[i as usize], &scope), cfg.ctx)
+        };
+        let b = bucket as u32;
+        for k in 0..recent.len() {
+            if recent[k].0 == b && partner(recent[k].1)? {
+                recent[..=k].rotate_right(1);
+                return Ok(true);
+            }
+        }
+        for &i in &self.buckets[bucket] {
+            if !recent.contains(&(b, i)) && partner(i)? {
+                recent.insert(0, (b, i));
+                recent.truncate(MATCH_FIRST);
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
 
     /// Join `left` with the rows of `bucket` from `*pos` on, handing each
@@ -211,6 +301,11 @@ impl Build {
 /// [`Operator::next_batch`] then streams the left input through it.
 pub struct JoinOp<'a> {
     cfg: JoinCfg<'a>,
+    /// Semi/anti: the most recent partners ([`Build::exists`]).
+    recent: Vec<(u32, u32)>,
+    /// Semi/anti: the selection-vector scratch a left batch is narrowed
+    /// with.
+    sel: Vec<usize>,
     left: BoxOperator<'a>,
     /// The right input's plan: run at the statement's first open (at
     /// every open, when its build spills).
@@ -226,12 +321,17 @@ pub struct JoinOp<'a> {
     /// Input rows written to Grace partition runs (a re-partitioned row
     /// counts again, mirroring the `passes` semantics).
     spilled_rows: Cell<u64>,
+    /// Semi/anti: residual evaluations — the build rows examined.
+    residual_tests: Cell<u64>,
 }
 
 enum State {
     Closed,
-    /// In memory: the left input streams through the probe in batched
-    /// pulls. `lbuf[..lpos]` has been probed; `bucket` is the one
+    /// Semi/anti in memory: each left batch is narrowed, like a filter's,
+    /// to the rows whose existence test passes.
+    Filter(Arc<Build>),
+    /// Inner in memory: the left input streams through the probe in
+    /// batched pulls. `lbuf[..lpos]` has been probed; `bucket` is the one
     /// `lbuf[lpos - 1]` joins, its rows from `pos` on yet to meet.
     Probe {
         build: Arc<Build>,
@@ -248,8 +348,10 @@ enum State {
 impl<'a> JoinOp<'a> {
     /// Wire up the operator over the streamed left child and the right
     /// input's plan. `window: None` never spills.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         ctx: &'a ExecCtx<'a>,
+        kind: JoinKind,
         left: BoxOperator<'a>,
         right: &'a PlanNode,
         keys: &'a [(Bound, Bound)],
@@ -260,11 +362,14 @@ impl<'a> JoinOp<'a> {
         JoinOp {
             cfg: JoinCfg {
                 ctx,
+                kind,
                 keys,
                 residual,
                 outer,
                 window: window.unwrap_or(usize::MAX),
             },
+            recent: Vec::new(),
+            sel: Vec::new(),
             left,
             right,
             state: State::Closed,
@@ -272,12 +377,18 @@ impl<'a> JoinOp<'a> {
             build_rows: Cell::new(0),
             probe_rows: Cell::new(0),
             spilled_rows: Cell::new(0),
+            residual_tests: Cell::new(0),
         }
     }
 
     /// Drain the right input until it ends (an in-memory build, cached
-    /// for the statement under `key`) or overflows the window (Grace).
-    fn build_phase(&mut self, right: &mut (dyn Operator + '_), key: String) -> Result<State> {
+    /// for the statement under `key`, if any) or overflows the window
+    /// (Grace).
+    fn build_phase(
+        &mut self,
+        right: &mut (dyn Operator + '_),
+        key: Option<String>,
+    ) -> Result<State> {
         let cfg = self.cfg;
         right.open()?;
         let mut rows: Vec<Tuple> = Vec::new();
@@ -300,7 +411,11 @@ impl<'a> JoinOp<'a> {
         self.build_rows
             .set(self.build_rows.get() + rows.len() as u64);
         let build = Build::new(&cfg, rows)?;
-        Ok(probe_state(cfg.ctx.cache(key, build)))
+        let build = match key {
+            Some(key) => cfg.ctx.cache(key, build),
+            None => Arc::new(build),
+        };
+        Ok(probe_state(cfg.kind, build))
     }
 
     /// The Grace overflow path: partition both inputs to spill runs,
@@ -314,21 +429,26 @@ impl<'a> JoinOp<'a> {
         let cfg = self.cfg;
         let mut mgr = cfg.ctx.spill_manager()?;
         let mut passes = 1u32;
-        let spilled = &self.spilled_rows;
+        let counts = Counts {
+            spilled: &self.spilled_rows,
+            tests: &self.residual_tests,
+        };
         // Sequence numbers count each side's arrival order: the right
         // rows drained so far, then the rest of its operator.
-        let right_runs = {
+        let (right_runs, _) = {
             let mut src = operator_source(collected, right, &self.build_rows);
-            partition_pass(&cfg, &mut mgr, &mut src, false, 0, spilled)?
+            partition_pass(&cfg, &mut mgr, &mut src, false, 0, counts.spilled)?
         };
-        let left_runs = {
+        let (left_runs, unkeyed) = {
             let mut src = operator_source(Vec::new(), self.left.as_mut(), &self.probe_rows);
-            partition_pass(&cfg, &mut mgr, &mut src, true, 0, spilled)?
+            partition_pass(&cfg, &mut mgr, &mut src, true, 0, counts.spilled)?
         };
 
-        let mut out_runs: Vec<SpillRun> = Vec::new();
+        // An anti join's left rows with a NULL or NaN key have no
+        // partner: they are output as they are.
+        let mut out_runs: Vec<SpillRun> = unkeyed.into_iter().collect();
         for (l, r) in left_runs.into_iter().zip(right_runs) {
-            process_pair(&cfg, &mut mgr, l, r, 1, &mut out_runs, &mut passes, spilled)?;
+            process_pair(&cfg, &mut mgr, l, r, 1, &mut out_runs, &mut passes, counts)?;
         }
 
         cfg.ctx.note_spill(SpillMetrics {
@@ -337,12 +457,15 @@ impl<'a> JoinOp<'a> {
             passes,
             spill_dir: Some(mgr.dir().to_path_buf()),
         });
-        GraceOutput::new(mgr, out_runs).map(State::Grace)
+        GraceOutput::new(mgr, out_runs, cfg.kind != JoinKind::Inner).map(State::Grace)
     }
 }
 
 /// The in-memory probe over `build`, before the first left row.
-fn probe_state(build: Arc<Build>) -> State {
+fn probe_state(kind: JoinKind, build: Arc<Build>) -> State {
+    if kind != JoinKind::Inner {
+        return State::Filter(build);
+    }
     State::Probe {
         build,
         lbuf: Vec::new(),
@@ -358,14 +481,23 @@ impl Operator for JoinOp<'_> {
         self.build_rows.set(0);
         self.probe_rows.set(0);
         self.spilled_rows.set(0);
+        self.residual_tests.set(0);
+        self.recent.clear();
         self.state = State::Closed;
         self.left.open()?;
         // A build depends on the right input and its key expressions
-        // only (the right input is planned with no outer scope).
-        let right_keys: Vec<&BoundExpr> = self.cfg.keys.iter().map(|(_, r)| &r.expr).collect();
-        let key = format!("join-build:{:?}:{right_keys:?}", self.right);
-        self.state = match self.cfg.ctx.cached::<Build>(&key) {
-            Some(build) => probe_state(build),
+        // only (the right input is planned with no outer scope). Only a
+        // join inside a sub-query is re-opened per outer row; one outside
+        // every sub-query opens once, so it skips the cache and the key:
+        // the right plan's Debug text, tens of kilobytes for the
+        // rewrite's `aux` relation.
+        let key = (!self.cfg.outer.is_empty()).then(|| {
+            let right_keys: Vec<&BoundExpr> = self.cfg.keys.iter().map(|(_, r)| &r.expr).collect();
+            format!("join-build:{:?}:{right_keys:?}", self.right)
+        });
+        let cached = key.as_deref().and_then(|k| self.cfg.ctx.cached::<Build>(k));
+        self.state = match cached {
+            Some(build) => probe_state(self.cfg.kind, build),
             None => {
                 let mut right = physical::build(self.cfg.ctx, self.right, &[]);
                 let state = self.build_phase(right.as_mut(), key);
@@ -378,10 +510,21 @@ impl Operator for JoinOp<'_> {
 
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         let cfg = self.cfg;
+        if let State::Filter(build) = &self.state {
+            // At most one output row per left row: forwarding `max`
+            // keeps the quota, and lent left rows stay lent.
+            let (recent, probed, tests) =
+                (&mut self.recent, &self.probe_rows, &self.residual_tests);
+            let keep = cfg.kind == JoinKind::Semi;
+            return self.left.next_batch(max)?.retain(&mut self.sel, |left| {
+                probed.set(probed.get() + 1);
+                Ok(build.exists(&cfg, left, recent, tests)? == keep)
+            });
+        }
         let out = &mut self.out;
         out.clear();
         match &mut self.state {
-            State::Closed => {}
+            State::Closed | State::Filter(_) => {}
             State::Grace(g) => {
                 while out.len() < max {
                     match g.next()? {
@@ -445,12 +588,14 @@ impl Operator for JoinOp<'_> {
         self.left.close();
         self.state = State::Closed;
         self.out = Vec::new();
+        self.sel = Vec::new();
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("build_rows", self.build_rows.get()),
             ("probe_rows", self.probe_rows.get()),
+            ("residual_tests", self.residual_tests.get()),
             ("spilled_rows", self.spilled_rows.get()),
         ]
     }
@@ -529,10 +674,36 @@ fn operator_source<'s>(
     }
 }
 
+/// The Grace path's tallies, borrowed from the operator.
+#[derive(Clone, Copy)]
+struct Counts<'c> {
+    spilled: &'c Cell<u64>,
+    tests: &'c Cell<u64>,
+}
+
+/// Append `tuple` to the run `w` writes, starting the run on first use.
+fn write_to(mgr: &mut SpillManager, w: &mut Option<RunWriter>, tuple: &Tuple) -> Result<()> {
+    if w.is_none() {
+        *w = Some(mgr.begin_run()?);
+    }
+    w.as_mut().expect("writer created above").write_tuple(tuple)
+}
+
+/// Finish a run started by [`write_to`], if any.
+fn finish(mgr: &mut SpillManager, w: Option<RunWriter>) -> Result<Option<SpillRun>> {
+    let Some(w) = w else {
+        return Ok(None);
+    };
+    let run = w.finish()?;
+    mgr.record_run(&run);
+    Ok(Some(run))
+}
+
 /// One Grace partitioning pass over one side: route every row (tagged
-/// with its sequence number) to its key's partition run. Rows whose key
-/// contains NULL/NaN can never join and are dropped here. Partitions
-/// that receive no rows get no run (`None`).
+/// with its sequence number) to its key's partition run. Partitions that
+/// receive no rows get no run (`None`). Rows whose key contains NULL/NaN
+/// can never join: they are dropped, except an anti join's left rows,
+/// which go to the second, unkeyed run — each is output as it is.
 fn partition_pass(
     cfg: &JoinCfg<'_>,
     mgr: &mut SpillManager,
@@ -540,41 +711,32 @@ fn partition_pass(
     left_side: bool,
     depth: u32,
     spilled: &Cell<u64>,
-) -> Result<Vec<Option<SpillRun>>> {
+) -> Result<(Vec<Option<SpillRun>>, Option<SpillRun>)> {
     let mut writers: Vec<Option<RunWriter>> = (0..FANOUT).map(|_| None).collect();
+    let mut unkeyed = None;
+    let keep_unkeyed = left_side && cfg.kind == JoinKind::Anti;
     while let Some((seq, row)) = src()? {
-        let Some(key) = cfg.key_of(&row, left_side)? else {
-            continue;
+        let writer = match cfg.key_of(&row, left_side)? {
+            Some(key) => &mut writers[partition_of(&key, depth)],
+            None if keep_unkeyed => &mut unkeyed,
+            None => continue,
         };
-        let p = partition_of(&key, depth);
-        if writers[p].is_none() {
-            writers[p] = Some(mgr.begin_run()?);
-        }
-        writers[p]
-            .as_mut()
-            .expect("writer created above")
-            .write_tuple(&tag1(seq, &row))?;
+        write_to(mgr, writer, &tag1(seq, &row))?;
         spilled.set(spilled.get() + 1);
     }
     let mut runs = Vec::with_capacity(FANOUT);
     for w in writers {
-        runs.push(match w {
-            None => None,
-            Some(w) => {
-                let run = w.finish()?;
-                mgr.record_run(&run);
-                Some(run)
-            }
-        });
+        runs.push(finish(mgr, w)?);
     }
-    Ok(runs)
+    Ok((runs, finish(mgr, unkeyed)?))
 }
 
 /// Join one partition pair. An oversized pair re-partitions once with a
 /// fresh salt; everything else — a pair whose right half fits the window,
 /// or one still oversized after re-partitioning (skew) — goes to
-/// [`pair_chunks`], which reads a fitting right half as its one chunk.
-/// Every path appends output runs sorted by `(left seq, right seq)` and
+/// [`pair_chunks`] (inner) or [`pair_filter`] (semi/anti), which read a
+/// fitting right half as their one chunk. Every path appends output runs
+/// sorted by `(left seq, right seq)` — semi/anti: by left seq — and
 /// deletes its input runs when done.
 #[allow(clippy::too_many_arguments)]
 fn process_pair(
@@ -585,11 +747,17 @@ fn process_pair(
     depth: u32,
     out_runs: &mut Vec<SpillRun>,
     passes: &mut u32,
-    spilled: &Cell<u64>,
+    counts: Counts<'_>,
 ) -> Result<()> {
     let (left, right) = match (left, right) {
         (Some(l), Some(r)) => (l, r),
-        // A one-sided partition produces no inner-join output.
+        // Left rows with no right partition have no partner: an anti
+        // join outputs them as they are.
+        (Some(run), None) if cfg.kind == JoinKind::Anti => {
+            out_runs.push(run);
+            return Ok(());
+        }
+        // Otherwise a one-sided partition produces no output.
         (Some(run), None) | (None, Some(run)) => {
             let _ = run.delete();
             return Ok(());
@@ -603,25 +771,49 @@ fn process_pair(
             let mut reader = RunReader::open(&left)?;
             let mut src =
                 move || -> Result<Option<(i64, Tuple)>> { Ok(reader.next_tuple()?.map(untag1)) };
-            partition_pass(cfg, mgr, &mut src, true, depth, spilled)?
+            partition_pass(cfg, mgr, &mut src, true, depth, counts.spilled)?.0
         };
         let right_subs = {
             let mut reader = RunReader::open(&right)?;
             let mut src =
                 move || -> Result<Option<(i64, Tuple)>> { Ok(reader.next_tuple()?.map(untag1)) };
-            partition_pass(cfg, mgr, &mut src, false, depth, spilled)?
+            partition_pass(cfg, mgr, &mut src, false, depth, counts.spilled)?.0
         };
         let _ = left.delete();
         let _ = right.delete();
         for (l, r) in left_subs.into_iter().zip(right_subs) {
-            process_pair(cfg, mgr, l, r, depth + 1, out_runs, passes, spilled)?;
+            process_pair(cfg, mgr, l, r, depth + 1, out_runs, passes, counts)?;
         }
         return Ok(());
     }
-    pair_chunks(cfg, mgr, &left, &right, out_runs).map(|()| {
+    match cfg.kind {
+        JoinKind::Inner => pair_chunks(cfg, mgr, &left, &right, out_runs),
+        JoinKind::Semi | JoinKind::Anti => pair_filter(cfg, mgr, &left, &right, out_runs, counts),
+    }
+    .map(|()| {
         let _ = left.delete();
         let _ = right.delete();
     })
+}
+
+/// The next window-sized chunk of a right run — at least one tuple, at
+/// most a window's worth — as `(seqs, rows)`; empty once the run is
+/// spent.
+fn next_chunk(cfg: &JoinCfg<'_>, reader: &mut RunReader) -> Result<(Vec<i64>, Vec<Tuple>)> {
+    let (mut seqs, mut rows) = (Vec::new(), Vec::new());
+    let mut bytes = 0usize;
+    while bytes <= cfg.window {
+        match reader.next_tuple()? {
+            Some(t) => {
+                bytes += tuple_spill_bytes(&t);
+                let (seq, row) = untag1(t);
+                seqs.push(seq);
+                rows.push(row);
+            }
+            None => break,
+        }
+    }
+    Ok((seqs, rows))
 }
 
 /// Build on the right half in window-sized chunks — one chunk when it
@@ -639,20 +831,7 @@ fn pair_chunks(
 ) -> Result<()> {
     let mut right_reader = RunReader::open(right)?;
     loop {
-        // Next chunk: at least one tuple, at most a window's worth.
-        let (mut seqs, mut rows) = (Vec::new(), Vec::new());
-        let mut bytes = 0usize;
-        while bytes <= cfg.window {
-            match right_reader.next_tuple()? {
-                Some(t) => {
-                    bytes += tuple_spill_bytes(&t);
-                    let (seq, row) = untag1(t);
-                    seqs.push(seq);
-                    rows.push(row);
-                }
-                None => break,
-            }
-        }
+        let (seqs, rows) = next_chunk(cfg, &mut right_reader)?;
         if rows.is_empty() {
             return Ok(());
         }
@@ -665,29 +844,69 @@ fn pair_chunks(
                 continue;
             };
             chunk.probe(cfg, &lrow, b, &mut 0, |i, joined| {
-                if writer.is_none() {
-                    writer = Some(mgr.begin_run()?);
-                }
-                writer
-                    .as_mut()
-                    .expect("writer created above")
-                    .write_tuple(&tag2(lseq, seqs[i], &joined))?;
+                write_to(mgr, &mut writer, &tag2(lseq, seqs[i], &joined))?;
                 Ok(true)
             })?;
         }
-        if let Some(w) = writer {
-            let run = w.finish()?;
-            mgr.record_run(&run);
-            out_runs.push(run);
+        out_runs.extend(finish(mgr, writer)?);
+    }
+}
+
+/// The semi/anti form of [`pair_chunks`]: each left row of the pair is
+/// tested against every chunk of the right half until one has a partner
+/// for it, then the left run is copied, in order, keeping the rows that
+/// found one (semi) or the rows that did not (anti) — one output run of
+/// seq-tagged left rows.
+fn pair_filter(
+    cfg: &JoinCfg<'_>,
+    mgr: &mut SpillManager,
+    left: &SpillRun,
+    right: &SpillRun,
+    out_runs: &mut Vec<SpillRun>,
+    counts: Counts<'_>,
+) -> Result<()> {
+    // Per left-run position: has the row found a partner yet?
+    let mut matched: Vec<bool> = Vec::new();
+    let mut right_reader = RunReader::open(right)?;
+    loop {
+        let (_, rows) = next_chunk(cfg, &mut right_reader)?;
+        if rows.is_empty() {
+            break;
+        }
+        let chunk = Build::new(cfg, rows)?;
+        let mut recent = Vec::new();
+        let mut reader = RunReader::open(left)?;
+        let mut pos = 0;
+        while let Some(t) = reader.next_tuple()? {
+            if pos == matched.len() {
+                matched.push(false);
+            }
+            if !matched[pos] {
+                matched[pos] = chunk.exists(cfg, &untag1(t).1, &mut recent, counts.tests)?;
+            }
+            pos += 1;
         }
     }
+    let keep = cfg.kind == JoinKind::Semi;
+    let mut reader = RunReader::open(left)?;
+    let mut writer = None;
+    let mut pos = 0;
+    while let Some(t) = reader.next_tuple()? {
+        if matched.get(pos).copied().unwrap_or(false) == keep {
+            write_to(mgr, &mut writer, &t)?;
+        }
+        pos += 1;
+    }
+    out_runs.extend(finish(mgr, writer)?);
+    Ok(())
 }
 
 /// Streaming k-way merge over the sorted output runs, by `(left seq,
 /// right seq)`. Every joined pair lands in exactly one run (its key
 /// routes both rows to one partition pair; within a pair, one chunk),
 /// so a linear min-scan over the — few dozen at most — run heads
-/// restores the exact nested-loop order.
+/// restores the exact nested-loop order. A semi/anti join's runs hold
+/// seq-tagged left rows, each in exactly one run, merged by left seq.
 struct GraceOutput {
     /// Keeps the spill directory (and the output runs) alive until the
     /// operator is closed.
@@ -695,19 +914,35 @@ struct GraceOutput {
     /// One lookahead head per non-exhausted run: merge key, payload,
     /// reader.
     heads: Vec<((i64, i64), Tuple, RunReader)>,
+    /// Splits a run tuple into merge key and payload.
+    untag: fn(Tuple) -> ((i64, i64), Tuple),
 }
 
 impl GraceOutput {
-    fn new(mgr: SpillManager, runs: Vec<SpillRun>) -> Result<GraceOutput> {
+    /// Merge `runs`: `(left seq, right seq)`-tagged pairs, or — `left_rows`
+    /// — seq-tagged left rows.
+    fn new(mgr: SpillManager, runs: Vec<SpillRun>, left_rows: bool) -> Result<GraceOutput> {
+        let untag: fn(Tuple) -> ((i64, i64), Tuple) = if left_rows {
+            |t| {
+                let (seq, row) = untag1(t);
+                ((seq, 0), row)
+            }
+        } else {
+            untag2
+        };
         let mut heads = Vec::with_capacity(runs.len());
         for run in &runs {
             let mut reader = RunReader::open(run)?;
             if let Some(t) = reader.next_tuple()? {
-                let (key, payload) = untag2(t);
+                let (key, payload) = untag(t);
                 heads.push((key, payload, reader));
             }
         }
-        Ok(GraceOutput { _mgr: mgr, heads })
+        Ok(GraceOutput {
+            _mgr: mgr,
+            heads,
+            untag,
+        })
     }
 
     fn next(&mut self) -> Result<Option<Tuple>> {
@@ -723,7 +958,7 @@ impl GraceOutput {
         let out = std::mem::take(&mut self.heads[i].1);
         match self.heads[i].2.next_tuple()? {
             Some(t) => {
-                let (key, payload) = untag2(t);
+                let (key, payload) = (self.untag)(t);
                 self.heads[i].0 = key;
                 self.heads[i].1 = payload;
             }

@@ -22,7 +22,7 @@
 
 use crate::exec::ExecStats;
 use crate::physical::{Batch, BoxOperator, Operator};
-use crate::plan::PlanNode;
+use crate::plan::{JoinKind, PlanNode};
 use prefsql_storage::spill::SpillMetrics;
 use prefsql_types::Result;
 use std::cell::RefCell;
@@ -139,6 +139,14 @@ pub fn node_kind(node: &PlanNode) -> &'static str {
         PlanNode::MatViewScan { .. } => "matview_scan",
         PlanNode::IndexScan { .. } => "index_scan",
         PlanNode::Materialize { .. } => "materialize",
+        PlanNode::Join {
+            kind: JoinKind::Semi,
+            ..
+        } => "semi_join",
+        PlanNode::Join {
+            kind: JoinKind::Anti,
+            ..
+        } => "anti_join",
         PlanNode::Join { keys, .. } if keys.is_empty() => "nested_loop_join",
         PlanNode::Join { .. } => "hash_join",
         PlanNode::Filter { .. } => "filter",

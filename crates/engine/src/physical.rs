@@ -275,6 +275,7 @@ fn build_plain<'a>(
             pos: 0,
         }),
         PlanNode::Join {
+            kind,
             left,
             right,
             keys,
@@ -283,6 +284,7 @@ fn build_plain<'a>(
             ..
         } => Box::new(JoinOp::new(
             ctx,
+            *kind,
             build(ctx, left, outer),
             right,
             keys,
@@ -926,6 +928,7 @@ mod tests {
     use super::*;
     use crate::bind::{bind, Bound};
     use crate::exec::Engine;
+    use crate::plan::JoinKind;
     use prefsql_parser::ast::{BinaryOp, Expr, Query, Statement};
     use prefsql_types::{Column, DataType};
     use std::cell::Cell;
@@ -1156,7 +1159,16 @@ mod tests {
         let schema = x_schema().join(right.root().schema());
         let on = bind(&ctx, &equals(column("x"), column("y")), &[&schema]).unwrap();
         let (src, served, largest) = probe(100);
-        let mut join = JoinOp::new(&ctx, Box::new(src), right.root(), &[], Some(&on), None, &[]);
+        let mut join = JoinOp::new(
+            &ctx,
+            JoinKind::Inner,
+            Box::new(src),
+            right.root(),
+            &[],
+            Some(&on),
+            None,
+            &[],
+        );
         // The first left row with a partner is x = 5.
         assert!(any_row(&mut join).unwrap());
         assert_eq!(served.get(), 6, "left rows 0..=5, nothing past the match");
@@ -1165,7 +1177,16 @@ mod tests {
         // Driven in full at a batch size that splits a left row's
         // matches, the join emits left-major, right-minor order.
         let (src, _, _) = probe(10);
-        let mut join = JoinOp::new(&ctx, Box::new(src), right.root(), &[], None, None, &[]);
+        let mut join = JoinOp::new(
+            &ctx,
+            JoinKind::Inner,
+            Box::new(src),
+            right.root(),
+            &[],
+            None,
+            None,
+            &[],
+        );
         let all = drain_batched(&mut join, 2).unwrap();
         assert_eq!(all.len(), 30);
         assert_eq!(
@@ -1188,7 +1209,16 @@ mod tests {
         };
         let keys = [(key("x", &x_schema()), key("y", right.root().schema()))];
         let (src, served, largest) = probe(100);
-        let mut join = JoinOp::new(&ctx, Box::new(src), right.root(), &keys, None, None, &[]);
+        let mut join = JoinOp::new(
+            &ctx,
+            JoinKind::Inner,
+            Box::new(src),
+            right.root(),
+            &keys,
+            None,
+            None,
+            &[],
+        );
         // The left input is pulled one row at a time up to x = 5, the
         // first row whose bucket is not empty, and not a row further.
         assert!(any_row(&mut join).unwrap());

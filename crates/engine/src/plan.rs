@@ -16,7 +16,7 @@
 //! preference view defines it, and hands the result to the very
 //! `plan_block` that layers Sort/Project/Distinct/Limit on plain SQL.
 
-use crate::access::{choose_access_path, AccessPath};
+use crate::access::{choose_access_path, conjuncts, AccessPath};
 use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggExpr, Bound, BoundExpr};
 use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
@@ -120,19 +120,26 @@ pub enum PlanNode {
     Materialize {
         /// `View expansion: ...` / `Derived table ...` (for EXPLAIN).
         label: String,
-        /// Per-statement materialization cache key.
+        /// Per-statement materialization cache key: the body — derived
+        /// table SQL, view or matview name — never the alias, so every
+        /// use of one body in a statement (the rewrite's `prefsql_a1` and
+        /// `prefsql_a2`) shares one materialization.
         cache_key: String,
         /// The sub-plan.
         input: Box<PlanNode>,
         /// Output schema (sub-plan schema re-qualified).
         schema: Schema,
     },
-    /// A join — `JOIN … ON`, `FROM a, b`, a cross join — run by
+    /// A join — `JOIN … ON`, `FROM a, b`, a cross join, or a correlated
+    /// `[NOT] EXISTS` conjunct of a WHERE clause — run by
     /// [`crate::join::JoinOp`]: the right input is built once per
     /// statement, bucketed by `keys`, and the left streams through the
-    /// probe; output is left-major, right-minor. No keys is the nested
-    /// loop (and no residual the cross join).
+    /// probe. An inner join emits left-major, right-minor pairs; a semi
+    /// or anti join emits left rows, in their order. No keys is the
+    /// nested loop (and an inner join with no residual the cross join).
     Join {
+        /// What the join emits.
+        kind: JoinKind,
         /// Left (streamed) input.
         left: Box<PlanNode>,
         /// Right (built) input.
@@ -140,14 +147,18 @@ pub enum PlanNode {
         /// Equi-key pairs: (left-side expr, right-side expr), each
         /// bound against its own input schema.
         keys: Vec<(Bound, Bound)>,
-        /// The ON conjuncts that are not keys — all of ON when there
-        /// are none — checked against the combined row.
+        /// The conditions that are not keys — all of them when there
+        /// are none. An inner join checks its ON conjuncts against the
+        /// combined row; a semi/anti join checks the sub-query's own
+        /// predicate, its right row innermost and the left row one
+        /// block out.
         residual: Option<Bound>,
         /// Session window budget baked in at plan time; a keyed build
         /// larger than this partitions to spill runs. `None` never
         /// spills — always so for a keyless join.
         window: Option<usize>,
-        /// Combined output schema.
+        /// Output schema: the combined row for an inner join, the left
+        /// row for a semi/anti join.
         schema: Schema,
     },
     /// Keep rows whose predicate is exactly TRUE.
@@ -210,6 +221,17 @@ pub enum PlanNode {
         /// Output schema.
         schema: Schema,
     },
+}
+
+/// What a [`PlanNode::Join`] emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinKind {
+    /// Every (left, right) pair the condition accepts, combined.
+    Inner,
+    /// `WHERE EXISTS (…)`: each left row with at least one partner.
+    Semi,
+    /// `WHERE NOT EXISTS (…)`: each left row with no partner.
+    Anti,
 }
 
 /// How one output column of a [`PlanNode::Project`] is produced.
@@ -344,17 +366,8 @@ pub(crate) fn plan_exists(
     outer: &[&Schema],
 ) -> Result<(QueryPlan, bool)> {
     let plan = plan_query_in(ctx, query, outer)?;
-    if !first_row_probe(&plan.root) {
-        return Ok((plan, false));
-    }
-    let PlanNode::Project { input, .. } = plan.root else {
-        unreachable!("a first-row probe sits under the top projection")
-    };
-    let mut root = *input;
-    while let PlanNode::Sort { input, .. } = root {
-        root = *input;
-    }
-    Ok((QueryPlan { root }, true))
+    let (root, first_row) = first_row_probe(plan.root);
+    Ok((QueryPlan { root }, first_row))
 }
 
 /// Can an `EXISTS` probe pull a single row from this block? Strip the top
@@ -362,15 +375,9 @@ pub(crate) fn plan_exists(
 /// sorts (existence is order-independent); the rest must be fully
 /// streaming so the first qualifying row short-circuits. Aggregates,
 /// DISTINCT and LIMIT need full evaluation (`LIMIT 0` must yield
-/// `false`).
-fn first_row_probe(root: &PlanNode) -> bool {
-    let PlanNode::Project { input, .. } = root else {
-        return false;
-    };
-    let mut node = input.as_ref();
-    while let PlanNode::Sort { input, .. } = node {
-        node = input;
-    }
+/// `false`). Returns the stripped sub-tree and `true`, or the block
+/// unchanged and `false`.
+fn first_row_probe(root: PlanNode) -> (PlanNode, bool) {
     fn streaming(n: &PlanNode) -> bool {
         match n {
             PlanNode::Nothing { .. }
@@ -378,23 +385,260 @@ fn first_row_probe(root: &PlanNode) -> bool {
             | PlanNode::IndexScan { .. }
             | PlanNode::Materialize { .. } => true,
             PlanNode::Filter { input, .. } => streaming(input),
-            PlanNode::Join { left, right, .. } => streaming(left) && streaming(right),
+            // The right input is drained into the build whatever it is.
+            PlanNode::Join { left, .. } => streaming(left),
             _ => false,
         }
     }
-    streaming(node)
+    let PlanNode::Project { input, .. } = &root else {
+        return (root, false);
+    };
+    let mut node = input.as_ref();
+    while let PlanNode::Sort { input, .. } = node {
+        node = input;
+    }
+    if !streaming(node) {
+        return (root, false);
+    }
+    let PlanNode::Project { input, .. } = root else {
+        unreachable!("matched above")
+    };
+    let mut node = *input;
+    while let PlanNode::Sort { input, .. } = node {
+        node = *input;
+    }
+    (node, true)
 }
 
 /// Compile only the FROM/WHERE part of a query block (the native
 /// preference path's candidate fetch is this plus the slot projection).
+///
+/// A top-level AND conjunct of the WHERE clause that is a correlated
+/// `[NOT] EXISTS` ([`exists_join`]) becomes a semi/anti
+/// [`PlanNode::Join`] over the source filtered by the other conjuncts;
+/// stacked in conjunct order, each keeps the left rows in their order,
+/// so the block's rows and their order are the per-row filter's. The
+/// one permitted divergence is error timing, as for every join: a
+/// predicate that errors may surface at the build, or not at all.
 pub(crate) fn plan_source(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<PlanNode> {
     let input = plan_from(ctx, query, outer)?;
-    Ok(match &query.where_clause {
-        None => input,
-        Some(pred) => PlanNode::Filter {
+    let Some(pred) = &query.where_clause else {
+        return Ok(input);
+    };
+    let mut rest = Vec::new();
+    let mut joins = Vec::new();
+    for conjunct in conjuncts(pred) {
+        if let Expr::Exists {
+            query: sub,
+            negated,
+        } = conjunct
+        {
+            if let Some(join) = exists_join(ctx, sub, input.schema(), outer)? {
+                joins.push((*negated, join));
+                continue;
+            }
+        }
+        rest.push(conjunct);
+    }
+    let filter = |pred: &Expr, input: PlanNode| -> Result<PlanNode> {
+        Ok(PlanNode::Filter {
             pred: bind_shown(ctx, pred, input.schema(), outer)?,
             input: Box::new(input),
-        },
+        })
+    };
+    if joins.is_empty() {
+        return filter(pred, input);
+    }
+    let rest = rest.into_iter().cloned();
+    let mut node = match rest.reduce(|a, b| Expr::binary(a, BinaryOp::And, b)) {
+        Some(p) => filter(&p, input)?,
+        None => input,
+    };
+    for (negated, (right, keys, residual)) in joins {
+        let kind = if negated {
+            JoinKind::Anti
+        } else {
+            JoinKind::Semi
+        };
+        node = join(ctx, kind, node, right, keys, residual);
+    }
+    Ok(node)
+}
+
+/// A semi/anti join's right input, its `(left, right)` hash keys and
+/// its residual.
+type ExistsJoin = (PlanNode, Vec<(Bound, Bound)>, Option<Bound>);
+
+/// Plan `[NOT] EXISTS (sub)`, in a block whose rows are `left` inside
+/// the scopes `outer`, as a semi/anti join — or `None`, keeping the
+/// per-row probe, unless
+///
+/// * `sub` is a first-row probe ([`first_row_probe`]: no aggregate,
+///   DISTINCT or LIMIT),
+/// * its FROM reads no enclosing row (the build is shared by every left
+///   row; a FROM correlated through an ON condition fails to plan with
+///   no outer scope), and
+/// * its WHERE reads the enclosing block — an uncorrelated `EXISTS` is
+///   one first-row probe already.
+///
+/// The WHERE is bound once, as the sub-query's own predicate: its right
+/// row at depth 0, the left row at depth 1. Its conjuncts reading only
+/// the right row filter the right input. An `=` between an operand
+/// reading only the right row and one reading only the left row is a
+/// hash key (none with the hash-join toggle off), split with
+/// [`BoundExpr::visit`] as [`split_on`] splits ON. Everything else is
+/// the residual, in its original order. A conjunct holding a sub-query
+/// — whose reads `visit` cannot see — is always residual.
+///
+/// The build keeps only the right columns its keys and residual read
+/// (all of them when the residual holds a sub-query), so the right rows
+/// are never copied whole; the bound residual and keys are renumbered,
+/// not re-bound.
+fn exists_join(
+    ctx: &ExecCtx<'_>,
+    sub: &Query,
+    left: &Schema,
+    outer: &[&Schema],
+) -> Result<Option<ExistsJoin>> {
+    let Some(pred) = &sub.where_clause else {
+        return Ok(None);
+    };
+    reject_preference_constructs(sub)?;
+    let Ok(right) = plan_from(ctx, sub, &[]) else {
+        return Ok(None);
+    };
+    let mut scope = vec![left];
+    scope.extend_from_slice(outer);
+    let visible = right.schema().len();
+    let source = PlanNode::Filter {
+        pred: bind_shown(ctx, pred, right.schema(), &scope)?,
+        input: Box::new(right),
+    };
+    let block = plan_block(ctx, sub, source, visible, &scope)?;
+    let (PlanNode::Filter { input: right, pred }, true) = first_row_probe(block) else {
+        return Ok(None);
+    };
+
+    fn bound(source: &Expr, expr: &BoundExpr) -> Bound {
+        Bound {
+            source: source.clone(),
+            expr: expr.clone(),
+        }
+    }
+    let mut conjuncts = Vec::new();
+    conjuncts_of(&pred.source, &pred.expr, &mut conjuncts);
+    let (mut pushed, mut keys, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+    let mut correlated = false;
+    for (source, expr) in conjuncts {
+        let reads = frames(expr);
+        if reads.is_some_and(|m| m <= 1) {
+            pushed.push(bound(source, expr));
+            continue;
+        }
+        correlated |= reads.is_some();
+        if let (
+            Expr::Binary {
+                left: a,
+                op: BinaryOp::Eq,
+                right: b,
+            },
+            BoundExpr::Compare {
+                left: ba,
+                right: bb,
+                ..
+            },
+        ) = (source, expr)
+        {
+            let sides = match (frames(ba), frames(bb)) {
+                (Some(2), Some(1)) => Some((bound(a, ba), bound(b, bb))),
+                (Some(1), Some(2)) => Some((bound(b, bb), bound(a, ba))),
+                _ => None,
+            };
+            if let Some(key) = sides.filter(|_| ctx.use_hash_join()) {
+                keys.push(key);
+                continue;
+            }
+        }
+        rest.push(bound(source, expr));
+    }
+    if !correlated {
+        return Ok(None);
+    }
+    let mut right = *right;
+    if let Some(pred) = conjoin(pushed) {
+        right = PlanNode::Filter {
+            input: Box::new(right),
+            pred,
+        };
+    }
+    let mut residual = conjoin(rest);
+
+    // Narrow the build to the right columns its keys and residual read,
+    // renumbering their depth-0 reads.
+    let opaque = residual.as_ref().is_some_and(|r| frames(&r.expr).is_none());
+    let mut kept = vec![opaque; right.schema().len()];
+    for e in keys.iter().map(|k| &k.1).chain(&residual) {
+        e.expr.visit(&mut |x| {
+            if let BoundExpr::Column { depth: 0, ordinal } = x {
+                kept[*ordinal] = true;
+            }
+        });
+    }
+    if kept.contains(&false) {
+        let ords: Vec<usize> = (0..kept.len()).filter(|&i| kept[i]).collect();
+        let mut renumber = vec![0; kept.len()];
+        for (new, &old) in ords.iter().enumerate() {
+            renumber[old] = new;
+        }
+        for e in keys.iter_mut().map(|k| &mut k.1).chain(&mut residual) {
+            e.expr.visit_mut(&mut |x| {
+                if let BoundExpr::Column { depth: 0, ordinal } = x {
+                    *ordinal = renumber[*ordinal];
+                }
+            });
+        }
+        let columns = ords.iter().map(|&i| right.schema().column(i).clone());
+        right = PlanNode::Project {
+            schema: Schema::new(columns.collect())?,
+            projections: ords.into_iter().map(Projection::Passthrough).collect(),
+            input: Box::new(right),
+        };
+    }
+    // A left key is evaluated over the left row itself, one frame in.
+    for (l, _) in &mut keys {
+        l.expr.visit_mut(&mut |x| {
+            if let BoundExpr::Column { depth, .. } = x {
+                *depth -= 1;
+            }
+        });
+    }
+    Ok(Some((right, keys, residual)))
+}
+
+/// The frames a bound expression reads, one bit per depth (bit 0: its
+/// own input row) — `None` when it holds a sub-query, whose reads
+/// [`BoundExpr::visit`] does not see.
+fn frames(e: &BoundExpr) -> Option<u64> {
+    let mut mask = Some(0u64);
+    e.visit(&mut |x| match x {
+        BoundExpr::Column { depth, .. } => {
+            if let Some(m) = &mut mask {
+                *m |= 1 << (*depth).min(63);
+            }
+        }
+        BoundExpr::Exists { .. } | BoundExpr::InSubquery { .. } | BoundExpr::ScalarSubquery(_) => {
+            mask = None
+        }
+        _ => {}
+    });
+    mask
+}
+
+/// AND the conjuncts together, in order.
+fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
+    conjuncts.into_iter().reduce(|a, b| Bound {
+        source: Expr::binary(a.source, BinaryOp::And, b.source),
+        expr: BoundExpr::And(Box::new(a.expr), Box::new(b.expr)),
     })
 }
 
@@ -465,13 +709,17 @@ pub fn plan_preference(
     // needs nothing but the winner set (no optima, no threshold, no
     // groups) and the cold plan would feed the skyline in row-id order —
     // the order view entries are kept in; an index probe feeds key order.
-    let probes_index = matches!(
-        match &source {
-            PlanNode::Filter { input, .. } => input,
-            other => other,
-        },
-        PlanNode::IndexScan { .. }
-    );
+    let mut scan = &source;
+    while let PlanNode::Filter { input: next, .. }
+    | PlanNode::Join {
+        kind: JoinKind::Semi | JoinKind::Anti,
+        left: next,
+        ..
+    } = scan
+    {
+        scan = next;
+    }
+    let probes_index = matches!(scan, PlanNode::IndexScan { .. });
     let servable =
         query.grouping.is_empty() && but_only.is_none() && quality.is_empty() && !probes_index;
     let view = classify_view(ctx, query, pref, servable);
@@ -751,7 +999,7 @@ fn plan_from(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<Plan
         let next = plan_table_ref(ctx, item, query, allow_index, scope)?;
         acc = Some(match acc {
             None => next,
-            Some(left) => join(ctx, left, next, Vec::new(), None),
+            Some(left) => join(ctx, JoinKind::Inner, left, next, Vec::new(), None),
         });
     }
     Ok(acc.expect("non-empty FROM"))
@@ -777,7 +1025,7 @@ fn plan_table_ref(
                 .with_qualifier(alias);
             Ok(PlanNode::Materialize {
                 label: format!("Derived table {alias}"),
-                cache_key: format!("derived:{alias}:{sub}"),
+                cache_key: format!("derived:{sub}"),
                 input: Box::new(body.root),
                 schema,
             })
@@ -789,7 +1037,7 @@ fn plan_table_ref(
                 Some(on) => split_on(ctx, on, l.schema(), r.schema(), outer)?,
                 None => (Vec::new(), None),
             };
-            Ok(join(ctx, l, r, keys, residual))
+            Ok(join(ctx, JoinKind::Inner, l, r, keys, residual))
         }
     }
 }
@@ -797,18 +1045,23 @@ fn plan_table_ref(
 /// A join node; only a keyed one gets the session's window budget.
 fn join(
     ctx: &ExecCtx<'_>,
+    kind: JoinKind,
     left: PlanNode,
     right: PlanNode,
     keys: Vec<(Bound, Bound)>,
     residual: Option<Bound>,
 ) -> PlanNode {
     PlanNode::Join {
+        kind,
         window: if keys.is_empty() {
             None
         } else {
             ctx.window_bytes()
         },
-        schema: left.schema().join(right.schema()),
+        schema: match kind {
+            JoinKind::Inner => left.schema().join(right.schema()),
+            JoinKind::Semi | JoinKind::Anti => left.schema().clone(),
+        },
         left: Box::new(left),
         right: Box::new(right),
         keys,
@@ -889,15 +1142,7 @@ pub(crate) fn split_on(
     if keys.is_empty() {
         return Ok((keys, Some(on)));
     }
-    let residual = rest.into_iter().reduce(|a, b| Bound {
-        source: Expr::Binary {
-            left: Box::new(a.source),
-            op: BinaryOp::And,
-            right: Box::new(b.source),
-        },
-        expr: BoundExpr::And(Box::new(a.expr), Box::new(b.expr)),
-    });
-    Ok((keys, residual))
+    Ok((keys, conjoin(rest)))
 }
 
 /// Flatten a bound AND-chain into its conjuncts, left to right, each
@@ -980,7 +1225,7 @@ fn plan_named(
             .with_qualifier(&qual);
         return Ok(PlanNode::Materialize {
             label: format!("View expansion: {shown}"),
-            cache_key: format!("view:{name}:{qual}"),
+            cache_key: format!("view:{name}"),
             input: Box::new(plan.root),
             schema,
         });
@@ -1019,7 +1264,7 @@ fn plan_named(
         let schema = project.schema().without_qualifiers().with_qualifier(&qual);
         return Ok(PlanNode::Materialize {
             label: format!("Materialized preference view: {shown}"),
-            cache_key: format!("matview:{name}:{qual}"),
+            cache_key: format!("matview:{name}"),
             input: Box::new(project),
             schema,
         });

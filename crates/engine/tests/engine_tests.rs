@@ -669,12 +669,17 @@ fn star_plus_computed_columns() {
 fn stats_track_correlated_subquery_cost() {
     let mut e = setup_cars();
     e.take_stats();
-    rows(
-        &mut e,
-        "SELECT c1.identifier FROM cars c1 WHERE NOT EXISTS \
-         (SELECT 1 FROM cars c2 WHERE c2.price < c1.price)",
-    );
+    let not_exists = "SELECT c1.identifier FROM cars c1 WHERE NOT EXISTS \
+                      (SELECT 1 FROM cars c2 WHERE c2.price < c1.price)";
+    let anti = rows(&mut e, not_exists);
     let s = e.take_stats();
-    // One sub-query evaluation per outer row.
-    assert_eq!(s.subquery_evals, 3);
+    // A WHERE conjunct plans as an anti-join: no sub-query evaluation,
+    // the outer scan plus one build of the inner table.
+    assert_eq!(s.subquery_evals, 0);
+    assert_eq!(s.rows_scanned, 3 + 3);
+    // Behind `OR 1 = 0` it is no conjunct: one probe per outer row, the
+    // same rows.
+    let probed = rows(&mut e, &format!("{not_exists} OR 1 = 0"));
+    assert_eq!(e.take_stats().subquery_evals, 3);
+    assert_eq!(probed, anti);
 }

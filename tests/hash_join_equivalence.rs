@@ -27,6 +27,12 @@
 //!    toggle reach a join inside `INSERT ... SELECT` and `CREATE VIEW`.
 //! 7. The bound key split: keys and residual per ON shape, byte-diffed
 //!    against the keyless run, and identical binder errors either way.
+//! 8. Semi and anti joins: every correlated `[NOT] EXISTS` shape as a
+//!    WHERE conjunct (the join kind) against the same predicate behind
+//!    `OR 1 = 0` (the per-row probe) — NULL, NaN, `-0.0` and INT-vs-FLOAT
+//!    keys, residuals, two levels of nesting, a joined and an ordered
+//!    sub-query — keyed and keyless, in memory and through Grace; and
+//!    the shapes that must stay a per-row `Filter`.
 
 use prefsql::engine::bind::BoundExpr;
 use prefsql::engine::explain::render;
@@ -590,5 +596,204 @@ proptest! {
             let got = hash.query(&sql).expect("hash run").to_string();
             prop_assert_eq!(&got, &expected, "window={:?} sql={}", window, sql);
         }
+    }
+}
+
+// ------------------------------------------------- semi and anti joins
+
+/// A table on the session's backend (`PREFSQL_BACKEND` decides, so the
+/// paged CI leg runs these through slotted pages too).
+fn backend_table(conn: &PrefSqlConnection, name: &str, cols: &[(&str, DataType)]) -> Table {
+    let schema = Schema::new(cols.iter().map(|(c, t)| Column::new(*c, *t)).collect())
+        .expect("static schema");
+    conn.engine()
+        .core()
+        .make_table(name, schema)
+        .expect("table builds")
+}
+
+/// `o(id, k, i, v)` — the outer block — and `n(id, k, i, w)`, `m(x, y)`
+/// — the sub-queries' tables. `k` (FLOAT) draws from NULL, NaN, `-0.0`,
+/// `0.0`, `1.0`, `2.5` and a hot `3.0` (most of `n`, so the 4 KiB Grace
+/// run chunks one key's partners); `i` (INTEGER) from NULL, 0..=3, so
+/// `n.i = o.k` pairs INT 1 with FLOAT 1.0. `n` is wide enough that its
+/// narrowed build overflows a 4 KiB window.
+fn exists_conn(seed: u64) -> PrefSqlConnection {
+    let mut conn = PrefSqlConnection::new();
+    let float_key = |s: &mut u64| match lcg(s) % 10 {
+        0 => Value::Null,
+        1 => Value::Float(f64::NAN),
+        2 => Value::Float(-0.0),
+        3 => Value::Float(0.0),
+        4 => Value::Float(1.0),
+        5 => Value::Float(2.5),
+        _ => Value::Float(3.0),
+    };
+    let int_key = |s: &mut u64| match lcg(s) % 5 {
+        0 => Value::Null,
+        k => Value::Int(k as i64 - 1),
+    };
+    let mut s = seed;
+    let mut o = backend_table(
+        &conn,
+        "o",
+        &[
+            ("id", DataType::Int),
+            ("k", DataType::Float),
+            ("i", DataType::Int),
+            ("v", DataType::Int),
+        ],
+    );
+    for id in 0..120 {
+        let row = vec![
+            Value::Int(id),
+            float_key(&mut s),
+            int_key(&mut s),
+            Value::Int((lcg(&mut s) % 100) as i64),
+        ];
+        o.insert(Tuple::new(row)).expect("row fits");
+    }
+    let mut n = backend_table(
+        &conn,
+        "n",
+        &[
+            ("id", DataType::Int),
+            ("k", DataType::Float),
+            ("i", DataType::Int),
+            ("w", DataType::Int),
+        ],
+    );
+    for id in 0..400 {
+        let row = vec![
+            Value::Int(id),
+            float_key(&mut s),
+            int_key(&mut s),
+            Value::Int((lcg(&mut s) % 100) as i64),
+        ];
+        n.insert(Tuple::new(row)).expect("row fits");
+    }
+    let mut m = backend_table(&conn, "m", &[("x", DataType::Int), ("y", DataType::Int)]);
+    for _ in 0..60 {
+        let row = vec![
+            Value::Int((lcg(&mut s) % 100) as i64),
+            Value::Int((lcg(&mut s) % 100) as i64),
+        ];
+        m.insert(Tuple::new(row)).expect("row fits");
+    }
+    for t in [o, n, m] {
+        conn.engine_mut()
+            .catalog_mut()
+            .create_table(t)
+            .expect("fresh catalog");
+    }
+    conn
+}
+
+/// Correlated `EXISTS` bodies (`SELECT 1 …`), each planned as a semi or
+/// anti join when it is a WHERE conjunct.
+const EXISTS_BODIES: [&str; 10] = [
+    // NULL, NaN and -0.0 vs 0.0 keys.
+    "SELECT 1 FROM n WHERE n.k = o.k",
+    // INT 1 against FLOAT 1.0.
+    "SELECT 1 FROM n WHERE n.i = o.k",
+    // A key and a non-equi residual; an uncorrelated conjunct pushed
+    // into the build.
+    "SELECT 1 FROM n WHERE n.w > o.v AND n.k = o.k AND n.w < 90",
+    // Keyless: the residual alone (the rewrite's shape).
+    "SELECT 1 FROM n WHERE n.w > o.v AND n.i < o.i",
+    // A residual two levels out: the inner sub-query reads `o`.
+    "SELECT 1 FROM n WHERE n.k = o.k AND EXISTS (SELECT 1 FROM m WHERE m.x = n.w AND m.y > o.v)",
+    // The inner sub-query as the join: its residual reads `o`.
+    "SELECT 1 FROM n WHERE n.i = o.i OR n.w = o.v",
+    // A sub-query over a join.
+    "SELECT 1 FROM n JOIN m ON n.w = m.x WHERE n.i = o.i AND m.y > o.v",
+    // A sub-query with ORDER BY.
+    "SELECT 1 FROM n WHERE n.k = o.k ORDER BY n.w DESC",
+    // A correlated conjunct that reads only the outer row.
+    "SELECT 1 FROM n WHERE o.v > 50 AND n.i = o.i",
+    // NULL-safe keys stay residual.
+    "SELECT 1 FROM n WHERE (n.i = o.i OR (n.i IS NULL AND o.i IS NULL)) AND n.w > o.v",
+];
+
+/// `WHERE [NOT] EXISTS (body)` as a conjunct — the semi/anti join — and
+/// behind `OR 1 = 0` — the per-row probe — render byte-identically, with
+/// the hash-join toggle on and off, the window off and at 4 KiB (every
+/// keyed build takes Grace), and beside an ordinary conjunct.
+#[test]
+fn exists_conjuncts_as_semi_and_anti_joins_match_the_probe() {
+    for hash in [true, false] {
+        for window in [None, Some(4096)] {
+            let mut conn = exists_conn(77);
+            conn.engine_mut().set_use_hash_join(hash);
+            conn.set_window_bytes(window);
+            for body in EXISTS_BODIES {
+                for (not, kind) in [("", "Semi join"), ("NOT ", "Anti join")] {
+                    let exists = format!("{not}EXISTS ({body})");
+                    for sql in [
+                        format!("SELECT o.id, o.k, o.i FROM o WHERE {exists}"),
+                        format!("SELECT o.id FROM o WHERE o.v > 20 AND {exists} AND o.id < 100"),
+                    ] {
+                        let plan = explain(&mut conn, &format!("EXPLAIN {sql}"));
+                        assert!(plan.contains(kind), "{sql}\n{plan}");
+                        let probed = sql.replace(&exists, &format!("(({exists}) OR 1 = 0)"));
+                        let plan = explain(&mut conn, &format!("EXPLAIN {probed}"));
+                        assert!(!plan.contains(kind), "{probed}\n{plan}");
+                        assert_eq!(
+                            conn.query(&sql).expect("join run").to_string(),
+                            conn.query(&probed).expect("probe run").to_string(),
+                            "hash={hash} window={window:?}: {sql}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The keyed kinds really take Grace under a 4 KiB window — the hot key
+/// makes a partition pair chunk — and still match the unbounded run.
+#[test]
+fn keyed_semi_and_anti_joins_spill_through_grace() {
+    for not in ["", "NOT "] {
+        let sql = format!(
+            "SELECT o.id FROM o WHERE {not}EXISTS (SELECT 1 FROM n WHERE n.k = o.k AND n.w > o.v)"
+        );
+        let mut unbounded = exists_conn(5);
+        unbounded.set_window_bytes(None);
+        let expected = unbounded.query(&sql).expect("in memory");
+        assert!(expected.spill_metrics().is_none(), "{sql}");
+        let mut bounded = exists_conn(5);
+        bounded.set_window_bytes(Some(4096));
+        let got = bounded.query(&sql).expect("grace");
+        let m = got
+            .spill_metrics()
+            .expect("a 4 KiB window spills the build");
+        assert!(m.runs_written >= 2, "{m:?}");
+        assert_eq!(got.to_string(), expected.to_string(), "{sql}");
+    }
+}
+
+/// The `EXISTS` shapes that stay a per-row probe: a LIMIT, an aggregate
+/// or DISTINCT in the sub-query, an uncorrelated one, one under NOT or
+/// OR, one whose FROM reads the outer row.
+#[test]
+fn non_conjunct_and_non_streaming_exists_stay_a_filter() {
+    let mut conn = exists_conn(9);
+    for sql in [
+        "SELECT o.id FROM o WHERE EXISTS (SELECT 1 FROM n WHERE n.k = o.k LIMIT 1)",
+        "SELECT o.id FROM o WHERE EXISTS (SELECT COUNT(*) FROM n WHERE n.k = o.k)",
+        "SELECT o.id FROM o WHERE EXISTS (SELECT DISTINCT n.w FROM n WHERE n.k = o.k)",
+        "SELECT o.id FROM o WHERE EXISTS (SELECT 1 FROM n WHERE n.w > 90)",
+        "SELECT o.id FROM o WHERE NOT (o.v > 50 AND EXISTS (SELECT 1 FROM n WHERE n.k = o.k))",
+        "SELECT o.id FROM o WHERE o.v > 50 OR NOT EXISTS (SELECT 1 FROM n WHERE n.k = o.k)",
+        "SELECT o.id FROM o WHERE EXISTS (SELECT 1 FROM n JOIN m ON m.x = o.v WHERE n.i = o.i)",
+    ] {
+        let plan = explain(&mut conn, &format!("EXPLAIN {sql}"));
+        assert!(plan.contains("Filter: "), "{sql}\n{plan}");
+        assert!(
+            !plan.contains("Semi join") && !plan.contains("Anti join"),
+            "{sql}\n{plan}"
+        );
+        conn.query(sql).expect("probe runs");
     }
 }
