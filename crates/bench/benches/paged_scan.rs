@@ -12,11 +12,14 @@
 //!   so every scan runs at ~100% miss/eviction rate and each page comes
 //!   back off the file.
 //!
-//! Two write rows ride on the cold configuration, both single-row DML
-//! found by a full scan (no index on `id`):
+//! Three point-lookup rows ride on the cold configuration, each finding
+//! its row without an index on `id`. Ids were inserted ascending, so the
+//! page synopses let each scan skip every page but the one holding `k`:
 //!
+//! * `select-cold` — `SELECT v FROM r WHERE id = k`;
 //! * `update-cold` — `UPDATE r SET v = … WHERE id = k`: the target scan
-//!   decodes only the `id` column, then one slot is rewritten in place;
+//!   decodes only the `id` column of that page, then one slot is
+//!   rewritten in place;
 //! * `delete-cold` — `DELETE FROM r WHERE id = k`: the same scan, then
 //!   one slot tombstoned (the file is rewritten only once tombstones
 //!   outnumber live rows, which these few deletes never reach).
@@ -94,14 +97,20 @@ fn bench_paged_scan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("paged-cold", fmt(rows)), &(), |b, _| {
             b.iter(|| cold.query(QUERY).expect("scan").len())
         });
-        // Single-row DML on the same cold table. Ids step by a prime so
-        // successive statements land on scattered pages, and no id is
-        // deleted twice.
+        // Point lookups and single-row DML on the same cold table. Ids
+        // step by a prime so successive statements land on scattered
+        // pages, and no id is deleted twice.
         let mut k = 0;
         let mut next_id = || {
             k += 1;
             k * 7_919 % rows
         };
+        group.bench_with_input(BenchmarkId::new("select-cold", fmt(rows)), &(), |b, _| {
+            b.iter(|| {
+                let sql = format!("SELECT v FROM r WHERE id = {}", next_id());
+                assert_eq!(cold.query(&sql).expect("lookup").len(), 1, "{sql}");
+            })
+        });
         let mut affect_one = |sql: String| match cold.execute(&sql).expect("dml") {
             QueryResult::Count(1) => {}
             other => panic!("{sql} must affect one row: {other:?}"),

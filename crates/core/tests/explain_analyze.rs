@@ -475,3 +475,50 @@ fn perfect_matches_cost_no_dominance_test() {
     );
     rewrite_agrees(&mut s, grouped);
 }
+
+/// A paged sequential scan names the conjuncts its page synopses are
+/// checked against, and its actuals count the pages it read and skipped.
+/// Ids arrive ascending, so `id = 500` reads the one page holding 500 —
+/// and the filter above still sees every row of that page.
+#[test]
+fn paged_point_lookup_reads_one_page_and_says_so() {
+    let core = EngineCore::shared();
+    core.set_backend(BackendKind::Paged).unwrap();
+    let mut s = Session::with_core(core);
+    run(
+        &mut s,
+        "CREATE TABLE cars (id INTEGER NOT NULL, price INTEGER, make VARCHAR)",
+    );
+    let rows: Vec<String> = (0..1000)
+        .map(|i| format!("({i}, {}, 'make-{}')", 20000 + i * 7 % 500, i % 13))
+        .collect();
+    run(
+        &mut s,
+        &format!("INSERT INTO cars VALUES {}", rows.join(", ")),
+    );
+    let sql = "SELECT price FROM cars WHERE id = 500";
+    let report = analyze(&mut s, sql);
+    let scan = node_line(&report, "Seq scan:");
+    assert!(
+        scan.trim_start()
+            .starts_with("Seq scan: cars (1000 rows) [backend=paged] [prune: id = 500] ("),
+        "{report}"
+    );
+    assert_eq!(counter(scan, "pages_read"), 1, "{report}");
+    assert_eq!(counter(scan, "pages_skipped"), 9, "{report}");
+    // ~37 encoded bytes a row: 109 rows share the page 500 is on.
+    assert_eq!(counter(scan, "actual rows"), 109, "{report}");
+    assert_eq!(
+        counter(node_line(&report, "Filter:"), "actual rows"),
+        1,
+        "{report}"
+    );
+    assert_eq!(s.query(sql).unwrap().column_as_ints(0), vec![20000]);
+    // Without a sarg there is nothing to prune by: every page is read.
+    let report = analyze(&mut s, "SELECT price FROM cars WHERE id + 0 = 500");
+    let scan = node_line(&report, "Seq scan:");
+    assert!(!scan.contains("[prune"), "{report}");
+    assert!(!scan.contains("pages_skipped="), "{report}");
+    assert_eq!(counter(scan, "pages_read"), 10, "{report}");
+    assert_eq!(counter(scan, "actual rows"), 1000, "{report}");
+}

@@ -11,28 +11,9 @@
 
 use prefsql_parser::ast::{BinaryOp, Expr};
 use prefsql_storage::Table;
-use prefsql_types::Value;
+use prefsql_types::{Schema, Value};
 
-/// A sargable conjunct found in a WHERE clause.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Sarg {
-    /// `col = literal`
-    Eq {
-        /// Column position in the table schema.
-        col: usize,
-        /// The literal.
-        value: Value,
-    },
-    /// `col >= low AND col <= high` (either bound may be open).
-    Range {
-        /// Column position in the table schema.
-        col: usize,
-        /// Inclusive lower bound.
-        low: Option<Value>,
-        /// Inclusive upper bound.
-        high: Option<Value>,
-    },
-}
+pub use prefsql_storage::Sarg;
 
 /// Split a predicate into its top-level AND conjuncts.
 pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
@@ -50,33 +31,46 @@ pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Try to interpret one conjunct as a sargable predicate over `table`'s
-/// schema. Only unqualified or correctly-qualified plain column references
-/// compared against literals qualify.
-fn sarg_of(conjunct: &Expr, table: &Table) -> Option<Sarg> {
+/// The sargable conjuncts of `predicate` for a scan of one table whose
+/// columns `schema` exposes (the table's schema under the scan's
+/// qualifier), literals [normalised](Sarg::literal) to their column's
+/// type. Index choice ([`choose_access_path`]) and paged-scan pruning
+/// both read this one list.
+pub fn sargs(schema: &Schema, predicate: Option<&Expr>) -> Vec<Sarg> {
+    predicate.map_or_else(Vec::new, |pred| {
+        conjuncts(pred)
+            .into_iter()
+            .filter_map(|c| sarg_of(c, schema))
+            .collect()
+    })
+}
+
+/// Try to interpret one conjunct as a sargable predicate over `schema`.
+/// Only column references that resolve in it, compared against non-NULL
+/// literals, qualify.
+fn sarg_of(conjunct: &Expr, schema: &Schema) -> Option<Sarg> {
     let resolve = |e: &Expr| -> Option<usize> {
         match e {
-            Expr::Column { qualifier, name } => {
-                table.schema().resolve(qualifier.as_deref(), name).ok()
-            }
+            Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
             _ => None,
         }
     };
-    let literal = |e: &Expr| -> Option<Value> {
+    let literal = |col: usize, e: &Expr| -> Option<Value> {
         match e {
-            Expr::Literal(v) if !v.is_null() => Some(v.clone()),
+            Expr::Literal(v) if !v.is_null() => {
+                Some(Sarg::literal(v, schema.column(col).data_type))
+            }
             _ => None,
         }
     };
     match conjunct {
         Expr::Binary { left, op, right } => {
             // Normalize to column-op-literal.
-            let (col, op, val) = if let (Some(c), Some(v)) = (resolve(left), literal(right)) {
-                (c, *op, v)
-            } else if let (Some(c), Some(v)) = (resolve(right), literal(left)) {
-                (c, flip(*op)?, v)
+            let (col, op, val) = if let Some(c) = resolve(left) {
+                (c, *op, literal(c, right)?)
             } else {
-                return None;
+                let c = resolve(right)?;
+                (c, flip(*op)?, literal(c, left)?)
             };
             match op {
                 BinaryOp::Eq => Some(Sarg::Eq { col, value: val }),
@@ -102,8 +96,8 @@ fn sarg_of(conjunct: &Expr, table: &Table) -> Option<Sarg> {
             let col = resolve(expr)?;
             Some(Sarg::Range {
                 col,
-                low: Some(literal(low)?),
-                high: Some(literal(high)?),
+                low: Some(literal(col, low)?),
+                high: Some(literal(col, high)?),
             })
         }
         _ => None,
@@ -136,20 +130,13 @@ pub enum AccessPath {
     },
 }
 
-/// Choose an access path for `table` under `predicate`. Strict `>`/`<`
-/// bounds are widened to inclusive index ranges; the residual predicate
-/// re-check (always applied by the caller) restores exactness. `None`
-/// predicate means a full scan.
-pub fn choose_access_path(table: &Table, predicate: Option<&Expr>) -> AccessPath {
-    let Some(pred) = predicate else {
-        return AccessPath::SeqScan;
-    };
-    let sargs: Vec<Sarg> = conjuncts(pred)
-        .iter()
-        .filter_map(|c| sarg_of(c, table))
-        .collect();
+/// Choose an access path for `table` given the [`sargs`] of its scan's
+/// WHERE. Strict `>`/`<` bounds are widened to inclusive index ranges;
+/// the residual predicate re-check (always applied by the caller)
+/// restores exactness. No sargs means a full scan.
+pub fn choose_access_path(table: &Table, sargs: &[Sarg]) -> AccessPath {
     // Prefer equality probes (hash, then B-tree), then ranges.
-    for s in &sargs {
+    for s in sargs {
         if let Sarg::Eq { col, value } = s {
             if let Some(idx) = table.find_hash_index(&[*col]) {
                 return AccessPath::Index {
@@ -172,11 +159,11 @@ pub fn choose_access_path(table: &Table, predicate: Option<&Expr>) -> AccessPath
         }
     }
     // Merge range sargs per column so `x >= a AND x <= b` uses one probe.
-    for s in &sargs {
+    for s in sargs {
         if let Sarg::Range { col, low, high } = s {
             if let Some(idx) = table.find_btree_index(*col) {
                 let (mut lo, mut hi) = (low.clone(), high.clone());
-                for other in &sargs {
+                for other in sargs {
                     if let Sarg::Range {
                         col: c2,
                         low: l2,
@@ -213,7 +200,7 @@ mod tests {
     use super::*;
     use prefsql_parser::parse_expression;
     use prefsql_storage::IndexKind;
-    use prefsql_types::{tuple, Column, DataType, Schema};
+    use prefsql_types::{tuple, Column, DataType, Date};
 
     fn table_with_indexes() -> Table {
         let schema = Schema::new(vec![
@@ -238,7 +225,7 @@ mod tests {
 
     fn path(t: &Table, pred: &str) -> AccessPath {
         let e = parse_expression(pred).unwrap();
-        choose_access_path(t, Some(&e))
+        choose_access_path(t, &sargs(t.schema(), Some(&e)))
     }
 
     #[test]
@@ -298,7 +285,33 @@ mod tests {
         assert_eq!(path(&t, "make = 'a' OR make = 'b'"), AccessPath::SeqScan);
         assert_eq!(path(&t, "make = price"), AccessPath::SeqScan); // not a literal
         assert_eq!(path(&t, "LENGTH(make) = 3"), AccessPath::SeqScan);
-        assert_eq!(choose_access_path(&t, None), AccessPath::SeqScan);
+        assert_eq!(choose_access_path(&t, &[]), AccessPath::SeqScan);
+    }
+
+    #[test]
+    fn literals_are_normalised_to_the_column_and_qualifiers_resolve() {
+        let schema = Schema::new(vec![
+            Column::new("x", DataType::Float),
+            Column::new("d", DataType::Date),
+        ])
+        .unwrap()
+        .with_qualifier("t");
+        let of = |pred: &str| sargs(&schema, Some(&parse_expression(pred).unwrap()));
+        let zero = Sarg::Eq {
+            col: 0,
+            value: Value::Float(0.0),
+        };
+        assert_eq!(of("x = 0"), vec![zero.clone()]);
+        assert_eq!(of("t.x = -0.0 AND u.x = 1"), vec![zero]);
+        assert_eq!(
+            of("'2001-02-03' < d"),
+            vec![Sarg::Range {
+                col: 1,
+                low: Some(Value::Date(Date::parse("2001-02-03").unwrap())),
+                high: None,
+            }]
+        );
+        assert_eq!(of("x = NULL OR x = 1"), vec![]);
     }
 
     #[test]

@@ -24,14 +24,14 @@
 //! expressions once per statement the same way and evaluates them per
 //! row by ordinal.
 
-use crate::access::{choose_access_path, AccessPath};
+use crate::access::{self, choose_access_path, AccessPath};
 use crate::bind::{bind, BoundExpr};
 use crate::eval::{eval, holds, Env};
 use crate::plan::{plan_query, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
-use prefsql_storage::{BufferPool, Catalog, HeapFile, IndexKind, PoolStats, Table};
+use prefsql_storage::{BufferPool, Catalog, HeapFile, IndexKind, PageFilter, PoolStats, Table};
 use prefsql_types::knobs::{ceiling_from_value, parse_size, DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
 use prefsql_types::{Column, Error, Result, Schema, Tuple, Value};
 use std::any::Any;
@@ -344,8 +344,10 @@ impl EngineCore {
         Ok(dir)
     }
 
-    /// Enable or disable index access paths (ablation A2). Global: the
-    /// toggle is part of the core, not of any one session.
+    /// Enable or disable the access paths a WHERE's sargs open: index
+    /// probes and paged scans' page skipping (ablation A2; off, every
+    /// scan reads every row). Global: the toggle is part of the core, not
+    /// of any one session.
     pub fn set_use_indexes(&self, on: bool) {
         self.use_indexes.store(on, Ordering::Relaxed);
     }
@@ -1181,10 +1183,11 @@ impl Engine {
     }
 
     /// Row ids of `table` satisfying `predicate` (all rows when `None`),
-    /// ascending. The target rows are found as a SELECT finds them: an
-    /// index the WHERE can use yields candidates, which the bound
-    /// predicate re-checks; otherwise a scan decodes only the columns the
-    /// predicate reads.
+    /// ascending. The target rows are found as a SELECT finds them: the
+    /// WHERE's sargs pick an index, whose candidates the bound predicate
+    /// re-checks; otherwise a scan skips the pages the sargs rule out and
+    /// decodes only the columns the predicate reads. Either way the rows
+    /// decoded are charged to `rows_scanned`.
     fn matching_row_ids(
         &self,
         cat: &Catalog,
@@ -1198,17 +1201,19 @@ impl Engine {
         let schema = t.schema().without_qualifiers().with_qualifier(t.name());
         self.with_ctx_over(cat, |ctx| {
             let pred = bind(ctx, predicate, &[&schema])?;
-            let mut ids = Vec::new();
-            let path = if ctx.use_indexes() {
-                choose_access_path(t, Some(predicate))
+            let sargs = if ctx.use_indexes() {
+                access::sargs(&schema, Some(predicate))
             } else {
-                AccessPath::SeqScan
+                Vec::new()
             };
-            match path {
+            let mut ids = Vec::new();
+            let mut scanned = 0;
+            match choose_access_path(t, &sargs) {
                 AccessPath::Index { mut row_ids, .. } => {
                     ctx.stats.borrow_mut().index_probes += 1;
                     row_ids.sort_unstable();
                     row_ids.dedup();
+                    scanned = row_ids.len() as u64;
                     for rid in row_ids {
                         if holds(&pred, Env::new(&t.fetch_row(rid)?, &[]), ctx)? {
                             ids.push(rid);
@@ -1216,18 +1221,18 @@ impl Engine {
                     }
                 }
                 AccessPath::SeqScan => {
-                    let keep = |rid, row: &Tuple| {
+                    let mask = columns_read(&pred, schema.len());
+                    let mut filter = PageFilter::new(&sargs);
+                    t.for_each_row_where(mask.as_deref(), &mut filter, |rid, row| {
+                        scanned += 1;
                         if holds(&pred, Env::new(row, &[]), ctx)? {
                             ids.push(rid);
                         }
                         Ok(())
-                    };
-                    match columns_read(&pred, schema.len()) {
-                        Some(mask) => t.for_each_row_masked(&mask, keep)?,
-                        None => t.for_each_row(keep)?,
-                    }
+                    })?;
                 }
             }
+            ctx.stats.borrow_mut().rows_scanned += scanned;
             Ok(ids)
         })
     }

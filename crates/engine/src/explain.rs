@@ -15,13 +15,14 @@
 //! `render_analyzed` print it — `comparisons=` on the `Preference` line
 //! comes from the operator's [`crate::physical::Operator::counters`].
 
+use crate::access::Sarg;
 use crate::exec::ExecCtx;
 use crate::metrics::Profiler;
 use crate::plan::{JoinKind, PlanNode, Projection};
 use prefsql_parser::ast::Statement;
 use prefsql_pref::SkylineAlgo;
 use prefsql_types::knobs::fmt_bytes;
-use prefsql_types::Result;
+use prefsql_types::{Result, Value};
 use std::fmt::Write as _;
 
 /// Render an execution plan for `stmt` inside one statement context.
@@ -112,13 +113,22 @@ fn node_line(node: &PlanNode, out: &mut String) {
             qualifier,
             rows,
             backend,
-            ..
+            sargs,
+            schema,
         } => {
             let _ = write!(out, "Seq scan: {}({rows} rows)", shown(table, qualifier));
             // The default in-memory backend stays unmarked so existing
-            // EXPLAIN output is byte-identical; paged scans are tagged.
+            // EXPLAIN output is byte-identical; paged scans are tagged,
+            // with the conjuncts their page synopses are checked against.
             if *backend != "mem" {
                 let _ = write!(out, " [backend={backend}]");
+                if !sargs.is_empty() {
+                    let shown: Vec<String> = sargs
+                        .iter()
+                        .map(|s| sarg_text(&schema.column(s.col()).name, s))
+                        .collect();
+                    let _ = write!(out, " [prune: {}]", shown.join(" AND "));
+                }
             }
         }
         PlanNode::MatViewScan {
@@ -261,6 +271,21 @@ fn node_line(node: &PlanNode, out: &mut String) {
             steps.push(')');
             let _ = write!(out, "{steps}");
         }
+    }
+}
+
+/// One sargable conjunct as SQL over column `col`.
+fn sarg_text(col: &str, sarg: &Sarg) -> String {
+    let lit = |v: &Value| match v {
+        Value::Str(_) | Value::Date(_) => format!("'{}'", v.to_string().replace('\'', "''")),
+        _ => v.to_string(),
+    };
+    match sarg.bounds() {
+        (Some(value), _) if matches!(sarg, Sarg::Eq { .. }) => format!("{col} = {}", lit(value)),
+        (Some(low), Some(high)) => format!("{col} BETWEEN {} AND {}", lit(low), lit(high)),
+        (Some(low), None) => format!("{col} >= {}", lit(low)),
+        (None, Some(high)) => format!("{col} <= {}", lit(high)),
+        (None, None) => format!("{col} IS NOT NULL"),
     }
 }
 

@@ -29,6 +29,7 @@ use crate::eval::{eval, holds, truth, Env};
 use crate::exec::{ExecCtx, Relation};
 use crate::join::JoinOp;
 use crate::plan::{AggKey, AggSpec, PlanNode, Projection, SortKey};
+use prefsql_storage::PageFilter;
 use prefsql_types::{Error, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -231,12 +232,13 @@ fn build_plain<'a>(
             row: [Tuple::new(vec![])],
             pos: 0,
         }),
-        PlanNode::SeqScan { table, .. } => Box::new(SeqScanOp {
+        PlanNode::SeqScan { table, sargs, .. } => Box::new(SeqScanOp {
             ctx,
             table,
             rows: &[],
             pos: 0,
             paged: None,
+            filter: PageFilter::new(sargs),
             buf: Vec::new(),
             buf_pos: 0,
             scan_pos: 0,
@@ -457,7 +459,8 @@ impl Operator for NothingOp {
 /// after a handful of rows no matter how large the table is. The paged
 /// backend decodes the requested number of rows through the buffer pool
 /// into one owned buffer, lends that, and refills it once it is spent,
-/// so consumers see the same borrowed batches either way.
+/// so consumers see the same borrowed batches either way; a refill steps
+/// over the pages the plan's sargs rule out.
 struct SeqScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     table: &'a str,
@@ -466,6 +469,9 @@ struct SeqScanOp<'a> {
     pos: usize,
     /// Paged backend: the table handle to decode from (`None` = mem).
     paged: Option<&'a prefsql_storage::Table>,
+    /// Paged backend: the page filter refills run through, and its
+    /// page counts (EXPLAIN ANALYZE's `pages_read=` / `pages_skipped=`).
+    filter: PageFilter<'a>,
     /// Paged backend: the decode buffer batches are lent from.
     buf: Vec<Tuple>,
     buf_pos: usize,
@@ -500,7 +506,12 @@ impl Operator for SeqScanOp<'_> {
                 if self.buf_pos >= self.buf.len() {
                     self.buf.clear();
                     self.buf_pos = 0;
-                    table.scan_batch(&mut self.scan_pos, &mut self.buf, max)?;
+                    table.scan_batch_where(
+                        &mut self.scan_pos,
+                        &mut self.buf,
+                        max,
+                        &mut self.filter,
+                    )?;
                 }
                 Batch::lend(&self.buf, &mut self.buf_pos, max)
             }
@@ -519,6 +530,13 @@ impl Operator for SeqScanOp<'_> {
         self.rows = &[];
         self.paged = None;
         self.buf = Vec::new();
+    }
+
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("pages_read", self.filter.pages_read),
+            ("pages_skipped", self.filter.pages_skipped),
+        ]
     }
 }
 

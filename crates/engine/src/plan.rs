@@ -16,7 +16,7 @@
 //! preference view defines it, and hands the result to the very
 //! `plan_block` that layers Sort/Project/Distinct/Limit on plain SQL.
 
-use crate::access::{choose_access_path, conjuncts, AccessPath};
+use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
 use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggExpr, Bound, BoundExpr};
 use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
@@ -70,7 +70,8 @@ pub enum PlanNode {
         schema: Schema,
     },
     /// Full scan of a base table: streams straight off the stored rows,
-    /// no copy.
+    /// no copy. A paged table skips the pages whose synopses rule out
+    /// `sargs`; the parent [`PlanNode::Filter`] still checks every row.
     SeqScan {
         /// Table name in the catalog.
         table: String,
@@ -81,6 +82,10 @@ pub enum PlanNode {
         /// Storage backend serving the scan (`"mem"` or `"paged"`; EXPLAIN
         /// tags non-default backends).
         backend: &'static str,
+        /// The sargable conjuncts of the block's WHERE over this table
+        /// (empty unless it is the block's only FROM item and sargs are
+        /// on, [`crate::EngineCore::set_use_indexes`]).
+        sargs: Vec<Sarg>,
         /// Output schema (table schema re-qualified).
         schema: Schema,
     },
@@ -1271,17 +1276,18 @@ fn plan_named(
     }
     let table = ctx.catalog().table(name)?;
     let schema = table.schema().without_qualifiers().with_qualifier(&qual);
-    let path = if ctx.use_indexes() && allow_index {
-        choose_access_path(table, query.where_clause.as_ref())
+    let sargs = if ctx.use_indexes() && allow_index {
+        access::sargs(&schema, query.where_clause.as_ref())
     } else {
-        AccessPath::SeqScan
+        Vec::new()
     };
-    Ok(match path {
+    Ok(match choose_access_path(table, &sargs) {
         AccessPath::SeqScan => PlanNode::SeqScan {
             table: name.to_string(),
             qualifier: qual,
             rows: table.stat_row_count(),
             backend: table.backend_label(),
+            sargs,
             schema,
         },
         // The probe counter is bumped at operator open, not here: EXPLAIN

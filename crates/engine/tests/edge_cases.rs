@@ -428,3 +428,83 @@ fn native_but_only_mixes_quality_functions_and_columns() {
     // leaves id 2 alone, 5 away.
     assert_eq!(got, vec![vec![Value::Int(2), Value::Int(5)]]);
 }
+
+/// SQL calls `-0.0` and `0.0` one value, and compares an INT literal with
+/// a FLOAT column numerically: an index probe and a paged scan's page
+/// skipping must find exactly what a sequential scan finds. Both used to
+/// miss rows — a B-tree index on `x` answered `x = 0.0` with the `0.0`
+/// row alone, a hash index answered `x = 0` with nothing.
+#[test]
+fn index_probes_and_page_skipping_follow_sql_equality_on_zeros_and_int_literals() {
+    use prefsql_engine::{BackendKind, EngineCore};
+    use prefsql_types::knobs::{DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
+    use std::sync::Arc;
+
+    let setup = |kind: BackendKind, index: &str| {
+        let pool = match kind {
+            BackendKind::Paged => MIN_POOL_BYTES,
+            BackendKind::Mem => DEFAULT_POOL_BYTES,
+        };
+        let mut e = Engine::with_core(Arc::new(EngineCore::with_storage(kind, pool)));
+        e.execute_sql("CREATE TABLE t (x FLOAT, y INTEGER)")
+            .unwrap();
+        // The zeros sit between runs of filler, so on the paged backend
+        // they share a page with few others and most pages can be skipped.
+        let filler = |from: i64| -> String {
+            (from..from + 400)
+                .map(|i| format!("({}.5, {i})", 10 + i))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        e.execute_sql(&format!("INSERT INTO t VALUES {}", filler(100)))
+            .unwrap();
+        e.execute_sql("INSERT INTO t VALUES (-0.0, 1), (0.0, 2)")
+            .unwrap();
+        e.execute_sql(&format!("INSERT INTO t VALUES {}", filler(1000)))
+            .unwrap();
+        if !index.is_empty() {
+            e.execute_sql(&format!("CREATE INDEX ix ON t (x){index}"))
+                .unwrap();
+        }
+        e
+    };
+    let probes = [
+        "x = 0.0",
+        "x = 0",
+        "x = -0.0",
+        "0 = x",
+        "x <= 0",
+        "x >= -0.0 AND x < 1",
+        "x BETWEEN 0 AND 0",
+        "x > -1 AND x <= -0.0",
+    ];
+    for (kind, index) in [
+        (BackendKind::Mem, ""),
+        (BackendKind::Mem, " USING hash"),
+        (BackendKind::Mem, " USING btree"),
+        (BackendKind::Paged, ""),
+        (BackendKind::Paged, " USING hash"),
+        (BackendKind::Paged, " USING btree"),
+    ] {
+        let mut e = setup(kind, index);
+        for probe in probes {
+            let how = format!("{kind:?}{index}: {probe}");
+            let got = rows(&mut e, &format!("SELECT y FROM t WHERE {probe} ORDER BY y"));
+            assert_eq!(got, vec![vec![Value::Int(1)], vec![Value::Int(2)]], "{how}");
+            let updated = e
+                .execute_sql(&format!("UPDATE t SET y = y WHERE {probe}"))
+                .unwrap();
+            assert!(matches!(updated, ExecOutcome::Count(2)), "{how}");
+        }
+        if kind == BackendKind::Paged && index.is_empty() {
+            let ExecOutcome::Explain(report) = e
+                .execute_sql("EXPLAIN ANALYZE SELECT y FROM t WHERE x = 0")
+                .unwrap()
+            else {
+                panic!("EXPLAIN ANALYZE returns a report");
+            };
+            assert!(report.contains("[prune: x = 0.0]"), "{report}");
+            assert!(report.contains("pages_skipped="), "{report}");
+        }
+    }
+}

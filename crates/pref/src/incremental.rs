@@ -41,7 +41,6 @@ use crate::algo::{maximal_scored, SkylineAlgo};
 use crate::compose::Preference;
 use crate::score::{ScoreMatrix, Verdict};
 use prefsql_storage::MatViewEntry;
-use std::collections::HashSet;
 
 /// Recompute winner flags and domination counts from scratch: the maximal
 /// set over qualifying entries, then one count pass. O(n·|winners|) after
@@ -89,22 +88,25 @@ pub fn apply_insert(entries: &mut Vec<MatViewEntry>, entry: MatViewEntry, pref: 
 /// [`Table::delete_rows`](prefsql_storage::Table::delete_rows) compacts
 /// row ids: surviving entries keep their relative order.
 pub fn apply_delete(entries: &mut Vec<MatViewEntry>, doomed: &[usize], pref: &Preference) {
-    let doomed: HashSet<usize> = doomed
+    let mut doomed: Vec<usize> = doomed
         .iter()
         .copied()
         .filter(|&i| i < entries.len())
         .collect();
+    doomed.sort_unstable();
+    doomed.dedup();
     if doomed.is_empty() {
         return;
     }
     retract(entries, &doomed, pref);
-    let mut keep = Vec::with_capacity(entries.len() - doomed.len());
-    for (i, e) in entries.drain(..).enumerate() {
-        if !doomed.contains(&i) {
-            keep.push(e);
-        }
-    }
-    *entries = keep;
+    // One merge pass against the sorted ids, not a lookup per entry.
+    let mut next = doomed.iter().peekable();
+    let mut pos = 0;
+    entries.retain(|_| {
+        let gone = next.next_if_eq(&&pos).is_some();
+        pos += 1;
+        !gone
+    });
 }
 
 /// Replace the entry at `pos` with `entry` in place (an UPDATE of the
@@ -116,9 +118,7 @@ pub fn apply_replace(
     entry: MatViewEntry,
     pref: &Preference,
 ) {
-    let mut single = HashSet::new();
-    single.insert(pos);
-    retract(entries, &single, pref);
+    retract(entries, &[pos], pref);
     entries[pos] = entry;
     integrate(entries, pos, pref);
 }
@@ -170,10 +170,12 @@ fn integrate(entries: &mut [MatViewEntry], pos: usize, pref: &Preference) {
     }
 }
 
-/// Delete phase: neutralize the `doomed` entries (they stop competing)
-/// and repair the survivors' counts, promoting where counts reach zero.
-/// Does not remove the doomed entries — callers compact or replace.
-fn retract(entries: &mut [MatViewEntry], doomed: &HashSet<usize>, pref: &Preference) {
+/// Delete phase: neutralize the `doomed` entries (ascending, distinct;
+/// they stop competing) and repair the survivors' counts, promoting
+/// where counts reach zero. Does not remove the doomed entries — callers
+/// compact or replace.
+fn retract(entries: &mut [MatViewEntry], doomed: &[usize], pref: &Preference) {
+    let is_doomed = |e: &usize| doomed.binary_search(e).is_ok();
     // Only doomed *winners* affect anyone else's bookkeeping.
     let dead_winners: Vec<usize> = doomed
         .iter()
@@ -190,7 +192,7 @@ fn retract(entries: &mut [MatViewEntry], doomed: &HashSet<usize>, pref: &Prefere
     }
     // Survivors stop counting the dead winners.
     for e in 0..entries.len() {
-        if doomed.contains(&e) || !entries[e].qualifies || entries[e].winner {
+        if is_doomed(&e) || !entries[e].qualifies || entries[e].winner {
             continue;
         }
         let lost = dead_winners
@@ -203,7 +205,7 @@ fn retract(entries: &mut [MatViewEntry], doomed: &HashSet<usize>, pref: &Prefere
     // dominate each other, so promote only the maximal set among them.
     let zero: Vec<usize> = (0..entries.len())
         .filter(|&e| {
-            !doomed.contains(&e)
+            !is_doomed(&e)
                 && entries[e].qualifies
                 && !entries[e].winner
                 && entries[e].dominators == 0
@@ -222,7 +224,7 @@ fn retract(entries: &mut [MatViewEntry], doomed: &HashSet<usize>, pref: &Prefere
     }
     // Remaining non-winners now count the newly promoted winners.
     for e in 0..entries.len() {
-        if doomed.contains(&e) || !entries[e].qualifies || entries[e].winner {
+        if is_doomed(&e) || !entries[e].qualifies || entries[e].winner {
             continue;
         }
         let gained = promoted

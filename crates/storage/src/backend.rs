@@ -23,15 +23,35 @@
 //! once tombstones outnumber live rows, one file rewrite packs the
 //! survivors, so a deleted row costs amortised O(1) page work. Clones
 //! of a paged backend share the heap file and pool (`Arc`) but snapshot
-//! the row directory — the catalog's `Clone` is only used for
-//! whole-catalog copies in tests, never for live aliasing.
+//! the row directory and the page synopses — the catalog's `Clone` is
+//! only used for whole-catalog copies in tests, never for live aliasing.
+//!
+//! **Page synopses.** The paged store keeps, for every slotted page and
+//! every column, the least and greatest value any row placed on the page
+//! has held (a zone map, [`crate::synopsis`]): NULL and NaN left out,
+//! `-0.0` recorded as `0.0`, `None` when the page never held a comparable
+//! value in that column. Insert, in-place replace and the compaction
+//! rewrite widen it; nothing else changes it, so deletes and key-changing
+//! updates leave it loose but never wrong, and a rewrite — which places
+//! every survivor afresh — is the only narrowing. Jumbo chains have
+//! none and are always read. Synopses live in memory only: `open`
+//! rebuilds them in the pass it makes over every page anyway. Both scan
+//! entry points take a [`PageFilter`]; a slotted page whose synopsis
+//! shows that no row on it can make every sargable conjunct TRUE is
+//! stepped over — neither pinned nor validated, like a page an index
+//! probe does not touch. The soundness argument is on
+//! [`crate::synopsis`]; rows that are read are still checked against
+//! the full predicate by the caller, so skipping only removes rows that
+//! would fail it. Because rids are assigned in insertion order, keys
+//! that arrive ascending cluster per page, and a point lookup by such a
+//! key reads one page. The in-memory backend has no synopses.
 
 use crate::codec;
 use crate::heap::HeapFile;
 use crate::page::{self, JUMBO_PAYLOAD, MAX_INLINE_TUPLE, PAGE_SIZE};
 use crate::pool::BufferPool;
+use crate::synopsis::{PageFilter, Synopsis};
 use prefsql_types::{Error, Result, Tuple};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -46,27 +66,38 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
     /// Fetch one row by rid.
     fn fetch(&self, rid: usize) -> Result<Tuple>;
 
-    /// Append up to `max` rows starting at rid `*pos` onto `out`,
-    /// advancing `*pos`. Returns `false` once the scan is exhausted.
-    fn scan(&self, pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> Result<bool>;
+    /// Append up to `max` rows from rid `*pos` on onto `out`, advancing
+    /// `*pos` past them. The rows of pages `filter` rules out are
+    /// stepped over, not appended. Returns `false` once the scan is
+    /// exhausted (nothing was appended).
+    fn scan(
+        &self,
+        pos: &mut usize,
+        out: &mut Vec<Tuple>,
+        max: usize,
+        filter: &mut PageFilter<'_>,
+    ) -> Result<bool>;
 
-    /// Run `f` over every row from rid `from` on, in rid order. The row
-    /// is lent, and may be one buffer reused between calls. Columns
-    /// whose `mask` entry is `false` need not be decoded (the paged store
-    /// reads them as `NULL`); the caller must not read them.
+    /// Run `f` over every row from rid `from` on, in rid order, except
+    /// those on pages `filter` rules out. The row is lent, and may be
+    /// one buffer reused between calls. Columns whose `mask` entry is
+    /// `false` need not be decoded (the paged store reads them as
+    /// `NULL`); the caller must not read them.
     fn for_each_from(
         &self,
         from: usize,
         mask: Option<&[bool]>,
+        filter: &mut PageFilter<'_>,
         f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
     ) -> Result<()>;
 
     /// Append a row; returns its rid (always the previous row count).
     fn insert(&mut self, row: Tuple) -> Result<usize>;
 
-    /// Remove the rows in `doomed`, compacting rids; returns how many
-    /// were removed (ids past the end remove nothing).
-    fn delete(&mut self, doomed: &HashSet<usize>) -> Result<usize>;
+    /// Remove the rows at `doomed` — ascending, without duplicates —
+    /// compacting rids; returns how many were removed (ids past the end
+    /// remove nothing).
+    fn delete(&mut self, doomed: &[usize]) -> Result<usize>;
 
     /// Replace the row at `rid` in place (same rid afterwards).
     fn replace(&mut self, rid: usize, row: Tuple) -> Result<()>;
@@ -99,6 +130,19 @@ impl Clone for Box<dyn StorageBackend> {
     }
 }
 
+/// Drop the entries of `items` at the positions `doomed` lists
+/// (ascending, without duplicates; positions past the end are ignored)
+/// in one merge pass, keeping the survivors' order.
+fn remove_sorted<T>(items: &mut Vec<T>, doomed: &[usize]) {
+    let mut next = doomed.iter().peekable();
+    let mut pos = 0;
+    items.retain(|_| {
+        let gone = next.next_if_eq(&&pos).is_some();
+        pos += 1;
+        !gone
+    });
+}
+
 /// The in-memory row store: a plain `Vec<Tuple>`.
 #[derive(Debug, Clone, Default)]
 pub struct MemBackend {
@@ -121,7 +165,13 @@ impl StorageBackend for MemBackend {
             .ok_or_else(|| Error::Io(format!("row {rid} out of bounds")))
     }
 
-    fn scan(&self, pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
+    fn scan(
+        &self,
+        pos: &mut usize,
+        out: &mut Vec<Tuple>,
+        max: usize,
+        _filter: &mut PageFilter<'_>,
+    ) -> Result<bool> {
         if *pos >= self.rows.len() {
             return Ok(false);
         }
@@ -135,6 +185,7 @@ impl StorageBackend for MemBackend {
         &self,
         from: usize,
         _mask: Option<&[bool]>,
+        _filter: &mut PageFilter<'_>,
         f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
     ) -> Result<()> {
         for (rid, row) in self.rows.iter().enumerate().skip(from) {
@@ -148,14 +199,9 @@ impl StorageBackend for MemBackend {
         Ok(self.rows.len() - 1)
     }
 
-    fn delete(&mut self, doomed: &HashSet<usize>) -> Result<usize> {
+    fn delete(&mut self, doomed: &[usize]) -> Result<usize> {
         let before = self.rows.len();
-        let mut rid = 0;
-        self.rows.retain(|_| {
-            let keep = !doomed.contains(&rid);
-            rid += 1;
-            keep
-        });
+        remove_sorted(&mut self.rows, doomed);
         Ok(before - self.rows.len())
     }
 
@@ -193,6 +239,9 @@ pub struct PagedBackend {
     /// rid → location; insertion order, rebuilt on open by page order.
     /// Never points at a tombstone.
     dir: Vec<RowLoc>,
+    /// The synopsis of every page, by page number (a jumbo chain's
+    /// pages hold empty ones, never consulted).
+    zones: Vec<Synopsis>,
     /// Tombstones in the file: rows deleted since the last rewrite.
     dead: usize,
     /// Pages allocated so far.
@@ -210,37 +259,44 @@ impl PagedBackend {
             file,
             pool,
             dir: Vec::new(),
+            zones: Vec::new(),
             dead: 0,
             pages: 0,
             tail: None,
         }
     }
 
-    /// Open an existing heap file, rebuilding the rid directory by
-    /// scanning pages in order (which is insertion order by
-    /// construction) and stepping over tombstones.
+    /// Open an existing heap file, rebuilding the rid directory and the
+    /// page synopses by scanning pages in order (which is insertion
+    /// order by construction) and stepping over tombstones.
     pub fn open(file: Arc<HeapFile>, pool: Arc<BufferPool>) -> Result<Self> {
         let pages = file.page_count()?;
         let mut dir = Vec::new();
+        let mut zones = Vec::with_capacity(pages as usize);
         let mut dead = 0;
         let mut tail = None;
         let mut skip_until = 0u32;
         for page_no in 0..pages {
             if page_no < skip_until {
+                zones.push(Synopsis::default());
                 continue;
             }
-            pool.with_page(&file, page_no, |p| {
+            let zone = pool.with_page(&file, page_no, |p| {
+                let mut zone = Synopsis::default();
                 match page::kind(p) {
                     page::KIND_SLOTTED => {
                         for slot in 0..page::slot_count(p) {
                             if page::is_tombstone(p, slot) {
                                 dead += 1;
-                            } else {
-                                dir.push(RowLoc::Slot {
-                                    page: page_no,
-                                    slot,
-                                });
+                                continue;
                             }
+                            let mut row = Tuple::default();
+                            codec::decode_slot(page::read_slot(p, slot)?, None, &mut row)?;
+                            zone.widen(row);
+                            dir.push(RowLoc::Slot {
+                                page: page_no,
+                                slot,
+                            });
                         }
                         tail = Some(page_no);
                     }
@@ -260,13 +316,15 @@ impl PagedBackend {
                         )))
                     }
                 }
-                Ok(())
+                Ok(zone)
             })?;
+            zones.push(zone);
         }
         Ok(PagedBackend {
             file,
             pool,
             dir,
+            zones,
             dead,
             pages,
             tail,
@@ -284,6 +342,17 @@ impl PagedBackend {
         Ok(bytes)
     }
 
+    /// Store `row` behind every stored row, widening the synopsis of the
+    /// page it lands on.
+    fn append(&mut self, row: Tuple) -> Result<()> {
+        let loc = self.place(&Self::encode(&row)?)?;
+        if let RowLoc::Slot { page, .. } = loc {
+            self.zones[page as usize].widen(row);
+        }
+        self.dir.push(loc);
+        Ok(())
+    }
+
     /// Append an encoded tuple, returning its location.
     fn place(&mut self, bytes: &[u8]) -> Result<RowLoc> {
         if bytes.len() > MAX_INLINE_TUPLE {
@@ -297,6 +366,7 @@ impl PagedBackend {
                 })?;
             }
             self.pages = first + page::jumbo_pages(total);
+            self.zones.resize(self.pages as usize, Synopsis::default());
             self.tail = None;
             return Ok(RowLoc::Jumbo { page: first });
         }
@@ -323,6 +393,7 @@ impl PagedBackend {
             page::append_slot(p, bytes)
         })?;
         self.pages = page_no + 1;
+        self.zones.push(Synopsis::default());
         self.tail = Some(page_no);
         Ok(RowLoc::Slot {
             page: page_no,
@@ -330,73 +401,88 @@ impl PagedBackend {
         })
     }
 
-    /// Reassemble the jumbo chain starting at `page` into `bytes`.
-    fn read_jumbo(&self, page: u32, bytes: &mut Vec<u8>) -> Result<()> {
+    /// Reassemble the jumbo chain starting at `page` into `bytes`;
+    /// returns the number of pages read.
+    fn read_jumbo(&self, page: u32, bytes: &mut Vec<u8>) -> Result<u32> {
         let total = self.pool.with_page(&self.file, page, page::jumbo_total)?;
         bytes.clear();
         bytes.reserve(total);
-        for i in 0..page::jumbo_pages(total) {
+        let pages = page::jumbo_pages(total);
+        for i in 0..pages {
             self.pool.with_page(&self.file, page + i, |p| {
                 bytes.extend_from_slice(page::jumbo_chunk(p, total - bytes.len()));
                 Ok(())
             })?;
         }
-        Ok(())
+        Ok(pages)
     }
 
-    /// Hand the encoded bytes of rows `from..end` to `f`, in rid order,
-    /// a page at a time: each slotted page is pinned once, copied out
-    /// and unpinned before any of its rows reach `f`, so `f` never runs
-    /// under the pool mutex.
+    /// Hand the encoded bytes of the rows from rid `from` on to `f`, in
+    /// rid order, until `f` returns `false`; returns the rid after the
+    /// last row handed over. Rows go a page at a time: each slotted page
+    /// is pinned once, copied out and unpinned before any of its rows
+    /// reach `f`, so `f` never runs under the pool mutex. A slotted page
+    /// `filter` rules out is stepped over without being pinned.
     fn for_each_encoded(
         &self,
         from: usize,
-        end: usize,
-        mut f: impl FnMut(usize, &[u8]) -> Result<()>,
-    ) -> Result<()> {
+        filter: &mut PageFilter<'_>,
+        mut f: impl FnMut(usize, &[u8]) -> Result<bool>,
+    ) -> Result<usize> {
         let mut copy = [0u8; PAGE_SIZE];
         let mut jumbo = Vec::new();
         let mut rid = from;
-        while rid < end {
-            match self.dir[rid] {
+        while let Some(&loc) = self.dir.get(rid) {
+            match loc {
                 RowLoc::Slot { page, .. } => {
+                    if !filter.reads(&self.zones[page as usize]) {
+                        // Consecutive rids share pages by construction,
+                        // and page numbers never decrease along rids.
+                        rid += self.dir[rid..].partition_point(
+                            |l| matches!(l, RowLoc::Slot { page: on, .. } if *on == page),
+                        );
+                        continue;
+                    }
                     self.pool.with_page(&self.file, page, |p| {
                         copy.copy_from_slice(p);
                         Ok(())
                     })?;
-                    // Consecutive rids share pages by construction.
-                    while let Some(&RowLoc::Slot { page: on, slot }) = self.dir[..end].get(rid) {
+                    while let Some(&RowLoc::Slot { page: on, slot }) = self.dir.get(rid) {
                         if on != page {
                             break;
                         }
-                        f(rid, page::read_slot(&copy, slot)?)?;
                         rid += 1;
+                        if !f(rid - 1, page::read_slot(&copy, slot)?)? {
+                            return Ok(rid);
+                        }
                     }
                 }
                 RowLoc::Jumbo { page } => {
-                    self.read_jumbo(page, &mut jumbo)?;
-                    f(rid, &jumbo)?;
+                    filter.pages_read += u64::from(self.read_jumbo(page, &mut jumbo)?);
                     rid += 1;
+                    if !f(rid - 1, &jumbo)? {
+                        return Ok(rid);
+                    }
                 }
             }
         }
-        Ok(())
+        Ok(rid)
     }
 
     /// Rewrite the whole heap file from `rows` (lazy delete compaction,
-    /// replaces that outgrow their page). The cached pages of the old
-    /// layout are dead and dropped without write-back.
+    /// replaces that outgrow their page), rebuilding every synopsis from
+    /// the rows placed. The cached pages of the old layout are dead and
+    /// dropped without write-back.
     fn rewrite(&mut self, rows: Vec<Tuple>) -> Result<()> {
         self.pool.forget_file(self.file.id())?;
         self.file.truncate()?;
         self.dir.clear();
+        self.zones.clear();
         self.dead = 0;
         self.pages = 0;
         self.tail = None;
         for row in rows {
-            let bytes = Self::encode(&row)?;
-            let loc = self.place(&bytes)?;
-            self.dir.push(loc);
+            self.append(row)?;
         }
         Ok(())
     }
@@ -405,7 +491,7 @@ impl PagedBackend {
     fn all_rows(&self) -> Result<Vec<Tuple>> {
         let mut rows = Vec::with_capacity(self.dir.len());
         let mut pos = 0;
-        while self.scan(&mut pos, &mut rows, 4096)? {}
+        while self.scan(&mut pos, &mut rows, 4096, &mut PageFilter::default())? {}
         Ok(rows)
     }
 }
@@ -424,57 +510,58 @@ impl StorageBackend for PagedBackend {
             return Err(Error::Io(format!("row {rid} out of bounds")));
         }
         let mut row = Tuple::default();
-        self.for_each_encoded(rid, rid + 1, |_, bytes| {
-            codec::decode_slot(bytes, None, &mut row)
+        self.for_each_encoded(rid, &mut PageFilter::default(), |_, bytes| {
+            codec::decode_slot(bytes, None, &mut row)?;
+            Ok(false)
         })?;
         Ok(row)
     }
 
-    fn scan(&self, pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        if *pos >= self.dir.len() {
-            return Ok(false);
+    fn scan(
+        &self,
+        pos: &mut usize,
+        out: &mut Vec<Tuple>,
+        max: usize,
+        filter: &mut PageFilter<'_>,
+    ) -> Result<bool> {
+        let before = out.len();
+        if max > 0 {
+            *pos = self.for_each_encoded(*pos, filter, |_, bytes| {
+                let mut row = Tuple::default();
+                codec::decode_slot(bytes, None, &mut row)?;
+                out.push(row);
+                Ok(out.len() - before < max)
+            })?;
         }
-        let end = (*pos + max).min(self.dir.len());
-        self.for_each_encoded(*pos, end, |_, bytes| {
-            let mut row = Tuple::default();
-            codec::decode_slot(bytes, None, &mut row)?;
-            out.push(row);
-            Ok(())
-        })?;
-        *pos = end;
-        Ok(true)
+        Ok(out.len() > before)
     }
 
     fn for_each_from(
         &self,
         from: usize,
         mask: Option<&[bool]>,
+        filter: &mut PageFilter<'_>,
         f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
     ) -> Result<()> {
         let mut row = Tuple::default();
-        self.for_each_encoded(from, self.dir.len(), |rid, bytes| {
+        self.for_each_encoded(from, filter, |rid, bytes| {
             codec::decode_slot(bytes, mask, &mut row)?;
-            f(rid, &row)
-        })
+            f(rid, &row)?;
+            Ok(true)
+        })?;
+        Ok(())
     }
 
     fn insert(&mut self, row: Tuple) -> Result<usize> {
-        let bytes = Self::encode(&row)?;
-        let loc = self.place(&bytes)?;
-        self.dir.push(loc);
+        self.append(row)?;
         Ok(self.dir.len() - 1)
     }
 
-    fn delete(&mut self, doomed: &HashSet<usize>) -> Result<usize> {
-        let mut rids: Vec<usize> = doomed
-            .iter()
-            .copied()
-            .filter(|&rid| rid < self.dir.len())
-            .collect();
+    fn delete(&mut self, doomed: &[usize]) -> Result<usize> {
+        let rids = &doomed[..doomed.partition_point(|&rid| rid < self.dir.len())];
         if rids.is_empty() {
             return Ok(0);
         }
-        rids.sort_unstable();
         // Tombstone in rid order, so each page is pinned once.
         let mut i = 0;
         while i < rids.len() {
@@ -500,12 +587,7 @@ impl StorageBackend for PagedBackend {
                 }
             }
         }
-        let mut rid = 0;
-        self.dir.retain(|_| {
-            let keep = !doomed.contains(&rid);
-            rid += 1;
-            keep
-        });
+        remove_sorted(&mut self.dir, rids);
         self.dead += rids.len();
         // Compact once the dead outnumber the living: the rewrite then
         // re-places fewer rows than were deleted since the last one, so
@@ -529,6 +611,7 @@ impl StorageBackend for PagedBackend {
                     page::replace_slot(p, slot, &bytes)
                 })?;
                 if done {
+                    self.zones[page as usize].widen(row);
                     return Ok(());
                 }
             }
@@ -559,6 +642,7 @@ impl StorageBackend for PagedBackend {
 mod tests {
     use super::*;
     use crate::pool::BufferPool;
+    use crate::synopsis::Sarg;
     use prefsql_types::knobs::MIN_POOL_BYTES;
     use prefsql_types::{tuple, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -579,8 +663,39 @@ mod tests {
     fn rows_of(b: &dyn StorageBackend) -> Vec<Tuple> {
         let mut out = Vec::new();
         let mut pos = 0;
-        while b.scan(&mut pos, &mut out, 7).unwrap() {}
+        while b
+            .scan(&mut pos, &mut out, 7, &mut PageFilter::default())
+            .unwrap()
+        {}
         out
+    }
+
+    /// The rows a scan filtered by `sargs` reads, with its page counts.
+    fn pruned(b: &dyn StorageBackend, sargs: &[Sarg]) -> (Vec<Tuple>, u64, u64) {
+        let mut filter = PageFilter::new(sargs);
+        let mut rows = Vec::new();
+        b.for_each_from(0, None, &mut filter, &mut |_, row| {
+            rows.push(row.clone());
+            Ok(())
+        })
+        .unwrap();
+        (rows, filter.pages_read, filter.pages_skipped)
+    }
+
+    fn key_is(k: i64) -> Vec<Sarg> {
+        vec![Sarg::Eq {
+            col: 0,
+            value: Value::Int(k),
+        }]
+    }
+
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        std::env::temp_dir().join(format!(
+            "prefsql-backend-test-{}-{}-{tag}.heap",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ))
     }
 
     #[test]
@@ -603,7 +718,7 @@ mod tests {
         }
         assert_eq!(rows_of(&mem), rows_of(&paged));
         // Compacting delete keeps order and renumbers densely.
-        let doomed: HashSet<usize> = [0, 5, 6, 199, 57].into_iter().collect();
+        let doomed = [0, 5, 6, 57, 199];
         assert_eq!(mem.delete(&doomed).unwrap(), paged.delete(&doomed).unwrap());
         assert_eq!(mem.row_count(), 195);
         assert_eq!(rows_of(&mem), rows_of(&paged));
@@ -633,12 +748,7 @@ mod tests {
         // through a *fresh* handle and pool — nothing can come from a
         // warm cache, so this pins that flush really put the dirty
         // pages, tombstones included, on disk.
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "prefsql-backend-test-{}-{}-reopen.heap",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
+        let path = temp_path("reopen");
         let mut mem = MemBackend::default();
         {
             let file = Arc::new(HeapFile::create(&path, false).unwrap());
@@ -656,9 +766,7 @@ mod tests {
             let on_page_1: Vec<usize> = (0..paged.dir.len())
                 .filter(|&rid| matches!(paged.dir[rid], RowLoc::Slot { page: 1, .. }))
                 .collect();
-            let doomed: HashSet<usize> = [200, on_page_1[0], *on_page_1.last().unwrap()]
-                .into_iter()
-                .collect();
+            let doomed = [on_page_1[0], *on_page_1.last().unwrap(), 200];
             assert_eq!(mem.delete(&doomed).unwrap(), 3);
             assert_eq!(paged.delete(&doomed).unwrap(), 3);
             assert_eq!(paged.dead, 3, "three tombstones, no rewrite yet");
@@ -675,7 +783,7 @@ mod tests {
         // Deleting more than half the rows tips tombstones past the live
         // rows: the file is rewritten without them and shrinks.
         let pages_before = file.page_count().unwrap();
-        let doomed: HashSet<usize> = (0..120).collect();
+        let doomed: Vec<usize> = (0..120).collect();
         assert_eq!(mem.delete(&doomed).unwrap(), 120);
         assert_eq!(reopened.delete(&doomed).unwrap(), 120);
         assert_eq!(reopened.dead, 0);
@@ -698,10 +806,10 @@ mod tests {
             mem.insert(tuple![i]).unwrap();
             paged.insert(tuple![i]).unwrap();
         }
-        let doomed: HashSet<usize> = [3, 10, 99].into_iter().collect();
+        let doomed = [3, 10, 99];
         assert_eq!(mem.delete(&doomed).unwrap(), 1);
         assert_eq!(paged.delete(&doomed).unwrap(), 1);
-        assert_eq!(paged.delete(&HashSet::new()).unwrap(), 0);
+        assert_eq!(paged.delete(&[]).unwrap(), 0);
         assert_eq!(rows_of(&paged), rows_of(&mem));
         // Rids stay dense: the old rid 4 is rid 3 now.
         assert_eq!(paged.fetch(3).unwrap(), tuple![4i64]);
@@ -744,5 +852,87 @@ mod tests {
         assert_eq!(paged.row_count(), 2);
         // ...and still reads its row through the shared file.
         assert_eq!(snapshot.fetch(0).unwrap(), tuple![1i64]);
+    }
+
+    /// The synopses' whole point: on a ~400-page table behind a 4-page
+    /// pool, a point lookup by an ascending key reads the one page that
+    /// can hold it — one pool miss — and so does the same lookup after a
+    /// reopen, whose synopses `open` rebuilt.
+    #[test]
+    fn pruned_point_lookup_costs_one_pool_miss_and_one_after_a_reopen() {
+        let path = temp_path("prune");
+        let pad = "p".repeat(80);
+        let n = 16_000i64;
+        let k = n / 2;
+        let lookup = |b: &PagedBackend, pool: &BufferPool| {
+            let before = pool.stats();
+            let (rows, read, skipped) = pruned(b, &key_is(k));
+            assert!(
+                rows.iter().any(|r| r[0] == Value::Int(k)),
+                "row {k} missing"
+            );
+            assert_eq!((read, skipped), (1, u64::from(b.pages) - 1));
+            pool.stats().since(&before).misses
+        };
+        {
+            let file = Arc::new(HeapFile::create(&path, false).unwrap());
+            let pool = BufferPool::new(MIN_POOL_BYTES);
+            let pool = Arc::new(pool);
+            let mut paged = PagedBackend::create(file, Arc::clone(&pool));
+            for i in 0..n {
+                paged.insert(tuple![i, pad.clone()]).unwrap();
+            }
+            assert!(paged.pages >= 400, "only {} pages", paged.pages);
+            assert_eq!(lookup(&paged, &pool), 1);
+            paged.flush().unwrap();
+        }
+        let file = Arc::new(HeapFile::open(&path, true).unwrap());
+        let pool = Arc::new(BufferPool::new(MIN_POOL_BYTES));
+        let reopened = PagedBackend::open(file, Arc::clone(&pool)).unwrap();
+        assert_eq!(lookup(&reopened, &pool), 1);
+    }
+
+    /// A key-changing replace widens its page's synopsis, so the row is
+    /// found under its new key — and the page is still read for the old
+    /// one (loose, never wrong). The compaction rewrite rebuilds the
+    /// synopses from the survivors, narrowing them again. Jumbo chains
+    /// have none and are read whatever the filter says.
+    #[test]
+    fn synopses_widen_in_place_and_narrow_on_rewrite() {
+        let (file, pool) = fixture("widen", MIN_POOL_BYTES);
+        let mut paged = PagedBackend::create(file, pool);
+        let pad = "w".repeat(80);
+        for i in 0..400i64 {
+            paged.insert(tuple![i, pad.clone()]).unwrap();
+        }
+        let slotted = u64::from(paged.pages);
+        paged
+            .insert(tuple![1_000i64, "j".repeat(2 * PAGE_SIZE)])
+            .unwrap();
+        let chain = u64::from(paged.pages) - slotted;
+        let keys = |rows: &[Tuple]| -> Vec<Value> { rows.iter().map(|r| r[0].clone()).collect() };
+        // Before: 7 lives on page 0 only; the jumbo chain (key 1 000) is
+        // read by every filtered scan.
+        let (rows, read, skipped) = pruned(&paged, &key_is(7));
+        assert!(keys(&rows).contains(&Value::Int(7)));
+        assert!(keys(&rows).contains(&Value::Int(1_000)));
+        assert_eq!((read, skipped), (1 + chain, slotted - 1));
+        // Move key 7 to 5 000, in place.
+        paged.replace(7, tuple![5_000i64, pad.clone()]).unwrap();
+        let (rows, read, _) = pruned(&paged, &key_is(5_000));
+        assert!(keys(&rows).contains(&Value::Int(5_000)));
+        assert_eq!(read, 1 + chain);
+        let (rows, read, _) = pruned(&paged, &key_is(7));
+        assert!(!keys(&rows).contains(&Value::Int(7)));
+        assert_eq!(read, 1 + chain, "the old key's page is still read");
+        // Delete all but key 5 000 and the jumbo row: past the
+        // threshold, the file is rewritten and synopses shrink to fit.
+        let doomed: Vec<usize> = (0..400).filter(|&rid| rid != 7).collect();
+        paged.delete(&doomed).unwrap();
+        assert_eq!(paged.dead, 0, "compacted");
+        let (rows, read, skipped) = pruned(&paged, &key_is(7));
+        assert_eq!(keys(&rows), vec![Value::Int(1_000)]);
+        assert_eq!((read, skipped), (chain, 1));
+        assert_eq!(pruned(&paged, &key_is(5_000)).0.len(), 2);
     }
 }

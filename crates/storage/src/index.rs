@@ -8,10 +8,13 @@
 //!   (`WHERE salary BETWEEN 40000 AND 60000`).
 //!
 //! Both map a key (one or more column values) to the row ids holding it.
+//! Keys are stored and looked up [canonical](Value::canonical), so the
+//! two zeros SQL calls equal are one key.
 
 use prefsql_types::{Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// Which physical structure an index uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,9 +26,32 @@ pub enum IndexKind {
 }
 
 /// Key wrapper giving `Vec<Value>` the total order of
-/// [`Value::total_cmp`], so it can live in a `BTreeMap`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// [`Value::total_cmp`], so it can live in a `BTreeMap` — and the
+/// equality of that order ([`Value::key_eq`]: INT 1 equals FLOAT 1.0),
+/// so a hash lookup finds what SQL `=` finds. [`Value`]'s hash agrees
+/// with `key_eq`.
+#[derive(Debug, Clone)]
 pub struct IndexKey(pub Vec<Value>);
+
+impl IndexKey {
+    fn canonical<'v>(values: impl IntoIterator<Item = &'v Value>) -> IndexKey {
+        IndexKey(values.into_iter().cloned().map(Value::canonical).collect())
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for IndexKey {}
+
+impl Hash for IndexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 impl PartialOrd for IndexKey {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -69,7 +95,7 @@ impl HashIndex {
     }
 
     fn key_of(&self, row: &Tuple) -> IndexKey {
-        IndexKey(self.key_columns.iter().map(|&i| row[i].clone()).collect())
+        IndexKey::canonical(self.key_columns.iter().map(|&i| &row[i]))
     }
 
     /// Index `row` stored at `row_id`.
@@ -80,7 +106,7 @@ impl HashIndex {
     /// Row ids whose key equals `key`.
     pub fn lookup(&self, key: &[Value]) -> &[usize] {
         self.map
-            .get(&IndexKey(key.to_vec()))
+            .get(&IndexKey::canonical(key))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -113,7 +139,7 @@ impl BTreeIndex {
     }
 
     fn key_of(&self, row: &Tuple) -> IndexKey {
-        IndexKey(self.key_columns.iter().map(|&i| row[i].clone()).collect())
+        IndexKey::canonical(self.key_columns.iter().map(|&i| &row[i]))
     }
 
     /// Index `row` stored at `row_id`.
@@ -124,7 +150,7 @@ impl BTreeIndex {
     /// Row ids whose key equals `key`.
     pub fn lookup(&self, key: &[Value]) -> &[usize] {
         self.map
-            .get(&IndexKey(key.to_vec()))
+            .get(&IndexKey::canonical(key))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -140,12 +166,13 @@ impl BTreeIndex {
         // IndexKey compares prefixes as smaller, so [v] is <= every key
         // whose first component is v — a correct inclusive lower bound.
         let lo = match low {
-            Some(v) => Bound::Included(IndexKey(vec![v.clone()])),
+            Some(v) => Bound::Included(IndexKey::canonical([v])),
             None => Bound::Unbounded,
         };
+        let high = high.map(|h| h.clone().canonical());
         self.map
             .range((lo, Bound::<IndexKey>::Unbounded))
-            .take_while(|(key, _)| match (high, key.0.first()) {
+            .take_while(|(key, _)| match (&high, key.0.first()) {
                 (Some(h), Some(f)) => f.total_cmp(h) != Ordering::Greater,
                 _ => true,
             })
@@ -217,6 +244,22 @@ mod tests {
         let c = IndexKey(vec![Value::Int(1)]);
         assert!(a < b);
         assert!(c < a); // prefix sorts first
+    }
+
+    #[test]
+    fn keys_follow_sql_equality_across_zeros_and_numeric_types() {
+        let mut hash = HashIndex::new(vec![0]);
+        let mut btree = BTreeIndex::new(vec![0]);
+        for (rid, x) in [(0, -0.0), (1, 0.0), (2, 2.0)] {
+            hash.insert(rid, &tuple![x]);
+            btree.insert(rid, &tuple![x]);
+        }
+        for zero in [Value::Float(0.0), Value::Float(-0.0), Value::Int(0)] {
+            assert_eq!(hash.lookup(std::slice::from_ref(&zero)), &[0, 1]);
+            assert_eq!(btree.range(Some(&zero), Some(&zero)), vec![0, 1]);
+        }
+        assert_eq!(hash.lookup(&[Value::Int(2)]), &[2]);
+        assert_eq!(btree.range(None, Some(&Value::Float(-0.0))), vec![0, 1]);
     }
 
     #[test]

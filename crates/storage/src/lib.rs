@@ -20,6 +20,7 @@ pub mod matview;
 pub mod page;
 pub mod pool;
 pub mod spill;
+pub mod synopsis;
 pub mod table;
 
 pub use backend::{MemBackend, PagedBackend, StorageBackend};
@@ -29,4 +30,5 @@ pub use index::{BTreeIndex, HashIndex, IndexKind};
 pub use matview::{MatViewDef, MatViewEntry};
 pub use pool::{BufferPool, PoolStats};
 pub use spill::{RunReader, RunWriter, SpillManager, SpillRun};
+pub use synopsis::{PageFilter, Sarg};
 pub use table::Table;

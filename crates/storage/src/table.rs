@@ -7,13 +7,17 @@
 //! rows (the scan operators' zero-copy path) ask for [`Table::mem_rows`]
 //! and fall back to the rid-based accessors ([`Table::fetch_row`],
 //! [`Table::scan_batch`], [`Table::for_each_row_from`]) when the rows
-//! live on disk.
+//! live on disk. The `_where` variants of the scans take a
+//! [`PageFilter`], through which a paged table skips the pages its
+//! synopses rule out.
 
 use crate::backend::{MemBackend, PagedBackend, StorageBackend};
 use crate::heap::HeapFile;
 use crate::index::{BTreeIndex, HashIndex, IndexKind};
 use crate::pool::BufferPool;
+use crate::synopsis::PageFilter;
 use prefsql_types::{Error, Result, Schema, Tuple};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -125,7 +129,20 @@ impl Table {
     /// Append up to `max` rows starting at rid `*pos` onto `out`,
     /// advancing `*pos`. Returns `false` once the scan is exhausted.
     pub fn scan_batch(&self, pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        self.backend.scan(pos, out, max)
+        self.scan_batch_where(pos, out, max, &mut PageFilter::default())
+    }
+
+    /// [`Table::scan_batch`] through `filter`: the rows of pages it rules
+    /// out are stepped over, so a batch may come from further on than
+    /// `*pos`, and `false` means nothing was left to append.
+    pub fn scan_batch_where(
+        &self,
+        pos: &mut usize,
+        out: &mut Vec<Tuple>,
+        max: usize,
+        filter: &mut PageFilter<'_>,
+    ) -> Result<bool> {
+        self.backend.scan(pos, out, max, filter)
     }
 
     /// Run `f` over every row from rid `from` on, in rid order. The
@@ -136,7 +153,8 @@ impl Table {
         from: usize,
         mut f: impl FnMut(usize, &Tuple) -> Result<()>,
     ) -> Result<()> {
-        self.backend.for_each_from(from, None, &mut f)
+        self.backend
+            .for_each_from(from, None, &mut PageFilter::default(), &mut f)
     }
 
     /// Run `f` over every row, in rid order.
@@ -144,15 +162,17 @@ impl Table {
         self.for_each_row_from(0, f)
     }
 
-    /// [`Table::for_each_row`] for a caller that reads only the columns
-    /// `mask` selects: the rest need not be decoded, and may read as
-    /// `NULL`. Every column is still validated.
-    pub fn for_each_row_masked(
+    /// [`Table::for_each_row`] over the rows `filter` does not rule out,
+    /// for a caller that reads only the columns `mask` selects (all when
+    /// `None`): the rest need not be decoded, and may read as `NULL`.
+    /// Every column of every row read is still validated.
+    pub fn for_each_row_where(
         &self,
-        mask: &[bool],
+        mask: Option<&[bool]>,
+        filter: &mut PageFilter<'_>,
         mut f: impl FnMut(usize, &Tuple) -> Result<()>,
     ) -> Result<()> {
-        self.backend.for_each_from(0, Some(mask), &mut f)
+        self.backend.for_each_from(0, mask, filter, &mut f)
     }
 
     /// Insert one row after validating it against the schema; maintains all
@@ -255,13 +275,23 @@ impl Table {
         &self.rows()[row_id]
     }
 
-    /// Delete every row whose id is in `row_ids`; returns the number of
-    /// rows removed. Row ids are compacted and all indexes rebuilt.
+    /// Delete every row whose id is in `row_ids` (any order, duplicates
+    /// and ids past the end tolerated); returns the number of rows
+    /// removed. Row ids are compacted and all indexes rebuilt.
     pub fn delete_rows(&mut self, row_ids: &[usize]) -> Result<usize> {
         if row_ids.is_empty() {
             return Ok(0);
         }
-        let doomed: std::collections::HashSet<usize> = row_ids.iter().copied().collect();
+        // Backends take the ids ascending and distinct, which is how DML
+        // hands them over: sort only when they are not.
+        let doomed = if row_ids.windows(2).all(|w| w[0] < w[1]) {
+            Cow::Borrowed(row_ids)
+        } else {
+            let mut ids = row_ids.to_vec();
+            ids.sort_unstable();
+            ids.dedup();
+            Cow::Owned(ids)
+        };
         let removed = self.backend.delete(&doomed)?;
         self.stat_rows = self.backend.row_count();
         self.rebuild_indexes()?;
@@ -326,7 +356,7 @@ impl Table {
         for &col in keys.flatten() {
             mask[col] = true;
         }
-        self.for_each_row_masked(&mask, |rid, row| {
+        self.for_each_row_where(Some(&mask), &mut PageFilter::default(), |rid, row| {
             for (_, idx) in &mut hash {
                 idx.insert(rid, row);
             }

@@ -197,6 +197,18 @@ impl Value {
         self.total_cmp(other) == Ordering::Equal
     }
 
+    /// The representative index keys, sargable literals and page
+    /// synopses hold: `-0.0` becomes `0.0`, everything else is unchanged.
+    /// SQL compares the two zeros equal, [`Value::total_cmp`] does not,
+    /// so an ordered structure must never see both.
+    pub fn canonical(self) -> Value {
+        match self {
+            // IEEE-754: `x + 0.0` is `x`, except that `-0.0 + 0.0` is `0.0`.
+            Value::Float(f) => Value::Float(f + 0.0),
+            v => v,
+        }
+    }
+
     /// SQL `+`.
     pub fn add(&self, other: &Value) -> Result<Value> {
         self.numeric_binop(other, "+", |a, b| a.checked_add(b), |a, b| a + b)
