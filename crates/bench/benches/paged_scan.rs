@@ -24,6 +24,15 @@
 //!   one slot tombstoned (the file is rewritten only once tombstones
 //!   outnumber live rows, which these few deletes never reach).
 //!
+//! One more row reads a materialized preference view on its own
+//! four-page pool:
+//!
+//! * `view-cold` — a native-mode skyline the view serves, over
+//!   `w(id, a, b)` whose `rows / 1000` winners each sit on a different
+//!   page. The view stores no rows, so the read fetches every winner
+//!   from the heap by row id, and the pool has evicted each winner's
+//!   page since the previous read.
+//!
 //! Recorded medians land in `BENCH_paged_scan.json`; the spread between
 //! `paged-warm` and `mem` is the slotted-page decode overhead, the
 //! spread between `paged-cold` and `paged-warm` is the pure I/O cost
@@ -32,13 +41,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use prefsql::types::{Column, DataType, Schema, Tuple, Value};
-use prefsql::{QueryResult, Session};
+use prefsql::{ExecutionMode, QueryResult, Session};
 use prefsql_engine::{BackendKind, EngineCore};
 use prefsql_types::knobs::MIN_POOL_BYTES;
 use std::sync::Arc;
 
 const SIZES: [usize; 2] = [8_000, 64_000];
 const QUERY: &str = "SELECT COUNT(*), SUM(v) FROM r";
+const SKYLINE: &str = "SELECT id FROM w PREFERRING LOWEST(a) AND LOWEST(b)";
+/// One `w` row in this many is a winner of [`SKYLINE`].
+const WINNER_EVERY: usize = 1_000;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -50,27 +62,66 @@ fn lcg(state: &mut u64) -> u64 {
 /// A session over a fresh core of the given storage configuration with
 /// `r(id, v)` loaded: `rows` tuples of uniform noise.
 fn session_with(kind: BackendKind, pool_bytes: usize, rows: usize) -> Session {
-    let core = Arc::new(EngineCore::with_storage(kind, pool_bytes));
-    let schema = Schema::new(vec![
-        Column::new("id", DataType::Int).not_null(),
-        Column::new("v", DataType::Int),
-    ])
-    .expect("static schema");
-    let mut t = core.make_table("r", schema).expect("table builds");
     let mut s = 42u64;
-    t.insert_all((0..rows).map(|i| {
-        Tuple::new(vec![
-            Value::Int(i as i64),
-            Value::Int((lcg(&mut s) % 100_000) as i64),
-        ])
-    }))
-    .expect("rows insert");
+    let rows = (0..rows).map(|i| vec![i as i64, (lcg(&mut s) % 100_000) as i64]);
+    session_over(kind, pool_bytes, "r", &["id", "v"], rows)
+}
+
+/// A session over a fresh core with one table `name` of INTEGER
+/// `columns` (the first NOT NULL) loaded from `rows`.
+fn session_over(
+    kind: BackendKind,
+    pool_bytes: usize,
+    name: &str,
+    columns: &[&str],
+    rows: impl Iterator<Item = Vec<i64>>,
+) -> Session {
+    let core = Arc::new(EngineCore::with_storage(kind, pool_bytes));
+    let columns = columns.iter().enumerate().map(|(i, c)| {
+        let col = Column::new(*c, DataType::Int);
+        if i == 0 {
+            col.not_null()
+        } else {
+            col
+        }
+    });
+    let schema = Schema::new(columns.collect()).expect("static schema");
+    let mut t = core.make_table(name, schema).expect("table builds");
+    t.insert_all(rows.map(|r| Tuple::new(r.into_iter().map(Value::Int).collect())))
+        .expect("rows insert");
     let mut session = Session::with_core(Arc::clone(&core));
     session
         .engine_mut()
         .catalog_mut()
         .create_table(t)
         .expect("fresh catalog");
+    session
+}
+
+/// A session on the four-page pool with `w(id, a, b)` loaded and a
+/// materialized view of [`SKYLINE`] over it. `b` falls as `a` rises:
+/// the first row of every run of [`WINNER_EVERY`] lies on the frontier,
+/// and the rest of its run lies one step of `b` behind it.
+fn view_session(rows: usize) -> Session {
+    let rows = (0..rows).map(|i| {
+        let leader = i - i % WINNER_EVERY;
+        let behind = i64::from(i != leader);
+        vec![i as i64, i as i64, (rows - leader) as i64 + behind]
+    });
+    let mut session = session_over(
+        BackendKind::Paged,
+        MIN_POOL_BYTES,
+        "w",
+        &["id", "a", "b"],
+        rows,
+    );
+    session
+        .execute(
+            "CREATE MATERIALIZED PREFERENCE VIEW best AS \
+             SELECT * FROM w PREFERRING LOWEST(a) AND LOWEST(b)",
+        )
+        .expect("view builds");
+    session.set_mode(ExecutionMode::native());
     session
 }
 
@@ -123,6 +174,17 @@ fn bench_paged_scan(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("delete-cold", fmt(rows)), &(), |b, _| {
             b.iter(|| affect_one(format!("DELETE FROM r WHERE id = {}", next_id())))
+        });
+        let mut view = view_session(rows);
+        let served = view.query(SKYLINE).expect("served read");
+        assert_eq!(
+            served.view_activity().and_then(|v| v.served_by.as_deref()),
+            Some("best"),
+            "the view serves the skyline"
+        );
+        let winners = rows.div_ceil(WINNER_EVERY);
+        group.bench_with_input(BenchmarkId::new("view-cold", fmt(rows)), &(), |b, _| {
+            b.iter(|| assert_eq!(view.query(SKYLINE).expect("read").len(), winners))
         });
     }
     group.finish();

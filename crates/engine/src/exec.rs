@@ -953,7 +953,7 @@ impl Engine {
             } => {
                 let mut cat = self.core.catalog_write()?;
                 let doomed = self.matching_row_ids(&cat, table, where_clause.as_ref())?;
-                let n = cat.table_mut(table)?.delete_rows(&doomed)?;
+                let n = store(&mut cat, table, |t| t.delete_rows(&doomed))?;
                 let (m, cmp) = crate::matview::after_delete(self, &mut cat, table, &doomed);
                 self.note_view_maintenance(m);
                 self.note_maintenance_dominance(cmp);
@@ -1039,7 +1039,7 @@ impl Engine {
                 // its heap file goes when the last shared handle does.
                 cat.table(name)?.release_storage()?;
                 cat.drop_table(name)?;
-                crate::matview::on_drop_table(&mut cat, name);
+                crate::matview::mark_stale(&mut cat, name);
                 Ok(ExecOutcome::Ddl(format!("dropped table {name}")))
             }
             Statement::DropView(name) => {
@@ -1175,10 +1175,13 @@ impl Engine {
                     dt => v.coerce_to(dt).unwrap_or_else(|_| v.clone()),
                 };
             }
-            staged.push(Tuple::new(values));
+            // Validate every row before the first is stored: a statement
+            // that fails here leaves the table as it was.
+            let tuple = Tuple::new(values);
+            tuple.check_against(&schema)?;
+            staged.push(tuple);
         }
-        let target = cat.table_mut(table)?;
-        let n = target.insert_all(staged)?;
+        let n = store(cat, table, |t| t.insert_all(staged))?;
         Ok(ExecOutcome::Count(n))
     }
 
@@ -1279,17 +1282,35 @@ impl Engine {
             })?;
             (positions, new_rows)
         };
-        let t = cat.table_mut(table)?;
-        for (&rid, row) in ids.iter().zip(new_rows) {
-            t.replace_row(rid, row)?;
-        }
-        // UPDATE keeps rids: only indexes keyed on an assigned column
-        // are stale.
-        if !ids.is_empty() {
-            t.rebuild_indexes_over(&positions)?;
-        }
+        store(cat, table, |t| {
+            for (&rid, row) in ids.iter().zip(new_rows) {
+                t.replace_row(rid, row)?;
+            }
+            // UPDATE keeps rids: only indexes keyed on an assigned column
+            // are stale.
+            if !ids.is_empty() {
+                t.rebuild_indexes_over(&positions)?;
+            }
+            Ok(())
+        })?;
         Ok(ids)
     }
+}
+
+/// Run a DML statement's storage step on `table`. A step that fails may
+/// have changed the table already, so the views on it can no longer
+/// trust their entries to mirror its row ids: they go stale (REFRESH
+/// rebuilds them) and the error is returned.
+fn store<T>(
+    cat: &mut Catalog,
+    table: &str,
+    step: impl FnOnce(&mut Table) -> Result<T>,
+) -> Result<T> {
+    let out = step(cat.table_mut(table)?);
+    if out.is_err() {
+        crate::matview::mark_stale(cat, table);
+    }
+    out
 }
 
 /// The columns of its own row `pred` reads, as a mask over `width`
@@ -1316,6 +1337,35 @@ fn columns_read(pred: &BoundExpr, width: usize) -> Option<Vec<bool>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A storage step that fails after changing the table leaves the
+    /// views on it stale, so none serves rows by ids that moved; REFRESH
+    /// brings them back in step with what the table holds.
+    #[test]
+    fn a_failed_storage_step_marks_the_tables_views_stale() {
+        let mut e = Engine::new();
+        e.execute_sql("CREATE TABLE t (x INTEGER)").unwrap();
+        e.execute_sql("INSERT INTO t VALUES (3), (2)").unwrap();
+        e.execute_sql(
+            "CREATE MATERIALIZED PREFERENCE VIEW low AS SELECT x FROM t PREFERRING LOWEST(x)",
+        )
+        .unwrap();
+        {
+            let mut cat = e.catalog_mut();
+            let failed = store(&mut cat, "t", |t| {
+                t.insert(Tuple::new(vec![Value::Int(1)]))?;
+                Err::<(), _>(Error::Exec("simulated write failure".into()))
+            });
+            assert!(failed.is_err());
+            assert!(cat.matview("low").unwrap().stale);
+        }
+        let err = e.execute_sql("SELECT x FROM low").unwrap_err();
+        assert!(err.to_string().contains("stale"), "{err}");
+        e.execute_sql("REFRESH MATERIALIZED PREFERENCE VIEW low")
+            .unwrap();
+        let rel = e.execute_sql("SELECT x FROM low").unwrap().expect_rows();
+        assert_eq!(rel.rows, vec![Tuple::new(vec![Value::Int(1)])]);
+    }
 
     #[test]
     fn shared_core_visible_across_facades() {

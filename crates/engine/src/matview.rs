@@ -11,9 +11,13 @@
 //! recomputation (per-winner domination counts make a DELETE of a winner
 //! promote exactly the rows it exclusively dominated).
 //!
+//! The entries hold no rows: a read fetches the winners from the base
+//! table by row id, which is why they must mirror its rids.
+//!
 //! Maintenance never fails the triggering DML: any error (dropped
 //! columns, arithmetic on changed data, ...) marks the view *stale*
-//! instead. Stale views refuse reads until `REFRESH MATERIALIZED
+//! instead, as does a DML statement whose storage step fails after the
+//! table changed. Stale views refuse reads until `REFRESH MATERIALIZED
 //! PREFERENCE VIEW` rebuilds them from scratch.
 
 use crate::bind::{bind, BoundExpr};
@@ -208,7 +212,6 @@ impl BoundView {
             .map(|e| eval(e, env, ctx))
             .collect::<Result<Vec<_>>>()?;
         Ok(MatViewEntry {
-            output: row.clone(),
             slots,
             qualifies,
             winner: false,
@@ -419,8 +422,10 @@ pub(crate) fn after_update(
     )
 }
 
-/// Mark every view on `table` stale (the base table was dropped).
-pub(crate) fn on_drop_table(cat: &mut Catalog, table: &str) {
+/// Mark every view on `table` stale: the base table was dropped, or a
+/// DML statement failed after changing it, so the entries may no longer
+/// mirror its row ids.
+pub(crate) fn mark_stale(cat: &mut Catalog, table: &str) {
     for name in cat.matviews_on(table) {
         if let Some(def) = cat.matview_mut(&name) {
             def.stale = true;

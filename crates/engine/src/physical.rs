@@ -30,7 +30,7 @@ use crate::exec::{ExecCtx, Relation};
 use crate::join::JoinOp;
 use crate::plan::{AggKey, AggSpec, PlanNode, Projection, SortKey};
 use prefsql_storage::PageFilter;
-use prefsql_types::{Error, Result, Schema, Tuple, Value};
+use prefsql_types::{Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -249,20 +249,12 @@ fn build_plain<'a>(
             input.schema(),
             spec,
         )),
-        PlanNode::MatViewScan { view, winners, .. } => Box::new(MatViewScanOp {
-            ctx,
-            view,
-            ids: winners,
-            rows: Vec::new(),
-            pos: 0,
-        }),
-        PlanNode::IndexScan { table, row_ids, .. } => Box::new(IndexScanOp {
-            ctx,
-            table,
-            row_ids,
-            rows: Vec::new(),
-            pos: 0,
-        }),
+        PlanNode::MatViewScan { table, winners, .. } => {
+            Box::new(RowIdScanOp::new(ctx, table, winners, false))
+        }
+        PlanNode::IndexScan { table, row_ids, .. } => {
+            Box::new(RowIdScanOp::new(ctx, table, row_ids, true))
+        }
         PlanNode::Materialize {
             cache_key,
             input,
@@ -540,67 +532,40 @@ impl Operator for SeqScanOp<'_> {
     }
 }
 
-/// Materialized preference view scan: stream the stored winner rows
-/// chosen at plan time, in entry order. Winners are cloned at open (the
-/// stored entries stay put), and count as scanned rows — the serving cost
-/// of a cache hit.
-struct MatViewScanOp<'a> {
-    ctx: &'a ExecCtx<'a>,
-    view: &'a str,
-    ids: &'a [usize],
-    rows: Vec<Tuple>,
-    pos: usize,
-}
-
-impl Operator for MatViewScanOp<'_> {
-    fn open(&mut self) -> Result<()> {
-        self.pos = 0;
-        let def = self.ctx.catalog().matview(self.view).ok_or_else(|| {
-            Error::Catalog(format!(
-                "unknown materialized preference view '{}'",
-                self.view
-            ))
-        })?;
-        let fetch = |&i: &usize| {
-            let entry = def.entries.get(i).ok_or_else(|| {
-                Error::Exec(format!(
-                    "materialized preference view '{}' changed under its plan",
-                    self.view
-                ))
-            })?;
-            Ok(entry.output.clone())
-        };
-        self.rows = self.ids.iter().map(fetch).collect::<Result<_>>()?;
-        self.ctx.stats.borrow_mut().rows_scanned += self.rows.len() as u64;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
-        Ok(Batch::lend(&self.rows, &mut self.pos, max))
-    }
-
-    fn close(&mut self) {
-        self.rows = Vec::new();
-    }
-}
-
-/// Index probe: stream the candidate rows chosen at plan time. The parent
-/// filter re-checks the full predicate, so the probe is purely an
-/// optimization.
-struct IndexScanOp<'a> {
+/// Row-id scan: fetch the row ids chosen at plan time from a table and
+/// lend them — an index probe's candidates (the parent filter re-checks
+/// the full predicate, so the probe is purely an optimization) or a
+/// materialized preference view's winners (whose entries mirror the base
+/// table's row ids). The fetched rows count as scanned; only an index
+/// probe counts toward `index_probes`.
+struct RowIdScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     table: &'a str,
     row_ids: &'a [usize],
+    probe: bool,
     rows: Vec<Tuple>,
     pos: usize,
 }
 
-impl Operator for IndexScanOp<'_> {
+impl<'a> RowIdScanOp<'a> {
+    fn new(ctx: &'a ExecCtx<'a>, table: &'a str, row_ids: &'a [usize], probe: bool) -> Self {
+        RowIdScanOp {
+            ctx,
+            table,
+            row_ids,
+            probe,
+            rows: Vec::new(),
+            pos: 0,
+        }
+    }
+}
+
+impl Operator for RowIdScanOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
         let table = self.ctx.catalog().table(self.table)?;
         let mut stats = self.ctx.stats.borrow_mut();
-        stats.index_probes += 1;
+        stats.index_probes += u64::from(self.probe);
         stats.rows_scanned += self.row_ids.len() as u64;
         drop(stats);
         self.rows = self

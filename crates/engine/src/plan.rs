@@ -89,14 +89,18 @@ pub enum PlanNode {
         /// Output schema (table schema re-qualified).
         schema: Schema,
     },
-    /// Scan of a materialized preference view: streams the stored winner
-    /// rows (base-table tuples, entry order) — the serving cache a
-    /// registered skyline reads instead of recomputing BMO.
+    /// Scan of a materialized preference view: fetches the stored
+    /// winners' rows from the base table by row id, in entry order — the
+    /// serving cache a registered skyline reads instead of recomputing
+    /// BMO.
     MatViewScan {
         /// View name in the catalog.
         view: String,
-        /// Entry ids of the stored winners, taken at plan time like an
-        /// index probe's row ids (EXPLAIN shows their count).
+        /// The view's base table, which holds the winner rows.
+        table: String,
+        /// Entry ids of the stored winners (= base-table row ids), taken
+        /// at plan time like an index probe's row ids (EXPLAIN shows
+        /// their count).
         winners: Vec<usize>,
         /// The scan stands in for a [`PlanNode::Preference`] the view
         /// defines (EXPLAIN tags it `[view=… hit]`), rather than reading
@@ -734,6 +738,7 @@ pub fn plan_preference(
             let def = ctx.catalog().matview(name).expect("classified above");
             PlanNode::MatViewScan {
                 view: def.name.clone(),
+                table: def.base_table.clone(),
                 winners: def.winner_ids(),
                 serves: true,
                 schema: def.schema.clone(),
@@ -1236,8 +1241,8 @@ fn plan_named(
         });
     }
     // Materialized preference views serve their stored winner set
-    // directly: a scan of the cached base rows plus the view's own
-    // projection — no BMO recomputation.
+    // directly: the winners' base rows fetched by row id plus the view's
+    // own projection — no BMO recomputation.
     if let Some(mv) = ctx.catalog().matview(name) {
         if mv.stale {
             return Err(Error::Catalog(format!(
@@ -1255,6 +1260,7 @@ fn plan_named(
         };
         let scan = PlanNode::MatViewScan {
             view: mv.name.clone(),
+            table: mv.base_table.clone(),
             winners: mv.winner_ids(),
             serves: false,
             schema: mv.schema.clone(),
@@ -1285,7 +1291,7 @@ fn plan_named(
         AccessPath::SeqScan => PlanNode::SeqScan {
             table: name.to_string(),
             qualifier: qual,
-            rows: table.stat_row_count(),
+            rows: table.len(),
             backend: table.backend_label(),
             sargs,
             schema,

@@ -271,7 +271,7 @@ mod tests {
     use super::*;
     use crate::base::BasePref;
     use crate::compose::PrefNode;
-    use prefsql_types::{tuple, Value};
+    use prefsql_types::Value;
 
     /// LOWEST x AND LOWEST y — the classic 2-d skyline.
     fn pareto2() -> Preference {
@@ -284,7 +284,6 @@ mod tests {
 
     fn entry(x: i64, y: i64) -> MatViewEntry {
         MatViewEntry {
-            output: tuple![x, y],
             slots: vec![Value::Int(x), Value::Int(y)],
             qualifies: true,
             winner: false,

@@ -114,12 +114,10 @@ impl Catalog {
         names
     }
 
-    /// Live row count of table `name`, read from the statistics counter
-    /// the table maintains at its DML choke points — the planner's
-    /// cardinality source (build-side choice, EXPLAIN row counts) without
-    /// touching row storage.
+    /// Live row count of table `name` ([`Table::len`], an in-memory
+    /// length on every backend — no row storage is touched).
     pub fn row_count(&self, name: &str) -> Result<usize> {
-        self.table(name).map(Table::stat_row_count)
+        self.table(name).map(Table::len)
     }
 
     /// Drop a table by name.

@@ -4,7 +4,7 @@
 //! A [`Sarg`] is a WHERE conjunct of the form `column <op> literal`. The
 //! engine extracts them once per scan; an index probe answers them, and
 //! without an index a paged scan skips the heap pages whose
-//! [`Synopsis`] — per column, the least and greatest value stored on the
+//! `Synopsis` — per column, the least and greatest value stored on the
 //! page — shows that no row there can satisfy them all. Either way the
 //! full predicate is still evaluated on every row that is read, so a sarg
 //! only ever removes rows that would fail it.
@@ -129,7 +129,7 @@ impl Synopsis {
 }
 
 /// The page filter a paged scan runs through: it skips the slotted pages
-/// whose synopsis [admits](Synopsis::admits) no row for `sargs`, and
+/// whose synopsis admits no row for `sargs` (`Synopsis::admits`), and
 /// counts the pages it read and skipped (EXPLAIN ANALYZE's
 /// `pages_read=` / `pages_skipped=`). With no sargs it skips nothing;
 /// the in-memory backend ignores it.

@@ -2,8 +2,8 @@
 //!
 //! A [`Table`] owns a [`StorageBackend`] — the in-memory `Vec<Tuple>`
 //! by default, or the paged heap-file store — plus everything that is
-//! backend-independent: the schema, validation, secondary indexes and
-//! the live row-count statistic. Callers that can exploit contiguous
+//! backend-independent: the schema, validation and secondary indexes.
+//! Callers that can exploit contiguous
 //! rows (the scan operators' zero-copy path) ask for [`Table::mem_rows`]
 //! and fall back to the rid-based accessors ([`Table::fetch_row`],
 //! [`Table::scan_batch`], [`Table::for_each_row_from`]) when the rows
@@ -29,11 +29,6 @@ pub struct Table {
     backend: Box<dyn StorageBackend>,
     hash_indexes: HashMap<String, HashIndex>,
     btree_indexes: HashMap<String, BTreeIndex>,
-    /// Live row-count statistic, maintained incrementally at the insert
-    /// and delete choke points. The planner reads this counter (via
-    /// `Catalog::row_count`) for cardinality decisions instead of
-    /// touching row storage.
-    stat_rows: usize,
 }
 
 impl Table {
@@ -66,14 +61,12 @@ impl Table {
     }
 
     fn over(name: impl Into<String>, schema: Schema, backend: Box<dyn StorageBackend>) -> Self {
-        let stat_rows = backend.row_count();
         Table {
             name: name.into().to_ascii_lowercase(),
             schema,
             backend,
             hash_indexes: HashMap::new(),
             btree_indexes: HashMap::new(),
-            stat_rows,
         }
     }
 
@@ -111,7 +104,8 @@ impl Table {
             .expect("Table::rows is only available on the in-memory backend")
     }
 
-    /// Row count.
+    /// Row count: an in-memory length on both backends, so the planner
+    /// reads it for cardinality without touching row storage.
     pub fn len(&self) -> usize {
         self.backend.row_count()
     }
@@ -179,16 +173,14 @@ impl Table {
     /// indexes. Returns the new row id.
     pub fn insert(&mut self, row: Tuple) -> Result<usize> {
         row.check_against(&self.schema)?;
+        let row_id = self.len();
         for idx in self.hash_indexes.values_mut() {
-            idx.insert(self.stat_rows, &row);
+            idx.insert(row_id, &row);
         }
         for idx in self.btree_indexes.values_mut() {
-            idx.insert(self.stat_rows, &row);
+            idx.insert(row_id, &row);
         }
-        let row_id = self.backend.insert(row)?;
-        debug_assert_eq!(row_id, self.stat_rows, "backends append densely");
-        self.stat_rows += 1;
-        Ok(row_id)
+        self.backend.insert(row)
     }
 
     /// Bulk insert.
@@ -293,16 +285,8 @@ impl Table {
             Cow::Owned(ids)
         };
         let removed = self.backend.delete(&doomed)?;
-        self.stat_rows = self.backend.row_count();
         self.rebuild_indexes()?;
         Ok(removed)
-    }
-
-    /// The live row-count statistic. Maintained at every insert/delete,
-    /// so it always equals [`Table::len`] — but reading it never touches
-    /// row storage, which is the contract the planner relies on.
-    pub fn stat_row_count(&self) -> usize {
-        self.stat_rows
     }
 
     /// Replace the row at `row_id` after validating the new tuple.
@@ -514,22 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn stat_row_count_tracks_len() {
-        let mut t = cars();
-        assert_eq!(t.stat_row_count(), t.len());
-        t.insert(tuple![4, "opel", 15_000]).unwrap();
-        assert_eq!(t.stat_row_count(), 4);
-        t.delete_rows(&[0, 2]).unwrap();
-        assert_eq!(t.stat_row_count(), t.len());
-        t.replace_row(0, tuple![9, "seat", 9_000]).unwrap();
-        assert_eq!(t.stat_row_count(), 2);
-        // Bulk insert goes through the same choke point.
-        t.insert_all(vec![tuple![5, "kia", 1], tuple![6, "fiat", 2]])
-            .unwrap();
-        assert_eq!(t.stat_row_count(), t.len());
-    }
-
-    #[test]
     fn index_names_sorted() {
         let mut t = cars();
         t.create_index("z", &["make"], IndexKind::Hash).unwrap();
@@ -552,9 +520,9 @@ mod tests {
         t.insert(tuple![4, "audi", 45_000]).unwrap();
         let idx = t.find_hash_index(&[1]).unwrap();
         assert_eq!(idx.lookup(&[Value::str("audi")]), &[0, 3]);
-        // Delete compacts, reindexes, and keeps the statistic honest.
+        // Delete compacts and reindexes.
         assert_eq!(t.delete_rows(&[1]).unwrap(), 1);
-        assert_eq!(t.stat_row_count(), t.len());
+        assert_eq!(t.len(), 3);
         assert_eq!(t.fetch_row(1).unwrap()[1], Value::str("vw"));
         let idx = t.find_hash_index(&[1]).unwrap();
         assert_eq!(idx.lookup(&[Value::str("vw")]), &[1]);

@@ -71,10 +71,13 @@ fn arb_pref() -> impl Strategy<Value = PrefExpr> {
 
 /// One random DML statement. Delete/update targets pick from the rows
 /// still alive at application time (modulo the live count), so every
-/// generated statement is effective once the table is non-empty.
+/// generated statement is effective once the table is non-empty. A
+/// `FailedInsert` stages a valid row ahead of one with a string in an
+/// INTEGER column: the statement fails, and must store neither.
 #[derive(Debug, Clone)]
 enum Op {
     Insert { a: i64, b: i64, c: Option<i64> },
+    FailedInsert { a: i64, b: i64, c: Option<i64> },
     Delete { pick: usize },
     Update { pick: usize, a: i64, b: i64 },
 }
@@ -91,6 +94,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
             arb_cell().prop_map(|(a, b, c)| Op::Insert { a, b, c }),
+            arb_cell().prop_map(|(a, b, c)| Op::FailedInsert { a, b, c }),
             (0usize..64).prop_map(|pick| Op::Delete { pick }),
             (0usize..64, 0i64..12, 0i64..12).prop_map(|(pick, a, b)| Op::Update { pick, a, b }),
         ],
@@ -155,7 +159,12 @@ fn check(inc: &mut Session, cold: &mut Session, pref: &PrefExpr) {
     );
 }
 
-/// Apply one op to both sessions, returning the SQL that was run.
+fn row_count(s: &mut Session) -> Vec<i64> {
+    s.set_mode(ExecutionMode::Rewrite);
+    s.query("SELECT COUNT(*) FROM r").unwrap().column_as_ints(0)
+}
+
+/// Apply one op to both sessions.
 fn apply(op: &Op, live: &mut Vec<i64>, next_id: &mut i64, sessions: &mut [&mut Session]) {
     let sql = match op {
         Op::Insert { a, b, c } => {
@@ -163,6 +172,20 @@ fn apply(op: &Op, live: &mut Vec<i64>, next_id: &mut i64, sessions: &mut [&mut S
             *next_id += 1;
             live.push(id);
             format!("INSERT INTO r VALUES ({id}, {a}, {b}, {})", sql_cell(c))
+        }
+        Op::FailedInsert { a, b, c } => {
+            let sql = format!(
+                "INSERT INTO r VALUES ({}, {a}, {b}, {}), (-1, 'x', {b}, {})",
+                *next_id,
+                sql_cell(c),
+                sql_cell(c)
+            );
+            for s in sessions {
+                let before = row_count(s);
+                assert!(s.execute(&sql).is_err(), "must fail: {sql}");
+                assert_eq!(row_count(s), before, "a failed INSERT stores no row: {sql}");
+            }
+            return;
         }
         Op::Delete { pick } => {
             if live.is_empty() {
@@ -333,6 +356,36 @@ fn delete_of_winner_promotes_dominated_rows() {
     let cold = s.query(&sql).unwrap();
     assert_eq!(cold, served);
     assert!(cold.dominance_tests() > 0 && cold.view_activity().is_none());
+}
+
+/// A statement that fails part-way must leave the view in step with its
+/// table: a multi-row INSERT whose second row has the wrong type stores
+/// neither row, and the view keeps serving exactly what a cold run
+/// computes. The valid row would be the new sole winner.
+#[test]
+fn failed_insert_keeps_view_in_step() {
+    let pref = PrefExpr::Pareto(vec![
+        PrefExpr::Lowest {
+            expr: Expr::col("a"),
+        },
+        PrefExpr::Lowest {
+            expr: Expr::col("b"),
+        },
+    ]);
+    let seed = [(5, 5, Some(1)), (3, 4, None)];
+    let ops = [
+        Op::FailedInsert {
+            a: 1,
+            b: 1,
+            c: Some(0),
+        },
+        Op::Insert {
+            a: 2,
+            b: 2,
+            c: None,
+        },
+    ];
+    run_scenario(&pref, &seed, &ops, 1, None);
 }
 
 /// Layer 3: concurrent writers and cache-served readers over one shared
