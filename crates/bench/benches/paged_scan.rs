@@ -24,14 +24,19 @@
 //!   one slot tombstoned (the file is rewritten only once tombstones
 //!   outnumber live rows, which these few deletes never reach).
 //!
-//! One more row reads a materialized preference view on its own
+//! Two more rows work a materialized preference view on its own
 //! four-page pool:
 //!
 //! * `view-cold` — a native-mode skyline the view serves, over
 //!   `w(id, a, b)` whose `rows / 1000` winners each sit on a different
 //!   page. The view stores no rows, so the read fetches every winner
 //!   from the heap by row id, and the pool has evicted each winner's
-//!   page since the previous read.
+//!   page since the previous read;
+//! * `view-churn` — two UPDATEs by id: one moves a winner off the
+//!   frontier, the next moves it back. The first is the costly
+//!   maintenance step — a lost winner is tested against every row to
+//!   find those it beat — and the second evicts the run-mate the first
+//!   promoted.
 //!
 //! Recorded medians land in `BENCH_paged_scan.json`; the spread between
 //! `paged-warm` and `mem` is the slotted-page decode overhead, the
@@ -186,6 +191,28 @@ fn bench_paged_scan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("view-cold", fmt(rows)), &(), |b, _| {
             b.iter(|| assert_eq!(view.query(SKYLINE).expect("read").len(), winners))
         });
+        // A winner `(a, b)` moved to `(a + 2, b + 1)` is beaten by the next
+        // row of its run, `(a + 1, b + 1)`, which takes its place.
+        let mut leader = 0;
+        group.bench_with_input(BenchmarkId::new("view-churn", fmt(rows)), &(), |b, _| {
+            b.iter(|| {
+                leader = (leader + WINNER_EVERY) % rows;
+                for step in ["a = a + 2, b = b + 1", "a = a - 2, b = b - 1"] {
+                    let sql = format!("UPDATE w SET {step} WHERE id = {leader}");
+                    match view.execute(&sql).expect("update") {
+                        QueryResult::Count(1) => {}
+                        other => panic!("{sql} must affect one row: {other:?}"),
+                    }
+                }
+            })
+        });
+        let served = view.query(SKYLINE).expect("served read");
+        assert_eq!(served.len(), winners, "churn leaves the frontier as it was");
+        assert_eq!(
+            served.view_activity().and_then(|v| v.served_by.as_deref()),
+            Some("best"),
+            "maintenance kept the view live"
+        );
     }
     group.finish();
 }

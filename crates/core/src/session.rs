@@ -74,7 +74,7 @@ impl ExecutionMode {
 pub enum QueryResult {
     /// Rows of a SELECT.
     Rows(ResultSet),
-    /// Affected-row count of an INSERT.
+    /// Affected-row count of an INSERT, UPDATE or DELETE.
     Count(usize),
     /// Acknowledgement of DDL or preference DDL.
     Message(String),

@@ -26,6 +26,8 @@
 //! end).
 
 use crate::session::{QueryResult, Session};
+use prefsql_parser::ast::Statement;
+use prefsql_parser::parse_statement;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -102,18 +104,26 @@ impl Shell {
 
     fn run_statement(&mut self, sql: &str) -> String {
         let t0 = Instant::now();
-        let result = self.session.execute(sql);
+        let result = parse_statement(sql).and_then(|stmt| {
+            let done = self.session.execute_statement(&stmt)?;
+            Ok((stmt, done))
+        });
         let elapsed = t0.elapsed();
         let mut out = match result {
-            Ok(QueryResult::Rows(rs)) => {
+            Ok((_, QueryResult::Rows(rs))) => {
                 // Every row result carries one observability footer
                 // block (spill, pool, view cache) in a fixed order — the
                 // formats live in `crate::footer`, shared with EXPLAIN
                 // ANALYZE's native annotations.
                 format!("{rs}{}", crate::footer::result_footer(&self.session, &rs))
             }
-            Ok(QueryResult::Count(n)) => {
-                let mut text = format!("INSERT {n}\n");
+            Ok((stmt, QueryResult::Count(n))) => {
+                let verb = match stmt {
+                    Statement::Update { .. } => "UPDATE",
+                    Statement::Delete { .. } => "DELETE",
+                    _ => "INSERT",
+                };
+                let mut text = format!("{verb} {n}\n");
                 // DML that incrementally maintained materialized
                 // preference views reports how many it touched.
                 let maintained = self.session.last_view_maintained();
@@ -122,8 +132,8 @@ impl Shell {
                 }
                 text
             }
-            Ok(QueryResult::Message(m)) => format!("{m}\n"),
-            Ok(QueryResult::Explain(text)) => text,
+            Ok((_, QueryResult::Message(m))) => format!("{m}\n"),
+            Ok((_, QueryResult::Explain(text))) => text,
             Err(e) => format!("ERROR: {e}\n"),
         };
         if self.timing {
@@ -202,6 +212,25 @@ mod tests {
         let out = sh.feed_line("SELECT x FROM t PREFERRING LOWEST(x);");
         assert!(out.contains("| 1 |"), "{out}");
         assert!(out.contains("(1 rows)"), "{out}");
+    }
+
+    #[test]
+    fn dml_counts_are_labelled_by_statement() {
+        let mut sh = Shell::new();
+        sh.feed_line("CREATE TABLE r (id INTEGER, a INTEGER);");
+        assert_eq!(
+            sh.feed_line("INSERT INTO r VALUES (1, 5), (2, 6), (3, 7);"),
+            "INSERT 3\n"
+        );
+        assert_eq!(
+            sh.feed_line("UPDATE r SET a = 0 WHERE id = 1;"),
+            "UPDATE 1\n"
+        );
+        assert_eq!(sh.feed_line("DELETE FROM r;"), "DELETE 3\n");
+        assert_eq!(
+            sh.feed_line("INSERT INTO r SELECT id, a FROM r;"),
+            "INSERT 0\n"
+        );
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! `after_*` hooks here — still under the statement's catalog write lock,
 //! so readers never observe a view out of sync with its table. The hooks
 //! translate the row delta into the incremental skyline algebra of
-//! `prefsql_pref::incremental`, which maintains the stored result without
-//! recomputation (per-winner domination counts make a DELETE of a winner
-//! promote exactly the rows it exclusively dominated).
+//! `prefsql_pref::incremental`, which keeps the stored winner list
+//! ([`MatViewDef::winners`]) equal to the BMO result without
+//! recomputation: a new row is tested against the winners only, a lost
+//! winner re-examines only the rows it beat.
 //!
 //! The entries hold no rows: a read fetches the winners from the base
-//! table by row id, which is why they must mirror its rids.
+//! table by row id, which is why the entries must mirror its rids.
 //!
 //! Maintenance never fails the triggering DML: any error (dropped
 //! columns, arithmetic on changed data, ...) marks the view *stale*
@@ -200,8 +201,8 @@ impl BoundView {
 
     /// Compute the view entry for one base-table row: evaluate the WHERE
     /// clause (three-valued: only exactly-TRUE qualifies) and the base
-    /// preference expressions into the slot vector. Winner/dominator
-    /// fields start cold; the caller integrates the entry.
+    /// preference expressions into the slot vector. The caller integrates
+    /// the entry into the winner list.
     fn entry_for(&self, ctx: &ExecCtx<'_>, row: &Tuple) -> Result<MatViewEntry> {
         let env = Env::new(row, &[]);
         let qualifies = match &self.where_clause {
@@ -211,12 +212,7 @@ impl BoundView {
         let slots = (self.slots.iter())
             .map(|e| eval(e, env, ctx))
             .collect::<Result<Vec<_>>>()?;
-        Ok(MatViewEntry {
-            slots,
-            qualifies,
-            winner: false,
-            dominators: 0,
-        })
+        Ok(MatViewEntry { slots, qualifies })
     }
 }
 
@@ -232,13 +228,14 @@ pub(crate) fn build_def(
 ) -> Result<MatViewDef> {
     let (base, _) = validate_definition(query)?;
     let sql = query.to_string();
-    let (schema, entries) = rebuild_from_base(engine, cat, &sql, &base)?;
+    let (schema, entries, winners) = rebuild_from_base(engine, cat, &sql, &base)?;
     Ok(MatViewDef {
         name: name.to_string(),
         sql,
         base_table: base,
         schema,
         entries,
+        winners,
         stale: false,
     })
 }
@@ -263,12 +260,13 @@ pub(crate) fn refresh(engine: &Engine, cat: &mut Catalog, name: &str) -> Result<
         (def.sql.clone(), def.base_table.clone())
     };
     match rebuild_from_base(engine, cat, &sql, &base) {
-        Ok((schema, entries)) => {
+        Ok((schema, entries, winners)) => {
             let def = cat
                 .matview_mut(name)
                 .expect("view existed above and the catalog is write-locked");
             def.schema = schema;
             def.entries = entries;
+            def.winners = winners;
             def.stale = false;
             Ok(def.winner_count())
         }
@@ -286,13 +284,14 @@ pub(crate) fn refresh(engine: &Engine, cat: &mut Catalog, name: &str) -> Result<
 
 /// The view state computed from scratch (CREATE and REFRESH): validate
 /// the definition against the *current* base table, compute one entry per
-/// row, run the full skyline rebuild.
+/// row, run the full skyline rebuild. Returns the schema, the entries and
+/// the winner list.
 fn rebuild_from_base(
     engine: &Engine,
     cat: &Catalog,
     sql: &str,
     base: &str,
-) -> Result<(Schema, Vec<MatViewEntry>)> {
+) -> Result<(Schema, Vec<MatViewEntry>, Vec<usize>)> {
     let spec = view_spec(sql)?;
     let table = cat.table(base)?;
     let schema = eval_schema(table, &spec.qual);
@@ -311,8 +310,8 @@ fn rebuild_from_base(
             Ok(())
         })
     })?;
-    prefsql_pref::incremental::rebuild(&mut entries, &spec.compiled.preference);
-    Ok((schema, entries))
+    let winners = prefsql_pref::incremental::rebuild(&entries, &spec.compiled.preference);
+    Ok((schema, entries, winners))
 }
 
 /// The views on `table` a DML hook must maintain: registered, not stale.
@@ -350,6 +349,7 @@ pub(crate) fn after_insert(
             for entry in new_entries {
                 prefsql_pref::incremental::apply_insert(
                     &mut def.entries,
+                    &mut def.winners,
                     entry,
                     &spec.compiled.preference,
                 );
@@ -379,6 +379,7 @@ pub(crate) fn after_delete(
         |def, spec, ()| {
             prefsql_pref::incremental::apply_delete(
                 &mut def.entries,
+                &mut def.winners,
                 doomed,
                 &spec.compiled.preference,
             );
@@ -413,6 +414,7 @@ pub(crate) fn after_update(
             for (&rid, entry) in ids.iter().zip(new_entries) {
                 prefsql_pref::incremental::apply_replace(
                     &mut def.entries,
+                    &mut def.winners,
                     rid,
                     entry,
                     &spec.compiled.preference,

@@ -154,8 +154,15 @@ impl Preference {
     /// incremental maintenance; candidate sets go through
     /// [`crate::ScoreMatrix`].
     pub fn better(&self, a: &[Value], b: &[Value]) -> bool {
+        self.verdict(a, b) == Verdict::A_WINS
+    }
+
+    /// Both directions of [`Preference::better`] in one dominance test:
+    /// [`Verdict::A_WINS`] iff `better(a, b)`, [`Verdict::B_WINS`] iff
+    /// `better(b, a)`.
+    pub(crate) fn verdict(&self, a: &[Value], b: &[Value]) -> Verdict {
         self.add_comparisons(1);
-        self.program.compare_values(&self.bases, a, b) == Verdict::A_WINS
+        self.program.compare_values(&self.bases, a, b)
     }
 
     /// Substitutability: are `a` and `b` interchangeable?
@@ -180,8 +187,96 @@ impl Preference {
     }
 }
 
+/// Proptest generators shared by this crate's property tests: every
+/// composition shape over every base kind and every value kind.
+#[cfg(test)]
+pub(crate) mod arb {
+    use super::{PrefNode, Preference};
+    use crate::base::BasePref;
+    use prefsql_types::Value;
+    use proptest::prelude::*;
+
+    /// Every base-preference kind, over three slots.
+    pub(crate) fn arb_any_pref() -> impl Strategy<Value = Preference> {
+        let s = Value::str;
+        let base = prop_oneof![
+            Just(BasePref::Lowest),
+            Just(BasePref::Highest),
+            (-3.0f64..3.0).prop_map(|t| BasePref::Around { target: t }),
+            Just(BasePref::Between { low: -1.0, up: 1.0 }),
+            Just(BasePref::Pos {
+                values: vec![Value::Int(1), s("red")]
+            }),
+            Just(BasePref::Neg {
+                values: vec![Value::Float(0.0)]
+            }),
+            Just(BasePref::PosPos {
+                first: vec![s("red")],
+                second: vec![Value::Int(2), s("blue")]
+            }),
+            Just(BasePref::PosNeg {
+                pos: vec![Value::Int(0)],
+                neg: vec![s("grey")]
+            }),
+            Just(BasePref::Contains {
+                terms: vec!["re".into(), "D".into()]
+            }),
+            Just(BasePref::Explicit {
+                edges: vec![
+                    (s("red"), s("blue")),
+                    (s("blue"), s("grey")),
+                    (Value::Int(1), s("grey")),
+                    (Value::Int(1), Value::Int(2)),
+                ]
+            }),
+        ];
+        proptest::collection::vec(base, 3).prop_flat_map(|bs| {
+            arb_tree(bs.len()).prop_map(move |t| Preference::new(t, bs.clone()).unwrap())
+        })
+    }
+
+    /// The values whose treatment differs between base preferences: NULL,
+    /// NaN, signed zeros, `Int`/`Float` twins, strings and booleans where
+    /// numbers are expected and numbers where strings are, dates,
+    /// `EXPLICIT` nodes and values outside the graph.
+    pub(crate) fn arb_any_slots() -> impl Strategy<Value = Vec<Value>> {
+        let values = vec![
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::Float(f64::INFINITY),
+            Value::Bool(true),
+            Value::Date(prefsql_types::Date::from_days(1)),
+            Value::Date(prefsql_types::Date::from_days(2)),
+            Value::str("red"),
+            Value::str("Red dress"),
+            Value::str("blue"),
+            Value::str("grey"),
+            Value::str("pink"),
+        ];
+        proptest::collection::vec((0..values.len()).prop_map(move |i| values[i].clone()), 3)
+    }
+
+    pub(crate) fn arb_tree(n_slots: usize) -> impl Strategy<Value = PrefNode> {
+        let leaf = (0..n_slots).prop_map(|slot| PrefNode::Base { slot });
+        leaf.prop_recursive(3, 12, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 2..4).prop_map(PrefNode::Pareto),
+                proptest::collection::vec(inner, 2..4).prop_map(PrefNode::Prioritized),
+            ]
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::arb::{arb_any_pref, arb_any_slots, arb_tree};
     use super::*;
     use proptest::prelude::*;
 
@@ -332,73 +427,6 @@ mod tests {
         }
     }
 
-    /// Every base-preference kind, over three slots.
-    fn arb_any_pref() -> impl Strategy<Value = Preference> {
-        let s = Value::str;
-        let base = prop_oneof![
-            Just(BasePref::Lowest),
-            Just(BasePref::Highest),
-            (-3.0f64..3.0).prop_map(|t| BasePref::Around { target: t }),
-            Just(BasePref::Between { low: -1.0, up: 1.0 }),
-            Just(BasePref::Pos {
-                values: vec![Value::Int(1), s("red")]
-            }),
-            Just(BasePref::Neg {
-                values: vec![Value::Float(0.0)]
-            }),
-            Just(BasePref::PosPos {
-                first: vec![s("red")],
-                second: vec![Value::Int(2), s("blue")]
-            }),
-            Just(BasePref::PosNeg {
-                pos: vec![Value::Int(0)],
-                neg: vec![s("grey")]
-            }),
-            Just(BasePref::Contains {
-                terms: vec!["re".into(), "D".into()]
-            }),
-            Just(BasePref::Explicit {
-                edges: vec![
-                    (s("red"), s("blue")),
-                    (s("blue"), s("grey")),
-                    (Value::Int(1), s("grey")),
-                    (Value::Int(1), Value::Int(2)),
-                ]
-            }),
-        ];
-        proptest::collection::vec(base, 3).prop_flat_map(|bs| {
-            arb_tree(bs.len()).prop_map(move |t| Preference::new(t, bs.clone()).unwrap())
-        })
-    }
-
-    /// The values whose treatment differs between base preferences: NULL,
-    /// NaN, signed zeros, `Int`/`Float` twins, strings and booleans where
-    /// numbers are expected and numbers where strings are, dates,
-    /// `EXPLICIT` nodes and values outside the graph.
-    fn arb_any_slots() -> impl Strategy<Value = Vec<Value>> {
-        let values = vec![
-            Value::Null,
-            Value::Float(f64::NAN),
-            Value::Float(-0.0),
-            Value::Float(0.0),
-            Value::Int(0),
-            Value::Int(1),
-            Value::Float(1.0),
-            Value::Int(2),
-            Value::Float(2.5),
-            Value::Float(f64::INFINITY),
-            Value::Bool(true),
-            Value::Date(prefsql_types::Date::from_days(1)),
-            Value::Date(prefsql_types::Date::from_days(2)),
-            Value::str("red"),
-            Value::str("Red dress"),
-            Value::str("blue"),
-            Value::str("grey"),
-            Value::str("pink"),
-        ];
-        proptest::collection::vec((0..values.len()).prop_map(move |i| values[i].clone()), 3)
-    }
-
     proptest! {
         /// The compiled program is the tree walk: same `better` and
         /// `equiv` through the two-row entry points and through a lowered
@@ -416,6 +444,7 @@ mod tests {
                     prop_assert_eq!(p.better(a, b), better, "better({:?}, {:?})", a, b);
                     prop_assert_eq!(p.equiv(a, b), equiv, "equiv({:?}, {:?})", a, b);
                     let verdict = m.compare(i, j);
+                    prop_assert_eq!(p.verdict(a, b), verdict, "verdict({:?}, {:?})", a, b);
                     prop_assert_eq!(verdict == Verdict::A_WINS, better, "rows {} {}", i, j);
                     prop_assert_eq!(verdict == Verdict::EQUIV, equiv, "rows {} {}", i, j);
                     prop_assert_eq!(
@@ -429,16 +458,6 @@ mod tests {
     }
 
     // ---- property tests: composition preserves the SPO axioms ----
-
-    fn arb_tree(n_slots: usize) -> impl Strategy<Value = PrefNode> {
-        let leaf = (0..n_slots).prop_map(|slot| PrefNode::Base { slot });
-        leaf.prop_recursive(3, 12, 3, |inner| {
-            prop_oneof![
-                proptest::collection::vec(inner.clone(), 2..4).prop_map(PrefNode::Pareto),
-                proptest::collection::vec(inner, 2..4).prop_map(PrefNode::Prioritized),
-            ]
-        })
-    }
 
     fn arb_pref() -> impl Strategy<Value = Preference> {
         let bases = proptest::collection::vec(
@@ -499,6 +518,32 @@ mod tests {
             if p.equiv(&a, &b) {
                 prop_assert_eq!(p.better(&a, &c), p.better(&b, &c));
                 prop_assert_eq!(p.better(&c, &a), p.better(&c, &b));
+            }
+        }
+
+        /// The same three axioms for every base kind and value kind —
+        /// NaN, signed zeros, wrong-typed values, `EXPLICIT` values outside
+        /// the graph — over every triple of a small row set. Incremental
+        /// view maintenance rests on them: in a finite set, every row that
+        /// is not maximal is beaten by a maximal one.
+        #[test]
+        fn every_base_and_value_kind_is_a_strict_partial_order(
+            p in arb_any_pref(),
+            rows in proptest::collection::vec(arb_any_slots(), 3..=8)
+        ) {
+            for a in &rows {
+                prop_assert!(!p.better(a, a), "irreflexive: {:?}", a);
+                for b in &rows {
+                    if !p.better(a, b) {
+                        continue;
+                    }
+                    prop_assert!(!p.better(b, a), "asymmetric: {:?} {:?}", a, b);
+                    for c in &rows {
+                        if p.better(b, c) {
+                            prop_assert!(p.better(a, c), "transitive: {:?} {:?} {:?}", a, b, c);
+                        }
+                    }
+                }
             }
         }
     }

@@ -2,92 +2,85 @@
 //! `MATERIALIZED PREFERENCE VIEW`.
 //!
 //! The view stores one [`MatViewEntry`] per base-table row, mirroring row
-//! ids 1:1 and in order. The functions here maintain the invariant
+//! ids 1:1 and in order, and one ascending list of winner positions. The
+//! functions here keep
 //!
 //! ```text
-//! e.dominators == |{ w : w.winner && better(w.slots, e.slots) }|
-//! e.winner     ⇔  e.qualifies && e.dominators == 0
+//! winners == the maximal set of the qualifying entries, ascending
 //! ```
 //!
-//! for every qualifying entry `e` across INSERT, DELETE and UPDATE,
-//! without recomputing the skyline:
+//! across INSERT, DELETE and UPDATE without recomputing the skyline. They
+//! rest on one fact: a preference is a strict partial order, so in a
+//! finite set every qualifying entry that is not a winner is beaten by
+//! some winner.
 //!
-//! * **Insert** ([`apply_insert`]): count the winners dominating the new
-//!   tuple `t`. If any exist, `t` just records that count. Otherwise `t`
-//!   becomes a winner, evicts the winners it dominates (their count
-//!   becomes exactly 1 — only `t` beats them, or they would not have been
-//!   winners), and every other qualifying non-winner `e` adjusts by
-//!   `[better(t,e)] − |{evicted w : better(w,e)}|`. Transitivity of the
-//!   strict partial order (`better(t,w) ∧ better(w,e) ⇒ better(t,e)`)
-//!   guarantees the adjustment never drives a count to zero incorrectly.
-//!   Cost: O(n·(1 + evicted)) comparisons per insert.
-//! * **Delete** ([`apply_delete`]): removing non-winners is free (they
-//!   dominate nothing that counts). For each deleted *winner*, surviving
-//!   qualifying entries decrement by the number of deleted winners that
-//!   dominated them. Entries whose count reaches zero are *candidates*
-//!   for promotion — but they may dominate each other, so the promoted
-//!   set is the maximal set over the candidates ([`maximal_scored`]); every
-//!   non-promoted candidate (and every other non-winner) then counts the
-//!   newly promoted winners that dominate it.
-//! * **Update** ([`apply_replace`]): a delete followed by an insert at
-//!   the same entry position, so entry order keeps mirroring
+//! * **New row** ([`apply_insert`], the new side of [`apply_replace`]): a
+//!   qualifying row `r` that no winner beats joins the list and evicts
+//!   the winners it beats — one dominance test per winner, deciding both
+//!   directions. No other entry changes status: the winner that beat it
+//!   either survives or was beaten by `r`, which then beats it too.
+//!   Cost: O(|winners|).
+//! * **Lost winners** `D` ([`apply_delete`], the old side of
+//!   [`apply_replace`]): only an *orphan* — a row some `d ∈ D` beat and no
+//!   surviving winner beats — can rise. Every other non-winner is still
+//!   beaten by a surviving winner, and by transitivity none of them beats
+//!   an orphan, so the new list is the surviving winners merged with the
+//!   maximal set of the orphans ([`maximal_scored`]). Cost: one pass of
+//!   `|D|` tests per non-winner, plus the winners for each row `D` beat.
+//!   Losing only non-winners changes nothing; a DELETE then just
+//!   renumbers the winners past the compacted ids.
+//! * **Update** ([`apply_replace`]): the lost-winner step for the old
+//!   entry, then the new-row step at the same position, so entry order
+//!   keeps mirroring
 //!   [`Table::replace_row`](prefsql_storage::Table::replace_row)'s
 //!   in-place semantics.
 //!
-//! [`rebuild`] recomputes the whole state from scratch (CREATE/REFRESH
-//! and the differential oracle of the maintenance proptests).
+//! [`rebuild`] computes the list from scratch (CREATE/REFRESH and the
+//! differential oracle of the maintenance proptests).
 
 use crate::algo::{maximal_scored, SkylineAlgo};
 use crate::compose::Preference;
 use crate::score::{ScoreMatrix, Verdict};
 use prefsql_storage::MatViewEntry;
 
-/// Recompute winner flags and domination counts from scratch: the maximal
-/// set over qualifying entries, then one count pass. O(n·|winners|) after
-/// the skyline itself. Used by CREATE / REFRESH and as the test oracle.
-pub fn rebuild(entries: &mut [MatViewEntry], pref: &Preference) {
+/// The winner list from scratch: the maximal set of the qualifying
+/// entries, ascending. Used by CREATE / REFRESH and as the test oracle.
+pub fn rebuild(entries: &[MatViewEntry], pref: &Preference) -> Vec<usize> {
     let qualifying: Vec<usize> = (0..entries.len())
         .filter(|&i| entries[i].qualifies)
         .collect();
-    let m = ScoreMatrix::lower(
-        pref,
-        qualifying.iter().map(|&i| entries[i].slots.as_slice()),
-    );
-    let ids = m.ids();
-    let winners = maximal_scored(&m, &ids, SkylineAlgo::Auto, 1);
-    for e in entries.iter_mut() {
-        e.winner = false;
-        e.dominators = 0;
-    }
-    let mut tests = 0;
-    for &q in &ids {
-        let others = winners.iter().filter(|&&w| w != q);
-        let count = others
-            .filter(|&&w| {
-                tests += 1;
-                m.compare(w, q) == Verdict::A_WINS
-            })
-            .count() as u32;
-        entries[qualifying[q]].dominators = count;
-    }
-    pref.add_comparisons(tests);
-    for w in winners {
-        entries[qualifying[w]].winner = true;
-    }
+    maximal_of(entries, &qualifying, pref)
 }
 
-/// Append `entry` and integrate it into the maintained state.
-pub fn apply_insert(entries: &mut Vec<MatViewEntry>, entry: MatViewEntry, pref: &Preference) {
+/// The maximal entries among the ascending positions `ids`, ascending.
+fn maximal_of(entries: &[MatViewEntry], ids: &[usize], pref: &Preference) -> Vec<usize> {
+    let m = ScoreMatrix::lower(pref, ids.iter().map(|&i| entries[i].slots.as_slice()));
+    let maximal = maximal_scored(&m, &m.ids(), SkylineAlgo::Auto, 1);
+    maximal.into_iter().map(|k| ids[k]).collect()
+}
+
+/// Append `entry` and integrate it into `winners`.
+pub fn apply_insert(
+    entries: &mut Vec<MatViewEntry>,
+    winners: &mut Vec<usize>,
+    entry: MatViewEntry,
+    pref: &Preference,
+) {
     entries.push(entry);
-    let last = entries.len() - 1;
-    integrate(entries, last, pref);
+    admit(entries, winners, entries.len() - 1, pref);
 }
 
-/// Remove the entries at `doomed` (duplicates tolerated), maintaining the
-/// invariant for the survivors, then compact the vector exactly like
+/// Remove the entries at `doomed` (duplicates and out-of-range ids
+/// tolerated), maintaining `winners` for the survivors, then compact the
+/// vector exactly like
 /// [`Table::delete_rows`](prefsql_storage::Table::delete_rows) compacts
 /// row ids: surviving entries keep their relative order.
-pub fn apply_delete(entries: &mut Vec<MatViewEntry>, doomed: &[usize], pref: &Preference) {
+pub fn apply_delete(
+    entries: &mut Vec<MatViewEntry>,
+    winners: &mut Vec<usize>,
+    doomed: &[usize],
+    pref: &Preference,
+) {
     let mut doomed: Vec<usize> = doomed
         .iter()
         .copied()
@@ -98,7 +91,7 @@ pub fn apply_delete(entries: &mut Vec<MatViewEntry>, doomed: &[usize], pref: &Pr
     if doomed.is_empty() {
         return;
     }
-    retract(entries, &doomed, pref);
+    retract(entries, winners, &doomed, pref);
     // One merge pass against the sorted ids, not a lookup per entry.
     let mut next = doomed.iter().peekable();
     let mut pos = 0;
@@ -107,171 +100,100 @@ pub fn apply_delete(entries: &mut Vec<MatViewEntry>, doomed: &[usize], pref: &Pr
         pos += 1;
         !gone
     });
+    // Each winner moves down by the number of doomed ids below it.
+    let mut below = 0;
+    for w in winners.iter_mut() {
+        while doomed.get(below).is_some_and(|&d| d < *w) {
+            below += 1;
+        }
+        *w -= below;
+    }
 }
 
 /// Replace the entry at `pos` with `entry` in place (an UPDATE of the
-/// base row): retract the old entry, then integrate the new one at the
-/// same position so entry order keeps mirroring row ids.
+/// base row): retract the old entry, then admit the new one at the same
+/// position so entry order keeps mirroring row ids.
 pub fn apply_replace(
     entries: &mut [MatViewEntry],
+    winners: &mut Vec<usize>,
     pos: usize,
     entry: MatViewEntry,
     pref: &Preference,
 ) {
-    retract(entries, &[pos], pref);
+    retract(entries, winners, &[pos], pref);
     entries[pos] = entry;
-    integrate(entries, pos, pref);
+    admit(entries, winners, pos, pref);
 }
 
-/// Insert phase: `entries[pos]` is a fresh entry (winner/dominators not
-/// yet meaningful); fold it into the maintained state.
-fn integrate(entries: &mut [MatViewEntry], pos: usize, pref: &Preference) {
-    entries[pos].winner = false;
-    entries[pos].dominators = 0;
-    if !entries[pos].qualifies {
+/// New-row step: `entries[pos]` is not in `winners`. It joins them if it
+/// qualifies and no winner beats it, evicting the winners it beats.
+fn admit(entries: &[MatViewEntry], winners: &mut Vec<usize>, pos: usize, pref: &Preference) {
+    let new = &entries[pos];
+    if !new.qualifies {
         return;
     }
-    // Count the winners dominating the newcomer.
-    let dominated_by = (0..entries.len())
-        .filter(|&w| {
-            w != pos && entries[w].winner && pref.better(&entries[w].slots, &entries[pos].slots)
-        })
-        .count() as u32;
-    if dominated_by > 0 {
-        entries[pos].dominators = dominated_by;
-        return;
-    }
-    // The newcomer enters the skyline: evict the winners it dominates.
-    entries[pos].winner = true;
-    let evicted: Vec<usize> = (0..entries.len())
-        .filter(|&w| {
-            w != pos && entries[w].winner && pref.better(&entries[pos].slots, &entries[w].slots)
-        })
-        .collect();
-    for &w in &evicted {
-        // Winners had count 0; the only winner beating them now is `pos`
-        // (any other winner beating them would have beaten them before).
-        entries[w].winner = false;
-        entries[w].dominators = 1;
-    }
-    // Every other qualifying non-winner adjusts: +1 if the newcomer beats
-    // it, −1 per evicted ex-winner that beat it. Transitivity keeps the
-    // result non-negative and never incorrectly zero.
-    for e in 0..entries.len() {
-        if e == pos || !entries[e].qualifies || entries[e].winner || evicted.contains(&e) {
-            continue;
+    let mut verdicts = Vec::with_capacity(winners.len());
+    for &w in winners.iter() {
+        let verdict = pref.verdict(&entries[w].slots, &new.slots);
+        if verdict == Verdict::A_WINS {
+            return;
         }
-        let gained = u32::from(pref.better(&entries[pos].slots, &entries[e].slots));
-        let lost = evicted
-            .iter()
-            .filter(|&&w| pref.better(&entries[w].slots, &entries[e].slots))
-            .count() as u32;
-        entries[e].dominators = entries[e].dominators + gained - lost;
+        verdicts.push(verdict);
     }
+    let mut verdicts = verdicts.into_iter();
+    winners.retain(|_| verdicts.next() != Some(Verdict::B_WINS));
+    let at = winners.partition_point(|&w| w < pos);
+    winners.insert(at, pos);
 }
 
-/// Delete phase: neutralize the `doomed` entries (ascending, distinct;
-/// they stop competing) and repair the survivors' counts, promoting
-/// where counts reach zero. Does not remove the doomed entries — callers
-/// compact or replace.
-fn retract(entries: &mut [MatViewEntry], doomed: &[usize], pref: &Preference) {
-    let is_doomed = |e: &usize| doomed.binary_search(e).is_ok();
-    // Only doomed *winners* affect anyone else's bookkeeping.
-    let dead_winners: Vec<usize> = doomed
-        .iter()
-        .copied()
-        .filter(|&i| entries[i].winner)
-        .collect();
-    for &d in doomed {
-        entries[d].qualifies = false;
-        entries[d].winner = false;
-        entries[d].dominators = 0;
-    }
-    if dead_winners.is_empty() {
+/// Lost-winner step: the entries at `doomed` (ascending, distinct) stop
+/// competing. Drops them from `winners` and promotes the maximal orphans.
+/// Does not remove the doomed entries — callers compact or replace them.
+fn retract(
+    entries: &[MatViewEntry],
+    winners: &mut Vec<usize>,
+    doomed: &[usize],
+    pref: &Preference,
+) {
+    let is_doomed = |i: usize| doomed.binary_search(&i).is_ok();
+    let mut lost = Vec::new();
+    winners.retain(|&w| {
+        let gone = is_doomed(w);
+        if gone {
+            lost.push(w);
+        }
+        !gone
+    });
+    if lost.is_empty() {
         return;
     }
-    // Survivors stop counting the dead winners.
-    for e in 0..entries.len() {
-        if is_doomed(&e) || !entries[e].qualifies || entries[e].winner {
-            continue;
-        }
-        let lost = dead_winners
-            .iter()
-            .filter(|&&w| pref.better(&entries[w].slots, &entries[e].slots))
-            .count() as u32;
-        entries[e].dominators -= lost;
-    }
-    // Count-zero survivors are promotion candidates — but they may
-    // dominate each other, so promote only the maximal set among them.
-    let zero: Vec<usize> = (0..entries.len())
+    let beaten_by = |by: &[usize], e: usize| {
+        (by.iter()).any(|&w| pref.better(&entries[w].slots, &entries[e].slots))
+    };
+    let orphans: Vec<usize> = (0..entries.len())
         .filter(|&e| {
-            !is_doomed(&e)
-                && entries[e].qualifies
-                && !entries[e].winner
-                && entries[e].dominators == 0
+            entries[e].qualifies
+                && !is_doomed(e)
+                && winners.binary_search(&e).is_err()
+                && beaten_by(&lost, e)
+                && !beaten_by(winners, e)
         })
         .collect();
-    if zero.is_empty() {
+    if orphans.is_empty() {
         return;
     }
-    let m = ScoreMatrix::lower(pref, zero.iter().map(|&e| entries[e].slots.as_slice()));
-    let promoted: Vec<usize> = maximal_scored(&m, &m.ids(), SkylineAlgo::Auto, 1)
-        .into_iter()
-        .map(|zi| zero[zi])
-        .collect();
-    for &p in &promoted {
-        entries[p].winner = true;
-    }
-    // Remaining non-winners now count the newly promoted winners.
-    for e in 0..entries.len() {
-        if is_doomed(&e) || !entries[e].qualifies || entries[e].winner {
-            continue;
-        }
-        let gained = promoted
-            .iter()
-            .filter(|&&p| pref.better(&entries[p].slots, &entries[e].slots))
-            .count() as u32;
-        entries[e].dominators += gained;
-    }
-}
-
-/// Debug/test helper: assert the maintained invariant holds for every
-/// entry. Returns a description of the first violation, if any.
-pub fn check_invariant(entries: &[MatViewEntry], pref: &Preference) -> Option<String> {
-    for (i, e) in entries.iter().enumerate() {
-        if !e.qualifies {
-            if e.winner || e.dominators != 0 {
-                return Some(format!("entry {i}: non-qualifying but winner/counted"));
-            }
-            continue;
-        }
-        let expect = entries
-            .iter()
-            .enumerate()
-            .filter(|&(w, we)| w != i && we.winner && pref.better(&we.slots, &e.slots))
-            .count() as u32;
-        if e.dominators != expect {
-            return Some(format!(
-                "entry {i}: dominators {} but {} winners dominate it",
-                e.dominators, expect
-            ));
-        }
-        if e.winner != (e.dominators == 0) {
-            return Some(format!(
-                "entry {i}: winner={} with dominators={}",
-                e.winner, e.dominators
-            ));
-        }
-    }
-    None
+    winners.extend(maximal_of(entries, &orphans, pref));
+    winners.sort_unstable();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::base::BasePref;
+    use crate::compose::arb::{arb_any_pref, arb_any_slots};
     use crate::compose::PrefNode;
     use prefsql_types::Value;
+    use proptest::prelude::*;
 
     /// LOWEST x AND LOWEST y — the classic 2-d skyline.
     fn pareto2() -> Preference {
@@ -286,84 +208,98 @@ mod tests {
         MatViewEntry {
             slots: vec![Value::Int(x), Value::Int(y)],
             qualifies: true,
-            winner: false,
-            dominators: 0,
         }
     }
 
-    fn winners(entries: &[MatViewEntry]) -> Vec<(i64, i64)> {
-        entries
-            .iter()
-            .filter(|e| e.winner)
-            .map(|e| (e.slots[0].as_int().unwrap(), e.slots[1].as_int().unwrap()))
+    /// A view built from scratch over `rows`.
+    fn view(rows: Vec<MatViewEntry>, p: &Preference) -> (Vec<MatViewEntry>, Vec<usize>) {
+        let winners = rebuild(&rows, p);
+        (rows, winners)
+    }
+
+    fn points(entries: &[MatViewEntry], winners: &[usize]) -> Vec<(i64, i64)> {
+        (winners.iter())
+            .map(|&w| &entries[w].slots)
+            .map(|s| (s[0].as_int().unwrap(), s[1].as_int().unwrap()))
             .collect()
     }
 
     #[test]
     fn insert_dominated_is_a_noop_on_the_skyline() {
         let p = pareto2();
-        let mut es = vec![entry(1, 1)];
-        rebuild(&mut es, &p);
-        apply_insert(&mut es, entry(5, 5), &p);
-        assert_eq!(winners(&es), vec![(1, 1)]);
-        assert_eq!(es[1].dominators, 1);
-        assert_eq!(check_invariant(&es, &p), None);
+        let (mut es, mut ws) = view(vec![entry(1, 1)], &p);
+        p.take_comparisons();
+        apply_insert(&mut es, &mut ws, entry(5, 5), &p);
+        assert_eq!(ws, vec![0]);
+        // One test against the one winner; the loser is never revisited.
+        assert_eq!(p.take_comparisons(), 1);
     }
 
     #[test]
     fn insert_evicts_dominated_winners() {
         let p = pareto2();
-        let mut es = vec![entry(3, 5), entry(5, 3), entry(8, 8)];
-        rebuild(&mut es, &p);
-        assert_eq!(winners(&es), vec![(3, 5), (5, 3)]);
-        assert_eq!(es[2].dominators, 2);
-        // (2,2) dominates everything.
-        apply_insert(&mut es, entry(2, 2), &p);
-        assert_eq!(winners(&es), vec![(2, 2)]);
-        assert_eq!(es[0].dominators, 1);
-        assert_eq!(es[1].dominators, 1);
-        assert_eq!(es[2].dominators, 1); // lost both ex-winners, gained (2,2)
-        assert_eq!(check_invariant(&es, &p), None);
+        let (mut es, mut ws) = view(vec![entry(3, 5), entry(5, 3), entry(8, 8)], &p);
+        assert_eq!(points(&es, &ws), vec![(3, 5), (5, 3)]);
+        // (2,2) dominates everything; one test per winner decides it.
+        p.take_comparisons();
+        apply_insert(&mut es, &mut ws, entry(2, 2), &p);
+        assert_eq!(p.take_comparisons(), 2);
+        assert_eq!(ws, vec![3]);
+        // An incomparable newcomer joins in entry order.
+        apply_replace(&mut es, &mut ws, 2, entry(1, 9), &p);
+        assert_eq!(ws, vec![2, 3]);
+        assert_eq!(ws, rebuild(&es, &p));
     }
 
     #[test]
     fn delete_of_winner_promotes_maximal_candidates_only() {
         let p = pareto2();
         // (1,1) dominates both (2,3) and (3,4); (2,3) dominates (3,4).
-        let mut es = vec![entry(1, 1), entry(2, 3), entry(3, 4)];
-        rebuild(&mut es, &p);
-        assert_eq!(winners(&es), vec![(1, 1)]);
-        apply_delete(&mut es, &[0], &p);
-        // Both counts hit zero, but only (2,3) may be promoted.
-        assert_eq!(winners(&es), vec![(2, 3)]);
+        let (mut es, mut ws) = view(vec![entry(1, 1), entry(2, 3), entry(3, 4)], &p);
+        assert_eq!(ws, vec![0]);
+        apply_delete(&mut es, &mut ws, &[0], &p);
+        // Both are orphans, but only (2,3) may be promoted.
         assert_eq!(es.len(), 2);
-        assert_eq!(es[1].dominators, 1);
-        assert_eq!(check_invariant(&es, &p), None);
+        assert_eq!(points(&es, &ws), vec![(2, 3)]);
+        assert_eq!(ws, vec![0]);
     }
 
     #[test]
     fn delete_of_non_winner_is_free() {
         let p = pareto2();
-        let mut es = vec![entry(1, 1), entry(4, 4), entry(0, 9)];
-        rebuild(&mut es, &p);
-        apply_delete(&mut es, &[1], &p);
-        assert_eq!(winners(&es), vec![(1, 1), (0, 9)]);
-        assert_eq!(check_invariant(&es, &p), None);
+        let (mut es, mut ws) = view(vec![entry(1, 1), entry(4, 4), entry(0, 9)], &p);
+        p.take_comparisons();
+        apply_delete(&mut es, &mut ws, &[1], &p);
+        assert_eq!(p.take_comparisons(), 0);
+        // The winner past the compacted id is renumbered.
+        assert_eq!(ws, vec![0, 1]);
+        assert_eq!(points(&es, &ws), vec![(1, 1), (0, 9)]);
+    }
+
+    #[test]
+    fn a_row_a_surviving_winner_beats_stays_a_loser() {
+        let p = pareto2();
+        // (4,4) is beaten by both winners; losing one of them leaves it
+        // beaten by the other.
+        let (mut es, mut ws) = view(vec![entry(1, 3), entry(3, 1), entry(4, 4)], &p);
+        apply_delete(&mut es, &mut ws, &[0], &p);
+        assert_eq!(points(&es, &ws), vec![(3, 1)]);
+        // A multi-row delete that takes every winner promotes it.
+        let (mut es, mut ws) = view(vec![entry(1, 3), entry(3, 1), entry(4, 4)], &p);
+        apply_delete(&mut es, &mut ws, &[1, 0, 1], &p);
+        assert_eq!(points(&es, &ws), vec![(4, 4)]);
     }
 
     #[test]
     fn replace_moves_a_row_across_the_skyline_boundary() {
         let p = pareto2();
-        let mut es = vec![entry(2, 2), entry(5, 5)];
-        rebuild(&mut es, &p);
+        let (mut es, mut ws) = view(vec![entry(2, 2), entry(5, 5)], &p);
         // Update the dominated row to dominate everything.
-        apply_replace(&mut es, 1, entry(1, 1), &p);
-        assert_eq!(winners(&es), vec![(1, 1)]);
-        assert_eq!(es[0].dominators, 1);
+        apply_replace(&mut es, &mut ws, 1, entry(1, 1), &p);
+        assert_eq!(points(&es, &ws), vec![(1, 1)]);
         // And push the ex-winner out again.
-        apply_replace(&mut es, 1, entry(9, 9), &p);
-        assert_eq!(winners(&es), vec![(2, 2)]);
-        assert_eq!(check_invariant(&es, &p), None);
+        apply_replace(&mut es, &mut ws, 1, entry(9, 9), &p);
+        assert_eq!(points(&es, &ws), vec![(2, 2)]);
     }
 
     #[test]
@@ -371,49 +307,70 @@ mod tests {
         let p = pareto2();
         let mut hidden = entry(0, 0);
         hidden.qualifies = false;
-        let mut es = vec![hidden, entry(3, 3)];
-        rebuild(&mut es, &p);
-        assert_eq!(winners(&es), vec![(3, 3)]);
-        apply_insert(&mut es, entry(4, 4), &p);
-        assert_eq!(winners(&es), vec![(3, 3)]);
-        assert_eq!(check_invariant(&es, &p), None);
+        let (mut es, mut ws) = view(vec![hidden, entry(3, 3)], &p);
+        assert_eq!(points(&es, &ws), vec![(3, 3)]);
+        apply_insert(&mut es, &mut ws, entry(4, 4), &p);
+        assert_eq!(points(&es, &ws), vec![(3, 3)]);
+        apply_delete(&mut es, &mut ws, &[1], &p);
+        assert_eq!(points(&es, &ws), vec![(4, 4)]);
     }
 
-    /// Randomized differential: a long interleaving of inserts, deletes
-    /// and replaces stays identical (winners, counts, order) to a full
-    /// rebuild after every step.
-    #[test]
-    fn random_interleaving_matches_rebuild() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let p = pareto2();
-        for seed in 0..8u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut es: Vec<MatViewEntry> = Vec::new();
-            for _ in 0..120 {
-                let roll: u32 = rng.gen_range(0..10);
-                if roll < 5 || es.is_empty() {
-                    let mut e = entry(rng.gen_range(0..12), rng.gen_range(0..12));
-                    e.qualifies = rng.gen_range(0..8) != 0;
-                    apply_insert(&mut es, e, &p);
-                } else if roll < 8 {
-                    let n = rng.gen_range(1..=2.min(es.len()));
-                    let doomed: Vec<usize> = (0..n).map(|_| rng.gen_range(0..es.len())).collect();
-                    apply_delete(&mut es, &doomed, &p);
-                } else {
-                    let pos = rng.gen_range(0..es.len());
-                    let mut e = entry(rng.gen_range(0..12), rng.gen_range(0..12));
-                    e.qualifies = rng.gen_range(0..8) != 0;
-                    apply_replace(&mut es, pos, e, &p);
+    /// One maintenance step of the randomized differential.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(MatViewEntry),
+        /// Delete the picked positions (modulo the length, so some repeat)
+        /// and, if set, every other current winner too.
+        Delete(Vec<usize>, bool),
+        Replace(usize, MatViewEntry),
+    }
+
+    fn arb_entry() -> impl Strategy<Value = MatViewEntry> {
+        (arb_any_slots(), 0..4u8).prop_map(|(slots, q)| MatViewEntry {
+            slots,
+            qualifies: q != 0,
+        })
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            arb_entry().prop_map(Op::Insert),
+            arb_entry().prop_map(Op::Insert),
+            (proptest::collection::vec(0..64usize, 1..4), 0..3u8)
+                .prop_map(|(picks, w)| Op::Delete(picks, w == 0)),
+            (0..64usize, arb_entry()).prop_map(|(k, e)| Op::Replace(k, e)),
+        ]
+    }
+
+    proptest! {
+        /// Randomized differential over every preference shape and value
+        /// kind: a long interleaving of inserts, deletes (several winners
+        /// at once among them) and replaces keeps the winner list equal to
+        /// a full rebuild after every step.
+        #[test]
+        fn random_interleaving_matches_rebuild(
+            p in arb_any_pref(),
+            ops in proptest::collection::vec(arb_op(), 1..60)
+        ) {
+            let (mut es, mut ws) = (Vec::new(), Vec::new());
+            for op in ops {
+                match op.clone() {
+                    Op::Insert(e) => apply_insert(&mut es, &mut ws, e, &p),
+                    Op::Delete(picks, winners_too) => {
+                        let len = es.len().max(1);
+                        let mut doomed: Vec<usize> = picks.iter().map(|k| k % len).collect();
+                        if winners_too {
+                            doomed.extend(ws.iter().step_by(2));
+                        }
+                        apply_delete(&mut es, &mut ws, &doomed, &p);
+                    }
+                    Op::Replace(k, e) if !es.is_empty() => {
+                        let pos = k % es.len();
+                        apply_replace(&mut es, &mut ws, pos, e, &p);
+                    }
+                    Op::Replace(..) => {}
                 }
-                if let Some(err) = check_invariant(&es, &p) {
-                    panic!("seed {seed}: {err}");
-                }
-                let mut oracle = es.clone();
-                rebuild(&mut oracle, &p);
-                let got: Vec<_> = es.iter().map(|e| (e.winner, e.dominators)).collect();
-                let want: Vec<_> = oracle.iter().map(|e| (e.winner, e.dominators)).collect();
-                assert_eq!(got, want, "seed {seed}: incremental state diverged");
+                prop_assert_eq!(&ws, &rebuild(&es, &p), "after {:?} over {:?} with {:?}", op, es, p);
             }
         }
     }

@@ -28,8 +28,9 @@
 //!   window bounded in bytes and spill-to-disk overflow runs
 //!   ([`ExternalSkyline`]), running the same probe step;
 //! * [`incremental`] — the skyline delta algebra behind
-//!   `MATERIALIZED PREFERENCE VIEW`: per-winner domination counts let
-//!   INSERT/DELETE/UPDATE maintain the BMO result without recomputation.
+//!   `MATERIALIZED PREFERENCE VIEW`: the stored winner list is kept equal
+//!   to the BMO result across INSERT/DELETE/UPDATE by testing only the
+//!   winners and the rows a change can expose, without recomputation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,5 +51,5 @@ pub use base::BasePref;
 pub use bmo::{bmo, bmo_grouped, bmo_grouped_scored};
 pub use compose::{PrefNode, Preference};
 pub use external::{maximal_external, ExternalSkyline, SpillMetrics};
-pub use incremental::{apply_delete, apply_insert, apply_replace, check_invariant, rebuild};
+pub use incremental::{apply_delete, apply_insert, apply_replace, rebuild};
 pub use score::ScoreMatrix;

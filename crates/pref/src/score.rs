@@ -146,8 +146,15 @@ impl Program {
         }
         let mut steps = Vec::new();
         flatten(root, bases, &mut steps);
+        // The whole-row comparison with the perfect row only holds when
+        // the tree reads every slot: a base it never reads ranks nothing.
+        let reads = |slot: usize| {
+            (steps.iter()).any(
+                |s| matches!(s, Step::Score { slot: r } | Step::Explicit { slot: r } if *r == slot),
+            )
+        };
+        let reads_every_slot = (0..bases.len()).all(reads);
         Program {
-            steps,
             graphs: bases
                 .iter()
                 .map(|b| match b {
@@ -162,7 +169,9 @@ impl Program {
                     BasePref::Lowest | BasePref::Highest | BasePref::Explicit { .. } => None,
                     _ => Some(1.0),
                 })
-                .collect(),
+                .collect::<Option<_>>()
+                .filter(|_| reads_every_slot),
+            steps,
         }
     }
 
@@ -249,7 +258,7 @@ impl Program {
     }
 
     /// The lowered row of a perfect match, if every base preference has
-    /// a static optimum.
+    /// a static optimum and the composition tree reads every slot.
     pub(crate) fn perfect_row(&self) -> Option<&[f64]> {
         self.perfect.as_deref()
     }
@@ -510,6 +519,14 @@ mod tests {
         // HIGHEST is never statically perfect.
         let h = Preference::single(BasePref::Highest).unwrap();
         assert_eq!(h.program().perfect_row(), None);
+        // A tree that skips a slot has none either: a row perfect in the
+        // slot it skips must not beat one that is not.
+        let skip = Preference::new(PrefNode::Base { slot: 0 }, p.bases().to_vec()).unwrap();
+        assert_eq!(skip.program().perfect_row(), None);
+        let rows = [rows[0].clone(), vec![Value::Int(14), Value::str("c")]];
+        let m = ScoreMatrix::lower(&skip, rows.iter().map(Vec::as_slice));
+        let all = crate::maximal_scored(&m, &m.ids(), crate::SkylineAlgo::Auto, 1);
+        assert_eq!(all, vec![0, 1]);
     }
 
     #[test]

@@ -244,6 +244,7 @@ mod tests {
             base_table: base.into(),
             schema: Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
             entries: Vec::new(),
+            winners: Vec::new(),
             stale: false,
         }
     }

@@ -2,23 +2,24 @@
 //! maintenance.
 //!
 //! A `CREATE MATERIALIZED PREFERENCE VIEW` stores, per base-table row, the
-//! evaluated preference slot vector plus bookkeeping that makes DML
-//! maintenance incremental: each qualifying row carries the number of
-//! *winners* that dominate it. It stores no rows: the base table owns
-//! them, and a read of the view fetches its winners from the table by row
-//! id. The invariant maintained by the engine is
+//! evaluated preference slot vector and whether the row passes the view's
+//! WHERE clause, plus one list: the row ids of the current *winners*. It
+//! stores no rows: the base table owns them, and a read of the view
+//! fetches its winners from the table by row id. The invariant maintained
+//! by the engine is
 //!
 //! ```text
-//! e.dominators == |{ w : w.winner && better(w.slots, e.slots) }|
-//! e.winner     ⇔  e.qualifies && e.dominators == 0
+//! winners == the maximal set of the qualifying entries, ascending
 //! ```
 //!
-//! which lets an INSERT run one dominance pass against the current entries
-//! and a DELETE of a winner promote exactly the rows it exclusively
-//! dominated — no full recomputation. The storage layer only holds the
-//! data; the dominance algebra lives in `prefsql-pref` and the hook points
-//! in `prefsql-engine` (the crate dependency order forbids anything
-//! smarter here, just like [`crate::catalog::ViewDef`] stores SQL text).
+//! Preferences are strict partial orders, so in a finite table every
+//! qualifying row that is not a winner is beaten by some winner. That is
+//! all maintenance needs: an INSERT compares the new row with the winners
+//! only, and a DELETE of a winner re-examines only the rows it beat. The
+//! storage layer only holds the data; the dominance algebra lives in
+//! `prefsql-pref` and the hook points in `prefsql-engine` (the crate
+//! dependency order forbids anything smarter here, just like
+//! [`crate::catalog::ViewDef`] stores SQL text).
 
 use prefsql_types::{Schema, Value};
 
@@ -39,10 +40,6 @@ pub struct MatViewEntry {
     /// True iff the row passed the view's WHERE clause. Non-qualifying
     /// rows are tracked (to keep ids aligned) but never compete.
     pub qualifies: bool,
-    /// True iff the row is currently in the BMO result.
-    pub winner: bool,
-    /// Number of winners strictly better than this row (0 for winners).
-    pub dominators: u32,
 }
 
 /// A stored materialized preference view.
@@ -61,6 +58,9 @@ pub struct MatViewDef {
     pub schema: Schema,
     /// One entry per base-table row, in row-id order.
     pub entries: Vec<MatViewEntry>,
+    /// The view contents: positions in [`MatViewDef::entries`] (= base
+    /// row ids) of the maximal set of the qualifying entries, ascending.
+    pub winners: Vec<usize>,
     /// True when maintenance could not keep the view current (e.g. the
     /// base table was dropped, a maintenance step failed, or a DML
     /// statement failed after changing the table). Stale views
@@ -70,18 +70,17 @@ pub struct MatViewDef {
 }
 
 impl MatViewDef {
-    /// The current view contents as entry positions (= base row ids):
-    /// the winners, in entry order. One pass over the entries — the
-    /// planner takes it once per statement and the scan fetches the rows
-    /// from [`MatViewDef::base_table`] by id.
+    /// The current view contents as base row ids, ascending — the order
+    /// the defining BMO query returns them in. The planner takes them once
+    /// per statement and the scan fetches the rows from
+    /// [`MatViewDef::base_table`] by id.
     pub fn winner_ids(&self) -> Vec<usize> {
-        let winners = self.entries.iter().enumerate().filter(|(_, e)| e.winner);
-        winners.map(|(i, _)| i).collect()
+        self.winners.clone()
     }
 
     /// Number of rows currently served by the view.
     pub fn winner_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.winner).count()
+        self.winners.len()
     }
 }
 
@@ -93,18 +92,17 @@ mod tests {
     #[test]
     fn winners_preserve_entry_order() {
         let schema = Schema::new(vec![Column::new("x", DataType::Int)]).unwrap();
-        let entry = |x: i64, winner: bool| MatViewEntry {
+        let entry = |x: i64| MatViewEntry {
             slots: vec![Value::Int(x)],
             qualifies: true,
-            winner,
-            dominators: u32::from(!winner),
         };
         let v = MatViewDef {
             name: "v".into(),
             sql: "SELECT x FROM t PREFERRING LOWEST x".into(),
             base_table: "t".into(),
             schema,
-            entries: vec![entry(3, true), entry(9, false), entry(3, true)],
+            entries: vec![entry(3), entry(9), entry(3)],
+            winners: vec![0, 2],
             stale: false,
         };
         assert_eq!(v.winner_ids(), vec![0, 2]);
