@@ -8,9 +8,8 @@
 //! materialization footprint capped at the budget.
 //!
 //! Numbers are recorded in the README's external-memory section. The
-//! thread knob is pinned to 1 so the ablation isolates the window (and
-//! this container is single-core anyway — see the parallel_skyline
-//! caveat).
+//! thread knob is pinned to 1 so the ablation isolates the window from
+//! the parallel degree (the `parallel_skyline` bench measures that).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prefsql::{ExecutionMode, PrefSqlConnection};

@@ -1,5 +1,5 @@
 //! Regenerates every table/figure/claim of the paper's evaluation as
-//! console tables (see DESIGN.md §4 and EXPERIMENTS.md).
+//! console tables (README, *Build & test*).
 //!
 //! Usage: `cargo run -p prefsql-bench --bin experiments --release -- [e1|e1q|e2|e3|e4|e5|a1|a2|all]`
 //!

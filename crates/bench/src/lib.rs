@@ -1,7 +1,9 @@
 //! Shared harness code for the experiment benchmarks (E1–E5, A1, A2).
 //!
-//! See DESIGN.md §4 for the per-experiment index and EXPERIMENTS.md for
-//! recorded results. Benchmarks scale with `PREFSQL_BENCH_ROWS` (default
+//! The README's *Build & test* section shows how to run them, and its
+//! per-subsystem sections (parallel skyline, external-memory skyline,
+//! joins, storage backends) hold the recorded bench results.
+//! Benchmarks scale with `PREFSQL_BENCH_ROWS` (default
 //! 20 000 profile rows — the paper used 1.4 M on a 332 MHz AIX box; the
 //! cost *structure* of E1 depends on the candidate-set size, which is
 //! pinned to the paper's 300/600/1000 regardless of the base-table size).

@@ -1,26 +1,29 @@
-//! The catalog: name → table / view resolution.
+//! The catalog: name → table / view / materialized preference view.
 //!
-//! Views are stored as SQL text and expanded by the engine's planner (the
-//! storage layer cannot parse SQL — that would invert the crate dependency
-//! order). This matches how the paper's rewriter materializes its `Aux`
-//! relation through `CREATE VIEW`.
+//! It lives in the engine, above storage, because the definitions it
+//! holds are compiled: a [`ViewDef`] is the [`Query`] `CREATE VIEW`
+//! parsed, a [`MatViewDef`] the query, its compiled preference and its
+//! expressions bound against the base table. No statement parses a
+//! definition after CREATE.
 
 use crate::matview::MatViewDef;
-use crate::table::Table;
+use prefsql_parser::ast::Query;
+use prefsql_storage::Table;
 use prefsql_types::{Error, Result};
 use std::collections::HashMap;
 
 /// A stored view definition.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewDef {
     /// View name (lower-cased).
     pub name: String,
-    /// The defining query, as SQL text.
-    pub sql: String,
+    /// The defining query as `CREATE VIEW` parsed it; every statement
+    /// that reads the view plans it against the tables as they are then.
+    pub query: Query,
 }
 
 /// Maps names to tables and views.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Catalog {
     tables: HashMap<String, Table>,
     views: HashMap<String, ViewDef>,
@@ -44,18 +47,12 @@ impl Catalog {
     }
 
     /// Register a view. Fails if any relation of that name exists.
-    pub fn create_view(&mut self, name: impl Into<String>, sql: impl Into<String>) -> Result<()> {
-        let name = name.into().to_ascii_lowercase();
+    pub fn create_view(&mut self, name: &str, query: Query) -> Result<()> {
+        let name = name.to_ascii_lowercase();
         if self.contains(&name) {
             return Err(Error::Catalog(format!("relation '{name}' already exists")));
         }
-        self.views.insert(
-            name.clone(),
-            ViewDef {
-                name,
-                sql: sql.into(),
-            },
-        );
+        self.views.insert(name.clone(), ViewDef { name, query });
         Ok(())
     }
 
@@ -63,7 +60,6 @@ impl Catalog {
     /// Fails if any relation of that name exists.
     pub fn create_matview(&mut self, mut def: MatViewDef) -> Result<()> {
         def.name = def.name.to_ascii_lowercase();
-        def.base_table = def.base_table.to_ascii_lowercase();
         if self.contains(&def.name) {
             return Err(Error::Catalog(format!(
                 "relation '{}' already exists",
@@ -114,19 +110,35 @@ impl Catalog {
         names
     }
 
+    /// Mark every materialized view on `table` stale: its entries may no
+    /// longer mirror the table's row ids, and its bound expressions may
+    /// not fit the table's shape. Stale views refuse reads and skip
+    /// maintenance until REFRESH rebuilds them.
+    pub(crate) fn mark_views_stale(&mut self, table: &str) {
+        let table = table.to_ascii_lowercase();
+        for def in self.matviews.values_mut() {
+            if def.base_table == table {
+                def.stale = true;
+            }
+        }
+    }
+
     /// Live row count of table `name` ([`Table::len`], an in-memory
     /// length on every backend — no row storage is touched).
     pub fn row_count(&self, name: &str) -> Result<usize> {
         self.table(name).map(Table::len)
     }
 
-    /// Drop a table by name.
+    /// Drop a table by name. The materialized views on it go stale: a
+    /// table created later under the same name is another table, whatever
+    /// its shape, and only REFRESH may bind a view to it.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let name = name.to_ascii_lowercase();
         self.tables
             .remove(&name)
-            .map(|_| ())
-            .ok_or_else(|| Error::Catalog(format!("unknown table '{name}'")))
+            .ok_or_else(|| Error::Catalog(format!("unknown table '{name}'")))?;
+        self.mark_views_stale(&name);
+        Ok(())
     }
 
     /// Drop a view by name.
@@ -185,6 +197,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use prefsql_types::{Column, DataType, Schema};
 
     fn t(name: &str) -> Table {
@@ -209,17 +222,17 @@ mod tests {
         let mut c = Catalog::new();
         c.create_table(t("r")).unwrap();
         assert!(c.create_table(t("r")).is_err());
-        assert!(c.create_view("r", "SELECT 1").is_err());
-        c.create_view("v", "SELECT 1").unwrap();
+        assert!(c.create_view("r", Query::default()).is_err());
+        c.create_view("v", Query::default()).unwrap();
         assert!(c.create_table(t("v")).is_err());
-        assert!(c.create_view("V", "SELECT 2").is_err());
+        assert!(c.create_view("V", Query::default()).is_err());
     }
 
     #[test]
     fn drop_table_and_view() {
         let mut c = Catalog::new();
         c.create_table(t("r")).unwrap();
-        c.create_view("v", "SELECT 1").unwrap();
+        c.create_view("v", Query::default()).unwrap();
         c.drop_table("R").unwrap();
         assert!(!c.contains("r"));
         assert!(c.drop_table("r").is_err());
@@ -232,54 +245,68 @@ mod tests {
         let mut c = Catalog::new();
         c.create_table(t("b")).unwrap();
         c.create_table(t("a")).unwrap();
-        c.create_view("z", "SELECT 1").unwrap();
+        c.create_view("z", Query::default()).unwrap();
         assert_eq!(c.table_names(), vec!["a".to_string(), "b".to_string()]);
         assert_eq!(c.view_names(), vec!["z".to_string()]);
     }
 
-    fn mv(name: &str, base: &str) -> MatViewDef {
-        MatViewDef {
-            name: name.into(),
-            sql: format!("SELECT x FROM {base} PREFERRING LOWEST x"),
-            base_table: base.into(),
-            schema: Schema::new(vec![Column::new("x", DataType::Int)]).unwrap(),
-            entries: Vec::new(),
-            winners: Vec::new(),
-            stale: false,
+    /// An engine with tables `a(x)`, `b(x)` and the materialized views
+    /// `v1`, `v2` on `a` and `w` on `b`.
+    fn engine_with_matviews() -> Engine {
+        let mut e = Engine::new();
+        for sql in [
+            "CREATE TABLE a (x INTEGER)",
+            "CREATE TABLE b (x INTEGER)",
+            "CREATE MATERIALIZED PREFERENCE VIEW V2 AS SELECT x FROM A PREFERRING LOWEST(x)",
+            "CREATE MATERIALIZED PREFERENCE VIEW v1 AS SELECT x FROM a PREFERRING HIGHEST(x)",
+            "CREATE MATERIALIZED PREFERENCE VIEW w AS SELECT x FROM b PREFERRING LOWEST(x)",
+        ] {
+            e.execute_sql(sql).unwrap();
         }
+        e
     }
 
     #[test]
     fn matview_registry_roundtrip() {
-        let mut c = Catalog::new();
-        c.create_table(t("cars")).unwrap();
-        c.create_matview(mv("Best", "CARS")).unwrap();
+        let mut e = engine_with_matviews();
         // Names are lower-cased and collide with every relation kind.
-        assert!(c.contains("best"));
-        assert!(c.create_table(t("best")).is_err());
-        assert!(c.create_view("best", "SELECT 1").is_err());
-        assert!(c.create_matview(mv("BEST", "cars")).is_err());
-        let v = c.matview("BEST").unwrap();
-        assert_eq!(v.base_table, "cars");
-        c.matview_mut("best").unwrap().stale = true;
-        assert!(c.matview("best").unwrap().stale);
-        assert_eq!(c.matview_names(), vec!["best".to_string()]);
-        c.drop_matview("Best").unwrap();
-        assert!(c.drop_matview("best").is_err());
-        assert!(!c.contains("best"));
+        assert!(e
+            .execute_sql(
+                "CREATE MATERIALIZED PREFERENCE VIEW V1 AS SELECT x FROM b PREFERRING LOWEST(x)"
+            )
+            .is_err());
+        let mut c = e.catalog_mut();
+        assert!(c.contains("v2"));
+        assert!(c.create_table(t("v2")).is_err());
+        assert!(c.create_view("v2", Query::default()).is_err());
+        assert_eq!(c.matview("V2").unwrap().base_table, "a");
+        c.matview_mut("v2").unwrap().stale = true;
+        assert!(c.matview("v2").unwrap().stale);
+        assert_eq!(c.matview_names(), ["v1", "v2", "w"]);
+        c.drop_matview("V2").unwrap();
+        assert!(c.drop_matview("v2").is_err());
+        assert!(!c.contains("v2"));
     }
 
     #[test]
     fn matviews_on_filters_by_base_table() {
-        let mut c = Catalog::new();
-        c.create_table(t("a")).unwrap();
-        c.create_table(t("b")).unwrap();
-        c.create_matview(mv("v2", "a")).unwrap();
-        c.create_matview(mv("v1", "a")).unwrap();
-        c.create_matview(mv("w", "b")).unwrap();
-        assert_eq!(c.matviews_on("A"), vec!["v1".to_string(), "v2".to_string()]);
-        assert_eq!(c.matviews_on("b"), vec!["w".to_string()]);
+        let e = engine_with_matviews();
+        let c = e.catalog();
+        assert_eq!(c.matviews_on("A"), ["v1", "v2"]);
+        assert_eq!(c.matviews_on("b"), ["w"]);
         assert!(c.matviews_on("c").is_empty());
+    }
+
+    /// Dropping a table marks exactly the views on it stale, whether the
+    /// drop comes from `DROP TABLE` or straight through the catalog.
+    #[test]
+    fn drop_table_marks_its_views_stale() {
+        let mut e = engine_with_matviews();
+        let mut c = e.catalog_mut();
+        c.drop_table("A").unwrap();
+        assert!(c.matview("v1").unwrap().stale);
+        assert!(c.matview("v2").unwrap().stale);
+        assert!(!c.matview("w").unwrap().stale);
     }
 
     #[test]
@@ -300,9 +327,13 @@ mod tests {
     #[test]
     fn view_definition_roundtrip() {
         let mut c = Catalog::new();
-        c.create_view("aux", "SELECT * FROM cars").unwrap();
-        let v = c.view("AUX").unwrap();
+        let query = Query {
+            distinct: true,
+            ..Query::default()
+        };
+        c.create_view("AUX", query.clone()).unwrap();
+        let v = c.view("aux").unwrap();
         assert_eq!(v.name, "aux");
-        assert_eq!(v.sql, "SELECT * FROM cars");
+        assert_eq!(v.query, query);
     }
 }

@@ -26,12 +26,13 @@
 
 use crate::access::{self, choose_access_path, AccessPath};
 use crate::bind::{bind, BoundExpr};
+use crate::catalog::Catalog;
 use crate::eval::{eval, holds, Env};
 use crate::plan::{plan_query, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
-use prefsql_storage::{BufferPool, Catalog, HeapFile, IndexKind, PageFilter, PoolStats, Table};
+use prefsql_storage::{BufferPool, HeapFile, IndexKind, PageFilter, PoolStats, Table};
 use prefsql_types::knobs::{ceiling_from_value, parse_size, DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
 use prefsql_types::{Column, Error, Result, Schema, Tuple, Value};
 use std::any::Any;
@@ -989,7 +990,7 @@ impl Engine {
                 // Validate the view body against the current catalog by
                 // planning and running it once on an empty environment.
                 self.with_ctx_over(&cat, |ctx| ctx.run_query(query))?;
-                cat.create_view(name.clone(), query.to_string())?;
+                cat.create_view(name, (**query).clone())?;
                 Ok(ExecOutcome::Ddl(format!("created view {name}")))
             }
             Statement::CreateIndex {
@@ -1039,7 +1040,6 @@ impl Engine {
                 // its heap file goes when the last shared handle does.
                 cat.table(name)?.release_storage()?;
                 cat.drop_table(name)?;
-                crate::matview::mark_stale(&mut cat, name);
                 Ok(ExecOutcome::Ddl(format!("dropped table {name}")))
             }
             Statement::DropView(name) => {
@@ -1308,7 +1308,7 @@ fn store<T>(
 ) -> Result<T> {
     let out = step(cat.table_mut(table)?);
     if out.is_err() {
-        crate::matview::mark_stale(cat, table);
+        cat.mark_views_stale(table);
     }
     out
 }

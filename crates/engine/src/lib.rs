@@ -25,6 +25,7 @@
 
 pub mod access;
 pub mod bind;
+pub mod catalog;
 pub mod eval;
 pub mod exec;
 pub mod explain;
@@ -35,7 +36,9 @@ pub mod physical;
 pub mod plan;
 pub mod preference;
 
+pub use catalog::{Catalog, ViewDef};
 pub use exec::{BackendKind, Engine, EngineCore, ExecCtx, ExecOutcome, ExecStats, Relation};
+pub use matview::MatViewDef;
 pub use metrics::{MetricsRegistry, NodeMetrics, Profiler};
 pub use physical::{BoxOperator, Operator};
 pub use plan::{PlanNode, QueryPlan};

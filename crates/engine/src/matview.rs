@@ -1,13 +1,17 @@
-//! Materialized preference views: DDL, REFRESH and the DML maintenance
-//! hooks.
+//! Materialized preference views: the stored definition, DDL, REFRESH
+//! and the DML maintenance hooks.
 //!
-//! A `CREATE MATERIALIZED PREFERENCE VIEW` runs its defining BMO query
-//! once and stores per-base-row state ([`MatViewEntry`]) in the catalog.
-//! Every DML statement against the base table then calls one of the
-//! `after_*` hooks here — still under the statement's catalog write lock,
-//! so readers never observe a view out of sync with its table. The hooks
-//! translate the row delta into the incremental skyline algebra of
-//! `prefsql_pref::incremental`, which keeps the stored winner list
+//! A `CREATE MATERIALIZED PREFERENCE VIEW` parses, compiles and binds its
+//! definition once ([`MatViewDef`]: the query, its compiled preference,
+//! and its WHERE, slot and select-list expressions bound against the base
+//! table), runs the defining BMO once, and stores per-base-row state
+//! ([`MatViewEntry`]) plus the winner list in the catalog. Only REFRESH
+//! compiles and binds it again. Every DML statement against the base
+//! table then calls one of the `after_*` hooks here — still under the
+//! statement's catalog write lock, so readers never observe a view out of
+//! sync with its table. The hooks evaluate the stored bound expressions
+//! over the changed rows and hand the delta to the incremental skyline
+//! algebra of `prefsql_pref::incremental`, which keeps the winner list
 //! ([`MatViewDef::winners`]) equal to the BMO result without
 //! recomputation: a new row is tested against the winners only, a lost
 //! winner re-examines only the rows it beat.
@@ -15,64 +19,68 @@
 //! The entries hold no rows: a read fetches the winners from the base
 //! table by row id, which is why the entries must mirror its rids.
 //!
-//! Maintenance never fails the triggering DML: any error (dropped
-//! columns, arithmetic on changed data, ...) marks the view *stale*
-//! instead, as does a DML statement whose storage step fails after the
-//! table changed. Stale views refuse reads until `REFRESH MATERIALIZED
-//! PREFERENCE VIEW` rebuilds them from scratch.
+//! Binding once is sound because a view reads only its base table — a
+//! sub-query anywhere in the definition is rejected — a table changes
+//! shape only by being dropped, and [`Catalog::drop_table`] marks the
+//! views on it stale.
+//! Maintenance never fails the triggering DML: any error marks the view
+//! *stale* instead, as does a DML statement whose storage step fails
+//! after the table changed. Stale views refuse reads and skip
+//! maintenance until `REFRESH MATERIALIZED PREFERENCE VIEW` rebuilds
+//! them from scratch.
 
 use crate::bind::{bind, BoundExpr};
+use crate::catalog::Catalog;
 use crate::eval::{eval, holds, Env};
 use crate::exec::{Engine, ExecCtx};
-use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, Statement, TableRef};
-use prefsql_parser::parse_statement;
+use crate::plan::{projection_plan, Projection};
+use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, TableRef};
+use prefsql_pref::incremental::{self, MatViewEntry};
 use prefsql_rewrite::levels::uses_quality;
 use prefsql_rewrite::{compile_preference, CompiledPreference};
-use prefsql_storage::{Catalog, MatViewDef, MatViewEntry, Table};
+use prefsql_storage::Table;
 use prefsql_types::{Error, Result, Schema, Tuple};
 
-/// A view definition re-parsed from its stored SQL: everything a
-/// maintenance pass needs that is plain data (usable across the
-/// shared-borrow / mutable-borrow phases of a hook).
-pub(crate) struct ViewSpec {
-    /// The defining query (validated at CREATE time).
-    pub query: Query,
-    /// The compiled preference plus its base expressions.
-    pub compiled: CompiledPreference,
-    /// Qualifier the base table's columns are exposed under (FROM alias
-    /// or the table name).
-    pub qual: String,
+/// A stored materialized preference view: its compiled definition and
+/// the state maintenance keeps current.
+#[derive(Debug)]
+pub struct MatViewDef {
+    /// View name (lower-cased).
+    pub name: String,
+    /// The single base table the view reads (lower-cased).
+    pub base_table: String,
+    /// The defining query as CREATE parsed it, named preferences
+    /// resolved: a native query with the same FROM, WHERE and preference
+    /// is served by the view.
+    pub(crate) query: Query,
+    /// The compiled preference. Its dominance counter is reset after
+    /// every rebuild and taken after every maintenance step, so each
+    /// statement is charged only its own tests.
+    pub(crate) compiled: CompiledPreference,
+    /// The definition's expressions, bound against the base table.
+    pub(crate) bound: BoundView,
+    /// The base-table schema under the view's qualifier: the schema the
+    /// bound expressions evaluate against, and the one the winner rows
+    /// fetched from the base table are read under.
+    pub schema: Schema,
+    /// One entry per base-table row, in row-id order.
+    pub(crate) entries: Vec<MatViewEntry>,
+    /// The view contents: positions in `entries` (= base row ids) of the
+    /// maximal set of the qualifying entries, ascending — the order the
+    /// defining BMO query returns them in.
+    pub(crate) winners: Vec<usize>,
+    /// True when maintenance could not keep the view current (the base
+    /// table was dropped, a maintenance step failed, or a DML statement
+    /// failed after changing the table). Stale views refuse reads until
+    /// `REFRESH MATERIALIZED PREFERENCE VIEW` rebuilds them.
+    pub stale: bool,
 }
 
-/// Parse and compile a stored view definition. The SQL was validated at
-/// CREATE time, so failures here mean the environment changed under the
-/// view — callers mark it stale.
-pub(crate) fn view_spec(sql: &str) -> Result<ViewSpec> {
-    let query = match parse_statement(sql)? {
-        Statement::Select(q) => *q,
-        other => {
-            return Err(Error::Catalog(format!(
-                "materialized view definition is not a query: {other}"
-            )))
-        }
-    };
-    let pref = query.preferring.clone().ok_or_else(|| {
-        Error::Catalog("materialized view definition lost its PREFERRING clause".into())
-    })?;
-    let compiled = compile_preference(&pref)?;
-    let qual = match &query.from[..] {
-        [TableRef::Named { name, alias }] => alias.as_deref().unwrap_or(name).to_ascii_lowercase(),
-        _ => {
-            return Err(Error::Catalog(
-                "materialized view definition lost its single base table".into(),
-            ))
-        }
-    };
-    Ok(ViewSpec {
-        query,
-        compiled,
-        qual,
-    })
+impl MatViewDef {
+    /// Number of rows currently served by the view.
+    pub fn winner_count(&self) -> usize {
+        self.winners.len()
+    }
 }
 
 /// True if `expr` contains a sub-query anywhere.
@@ -158,6 +166,12 @@ pub(crate) fn validate_definition(query: &Query) -> Result<(String, String)> {
             }
         }
     }
+    if (pref.base_prefs().iter())
+        .filter_map(|b| b.base_expr())
+        .any(has_subquery)
+    {
+        return Err(unsupported("sub-queries in PREFERRING"));
+    }
     if let Some(w) = &query.where_clause {
         if has_subquery(w) {
             return Err(unsupported("sub-queries in WHERE"));
@@ -169,33 +183,39 @@ pub(crate) fn validate_definition(query: &Query) -> Result<(String, String)> {
     Ok((base, qual))
 }
 
-/// The schema base-table rows are evaluated under: the table's columns
-/// exposed through the view's FROM qualifier (same idiom as UPDATE/DELETE
-/// expression evaluation).
-fn eval_schema(table: &Table, qual: &str) -> Schema {
-    table.schema().without_qualifiers().with_qualifier(qual)
-}
-
-/// A view's per-row expressions bound against its base table: the WHERE
-/// clause and one expression per base preference (the slot vector).
-struct BoundView {
+/// A view's expressions bound against its base table: the WHERE clause,
+/// one expression per base preference (the slot vector), and the select
+/// list a read by name projects the winners through.
+#[derive(Debug)]
+pub(crate) struct BoundView {
     where_clause: Option<BoundExpr>,
     slots: Vec<BoundExpr>,
+    /// Output schema and columns of the view's select list.
+    pub(crate) output: Schema,
+    pub(crate) projections: Vec<Projection>,
 }
 
 impl BoundView {
-    /// Bind `spec`'s expressions against `table` as it exists now — a
-    /// dangling column is an error here, before any row is looked at.
-    fn new(ctx: &ExecCtx<'_>, spec: &ViewSpec, table: &Table) -> Result<BoundView> {
-        let schema = eval_schema(table, &spec.qual);
-        let scope = [&schema];
+    /// Bind the definition against `schema`, the base table as it exists
+    /// now — a dangling column is an error here, before any row is looked
+    /// at, so an empty base table cannot let one slide.
+    fn new(
+        ctx: &ExecCtx<'_>,
+        query: &Query,
+        compiled: &CompiledPreference,
+        schema: &Schema,
+    ) -> Result<BoundView> {
+        let scope = [schema];
+        let (output, projections) = projection_plan(ctx, &query.select, schema, schema.len(), &[])?;
         Ok(BoundView {
-            where_clause: (spec.query.where_clause.as_ref())
+            where_clause: (query.where_clause.as_ref())
                 .map(|w| bind(ctx, w, &scope))
                 .transpose()?,
-            slots: (spec.compiled.base_exprs.iter())
+            slots: (compiled.base_exprs.iter())
                 .map(|e| bind(ctx, e, &scope))
                 .collect::<Result<_>>()?,
+            output,
+            projections,
         })
     }
 
@@ -216,23 +236,41 @@ impl BoundView {
     }
 }
 
-/// Build a fresh [`MatViewDef`] for `CREATE MATERIALIZED PREFERENCE
-/// VIEW`: validate the defining query, then compute the stored state
-/// exactly as REFRESH does — a broken projection fails CREATE, not the
-/// first read.
+/// Build a [`MatViewDef`] from scratch — CREATE and REFRESH: validate the
+/// defining query, compile its preference, bind it against the *current*
+/// base table, compute one entry per row and run the full skyline
+/// rebuild. A broken projection fails here, not at the first read.
 pub(crate) fn build_def(
     engine: &Engine,
     cat: &Catalog,
     name: &str,
     query: &Query,
 ) -> Result<MatViewDef> {
-    let (base, _) = validate_definition(query)?;
-    let sql = query.to_string();
-    let (schema, entries, winners) = rebuild_from_base(engine, cat, &sql, &base)?;
+    let (base_table, qual) = validate_definition(query)?;
+    let pref = query.preferring.as_ref().expect("validated above");
+    let compiled = compile_preference(pref)?;
+    let table = cat.table(&base_table)?;
+    // The table's columns under the view's FROM qualifier (the idiom of
+    // UPDATE/DELETE expression evaluation).
+    let schema = table.schema().without_qualifiers().with_qualifier(&qual);
+    let mut entries = Vec::with_capacity(table.len());
+    let bound = engine.with_ctx_over(cat, |ctx| {
+        let view = BoundView::new(ctx, query, &compiled, &schema)?;
+        table.for_each_row(|_, row| {
+            entries.push(view.entry_for(ctx, row)?);
+            Ok(())
+        })?;
+        Ok(view)
+    })?;
+    let winners = incremental::rebuild(&entries, &compiled.preference);
+    // The rebuild's tests belong to no DML statement.
+    compiled.preference.take_comparisons();
     Ok(MatViewDef {
         name: name.to_string(),
-        sql,
-        base_table: base,
+        base_table,
+        query: query.clone(),
+        compiled,
+        bound,
         schema,
         entries,
         winners,
@@ -240,9 +278,9 @@ pub(crate) fn build_def(
     })
 }
 
-/// `REFRESH MATERIALIZED PREFERENCE VIEW`: rebuild the stored result from
-/// the current base table and clear the stale flag. Returns the number of
-/// rows the view now serves.
+/// `REFRESH MATERIALIZED PREFERENCE VIEW`: rebuild the view from its
+/// stored query against the current base table, which clears the stale
+/// flag. Returns the number of rows the view now serves.
 ///
 /// Any rebuild failure — the base table gone, its schema changed under
 /// the view (DROP + CREATE with a different shape), an evaluation error —
@@ -250,76 +288,29 @@ pub(crate) fn build_def(
 /// must never do is leave a non-stale view serving rows that no longer
 /// match the definition.
 pub(crate) fn refresh(engine: &Engine, cat: &mut Catalog, name: &str) -> Result<usize> {
-    let (sql, base) = {
-        let def = cat.matview(name).ok_or_else(|| {
-            Error::Catalog(format!(
-                "unknown materialized preference view '{}'",
-                name.to_ascii_lowercase()
-            ))
-        })?;
-        (def.sql.clone(), def.base_table.clone())
-    };
-    match rebuild_from_base(engine, cat, &sql, &base) {
-        Ok((schema, entries, winners)) => {
-            let def = cat
-                .matview_mut(name)
-                .expect("view existed above and the catalog is write-locked");
-            def.schema = schema;
-            def.entries = entries;
-            def.winners = winners;
-            def.stale = false;
+    let def = cat.matview(name).ok_or_else(|| {
+        Error::Catalog(format!(
+            "unknown materialized preference view '{}'",
+            name.to_ascii_lowercase()
+        ))
+    })?;
+    let rebuilt = build_def(engine, cat, &def.name, &def.query);
+    let def = cat
+        .matview_mut(name)
+        .expect("view existed above and the catalog is write-locked");
+    match rebuilt {
+        Ok(fresh) => {
+            *def = fresh;
             Ok(def.winner_count())
         }
         Err(e) => {
-            if let Some(def) = cat.matview_mut(name) {
-                def.stale = true;
-            }
+            def.stale = true;
             Err(Error::Catalog(format!(
                 "cannot refresh materialized preference view '{name}': {e} \
                  (the view stays stale)"
             )))
         }
     }
-}
-
-/// The view state computed from scratch (CREATE and REFRESH): validate
-/// the definition against the *current* base table, compute one entry per
-/// row, run the full skyline rebuild. Returns the schema, the entries and
-/// the winner list.
-fn rebuild_from_base(
-    engine: &Engine,
-    cat: &Catalog,
-    sql: &str,
-    base: &str,
-) -> Result<(Schema, Vec<MatViewEntry>, Vec<usize>)> {
-    let spec = view_spec(sql)?;
-    let table = cat.table(base)?;
-    let schema = eval_schema(table, &spec.qual);
-    let mut entries = Vec::with_capacity(table.len());
-    engine.with_ctx_over(cat, |ctx| {
-        // Re-bind the definition against the table as it exists *now* —
-        // the validation CREATE ran bound to the schema of that moment,
-        // and a DROP/CREATE cycle may have replaced the table with a
-        // different shape whose rows must not be served through the old
-        // projection. Binding resolves every column before the first row,
-        // so an empty base table cannot let a dangling reference slide.
-        crate::plan::projection_plan(ctx, &spec.query.select, &schema, schema.len(), &[])?;
-        let view = BoundView::new(ctx, &spec, table)?;
-        table.for_each_row(|_, row| {
-            entries.push(view.entry_for(ctx, row)?);
-            Ok(())
-        })
-    })?;
-    let winners = prefsql_pref::incremental::rebuild(&entries, &spec.compiled.preference);
-    Ok((schema, entries, winners))
-}
-
-/// The views on `table` a DML hook must maintain: registered, not stale.
-fn live_views_on(cat: &Catalog, table: &str) -> Vec<String> {
-    cat.matviews_on(table)
-        .into_iter()
-        .filter(|n| cat.matview(n).is_some_and(|v| !v.stale))
-        .collect()
 }
 
 /// Maintain every live view on `table` after an INSERT appended the rows
@@ -335,9 +326,7 @@ pub(crate) fn after_insert(
         engine,
         cat,
         table,
-        |ctx, spec| {
-            let t = ctx.catalog().table(table)?;
-            let view = BoundView::new(ctx, spec, t)?;
+        |ctx, view, t| {
             let mut out = Vec::new();
             t.for_each_row_from(from_rid.min(t.len()), |_, row| {
                 out.push(view.entry_for(ctx, row)?);
@@ -345,14 +334,10 @@ pub(crate) fn after_insert(
             })?;
             Ok(out)
         },
-        |def, spec, new_entries| {
+        |def, new_entries| {
+            let pref = &def.compiled.preference;
             for entry in new_entries {
-                prefsql_pref::incremental::apply_insert(
-                    &mut def.entries,
-                    &mut def.winners,
-                    entry,
-                    &spec.compiled.preference,
-                );
+                incremental::apply_insert(&mut def.entries, &mut def.winners, entry, pref);
             }
         },
     )
@@ -375,14 +360,10 @@ pub(crate) fn after_delete(
         engine,
         cat,
         table,
-        |_, _| Ok(()),
-        |def, spec, ()| {
-            prefsql_pref::incremental::apply_delete(
-                &mut def.entries,
-                &mut def.winners,
-                doomed,
-                &spec.compiled.preference,
-            );
+        |_, _, _| Ok(()),
+        |def, ()| {
+            let pref = &def.compiled.preference;
+            incremental::apply_delete(&mut def.entries, &mut def.winners, doomed, pref);
         },
     )
 }
@@ -403,75 +384,49 @@ pub(crate) fn after_update(
         engine,
         cat,
         table,
-        |ctx, spec| {
-            let t = ctx.catalog().table(table)?;
-            let view = BoundView::new(ctx, spec, t)?;
+        |ctx, view, t| {
             ids.iter()
                 .map(|&rid| view.entry_for(ctx, &t.fetch_row(rid)?))
                 .collect::<Result<Vec<_>>>()
         },
-        |def, spec, new_entries| {
+        |def, new_entries| {
+            let pref = &def.compiled.preference;
             for (&rid, entry) in ids.iter().zip(new_entries) {
-                prefsql_pref::incremental::apply_replace(
-                    &mut def.entries,
-                    &mut def.winners,
-                    rid,
-                    entry,
-                    &spec.compiled.preference,
-                );
+                incremental::apply_replace(&mut def.entries, &mut def.winners, rid, entry, pref);
             }
         },
     )
 }
 
-/// Mark every view on `table` stale: the base table was dropped, or a
-/// DML statement failed after changing it, so the entries may no longer
-/// mirror its row ids.
-pub(crate) fn mark_stale(cat: &mut Catalog, table: &str) {
-    for name in cat.matviews_on(table) {
-        if let Some(def) = cat.matview_mut(&name) {
-            def.stale = true;
-        }
-    }
-}
-
-/// The shared two-phase shape of every DML hook: phase 1 computes the
-/// delta in a statement context of `engine` over a shared catalog borrow
-/// (expression evaluation needs the whole catalog, and the session's
-/// knobs apply as to any statement), phase 2 applies it to the view
-/// through the mutable borrow. Any phase-1 error marks the view stale;
-/// the DML statement itself never fails on view maintenance. Returns
-/// `(views maintained, dominance comparisons)` — the spec's freshly
-/// compiled preference counts every [`better`] call the incremental
-/// algebra makes, which the caller charges to the triggering DML
-/// statement.
-///
-/// [`better`]: prefsql_pref::compose::Preference::better
+/// The shared two-phase shape of every DML hook: phase 1 evaluates the
+/// view's bound expressions over the changed rows in a statement context
+/// of `engine` over a shared catalog borrow (the session's knobs apply as
+/// to any statement), phase 2 applies the delta to the view through the
+/// mutable borrow. Any phase-1 error marks the view stale; the DML
+/// statement itself never fails on view maintenance. Returns `(views
+/// maintained, dominance comparisons)` — the comparisons phase 2 made,
+/// taken from the view's preference, which the caller charges to the
+/// triggering DML statement.
 fn maintain<D>(
     engine: &Engine,
     cat: &mut Catalog,
     table: &str,
-    prepare: impl Fn(&ExecCtx<'_>, &ViewSpec) -> Result<D>,
-    apply: impl Fn(&mut MatViewDef, &ViewSpec, D),
+    prepare: impl Fn(&ExecCtx<'_>, &BoundView, &Table) -> Result<D>,
+    apply: impl Fn(&mut MatViewDef, D),
 ) -> (u64, u64) {
     let mut maintained = 0;
     let mut comparisons = 0;
-    for name in live_views_on(cat, table) {
-        let sql = match cat.matview(&name) {
-            Some(def) => def.sql.clone(),
-            None => continue,
-        };
-        let delta = view_spec(&sql).and_then(|spec| {
-            let d = engine.with_ctx_over(cat, |ctx| prepare(ctx, &spec))?;
-            Ok((spec, d))
-        });
-        let Some(def) = cat.matview_mut(&name) else {
+    for name in cat.matviews_on(table) {
+        let def = cat.matview(&name).expect("listed above");
+        if def.stale {
             continue;
-        };
+        }
+        let delta = engine.with_ctx_over(cat, |ctx| prepare(ctx, &def.bound, cat.table(table)?));
+        let def = cat.matview_mut(&name).expect("listed above");
         match delta {
-            Ok((spec, d)) => {
-                apply(def, &spec, d);
-                comparisons += spec.compiled.preference.comparisons();
+            Ok(d) => {
+                apply(def, d);
+                comparisons += def.compiled.preference.take_comparisons();
                 maintained += 1;
             }
             Err(_) => def.stale = true,
@@ -483,6 +438,8 @@ fn maintain<D>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prefsql_parser::ast::Statement;
+    use prefsql_parser::parse_statement;
 
     fn q(sql: &str) -> Query {
         match parse_statement(sql).unwrap() {
@@ -515,6 +472,8 @@ mod tests {
             "SELECT level(price) FROM cars PREFERRING LOWEST(price)",
             "SELECT * FROM cars WHERE EXISTS (SELECT 1 FROM cars) PREFERRING LOWEST(price)",
             "SELECT (SELECT 1) FROM cars PREFERRING LOWEST(price)",
+            "SELECT * FROM cars PREFERRING LOWEST(price + (SELECT MAX(price) FROM cars))",
+            "SELECT * FROM cars PREFERRING LOWEST(price) AND (SELECT 1) AROUND 2",
         ] {
             assert!(validate_definition(&q(sql)).is_err(), "accepted: {sql}");
         }
@@ -621,6 +580,40 @@ mod tests {
         .unwrap();
     }
 
+    /// A view is bound once and only its base table's drop marks it
+    /// stale, so it may read no other table: a sub-query in PREFERRING
+    /// would keep a plan bound to `s` across a drop and re-create of `s`.
+    #[test]
+    fn create_rejects_a_preference_that_reads_another_table() {
+        use crate::exec::Engine;
+        let mut e = Engine::new();
+        for sql in [
+            "CREATE TABLE t (x INTEGER)",
+            "CREATE TABLE s (y INTEGER)",
+            "INSERT INTO s VALUES (1)",
+        ] {
+            e.execute_sql(sql).unwrap();
+        }
+        let err = e
+            .execute_sql(
+                "CREATE MATERIALIZED PREFERENCE VIEW v AS \
+                 SELECT x FROM t PREFERRING LOWEST(x + (SELECT MAX(y) FROM s))",
+            )
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("sub-queries in PREFERRING"),
+            "{err}"
+        );
+        for sql in [
+            "DROP TABLE s",
+            "CREATE TABLE s (z VARCHAR, y INTEGER)",
+            "INSERT INTO t VALUES (1)",
+        ] {
+            e.execute_sql(sql).unwrap();
+        }
+        assert!(e.catalog().matview("v").is_none());
+    }
+
     #[test]
     fn subquery_and_quality_detection_walks_nested_expressions() {
         let query = q("SELECT 1 + (SELECT 2) FROM t PREFERRING LOWEST(x)");
@@ -633,5 +626,61 @@ mod tests {
             panic!()
         };
         assert!(uses_quality(expr));
+    }
+
+    /// The winner list holds base row ids in entry order, which is the
+    /// order a read of the view returns its rows in.
+    #[test]
+    fn winners_preserve_entry_order() {
+        use crate::exec::Engine;
+        let mut e = Engine::new();
+        e.execute_sql("CREATE TABLE t (x INTEGER)").unwrap();
+        e.execute_sql("INSERT INTO t VALUES (3), (9), (3)").unwrap();
+        e.execute_sql(
+            "CREATE MATERIALIZED PREFERENCE VIEW v AS SELECT x FROM t PREFERRING LOWEST(x)",
+        )
+        .unwrap();
+        let cat = e.catalog();
+        let v = cat.matview("v").unwrap();
+        assert_eq!(v.winners, [0, 2]);
+        assert_eq!(v.winner_count(), 2);
+        assert_eq!(v.entries.len(), 3);
+    }
+
+    /// The view's preference outlives the statements that maintain it,
+    /// so its dominance counter must be emptied by every rebuild and by
+    /// every maintenance step: a DML statement reports its own tests,
+    /// not a CREATE's, a REFRESH's or an earlier statement's.
+    #[test]
+    fn each_statement_is_charged_only_its_own_maintenance_tests() {
+        use crate::exec::Engine;
+        let mut e = Engine::new();
+        e.execute_sql("CREATE TABLE t (id INTEGER, a INTEGER, b INTEGER)")
+            .unwrap();
+        e.execute_sql(
+            "INSERT INTO t VALUES (1, 1, 9), (2, 5, 5), (3, 9, 1), (4, 8, 8), (5, 7, 9), (6, 9, 7)",
+        )
+        .unwrap();
+        let tests = |e: &mut Engine, sql: &str| {
+            e.take_stats();
+            e.execute_sql(sql).unwrap();
+            e.take_stats().dominance_tests
+        };
+        let create = "CREATE MATERIALIZED PREFERENCE VIEW v AS \
+                      SELECT * FROM t PREFERRING LOWEST(a) AND LOWEST(b)";
+        tests(&mut e, create);
+        // Row 4 (8, 8) is beaten by (5, 5): losing a non-winner tests
+        // nothing.
+        assert_eq!(tests(&mut e, "DELETE FROM t WHERE id = 4"), 0);
+        // Move the winner (5, 5) off the frontier and back, twice.
+        let round = |e: &mut Engine| {
+            tests(e, "UPDATE t SET a = 9, b = 9 WHERE id = 2")
+                + tests(e, "UPDATE t SET a = 5, b = 5 WHERE id = 2")
+        };
+        let first = round(&mut e);
+        assert!(first > 0);
+        assert_eq!(round(&mut e), first);
+        tests(&mut e, "REFRESH MATERIALIZED PREFERENCE VIEW v");
+        assert_eq!(tests(&mut e, "DELETE FROM t WHERE id = 5"), 0);
     }
 }

@@ -20,10 +20,7 @@ use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
 use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggExpr, Bound, BoundExpr};
 use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
-use prefsql_parser::ast::{
-    BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, Statement, TableRef,
-};
-use prefsql_parser::parse_statement;
+use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_pref::SkylineAlgo;
 use prefsql_rewrite::levels::{
     check_quality, default_quality_alias, quality_call, uses_quality, GEN_PREFIX,
@@ -739,7 +736,7 @@ pub fn plan_preference(
             PlanNode::MatViewScan {
                 view: def.name.clone(),
                 table: def.base_table.clone(),
-                winners: def.winner_ids(),
+                winners: def.winners.clone(),
                 serves: true,
                 schema: def.schema.clone(),
             }
@@ -846,11 +843,9 @@ fn classify_view(
         let Some(def) = cat.matview(name) else {
             continue;
         };
-        // The stored SQL is the canonical defining query (preferences
-        // already resolved at CREATE time).
-        let Ok(Statement::Select(vq)) = parse_statement(&def.sql) else {
-            continue;
-        };
+        // The stored query is the one CREATE parsed, its preference
+        // already resolved.
+        let vq = &def.query;
         if vq.from == query.from
             && vq.where_clause == query.where_clause
             && vq.preferring.as_ref() == Some(pref)
@@ -1215,17 +1210,8 @@ fn plan_named(
         if depth > 32 {
             return Err(Error::Plan(format!("view expansion too deep at '{name}'")));
         }
-        let parsed = parse_statement(&view.sql)?;
-        let body = match parsed {
-            Statement::Select(q) => q,
-            other => {
-                return Err(Error::Catalog(format!(
-                    "view '{name}' does not contain a query: {other:?}"
-                )))
-            }
-        };
         *ctx.view_depth.borrow_mut() += 1;
-        let planned = plan_query(ctx, &body);
+        let planned = plan_query(ctx, &view.query);
         *ctx.view_depth.borrow_mut() -= 1;
         let plan = planned?;
         let schema = plan
@@ -1251,26 +1237,17 @@ fn plan_named(
                 mv.name, mv.name
             )));
         }
-        let parsed = parse_statement(&mv.sql)?;
-        let Statement::Select(body) = parsed else {
-            return Err(Error::Catalog(format!(
-                "materialized view '{}' does not contain a query",
-                mv.name
-            )));
-        };
         let scan = PlanNode::MatViewScan {
             view: mv.name.clone(),
             table: mv.base_table.clone(),
-            winners: mv.winner_ids(),
+            winners: mv.winners.clone(),
             serves: false,
             schema: mv.schema.clone(),
         };
-        let (schema, projections) =
-            projection_plan(ctx, &body.select, &mv.schema, mv.schema.len(), &[])?;
         let project = PlanNode::Project {
             input: Box::new(scan),
-            projections,
-            schema,
+            projections: mv.bound.projections.clone(),
+            schema: mv.bound.output.clone(),
         };
         let schema = project.schema().without_qualifiers().with_qualifier(&qual);
         return Ok(PlanNode::Materialize {

@@ -1,9 +1,11 @@
 //! Incremental skyline maintenance — the delta algebra behind
 //! `MATERIALIZED PREFERENCE VIEW`.
 //!
-//! The view stores one [`MatViewEntry`] per base-table row, mirroring row
-//! ids 1:1 and in order, and one ascending list of winner positions. The
-//! functions here keep
+//! A view (the engine's `MatViewDef`, held in its catalog) stores one
+//! [`MatViewEntry`] per base-table row, mirroring row ids 1:1 and in
+//! order, and one ascending list of winner positions. The functions here
+//! work on those two vectors and the view's compiled preference alone,
+//! and keep
 //!
 //! ```text
 //! winners == the maximal set of the qualifying entries, ascending
@@ -31,9 +33,7 @@
 //!   renumbers the winners past the compacted ids.
 //! * **Update** ([`apply_replace`]): the lost-winner step for the old
 //!   entry, then the new-row step at the same position, so entry order
-//!   keeps mirroring
-//!   [`Table::replace_row`](prefsql_storage::Table::replace_row)'s
-//!   in-place semantics.
+//!   keeps mirroring the base table's in-place `replace_row`.
 //!
 //! [`rebuild`] computes the list from scratch (CREATE/REFRESH and the
 //! differential oracle of the maintenance proptests).
@@ -41,7 +41,23 @@
 use crate::algo::{maximal_scored, SkylineAlgo};
 use crate::compose::Preference;
 use crate::score::{ScoreMatrix, Verdict};
-use prefsql_storage::MatViewEntry;
+use prefsql_types::Value;
+
+/// Per-base-row state tracked by a materialized preference view.
+///
+/// Entries mirror the base table's row ids 1:1 and in order: INSERT
+/// appends, DELETE compacts exactly as the table's `delete_rows` does,
+/// UPDATE replaces in place. Serving depends on this mirroring — the
+/// position of a winner's entry *is* the row id its row is fetched by. A
+/// DML statement that breaks the mirroring marks the view stale.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MatViewEntry {
+    /// The evaluated base-preference expressions of this row.
+    pub slots: Vec<Value>,
+    /// True iff the row passed the view's WHERE clause. Non-qualifying
+    /// rows are tracked (to keep ids aligned) but never compete.
+    pub qualifies: bool,
+}
 
 /// The winner list from scratch: the maximal set of the qualifying
 /// entries, ascending. Used by CREATE / REFRESH and as the test oracle.
@@ -72,9 +88,8 @@ pub fn apply_insert(
 
 /// Remove the entries at `doomed` (duplicates and out-of-range ids
 /// tolerated), maintaining `winners` for the survivors, then compact the
-/// vector exactly like
-/// [`Table::delete_rows`](prefsql_storage::Table::delete_rows) compacts
-/// row ids: surviving entries keep their relative order.
+/// vector exactly like the table's `delete_rows` compacts row ids:
+/// surviving entries keep their relative order.
 pub fn apply_delete(
     entries: &mut Vec<MatViewEntry>,
     winners: &mut Vec<usize>,
@@ -192,7 +207,6 @@ mod tests {
     use crate::base::BasePref;
     use crate::compose::arb::{arb_any_pref, arb_any_slots};
     use crate::compose::PrefNode;
-    use prefsql_types::Value;
     use proptest::prelude::*;
 
     /// LOWEST x AND LOWEST y — the classic 2-d skyline.

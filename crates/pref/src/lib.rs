@@ -51,5 +51,5 @@ pub use base::BasePref;
 pub use bmo::{bmo, bmo_grouped, bmo_grouped_scored};
 pub use compose::{PrefNode, Preference};
 pub use external::{maximal_external, ExternalSkyline, SpillMetrics};
-pub use incremental::{apply_delete, apply_insert, apply_replace, rebuild};
+pub use incremental::{apply_delete, apply_insert, apply_replace, rebuild, MatViewEntry};
 pub use score::ScoreMatrix;

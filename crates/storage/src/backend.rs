@@ -23,8 +23,8 @@
 //! once tombstones outnumber live rows, one file rewrite packs the
 //! survivors, so a deleted row costs amortised O(1) page work. Clones
 //! of a paged backend share the heap file and pool (`Arc`) but snapshot
-//! the row directory and the page synopses — the catalog's `Clone` is
-//! only used for whole-catalog copies in tests, never for live aliasing.
+//! the row directory and the page synopses — a table's `Clone` is only
+//! used for copies in tests, never for live aliasing.
 //!
 //! **Page synopses.** The paged store keeps, for every slotted page and
 //! every column, the least and greatest value any row placed on the page

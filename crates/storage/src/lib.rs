@@ -1,8 +1,10 @@
 //! # prefsql-storage
 //!
-//! The storage substrate of the Preference SQL reproduction: in-memory
-//! heap tables, hash and ordered (B-tree) secondary indexes, and a catalog
-//! mapping names to tables and view definitions.
+//! The storage substrate of the Preference SQL reproduction: tables on
+//! two row stores (in memory, or slotted heap-file pages behind a shared
+//! buffer pool), hash and ordered (B-tree) secondary indexes, and spill
+//! runs. It stores rows and nothing else: the catalog that maps names to
+//! tables and compiled view definitions is `prefsql-engine`'s.
 //!
 //! The paper runs Preference SQL as a pre-processor in front of a host SQL
 //! DBMS (Informix, Oracle, DB2, Sybase). This crate plus `prefsql-engine`
@@ -12,11 +14,9 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod catalog;
 pub mod codec;
 pub mod heap;
 pub mod index;
-pub mod matview;
 pub mod page;
 pub mod pool;
 pub mod spill;
@@ -24,10 +24,8 @@ pub mod synopsis;
 pub mod table;
 
 pub use backend::{MemBackend, PagedBackend, StorageBackend};
-pub use catalog::{Catalog, ViewDef};
 pub use heap::HeapFile;
 pub use index::{BTreeIndex, HashIndex, IndexKind};
-pub use matview::{MatViewDef, MatViewEntry};
 pub use pool::{BufferPool, PoolStats};
 pub use spill::{RunReader, RunWriter, SpillManager, SpillRun};
 pub use synopsis::{PageFilter, Sarg};

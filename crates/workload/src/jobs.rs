@@ -2,7 +2,8 @@
 //! relation of paper §3.3 (Informix, 1.4 M tuples, 74 attributes
 //! describing professional skill profiles).
 //!
-//! The substitution (DESIGN.md §5): the benchmark measures the cost
+//! The substitution: experiment E1 of the `experiments` binary (README,
+//! *Build & test*) and `prefbench`'s `jobsearch_rewrite` measure the cost
 //! structure of the rewritten query — an indexable *pre-selection*
 //! producing a candidate set of a controlled size (300/600/1000 in the
 //! paper), followed by a second selection evaluated as hard conjunctive

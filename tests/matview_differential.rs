@@ -21,10 +21,18 @@
 //!    the base table while reader sessions are served from the view;
 //!    afterwards the incrementally maintained content must equal both a
 //!    cold recompute and a from-scratch REFRESH.
+//! 4. A definition dimension: the same random DML against views with a
+//!    WHERE clause, a FROM alias, a projection and a CASCADE over a POS
+//!    preference, so rows cross the WHERE under UPDATE; checked after
+//!    every statement, served ≡ cold ≡ a read of the view by name.
+//! 5. Serving edges: definitions with literal and operator forms that
+//!    must still be served when queried with their own text, and a base
+//!    table dropped and re-created straight through the catalog.
 
 use prefsql::engine::EngineCore;
 use prefsql::parser::ast::{Expr, PrefExpr};
-use prefsql::types::Value;
+use prefsql::storage::Table;
+use prefsql::types::{Column, DataType, Schema, Tuple, Value};
 use prefsql::{ExecutionMode, ResultSet, Session};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,11 +134,22 @@ fn read_view(s: &mut Session) -> ResultSet {
     s.query("SELECT * FROM v").unwrap()
 }
 
-/// Assert the cached serving path agrees with every recompute flavour.
-fn check(inc: &mut Session, cold: &mut Session, pref: &PrefExpr) {
-    let sql = format!("SELECT id, a, b, c FROM r PREFERRING {pref}");
+/// View definitions, `{pref}` standing for the generated preference.
+/// The first is every column of `r`; the others have a WHERE that
+/// UPDATEs move rows across (a and b are what they assign), an alias, a
+/// projection and a CASCADE over a POS preference.
+const DEFINITIONS: [&str; 4] = [
+    "SELECT * FROM r PREFERRING {pref}",
+    "SELECT * FROM r WHERE c IS NOT NULL AND a < 9 PREFERRING {pref}",
+    "SELECT x.id, x.a FROM r x WHERE x.b > 2 PREFERRING {pref}",
+    "SELECT id, a, c FROM r WHERE b <> 4 PREFERRING c IN (1, 2) CASCADE ({pref})",
+];
+
+/// Assert the cached serving path for `sql` agrees with every recompute
+/// flavour and with a read of the view by name.
+fn check(inc: &mut Session, cold: &mut Session, sql: &str) {
     inc.set_mode(ExecutionMode::native());
-    let served = inc.query(&sql).unwrap();
+    let served = inc.query(sql).unwrap();
     assert_eq!(
         served.view_activity().and_then(|v| v.served_by.as_deref()),
         Some("v"),
@@ -142,7 +161,7 @@ fn check(inc: &mut Session, cold: &mut Session, pref: &PrefExpr) {
         "a view hit skips the dominance pass: {sql}"
     );
     cold.set_mode(ExecutionMode::native());
-    let recomputed = cold.query(&sql).unwrap();
+    let recomputed = cold.query(sql).unwrap();
     assert!(
         recomputed.view_activity().is_none(),
         "cold session has no view to serve from"
@@ -151,12 +170,15 @@ fn check(inc: &mut Session, cold: &mut Session, pref: &PrefExpr) {
         served, recomputed,
         "cache hit diverged from native recompute: {sql}"
     );
+    // The rewrite qualifies `*` columns by its own alias.
     cold.set_mode(ExecutionMode::Rewrite);
-    let oracle = cold.query(&sql).unwrap();
+    let oracle = cold.query(sql).unwrap();
     assert_eq!(
-        served, oracle,
+        (served.schema().without_qualifiers(), served.rows()),
+        (oracle.schema().without_qualifiers(), oracle.rows()),
         "cache hit diverged from rewrite path: {sql}"
     );
+    assert_eq!(served.rows(), read_view(inc).rows(), "read by name: {sql}");
 }
 
 fn row_count(s: &mut Session) -> Vec<i64> {
@@ -208,11 +230,27 @@ fn apply(op: &Op, live: &mut Vec<i64>, next_id: &mut i64, sessions: &mut [&mut S
     }
 }
 
-/// Run one full scenario: seed both cores, create the view on one,
-/// verify after the build, after every DML statement, and after a final
-/// REFRESH (incremental state ≡ from-scratch rebuild).
+/// Run one full scenario over the view `SELECT * FROM r PREFERRING
+/// {pref}`, queried by an explicit column list.
 fn run_scenario(
     pref: &PrefExpr,
+    seed: &[(i64, i64, Option<i64>)],
+    ops: &[Op],
+    threads: usize,
+    window: Option<usize>,
+) {
+    let pref = pref.to_string();
+    let query = format!("SELECT id, a, b, c FROM r PREFERRING {pref}");
+    let view = DEFINITIONS[0].replace("{pref}", &pref);
+    run_definition(&view, &query, seed, ops, threads, window);
+}
+
+/// Seed both cores, create the view `body` on one, and check `query`
+/// after the build, after every DML statement, and after a final
+/// REFRESH (incremental state ≡ from-scratch rebuild).
+fn run_definition(
+    body: &str,
+    query: &str,
     seed: &[(i64, i64, Option<i64>)],
     ops: &[Op],
     threads: usize,
@@ -225,17 +263,15 @@ fn run_scenario(
         s.set_window_bytes(window);
         setup(s, seed);
     }
-    inc.execute(&format!(
-        "CREATE MATERIALIZED PREFERENCE VIEW v AS SELECT * FROM r PREFERRING {pref}"
-    ))
-    .unwrap();
-    check(&mut inc, &mut cold, pref);
+    inc.execute(&format!("CREATE MATERIALIZED PREFERENCE VIEW v AS {body}"))
+        .unwrap();
+    check(&mut inc, &mut cold, query);
 
     let mut live: Vec<i64> = (0..seed.len() as i64).collect();
     let mut next_id = seed.len() as i64;
     for op in ops {
         apply(op, &mut live, &mut next_id, &mut [&mut inc, &mut cold]);
-        check(&mut inc, &mut cold, pref);
+        check(&mut inc, &mut cold, query);
     }
 
     let incremental = read_view(&mut inc);
@@ -244,7 +280,7 @@ fn run_scenario(
     assert_eq!(
         incremental,
         read_view(&mut inc),
-        "incrementally maintained content must equal a from-scratch rebuild"
+        "incrementally maintained content must equal a from-scratch rebuild: {body}"
     );
 }
 
@@ -497,4 +533,97 @@ fn concurrent_dml_keeps_view_equivalent() {
         .execute("REFRESH MATERIALIZED PREFERENCE VIEW v")
         .unwrap();
     assert_eq!(incremental, read_view(&mut admin));
+}
+
+// ------------------------------------------------- definition dimension
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Layer 4: random DML against views with a WHERE, an alias, a
+    /// projection and a CASCADE, checked after every statement.
+    #[test]
+    fn views_with_where_alias_and_projection_stay_in_step(
+        pref in arb_pref(),
+        seed in proptest::collection::vec(arb_cell(), 0..12),
+        ops in arb_ops(),
+    ) {
+        for def in DEFINITIONS {
+            let body = def.replace("{pref}", &pref.to_string());
+            run_definition(&body, &body, &seed, &ops, 1, None);
+        }
+    }
+}
+
+/// Layer 5: a definition is served when queried with its own text,
+/// whatever literal and operator forms it is spelt with.
+#[test]
+fn definitions_are_served_when_queried_with_their_own_text() {
+    let seed: Vec<(i64, i64, Option<i64>)> = (0..24)
+        .map(|i| (i % 7, (i * 5) % 11, (i % 4 != 0).then_some(i % 5)))
+        .collect();
+    for body in [
+        "SELECT * FROM r WHERE a > -3 PREFERRING LOWEST(b)",
+        "SELECT * FROM r WHERE b < 7.5 PREFERRING a AROUND -1.5",
+        "SELECT * FROM r WHERE a <> 3 PREFERRING HIGHEST(b) AND LOWEST(a)",
+        "SELECT * FROM r WHERE NOT (a > 5 OR b < 2) PREFERRING LOWEST(a)",
+        "SELECT * FROM r WHERE a BETWEEN 2 AND 6 PREFERRING b BETWEEN 3, 5",
+        "SELECT x.id AS k, x.b FROM r x WHERE x.a >= 1 PREFERRING LOWEST(x.a)",
+        "SELECT * FROM r WHERE c IN (1, 3) PREFERRING (LOWEST(a) AND HIGHEST(b)) CASCADE LOWEST(c)",
+        "SELECT id FROM r WHERE 'it''s' <> 'x' PREFERRING c IN (2) CASCADE LOWEST(a)",
+    ] {
+        let mut inc = Session::new();
+        let mut cold = Session::new();
+        setup(&mut inc, &seed);
+        setup(&mut cold, &seed);
+        inc.execute(&format!("CREATE MATERIALIZED PREFERENCE VIEW v AS {body}"))
+            .unwrap();
+        check(&mut inc, &mut cold, body);
+    }
+}
+
+/// A table dropped and re-created straight through the catalog is
+/// another table: the views on it go stale, so neither a read by name
+/// nor a matching native query is served the old winners' row ids, and
+/// REFRESH binds the view to the new table.
+#[test]
+fn a_base_table_recreated_through_the_catalog_is_not_served_stale_winners() {
+    let mut s = Session::new();
+    s.execute("CREATE TABLE t (id INTEGER, x INTEGER)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 5), (2, 1), (3, 9)")
+        .unwrap();
+    s.execute("CREATE MATERIALIZED PREFERENCE VIEW v AS SELECT * FROM t PREFERRING LOWEST(x)")
+        .unwrap();
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::new("x", DataType::Int),
+    ])
+    .unwrap();
+    let mut t = Table::new("t", schema);
+    for (id, x) in [(10, 100), (20, 200), (30, 0)] {
+        t.insert(Tuple::new(vec![Value::Int(id), Value::Int(x)]))
+            .unwrap();
+    }
+    {
+        let mut cat = s.engine_mut().catalog_mut();
+        cat.drop_table("t").unwrap();
+        cat.create_table(t).unwrap();
+    }
+    let err = s.query("SELECT * FROM v").unwrap_err();
+    assert!(err.to_string().contains("stale"), "{err}");
+    s.set_mode(ExecutionMode::native());
+    let native = s.query("SELECT * FROM t PREFERRING LOWEST(x)").unwrap();
+    assert!(native.view_activity().is_none(), "served by a stale view");
+    assert_eq!(native.column_as_ints(0), vec![30]);
+    s.execute("REFRESH MATERIALIZED PREFERENCE VIEW v").unwrap();
+    assert_eq!(
+        s.query("SELECT * FROM v").unwrap().column_as_ints(0),
+        vec![30]
+    );
+    let served = s.query("SELECT * FROM t PREFERRING LOWEST(x)").unwrap();
+    assert_eq!(
+        served.view_activity().and_then(|v| v.served_by.as_deref()),
+        Some("v")
+    );
+    assert_eq!(served.column_as_ints(0), vec![30]);
 }
