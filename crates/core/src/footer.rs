@@ -19,7 +19,7 @@ pub(crate) fn spill_line(window_label: &str, m: &SpillMetrics) -> String {
         "Spill: window={}, spilled_runs={}, spilled_bytes={}, passes={}",
         window_label,
         m.runs_written,
-        crate::knobs::fmt_bytes(m.bytes_spilled),
+        prefsql_types::knobs::fmt_bytes(m.bytes_spilled),
         m.passes
     )
 }

@@ -15,10 +15,12 @@
 //! Concurrency: all shared engine state lives in a `Send + Sync`
 //! [`engine::EngineCore`]; each connection is a [`Session`]
 //! ([`PrefSqlConnection`] is the paper's name for it) carrying its own
-//! execution knobs (mode, `\algo`, threads, window) and private spill
-//! directory. [`Session::new`] makes a private core; [`Session::with_core`]
-//! shares one across threads (that is what the `prefsql-server` TCP front
-//! end does, one session per connection).
+//! execution mode and private spill directory; its `\algo`, threads and
+//! window knobs are one [`NativeOptions`] value held by its engine
+//! façade, which every statement runs under. [`Session::new`] makes a
+//! private core; [`Session::with_core`] shares one across threads (that
+//! is what the `prefsql-server` TCP front end does, one session per
+//! connection).
 //!
 //! # Quickstart
 //!
@@ -48,7 +50,6 @@
 
 pub mod connection;
 pub(crate) mod footer;
-pub mod knobs;
 pub mod native;
 pub mod result;
 pub mod session;

@@ -10,16 +10,16 @@
 //! projection → `PlanNode::Preference`, or a materialized-view scan on a
 //! cache hit → the ordinary Sort/Project/Distinct/Limit tail), *built* by
 //! `physical::build` like every other operator (so `EXPLAIN ANALYZE`
-//! instruments it), and *rendered* by `explain::render`. What is left
-//! here is the facade's part: [`NativeOptions`] (the session knobs the
-//! planner bakes in) and [`run_native_in`] — resolve named preferences
-//! through the session's registry, plan, execute, wrap the [`ResultSet`].
+//! instruments it), and *rendered* by `explain::render`. The knobs the
+//! planner bakes in are the engine's [`NativeOptions`], one value per
+//! session, re-exported here. What is left here is the facade's part,
+//! [`run_native_in`]: resolve named preferences through the session's
+//! registry, plan, execute, wrap the [`ResultSet`].
 //! Semantics are identical to the rewrite path — the `rewrite_vs_native`
 //! differential test suite and ablation benchmark A1 depend on that.
 
-use crate::knobs;
 use crate::result::{ResultSet, ViewActivity};
-use prefsql_engine::physical::{execute, DEFAULT_BATCH};
+use prefsql_engine::physical::execute;
 use prefsql_engine::plan::{plan_preference, QueryPlan};
 use prefsql_engine::{Engine, ExecCtx};
 use prefsql_parser::ast::Query;
@@ -28,69 +28,19 @@ use prefsql_types::{Error, Result};
 use std::path::Path;
 use std::sync::Arc;
 
+pub use prefsql_engine::NativeOptions;
 pub use prefsql_pref::{SkylineAlgo, SpillMetrics};
 
-/// Execution knobs for the native preference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NativeOptions {
-    /// How the maximal-set selection is driven (the shell's `\algo`).
-    pub algo: SkylineAlgo,
-    /// Parallel-window degree knob (the shell's `\threads N`):
-    /// [`SkylineAlgo::Auto`] splits the window across up to this many
-    /// scoped OS threads once the candidate set reaches
-    /// [`prefsql_pref::PARALLEL_CUTOFF`]; `1` forces the serial window.
-    pub threads: usize,
-    /// Rows requested per pull by the loop draining the source plan;
-    /// `None` drives it one tuple per pull, like `Some(1)` (the
-    /// differential suites pin that the result does not depend on the
-    /// drive granularity with this).
-    pub batch: Option<usize>,
-    /// External-memory window budget in bytes (the shell's
-    /// `\window N[k|m]`): [`SkylineAlgo::Auto`] streams the candidate
-    /// set through the bounded-window multi-pass BNL with spill-to-disk
-    /// overflow runs once the candidates exceed this many bytes. `None`
-    /// (the default without `PREFSQL_WINDOW`) never spills.
-    pub window_bytes: Option<usize>,
-}
-
-impl Default for NativeOptions {
-    /// Auto algorithm, session-default parallelism (`PREFSQL_THREADS`
-    /// or the host width), batched drive loop, session-default window
-    /// budget (`PREFSQL_WINDOW` or unbounded).
-    fn default() -> Self {
-        NativeOptions {
-            algo: SkylineAlgo::default(),
-            threads: knobs::default_threads(),
-            batch: Some(DEFAULT_BATCH),
-            window_bytes: knobs::default_window_bytes(),
-        }
-    }
-}
-
-impl NativeOptions {
-    /// Default options with a forced algorithm.
-    pub fn with_algo(algo: SkylineAlgo) -> Self {
-        NativeOptions {
-            algo,
-            ..NativeOptions::default()
-        }
-    }
-}
-
-/// Plan `query` inside `ctx`: named preferences resolve through the
-/// session's `registry` (the engine has none), the engine does the rest.
-fn plan(
-    ctx: &ExecCtx<'_>,
-    registry: &PreferenceRegistry,
-    query: &Query,
-    opts: NativeOptions,
-) -> Result<QueryPlan> {
+/// Plan `query` inside `ctx`, under the context's knobs: named
+/// preferences resolve through the session's `registry` (the engine has
+/// none), the engine does the rest.
+fn plan(ctx: &ExecCtx<'_>, registry: &PreferenceRegistry, query: &Query) -> Result<QueryPlan> {
     let pref = query
         .preferring
         .as_ref()
         .ok_or_else(|| Error::Plan("native evaluation requires a PREFERRING clause".into()))?;
     let resolved = registry.resolve(pref)?;
-    plan_preference(ctx, query, &resolved, opts.algo, opts.threads, opts.batch)
+    plan_preference(ctx, query, &resolved)
 }
 
 /// Evaluate a preference query natively as one read statement on
@@ -98,8 +48,9 @@ fn plan(
 /// materialized-view scan when a view serves it) and run that one tree.
 ///
 /// The statement context is `engine`'s own ([`Engine::read_ctx`]: the
-/// session's `\window` budget and spill directory); `opts.window_bytes`
-/// and a `Some` `spill_base` override it for this call only.
+/// session's spill directory), run under `opts` instead of the session's
+/// knobs; a `Some` `spill_base` overrides the directory for this call
+/// only.
 pub fn run_native_in(
     engine: &Engine,
     registry: &PreferenceRegistry,
@@ -107,14 +58,14 @@ pub fn run_native_in(
     opts: NativeOptions,
     spill_base: Option<&Path>,
 ) -> Result<ResultSet> {
-    let mut ctx = engine.read_ctx()?.with_window(opts.window_bytes);
+    let mut ctx = engine.read_ctx()?.with_knobs(opts);
     if let Some(base) = spill_base {
         ctx = ctx.with_spill_base(Some(base.to_path_buf()));
     }
     // Report only this statement's spill (see `Session::forward`).
     let _ = engine.take_spill_metrics();
     let (rel, served_by, dominance) = engine.run_in_ctx(ctx, |ctx| {
-        let plan = Arc::new(plan(ctx, registry, query, opts)?);
+        let plan = Arc::new(plan(ctx, registry, query)?);
         // Under EXPLAIN ANALYZE (or the server's slow-query log) the
         // context carries a profiler: keep the plan alive for rendering.
         ctx.profile_plan(&plan);
@@ -133,17 +84,11 @@ pub fn run_native_in(
         })))
 }
 
-/// The plan [`run_native_in`] would execute, rendered by the engine's
-/// one EXPLAIN renderer.
-pub fn explain(
-    engine: &Engine,
-    registry: &PreferenceRegistry,
-    query: &Query,
-    opts: NativeOptions,
-) -> Result<String> {
-    let ctx = engine.read_ctx()?.with_window(opts.window_bytes);
-    engine.run_in_ctx(ctx, |ctx| {
-        let plan = plan(ctx, registry, query, opts)?;
+/// The plan [`run_native_in`] would execute under `engine`'s own knobs,
+/// rendered by the engine's one EXPLAIN renderer.
+pub fn explain(engine: &Engine, registry: &PreferenceRegistry, query: &Query) -> Result<String> {
+    engine.with_read_ctx(|ctx| {
+        let plan = plan(ctx, registry, query)?;
         let mut out = String::new();
         prefsql_engine::explain::render(plan.root(), 0, &mut out);
         Ok(out)

@@ -1,12 +1,13 @@
 //! The per-connection session runtime.
 //!
-//! A [`Session`] is what one client *owns*: the execution-mode and
-//! resource knobs (`\mode`, `\algo`, `\threads`, `\window`), the
-//! preference registry + rewriter, and a private spill directory for
-//! external-memory runs. What it *borrows* is the shared
-//! [`EngineCore`] — catalog and index
-//! toggles — so any number of sessions can serve concurrent connections
-//! against one database:
+//! A [`Session`] is what one client *owns*: the execution mode
+//! (`\mode`), the preference registry + rewriter, a private spill
+//! directory for external-memory runs, and an [`Engine`] façade holding
+//! the resource knobs (`\algo`, `\threads`, `\window`) as one
+//! [`NativeOptions`] value that every statement runs under. What it
+//! *borrows* is the shared [`EngineCore`] — catalog and index toggles —
+//! so any number of sessions can serve concurrent connections against
+//! one database:
 //!
 //! ```text
 //!            ┌───────────┐ ┌───────────┐ ┌───────────┐
@@ -29,6 +30,7 @@ use prefsql_engine::{BackendKind, Engine, EngineCore, ExecOutcome};
 use prefsql_parser::ast::{Expr as PExpr, InsertSource, Query, Statement};
 use prefsql_parser::{parse_statement, parse_statements};
 use prefsql_rewrite::{RewriteOutput, Rewriter};
+use prefsql_types::knobs::{fmt_bytes, parse_size, MIN_WINDOW_BYTES};
 use prefsql_types::{Error, Result};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -115,18 +117,15 @@ impl QueryResult {
 static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// One client's runtime state over a shared [`EngineCore`]: execution
-/// mode, native-evaluation knobs, rewriter/registry, and a lazily
-/// created private spill directory (removed on drop).
+/// mode, rewriter/registry, and a lazily created private spill directory
+/// (removed on drop). The native-evaluation knobs are the engine
+/// façade's one [`NativeOptions`] value.
 pub struct Session {
     engine: Engine,
     rewriter: Rewriter,
-    mode: ExecutionMode,
-    /// The skyline algorithm `\mode native` re-arms (remembered even
-    /// while in rewrite mode).
-    algo: SkylineAlgo,
-    /// Parallel-window degree knob for native preference evaluation
-    /// (default: `PREFSQL_THREADS` or the host width).
-    threads: usize,
+    /// Whether preference SELECTs run natively (`\mode native`) instead
+    /// of through the rewrite; the algorithm is the knobs' `algo`.
+    native: bool,
     /// This session's private spill directory, created on first use and
     /// removed when the session drops.
     spill_dir: Option<PathBuf>,
@@ -155,13 +154,13 @@ impl Session {
         let mut session = Session {
             engine: Engine::with_core(core),
             rewriter: Rewriter::new(),
-            mode: ExecutionMode::Rewrite,
-            algo: SkylineAlgo::default(),
-            threads: crate::knobs::default_threads(),
+            native: false,
             spill_dir: None,
             last_view_maintained: 0,
         };
-        session.set_window_bytes(crate::knobs::default_window_bytes());
+        // The engine starts at the defaults without a window; the
+        // session's default window comes with its spill directory.
+        session.set_window_bytes(NativeOptions::default().window_bytes);
         session
     }
 
@@ -181,31 +180,38 @@ impl Session {
     }
 
     /// Switch the evaluation strategy for preference queries. Entering
-    /// native mode also re-arms the remembered `\algo` choice.
+    /// native mode with an algorithm also sets the `\algo` knob.
     pub fn set_mode(&mut self, mode: ExecutionMode) {
-        if let ExecutionMode::Native(algo) = mode {
-            self.algo = algo;
-        }
-        self.mode = mode;
+        self.native = match mode {
+            ExecutionMode::Rewrite => false,
+            ExecutionMode::Native(algo) => {
+                self.set_algo(algo);
+                true
+            }
+        };
     }
 
     /// The current evaluation strategy.
     pub fn mode(&self) -> ExecutionMode {
-        self.mode
+        if self.native {
+            ExecutionMode::Native(self.algo())
+        } else {
+            ExecutionMode::Rewrite
+        }
     }
 
     /// Set the native skyline algorithm. Applies immediately when in
     /// native mode, and is remembered for the next `\mode native`.
     pub fn set_algo(&mut self, algo: SkylineAlgo) {
-        self.algo = algo;
-        if matches!(self.mode, ExecutionMode::Native(_)) {
-            self.mode = ExecutionMode::Native(algo);
-        }
+        self.engine.set_knobs(NativeOptions {
+            algo,
+            ..self.engine.knobs()
+        });
     }
 
     /// The native skyline algorithm `\mode native` would use.
     pub fn algo(&self) -> SkylineAlgo {
-        self.algo
+        self.engine.knobs().algo
     }
 
     /// Cap the parallel-window degree for native preference evaluation
@@ -213,34 +219,40 @@ impl Session {
     /// skyline only actually parallelizes above
     /// [`prefsql_pref::PARALLEL_CUTOFF`] candidates.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.engine.set_knobs(NativeOptions {
+            threads: threads.max(1),
+            ..self.engine.knobs()
+        });
     }
 
     /// The parallel-window degree knob.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.engine.knobs().threads
     }
 
     /// Set the external-memory window budget (default: `PREFSQL_WINDOW`,
     /// or `None` = unbounded): `Some(bytes)` streams native candidate
     /// sets larger than the budget through the bounded-window multi-pass
     /// BNL with spill-to-disk overflow runs, and partitions oversized
-    /// hash-join build sides (clamped to at least
-    /// [`crate::knobs::MIN_WINDOW_BYTES`]); `None` never spills.
+    /// hash-join build sides (clamped to at least [`MIN_WINDOW_BYTES`]);
+    /// `None` never spills.
     ///
     /// The budget and the session's spill directory are set once, here,
     /// on the engine: every statement context — plain SQL joins and
     /// native preference evaluation alike — reads them from there.
     pub fn set_window_bytes(&mut self, window_bytes: Option<usize>) {
-        let window_bytes = window_bytes.map(|b| b.max(crate::knobs::MIN_WINDOW_BYTES));
-        self.engine.set_window_bytes(window_bytes);
+        let window_bytes = window_bytes.map(|b| b.max(MIN_WINDOW_BYTES));
+        self.engine.set_knobs(NativeOptions {
+            window_bytes,
+            ..self.engine.knobs()
+        });
         let base = window_bytes.map(|_| self.spill_base().to_path_buf());
         self.engine.set_spill_base(base);
     }
 
     /// The external-memory window budget knob.
     pub fn window_bytes(&self) -> Option<usize> {
-        self.engine.window_bytes()
+        self.engine.knobs().window_bytes
     }
 
     /// The session's private spill directory, named on first use.
@@ -338,14 +350,14 @@ impl Session {
         }
         // Native mode hands preference SELECTs — plain or under EXPLAIN
         // [ANALYZE] — to the engine's preference planner.
-        if let ExecutionMode::Native(algo) = self.mode {
+        if self.native {
             let (target, explain) = match stmt {
                 Statement::Explain { analyze, statement } => (statement.as_ref(), Some(*analyze)),
                 other => (other, None),
             };
             if let Statement::Select(q) = target {
                 if q.preferring.is_some() {
-                    return self.run_native(q, algo, explain);
+                    return self.run_native(q, explain);
                 }
             }
         }
@@ -452,23 +464,10 @@ impl Session {
     /// explained (`Some(false)`), or — `EXPLAIN ANALYZE`, `Some(true)` —
     /// executed with every operator of its one plan tree instrumented and
     /// reported as that tree plus the statement's footer lines.
-    fn run_native(
-        &mut self,
-        q: &Query,
-        algo: SkylineAlgo,
-        explain: Option<bool>,
-    ) -> Result<QueryResult> {
-        // Built literally: the session's own `\threads` knob must win
-        // over `NativeOptions::default()`'s session default.
-        let opts = NativeOptions {
-            algo,
-            threads: self.threads,
-            batch: Some(prefsql_engine::physical::DEFAULT_BATCH),
-            window_bytes: self.window_bytes(),
-        };
+    fn run_native(&mut self, q: &Query, explain: Option<bool>) -> Result<QueryResult> {
         let registry = self.rewriter.registry();
         if explain == Some(false) {
-            let plan = native::explain(&self.engine, registry, q, opts)?;
+            let plan = native::explain(&self.engine, registry, q)?;
             return Ok(QueryResult::Explain(format!(
                 "Native preference plan:\n{plan}"
             )));
@@ -479,7 +478,7 @@ impl Session {
         let was = self.engine.profiling();
         self.engine.set_profiling(was || analyze);
         let started = Instant::now();
-        let result = native::run_native_in(&self.engine, registry, q, opts, None);
+        let result = native::run_native_in(&self.engine, registry, q, self.engine.knobs(), None);
         self.engine.set_profiling(was);
         let elapsed = started.elapsed();
         let rs = result?.with_pool(pool_before.map(|b| self.engine.pool_stats().since(&b)));
@@ -538,7 +537,7 @@ impl Session {
     pub fn command(&mut self, head: &str, arg: &str) -> Option<String> {
         let out = match head {
             "\\mode" => match arg {
-                "" => format!("mode: {}\n", self.mode.label()),
+                "" => format!("mode: {}\n", self.mode().label()),
                 "rewrite" => {
                     self.set_mode(ExecutionMode::Rewrite);
                     "mode: rewrite\n".into()
@@ -546,20 +545,20 @@ impl Session {
                 // `\mode native` uses the session's `\algo` choice
                 // (auto unless changed).
                 "native" => {
-                    self.set_mode(ExecutionMode::Native(self.algo));
-                    format!("mode: {}\n", self.mode.label())
+                    self.native = true;
+                    format!("mode: {}\n", self.mode().label())
                 }
                 algo_arg if SkylineAlgo::parse(algo_arg).is_some() => {
                     let algo = SkylineAlgo::parse(algo_arg).expect("guard checked");
                     self.set_mode(ExecutionMode::Native(algo));
-                    format!("mode: {}\n", self.mode.label())
+                    format!("mode: {}\n", self.mode().label())
                 }
                 other => {
                     format!("unknown mode '{other}' (rewrite|native|naive|bnl|auto)\n")
                 }
             },
             "\\algo" => match arg {
-                "" => format!("algo: {}\n", self.algo.label()),
+                "" => format!("algo: {}\n", self.algo().label()),
                 a => match SkylineAlgo::parse(a) {
                     Some(algo) => {
                         self.set_algo(algo);
@@ -569,11 +568,11 @@ impl Session {
                 },
             },
             "\\threads" => match arg {
-                "" => format!("threads: {}\n", self.threads),
+                "" => format!("threads: {}\n", self.threads()),
                 n => match n.parse::<usize>() {
                     Ok(n) if n >= 1 => {
                         self.set_threads(n);
-                        format!("threads: {}\n", self.threads)
+                        format!("threads: {}\n", self.threads())
                     }
                     _ => format!("invalid thread count '{n}' (positive integer)\n"),
                 },
@@ -584,13 +583,13 @@ impl Session {
                     self.set_window_bytes(None);
                     "window: off\n".into()
                 }
-                w => match crate::knobs::parse_size(w) {
+                w => match parse_size(w) {
                     // `set_window_bytes` clamps sub-minimum budgets up to
                     // MIN_WINDOW_BYTES; echo what actually took effect,
                     // flagging when it differs from what was asked for.
                     Some(n) if n >= 1 => {
                         self.set_window_bytes(Some(n));
-                        let clamped = if n < crate::knobs::MIN_WINDOW_BYTES {
+                        let clamped = if n < MIN_WINDOW_BYTES {
                             " (clamped)"
                         } else {
                             ""
@@ -604,17 +603,14 @@ impl Session {
             },
             "\\pool" => match arg {
                 "" => format!("pool: {}\n", self.pool_label()),
-                p => match crate::knobs::parse_size(p) {
+                p => match parse_size(p) {
                     Some(n) if n >= 1 => match self.engine.core().resize_pool(n) {
                         // The pool clamps to its four-page floor and
                         // rounds to whole pages; echo the effective size,
                         // flagging when the floor raised the request.
                         Ok(effective) => {
                             let clamped = if effective > n { " (clamped)" } else { "" };
-                            format!(
-                                "pool: {}{clamped}\n",
-                                crate::knobs::fmt_bytes(effective as u64)
-                            )
+                            format!("pool: {}{clamped}\n", fmt_bytes(effective as u64))
                         }
                         Err(e) => format!("ERROR: {e}\n"),
                     },
@@ -663,7 +659,7 @@ impl Session {
     /// The `\window` display label: `64 KiB` or `off`.
     pub fn window_label(&self) -> String {
         match self.window_bytes() {
-            Some(b) => crate::knobs::fmt_bytes(b as u64),
+            Some(b) => fmt_bytes(b as u64),
             None => "off".into(),
         }
     }
@@ -672,7 +668,7 @@ impl Session {
     /// capacity, e.g. `1 MiB`.
     pub fn pool_label(&self) -> String {
         let stats = self.engine.pool_stats();
-        crate::knobs::fmt_bytes((stats.capacity_pages * prefsql_storage::page::PAGE_SIZE) as u64)
+        fmt_bytes((stats.capacity_pages * prefsql_storage::page::PAGE_SIZE) as u64)
     }
 
     fn list_relations(&self) -> String {
@@ -785,7 +781,7 @@ mod tests {
             s.command("\\window", "100").unwrap(),
             "window: 4 KiB (clamped)\n"
         );
-        assert_eq!(s.window_bytes(), Some(crate::knobs::MIN_WINDOW_BYTES));
+        assert_eq!(s.window_bytes(), Some(MIN_WINDOW_BYTES));
         assert_eq!(s.command("\\window", "off").unwrap(), "window: off\n");
         // The storage knobs: backend is introspectable, the pool resizes
         // with the same clamp reporting as `\window`.
@@ -807,6 +803,53 @@ mod tests {
         // Commands the session doesn't own bounce back to the front end.
         assert!(s.command("\\q", "").is_none());
         assert!(s.command("\\timing", "").is_none());
+    }
+
+    /// prefbench's trace rebuilds `NativeOptions` from the session's
+    /// accessors and runs `run_native_in` beside `Session::execute`; the
+    /// two roads must run under the same knobs and agree.
+    #[test]
+    fn session_knobs_and_run_native_in_agree() {
+        let mut s = Session::new();
+        assert_eq!(s.engine().knobs(), NativeOptions::default());
+        s.execute("CREATE TABLE t (x INTEGER, y INTEGER)").unwrap();
+        s.execute("INSERT INTO t VALUES (1, 9), (5, 5), (9, 1), (9, 9), (2, 8)")
+            .unwrap();
+        for (head, arg) in [
+            ("\\threads", "3"),
+            ("\\window", "64k"),
+            ("\\algo", "bnl"),
+            ("\\mode", "native"),
+        ] {
+            s.command(head, arg).unwrap();
+        }
+        let sql = "SELECT x, y FROM t PREFERRING LOWEST(x) AND LOWEST(y)";
+        let plan = match s.execute(&format!("EXPLAIN {sql}")).unwrap() {
+            QueryResult::Explain(p) => p,
+            other => panic!("expected EXPLAIN output, got {other:?}"),
+        };
+        assert!(plan.contains("algo=bnl"), "{plan}");
+
+        let ExecutionMode::Native(algo) = s.mode() else {
+            panic!("expected native mode, got {:?}", s.mode());
+        };
+        let opts = NativeOptions {
+            algo,
+            threads: s.threads(),
+            batch: Some(prefsql_engine::physical::DEFAULT_BATCH),
+            window_bytes: s.window_bytes(),
+        };
+        assert_eq!(opts, s.engine().knobs());
+        assert_eq!((opts.threads, opts.window_bytes), (3, Some(64 << 10)));
+        let Statement::Select(q) = parse_statement(sql).unwrap() else {
+            panic!("expected a SELECT");
+        };
+        let one_call =
+            native::run_native_in(s.engine(), s.rewriter.registry(), &q, opts, None).unwrap();
+        let session = s.query(sql).unwrap();
+        assert_eq!(session, one_call);
+        assert_eq!(session.dominance_tests(), one_call.dominance_tests());
+        assert_eq!(session.column_as_ints(0), vec![1, 5, 9, 2]);
     }
 
     #[test]
@@ -1018,7 +1061,7 @@ mod tests {
         assert_eq!(c.window_bytes(), None);
         // Sub-minimum budgets clamp up to the smallest sane window.
         c.set_window_bytes(Some(1));
-        assert_eq!(c.window_bytes(), Some(crate::knobs::MIN_WINDOW_BYTES));
+        assert_eq!(c.window_bytes(), Some(MIN_WINDOW_BYTES));
         c.set_window_bytes(Some(1 << 20));
         assert_eq!(c.window_bytes(), Some(1 << 20));
         // A bounded window returns the same rows, with metrics attached.

@@ -150,11 +150,43 @@ pub enum BoundExpr {
     },
 }
 
+/// What a bound expression reads ([`BoundExpr::reads`]).
+#[derive(Debug, Default)]
+pub(crate) struct Reads {
+    /// The frames it reads, one bit per depth (bit 0: its own input row;
+    /// depths past 63 share bit 63).
+    pub(crate) depths: u64,
+    /// The ordinals it reads of its own input row, repeats included.
+    pub(crate) own_columns: Vec<usize>,
+}
+
 impl BoundExpr {
+    /// The frames and own-row columns this expression reads — `None`
+    /// when it holds a sub-query, whose plan may read them through
+    /// correlated references this walk does not see.
+    pub(crate) fn reads(&self) -> Option<Reads> {
+        let mut reads = Some(Reads::default());
+        self.visit(&mut |e| match e {
+            BoundExpr::Column { depth, ordinal } => {
+                if let Some(r) = &mut reads {
+                    r.depths |= 1 << (*depth).min(63);
+                    if *depth == 0 {
+                        r.own_columns.push(*ordinal);
+                    }
+                }
+            }
+            BoundExpr::Exists { .. }
+            | BoundExpr::InSubquery { .. }
+            | BoundExpr::ScalarSubquery(_) => reads = None,
+            _ => {}
+        });
+        reads
+    }
+
     /// Call `f` on this expression and every sub-expression, parents
     /// first. A sub-query is a leaf: its plan's expressions are not
     /// visited.
-    pub(crate) fn visit<F: FnMut(&BoundExpr)>(&self, f: &mut F) {
+    fn visit<F: FnMut(&BoundExpr)>(&self, f: &mut F) {
         f(self);
         match self {
             BoundExpr::Literal(_)

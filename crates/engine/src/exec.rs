@@ -28,12 +28,12 @@ use crate::access::{self, choose_access_path, AccessPath};
 use crate::bind::{bind, BoundExpr};
 use crate::catalog::Catalog;
 use crate::eval::{eval, holds, Env};
+use crate::knobs::NativeOptions;
 use crate::plan::{plan_query, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
 use prefsql_storage::{BufferPool, HeapFile, IndexKind, PageFilter, PoolStats, Table};
-use prefsql_types::knobs::{ceiling_from_value, parse_size, DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
 use prefsql_types::{Column, Error, Result, Schema, Tuple, Value};
 use std::any::Any;
 use std::cell::RefCell;
@@ -200,19 +200,11 @@ impl EngineCore {
     /// A fresh core with an empty catalog. The storage substrate comes
     /// from the environment: `PREFSQL_BACKEND=paged` selects the
     /// heap-file backend for new tables, `PREFSQL_POOL=N[k|m]` sizes the
-    /// shared buffer pool (ceiling semantics: garbage or sub-minimum
-    /// values cap at the 16 KiB minimum; unset means 1 MiB). Both are
-    /// read per core — not cached process-wide — so test harnesses can
-    /// vary them between cores.
+    /// shared buffer pool ([`crate::knobs`]). Both are read per core —
+    /// not cached process-wide — so test harnesses can vary them between
+    /// cores.
     pub fn new() -> Self {
-        let kind = match std::env::var("PREFSQL_BACKEND") {
-            Ok(v) => BackendKind::parse(&v),
-            Err(_) => BackendKind::Mem,
-        };
-        let pool_bytes = match std::env::var("PREFSQL_POOL") {
-            Ok(v) => ceiling_from_value(&v, parse_size, MIN_POOL_BYTES),
-            Err(_) => DEFAULT_POOL_BYTES,
-        };
+        let (kind, pool_bytes) = crate::knobs::storage_from_env();
         EngineCore::with_storage(kind, pool_bytes)
     }
 
@@ -413,9 +405,8 @@ pub struct ExecCtx<'c> {
     catalog: CatalogSource<'c>,
     use_indexes: bool,
     use_hash_join: bool,
-    /// External-memory window budget for spill-capable operators (the
-    /// Grace hash join); `None` never spills.
-    window_bytes: Option<usize>,
+    /// The session knobs this statement plans under.
+    knobs: NativeOptions,
     /// Directory spill managers root their run dirs in (`None` = the
     /// system temp dir).
     spill_base: Option<PathBuf>,
@@ -437,12 +428,12 @@ pub struct ExecCtx<'c> {
 }
 
 impl<'c> ExecCtx<'c> {
-    fn with_source(catalog: CatalogSource<'c>, use_indexes: bool) -> Self {
+    fn with_source(catalog: CatalogSource<'c>, use_indexes: bool, knobs: NativeOptions) -> Self {
         ExecCtx {
             catalog,
             use_indexes,
             use_hash_join: true,
-            window_bytes: None,
+            knobs,
             spill_base: None,
             spill: RefCell::new(None),
             from_cache: RefCell::new(HashMap::new()),
@@ -454,11 +445,15 @@ impl<'c> ExecCtx<'c> {
     }
 
     /// A statement context over a plain catalog borrow with default
-    /// knobs — for tests that drive the operators against a hand-built
-    /// catalog. The engine builds its own contexts, session knobs
-    /// applied, in one private `Engine` constructor.
+    /// knobs and no window budget — for tests that drive the operators
+    /// against a hand-built catalog. The engine builds its own contexts,
+    /// session knobs applied, in one private `Engine` constructor.
     pub fn over(catalog: &'c Catalog, use_indexes: bool) -> Self {
-        ExecCtx::with_source(CatalogSource::Borrowed(catalog), use_indexes)
+        ExecCtx::with_source(
+            CatalogSource::Borrowed(catalog),
+            use_indexes,
+            NativeOptions::without_window(),
+        )
     }
 
     /// The catalog this statement runs against.
@@ -485,16 +480,18 @@ impl<'c> ExecCtx<'c> {
         self.use_hash_join
     }
 
-    /// Set the external-memory window budget for spill-capable operators
-    /// (builder style; defaults to `None` = never spill).
-    pub fn with_window(mut self, window_bytes: Option<usize>) -> Self {
-        self.window_bytes = window_bytes;
+    /// Run this statement under `knobs` instead of the session's
+    /// (builder style).
+    pub fn with_knobs(mut self, knobs: NativeOptions) -> Self {
+        self.knobs = knobs;
         self
     }
 
-    /// The external-memory window budget for this statement.
-    pub fn window_bytes(&self) -> Option<usize> {
-        self.window_bytes
+    /// The session knobs this statement plans under: the preference
+    /// operator's algorithm, degree, drive batch and window budget, and
+    /// the keyed join's window budget.
+    pub fn knobs(&self) -> NativeOptions {
+        self.knobs
     }
 
     /// Root spill-run directories under `base` (builder style; defaults
@@ -660,9 +657,9 @@ pub struct Engine {
     /// Session-accumulated execution counters (per-statement contexts
     /// report into this; [`Engine::take_stats`] reads and resets it).
     stats: RefCell<ExecStats>,
-    /// Per-session external-memory window budget applied to every read
-    /// statement context ([`Engine::set_window_bytes`]).
-    window_bytes: Option<usize>,
+    /// The session knobs every statement context is built with
+    /// ([`Engine::set_knobs`]).
+    knobs: NativeOptions,
     /// Per-session spill-run base directory ([`Engine::set_spill_base`]).
     spill_base: Option<PathBuf>,
     /// Spill metrics harvested from finished statements
@@ -697,7 +694,7 @@ impl Engine {
         Engine {
             core,
             stats: RefCell::new(ExecStats::default()),
-            window_bytes: None,
+            knobs: NativeOptions::without_window(),
             spill_base: None,
             spill: RefCell::new(None),
             view_maintained: std::cell::Cell::new(0),
@@ -769,16 +766,15 @@ impl Engine {
         self.core.pool_stats()
     }
 
-    /// Set this session's external-memory window budget: spill-capable
-    /// operators (the Grace hash join) overflow to disk runs once their
-    /// build memory exceeds it. `None` never spills.
-    pub fn set_window_bytes(&mut self, window_bytes: Option<usize>) {
-        self.window_bytes = window_bytes;
+    /// Set this session's knobs: every later statement context plans
+    /// under them. A fresh engine has [`NativeOptions::without_window`].
+    pub fn set_knobs(&mut self, knobs: NativeOptions) {
+        self.knobs = knobs;
     }
 
-    /// This session's external-memory window budget.
-    pub fn window_bytes(&self) -> Option<usize> {
-        self.window_bytes
+    /// This session's knobs.
+    pub fn knobs(&self) -> NativeOptions {
+        self.knobs
     }
 
     /// Root this session's spill-run directories under `base` (`None` =
@@ -858,12 +854,11 @@ impl Engine {
     /// The one place a statement context is built — for a read, for the
     /// source query of a DML statement, for view validation and for view
     /// maintenance alike: the core's index and hash-join toggles, this
-    /// session's window budget and spill directory, and a profiler when
+    /// session's knobs and spill directory, and a profiler when
     /// statements run instrumented.
     fn ctx<'c>(&self, catalog: CatalogSource<'c>) -> ExecCtx<'c> {
-        let ctx = ExecCtx::with_source(catalog, self.core.use_indexes())
+        let ctx = ExecCtx::with_source(catalog, self.core.use_indexes(), self.knobs)
             .with_hash_join(self.core.use_hash_join())
-            .with_window(self.window_bytes)
             .with_spill_base(self.spill_base.clone());
         if self.profiling.get() {
             ctx.with_profiler()
@@ -899,8 +894,8 @@ impl Engine {
     }
 
     /// [`Engine::with_read_ctx`] over a context the caller prepared
-    /// ([`Engine::read_ctx`] plus per-call overrides of the window budget
-    /// or spill directory).
+    /// ([`Engine::read_ctx`] plus per-call overrides of the knobs or the
+    /// spill directory).
     pub fn run_in_ctx<R>(
         &self,
         ctx: ExecCtx<'_>,
@@ -1319,19 +1314,12 @@ fn store<T>(
 /// see.
 fn columns_read(pred: &BoundExpr, width: usize) -> Option<Vec<bool>> {
     let mut mask = vec![false; width];
-    let mut opaque = false;
-    pred.visit(&mut |e| match e {
-        BoundExpr::Column { depth: 0, ordinal } => {
-            if let Some(read) = mask.get_mut(*ordinal) {
-                *read = true;
-            }
+    for ordinal in pred.reads()?.own_columns {
+        if let Some(read) = mask.get_mut(ordinal) {
+            *read = true;
         }
-        BoundExpr::InSubquery { .. } | BoundExpr::Exists { .. } | BoundExpr::ScalarSubquery(_) => {
-            opaque = true;
-        }
-        _ => {}
-    });
-    (!opaque).then_some(mask)
+    }
+    Some(mask)
 }
 
 #[cfg(test)]

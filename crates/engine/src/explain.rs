@@ -147,9 +147,9 @@ fn node_line(node: &PlanNode, out: &mut String) {
             // Under Auto the effective degree is cost-based per input
             // (serial under PARALLEL_CUTOFF candidates) — surface the
             // session's ceiling.
-            let _ = write!(out, "Preference (BMO, algo={}", spec.algo.label());
-            if matches!(spec.algo, SkylineAlgo::Auto) && spec.threads > 1 {
-                let _ = write!(out, ", threads={}", spec.threads);
+            let _ = write!(out, "Preference (BMO, algo={}", spec.knobs.algo.label());
+            if matches!(spec.knobs.algo, SkylineAlgo::Auto) && spec.knobs.threads > 1 {
+                let _ = write!(out, ", threads={}", spec.knobs.threads);
             }
             if spec.n_groups > 0 {
                 let _ = write!(out, ", {} grouping key(s)", spec.n_groups);

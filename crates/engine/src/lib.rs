@@ -19,6 +19,12 @@
 //! them explicitly through [`plan::plan_preference`], which plans the
 //! BMO selection as one more node ([`PlanNode::Preference`], operator in
 //! [`preference`]) of the same tree, executed and explained like the rest.
+//!
+//! A session's knobs — `\algo`, `\threads`, the drive batch and
+//! `\window` — are one [`NativeOptions`] value ([`knobs`]), held by its
+//! [`Engine`] and copied into every statement's [`ExecCtx`], where the
+//! planner reads them. [`knobs`] is also the one module that reads the
+//! `PREFSQL_*` environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +36,7 @@ pub mod eval;
 pub mod exec;
 pub mod explain;
 pub mod join;
+pub mod knobs;
 mod matview;
 pub mod metrics;
 pub mod physical;
@@ -38,6 +45,7 @@ pub mod preference;
 
 pub use catalog::{Catalog, ViewDef};
 pub use exec::{BackendKind, Engine, EngineCore, ExecCtx, ExecOutcome, ExecStats, Relation};
+pub use knobs::NativeOptions;
 pub use matview::MatViewDef;
 pub use metrics::{MetricsRegistry, NodeMetrics, Profiler};
 pub use physical::{BoxOperator, Operator};

@@ -21,7 +21,6 @@ use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggExpr, Bound, B
 use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
-use prefsql_pref::SkylineAlgo;
 use prefsql_rewrite::levels::{
     check_quality, default_quality_alias, quality_call, uses_quality, GEN_PREFIX,
 };
@@ -491,10 +490,11 @@ type ExistsJoin = (PlanNode, Vec<(Bound, Bound)>, Option<Bound>);
 /// row at depth 0, the left row at depth 1. Its conjuncts reading only
 /// the right row filter the right input. An `=` between an operand
 /// reading only the right row and one reading only the left row is a
-/// hash key (none with the hash-join toggle off), split with
-/// [`BoundExpr::visit`] as [`split_on`] splits ON. Everything else is
-/// the residual, in its original order. A conjunct holding a sub-query
-/// — whose reads `visit` cannot see — is always residual.
+/// hash key (none with the hash-join toggle off), split by what each
+/// operand reads ([`BoundExpr::reads`]) as [`split_on`] splits ON.
+/// Everything else is the residual, in its original order. A conjunct
+/// holding a sub-query, whose reads that walk cannot see, is always
+/// residual.
 ///
 /// The build keeps only the right columns its keys and residual read
 /// (all of them when the residual holds a sub-query), so the right rows
@@ -531,6 +531,7 @@ fn exists_join(
             expr: expr.clone(),
         }
     }
+    let frames = |e: &BoundExpr| e.reads().map(|r| r.depths);
     let mut conjuncts = Vec::new();
     conjuncts_of(&pred.source, &pred.expr, &mut conjuncts);
     let (mut pushed, mut keys, mut rest) = (Vec::new(), Vec::new(), Vec::new());
@@ -581,14 +582,12 @@ fn exists_join(
 
     // Narrow the build to the right columns its keys and residual read,
     // renumbering their depth-0 reads.
-    let opaque = residual.as_ref().is_some_and(|r| frames(&r.expr).is_none());
-    let mut kept = vec![opaque; right.schema().len()];
+    let mut kept = vec![false; right.schema().len()];
     for e in keys.iter().map(|k| &k.1).chain(&residual) {
-        e.expr.visit(&mut |x| {
-            if let BoundExpr::Column { depth: 0, ordinal } = x {
-                kept[*ordinal] = true;
-            }
-        });
+        match e.expr.reads() {
+            Some(reads) => reads.own_columns.into_iter().for_each(|o| kept[o] = true),
+            None => kept.fill(true),
+        }
     }
     if kept.contains(&false) {
         let ords: Vec<usize> = (0..kept.len()).filter(|&i| kept[i]).collect();
@@ -621,25 +620,6 @@ fn exists_join(
     Ok(Some((right, keys, residual)))
 }
 
-/// The frames a bound expression reads, one bit per depth (bit 0: its
-/// own input row) — `None` when it holds a sub-query, whose reads
-/// [`BoundExpr::visit`] does not see.
-fn frames(e: &BoundExpr) -> Option<u64> {
-    let mut mask = Some(0u64);
-    e.visit(&mut |x| match x {
-        BoundExpr::Column { depth, .. } => {
-            if let Some(m) = &mut mask {
-                *m |= 1 << (*depth).min(63);
-            }
-        }
-        BoundExpr::Exists { .. } | BoundExpr::InSubquery { .. } | BoundExpr::ScalarSubquery(_) => {
-            mask = None
-        }
-        _ => {}
-    });
-    mask
-}
-
 /// AND the conjuncts together, in order.
 fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
     conjuncts.into_iter().reduce(|a, b| Bound {
@@ -652,22 +632,14 @@ fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
 /// executes: `plan_source` → slot/grouping projection →
 /// [`PlanNode::Preference`] → the ordinary `plan_block` tail. `pref` is
 /// `query.preferring` with named preferences already resolved (the engine
-/// has no preference registry); `algo`/`threads`/`batch` are the session's
-/// native-evaluation knobs, the window budget comes from `ctx`.
+/// has no preference registry); the session's knobs come from `ctx`.
 ///
 /// Quality functions in SELECT / ORDER BY / BUT ONLY are lowered to
 /// references to columns the preference operator appends once the
 /// data-dependent optima are final. When a fresh materialized preference
 /// view defines exactly this BMO and nothing in the block needs more than
 /// the winner set, a scan of the view replaces source and operator alike.
-pub fn plan_preference(
-    ctx: &ExecCtx<'_>,
-    query: &Query,
-    pref: &PrefExpr,
-    algo: SkylineAlgo,
-    threads: usize,
-    batch: Option<usize>,
-) -> Result<QueryPlan> {
+pub fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<QueryPlan> {
     if !query.group_by.is_empty() || query.having.is_some() {
         return Err(Error::Unsupported(
             "GROUP BY/HAVING combined with PREFERRING is only supported in \
@@ -779,10 +751,7 @@ pub fn plan_preference(
                     but_only,
                     quality,
                     n_groups: query.grouping.len(),
-                    algo,
-                    threads,
-                    batch,
-                    window: ctx.window_bytes(),
+                    knobs: ctx.knobs(),
                     view,
                 }),
                 schema: Schema::new(columns)?,
@@ -1061,7 +1030,7 @@ fn join(
         window: if keys.is_empty() {
             None
         } else {
-            ctx.window_bytes()
+            ctx.knobs().window_bytes
         },
         schema: match kind {
             JoinKind::Inner => left.schema().join(right.schema()),
@@ -1098,14 +1067,7 @@ pub(crate) fn split_on(
     outer: &[&Schema],
 ) -> Result<KeysAndResidual> {
     let on = bind_shown(ctx, on, &left.join(right), outer)?;
-    let mut subquery = false;
-    on.expr.visit(&mut |e| {
-        subquery |= matches!(
-            e,
-            BoundExpr::Exists { .. } | BoundExpr::InSubquery { .. } | BoundExpr::ScalarSubquery(_)
-        )
-    });
-    if subquery || !ctx.use_hash_join() {
+    if on.expr.reads().is_none() || !ctx.use_hash_join() {
         return Ok((Vec::new(), Some(on)));
     }
     let mut conjuncts = Vec::new();
@@ -1175,20 +1137,15 @@ fn conjuncts_of<'e>(
 
 /// The join input a bound operand reads: `Some(true)` for only the left
 /// (depth-0 ordinals below `split`), `Some(false)` for only the right,
-/// `None` for both, neither, or an enclosing block's row.
+/// `None` for both, neither, an enclosing block's row, or a sub-query.
 fn input_of(operand: &BoundExpr, split: usize) -> Option<bool> {
-    let (mut left, mut right, mut outer) = (false, false, false);
-    operand.visit(&mut |e| match e {
-        BoundExpr::Column { depth: 0, ordinal } if *ordinal < split => left = true,
-        BoundExpr::Column { depth: 0, .. } => right = true,
-        BoundExpr::Column { .. } => outer = true,
-        _ => {}
-    });
-    match (left, right, outer) {
-        (true, false, false) => Some(true),
-        (false, true, false) => Some(false),
-        _ => None,
+    let reads = operand.reads()?;
+    if reads.depths != 1 {
+        return None;
     }
+    let left = reads.own_columns.iter().any(|&o| o < split);
+    let right = reads.own_columns.iter().any(|&o| o >= split);
+    (left != right).then_some(left)
 }
 
 fn plan_named(

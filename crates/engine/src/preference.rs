@@ -21,6 +21,7 @@
 use crate::bind::BoundExpr;
 use crate::eval::{holds, Env};
 use crate::exec::ExecCtx;
+use crate::knobs::NativeOptions;
 use crate::physical::{drain_batched, Batch, BoxOperator, Operator};
 use prefsql_pref::external::ExternalSkyline;
 use prefsql_pref::score::{is_null_cell, score_of};
@@ -46,17 +47,9 @@ pub struct PrefSpec {
     pub quality: Vec<QualityCol>,
     /// Number of `GROUPING` columns following the slots in the input.
     pub n_groups: usize,
-    /// How the maximal-set selection is driven.
-    pub algo: SkylineAlgo,
-    /// Parallel-window degree ceiling (`\threads`).
-    pub threads: usize,
-    /// Rows requested per pull by the loop draining the input; `None`
-    /// drives it one tuple per pull, like `Some(1)` (the differential
-    /// suites pin that the result does not depend on the granularity).
-    pub batch: Option<usize>,
-    /// External-memory window budget (`\window`), taken from the
-    /// statement context at plan time like the hash join's.
-    pub window: Option<usize>,
+    /// The session knobs — algorithm, degree ceiling, drive batch and
+    /// window budget — taken from the statement context at plan time.
+    pub knobs: NativeOptions,
     /// A materialized preference view on the base table that could not
     /// serve this query, and why (`"miss"` / `"stale"`) — EXPLAIN only.
     pub view: Option<(String, &'static str)>,
@@ -68,15 +61,15 @@ impl PrefSpec {
     /// partition of one in-memory matrix; forced algorithms stay pinned
     /// for the differential suites).
     pub(crate) fn external_budget(&self) -> Option<usize> {
-        match (self.n_groups, self.algo) {
-            (0, SkylineAlgo::Auto) => self.window,
+        match (self.n_groups, self.knobs.algo) {
+            (0, SkylineAlgo::Auto) => self.knobs.window_bytes,
             _ => None,
         }
     }
 
     /// Rows requested from the input per pull.
     fn pull_size(&self) -> usize {
-        self.batch.unwrap_or(1).max(1)
+        self.knobs.batch.unwrap_or(1).max(1)
     }
 }
 
@@ -257,7 +250,7 @@ impl<'a> PreferenceOp<'a> {
             candidates = kept;
         }
 
-        let (algo, threads) = (self.spec.algo, self.spec.threads);
+        let NativeOptions { algo, threads, .. } = self.spec.knobs;
         let winner_ids: Vec<usize> = if self.spec.n_groups > 0 {
             let first_key = self.n_orig + preference.arity();
             let key_of = |i: usize| &rows[i].values()[first_key..];
@@ -446,7 +439,6 @@ mod tests {
     use crate::physical::build;
     use crate::plan::{plan_preference, PlanNode};
     use prefsql_parser::ast::Statement;
-    use prefsql_pref::SkylineAlgo;
 
     /// The winners are lent from the operator's buffer like any buffered
     /// operator's rows: pulls of 2 over a winner set of 5 end with a
@@ -473,7 +465,7 @@ mod tests {
         };
         let ctx = engine.read_ctx().unwrap();
         let pref = query.preferring.as_ref().unwrap();
-        let plan = plan_preference(&ctx, &query, pref, SkylineAlgo::Auto, 1, Some(1024)).unwrap();
+        let plan = plan_preference(&ctx, &query, pref).unwrap();
         let PlanNode::Project { input: node, .. } = plan.root() else {
             panic!("expected Project over Preference, got {:?}", plan.root());
         };

@@ -398,7 +398,6 @@ fn native_but_only_mixes_quality_functions_and_columns() {
     use prefsql_engine::physical::execute;
     use prefsql_engine::plan::plan_preference;
     use prefsql_parser::ast::Statement;
-    use prefsql_pref::SkylineAlgo;
 
     let mut e = Engine::new();
     e.execute_sql("CREATE TABLE cars (id INTEGER, price INTEGER, color VARCHAR)")
@@ -417,7 +416,7 @@ fn native_but_only_mixes_quality_functions_and_columns() {
     };
     let ctx = e.read_ctx().unwrap();
     let pref = query.preferring.as_ref().unwrap();
-    let plan = plan_preference(&ctx, &query, pref, SkylineAlgo::Auto, 1, Some(1024)).unwrap();
+    let plan = plan_preference(&ctx, &query, pref).unwrap();
     let got: Vec<Vec<Value>> = execute(&ctx, plan.root(), &[])
         .unwrap()
         .rows

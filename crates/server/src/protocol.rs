@@ -3,8 +3,9 @@
 //!
 //! Requests are single lines (UTF-8, `\n`-terminated): one SQL
 //! statement (a trailing `;` is tolerated), a `\`-meta-command
-//! (`\mode`, `\algo`, `\threads`, `\window`, `\metrics`, `\rewrite`,
-//! `\d`, `\q`), or the bare verb `METRICS` (the engine-wide metrics
+//! (`\mode`, `\algo`, `\threads`, `\window`, `\pool`, `\backend`,
+//! `\metrics`, `\rewrite`, `\d`, `\q`), or the bare verb `METRICS` (the
+//! engine-wide metrics
 //! registry as machine-parseable `key<TAB>value` payload lines, one
 //! counter per line, terminated by `OK`).
 //!

@@ -215,7 +215,7 @@ fn serve_connection(
             match session.command(&head, arg) {
                 Some(text) => protocol::render_text(&text, &mut out),
                 None => out.push(format!(
-                    "ERROR: unknown command '{}' (\\mode \\algo \\threads \\window \\metrics \\rewrite \\d \\q)",
+                    "ERROR: unknown command '{}' (\\mode \\algo \\threads \\window \\pool \\backend \\metrics \\rewrite \\d \\q)",
                     protocol::escape(&head)
                 )),
             }
@@ -314,8 +314,18 @@ mod tests {
         assert_eq!(r.payload, vec!["threads: 2"]);
         let r = c.request("\\mode native").unwrap();
         assert_eq!(r.payload, vec!["mode: native (auto)"]);
+        // So do the storage knobs (answers independent of PREFSQL_*:
+        // the pool is set, and the catalog already holds a table).
+        let r = c.request("\\pool 64k").unwrap();
+        assert_eq!(r.payload, vec!["pool: 64 KiB"]);
+        let r = c.request("\\backend mem").unwrap();
+        assert!(
+            r.payload[0].contains("cannot switch storage backend"),
+            "{r:?}"
+        );
         let r = c.request("\\nosuch").unwrap();
         assert!(r.is_err(), "{r:?}");
+        assert!(r.status.contains("\\pool \\backend"), "{r:?}");
 
         c.quit().unwrap();
         handle.stop().unwrap();

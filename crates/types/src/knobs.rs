@@ -6,8 +6,9 @@
 //! binary suffix, clamped to a per-knob minimum. The helpers live here —
 //! below both `prefsql-storage` and `prefsql-engine` in the crate
 //! graph — so the buffer pool can size itself with the exact parser the
-//! session layer exposes (the `prefsql` facade re-exports them from its
-//! `knobs` module, together with the env-resolution wrappers).
+//! session layer uses. The `prefsql` facade re-exports this crate as
+//! `prefsql::types`; the environment itself is read in one place,
+//! `prefsql_engine::knobs`.
 //!
 //! The shared semantics, pinned by [`ceiling_from_value`]: **a set env
 //! var is a ceiling**. A parseable value is clamped to at least the

@@ -26,7 +26,7 @@ use common::demo_queries;
 /// `PREFSQL_THREADS=8`), kept in [2, 8] so the test always exercises
 /// real concurrency without exploding on wide hosts.
 fn stress_threads() -> usize {
-    prefsql::knobs::default_threads().clamp(2, 8)
+    prefsql::NativeOptions::default().threads.clamp(2, 8)
 }
 
 /// Load every demo table into one shared core, deduplicating by table
