@@ -6,9 +6,9 @@
 //! Instead of rewriting to a `NOT EXISTS` anti-join, native mode asks the
 //! host engine for a plan with a first-class BMO node in it. Everything
 //! about that plan lives in `prefsql-engine`: it is *planned* by
-//! [`prefsql_engine::plan::plan_preference`] (FROM/WHERE source → slot
-//! projection → `PlanNode::Preference`, or a materialized-view scan on a
-//! cache hit → the ordinary Sort/Project/Distinct/Limit tail), *built* by
+//! [`prefsql_engine::plan::plan_preference`] (FROM/WHERE source →
+//! `PlanNode::Preference`, or a materialized-view scan on a cache hit →
+//! the ordinary Sort/Project/Distinct/Limit tail), *built* by
 //! `physical::build` like every other operator (so `EXPLAIN ANALYZE`
 //! instruments it), and *rendered* by `explain::render`. The knobs the
 //! planner bakes in are the engine's [`NativeOptions`], one value per

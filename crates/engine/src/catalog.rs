@@ -8,6 +8,7 @@
 
 use crate::matview::MatViewDef;
 use prefsql_parser::ast::Query;
+use prefsql_rewrite::levels::check_reserved;
 use prefsql_storage::Table;
 use prefsql_types::{Error, Result};
 use std::collections::HashMap;
@@ -38,6 +39,7 @@ impl Catalog {
 
     /// Register a table. Fails if any relation of that name exists.
     pub fn create_table(&mut self, table: Table) -> Result<()> {
+        check_reserved(table.schema().columns().iter().map(|c| c.name.as_str()))?;
         let name = table.name().to_owned();
         if self.contains(&name) {
             return Err(Error::Catalog(format!("relation '{name}' already exists")));
@@ -110,7 +112,7 @@ impl Catalog {
         names
     }
 
-    /// Mark every materialized view on `table` stale: its entries may no
+    /// Mark every materialized view on `table` stale: its score rows may no
     /// longer mirror the table's row ids, and its bound expressions may
     /// not fit the table's shape. Stale views refuse reads and skip
     /// maintenance until REFRESH rebuilds them.

@@ -61,6 +61,12 @@ pub fn eval(expr: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Value> 
     value(expr, env, ctx).map(Cow::into_owned)
 }
 
+/// Evaluate a row of expressions in `env` into `out`, a reused buffer.
+pub fn eval_row(exprs: &[BoundExpr], env: Env, ctx: &ExecCtx, out: &mut Vec<Value>) -> Result<()> {
+    let mut push = |v| out.push(v);
+    (exprs.iter()).try_for_each(|e| eval(e, env, ctx).map(&mut push))
+}
+
 /// Is `pred` exactly TRUE in `env` (the `WHERE` / `ON` / `HAVING` test)?
 pub fn holds(pred: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<bool> {
     Ok(truth_of(pred, env, ctx)? == Some(true))

@@ -1294,7 +1294,7 @@ impl Engine {
 
 /// Run a DML statement's storage step on `table`. A step that fails may
 /// have changed the table already, so the views on it can no longer
-/// trust their entries to mirror its row ids: they go stale (REFRESH
+/// trust their score rows to mirror its row ids: they go stale (REFRESH
 /// rebuilds them) and the error is returned.
 fn store<T>(
     cat: &mut Catalog,

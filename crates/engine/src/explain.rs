@@ -151,8 +151,8 @@ fn node_line(node: &PlanNode, out: &mut String) {
             if matches!(spec.knobs.algo, SkylineAlgo::Auto) && spec.knobs.threads > 1 {
                 let _ = write!(out, ", threads={}", spec.knobs.threads);
             }
-            if spec.n_groups > 0 {
-                let _ = write!(out, ", {} grouping key(s)", spec.n_groups);
+            if !spec.groups.is_empty() {
+                let _ = write!(out, ", {} grouping key(s)", spec.groups.len());
             }
             // External-memory mode: the window budget the operator streams
             // under (spilled_runs/passes are runtime facts — the shell

@@ -4,20 +4,21 @@
 //! A `CREATE MATERIALIZED PREFERENCE VIEW` parses, compiles and binds its
 //! definition once ([`MatViewDef`]: the query, its compiled preference,
 //! and its WHERE, slot and select-list expressions bound against the base
-//! table), runs the defining BMO once, and stores per-base-row state
-//! ([`MatViewEntry`]) plus the winner list in the catalog. Only REFRESH
-//! compiles and binds it again. Every DML statement against the base
-//! table then calls one of the `after_*` hooks here — still under the
-//! statement's catalog write lock, so readers never observe a view out of
-//! sync with its table. The hooks evaluate the stored bound expressions
-//! over the changed rows and hand the delta to the incremental skyline
-//! algebra of `prefsql_pref::incremental`, which keeps the winner list
-//! ([`MatViewDef::winners`]) equal to the BMO result without
-//! recomputation: a new row is tested against the winners only, a lost
-//! winner re-examines only the rows it beat.
+//! table), runs the defining BMO once, and stores its state — one
+//! [`ViewSkyline`]: a row of score cells per base row and the winner
+//! list — in the catalog. Only REFRESH compiles and binds it again. Every
+//! DML statement against the base table then calls one of the `after_*`
+//! hooks here — still under the statement's catalog write lock, so
+//! readers never observe a view out of sync with its table. The hooks
+//! evaluate the stored bound expressions over the changed rows
+//! ([`eval_row`], as the preference operator does) and hand them to the
+//! incremental skyline algebra of `prefsql_pref::incremental`, which
+//! lowers each once and keeps the winner list equal to the BMO result
+//! without recomputation: a new row is tested against the winners only,
+//! a lost winner re-examines only the rows it beat.
 //!
-//! The entries hold no rows: a read fetches the winners from the base
-//! table by row id, which is why the entries must mirror its rids.
+//! The store holds no rows: a read fetches the winners from the base
+//! table by row id, which is why its rows must mirror the table's rids.
 //!
 //! Binding once is sound because a view reads only its base table — a
 //! sub-query anywhere in the definition is rejected — a table changes
@@ -31,15 +32,15 @@
 
 use crate::bind::{bind, BoundExpr};
 use crate::catalog::Catalog;
-use crate::eval::{eval, holds, Env};
+use crate::eval::{eval_row, holds, Env};
 use crate::exec::{Engine, ExecCtx};
 use crate::plan::{projection_plan, Projection};
 use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, TableRef};
-use prefsql_pref::incremental::{self, MatViewEntry};
-use prefsql_rewrite::levels::uses_quality;
+use prefsql_pref::ViewSkyline;
+use prefsql_rewrite::levels::{check_aliases, uses_quality};
 use prefsql_rewrite::{compile_preference, CompiledPreference};
 use prefsql_storage::Table;
-use prefsql_types::{Error, Result, Schema, Tuple};
+use prefsql_types::{Error, Result, Schema, Tuple, Value};
 
 /// A stored materialized preference view: its compiled definition and
 /// the state maintenance keeps current.
@@ -63,12 +64,9 @@ pub struct MatViewDef {
     /// bound expressions evaluate against, and the one the winner rows
     /// fetched from the base table are read under.
     pub schema: Schema,
-    /// One entry per base-table row, in row-id order.
-    pub(crate) entries: Vec<MatViewEntry>,
-    /// The view contents: positions in `entries` (= base row ids) of the
-    /// maximal set of the qualifying entries, ascending — the order the
-    /// defining BMO query returns them in.
-    pub(crate) winners: Vec<usize>,
+    /// One row of cells per base-table row, in row-id order, and the
+    /// winners: the view contents.
+    pub(crate) state: ViewSkyline,
     /// True when maintenance could not keep the view current (the base
     /// table was dropped, a maintenance step failed, or a DML statement
     /// failed after changing the table). Stale views refuse reads until
@@ -79,7 +77,7 @@ pub struct MatViewDef {
 impl MatViewDef {
     /// Number of rows currently served by the view.
     pub fn winner_count(&self) -> usize {
-        self.winners.len()
+        self.state.winners().len()
     }
 }
 
@@ -133,6 +131,7 @@ pub(crate) fn validate_definition(query: &Query) -> Result<(String, String)> {
                 .into(),
         ));
     }
+    check_aliases(&query.select)?;
     if !query.grouping.is_empty() {
         return Err(unsupported("GROUPING"));
     }
@@ -219,21 +218,25 @@ impl BoundView {
         })
     }
 
-    /// Compute the view entry for one base-table row: evaluate the WHERE
-    /// clause (three-valued: only exactly-TRUE qualifies) and the base
-    /// preference expressions into the slot vector. The caller integrates
-    /// the entry into the winner list.
-    fn entry_for(&self, ctx: &ExecCtx<'_>, row: &Tuple) -> Result<MatViewEntry> {
+    /// Evaluate one base-table row into `out`: its base-preference values,
+    /// and whether its WHERE clause is exactly TRUE.
+    fn evaluate(&self, ctx: &ExecCtx<'_>, row: &Tuple, out: &mut Evaluated) -> Result<()> {
         let env = Env::new(row, &[]);
-        let qualifies = match &self.where_clause {
+        eval_row(&self.slots, env, ctx, &mut out.0)?;
+        out.1.push(match &self.where_clause {
             None => true,
             Some(pred) => holds(pred, env, ctx)?,
-        };
-        let slots = (self.slots.iter())
-            .map(|e| eval(e, env, ctx))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MatViewEntry { slots, qualifies })
+        });
+        Ok(())
     }
+}
+
+/// Base rows, evaluated: their slots back to back, and which qualify.
+type Evaluated = (Vec<Value>, Vec<bool>);
+
+/// Each evaluated row's slots and qualifies flag, in order.
+fn rows((slots, qualifies): &Evaluated, arity: usize) -> impl Iterator<Item = (&[Value], bool)> {
+    slots.chunks_exact(arity).zip(qualifies.iter().copied())
 }
 
 /// Build a [`MatViewDef`] from scratch — CREATE and REFRESH: validate the
@@ -253,16 +256,14 @@ pub(crate) fn build_def(
     // The table's columns under the view's FROM qualifier (the idiom of
     // UPDATE/DELETE expression evaluation).
     let schema = table.schema().without_qualifiers().with_qualifier(&qual);
-    let mut entries = Vec::with_capacity(table.len());
+    let mut evaluated = Evaluated::default();
     let bound = engine.with_ctx_over(cat, |ctx| {
         let view = BoundView::new(ctx, query, &compiled, &schema)?;
-        table.for_each_row(|_, row| {
-            entries.push(view.entry_for(ctx, row)?);
-            Ok(())
-        })?;
+        table.for_each_row(|_, row| view.evaluate(ctx, row, &mut evaluated))?;
         Ok(view)
     })?;
-    let winners = incremental::rebuild(&entries, &compiled.preference);
+    let (slots, qualifies) = evaluated;
+    let state = ViewSkyline::new(&compiled.preference, &slots, qualifies);
     // The rebuild's tests belong to no DML statement.
     compiled.preference.take_comparisons();
     Ok(MatViewDef {
@@ -272,8 +273,7 @@ pub(crate) fn build_def(
         compiled,
         bound,
         schema,
-        entries,
-        winners,
+        state,
         stale: false,
     })
 }
@@ -327,17 +327,16 @@ pub(crate) fn after_insert(
         cat,
         table,
         |ctx, view, t| {
-            let mut out = Vec::new();
+            let mut delta = Evaluated::default();
             t.for_each_row_from(from_rid.min(t.len()), |_, row| {
-                out.push(view.entry_for(ctx, row)?);
-                Ok(())
+                view.evaluate(ctx, row, &mut delta)
             })?;
-            Ok(out)
+            Ok(delta)
         },
-        |def, new_entries| {
+        |def, delta| {
             let pref = &def.compiled.preference;
-            for entry in new_entries {
-                incremental::apply_insert(&mut def.entries, &mut def.winners, entry, pref);
+            for (slots, qualifies) in rows(&delta, pref.arity()) {
+                def.state.insert(pref, slots, qualifies);
             }
         },
     )
@@ -361,10 +360,7 @@ pub(crate) fn after_delete(
         cat,
         table,
         |_, _, _| Ok(()),
-        |def, ()| {
-            let pref = &def.compiled.preference;
-            incremental::apply_delete(&mut def.entries, &mut def.winners, doomed, pref);
-        },
+        |def, ()| def.state.delete(&def.compiled.preference, doomed),
     )
 }
 
@@ -385,14 +381,16 @@ pub(crate) fn after_update(
         cat,
         table,
         |ctx, view, t| {
-            ids.iter()
-                .map(|&rid| view.entry_for(ctx, &t.fetch_row(rid)?))
-                .collect::<Result<Vec<_>>>()
+            let mut delta = Evaluated::default();
+            for &rid in ids {
+                view.evaluate(ctx, &t.fetch_row(rid)?, &mut delta)?;
+            }
+            Ok(delta)
         },
-        |def, new_entries| {
+        |def, delta| {
             let pref = &def.compiled.preference;
-            for (&rid, entry) in ids.iter().zip(new_entries) {
-                incremental::apply_replace(&mut def.entries, &mut def.winners, rid, entry, pref);
+            for (&rid, (slots, qualifies)) in ids.iter().zip(rows(&delta, pref.arity())) {
+                def.state.replace(pref, rid, slots, qualifies);
             }
         },
     )
@@ -628,7 +626,7 @@ mod tests {
         assert!(uses_quality(expr));
     }
 
-    /// The winner list holds base row ids in entry order, which is the
+    /// The winner list holds base row ids in row order, which is the
     /// order a read of the view returns its rows in.
     #[test]
     fn winners_preserve_entry_order() {
@@ -642,9 +640,8 @@ mod tests {
         .unwrap();
         let cat = e.catalog();
         let v = cat.matview("v").unwrap();
-        assert_eq!(v.winners, [0, 2]);
+        assert_eq!(v.state.winners(), [0, 2]);
         assert_eq!(v.winner_count(), 2);
-        assert_eq!(v.entries.len(), 3);
     }
 
     /// The view's preference outlives the statements that maintain it,

@@ -25,7 +25,7 @@
 //! shim wraps every node of every plan alike.
 
 use crate::bind::BoundExpr;
-use crate::eval::{eval, holds, truth, Env};
+use crate::eval::{eval, eval_row, holds, truth, Env};
 use crate::exec::{ExecCtx, Relation};
 use crate::join::JoinOp;
 use crate::plan::{AggKey, AggSpec, PlanNode, Projection, SortKey};
@@ -246,7 +246,6 @@ fn build_plain<'a>(
         PlanNode::Preference { input, spec, .. } => Box::new(crate::preference::PreferenceOp::new(
             build(ctx, input, outer),
             ctx,
-            input.schema(),
             spec,
         )),
         PlanNode::MatViewScan { table, winners, .. } => {
@@ -535,7 +534,7 @@ impl Operator for SeqScanOp<'_> {
 /// Row-id scan: fetch the row ids chosen at plan time from a table and
 /// lend them — an index probe's candidates (the parent filter re-checks
 /// the full predicate, so the probe is purely an optimization) or a
-/// materialized preference view's winners (whose entries mirror the base
+/// materialized preference view's winners (whose score rows mirror the base
 /// table's row ids). The fetched rows count as scanned; only an index
 /// probe counts toward `index_probes`.
 struct RowIdScanOp<'a> {
@@ -842,12 +841,8 @@ impl AggregateOp<'_> {
         let mut groups: Vec<Vec<Tuple>> = Vec::new();
         let mut index: HashMap<RowKey, usize> = HashMap::new();
         for row in rows {
-            let env = Env::new(&row, outer);
-            let key: Vec<Value> = spec
-                .group_by
-                .iter()
-                .map(|e| eval(e, env, ctx))
-                .collect::<Result<_>>()?;
+            let mut key = Vec::with_capacity(spec.group_by.len());
+            eval_row(&spec.group_by, Env::new(&row, outer), ctx, &mut key)?;
             let g = *index.entry(RowKey(key)).or_insert(groups.len());
             if g == groups.len() {
                 groups.push(Vec::new());

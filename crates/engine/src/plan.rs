@@ -22,7 +22,7 @@ use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_rewrite::levels::{
-    check_quality, default_quality_alias, quality_call, uses_quality, GEN_PREFIX,
+    check_aliases, check_quality, default_quality_alias, quality_call, uses_quality,
 };
 use prefsql_rewrite::{compile_preference, CompiledPreference};
 use prefsql_types::{Column, DataType, Error, Result, Schema};
@@ -205,15 +205,16 @@ pub enum PlanNode {
         label: String,
     },
     /// Best-Matches-Only selection (`PREFERRING` / `GROUPING` /
-    /// `BUT ONLY`) over an input extended with slot and grouping columns;
-    /// emits the winners extended with the quality-function columns.
+    /// `BUT ONLY`) over the FROM/WHERE source; the operator evaluates the
+    /// slot and grouping expressions of [`PrefSpec`] over each source row
+    /// and emits the winners extended with the quality-function columns.
     Preference {
-        /// Input node (source rows + `prefsql_s*` + `prefsql_g*`).
+        /// Input node: the FROM/WHERE source itself.
         input: Box<PlanNode>,
         /// Everything the preference operator needs (boxed: it holds the
         /// compiled preference and would dwarf every other variant).
         spec: Box<PrefSpec>,
-        /// Output schema (input schema + quality columns).
+        /// Output schema (source schema + quality columns).
         schema: Schema,
     },
     /// Grouped aggregation (GROUP BY / HAVING / aggregate SELECT items,
@@ -629,10 +630,10 @@ fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
 }
 
 /// Compile a preference query block into the one plan tree native mode
-/// executes: `plan_source` → slot/grouping projection →
-/// [`PlanNode::Preference`] → the ordinary `plan_block` tail. `pref` is
-/// `query.preferring` with named preferences already resolved (the engine
-/// has no preference registry); the session's knobs come from `ctx`.
+/// executes: `plan_source` → [`PlanNode::Preference`] → the ordinary
+/// `plan_block` tail. `pref` is `query.preferring` with named preferences
+/// already resolved (the engine has no preference registry); the
+/// session's knobs come from `ctx`.
 ///
 /// Quality functions in SELECT / ORDER BY / BUT ONLY are lowered to
 /// references to columns the preference operator appends once the
@@ -647,6 +648,7 @@ pub fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Res
                 .into(),
         ));
     }
+    check_aliases(&query.select)?;
     let compiled = compile_preference(pref)?;
     let source = plan_source(ctx, query, &[])?;
     let n_orig = source.schema().len();
@@ -686,7 +688,7 @@ pub fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Res
     // A view hit is byte-identical to recomputation only if the block
     // needs nothing but the winner set (no optima, no threshold, no
     // groups) and the cold plan would feed the skyline in row-id order —
-    // the order view entries are kept in; an index probe feeds key order.
+    // the order view rows are kept in; an index probe feeds key order.
     let mut scan = &source;
     while let PlanNode::Filter { input: next, .. }
     | PlanNode::Join {
@@ -708,52 +710,40 @@ pub fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Res
             PlanNode::MatViewScan {
                 view: def.name.clone(),
                 table: def.base_table.clone(),
-                winners: def.winners.clone(),
+                winners: def.state.winners().to_vec(),
                 serves: true,
                 schema: def.schema.clone(),
             }
         }
         _ => {
-            // Extend every source row with one slot column per base
-            // preference and one column per GROUPING expression.
-            let slots = compiled.base_exprs.iter().enumerate();
-            let groups = query.grouping.iter().enumerate();
-            let generated = slots
-                .map(|(i, e)| (format!("{GEN_PREFIX}s{i}"), e))
-                .chain(groups.map(|(j, e)| (format!("{GEN_PREFIX}g{j}"), e)));
-            let mut extended = vec![SelectItem::Wildcard];
-            extended.extend(generated.map(|(alias, e)| SelectItem::Expr {
-                expr: e.clone(),
-                alias: Some(alias),
-            }));
-            let (schema, projections) =
-                projection_plan(ctx, &extended, source.schema(), n_orig, &[])?;
+            // The operator evaluates the slot and GROUPING expressions.
+            let scope = [source.schema()];
+            let bind_all = |exprs: &[Expr]| -> Result<Vec<BoundExpr>> {
+                exprs.iter().map(|e| bind(ctx, e, &scope)).collect()
+            };
             let appended: Vec<Column> = quality
                 .iter()
-                .map(|q| q.column(schema.column(n_orig + q.slot).data_type))
+                .map(|q| q.column(infer_type(&compiled.base_exprs[q.slot], source.schema())))
                 .collect();
             // `BUT ONLY` sees a candidate as two frames: its quality
-            // values innermost, then the extended input row.
+            // values innermost, then the source row.
             let quality_schema = Schema::new(appended.clone())?;
-            let but_only = but_only
-                .map(|e| bind(ctx, &e, &[&quality_schema, &schema]))
-                .transpose()?;
-            let mut columns = schema.columns().to_vec();
+            let spec = PrefSpec {
+                slots: bind_all(&compiled.base_exprs)?,
+                groups: bind_all(&query.grouping)?,
+                but_only: (but_only.as_ref())
+                    .map(|e| bind(ctx, e, &[&quality_schema, source.schema()]))
+                    .transpose()?,
+                compiled,
+                quality,
+                knobs: ctx.knobs(),
+                view,
+            };
+            let mut columns = source.schema().columns().to_vec();
             columns.extend(appended);
             PlanNode::Preference {
-                input: Box::new(PlanNode::Project {
-                    input: Box::new(source),
-                    projections,
-                    schema,
-                }),
-                spec: Box::new(PrefSpec {
-                    compiled,
-                    but_only,
-                    quality,
-                    n_groups: query.grouping.len(),
-                    knobs: ctx.knobs(),
-                    view,
-                }),
+                input: Box::new(source),
+                spec: Box::new(spec),
                 schema: Schema::new(columns)?,
             }
         }
@@ -1197,7 +1187,7 @@ fn plan_named(
         let scan = PlanNode::MatViewScan {
             view: mv.name.clone(),
             table: mv.base_table.clone(),
-            winners: mv.winners.clone(),
+            winners: mv.state.winners().to_vec(),
             serves: false,
             schema: mv.schema.clone(),
         };

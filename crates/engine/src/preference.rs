@@ -5,25 +5,25 @@
 //! [`PlanNode::Preference`](crate::plan::PlanNode::Preference) is planned
 //! by [`crate::plan::plan_preference`], built here (only) through
 //! [`crate::physical::build`], and rendered by [`crate::explain`] like
-//! every other node. The operator is a pipeline breaker: it drains its
-//! input (source rows extended with one *slot* column per base
-//! preference plus the `GROUPING` columns), applies the `BUT ONLY`
-//! threshold, runs the maximal-set selection of `prefsql-pref` — the
-//! perfect-match pre-pass and the window, over the whole candidate set or
-//! once per `GROUPING` partition, driven as [`SkylineAlgo`] says — and
-//! streams the winners, each extended with the quality-function columns
-//! ([`QualityCol`]) the plan above it references. The slot columns are
-//! lowered once, straight from each row, into a [`ScoreMatrix`]; the
-//! dominance tests, the `LOWEST`/`HIGHEST` optima and the quality values
-//! are all read off its cells. Semantics are identical to the rewrite path; the
+//! every other node. The operator is a pipeline breaker: it drains the
+//! FROM/WHERE source, representing each row once as it arrives —
+//! [`eval_row`] evaluates its bound base-preference expressions and one
+//! [`ScoreMatrix`] lowers them to cells — applies the `BUT ONLY`
+//! threshold, runs the maximal-set selection of `prefsql-pref` (over the
+//! whole candidate set or once per `GROUPING` partition, driven as
+//! [`SkylineAlgo`] says) and streams the winners, each extended with the
+//! quality-function columns ([`QualityCol`]) the plan above references.
+//! Dominance tests, optima and quality values all read the cells, which
+//! travel with their rows through [`ExternalSkyline`] and the `BUT ONLY`
+//! spool. Semantics are identical to the rewrite path; the
 //! `rewrite_vs_native` differential suite and ablation A1 depend on that.
 
 use crate::bind::BoundExpr;
-use crate::eval::{holds, Env};
+use crate::eval::{eval_row, holds, Env};
 use crate::exec::ExecCtx;
 use crate::knobs::NativeOptions;
-use crate::physical::{drain_batched, Batch, BoxOperator, Operator};
-use prefsql_pref::external::ExternalSkyline;
+use crate::physical::{Batch, BoxOperator, Operator};
+use prefsql_pref::external::{split_cells, with_cells, ExternalSkyline, CELL_BYTES};
 use prefsql_pref::score::{is_null_cell, score_of};
 use prefsql_pref::{
     bmo_grouped_scored, maximal_scored, BasePref, Preference, ScoreMatrix, SkylineAlgo,
@@ -31,22 +31,24 @@ use prefsql_pref::{
 use prefsql_rewrite::levels::GEN_PREFIX;
 use prefsql_rewrite::CompiledPreference;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics};
-use prefsql_types::{Column, DataType, Result, Schema, Tuple, Value};
+use prefsql_types::{Column, DataType, Result, Tuple, Value};
 
 /// Everything the preference operator needs, fixed at plan time.
 #[derive(Debug, Clone)]
 pub struct PrefSpec {
-    /// The compiled preference; `base_exprs[i]` feeds input slot `i`.
+    /// The compiled preference.
     pub compiled: CompiledPreference,
+    /// `compiled.base_exprs` bound against the source.
+    pub slots: Vec<BoundExpr>,
+    /// The `GROUPING` expressions, bound against the source.
+    pub groups: Vec<BoundExpr>,
     /// `BUT ONLY` threshold with quality calls lowered to column
     /// references into [`PrefSpec::quality`], bound against two frames:
-    /// the candidate's quality values (depth 0), then its extended input
-    /// row (depth 1).
+    /// the candidate's quality values (depth 0), then its source row
+    /// (depth 1).
     pub but_only: Option<BoundExpr>,
     /// The quality-function columns appended to every winner.
     pub quality: Vec<QualityCol>,
-    /// Number of `GROUPING` columns following the slots in the input.
-    pub n_groups: usize,
     /// The session knobs — algorithm, degree ceiling, drive batch and
     /// window budget — taken from the statement context at plan time.
     pub knobs: NativeOptions,
@@ -61,15 +63,10 @@ impl PrefSpec {
     /// partition of one in-memory matrix; forced algorithms stay pinned
     /// for the differential suites).
     pub(crate) fn external_budget(&self) -> Option<usize> {
-        match (self.n_groups, self.knobs.algo) {
-            (0, SkylineAlgo::Auto) => self.knobs.window_bytes,
+        match (self.groups.is_empty(), self.knobs.algo) {
+            (true, SkylineAlgo::Auto) => self.knobs.window_bytes,
             _ => None,
         }
-    }
-
-    /// Rows requested from the input per pull.
-    fn pull_size(&self) -> usize {
-        self.knobs.batch.unwrap_or(1).max(1)
     }
 }
 
@@ -147,29 +144,43 @@ pub(crate) struct PreferenceOp<'a> {
     input: BoxOperator<'a>,
     ctx: &'a ExecCtx<'a>,
     spec: &'a PrefSpec,
-    /// Columns of the original relation (before the appended slots).
-    n_orig: usize,
     winners: Vec<Tuple>,
     pos: usize,
     /// Dominance comparisons of the last [`Operator::open`].
     comparisons: u64,
 }
 
+/// Where candidates go once the window budget trips (a spool run first
+/// when `BUT ONLY` must wait for the optima).
+enum Sink<'p> {
+    Skyline(ExternalSkyline<'p>),
+    Spool {
+        manager: SpillManager,
+        writer: RunWriter,
+        /// The current pull's frames, written as one.
+        frames: Vec<Tuple>,
+    },
+}
+
+impl Sink<'_> {
+    fn push(&mut self, row: Tuple, cells: &[f64]) -> Result<()> {
+        match self {
+            Sink::Skyline(machine) => machine.push(row, cells),
+            Sink::Spool { frames, .. } => {
+                frames.push(with_cells(row, cells));
+                Ok(())
+            }
+        }
+    }
+}
+
 impl<'a> PreferenceOp<'a> {
-    /// Wrap `input`, whose tuples (described by `schema`) carry the slot
-    /// and grouping columns appended to the original row.
-    pub(crate) fn new(
-        input: BoxOperator<'a>,
-        ctx: &'a ExecCtx<'a>,
-        schema: &Schema,
-        spec: &'a PrefSpec,
-    ) -> Self {
-        let arity = spec.compiled.preference.arity();
+    /// Wrap `input`, the source rows the preference selects from.
+    pub(crate) fn new(input: BoxOperator<'a>, ctx: &'a ExecCtx<'a>, spec: &'a PrefSpec) -> Self {
         PreferenceOp {
             input,
             ctx,
             spec,
-            n_orig: schema.len() - arity - spec.n_groups,
             winners: Vec::new(),
             pos: 0,
             comparisons: 0,
@@ -180,21 +191,14 @@ impl<'a> PreferenceOp<'a> {
         &self.spec.compiled.preference
     }
 
-    /// The slot values of one extended row.
-    fn slots<'r>(&self, row: &'r Tuple) -> &'r [Value] {
-        &row.values()[self.n_orig..self.n_orig + self.preference().arity()]
-    }
-
     /// The quality-column values of a row whose lowered slots are `cells`.
     fn quality_values(&self, cells: &[f64], best: &[Option<f64>]) -> Vec<Value> {
-        let quality = self.spec.quality.iter();
-        quality
-            .map(|q| q.value(self.preference(), cells, best))
-            .collect()
+        let value = |q: &QualityCol| q.value(self.preference(), cells, best);
+        self.spec.quality.iter().map(value).collect()
     }
 
-    /// `BUT ONLY` filter for one extended row (§2.2.5), evaluated with
-    /// the final data-dependent optima.
+    /// `BUT ONLY` filter for one source row (§2.2.5), evaluated with the
+    /// final data-dependent optima.
     fn passes_but_only(&self, row: &Tuple, cells: &[f64], best: &[Option<f64>]) -> Result<bool> {
         let Some(threshold) = &self.spec.but_only else {
             return Ok(true);
@@ -203,180 +207,164 @@ impl<'a> PreferenceOp<'a> {
         holds(threshold, Env::new(&quality, &[row]), self.ctx)
     }
 
-    /// Buffer the winners, each extended with its quality columns;
-    /// `cells(i)` are the lowered slots of the `i`-th winner.
-    fn set_winners<'c>(
+    /// Buffer the winners, extended with the quality their cells give.
+    fn set_winners<C: AsRef<[f64]>>(
         &mut self,
-        winners: impl Iterator<Item = Tuple>,
-        cells: impl Fn(usize) -> &'c [f64],
+        winners: impl Iterator<Item = (Tuple, C)>,
         best: &[Option<f64>],
     ) {
-        self.winners = if self.spec.quality.is_empty() {
-            winners.collect()
-        } else {
-            winners
-                .enumerate()
-                .map(|(i, row)| {
-                    let mut values = row.into_values();
-                    values.extend(self.quality_values(cells(i), best));
-                    Tuple::new(values)
-                })
-                .collect()
-        };
+        let winners = winners.map(|(row, cells)| {
+            if self.spec.quality.is_empty() {
+                return row;
+            }
+            let mut values = row.into_values();
+            values.extend(self.quality_values(cells.as_ref(), best));
+            Tuple::new(values)
+        });
+        self.winners = winners.collect();
     }
 
-    /// The in-memory selection shared by the materializing path and the
-    /// under-budget streaming path: lower the slot columns once, read the
-    /// data-dependent optima off the matrix, apply `BUT ONLY`, run the
-    /// maximal-set selection over the surviving row ids, buffer winners.
-    fn select_in_memory(&mut self, rows: Vec<Tuple>) -> Result<()> {
+    /// The in-memory selection over `rows`, row `i` lowered to `matrix`
+    /// row `i` and keyed by the `i`-th stride of `keys`: apply `BUT ONLY`,
+    /// select the maximal surviving rows, buffer them.
+    fn select_in_memory(
+        &mut self,
+        rows: Vec<Tuple>,
+        matrix: &ScoreMatrix,
+        keys: &[Value],
+        best: &[Option<f64>],
+    ) -> Result<()> {
         let preference = self.preference();
-        let matrix = ScoreMatrix::lower(preference, rows.iter().map(|r| self.slots(r)));
-        let mut best = vec![None; preference.arity()];
-        // Only quality functions ever read the optima.
-        if !self.spec.quality.is_empty() {
-            matrix.fold_minima(&mut best);
-        }
-
         // BUT ONLY filters candidates before dominance (§2.2.5).
-        let mut candidates = matrix.ids();
-        if self.spec.but_only.is_some() {
-            let mut kept = Vec::new();
-            for i in candidates {
-                if self.passes_but_only(&rows[i], matrix.row(i), &best)? {
-                    kept.push(i);
-                }
+        let mut candidates = Vec::with_capacity(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            if self.passes_but_only(row, matrix.row(i), best)? {
+                candidates.push(i);
             }
-            candidates = kept;
         }
 
         let NativeOptions { algo, threads, .. } = self.spec.knobs;
-        let winner_ids: Vec<usize> = if self.spec.n_groups > 0 {
-            let first_key = self.n_orig + preference.arity();
-            let key_of = |i: usize| &rows[i].values()[first_key..];
-            bmo_grouped_scored(&matrix, &candidates, key_of, algo, threads)
+        let stride = self.spec.groups.len();
+        let winner_ids: Vec<usize> = if stride > 0 {
+            let key_of = |i: usize| &keys[i * stride..(i + 1) * stride];
+            bmo_grouped_scored(matrix, preference, &candidates, key_of, algo, threads)
         } else {
-            maximal_scored(&matrix, &candidates, algo, threads)
+            maximal_scored(matrix, preference, &candidates, algo, threads)
         };
-        let mut rows = rows.into_iter().map(Some).collect::<Vec<_>>();
-        let winners = winner_ids
-            .iter()
-            .map(|&i| rows[i].take().expect("winner indices are unique"));
-        self.set_winners(winners, |w| matrix.row(winner_ids[w]), &best);
+        // Both selections return ascending ids: one merge pass.
+        let mut next = winner_ids.iter().peekable();
+        let winners = (rows.into_iter().zip(0..))
+            .filter_map(|(row, i)| next.next_if_eq(&&i).map(|_| (row, matrix.row(i))));
+        self.set_winners(winners, best);
         Ok(())
     }
 
-    /// The external-memory path: pull input through the batch API,
-    /// buffering until the window budget trips, then hand the stream to
-    /// the bounded-window multi-pass BNL (spilling overflow runs to
-    /// disk). Queries with a `BUT ONLY` threshold first spool the input
-    /// to a run — the threshold's quality functions need the
-    /// data-dependent optima, which are only final after the last input
-    /// row — and feed the skyline from the spool on a second pass.
-    fn open_external(&mut self, budget: usize) -> Result<()> {
-        let preference = self.preference();
-        let n_orig = self.n_orig;
-        // Quality functions need the optima over the whole input, which
-        // never sits in one matrix here: rows are lowered batch by batch
-        // (and winners once more at the end) through this scratch matrix.
-        let wants_quality = !self.spec.quality.is_empty();
-        let mut scored = ScoreMatrix::new(preference);
-        let mut best: Vec<Option<f64>> = vec![None; preference.arity()];
-        let mut buffered: Vec<Tuple> = Vec::new();
-        let mut buffered_bytes = 0usize;
-
-        // Pull phase. `sink` engages once the budget trips: the skyline
-        // machine directly, or a spool run when BUT ONLY must wait for
-        // the optima.
-        enum Sink<'p> {
-            Skyline(ExternalSkyline<'p>),
-            Spool {
-                manager: SpillManager,
-                writer: RunWriter,
+    /// The sink the stream goes to once the window budget trips.
+    fn engage(&self, budget: usize) -> Result<Sink<'a>> {
+        let mut manager = self.ctx.spill_manager()?;
+        Ok(match self.spec.but_only {
+            Some(_) => Sink::Spool {
+                writer: manager.begin_run()?,
+                manager,
+                frames: Vec::new(),
             },
-        }
-        let mut sink: Option<Sink<'_>> = None;
+            None => Sink::Skyline(ExternalSkyline::with_manager(
+                self.preference(),
+                budget,
+                manager,
+            )),
+        })
+    }
 
-        let mut scratch: Vec<Tuple> = Vec::new();
+    /// Drain the input, lowering every row once as it arrives, and select.
+    /// While the candidates fit the window `budget` (if any) they are
+    /// buffered for the in-memory selection; once it trips, rows and cells
+    /// stream to the spilling multi-pass BNL — through a spool run first
+    /// under `BUT ONLY`, whose optima are final only after the last row.
+    fn select(&mut self, budget: Option<usize>) -> Result<()> {
+        let (spec, ctx) = (self.spec, self.ctx);
+        let preference = self.preference();
+        let arity = preference.arity();
+        // While buffering, the matrix holds one row per buffered row;
+        // once a sink is engaged, only the current pull's rows.
+        let mut matrix = ScoreMatrix::new(preference);
+        let (mut keys, mut slots, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        let mut best = vec![None; arity];
+        let (mut buffered, mut buffered_bytes) = (Vec::new(), 0);
+        let mut sink: Option<Sink<'_>> = None;
+        let pull = spec.knobs.batch.unwrap_or(1).max(1);
         loop {
-            let pulled = self.input.next_batch(self.spec.pull_size())?;
+            let pulled = self.input.next_batch(pull)?;
             if pulled.is_end() {
                 break;
             }
-            pulled.take_into(&mut scratch);
-            if wants_quality {
-                scored.clear();
-                for row in &scratch {
-                    scored.push(self.slots(row));
-                }
-                scored.fold_minima(&mut best);
+            if sink.is_some() {
+                matrix.clear();
             }
-            let mut rows = scratch.drain(..);
-            // Buffering phase: accumulate until the budget trips, then
-            // replay the buffer into the engaged sink.
-            if sink.is_none() {
-                for row in rows.by_ref() {
-                    buffered_bytes += tuple_spill_bytes(&row);
-                    buffered.push(row);
-                    if buffered_bytes > budget {
-                        if self.spec.but_only.is_some() {
-                            let mut manager = self.ctx.spill_manager()?;
-                            let mut writer = manager.begin_run()?;
-                            writer.write_batch(&buffered)?;
-                            buffered = Vec::new();
-                            sink = Some(Sink::Spool { manager, writer });
-                        } else {
-                            let mut machine = ExternalSkyline::with_manager(
-                                preference,
-                                n_orig,
-                                budget,
-                                self.ctx.spill_manager()?,
-                            );
-                            machine.push_batch(buffered.drain(..))?;
-                            sink = Some(Sink::Skyline(machine));
+            let first = matrix.len();
+            for row in pulled.rows() {
+                let env = Env::new(row, &[]);
+                slots.clear();
+                eval_row(&spec.slots, env, ctx, &mut slots)?;
+                matrix.push(preference, &slots);
+                eval_row(&spec.groups, env, ctx, &mut keys)?;
+            }
+            pulled.take_into(&mut scratch);
+            // Only quality functions ever read the optima.
+            if !spec.quality.is_empty() {
+                matrix.fold_minima(first, &mut best);
+            }
+            for (i, row) in (first..).zip(scratch.drain(..)) {
+                match (&mut sink, budget) {
+                    (Some(sink), _) => sink.push(row, matrix.row(i))?,
+                    (None, None) => buffered.push(row),
+                    (None, Some(budget)) => {
+                        buffered_bytes += tuple_spill_bytes(&row) + CELL_BYTES * arity;
+                        buffered.push(row);
+                        if buffered_bytes > budget {
+                            // Replay the buffer (matrix rows 0..=i).
+                            let engaged = sink.insert(self.engage(budget)?);
+                            for (j, row) in buffered.drain(..).enumerate() {
+                                engaged.push(row, matrix.row(j))?;
+                            }
                         }
-                        break;
                     }
                 }
             }
-            // Streaming phase: the rest of the batch goes to the sink
-            // whole — the spool writes one frame per pulled batch, not
-            // one per tuple.
-            match &mut sink {
-                Some(Sink::Skyline(machine)) => machine.push_batch(rows)?,
-                Some(Sink::Spool { writer, .. }) => {
-                    let rest: Vec<Tuple> = rows.collect();
-                    writer.write_batch(&rest)?;
+            if let Some(Sink::Spool { writer, frames, .. }) = &mut sink {
+                if !frames.is_empty() {
+                    writer.write_batch(frames)?;
+                    frames.clear();
                 }
-                None => debug_assert_eq!(rows.count(), 0, "unbuffered rows without a sink"),
             }
         }
 
         let (winners, metrics) = match sink {
             None => {
-                // The whole candidate set fits the budget: stay in
-                // memory (and report that the budget was honored).
-                self.select_in_memory(buffered)?;
-                self.ctx.note_spill(SpillMetrics::default());
+                self.select_in_memory(buffered, &matrix, &keys, &best)?;
+                if budget.is_some() {
+                    // Everything fit: report that the budget was honored.
+                    ctx.note_spill(SpillMetrics::default());
+                }
                 return Ok(());
             }
             Some(Sink::Skyline(machine)) => machine.finish()?,
             Some(Sink::Spool {
                 mut manager,
                 writer,
+                ..
             }) => {
                 // Optima are final now; filter the spooled candidates
                 // and feed the survivors through the bounded window.
                 let spool = writer.finish()?;
                 manager.record_run(&spool);
-                let mut machine =
-                    ExternalSkyline::with_manager(preference, n_orig, budget, manager);
+                let budget = budget.expect("a sink is engaged only under a budget");
+                let mut machine = ExternalSkyline::with_manager(preference, budget, manager);
                 let mut reader = RunReader::open(&spool)?;
-                while let Some(row) = reader.next_tuple()? {
-                    scored.clear();
-                    scored.push(self.slots(&row));
-                    if self.passes_but_only(&row, scored.row(0), &best)? {
-                        machine.push(row)?;
+                while let Some(frame) = reader.next_tuple()? {
+                    let (row, cells) = split_cells(frame, arity)?;
+                    if self.passes_but_only(&row, &cells, &best)? {
+                        machine.push(row, &cells)?;
                     }
                 }
                 drop(reader);
@@ -387,15 +375,9 @@ impl<'a> PreferenceOp<'a> {
                 (winners, metrics)
             }
         };
-        scored.clear();
-        if wants_quality {
-            for (_, row) in &winners {
-                scored.push(self.slots(row));
-            }
-        }
-        let winners = winners.into_iter().map(|(_, row)| row);
-        self.set_winners(winners, |i| scored.row(i), &best);
-        self.ctx.note_spill(metrics);
+        let winners = winners.into_iter().map(|(_, row, cells)| (row, cells));
+        self.set_winners(winners, &best);
+        ctx.note_spill(metrics);
         Ok(())
     }
 }
@@ -403,15 +385,9 @@ impl<'a> PreferenceOp<'a> {
 impl Operator for PreferenceOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
-        let result = match self.spec.external_budget() {
-            Some(budget) => {
-                let result = self.input.open().and_then(|()| self.open_external(budget));
-                self.input.close();
-                result
-            }
-            None => drain_batched(self.input.as_mut(), self.spec.pull_size())
-                .and_then(|rows| self.select_in_memory(rows)),
-        };
+        let budget = self.spec.external_budget();
+        let result = self.input.open().and_then(|()| self.select(budget));
+        self.input.close();
         // Harvest the dominance tally of this selection — the paper's
         // unit of preference-evaluation cost — and charge the statement.
         self.comparisons = self.spec.compiled.preference.take_comparisons();

@@ -135,9 +135,9 @@ pub fn choose_degree(n: usize, threads: usize) -> usize {
 fn lowered(
     slot_vectors: &[Vec<Value>],
     pref: &Preference,
-    select: impl FnOnce(&ScoreMatrix<'_>, &[usize], &mut u64) -> Vec<usize>,
+    select: impl FnOnce(&ScoreMatrix, &[usize], &mut u64) -> Vec<usize>,
 ) -> Vec<usize> {
-    let m = ScoreMatrix::lower(pref, slot_vectors.iter().map(Vec::as_slice));
+    let m = ScoreMatrix::lower(pref, slot_vectors);
     let mut tests = 0;
     let winners = select(&m, &m.ids(), &mut tests);
     pref.add_comparisons(tests);
@@ -161,21 +161,22 @@ pub fn maximal_with_threads(
     threads: usize,
 ) -> Vec<usize> {
     lowered(slot_vectors, pref, |m, ids, tests| {
-        select(m, ids, algo, threads, tests)
+        select(m, pref, ids, algo, threads, tests)
     })
 }
 
 /// [`maximal_with_threads`] over rows the caller already lowered: the
 /// maximal rows among `ids` (ascending row ids of `m`), ascending.
 pub fn maximal_scored(
-    m: &ScoreMatrix<'_>,
+    m: &ScoreMatrix,
+    pref: &Preference,
     ids: &[usize],
     algo: SkylineAlgo,
     threads: usize,
 ) -> Vec<usize> {
     let mut tests = 0;
-    let winners = select(m, ids, algo, threads, &mut tests);
-    m.preference().add_comparisons(tests);
+    let winners = select(m, pref, ids, algo, threads, &mut tests);
+    pref.add_comparisons(tests);
     winners
 }
 
@@ -183,18 +184,19 @@ pub fn maximal_scored(
 /// rows among `ids`, ascending, with the directed tests made added to
 /// `tests`.
 pub(crate) fn select(
-    m: &ScoreMatrix<'_>,
+    m: &ScoreMatrix,
+    pref: &Preference,
     ids: &[usize],
     algo: SkylineAlgo,
     threads: usize,
     tests: &mut u64,
 ) -> Vec<usize> {
     let degree = match algo {
-        SkylineAlgo::Naive => return naive(m, ids, tests),
+        SkylineAlgo::Naive => return naive(m, pref, ids, tests),
         SkylineAlgo::Bnl => 1,
         SkylineAlgo::Auto => choose_degree(ids.len(), threads),
     };
-    perfect_matches(m, ids).unwrap_or_else(|| windowed(m, ids, degree, tests))
+    perfect_matches(m, pref, ids).unwrap_or_else(|| windowed(m, pref, ids, degree, tests))
 }
 
 /// The perfect-match pre-pass (§2.2.5, step 1): a row that is best
@@ -206,8 +208,8 @@ pub(crate) fn select(
 /// cell without a score (NULL, a wrong-typed value, a NaN — incomparable
 /// to the perfect row, so it may be maximal too), or no candidate is
 /// perfect.
-fn perfect_matches(m: &ScoreMatrix<'_>, ids: &[usize]) -> Option<Vec<usize>> {
-    let best = m.preference().program().perfect_row()?;
+fn perfect_matches(m: &ScoreMatrix, pref: &Preference, ids: &[usize]) -> Option<Vec<usize>> {
+    let best = pref.program().perfect_row()?;
     let mut perfect = Vec::new();
     for &i in ids {
         let row = m.row(i);
@@ -255,13 +257,14 @@ pub(crate) fn probe<E>(
 /// One pass of the window over `candidates` (row ids of `m`). Returns the
 /// window in insertion order — callers sort when they need input order.
 fn window_filter(
-    m: &ScoreMatrix<'_>,
+    m: &ScoreMatrix,
+    pref: &Preference,
     candidates: impl IntoIterator<Item = usize>,
     tests: &mut u64,
 ) -> Vec<usize> {
     let mut window: Vec<usize> = Vec::new();
     for i in candidates {
-        if probe(&mut window, |&w| m.compare(w, i), |_| {}, tests) {
+        if probe(&mut window, |&w| m.compare(pref, w, i), |_| {}, tests) {
             window.push(i);
         }
     }
@@ -278,7 +281,7 @@ pub fn maximal_parallel(
     threads: usize,
 ) -> Vec<usize> {
     lowered(slot_vectors, pref, |m, ids, tests| {
-        windowed(m, ids, threads, tests)
+        windowed(m, pref, ids, threads, tests)
     })
 }
 
@@ -292,11 +295,17 @@ pub fn maximal_parallel(
 /// then either `u` survives its own local window, or something
 /// dominating `u` does — and by transitivity that survivor dominates
 /// `t`. Checking the union of local windows therefore suffices.
-fn windowed(m: &ScoreMatrix<'_>, ids: &[usize], degree: usize, tests: &mut u64) -> Vec<usize> {
+fn windowed(
+    m: &ScoreMatrix,
+    pref: &Preference,
+    ids: &[usize],
+    degree: usize,
+    tests: &mut u64,
+) -> Vec<usize> {
     let n = ids.len();
     let degree = degree.clamp(1, n.max(1));
     let mut window = if degree == 1 {
-        window_filter(m, ids.iter().copied(), tests)
+        window_filter(m, pref, ids.iter().copied(), tests)
     } else {
         let locals: Vec<(Vec<usize>, u64)> = std::thread::scope(|s| {
             let handles: Vec<_> = ids
@@ -304,7 +313,8 @@ fn windowed(m: &ScoreMatrix<'_>, ids: &[usize], degree: usize, tests: &mut u64) 
                 .map(|part| {
                     s.spawn(move || {
                         let mut tests = 0;
-                        (window_filter(m, part.iter().copied(), &mut tests), tests)
+                        let window = window_filter(m, pref, part.iter().copied(), &mut tests);
+                        (window, tests)
                     })
                 })
                 .collect();
@@ -315,7 +325,7 @@ fn windowed(m: &ScoreMatrix<'_>, ids: &[usize], degree: usize, tests: &mut u64) 
         });
         *tests += locals.iter().map(|(_, t)| t).sum::<u64>();
         let survivors = locals.into_iter().flat_map(|(window, _)| window);
-        window_filter(m, survivors, tests)
+        window_filter(m, pref, survivors, tests)
     };
     window.sort_unstable();
     window
@@ -327,12 +337,12 @@ pub fn maximal_naive(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usiz
     maximal(slot_vectors, pref, SkylineAlgo::Naive)
 }
 
-fn naive(m: &ScoreMatrix<'_>, ids: &[usize], tests: &mut u64) -> Vec<usize> {
+fn naive(m: &ScoreMatrix, pref: &Preference, ids: &[usize], tests: &mut u64) -> Vec<usize> {
     let mut dominated = |i: usize| {
         ids.iter().any(|&j| {
             j != i && {
                 *tests += 1;
-                m.compare(j, i) == Verdict::A_WINS
+                m.compare(pref, j, i) == Verdict::A_WINS
             }
         })
     };

@@ -56,8 +56,8 @@ pub fn bmo_grouped(
         keys.len(),
         "one grouping key per candidate"
     );
-    let m = ScoreMatrix::lower(pref, slot_vectors.iter().map(Vec::as_slice));
-    bmo_grouped_scored(&m, &m.ids(), |i| &keys[i], SkylineAlgo::Auto, 1)
+    let m = ScoreMatrix::lower(pref, slot_vectors);
+    bmo_grouped_scored(&m, pref, &m.ids(), |i| &keys[i], SkylineAlgo::Auto, 1)
 }
 
 /// [`bmo_grouped`] over rows the caller already lowered: `ids` are the
@@ -68,7 +68,8 @@ pub fn bmo_grouped(
 /// [`Value::key_eq`] field by field (`Int(5)` and `Float(5.0)` are the
 /// same group).
 pub fn bmo_grouped_scored<'k>(
-    m: &ScoreMatrix<'_>,
+    m: &ScoreMatrix,
+    pref: &Preference,
     ids: &[usize],
     key_of: impl Fn(usize) -> &'k [Value],
     algo: SkylineAlgo,
@@ -84,9 +85,9 @@ pub fn bmo_grouped_scored<'k>(
     let mut tests = 0;
     let mut out: Vec<usize> = groups
         .values()
-        .flat_map(|members| select(m, members, algo, threads, &mut tests))
+        .flat_map(|members| select(m, pref, members, algo, threads, &mut tests))
         .collect();
-    m.preference().add_comparisons(tests);
+    pref.add_comparisons(tests);
     out.sort_unstable();
     out
 }

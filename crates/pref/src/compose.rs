@@ -150,19 +150,11 @@ impl Preference {
     /// Strict dominance: is slot vector `a` better than `b`? Pareto
     /// (§2.2.2): better in at least one component, equal or better in
     /// every other; prioritization: lexicographic over (better, equiv).
-    /// Scores both vectors on the stack — for the one-against-few tests of
-    /// incremental maintenance; candidate sets go through
-    /// [`crate::ScoreMatrix`].
+    /// Scores both vectors on the stack — the two-row oracle; candidate
+    /// sets and views are lowered once into a [`crate::ScoreMatrix`].
     pub fn better(&self, a: &[Value], b: &[Value]) -> bool {
-        self.verdict(a, b) == Verdict::A_WINS
-    }
-
-    /// Both directions of [`Preference::better`] in one dominance test:
-    /// [`Verdict::A_WINS`] iff `better(a, b)`, [`Verdict::B_WINS`] iff
-    /// `better(b, a)`.
-    pub(crate) fn verdict(&self, a: &[Value], b: &[Value]) -> Verdict {
         self.add_comparisons(1);
-        self.program.compare_values(&self.bases, a, b)
+        self.program.compare_values(&self.bases, a, b) == Verdict::A_WINS
     }
 
     /// Substitutability: are `a` and `b` interchangeable?
@@ -436,15 +428,14 @@ mod tests {
             p in arb_any_pref(),
             rows in proptest::collection::vec(arb_any_slots(), 2..6)
         ) {
-            let m = crate::ScoreMatrix::lower(&p, rows.iter().map(Vec::as_slice));
+            let m = crate::ScoreMatrix::lower(&p, &rows);
             for (i, a) in rows.iter().enumerate() {
                 for (j, b) in rows.iter().enumerate() {
                     let better = node_better(&p, &p.root, a, b);
                     let equiv = node_equiv(&p, &p.root, a, b);
                     prop_assert_eq!(p.better(a, b), better, "better({:?}, {:?})", a, b);
                     prop_assert_eq!(p.equiv(a, b), equiv, "equiv({:?}, {:?})", a, b);
-                    let verdict = m.compare(i, j);
-                    prop_assert_eq!(p.verdict(a, b), verdict, "verdict({:?}, {:?})", a, b);
+                    let verdict = m.compare(&p, i, j);
                     prop_assert_eq!(verdict == Verdict::A_WINS, better, "rows {} {}", i, j);
                     prop_assert_eq!(verdict == Verdict::EQUIV, equiv, "rows {} {}", i, j);
                     prop_assert_eq!(

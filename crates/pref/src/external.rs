@@ -40,6 +40,15 @@
 //! Results are identical — same set, same input order — to every
 //! in-memory algorithm in [`crate::algo`]; the repo's differential
 //! harness pins that across random composition trees and window budgets.
+//!
+//! # Cells in, cells out
+//!
+//! A candidate arrives with the cells its caller lowered and leaves with
+//! them if it wins. A spilled frame is the row, its cells as
+//! [`Value::Float`]s ([`with_cells`]; the codec writes `f64::to_bits`, so
+//! tags survive), then the sequence number; a shorter frame is an
+//! [`Error::Io`]. An entry is charged `tuple_spill_bytes(row) + CELL_BYTES
+//! × arity`, what its frame costs.
 
 use crate::algo::probe;
 use crate::compose::Preference;
@@ -51,6 +60,25 @@ use prefsql_types::{Error, Result, Tuple, Value};
 // Grace hash join in the engine reports it too); re-exported here so
 // `prefsql_pref::SpillMetrics` keeps working.
 pub use prefsql_storage::spill::SpillMetrics;
+
+/// Bytes a cell costs in a spilled frame: one tagged [`Value::Float`].
+pub const CELL_BYTES: usize = 9;
+
+/// A spilled candidate's frame: `row`, then `cells` as [`Value::Float`]s.
+pub fn with_cells(row: Tuple, cells: &[f64]) -> Tuple {
+    let mut values = row.into_values();
+    values.extend(cells.iter().map(|&c| Value::Float(c)));
+    Tuple::new(values)
+}
+
+/// Split the trailing `arity` cells off a frame [`with_cells`] wrote.
+pub fn split_cells(frame: Tuple, arity: usize) -> Result<(Tuple, Vec<f64>)> {
+    let mut values = frame.into_values();
+    let first = values.len().checked_sub(arity);
+    let cells = first.and_then(|first| values.drain(first..).map(|v| v.as_f64()).collect());
+    let lacks = || Error::Io(format!("corrupt spill run: {arity} cells missing"));
+    Ok((Tuple::new(values), cells.ok_or_else(lacks)?))
+}
 
 /// One window slot of the external BNL.
 struct WinEntry {
@@ -64,9 +92,12 @@ struct WinEntry {
     /// Byte weight charged against the window budget.
     bytes: usize,
     row: Tuple,
-    /// The row's slots lowered when it entered the window.
-    scores: Vec<f64>,
+    /// The row's lowered slots, as its caller pushed them.
+    cells: Vec<f64>,
 }
+
+/// A maximal candidate: its input sequence number, row and cells.
+pub type Winner = (u64, Tuple, Vec<f64>);
 
 /// Spilled tuples buffered into frames of this many before hitting the
 /// run writer — one frame header and one write call per batch instead
@@ -75,15 +106,10 @@ const SPILL_BATCH: usize = 256;
 
 /// The bounded-window, spill-backed skyline state machine.
 ///
-/// Feed candidate rows with [`ExternalSkyline::push`] /
-/// [`ExternalSkyline::push_batch`] (pass 0), then call
-/// [`ExternalSkyline::finish`] to drive the overflow passes and collect
-/// the maximal set. Rows carry their base-preference *slot values* as a
-/// contiguous column range starting at `slot_start` (the native operator
-/// plans them that way; standalone callers put the slots first).
+/// Feed candidates with [`ExternalSkyline::push`] (pass 0), then call
+/// [`ExternalSkyline::finish`] to drive the overflow passes.
 pub struct ExternalSkyline<'a> {
     pref: &'a Preference,
-    slot_start: usize,
     budget: usize,
     spill: SpillManager,
     window: Vec<WinEntry>,
@@ -92,12 +118,9 @@ pub struct ExternalSkyline<'a> {
     /// Tuples awaiting their batched write to the current run.
     spill_buf: Vec<Tuple>,
     spilled_this_pass: u64,
-    winners: Vec<(u64, Tuple)>,
+    winners: Vec<Winner>,
     next_seq: u64,
     passes: u32,
-    /// Lowers each arriving row (as its only row) and keeps the interned
-    /// tags consistent across pushes and passes.
-    scorer: ScoreMatrix<'a>,
     /// Directed dominance tests so far; charged to `pref` on drop.
     tests: u64,
 }
@@ -109,29 +132,11 @@ impl Drop for ExternalSkyline<'_> {
 }
 
 impl<'a> ExternalSkyline<'a> {
-    /// A machine with a fresh [`SpillManager`] (runs under the system
-    /// temp dir) and a window budget of `window_bytes`.
-    pub fn new(pref: &'a Preference, slot_start: usize, window_bytes: usize) -> Result<Self> {
-        Ok(Self::with_manager(
-            pref,
-            slot_start,
-            window_bytes,
-            SpillManager::new()?,
-        ))
-    }
-
-    /// A machine spilling through a caller-provided manager — the native
-    /// operator shares one manager between its `BUT ONLY` spool run and
-    /// the skyline passes so the metrics cover both.
-    pub fn with_manager(
-        pref: &'a Preference,
-        slot_start: usize,
-        window_bytes: usize,
-        spill: SpillManager,
-    ) -> Self {
+    /// A machine with a window of `window_bytes`, spilling through `spill`
+    /// (the native operator's `BUT ONLY` spool shares it).
+    pub fn with_manager(pref: &'a Preference, window_bytes: usize, spill: SpillManager) -> Self {
         ExternalSkyline {
             pref,
-            slot_start,
             budget: window_bytes,
             spill,
             window: Vec::new(),
@@ -142,7 +147,6 @@ impl<'a> ExternalSkyline<'a> {
             winners: Vec::new(),
             next_seq: 0,
             passes: 0,
-            scorer: ScoreMatrix::new(pref),
             tests: 0,
         }
     }
@@ -151,37 +155,33 @@ impl<'a> ExternalSkyline<'a> {
     /// dropped if dominated, evicting the entries it dominates), then
     /// keep it in the window (budget permitting) or spill it to the
     /// current pass's overflow run.
-    fn process(&mut self, row: Tuple, seq: u64) -> Result<()> {
-        self.scorer.clear();
-        self.scorer
-            .push(&row.values()[self.slot_start..self.slot_start + self.pref.arity()]);
-        let scores = self.scorer.row(0);
+    fn process(&mut self, row: Tuple, cells: &[f64], seq: u64) -> Result<()> {
         let program = self.pref.program();
         let window_bytes = &mut self.window_bytes;
         let survives = probe(
             &mut self.window,
-            |entry| program.compare(&entry.scores, scores),
+            |entry| program.compare(&entry.cells, cells),
             |evicted| *window_bytes -= evicted.bytes,
             &mut self.tests,
         );
         if !survives {
             return Ok(()); // dominated: the candidate dies here
         }
-        let bytes = tuple_spill_bytes(&row);
+        let bytes = tuple_spill_bytes(&row) + CELL_BYTES * cells.len();
         if self.window.is_empty() || self.window_bytes + bytes <= self.budget {
             self.window.push(WinEntry {
                 seq,
                 seen_spills: self.spilled_this_pass,
                 carried: false,
                 bytes,
-                scores: scores.to_vec(),
+                cells: cells.to_vec(),
                 row,
             });
             self.window_bytes += bytes;
         } else {
-            // The sequence number rides along as an appended column so a
+            // The sequence number rides along as the last column so a
             // later pass can restore input order.
-            let mut values = row.into_values();
+            let mut values = with_cells(row, cells).into_values();
             values.push(Value::Int(seq as i64));
             self.spill_buf.push(Tuple::new(values));
             self.spilled_this_pass += 1;
@@ -207,20 +207,11 @@ impl<'a> ExternalSkyline<'a> {
         Ok(())
     }
 
-    /// Feed one candidate row (pass 0).
-    pub fn push(&mut self, row: Tuple) -> Result<()> {
+    /// Feed one candidate (pass 0): its row and its lowered slots.
+    pub fn push(&mut self, row: Tuple, cells: &[f64]) -> Result<()> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.process(row, seq)
-    }
-
-    /// Feed a batch of candidate rows (pass 0) — the native operator
-    /// hands over whole `next_batch` buffers.
-    pub fn push_batch(&mut self, rows: impl IntoIterator<Item = Tuple>) -> Result<()> {
-        for row in rows {
-            self.push(row)?;
-        }
-        Ok(())
+        self.process(row, cells, seq)
     }
 
     /// Move the carried entries whose owed run prefix ends at `pos` out
@@ -232,7 +223,7 @@ impl<'a> ExternalSkyline<'a> {
             if self.window[k].carried && self.window[k].seen_spills <= pos {
                 let e = self.window.swap_remove(k);
                 self.window_bytes -= e.bytes;
-                self.winners.push((e.seq, e.row));
+                self.winners.push((e.seq, e.row, e.cells));
             } else {
                 k += 1;
             }
@@ -247,7 +238,7 @@ impl<'a> ExternalSkyline<'a> {
         let mut kept_bytes = 0;
         for mut e in self.window.drain(..) {
             if e.carried || e.seen_spills == 0 {
-                self.winners.push((e.seq, e.row));
+                self.winners.push((e.seq, e.row, e.cells));
             } else {
                 e.carried = true;
                 kept_bytes += e.bytes;
@@ -259,11 +250,12 @@ impl<'a> ExternalSkyline<'a> {
     }
 
     /// Drive the overflow passes until no run remains, then return the
-    /// maximal rows as `(input sequence, row)` pairs sorted by sequence
-    /// — i.e. in input order, like every in-memory algorithm — plus the
-    /// spill metrics.
-    pub fn finish(mut self) -> Result<(Vec<(u64, Tuple)>, SpillMetrics)> {
+    /// maximal candidates — `(input sequence, row, cells)` sorted by
+    /// sequence, i.e. in input order like every in-memory algorithm —
+    /// plus the spill metrics.
+    pub fn finish(mut self) -> Result<(Vec<Winner>, SpillMetrics)> {
         self.passes = 1;
+        let arity = self.pref.arity();
         loop {
             self.flush_spills()?;
             let run = match self.run.take() {
@@ -296,13 +288,14 @@ impl<'a> ExternalSkyline<'a> {
                         )))
                     }
                 };
-                self.process(Tuple::new(values), seq)?;
+                let (row, cells) = split_cells(Tuple::new(values), arity)?;
+                self.process(row, &cells, seq)?;
                 pos += 1;
             }
             drop(reader);
             run.delete()?;
         }
-        self.winners.sort_unstable_by_key(|(seq, _)| *seq);
+        self.winners.sort_unstable_by_key(|(seq, ..)| *seq);
         let metrics = SpillMetrics {
             runs_written: self.spill.runs_written(),
             bytes_spilled: self.spill.bytes_spilled(),
@@ -315,21 +308,23 @@ impl<'a> ExternalSkyline<'a> {
 }
 
 /// The external-memory maximal-set selection over materialized slot
-/// vectors: multi-pass BNL with a window bounded at `window_bytes`.
-/// Returns winner indices sorted in input order — identical to
-/// [`crate::algo::maximal_bnl`] — plus the spill metrics.
+/// vectors (each candidate its cells and an empty row): multi-pass BNL
+/// with a window bounded at `window_bytes`. Returns winner indices sorted
+/// in input order — identical to [`crate::algo::maximal_bnl`] — plus the
+/// spill metrics.
 pub fn maximal_external(
     slot_vectors: &[Vec<Value>],
     pref: &Preference,
     window_bytes: usize,
 ) -> Result<(Vec<usize>, SpillMetrics)> {
-    let mut machine = ExternalSkyline::new(pref, 0, window_bytes)?;
-    for sv in slot_vectors {
-        machine.push(Tuple::new(sv.clone()))?;
+    let m = ScoreMatrix::lower(pref, slot_vectors);
+    let mut machine = ExternalSkyline::with_manager(pref, window_bytes, SpillManager::new()?);
+    for i in 0..m.len() {
+        machine.push(Tuple::new(Vec::new()), m.row(i))?;
     }
     let (winners, metrics) = machine.finish()?;
     Ok((
-        winners.into_iter().map(|(seq, _)| seq as usize).collect(),
+        winners.into_iter().map(|(seq, ..)| seq as usize).collect(),
         metrics,
     ))
 }
@@ -339,7 +334,9 @@ mod tests {
     use super::*;
     use crate::algo::maximal_naive;
     use crate::base::BasePref;
+    use crate::compose::arb::{arb_any_pref, arb_any_slots};
     use crate::compose::PrefNode;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -469,27 +466,23 @@ mod tests {
         }
     }
 
-    /// Slot columns need not start at 0: rows with payload columns in
-    /// front (the native operator's layout) select the same winners.
-    #[test]
-    fn slot_offset_layout_matches_plain_layout() {
-        let p = pareto(2);
-        let pts = random_points(120, 2, 5);
-        let expected = maximal_naive(&pts, &p);
-        let mut machine = ExternalSkyline::new(&p, 2, 96).unwrap();
-        for (i, sv) in pts.iter().enumerate() {
-            // payload: (id, name), then the two slot columns.
-            let mut values = vec![Value::Int(i as i64), Value::Str(format!("row{i}"))];
-            values.extend(sv.iter().cloned());
-            machine.push(Tuple::new(values)).unwrap();
-        }
-        let (winners, _) = machine.finish().unwrap();
-        let got: Vec<usize> = winners.iter().map(|(seq, _)| *seq as usize).collect();
-        assert_eq!(got, expected);
-        // Winner rows come back intact, payload included.
-        for (seq, row) in winners {
-            assert_eq!(row[0], Value::Int(seq as i64));
-            assert_eq!(row.len(), 4);
+    proptest! {
+        /// Tag cells survive a spilled run: over every base kind — NULL,
+        /// `EXPLICIT` graph nodes, values outside the graph, wrong-typed
+        /// values — a one-entry window re-reads its overflow from disk and
+        /// still selects exactly the naive maximal set.
+        #[test]
+        fn tags_survive_a_spilled_run(
+            p in arb_any_pref(),
+            pts in proptest::collection::vec(arb_any_slots(), 0..40)
+        ) {
+            let expected = maximal_naive(&pts, &p);
+            let (got, metrics) = maximal_external(&pts, &p, 0).unwrap();
+            prop_assert_eq!(&got, &expected);
+            // Two maximal candidates never share a one-entry window.
+            if expected.len() >= 2 {
+                prop_assert!(metrics.passes >= 2, "{:?}", metrics);
+            }
         }
     }
 }

@@ -12,9 +12,9 @@
 //!   accumulation** (`AND`) and **prioritization** (`CASCADE`) over *slot
 //!   vectors* (the base-preference expressions of a tuple, pre-evaluated
 //!   by the engine), compiled once into a flat comparison program;
-//! * [`score`] — scored dominance: a candidate set is lowered once into a
-//!   [`ScoreMatrix`] of `f64` score rows, and every dominance test of
-//!   every selection below is that program over two rows;
+//! * [`score`] — scored dominance: a candidate is lowered once into a
+//!   [`ScoreMatrix`] row of `f64` cells, and every dominance test of every
+//!   selection below, spilled and incremental ones included, reads cells;
 //! * [`bmo()`](bmo::bmo) — the Best-Matches-Only query model (§2.2.5);
 //! * [`algo`] — the maximal-set selection: one window, three ways to
 //!   drive it. The perfect-match pre-pass and the block-nested-loops
@@ -28,9 +28,9 @@
 //!   window bounded in bytes and spill-to-disk overflow runs
 //!   ([`ExternalSkyline`]), running the same probe step;
 //! * [`incremental`] — the skyline delta algebra behind
-//!   `MATERIALIZED PREFERENCE VIEW`: the stored winner list is kept equal
-//!   to the BMO result across INSERT/DELETE/UPDATE by testing only the
-//!   winners and the rows a change can expose, without recomputation.
+//!   `MATERIALIZED PREFERENCE VIEW` ([`ViewSkyline`]): the winner list over
+//!   a view's score rows is kept equal to the BMO result across
+//!   INSERT/DELETE/UPDATE, testing only the rows a change can expose.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,5 +51,5 @@ pub use base::BasePref;
 pub use bmo::{bmo, bmo_grouped, bmo_grouped_scored};
 pub use compose::{PrefNode, Preference};
 pub use external::{maximal_external, ExternalSkyline, SpillMetrics};
-pub use incremental::{apply_delete, apply_insert, apply_replace, rebuild, MatViewEntry};
+pub use incremental::ViewSkyline;
 pub use score::ScoreMatrix;

@@ -322,10 +322,11 @@ impl Eq for ByKey<'_> {}
 /// A candidate set lowered to cells: row-major, one row per candidate,
 /// one cell per base-preference slot. Build it once per query, then run
 /// [`crate::maximal_scored`] / [`crate::bmo_grouped_scored`] over index
-/// subsets of it.
+/// subsets of it. Lowering and comparing take the [`Preference`] the
+/// rows are for.
 #[derive(Debug)]
-pub struct ScoreMatrix<'p> {
-    pref: &'p Preference,
+pub struct ScoreMatrix {
+    arity: usize,
     cells: Vec<f64>,
     /// Tags handed to values with neither score nor graph node. One
     /// table for all slots: equal values under different slots may share
@@ -333,11 +334,11 @@ pub struct ScoreMatrix<'p> {
     interned: BTreeMap<ByKey<'static>, u32>,
 }
 
-impl<'p> ScoreMatrix<'p> {
+impl ScoreMatrix {
     /// An empty matrix for candidates of `pref`.
-    pub fn new(pref: &'p Preference) -> Self {
+    pub fn new(pref: &Preference) -> Self {
         ScoreMatrix {
-            pref,
+            arity: pref.arity(),
             cells: Vec::new(),
             interned: BTreeMap::new(),
         }
@@ -345,20 +346,19 @@ impl<'p> ScoreMatrix<'p> {
 
     /// Lower every slot vector of `rows` (each [`Preference::arity`]
     /// values long), in order.
-    pub fn lower<'v>(pref: &'p Preference, rows: impl IntoIterator<Item = &'v [Value]>) -> Self {
-        let rows = rows.into_iter();
+    pub fn lower(pref: &Preference, rows: &[Vec<Value>]) -> Self {
         let mut m = ScoreMatrix::new(pref);
-        m.cells.reserve(rows.size_hint().0 * pref.arity());
+        m.cells.reserve(rows.len() * m.arity);
         for slots in rows {
-            m.push(slots);
+            m.push(pref, slots);
         }
         m
     }
 
     /// Lower one more candidate's slot vector as the last row.
-    pub fn push(&mut self, slots: &[Value]) {
-        let (pref, interned) = (self.pref, &mut self.interned);
-        assert_eq!(slots.len(), pref.arity(), "one value per base preference");
+    pub fn push(&mut self, pref: &Preference, slots: &[Value]) {
+        let interned = &mut self.interned;
+        assert_eq!(slots.len(), self.arity, "one value per base preference");
         self.cells.extend(slots.iter().enumerate().map(|(slot, v)| {
             pref.program().cell(pref.bases(), slot, v, |v| {
                 let key = ByKey(Cow::Borrowed(std::slice::from_ref(v)));
@@ -372,20 +372,28 @@ impl<'p> ScoreMatrix<'p> {
         }));
     }
 
+    /// Lower `slots` over the cells of row `i`, in place.
+    pub(crate) fn replace(&mut self, pref: &Preference, i: usize, slots: &[Value]) {
+        let last = self.cells.len();
+        self.push(pref, slots);
+        self.cells.copy_within(last.., i * self.arity);
+        self.cells.truncate(last);
+    }
+
+    /// Drop the rows at `doomed` (ascending, distinct, in range).
+    pub(crate) fn remove_rows(&mut self, doomed: &[usize]) {
+        remove_rows(&mut self.cells, self.arity, doomed);
+    }
+
     /// Drop every row; interned tags stay valid for rows pushed later.
     pub fn clear(&mut self) {
         self.cells.clear();
     }
 
-    /// The preference the rows were lowered for.
-    pub fn preference(&self) -> &'p Preference {
-        self.pref
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         // A preference has at least the base its root refers to.
-        self.cells.len() / self.pref.arity()
+        self.cells.len() / self.arity
     }
 
     /// Every row id — the candidate list when all rows compete.
@@ -400,20 +408,18 @@ impl<'p> ScoreMatrix<'p> {
 
     /// The cells of row `i`, slot-ordered.
     pub fn row(&self, i: usize) -> &[f64] {
-        let arity = self.pref.arity();
-        &self.cells[i * arity..(i + 1) * arity]
+        &self.cells[i * self.arity..(i + 1) * self.arity]
     }
 
-    /// Compare rows `a` and `b`.
-    pub(crate) fn compare(&self, a: usize, b: usize) -> Verdict {
-        self.pref.program().compare(self.row(a), self.row(b))
+    /// Compare rows `a` and `b` under `pref`.
+    pub(crate) fn compare(&self, pref: &Preference, a: usize, b: usize) -> Verdict {
+        pref.program().compare(self.row(a), self.row(b))
     }
 
-    /// Fold the rows' scores into `best`, the per-slot minima so far —
-    /// the data-dependent optima `LOWEST`/`HIGHEST` quality functions are
-    /// relative to.
-    pub fn fold_minima(&self, best: &mut [Option<f64>]) {
-        for row in self.cells.chunks_exact(self.pref.arity()) {
+    /// Fold the scores of rows `first..` into `best`, the per-slot minima
+    /// so far — the optima `LOWEST`/`HIGHEST` quality is relative to.
+    pub fn fold_minima(&self, first: usize, best: &mut [Option<f64>]) {
+        for row in self.cells[first * self.arity..].chunks_exact(self.arity) {
             for (best, &cell) in best.iter_mut().zip(row) {
                 if let Some(s) = score_of(cell) {
                     if best.map_or(true, |b| s.total_cmp(&b).is_lt()) {
@@ -423,6 +429,19 @@ impl<'p> ScoreMatrix<'p> {
             }
         }
     }
+}
+
+/// Remove the `width`-wide rows at `doomed` (ascending, distinct, in
+/// range) from `v`; the rows between them move down in one copy each.
+pub(crate) fn remove_rows<T: Copy>(v: &mut Vec<T>, width: usize, doomed: &[usize]) {
+    let rows = v.len() / width;
+    let mut kept = doomed.first().map_or(rows, |&d| d);
+    for (k, &d) in doomed.iter().enumerate() {
+        let end = doomed.get(k + 1).map_or(rows, |&next| next);
+        v.copy_within((d + 1) * width..end * width, kept * width);
+        kept += end - d - 1;
+    }
+    v.truncate(kept * width);
 }
 
 impl Preference {
@@ -482,15 +501,15 @@ mod tests {
             vec![Value::Null],
             vec![Value::Int(3)],
         ];
-        let m = ScoreMatrix::lower(&p, rows.iter().map(Vec::as_slice));
+        let m = ScoreMatrix::lower(&p, &rows);
         assert_eq!(m.len(), 5);
-        assert_eq!(m.compare(0, 2), Verdict::EQUIV);
-        assert_eq!(m.compare(0, 1), Verdict::INCOMPARABLE);
-        assert_eq!(m.compare(0, 3), Verdict::INCOMPARABLE);
-        assert_eq!(m.compare(3, 3), Verdict::EQUIV);
-        assert_eq!(m.compare(4, 0), Verdict::INCOMPARABLE);
+        assert_eq!(m.compare(&p, 0, 2), Verdict::EQUIV);
+        assert_eq!(m.compare(&p, 0, 1), Verdict::INCOMPARABLE);
+        assert_eq!(m.compare(&p, 0, 3), Verdict::INCOMPARABLE);
+        assert_eq!(m.compare(&p, 3, 3), Verdict::EQUIV);
+        assert_eq!(m.compare(&p, 4, 0), Verdict::INCOMPARABLE);
         let mut best = [None];
-        m.fold_minima(&mut best);
+        m.fold_minima(0, &mut best);
         assert_eq!(best, [Some(3.0)]);
     }
 
@@ -511,7 +530,7 @@ mod tests {
             vec![Value::Int(13), Value::str("java")],
             vec![Value::str("14"), Value::str("java")],
         ];
-        let m = ScoreMatrix::lower(&p, rows.iter().map(Vec::as_slice));
+        let m = ScoreMatrix::lower(&p, &rows);
         let best = p.program().perfect_row().unwrap();
         assert_eq!(m.row(0), best);
         assert_ne!(m.row(1), best);
@@ -524,8 +543,8 @@ mod tests {
         let skip = Preference::new(PrefNode::Base { slot: 0 }, p.bases().to_vec()).unwrap();
         assert_eq!(skip.program().perfect_row(), None);
         let rows = [rows[0].clone(), vec![Value::Int(14), Value::str("c")]];
-        let m = ScoreMatrix::lower(&skip, rows.iter().map(Vec::as_slice));
-        let all = crate::maximal_scored(&m, &m.ids(), crate::SkylineAlgo::Auto, 1);
+        let m = ScoreMatrix::lower(&skip, &rows);
+        let all = crate::maximal_scored(&m, &skip, &m.ids(), crate::SkylineAlgo::Auto, 1);
         assert_eq!(all, vec![0, 1]);
     }
 
@@ -536,12 +555,12 @@ mod tests {
             edges: vec![(s("red"), s("blue")), (s("blue"), s("grey"))],
         })
         .unwrap();
-        let rows = [[s("grey")], [s("red")], [s("pink")], [Value::Null]];
-        let m = ScoreMatrix::lower(&p, rows.iter().map(|r| r.as_slice()));
+        let rows = [s("grey"), s("red"), s("pink"), Value::Null].map(|v| vec![v]);
+        let m = ScoreMatrix::lower(&p, &rows);
         let levels: Vec<_> = (0..4).map(|i| p.level_of(0, m.row(i)[0])).collect();
         assert_eq!(levels, [Some(3), Some(1), Some(1), None]);
-        assert_eq!(m.compare(1, 0), Verdict::A_WINS);
-        assert_eq!(m.compare(0, 1), Verdict::B_WINS);
-        assert_eq!(m.compare(2, 0), Verdict::INCOMPARABLE);
+        assert_eq!(m.compare(&p, 1, 0), Verdict::A_WINS);
+        assert_eq!(m.compare(&p, 0, 1), Verdict::B_WINS);
+        assert_eq!(m.compare(&p, 2, 0), Verdict::INCOMPARABLE);
     }
 }

@@ -22,13 +22,30 @@
 //! preference model.
 
 use crate::compile::fold_const_for_sql;
-use prefsql_parser::ast::{BinaryOp, Expr, PrefExpr, UnaryOp};
+use prefsql_parser::ast::{BinaryOp, Expr, PrefExpr, SelectItem, UnaryOp};
 use prefsql_pref::{BasePref, PrefNode, Preference};
 use prefsql_types::{Error, Result, Value};
 
 /// Reserved prefix for generated columns and aliases; the facade strips
-/// output columns carrying it, and user schemas should avoid it.
+/// output columns carrying it.
 pub const GEN_PREFIX: &str = "prefsql_";
+
+/// Reject a user name (a column, a preference query's alias) carrying [`GEN_PREFIX`].
+pub fn check_reserved<'n>(mut names: impl Iterator<Item = &'n str>) -> Result<()> {
+    let Some(n) = names.find(|n| n.to_ascii_lowercase().starts_with(GEN_PREFIX)) else {
+        return Ok(());
+    };
+    let msg = format!("'{n}' uses the reserved name prefix '{GEN_PREFIX}'");
+    Err(Error::Unsupported(msg))
+}
+
+/// [`check_reserved`] over the aliases of a select list.
+pub fn check_aliases(select: &[SelectItem]) -> Result<()> {
+    check_reserved(select.iter().filter_map(|item| match item {
+        SelectItem::Expr { alias, .. } => alias.as_deref(),
+        _ => None,
+    }))
+}
 
 /// Name of the level column for base-preference slot `i`.
 pub fn level_column_name(slot: usize) -> String {

@@ -2,8 +2,8 @@
 
 use crate::compile::{compile_preference, CompiledPreference};
 use crate::levels::{
-    and_all, both_null, default_quality_alias, dominance_condition, grouping_column_name,
-    level_column_expr, level_column_name, or, quality_call, quality_expr,
+    and_all, both_null, check_aliases, default_quality_alias, dominance_condition,
+    grouping_column_name, level_column_expr, level_column_name, or, quality_call, quality_expr,
 };
 use crate::registry::PreferenceRegistry;
 use prefsql_parser::ast::{
@@ -197,6 +197,7 @@ fn rewrite_query_rec(
     let Some(pref_ast) = q.preferring.clone() else {
         return Ok((q, None, changed));
     };
+    check_aliases(&q.select)?;
 
     // ---- the heart of the rewrite (paper §3.2) ----
     let resolved = registry.resolve(&pref_ast)?;

@@ -68,6 +68,13 @@ fn arb_pref() -> impl Strategy<Value = PrefExpr> {
             expr: Expr::col("c"),
             values: vec![Value::Int(3)],
         }),
+        Just(PrefExpr::Explicit {
+            expr: Expr::col("c"),
+            edges: vec![
+                (Value::Int(1), Value::Int(2)),
+                (Value::Int(2), Value::Int(5))
+            ],
+        }),
     ];
     leaf.prop_recursive(2, 6, 3, |inner| {
         prop_oneof![

@@ -202,6 +202,45 @@ fn assert_modes_agree_on_value_or_error(tables: &[prefsql::storage::Table], sql:
     }
 }
 
+/// The `prefsql_` prefix names generated columns, so no user name may
+/// carry it: a table column would collide with the native operator's
+/// generated columns and be stripped from rewrite-mode output, a
+/// select-list alias would be kept by one mode and dropped by the other.
+/// Every mode refuses all three with the one reserved-prefix error.
+#[test]
+fn reserved_prefix_is_refused_alike_in_every_mode() {
+    let mut errors = Vec::new();
+    for mode in [
+        ExecutionMode::Rewrite,
+        ExecutionMode::Native(SkylineAlgo::Auto),
+    ] {
+        let mut conn = PrefSqlConnection::new();
+        conn.set_mode(mode);
+        let mut outcome = Vec::new();
+        let mut run = |sql: &str| match conn.execute(sql) {
+            Ok(_) if sql.contains("prefsql_") || sql.contains("PREFSQL_") => {
+                panic!("{mode:?} accepted: {sql}")
+            }
+            Ok(_) => {}
+            Err(e) => outcome.push(e.to_string()),
+        };
+        run("CREATE TABLE t (prefsql_s0 INTEGER, x INTEGER, g INTEGER)");
+        run("CREATE TABLE t (x INTEGER, PREFSQL_G0 INTEGER)");
+        run("CREATE TABLE t (x INTEGER, g INTEGER)");
+        run("INSERT INTO t VALUES (1, 2), (3, 4)");
+        run("SELECT x AS prefsql_v, g FROM t PREFERRING LOWEST(x)");
+        assert_eq!(outcome.len(), 3, "{mode:?}: {outcome:?}");
+        for e in &outcome {
+            assert!(
+                e.contains("reserved name prefix 'prefsql_'"),
+                "{mode:?}: {e}"
+            );
+        }
+        errors.push(outcome);
+    }
+    assert_eq!(errors[0], errors[1]);
+}
+
 /// A small table with a numeric and a categorical attribute, NULLs in
 /// both, for the quality-function matrix.
 fn quality_fixture() -> prefsql::storage::Table {
