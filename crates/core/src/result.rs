@@ -1,6 +1,6 @@
 //! Result sets returned to the application.
 
-use prefsql_engine::Relation;
+use prefsql_engine::{BackendKind, Engine, Relation};
 use prefsql_pref::SpillMetrics;
 use prefsql_storage::PoolStats;
 use prefsql_types::{Schema, Tuple, Value};
@@ -60,29 +60,23 @@ impl ResultSet {
         }
     }
 
-    /// Attach external-memory spill metrics (native path only).
-    pub(crate) fn with_spill(mut self, spill: Option<SpillMetrics>) -> Self {
-        self.spill = spill;
-        self
-    }
-
-    /// Attach materialized-view observability.
-    pub(crate) fn with_views(mut self, views: Option<ViewActivity>) -> Self {
-        self.views = views;
-        self
-    }
-
-    /// Attach this statement's buffer-pool delta (paged backend only).
-    pub(crate) fn with_pool(mut self, pool: Option<PoolStats>) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Attach the dominance-comparison tally of the evaluation that
-    /// produced this result (native preference path).
-    pub(crate) fn with_dominance(mut self, n: u64) -> Self {
-        self.dominance = n;
-        self
+    /// The rows `rel` one statement on `engine` returned, with what the
+    /// engine observed of that statement since `before`: its spill, its
+    /// buffer-pool delta, its dominance tests and the view that served
+    /// it. The one place an engine relation becomes a result; the
+    /// session's counters are read, not drained.
+    pub(crate) fn assemble(engine: &Engine, rel: Relation, before: Baseline) -> Self {
+        ResultSet {
+            schema: rel.schema,
+            rows: rel.rows,
+            spill: engine.take_spill_metrics(),
+            views: engine.served_by().map(|name| ViewActivity {
+                served_by: Some(name),
+                maintained: 0,
+            }),
+            pool: before.pool.map(|b| engine.pool_stats().since(&b)),
+            dominance: engine.stats().dominance_tests - before.dominance,
+        }
     }
 
     /// Dominance comparisons ([`prefsql_pref`]'s `Preference::better`
@@ -187,10 +181,29 @@ impl ResultSet {
         ResultSet {
             schema,
             rows,
-            spill: self.spill,
-            views: self.views,
-            pool: self.pool,
-            dominance: self.dominance,
+            ..self
+        }
+    }
+}
+
+/// The engine's cumulative counters as a statement starts, so its result
+/// can report the statement's own share ([`ResultSet::assemble`]).
+pub(crate) struct Baseline {
+    /// The shared buffer pool's counters (paged backend only — they are
+    /// cumulative across every session on the core).
+    pool: Option<PoolStats>,
+    dominance: u64,
+}
+
+impl Baseline {
+    /// Note `engine`'s counters before a statement, discarding the spill
+    /// accounting an earlier statement (e.g. an `INSERT … SELECT` whose
+    /// join spilled) left behind.
+    pub(crate) fn of(engine: &Engine) -> Baseline {
+        let _ = engine.take_spill_metrics();
+        Baseline {
+            pool: (engine.backend_kind() == BackendKind::Paged).then(|| engine.pool_stats()),
+            dominance: engine.stats().dominance_tests,
         }
     }
 }

@@ -25,9 +25,9 @@
 //! two front ends cannot drift.
 
 use crate::native::{self, NativeOptions, SkylineAlgo};
-use crate::result::ResultSet;
+use crate::result::{Baseline, ResultSet};
 use prefsql_engine::{BackendKind, Engine, EngineCore, ExecOutcome};
-use prefsql_parser::ast::{Expr as PExpr, InsertSource, Query, Statement};
+use prefsql_parser::ast::{Expr as PExpr, InsertSource, Statement};
 use prefsql_parser::{parse_statement, parse_statements};
 use prefsql_rewrite::{RewriteOutput, Rewriter};
 use prefsql_types::knobs::{fmt_bytes, parse_size, MIN_WINDOW_BYTES};
@@ -334,30 +334,43 @@ impl Session {
     }
 
     fn execute_statement_inner(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        // Materialized preference view DDL: the engine owns the stored
-        // result but has no preference registry, so named preferences in
-        // the definition resolve through this session's registry first.
+        // The engine has no preference registry: named preferences in a
+        // materialized view's definition, or in a native-mode preference
+        // SELECT, resolve through this session's first.
+        let registry = self.rewriter.registry();
         if let Statement::CreateMaterializedView { name, query } = stmt {
-            let mut q = (**query).clone();
-            if let Some(p) = &q.preferring {
-                q.preferring = Some(self.rewriter.registry().resolve(p)?);
-            }
-            let resolved = Statement::CreateMaterializedView {
-                name: name.clone(),
-                query: Box::new(q),
-            };
-            return self.forward(&resolved, false);
+            let resolved =
+                native::resolve(registry, query)?.map(|q| Statement::CreateMaterializedView {
+                    name: name.clone(),
+                    query: Box::new(q),
+                });
+            return self.forward(resolved.as_ref().unwrap_or(stmt), false);
         }
         // Native mode hands preference SELECTs — plain or under EXPLAIN
-        // [ANALYZE] — to the engine's preference planner.
+        // [ANALYZE] — to the engine as they are.
         if self.native {
-            let (target, explain) = match stmt {
+            let (target, analyze) = match stmt {
                 Statement::Explain { analyze, statement } => (statement.as_ref(), Some(*analyze)),
                 other => (other, None),
             };
             if let Statement::Select(q) = target {
                 if q.preferring.is_some() {
-                    return self.run_native(q, explain);
+                    let resolved = native::resolve(registry, q)?.map(|q| {
+                        let select = Statement::Select(Box::new(q));
+                        match analyze {
+                            Some(analyze) => Statement::Explain {
+                                analyze,
+                                statement: Box::new(select),
+                            },
+                            None => select,
+                        }
+                    });
+                    return match self.forward(resolved.as_ref().unwrap_or(stmt), false)? {
+                        QueryResult::Explain(plan) => Ok(QueryResult::Explain(format!(
+                            "Native preference plan:\n{plan}"
+                        ))),
+                        rows => Ok(rows),
+                    };
                 }
             }
         }
@@ -419,99 +432,29 @@ impl Session {
         }
     }
 
-    /// The shared buffer pool's counters before a statement, so its row
-    /// result can report the statement's own delta (paged backend only —
-    /// the counters are cumulative across all sessions on the core).
-    fn pool_snapshot(&self) -> Option<prefsql_storage::PoolStats> {
-        match self.engine.backend_kind() {
-            BackendKind::Paged => Some(self.engine.pool_stats()),
-            BackendKind::Mem => None,
-        }
-    }
-
+    /// Run `stmt` on the engine and turn its outcome into this session's
+    /// result — the one assembly every statement's rows go through.
     fn forward(&mut self, stmt: &Statement, strip_generated: bool) -> Result<QueryResult> {
-        // Discard spill and view-maintenance accounting a prior rowless
-        // statement (e.g. an INSERT ... SELECT whose join spilled) may
-        // have left behind, so every result reports only its own work.
-        let _ = self.engine.take_spill_metrics();
+        // Discard view-maintenance accounting a prior statement left
+        // behind, so every result reports only its own work.
         let _ = self.engine.take_view_maintenance();
         self.last_view_maintained = 0;
-        let pool_before = self.pool_snapshot();
+        let baseline = Baseline::of(&self.engine);
         let outcome = self.engine.execute(stmt)?;
         self.last_view_maintained = self.engine.take_view_maintenance();
-        match outcome {
+        Ok(match outcome {
             ExecOutcome::Rows(rel) => {
-                let rs = ResultSet::new(rel);
-                let rs = if strip_generated {
+                let rs = ResultSet::assemble(&self.engine, rel, baseline);
+                QueryResult::Rows(if strip_generated {
                     rs.strip_generated_columns()
                 } else {
                     rs
-                };
-                // A hash join that overflowed `\window` reports its run
-                // accounting the same way native skylines do.
-                let rs = rs.with_spill(self.engine.take_spill_metrics());
-                let rs =
-                    rs.with_pool(pool_before.map(|before| self.engine.pool_stats().since(&before)));
-                Ok(QueryResult::Rows(rs))
+                })
             }
-            ExecOutcome::Count(n) => Ok(QueryResult::Count(n)),
-            ExecOutcome::Ddl(msg) => Ok(QueryResult::Message(msg)),
-            ExecOutcome::Explain(text) => Ok(QueryResult::Explain(text)),
-        }
-    }
-
-    /// A native-mode preference SELECT: executed (`explain: None`),
-    /// explained (`Some(false)`), or — `EXPLAIN ANALYZE`, `Some(true)` —
-    /// executed with every operator of its one plan tree instrumented and
-    /// reported as that tree plus the statement's footer lines.
-    fn run_native(&mut self, q: &Query, explain: Option<bool>) -> Result<QueryResult> {
-        let registry = self.rewriter.registry();
-        if explain == Some(false) {
-            let plan = native::explain(&self.engine, registry, q)?;
-            return Ok(QueryResult::Explain(format!(
-                "Native preference plan:\n{plan}"
-            )));
-        }
-        // Like `forward`, report this statement's buffer-pool delta.
-        let pool_before = self.pool_snapshot();
-        let analyze = explain.is_some();
-        let was = self.engine.profiling();
-        self.engine.set_profiling(was || analyze);
-        let started = Instant::now();
-        let result = native::run_native_in(&self.engine, registry, q, self.engine.knobs(), None);
-        self.engine.set_profiling(was);
-        let elapsed = started.elapsed();
-        let rs = result?.with_pool(pool_before.map(|b| self.engine.pool_stats().since(&b)));
-        if !analyze {
-            return Ok(QueryResult::Rows(rs));
-        }
-        let mut text = format!(
-            "Native preference plan:\n{}",
-            self.engine.take_analyzed().unwrap_or_default()
-        );
-        let _ = writeln!(
-            text,
-            "Preference evaluation: {} winner(s), {} dominance comparison(s)",
-            rs.len(),
-            rs.dominance_tests()
-        );
-        if let Some(m) = rs.spill_metrics() {
-            let _ = writeln!(
-                text,
-                "{}",
-                crate::footer::spill_line(&self.window_label(), m)
-            );
-        }
-        if let Some(p) = rs.pool_stats() {
-            let _ = writeln!(text, "{}", crate::footer::pool_line(&self.pool_label(), p));
-        }
-        let _ = writeln!(
-            text,
-            "Execution: returned {} row(s) in {:.3} ms",
-            rs.len(),
-            elapsed.as_secs_f64() * 1e3
-        );
-        Ok(QueryResult::Explain(text))
+            ExecOutcome::Count(n) => QueryResult::Count(n),
+            ExecOutcome::Ddl(msg) => QueryResult::Message(msg),
+            ExecOutcome::Explain(text) => QueryResult::Explain(text),
+        })
     }
 
     /// Arm or disarm always-on statement profiling: every subsequently
@@ -578,7 +521,7 @@ impl Session {
                 },
             },
             "\\window" => match arg {
-                "" => format!("window: {}\n", self.window_label()),
+                "" => format!("window: {}\n", self.engine.window_label()),
                 "off" | "unlimited" => {
                     self.set_window_bytes(None);
                     "window: off\n".into()
@@ -594,7 +537,7 @@ impl Session {
                         } else {
                             ""
                         };
-                        format!("window: {}{clamped}\n", self.window_label())
+                        format!("window: {}{clamped}\n", self.engine.window_label())
                     }
                     _ => format!(
                         "invalid window budget '{w}' (bytes with optional k/m suffix, or 'off')\n"
@@ -602,7 +545,7 @@ impl Session {
                 },
             },
             "\\pool" => match arg {
-                "" => format!("pool: {}\n", self.pool_label()),
+                "" => format!("pool: {}\n", self.engine.pool_label()),
                 p => match parse_size(p) {
                     Some(n) if n >= 1 => match self.engine.core().resize_pool(n) {
                         // The pool clamps to its four-page floor and
@@ -654,21 +597,6 @@ impl Session {
             _ => return None,
         };
         Some(out)
-    }
-
-    /// The `\window` display label: `64 KiB` or `off`.
-    pub fn window_label(&self) -> String {
-        match self.window_bytes() {
-            Some(b) => fmt_bytes(b as u64),
-            None => "off".into(),
-        }
-    }
-
-    /// The `\pool` display label: the shared buffer pool's current
-    /// capacity, e.g. `1 MiB`.
-    pub fn pool_label(&self) -> String {
-        let stats = self.engine.pool_stats();
-        fmt_bytes((stats.capacity_pages * prefsql_storage::page::PAGE_SIZE) as u64)
     }
 
     fn list_relations(&self) -> String {

@@ -522,3 +522,76 @@ fn paged_point_lookup_reads_one_page_and_says_so() {
     assert_eq!(counter(scan, "pages_read"), 10, "{report}");
     assert_eq!(counter(scan, "actual rows"), 1000, "{report}");
 }
+
+/// The labels of a report's footer lines, in order.
+fn footer(report: &str) -> Vec<&str> {
+    report
+        .lines()
+        .filter_map(|l| l.split_once(':').map(|(label, _)| label))
+        .filter(|label| ["Preference evaluation", "Spill", "Pool", "Execution"].contains(label))
+        .collect()
+}
+
+/// One `EXPLAIN ANALYZE` report in every mode: a rewrite-mode preference
+/// query and a plain-SQL join print the statement's spill and buffer-pool
+/// lines under the analyzed tree in native mode's order — Spill, Pool,
+/// then the execution summary — and the pool line is the one the plain
+/// run's footer reports.
+#[test]
+fn every_mode_prints_the_same_footer() {
+    use prefsql::engine::explain::pool_line;
+
+    let core = EngineCore::shared();
+    core.set_backend(BackendKind::Paged).unwrap();
+    let mut s = Session::with_core(core);
+    run(
+        &mut s,
+        "CREATE TABLE cars (id INTEGER NOT NULL, price INTEGER, mileage INTEGER, \
+         make VARCHAR)",
+    );
+    run(
+        &mut s,
+        "INSERT INTO cars VALUES (1, 40000, 15000, 'Audi'), (2, 35000, 30000, 'BMW'), \
+         (3, 20000, 10000, 'VW'), (4, 20000, 60000, 'Opel')",
+    );
+    let sql = "SELECT id FROM cars PREFERRING LOWEST(price) AND LOWEST(mileage)";
+
+    let report = analyze(&mut s, sql);
+    assert!(report.contains("Host engine plan:"), "{report}");
+    assert_eq!(footer(&report), ["Pool", "Execution"], "{report}");
+    let plain = s.query(sql).unwrap();
+    let pool = pool_line(&s.engine().pool_label(), plain.pool_stats().expect("paged"));
+    assert!(report.contains(&format!("\n{pool}\n")), "{pool}:\n{report}");
+
+    s.set_mode(ExecutionMode::native());
+    let report = analyze(&mut s, sql);
+    assert_eq!(
+        footer(&report),
+        ["Preference evaluation", "Pool", "Execution"],
+        "{report}"
+    );
+    assert!(report.contains(&format!("\n{pool}\n")), "{pool}:\n{report}");
+
+    // A keyed join whose build outgrows the 4 KiB window goes Grace.
+    s.set_window_bytes(Some(4096));
+    run(&mut s, "CREATE TABLE a (k INTEGER, x INTEGER)");
+    run(&mut s, "CREATE TABLE b (k INTEGER, y INTEGER)");
+    let values: Vec<String> = (0..400).map(|i| format!("({}, {i})", i % 50)).collect();
+    for t in ["a", "b"] {
+        run(
+            &mut s,
+            &format!("INSERT INTO {t} VALUES {}", values.join(", ")),
+        );
+    }
+    let report = analyze(&mut s, "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k");
+    assert_eq!(footer(&report), ["Spill", "Pool", "Execution"], "{report}");
+    assert!(report.contains("Spill: window=4 KiB, "), "{report}");
+    assert!(counter(&report, "spilled_runs") > 0, "{report}");
+
+    let report = analyze(&mut s, sql);
+    assert_eq!(
+        footer(&report),
+        ["Preference evaluation", "Spill", "Pool", "Execution"],
+        "{report}"
+    );
+}

@@ -28,12 +28,14 @@ use crate::access::{self, choose_access_path, AccessPath};
 use crate::bind::{bind, BoundExpr};
 use crate::catalog::Catalog;
 use crate::eval::{eval, holds, Env};
+use crate::explain::{pool_line, spill_line};
 use crate::knobs::NativeOptions;
-use crate::plan::{plan_query, QueryPlan};
+use crate::plan::{plan_preference, plan_query, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
 use prefsql_storage::{BufferPool, HeapFile, IndexKind, PageFilter, PoolStats, Table};
+use prefsql_types::knobs::fmt_bytes;
 use prefsql_types::{Column, Error, Result, Schema, Tuple, Value};
 use std::any::Any;
 use std::cell::RefCell;
@@ -422,9 +424,10 @@ pub struct ExecCtx<'c> {
     /// and execution reports per-node metrics here (`EXPLAIN ANALYZE`
     /// and the slow-query log; plain statements carry `None`).
     profiler: Option<crate::metrics::Profiler>,
-    /// The top-level plan executed under the profiler — kept alive so
-    /// the profiler's node addresses stay valid for rendering.
-    profiled_plan: RefCell<Option<Arc<QueryPlan>>>,
+    /// The first top-level plan this statement executed — what the
+    /// engine reads afterwards (a serving view, a BMO) and renders a
+    /// profile against, so the profiler's node addresses stay valid.
+    plan: RefCell<Option<Arc<QueryPlan>>>,
 }
 
 impl<'c> ExecCtx<'c> {
@@ -440,20 +443,8 @@ impl<'c> ExecCtx<'c> {
             stats: RefCell::new(ExecStats::default()),
             view_depth: RefCell::new(0),
             profiler: None,
-            profiled_plan: RefCell::new(None),
+            plan: RefCell::new(None),
         }
-    }
-
-    /// A statement context over a plain catalog borrow with default
-    /// knobs and no window budget — for tests that drive the operators
-    /// against a hand-built catalog. The engine builds its own contexts,
-    /// session knobs applied, in one private `Engine` constructor.
-    pub fn over(catalog: &'c Catalog, use_indexes: bool) -> Self {
-        ExecCtx::with_source(
-            CatalogSource::Borrowed(catalog),
-            use_indexes,
-            NativeOptions::without_window(),
-        )
     }
 
     /// The catalog this statement runs against.
@@ -522,24 +513,6 @@ impl<'c> ExecCtx<'c> {
         self.profiler.as_ref()
     }
 
-    /// The top-level plan executed under the profiler, if any.
-    pub fn profiled_plan(&self) -> Option<Arc<QueryPlan>> {
-        self.profiled_plan.borrow().clone()
-    }
-
-    /// Register `plan` as this statement's top-level profiled plan (a
-    /// no-op without a profiler, or once a plan is already registered).
-    /// The Preference SQL facade calls this for the native plan it gets
-    /// from [`crate::plan::plan_preference`] and executes itself.
-    pub fn profile_plan(&self, plan: &Arc<QueryPlan>) {
-        if self.profiler.is_some() {
-            let mut slot = self.profiled_plan.borrow_mut();
-            if slot.is_none() {
-                *slot = Some(Arc::clone(plan));
-            }
-        }
-    }
-
     /// Charge dominance comparisons to this statement (the preference
     /// operator reports the choke-point counter of
     /// [`prefsql_pref::compose::Preference`] here).
@@ -589,17 +562,28 @@ impl<'c> ExecCtx<'c> {
 
     /// Plan (and bind) `query` as a top-level block of this statement.
     /// Its sub-queries are planned with it, once; nothing is re-planned
-    /// per outer row.
+    /// per outer row. A block with `PREFERRING` plans its BMO as a
+    /// [`crate::PlanNode::Preference`] (or a serving view scan); nested
+    /// blocks refuse one.
     pub fn plan_for(&self, query: &Query) -> Result<Arc<QueryPlan>> {
-        Ok(Arc::new(plan_query(self, query)?))
+        let plan = match &query.preferring {
+            Some(pref) => plan_preference(self, query, pref)?,
+            None => plan_query(self, query)?,
+        };
+        Ok(Arc::new(plan))
     }
 
     /// Plan and execute a top-level query block.
     pub fn run_query(&self, query: &Query) -> Result<Relation> {
-        let plan = self.plan_for(query)?;
-        // Keep the plan alive so a profiled statement's profile can be
-        // rendered against it.
-        self.profile_plan(&plan);
+        self.run_plan(self.plan_for(query)?)
+    }
+
+    /// Execute a top-level plan, kept as the statement's plan unless one
+    /// ran before it.
+    fn run_plan(&self, plan: Arc<QueryPlan>) -> Result<Relation> {
+        self.plan
+            .borrow_mut()
+            .get_or_insert_with(|| Arc::clone(&plan));
         crate::physical::execute(self, plan.root(), &[])
     }
 }
@@ -675,6 +659,9 @@ pub struct Engine {
     /// The analyzed-plan rendering of the most recent profiled
     /// statement ([`Engine::take_analyzed`] reads and resets).
     last_analyzed: RefCell<Option<String>>,
+    /// The top-level plan of the most recent statement context that ran
+    /// a query ([`Engine::served_by`], `EXPLAIN ANALYZE`'s footer).
+    last_plan: RefCell<Option<Arc<QueryPlan>>>,
 }
 
 impl Default for Engine {
@@ -700,6 +687,7 @@ impl Engine {
             view_maintained: std::cell::Cell::new(0),
             profiling: std::cell::Cell::new(false),
             last_analyzed: RefCell::new(None),
+            last_plan: RefCell::new(None),
         }
     }
 
@@ -810,31 +798,37 @@ impl Engine {
         self.profiling.set(on);
     }
 
-    /// Whether statements currently run instrumented.
-    pub fn profiling(&self) -> bool {
-        self.profiling.get()
-    }
-
     /// Read and reset the analyzed-plan rendering of the most recent
     /// profiled statement (`None` when nothing profiled ran, e.g. DDL).
     pub fn take_analyzed(&self) -> Option<String> {
         self.last_analyzed.borrow_mut().take()
     }
 
-    /// Harvest a finished profiled context: fold the per-operator
-    /// profile into the engine-wide registry and render the analyzed
-    /// plan while the plan `Arc` (and with it the profiler's node
-    /// addresses) is still alive.
-    fn harvest_profile(&self, ctx: &ExecCtx<'_>) {
-        let Some(prof) = ctx.profiler() else {
-            return;
-        };
-        self.core.metrics().absorb_profile(prof);
-        if let Some(plan) = ctx.profiled_plan() {
-            let mut text = String::new();
-            crate::explain::render_analyzed(plan.root(), prof, 0, &mut text);
-            *self.last_analyzed.borrow_mut() = Some(text);
+    /// The materialized preference view that served the most recent
+    /// query in place of its BMO (a native-mode cache hit), if any.
+    pub fn served_by(&self) -> Option<String> {
+        let plan = self.last_plan.borrow();
+        plan.as_ref()?.served_by().map(str::to_owned)
+    }
+
+    /// The `\window` display label: `64 KiB` or `off`.
+    pub fn window_label(&self) -> String {
+        match self.knobs.window_bytes {
+            Some(b) => fmt_bytes(b as u64),
+            None => "off".into(),
         }
+    }
+
+    /// The `\pool` display label: the shared buffer pool's capacity,
+    /// e.g. `1 MiB`.
+    pub fn pool_label(&self) -> String {
+        let pages = self.pool_stats().capacity_pages;
+        fmt_bytes((pages * prefsql_storage::page::PAGE_SIZE) as u64)
+    }
+
+    /// The session's execution counters so far, without resetting them.
+    pub fn stats(&self) -> ExecStats {
+        *self.stats.borrow()
     }
 
     /// Read and reset the session's execution counters.
@@ -902,7 +896,20 @@ impl Engine {
         f: impl FnOnce(&ExecCtx<'_>) -> Result<R>,
     ) -> Result<R> {
         let out = f(&ctx);
-        self.harvest_profile(&ctx);
+        let plan = ctx.plan.take();
+        if let Some(prof) = ctx.profiler() {
+            self.core.metrics().absorb_profile(prof);
+            // Render while the plan, and with it the profiler's node
+            // addresses, is alive.
+            if let Some(plan) = &plan {
+                let mut text = String::new();
+                crate::explain::render_analyzed(plan.root(), prof, 0, &mut text);
+                *self.last_analyzed.borrow_mut() = Some(text);
+            }
+        }
+        if plan.is_some() {
+            *self.last_plan.borrow_mut() = plan;
+        }
         self.note_stats(ctx.take_stats());
         if let Some(m) = ctx.take_spill() {
             self.core.metrics().add_spill(&m);
@@ -984,7 +991,9 @@ impl Engine {
                 let mut cat = self.core.catalog_write()?;
                 // Validate the view body against the current catalog by
                 // planning and running it once on an empty environment.
-                self.with_ctx_over(&cat, |ctx| ctx.run_query(query))?;
+                // A body is planned like any nested block: PREFERRING is
+                // refused here, not at the view's first read.
+                self.with_ctx_over(&cat, |ctx| ctx.run_plan(Arc::new(plan_query(ctx, query)?)))?;
                 cat.create_view(name, (**query).clone())?;
                 Ok(ExecOutcome::Ddl(format!("created view {name}")))
             }
@@ -1061,25 +1070,51 @@ impl Engine {
     /// `EXPLAIN ANALYZE`: actually execute `stmt` — side effects
     /// included, byte-identical to a plain run by construction — with
     /// every operator instrumented, then return the executed plan
-    /// annotated with the observed per-node metrics. Statements without
-    /// a profiled plan (DDL, VALUES-only DML) report the execution
-    /// summary line alone.
+    /// annotated with the observed per-node metrics. Below the tree, in
+    /// this order and each only when it applies: the BMO's winners and
+    /// dominance tests (a `Preference` node or a view serving one), the
+    /// statement's spill, its buffer-pool delta (paged backend), and the
+    /// execution summary. Statements without a profiled plan (DDL,
+    /// VALUES-only DML) report the footer alone.
     fn explain_analyze(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
+        use std::fmt::Write as _;
         let was = self.profiling.replace(true);
-        self.last_analyzed.borrow_mut().take();
+        self.last_analyzed.take();
+        let _ = self.take_spill_metrics();
+        let pool_before = (self.backend_kind() == BackendKind::Paged).then(|| self.pool_stats());
+        let tests_before = self.stats().dominance_tests;
         let started = std::time::Instant::now();
         let out = self.execute(stmt);
         let elapsed = started.elapsed();
         self.profiling.set(was);
         let out = out?;
         let mut text = self.take_analyzed().unwrap_or_default();
+        let bmo = self
+            .last_plan
+            .borrow()
+            .as_ref()
+            .is_some_and(|p| p.bmo().is_some());
+        if let (Some(rel), true) = (out.rows(), bmo) {
+            let _ = writeln!(
+                text,
+                "Preference evaluation: {} winner(s), {} dominance comparison(s)",
+                rel.rows.len(),
+                self.stats().dominance_tests - tests_before
+            );
+        }
         let summary = match &out {
             ExecOutcome::Rows(r) => format!("returned {} row(s)", r.rows.len()),
             ExecOutcome::Count(n) => format!("affected {n} row(s)"),
             ExecOutcome::Ddl(msg) => msg.clone(),
             ExecOutcome::Explain(_) => "explained".to_string(),
         };
-        use std::fmt::Write as _;
+        if let Some(m) = self.take_spill_metrics() {
+            let _ = writeln!(text, "{}", spill_line(&self.window_label(), &m));
+        }
+        if let Some(before) = pool_before {
+            let delta = self.pool_stats().since(&before);
+            let _ = writeln!(text, "{}", pool_line(&self.pool_label(), &delta));
+        }
         let _ = writeln!(
             text,
             "Execution: {summary} in {:.3} ms",

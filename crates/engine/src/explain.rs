@@ -1,19 +1,20 @@
 //! `EXPLAIN`: a textual rendering of the plan the executor runs.
 //!
 //! The tree printed here is the very [`PlanNode`] object produced by
-//! [`crate::plan::plan_query`] and executed by [`crate::physical`] — there
-//! is no second access-path derivation, so EXPLAIN can never drift from
-//! execution. The Preference SQL facade additionally prefixes the
-//! rewritten SQL, so `EXPLAIN SELECT ... PREFERRING ...` shows both the
-//! rewrite and the host plan. [`render_analyzed`] prints the same tree
-//! annotated with a [`Profiler`]'s observed per-node metrics — what
-//! `EXPLAIN ANALYZE` shows after actually executing the statement.
+//! [`crate::ExecCtx::plan_for`] and executed by [`crate::physical`] —
+//! there is no second access-path derivation, so EXPLAIN can never drift
+//! from execution. The Preference SQL facade additionally prefixes the
+//! rewritten SQL in rewrite mode, and a `Native preference plan:` header
+//! in native mode. [`render_analyzed`] prints the same tree annotated
+//! with a [`Profiler`]'s observed per-node metrics — the body of the one
+//! `EXPLAIN ANALYZE` report (`Engine`'s), whose footer lines
+//! ([`spill_line`], [`pool_line`]) the front ends also print after a
+//! result.
 //!
-//! Native mode has no renderer of its own: its plan is a tree of these
-//! same nodes with a [`PlanNode::Preference`] (or, on a materialized
-//! view hit, a tagged [`PlanNode::MatViewScan`]) in it, so `render` /
-//! `render_analyzed` print it — `comparisons=` on the `Preference` line
-//! comes from the operator's [`crate::physical::Operator::counters`].
+//! A preference query's plan is a tree of these same nodes with a
+//! [`PlanNode::Preference`] (or, on a materialized view hit, a tagged
+//! [`PlanNode::MatViewScan`]) in it — `comparisons=` on the `Preference`
+//! line comes from the operator's [`crate::physical::Operator::counters`].
 
 use crate::access::Sarg;
 use crate::exec::ExecCtx;
@@ -21,6 +22,8 @@ use crate::metrics::Profiler;
 use crate::plan::{JoinKind, PlanNode, Projection};
 use prefsql_parser::ast::Statement;
 use prefsql_pref::SkylineAlgo;
+use prefsql_storage::spill::SpillMetrics;
+use prefsql_storage::PoolStats;
 use prefsql_types::knobs::fmt_bytes;
 use prefsql_types::{Result, Value};
 use std::fmt::Write as _;
@@ -47,6 +50,27 @@ pub fn explain(ctx: &ExecCtx<'_>, stmt: &Statement) -> Result<String> {
         Statement::Explain { statement, .. } => explain(ctx, statement),
         other => Ok(format!("Utility statement: {other}\n")),
     }
+}
+
+/// `Spill: window=…, spilled_runs=…, spilled_bytes=…, passes=…` — the
+/// statement's external-memory runs under a `window_label` budget.
+pub fn spill_line(window_label: &str, m: &SpillMetrics) -> String {
+    format!(
+        "Spill: window={}, spilled_runs={}, spilled_bytes={}, passes={}",
+        window_label,
+        m.runs_written,
+        fmt_bytes(m.bytes_spilled),
+        m.passes
+    )
+}
+
+/// `Pool: size=…, hits=…, misses=…, evictions=…, writebacks=…` — the
+/// statement's delta over a buffer pool of `pool_label`.
+pub fn pool_line(pool_label: &str, p: &PoolStats) -> String {
+    format!(
+        "Pool: size={}, hits={}, misses={}, evictions={}, writebacks={}",
+        pool_label, p.hits, p.misses, p.evictions, p.writebacks
+    )
 }
 
 /// Render a plan sub-tree into `out`, one node per line, children

@@ -87,8 +87,7 @@ impl NativeOptions {
     }
 
     /// Default options without a window budget: what a bare
-    /// [`crate::Engine`] or [`crate::ExecCtx::over`] runs under, so they
-    /// never spill unless told to.
+    /// [`crate::Engine`] runs under, so it never spills unless told to.
     pub fn without_window() -> Self {
         NativeOptions {
             window_bytes: None,

@@ -12,13 +12,16 @@
 //! GROUP BY / HAVING with `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`, ORDER BY, LIMIT,
 //! INSERT (VALUES and SELECT), CREATE/DROP TABLE/VIEW/INDEX, and EXPLAIN.
 //!
-//! The plain-SQL entry points ([`Engine::execute`], [`plan::plan_query`])
-//! reject the `PREFERRING`/`GROUPING`/`BUT ONLY` clauses and the quality
-//! functions — there the engine is the *target* of the rewrite, and the
-//! `prefsql` facade rewrites such queries first. Native mode asks for
-//! them explicitly through [`plan::plan_preference`], which plans the
-//! BMO selection as one more node ([`PlanNode::Preference`], operator in
-//! [`preference`]) of the same tree, executed and explained like the rest.
+//! A top-level SELECT with `PREFERRING` is one more engine statement:
+//! [`ExecCtx::plan_for`] plans its BMO selection as one more node
+//! ([`PlanNode::Preference`], operator in [`preference`]) of the same
+//! tree, executed, explained and `EXPLAIN ANALYZE`d like the rest — the
+//! `prefsql` facade's native mode sends it here as it is. Nested blocks
+//! (derived tables, view bodies, sub-queries) refuse the
+//! `PREFERRING`/`GROUPING`/`BUT ONLY` clauses, and a block without
+//! `PREFERRING` refuses the quality functions: in rewrite mode the engine
+//! is the plain-SQL *target* of the rewrite, and the facade rewrites
+//! such queries first.
 //!
 //! A session's knobs — `\algo`, `\threads`, the drive batch and
 //! `\window` — are one [`NativeOptions`] value ([`knobs`]), held by its

@@ -8,13 +8,16 @@
 //! physical operators of [`crate::physical`] run it, so the two can never
 //! drift apart.
 //!
-//! Preference queries take the same road: [`plan_preference`] (the native
-//! mode's planner — [`plan_query`] itself keeps rejecting `PREFERRING`,
-//! because in rewrite mode the engine is the plain-SQL oracle) lays
-//! [`PlanNode::Preference`] over the ordinary FROM/WHERE source, or swaps
-//! the whole BMO for a [`PlanNode::MatViewScan`] when a materialized
-//! preference view defines it, and hands the result to the very
-//! `plan_block` that layers Sort/Project/Distinct/Limit on plain SQL.
+//! Preference queries take the same road: a top-level block with
+//! `PREFERRING` ([`crate::ExecCtx::plan_for`]) is planned by
+//! `plan_preference`, which lays [`PlanNode::Preference`] over the
+//! ordinary FROM/WHERE source, or swaps the whole BMO for a
+//! [`PlanNode::MatViewScan`] when a materialized preference view defines
+//! it, and hands the result to the very `plan_block` that layers
+//! Sort/Project/Distinct/Limit on plain SQL. Nested blocks — derived
+//! tables, view bodies, sub-queries — go through [`plan_query`], which
+//! refuses the preference clauses: the Preference SQL layer rewrites
+//! those.
 
 use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
 use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggExpr, Bound, BoundExpr};
@@ -42,15 +45,21 @@ impl QueryPlan {
     /// The materialized preference view whose stored winner set replaced
     /// this plan's BMO (a native-mode cache hit), if any.
     pub fn served_by(&self) -> Option<&str> {
-        let mut node = &self.root;
-        loop {
-            match node {
-                PlanNode::MatViewScan {
-                    view, serves: true, ..
-                } => return Some(view),
-                _ => node = node.input()?,
-            }
+        match self.bmo()? {
+            PlanNode::MatViewScan { view, .. } => Some(view),
+            _ => None,
         }
+    }
+
+    /// The block's best-matches-only selection, below its tail: a
+    /// [`PlanNode::Preference`] or a view scan serving one.
+    pub(crate) fn bmo(&self) -> Option<&PlanNode> {
+        std::iter::successors(Some(&self.root), |node| node.input()).find(|node| {
+            matches!(
+                node,
+                PlanNode::Preference { .. } | PlanNode::MatViewScan { serves: true, .. }
+            )
+        })
     }
 }
 
@@ -328,8 +337,8 @@ impl PlanNode {
     }
 }
 
-/// The PREFERRING/GROUPING/BUT ONLY clauses and quality functions never
-/// reach the host engine — the Preference SQL layer rewrites them away.
+/// A plain-SQL block carries no PREFERRING/GROUPING/BUT ONLY clause —
+/// the Preference SQL layer rewrites them away.
 fn reject_preference_constructs(query: &Query) -> Result<()> {
     if query.preferring.is_some() || !query.grouping.is_empty() || query.but_only.is_some() {
         return Err(Error::Unsupported(
@@ -341,7 +350,8 @@ fn reject_preference_constructs(query: &Query) -> Result<()> {
     Ok(())
 }
 
-/// Compile one (top-level or uncorrelated) query block into a plan tree.
+/// Compile one plain-SQL query block (no preference clauses) into a plan
+/// tree.
 pub fn plan_query(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
     plan_query_in(ctx, query, &[])
 }
@@ -629,18 +639,22 @@ fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
     })
 }
 
-/// Compile a preference query block into the one plan tree native mode
-/// executes: `plan_source` → [`PlanNode::Preference`] → the ordinary
-/// `plan_block` tail. `pref` is `query.preferring` with named preferences
-/// already resolved (the engine has no preference registry); the
-/// session's knobs come from `ctx`.
+/// Compile a top-level preference query block into one plan tree:
+/// `plan_source` → [`PlanNode::Preference`] → the ordinary `plan_block`
+/// tail. `pref` is `query.preferring`, its named preferences already
+/// resolved (the engine has no preference registry); the session's knobs
+/// come from `ctx`.
 ///
 /// Quality functions in SELECT / ORDER BY / BUT ONLY are lowered to
 /// references to columns the preference operator appends once the
 /// data-dependent optima are final. When a fresh materialized preference
 /// view defines exactly this BMO and nothing in the block needs more than
 /// the winner set, a scan of the view replaces source and operator alike.
-pub fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<QueryPlan> {
+pub(crate) fn plan_preference(
+    ctx: &ExecCtx<'_>,
+    query: &Query,
+    pref: &PrefExpr,
+) -> Result<QueryPlan> {
     if !query.group_by.is_empty() || query.having.is_some() {
         return Err(Error::Unsupported(
             "GROUP BY/HAVING combined with PREFERRING is only supported in \

@@ -3,7 +3,8 @@
 //! (§3.3).
 //!
 //! [`PlanNode::Preference`](crate::plan::PlanNode::Preference) is planned
-//! by [`crate::plan::plan_preference`], built here (only) through
+//! for a top-level `PREFERRING` block by [`crate::ExecCtx::plan_for`],
+//! built here (only) through
 //! [`crate::physical::build`], and rendered by [`crate::explain`] like
 //! every other node. The operator is a pipeline breaker: it drains the
 //! FROM/WHERE source, representing each row once as it arrives —
@@ -413,7 +414,7 @@ impl Operator for PreferenceOp<'_> {
 mod tests {
     use crate::exec::Engine;
     use crate::physical::build;
-    use crate::plan::{plan_preference, PlanNode};
+    use crate::plan::PlanNode;
     use prefsql_parser::ast::Statement;
 
     /// The winners are lent from the operator's buffer like any buffered
@@ -440,8 +441,7 @@ mod tests {
             panic!("expected a SELECT");
         };
         let ctx = engine.read_ctx().unwrap();
-        let pref = query.preferring.as_ref().unwrap();
-        let plan = plan_preference(&ctx, &query, pref).unwrap();
+        let plan = ctx.plan_for(&query).unwrap();
         let PlanNode::Project { input: node, .. } = plan.root() else {
             panic!("expected Project over Preference, got {:?}", plan.root());
         };

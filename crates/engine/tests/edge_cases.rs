@@ -396,7 +396,6 @@ fn name_resolution_errors_are_raised_at_bind_time() {
 #[test]
 fn native_but_only_mixes_quality_functions_and_columns() {
     use prefsql_engine::physical::execute;
-    use prefsql_engine::plan::plan_preference;
     use prefsql_parser::ast::Statement;
 
     let mut e = Engine::new();
@@ -415,8 +414,7 @@ fn native_but_only_mixes_quality_functions_and_columns() {
         panic!("expected a SELECT");
     };
     let ctx = e.read_ctx().unwrap();
-    let pref = query.preferring.as_ref().unwrap();
-    let plan = plan_preference(&ctx, &query, pref).unwrap();
+    let plan = ctx.plan_for(&query).unwrap();
     let got: Vec<Vec<Value>> = execute(&ctx, plan.root(), &[])
         .unwrap()
         .rows

@@ -319,13 +319,38 @@ fn paper_cars_rewrite_executes_exactly() {
     assert_eq!(ints(&r, 0), vec![1, 2]);
 }
 
+/// A top-level `PREFERRING` block is one more engine statement, and the
+/// rewrite's plain SQL is its oracle; a nested block carrying one is
+/// refused with a typed error, and a quality function needs a
+/// `PREFERRING` clause.
 #[test]
 fn preference_constructs_rejected_by_host_engine() {
+    use prefsql_rewrite::{RewriteOutput, Rewriter};
+    use prefsql_types::Error;
+
     let mut e = setup_cars();
+    let sql = "SELECT identifier, price FROM cars PREFERRING LOWEST(price) AND HIGHEST(mileage)";
+    let native = rows(&mut e, sql);
+    let stmt = prefsql_parser::parse_statement(sql).unwrap();
+    let RewriteOutput::Rewritten { statement, .. } = Rewriter::new().process(&stmt).unwrap() else {
+        panic!("a PREFERRING query is rewritten");
+    };
+    let rewritten: Vec<Vec<Value>> = (e.execute(&statement).unwrap().expect_rows().rows)
+        .into_iter()
+        .map(|t| t.into_values())
+        .collect();
+    assert_eq!(native, rewritten);
+    assert_eq!(ints(&native, 0), vec![2, 3]);
+
     let err = e
-        .execute_sql("SELECT * FROM cars PREFERRING LOWEST(price)")
+        .execute_sql(
+            "SELECT identifier FROM cars c WHERE EXISTS \
+             (SELECT * FROM cars d WHERE d.price < c.price PREFERRING LOWEST(d.mileage))",
+        )
         .unwrap_err();
+    assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
     assert!(err.to_string().contains("rewritten"), "{err}");
+
     let err = e.execute_sql("SELECT LEVEL(make) FROM cars").unwrap_err();
     assert!(err.to_string().contains("quality function"), "{err}");
 }

@@ -5,12 +5,15 @@
 use prefsql_parser::{parse_statement, parse_statements, Lexer};
 use proptest::prelude::*;
 
+mod generators;
+use generators::{arbitrary_utf8, sql_token_soup};
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Arbitrary UTF-8: no panics anywhere in the pipeline.
     #[test]
-    fn arbitrary_input_never_panics(input in "\\PC{0,120}") {
+    fn arbitrary_input_never_panics(input in arbitrary_utf8()) {
         let _ = Lexer::new(&input).tokenize();
         let _ = parse_statement(&input);
         let _ = parse_statements(&input);
@@ -19,24 +22,7 @@ proptest! {
     /// SQL-ish token soup: higher keyword density than raw Unicode, still
     /// no panics.
     #[test]
-    fn sql_token_soup_never_panics(
-        words in proptest::collection::vec(
-            prop_oneof![
-                Just("SELECT"), Just("FROM"), Just("WHERE"), Just("PREFERRING"),
-                Just("AND"), Just("CASCADE"), Just("AROUND"), Just("BETWEEN"),
-                Just("LOWEST"), Just("HIGHEST"), Just("IN"), Just("ELSE"),
-                Just("BUT"), Just("ONLY"), Just("GROUPING"), Just("NOT"),
-                Just("EXISTS"), Just("("), Just(")"), Just(","), Just(";"),
-                Just("*"), Just("="), Just("<>"), Just("<="), Just("'x'"),
-                Just("42"), Just("3.5"), Just("t"), Just("c1"), Just("c2"),
-                Just("CASE"), Just("WHEN"), Just("THEN"), Just("END"),
-                Just("ORDER"), Just("BY"), Just("GROUP"), Just("LEVEL"),
-                Just("DISTANCE"), Just("TOP"), Just("EXPLICIT"), Just("BETTER"),
-            ],
-            0..40
-        )
-    ) {
-        let input = words.join(" ");
+    fn sql_token_soup_never_panics(input in sql_token_soup()) {
         let _ = parse_statements(&input);
     }
 

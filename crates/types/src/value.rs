@@ -217,9 +217,10 @@ impl Value {
     /// SQL `-`. Also supports DATE − DATE (day difference, INT) and
     /// DATE − INT (date shifted back).
     pub fn sub(&self, other: &Value) -> Result<Value> {
+        let days = |a: &Date, b| checked(a.days().checked_sub(b), || format!("{self} - {other}"));
         match (self, other) {
-            (Value::Date(a), Value::Date(b)) => Ok(Value::Int(a.days() - b.days())),
-            (Value::Date(a), Value::Int(b)) => Ok(Value::Date(Date::from_days(a.days() - b))),
+            (Value::Date(a), Value::Date(b)) => days(a, b.days()).map(Value::Int),
+            (Value::Date(a), Value::Int(b)) => days(a, *b).map(|d| Value::Date(Date::from_days(d))),
             _ => self.numeric_binop(other, "-", |a, b| a.checked_sub(b), |a, b| a - b),
         }
     }
@@ -243,7 +244,7 @@ impl Value {
     pub fn neg(&self) -> Result<Value> {
         match self {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(Value::Int(checked(i.checked_neg(), || format!("-({i})"))?)),
             Value::Float(f) => Ok(Value::Float(-f)),
             v => Err(Error::Type(format!(
                 "cannot negate {} value",
@@ -256,7 +257,9 @@ impl Value {
     pub fn abs(&self) -> Result<Value> {
         match self {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(i.abs())),
+            Value::Int(i) => Ok(Value::Int(checked(i.checked_abs(), || {
+                format!("ABS({i})")
+            })?)),
             Value::Float(f) => Ok(Value::Float(f.abs())),
             v => Err(Error::Type(format!(
                 "ABS expects a numeric argument, got {}",
@@ -274,9 +277,9 @@ impl Value {
     ) -> Result<Value> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (Value::Int(a), Value::Int(b)) => int_op(*a, *b)
-                .map(Value::Int)
-                .ok_or_else(|| Error::Exec(format!("integer overflow in {a} {op} {b}"))),
+            (Value::Int(a), Value::Int(b)) => {
+                checked(int_op(*a, *b), || format!("{a} {op} {b}")).map(Value::Int)
+            }
             (a, b) => match (a.as_f64(), b.as_f64()) {
                 (Some(x), Some(y))
                     if a.data_type().is_some_and(DataType::is_numeric)
@@ -317,6 +320,12 @@ impl Value {
             ))),
         }
     }
+}
+
+/// An integer result, or the overflow error naming the operation
+/// `what` describes.
+fn checked(result: Option<i64>, what: impl FnOnce() -> String) -> Result<i64> {
+    result.ok_or_else(|| Error::Exec(format!("integer overflow in {}", what())))
 }
 
 impl Eq for Value {}
@@ -458,6 +467,24 @@ mod tests {
         assert_eq!(a.sql_cmp(&b), Some(Ordering::Less));
         assert_eq!(b.sub(&a).unwrap(), Value::Int(2));
         assert_eq!(b.sub(&Value::Int(2)).unwrap(), a);
+    }
+
+    /// Negation, `ABS` and date subtraction overflow into an execution
+    /// error too, not a panic (debug builds) or a wrapped result
+    /// (release builds).
+    #[test]
+    fn unary_and_date_overflow_is_an_error() {
+        let min = Value::Int(i64::MIN);
+        let day = Value::Date(Date::from_days(0));
+        for result in [
+            min.neg(),
+            min.abs(),
+            day.sub(&Value::Int(i64::MIN)),
+            Value::Date(Date::from_days(i64::MIN)).sub(&Value::Date(Date::from_days(1))),
+        ] {
+            let err = result.unwrap_err();
+            assert!(err.to_string().contains("integer overflow"), "{err}");
+        }
     }
 
     #[test]

@@ -523,6 +523,70 @@ fn explain_reflects_executed_plan_in_both_modes() {
     assert!(text.contains("Filter:"), "{text}");
 }
 
+/// The rewrite stays the oracle although the engine plans a top-level
+/// `PREFERRING` block itself: in rewrite mode every preference construct
+/// reaches the engine rewritten — its EXPLAIN shows no `Preference (BMO`
+/// node, nothing is charged a dominance test — and returns native's rows.
+#[test]
+fn rewrite_mode_never_evaluates_natively() {
+    fn explain(conn: &mut PrefSqlConnection, sql: &str) -> String {
+        match conn.execute(&format!("EXPLAIN {sql}")).unwrap() {
+            prefsql::QueryResult::Explain(text) => text,
+            other => panic!("expected explain, got {other:?}"),
+        }
+    }
+    let mut conn = PrefSqlConnection::new();
+    conn.execute("CREATE TABLE r (id INTEGER NOT NULL, a INTEGER, b INTEGER, c INTEGER)")
+        .unwrap();
+    conn.execute(
+        "INSERT INTO r VALUES (1, 3, 7, 1), (2, 5, 9, 1), (3, 3, 2, 2), (4, 8, 9, NULL), \
+         (5, 6, 4, 2), (6, 1, 1, 1), (7, 7, 8, NULL), (8, 6, 6, 2)",
+    )
+    .unwrap();
+    conn.execute("CREATE TABLE picked (id INTEGER)").unwrap();
+    let selects = [
+        "SELECT id FROM r PREFERRING LOWEST(a) AND HIGHEST(b) ORDER BY id",
+        "SELECT id FROM r PREFERRING HIGHEST(b) CASCADE a AROUND 6 ORDER BY id",
+        "SELECT id, c FROM r PREFERRING HIGHEST(b) AND LOWEST(a) GROUPING c ORDER BY id",
+        "SELECT id, DISTANCE(a) FROM r PREFERRING a AROUND 6 BUT ONLY DISTANCE(a) <= 1 \
+         ORDER BY id",
+        "SELECT d.id FROM (SELECT id, b FROM r PREFERRING HIGHEST(b)) AS d ORDER BY d.id",
+    ];
+    let pareto = "SELECT id FROM r PREFERRING LOWEST(a) AND HIGHEST(b)";
+    conn.set_mode(ExecutionMode::native());
+    let native: Vec<_> = selects.iter().map(|sql| conn.query(sql).unwrap()).collect();
+    let native_pareto = conn.query(&format!("{pareto} ORDER BY id")).unwrap();
+    assert!(
+        native[0].dominance_tests() > 0,
+        "native mode evaluates natively"
+    );
+
+    conn.set_mode(ExecutionMode::Rewrite);
+    let _ = conn.engine().take_stats();
+    for (sql, native) in selects.iter().zip(&native) {
+        let rs = conn.query(sql).unwrap();
+        assert_eq!(&rs, native, "{sql}");
+        assert_eq!(rs.dominance_tests(), 0, "{sql}");
+        let plan = explain(&mut conn, sql);
+        assert!(plan.contains("Preference SQL rewrite:"), "{plan}");
+        assert!(!plan.contains("Preference (BMO"), "{plan}");
+    }
+
+    let insert = format!("INSERT INTO picked {pareto}");
+    assert!(!explain(&mut conn, &insert).contains("Preference (BMO"));
+    conn.execute(&insert).unwrap();
+    let picked = conn.query("SELECT id FROM picked ORDER BY id").unwrap();
+    assert_eq!(picked.rows(), native_pareto.rows());
+
+    conn.execute(&format!("CREATE VIEW best AS {pareto}"))
+        .unwrap();
+    let view = "SELECT id FROM best ORDER BY id";
+    assert_eq!(conn.query(view).unwrap().rows(), native_pareto.rows());
+    assert!(!explain(&mut conn, view).contains("Preference (BMO"));
+
+    assert_eq!(conn.engine().take_stats().dominance_tests, 0);
+}
+
 /// The non-panicking result accessors report rows exactly for SELECTs.
 #[test]
 fn non_panicking_row_accessors() {
