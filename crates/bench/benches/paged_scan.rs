@@ -24,6 +24,15 @@
 //!   one slot tombstoned (the file is rewritten only once tombstones
 //!   outnumber live rows, which these few deletes never reach).
 //!
+//! One row runs a preference the cold way, on its own four-page pool:
+//!
+//! * `pref-cold` — `SELECT id, price FROM p WHERE make = 3 PREFERRING
+//!   LOWEST(price) AND HIGHEST(power)` over `p`, eight INTEGER columns
+//!   with no view and no index. A sixth of the rows pass the filter; the
+//!   operator keeps each candidate as its row id and cells, the scan
+//!   decodes only the three columns filter and slots read, and only the
+//!   winners are fetched whole.
+//!
 //! Two more rows work a materialized preference view on its own
 //! four-page pool:
 //!
@@ -54,6 +63,8 @@ use std::sync::Arc;
 const SIZES: [usize; 2] = [8_000, 64_000];
 const QUERY: &str = "SELECT COUNT(*), SUM(v) FROM r";
 const SKYLINE: &str = "SELECT id FROM w PREFERRING LOWEST(a) AND LOWEST(b)";
+const PREF_COLD: &str =
+    "SELECT id, price FROM p WHERE make = 3 PREFERRING LOWEST(price) AND HIGHEST(power)";
 /// One `w` row in this many is a winner of [`SKYLINE`].
 const WINNER_EVERY: usize = 1_000;
 
@@ -100,6 +111,23 @@ fn session_over(
         .catalog_mut()
         .create_table(t)
         .expect("fresh catalog");
+    session
+}
+
+/// A session on the four-page pool with `p` loaded: an id, a `make` of
+/// six, and six columns of uniform noise.
+fn pref_session(rows: usize) -> Session {
+    let mut s = 7u64;
+    let columns = [
+        "id", "make", "price", "power", "mileage", "year", "doors", "seats",
+    ];
+    let rows = (0..rows).map(|i| {
+        let mut row = vec![i as i64, (lcg(&mut s) % 6) as i64];
+        row.extend((2..columns.len()).map(|_| (lcg(&mut s) % 100_000) as i64));
+        row
+    });
+    let mut session = session_over(BackendKind::Paged, MIN_POOL_BYTES, "p", &columns, rows);
+    session.set_mode(ExecutionMode::native());
     session
 }
 
@@ -180,6 +208,13 @@ fn bench_paged_scan(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("delete-cold", fmt(rows)), &(), |b, _| {
             b.iter(|| affect_one(format!("DELETE FROM r WHERE id = {}", next_id())))
         });
+        let mut pref = pref_session(rows);
+        let winners = pref.query(PREF_COLD).expect("cold preference").len();
+        assert!(winners > 0, "the preference selects something");
+        group.bench_with_input(BenchmarkId::new("pref-cold", fmt(rows)), &(), |b, _| {
+            b.iter(|| assert_eq!(pref.query(PREF_COLD).expect("read").len(), winners))
+        });
+        drop(pref);
         let mut view = view_session(rows);
         let served = view.query(SKYLINE).expect("served read");
         assert_eq!(

@@ -160,6 +160,25 @@ pub(crate) struct Reads {
     pub(crate) own_columns: Vec<usize>,
 }
 
+/// The columns of their own row `exprs` read, as a mask over `width`
+/// columns — or `None` (read them all) when one holds a sub-query, whose
+/// plan may read the row through a correlated reference the mask cannot
+/// see. What a scan that feeds only these expressions must decode.
+pub(crate) fn columns_read<'e>(
+    exprs: impl IntoIterator<Item = &'e BoundExpr>,
+    width: usize,
+) -> Option<Vec<bool>> {
+    let mut mask = vec![false; width];
+    for expr in exprs {
+        for ordinal in expr.reads()?.own_columns {
+            if let Some(read) = mask.get_mut(ordinal) {
+                *read = true;
+            }
+        }
+    }
+    Some(mask)
+}
+
 impl BoundExpr {
     /// The frames and own-row columns this expression reads — `None`
     /// when it holds a sub-query, whose plan may read them through

@@ -25,7 +25,7 @@
 //! row by ordinal.
 
 use crate::access::{self, choose_access_path, AccessPath};
-use crate::bind::{bind, BoundExpr};
+use crate::bind::{bind, columns_read};
 use crate::catalog::Catalog;
 use crate::eval::{eval, holds, Env};
 use crate::explain::{pool_line, spill_line};
@@ -1254,7 +1254,7 @@ impl Engine {
                     }
                 }
                 AccessPath::SeqScan => {
-                    let mask = columns_read(&pred, schema.len());
+                    let mask = columns_read([&pred], schema.len());
                     let mut filter = PageFilter::new(&sargs);
                     t.for_each_row_where(mask.as_deref(), &mut filter, |rid, row| {
                         scanned += 1;
@@ -1341,20 +1341,6 @@ fn store<T>(
         cat.mark_views_stale(table);
     }
     out
-}
-
-/// The columns of its own row `pred` reads, as a mask over `width`
-/// columns — or `None` (read them all) when it holds a sub-query, whose
-/// plan may read the row through a correlated reference the mask cannot
-/// see.
-fn columns_read(pred: &BoundExpr, width: usize) -> Option<Vec<bool>> {
-    let mut mask = vec![false; width];
-    for ordinal in pred.reads()?.own_columns {
-        if let Some(read) = mask.get_mut(ordinal) {
-            *read = true;
-        }
-    }
-    Some(mask)
 }
 
 #[cfg(test)]

@@ -139,6 +139,7 @@ fn node_line(node: &PlanNode, out: &mut String) {
             backend,
             sargs,
             schema,
+            ..
         } => {
             let _ = write!(out, "Seq scan: {}({rows} rows)", shown(table, qualifier));
             // The default in-memory backend stays unmarked so existing

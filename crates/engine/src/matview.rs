@@ -30,7 +30,7 @@
 //! maintenance until `REFRESH MATERIALIZED PREFERENCE VIEW` rebuilds
 //! them from scratch.
 
-use crate::bind::{bind, BoundExpr};
+use crate::bind::{bind, columns_read, BoundExpr};
 use crate::catalog::Catalog;
 use crate::eval::{eval_row, holds, Env};
 use crate::exec::{Engine, ExecCtx};
@@ -39,7 +39,7 @@ use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_pref::ViewSkyline;
 use prefsql_rewrite::levels::{check_aliases, uses_quality};
 use prefsql_rewrite::{compile_preference, CompiledPreference};
-use prefsql_storage::Table;
+use prefsql_storage::{PageFilter, Table};
 use prefsql_types::{Error, Result, Schema, Tuple, Value};
 
 /// A stored materialized preference view: its compiled definition and
@@ -259,7 +259,13 @@ pub(crate) fn build_def(
     let mut evaluated = Evaluated::default();
     let bound = engine.with_ctx_over(cat, |ctx| {
         let view = BoundView::new(ctx, query, &compiled, &schema)?;
-        table.for_each_row(|_, row| view.evaluate(ctx, row, &mut evaluated))?;
+        // A definition holds no sub-query, so the mask is never `None`.
+        let reads = view.where_clause.iter().chain(&view.slots);
+        let mask = columns_read(reads, schema.len());
+        let mut filter = PageFilter::default();
+        table.for_each_row_where(mask.as_deref(), &mut filter, |_, row| {
+            view.evaluate(ctx, row, &mut evaluated)
+        })?;
         Ok(view)
     })?;
     let (slots, qualifies) = evaluated;

@@ -20,6 +20,16 @@
 //! project` chain decides on borrowed tuples and builds nothing but the
 //! final narrow output rows, and no wide row is cloned for being dropped.
 //!
+//! A lent batch of a base table's rows also carries their row ids
+//! ([`Batch::row_ids`]): the sequential scan lends them on both backends
+//! (a mem table's row id is the row's position, a paged refill reports
+//! the ids of the rows it decoded), and the row-id scan lends the ids it
+//! fetched. They sit beside the rows, not beside the selection, so a
+//! filter narrowing the batch keeps them aligned for free. Batches that
+//! were built — projections, joins, materializations, operator output —
+//! carry none. The preference operator's rid mode ([`crate::preference`])
+//! keeps only these ids of its candidates and fetches the few winners.
+//!
 //! [`build`] is the only place operators are constructed — the BMO
 //! operator of [`crate::preference`] included — so the instrumentation
 //! shim wraps every node of every plan alike.
@@ -78,14 +88,35 @@ enum Held<'a> {
     /// The stream is exhausted.
     End,
     /// Rows lent from a buffer the producer keeps; `sel`, when present,
-    /// lists (ascending) the indices of `rows` the batch consists of.
+    /// lists (ascending) the indices of `rows` the batch consists of, and
+    /// `ids` the row ids of `rows` (all of them, not just the selected).
     Lent {
         rows: &'a [Tuple],
         sel: Option<&'a [usize]>,
+        ids: Ids<'a>,
     },
     /// Rows in the producer's scratch buffer, which it clears on its next
     /// pull anyway: the consumer may move them out.
     Owned(&'a mut Vec<Tuple>),
+}
+
+/// The row ids of a buffer a producer lends from ([`Batch::lend_ids`]).
+#[derive(Debug, Clone, Copy)]
+pub enum RowIds<'a> {
+    /// A row's id is its position in the buffer: a mem table's rows.
+    Position,
+    /// Entry `i` is the id of the buffer's row `i`.
+    Listed(&'a [usize]),
+}
+
+/// The row ids of a lent run: none, or one per row of the run.
+#[derive(Clone, Copy)]
+enum Ids<'a> {
+    None,
+    /// Row `i` of the run has id `first + i`.
+    From(usize),
+    /// Row `i` of the run has id `ids[i]`.
+    Listed(&'a [usize]),
 }
 
 impl<'a> Batch<'a> {
@@ -98,15 +129,29 @@ impl<'a> Batch<'a> {
     /// cursor `pos`; the end once the buffer is spent. This is the whole
     /// pull method of every buffered operator.
     pub fn lend(rows: &'a [Tuple], pos: &mut usize, max: usize) -> Self {
+        Batch::lend_run(rows, None, pos, max)
+    }
+
+    /// [`Batch::lend`] for a buffer of a base table's rows, whose ids the
+    /// batch carries along ([`Batch::row_ids`]).
+    pub fn lend_ids(rows: &'a [Tuple], ids: RowIds<'a>, pos: &mut usize, max: usize) -> Self {
+        Batch::lend_run(rows, Some(ids), pos, max)
+    }
+
+    fn lend_run(rows: &'a [Tuple], ids: Option<RowIds<'a>>, pos: &mut usize, max: usize) -> Self {
         if *pos >= rows.len() {
             return Batch::end();
         }
-        let end = pos.saturating_add(max).min(rows.len());
-        let run = &rows[*pos..end];
+        let (start, end) = (*pos, pos.saturating_add(max).min(rows.len()));
         *pos = end;
         Batch(Held::Lent {
-            rows: run,
+            rows: &rows[start..end],
             sel: None,
+            ids: match ids {
+                None => Ids::None,
+                Some(RowIds::Position) => Ids::From(start),
+                Some(RowIds::Listed(ids)) => Ids::Listed(&ids[start..end]),
+            },
         })
     }
 
@@ -125,7 +170,7 @@ impl<'a> Batch<'a> {
     pub fn len(&self) -> usize {
         match &self.0 {
             Held::End => 0,
-            Held::Lent { rows, sel } => sel.map_or(rows.len(), <[usize]>::len),
+            Held::Lent { rows, sel, .. } => sel.map_or(rows.len(), <[usize]>::len),
             Held::Owned(rows) => rows.len(),
         }
     }
@@ -140,10 +185,24 @@ impl<'a> Batch<'a> {
     pub fn rows(&self) -> impl Iterator<Item = &Tuple> + '_ {
         let (rows, sel): (&[Tuple], Option<&[usize]>) = match &self.0 {
             Held::End => (&[], None),
-            Held::Lent { rows, sel } => (rows, *sel),
+            Held::Lent { rows, sel, .. } => (rows, *sel),
             Held::Owned(rows) => (rows, None),
         };
         selected(rows.len(), sel).map(move |i| &rows[i])
+    }
+
+    /// The row ids of the rows, in the order of [`Batch::rows`] — `None`
+    /// unless the producer lent a base table's rows with their ids.
+    pub fn row_ids(&self) -> Option<impl Iterator<Item = usize> + '_> {
+        let Held::Lent { rows, sel, ids } = &self.0 else {
+            return None;
+        };
+        let (first, listed) = match *ids {
+            Ids::None => return None,
+            Ids::From(first) => (first, None),
+            Ids::Listed(ids) => (0, Some(ids)),
+        };
+        Some(selected(rows.len(), *sel).map(move |i| listed.map_or(first + i, |ids| ids[i])))
     }
 
     /// Append the rows to `out`: moved when the producer handed them
@@ -151,7 +210,7 @@ impl<'a> Batch<'a> {
     pub fn take_into(self, out: &mut Vec<Tuple>) {
         match self.0 {
             Held::End => {}
-            Held::Lent { rows, sel } => {
+            Held::Lent { rows, sel, .. } => {
                 out.extend(selected(rows.len(), sel).map(|i| rows[i].clone()))
             }
             Held::Owned(rows) => out.append(rows),
@@ -160,8 +219,9 @@ impl<'a> Batch<'a> {
 
     /// Narrow the batch to the rows `keep` accepts, preserving order.
     /// Lent rows stay where they are — the survivors' indices go to the
-    /// caller's `sel` scratch, so a dropped row is never copied; rows
-    /// that were handed over are compacted in place.
+    /// caller's `sel` scratch, so a dropped row is never copied, and
+    /// their row ids stay beside them; rows that were handed over are
+    /// compacted in place.
     pub fn retain(
         self,
         sel: &'a mut Vec<usize>,
@@ -169,7 +229,11 @@ impl<'a> Batch<'a> {
     ) -> Result<Self> {
         match self.0 {
             Held::End => Ok(self),
-            Held::Lent { rows, sel: from } => {
+            Held::Lent {
+                rows,
+                sel: from,
+                ids,
+            } => {
                 sel.clear();
                 for i in selected(rows.len(), from) {
                     if keep(&rows[i])? {
@@ -179,6 +243,7 @@ impl<'a> Batch<'a> {
                 Ok(Batch(Held::Lent {
                     rows,
                     sel: Some(sel),
+                    ids,
                 }))
             }
             Held::Owned(rows) => {
@@ -232,14 +297,18 @@ fn build_plain<'a>(
             row: [Tuple::new(vec![])],
             pos: 0,
         }),
-        PlanNode::SeqScan { table, sargs, .. } => Box::new(SeqScanOp {
+        PlanNode::SeqScan {
+            table, sargs, mask, ..
+        } => Box::new(SeqScanOp {
             ctx,
             table,
             rows: &[],
             pos: 0,
             paged: None,
             filter: PageFilter::new(sargs),
+            mask: mask.as_deref(),
             buf: Vec::new(),
+            rids: Vec::new(),
             buf_pos: 0,
             scan_pos: 0,
         }),
@@ -449,9 +518,10 @@ impl Operator for NothingOp {
 /// stored rows with no upfront copy — a `LIMIT` above stops the scan
 /// after a handful of rows no matter how large the table is. The paged
 /// backend decodes the requested number of rows through the buffer pool
-/// into one owned buffer, lends that, and refills it once it is spent,
-/// so consumers see the same borrowed batches either way; a refill steps
-/// over the pages the plan's sargs rule out.
+/// into one owned buffer, lends that, and refills it in place once it is
+/// spent, so consumers see the same borrowed batches either way; a
+/// refill steps over the pages the plan's sargs rule out and decodes
+/// only the columns of the plan's mask. Both lend the rows' ids.
 struct SeqScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     table: &'a str,
@@ -463,8 +533,12 @@ struct SeqScanOp<'a> {
     /// Paged backend: the page filter refills run through, and its
     /// page counts (EXPLAIN ANALYZE's `pages_read=` / `pages_skipped=`).
     filter: PageFilter<'a>,
-    /// Paged backend: the decode buffer batches are lent from.
+    /// Paged backend: the columns refills decode (all when `None`).
+    mask: Option<&'a [bool]>,
+    /// Paged backend: the decode buffer batches are lent from, and the
+    /// row ids of its rows.
     buf: Vec<Tuple>,
+    rids: Vec<usize>,
     buf_pos: usize,
     /// Paged backend: the backend scan cursor (rid of the next refill).
     scan_pos: usize,
@@ -475,6 +549,7 @@ impl Operator for SeqScanOp<'_> {
         self.pos = 0;
         self.scan_pos = 0;
         self.buf.clear();
+        self.rids.clear();
         self.buf_pos = 0;
         let table = self.ctx.catalog().table(self.table)?;
         match table.mem_rows() {
@@ -492,19 +567,25 @@ impl Operator for SeqScanOp<'_> {
 
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         let batch = match self.paged {
-            None => Batch::lend(self.rows, &mut self.pos, max),
+            None => Batch::lend_ids(self.rows, RowIds::Position, &mut self.pos, max),
             Some(table) => {
                 if self.buf_pos >= self.buf.len() {
-                    self.buf.clear();
                     self.buf_pos = 0;
                     table.scan_batch_where(
                         &mut self.scan_pos,
                         &mut self.buf,
+                        &mut self.rids,
                         max,
+                        self.mask,
                         &mut self.filter,
                     )?;
                 }
-                Batch::lend(&self.buf, &mut self.buf_pos, max)
+                Batch::lend_ids(
+                    &self.buf,
+                    RowIds::Listed(&self.rids),
+                    &mut self.buf_pos,
+                    max,
+                )
             }
         };
         // Rows are charged to the statement's scan counter as they are
@@ -521,6 +602,7 @@ impl Operator for SeqScanOp<'_> {
         self.rows = &[];
         self.paged = None;
         self.buf = Vec::new();
+        self.rids = Vec::new();
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -536,7 +618,7 @@ impl Operator for SeqScanOp<'_> {
 /// the full predicate, so the probe is purely an optimization) or a
 /// materialized preference view's winners (whose score rows mirror the base
 /// table's row ids). The fetched rows count as scanned; only an index
-/// probe counts toward `index_probes`.
+/// probe counts toward `index_probes`. The rows are lent with their ids.
 struct RowIdScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     table: &'a str,
@@ -576,7 +658,8 @@ impl Operator for RowIdScanOp<'_> {
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
-        Ok(Batch::lend(&self.rows, &mut self.pos, max))
+        let ids = RowIds::Listed(self.row_ids);
+        Ok(Batch::lend_ids(&self.rows, ids, &mut self.pos, max))
     }
 
     fn close(&mut self) {

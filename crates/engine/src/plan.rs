@@ -20,7 +20,9 @@
 //! those.
 
 use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
-use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggExpr, Bound, BoundExpr};
+use crate::bind::{
+    bind, bind_aggregate, bind_over, bind_shown, columns_read, AggExpr, Bound, BoundExpr,
+};
 use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
@@ -91,6 +93,11 @@ pub enum PlanNode {
         /// (empty unless it is the block's only FROM item and sargs are
         /// on, [`crate::EngineCore::set_use_indexes`]).
         sargs: Vec<Sarg>,
+        /// The columns a paged scan decodes; the others read as `NULL`.
+        /// `None` (all of them) except at the bottom of a rid-mode
+        /// preference's source ([`PrefSpec::rid_table`]), which reads no
+        /// other column and fetches its winners whole. EXPLAIN omits it.
+        mask: Option<Vec<bool>>,
         /// Output schema (table schema re-qualified).
         schema: Schema,
     },
@@ -664,7 +671,7 @@ pub(crate) fn plan_preference(
     }
     check_aliases(&query.select)?;
     let compiled = compile_preference(pref)?;
-    let source = plan_source(ctx, query, &[])?;
+    let mut source = plan_source(ctx, query, &[])?;
     let n_orig = source.schema().len();
 
     // The outer block, quality calls lowered to generated columns.
@@ -742,7 +749,7 @@ pub(crate) fn plan_preference(
             // `BUT ONLY` sees a candidate as two frames: its quality
             // values innermost, then the source row.
             let quality_schema = Schema::new(appended.clone())?;
-            let spec = PrefSpec {
+            let mut spec = PrefSpec {
                 slots: bind_all(&compiled.base_exprs)?,
                 groups: bind_all(&query.grouping)?,
                 but_only: (but_only.as_ref())
@@ -752,7 +759,9 @@ pub(crate) fn plan_preference(
                 quality,
                 knobs: ctx.knobs(),
                 view,
+                rid_table: None,
             };
+            spec.rid_table = rid_mode(&mut source, &spec);
             let mut columns = source.schema().columns().to_vec();
             columns.extend(appended);
             PlanNode::Preference {
@@ -764,6 +773,53 @@ pub(crate) fn plan_preference(
     };
     let root = plan_block(ctx, &block, bmo, n_orig, &[])?;
     Ok(QueryPlan { root })
+}
+
+/// Put the preference `spec` over `source` in rid mode if it qualifies,
+/// returning the table its candidates' row ids belong to:
+///
+/// * the source is a chain of filters over one base-table scan or index
+///   probe, which lend row ids;
+/// * there is no `BUT ONLY`, whose threshold reads the whole candidate
+///   row;
+/// * the operator streams under no window budget
+///   ([`PrefSpec::external_budget`]): a budget weighs, and its spill runs
+///   hold, the candidates' rows, as the external-memory suite pins;
+/// * the scan may yield more rows than one pull of the drive loop. The
+///   winners are fetched again by row id, and on a source that small
+///   they are a large share of the candidates (a skyline's share falls
+///   as its input grows), so copying the few candidate rows costs less.
+///
+/// A sequential scan then decodes only the columns the filters, slots
+/// and `GROUPING` keys read ([`columns_read`]).
+fn rid_mode(source: &mut PlanNode, spec: &PrefSpec) -> Option<String> {
+    if spec.but_only.is_some() || spec.external_budget().is_some() {
+        return None;
+    }
+    let (mut preds, mut scan) = (Vec::new(), &*source);
+    while let PlanNode::Filter { input, pred } = scan {
+        preds.push(&pred.expr);
+        scan = input;
+    }
+    let (table, rows) = match scan {
+        PlanNode::SeqScan { table, rows, .. } => (table, *rows),
+        PlanNode::IndexScan { table, row_ids, .. } => (table, row_ids.len()),
+        _ => return None,
+    };
+    if rows <= spec.knobs.batch.unwrap_or(1) {
+        return None;
+    }
+    let table = table.clone();
+    let reads = preds.into_iter().chain(&spec.slots).chain(&spec.groups);
+    let columns = columns_read(reads, scan.schema().len());
+    let mut scan = source;
+    while let PlanNode::Filter { input, .. } = scan {
+        scan = input;
+    }
+    if let PlanNode::SeqScan { mask, .. } = scan {
+        *mask = columns;
+    }
+    Some(table)
 }
 
 /// Replace the quality-function calls in `expr` with references to the
@@ -1232,6 +1288,7 @@ fn plan_named(
             rows: table.len(),
             backend: table.backend_label(),
             sargs,
+            mask: None,
             schema,
         },
         // The probe counter is bumped at operator open, not here: EXPLAIN

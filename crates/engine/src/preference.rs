@@ -15,9 +15,31 @@
 //! [`SkylineAlgo`] says) and streams the winners, each extended with the
 //! quality-function columns ([`QualityCol`]) the plan above references.
 //! Dominance tests, optima and quality values all read the cells, which
-//! travel with their rows through [`ExternalSkyline`] and the `BUT ONLY`
-//! spool. Semantics are identical to the rewrite path; the
+//! travel with their candidates through [`ExternalSkyline`] and the
+//! `BUT ONLY` spool. Semantics are identical to the rewrite path; the
 //! `rewrite_vs_native` differential suite and ablation A1 depend on that.
+//!
+//! A candidate is its cells plus one of two things, fixed at plan time
+//! ([`PrefSpec::rid_table`]):
+//!
+//! * **Rid mode** — the source is a chain of filters over one base-table
+//!   `SeqScan` or `IndexScan` that may yield more than one pull of rows,
+//!   there is no `BUT ONLY` and no window budget (the planner's
+//!   `rid_mode` says why). The scan lends its rows with their row ids
+//!   ([`Batch::row_ids`]), the operator keeps only the ids, and the few
+//!   winners are fetched whole by id, in winner order, through
+//!   [`Table::fetch_row`] — not charged to `rows_scanned` again. Nothing
+//!   reads a candidate's other columns, so the planner has the sequential
+//!   scan decode only what the filters, slots and `GROUPING` keys read.
+//! * **The row path** — every other source (a join, a derived table or
+//!   view, a semi/anti join, a source of one pull), `BUT ONLY`, whose
+//!   threshold reads the source row, or a window budget, whose spill
+//!   runs hold rows: the operator takes each candidate's row out of the
+//!   batch ([`Batch::take_into`]).
+//!
+//! The operator tree is the same either way, and so is EXPLAIN: the scan
+//! and filters under the preference run as operators and report their
+//! exact `actual rows=`.
 
 use crate::bind::BoundExpr;
 use crate::eval::{eval_row, holds, Env};
@@ -32,7 +54,8 @@ use prefsql_pref::{
 use prefsql_rewrite::levels::GEN_PREFIX;
 use prefsql_rewrite::CompiledPreference;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics};
-use prefsql_types::{Column, DataType, Result, Tuple, Value};
+use prefsql_storage::Table;
+use prefsql_types::{Column, DataType, Error, Result, Tuple, Value};
 
 /// Everything the preference operator needs, fixed at plan time.
 #[derive(Debug, Clone)]
@@ -56,6 +79,11 @@ pub struct PrefSpec {
     /// A materialized preference view on the base table that could not
     /// serve this query, and why (`"miss"` / `"stale"`) — EXPLAIN only.
     pub view: Option<(String, &'static str)>,
+    /// Rid mode: the base table whose row ids the source lends — a chain
+    /// of filters over one scan of it, and no `BUT ONLY`. The operator
+    /// then keeps a candidate as its row id and cells and fetches only
+    /// the winners; `None` keeps the candidates' rows (the row path).
+    pub rid_table: Option<String>,
 }
 
 impl PrefSpec {
@@ -151,6 +179,53 @@ pub(crate) struct PreferenceOp<'a> {
     comparisons: u64,
 }
 
+/// What the operator keeps of a candidate until the selection is made:
+/// its source row on the row path ([`Tuple`]), its row id in rid mode
+/// (`usize`). Either travels beside its cells.
+trait Candidate: Sized {
+    /// Append the candidates of a pulled batch to `out`, in order.
+    fn take(batch: Batch<'_>, out: &mut Vec<Self>) -> Result<()>;
+    /// Does the candidate pass the `BUT ONLY` threshold?
+    fn passes(&self, op: &PreferenceOp<'_>, cells: &[f64], best: &[Option<f64>]) -> Result<bool>;
+    /// The candidate's source row; `table` is the rid-mode base table.
+    fn into_row(self, table: Option<&Table>) -> Result<Tuple>;
+}
+
+impl Candidate for Tuple {
+    fn take(batch: Batch<'_>, out: &mut Vec<Self>) -> Result<()> {
+        batch.take_into(out);
+        Ok(())
+    }
+
+    fn passes(&self, op: &PreferenceOp<'_>, cells: &[f64], best: &[Option<f64>]) -> Result<bool> {
+        op.passes_but_only(self, cells, best)
+    }
+
+    fn into_row(self, _: Option<&Table>) -> Result<Tuple> {
+        Ok(self)
+    }
+}
+
+impl Candidate for usize {
+    fn take(batch: Batch<'_>, out: &mut Vec<Self>) -> Result<()> {
+        let ids = batch.row_ids().ok_or_else(|| {
+            Error::Exec("a rid-mode preference source lent rows without row ids".into())
+        })?;
+        out.extend(ids);
+        Ok(())
+    }
+
+    /// Rid mode is never planned under `BUT ONLY`.
+    fn passes(&self, _: &PreferenceOp<'_>, _: &[f64], _: &[Option<f64>]) -> Result<bool> {
+        Ok(true)
+    }
+
+    fn into_row(self, table: Option<&Table>) -> Result<Tuple> {
+        let table = table.ok_or_else(|| Error::Exec("rid-mode winner without a table".into()))?;
+        table.fetch_row(self)
+    }
+}
+
 /// Where candidates go once the window budget trips (a spool run first
 /// when `BUT ONLY` must wait for the optima).
 enum Sink<'p> {
@@ -192,6 +267,16 @@ impl<'a> PreferenceOp<'a> {
         &self.spec.compiled.preference
     }
 
+    /// The base table of rid mode, whose rows the candidates' ids name.
+    fn rid_table(&self) -> Result<Option<&'a Table>> {
+        let catalog = self.ctx.catalog();
+        self.spec
+            .rid_table
+            .as_ref()
+            .map(|t| catalog.table(t))
+            .transpose()
+    }
+
     /// The quality-column values of a row whose lowered slots are `cells`.
     fn quality_values(&self, cells: &[f64], best: &[Option<f64>]) -> Vec<Value> {
         let value = |q: &QualityCol| q.value(self.preference(), cells, best);
@@ -208,39 +293,43 @@ impl<'a> PreferenceOp<'a> {
         holds(threshold, Env::new(&quality, &[row]), self.ctx)
     }
 
-    /// Buffer the winners, extended with the quality their cells give.
-    fn set_winners<C: AsRef<[f64]>>(
+    /// Buffer the winners — fetched by row id in rid mode, in winner
+    /// order — extended with the quality their cells give.
+    fn set_winners<C: Candidate, Cells: AsRef<[f64]>>(
         &mut self,
-        winners: impl Iterator<Item = (Tuple, C)>,
+        winners: impl Iterator<Item = (C, Cells)>,
         best: &[Option<f64>],
-    ) {
-        let winners = winners.map(|(row, cells)| {
+    ) -> Result<()> {
+        let table = self.rid_table()?;
+        let winners = winners.map(|(winner, cells)| {
+            let row = winner.into_row(table)?;
             if self.spec.quality.is_empty() {
-                return row;
+                return Ok(row);
             }
             let mut values = row.into_values();
             values.extend(self.quality_values(cells.as_ref(), best));
-            Tuple::new(values)
+            Ok(Tuple::new(values))
         });
-        self.winners = winners.collect();
+        self.winners = winners.collect::<Result<_>>()?;
+        Ok(())
     }
 
-    /// The in-memory selection over `rows`, row `i` lowered to `matrix`
-    /// row `i` and keyed by the `i`-th stride of `keys`: apply `BUT ONLY`,
-    /// select the maximal surviving rows, buffer them.
-    fn select_in_memory(
+    /// The in-memory selection over `candidates`, candidate `i` lowered
+    /// to `matrix` row `i` and keyed by the `i`-th stride of `keys`:
+    /// apply `BUT ONLY`, select the maximal survivors, buffer them.
+    fn select_in_memory<C: Candidate>(
         &mut self,
-        rows: Vec<Tuple>,
+        candidates: Vec<C>,
         matrix: &ScoreMatrix,
         keys: &[Value],
         best: &[Option<f64>],
     ) -> Result<()> {
         let preference = self.preference();
         // BUT ONLY filters candidates before dominance (§2.2.5).
-        let mut candidates = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            if self.passes_but_only(row, matrix.row(i), best)? {
-                candidates.push(i);
+        let mut passing = Vec::with_capacity(candidates.len());
+        for (i, candidate) in candidates.iter().enumerate() {
+            if candidate.passes(self, matrix.row(i), best)? {
+                passing.push(i);
             }
         }
 
@@ -248,16 +337,15 @@ impl<'a> PreferenceOp<'a> {
         let stride = self.spec.groups.len();
         let winner_ids: Vec<usize> = if stride > 0 {
             let key_of = |i: usize| &keys[i * stride..(i + 1) * stride];
-            bmo_grouped_scored(matrix, preference, &candidates, key_of, algo, threads)
+            bmo_grouped_scored(matrix, preference, &passing, key_of, algo, threads)
         } else {
-            maximal_scored(matrix, preference, &candidates, algo, threads)
+            maximal_scored(matrix, preference, &passing, algo, threads)
         };
         // Both selections return ascending ids: one merge pass.
         let mut next = winner_ids.iter().peekable();
-        let winners = (rows.into_iter().zip(0..))
-            .filter_map(|(row, i)| next.next_if_eq(&&i).map(|_| (row, matrix.row(i))));
-        self.set_winners(winners, best);
-        Ok(())
+        let winners = (candidates.into_iter().zip(0..))
+            .filter_map(|(c, i)| next.next_if_eq(&&i).map(|_| (c, matrix.row(i))));
+        self.set_winners(winners, best)
     }
 
     /// The sink the stream goes to once the window budget trips.
@@ -282,17 +370,18 @@ impl<'a> PreferenceOp<'a> {
     /// buffered for the in-memory selection; once it trips, rows and cells
     /// stream to the spilling multi-pass BNL — through a spool run first
     /// under `BUT ONLY`, whose optima are final only after the last row.
-    fn select(&mut self, budget: Option<usize>) -> Result<()> {
+    fn select<C: Candidate>(&mut self, budget: Option<usize>) -> Result<()> {
         let (spec, ctx) = (self.spec, self.ctx);
         let preference = self.preference();
         let arity = preference.arity();
-        // While buffering, the matrix holds one row per buffered row;
-        // once a sink is engaged, only the current pull's rows.
+        // While buffering, the matrix holds one row per buffered
+        // candidate; once a sink is engaged, only the current pull's.
         let mut matrix = ScoreMatrix::new(preference);
-        let (mut keys, mut slots, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut keys, mut slots, mut scratch) = (Vec::new(), Vec::new(), Vec::<C>::new());
         let mut best = vec![None; arity];
         let (mut buffered, mut buffered_bytes) = (Vec::new(), 0);
         let mut sink: Option<Sink<'_>> = None;
+        let table = self.rid_table()?;
         let pull = spec.knobs.batch.unwrap_or(1).max(1);
         loop {
             let pulled = self.input.next_batch(pull)?;
@@ -309,28 +398,31 @@ impl<'a> PreferenceOp<'a> {
                 eval_row(&spec.slots, env, ctx, &mut slots)?;
                 matrix.push(preference, &slots);
                 eval_row(&spec.groups, env, ctx, &mut keys)?;
+                if budget.is_some() && sink.is_none() {
+                    buffered_bytes += tuple_spill_bytes(row) + CELL_BYTES * arity;
+                }
             }
-            pulled.take_into(&mut scratch);
+            C::take(pulled, &mut scratch)?;
             // Only quality functions ever read the optima.
             if !spec.quality.is_empty() {
                 matrix.fold_minima(first, &mut best);
             }
-            for (i, row) in (first..).zip(scratch.drain(..)) {
-                match (&mut sink, budget) {
-                    (Some(sink), _) => sink.push(row, matrix.row(i))?,
-                    (None, None) => buffered.push(row),
-                    (None, Some(budget)) => {
-                        buffered_bytes += tuple_spill_bytes(&row) + CELL_BYTES * arity;
-                        buffered.push(row);
-                        if buffered_bytes > budget {
-                            // Replay the buffer (matrix rows 0..=i).
-                            let engaged = sink.insert(self.engage(budget)?);
-                            for (j, row) in buffered.drain(..).enumerate() {
-                                engaged.push(row, matrix.row(j))?;
-                            }
-                        }
+            match (&mut sink, budget) {
+                (Some(sink), _) => {
+                    for (i, candidate) in (first..).zip(scratch.drain(..)) {
+                        sink.push(candidate.into_row(table)?, matrix.row(i))?;
                     }
                 }
+                (None, Some(budget)) if buffered_bytes > budget => {
+                    // Replay the buffer and this pull (every matrix row),
+                    // in order: the window sees the stream it would have.
+                    let engaged = sink.insert(self.engage(budget)?);
+                    let candidates = buffered.drain(..).chain(scratch.drain(..));
+                    for (j, candidate) in candidates.enumerate() {
+                        engaged.push(candidate.into_row(table)?, matrix.row(j))?;
+                    }
+                }
+                (None, _) => buffered.append(&mut scratch),
             }
             if let Some(Sink::Spool { writer, frames, .. }) = &mut sink {
                 if !frames.is_empty() {
@@ -376,8 +468,9 @@ impl<'a> PreferenceOp<'a> {
                 (winners, metrics)
             }
         };
+        // Spilled candidates travel as rows.
         let winners = winners.into_iter().map(|(_, row, cells)| (row, cells));
-        self.set_winners(winners, &best);
+        self.set_winners(winners, &best)?;
         ctx.note_spill(metrics);
         Ok(())
     }
@@ -387,7 +480,10 @@ impl Operator for PreferenceOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
         let budget = self.spec.external_budget();
-        let result = self.input.open().and_then(|()| self.select(budget));
+        let result = self.input.open().and_then(|()| match self.spec.rid_table {
+            Some(_) => self.select::<usize>(budget),
+            None => self.select::<Tuple>(budget),
+        });
         self.input.close();
         // Harvest the dominance tally of this selection — the paper's
         // unit of preference-evaluation cost — and charge the statement.

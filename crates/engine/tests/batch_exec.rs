@@ -8,7 +8,7 @@
 //! refilled decode buffer instead of the catalog's rows.
 
 use prefsql_engine::physical::{build, drain_batched};
-use prefsql_engine::Engine;
+use prefsql_engine::{Engine, NativeOptions, PlanNode};
 use prefsql_parser::ast::Statement;
 use prefsql_parser::parse_statement;
 use prefsql_types::{tuple, Tuple, Value};
@@ -203,6 +203,46 @@ fn index_scan_agrees_across_batch_sizes() {
         "SELECT id FROM t WHERE grp = 3",
         int_rows((0..10).map(|k| [5 * k + 3])),
     );
+}
+
+/// A preference over a filter over a sequential scan, its drive loop
+/// pulling as many rows per pull as the consumer does: every small pull
+/// runs it in rid mode (the scan lends row ids beside the rows the filter
+/// narrows, only the winners are fetched back), the one-pull run takes
+/// the row path, and all of them return the same winners in row-id order
+/// — on the paged backend from a refilled, column-masked decode buffer.
+#[test]
+fn preference_over_filter_over_scan_agrees_across_batch_sizes() {
+    let mut e = setup();
+    // v > 60 keeps ids 0..40; per grp the highest id wins, and the five
+    // winners are pairwise incomparable.
+    let query = select_query(
+        "SELECT id, grp, v FROM t WHERE v > 60 PREFERRING LOWEST(grp) AND HIGHEST(id)",
+    );
+    let expected = int_rows((35..40).map(|id| [id, id % 5, 100 - id]));
+    for batch in [1, 3, 7, 1024] {
+        e.set_knobs(NativeOptions {
+            batch: Some(batch),
+            window_bytes: None,
+            ..e.knobs()
+        });
+        let ctx = e.read_ctx().unwrap();
+        let plan = ctx.plan_for(&query).unwrap();
+        let mut node = plan.root();
+        let spec = loop {
+            match node {
+                PlanNode::Preference { spec, input, .. } => {
+                    assert!(matches!(**input, PlanNode::Filter { .. }), "{input:?}");
+                    break spec;
+                }
+                other => node = other.input().expect("a preference below the tail"),
+            }
+        };
+        assert_eq!(spec.rid_table.is_some(), batch < 50, "batch={batch}");
+        let mut op = build(&ctx, plan.root(), &[]);
+        let rows = drain_batched(op.as_mut(), batch).unwrap();
+        assert_eq!(Some(rows), expected, "batch={batch}");
+    }
 }
 
 /// `rows_scanned` is charged by the scan as it produces rows, which

@@ -31,4 +31,4 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Client, Response};
-pub use server::{Server, ServerHandle, DEFAULT_MAX_CONNECTIONS};
+pub use server::{Server, ServerHandle, DEFAULT_MAX_CONNECTIONS, MAX_REQUEST_BYTES};

@@ -1,7 +1,9 @@
 //! The wire protocol: line-oriented, human-readable, trivially
 //! scriptable with `nc`.
 //!
-//! Requests are single lines (UTF-8, `\n`-terminated): one SQL
+//! Requests are single lines (UTF-8, `\n`-terminated, at most
+//! [`crate::MAX_REQUEST_BYTES`] long — a line that is not UTF-8 or is
+//! longer is answered `ERROR:` and the connection stays usable): one SQL
 //! statement (a trailing `;` is tolerated), a `\`-meta-command
 //! (`\mode`, `\algo`, `\threads`, `\window`, `\pool`, `\backend`,
 //! `\metrics`, `\rewrite`, `\d`, `\q`), or the bare verb `METRICS` (the

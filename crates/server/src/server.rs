@@ -22,6 +22,70 @@ use std::time::Instant;
 /// unbounded thread growth.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 256;
 
+/// The longest request line a connection reads, in bytes, newline
+/// excluded. A longer line is answered with `ERROR:` and skipped to its
+/// newline without being buffered, so no client can make its connection
+/// hold more than this much of a request.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// One request line as read off the wire ([`read_request`]).
+#[derive(Debug, PartialEq, Eq)]
+enum Request<'b> {
+    /// The client closed its end.
+    Eof,
+    /// A line of at most the cap, valid UTF-8, newline stripped.
+    Line(&'b str),
+    /// A line the server will not run: the `ERROR:` text to answer.
+    Refused(String),
+}
+
+/// Read the next `\n`-terminated request line into `buf`: at most `max`
+/// bytes of it are kept, and the rest of an oversized line is consumed
+/// and dropped. A last line without a newline counts as a line. Invalid
+/// UTF-8 and oversized lines are [`Request::Refused`], not I/O errors, so
+/// the connection stays usable.
+fn read_request<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    max: usize,
+) -> io::Result<Request<'b>> {
+    buf.clear();
+    let (mut oversized, mut read_any) = (false, false);
+    loop {
+        let available = match reader.fill_buf() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            read => read?,
+        };
+        if available.is_empty() {
+            if !read_any {
+                return Ok(Request::Eof);
+            }
+            break;
+        }
+        read_any = true;
+        let newline = available.iter().position(|&b| b == b'\n');
+        let chunk = &available[..newline.unwrap_or(available.len())];
+        if buf.len() + chunk.len() > max {
+            oversized = true;
+            buf.clear();
+        } else if !oversized {
+            buf.extend_from_slice(chunk);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    if oversized {
+        return Ok(Request::Refused(format!("request exceeds {max} bytes")));
+    }
+    Ok(match std::str::from_utf8(buf) {
+        Ok(line) => Request::Line(line),
+        Err(_) => Request::Refused("request is not valid UTF-8".into()),
+    })
+}
+
 /// A bound-but-not-yet-running server: the listener plus the shared
 /// engine core every connection's session will borrow.
 pub struct Server {
@@ -172,7 +236,9 @@ impl Server {
 
 /// Serve one connection: greet, then answer request lines until `\q`
 /// or EOF. Each connection owns a private [`Session`] over the shared
-/// core.
+/// core. A line that is not UTF-8 or is longer than
+/// [`MAX_REQUEST_BYTES`] is answered with `ERROR:` and the connection
+/// reads on.
 fn serve_connection(
     stream: TcpStream,
     core: Arc<EngineCore>,
@@ -195,13 +261,17 @@ fn serve_connection(
     if slow_query_ms.is_some() {
         session.set_profile_all(true);
     }
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(()); // EOF: client went away.
-        }
-        let request = line.trim();
+        let request = match read_request(&mut reader, &mut line, MAX_REQUEST_BYTES)? {
+            Request::Eof => return Ok(()), // client went away
+            Request::Refused(why) => {
+                writeln!(writer, "ERROR: {why}")?;
+                writer.flush()?;
+                continue;
+            }
+            Request::Line(line) => line.trim(),
+        };
         let mut out: Vec<String> = Vec::new();
         if let Some(meta) = request.strip_prefix('\\') {
             let mut parts = meta.splitn(2, char::is_whitespace);
@@ -469,5 +539,69 @@ mod tests {
         a.quit().unwrap();
         b.quit().unwrap();
         handle.stop().unwrap();
+    }
+
+    /// The outcomes a request reader must produce for `stream`: one per
+    /// `\n`-terminated segment, and one for a last segment without a
+    /// newline unless it is empty.
+    fn model(stream: &[u8], max: usize) -> Vec<Request<'_>> {
+        let mut segments: Vec<&[u8]> = stream.split(|&b| b == b'\n').collect();
+        if segments.last().is_some_and(|last| last.is_empty()) {
+            segments.pop();
+        }
+        let mut out: Vec<Request<'_>> = (segments.into_iter())
+            .map(|seg| match std::str::from_utf8(seg) {
+                _ if seg.len() > max => Request::Refused(format!("request exceeds {max} bytes")),
+                Ok(line) => Request::Line(line),
+                Err(_) => Request::Refused("request is not valid UTF-8".into()),
+            })
+            .collect();
+        out.push(Request::Eof);
+        out
+    }
+
+    proptest::proptest! {
+        /// Any byte stream — cut into arbitrary read sizes, with lines
+        /// under and over a small cap — reads as the model says: no
+        /// panic, no I/O error, one outcome per line, then the end.
+        #[test]
+        fn any_byte_stream_reads_as_its_lines(
+            stream in proptest::collection::vec(
+                proptest::prop_oneof![
+                    proptest::prelude::Just(b'\n'),
+                    proptest::prelude::Just(b'a'),
+                    proptest::prelude::any::<u8>(),
+                ],
+                0..200,
+            ),
+            max in 1usize..24,
+            capacity in 1usize..16,
+        ) {
+            let mut reader = std::io::BufReader::with_capacity(capacity, &stream[..]);
+            let mut buf = Vec::new();
+            let expected = model(&stream, max);
+            for want in expected {
+                let got = read_request(&mut reader, &mut buf, max).unwrap();
+                proptest::prop_assert_eq!(got, want);
+            }
+            let again = read_request(&mut reader, &mut buf, max).unwrap();
+            proptest::prop_assert_eq!(again, Request::Eof);
+        }
+    }
+
+    #[test]
+    fn an_oversized_line_is_refused_and_the_next_one_read() {
+        let mut stream = vec![b'x'; MAX_REQUEST_BYTES + 1];
+        stream.extend_from_slice(b"\nSELECT 1\n");
+        let mut reader = BufReader::new(&stream[..]);
+        let mut buf = Vec::new();
+        let first = read_request(&mut reader, &mut buf, MAX_REQUEST_BYTES).unwrap();
+        assert!(matches!(first, Request::Refused(_)), "{first:?}");
+        assert!(
+            buf.len() <= MAX_REQUEST_BYTES,
+            "the line was buffered whole"
+        );
+        let next = read_request(&mut reader, &mut buf, MAX_REQUEST_BYTES).unwrap();
+        assert_eq!(next, Request::Line("SELECT 1"));
     }
 }

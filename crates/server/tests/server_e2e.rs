@@ -1,11 +1,13 @@
 //! End-to-end acceptance for the TCP front end: one `prefsql-server`
 //! instance serving 64 concurrent connections, every response
 //! byte-identical to the single-session baseline captured before the
-//! flood.
+//! flood; and hostile request lines over a raw socket.
 
 use prefsql::Session;
 use prefsql_engine::EngineCore;
-use prefsql_server::{Client, Server};
+use prefsql_server::{Client, Server, MAX_REQUEST_BYTES};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
 
@@ -87,5 +89,59 @@ fn sixty_four_connections_match_single_session_baseline() {
         w.join().expect("connection thread panicked");
     }
 
+    handle.stop().unwrap();
+}
+
+/// Read one reply off a raw connection: payload lines up to and
+/// including the terminator line.
+fn raw_reply(reader: &mut impl BufRead) -> Vec<String> {
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+        let line = line.trim_end_matches('\n').to_string();
+        let payload = line.starts_with("# ") || line.starts_with("| ");
+        lines.push(line);
+        if !payload {
+            return lines;
+        }
+    }
+}
+
+/// Bytes no client library would send: a request that is not UTF-8 and
+/// one longer than `MAX_REQUEST_BYTES` are each answered `ERROR:`, and
+/// the same connection then runs the next statement.
+#[test]
+fn hostile_request_lines_are_refused_on_a_usable_connection() {
+    let server = Server::bind("127.0.0.1:0", loaded_core()).unwrap();
+    let handle = server.spawn().unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut greeting = String::new();
+    reader.read_line(&mut greeting).unwrap();
+    assert!(greeting.starts_with("PREFSQL"), "{greeting}");
+
+    let count = |reader: &mut BufReader<TcpStream>, writer: &mut TcpStream| {
+        writer.write_all(b"SELECT COUNT(*) FROM car\n").unwrap();
+        raw_reply(reader)
+    };
+    assert_eq!(count(&mut reader, &mut writer).last().unwrap(), "OK 1 rows");
+
+    writer.write_all(b"SELECT \xff\xfe FROM car\n").unwrap();
+    let reply = raw_reply(&mut reader);
+    assert_eq!(reply, ["ERROR: request is not valid UTF-8"]);
+    assert_eq!(count(&mut reader, &mut writer).last().unwrap(), "OK 1 rows");
+
+    let mut oversized = vec![b' '; MAX_REQUEST_BYTES];
+    oversized.extend_from_slice(b"SELECT 1\n");
+    writer.write_all(&oversized).unwrap();
+    let reply = raw_reply(&mut reader);
+    assert_eq!(reply.len(), 1, "{reply:?}");
+    assert!(reply[0].starts_with("ERROR: request exceeds"), "{reply:?}");
+    assert_eq!(count(&mut reader, &mut writer).last().unwrap(), "OK 1 rows");
+
+    writer.write_all(b"\\q\n").unwrap();
+    assert_eq!(raw_reply(&mut reader), ["BYE"]);
     handle.stop().unwrap();
 }

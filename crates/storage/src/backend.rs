@@ -45,6 +45,15 @@
 //! would fail it. Because rids are assigned in insertion order, keys
 //! that arrive ascending cluster per page, and a point lookup by such a
 //! key reads one page. The in-memory backend has no synopses.
+//!
+//! **In-place refill.** [`StorageBackend::scan`] does not append: it
+//! refills the caller's row buffer, decoding row `i` of a batch into the
+//! tuple slot `i` already holds (`codec::decode_slot` reuses its value
+//! vector and strings), and reports each row's rid beside it. A caller
+//! that reads only some columns passes a mask, and the paged store leaves
+//! the others `NULL` after checking them. A scan that keeps refilling one
+//! buffer therefore builds no tuple per row, and a consumer that needs
+//! the whole row later — a preference winner, say — fetches it by rid.
 
 use crate::codec;
 use crate::heap::HeapFile;
@@ -66,15 +75,20 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
     /// Fetch one row by rid.
     fn fetch(&self, rid: usize) -> Result<Tuple>;
 
-    /// Append up to `max` rows from rid `*pos` on onto `out`, advancing
-    /// `*pos` past them. The rows of pages `filter` rules out are
-    /// stepped over, not appended. Returns `false` once the scan is
-    /// exhausted (nothing was appended).
+    /// Refill `out` with up to `max` rows from rid `*pos` on, advancing
+    /// `*pos` past them, and `rids` with their row ids. The buffer is
+    /// refilled in place: row `i` is decoded into the tuple `out[i]`
+    /// already holds, and `out` is cut to the rows read. Columns whose
+    /// `mask` entry is `false` need not be decoded (the paged store reads
+    /// them as `NULL`). The rows of pages `filter` rules out are stepped
+    /// over. Returns `false` once the scan is exhausted (`out` is empty).
     fn scan(
         &self,
         pos: &mut usize,
         out: &mut Vec<Tuple>,
+        rids: &mut Vec<usize>,
         max: usize,
+        mask: Option<&[bool]>,
         filter: &mut PageFilter<'_>,
     ) -> Result<bool>;
 
@@ -169,16 +183,20 @@ impl StorageBackend for MemBackend {
         &self,
         pos: &mut usize,
         out: &mut Vec<Tuple>,
+        rids: &mut Vec<usize>,
         max: usize,
+        _mask: Option<&[bool]>,
         _filter: &mut PageFilter<'_>,
     ) -> Result<bool> {
-        if *pos >= self.rows.len() {
-            return Ok(false);
+        let (start, end) = (*pos, pos.saturating_add(max).min(self.rows.len()));
+        out.clear();
+        rids.clear();
+        if start < end {
+            out.extend_from_slice(&self.rows[start..end]);
+            rids.extend(start..end);
+            *pos = end;
         }
-        let end = (*pos + max).min(self.rows.len());
-        out.extend_from_slice(&self.rows[*pos..end]);
-        *pos = end;
-        Ok(true)
+        Ok(!out.is_empty())
     }
 
     fn for_each_from(
@@ -490,8 +508,12 @@ impl PagedBackend {
     /// Materialize every row in rid order (rewrite paths).
     fn all_rows(&self) -> Result<Vec<Tuple>> {
         let mut rows = Vec::with_capacity(self.dir.len());
-        let mut pos = 0;
-        while self.scan(&mut pos, &mut rows, 4096, &mut PageFilter::default())? {}
+        self.for_each_encoded(0, &mut PageFilter::default(), |_, bytes| {
+            let mut row = Tuple::default();
+            codec::decode_slot(bytes, None, &mut row)?;
+            rows.push(row);
+            Ok(true)
+        })?;
         Ok(rows)
     }
 }
@@ -521,19 +543,25 @@ impl StorageBackend for PagedBackend {
         &self,
         pos: &mut usize,
         out: &mut Vec<Tuple>,
+        rids: &mut Vec<usize>,
         max: usize,
+        mask: Option<&[bool]>,
         filter: &mut PageFilter<'_>,
     ) -> Result<bool> {
-        let before = out.len();
+        rids.clear();
         if max > 0 {
-            *pos = self.for_each_encoded(*pos, filter, |_, bytes| {
-                let mut row = Tuple::default();
-                codec::decode_slot(bytes, None, &mut row)?;
-                out.push(row);
-                Ok(out.len() - before < max)
+            *pos = self.for_each_encoded(*pos, filter, |rid, bytes| {
+                let n = rids.len();
+                if n == out.len() {
+                    out.push(Tuple::default());
+                }
+                codec::decode_slot(bytes, mask, &mut out[n])?;
+                rids.push(rid);
+                Ok(n + 1 < max)
             })?;
         }
-        Ok(out.len() > before)
+        out.truncate(rids.len());
+        Ok(!out.is_empty())
     }
 
     fn for_each_from(
@@ -661,12 +689,21 @@ mod tests {
     }
 
     fn rows_of(b: &dyn StorageBackend) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        let mut pos = 0;
+        let (mut out, mut buf, mut rids, mut pos) = (Vec::new(), Vec::new(), Vec::new(), 0);
         while b
-            .scan(&mut pos, &mut out, 7, &mut PageFilter::default())
+            .scan(
+                &mut pos,
+                &mut buf,
+                &mut rids,
+                7,
+                None,
+                &mut PageFilter::default(),
+            )
             .unwrap()
-        {}
+        {
+            assert_eq!(rids, (out.len()..out.len() + buf.len()).collect::<Vec<_>>());
+            out.extend_from_slice(&buf);
+        }
         out
     }
 
@@ -852,6 +889,45 @@ mod tests {
         assert_eq!(paged.row_count(), 2);
         // ...and still reads its row through the shared file.
         assert_eq!(snapshot.fetch(0).unwrap(), tuple![1i64]);
+    }
+
+    /// A scan refills one buffer in place: every refill reports the rids
+    /// of the rows it decoded — stepping over the pages its filter rules
+    /// out — and leaves the columns outside its mask `NULL`.
+    #[test]
+    fn scans_refill_in_place_with_rids_under_a_mask() {
+        let (file, pool) = fixture("refill", MIN_POOL_BYTES);
+        let mut paged = PagedBackend::create(file, pool);
+        let pad = "r".repeat(80);
+        for i in 0..400i64 {
+            paged.insert(tuple![i, pad.clone(), i % 3]).unwrap();
+        }
+        let sargs = [Sarg::Range {
+            col: 0,
+            low: Some(Value::Int(300)),
+            high: None,
+        }];
+        let mask: &[bool] = &[true, false, true];
+        let (mut filter, mut buf, mut rids, mut pos) =
+            (PageFilter::new(&sargs), Vec::new(), Vec::new(), 0);
+        let mut seen = Vec::new();
+        while paged
+            .scan(&mut pos, &mut buf, &mut rids, 16, Some(mask), &mut filter)
+            .unwrap()
+        {
+            assert!(buf.len() <= 16 && buf.len() == rids.len());
+            for (&rid, row) in rids.iter().zip(&buf) {
+                assert_eq!(row, &tuple![rid as i64, Value::Null, rid as i64 % 3]);
+                seen.push(rid);
+            }
+        }
+        assert!(buf.is_empty() && rids.is_empty(), "the end leaves nothing");
+        // Whole pages below key 300 were stepped over, and every row at
+        // or past it was read, in rid order.
+        let first = seen[0];
+        assert!(first > 0 && first <= 300, "first rid read {first}");
+        assert_eq!(seen, (first..400).collect::<Vec<_>>());
+        assert!(filter.pages_skipped > 0);
     }
 
     /// The synopses' whole point: on a ~400-page table behind a 4-page

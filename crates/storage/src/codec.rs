@@ -116,7 +116,9 @@ pub(crate) fn encode_tuple(buf: &mut Vec<u8>, t: &Tuple) -> Result<()> {
 }
 
 /// Decode the tuple that exactly fills `bytes` — one heap slot, or one
-/// reassembled jumbo chain — into `out`, reusing its value vector.
+/// reassembled jumbo chain — into `out` in place: its value vector and
+/// the strings it already holds are reused, so a scan refilling one
+/// buffer of rows allocates only where a row outgrows its slot.
 ///
 /// With a `mask`, columns whose entry is `false` come back as `NULL`
 /// (columns past the mask's end are decoded). Masking saves only the
@@ -135,13 +137,13 @@ pub(crate) fn decode_slot(bytes: &[u8], mask: Option<&[bool]>, out: &mut Tuple) 
         )));
     }
     let mut values = std::mem::take(out).into_values();
-    values.clear();
-    values.reserve(arity);
-    for i in 0..arity {
+    values.resize(arity, Value::Null);
+    let decoded = values.iter_mut().enumerate().try_for_each(|(i, slot)| {
         let wanted = mask.map_or(true, |m| m.get(i).copied().unwrap_or(true));
-        values.push(slice_value(&mut rest, wanted)?);
-    }
+        slice_value(&mut rest, wanted, slot)
+    });
     *out = Tuple::new(values);
+    decoded?;
     if !rest.is_empty() {
         return Err(Error::Io(format!(
             "corrupt tuple: {} trailing bytes",
@@ -168,9 +170,9 @@ fn take<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N]> {
     Ok(out)
 }
 
-/// One tagged value off the front of `rest`; `NULL` unless `wanted`,
-/// after the same checks either way.
-fn slice_value(rest: &mut &[u8], wanted: bool) -> Result<Value> {
+/// One tagged value off the front of `rest` into `slot`; `NULL` unless
+/// `wanted`, after the same checks either way.
+fn slice_value(rest: &mut &[u8], wanted: bool, slot: &mut Value) -> Result<()> {
     let [tag] = take::<1>(rest)?;
     let v = match tag {
         TAG_NULL => Value::Null,
@@ -181,13 +183,22 @@ fn slice_value(rest: &mut &[u8], wanted: bool) -> Result<Value> {
             let len = u32::from_le_bytes(take::<4>(rest)?) as usize;
             let s = std::str::from_utf8(take_slice(rest, len)?)
                 .map_err(|e| Error::Io(format!("corrupt tuple: {e}")))?;
-            // Copy only what is kept; `String::new` does not allocate.
-            Value::Str(if wanted { s.to_owned() } else { String::new() })
+            // Copy only what is kept, into the string the slot holds.
+            match slot {
+                Value::Str(kept) if wanted => {
+                    kept.clear();
+                    kept.push_str(s);
+                    return Ok(());
+                }
+                _ if wanted => Value::Str(s.to_owned()),
+                _ => Value::Null,
+            }
         }
         TAG_DATE => Value::Date(Date::from_days(i64::from_le_bytes(take::<8>(rest)?))),
         other => return Err(Error::Io(format!("corrupt tuple: unknown tag {other}"))),
     };
-    Ok(if wanted { v } else { Value::Null })
+    *slot = if wanted { v } else { Value::Null };
+    Ok(())
 }
 
 #[cfg(test)]

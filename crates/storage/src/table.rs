@@ -9,7 +9,8 @@
 //! [`Table::scan_batch`], [`Table::for_each_row_from`]) when the rows
 //! live on disk. The `_where` variants of the scans take a
 //! [`PageFilter`], through which a paged table skips the pages its
-//! synopses rule out.
+//! synopses rule out, and a column mask, which spares a paged table
+//! decoding the columns the caller does not read.
 
 use crate::backend::{MemBackend, PagedBackend, StorageBackend};
 use crate::heap::HeapFile;
@@ -123,20 +124,30 @@ impl Table {
     /// Append up to `max` rows starting at rid `*pos` onto `out`,
     /// advancing `*pos`. Returns `false` once the scan is exhausted.
     pub fn scan_batch(&self, pos: &mut usize, out: &mut Vec<Tuple>, max: usize) -> Result<bool> {
-        self.scan_batch_where(pos, out, max, &mut PageFilter::default())
+        let (mut rows, mut rids) = (Vec::new(), Vec::new());
+        let filter = &mut PageFilter::default();
+        let more = self.scan_batch_where(pos, &mut rows, &mut rids, max, None, filter)?;
+        out.append(&mut rows);
+        Ok(more)
     }
 
-    /// [`Table::scan_batch`] through `filter`: the rows of pages it rules
-    /// out are stepped over, so a batch may come from further on than
-    /// `*pos`, and `false` means nothing was left to append.
+    /// Refill `out` in place with up to `max` rows from rid `*pos` on,
+    /// advancing `*pos`, and `rids` with their row ids; returns `false`
+    /// once the scan is exhausted. The rows of pages `filter` rules out
+    /// are stepped over, so a batch may come from further on than `*pos`.
+    /// A caller that reads only the columns `mask` selects (all when
+    /// `None`) lets a paged table leave the rest `NULL`; every column of
+    /// every row read is still validated.
     pub fn scan_batch_where(
         &self,
         pos: &mut usize,
         out: &mut Vec<Tuple>,
+        rids: &mut Vec<usize>,
         max: usize,
+        mask: Option<&[bool]>,
         filter: &mut PageFilter<'_>,
     ) -> Result<bool> {
-        self.backend.scan(pos, out, max, filter)
+        self.backend.scan(pos, out, rids, max, mask, filter)
     }
 
     /// Run `f` over every row from rid `from` on, in rid order. The
@@ -151,12 +162,7 @@ impl Table {
             .for_each_from(from, None, &mut PageFilter::default(), &mut f)
     }
 
-    /// Run `f` over every row, in rid order.
-    pub fn for_each_row(&self, f: impl FnMut(usize, &Tuple) -> Result<()>) -> Result<()> {
-        self.for_each_row_from(0, f)
-    }
-
-    /// [`Table::for_each_row`] over the rows `filter` does not rule out,
+    /// Run `f` over every row `filter` does not rule out, in rid order,
     /// for a caller that reads only the columns `mask` selects (all when
     /// `None`): the rest need not be decoded, and may read as `NULL`.
     /// Every column of every row read is still validated.

@@ -1,0 +1,424 @@
+//! Rid mode of the native preference operator: a candidate is a row id
+//! plus its score cells whenever the source is a chain of filters over one
+//! base-table scan or index probe, and only the winners are fetched whole.
+//!
+//! Every case runs on the in-memory backend and on the paged backend
+//! behind the smallest legal pool (four pages, so every scan evicts), and
+//! its native result must equal the rewrite's. Rid-mode cases must also be
+//! byte-identical, row order included, to the same statement forced onto
+//! the row path (a drive pull larger than the table), and their plans must
+//! say rid mode; the row-path cases (`BUT ONLY`, a join, a derived table,
+//! a window budget, a source of one pull) must say the row path. Every
+//! plan is walked for the scan-mask invariant: only the scan at the bottom
+//! of a rid-mode preference's filter chain may decode fewer columns.
+
+use prefsql::{ExecutionMode, Session};
+use prefsql_engine::physical::DEFAULT_BATCH;
+use prefsql_engine::{BackendKind, EngineCore, NativeOptions, PlanNode};
+use prefsql_parser::ast::Statement;
+use prefsql_types::knobs::{DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
+use std::sync::Arc;
+
+/// Rows in `cars`: more than one default drive pull, so rid mode applies
+/// to a full scan, and every make probes more than one pull of row ids.
+const ROWS: usize = 6_000;
+
+/// The two backends every case runs on: label and a fresh core.
+fn cores() -> [(&'static str, Arc<EngineCore>); 2] {
+    [
+        (
+            "mem",
+            Arc::new(EngineCore::with_storage(
+                BackendKind::Mem,
+                DEFAULT_POOL_BYTES,
+            )),
+        ),
+        (
+            "paged",
+            Arc::new(EngineCore::with_storage(BackendKind::Paged, MIN_POOL_BYTES)),
+        ),
+    ]
+}
+
+/// A session over `core` with no window budget, whatever the environment
+/// says, holding `cars` (seven columns, NULLs in `power`, a B-tree index
+/// on `power`), `dealers` (one row per make) and `tiny`.
+fn loaded(core: Arc<EngineCore>) -> Session {
+    let mut s = Session::with_core(core);
+    let unbounded = knobs(&s, None, Some(DEFAULT_BATCH));
+    s.engine_mut().set_knobs(unbounded);
+    run(
+        &mut s,
+        "CREATE TABLE cars (id INTEGER NOT NULL, make VARCHAR NOT NULL, \
+         price INTEGER, power INTEGER, mileage INTEGER, color VARCHAR, note VARCHAR)",
+    );
+    let makes = ["audi", "bmw", "opel", "vw"];
+    let colors = ["red", "blue", "black"];
+    let mut state = 0x2545_f491_u64;
+    let mut next = |m: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        (state >> 33) % m
+    };
+    let rows: Vec<String> = (0..ROWS)
+        .map(|id| {
+            let power = match next(40) {
+                0 => "NULL".to_string(),
+                p => (60 + p * 5).to_string(),
+            };
+            format!(
+                "({id}, '{}', {}, {power}, {}, '{}', 'note {id}')",
+                makes[id % makes.len()],
+                5_000 + next(60_000),
+                next(200_000),
+                colors[next(3) as usize],
+            )
+        })
+        .collect();
+    run(
+        &mut s,
+        &format!("INSERT INTO cars VALUES {}", rows.join(", ")),
+    );
+    run(&mut s, "CREATE INDEX idx_power ON cars (power) USING btree");
+    run(&mut s, "CREATE TABLE dealers (make VARCHAR, city VARCHAR)");
+    run(
+        &mut s,
+        "INSERT INTO dealers VALUES ('audi', 'Ingolstadt'), ('bmw', 'Munich'), \
+         ('opel', 'Ruesselsheim'), ('vw', 'Wolfsburg')",
+    );
+    run(
+        &mut s,
+        "CREATE TABLE tiny (id INTEGER, x INTEGER, y INTEGER)",
+    );
+    run(
+        &mut s,
+        "INSERT INTO tiny VALUES (1, 3, 1), (2, 2, 2), (3, 1, 3), (4, 3, 3)",
+    );
+    s
+}
+
+fn run(s: &mut Session, sql: &str) {
+    s.execute(sql)
+        .unwrap_or_else(|e| panic!("{sql} failed: {e}"));
+}
+
+/// The session's knobs with the window budget and drive pull given.
+fn knobs(s: &Session, window: Option<usize>, batch: Option<usize>) -> NativeOptions {
+    NativeOptions {
+        window_bytes: window,
+        batch,
+        ..s.engine().knobs()
+    }
+}
+
+/// The rendered rows of `sql` in `mode`, sorted unless `ordered`.
+fn rows(s: &mut Session, mode: ExecutionMode, sql: &str, ordered: bool) -> Vec<String> {
+    s.set_mode(mode);
+    let rs = s
+        .query(sql)
+        .unwrap_or_else(|e| panic!("{} failed on {sql}: {e}", mode.label()));
+    let mut out: Vec<String> = rs.rows().iter().map(|r| r.to_string()).collect();
+    if !ordered {
+        out.sort();
+    }
+    out
+}
+
+/// Plan `sql` natively and return whether its preference runs in rid
+/// mode, after checking the plan's scan masks.
+fn rid_mode(s: &Session, sql: &str) -> bool {
+    let plan = planned(s, sql);
+    assert_masks_only_under_rid_mode(plan.root(), false);
+    let mut node = Some(plan.root());
+    while let Some(n) = node {
+        if let PlanNode::Preference { spec, .. } = n {
+            return spec.rid_table.is_some();
+        }
+        node = n.input();
+    }
+    panic!("no preference node in the plan of {sql}");
+}
+
+fn planned(s: &Session, sql: &str) -> Arc<prefsql_engine::QueryPlan> {
+    let Statement::Select(query) = prefsql_parser::parse_statement(sql).unwrap() else {
+        panic!("expected a SELECT: {sql}");
+    };
+    let ctx = s.engine().read_ctx().unwrap();
+    ctx.plan_for(&query).unwrap()
+}
+
+/// The mask invariant: a sequential scan decodes fewer columns only at
+/// the bottom of a chain of filters under a rid-mode preference
+/// (`rid_chain`: the node is in such a chain).
+fn assert_masks_only_under_rid_mode(node: &PlanNode, rid_chain: bool) {
+    let children: Vec<&PlanNode> = match node {
+        PlanNode::SeqScan { mask, table, .. } => {
+            assert!(
+                mask.is_none() || rid_chain,
+                "scan of {table} has a mask outside a rid-mode chain: {node:?}"
+            );
+            Vec::new()
+        }
+        PlanNode::Join { left, right, .. } => vec![left, right],
+        other => other.input().into_iter().collect(),
+    };
+    let chain = match node {
+        PlanNode::Preference { spec, .. } => spec.rid_table.is_some(),
+        PlanNode::Filter { .. } => rid_chain,
+        _ => false,
+    };
+    for child in children {
+        assert_masks_only_under_rid_mode(child, chain);
+    }
+}
+
+/// The statement agrees across modes and backends, and takes the
+/// candidate path `rid` says; a rid-mode statement is also identical,
+/// order included, to the row path forced by a drive pull wider than
+/// the table. Returns the native rows of the last backend.
+fn check(sql: &str, ordered: bool, rid: bool) -> Vec<String> {
+    let mut per_backend = Vec::new();
+    for (label, core) in cores() {
+        let mut s = loaded(core);
+        assert_eq!(rid_mode(&s, sql), rid, "{label}: candidate path of {sql}");
+        let native = rows(&mut s, ExecutionMode::native(), sql, true);
+        let rewrite = rows(&mut s, ExecutionMode::Rewrite, sql, ordered);
+        let mut sorted = native.clone();
+        if !ordered {
+            sorted.sort();
+        }
+        assert_eq!(
+            sorted, rewrite,
+            "{label}: native and rewrite differ on {sql}"
+        );
+        if rid {
+            let row_path = knobs(&s, None, Some(2 * ROWS));
+            s.engine_mut().set_knobs(row_path);
+            assert!(!rid_mode(&s, sql), "a pull wider than the table");
+            let by_rows = rows(&mut s, ExecutionMode::native(), sql, true);
+            assert_eq!(
+                native, by_rows,
+                "{label}: rid mode and row path differ on {sql}"
+            );
+        }
+        per_backend.push(native);
+    }
+    assert_eq!(per_backend[0], per_backend[1], "backends differ on {sql}");
+    let native = per_backend.pop().expect("two backends");
+    assert!(!native.is_empty(), "{sql} selected nothing");
+    native
+}
+
+/// `SELECT *` over a masked scan: the scan decodes price, mileage and
+/// power only, yet every winner comes back whole — no NULL leaks into
+/// the columns the mask left out.
+#[test]
+fn select_star_winners_come_back_whole() {
+    let sql = "SELECT * FROM cars WHERE price < 40000 \
+               PREFERRING LOWEST(mileage) AND HIGHEST(power)";
+    let rows = check(sql, false, true);
+    for row in &rows {
+        // (id, make, price, power, mileage, color, note): `note` is
+        // 'note <id>' and `make` and `color` are never NULL.
+        let fields: Vec<&str> = row
+            .trim_matches(|c| c == '(' || c == ')')
+            .split(", ")
+            .collect();
+        assert_eq!(fields[6], format!("note {}", fields[0]), "{row}");
+        assert!(fields[1] != "NULL" && fields[5] != "NULL", "{row}");
+    }
+    for (_, core) in cores() {
+        let s = loaded(core);
+        let plan = planned(&s, sql);
+        let mut node = plan.root();
+        while !matches!(node, PlanNode::SeqScan { .. }) {
+            node = node.input().expect("a chain down to the scan");
+        }
+        let PlanNode::SeqScan { mask, .. } = node else {
+            unreachable!()
+        };
+        // id, make, price, power, mileage, color, note
+        let read = [false, false, true, true, true, false, false];
+        assert_eq!(mask.as_deref(), Some(&read[..]));
+    }
+}
+
+#[test]
+fn grouping_runs_in_rid_mode() {
+    check(
+        "SELECT id, make, price, power FROM cars WHERE mileage < 150000 \
+         PREFERRING LOWEST(price) AND HIGHEST(power) GROUPING make",
+        false,
+        true,
+    );
+}
+
+#[test]
+fn quality_functions_in_select_and_order_by() {
+    check(
+        "SELECT id, DISTANCE(price), TOP(power), LEVEL(color) FROM cars \
+         PREFERRING price AROUND 20000 AND HIGHEST(power) AND color IN ('red') \
+         ORDER BY DISTANCE(price), id",
+        true,
+        true,
+    );
+}
+
+/// A B-tree range probe feeds candidates in key order, not row-id order;
+/// rid mode keeps it (the row-path comparison includes the order).
+#[test]
+fn index_probe_source_keeps_key_order() {
+    let sql = "SELECT id, power, price FROM cars WHERE power >= 100 \
+               PREFERRING LOWEST(price) AND LOWEST(mileage)";
+    for (_, core) in cores() {
+        let s = loaded(core);
+        let plan = planned(&s, sql);
+        let mut node = plan.root();
+        while !matches!(node, PlanNode::IndexScan { .. }) {
+            node = node.input().expect("a chain down to the probe");
+        }
+    }
+    check(sql, false, true);
+}
+
+/// Under a 4 KiB window the candidates spill, and a spill run holds rows:
+/// the statement takes the row path and returns what the unbounded
+/// rid-mode run returns.
+#[test]
+fn a_spilling_window_run_matches_the_rid_mode_run() {
+    let sql = "SELECT * FROM cars \
+               PREFERRING LOWEST(price) AND LOWEST(mileage) AND HIGHEST(power) AND HIGHEST(id)";
+    let unbounded = check(sql, false, true);
+    for (label, core) in cores() {
+        let mut s = loaded(core);
+        let windowed = knobs(&s, Some(4096), Some(DEFAULT_BATCH));
+        s.engine_mut().set_knobs(windowed);
+        assert!(!rid_mode(&s, sql), "{label}: a budget keeps the row path");
+        s.set_mode(ExecutionMode::native());
+        let rs = s.query(sql).unwrap();
+        let m = rs.spill_metrics().expect("a budgeted run reports metrics");
+        assert!(m.runs_written >= 1, "{label}: {m:?}");
+        let got: Vec<String> = rs.rows().iter().map(|r| r.to_string()).collect();
+        assert_eq!(got, unbounded, "{label}: the window changed the result");
+    }
+}
+
+#[test]
+fn but_only_keeps_the_row_path() {
+    check(
+        "SELECT id, price FROM cars PREFERRING price AROUND 20000 AND HIGHEST(power) \
+         BUT ONLY DISTANCE(price) <= 5000",
+        false,
+        false,
+    );
+}
+
+#[test]
+fn a_join_source_keeps_the_row_path() {
+    check(
+        "SELECT c.id, d.city FROM cars c, dealers d WHERE c.make = d.make \
+         PREFERRING LOWEST(c.price) AND HIGHEST(c.power)",
+        false,
+        false,
+    );
+}
+
+#[test]
+fn a_derived_table_source_keeps_the_row_path() {
+    check(
+        "SELECT id, price FROM (SELECT * FROM cars WHERE mileage > 1000) AS x \
+         PREFERRING LOWEST(price) AND HIGHEST(power)",
+        false,
+        false,
+    );
+}
+
+#[test]
+fn a_source_of_one_pull_keeps_the_row_path() {
+    check(
+        "SELECT * FROM tiny PREFERRING LOWEST(x) AND LOWEST(y)",
+        false,
+        false,
+    );
+}
+
+/// Plain SQL, sub-queries, views and every preference shape above: no
+/// plan but a rid-mode preference's carries a scan mask.
+#[test]
+fn scan_masks_appear_only_under_rid_mode() {
+    for (_, core) in cores() {
+        let mut s = loaded(core);
+        run(
+            &mut s,
+            "CREATE VIEW cheap AS SELECT * FROM cars WHERE price < 20000",
+        );
+        for sql in [
+            "SELECT * FROM cars WHERE price < 20000",
+            "SELECT id FROM cars WHERE power >= 100 ORDER BY price LIMIT 5",
+            "SELECT make, COUNT(*) FROM cars GROUP BY make",
+            "SELECT c.id FROM cars c, dealers d WHERE c.make = d.make",
+            "SELECT id FROM cars c WHERE EXISTS (SELECT * FROM dealers d WHERE d.make = c.make)",
+            "SELECT id FROM cars WHERE price IN (SELECT price FROM cars WHERE power > 200)",
+            "SELECT * FROM cheap",
+            "SELECT id FROM cheap PREFERRING LOWEST(price)",
+            "SELECT id FROM cars WHERE price < (SELECT AVG(price) FROM cars) \
+             PREFERRING LOWEST(mileage)",
+            "SELECT id FROM cars c WHERE EXISTS (SELECT * FROM dealers d WHERE d.make = c.make) \
+             PREFERRING LOWEST(price)",
+            "SELECT id FROM cars PREFERRING LOWEST(price) BUT ONLY TOP(price)",
+        ] {
+            assert_masks_only_under_rid_mode(planned(&s, sql).root(), false);
+        }
+    }
+}
+
+/// The `actual rows=` of the first plan line starting with `label`.
+fn actual_rows(report: &str, label: &str) -> u64 {
+    let line = (report.lines())
+        .find(|l| l.trim_start().starts_with(label))
+        .unwrap_or_else(|| panic!("no {label} line in:\n{report}"));
+    let at = line.find("actual rows=").expect("an analyzed line") + "actual rows=".len();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("row count digits")
+}
+
+/// Rid mode changes no EXPLAIN text, and under it the scan and the
+/// filter still run as operators: EXPLAIN ANALYZE reports their exact
+/// row counts, as on the row path.
+#[test]
+fn explain_is_unchanged_and_analyze_counts_the_scan_and_filter() {
+    let sql = "SELECT id FROM cars WHERE mileage < 100000 \
+               PREFERRING LOWEST(price) AND HIGHEST(power)";
+    for (label, core) in cores() {
+        let mut s = loaded(core);
+        s.set_mode(ExecutionMode::native());
+        let passing = s
+            .query("SELECT COUNT(*) FROM cars WHERE mileage < 100000")
+            .unwrap()
+            .rows()[0][0]
+            .as_int()
+            .unwrap() as u64;
+        let mut reports = Vec::new();
+        for (batch, rid) in [(Some(DEFAULT_BATCH), true), (Some(2 * ROWS), false)] {
+            let k = knobs(&s, None, batch);
+            s.engine_mut().set_knobs(k);
+            assert_eq!(rid_mode(&s, sql), rid, "{label}");
+            let explain = match s.execute(&format!("EXPLAIN {sql}")).unwrap() {
+                prefsql::QueryResult::Explain(text) => text,
+                other => panic!("EXPLAIN produced {other:?}"),
+            };
+            let analyzed = match s.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap() {
+                prefsql::QueryResult::Explain(text) => text,
+                other => panic!("EXPLAIN ANALYZE produced {other:?}"),
+            };
+            assert_eq!(actual_rows(&analyzed, "Seq scan"), ROWS as u64, "{label}");
+            assert_eq!(actual_rows(&analyzed, "Filter"), passing, "{label}");
+            reports.push(explain);
+        }
+        assert_eq!(reports[0], reports[1], "{label}: EXPLAIN differs by path");
+    }
+}
