@@ -8,6 +8,9 @@
 //! re-evaluated on the candidates, so index selection is purely an
 //! optimization and never changes results. The A2 ablation benchmark flips
 //! [`crate::Engine::set_use_indexes`] to measure the difference.
+//!
+//! The planner ([`crate::plan`]) is the one caller of [`sargs`] and
+//! [`choose_access_path`], for a SELECT's table and a DML target alike.
 
 use prefsql_parser::ast::{BinaryOp, Expr};
 use prefsql_storage::Table;

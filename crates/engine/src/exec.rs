@@ -23,18 +23,22 @@
 //! renders the same plan object the executor runs. DML binds its
 //! expressions once per statement the same way and evaluates them per
 //! row by ordinal.
+//!
+//! UPDATE and DELETE find their targets through the planner too
+//! (`plan::plan_target`), as the row ids a filter over a SELECT's access
+//! path lends; that plan is the statement's, so `EXPLAIN [ANALYZE]` and
+//! the slow-query log show it.
 
-use crate::access::{self, choose_access_path, AccessPath};
-use crate::bind::{bind, columns_read};
+use crate::bind::bind;
 use crate::catalog::Catalog;
-use crate::eval::{eval, holds, Env};
+use crate::eval::{eval, Env};
 use crate::explain::{pool_line, spill_line};
 use crate::knobs::NativeOptions;
-use crate::plan::{plan_preference, plan_query, QueryPlan};
+use crate::plan::{plan_preference, plan_query, plan_target, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
-use prefsql_storage::{BufferPool, HeapFile, IndexKind, PageFilter, PoolStats, Table};
+use prefsql_storage::{BufferPool, HeapFile, IndexKind, PoolStats, Table};
 use prefsql_types::knobs::fmt_bytes;
 use prefsql_types::{Column, Error, Result, Schema, Tuple, Value};
 use std::any::Any;
@@ -1216,11 +1220,8 @@ impl Engine {
     }
 
     /// Row ids of `table` satisfying `predicate` (all rows when `None`),
-    /// ascending. The target rows are found as a SELECT finds them: the
-    /// WHERE's sargs pick an index, whose candidates the bound predicate
-    /// re-checks; otherwise a scan skips the pages the sargs rule out and
-    /// decodes only the columns the predicate reads. Either way the rows
-    /// decoded are charged to `rows_scanned`.
+    /// ascending: those the statement's plan ([`plan_target`]) lends,
+    /// whose operators charge `rows_scanned` and `index_probes`.
     fn matching_row_ids(
         &self,
         cat: &Catalog,
@@ -1231,41 +1232,12 @@ impl Engine {
         let Some(predicate) = predicate else {
             return Ok((0..t.len()).collect());
         };
-        let schema = t.schema().without_qualifiers().with_qualifier(t.name());
         self.with_ctx_over(cat, |ctx| {
-            let pred = bind(ctx, predicate, &[&schema])?;
-            let sargs = if ctx.use_indexes() {
-                access::sargs(&schema, Some(predicate))
-            } else {
-                Vec::new()
-            };
-            let mut ids = Vec::new();
-            let mut scanned = 0;
-            match choose_access_path(t, &sargs) {
-                AccessPath::Index { mut row_ids, .. } => {
-                    ctx.stats.borrow_mut().index_probes += 1;
-                    row_ids.sort_unstable();
-                    row_ids.dedup();
-                    scanned = row_ids.len() as u64;
-                    for rid in row_ids {
-                        if holds(&pred, Env::new(&t.fetch_row(rid)?, &[]), ctx)? {
-                            ids.push(rid);
-                        }
-                    }
-                }
-                AccessPath::SeqScan => {
-                    let mask = columns_read([&pred], schema.len());
-                    let mut filter = PageFilter::new(&sargs);
-                    t.for_each_row_where(mask.as_deref(), &mut filter, |rid, row| {
-                        scanned += 1;
-                        if holds(&pred, Env::new(row, &[]), ctx)? {
-                            ids.push(rid);
-                        }
-                        Ok(())
-                    })?;
-                }
-            }
-            ctx.stats.borrow_mut().rows_scanned += scanned;
+            let plan = Arc::new(plan_target(ctx, table, predicate)?);
+            *ctx.plan.borrow_mut() = Some(Arc::clone(&plan));
+            let mut ids = crate::physical::row_ids(ctx, plan.root())?;
+            ids.sort_unstable();
+            ids.dedup();
             Ok(ids)
         })
     }
@@ -1374,6 +1346,35 @@ mod tests {
             .unwrap();
         let rel = e.execute_sql("SELECT x FROM low").unwrap().expect_rows();
         assert_eq!(rel.rows, vec![Tuple::new(vec![Value::Int(1)])]);
+    }
+
+    /// A B-tree range probe yields its candidates in key order; UPDATE
+    /// and DELETE still get their targets ascending, on both backends.
+    #[test]
+    fn dml_targets_are_ascending_row_ids() {
+        for kind in [BackendKind::Mem, BackendKind::Paged] {
+            let core = EngineCore::with_storage(kind, prefsql_types::knobs::MIN_POOL_BYTES);
+            let mut e = Engine::with_core(Arc::new(core));
+            e.execute_sql("CREATE TABLE t (k INTEGER)").unwrap();
+            e.execute_sql("INSERT INTO t VALUES (5), (1), (4), (2), (3), (0)")
+                .unwrap();
+            e.execute_sql("CREATE INDEX by_k ON t (k) USING btree")
+                .unwrap();
+            let pred = prefsql_parser::parse_expression("k >= 1").unwrap();
+            let cat = e.core.catalog_read().unwrap();
+            let plan = e.with_ctx_over(&cat, |ctx| plan_target(ctx, "t", &pred));
+            let plan = plan.unwrap();
+            let Some(crate::PlanNode::IndexScan { row_ids, .. }) = plan.root().input() else {
+                panic!("{kind:?}: no index probe in {plan:?}");
+            };
+            assert_eq!(
+                row_ids,
+                &[1, 3, 4, 2, 0],
+                "{kind:?}: candidates in key order"
+            );
+            let targets = e.matching_row_ids(&cat, "t", Some(&pred)).unwrap();
+            assert_eq!(targets, vec![0, 1, 2, 3, 4], "{kind:?}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::access::Sarg;
 use crate::exec::ExecCtx;
 use crate::metrics::Profiler;
-use crate::plan::{JoinKind, PlanNode, Projection};
+use crate::plan::{plan_target, JoinKind, PlanNode, Projection};
 use prefsql_parser::ast::Statement;
 use prefsql_pref::SkylineAlgo;
 use prefsql_storage::spill::SpillMetrics;
@@ -44,6 +44,30 @@ pub fn explain(ctx: &ExecCtx<'_>, stmt: &Statement) -> Result<String> {
                 render(plan.root(), 1, &mut out);
             } else {
                 out.push_str("  Values\n");
+            }
+            Ok(out)
+        }
+        Statement::Update {
+            table,
+            where_clause,
+            ..
+        }
+        | Statement::Delete {
+            table,
+            where_clause,
+        } => {
+            let verb = match stmt {
+                Statement::Update { .. } => "Update",
+                _ => "Delete from",
+            };
+            let mut out = format!("{verb} {table}\n");
+            match where_clause {
+                Some(pred) => render(plan_target(ctx, table, pred)?.root(), 1, &mut out),
+                // Every row is a target: nothing is scanned.
+                None => {
+                    ctx.catalog().table(table)?;
+                    out.push_str("  All rows\n");
+                }
             }
             Ok(out)
         }

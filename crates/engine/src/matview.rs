@@ -39,7 +39,7 @@ use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_pref::ViewSkyline;
 use prefsql_rewrite::levels::{check_aliases, uses_quality};
 use prefsql_rewrite::{compile_preference, CompiledPreference};
-use prefsql_storage::{PageFilter, Table};
+use prefsql_storage::Table;
 use prefsql_types::{Error, Result, Schema, Tuple, Value};
 
 /// A stored materialized preference view: its compiled definition and
@@ -262,8 +262,7 @@ pub(crate) fn build_def(
         // A definition holds no sub-query, so the mask is never `None`.
         let reads = view.where_clause.iter().chain(&view.slots);
         let mask = columns_read(reads, schema.len());
-        let mut filter = PageFilter::default();
-        table.for_each_row_where(mask.as_deref(), &mut filter, |_, row| {
+        table.for_each_row_where(0, mask.as_deref(), |_, row| {
             view.evaluate(ctx, row, &mut evaluated)
         })?;
         Ok(view)
@@ -334,9 +333,7 @@ pub(crate) fn after_insert(
         table,
         |ctx, view, t| {
             let mut delta = Evaluated::default();
-            t.for_each_row_from(from_rid.min(t.len()), |_, row| {
-                view.evaluate(ctx, row, &mut delta)
-            })?;
+            t.for_each_row_where(from_rid, None, |_, row| view.evaluate(ctx, row, &mut delta))?;
             Ok(delta)
         },
         |def, delta| {

@@ -311,12 +311,6 @@ impl MetricsRegistry {
             .fetch_add(stats.dominance_tests, Ordering::Relaxed);
     }
 
-    /// Add dominance comparisons charged outside a statement context
-    /// (materialized-view maintenance under the DML write lock).
-    pub fn add_dominance_tests(&self, n: u64) {
-        self.dominance_tests.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Fold one statement's spill metrics in.
     pub fn add_spill(&self, m: &SpillMetrics) {
         self.spill_runs.fetch_add(m.runs_written, Ordering::Relaxed);

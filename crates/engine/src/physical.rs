@@ -439,6 +439,23 @@ pub fn drain_batched(op: &mut (dyn Operator + '_), batch: usize) -> Result<Vec<T
     Ok(rows)
 }
 
+/// [`drain`] for a producer of a base table's rows, built from `node`:
+/// their ids ([`Batch::row_ids`]) in pull order, not the rows.
+pub(crate) fn row_ids(ctx: &ExecCtx<'_>, node: &PlanNode) -> Result<Vec<usize>> {
+    let mut op = build(ctx, node, &[]);
+    let mut ids = Vec::new();
+    let result = op.open().and_then(|()| loop {
+        match op.next_batch(DEFAULT_BATCH) {
+            Ok(b) if b.is_end() => break Ok(()),
+            Ok(b) => ids.extend(b.row_ids().expect("a base-table source lends row ids")),
+            Err(e) => break Err(e),
+        }
+    });
+    op.close();
+    result?;
+    Ok(ids)
+}
+
 /// Open `op`, pull one row at a time until a row arrives or the stream
 /// ends, and close it: does `op` produce any row at all? One-row pulls
 /// are what makes an `EXISTS` probe stop every source beneath it at the

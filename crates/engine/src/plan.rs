@@ -18,6 +18,10 @@
 //! tables, view bodies, sub-queries — go through [`plan_query`], which
 //! refuses the preference clauses: the Preference SQL layer rewrites
 //! those.
+//!
+//! UPDATE and DELETE plan here too (`plan_target`): a SELECT's access
+//! path to the table under one filter of the WHERE, whose lent row ids
+//! are the targets — one access-path decision for every statement.
 
 use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
 use crate::bind::{
@@ -791,14 +795,13 @@ pub(crate) fn plan_preference(
 ///   as its input grows), so copying the few candidate rows costs less.
 ///
 /// A sequential scan then decodes only the columns the filters, slots
-/// and `GROUPING` keys read ([`columns_read`]).
+/// and `GROUPING` keys read ([`mask_scan`]).
 fn rid_mode(source: &mut PlanNode, spec: &PrefSpec) -> Option<String> {
     if spec.but_only.is_some() || spec.external_budget().is_some() {
         return None;
     }
-    let (mut preds, mut scan) = (Vec::new(), &*source);
-    while let PlanNode::Filter { input, pred } = scan {
-        preds.push(&pred.expr);
+    let mut scan = &*source;
+    while let PlanNode::Filter { input, .. } = scan {
         scan = input;
     }
     let (table, rows) = match scan {
@@ -810,16 +813,39 @@ fn rid_mode(source: &mut PlanNode, spec: &PrefSpec) -> Option<String> {
         return None;
     }
     let table = table.clone();
-    let reads = preds.into_iter().chain(&spec.slots).chain(&spec.groups);
-    let columns = columns_read(reads, scan.schema().len());
-    let mut scan = source;
-    while let PlanNode::Filter { input, .. } = scan {
-        scan = input;
-    }
-    if let PlanNode::SeqScan { mask, .. } = scan {
-        *mask = columns;
-    }
+    mask_scan(source, spec.slots.iter().chain(&spec.groups).collect());
     Some(table)
+}
+
+/// Let the sequential scan under `node`'s chain of filters decode only
+/// the columns the filters and `reads` read ([`columns_read`]): its
+/// consumer fetches the rows it keeps by row id.
+fn mask_scan<'a>(node: &'a mut PlanNode, mut reads: Vec<&'a BoundExpr>) {
+    match node {
+        PlanNode::Filter { input, pred } => {
+            reads.push(&pred.expr);
+            mask_scan(input, reads);
+        }
+        PlanNode::SeqScan { mask, schema, .. } => *mask = columns_read(reads, schema.len()),
+        _ => {}
+    }
+}
+
+/// Plan how UPDATE or DELETE reaches the rows of base table `table` its
+/// WHERE `pred` selects: a SELECT's access path (an index probe, or a
+/// scan skipping the pages the sargs rule out, masked to the columns
+/// `pred` reads) under one filter of the whole bound predicate, whose
+/// lent row ids ([`crate::physical::Batch::row_ids`]) are the targets.
+pub(crate) fn plan_target(ctx: &ExecCtx<'_>, table: &str, pred: &Expr) -> Result<QueryPlan> {
+    // A view's name is no target: fail as the catalog does.
+    ctx.catalog().table(table)?;
+    let scan = plan_named(ctx, table, None, Some(pred))?;
+    let mut root = PlanNode::Filter {
+        pred: bind_shown(ctx, pred, scan.schema(), &[])?,
+        input: Box::new(scan),
+    };
+    mask_scan(&mut root, Vec::new());
+    Ok(QueryPlan { root })
 }
 
 /// Replace the quality-function calls in `expr` with references to the
@@ -1026,11 +1052,12 @@ fn plan_from(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<Plan
     // Index access only applies when one named table is the *only* FROM
     // item (the sargable conjunct analysis resolves against its schema;
     // with joins the residual re-check could not see the other side).
-    let allow_index = query.from.len() == 1 && matches!(&query.from[0], TableRef::Named { .. });
+    let sole = query.from.len() == 1 && matches!(&query.from[0], TableRef::Named { .. });
+    let sargable = query.where_clause.as_ref().filter(|_| sole);
     let mut acc: Option<PlanNode> = None;
     for item in &query.from {
         let scope = if acc.is_none() { outer } else { &[] };
-        let next = plan_table_ref(ctx, item, query, allow_index, scope)?;
+        let next = plan_table_ref(ctx, item, sargable, scope)?;
         acc = Some(match acc {
             None => next,
             Some(left) => join(ctx, JoinKind::Inner, left, next, Vec::new(), None),
@@ -1042,14 +1069,11 @@ fn plan_from(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<Plan
 fn plan_table_ref(
     ctx: &ExecCtx<'_>,
     item: &TableRef,
-    query: &Query,
-    allow_index: bool,
+    sargable: Option<&Expr>,
     outer: &[&Schema],
 ) -> Result<PlanNode> {
     match item {
-        TableRef::Named { name, alias } => {
-            plan_named(ctx, name, alias.as_deref(), query, allow_index)
-        }
+        TableRef::Named { name, alias } => plan_named(ctx, name, alias.as_deref(), sargable),
         TableRef::Derived { query: sub, alias } => {
             let body = plan_query(ctx, sub)?;
             let schema = body
@@ -1065,8 +1089,8 @@ fn plan_table_ref(
             })
         }
         TableRef::Join { left, right, on } => {
-            let l = plan_table_ref(ctx, left, query, false, outer)?;
-            let r = plan_table_ref(ctx, right, query, false, &[])?;
+            let l = plan_table_ref(ctx, left, None, outer)?;
+            let r = plan_table_ref(ctx, right, None, &[])?;
             let (keys, residual) = match on {
                 Some(on) => split_on(ctx, on, l.schema(), r.schema(), outer)?,
                 None => (Vec::new(), None),
@@ -1208,12 +1232,13 @@ fn input_of(operand: &BoundExpr, split: usize) -> Option<bool> {
     (left != right).then_some(left)
 }
 
+/// Plan the FROM item `name`; a base table's access path follows the
+/// sargs of `sargable`, the WHERE when the table is the only FROM item.
 fn plan_named(
     ctx: &ExecCtx<'_>,
     name: &str,
     alias: Option<&str>,
-    query: &Query,
-    allow_index: bool,
+    sargable: Option<&Expr>,
 ) -> Result<PlanNode> {
     let qual = alias.unwrap_or(name).to_ascii_lowercase();
     // How EXPLAIN names an expanded (materialized) view.
@@ -1276,8 +1301,8 @@ fn plan_named(
     }
     let table = ctx.catalog().table(name)?;
     let schema = table.schema().without_qualifiers().with_qualifier(&qual);
-    let sargs = if ctx.use_indexes() && allow_index {
-        access::sargs(&schema, query.where_clause.as_ref())
+    let sargs = if ctx.use_indexes() {
+        access::sargs(&schema, sargable)
     } else {
         Vec::new()
     };

@@ -134,6 +134,100 @@ pub fn is_terminator(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prefsql::engine::Relation;
+    use prefsql_types::{Column, DataType, Schema, Tuple, Value};
+    use proptest::prelude::*;
+
+    /// Text dense in what the protocol treats specially — line breaks,
+    /// tabs, backslashes and what follows one in an escape, the letters
+    /// of the terminators, the payload prefixes — mixed with arbitrary
+    /// Unicode scalars.
+    fn arb_text() -> impl Strategy<Value = String> {
+        let special = prop_oneof![
+            Just('\n'),
+            Just('\r'),
+            Just('\t'),
+            Just('\\'),
+            Just('n'),
+            Just('t'),
+            Just(' '),
+            Just('|'),
+            Just('#'),
+            Just('O'),
+            Just('K'),
+            Just('E'),
+            Just('R'),
+            Just(':'),
+        ];
+        let scalar = any::<u32>().prop_map(|u| char::from_u32(u % 0x11_0000).unwrap_or('\u{fffd}'));
+        let c = prop_oneof![special.clone(), special, scalar];
+        proptest::collection::vec(c, 0..24).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// A row result of string cells under arbitrary column names (made
+    /// distinct by their position, as a schema requires).
+    fn arb_rows() -> impl Strategy<Value = ResultSet> {
+        (1usize..4).prop_flat_map(|width| {
+            let names = proptest::collection::vec(arb_text(), width);
+            let rows =
+                proptest::collection::vec(proptest::collection::vec(arb_text(), width), 0..5);
+            (names, rows).prop_map(|(names, rows)| {
+                let columns = (names.into_iter().enumerate())
+                    .map(|(i, name)| Column::new(format!("{name}{i}"), DataType::Str))
+                    .collect();
+                let rows = (rows.into_iter())
+                    .map(|cells| Tuple::new(cells.into_iter().map(Value::str).collect()))
+                    .collect();
+                ResultSet::new(Relation {
+                    schema: Schema::new(columns).expect("distinct names"),
+                    rows,
+                })
+            })
+        })
+    }
+
+    /// Every rendered line is one protocol line, and only the last
+    /// terminates the response.
+    fn assert_one_response(out: &[String]) {
+        let (last, payload) = out.split_last().expect("a terminator");
+        for line in out {
+            assert!(!line.contains(['\n', '\r']), "{line:?}");
+        }
+        assert!(is_terminator(last), "{out:?}");
+        for line in payload {
+            assert!(!is_terminator(line), "{out:?}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn escape_is_one_line_and_inverts(s in arb_text()) {
+            let e = escape(&s);
+            prop_assert!(!e.contains(['\n', '\r', '\t']), "{e:?}");
+            prop_assert_eq!(unescape(&e), s);
+        }
+
+        #[test]
+        fn any_text_outcome_renders_as_one_response(text in arb_text(), kind in 0u8..3) {
+            let result = match kind {
+                0 => Ok(QueryResult::Message(text)),
+                1 => Ok(QueryResult::Explain(text)),
+                _ => Err(Error::Exec(text)),
+            };
+            let mut out = Vec::new();
+            render_result(&result, &mut out);
+            assert_one_response(&out);
+        }
+
+        #[test]
+        fn any_row_result_renders_as_one_response(rs in arb_rows()) {
+            let mut out = Vec::new();
+            let rows = rs.len();
+            render_result(&Ok(QueryResult::Rows(rs)), &mut out);
+            prop_assert_eq!(out.len(), rows + 2);
+            assert_one_response(&out);
+        }
+    }
 
     #[test]
     fn escape_round_trips() {

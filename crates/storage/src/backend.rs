@@ -35,16 +35,17 @@
 //! updates leave it loose but never wrong, and a rewrite — which places
 //! every survivor afresh — is the only narrowing. Jumbo chains have
 //! none and are always read. Synopses live in memory only: `open`
-//! rebuilds them in the pass it makes over every page anyway. Both scan
-//! entry points take a [`PageFilter`]; a slotted page whose synopsis
-//! shows that no row on it can make every sargable conjunct TRUE is
-//! stepped over — neither pinned nor validated, like a page an index
-//! probe does not touch. The soundness argument is on
-//! [`crate::synopsis`]; rows that are read are still checked against
-//! the full predicate by the caller, so skipping only removes rows that
-//! would fail it. Because rids are assigned in insertion order, keys
-//! that arrive ascending cluster per page, and a point lookup by such a
-//! key reads one page. The in-memory backend has no synopses.
+//! rebuilds them in the pass it makes over every page anyway. The one
+//! multi-row read, [`StorageBackend::scan`], takes a [`PageFilter`]; a
+//! slotted page whose synopsis shows that no row on it can make every
+//! sargable conjunct TRUE is stepped over — neither pinned nor
+//! validated, like a page an index probe does not touch. The soundness
+//! argument is on [`crate::synopsis`]; rows that are read are still
+//! checked against the full predicate by the caller, so skipping only
+//! removes rows that would fail it. Because rids are assigned in
+//! insertion order, keys that arrive ascending cluster per page, and a
+//! point lookup by such a key reads one page. The in-memory backend has
+//! no synopses.
 //!
 //! **In-place refill.** [`StorageBackend::scan`] does not append: it
 //! refills the caller's row buffer, decoding row `i` of a batch into the
@@ -53,7 +54,10 @@
 //! that reads only some columns passes a mask, and the paged store leaves
 //! the others `NULL` after checking them. A scan that keeps refilling one
 //! buffer therefore builds no tuple per row, and a consumer that needs
-//! the whole row later — a preference winner, say — fetches it by rid.
+//! the whole row later — a preference winner, an UPDATE target — fetches
+//! it by rid. On a paged table every multi-row read above the seam is
+//! such a refill loop: the scan operator's, and the visitor
+//! `Table::for_each_row_where`.
 
 use crate::codec;
 use crate::heap::HeapFile;
@@ -91,19 +95,6 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
         mask: Option<&[bool]>,
         filter: &mut PageFilter<'_>,
     ) -> Result<bool>;
-
-    /// Run `f` over every row from rid `from` on, in rid order, except
-    /// those on pages `filter` rules out. The row is lent, and may be
-    /// one buffer reused between calls. Columns whose `mask` entry is
-    /// `false` need not be decoded (the paged store reads them as
-    /// `NULL`); the caller must not read them.
-    fn for_each_from(
-        &self,
-        from: usize,
-        mask: Option<&[bool]>,
-        filter: &mut PageFilter<'_>,
-        f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
-    ) -> Result<()>;
 
     /// Append a row; returns its rid (always the previous row count).
     fn insert(&mut self, row: Tuple) -> Result<usize>;
@@ -197,19 +188,6 @@ impl StorageBackend for MemBackend {
             *pos = end;
         }
         Ok(!out.is_empty())
-    }
-
-    fn for_each_from(
-        &self,
-        from: usize,
-        _mask: Option<&[bool]>,
-        _filter: &mut PageFilter<'_>,
-        f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
-    ) -> Result<()> {
-        for (rid, row) in self.rows.iter().enumerate().skip(from) {
-            f(rid, row)?;
-        }
-        Ok(())
     }
 
     fn insert(&mut self, row: Tuple) -> Result<usize> {
@@ -349,11 +327,6 @@ impl PagedBackend {
         })
     }
 
-    /// The heap file this table stores rows in.
-    pub fn heap_file(&self) -> &Arc<HeapFile> {
-        &self.file
-    }
-
     fn encode(row: &Tuple) -> Result<Vec<u8>> {
         let mut bytes = Vec::with_capacity(codec::tuple_spill_bytes(row));
         codec::encode_tuple(&mut bytes, row)?;
@@ -456,9 +429,15 @@ impl PagedBackend {
                     if !filter.reads(&self.zones[page as usize]) {
                         // Consecutive rids share pages by construction,
                         // and page numbers never decrease along rids.
-                        rid += self.dir[rid..].partition_point(
-                            |l| matches!(l, RowLoc::Slot { page: on, .. } if *on == page),
-                        );
+                        // Gallop to the page's end: a search of the whole
+                        // rest would miss the cache on every skipped page.
+                        let on_page =
+                            |l: &RowLoc| matches!(l, RowLoc::Slot { page: on, .. } if *on == page);
+                        let mut end = rid + 1;
+                        while self.dir.get(end).is_some_and(on_page) {
+                            end = rid + 2 * (end - rid);
+                        }
+                        rid += self.dir[rid..end.min(self.dir.len())].partition_point(on_page);
                         continue;
                     }
                     self.pool.with_page(&self.file, page, |p| {
@@ -562,22 +541,6 @@ impl StorageBackend for PagedBackend {
         }
         out.truncate(rids.len());
         Ok(!out.is_empty())
-    }
-
-    fn for_each_from(
-        &self,
-        from: usize,
-        mask: Option<&[bool]>,
-        filter: &mut PageFilter<'_>,
-        f: &mut dyn FnMut(usize, &Tuple) -> Result<()>,
-    ) -> Result<()> {
-        let mut row = Tuple::default();
-        self.for_each_encoded(from, filter, |rid, bytes| {
-            codec::decode_slot(bytes, mask, &mut row)?;
-            f(rid, &row)?;
-            Ok(true)
-        })?;
-        Ok(())
     }
 
     fn insert(&mut self, row: Tuple) -> Result<usize> {
@@ -710,11 +673,15 @@ mod tests {
     /// The rows a scan filtered by `sargs` reads, with its page counts.
     fn pruned(b: &dyn StorageBackend, sargs: &[Sarg]) -> (Vec<Tuple>, u64, u64) {
         let mut filter = PageFilter::new(sargs);
-        let mut rows = Vec::new();
-        b.for_each_from(0, None, &mut filter, &mut |_, row| {
-            rows.push(row.clone());
-            Ok(())
-        })
+        let (mut rows, mut rids, mut pos) = (Vec::new(), Vec::new(), 0);
+        b.scan(
+            &mut pos,
+            &mut rows,
+            &mut rids,
+            usize::MAX,
+            None,
+            &mut filter,
+        )
         .unwrap();
         (rows, filter.pages_read, filter.pages_skipped)
     }

@@ -6,11 +6,11 @@
 //! Callers that can exploit contiguous
 //! rows (the scan operators' zero-copy path) ask for [`Table::mem_rows`]
 //! and fall back to the rid-based accessors ([`Table::fetch_row`],
-//! [`Table::scan_batch`], [`Table::for_each_row_from`]) when the rows
-//! live on disk. The `_where` variants of the scans take a
-//! [`PageFilter`], through which a paged table skips the pages its
-//! synopses rule out, and a column mask, which spares a paged table
-//! decoding the columns the caller does not read.
+//! [`Table::scan_batch`], [`Table::for_each_row_where`]) when the rows
+//! live on disk. The `_where` variants take a column mask, which spares a
+//! paged table decoding the columns the caller does not read, and
+//! [`Table::scan_batch_where`] a [`PageFilter`] too, through which a
+//! paged table skips the pages its synopses rule out.
 
 use crate::backend::{MemBackend, PagedBackend, StorageBackend};
 use crate::heap::HeapFile;
@@ -150,29 +150,29 @@ impl Table {
         self.backend.scan(pos, out, rids, max, mask, filter)
     }
 
-    /// Run `f` over every row from rid `from` on, in rid order. The
-    /// in-memory backend lends its rows; the paged backend decodes a page
-    /// at a time into one reused row.
-    pub fn for_each_row_from(
-        &self,
-        from: usize,
-        mut f: impl FnMut(usize, &Tuple) -> Result<()>,
-    ) -> Result<()> {
-        self.backend
-            .for_each_from(from, None, &mut PageFilter::default(), &mut f)
-    }
-
-    /// Run `f` over every row `filter` does not rule out, in rid order,
-    /// for a caller that reads only the columns `mask` selects (all when
-    /// `None`): the rest need not be decoded, and may read as `NULL`.
-    /// Every column of every row read is still validated.
+    /// Run `f` over every row from rid `from` on, in rid order, reading
+    /// only the columns `mask` selects as [`Table::scan_batch_where`] does
+    /// (a paged table refills one buffer; the in-memory one lends its rows).
     pub fn for_each_row_where(
         &self,
+        from: usize,
         mask: Option<&[bool]>,
-        filter: &mut PageFilter<'_>,
         mut f: impl FnMut(usize, &Tuple) -> Result<()>,
     ) -> Result<()> {
-        self.backend.for_each_from(0, mask, filter, &mut f)
+        if let Some(rows) = self.backend.as_mem() {
+            for (rid, row) in rows.iter().enumerate().skip(from) {
+                f(rid, row)?;
+            }
+            return Ok(());
+        }
+        let (mut pos, mut buf, mut rids) = (from, Vec::new(), Vec::new());
+        let filter = &mut PageFilter::default();
+        while self.scan_batch_where(&mut pos, &mut buf, &mut rids, 1024, mask, filter)? {
+            for (&rid, row) in rids.iter().zip(&buf) {
+                f(rid, row)?;
+            }
+        }
+        Ok(())
     }
 
     /// Insert one row after validating it against the schema; maintains all
@@ -346,7 +346,7 @@ impl Table {
         for &col in keys.flatten() {
             mask[col] = true;
         }
-        self.for_each_row_where(Some(&mask), &mut PageFilter::default(), |rid, row| {
+        self.for_each_row_where(0, Some(&mask), |rid, row| {
             for (_, idx) in &mut hash {
                 idx.insert(rid, row);
             }
@@ -551,7 +551,7 @@ mod tests {
     fn for_each_row_from_matches_both_backends() {
         for t in [cars(), paged_cars("foreach")] {
             let mut seen = Vec::new();
-            t.for_each_row_from(1, |rid, row| {
+            t.for_each_row_where(1, None, |rid, row| {
                 seen.push((rid, row[0].clone()));
                 Ok(())
             })

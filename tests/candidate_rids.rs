@@ -422,3 +422,168 @@ fn explain_is_unchanged_and_analyze_counts_the_scan_and_filter() {
         assert_eq!(reports[0], reports[1], "{label}: EXPLAIN differs by path");
     }
 }
+
+// ------------------------------------------------------------------ DML
+//
+// UPDATE and DELETE find their targets through the same planner: the
+// access path a SELECT takes under one filter, whose lent row ids are the
+// targets. The scan decodes only the predicate's columns; every target
+// row is fetched whole by row id.
+
+/// The text of `EXPLAIN [ANALYZE] …` of `sql`.
+fn explained(s: &mut Session, sql: &str) -> String {
+    match s.execute(sql) {
+        Ok(prefsql::QueryResult::Explain(text)) => text,
+        other => panic!("{sql} produced {other:?}"),
+    }
+}
+
+/// The affected count and the whole of `cars` after `sql`, which must
+/// agree with indexes on and off and on both backends. A hash index on
+/// `make` joins the B-tree on `power`, so an equality on either column
+/// is answered by a probe when indexes are on and by the masked scan
+/// when they are off. A materialized preference view over `cars` is
+/// maintained off the targets' row ids, ascending, and must still serve
+/// what the cold BMO computes.
+fn dml(sql: &str) -> (usize, Vec<String>) {
+    let pref = "SELECT * FROM cars PREFERRING LOWEST(price) AND HIGHEST(power)";
+    let mut outcomes = Vec::new();
+    for indexed in [true, false] {
+        for (label, core) in cores() {
+            let mut s = loaded(core);
+            run(&mut s, "CREATE INDEX idx_make ON cars (make) USING hash");
+            run(
+                &mut s,
+                &format!("CREATE MATERIALIZED PREFERENCE VIEW best AS {pref}"),
+            );
+            s.engine_mut().set_use_indexes(indexed);
+            let n = match s.execute(sql) {
+                Ok(prefsql::QueryResult::Count(n)) => n,
+                other => panic!("{label}: {sql} produced {other:?}"),
+            };
+            s.engine_mut().set_use_indexes(true);
+            let all = rows(
+                &mut s,
+                ExecutionMode::Rewrite,
+                "SELECT * FROM cars ORDER BY id",
+                true,
+            );
+            let served = rows(&mut s, ExecutionMode::Rewrite, "SELECT * FROM best", false);
+            let cold = rows(&mut s, ExecutionMode::Rewrite, pref, false);
+            assert_eq!(
+                served, cold,
+                "{label}, indexes {indexed}: the view after {sql}"
+            );
+            outcomes.push((format!("{label}, indexes {indexed}"), n, all));
+        }
+    }
+    let (first, n, all) = outcomes.swap_remove(0);
+    for (label, m, other) in outcomes {
+        assert_eq!(m, n, "{label} and {first} count differently on {sql}");
+        assert!(
+            other == all,
+            "{label} and {first} leave different rows after {sql}"
+        );
+    }
+    assert!(n > 0, "{sql} targets no row");
+    (n, all)
+}
+
+/// The SET reads `mileage`, which the predicate does not: the scan's mask
+/// leaves it out, yet the new row is built from the whole fetched row —
+/// no NULL leaks into it.
+#[test]
+fn update_set_reads_columns_outside_the_predicate_mask() {
+    let (n, all) = dml("UPDATE cars SET price = mileage WHERE make = 'opel'");
+    assert_eq!(n, ROWS / 4);
+    for row in &all {
+        // (id, make, price, power, mileage, color, note)
+        let fields: Vec<&str> = row
+            .trim_matches(|c| c == '(' || c == ')')
+            .split(", ")
+            .collect();
+        assert_eq!(fields[6], format!("note {}", fields[0]), "{row}");
+        assert!(fields[5] != "NULL", "{row}");
+        if fields[1] == "opel" {
+            assert_eq!(fields[2], fields[4], "{row}");
+        }
+    }
+}
+
+/// A sub-query in the WHERE leaves the scan unmasked; an uncorrelated
+/// `IN` and a correlated `EXISTS` are both checked per row in the filter.
+#[test]
+fn delete_with_sub_queries_in_the_predicate() {
+    let (n, all) = dml(
+        "DELETE FROM cars WHERE make IN (SELECT make FROM dealers WHERE city <> 'Munich') \
+         AND price < 30000",
+    );
+    assert_eq!(all.len(), ROWS - n);
+    let (n, all) = dml("DELETE FROM cars WHERE mileage < 100000 AND EXISTS \
+         (SELECT 1 FROM dealers d WHERE d.make = cars.make AND d.city = 'Munich')");
+    assert_eq!(all.len(), ROWS - n);
+    assert!(n < ROWS / 4, "only bmw rows go");
+}
+
+/// A B-tree range probe yields its candidates in key order; the rows
+/// and the view it leaves are the scan's.
+#[test]
+fn a_range_probe_target_matches_the_scan() {
+    for (label, core) in cores() {
+        let mut s = loaded(core);
+        let plan = explained(
+            &mut s,
+            "EXPLAIN DELETE FROM cars WHERE power BETWEEN 100 AND 150",
+        );
+        assert!(
+            plan.contains("Index probe: cars via btree index on power"),
+            "{label}: {plan}"
+        );
+    }
+    let (n, all) = dml("DELETE FROM cars WHERE power BETWEEN 100 AND 150");
+    assert_eq!(all.len(), ROWS - n);
+    let (n, all) = dml("UPDATE cars SET note = 'tuned' WHERE power >= 250");
+    let tuned = all.iter().filter(|r| r.ends_with(", tuned)")).count();
+    assert_eq!(tuned, n);
+}
+
+/// Without a WHERE every row is a target, and nothing is scanned.
+#[test]
+fn delete_without_where_empties_the_table() {
+    let (n, all) = dml("DELETE FROM cars");
+    assert_eq!((n, all.len()), (ROWS, 0));
+}
+
+/// A view is no DML target: the error is the catalog's, as before, and
+/// EXPLAIN plans no target for it either.
+#[test]
+fn dml_against_a_view_fails_as_before() {
+    for (label, core) in cores() {
+        let mut s = loaded(core);
+        run(
+            &mut s,
+            "CREATE VIEW cheap AS SELECT * FROM cars WHERE price < 20000",
+        );
+        for sql in [
+            "DELETE FROM cheap WHERE price < 10000",
+            "DELETE FROM cheap",
+            "UPDATE cheap SET price = 0 WHERE id = 1",
+        ] {
+            for sql in [sql.to_string(), format!("EXPLAIN {sql}")] {
+                let err = s.execute(&sql).expect_err(&sql);
+                assert_eq!(
+                    err.to_string(),
+                    "catalog error: unknown table 'cheap'",
+                    "{label}: {sql}"
+                );
+            }
+        }
+        let left = rows(
+            &mut s,
+            ExecutionMode::Rewrite,
+            "SELECT COUNT(*) FROM cars",
+            true,
+        );
+        assert_eq!(left, vec![format!("({ROWS})")], "{label}");
+    }
+}
