@@ -6,9 +6,13 @@
 //! rows, as a query pays it.
 //!
 //! The last group prints the table `PARALLEL_CUTOFF` was set from and the
-//! nested loop was retired on (ROADMAP item 3a): 32 to 45 k candidates of
-//! each bks01 distribution, with the exact dominance-test count of each
-//! run and the resulting `ns_per_test`.
+//! nested loop was retired on: 32 to 45 k candidates of each bks01
+//! distribution under `pareto(3)`, with the exact dominance-test count of
+//! each run and the resulting `ns_per_test`. Its shape axis then runs the
+//! serial window over 16 k candidates of each distribution per
+//! composition tree: Pareto over four slots, a two-leaf CASCADE, the Opel
+//! query's `CASCADE(Pareto(3), 1, 1)`, and a Pareto with an `EXPLICIT`
+//! leaf (the last three over coordinates quantized to eight levels).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use prefsql_pref::{maximal_bnl, maximal_naive, maximal_parallel, BasePref, PrefNode, Preference};
@@ -80,14 +84,93 @@ fn median_iqr_ns(runs: usize, mut f: impl FnMut() -> usize) -> (f64, f64) {
 
 type Algo = fn(&[Vec<Value>], &Preference) -> Vec<usize>;
 
+/// Levels the categorical shapes quantize a coordinate to, so that their
+/// CASCADE links and `EXPLICIT` leaves see ties.
+const LEVELS: f64 = 8.0;
+
+/// The composition shapes of the kernel table beside `pareto(3)`: name,
+/// preference, dimensions, and whether coordinates are quantized to
+/// [`LEVELS`] integer levels.
+fn shapes() -> Vec<(&'static str, Preference, usize, bool)> {
+    let leaf = |slot| PrefNode::Base { slot };
+    // A partial order over the levels: a binary tree with 0 on top.
+    let explicit = BasePref::Explicit {
+        edges: (1..LEVELS as i64)
+            .map(|c| (Value::Int((c - 1) / 2), Value::Int(c)))
+            .collect(),
+    };
+    let new = |root, bases| Preference::new(root, bases).expect("well-formed");
+    vec![
+        ("pareto(4)", pareto(4), 4, false),
+        (
+            "cascade(2)",
+            new(
+                PrefNode::Prioritized(vec![leaf(0), leaf(1)]),
+                vec![BasePref::Lowest; 2],
+            ),
+            2,
+            true,
+        ),
+        (
+            "opel",
+            new(
+                PrefNode::Prioritized(vec![
+                    PrefNode::Pareto(vec![leaf(0), leaf(1), leaf(2)]),
+                    leaf(3),
+                    leaf(4),
+                ]),
+                vec![BasePref::Lowest; 5],
+            ),
+            5,
+            true,
+        ),
+        (
+            "explicit",
+            new(
+                PrefNode::Pareto(vec![leaf(0), leaf(1), leaf(2)]),
+                vec![BasePref::Lowest, BasePref::Lowest, explicit],
+            ),
+            3,
+            true,
+        ),
+    ]
+}
+
+/// One line of the kernel table: the warm-up call yields the test count
+/// and sizes the sample, about half a second per line, 5 to 201 calls.
+fn kernel_line(
+    shape: &str,
+    dist: Distribution,
+    name: &str,
+    algo: Algo,
+    sv: &[Vec<Value>],
+    pref: &Preference,
+) {
+    let start = Instant::now();
+    algo(sv, pref);
+    let warm = start.elapsed().as_secs_f64();
+    let tests = pref.take_comparisons();
+    let runs = ((0.5 / warm) as usize).clamp(5, 201) | 1;
+    let (ns, iqr) = median_iqr_ns(runs, || algo(black_box(sv), pref).len());
+    pref.take_comparisons();
+    println!(
+        "{shape:<11} {:<15} {name:<12} {:>6} {runs:>5} {tests:>12} {:>10.4} {:>10.4} {:>12.2}",
+        dist.label(),
+        sv.len(),
+        ns / 1e6,
+        iqr / 1e6,
+        ns / tests as f64
+    );
+}
+
 fn bench_kernel(_c: &mut Criterion) {
     println!(
-        "\n── table: a1_micro_kernel (bks01 d=3, seed 9; host parallelism {}) ──",
+        "\n── table: a1_micro_kernel (bks01, seed 9; host parallelism {}) ──",
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     println!(
-        "{:<15} {:<12} {:>6} {:>5} {:>12} {:>10} {:>10} {:>12}",
-        "distribution", "algo", "n", "runs", "tests", "ms", "iqr_ms", "ns_per_test"
+        "{:<11} {:<15} {:<12} {:>6} {:>5} {:>12} {:>10} {:>10} {:>12}",
+        "shape", "distribution", "algo", "n", "runs", "tests", "ms", "iqr_ms", "ns_per_test"
     );
     let pref = pareto(3);
     let parallel2: Algo = |sv, p| maximal_parallel(sv, p, 2);
@@ -100,26 +183,24 @@ fn bench_kernel(_c: &mut Criterion) {
                 ("window", maximal_bnl as Algo, usize::MAX),
                 ("parallel(2)", parallel2, usize::MAX),
             ] {
-                if n > largest {
-                    continue;
+                if n <= largest {
+                    kernel_line("pareto(3)", dist, name, algo, &sv, &pref);
                 }
-                // The warm-up call yields the test count and sizes the
-                // sample: about half a second per line, 5 to 201 calls.
-                let start = Instant::now();
-                algo(&sv, &pref);
-                let warm = start.elapsed().as_secs_f64();
-                let tests = pref.take_comparisons();
-                let runs = ((0.5 / warm) as usize).clamp(5, 201) | 1;
-                let (ns, iqr) = median_iqr_ns(runs, || algo(black_box(&sv), &pref).len());
-                pref.take_comparisons();
-                println!(
-                    "{:<15} {name:<12} {n:>6} {runs:>5} {tests:>12} {:>10.4} {:>10.4} {:>12.2}",
-                    dist.label(),
-                    ns / 1e6,
-                    iqr / 1e6,
-                    ns / tests as f64
-                );
             }
+        }
+    }
+    // The shape axis: the serial window over 16 k candidates per tree.
+    for (shape, pref, d, quantized) in shapes() {
+        for dist in Distribution::ALL {
+            let mut sv = slot_vectors(16_000, d, dist, 9);
+            if quantized {
+                for v in sv.iter_mut().flatten() {
+                    if let Value::Float(x) = *v {
+                        *v = Value::Int((x * LEVELS).min(LEVELS - 1.0) as i64);
+                    }
+                }
+            }
+            kernel_line(shape, dist, "window", maximal_bnl, &sv, &pref);
         }
     }
 }

@@ -42,7 +42,7 @@
 //!
 //! Everything runs on a [`ScoreMatrix`]: the candidates' slot vectors are
 //! lowered to flat score rows once and every dominance test is the
-//! preference's compiled comparison program over two such rows.
+//! preference's kernel over two such rows.
 //! [`maximal_scored`] takes a matrix the caller lowered itself plus the
 //! row ids that compete (all of them, the `BUT ONLY` survivors, one
 //! `GROUPING` partition); the functions over `&[Vec<Value>]` lower and
@@ -97,19 +97,22 @@ impl SkylineAlgo {
 
 /// Below this candidate count [`SkylineAlgo::Auto`] stays serial.
 ///
-/// Set from the `a1_micro_kernel` table (bks01 d = 3, seed 9, two-CPU
-/// host, four invocations; median ms of the serial window → of the window
-/// at degree 2; every row is in CHANGES.md, PR 20). Independent:
-/// 2 k 0.155/0.152/0.156/0.154 → 0.183/0.206/0.231/0.254 (behind 4 of 4),
-/// 4 k 0.320/0.443/0.308/0.308 → 0.401/0.562/0.350/0.339 (behind 4 of 4),
-/// 16 k 1.18/1.24/1.20/1.22 → 1.36/1.33/1.07/1.03 (behind 2 of 4),
-/// 45 k 2.79/2.96/2.95/2.96 → 3.12/2.76/2.47/2.38 (behind 1 of 4);
-/// correlated 45 k 1.46/1.53/1.47/1.47 → 1.65/1.74/1.56/1.99 (behind
-/// 4 of 4, twice by more than the serial runs' quartile distance). No
-/// tabled size has the threaded window ahead in every invocation on
-/// independent data without falling behind on correlated data, so the
-/// cutoff sits above the largest tabled size. That host has two CPUs;
-/// it cannot speak for wider ones.
+/// Set from the `a1_micro_kernel` table (`pareto(3)` over bks01, seed 9,
+/// two-CPU host, four invocations; median ms of the serial window → of
+/// the window at degree 2), re-run after the normal-form kernel made a
+/// dominance test about twice as cheap (CHANGES.md, PR 35; PR 20 has the
+/// first table). Independent:
+/// 2 k 0.157/0.145/0.221/0.266 → 0.231/0.221/0.293/0.292 (behind 4 of 4),
+/// 4 k 0.293/0.295/0.475/0.450 → 0.405/0.344/0.416/0.494 (behind 3 of 4),
+/// 16 k 1.29/1.49/1.67/1.25 → 1.20/1.69/1.46/1.58 (behind 2 of 4),
+/// 45 k 3.19/4.85/3.13/4.72 → 3.26/3.09/4.09/4.45 (behind 2 of 4);
+/// correlated 45 k 1.79/3.13/2.73/2.56 → 2.74/2.89/2.87/2.91 (behind
+/// 3 of 4); anti-correlated 45 k 340/247/477/317 → 295/297/245/297
+/// (behind 1 of 4). No tabled size has the threaded window ahead in
+/// every invocation, on any distribution, so the cutoff still sits above
+/// the largest tabled size; cheaper tests leave less work per partition
+/// for a thread to win back (independent 45 k was behind in 1 of 4 at
+/// PR 20). That host has two CPUs; it cannot speak for wider ones.
 pub const PARALLEL_CUTOFF: usize = 65_536;
 
 /// Minimum rows per partition worth dedicating a thread to. The table
@@ -262,9 +265,16 @@ fn window_filter(
     candidates: impl IntoIterator<Item = usize>,
     tests: &mut u64,
 ) -> Vec<usize> {
+    let program = pref.program();
     let mut window: Vec<usize> = Vec::new();
     for i in candidates {
-        if probe(&mut window, |&w| m.compare(pref, w, i), |_| {}, tests) {
+        let candidate = m.row(i);
+        if probe(
+            &mut window,
+            |&w| program.compare(m.row(w), candidate),
+            |_| {},
+            tests,
+        ) {
             window.push(i);
         }
     }

@@ -6,12 +6,12 @@
 //! tuple once, producing one [`Value`] per base preference, which keeps
 //! the preference algebra independent of the SQL layer. Dominance is not
 //! evaluated by walking the tree over those values: [`Preference::new`]
-//! compiles the tree into a flat comparison program over *score rows*
-//! (see [`crate::score`]), the skyline loops lower each candidate's slot
-//! vector to such a row once, and [`Preference::better`] /
-//! [`Preference::equiv`] run the same program over two slot vectors
-//! scored on the fly — the one implementation of the composition
-//! semantics below.
+//! compiles the tree into one normal form, a CASCADE chain of Pareto
+//! groups compared over *score rows* (see [`crate::score`]). The skyline
+//! loops lower each candidate's slot vector to such a row once, and
+//! [`Preference::better`] / [`Preference::equiv`] lower their two slot
+//! vectors into one scratch buffer and run the same kernel — the one implementation
+//! of the composition semantics below.
 
 use crate::base::BasePref;
 use crate::score::{Program, Verdict};
@@ -56,7 +56,7 @@ pub enum PrefNode {
 pub struct Preference {
     root: PrefNode,
     bases: Vec<BasePref>,
-    /// `root` compiled for the comparison kernel.
+    /// `root` in the kernel's normal form.
     program: Program,
     /// Dominance tests performed — the paper's real cost unit. A skyline
     /// loop counts its directed tests in a local tally and adds it here
@@ -150,8 +150,9 @@ impl Preference {
     /// Strict dominance: is slot vector `a` better than `b`? Pareto
     /// (§2.2.2): better in at least one component, equal or better in
     /// every other; prioritization: lexicographic over (better, equiv).
-    /// Scores both vectors on the stack — the two-row oracle; candidate
-    /// sets and views are lowered once into a [`crate::ScoreMatrix`].
+    /// Lowers both vectors into one scratch buffer — the two-row entry
+    /// point; candidate sets and views are lowered once into a
+    /// [`crate::ScoreMatrix`].
     pub fn better(&self, a: &[Value], b: &[Value]) -> bool {
         self.add_comparisons(1);
         self.program.compare_values(&self.bases, a, b) == Verdict::A_WINS
@@ -190,8 +191,15 @@ pub(crate) mod arb {
 
     /// Every base-preference kind, over three slots.
     pub(crate) fn arb_any_pref() -> impl Strategy<Value = Preference> {
+        proptest::collection::vec(arb_any_base(), 3).prop_flat_map(|bs| {
+            arb_tree(bs.len()).prop_map(move |t| Preference::new(t, bs.clone()).unwrap())
+        })
+    }
+
+    /// Every base-preference kind.
+    fn arb_any_base() -> impl Strategy<Value = BasePref> {
         let s = Value::str;
-        let base = prop_oneof![
+        prop_oneof![
             Just(BasePref::Lowest),
             Just(BasePref::Highest),
             (-3.0f64..3.0).prop_map(|t| BasePref::Around { target: t }),
@@ -213,17 +221,46 @@ pub(crate) mod arb {
             Just(BasePref::Contains {
                 terms: vec!["re".into(), "D".into()]
             }),
-            Just(BasePref::Explicit {
-                edges: vec![
-                    (s("red"), s("blue")),
-                    (s("blue"), s("grey")),
-                    (Value::Int(1), s("grey")),
-                    (Value::Int(1), Value::Int(2)),
+            Just(explicit()),
+        ]
+    }
+
+    fn explicit() -> BasePref {
+        let s = Value::str;
+        BasePref::Explicit {
+            edges: vec![
+                (s("red"), s("blue")),
+                (s("blue"), s("grey")),
+                (Value::Int(1), s("grey")),
+                (Value::Int(1), Value::Int(2)),
+            ],
+        }
+    }
+
+    /// Six slots: four of every base kind, then two `EXPLICIT` ones, under
+    /// trees of depth up to 4 whose inner nodes mix leaves and subtrees of
+    /// either kind — so Pareto groups hold score leaves, `EXPLICIT` leaves
+    /// and nested CASCADE chains side by side, and same-kind nests are
+    /// there to be flattened.
+    pub(crate) fn arb_wide_pref() -> impl Strategy<Value = Preference> {
+        let s = Value::str;
+        let second = BasePref::Explicit {
+            edges: vec![
+                (Value::Int(0), s("pink")),
+                (Value::Float(2.5), Value::Int(0)),
+            ],
+        };
+        proptest::collection::vec(arb_any_base(), 4).prop_flat_map(move |mut bs| {
+            bs.extend([explicit(), second.clone()]);
+            let leaf = (0..bs.len()).prop_map(|slot| PrefNode::Base { slot });
+            let tree = leaf.clone().prop_recursive(4, 24, 3, move |inner| {
+                let child = prop_oneof![leaf.clone(), inner.clone(), inner];
+                prop_oneof![
+                    proptest::collection::vec(child.clone(), 2..4).prop_map(PrefNode::Pareto),
+                    proptest::collection::vec(child, 2..4).prop_map(PrefNode::Prioritized),
                 ]
-            }),
-        ];
-        proptest::collection::vec(base, 3).prop_flat_map(|bs| {
-            arb_tree(bs.len()).prop_map(move |t| Preference::new(t, bs.clone()).unwrap())
+            });
+            tree.prop_map(move |t| Preference::new(t, bs.clone()).unwrap())
         })
     }
 
@@ -232,6 +269,11 @@ pub(crate) mod arb {
     /// numbers are expected and numbers where strings are, dates,
     /// `EXPLICIT` nodes and values outside the graph.
     pub(crate) fn arb_any_slots() -> impl Strategy<Value = Vec<Value>> {
+        arb_any_slots_of(3)
+    }
+
+    /// [`arb_any_slots`] over `n` slots.
+    pub(crate) fn arb_any_slots_of(n: usize) -> impl Strategy<Value = Vec<Value>> {
         let values = vec![
             Value::Null,
             Value::Float(f64::NAN),
@@ -252,7 +294,7 @@ pub(crate) mod arb {
             Value::str("grey"),
             Value::str("pink"),
         ];
-        proptest::collection::vec((0..values.len()).prop_map(move |i| values[i].clone()), 3)
+        proptest::collection::vec((0..values.len()).prop_map(move |i| values[i].clone()), n)
     }
 
     pub(crate) fn arb_tree(n_slots: usize) -> impl Strategy<Value = PrefNode> {
@@ -268,7 +310,7 @@ pub(crate) mod arb {
 
 #[cfg(test)]
 mod tests {
-    use super::arb::{arb_any_pref, arb_any_slots, arb_tree};
+    use super::arb::{arb_any_pref, arb_any_slots, arb_any_slots_of, arb_tree, arb_wide_pref};
     use super::*;
     use proptest::prelude::*;
 
@@ -442,6 +484,45 @@ mod tests {
                         verdict == Verdict::B_WINS,
                         node_better(&p, &p.root, b, a),
                         "rows {} {}", i, j
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// The kernel is the tree walk on wide, deep trees: six slots,
+        /// depth up to 4, CASCADE and Pareto nested both ways, `EXPLICIT`
+        /// leaves inside groups, every value kind. Both directions of the
+        /// verdict are checked, through a lowered matrix and through the
+        /// two-row lowering.
+        #[test]
+        fn kernel_matches_the_tree_walk_on_wide_deep_trees(
+            p in arb_wide_pref(),
+            rows in proptest::collection::vec(arb_any_slots_of(6), 2..6)
+        ) {
+            let m = crate::ScoreMatrix::lower(&p, &rows);
+            for (i, a) in rows.iter().enumerate() {
+                for (j, b) in rows.iter().enumerate() {
+                    let walk = (
+                        node_better(&p, &p.root, a, b),
+                        node_better(&p, &p.root, b, a),
+                        node_equiv(&p, &p.root, a, b),
+                    );
+                    let expected = match walk {
+                        (true, false, false) => Verdict::A_WINS,
+                        (false, true, false) => Verdict::B_WINS,
+                        (false, false, true) => Verdict::EQUIV,
+                        (false, false, false) => Verdict::INCOMPARABLE,
+                        _ => panic!("tree walk is not an SPO: {walk:?} on {a:?} {b:?}"),
+                    };
+                    prop_assert_eq!(m.compare(&p, i, j), expected, "rows {:?} {:?}", a, b);
+                    prop_assert_eq!(
+                        p.program.compare_values(&p.bases, a, b),
+                        expected,
+                        "values {:?} {:?}",
+                        a,
+                        b
                     );
                 }
             }

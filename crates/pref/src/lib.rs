@@ -11,7 +11,8 @@
 //! * [`Preference`] — complex preferences assembled with **Pareto
 //!   accumulation** (`AND`) and **prioritization** (`CASCADE`) over *slot
 //!   vectors* (the base-preference expressions of a tuple, pre-evaluated
-//!   by the engine), compiled once into a flat comparison program;
+//!   by the engine), compiled once into the dominance kernel's normal
+//!   form: a CASCADE chain of Pareto groups;
 //! * [`score`] — scored dominance: a candidate is lowered once into a
 //!   [`ScoreMatrix`] row of `f64` cells, and every dominance test of every
 //!   selection below, spilled and incremental ones included, reads cells;
