@@ -239,6 +239,38 @@ fn filter_actuals_count_emitted_rows_and_pulls() {
     );
 }
 
+/// An aggregate block plans like every other block: the fold reports
+/// one row per group, HAVING's Filter the groups it keeps, and the Sort
+/// and Project above it carry exactly those.
+#[test]
+fn aggregate_tail_reports_groups_then_kept_groups() {
+    let mut s = seeded();
+    // Five makes; BMW has two cars, VW and Opel cost under 30 000.
+    let report = analyze(
+        &mut s,
+        "SELECT make, COUNT(*) FROM cars GROUP BY make \
+         HAVING COUNT(*) > 1 OR MIN(price) < 30000 ORDER BY SUM(price) DESC",
+    );
+    for (node, rows) in [
+        ("Project:", 3),
+        ("sort(", 3),
+        ("Filter:", 3),
+        ("aggregate(", 5),
+        ("Seq scan:", 6),
+    ] {
+        assert_eq!(
+            counter(node_line(&report, node), "actual rows"),
+            rows,
+            "{node}\n{report}"
+        );
+    }
+    let depths: Vec<usize> = ["Project:", "sort(", "Filter:", "aggregate(", "Seq scan:"]
+        .iter()
+        .map(|node| depth_of(&report, node))
+        .collect();
+    assert!(depths.windows(2).all(|w| w[0] < w[1]), "{report}");
+}
+
 /// The ISSUE's acceptance scenario: a three-table hash-join preference
 /// query under `EXPLAIN ANALYZE` reports per-node rows/time, the
 /// dominance-comparison tally, and spill/pool counters.

@@ -430,23 +430,12 @@ impl AggFunc {
     }
 }
 
-/// One aggregate call of an [`AggExpr`]: `func(arg)` over a group's rows,
-/// `arg: None` for `COUNT(*)`.
+/// One aggregate call of a block: `func(arg)` folded over each group's
+/// rows, `arg: None` for `COUNT(*)`.
 #[derive(Debug, Clone)]
 pub(crate) struct AggCall {
     pub(crate) func: AggFunc,
     pub(crate) arg: Option<BoundExpr>,
-}
-
-/// An expression over one group of an aggregate block. Its aggregate
-/// calls are computed over the group's rows; the `residue` — the
-/// expression with every call replaced by a column reference past the
-/// input's last column — is then evaluated against the group's first row
-/// extended with those values.
-#[derive(Debug, Clone)]
-pub struct AggExpr {
-    pub(crate) calls: Vec<AggCall>,
-    pub(crate) residue: BoundExpr,
 }
 
 /// A bound expression together with its source, which is what `EXPLAIN`
@@ -495,22 +484,21 @@ pub(crate) fn bind_shown(
 }
 
 /// Bind an expression of an aggregate block (a SELECT item, HAVING, an
-/// ORDER BY key recomputed over the group): aggregate calls are allowed
-/// at the top, not inside each other's arguments.
+/// ORDER BY key over the group) over the block's aggregate row: the input
+/// row extended with one column per entry of `calls`. Each aggregate call
+/// — allowed at the top, not inside another's argument — is appended to
+/// `calls` and reads the column of its entry.
 pub(crate) fn bind_aggregate(
     ctx: &ExecCtx<'_>,
     expr: &Expr,
     input: &Schema,
     outer: &[&Schema],
-) -> Result<AggExpr> {
+    calls: &mut Vec<AggCall>,
+) -> Result<BoundExpr> {
     let scope = chain(input, outer);
     let mut binder = Binder::new(ctx, &scope);
-    binder.aggs = Some(Vec::new());
-    let residue = binder.expr(expr)?;
-    Ok(AggExpr {
-        calls: binder.aggs.unwrap_or_default(),
-        residue,
-    })
+    binder.aggs = Some(calls);
+    binder.expr(expr)
 }
 
 /// `input` followed by the enclosing scopes.
@@ -524,8 +512,8 @@ fn chain<'s>(input: &'s Schema, outer: &[&'s Schema]) -> Vec<&'s Schema> {
 struct Binder<'a, 'c> {
     ctx: &'a ExecCtx<'c>,
     scope: &'a [&'a Schema],
-    /// `Some` in an aggregate context: the calls collected so far.
-    aggs: Option<Vec<AggCall>>,
+    /// `Some` in an aggregate context: the block's calls so far.
+    aggs: Option<&'a mut Vec<AggCall>>,
 }
 
 impl<'a, 'c> Binder<'a, 'c> {

@@ -16,7 +16,7 @@
 //! were raised by the binder; what remains here are data errors —
 //! division by zero, type mismatches, a scalar sub-query with two rows.
 
-use crate::bind::{AggCall, AggExpr, AggFunc, ArithOp, BoundExpr, CmpOp, Func, LikeOperand};
+use crate::bind::{AggCall, AggFunc, ArithOp, BoundExpr, CmpOp, Func, LikeOperand};
 use crate::exec::ExecCtx;
 use crate::physical;
 use crate::plan::QueryPlan;
@@ -382,79 +382,74 @@ fn call<'v>(
     }))
 }
 
-impl AggExpr {
-    /// The expression's value over one group of an aggregate block whose
-    /// input rows are `width` wide. `members` is empty only for the one
-    /// global group of an aggregate over no rows; the residue then sees
-    /// an all-NULL row.
-    pub(crate) fn eval(
-        &self,
-        members: &[Tuple],
-        width: usize,
-        outer: &[&Tuple],
-        ctx: &ExecCtx<'_>,
-    ) -> Result<Value> {
-        let mut row = match members.first() {
-            Some(first) => first.values().to_vec(),
-            None => vec![Value::Null; width],
-        };
-        for c in &self.calls {
-            row.push(c.eval(members, outer, ctx)?);
-        }
-        eval(&self.residue, Env::new(&Tuple::new(row), outer), ctx)
-    }
+/// The running state of one aggregate call over one group
+/// ([`AggCall::fold`]).
+#[derive(Debug)]
+pub(crate) enum Acc {
+    /// COUNT: the rows, or the non-NULL values, folded.
+    Count(i64),
+    /// SUM and AVG: the sum from 0 of the non-NULL values, and their count.
+    Sum(Value, i64),
+    /// MIN and MAX: the best non-NULL value so far.
+    Best(Option<Value>),
 }
 
 impl AggCall {
-    fn eval(&self, members: &[Tuple], outer: &[&Tuple], ctx: &ExecCtx<'_>) -> Result<Value> {
-        let Some(arg) = &self.arg else {
-            return Ok(Value::Int(members.len() as i64));
-        };
-        let mut values = Vec::with_capacity(members.len());
-        for row in members {
-            let v = eval(arg, Env::new(row, outer), ctx)?;
-            if !v.is_null() {
-                values.push(v);
-            }
-        }
-        let name = self.func.name();
+    /// The state of this call over a group of no rows.
+    pub(crate) fn start(&self) -> Acc {
         match self.func {
-            AggFunc::Count => Ok(Value::Int(values.len() as i64)),
-            AggFunc::Sum | AggFunc::Avg => {
-                if values.is_empty() {
-                    return Ok(Value::Null);
-                }
-                let mut acc = Value::Int(0);
-                for v in &values {
-                    acc = acc.add(v)?;
-                }
-                if self.func == AggFunc::Avg {
-                    acc.coerce_to(DataType::Float)?
-                        .div(&Value::Float(values.len() as f64))
-                } else {
-                    Ok(acc)
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let mut best: Option<Value> = None;
-                for v in values {
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => match v.sql_cmp(&b) {
-                            Some(Ordering::Less) if self.func == AggFunc::Min => v,
-                            Some(Ordering::Greater) if self.func == AggFunc::Max => v,
-                            Some(_) => b,
-                            None => {
-                                return Err(Error::Type(format!(
-                                    "{name}() over incomparable values"
-                                )))
-                            }
-                        },
-                    });
-                }
-                Ok(best.unwrap_or(Value::Null))
-            }
+            AggFunc::Count => Acc::Count(0),
+            AggFunc::Sum | AggFunc::Avg => Acc::Sum(Value::Int(0), 0),
+            AggFunc::Min | AggFunc::Max => Acc::Best(None),
         }
+    }
+
+    /// Fold the group's next row, the row of `env`, into `acc`; a NULL
+    /// argument is skipped.
+    pub(crate) fn fold(&self, acc: &mut Acc, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<()> {
+        let Some(arg) = &self.arg else {
+            // COUNT(*) counts every row.
+            if let Acc::Count(n) = acc {
+                *n += 1;
+            }
+            return Ok(());
+        };
+        let v = eval(arg, env, ctx)?;
+        if v.is_null() {
+            return Ok(());
+        }
+        match acc {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum(sum, n) => {
+                *sum = sum.add(&v)?;
+                *n += 1;
+            }
+            Acc::Best(best) => match best.as_ref().map(|b| v.sql_cmp(b)) {
+                Some(None) => {
+                    return Err(Error::Type(format!(
+                        "{}() over incomparable values",
+                        self.func.name()
+                    )))
+                }
+                Some(Some(Ordering::Less)) if self.func == AggFunc::Min => *best = Some(v),
+                Some(Some(Ordering::Greater)) if self.func == AggFunc::Max => *best = Some(v),
+                Some(Some(_)) => {}
+                None => *best = Some(v),
+            },
+        }
+        Ok(())
+    }
+
+    /// The call's value over the group folded into `acc`.
+    pub(crate) fn finish(&self, acc: Acc) -> Result<Value> {
+        Ok(match acc {
+            Acc::Count(n) => Value::Int(n),
+            Acc::Sum(_, 0) | Acc::Best(None) => Value::Null,
+            Acc::Sum(sum, n) if self.func == AggFunc::Avg => sum
+                .coerce_to(DataType::Float)?
+                .div(&Value::Float(n as f64))?,
+            Acc::Sum(v, _) | Acc::Best(Some(v)) => v,
+        })
     }
 }
 

@@ -310,15 +310,7 @@ fn node_line(node: &PlanNode, out: &mut String) {
             let _ = write!(out, "{label}");
         }
         PlanNode::Aggregate { spec, .. } => {
-            let mut steps = format!("aggregate({} keys", spec.group_by.len());
-            if spec.having.is_some() {
-                steps.push_str(", having");
-            }
-            if !spec.order_by.is_empty() {
-                let _ = write!(steps, ", sort({} keys)", spec.order_by.len());
-            }
-            steps.push(')');
-            let _ = write!(out, "{steps}");
+            let _ = write!(out, "aggregate({} keys)", spec.group_by.len());
         }
     }
 }

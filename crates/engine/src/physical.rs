@@ -5,20 +5,22 @@
 //! method ([`Operator::next_batch`]) and `close` — and pulls [`Batch`]es
 //! of at most `max` rows from its children, so large inputs stream
 //! through filters, joins, projections and limits instead of
-//! materializing at every step. Pipeline breakers (sort, distinct's seen
-//! set, aggregation, the per-statement materialization of views and
-//! derived tables) buffer exactly where the semantics require it and
-//! nowhere else.
+//! materializing at every step. Pipeline breakers buffer exactly where
+//! the semantics require it and nowhere else: the sort its rows, each
+//! cloned once; distinct its seen set; aggregation one row and one
+//! accumulator per call for each group; a view or derived table its
+//! per-statement materialization.
 //!
 //! There is one pull protocol. A [`Batch`] hides how its rows are held:
-//! buffered operators (scans, materializations, sort/aggregate/BMO
-//! output) *lend* a slice of their buffer, a filter narrows a lent slice
-//! with a selection vector instead of copying it, and streaming
-//! producers (projection, joins) hand over their own scratch buffer so a
-//! draining consumer moves the rows out. Tuples are heap-allocated, so
-//! this is what makes batching pay on this engine: a `scan → filter →
-//! project` chain decides on borrowed tuples and builds nothing but the
-//! final narrow output rows, and no wide row is cloned for being dropped.
+//! buffered operators (scans, materializations, sort/BMO output) *lend*
+//! a slice of their buffer, a filter narrows a lent slice with a
+//! selection vector instead of copying it, and streaming producers
+//! (projection, joins, aggregate groups) hand over their own scratch
+//! buffer so a draining consumer moves the rows out. Tuples are
+//! heap-allocated, so this is what makes batching pay on this engine: a
+//! `scan → filter → project` chain decides on borrowed tuples and builds
+//! nothing but the final narrow output rows, and no wide row is cloned
+//! for being dropped.
 //!
 //! A lent batch of a base table's rows also carries their row ids
 //! ([`Batch::row_ids`]): the sequential scan lends them on both backends
@@ -34,11 +36,11 @@
 //! operator of [`crate::preference`] included — so the instrumentation
 //! shim wraps every node of every plan alike.
 
-use crate::bind::BoundExpr;
-use crate::eval::{eval, eval_row, holds, truth, Env};
+use crate::bind::{AggCall, BoundExpr};
+use crate::eval::{eval, eval_row, holds, Env};
 use crate::exec::{ExecCtx, Relation};
 use crate::join::JoinOp;
-use crate::plan::{AggKey, AggSpec, PlanNode, Projection, SortKey};
+use crate::plan::{AggSpec, PlanNode, Projection, SortKey};
 use prefsql_storage::PageFilter;
 use prefsql_types::{Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
@@ -393,8 +395,8 @@ fn build_plain<'a>(
             input: build(ctx, input, outer),
             spec,
             outer,
+            groups: Vec::new().into_iter(),
             out: Vec::new(),
-            pos: 0,
         }),
     }
 }
@@ -425,34 +427,40 @@ pub fn drain(op: &mut (dyn Operator + '_)) -> Result<Vec<Tuple>> {
 /// batch-boundary tests sweep this to pin that results do not depend on
 /// the drive granularity.
 pub fn drain_batched(op: &mut (dyn Operator + '_), batch: usize) -> Result<Vec<Tuple>> {
-    let batch = batch.max(1);
     let mut rows = Vec::new();
+    for_each_batch(op, batch.max(1), |b| {
+        b.take_into(&mut rows);
+        Ok(())
+    })?;
+    Ok(rows)
+}
+
+/// Open `op`, hand every batch of at most `batch` rows it produces to
+/// `f`, and close it — closed even when opening, pulling or `f` errors.
+fn for_each_batch(
+    op: &mut (dyn Operator + '_),
+    batch: usize,
+    mut f: impl FnMut(Batch<'_>) -> Result<()>,
+) -> Result<()> {
     let result = op.open().and_then(|()| loop {
-        match op.next_batch(batch) {
-            Ok(b) if b.is_end() => break Ok(()),
-            Ok(b) => b.take_into(&mut rows),
-            Err(e) => break Err(e),
+        let b = op.next_batch(batch)?;
+        if b.is_end() {
+            break Ok(());
         }
+        f(b)?;
     });
     op.close();
-    result?;
-    Ok(rows)
+    result
 }
 
 /// [`drain`] for a producer of a base table's rows, built from `node`:
 /// their ids ([`Batch::row_ids`]) in pull order, not the rows.
 pub(crate) fn row_ids(ctx: &ExecCtx<'_>, node: &PlanNode) -> Result<Vec<usize>> {
-    let mut op = build(ctx, node, &[]);
     let mut ids = Vec::new();
-    let result = op.open().and_then(|()| loop {
-        match op.next_batch(DEFAULT_BATCH) {
-            Ok(b) if b.is_end() => break Ok(()),
-            Ok(b) => ids.extend(b.row_ids().expect("a base-table source lends row ids")),
-            Err(e) => break Err(e),
-        }
-    });
-    op.close();
-    result?;
+    for_each_batch(build(ctx, node, &[]).as_mut(), DEFAULT_BATCH, |b| {
+        ids.extend(b.row_ids().expect("a base-table source lends row ids"));
+        Ok(())
+    })?;
     Ok(ids)
 }
 
@@ -471,17 +479,6 @@ pub(crate) fn any_row(op: &mut (dyn Operator + '_)) -> Result<bool> {
     });
     op.close();
     found
-}
-
-fn compare_key_rows(a: &[Value], b: &[Value], asc: &[bool]) -> Ordering {
-    for (i, &up) in asc.iter().enumerate() {
-        let ord = a[i].total_cmp(&b[i]);
-        let ord = if up { ord } else { ord.reverse() };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
 }
 
 /// A hash key over the values of one row — a `DISTINCT` row, a
@@ -813,20 +810,30 @@ struct SortOp<'a> {
 impl Operator for SortOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
-        let rows = drain(self.input.as_mut())?;
-        let mut keyed: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
+        // The drain is the one copy of a lent row: the keys are kept
+        // flat, row `i`'s at `i * n..`, and the sorted permutation moves
+        // the rows.
+        let mut rows = drain(self.input.as_mut())?;
+        let n = self.keys.len();
+        let mut keys = Vec::with_capacity(rows.len() * n);
         for row in &rows {
-            let key = self
-                .keys
-                .iter()
-                .map(|k| eval(&k.expr, Env::new(row, self.outer), self.ctx))
-                .collect::<Result<Vec<_>>>()?;
-            keyed.push(key);
+            for k in self.keys {
+                keys.push(eval(&k.expr, Env::new(row, self.outer), self.ctx)?);
+            }
         }
-        let asc: Vec<bool> = self.keys.iter().map(|k| k.asc).collect();
         let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| compare_key_rows(&keyed[a], &keyed[b], &asc));
-        self.sorted = order.into_iter().map(|i| rows[i].clone()).collect();
+        order.sort_by(|&a, &b| {
+            let (ka, kb) = (&keys[a * n..], &keys[b * n..]);
+            let mut ords = self.keys.iter().zip(ka.iter().zip(kb)).map(|(k, (x, y))| {
+                let (x, y) = if k.asc { (x, y) } else { (y, x) };
+                x.total_cmp(y)
+            });
+            ords.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
+        });
+        self.sorted = order
+            .into_iter()
+            .map(|i| std::mem::take(&mut rows[i]))
+            .collect();
         Ok(())
     }
 
@@ -902,102 +909,94 @@ impl Operator for LimitOp<'_> {
 
 // ----------------------------------------------------------- aggregates
 
-/// Grouped aggregation — a pipeline breaker: drains its input, groups,
-/// applies HAVING, projects each group and sorts the aggregate output.
+/// Grouped aggregation — a pipeline breaker: folds every input row, in
+/// place, into its group's accumulators at `open`, keeping a clone of
+/// each group's first row only. It then hands over one row per group, in
+/// order of first appearance: that first row extended with the calls'
+/// values.
 struct AggregateOp<'a> {
     ctx: &'a ExecCtx<'a>,
-    /// Width of the input rows (an empty global group evaluates its
-    /// residues against an all-NULL row this wide).
+    /// Width of the input rows (the global group of no rows starts from
+    /// an all-NULL row this wide).
     width: usize,
     input: BoxOperator<'a>,
     spec: &'a AggSpec,
     outer: &'a [&'a Tuple],
+    /// The finished group rows not handed over yet.
+    groups: std::vec::IntoIter<Tuple>,
+    /// Output scratch handed to the consumer.
     out: Vec<Tuple>,
-    pos: usize,
 }
 
 impl Operator for AggregateOp<'_> {
     fn open(&mut self) -> Result<()> {
-        self.pos = 0;
-        let rows = drain(self.input.as_mut())?;
-        self.out = self.run(rows)?;
+        let (ctx, spec, outer) = (self.ctx, self.spec, self.outer);
+        let calls = spec.calls.len();
+        // Group `g`'s first row, and its accumulators at `g * calls..`.
+        let (mut firsts, mut accs) = (Vec::new(), Vec::new());
+        let mut index: HashMap<RowKey, usize> = HashMap::new();
+        let mut key = Vec::new();
+        let mut fold = |row: &Tuple| {
+            let env = Env::new(row, outer);
+            let mut g = 0;
+            if !spec.group_by.is_empty() {
+                key.clear();
+                eval_row(&spec.group_by, env, ctx, &mut key)?;
+                let probe = RowKey(std::mem::take(&mut key));
+                g = match index.get(&probe) {
+                    Some(&g) => {
+                        key = probe.0;
+                        g
+                    }
+                    None => *index.entry(probe).or_insert(firsts.len()),
+                };
+            }
+            if g == firsts.len() {
+                let mut first = Vec::with_capacity(row.len() + calls);
+                first.extend_from_slice(row.values());
+                firsts.push(first);
+                accs.extend(spec.calls.iter().map(AggCall::start));
+            }
+            for (call, acc) in spec.calls.iter().zip(&mut accs[g * calls..]) {
+                call.fold(acc, env, ctx)?;
+            }
+            Ok(())
+        };
+        for_each_batch(self.input.as_mut(), DEFAULT_BATCH, |b| {
+            b.rows().try_for_each(&mut fold)
+        })?;
+        // No GROUP BY: one global group, even over no rows.
+        if spec.group_by.is_empty() && firsts.is_empty() {
+            firsts.push(vec![Value::Null; self.width]);
+            accs.extend(spec.calls.iter().map(AggCall::start));
+        }
+        let mut accs = accs.into_iter();
+        let rows = firsts
+            .into_iter()
+            .map(|mut row| {
+                for (call, acc) in spec.calls.iter().zip(accs.by_ref()) {
+                    row.push(call.finish(acc)?);
+                }
+                Ok(Tuple::new(row))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        self.groups = rows.into_iter();
         Ok(())
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
-        Ok(Batch::lend(&self.out, &mut self.pos, max))
+        self.out.clear();
+        self.out.extend(self.groups.by_ref().take(max));
+        if self.out.is_empty() {
+            return Ok(Batch::end());
+        }
+        Ok(Batch::owned(&mut self.out))
     }
 
     fn close(&mut self) {
         self.input.close();
+        self.groups = Vec::new().into_iter();
         self.out = Vec::new();
-    }
-}
-
-impl AggregateOp<'_> {
-    fn run(&self, rows: Vec<Tuple>) -> Result<Vec<Tuple>> {
-        let (ctx, spec, outer) = (self.ctx, self.spec, self.outer);
-        // Partition, groups in order of first appearance.
-        let mut groups: Vec<Vec<Tuple>> = Vec::new();
-        let mut index: HashMap<RowKey, usize> = HashMap::new();
-        for row in rows {
-            let mut key = Vec::with_capacity(spec.group_by.len());
-            eval_row(&spec.group_by, Env::new(&row, outer), ctx, &mut key)?;
-            let g = *index.entry(RowKey(key)).or_insert(groups.len());
-            if g == groups.len() {
-                groups.push(Vec::new());
-            }
-            groups[g].push(row);
-        }
-        // No GROUP BY + aggregates: one global group, even when empty.
-        if spec.group_by.is_empty() && groups.is_empty() {
-            groups.push(vec![]);
-        }
-
-        // HAVING.
-        let mut kept_groups = Vec::new();
-        for members in groups {
-            let keep = match &spec.having {
-                None => true,
-                Some(h) => truth(&h.eval(&members, self.width, outer, ctx)?) == Some(true),
-            };
-            if keep {
-                kept_groups.push(members);
-            }
-        }
-
-        // Project each group.
-        let mut out_rows = Vec::with_capacity(kept_groups.len());
-        for members in &kept_groups {
-            let values = spec
-                .select
-                .iter()
-                .map(|e| e.eval(members, self.width, outer, ctx))
-                .collect::<Result<_>>()?;
-            out_rows.push(Tuple::new(values));
-        }
-
-        // ORDER BY over the aggregate output (output aliases, or aggregate
-        // expressions recomputed over the group — decided at bind time).
-        if !spec.order_by.is_empty() {
-            let mut keys: Vec<Vec<Value>> = Vec::with_capacity(out_rows.len());
-            for (row, members) in out_rows.iter().zip(&kept_groups) {
-                let key = spec
-                    .order_by
-                    .iter()
-                    .map(|o| match &o.key {
-                        AggKey::Output(e) => eval(e, Env::new(row, &[]), ctx),
-                        AggKey::Group(e) => e.eval(members, self.width, outer, ctx),
-                    })
-                    .collect::<Result<_>>()?;
-                keys.push(key);
-            }
-            let asc: Vec<bool> = spec.order_by.iter().map(|o| o.asc).collect();
-            let mut order: Vec<usize> = (0..out_rows.len()).collect();
-            order.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], &asc));
-            out_rows = order.into_iter().map(|i| out_rows[i].clone()).collect();
-        }
-        Ok(out_rows)
     }
 }
 

@@ -25,7 +25,7 @@
 
 use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
 use crate::bind::{
-    bind, bind_aggregate, bind_over, bind_shown, columns_read, AggExpr, Bound, BoundExpr,
+    bind, bind_aggregate, bind_over, bind_shown, columns_read, AggCall, Bound, BoundExpr,
 };
 use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
@@ -237,14 +237,17 @@ pub enum PlanNode {
         /// Output schema (source schema + quality columns).
         schema: Schema,
     },
-    /// Grouped aggregation (GROUP BY / HAVING / aggregate SELECT items,
-    /// including the post-aggregate ORDER BY).
+    /// Grouped aggregation: one row per group, in order of first
+    /// appearance — the group's first input row (all NULL for the one
+    /// global group of no rows) extended with one column per aggregate
+    /// call. The block's HAVING, ORDER BY and select list run above it as
+    /// its ordinary Filter, Sort and Project.
     Aggregate {
         /// Input node.
         input: Box<PlanNode>,
-        /// Everything the aggregate operator needs.
+        /// The GROUP BY keys and the calls to fold.
         spec: AggSpec,
-        /// Output schema.
+        /// Output schema: the input's, then one column per call.
         schema: Schema,
     },
 }
@@ -278,38 +281,14 @@ pub struct SortKey {
     pub asc: bool,
 }
 
-/// The full specification of an aggregate block.
+/// What a [`PlanNode::Aggregate`] folds.
 #[derive(Debug, Clone)]
 pub struct AggSpec {
     /// GROUP BY expressions.
     pub group_by: Vec<BoundExpr>,
-    /// HAVING predicate.
-    pub having: Option<AggExpr>,
-    /// One output expression per SELECT item (may contain aggregates).
-    pub select: Vec<AggExpr>,
-    /// Post-aggregate ORDER BY keys.
-    pub order_by: Vec<AggSortKey>,
-}
-
-/// An ORDER BY key over aggregate output.
-#[derive(Debug, Clone)]
-pub struct AggSortKey {
-    /// Where the key is read from.
-    pub key: AggKey,
-    /// Ascending or descending.
-    pub asc: bool,
-}
-
-/// How an aggregate ORDER BY key is computed, decided at bind time: from
-/// the output row when the (alias-substituted) key binds against the
-/// output schema, else recomputed over the group from the verbatim
-/// expression (aggregate expressions referenced as written).
-#[derive(Debug, Clone)]
-pub enum AggKey {
-    /// Evaluated against the aggregate's output row.
-    Output(BoundExpr),
-    /// Recomputed over the group's rows.
-    Group(AggExpr),
+    /// The block's aggregate calls — those of its select list, HAVING and
+    /// ORDER BY — in the order of the columns they fill.
+    pub(crate) calls: Vec<AggCall>,
 }
 
 impl PlanNode {
@@ -916,9 +895,11 @@ fn classify_view(
     Some((candidates.into_iter().next()?, "miss"))
 }
 
-/// Layer projection/aggregation, DISTINCT and LIMIT on top of a source.
-/// Wildcards expand to the first `visible` source columns (a preference
-/// source carries generated slot/quality columns behind them).
+/// Layer the block's tail on top of a source: the aggregate fold and
+/// HAVING when the block aggregates, then ORDER BY as a Sort, the select
+/// list as a Project, DISTINCT and LIMIT. Wildcards expand to the first
+/// `visible` source columns (a preference source carries generated
+/// slot/quality columns behind them).
 fn plan_block(
     ctx: &ExecCtx<'_>,
     query: &Query,
@@ -932,36 +913,36 @@ fn plan_block(
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             _ => false,
         });
-    let mut node = if needs_agg {
+    let (input, keys, projections, schema) = if needs_agg {
         plan_aggregate(ctx, query, source, outer)?
     } else {
-        let input_schema = source.schema().clone();
-        let sorted = if query.order_by.is_empty() {
-            source
-        } else {
-            let keys = query
-                .order_by
-                .iter()
-                .map(|o| {
-                    let expr = substitute_alias(&o.expr, query);
-                    Ok(SortKey {
-                        expr: bind_over(ctx, &expr, &input_schema, outer)?,
-                        asc: o.asc,
-                    })
+        let keys = query
+            .order_by
+            .iter()
+            .map(|o| {
+                let expr = substitute_alias(&o.expr, query);
+                Ok(SortKey {
+                    expr: bind_over(ctx, &expr, source.schema(), outer)?,
+                    asc: o.asc,
                 })
-                .collect::<Result<_>>()?;
-            PlanNode::Sort {
-                input: Box::new(source),
-                keys,
-            }
-        };
+            })
+            .collect::<Result<_>>()?;
         let (schema, projections) =
-            projection_plan(ctx, &query.select, &input_schema, visible, outer)?;
-        PlanNode::Project {
-            input: Box::new(sorted),
-            projections,
-            schema,
+            projection_plan(ctx, &query.select, source.schema(), visible, outer)?;
+        (source, keys, projections, schema)
+    };
+    let mut node = if keys.is_empty() {
+        input
+    } else {
+        PlanNode::Sort {
+            input: Box::new(input),
+            keys,
         }
+    };
+    node = PlanNode::Project {
+        input: Box::new(node),
+        projections,
+        schema,
     };
     if query.distinct {
         node = PlanNode::Distinct {
@@ -978,13 +959,21 @@ fn plan_block(
     Ok(node)
 }
 
+/// Plan an aggregate block up to its Sort: the [`PlanNode::Aggregate`]
+/// fold under HAVING's Filter, the ORDER BY keys and the select list, all
+/// bound over the fold's row by the aggregate binder into one call list.
+/// A key that (its alias substituted) binds against the select list's
+/// output reads each output column as the select item computing it. The
+/// plan of a sub-query in such a key is beyond that substitution, so the
+/// key is bound over the group and may read only select columns that are
+/// the input column of their name. Any other key is bound as written.
 fn plan_aggregate(
     ctx: &ExecCtx<'_>,
     query: &Query,
     source: PlanNode,
     outer: &[&Schema],
-) -> Result<PlanNode> {
-    let input_schema = source.schema().clone();
+) -> Result<(PlanNode, Vec<SortKey>, Vec<Projection>, Schema)> {
+    let input = source.schema().clone();
     let mut columns = Vec::new();
     let mut select = Vec::new();
     for item in &query.select {
@@ -992,7 +981,7 @@ fn plan_aggregate(
             SelectItem::Expr { expr, alias } => {
                 columns.push(Column::new(
                     output_name(expr, alias.as_deref()),
-                    infer_type(expr, &input_schema),
+                    infer_type(expr, &input),
                 ));
                 select.push(expr);
             }
@@ -1004,36 +993,71 @@ fn plan_aggregate(
         }
     }
     let schema = Schema::new(dedupe_columns(columns))?;
+    let plain = schema.columns().iter().zip(&select);
+    let plain = plain.filter(
+        |(c, e)| matches!(e, Expr::Column { name, .. } if name.eq_ignore_ascii_case(&c.name)),
+    );
+    let plain = Schema::new(plain.map(|(c, _)| c.clone()).collect())?;
     let group_by = query
         .group_by
         .iter()
-        .map(|e| bind_over(ctx, e, &input_schema, outer))
+        .map(|e| bind_over(ctx, e, &input, outer))
         .collect::<Result<_>>()?;
-    let agg = |e: &Expr| bind_aggregate(ctx, e, &input_schema, outer);
-    let having = query.having.as_ref().map(agg).transpose()?;
-    let select = select.into_iter().map(agg).collect::<Result<_>>()?;
-    let order_by = query
+    let mut calls = Vec::new();
+    let mut agg = |e: &Expr| {
+        Ok(Bound {
+            source: e.clone(),
+            expr: bind_aggregate(ctx, e, &input, outer, &mut calls)?,
+        })
+    };
+    let having = query.having.as_ref().map(&mut agg).transpose()?;
+    let select: Vec<Bound> = select.into_iter().map(&mut agg).collect::<Result<_>>()?;
+    let keys = query
         .order_by
         .iter()
         .map(|o| {
             let output = substitute_alias(&o.expr, query);
             let key = match bind(ctx, &output, &[&schema]) {
-                Ok(e) => AggKey::Output(e),
-                Err(_) => AggKey::Group(agg(&o.expr)?),
+                Ok(key) if key.reads().is_some() => output.try_map(&mut |e| match e {
+                    Expr::Column { qualifier, name } => Ok(schema
+                        .lookup(qualifier.as_deref(), name)?
+                        .map(|i| select[i].source.clone())),
+                    _ => Ok(None),
+                })?,
+                Ok(_) if bind(ctx, &output, &[&plain]).is_ok() => output,
+                Ok(_) => {
+                    return Err(Error::Plan(format!(
+                        "ORDER BY {}: a sub-query over groups may read only \
+                         select columns that are input columns",
+                        o.expr
+                    )))
+                }
+                Err(_) => o.expr.clone(),
             };
-            Ok(AggSortKey { key, asc: o.asc })
+            Ok(SortKey {
+                expr: agg(&key)?.expr,
+                asc: o.asc,
+            })
         })
         .collect::<Result<_>>()?;
-    Ok(PlanNode::Aggregate {
+    // Nothing reads the types of the call columns.
+    let columns = calls
+        .iter()
+        .enumerate()
+        .map(|(k, c)| Column::new(format!("{}#{k}", c.func.name()), DataType::Str));
+    let mut node = PlanNode::Aggregate {
+        schema: input.join(&Schema::new(columns.collect())?),
         input: Box::new(source),
-        spec: AggSpec {
-            group_by,
-            having,
-            select,
-            order_by,
-        },
-        schema,
-    })
+        spec: AggSpec { group_by, calls },
+    };
+    if let Some(pred) = having {
+        node = PlanNode::Filter {
+            input: Box::new(node),
+            pred,
+        };
+    }
+    let projections = select.into_iter().map(Projection::Computed).collect();
+    Ok((node, keys, projections, schema))
 }
 
 /// Resolve the FROM clause into a source node. Multiple FROM items

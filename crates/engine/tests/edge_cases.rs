@@ -505,3 +505,41 @@ fn index_probes_and_page_skipping_follow_sql_equality_on_zeros_and_int_literals(
         }
     }
 }
+
+/// Every group's aggregate calls are computed before HAVING filters the
+/// groups, the order SQL gives them: a SUM that overflows in a group
+/// HAVING drops still fails the statement.
+#[test]
+fn an_aggregate_error_in_a_group_having_drops_fails_the_statement() {
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE big (g INTEGER, v INTEGER)")
+        .unwrap();
+    e.execute_sql("INSERT INTO big VALUES (1, 9223372036854775807), (1, 1), (2, 5)")
+        .unwrap();
+    let err = e
+        .execute_sql("SELECT g, SUM(v) FROM big GROUP BY g HAVING g = 2")
+        .expect_err("group 1's SUM overflows");
+    assert!(err.to_string().contains("integer overflow"), "{err}");
+}
+
+/// An ORDER BY sub-query of an aggregate block is bound over the groups:
+/// it may read a select column only where that column is the input column
+/// of its name. A renamed or computed one is refused, not read as the
+/// input column that happens to share its name.
+#[test]
+fn an_order_by_subquery_over_groups_reading_a_renamed_column_is_refused() {
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE emp (id INTEGER, dept INTEGER)")
+        .unwrap();
+    e.execute_sql("CREATE TABLE dept (id INTEGER, dname VARCHAR)")
+        .unwrap();
+    for sql in [
+        "SELECT dept AS d FROM emp GROUP BY dept \
+         ORDER BY (SELECT x.dname FROM dept x WHERE x.id = d)",
+        "SELECT COUNT(*) AS dept FROM emp GROUP BY dept \
+         ORDER BY (SELECT x.dname FROM dept x WHERE x.id = dept)",
+    ] {
+        let err = e.execute_sql(sql).expect_err(sql);
+        assert!(err.to_string().contains("a sub-query over groups"), "{err}");
+    }
+}

@@ -377,3 +377,226 @@ fn bind_time_scoping() {
         vec![vec![i(1), i(5001)], vec![i(2), i(4001)]],
     );
 }
+
+/// The statement fails with an error mentioning `fragment`.
+fn fails(e: &mut Engine, sql: &str, fragment: &str) {
+    match e.execute_sql(sql) {
+        Ok(_) => panic!("{sql}\nsucceeded, expected an error with {fragment:?}"),
+        Err(err) => assert!(
+            err.to_string().contains(fragment),
+            "{sql}\nfailed with {err}, expected {fragment:?}"
+        ),
+    }
+}
+
+/// Aggregate answers pinned across the operator that computes them:
+/// empty inputs, NULL keys, every ORDER BY resolution, first-row reads of
+/// non-grouped columns, mixed numeric types, correlation, and the tail
+/// over groups.
+#[test]
+fn aggregate_answers() {
+    let mut e = fixture();
+    let null = || Value::Null;
+    let f = Value::Float;
+    // A global aggregate over no rows is one group: COUNT 0, the rest NULL,
+    // a non-grouped column NULL.
+    check(
+        &mut e,
+        "SELECT COUNT(*), COUNT(salary), SUM(salary), AVG(salary), MIN(salary), MAX(name) \
+         FROM emp WHERE id > 99",
+        vec![vec![i(0), i(0), null(), null(), null(), null()]],
+    );
+    check(
+        &mut e,
+        "SELECT name, COUNT(*) FROM emp WHERE id > 99",
+        vec![vec![null(), i(0)]],
+    );
+    // A grouped aggregate over no rows has no groups.
+    check(
+        &mut e,
+        "SELECT dept, COUNT(*) FROM emp WHERE id > 99 GROUP BY dept",
+        vec![],
+    );
+    // NULL keys form one group; groups come in order of first appearance.
+    check(
+        &mut e,
+        "SELECT dept, COUNT(*), SUM(salary), AVG(salary) FROM emp GROUP BY dept",
+        vec![
+            vec![i(10), i(2), i(9000), f(4500.0)],
+            vec![i(20), i(2), i(6000), f(6000.0)],
+            vec![null(), i(1), i(3000), f(3000.0)],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT salary IS NULL, COUNT(*) FROM emp GROUP BY salary IS NULL",
+        vec![
+            vec![Value::Bool(false), i(4)],
+            vec![Value::Bool(true), i(1)],
+        ],
+    );
+    // HAVING without GROUP BY filters the one global group.
+    check(
+        &mut e,
+        "SELECT COUNT(*) FROM emp HAVING COUNT(*) > 3",
+        vec![vec![i(5)]],
+    );
+    check(
+        &mut e,
+        "SELECT COUNT(*) FROM emp HAVING COUNT(*) > 5",
+        vec![],
+    );
+    check(
+        &mut e,
+        "SELECT COUNT(*) FROM emp WHERE id > 99 HAVING COUNT(*) = 0",
+        vec![vec![i(0)]],
+    );
+    // ORDER BY an alias, an expression over one, and an output name.
+    check(
+        &mut e,
+        "SELECT dept, dept * 10 AS d10, COUNT(*) FROM emp GROUP BY dept ORDER BY d10 DESC",
+        vec![
+            vec![i(20), i(200), i(2)],
+            vec![i(10), i(100), i(2)],
+            vec![null(), null(), i(1)],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT dept, SUM(salary) AS total FROM emp GROUP BY dept ORDER BY -total",
+        vec![
+            vec![i(10), i(9000)],
+            vec![i(20), i(6000)],
+            vec![null(), i(3000)],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY count, dept DESC",
+        vec![vec![null(), i(1)], vec![i(20), i(2)], vec![i(10), i(2)]],
+    );
+    // ORDER BY an aggregate the select list does not show, and a column
+    // the output renamed away.
+    check(
+        &mut e,
+        "SELECT dept FROM emp GROUP BY dept ORDER BY MIN(salary)",
+        vec![vec![null()], vec![i(10)], vec![i(20)]],
+    );
+    check(
+        &mut e,
+        "SELECT dept AS d, MAX(salary) AS hi FROM emp GROUP BY dept \
+         ORDER BY SUM(salary) DESC, dept",
+        vec![
+            vec![i(10), i(5000)],
+            vec![i(20), i(6000)],
+            vec![null(), i(3000)],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT dept AS d, COUNT(*) FROM emp GROUP BY dept ORDER BY dept DESC",
+        vec![vec![i(20), i(2)], vec![i(10), i(2)], vec![null(), i(1)]],
+    );
+    // ORDER BY the alias of a sub-query, correlated and not, and a
+    // sub-query over an output column.
+    check(
+        &mut e,
+        "SELECT dept, (SELECT d.dname FROM dept d WHERE d.id = dept) AS name \
+         FROM emp GROUP BY dept ORDER BY name",
+        vec![
+            vec![null(), null()],
+            vec![i(10), s("sales")],
+            vec![i(20), s("tech")],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT dept, (SELECT MAX(salary) FROM emp) AS m FROM emp GROUP BY dept \
+         ORDER BY m, dept DESC",
+        vec![
+            vec![i(20), i(6000)],
+            vec![i(10), i(6000)],
+            vec![null(), i(6000)],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT dept, COUNT(*) FROM emp GROUP BY dept \
+         ORDER BY (SELECT d.dname FROM dept d WHERE d.id = dept) DESC",
+        vec![vec![i(20), i(2)], vec![i(10), i(2)], vec![null(), i(1)]],
+    );
+    // A non-grouped column reads the group's first row.
+    check(
+        &mut e,
+        "SELECT dept, name FROM emp GROUP BY dept ORDER BY dept",
+        vec![
+            vec![null(), s("eve")],
+            vec![i(10), s("ann")],
+            vec![i(20), s("cat")],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT name, COUNT(*) FROM emp",
+        vec![vec![s("ann"), i(5)]],
+    );
+    // MIN, MAX and SUM across INT and FLOAT keep the winning value's type.
+    check(
+        &mut e,
+        "SELECT MIN(CASE WHEN id = 5 THEN 2999.5 ELSE salary END), \
+         MAX(CASE WHEN id = 3 THEN 6000.5 ELSE salary END), \
+         MIN(CASE WHEN id = 1 THEN 5000.0 ELSE salary END), \
+         SUM(CASE WHEN id = 1 THEN 0.5 ELSE salary END) FROM emp",
+        vec![vec![f(2999.5), f(6000.5), i(3000), f(13000.5)]],
+    );
+    fails(
+        &mut e,
+        "SELECT MIN(CASE WHEN id = 1 THEN name ELSE salary END) FROM emp",
+        "min() over incomparable values",
+    );
+    fails(
+        &mut e,
+        "SELECT dept, MAX(CASE WHEN id = 2 THEN name ELSE salary END) FROM emp GROUP BY dept",
+        "max() over incomparable values",
+    );
+    // Correlated aggregates: a scalar MAX per outer row, an outer column
+    // inside a call's argument, and HAVING reading the outer row.
+    check(
+        &mut e,
+        "SELECT name FROM emp e WHERE salary = \
+         (SELECT MAX(f.salary) FROM emp f WHERE f.dept = e.dept) ORDER BY name",
+        vec![vec![s("ann")], vec![s("cat")]],
+    );
+    check(
+        &mut e,
+        "SELECT d.dname, (SELECT SUM(e.salary + d.id) FROM emp e WHERE e.dept = d.id) \
+         FROM dept d ORDER BY d.id",
+        vec![
+            vec![s("sales"), i(9020)],
+            vec![s("tech"), i(6020)],
+            vec![s("empty"), null()],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT d.dname FROM dept d WHERE EXISTS (SELECT e.dept FROM emp e \
+         GROUP BY e.dept HAVING e.dept = d.id AND COUNT(*) > 1) ORDER BY d.dname",
+        vec![vec![s("sales")], vec![s("tech")]],
+    );
+    // DISTINCT and LIMIT run over the groups.
+    check(
+        &mut e,
+        "SELECT DISTINCT COUNT(*) FROM emp GROUP BY dept",
+        vec![vec![i(2)], vec![i(1)]],
+    );
+    check(
+        &mut e,
+        "SELECT dept, COUNT(*) FROM emp GROUP BY dept ORDER BY dept LIMIT 2",
+        vec![vec![null(), i(1)], vec![i(10), i(2)]],
+    );
+    check(
+        &mut e,
+        "SELECT DISTINCT COUNT(*) FROM emp GROUP BY dept ORDER BY count DESC LIMIT 1",
+        vec![vec![i(2)]],
+    );
+}
