@@ -1,4 +1,8 @@
 //! Result sets returned to the application.
+//!
+//! A [`ResultSet`] holds the engine's relation unchanged — no generated
+//! `prefsql_*` column reaches it, since the engine's wildcards never
+//! expand one — plus what the engine observed of the statement.
 
 use prefsql_engine::{BackendKind, Engine, Relation};
 use prefsql_pref::SpillMetrics;
@@ -79,10 +83,11 @@ impl ResultSet {
         }
     }
 
-    /// Dominance comparisons ([`prefsql_pref`]'s `Preference::better`
-    /// calls) the maximal-set selection behind this result performed —
-    /// the paper's unit of preference-evaluation cost. Zero for
-    /// rewrite-path results, plain SQL, and view cache hits.
+    /// Dominance comparisons (kernel calls over a
+    /// [`prefsql_pref::ScoreMatrix`]) the maximal-set selection behind
+    /// this result performed — the paper's unit of preference-evaluation
+    /// cost. Zero for rewrite-path results, plain SQL, and view cache
+    /// hits.
     pub fn dominance_tests(&self) -> u64 {
         self.dominance
     }
@@ -156,33 +161,6 @@ impl ResultSet {
             .iter()
             .map(|r| r[idx].as_int().expect("integer column"))
             .collect()
-    }
-
-    /// Drop the internal `prefsql_*` level/grouping columns that a
-    /// `SELECT *` preference query exposes through the rewrite.
-    pub(crate) fn strip_generated_columns(self) -> Self {
-        let keep: Vec<usize> = self
-            .schema
-            .columns()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.name.starts_with(prefsql_rewrite::levels::GEN_PREFIX))
-            .map(|(i, _)| i)
-            .collect();
-        if keep.len() == self.schema.len() {
-            return self;
-        }
-        let columns = keep
-            .iter()
-            .map(|&i| self.schema.column(i).clone())
-            .collect();
-        let schema = Schema::new(columns).expect("stripping preserves uniqueness");
-        let rows = self.rows.iter().map(|r| r.project(&keep)).collect();
-        ResultSet {
-            schema,
-            rows,
-            ..self
-        }
     }
 }
 
@@ -291,21 +269,5 @@ mod tests {
         assert!(out.contains("| id | make |"), "{out}");
         assert!(out.contains("| 1  | audi |"), "{out}");
         assert!(out.contains("(2 rows)"), "{out}");
-    }
-
-    #[test]
-    fn strip_generated_columns_removes_internal_names() {
-        let rs = ResultSet::new(Relation {
-            schema: Schema::new(vec![
-                Column::new("id", DataType::Int),
-                Column::new("prefsql_p0", DataType::Int),
-                Column::new("prefsql_g0", DataType::Str),
-            ])
-            .unwrap(),
-            rows: vec![tuple![1, 5, "x"]],
-        });
-        let stripped = rs.strip_generated_columns();
-        assert_eq!(stripped.column_names(), vec!["id"]);
-        assert_eq!(stripped.rows()[0].len(), 1);
     }
 }

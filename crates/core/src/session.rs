@@ -23,11 +23,15 @@
 //! Both the interactive shell and the TCP server are thin clients of
 //! this type: all knob handling lives in [`Session::command`], so the
 //! two front ends cannot drift.
+//!
+//! A rewritten statement runs on the engine like any other, and its
+//! result is the engine's relation as it is: the engine's wildcards
+//! never expand the rewrite's generated `prefsql_*` columns.
 
 use crate::native::{self, NativeOptions, SkylineAlgo};
 use crate::result::{Baseline, ResultSet};
 use prefsql_engine::{BackendKind, Engine, EngineCore, ExecOutcome};
-use prefsql_parser::ast::{Expr as PExpr, InsertSource, Statement};
+use prefsql_parser::ast::Statement;
 use prefsql_parser::{parse_statement, parse_statements};
 use prefsql_rewrite::{RewriteOutput, Rewriter};
 use prefsql_types::knobs::{fmt_bytes, parse_size, MIN_WINDOW_BYTES};
@@ -344,7 +348,7 @@ impl Session {
                     name: name.clone(),
                     query: Box::new(q),
                 });
-            return self.forward(resolved.as_ref().unwrap_or(stmt), false);
+            return self.forward(resolved.as_ref().unwrap_or(stmt));
         }
         // Native mode hands preference SELECTs — plain or under EXPLAIN
         // [ANALYZE] — to the engine as they are.
@@ -365,7 +369,7 @@ impl Session {
                             None => select,
                         }
                     });
-                    return match self.forward(resolved.as_ref().unwrap_or(stmt), false)? {
+                    return match self.forward(resolved.as_ref().unwrap_or(stmt))? {
                         QueryResult::Explain(plan) => Ok(QueryResult::Explain(format!(
                             "Native preference plan:\n{plan}"
                         ))),
@@ -376,8 +380,8 @@ impl Session {
         }
         match self.rewriter.process(stmt)? {
             RewriteOutput::Handled(msg) => Ok(QueryResult::Message(msg)),
-            RewriteOutput::Passthrough => self.forward(stmt, false),
-            RewriteOutput::Rewritten { statement, sql, .. } => {
+            RewriteOutput::Passthrough => self.forward(stmt),
+            RewriteOutput::Rewritten { statement, .. } => {
                 // EXPLAIN of a preference query shows the rewrite first
                 // (ANALYZE additionally executes the rewritten statement
                 // and annotates the host plan — the engine handles both).
@@ -398,43 +402,14 @@ impl Session {
                         inner
                     )));
                 }
-                let _ = sql; // the wire-format text; statement is executed directly
-
-                // INSERT ... SELECT * PREFERRING ...: a wildcard over the
-                // rewritten query exposes the generated level columns, which
-                // must not reach the target table. Materialize, strip, then
-                // insert the clean rows through the engine's validation path.
-                if let Statement::Insert {
-                    table,
-                    columns,
-                    source: InsertSource::Query(q),
-                } = statement.as_ref()
-                {
-                    let rel = self.engine.run_query(q)?;
-                    let rs = ResultSet::new(rel).strip_generated_columns();
-                    let values: Vec<Vec<PExpr>> = rs
-                        .rows()
-                        .iter()
-                        .map(|r| r.values().iter().cloned().map(PExpr::Literal).collect())
-                        .collect();
-                    if values.is_empty() {
-                        return Ok(QueryResult::Count(0));
-                    }
-                    let insert = Statement::Insert {
-                        table: table.clone(),
-                        columns: columns.clone(),
-                        source: InsertSource::Values(values),
-                    };
-                    return self.forward(&insert, false);
-                }
-                self.forward(&statement, true)
+                self.forward(&statement)
             }
         }
     }
 
     /// Run `stmt` on the engine and turn its outcome into this session's
     /// result — the one assembly every statement's rows go through.
-    fn forward(&mut self, stmt: &Statement, strip_generated: bool) -> Result<QueryResult> {
+    fn forward(&mut self, stmt: &Statement) -> Result<QueryResult> {
         // Discard view-maintenance accounting a prior statement left
         // behind, so every result reports only its own work.
         let _ = self.engine.take_view_maintenance();
@@ -444,12 +419,7 @@ impl Session {
         self.last_view_maintained = self.engine.take_view_maintenance();
         Ok(match outcome {
             ExecOutcome::Rows(rel) => {
-                let rs = ResultSet::assemble(&self.engine, rel, baseline);
-                QueryResult::Rows(if strip_generated {
-                    rs.strip_generated_columns()
-                } else {
-                    rs
-                })
+                QueryResult::Rows(ResultSet::assemble(&self.engine, rel, baseline))
             }
             ExecOutcome::Count(n) => QueryResult::Count(n),
             ExecOutcome::Ddl(msg) => QueryResult::Message(msg),
@@ -911,13 +881,56 @@ mod tests {
 
     #[test]
     fn select_star_hides_level_columns() {
+        let cases: &[(&str, &[&str], usize)] = &[
+            ("SELECT * FROM t PREFERRING LOWEST(x)", &["x", "y"], 1),
+            (
+                "SELECT * FROM t PREFERRING LOWEST(x) GROUPING y",
+                &["x", "y"],
+                2,
+            ),
+            (
+                "SELECT *, LEVEL(y) FROM t PREFERRING y IN ('b')",
+                &["x", "y", "level_y"],
+                1,
+            ),
+            (
+                "SELECT *, DISTANCE(x) FROM t PREFERRING x AROUND 2",
+                &["x", "y", "distance_x"],
+                1,
+            ),
+            (
+                "SELECT * FROM t PREFERRING x AROUND 2 BUT ONLY DISTANCE(x) <= 1",
+                &["x", "y"],
+                1,
+            ),
+            ("SELECT t.* FROM t PREFERRING LOWEST(x)", &["x", "y"], 1),
+        ];
+        for mode in [ExecutionMode::Rewrite, ExecutionMode::native()] {
+            let mut c = Session::new();
+            c.set_mode(mode);
+            c.execute("CREATE TABLE t (x INTEGER, y VARCHAR)").unwrap();
+            c.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a')")
+                .unwrap();
+            for &(sql, names, rows) in cases {
+                let rs = c.query(sql).unwrap();
+                assert_eq!(rs.column_names(), names, "{mode:?}: {sql}");
+                assert_eq!(rs.rows().len(), rows, "{mode:?}: {sql}");
+            }
+        }
+        // A preference query over one: the rewrite only (native mode
+        // refuses a nested PREFERRING).
         let mut c = Session::new();
         c.execute("CREATE TABLE t (x INTEGER, y VARCHAR)").unwrap();
-        c.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
+        c.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a')")
             .unwrap();
-        let rs = c.query("SELECT * FROM t PREFERRING LOWEST(x)").unwrap();
+        let rs = c
+            .query(
+                "SELECT * FROM (SELECT * FROM t PREFERRING LOWEST(x) GROUPING y) d \
+                 PREFERRING HIGHEST(x)",
+            )
+            .unwrap();
         assert_eq!(rs.column_names(), vec!["x", "y"]);
-        assert_eq!(rs.rows().len(), 1);
+        assert_eq!(rs.column_as_ints(0), vec![2]);
     }
 
     #[test]

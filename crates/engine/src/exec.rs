@@ -117,10 +117,10 @@ pub struct ExecStats {
     /// Number of sub-query evaluations (one per outer row for correlated
     /// sub-queries — the O(n²) heart of the rewrite).
     pub subquery_evals: u64,
-    /// Dominance comparisons ([`prefsql_pref::compose::Preference::better`])
-    /// charged to this statement — the paper's unit of preference-
-    /// evaluation cost. Includes skyline evaluation and materialized-view
-    /// maintenance.
+    /// Dominance comparisons (one kernel call comparing two rows of a
+    /// [`prefsql_pref::ScoreMatrix`]) charged to this statement — the
+    /// paper's unit of preference-evaluation cost. Includes skyline
+    /// evaluation and materialized-view maintenance.
     pub dominance_tests: u64,
 }
 

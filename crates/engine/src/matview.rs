@@ -205,7 +205,7 @@ impl BoundView {
         schema: &Schema,
     ) -> Result<BoundView> {
         let scope = [schema];
-        let (output, projections) = projection_plan(ctx, &query.select, schema, schema.len(), &[])?;
+        let (output, projections) = projection_plan(ctx, &query.select, schema, &[])?;
         Ok(BoundView {
             where_clause: (query.where_clause.as_ref())
                 .map(|w| bind(ctx, w, &scope))

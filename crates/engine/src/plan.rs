@@ -2,11 +2,17 @@
 //!
 //! [`plan_query`] turns a parsed [`Query`] into a [`PlanNode`] tree exactly
 //! once per statement, absorbing all plan-time decisions — access-path
-//! selection ([`choose_access_path`]), view expansion, ORDER BY alias
-//! substitution, projection/aggregate output schemas. The tree is the
-//! single source of truth for execution: `EXPLAIN` renders it and the
-//! physical operators of [`crate::physical`] run it, so the two can never
-//! drift apart.
+//! selection ([`choose_access_path`]), view expansion, ORDER BY keys
+//! resolved against the select list, projection/aggregate output
+//! schemas. The tree is the single source of truth for execution:
+//! `EXPLAIN` renders it and the physical operators of [`crate::physical`]
+//! run it, so the two can never drift apart.
+//!
+//! Every block's select list is expanded by `projection_plan`, the one
+//! place the `prefsql_*` columns are hidden: a wildcard never expands a
+//! column named with [`GEN_PREFIX`] — the rewrite's level and grouping
+//! columns, the quality columns a [`PlanNode::Preference`] appends. An
+//! explicit reference still binds.
 //!
 //! Preference queries take the same road: a top-level block with
 //! `PREFERRING` ([`crate::ExecCtx::plan_for`]) is planned by
@@ -31,7 +37,7 @@ use crate::exec::ExecCtx;
 use crate::preference::{PrefSpec, QualityCol};
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_rewrite::levels::{
-    check_aliases, check_quality, default_quality_alias, quality_call, uses_quality,
+    check_aliases, check_quality, default_quality_alias, quality_call, uses_quality, GEN_PREFIX,
 };
 use prefsql_rewrite::{compile_preference, CompiledPreference};
 use prefsql_types::{Column, DataType, Error, Result, Schema};
@@ -357,8 +363,7 @@ pub(crate) fn plan_query_in(
 ) -> Result<QueryPlan> {
     reject_preference_constructs(query)?;
     let source = plan_source(ctx, query, outer)?;
-    let visible = source.schema().len();
-    let root = plan_block(ctx, query, source, visible, outer)?;
+    let root = plan_block(ctx, query, source, outer)?;
     Ok(QueryPlan { root })
 }
 
@@ -516,12 +521,11 @@ fn exists_join(
     };
     let mut scope = vec![left];
     scope.extend_from_slice(outer);
-    let visible = right.schema().len();
     let source = PlanNode::Filter {
         pred: bind_shown(ctx, pred, right.schema(), &scope)?,
         input: Box::new(right),
     };
-    let block = plan_block(ctx, sub, source, visible, &scope)?;
+    let block = plan_block(ctx, sub, source, &scope)?;
     let (PlanNode::Filter { input: right, pred }, true) = first_row_probe(block) else {
         return Ok(None);
     };
@@ -655,7 +659,6 @@ pub(crate) fn plan_preference(
     check_aliases(&query.select)?;
     let compiled = compile_preference(pref)?;
     let mut source = plan_source(ctx, query, &[])?;
-    let n_orig = source.schema().len();
 
     // The outer block, quality calls lowered to generated columns.
     let mut quality = Vec::new();
@@ -754,7 +757,7 @@ pub(crate) fn plan_preference(
             }
         }
     };
-    let root = plan_block(ctx, &block, bmo, n_orig, &[])?;
+    let root = plan_block(ctx, &block, bmo, &[])?;
     Ok(QueryPlan { root })
 }
 
@@ -897,14 +900,13 @@ fn classify_view(
 
 /// Layer the block's tail on top of a source: the aggregate fold and
 /// HAVING when the block aggregates, then ORDER BY as a Sort, the select
-/// list as a Project, DISTINCT and LIMIT. Wildcards expand to the first
-/// `visible` source columns (a preference source carries generated
-/// slot/quality columns behind them).
+/// list as a Project ([`projection_plan`]), DISTINCT and LIMIT. An ORDER
+/// BY key reads the select list's output as the items computing it
+/// ([`computed_by`]); any other key is bound over the source as written.
 fn plan_block(
     ctx: &ExecCtx<'_>,
     query: &Query,
     source: PlanNode,
-    visible: usize,
     outer: &[&Schema],
 ) -> Result<PlanNode> {
     let needs_agg = !query.group_by.is_empty()
@@ -916,19 +918,32 @@ fn plan_block(
     let (input, keys, projections, schema) = if needs_agg {
         plan_aggregate(ctx, query, source, outer)?
     } else {
+        let input = source.schema();
+        let (schema, projections) = projection_plan(ctx, &query.select, input, outer)?;
+        let item = |i: usize| match &projections[i] {
+            Projection::Passthrough(j) => {
+                let c = input.column(*j);
+                Expr::Column {
+                    qualifier: c.qualifier.clone(),
+                    name: c.name.clone(),
+                }
+            }
+            Projection::Computed(b) => b.source.clone(),
+        };
         let keys = query
             .order_by
             .iter()
             .map(|o| {
-                let expr = substitute_alias(&o.expr, query);
+                let key = match bind(ctx, &o.expr, &[&schema]) {
+                    Ok(key) if key.reads().is_some() => computed_by(&o.expr, &schema, item)?,
+                    _ => o.expr.clone(),
+                };
                 Ok(SortKey {
-                    expr: bind_over(ctx, &expr, source.schema(), outer)?,
+                    expr: bind_over(ctx, &key, input, outer)?,
                     asc: o.asc,
                 })
             })
             .collect::<Result<_>>()?;
-        let (schema, projections) =
-            projection_plan(ctx, &query.select, source.schema(), visible, outer)?;
         (source, keys, projections, schema)
     };
     let mut node = if keys.is_empty() {
@@ -962,11 +977,11 @@ fn plan_block(
 /// Plan an aggregate block up to its Sort: the [`PlanNode::Aggregate`]
 /// fold under HAVING's Filter, the ORDER BY keys and the select list, all
 /// bound over the fold's row by the aggregate binder into one call list.
-/// A key that (its alias substituted) binds against the select list's
-/// output reads each output column as the select item computing it. The
-/// plan of a sub-query in such a key is beyond that substitution, so the
-/// key is bound over the group and may read only select columns that are
-/// the input column of their name. Any other key is bound as written.
+/// A key that binds against the select list's output reads each output
+/// column as the select item computing it ([`computed_by`]). The plan of
+/// a sub-query in such a key is beyond that substitution, so the key is
+/// bound over the group and may read only select columns that are the
+/// input column of their name. Any other key is bound as written.
 fn plan_aggregate(
     ctx: &ExecCtx<'_>,
     query: &Query,
@@ -1016,15 +1031,11 @@ fn plan_aggregate(
         .order_by
         .iter()
         .map(|o| {
-            let output = substitute_alias(&o.expr, query);
-            let key = match bind(ctx, &output, &[&schema]) {
-                Ok(key) if key.reads().is_some() => output.try_map(&mut |e| match e {
-                    Expr::Column { qualifier, name } => Ok(schema
-                        .lookup(qualifier.as_deref(), name)?
-                        .map(|i| select[i].source.clone())),
-                    _ => Ok(None),
-                })?,
-                Ok(_) if bind(ctx, &output, &[&plain]).is_ok() => output,
+            let key = match bind(ctx, &o.expr, &[&schema]) {
+                Ok(key) if key.reads().is_some() => {
+                    computed_by(&o.expr, &schema, |i| select[i].source.clone())?
+                }
+                Ok(_) if bind(ctx, &o.expr, &[&plain]).is_ok() => o.expr.clone(),
                 Ok(_) => {
                     return Err(Error::Plan(format!(
                         "ORDER BY {}: a sub-query over groups may read only \
@@ -1353,22 +1364,25 @@ fn plan_named(
 }
 
 /// Expand a SELECT list against the input schema, binding computed items
-/// in the enclosing scopes `outer`; wildcards cover its first `visible`
-/// columns.
+/// in the enclosing scopes `outer`. Wildcards skip the columns named with
+/// [`GEN_PREFIX`]: the rewrite's level and grouping columns and the
+/// quality columns a preference operator appends. No user column or
+/// preference query alias carries the prefix, so no application sees
+/// them; an explicit reference still binds.
 pub(crate) fn projection_plan(
     ctx: &ExecCtx<'_>,
     select: &[SelectItem],
     input_schema: &Schema,
-    visible: usize,
     outer: &[&Schema],
 ) -> Result<(Schema, Vec<Projection>)> {
     let mut columns = Vec::new();
     let mut projections = Vec::new();
-    let wild = &input_schema.columns()[..visible];
+    let wild = input_schema.columns().iter().enumerate();
+    let wild = wild.filter(|(_, c)| !c.name.starts_with(GEN_PREFIX));
     for item in select {
         match item {
             SelectItem::Wildcard => {
-                for (i, c) in wild.iter().enumerate() {
+                for (i, c) in wild.clone() {
                     columns.push(c.clone());
                     projections.push(Projection::Passthrough(i));
                 }
@@ -1376,7 +1390,7 @@ pub(crate) fn projection_plan(
             SelectItem::QualifiedWildcard(t) => {
                 let t = t.to_ascii_lowercase();
                 let mut any = false;
-                for (i, c) in wild.iter().enumerate() {
+                for (i, c) in wild.clone() {
                     if c.qualifier.as_deref() == Some(t.as_str()) {
                         columns.push(c.clone());
                         projections.push(Projection::Passthrough(i));
@@ -1403,27 +1417,17 @@ pub(crate) fn projection_plan(
     Ok((Schema::new(dedupe_columns(columns))?, projections))
 }
 
-/// Substitute a bare output-alias reference in ORDER BY with its select
-/// expression (`SELECT price * 2 AS p ... ORDER BY p`).
-fn substitute_alias(expr: &Expr, query: &Query) -> Expr {
-    if let Expr::Column {
-        qualifier: None,
-        name,
-    } = expr
-    {
-        for item in &query.select {
-            if let SelectItem::Expr {
-                expr: sel,
-                alias: Some(a),
-            } = item
-            {
-                if a == name {
-                    return sel.clone();
-                }
-            }
+/// An ORDER BY key that binds against the block's `output` and reads only
+/// output columns, each column replaced by `item(i)`, the select
+/// expression computing output column `i` — so the key binds over the
+/// block's input, or over its groups.
+fn computed_by(key: &Expr, output: &Schema, item: impl Fn(usize) -> Expr) -> Result<Expr> {
+    key.try_map(&mut |e| match e {
+        Expr::Column { qualifier, name } => {
+            Ok(output.lookup(qualifier.as_deref(), name)?.map(&item))
         }
-    }
-    expr.clone()
+        _ => Ok(None),
+    })
 }
 
 /// Make output column names unique (SQL permits `SELECT a1.x, a2.x` and

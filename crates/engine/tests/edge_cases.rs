@@ -543,3 +543,105 @@ fn an_order_by_subquery_over_groups_reading_a_renamed_column_is_refused() {
         assert!(err.to_string().contains("a sub-query over groups"), "{err}");
     }
 }
+
+fn column_names(e: &mut Engine, sql: &str) -> Vec<String> {
+    let rel = e
+        .execute_sql(sql)
+        .unwrap_or_else(|err| panic!("query failed: {sql}: {err}"))
+        .expect_rows();
+    rel.schema
+        .columns()
+        .iter()
+        .map(|c| c.name.clone())
+        .collect()
+}
+
+/// `prefsql_` names are reserved for the columns the rewrite and the
+/// native operator generate, and a wildcard never expands them — also in
+/// plain SQL, over a derived table or a view that aliases a column so.
+/// An explicit reference still reads it.
+#[test]
+fn wildcards_skip_reserved_prefix_columns() {
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE t (x INTEGER, y INTEGER)")
+        .unwrap();
+    e.execute_sql("INSERT INTO t VALUES (1, 2)").unwrap();
+    e.execute_sql("CREATE VIEW v AS SELECT x AS prefsql_q, y FROM t")
+        .unwrap();
+    let derived = "(SELECT x AS prefsql_q, y FROM t) d";
+    for (sql, names) in [
+        (format!("SELECT * FROM {derived}"), vec!["y"]),
+        (format!("SELECT d.* FROM {derived}"), vec!["y"]),
+        (
+            format!("SELECT d.prefsql_q, * FROM {derived}"),
+            vec!["prefsql_q", "y"],
+        ),
+        ("SELECT * FROM v".into(), vec!["y"]),
+        ("SELECT prefsql_q FROM v".into(), vec!["prefsql_q"]),
+    ] {
+        assert_eq!(column_names(&mut e, &sql), names, "{sql}");
+    }
+    assert_eq!(
+        rows(
+            &mut e,
+            &format!("SELECT * FROM {derived} ORDER BY prefsql_q")
+        ),
+        vec![vec![Value::Int(2)]]
+    );
+}
+
+/// A rewritten preference query needs nothing from the layer above to
+/// hide its level columns: run as it is on the bare engine, `*` yields
+/// the table's columns, and an explicit `prefsql_a1.prefsql_p0` — the
+/// level column of the rewrite's outer alias — still binds.
+#[test]
+fn a_rewritten_query_on_the_bare_engine_hides_its_level_columns() {
+    use prefsql_parser::ast::{Expr, SelectItem, Statement};
+    use prefsql_rewrite::{RewriteOutput, Rewriter};
+
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE t (x INTEGER, y INTEGER)")
+        .unwrap();
+    e.execute_sql("INSERT INTO t VALUES (1, 9), (5, 5), (9, 1), (9, 9)")
+        .unwrap();
+    let stmt = prefsql_parser::parse_statement(
+        "SELECT * FROM t PREFERRING LOWEST(x) AND LOWEST(y) ORDER BY x",
+    )
+    .unwrap();
+    let Ok(RewriteOutput::Rewritten { statement, .. }) = Rewriter::new().process(&stmt) else {
+        panic!("expected a rewrite");
+    };
+    let Statement::Select(mut query) = *statement else {
+        panic!("expected a SELECT");
+    };
+    let run = |e: &mut Engine, q: &Statement| {
+        let rel = e.execute(q).unwrap().expect_rows();
+        let names: Vec<String> = rel
+            .schema
+            .columns()
+            .iter()
+            .map(|c| c.name.clone())
+            .collect();
+        let rows: Vec<Vec<Value>> = rel.rows.into_iter().map(|t| t.into_values()).collect();
+        (names, rows)
+    };
+    let (names, got) = run(&mut e, &Statement::Select(query.clone()));
+    assert_eq!(names, ["x", "y"]);
+    let ints = |v: &[[i64; 2]]| -> Vec<Vec<Value>> {
+        v.iter()
+            .map(|r| r.iter().map(|&k| Value::Int(k)).collect())
+            .collect()
+    };
+    assert_eq!(got, ints(&[[1, 9], [5, 5], [9, 1]]));
+
+    query.select.push(SelectItem::Expr {
+        expr: Expr::Column {
+            qualifier: Some("prefsql_a1".into()),
+            name: "prefsql_p0".into(),
+        },
+        alias: None,
+    });
+    let (names, got) = run(&mut e, &Statement::Select(query));
+    assert_eq!(names, ["x", "y", "prefsql_p0"]);
+    assert_eq!(got[0][2], Value::Int(1));
+}

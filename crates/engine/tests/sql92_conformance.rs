@@ -152,6 +152,25 @@ fn aggregation() {
          ORDER BY dept",
         vec![vec![i(10), i(9000)]],
     );
+    // ORDER BY the alias of an aggregate, and of a renamed group column.
+    check(
+        &mut e,
+        "SELECT dept, SUM(salary) AS total FROM emp GROUP BY dept ORDER BY total",
+        vec![
+            vec![Value::Null, i(3000)],
+            vec![i(20), i(6000)],
+            vec![i(10), i(9000)],
+        ],
+    );
+    check(
+        &mut e,
+        "SELECT dept AS d, COUNT(*) FROM emp GROUP BY dept ORDER BY d",
+        vec![
+            vec![Value::Null, i(1)],
+            vec![i(10), i(2)],
+            vec![i(20), i(2)],
+        ],
+    );
 }
 
 #[test]
@@ -360,6 +379,24 @@ fn bind_time_scoping() {
             vec![s("ann"), i(10000)],
             vec![s("bob"), i(8000)],
             vec![s("eve"), i(6000)],
+        ],
+    );
+    // A name the select list shows once, though both tables have it.
+    check(
+        &mut e,
+        "SELECT e.id FROM emp e, dept d WHERE e.dept = d.id ORDER BY id DESC",
+        vec![vec![i(4)], vec![i(3)], vec![i(2)], vec![i(1)]],
+    );
+    // An expression over an output alias.
+    check(
+        &mut e,
+        "SELECT salary * 2 AS p FROM emp ORDER BY -p",
+        vec![
+            vec![Value::Null],
+            vec![i(12000)],
+            vec![i(10000)],
+            vec![i(8000)],
+            vec![i(6000)],
         ],
     );
     check(

@@ -369,7 +369,9 @@ pub fn maximal_bnl(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize>
 mod tests {
     use super::*;
     use crate::base::BasePref;
+    use crate::compose::arb::verdict;
     use crate::compose::PrefNode;
+    use crate::score::Verdict;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -756,7 +758,7 @@ mod tests {
             let p = pareto(3);
             let result = maximal_bnl(&pts, &p);
             for (i, cand) in pts.iter().enumerate() {
-                let dominated = pts.iter().any(|o| p.better(o, cand));
+                let dominated = pts.iter().any(|o| verdict(&p, o, cand) == Verdict::A_WINS);
                 prop_assert_eq!(result.contains(&i), !dominated);
             }
         }

@@ -3,19 +3,19 @@
 //!
 //! A [`Preference`] is defined over *slot vectors*: the engine (or a
 //! test) evaluates each base preference's attribute expression against a
-//! tuple once, producing one [`Value`] per base preference, which keeps
-//! the preference algebra independent of the SQL layer. Dominance is not
-//! evaluated by walking the tree over those values: [`Preference::new`]
-//! compiles the tree into one normal form, a CASCADE chain of Pareto
-//! groups compared over *score rows* (see [`crate::score`]). The skyline
-//! loops lower each candidate's slot vector to such a row once, and
-//! [`Preference::better`] / [`Preference::equiv`] lower their two slot
-//! vectors into one scratch buffer and run the same kernel — the one implementation
-//! of the composition semantics below.
+//! tuple once, producing one [`prefsql_types::Value`] per base
+//! preference, which keeps the preference algebra independent of the SQL
+//! layer. Dominance is not evaluated by walking the tree over those
+//! values: [`Preference::new`] compiles the tree into one normal form, a
+//! CASCADE chain of Pareto groups compared over *score rows* (see
+//! [`crate::score`]). Every caller lowers each candidate's slot vector to
+//! such a row once, into a [`crate::ScoreMatrix`], and compares rows with
+//! the one kernel — the one implementation of the composition semantics
+//! below.
 
 use crate::base::BasePref;
-use crate::score::{Program, Verdict};
-use prefsql_types::{Error, Result, Value};
+use crate::score::Program;
+use prefsql_types::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A node of the preference composition tree. Leaves index into the slot
@@ -37,7 +37,7 @@ pub enum PrefNode {
 /// preferences its leaves refer to.
 ///
 /// ```
-/// use prefsql_pref::{BasePref, PrefNode, Preference};
+/// use prefsql_pref::{maximal_scored, BasePref, PrefNode, Preference, ScoreMatrix, SkylineAlgo};
 /// use prefsql_types::Value;
 ///
 /// // HIGHEST(memory) AND HIGHEST(cpu) — the paper's computer example.
@@ -49,8 +49,10 @@ pub enum PrefNode {
 /// let big_slow = vec![Value::Int(1024), Value::Int(800)];
 /// let small_fast = vec![Value::Int(512), Value::Int(1200)];
 /// let small_slow = vec![Value::Int(512), Value::Int(800)];
-/// assert!(!p.better(&big_slow, &small_fast)); // incomparable trade-off
-/// assert!(p.better(&big_slow, &small_slow));  // dominates
+/// let m = ScoreMatrix::lower(&p, &[big_slow, small_fast, small_slow]);
+/// // big_slow and small_fast trade off; big_slow dominates small_slow.
+/// let best = maximal_scored(&m, &p, &m.ids(), SkylineAlgo::Auto, 1);
+/// assert_eq!(best, vec![0, 1]);
 /// ```
 #[derive(Debug)]
 pub struct Preference {
@@ -60,9 +62,8 @@ pub struct Preference {
     program: Program,
     /// Dominance tests performed — the paper's real cost unit. A skyline
     /// loop counts its directed tests in a local tally and adds it here
-    /// once per call (per worker, for the parallel window);
-    /// [`Preference::better`] adds one per call. Relaxed atomics: only
-    /// the total matters.
+    /// once per call (per worker, for the parallel window). Relaxed
+    /// atomics: only the total matters.
     comparisons: AtomicU64,
 }
 
@@ -147,22 +148,6 @@ impl Preference {
         &self.program
     }
 
-    /// Strict dominance: is slot vector `a` better than `b`? Pareto
-    /// (§2.2.2): better in at least one component, equal or better in
-    /// every other; prioritization: lexicographic over (better, equiv).
-    /// Lowers both vectors into one scratch buffer — the two-row entry
-    /// point; candidate sets and views are lowered once into a
-    /// [`crate::ScoreMatrix`].
-    pub fn better(&self, a: &[Value], b: &[Value]) -> bool {
-        self.add_comparisons(1);
-        self.program.compare_values(&self.bases, a, b) == Verdict::A_WINS
-    }
-
-    /// Substitutability: are `a` and `b` interchangeable?
-    pub fn equiv(&self, a: &[Value], b: &[Value]) -> bool {
-        self.program.compare_values(&self.bases, a, b) == Verdict::EQUIV
-    }
-
     /// Charge `n` dominance tests a skyline loop tallied locally.
     pub(crate) fn add_comparisons(&self, n: u64) {
         self.comparisons.fetch_add(n, Ordering::Relaxed);
@@ -186,8 +171,15 @@ impl Preference {
 pub(crate) mod arb {
     use super::{PrefNode, Preference};
     use crate::base::BasePref;
+    use crate::score::Verdict;
     use prefsql_types::Value;
     use proptest::prelude::*;
+
+    /// How slot vector `a` compares with `b` under `p`: the two lowered
+    /// into a two-row [`crate::ScoreMatrix`] and compared by the kernel.
+    pub(crate) fn verdict(p: &Preference, a: &[Value], b: &[Value]) -> Verdict {
+        crate::ScoreMatrix::lower(p, &[a.to_vec(), b.to_vec()]).compare(p, 0, 1)
+    }
 
     /// Every base-preference kind, over three slots.
     pub(crate) fn arb_any_pref() -> impl Strategy<Value = Preference> {
@@ -310,9 +302,21 @@ pub(crate) mod arb {
 
 #[cfg(test)]
 mod tests {
-    use super::arb::{arb_any_pref, arb_any_slots, arb_any_slots_of, arb_tree, arb_wide_pref};
+    use super::arb::{
+        arb_any_pref, arb_any_slots, arb_any_slots_of, arb_tree, arb_wide_pref, verdict,
+    };
     use super::*;
+    use crate::score::Verdict;
+    use prefsql_types::Value;
     use proptest::prelude::*;
+
+    fn better(p: &Preference, a: &[Value], b: &[Value]) -> bool {
+        verdict(p, a, b) == Verdict::A_WINS
+    }
+
+    fn equiv(p: &Preference, a: &[Value], b: &[Value]) -> bool {
+        verdict(p, a, b) == Verdict::EQUIV
+    }
 
     fn vi(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&i| Value::Int(i)).collect()
@@ -330,12 +334,12 @@ mod tests {
     #[test]
     fn pareto_dominance() {
         let p = pareto2();
-        assert!(p.better(&vi(&[4, 4]), &vi(&[3, 4])));
-        assert!(p.better(&vi(&[4, 4]), &vi(&[3, 3])));
-        assert!(!p.better(&vi(&[4, 3]), &vi(&[3, 4]))); // incomparable
-        assert!(!p.better(&vi(&[3, 4]), &vi(&[4, 3])));
-        assert!(!p.better(&vi(&[4, 4]), &vi(&[4, 4]))); // irreflexive
-        assert!(p.equiv(&vi(&[4, 4]), &vi(&[4, 4])));
+        assert!(better(&p, &vi(&[4, 4]), &vi(&[3, 4])));
+        assert!(better(&p, &vi(&[4, 4]), &vi(&[3, 3])));
+        assert!(!better(&p, &vi(&[4, 3]), &vi(&[3, 4]))); // incomparable
+        assert!(!better(&p, &vi(&[3, 4]), &vi(&[4, 3])));
+        assert!(!better(&p, &vi(&[4, 4]), &vi(&[4, 4]))); // irreflexive
+        assert!(equiv(&p, &vi(&[4, 4]), &vi(&[4, 4])));
     }
 
     #[test]
@@ -355,10 +359,10 @@ mod tests {
         let small_black = vec![Value::Int(4), Value::str("black")];
         let big_black = vec![Value::Int(8), Value::str("black")];
         // Memory dominates regardless of color.
-        assert!(p.better(&big_red, &small_black));
+        assert!(better(&p, &big_red, &small_black));
         // Equal memory: color decides.
-        assert!(p.better(&big_black, &big_red));
-        assert!(!p.better(&big_red, &big_black));
+        assert!(better(&p, &big_black, &big_red));
+        assert!(!better(&p, &big_red, &big_black));
     }
 
     #[test]
@@ -382,19 +386,19 @@ mod tests {
         let b = vec![Value::Int(40000), Value::Int(150), Value::str("red")];
         let c = vec![Value::Int(39000), Value::Int(150), Value::str("red")];
         // Pareto level ties between a and b; color promotes b.
-        assert!(p.better(&b, &a));
+        assert!(better(&p, &b, &a));
         // Pareto level strictly prefers a and b over c; color is irrelevant.
-        assert!(p.better(&a, &c));
-        assert!(p.better(&b, &c));
-        assert!(!p.better(&c, &b));
+        assert!(better(&p, &a, &c));
+        assert!(better(&p, &b, &c));
+        assert!(!better(&p, &c, &b));
     }
 
     #[test]
     fn dominance_tests_are_counted() {
         let p = pareto2();
         assert_eq!(p.comparisons(), 0);
-        p.better(&vi(&[4, 4]), &vi(&[3, 4]));
-        p.better(&vi(&[4, 3]), &vi(&[3, 4]));
+        // A skyline loop charges its local tally once per call.
+        p.add_comparisons(2);
         assert_eq!(p.comparisons(), 2);
         // Clones start a fresh tally; equality ignores the counter.
         let cloned = p.clone();
@@ -463,8 +467,8 @@ mod tests {
 
     proptest! {
         /// The compiled program is the tree walk: same `better` and
-        /// `equiv` through the two-row entry points and through a lowered
-        /// matrix, for every composition shape and value kind.
+        /// `equiv` through a two-row lowering and through a lowered matrix
+        /// of every row, for every composition shape and value kind.
         #[test]
         fn compiled_program_matches_the_tree_walk(
             p in arb_any_pref(),
@@ -475,8 +479,9 @@ mod tests {
                 for (j, b) in rows.iter().enumerate() {
                     let better = node_better(&p, &p.root, a, b);
                     let equiv = node_equiv(&p, &p.root, a, b);
-                    prop_assert_eq!(p.better(a, b), better, "better({:?}, {:?})", a, b);
-                    prop_assert_eq!(p.equiv(a, b), equiv, "equiv({:?}, {:?})", a, b);
+                    let v = verdict(&p, a, b);
+                    prop_assert_eq!(v == Verdict::A_WINS, better, "better({:?}, {:?})", a, b);
+                    prop_assert_eq!(v == Verdict::EQUIV, equiv, "equiv({:?}, {:?})", a, b);
                     let verdict = m.compare(&p, i, j);
                     prop_assert_eq!(verdict == Verdict::A_WINS, better, "rows {} {}", i, j);
                     prop_assert_eq!(verdict == Verdict::EQUIV, equiv, "rows {} {}", i, j);
@@ -494,8 +499,7 @@ mod tests {
         /// The kernel is the tree walk on wide, deep trees: six slots,
         /// depth up to 4, CASCADE and Pareto nested both ways, `EXPLICIT`
         /// leaves inside groups, every value kind. Both directions of the
-        /// verdict are checked, through a lowered matrix and through the
-        /// two-row lowering.
+        /// verdict are checked, through a lowered matrix.
         #[test]
         fn kernel_matches_the_tree_walk_on_wide_deep_trees(
             p in arb_wide_pref(),
@@ -517,13 +521,6 @@ mod tests {
                         _ => panic!("tree walk is not an SPO: {walk:?} on {a:?} {b:?}"),
                     };
                     prop_assert_eq!(m.compare(&p, i, j), expected, "rows {:?} {:?}", a, b);
-                    prop_assert_eq!(
-                        p.program.compare_values(&p.bases, a, b),
-                        expected,
-                        "values {:?} {:?}",
-                        a,
-                        b
-                    );
                 }
             }
         }
@@ -558,13 +555,13 @@ mod tests {
     proptest! {
         #[test]
         fn composed_better_is_irreflexive(p in arb_pref(), a in arb_slots()) {
-            prop_assert!(!p.better(&a, &a));
+            prop_assert!(!better(&p, &a, &a));
         }
 
         #[test]
         fn composed_better_is_asymmetric(p in arb_pref(), a in arb_slots(), b in arb_slots()) {
-            if p.better(&a, &b) {
-                prop_assert!(!p.better(&b, &a));
+            if better(&p, &a, &b) {
+                prop_assert!(!better(&p, &b, &a));
             }
         }
 
@@ -575,8 +572,8 @@ mod tests {
             b in arb_slots(),
             c in arb_slots()
         ) {
-            if p.better(&a, &b) && p.better(&b, &c) {
-                prop_assert!(p.better(&a, &c));
+            if better(&p, &a, &b) && better(&p, &b, &c) {
+                prop_assert!(better(&p, &a, &c));
             }
         }
 
@@ -587,9 +584,9 @@ mod tests {
             b in arb_slots(),
             c in arb_slots()
         ) {
-            if p.equiv(&a, &b) {
-                prop_assert_eq!(p.better(&a, &c), p.better(&b, &c));
-                prop_assert_eq!(p.better(&c, &a), p.better(&c, &b));
+            if equiv(&p, &a, &b) {
+                prop_assert_eq!(better(&p, &a, &c), better(&p, &b, &c));
+                prop_assert_eq!(better(&p, &c, &a), better(&p, &c, &b));
             }
         }
 
@@ -604,15 +601,15 @@ mod tests {
             rows in proptest::collection::vec(arb_any_slots(), 3..=8)
         ) {
             for a in &rows {
-                prop_assert!(!p.better(a, a), "irreflexive: {:?}", a);
+                prop_assert!(!better(&p, a, a), "irreflexive: {:?}", a);
                 for b in &rows {
-                    if !p.better(a, b) {
+                    if !better(&p, a, b) {
                         continue;
                     }
-                    prop_assert!(!p.better(b, a), "asymmetric: {:?} {:?}", a, b);
+                    prop_assert!(!better(&p, b, a), "asymmetric: {:?} {:?}", a, b);
                     for c in &rows {
-                        if p.better(b, c) {
-                            prop_assert!(p.better(a, c), "transitive: {:?} {:?} {:?}", a, b, c);
+                        if better(&p, b, c) {
+                            prop_assert!(better(&p, a, c), "transitive: {:?} {:?} {:?}", a, b, c);
                         }
                     }
                 }

@@ -6,9 +6,7 @@
 //! as `<`/`<=` over computed level columns (§3.2). The native path uses
 //! the same fact: a [`ScoreMatrix`] holds one *cell* per candidate and
 //! slot, computed once per query. The skyline loops, the grouped BMO, the
-//! external window, view maintenance and the two-row entry points
-//! [`Preference::better`] / [`Preference::equiv`] (which lower their two
-//! slot vectors into one scratch buffer) all compare two rows of cells
+//! external window and view maintenance all compare two rows of cells
 //! with one kernel.
 //!
 //! # The kernel
@@ -300,21 +298,6 @@ impl Program {
     /// Compare two lowered rows.
     pub(crate) fn compare(&self, a: &[f64], b: &[f64]) -> Verdict {
         self.chain.compare(&self.graphs, a, b)
-    }
-
-    /// Compare two slot vectors: lower each slot's pair of values into
-    /// one scratch buffer, then run the kernel. Tags of values without a
-    /// score only have to tell `a`'s value from `b`'s.
-    pub(crate) fn compare_values(&self, bases: &[BasePref], a: &[Value], b: &[Value]) -> Verdict {
-        let n = bases.len();
-        let mut cells = vec![0.0; 2 * n];
-        let (cells_a, cells_b) = cells.split_at_mut(n);
-        for slot in 0..n {
-            let (x, y) = (&a[slot], &b[slot]);
-            cells_a[slot] = self.cell(bases, slot, x, |_| 0);
-            cells_b[slot] = self.cell(bases, slot, y, |y| u32::from(!y.key_eq(x)));
-        }
-        self.compare(cells_a, cells_b)
     }
 }
 

@@ -26,8 +26,8 @@ use prefsql_parser::ast::{BinaryOp, Expr, PrefExpr, SelectItem, UnaryOp};
 use prefsql_pref::{BasePref, PrefNode, Preference};
 use prefsql_types::{Error, Result, Value};
 
-/// Reserved prefix for generated columns and aliases; the facade strips
-/// output columns carrying it.
+/// Reserved prefix for generated columns and aliases; the engine's
+/// wildcards never expand a column carrying it.
 pub const GEN_PREFIX: &str = "prefsql_";
 
 /// Reject a user name (a column, a preference query's alias) carrying [`GEN_PREFIX`].

@@ -296,6 +296,7 @@ fn grouping_with_but_only() {
 fn opel_result_is_exactly_the_maximal_set_by_independent_oracle() {
     use prefsql::parser::ast::Statement;
     use prefsql::parser::parse_statement;
+    use prefsql::pref::{maximal_scored, ScoreMatrix, SkylineAlgo};
     use prefsql::rewrite::{compile_preference, PreferenceRegistry};
 
     let mut conn = conn_with(prefsql_workload::cars::market(300, 77));
@@ -308,7 +309,8 @@ fn opel_result_is_exactly_the_maximal_set_by_independent_oracle() {
         .collect();
 
     // Oracle: candidates + slot vectors via plain SQL, dominance via the
-    // compiled preference (no rewriter, no NOT EXISTS involved).
+    // compiled preference's nested loop (no rewriter, no NOT EXISTS
+    // involved).
     let Statement::Select(q) = parse_statement(sql).unwrap() else {
         unreachable!()
     };
@@ -331,15 +333,10 @@ fn opel_result_is_exactly_the_maximal_set_by_independent_oracle() {
         .iter()
         .map(|r| (r[0].as_int().unwrap(), r.values()[1..].to_vec()))
         .collect();
-    let mut oracle_ids: Vec<i64> = slots
-        .iter()
-        .filter(|(_, sv)| {
-            !slots
-                .iter()
-                .any(|(_, other)| compiled.preference.better(other, sv))
-        })
-        .map(|(id, _)| *id)
-        .collect();
+    let rows: Vec<Vec<prefsql::Value>> = slots.iter().map(|(_, sv)| sv.clone()).collect();
+    let m = ScoreMatrix::lower(&compiled.preference, &rows);
+    let winners = maximal_scored(&m, &compiled.preference, &m.ids(), SkylineAlgo::Naive, 1);
+    let mut oracle_ids: Vec<i64> = winners.into_iter().map(|i| slots[i].0).collect();
     oracle_ids.sort_unstable();
     assert_eq!(
         result_ids, oracle_ids,
