@@ -12,9 +12,10 @@
 //!                                       host SQL engine ──► storage
 //! ```
 //!
-//! In native mode ([`ExecutionMode::Native`]) a preference SELECT skips
-//! the rewrite: the host engine plans its BMO as one operator of its plan
-//! tree (the paper's §3.3 outlook) and runs it like any other statement.
+//! In native mode ([`ExecutionMode::Native`]) every statement skips the
+//! rewrite: the host engine plans the BMO of each `PREFERRING` block, at
+//! any depth of FROM, as one operator of its plan tree (the paper's §3.3
+//! outlook) and runs it like any other statement.
 //!
 //! Concurrency: all shared engine state lives in a `Send + Sync`
 //! [`engine::EngineCore`]; each connection is a [`Session`]

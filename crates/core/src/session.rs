@@ -24,16 +24,18 @@
 //! this type: all knob handling lives in [`Session::command`], so the
 //! two front ends cannot drift.
 //!
-//! A rewritten statement runs on the engine like any other, and its
-//! result is the engine's relation as it is: the engine's wildcards
-//! never expand the rewrite's generated `prefsql_*` columns.
+//! In rewrite mode a preference statement is rewritten first; in native
+//! mode only named preferences are resolved, in the same walk over the
+//! statement's blocks, and the engine plans every `PREFERRING` block
+//! itself. Either way the result is the engine's relation as it is: the
+//! engine's wildcards never expand the generated `prefsql_*` columns.
 
-use crate::native::{self, NativeOptions, SkylineAlgo};
+use crate::native::{NativeOptions, SkylineAlgo};
 use crate::result::{Baseline, ResultSet};
 use prefsql_engine::{BackendKind, Engine, EngineCore, ExecOutcome};
 use prefsql_parser::ast::Statement;
 use prefsql_parser::{parse_statement, parse_statements};
-use prefsql_rewrite::{RewriteOutput, Rewriter};
+use prefsql_rewrite::{map_blocks, RewriteOutput, Rewriter};
 use prefsql_types::knobs::{fmt_bytes, parse_size, MIN_WINDOW_BYTES};
 use prefsql_types::{Error, Result};
 use std::fmt::Write as _;
@@ -127,8 +129,9 @@ static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 pub struct Session {
     engine: Engine,
     rewriter: Rewriter,
-    /// Whether preference SELECTs run natively (`\mode native`) instead
-    /// of through the rewrite; the algorithm is the knobs' `algo`.
+    /// Whether statements skip the rewrite (`\mode native`) and the
+    /// engine plans their preference blocks; the algorithm is the knobs'
+    /// `algo`.
     native: bool,
     /// This session's private spill directory, created on first use and
     /// removed when the session drops.
@@ -338,45 +341,29 @@ impl Session {
     }
 
     fn execute_statement_inner(&mut self, stmt: &Statement) -> Result<QueryResult> {
-        // The engine has no preference registry: named preferences in a
-        // materialized view's definition, or in a native-mode preference
-        // SELECT, resolve through this session's first.
-        let registry = self.rewriter.registry();
-        if let Statement::CreateMaterializedView { name, query } = stmt {
-            let resolved =
-                native::resolve(registry, query)?.map(|q| Statement::CreateMaterializedView {
-                    name: name.clone(),
-                    query: Box::new(q),
-                });
-            return self.forward(resolved.as_ref().unwrap_or(stmt));
-        }
-        // Native mode hands preference SELECTs — plain or under EXPLAIN
-        // [ANALYZE] — to the engine as they are.
-        if self.native {
-            let (target, analyze) = match stmt {
-                Statement::Explain { analyze, statement } => (statement.as_ref(), Some(*analyze)),
-                other => (other, None),
+        // Native mode skips the rewrite: the engine plans the BMO of every
+        // block that has one. A materialized preference view keeps its
+        // PREFERRING in either mode, since the engine maintains it. The
+        // engine has no preference registry, so one walk over the blocks
+        // resolves named preferences through this session's first.
+        let native = match stmt {
+            Statement::CreatePreference { .. } | Statement::DropPreference(_) => false,
+            Statement::CreateMaterializedView { .. } => true,
+            _ => self.native,
+        };
+        if native {
+            let registry = self.rewriter.registry();
+            let mut prefers = false;
+            let resolved = map_blocks(stmt, &mut |block| {
+                prefers |= block.preferring.is_some();
+                registry.resolve_block(block)
+            })?;
+            return match self.forward(resolved.as_ref().unwrap_or(stmt))? {
+                QueryResult::Explain(plan) if prefers => Ok(QueryResult::Explain(format!(
+                    "Native preference plan:\n{plan}"
+                ))),
+                other => Ok(other),
             };
-            if let Statement::Select(q) = target {
-                if q.preferring.is_some() {
-                    let resolved = native::resolve(registry, q)?.map(|q| {
-                        let select = Statement::Select(Box::new(q));
-                        match analyze {
-                            Some(analyze) => Statement::Explain {
-                                analyze,
-                                statement: Box::new(select),
-                            },
-                            None => select,
-                        }
-                    });
-                    return match self.forward(resolved.as_ref().unwrap_or(stmt))? {
-                        QueryResult::Explain(plan) => Ok(QueryResult::Explain(format!(
-                            "Native preference plan:\n{plan}"
-                        ))),
-                        rows => Ok(rows),
-                    };
-                }
-            }
         }
         match self.rewriter.process(stmt)? {
             RewriteOutput::Handled(msg) => Ok(QueryResult::Message(msg)),
@@ -634,6 +621,7 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::native;
 
     #[test]
     fn sessions_share_one_core() {
@@ -917,20 +905,22 @@ mod tests {
                 assert_eq!(rs.rows().len(), rows, "{mode:?}: {sql}");
             }
         }
-        // A preference query over one: the rewrite only (native mode
-        // refuses a nested PREFERRING).
-        let mut c = Session::new();
-        c.execute("CREATE TABLE t (x INTEGER, y VARCHAR)").unwrap();
-        c.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a')")
-            .unwrap();
-        let rs = c
-            .query(
-                "SELECT * FROM (SELECT * FROM t PREFERRING LOWEST(x) GROUPING y) d \
-                 PREFERRING HIGHEST(x)",
-            )
-            .unwrap();
-        assert_eq!(rs.column_names(), vec!["x", "y"]);
-        assert_eq!(rs.column_as_ints(0), vec![2]);
+        // A preference query over one, in both modes.
+        for mode in [ExecutionMode::Rewrite, ExecutionMode::native()] {
+            let mut c = Session::new();
+            c.set_mode(mode);
+            c.execute("CREATE TABLE t (x INTEGER, y VARCHAR)").unwrap();
+            c.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a')")
+                .unwrap();
+            let rs = c
+                .query(
+                    "SELECT * FROM (SELECT * FROM t PREFERRING LOWEST(x) GROUPING y) d \
+                     PREFERRING HIGHEST(x)",
+                )
+                .unwrap();
+            assert_eq!(rs.column_names(), vec!["x", "y"], "{mode:?}");
+            assert_eq!(rs.column_as_ints(0), vec![2], "{mode:?}");
+        }
     }
 
     #[test]

@@ -719,3 +719,41 @@ fn dml_explains_and_analyzes_the_plan_that_finds_its_rows() {
         assert_eq!(count(&mut s, after), expected, "{dml} ran for real");
     }
 }
+
+/// `Preference evaluation: W winner(s)` counts what the BMO selections
+/// chose, not the rows the statement returned: a LIMIT above the
+/// `Preference` node pulls fewer than it selected, the BMOs of one
+/// statement add up, and a view hit reports the view's winner list.
+#[test]
+fn winner_count_is_the_bmo_selection() {
+    fn winners(report: &str) -> u64 {
+        let line = node_line(report, "Preference evaluation:");
+        let digits = line.split(|c: char| !c.is_ascii_digit());
+        let mut nums = digits.filter(|t| !t.is_empty());
+        nums.next().expect("a winner count").parse().unwrap()
+    }
+    let mut s = seeded();
+    s.set_mode(ExecutionMode::native());
+    assert_eq!(s.query(PREF_SELECT).unwrap().len(), 2);
+
+    let limited = analyze(&mut s, &format!("{PREF_SELECT} LIMIT 1"));
+    assert!(
+        limited.contains("Execution: returned 1 row(s)"),
+        "{limited}"
+    );
+    assert_eq!(winners(&limited), 2, "{limited}");
+
+    // The derived table's two winners, then the outer block's one.
+    let nested = format!("SELECT id FROM ({PREF_SELECT}) d PREFERRING LOWEST(price)");
+    let report = analyze(&mut s, &nested);
+    assert!(report.contains("Execution: returned 1 row(s)"), "{report}");
+    assert_eq!(winners(&report), 3, "{report}");
+
+    run(
+        &mut s,
+        &format!("CREATE MATERIALIZED PREFERENCE VIEW sky AS {PREF_SELECT}"),
+    );
+    let served = analyze(&mut s, &format!("{PREF_SELECT} LIMIT 1"));
+    assert!(served.contains("[view=sky hit]"), "{served}");
+    assert_eq!(winners(&served), 2, "{served}");
+}

@@ -34,7 +34,7 @@ use crate::catalog::Catalog;
 use crate::eval::{eval, Env};
 use crate::explain::{pool_line, spill_line};
 use crate::knobs::NativeOptions;
-use crate::plan::{plan_preference, plan_query, plan_target, QueryPlan};
+use crate::plan::{plan_query, plan_target, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
@@ -566,15 +566,12 @@ impl<'c> ExecCtx<'c> {
 
     /// Plan (and bind) `query` as a top-level block of this statement.
     /// Its sub-queries are planned with it, once; nothing is re-planned
-    /// per outer row. A block with `PREFERRING` plans its BMO as a
-    /// [`crate::PlanNode::Preference`] (or a serving view scan); nested
-    /// blocks refuse one.
+    /// per outer row. Every block with `PREFERRING` — this one, a derived
+    /// table, a view body — plans its BMO as a
+    /// [`crate::PlanNode::Preference`] (or a serving view scan); an
+    /// expression sub-query refuses one.
     pub fn plan_for(&self, query: &Query) -> Result<Arc<QueryPlan>> {
-        let plan = match &query.preferring {
-            Some(pref) => plan_preference(self, query, pref)?,
-            None => plan_query(self, query)?,
-        };
-        Ok(Arc::new(plan))
+        Ok(Arc::new(plan_query(self, query)?))
     }
 
     /// Plan and execute a top-level query block.
@@ -661,10 +658,11 @@ pub struct Engine {
     /// layer sets it durably for slow-query logging).
     profiling: std::cell::Cell<bool>,
     /// The analyzed-plan rendering of the most recent profiled
-    /// statement ([`Engine::take_analyzed`] reads and resets).
-    last_analyzed: RefCell<Option<String>>,
+    /// statement ([`Engine::take_analyzed`] reads and resets), and the
+    /// winners its BMO selections chose ([`crate::explain::winners`]).
+    last_analyzed: RefCell<Option<(String, Option<u64>)>>,
     /// The top-level plan of the most recent statement context that ran
-    /// a query ([`Engine::served_by`], `EXPLAIN ANALYZE`'s footer).
+    /// a query (what [`Engine::served_by`] reads).
     last_plan: RefCell<Option<Arc<QueryPlan>>>,
 }
 
@@ -805,7 +803,7 @@ impl Engine {
     /// Read and reset the analyzed-plan rendering of the most recent
     /// profiled statement (`None` when nothing profiled ran, e.g. DDL).
     pub fn take_analyzed(&self) -> Option<String> {
-        self.last_analyzed.borrow_mut().take()
+        self.last_analyzed.take().map(|(text, _)| text)
     }
 
     /// The materialized preference view that served the most recent
@@ -908,7 +906,8 @@ impl Engine {
             if let Some(plan) = &plan {
                 let mut text = String::new();
                 crate::explain::render_analyzed(plan.root(), prof, 0, &mut text);
-                *self.last_analyzed.borrow_mut() = Some(text);
+                let winners = crate::explain::winners(plan.root(), prof);
+                *self.last_analyzed.borrow_mut() = Some((text, winners));
             }
         }
         if plan.is_some() {
@@ -995,8 +994,8 @@ impl Engine {
                 let mut cat = self.core.catalog_write()?;
                 // Validate the view body against the current catalog by
                 // planning and running it once on an empty environment.
-                // A body is planned like any nested block: PREFERRING is
-                // refused here, not at the view's first read.
+                // A body is planned like any derived table: a PREFERRING
+                // body plans its BMO, and every read plans it again.
                 self.with_ctx_over(&cat, |ctx| ctx.run_plan(Arc::new(plan_query(ctx, query)?)))?;
                 cat.create_view(name, (**query).clone())?;
                 Ok(ExecOutcome::Ddl(format!("created view {name}")))
@@ -1092,17 +1091,11 @@ impl Engine {
         let elapsed = started.elapsed();
         self.profiling.set(was);
         let out = out?;
-        let mut text = self.take_analyzed().unwrap_or_default();
-        let bmo = self
-            .last_plan
-            .borrow()
-            .as_ref()
-            .is_some_and(|p| p.bmo().is_some());
-        if let (Some(rel), true) = (out.rows(), bmo) {
+        let (mut text, winners) = self.last_analyzed.take().unwrap_or_default();
+        if let Some(winners) = winners {
             let _ = writeln!(
                 text,
-                "Preference evaluation: {} winner(s), {} dominance comparison(s)",
-                rel.rows.len(),
+                "Preference evaluation: {winners} winner(s), {} dominance comparison(s)",
                 self.stats().dominance_tests - tests_before
             );
         }

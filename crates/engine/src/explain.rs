@@ -141,6 +141,28 @@ pub fn render_analyzed(node: &PlanNode, prof: &Profiler, depth: usize, out: &mut
     }
 }
 
+/// The winners the BMO selections of the tree under `node` chose, summed
+/// — a `Preference` node's as its operator reported them to `prof`
+/// (however many its consumer pulled), a serving view scan's stored
+/// winner list — or `None` when the tree has no BMO.
+pub(crate) fn winners(node: &PlanNode, prof: &Profiler) -> Option<u64> {
+    let own = match node {
+        PlanNode::Preference { .. } => {
+            let m = prof.node(node).unwrap_or_default();
+            let selected = m.extras.iter().find(|(k, _)| *k == "winners");
+            Some(selected.map_or(0, |&(_, n)| n))
+        }
+        PlanNode::MatViewScan {
+            serves: true,
+            winners,
+            ..
+        } => Some(winners.len() as u64),
+        _ => None,
+    };
+    let below = children(node).into_iter().map(|c| winners(c, prof));
+    below.chain([own]).flatten().reduce(|a, b| a + b)
+}
+
 /// The direct children of a plan node, in render order.
 fn children(node: &PlanNode) -> Vec<&PlanNode> {
     match node {

@@ -12,16 +12,13 @@
 //! GROUP BY / HAVING with `COUNT`/`SUM`/`AVG`/`MIN`/`MAX`, ORDER BY, LIMIT,
 //! INSERT (VALUES and SELECT), CREATE/DROP TABLE/VIEW/INDEX, and EXPLAIN.
 //!
-//! A top-level SELECT with `PREFERRING` is one more engine statement:
-//! [`ExecCtx::plan_for`] plans its BMO selection as one more node
+//! A block with `PREFERRING` — a statement's own, a derived table, a view
+//! body, an INSERT source — plans its BMO selection as one more node
 //! ([`PlanNode::Preference`], operator in [`preference`]) of the same
-//! tree, executed, explained and `EXPLAIN ANALYZE`d like the rest — the
-//! `prefsql` facade's native mode sends it here as it is. Nested blocks
-//! (derived tables, view bodies, sub-queries) refuse the
-//! `PREFERRING`/`GROUPING`/`BUT ONLY` clauses, and a block without
-//! `PREFERRING` refuses the quality functions: in rewrite mode the engine
-//! is the plain-SQL *target* of the rewrite, and the facade rewrites
-//! such queries first.
+//! tree, executed, explained and `EXPLAIN ANALYZE`d like the rest; the
+//! `prefsql` facade's native mode sends statements here as they are. An
+//! expression sub-query refuses `PREFERRING` (paper §2.2.5), and a block
+//! without it refuses the quality functions.
 //!
 //! A session's knobs — `\algo`, `\threads`, the drive batch and
 //! `\window` — are one [`NativeOptions`] value ([`knobs`]), held by its

@@ -35,7 +35,7 @@ use crate::catalog::Catalog;
 use crate::eval::{eval_row, holds, Env};
 use crate::exec::{Engine, ExecCtx};
 use crate::plan::{projection_plan, Projection};
-use prefsql_parser::ast::{Expr, PrefExpr, Query, SelectItem, TableRef};
+use prefsql_parser::ast::{Expr, Query, SelectItem, TableRef};
 use prefsql_pref::ViewSkyline;
 use prefsql_rewrite::levels::{check_aliases, uses_quality};
 use prefsql_rewrite::{compile_preference, CompiledPreference};
@@ -89,15 +89,6 @@ fn has_subquery(expr: &Expr) -> bool {
     ) || expr.children().iter().any(|c| has_subquery(c))
 }
 
-/// True if the preference term contains an unresolved named preference.
-fn has_named(pref: &PrefExpr) -> bool {
-    match pref {
-        PrefExpr::Named(_) => true,
-        PrefExpr::Pareto(parts) | PrefExpr::Prioritized(parts) => parts.iter().any(has_named),
-        _ => false,
-    }
-}
-
 /// Validate a `CREATE MATERIALIZED PREFERENCE VIEW` defining query and
 /// return `(base_table, qualifier)`. The restrictions keep the stored
 /// result maintainable: a single named base table, a PREFERRING clause,
@@ -124,13 +115,6 @@ pub(crate) fn validate_definition(query: &Query) -> Result<(String, String)> {
         .preferring
         .as_ref()
         .ok_or_else(|| unsupported("definitions without a PREFERRING clause"))?;
-    if has_named(pref) {
-        return Err(Error::Plan(
-            "named preferences must be resolved before CREATE MATERIALIZED \
-             PREFERENCE VIEW reaches the engine"
-                .into(),
-        ));
-    }
     check_aliases(&query.select)?;
     if !query.grouping.is_empty() {
         return Err(unsupported("GROUPING"));

@@ -14,16 +14,15 @@
 //! columns, the quality columns a [`PlanNode::Preference`] appends. An
 //! explicit reference still binds.
 //!
-//! Preference queries take the same road: a top-level block with
-//! `PREFERRING` ([`crate::ExecCtx::plan_for`]) is planned by
-//! `plan_preference`, which lays [`PlanNode::Preference`] over the
-//! ordinary FROM/WHERE source, or swaps the whole BMO for a
-//! [`PlanNode::MatViewScan`] when a materialized preference view defines
-//! it, and hands the result to the very `plan_block` that layers
-//! Sort/Project/Distinct/Limit on plain SQL. Nested blocks — derived
-//! tables, view bodies, sub-queries — go through [`plan_query`], which
-//! refuses the preference clauses: the Preference SQL layer rewrites
-//! those.
+//! Preference queries take the same road: every FROM-level block with
+//! `PREFERRING` — the statement's own, a derived table, a view body, an
+//! INSERT source — is planned by `plan_preference`, which lays
+//! [`PlanNode::Preference`] over the ordinary FROM/WHERE source, or swaps
+//! the whole BMO for a [`PlanNode::MatViewScan`] when a materialized
+//! preference view defines it, and hands the result to the very
+//! `plan_block` that layers the aggregate fold, HAVING and
+//! Sort/Project/Distinct/Limit on plain SQL. Only an expression
+//! sub-query refuses `PREFERRING` (paper §2.2.5).
 //!
 //! UPDATE and DELETE plan here too (`plan_target`): a SELECT's access
 //! path to the table under one filter of the WHERE, whose lent row ids
@@ -39,7 +38,7 @@ use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectIt
 use prefsql_rewrite::levels::{
     check_aliases, check_quality, default_quality_alias, quality_call, uses_quality, GEN_PREFIX,
 };
-use prefsql_rewrite::{compile_preference, CompiledPreference};
+use prefsql_rewrite::{compile_preference, preferring_in_subquery, CompiledPreference};
 use prefsql_types::{Column, DataType, Error, Result, Schema};
 
 /// One compiled query block, ready for execution and EXPLAIN.
@@ -57,21 +56,15 @@ impl QueryPlan {
     /// The materialized preference view whose stored winner set replaced
     /// this plan's BMO (a native-mode cache hit), if any.
     pub fn served_by(&self) -> Option<&str> {
-        match self.bmo()? {
-            PlanNode::MatViewScan { view, .. } => Some(view),
-            _ => None,
-        }
-    }
-
-    /// The block's best-matches-only selection, below its tail: a
-    /// [`PlanNode::Preference`] or a view scan serving one.
-    pub(crate) fn bmo(&self) -> Option<&PlanNode> {
-        std::iter::successors(Some(&self.root), |node| node.input()).find(|node| {
-            matches!(
-                node,
-                PlanNode::Preference { .. } | PlanNode::MatViewScan { serves: true, .. }
-            )
-        })
+        // The block's BMO lies below its tail: a Preference or the scan.
+        std::iter::successors(Some(&self.root), |node| node.input())
+            .take_while(|node| !matches!(node, PlanNode::Preference { .. }))
+            .find_map(|node| match node {
+                PlanNode::MatViewScan {
+                    view, serves: true, ..
+                } => Some(view.as_str()),
+                _ => None,
+            })
     }
 }
 
@@ -333,23 +326,23 @@ impl PlanNode {
     }
 }
 
-/// A plain-SQL block carries no PREFERRING/GROUPING/BUT ONLY clause —
-/// the Preference SQL layer rewrites them away.
-fn reject_preference_constructs(query: &Query) -> Result<()> {
-    if query.preferring.is_some() || !query.grouping.is_empty() || query.but_only.is_some() {
-        return Err(Error::Unsupported(
-            "PREFERRING/GROUPING/BUT ONLY must be rewritten by the Preference \
-             SQL optimizer before reaching the host SQL engine"
-                .into(),
-        ));
+/// Compile one FROM-level query block — a statement's own, a derived
+/// table, a view body — into a plan tree; a block with `PREFERRING`
+/// plans its BMO (`plan_preference`).
+pub fn plan_query(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
+    match &query.preferring {
+        Some(pref) => plan_preference(ctx, query, pref),
+        None => plan_query_in(ctx, query, &[]),
     }
-    Ok(())
 }
 
-/// Compile one plain-SQL query block (no preference clauses) into a plan
-/// tree.
-pub fn plan_query(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
-    plan_query_in(ctx, query, &[])
+/// An expression sub-query carries no `PREFERRING` (paper §2.2.5); the
+/// parser admits `GROUPING` and `BUT ONLY` only beside one.
+fn refuse_preferring(query: &Query) -> Result<()> {
+    match query.preferring {
+        Some(_) => Err(preferring_in_subquery()),
+        None => Ok(()),
+    }
 }
 
 /// Compile a query block nested in the scopes `outer` (innermost first:
@@ -361,7 +354,7 @@ pub(crate) fn plan_query_in(
     query: &Query,
     outer: &[&Schema],
 ) -> Result<QueryPlan> {
-    reject_preference_constructs(query)?;
+    refuse_preferring(query)?;
     let source = plan_source(ctx, query, outer)?;
     let root = plan_block(ctx, query, source, outer)?;
     Ok(QueryPlan { root })
@@ -515,7 +508,7 @@ fn exists_join(
     let Some(pred) = &sub.where_clause else {
         return Ok(None);
     };
-    reject_preference_constructs(sub)?;
+    refuse_preferring(sub)?;
     let Ok(right) = plan_from(ctx, sub, &[]) else {
         return Ok(None);
     };
@@ -633,29 +626,19 @@ fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
     })
 }
 
-/// Compile a top-level preference query block into one plan tree:
-/// `plan_source` → [`PlanNode::Preference`] → the ordinary `plan_block`
-/// tail. `pref` is `query.preferring`, its named preferences already
-/// resolved (the engine has no preference registry); the session's knobs
-/// come from `ctx`.
+/// Compile a preference query block into one plan tree: `plan_source` →
+/// [`PlanNode::Preference`] → the ordinary `plan_block` tail. `pref` is
+/// `query.preferring`, its named preferences already resolved (the
+/// engine has no preference registry); the session's knobs come from
+/// `ctx`.
 ///
-/// Quality functions in SELECT / ORDER BY / BUT ONLY are lowered to
+/// Quality functions in SELECT / GROUP BY / HAVING / ORDER BY / BUT ONLY
+/// are lowered to
 /// references to columns the preference operator appends once the
 /// data-dependent optima are final. When a fresh materialized preference
 /// view defines exactly this BMO and nothing in the block needs more than
 /// the winner set, a scan of the view replaces source and operator alike.
-pub(crate) fn plan_preference(
-    ctx: &ExecCtx<'_>,
-    query: &Query,
-    pref: &PrefExpr,
-) -> Result<QueryPlan> {
-    if !query.group_by.is_empty() || query.having.is_some() {
-        return Err(Error::Unsupported(
-            "GROUP BY/HAVING combined with PREFERRING is only supported in \
-             rewrite mode"
-                .into(),
-        ));
-    }
+fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<QueryPlan> {
     check_aliases(&query.select)?;
     let compiled = compile_preference(pref)?;
     let mut source = plan_source(ctx, query, &[])?;
@@ -684,6 +667,10 @@ pub(crate) fn plan_preference(
             wildcard => wildcard.clone(),
         });
     }
+    for g in &query.group_by {
+        block.group_by.push(lower(g)?);
+    }
+    block.having = query.having.as_ref().map(&mut lower).transpose()?;
     for o in &query.order_by {
         block.order_by.push(OrderByItem {
             expr: lower(&o.expr)?,

@@ -3,10 +3,9 @@
 //! (§3.3).
 //!
 //! [`PlanNode::Preference`](crate::plan::PlanNode::Preference) is planned
-//! for a top-level `PREFERRING` block by [`crate::ExecCtx::plan_for`],
-//! built here (only) through
-//! [`crate::physical::build`], and rendered by [`crate::explain`] like
-//! every other node. The operator is a pipeline breaker: it drains the
+//! for every FROM-level `PREFERRING` block by [`crate::plan::plan_query`],
+//! built here (only) through [`crate::physical::build`], and rendered by
+//! [`crate::explain`] like every other node. The operator is a pipeline breaker: it drains the
 //! FROM/WHERE source, representing each row once as it arrives —
 //! [`eval_row`] evaluates its bound base-preference expressions and one
 //! [`ScoreMatrix`] lowers them to cells — applies the `BUT ONLY`
@@ -177,6 +176,8 @@ pub(crate) struct PreferenceOp<'a> {
     pos: usize,
     /// Dominance comparisons of the last [`Operator::open`].
     comparisons: u64,
+    /// Winners the last [`Operator::open`] selected, pulled or not.
+    selected: u64,
 }
 
 /// What the operator keeps of a candidate until the selection is made:
@@ -260,6 +261,7 @@ impl<'a> PreferenceOp<'a> {
             winners: Vec::new(),
             pos: 0,
             comparisons: 0,
+            selected: 0,
         }
     }
 
@@ -489,6 +491,7 @@ impl Operator for PreferenceOp<'_> {
         // unit of preference-evaluation cost — and charge the statement.
         self.comparisons = self.spec.compiled.preference.take_comparisons();
         self.ctx.note_dominance_tests(self.comparisons);
+        self.selected = self.winners.len() as u64;
         result
     }
 
@@ -502,7 +505,10 @@ impl Operator for PreferenceOp<'_> {
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![("comparisons", self.comparisons)]
+        vec![
+            ("comparisons", self.comparisons),
+            ("winners", self.selected),
+        ]
     }
 }
 

@@ -349,7 +349,7 @@ fn preference_constructs_rejected_by_host_engine() {
         )
         .unwrap_err();
     assert!(matches!(err, Error::Unsupported(_)), "{err:?}");
-    assert!(err.to_string().contains("rewritten"), "{err}");
+    assert!(err.to_string().contains("paper §2.2.5"), "{err}");
 
     let err = e.execute_sql("SELECT LEVEL(make) FROM cars").unwrap_err();
     assert!(err.to_string().contains("quality function"), "{err}");

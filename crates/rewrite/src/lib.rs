@@ -39,4 +39,7 @@ pub mod rewriter;
 
 pub use compile::{compile_preference, CompiledPreference};
 pub use registry::PreferenceRegistry;
-pub use rewriter::{rewrite_query, rewrite_statement, RewriteOutput, Rewriter};
+pub use rewriter::{
+    map_blocks, map_query, preferring_in_subquery, rewrite_query, rewrite_statement, RewriteOutput,
+    Rewriter,
+};

@@ -2,7 +2,7 @@
 //! (paper §2.2: "they can be defined as persistent objects using a
 //! Preference Definition Language").
 
-use prefsql_parser::ast::PrefExpr;
+use prefsql_parser::ast::{PrefExpr, Query};
 use prefsql_types::{Error, Result};
 use std::collections::HashMap;
 
@@ -62,6 +62,27 @@ impl PreferenceRegistry {
     pub fn resolve(&self, pref: &PrefExpr) -> Result<PrefExpr> {
         let mut trail = Vec::new();
         self.resolve_with_trail(pref, &mut trail)
+    }
+
+    /// `block` with the named preferences of its `PREFERRING` clause
+    /// resolved, or `None` when it names none (the block is then used as
+    /// it is, not cloned). Native mode runs this over every block of a
+    /// statement ([`crate::map_blocks`]): the engine has no registry.
+    pub fn resolve_block(&self, block: &Query) -> Result<Option<Query>> {
+        let Some(pref) = &block.preferring else {
+            return Ok(None);
+        };
+        let names_one = pref
+            .base_prefs()
+            .iter()
+            .any(|base| matches!(base, PrefExpr::Named(_)));
+        if !names_one {
+            return Ok(None);
+        }
+        Ok(Some(Query {
+            preferring: Some(self.resolve(pref)?),
+            ..block.clone()
+        }))
     }
 
     fn resolve_with_trail(&self, pref: &PrefExpr, trail: &mut Vec<String>) -> Result<PrefExpr> {

@@ -82,59 +82,23 @@ impl Rewriter {
 
 /// Rewrite a statement if it contains preference constructs anywhere
 /// (top level, INSERT source, view body, or FROM-level derived tables).
-/// Returns `None` when the statement is preference-free.
+/// Returns `None` when the statement is preference-free. A materialized
+/// preference view keeps its `PREFERRING`: the engine evaluates and
+/// maintains it.
 pub fn rewrite_statement(
     stmt: &Statement,
     registry: &PreferenceRegistry,
 ) -> Result<Option<(Statement, Option<CompiledPreference>)>> {
-    match stmt {
-        Statement::Select(q) => {
-            let (rewritten, compiled, changed) = rewrite_query_rec(q, registry)?;
-            Ok(changed.then(|| (Statement::Select(Box::new(rewritten)), compiled)))
-        }
-        Statement::Insert {
-            table,
-            columns,
-            source: InsertSource::Query(q),
-        } => {
-            let (rewritten, compiled, changed) = rewrite_query_rec(q, registry)?;
-            Ok(changed.then(|| {
-                (
-                    Statement::Insert {
-                        table: table.clone(),
-                        columns: columns.clone(),
-                        source: InsertSource::Query(Box::new(rewritten)),
-                    },
-                    compiled,
-                )
-            }))
-        }
-        Statement::CreateView { name, query } => {
-            let (rewritten, compiled, changed) = rewrite_query_rec(query, registry)?;
-            Ok(changed.then(|| {
-                (
-                    Statement::CreateView {
-                        name: name.clone(),
-                        query: Box::new(rewritten),
-                    },
-                    compiled,
-                )
-            }))
-        }
-        Statement::Explain { analyze, statement } => {
-            let r = rewrite_statement(statement, registry)?;
-            Ok(r.map(|(s, c)| {
-                (
-                    Statement::Explain {
-                        analyze: *analyze,
-                        statement: Box::new(s),
-                    },
-                    c,
-                )
-            }))
-        }
-        _ => Ok(None),
+    let target = match stmt {
+        Statement::Explain { statement, .. } => statement,
+        other => other,
+    };
+    if let Statement::CreateMaterializedView { .. } = target {
+        return Ok(None);
     }
+    let mut top = None;
+    let rewritten = map_blocks(stmt, &mut |block| rewrite_block(block, registry, &mut top))?;
+    Ok(rewritten.map(|s| (s, top)))
 }
 
 /// Rewrite a single query block with a PREFERRING clause. Errors if the
@@ -156,51 +120,127 @@ pub fn rewrite_query(
     query: &Query,
     registry: &PreferenceRegistry,
 ) -> Result<(Query, CompiledPreference)> {
-    let (q, compiled, _) = rewrite_query_rec(query, registry)?;
-    match compiled {
-        Some(c) => Ok((q, c)),
-        None => Err(Error::Rewrite(
+    let mut top = None;
+    let rewritten = map_query(query, &mut |block| rewrite_block(block, registry, &mut top))?;
+    match (rewritten, top) {
+        (Some(q), Some(c)) => Ok((q, c)),
+        _ => Err(Error::Rewrite(
             "query has no PREFERRING clause to rewrite".into(),
         )),
     }
 }
 
-/// Recursive rewrite: handles preference queries inside FROM derived
-/// tables, enforces the documented restriction that WHERE sub-queries may
-/// not contain PREFERRING, and rewrites the top level if needed.
-/// Returns `(query, top_level_compiled, changed)`.
-fn rewrite_query_rec(
-    query: &Query,
+/// Apply `f` to every query block of `stmt` that may carry `PREFERRING`:
+/// the query of a SELECT, an INSERT … SELECT, a view or materialized view
+/// body and an explained statement, and every derived table in their
+/// FROM clauses ([`map_query`]). Returns the statement rebuilt around the
+/// blocks `f` replaced, or `None` when it replaced none — nothing is
+/// cloned then. The rewrite and native mode's name resolution both walk
+/// a statement this way.
+pub fn map_blocks<F>(stmt: &Statement, f: &mut F) -> Result<Option<Statement>>
+where
+    F: FnMut(&Query) -> Result<Option<Query>>,
+{
+    Ok(match stmt {
+        Statement::Select(q) => map_query(q, f)?.map(|q| Statement::Select(Box::new(q))),
+        Statement::Insert {
+            table,
+            columns,
+            source: InsertSource::Query(q),
+        } => map_query(q, f)?.map(|q| Statement::Insert {
+            table: table.clone(),
+            columns: columns.clone(),
+            source: InsertSource::Query(Box::new(q)),
+        }),
+        Statement::CreateView { name, query } => {
+            map_query(query, f)?.map(|q| Statement::CreateView {
+                name: name.clone(),
+                query: Box::new(q),
+            })
+        }
+        Statement::CreateMaterializedView { name, query } => {
+            map_query(query, f)?.map(|q| Statement::CreateMaterializedView {
+                name: name.clone(),
+                query: Box::new(q),
+            })
+        }
+        Statement::Explain { analyze, statement } => {
+            map_blocks(statement, f)?.map(|s| Statement::Explain {
+                analyze: *analyze,
+                statement: Box::new(s),
+            })
+        }
+        _ => None,
+    })
+}
+
+/// Apply `f` to every block of `query` in its FROM clause — derived
+/// tables, at any depth and inside joins — and then to the block itself
+/// (rebuilt around its replaced derived tables), so `f` sees a block
+/// after the blocks it reads from. `None` when `f` replaced nothing.
+/// Expression sub-queries are not blocks here: they may not carry
+/// `PREFERRING` (paper §2.2.5).
+pub fn map_query<F>(query: &Query, f: &mut F) -> Result<Option<Query>>
+where
+    F: FnMut(&Query) -> Result<Option<Query>>,
+{
+    let mut rebuilt: Option<Query> = None;
+    for (i, item) in query.from.iter().enumerate() {
+        if let Some(new) = map_table_ref(item, f)? {
+            rebuilt.get_or_insert_with(|| query.clone()).from[i] = new;
+        }
+    }
+    let block = rebuilt.as_ref().unwrap_or(query);
+    Ok(f(block)?.or(rebuilt))
+}
+
+fn map_table_ref<F>(item: &TableRef, f: &mut F) -> Result<Option<TableRef>>
+where
+    F: FnMut(&Query) -> Result<Option<Query>>,
+{
+    Ok(match item {
+        TableRef::Named { .. } => None,
+        TableRef::Derived { query, alias } => map_query(query, f)?.map(|q| TableRef::Derived {
+            query: Box::new(q),
+            alias: alias.clone(),
+        }),
+        TableRef::Join { left, right, on } => {
+            let (l, r) = (map_table_ref(left, f)?, map_table_ref(right, f)?);
+            (l.is_some() || r.is_some()).then(|| TableRef::Join {
+                left: Box::new(l.unwrap_or_else(|| (**left).clone())),
+                right: Box::new(r.unwrap_or_else(|| (**right).clone())),
+                on: on.clone(),
+            })
+        }
+    })
+}
+
+/// Rewrite one block whose derived tables are rewritten already: enforce
+/// the documented restriction that WHERE sub-queries may not contain
+/// PREFERRING, and rewrite the block if it has a `PREFERRING` clause.
+/// `top` is left holding the block's compiled preference, `None` without
+/// one — after a walk, the outermost block's.
+fn rewrite_block(
+    q: &Query,
     registry: &PreferenceRegistry,
-) -> Result<(Query, Option<CompiledPreference>, bool)> {
+    top: &mut Option<CompiledPreference>,
+) -> Result<Option<Query>> {
     // Restriction (paper §2.2.5): "sub-queries in the WHERE clause may not
     // contain PREFERRING clauses".
-    for e in [&query.where_clause, &query.having, &query.but_only]
+    for e in [&q.where_clause, &q.having, &q.but_only]
         .into_iter()
         .flatten()
     {
         check_no_preferring_in_expr_subqueries(e)?;
     }
-
-    let mut q = query.clone();
-    let mut changed = false;
-
-    // FROM-level derived tables may themselves be preference queries.
-    let mut new_from = Vec::with_capacity(q.from.len());
-    for item in &q.from {
-        let (item, c) = rewrite_table_ref(item, registry)?;
-        changed |= c;
-        new_from.push(item);
-    }
-    q.from = new_from;
-
-    let Some(pref_ast) = q.preferring.clone() else {
-        return Ok((q, None, changed));
+    *top = None;
+    let Some(pref_ast) = &q.preferring else {
+        return Ok(None);
     };
     check_aliases(&q.select)?;
 
     // ---- the heart of the rewrite (paper §3.2) ----
-    let resolved = registry.resolve(&pref_ast)?;
+    let resolved = registry.resolve(pref_ast)?;
     let compiled = compile_preference(&resolved)?;
     let leaves: Vec<_> = resolved.base_prefs().into_iter().cloned().collect();
     debug_assert_eq!(leaves.len(), compiled.preference.arity());
@@ -335,35 +375,8 @@ fn rewrite_query_rec(
         order_by,
         limit: q.limit,
     };
-    Ok((rewritten, Some(compiled), true))
-}
-
-fn rewrite_table_ref(item: &TableRef, registry: &PreferenceRegistry) -> Result<(TableRef, bool)> {
-    match item {
-        TableRef::Named { .. } => Ok((item.clone(), false)),
-        TableRef::Derived { query, alias } => {
-            let (q, _, changed) = rewrite_query_rec(query, registry)?;
-            Ok((
-                TableRef::Derived {
-                    query: Box::new(q),
-                    alias: alias.clone(),
-                },
-                changed,
-            ))
-        }
-        TableRef::Join { left, right, on } => {
-            let (l, cl) = rewrite_table_ref(left, registry)?;
-            let (r, cr) = rewrite_table_ref(right, registry)?;
-            Ok((
-                TableRef::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    on: on.clone(),
-                },
-                cl || cr,
-            ))
-        }
-    }
+    *top = Some(compiled);
+    Ok(Some(rewritten))
 }
 
 /// Aliases (or bare names) of the original FROM items, lower-cased.
@@ -426,14 +439,20 @@ fn translate_clause(
     })
 }
 
+/// The refusal of a `PREFERRING` clause in an expression sub-query — a
+/// Preference SQL 1.3 restriction both modes keep.
+pub fn preferring_in_subquery() -> Error {
+    Error::Unsupported(
+        "sub-queries in the WHERE clause may not contain PREFERRING \
+         clauses (Preference SQL 1.3 restriction, paper §2.2.5)"
+            .into(),
+    )
+}
+
 fn check_no_preferring_in_expr_subqueries(expr: &Expr) -> Result<()> {
     fn check_query(q: &Query) -> Result<()> {
         if q.preferring.is_some() {
-            return Err(Error::Unsupported(
-                "sub-queries in the WHERE clause may not contain PREFERRING \
-                 clauses (Preference SQL 1.3 restriction, paper §2.2.5)"
-                    .into(),
-            ));
+            return Err(preferring_in_subquery());
         }
         for e in [&q.where_clause, &q.having].into_iter().flatten() {
             check_no_preferring_in_expr_subqueries(e)?;

@@ -204,7 +204,7 @@ fn assert_modes_agree_on_value_or_error(tables: &[prefsql::storage::Table], sql:
 
 /// The `prefsql_` prefix names generated columns, so no user name may
 /// carry it: a table column would collide with the native operator's
-/// generated columns and be stripped from rewrite-mode output, a
+/// generated columns and be hidden from wildcards, a
 /// select-list alias would be kept by one mode and dropped by the other.
 /// Every mode refuses all three with the one reserved-prefix error.
 #[test]
@@ -565,6 +565,113 @@ fn randomized_differential_sweep() {
         let t = cars::market(120, 100 + seed);
         for q in &queries {
             assert_all_modes_agree(t.clone(), q);
+        }
+    }
+}
+
+/// Preference blocks beyond a top-level SELECT: in a derived table (under
+/// another preference or a plain block, with a named preference), as an
+/// INSERT source, as a view body read under a WHERE, and under GROUP BY /
+/// HAVING. Native mode plans each BMO itself, and each statement's
+/// outcome — its rows or count, or the kind of its error — is the
+/// rewrite's. A `PREFERRING` sub-query is refused alike (paper §2.2.5).
+#[test]
+fn preference_blocks_at_any_depth_agree() {
+    use prefsql::{Error, QueryResult};
+    type Outcome = Result<String, std::mem::Discriminant<Error>>;
+    const SETUP: &[&str] = &[
+        "CREATE TABLE t (x INTEGER, y VARCHAR)",
+        "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a'), (2, 'a'), (5, 'b'), (4, 'c'), (4, 'c')",
+        "CREATE PREFERENCE small AS LOWEST(x)",
+    ];
+    // Each shape's statements, run after SETUP in a fresh session; the
+    // native EXPLAIN of the one named second shows the BMO.
+    let shapes: &[(&[&str], Option<&str>)] = &[
+        (
+            &[
+                "SELECT * FROM (SELECT * FROM t PREFERRING LOWEST(x) GROUPING y) d \
+               PREFERRING HIGHEST(x)",
+            ],
+            Some(
+                "SELECT * FROM (SELECT * FROM t PREFERRING LOWEST(x) GROUPING y) d \
+                  PREFERRING HIGHEST(x)",
+            ),
+        ),
+        (
+            &[
+                "SELECT d.y, d.x * 10 AS z FROM (SELECT * FROM t PREFERRING HIGHEST(x) \
+               GROUPING y) d ORDER BY d.y",
+            ],
+            Some("SELECT d.y FROM (SELECT * FROM t PREFERRING HIGHEST(x) GROUPING y) d"),
+        ),
+        (
+            &["SELECT x, y FROM (SELECT * FROM t PREFERRING PREFERENCE small) d ORDER BY y"],
+            Some("SELECT x FROM (SELECT * FROM t PREFERRING PREFERENCE small) d"),
+        ),
+        (
+            &[
+                "CREATE TABLE w (x INTEGER, y VARCHAR)",
+                "INSERT INTO w SELECT * FROM t PREFERRING LOWEST(x) GROUPING y",
+                "SELECT * FROM w ORDER BY y, x",
+            ],
+            Some("INSERT INTO w SELECT * FROM t PREFERRING LOWEST(x) GROUPING y"),
+        ),
+        (
+            &[
+                "CREATE VIEW v AS SELECT * FROM t PREFERRING HIGHEST(x) GROUPING y",
+                "SELECT * FROM v WHERE x > 2 ORDER BY y, x",
+            ],
+            Some("SELECT * FROM v WHERE x > 2"),
+        ),
+        (
+            &["SELECT y, COUNT(*) AS n, MAX(DISTANCE(x)) AS far FROM t \
+               PREFERRING x AROUND 3 GROUPING y GROUP BY y HAVING COUNT(*) >= 1 ORDER BY y"],
+            Some(
+                "SELECT y, MAX(DISTANCE(x)) FROM t PREFERRING x AROUND 3 GROUP BY y \
+                  HAVING COUNT(*) >= 1",
+            ),
+        ),
+        (
+            &["SELECT * FROM t WHERE x IN (SELECT x FROM t PREFERRING LOWEST(x))"],
+            None,
+        ),
+    ];
+    for (stmts, explained) in shapes {
+        let mut per_mode: Vec<Vec<Outcome>> = Vec::new();
+        for mode in [ExecutionMode::Rewrite, ExecutionMode::native()] {
+            let mut conn = PrefSqlConnection::new();
+            conn.set_mode(mode);
+            for sql in SETUP {
+                conn.execute(sql).unwrap();
+            }
+            let outcomes = stmts.iter().map(|sql| {
+                let outcome = conn.execute(sql).map(|r| match r {
+                    QueryResult::Rows(rs) => {
+                        let rows: Vec<String> = rs.rows().iter().map(|r| r.to_string()).collect();
+                        format!("{:?} {rows:?}", rs.column_names())
+                    }
+                    other => format!("{other:?}"),
+                });
+                outcome.map_err(|e| std::mem::discriminant(&e))
+            });
+            per_mode.push(outcomes.collect());
+            if let (ExecutionMode::Native(_), Some(sql)) = (mode, explained) {
+                let Ok(QueryResult::Explain(plan)) = conn.execute(&format!("EXPLAIN {sql}")) else {
+                    panic!("native EXPLAIN failed: {sql}");
+                };
+                assert!(plan.contains("Preference (BMO"), "{sql}:\n{plan}");
+                let header = plan.starts_with("Native preference plan:\n");
+                assert_eq!(header, sql.contains("PREFERRING"), "{sql}:\n{plan}");
+            }
+        }
+        assert_eq!(per_mode[0], per_mode[1], "rewrite vs native on {stmts:?}");
+        // Every shape runs but the sub-query, which both modes refuse.
+        let refused = vec![Err(std::mem::discriminant(&Error::Unsupported(
+            String::new(),
+        )))];
+        match explained {
+            Some(_) => assert!(per_mode[0].iter().all(Result::is_ok), "{per_mode:?}"),
+            None => assert_eq!(per_mode[0], refused),
         }
     }
 }
