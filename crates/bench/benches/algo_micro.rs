@@ -15,7 +15,9 @@
 //! leaf (the last three over coordinates quantized to eight levels).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use prefsql_pref::{maximal_bnl, maximal_naive, maximal_parallel, BasePref, PrefNode, Preference};
+use prefsql_pref::{
+    maximal_parallel, maximal_with_threads, BasePref, PrefNode, Preference, SkylineAlgo,
+};
 use prefsql_types::Value;
 use prefsql_workload::bks01::{points, Distribution};
 use std::time::Instant;
@@ -26,6 +28,16 @@ fn pareto(d: usize) -> Preference {
         vec![BasePref::Lowest; d],
     )
     .expect("well-formed")
+}
+
+/// The paper's nested loop (§3.2), serially.
+fn naive(sv: &[Vec<Value>], p: &Preference) -> Vec<usize> {
+    maximal_with_threads(sv, p, SkylineAlgo::Naive, 1)
+}
+
+/// The serial window.
+fn window(sv: &[Vec<Value>], p: &Preference) -> Vec<usize> {
+    maximal_with_threads(sv, p, SkylineAlgo::Bnl, 1)
 }
 
 fn slot_vectors(n: usize, d: usize, dist: Distribution, seed: u64) -> Vec<Vec<Value>> {
@@ -46,11 +58,11 @@ fn bench_algorithms(c: &mut Criterion) {
         // iteration stays sub-second.
         if n <= 4_000 {
             group.bench_with_input(BenchmarkId::new("naive", n), &sv, |b, sv| {
-                b.iter(|| maximal_naive(sv, &pref).len())
+                b.iter(|| naive(sv, &pref).len())
             });
         }
         group.bench_with_input(BenchmarkId::new("bnl", n), &sv, |b, sv| {
-            b.iter(|| maximal_bnl(sv, &pref).len())
+            b.iter(|| window(sv, &pref).len())
         });
     }
     group.finish();
@@ -61,7 +73,7 @@ fn bench_algorithms(c: &mut Criterion) {
     for n in [1_000usize, 2_000] {
         let sv = slot_vectors(n, d, Distribution::AntiCorrelated, 10);
         group.bench_with_input(BenchmarkId::new("bnl", n), &sv, |b, sv| {
-            b.iter(|| maximal_bnl(sv, &pref).len())
+            b.iter(|| window(sv, &pref).len())
         });
     }
     group.finish();
@@ -179,8 +191,8 @@ fn bench_kernel(_c: &mut Criterion) {
             let sv = slot_vectors(n, 3, dist, 9);
             // The O(n²) nested loop is tabled up to 4 k rows only.
             for (name, algo, largest) in [
-                ("naive", maximal_naive as Algo, 4_000),
-                ("window", maximal_bnl as Algo, usize::MAX),
+                ("naive", naive as Algo, 4_000),
+                ("window", window as Algo, usize::MAX),
                 ("parallel(2)", parallel2, usize::MAX),
             ] {
                 if n <= largest {
@@ -200,7 +212,7 @@ fn bench_kernel(_c: &mut Criterion) {
                     }
                 }
             }
-            kernel_line(shape, dist, "window", maximal_bnl, &sv, &pref);
+            kernel_line(shape, dist, "window", window, &sv, &pref);
         }
     }
 }

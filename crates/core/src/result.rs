@@ -10,23 +10,21 @@ use prefsql_storage::PoolStats;
 use prefsql_types::{Schema, Tuple, Value};
 use std::fmt;
 
-/// Materialized-preference-view observability of one statement: whether
-/// a SELECT was served from a view's stored winner set, and how many
-/// views a DML statement incrementally maintained.
+/// Materialized-preference-view observability of one query: the view
+/// whose stored winner set served one of its BMOs. DML returns a count,
+/// not a result set; the views it maintained are
+/// [`crate::Session::last_view_maintained`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ViewActivity {
     /// Name of the materialized preference view that served this query,
     /// when the native path took the cache hit.
     pub served_by: Option<String>,
-    /// Number of materialized preference views this statement
-    /// incrementally maintained (DML on their base tables).
-    pub maintained: u64,
 }
 
 /// A query result: schema plus rows, with display helpers for the
 /// examples and the experiment harness. Native preference queries
 /// evaluated under a window budget additionally carry their
-/// [`SpillMetrics`]; statements touching materialized preference views
+/// [`SpillMetrics`]; queries a materialized preference view served
 /// carry their [`ViewActivity`].
 #[derive(Debug, Clone)]
 pub struct ResultSet {
@@ -76,7 +74,6 @@ impl ResultSet {
             spill: engine.take_spill_metrics(),
             views: engine.served_by().map(|name| ViewActivity {
                 served_by: Some(name),
-                maintained: 0,
             }),
             pool: before.pool.map(|b| engine.pool_stats().since(&b)),
             dominance: engine.stats().dominance_tests - before.dominance,
@@ -100,9 +97,9 @@ impl ResultSet {
         self.spill.as_ref()
     }
 
-    /// Materialized-view observability of the statement that produced
-    /// this result: `Some` when a view served the query or a DML
-    /// statement maintained at least one view, `None` otherwise.
+    /// Materialized-view observability of the query that produced this
+    /// result: `Some` when a view's winner set served one of its BMOs, at
+    /// any depth of the plan, `None` otherwise.
     pub fn view_activity(&self) -> Option<&ViewActivity> {
         self.views.as_ref()
     }

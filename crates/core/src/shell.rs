@@ -410,6 +410,32 @@ mod tests {
         assert!(!out.contains("Spill:"), "{out}");
     }
 
+    /// A view that serves the BMO of a derived table under an outer
+    /// preference is reported like one that serves the statement's own.
+    #[test]
+    fn view_serving_a_derived_table_is_reported() {
+        let mut sh = Shell::new();
+        sh.feed_line("CREATE TABLE cars (id INTEGER, price INTEGER, mileage INTEGER);");
+        sh.feed_line("INSERT INTO cars VALUES (1, 10, 90), (2, 20, 40), (3, 30, 10), (4, 30, 90);");
+        sh.feed_line(
+            "CREATE MATERIALIZED PREFERENCE VIEW cheap AS \
+             SELECT id FROM cars PREFERRING LOWEST(price) AND LOWEST(mileage);",
+        );
+        sh.feed_line("\\mode native");
+        let sql = "SELECT * FROM (SELECT id, price FROM cars \
+                   PREFERRING LOWEST(price) AND LOWEST(mileage)) d PREFERRING LOWEST(price)";
+        let out = sh.feed_line(&format!("EXPLAIN {sql};"));
+        assert!(out.contains("[view=cheap hit]"), "{out}");
+        let out = sh.feed_line(&format!("{sql};"));
+        assert!(out.contains("(1 rows)"), "{out}");
+        assert!(out.contains("View: served by cheap"), "{out}");
+        let rs = sh.session_mut().query(sql).unwrap();
+        assert_eq!(
+            rs.view_activity().and_then(|v| v.served_by.as_deref()),
+            Some("cheap")
+        );
+    }
+
     #[test]
     fn explain_formats_join_and_preference_windows_alike() {
         let mut sh = Shell::new();

@@ -164,7 +164,7 @@ pub(crate) fn winners(node: &PlanNode, prof: &Profiler) -> Option<u64> {
 }
 
 /// The direct children of a plan node, in render order.
-fn children(node: &PlanNode) -> Vec<&PlanNode> {
+pub(crate) fn children(node: &PlanNode) -> Vec<&PlanNode> {
     match node {
         PlanNode::Join { left, right, .. } => vec![left, right],
         other => other.input().into_iter().collect(),

@@ -33,6 +33,7 @@ use crate::bind::{
     bind, bind_aggregate, bind_over, bind_shown, columns_read, AggCall, Bound, BoundExpr,
 };
 use crate::exec::ExecCtx;
+use crate::explain::children;
 use crate::preference::{PrefSpec, QualityCol};
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_rewrite::levels::{
@@ -54,17 +55,19 @@ impl QueryPlan {
     }
 
     /// The materialized preference view whose stored winner set replaced
-    /// this plan's BMO (a native-mode cache hit), if any.
+    /// a BMO of this plan (a native-mode cache hit), if any: the first
+    /// serving view scan in pre-order, at any depth — under a derived
+    /// table, a join side or another block's preference.
     pub fn served_by(&self) -> Option<&str> {
-        // The block's BMO lies below its tail: a Preference or the scan.
-        std::iter::successors(Some(&self.root), |node| node.input())
-            .take_while(|node| !matches!(node, PlanNode::Preference { .. }))
-            .find_map(|node| match node {
+        fn find(node: &PlanNode) -> Option<&str> {
+            match node {
                 PlanNode::MatViewScan {
                     view, serves: true, ..
-                } => Some(view.as_str()),
-                _ => None,
-            })
+                } => Some(view),
+                _ => children(node).into_iter().find_map(find),
+            }
+        }
+        find(&self.root)
     }
 }
 

@@ -15,8 +15,10 @@
 //! quality-function columns ([`QualityCol`]) the plan above references.
 //! Dominance tests, optima and quality values all read the cells, which
 //! travel with their candidates through [`ExternalSkyline`] and the
-//! `BUT ONLY` spool. Semantics are identical to the rewrite path; the
-//! `rewrite_vs_native` differential suite and ablation A1 depend on that.
+//! `BUT ONLY` spool; a quality value is [`Preference::quality`] of a
+//! winner's cell, the one native TOP/LEVEL/DISTANCE. Semantics are
+//! identical to the rewrite path; the `rewrite_vs_native` differential
+//! suite and ablation A1 depend on that.
 //!
 //! A candidate is its cells plus one of two things, fixed at plan time
 //! ([`PrefSpec::rid_table`]):
@@ -46,10 +48,7 @@ use crate::exec::ExecCtx;
 use crate::knobs::NativeOptions;
 use crate::physical::{Batch, BoxOperator, Operator};
 use prefsql_pref::external::{split_cells, with_cells, ExternalSkyline, CELL_BYTES};
-use prefsql_pref::score::{is_null_cell, score_of};
-use prefsql_pref::{
-    bmo_grouped_scored, maximal_scored, BasePref, Preference, ScoreMatrix, SkylineAlgo,
-};
+use prefsql_pref::{bmo_grouped_scored, maximal_scored, Preference, ScoreMatrix, SkylineAlgo};
 use prefsql_rewrite::levels::GEN_PREFIX;
 use prefsql_rewrite::CompiledPreference;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics};
@@ -98,7 +97,8 @@ impl PrefSpec {
     }
 }
 
-/// One quality-function column: `func(slot's attribute)` per §2.2.3.
+/// One quality-function column: `func(slot's attribute)` per §2.2.3,
+/// its value [`Preference::quality`] of the slot's cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QualityCol {
     /// `"top"`, `"level"` or `"distance"` (validated against the slot's
@@ -124,46 +124,6 @@ impl QualityCol {
             _ => DataType::Int,
         };
         Column::new(self.name(), dtype)
-    }
-
-    /// The function's value for a row whose lowered slots are `cells`;
-    /// `best` holds the data-dependent optimum of each slot
-    /// (`LOWEST`/`HIGHEST` only).
-    fn value(&self, pref: &Preference, cells: &[f64], best: &[Option<f64>]) -> Value {
-        let (cell, best) = (cells[self.slot], best[self.slot]);
-        // SQL semantics, as on the rewrite path (whose level columns are
-        // NULL-guarded): the quality of an unknown value is unknown.
-        if is_null_cell(cell) {
-            return Value::Null;
-        }
-        let base = &pref.bases()[self.slot];
-        let relative = matches!(base, BasePref::Lowest | BasePref::Highest);
-        let numeric = matches!(base, BasePref::Around { .. } | BasePref::Between { .. });
-        match self.func.as_str() {
-            "level" => pref
-                .level_of(self.slot, cell)
-                .map_or(Value::Null, Value::Int),
-            "distance" => match (score_of(cell), best) {
-                (Some(s), Some(b)) if relative => float_or_int(s - b),
-                (Some(s), _) if !relative => float_or_int(s),
-                _ => Value::Null,
-            },
-            _ if relative => {
-                Value::Bool(matches!((score_of(cell), best), (Some(s), Some(b)) if s == b))
-            }
-            _ if numeric => Value::Bool(score_of(cell) == Some(0.0)),
-            _ => Value::Bool(pref.level_of(self.slot, cell) == Some(1)),
-        }
-    }
-}
-
-/// Distances are conceptually numeric; keep integers integral for display
-/// parity with the rewrite path.
-fn float_or_int(f: f64) -> Value {
-    if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-        Value::Int(f as i64)
-    } else {
-        Value::Float(f)
     }
 }
 
@@ -281,7 +241,8 @@ impl<'a> PreferenceOp<'a> {
 
     /// The quality-column values of a row whose lowered slots are `cells`.
     fn quality_values(&self, cells: &[f64], best: &[Option<f64>]) -> Vec<Value> {
-        let value = |q: &QualityCol| q.value(self.preference(), cells, best);
+        let pref = self.preference();
+        let value = |q: &QualityCol| pref.quality(&q.func, q.slot, cells[q.slot], best[q.slot]);
         self.spec.quality.iter().map(value).collect()
     }
 

@@ -45,11 +45,12 @@
 //! preference's kernel over two such rows.
 //! [`maximal_scored`] takes a matrix the caller lowered itself plus the
 //! row ids that compete (all of them, the `BUT ONLY` survivors, one
-//! `GROUPING` partition); the functions over `&[Vec<Value>]` lower and
-//! delegate. Each call counts its directed dominance tests locally — one
-//! when a window entry beats the candidate, two otherwise, one per probe
-//! of the nested loop — and charges the preference's counter once at the
-//! end.
+//! `GROUPING` partition) — the engine's entry point. The two over
+//! `&[Vec<Value>]`, [`maximal_with_threads`] and [`maximal_parallel`],
+//! lower and delegate; each says which caller keeps it. Each call counts
+//! its directed dominance tests locally — one when a window entry beats
+//! the candidate, two otherwise, one per probe of the nested loop — and
+//! charges the preference's counter once at the end.
 
 use crate::compose::Preference;
 use crate::score::{ScoreMatrix, Verdict};
@@ -147,16 +148,15 @@ fn lowered(
     winners
 }
 
-/// Run the maximal-set selection serially. Every [`SkylineAlgo`] returns
-/// the identical index set in input order (the cross-algorithm
-/// equivalence suites depend on that).
-pub fn maximal(slot_vectors: &[Vec<Value>], pref: &Preference, algo: SkylineAlgo) -> Vec<usize> {
-    maximal_with_threads(slot_vectors, pref, algo, 1)
-}
-
-/// [`maximal`] with a parallel-degree knob: [`SkylineAlgo::Auto`] runs
-/// the window at the degree [`choose_degree`] picks; the forced
-/// algorithms stay serial so the differential suites can pin them.
+/// The maximal-set selection over slot vectors it lowers itself:
+/// [`SkylineAlgo::Auto`] runs the window at the degree [`choose_degree`]
+/// picks, the forced algorithms stay serial so the differential suites can
+/// pin them. Every [`SkylineAlgo`] returns the identical index set in input
+/// order (the cross-algorithm equivalence suites depend on that).
+///
+/// The engine selects over a matrix it lowered ([`maximal_scored`]); this
+/// entry point's only non-test caller is prefbench's staged replay, and it
+/// goes with ROADMAP item 1(e).
 pub fn maximal_with_threads(
     slot_vectors: &[Vec<Value>],
     pref: &Preference,
@@ -285,6 +285,9 @@ fn window_filter(
 /// [`choose_degree`] (the requested `threads` is clamped only to the
 /// candidate count, so tests can force partitioning on tiny inputs).
 /// Returns indices sorted in input order, identical to the serial window.
+///
+/// Kept for the differential suites and the `algo_micro` bench: it is the
+/// only way to run the threaded window below [`PARALLEL_CUTOFF`].
 pub fn maximal_parallel(
     slot_vectors: &[Vec<Value>],
     pref: &Preference,
@@ -341,12 +344,9 @@ fn windowed(
     window
 }
 
-/// The paper's abstract selection method: `t1` is maximal iff no `t2` in
-/// the input is better. Returns indices in input order.
-pub fn maximal_naive(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    maximal(slot_vectors, pref, SkylineAlgo::Naive)
-}
-
+/// The paper's abstract selection method ([`SkylineAlgo::Naive`]): `t1`
+/// is maximal iff no `t2` among `ids` is better. Returns ids in input
+/// order.
 fn naive(m: &ScoreMatrix, pref: &Preference, ids: &[usize], tests: &mut u64) -> Vec<usize> {
     let mut dominated = |i: usize| {
         ids.iter().any(|&j| {
@@ -357,12 +357,6 @@ fn naive(m: &ScoreMatrix, pref: &Preference, ids: &[usize], tests: &mut u64) -> 
         })
     };
     ids.iter().copied().filter(|&i| !dominated(i)).collect()
-}
-
-/// The serial in-memory window ([`SkylineAlgo::Bnl`]). Returns indices
-/// sorted in input order.
-pub fn maximal_bnl(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    maximal(slot_vectors, pref, SkylineAlgo::Bnl)
 }
 
 #[cfg(test)]
@@ -392,14 +386,19 @@ mod tests {
             .collect()
     }
 
+    /// The selection `algo` runs on one thread.
+    fn maximal(pts: &[Vec<Value>], p: &Preference, algo: SkylineAlgo) -> Vec<usize> {
+        maximal_with_threads(pts, p, algo, 1)
+    }
+
     #[test]
     fn every_algo_agrees_on_random_pareto_inputs() {
         for seed in 0..10 {
             for d in [1, 2, 3, 5] {
                 let pts = random_points(120, d, seed * 31 + d as u64);
                 let p = pareto(d);
-                let a = maximal_naive(&pts, &p);
-                let b = maximal_bnl(&pts, &p);
+                let a = maximal(&pts, &p, SkylineAlgo::Naive);
+                let b = maximal(&pts, &p, SkylineAlgo::Bnl);
                 let c = maximal(&pts, &p, SkylineAlgo::Auto);
                 assert_eq!(a, b, "naive vs bnl, d={d} seed={seed}");
                 assert_eq!(a, c, "naive vs auto, d={d} seed={seed}");
@@ -419,8 +418,8 @@ mod tests {
         .unwrap();
         for seed in 0..10 {
             let pts = random_points(150, 3, seed);
-            let a = maximal_naive(&pts, &p);
-            let b = maximal_bnl(&pts, &p);
+            let a = maximal(&pts, &p, SkylineAlgo::Naive);
+            let b = maximal(&pts, &p, SkylineAlgo::Bnl);
             let c = maximal(&pts, &p, SkylineAlgo::Auto);
             assert_eq!(a, b);
             assert_eq!(a, c);
@@ -451,8 +450,8 @@ mod tests {
                 ]
             })
             .collect();
-        let a = maximal_naive(&pts, &p);
-        let b = maximal_bnl(&pts, &p);
+        let a = maximal(&pts, &p, SkylineAlgo::Naive);
+        let b = maximal(&pts, &p, SkylineAlgo::Bnl);
         let c = maximal(&pts, &p, SkylineAlgo::Auto);
         assert_eq!(a, b);
         assert_eq!(a, c);
@@ -477,8 +476,8 @@ mod tests {
                 })
                 .collect();
             let p = pareto(3);
-            let expected = maximal_naive(&pts, &p);
-            assert_eq!(maximal_bnl(&pts, &p), expected, "n={n}");
+            let expected = maximal(&pts, &p, SkylineAlgo::Naive);
+            assert_eq!(maximal(&pts, &p, SkylineAlgo::Bnl), expected, "n={n}");
             assert_eq!(maximal(&pts, &p, SkylineAlgo::Auto), expected, "n={n}");
             // A row with a NaN slot neither dominates nor is dominated.
             for (i, row) in pts.iter().enumerate() {
@@ -525,7 +524,7 @@ mod tests {
                 row(14, "java"),
             ],
         ] {
-            let expected = maximal_naive(&rows, &p);
+            let expected = maximal(&rows, &p, SkylineAlgo::Naive);
             for algo in [SkylineAlgo::Bnl, SkylineAlgo::Auto] {
                 assert_eq!(tally(&rows, &p, algo), (expected.clone(), 0), "{algo:?}");
             }
@@ -552,7 +551,7 @@ mod tests {
             ]);
         }
         for (case, rows) in inputs.iter().enumerate() {
-            let expected = maximal_naive(rows, &p);
+            let expected = maximal(rows, &p, SkylineAlgo::Naive);
             if case > 0 {
                 assert_eq!(expected, vec![0, 1], "case {case}");
             }
@@ -593,8 +592,8 @@ mod tests {
             vec![Value::Int(1), Value::Int(1)],
             vec![Value::Int(1), Value::Int(1)],
         ];
-        assert_eq!(maximal_naive(&pts, &p), vec![0, 1]);
-        assert_eq!(maximal_bnl(&pts, &p), vec![0, 1]);
+        assert_eq!(maximal(&pts, &p, SkylineAlgo::Naive), vec![0, 1]);
+        assert_eq!(maximal(&pts, &p, SkylineAlgo::Bnl), vec![0, 1]);
     }
 
     #[test]
@@ -604,7 +603,7 @@ mod tests {
         let pts: Vec<Vec<Value>> = (0..50)
             .map(|i| vec![Value::Int(i), Value::Int(50 - i)])
             .collect();
-        assert_eq!(maximal_bnl(&pts, &p).len(), 50);
+        assert_eq!(maximal(&pts, &p, SkylineAlgo::Bnl).len(), 50);
     }
 
     #[test]
@@ -614,7 +613,7 @@ mod tests {
         let pts: Vec<Vec<Value>> = (0..50)
             .map(|i| vec![Value::Int(i), Value::Int(i)])
             .collect();
-        assert_eq!(maximal_bnl(&pts, &p), vec![0]);
+        assert_eq!(maximal(&pts, &p, SkylineAlgo::Bnl), vec![0]);
     }
 
     #[test]
@@ -624,7 +623,7 @@ mod tests {
                 let pts = random_points(n, d, seed);
                 let p = pareto(d);
                 let auto = maximal(&pts, &p, SkylineAlgo::Auto);
-                assert_eq!(auto, maximal_naive(&pts, &p), "n={n} d={d}");
+                assert_eq!(auto, maximal(&pts, &p, SkylineAlgo::Naive), "n={n} d={d}");
             }
         }
     }
@@ -635,7 +634,7 @@ mod tests {
             for d in [1, 2, 3] {
                 let pts = random_points(140, d, seed * 17 + d as u64);
                 let p = pareto(d);
-                let serial = maximal_naive(&pts, &p);
+                let serial = maximal(&pts, &p, SkylineAlgo::Naive);
                 // Degrees beyond the candidate count must clamp, not panic.
                 for threads in [1usize, 2, 3, 8, 200] {
                     assert_eq!(
@@ -688,7 +687,7 @@ mod tests {
                 ]
             })
             .collect();
-        let serial = maximal_naive(&pts, &p);
+        let serial = maximal(&pts, &p, SkylineAlgo::Naive);
         for threads in [2, 5, 8] {
             assert_eq!(maximal_parallel(&pts, &p, threads), serial);
         }
@@ -712,7 +711,7 @@ mod tests {
     fn maximal_with_threads_routes_by_algo_and_degree() {
         let p = pareto(2);
         let pts = random_points(PARALLEL_CUTOFF + 100, 2, 9);
-        let expected = maximal_bnl(&pts, &p);
+        let expected = maximal(&pts, &p, SkylineAlgo::Bnl);
         // Auto over the cutoff with a wide knob takes the parallel path...
         assert_eq!(
             maximal_with_threads(&pts, &p, SkylineAlgo::Auto, 8),
@@ -730,7 +729,7 @@ mod tests {
         let small = random_points(30, 2, 10);
         assert_eq!(
             maximal_with_threads(&small, &p, SkylineAlgo::Auto, 8),
-            maximal_naive(&small, &p)
+            maximal(&small, &p, SkylineAlgo::Naive)
         );
     }
 
@@ -756,7 +755,7 @@ mod tests {
             let pts: Vec<Vec<Value>> =
                 pts.into_iter().map(|r| r.into_iter().map(Value::Int).collect()).collect();
             let p = pareto(3);
-            let result = maximal_bnl(&pts, &p);
+            let result = maximal(&pts, &p, SkylineAlgo::Bnl);
             for (i, cand) in pts.iter().enumerate() {
                 let dominated = pts.iter().any(|o| verdict(&p, o, cand) == Verdict::A_WINS);
                 prop_assert_eq!(result.contains(&i), !dominated);

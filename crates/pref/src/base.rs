@@ -14,15 +14,19 @@ use prefsql_types::{Error, Result, Value};
 /// A built-in base preference over a single attribute expression.
 ///
 /// ```
-/// use prefsql_pref::BasePref;
+/// use prefsql_pref::{BasePref, Preference, ScoreMatrix};
 /// use prefsql_types::Value;
 ///
 /// // `duration AROUND 14`: closer to 14 is better.
 /// let p = BasePref::Around { target: 14.0 };
 /// assert!(p.better(&Value::Int(13), &Value::Int(10)));
 /// assert!(p.equiv(&Value::Int(13), &Value::Int(15))); // both distance 1
-/// assert_eq!(p.distance(&Value::Int(10), None), Some(4.0));
-/// assert!(p.top(&Value::Int(14), None));
+///
+/// // DISTANCE and TOP read lowered cells, as the engine does.
+/// let pref = Preference::single(p).unwrap();
+/// let m = ScoreMatrix::lower(&pref, &[vec![Value::Int(10)], vec![Value::Int(14)]]);
+/// assert_eq!(pref.quality("distance", 0, m.row(0)[0], None), Value::Int(4));
+/// assert_eq!(pref.quality("top", 0, m.row(1)[0], None), Value::Bool(true));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum BasePref {
@@ -117,8 +121,8 @@ impl BasePref {
 
     /// The categorical *level* of a value (1 = best), per §2.2.3. Defined
     /// for the categorical preferences (POS/NEG families, CONTAINS,
-    /// EXPLICIT); `None` for NULL or for the numeric preferences, whose
-    /// quality measure is [`BasePref::distance`].
+    /// EXPLICIT); `None` for NULL or for the numeric preferences. The
+    /// oracle of the engine's `LEVEL`, [`crate::Preference::quality`].
     pub fn level(&self, v: &Value) -> Option<i64> {
         if v.is_null() {
             return None;
@@ -158,35 +162,6 @@ impl BasePref {
             | BasePref::Between { .. }
             | BasePref::Lowest
             | BasePref::Highest => None,
-        }
-    }
-
-    /// The numeric *distance* of a value from the preference's optimum
-    /// (0 = perfect), per §2.2.3. For `LOWEST`/`HIGHEST` the optimum is
-    /// data-dependent; pass the best value present as `best`.
-    pub fn distance(&self, v: &Value, best: Option<&Value>) -> Option<f64> {
-        match self {
-            BasePref::Around { .. } | BasePref::Between { .. } => self.score(v),
-            BasePref::Lowest | BasePref::Highest => {
-                let s = self.score(v)?;
-                let b = best.and_then(|b| self.score(b))?;
-                Some(s - b)
-            }
-            _ => None,
-        }
-    }
-
-    /// `TOP`: is the value a perfect match (§2.2.3)?
-    ///
-    /// For `LOWEST`/`HIGHEST`, perfection is relative to the best value
-    /// present in the result, passed as `best`.
-    pub fn top(&self, v: &Value, best: Option<&Value>) -> bool {
-        match self {
-            BasePref::Around { .. } | BasePref::Between { .. } => self.score(v) == Some(0.0),
-            BasePref::Lowest | BasePref::Highest => {
-                matches!(self.distance(v, best), Some(d) if d == 0.0)
-            }
-            _ => self.level(v) == Some(1),
         }
     }
 
@@ -393,6 +368,20 @@ mod tests {
         Value::Int(i)
     }
 
+    /// `func` of each of `vals` under `p` as the engine computes it: the
+    /// values lowered to the cells of a one-slot preference, the
+    /// `LOWEST`/`HIGHEST` optimum folded over all of them.
+    fn quality(p: &BasePref, func: &str, vals: &[Value]) -> Vec<Value> {
+        let pref = crate::Preference::single(p.clone()).unwrap();
+        let rows: Vec<Vec<Value>> = vals.iter().map(|v| vec![v.clone()]).collect();
+        let m = crate::ScoreMatrix::lower(&pref, &rows);
+        let mut best = [None];
+        m.fold_minima(0, &mut best);
+        (0..m.len())
+            .map(|i| pref.quality(func, 0, m.row(i)[0], best[0]))
+            .collect()
+    }
+
     #[test]
     fn around_prefers_closer_values() {
         let p = BasePref::Around { target: 14.0 };
@@ -415,8 +404,10 @@ mod tests {
         assert_eq!(p.score(&v(2200)), Some(200.0));
         assert!(p.better(&v(1500), &v(1400)));
         assert!(p.equiv(&v(1500), &v(2000)));
-        assert!(p.top(&v(1999), None));
-        assert!(!p.top(&v(2001), None));
+        assert_eq!(
+            quality(&p, "top", &[v(1999), v(2001)]),
+            [Value::Bool(true), Value::Bool(false)]
+        );
     }
 
     #[test]
@@ -431,10 +422,13 @@ mod tests {
         assert!(lo.better(&v(1), &v(2)));
         let hi = BasePref::Highest;
         assert!(hi.better(&v(2), &v(1)));
-        assert_eq!(lo.distance(&v(5), Some(&v(2))), Some(3.0));
-        assert_eq!(hi.distance(&v(2), Some(&v(5))), Some(3.0));
-        assert!(hi.top(&v(5), Some(&v(5))));
-        assert!(!hi.top(&v(2), Some(&v(5))));
+        // Distances are relative to the best value present.
+        assert_eq!(quality(&lo, "distance", &[v(5), v(2)]), [v(3), v(0)]);
+        assert_eq!(quality(&hi, "distance", &[v(2), v(5)]), [v(3), v(0)]);
+        assert_eq!(
+            quality(&hi, "top", &[v(5), v(2)]),
+            [Value::Bool(true), Value::Bool(false)]
+        );
     }
 
     #[test]

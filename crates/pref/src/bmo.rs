@@ -4,41 +4,22 @@
 //! returns exactly the non-dominated ("maximal") ones — through the one
 //! selection rule of [`crate::algo`] (perfect-match pre-pass, then one
 //! window with three ways to drive it; the measurements behind that are
-//! referenced there), here for the whole candidate set or once per
-//! `GROUPING` partition. The paper's perfect-match short-circuit is an optimization,
-//! not a semantic change: a perfect match dominates every non-perfect
-//! tuple, so when perfect matches exist they *are* the maximal set
-//! (provided no tuple opts out of comparability through a NULL or
-//! otherwise unscorable slot — the rule guards for that).
+//! referenced there): over the whole candidate set that is
+//! [`crate::maximal_scored`], here it runs once per `GROUPING` partition.
+//! The paper's perfect-match short-circuit is an optimization, not a
+//! semantic change: a perfect match dominates every non-perfect tuple, so
+//! when perfect matches exist they *are* the maximal set (provided no
+//! tuple opts out of comparability through a NULL or otherwise unscorable
+//! slot — the rule guards for that). `BUT ONLY` thresholds are applied by
+//! the caller *before* the selection ("consider all other values within
+//! the quality threshold, but discard worse values on the fly" — §2.2.5).
 
-use crate::algo::{maximal, select, SkylineAlgo};
+use crate::algo::{select, SkylineAlgo};
 use crate::compose::Preference;
 use crate::score::{ByKey, ScoreMatrix};
 use prefsql_types::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-
-/// Indices of the maximal slot vectors under `pref`, in input order.
-///
-/// `BUT ONLY` thresholds must be applied by the caller *before* calling
-/// this function ("consider all other values within the quality threshold,
-/// but discard worse values on the fly" — §2.2.5).
-///
-/// ```
-/// use prefsql_pref::{bmo, BasePref, Preference};
-/// use prefsql_types::Value;
-///
-/// let p = Preference::single(BasePref::Lowest).unwrap();
-/// let candidates = vec![
-///     vec![Value::Int(5)],
-///     vec![Value::Int(3)],
-///     vec![Value::Int(3)],
-/// ];
-/// assert_eq!(bmo(&candidates, &p), vec![1, 2]); // both minima survive
-/// ```
-pub fn bmo(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
-    maximal(slot_vectors, pref, SkylineAlgo::Auto)
-}
 
 /// Per-group BMO for the `GROUPING` clause: dominance is only tested
 /// between tuples that agree on the grouping key ("performing with soft
@@ -46,6 +27,10 @@ pub fn bmo(slot_vectors: &[Vec<Value>], pref: &Preference) -> Vec<usize> {
 ///
 /// `keys[i]` is the evaluated grouping-attribute vector of candidate `i`.
 /// Results come back sorted in input order.
+///
+/// The engine groups over a matrix it lowered ([`bmo_grouped_scored`]);
+/// this entry point's only non-test caller is prefbench's staged replay,
+/// and it goes with ROADMAP item 1(e).
 pub fn bmo_grouped(
     slot_vectors: &[Vec<Value>],
     keys: &[Vec<Value>],
@@ -102,6 +87,11 @@ mod tests {
         rows.iter()
             .map(|r| r.iter().map(|&v| Value::Int(v)).collect())
             .collect()
+    }
+
+    /// BMO over `sv`: the engine's default selection, on one thread.
+    fn bmo(sv: &[Vec<Value>], p: &Preference) -> Vec<usize> {
+        crate::maximal_with_threads(sv, p, SkylineAlgo::Auto, 1)
     }
 
     fn pareto_lowest2() -> Preference {

@@ -52,7 +52,6 @@
 
 use crate::algo::probe;
 use crate::compose::Preference;
-use crate::score::ScoreMatrix;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager};
 use prefsql_types::{Error, Result, Tuple, Value};
 
@@ -307,35 +306,14 @@ impl<'a> ExternalSkyline<'a> {
     }
 }
 
-/// The external-memory maximal-set selection over materialized slot
-/// vectors (each candidate its cells and an empty row): multi-pass BNL
-/// with a window bounded at `window_bytes`. Returns winner indices sorted
-/// in input order — identical to [`crate::algo::maximal_bnl`] — plus the
-/// spill metrics.
-pub fn maximal_external(
-    slot_vectors: &[Vec<Value>],
-    pref: &Preference,
-    window_bytes: usize,
-) -> Result<(Vec<usize>, SpillMetrics)> {
-    let m = ScoreMatrix::lower(pref, slot_vectors);
-    let mut machine = ExternalSkyline::with_manager(pref, window_bytes, SpillManager::new()?);
-    for i in 0..m.len() {
-        machine.push(Tuple::new(Vec::new()), m.row(i))?;
-    }
-    let (winners, metrics) = machine.finish()?;
-    Ok((
-        winners.into_iter().map(|(seq, ..)| seq as usize).collect(),
-        metrics,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::maximal_naive;
+    use crate::algo::{maximal_with_threads, SkylineAlgo};
     use crate::base::BasePref;
     use crate::compose::arb::{arb_any_pref, arb_any_slots};
     use crate::compose::PrefNode;
+    use crate::score::ScoreMatrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -347,6 +325,28 @@ mod tests {
             PrefNode::Pareto((0..d).map(|slot| PrefNode::Base { slot }).collect())
         };
         Preference::new(root, vec![BasePref::Lowest; d]).unwrap()
+    }
+
+    fn maximal_naive(pts: &[Vec<Value>], p: &Preference) -> Vec<usize> {
+        maximal_with_threads(pts, p, SkylineAlgo::Naive, 1)
+    }
+
+    /// The external window at `window_bytes` over `pts`, lowered and
+    /// pushed with empty rows: winner indices in input order, and the
+    /// spill metrics.
+    fn maximal_external(
+        pts: &[Vec<Value>],
+        p: &Preference,
+        window_bytes: usize,
+    ) -> Result<(Vec<usize>, SpillMetrics)> {
+        let m = ScoreMatrix::lower(p, pts);
+        let mut machine = ExternalSkyline::with_manager(p, window_bytes, SpillManager::new()?);
+        for i in 0..m.len() {
+            machine.push(Tuple::new(Vec::new()), m.row(i))?;
+        }
+        let (winners, metrics) = machine.finish()?;
+        let ids = winners.into_iter().map(|(seq, ..)| seq as usize);
+        Ok((ids.collect(), metrics))
     }
 
     fn random_points(n: usize, d: usize, seed: u64) -> Vec<Vec<Value>> {

@@ -5,9 +5,9 @@
 //!
 //! * [`BasePref`] — every built-in base preference type (`AROUND`,
 //!   `BETWEEN`, `LOWEST`, `HIGHEST`, `POS`, `NEG`, `POS/POS`, `POS/NEG`,
-//!   `EXPLICIT`, `CONTAINS`) with its *better-than* relation, its numeric
-//!   level/distance semantics and the quality functions `TOP`, `LEVEL`,
-//!   `DISTANCE` (§2.2.3);
+//!   `EXPLICIT`, `CONTAINS`) with its *better-than* relation and the
+//!   scores and levels its quality is measured in (§2.2.3) — the
+//!   value-level oracle the cell kernel is tested against;
 //! * [`Preference`] — complex preferences assembled with **Pareto
 //!   accumulation** (`AND`) and **prioritization** (`CASCADE`) over *slot
 //!   vectors* (the base-preference expressions of a tuple, pre-evaluated
@@ -15,8 +15,11 @@
 //!   form: a CASCADE chain of Pareto groups;
 //! * [`score`] — scored dominance: a candidate is lowered once into a
 //!   [`ScoreMatrix`] row of `f64` cells, and every dominance test of every
-//!   selection below, spilled and incremental ones included, reads cells;
-//! * [`bmo()`](bmo::bmo) — the Best-Matches-Only query model (§2.2.5);
+//!   selection below, spilled and incremental ones included, reads cells,
+//!   as do the quality functions `TOP`, `LEVEL` and `DISTANCE`
+//!   ([`Preference::quality`], §2.2.3);
+//! * [`bmo`] — the Best-Matches-Only query model (§2.2.5) under
+//!   `GROUPING` ([`bmo_grouped_scored`]);
 //! * [`algo`] — the maximal-set selection: one window, three ways to
 //!   drive it. The perfect-match pre-pass and the block-nested-loops
 //!   window \[BKS01\] are the one rule every BMO runs — serially, across
@@ -45,12 +48,12 @@ pub mod incremental;
 pub mod score;
 
 pub use algo::{
-    choose_degree, maximal, maximal_bnl, maximal_naive, maximal_parallel, maximal_scored,
-    maximal_with_threads, SkylineAlgo, PARALLEL_CUTOFF,
+    choose_degree, maximal_parallel, maximal_scored, maximal_with_threads, SkylineAlgo,
+    PARALLEL_CUTOFF,
 };
 pub use base::BasePref;
-pub use bmo::{bmo, bmo_grouped, bmo_grouped_scored};
+pub use bmo::{bmo_grouped, bmo_grouped_scored};
 pub use compose::{PrefNode, Preference};
-pub use external::{maximal_external, ExternalSkyline, SpillMetrics};
+pub use external::{ExternalSkyline, SpillMetrics};
 pub use incremental::ViewSkyline;
 pub use score::ScoreMatrix;

@@ -40,7 +40,7 @@
 //! agrees with `<`/`==` on scores.
 //!
 //! Cells are only ever loaded, stored and compared, never fed to
-//! arithmetic before [`score_of`] has unwrapped them; Rust guarantees NaN
+//! arithmetic before `score_of` has unwrapped them; Rust guarantees NaN
 //! payloads survive that.
 
 use crate::base::{BasePref, ExplicitGraph};
@@ -75,13 +75,13 @@ fn score_cell(score: f64) -> f64 {
 }
 
 /// Is this the cell of a NULL slot value?
-pub fn is_null_cell(cell: f64) -> bool {
+fn is_null_cell(cell: f64) -> bool {
     cell.to_bits() == NULL_CELL
 }
 
 /// The score a cell holds; `None` for a tagged cell (a value the base
 /// preference cannot score).
-pub fn score_of(cell: f64) -> Option<f64> {
+fn score_of(cell: f64) -> Option<f64> {
     (!cell.is_nan() || cell.to_bits() == NAN_SCORE).then_some(cell)
 }
 
@@ -468,7 +468,7 @@ impl Preference {
     /// categorical preferences score by, an `EXPLICIT` node's depth
     /// (level 1 for values the graph does not mention); `None` for NULL,
     /// numeric preferences and values the preference cannot rank.
-    pub fn level_of(&self, slot: usize, cell: f64) -> Option<i64> {
+    fn level_of(&self, slot: usize, cell: f64) -> Option<i64> {
         if is_null_cell(cell) {
             return None;
         }
@@ -483,6 +483,42 @@ impl Preference {
             ) => None,
             (None, _) => score_of(cell).map(|s| s as i64),
         }
+    }
+
+    /// Quality function `func` (`"top"`, `"level"` or `"distance"`,
+    /// §2.2.3) of a lowered cell of `slot`, relative for `LOWEST`/`HIGHEST`
+    /// to `best`, the slot's optimum ([`ScoreMatrix::fold_minima`]). NULL's
+    /// quality is NULL, as on the rewrite path.
+    pub fn quality(&self, func: &str, slot: usize, cell: f64, best: Option<f64>) -> Value {
+        if is_null_cell(cell) {
+            return Value::Null;
+        }
+        let base = &self.bases()[slot];
+        let relative = matches!(base, BasePref::Lowest | BasePref::Highest);
+        let numeric = matches!(base, BasePref::Around { .. } | BasePref::Between { .. });
+        match func {
+            "level" => self.level_of(slot, cell).map_or(Value::Null, Value::Int),
+            "distance" => match (score_of(cell), best) {
+                (Some(s), Some(b)) if relative => float_or_int(s - b),
+                (Some(s), _) if !relative => float_or_int(s),
+                _ => Value::Null,
+            },
+            _ if relative => {
+                Value::Bool(matches!((score_of(cell), best), (Some(s), Some(b)) if s == b))
+            }
+            _ if numeric => Value::Bool(score_of(cell) == Some(0.0)),
+            _ => Value::Bool(self.level_of(slot, cell) == Some(1)),
+        }
+    }
+}
+
+/// Distances are conceptually numeric; integers stay integral for display
+/// parity with the rewrite path.
+fn float_or_int(f: f64) -> Value {
+    if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
+        Value::Int(f as i64)
+    } else {
+        Value::Float(f)
     }
 }
 

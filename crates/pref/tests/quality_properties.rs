@@ -2,10 +2,35 @@
 //! semantics: TOP/LEVEL/DISTANCE must be *monotone witnesses* of the
 //! better-than relation — if `a` is better than `b`, then `a`'s quality
 //! measures can never be worse than `b`'s.
+//!
+//! The quality side is what the engine runs: [`Preference::quality`] over
+//! cells lowered through [`ScoreMatrix`], with the `LOWEST`/`HIGHEST`
+//! optimum from [`ScoreMatrix::fold_minima`]. The order side is the
+//! value-level oracle: [`BasePref::better`], `equiv` and `level`.
 
-use prefsql_pref::BasePref;
+use prefsql_pref::{BasePref, Preference, ScoreMatrix};
 use prefsql_types::Value;
 use proptest::prelude::*;
+
+/// `func` of each of `vals` under `base` as the engine computes it: the
+/// values lowered to the cells of `Preference::single(base)`, the
+/// `LOWEST`/`HIGHEST` optimum folded over all of them.
+fn quality(base: &BasePref, func: &str, vals: &[Value]) -> Vec<Value> {
+    let pref = Preference::single(base.clone()).expect("valid base preference");
+    let rows: Vec<Vec<Value>> = vals.iter().map(|v| vec![v.clone()]).collect();
+    let m = ScoreMatrix::lower(&pref, &rows);
+    let mut best = [None];
+    m.fold_minima(0, &mut best);
+    (0..m.len())
+        .map(|i| pref.quality(func, 0, m.row(i)[0], best[0]))
+        .collect()
+}
+
+/// The numeric value of a LEVEL or DISTANCE result.
+fn number(v: &Value) -> f64 {
+    v.as_f64()
+        .unwrap_or_else(|| panic!("numeric quality, got {v}"))
+}
 
 fn arb_categorical() -> impl Strategy<Value = BasePref> {
     let vals = || {
@@ -33,60 +58,71 @@ fn arb_val() -> impl Strategy<Value = Value> {
 
 proptest! {
     /// LEVEL is a monotone witness: better value ⇒ strictly smaller level.
+    /// The cells' LEVEL is the oracle's.
     #[test]
     fn level_witnesses_better(p in arb_categorical(), a in arb_val(), b in arb_val()) {
+        let levels = quality(&p, "level", &[a.clone(), b.clone()]);
+        prop_assert_eq!(&levels[0], &Value::Int(p.level(&a).expect("non-null value has a level")));
+        prop_assert_eq!(&levels[1], &Value::Int(p.level(&b).expect("non-null value has a level")));
+        let (la, lb) = (number(&levels[0]), number(&levels[1]));
         if p.better(&a, &b) {
-            let la = p.level(&a).expect("non-null value has a level");
-            let lb = p.level(&b).expect("non-null value has a level");
             prop_assert!(la < lb, "better {a} has level {la}, worse {b} has {lb}");
         }
         if p.equiv(&a, &b) {
-            prop_assert_eq!(p.level(&a), p.level(&b));
+            prop_assert_eq!(la, lb);
         }
     }
 
     /// DISTANCE is a monotone witness for the numeric preferences.
     #[test]
     fn distance_witnesses_better(p in arb_numeric(), a in arb_val(), b in arb_val()) {
+        let d = quality(&p, "distance", &[a.clone(), b.clone()]);
+        let (da, db) = (number(&d[0]), number(&d[1]));
+        prop_assert!(da >= 0.0, "distance must be non-negative, got {da}");
         if p.better(&a, &b) {
-            let da = p.distance(&a, None).expect("non-null numeric value");
-            let db = p.distance(&b, None).expect("non-null numeric value");
-            prop_assert!(da < db);
+            prop_assert!(da < db, "better {a} has distance {da}, worse {b} has {db}");
+        }
+        if p.equiv(&a, &b) {
+            prop_assert_eq!(da, db);
         }
     }
 
-    /// TOP values are maximal: nothing can be better than a perfect match.
+    /// TOP values are maximal: nothing can be better than a perfect match,
+    /// and a perfect match is at distance 0.
     #[test]
     fn top_values_are_undominated(p in arb_numeric(), a in arb_val(), b in arb_val()) {
-        if p.top(&a, None) {
+        let vals = [a.clone(), b.clone()];
+        let top = quality(&p, "top", &vals);
+        let d = quality(&p, "distance", &vals);
+        prop_assert_eq!(top[0] == Value::Bool(true), number(&d[0]) == 0.0);
+        if top[0] == Value::Bool(true) {
             prop_assert!(!p.better(&b, &a), "{b} beats the perfect match {a}");
         }
     }
 
     #[test]
     fn categorical_top_is_level_one(p in arb_categorical(), a in arb_val()) {
-        prop_assert_eq!(p.top(&a, None), p.level(&a) == Some(1));
+        let top = quality(&p, "top", std::slice::from_ref(&a));
+        prop_assert_eq!(&top[0], &Value::Bool(p.level(&a) == Some(1)));
     }
 
-    /// LOWEST/HIGHEST distances are relative to the best value present.
+    /// LOWEST/HIGHEST distances are relative to the best value present:
+    /// zero (and TOP) exactly at the values nothing present beats, and
+    /// otherwise the gap to that best value.
     #[test]
     fn relative_distance_is_zero_at_the_best(vals in proptest::collection::vec(-50i64..50, 1..20)) {
+        let values: Vec<Value> = vals.iter().map(|&v| Value::Int(v)).collect();
         for p in [BasePref::Lowest, BasePref::Highest] {
-            let best = vals
-                .iter()
-                .map(|&v| Value::Int(v))
-                .min_by(|a, b| {
-                    p.score(a)
-                        .partial_cmp(&p.score(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("non-empty");
-            prop_assert_eq!(p.distance(&best, Some(&best)), Some(0.0));
-            prop_assert!(p.top(&best, Some(&best)));
-            for &v in &vals {
-                let v = Value::Int(v);
-                let d = p.distance(&v, Some(&best)).expect("non-null");
-                prop_assert!(d >= 0.0, "distance must be non-negative, got {d}");
+            let best = match p {
+                BasePref::Lowest => *vals.iter().min().expect("non-empty"),
+                _ => *vals.iter().max().expect("non-empty"),
+            };
+            let d = quality(&p, "distance", &values);
+            let top = quality(&p, "top", &values);
+            for (i, v) in values.iter().enumerate() {
+                let maximal = !values.iter().any(|o| p.better(o, v));
+                prop_assert_eq!(&d[i], &Value::Int((vals[i] - best).abs()));
+                prop_assert_eq!(&top[i], &Value::Bool(maximal));
             }
         }
     }
@@ -121,6 +157,8 @@ fn explicit_levels_follow_chain_depth() {
     assert_eq!(p.level(&Value::Int(4)), Some(4));
     assert_eq!(p.level(&Value::Int(5)), Some(2));
     assert_eq!(p.level(&Value::Int(99)), Some(1)); // unmentioned: undominated
-    assert!(p.top(&Value::Int(1), None));
-    assert!(!p.top(&Value::Int(4), None));
+    assert_eq!(
+        quality(&p, "top", &[Value::Int(1), Value::Int(4)]),
+        [Value::Bool(true), Value::Bool(false)]
+    );
 }

@@ -27,7 +27,7 @@
 //!    gone afterwards.
 
 use prefsql::parser::ast::{Expr, PrefExpr, Query, SelectItem, TableRef};
-use prefsql::pref::{maximal_naive, maximal_parallel, Preference};
+use prefsql::pref::{maximal_parallel, maximal_with_threads, Preference};
 use prefsql::rewrite::compile::compile_preference;
 use prefsql::storage::Table;
 use prefsql::types::{Column, DataType, Schema, Tuple, Value};
@@ -146,6 +146,11 @@ fn compiled_slots(table: &Table, pref: &PrefExpr) -> (Preference, Vec<Vec<Value>
         .map(|r| slot_cols.iter().map(|&c| r[c].clone()).collect())
         .collect();
     (compiled.preference, slots)
+}
+
+/// The abstract §3.2 selection ([`SkylineAlgo::Naive`]) over `slots`.
+fn maximal_naive(slots: &[Vec<Value>], preference: &Preference) -> Vec<usize> {
+    maximal_with_threads(slots, preference, SkylineAlgo::Naive, 1)
 }
 
 /// Winner ids of the abstract §3.2 selection via `maximal_naive`.
@@ -609,7 +614,7 @@ fn non_panicking_row_accessors() {
 /// preference and for a CASCADE tree with ties in its first level.
 #[test]
 fn auto_agrees_with_the_abstract_selection_around_every_switch_point() {
-    use prefsql::pref::{choose_degree, maximal_with_threads, BasePref, PrefNode, PARALLEL_CUTOFF};
+    use prefsql::pref::{choose_degree, BasePref, PrefNode, PARALLEL_CUTOFF};
     use prefsql_workload::bks01::{points, Distribution};
     let lowest =
         |root: PrefNode, d: usize| Preference::new(root, vec![BasePref::Lowest; d]).unwrap();
@@ -674,7 +679,8 @@ fn auto_agrees_with_the_abstract_selection_around_every_switch_point() {
 /// when the window entry wins, two otherwise.
 #[test]
 fn dominance_tally_is_pinned_for_every_algorithm() {
-    use prefsql::pref::{maximal_bnl, maximal_external, BasePref, PrefNode};
+    use prefsql::pref::{BasePref, ExternalSkyline, PrefNode, ScoreMatrix};
+    use prefsql::storage::spill::SpillManager;
     use prefsql_workload::bks01::{points, Distribution};
     let pref = Preference::new(
         PrefNode::Pareto((0..4).map(|slot| PrefNode::Base { slot }).collect()),
@@ -689,11 +695,23 @@ fn dominance_tally_is_pinned_for_every_algorithm() {
     let naive = maximal_naive(&slots, &pref);
     assert_eq!(naive.len(), 107);
     assert_eq!(pref.take_comparisons(), 426_037, "naive");
-    assert_eq!(maximal_bnl(&slots, &pref), naive);
+    assert_eq!(
+        maximal_with_threads(&slots, &pref, SkylineAlgo::Bnl, 1),
+        naive
+    );
     assert_eq!(pref.take_comparisons(), 48_826, "bnl");
     assert_eq!(maximal_parallel(&slots, &pref, 2), naive);
     assert_eq!(pref.take_comparisons(), 63_276, "parallel(2)");
-    let (external, metrics) = maximal_external(&slots, &pref, 4096).unwrap();
+    // The external window at 4 KiB, fed the lowered rows with empty
+    // source rows.
+    let m = ScoreMatrix::lower(&pref, &slots);
+    let spill = SpillManager::new().unwrap();
+    let mut machine = ExternalSkyline::with_manager(&pref, 4096, spill);
+    for i in 0..m.len() {
+        machine.push(Tuple::new(Vec::new()), m.row(i)).unwrap();
+    }
+    let (winners, metrics) = machine.finish().unwrap();
+    let external: Vec<usize> = winners.into_iter().map(|(seq, ..)| seq as usize).collect();
     assert_eq!(external, naive);
     assert_eq!(metrics.passes, 2);
     assert_eq!(pref.take_comparisons(), 48_826, "external");
@@ -706,7 +724,7 @@ fn dominance_tally_is_pinned_for_every_algorithm() {
 /// number of tests is what it was when each one paid for a closure.
 #[test]
 fn explicit_preference_over_2000_rows_tests_exactly_as_before() {
-    use prefsql::pref::{maximal, BasePref, PrefNode};
+    use prefsql::pref::{BasePref, PrefNode};
     let e = |a: &str, b: &str| (Value::str(a), Value::str(b));
     let pref = Preference::new(
         PrefNode::Pareto(vec![PrefNode::Base { slot: 0 }, PrefNode::Base { slot: 1 }]),
@@ -745,7 +763,7 @@ fn explicit_preference_over_2000_rows_tests_exactly_as_before() {
         })
         .collect();
 
-    let auto = maximal(&slots, &pref, SkylineAlgo::Auto);
+    let auto = maximal_with_threads(&slots, &pref, SkylineAlgo::Auto, 1);
     assert_eq!(auto.len(), 6);
     assert_eq!(pref.take_comparisons(), 8_759, "auto (BNL)");
     assert_eq!(maximal_naive(&slots, &pref), auto);

@@ -457,7 +457,7 @@ fn value_semantics_agree_across_modes() {
 }
 
 mod random_query_sweep {
-    use super::assert_all_modes_agree;
+    use super::{assert_all_modes_agree, assert_modes_agree_on_value_or_error};
     use prefsql::storage::Table;
     use prefsql::types::{tuple, Column, DataType, Schema, Tuple, Value};
     use proptest::prelude::*;
@@ -526,6 +526,15 @@ mod random_query_sweep {
         })
     }
 
+    /// The quality calls of one random attribute: TOP and DISTANCE of a
+    /// numeric one, TOP and LEVEL of the categorical `c`.
+    fn arb_quality_sql() -> impl Strategy<Value = String> {
+        prop_oneof![Just("a"), Just("b"), Just("c"), Just("d")].prop_map(|attr| {
+            let measure = if attr == "c" { "LEVEL" } else { "DISTANCE" };
+            format!("TOP({attr}), {measure}({attr})")
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -542,6 +551,19 @@ mod random_query_sweep {
         fn all_modes_agree_with_grouping(table in arb_table(), pref in arb_pref_sql()) {
             let sql = format!("SELECT id FROM r PREFERRING {pref} GROUPING c");
             assert_all_modes_agree(table, &sql);
+        }
+
+        /// Quality functions of a random attribute (§2.2.3): every mode
+        /// gives the rewrite's values, or its error when the preference
+        /// does not name the attribute exactly once.
+        #[test]
+        fn quality_functions_agree_on_random_queries(
+            table in arb_table(),
+            pref in arb_pref_sql(),
+            quality in arb_quality_sql()
+        ) {
+            let sql = format!("SELECT id, {quality} FROM r PREFERRING {pref} ORDER BY id");
+            assert_modes_agree_on_value_or_error(&[table], &sql);
         }
     }
 }
