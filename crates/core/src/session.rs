@@ -353,15 +353,13 @@ impl Session {
         };
         if native {
             let registry = self.rewriter.registry();
-            let mut prefers = false;
-            let resolved = map_blocks(stmt, &mut |block| {
-                prefers |= block.preferring.is_some();
-                registry.resolve_block(block)
-            })?;
+            let resolved = map_blocks(stmt, &mut |block| registry.resolve_block(block))?;
+            // The header marks a plan that holds a BMO, wherever its
+            // PREFERRING was written: in the statement or in a view body.
             return match self.forward(resolved.as_ref().unwrap_or(stmt))? {
-                QueryResult::Explain(plan) if prefers => Ok(QueryResult::Explain(format!(
-                    "Native preference plan:\n{plan}"
-                ))),
+                QueryResult::Explain(plan) if self.engine.plan_holds_bmo() => Ok(
+                    QueryResult::Explain(format!("Native preference plan:\n{plan}")),
+                ),
                 other => Ok(other),
             };
         }
@@ -822,6 +820,34 @@ mod tests {
             "{listing}"
         );
         assert!(listing.contains("best ("), "{listing}");
+    }
+
+    /// Native EXPLAIN marks the plans that hold a BMO: one written in the
+    /// statement, one that a view body brings in, a view hit; a plain
+    /// plan, or a utility statement after a preference query, has none.
+    #[test]
+    fn native_explain_header_follows_the_plan() {
+        let mut s = Session::new();
+        s.set_mode(ExecutionMode::native());
+        s.execute("CREATE TABLE t (x INTEGER, y INTEGER)").unwrap();
+        s.execute("INSERT INTO t VALUES (1, 2), (2, 1), (3, 3)")
+            .unwrap();
+        s.execute("CREATE VIEW v AS SELECT * FROM t PREFERRING LOWEST(x) AND LOWEST(y)")
+            .unwrap();
+        s.execute("CREATE MATERIALIZED VIEW m AS SELECT * FROM t PREFERRING LOWEST(y)")
+            .unwrap();
+        let mut header = |sql: &str| match s.execute(&format!("EXPLAIN {sql}")).unwrap() {
+            QueryResult::Explain(p) => p.starts_with("Native preference plan:\n"),
+            other => panic!("expected EXPLAIN output, got {other:?}"),
+        };
+        assert!(header("SELECT * FROM t PREFERRING LOWEST(x)"));
+        assert!(header("SELECT * FROM v WHERE x > 0"));
+        assert!(header("SELECT * FROM t PREFERRING LOWEST(y)"), "a view hit");
+        assert!(header("ANALYZE SELECT x FROM v"));
+        assert!(!header("SELECT * FROM t WHERE x > 0"));
+        assert!(header("INSERT INTO t SELECT * FROM v"));
+        assert!(!header("CREATE TABLE u (x INTEGER)"));
+        assert!(!header("ANALYZE SELECT * FROM t"));
     }
 
     #[test]

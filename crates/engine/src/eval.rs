@@ -9,6 +9,18 @@
 //! neither. A sub-query is a plan bound with this environment's shape as
 //! its outer scope, so its operators see the current row as depth 1.
 //!
+//! The shapes the hot loops run take a typed arm. A `Compare` or
+//! `Between` whose operands are each a column (at any depth, so join
+//! residuals and the rewrite's anti join take it too) or a literal reads
+//! them as `&Value` where they lie, with no `Result` and no `Cow` per
+//! operand. INT×INT and STR `=`/`<>` are then decided on the payloads;
+//! every other pair goes through [`Value::sql_cmp`], as on the general
+//! path. That is exact: for those pairs `sql_cmp` is `i64::cmp` and the
+//! byte-wise `str` order, whose `Equal` is byte equality, and NULL,
+//! FLOAT (NaN, −0.0), INT×FLOAT, DATE and BOOL never leave it. The
+//! engine's `compare_properties` test checks both arms against
+//! `sql_cmp` over those values.
+//!
 //! Predicate truth follows SQL three-valued logic: `NULL` comparisons
 //! produce `NULL`, `AND`/`OR`/`NOT` use Kleene logic, and a `WHERE` clause
 //! keeps a row only when the predicate is exactly `TRUE` ([`holds`]).
@@ -159,17 +171,10 @@ fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<boo
                 )))
             }
         },
-        BoundExpr::Compare { op, left, right } => {
-            let (l, r) = (value(left, env, ctx)?, value(right, env, ctx)?);
-            match op {
-                CmpOp::Eq => l.sql_eq(&r),
-                CmpOp::NotEq => l.sql_eq(&r).map(|b| !b),
-                CmpOp::Lt => l.sql_cmp(&r).map(|o| o == Ordering::Less),
-                CmpOp::LtEq => l.sql_cmp(&r).map(|o| o != Ordering::Greater),
-                CmpOp::Gt => l.sql_cmp(&r).map(|o| o == Ordering::Greater),
-                CmpOp::GtEq => l.sql_cmp(&r).map(|o| o != Ordering::Less),
-            }
-        }
+        BoundExpr::Compare { op, left, right } => match (operand(left, env), operand(right, env)) {
+            (Some(l), Some(r)) => compare(*op, l, r),
+            _ => compare(*op, &*value(left, env, ctx)?, &*value(right, env, ctx)?),
+        },
         BoundExpr::IsNull { expr, negated } => Some(value(expr, env, ctx)?.is_null() != *negated),
         BoundExpr::Between {
             expr,
@@ -177,12 +182,19 @@ fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<boo
             high,
             negated,
         } => {
-            let v = value(expr, env, ctx)?;
-            let lo = value(low, env, ctx)?;
-            let hi = value(high, env, ctx)?;
-            let ge = v.sql_cmp(&lo).map(|o| o != Ordering::Less);
-            let le = v.sql_cmp(&hi).map(|o| o != Ordering::Greater);
-            three_and(ge, le).map(|b| b != *negated)
+            let within = |v: &Value, lo: &Value, hi: &Value| {
+                three_and(compare(CmpOp::GtEq, v, lo), compare(CmpOp::LtEq, v, hi))
+            };
+            let bounds = (operand(low, env), operand(high, env));
+            match (operand(expr, env), bounds) {
+                (Some(v), (Some(lo), Some(hi))) => within(v, lo, hi),
+                _ => {
+                    let v = value(expr, env, ctx)?;
+                    let lo = value(low, env, ctx)?;
+                    within(&v, &lo, &*value(high, env, ctx)?)
+                }
+            }
+            .map(|b| b != *negated)
         }
         BoundExpr::InList {
             expr,
@@ -238,6 +250,38 @@ fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<boo
             matched.map(|b| b != *negated)
         }
         scalar => truth(value(scalar, env, ctx)?.as_ref()),
+    })
+}
+
+/// A compare operand read where it lies: a column of the row (at any
+/// depth) or a literal of the plan. `None` for anything that must be
+/// evaluated.
+fn operand<'v>(e: &'v BoundExpr, env: Env<'v>) -> Option<&'v Value> {
+    match e {
+        BoundExpr::Literal(v) => Some(v),
+        BoundExpr::Column { depth, ordinal } => Some(env.column(*depth, *ordinal)),
+        _ => None,
+    }
+}
+
+/// `l op r` under three-valued logic. INT×INT and STR `=`/`<>` are
+/// decided on the payloads, which is what [`Value::sql_cmp`] does for
+/// them too; every other pair goes through it.
+fn compare(op: CmpOp, l: &Value, r: &Value) -> Option<bool> {
+    let ord = match (l, r) {
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        (Value::Str(a), Value::Str(b)) if matches!(op, CmpOp::Eq | CmpOp::NotEq) => {
+            return Some((a == b) == (op == CmpOp::Eq))
+        }
+        _ => l.sql_cmp(r)?,
+    };
+    Some(match op {
+        CmpOp::Eq => ord == Ordering::Equal,
+        CmpOp::NotEq => ord != Ordering::Equal,
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::LtEq => ord != Ordering::Greater,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::GtEq => ord != Ordering::Less,
     })
 }
 

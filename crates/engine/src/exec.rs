@@ -813,6 +813,13 @@ impl Engine {
         plan.as_ref()?.served_by().map(str::to_owned)
     }
 
+    /// Does the most recent query plan, run or explained, hold a BMO
+    /// selection ([`QueryPlan::holds_bmo`])?
+    pub fn plan_holds_bmo(&self) -> bool {
+        let plan = self.last_plan.borrow();
+        plan.as_ref().is_some_and(|p| p.holds_bmo())
+    }
+
     /// The `\window` display label: `64 KiB` or `off`.
     pub fn window_label(&self) -> String {
         match self.knobs.window_bytes {
@@ -1061,10 +1068,14 @@ impl Engine {
                 ))
             }
             Statement::Explain { analyze, statement } => {
+                // The statement's plan is the one explained, or none.
+                self.last_plan.take();
                 if *analyze {
                     return self.explain_analyze(statement);
                 }
-                let text = self.with_read_ctx(|ctx| crate::explain::explain(ctx, statement))?;
+                let (text, plan) =
+                    self.with_read_ctx(|ctx| crate::explain::explain(ctx, statement))?;
+                *self.last_plan.borrow_mut() = plan;
                 Ok(ExecOutcome::Explain(text))
             }
         }

@@ -5,7 +5,8 @@
 //! there is no second access-path derivation, so EXPLAIN can never drift
 //! from execution. The Preference SQL facade additionally prefixes the
 //! rewritten SQL in rewrite mode, and a `Native preference plan:` header
-//! in native mode. [`render_analyzed`] prints the same tree annotated
+//! in native mode when the plan holds a BMO ([`QueryPlan::holds_bmo`]).
+//! [`render_analyzed`] prints the same tree annotated
 //! with a [`Profiler`]'s observed per-node metrics — the body of the one
 //! `EXPLAIN ANALYZE` report (`Engine`'s), whose footer lines
 //! ([`spill_line`], [`pool_line`]) the front ends also print after a
@@ -19,7 +20,7 @@
 use crate::access::Sarg;
 use crate::exec::ExecCtx;
 use crate::metrics::Profiler;
-use crate::plan::{plan_target, JoinKind, PlanNode, Projection};
+use crate::plan::{plan_target, JoinKind, PlanNode, Projection, QueryPlan};
 use prefsql_parser::ast::Statement;
 use prefsql_pref::SkylineAlgo;
 use prefsql_storage::spill::SpillMetrics;
@@ -27,25 +28,28 @@ use prefsql_storage::PoolStats;
 use prefsql_types::knobs::fmt_bytes;
 use prefsql_types::{Result, Value};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-/// Render an execution plan for `stmt` inside one statement context.
-pub fn explain(ctx: &ExecCtx<'_>, stmt: &Statement) -> Result<String> {
+/// Render an execution plan for `stmt` inside one statement context,
+/// with the query plan it shows, if it is a SELECT or an INSERT's source.
+pub fn explain(ctx: &ExecCtx<'_>, stmt: &Statement) -> Result<(String, Option<Arc<QueryPlan>>)> {
     match stmt {
         Statement::Select(q) => {
             let plan = ctx.plan_for(q)?;
             let mut out = String::new();
             render(plan.root(), 0, &mut out);
-            Ok(out)
+            Ok((out, Some(plan)))
         }
         Statement::Insert { table, source, .. } => {
             let mut out = format!("Insert into {table}\n");
+            let mut plan = None;
             if let prefsql_parser::ast::InsertSource::Query(q) = source {
-                let plan = ctx.plan_for(q)?;
-                render(plan.root(), 1, &mut out);
+                let source = plan.insert(ctx.plan_for(q)?);
+                render(source.root(), 1, &mut out);
             } else {
                 out.push_str("  Values\n");
             }
-            Ok(out)
+            Ok((out, plan))
         }
         Statement::Update {
             table,
@@ -69,10 +73,10 @@ pub fn explain(ctx: &ExecCtx<'_>, stmt: &Statement) -> Result<String> {
                     out.push_str("  All rows\n");
                 }
             }
-            Ok(out)
+            Ok((out, None))
         }
         Statement::Explain { statement, .. } => explain(ctx, statement),
-        other => Ok(format!("Utility statement: {other}\n")),
+        other => Ok((format!("Utility statement: {other}\n"), None)),
     }
 }
 

@@ -69,6 +69,18 @@ impl QueryPlan {
         }
         find(&self.root)
     }
+
+    /// Does a BMO selection run in this plan, at any depth: a
+    /// `Preference` node, or a view scan serving one?
+    pub fn holds_bmo(&self) -> bool {
+        fn find(node: &PlanNode) -> bool {
+            matches!(
+                node,
+                PlanNode::Preference { .. } | PlanNode::MatViewScan { serves: true, .. }
+            ) || children(node).into_iter().any(find)
+        }
+        find(&self.root)
+    }
 }
 
 /// A node of the logical operator tree. Every node knows its output

@@ -6,9 +6,10 @@
 //! for every FROM-level `PREFERRING` block by [`crate::plan::plan_query`],
 //! built here (only) through [`crate::physical::build`], and rendered by
 //! [`crate::explain`] like every other node. The operator is a pipeline breaker: it drains the
-//! FROM/WHERE source, representing each row once as it arrives —
-//! [`eval_row`] evaluates its bound base-preference expressions and one
-//! [`ScoreMatrix`] lowers them to cells — applies the `BUT ONLY`
+//! FROM/WHERE source, representing each row once as it arrives — one
+//! [`ScoreMatrix`] lowers its base-preference slots to cells, a slot
+//! that is a column of the row straight from where it lies, any other
+//! evaluated first (EXPLAIN ANALYZE's `lower_us=`) — applies the `BUT ONLY`
 //! threshold, runs the maximal-set selection of `prefsql-pref` (over the
 //! whole candidate set or once per `GROUPING` partition, driven as
 //! [`SkylineAlgo`] says) and streams the winners, each extended with the
@@ -43,7 +44,7 @@
 //! exact `actual rows=`.
 
 use crate::bind::BoundExpr;
-use crate::eval::{eval_row, holds, Env};
+use crate::eval::{eval, eval_row, holds, Env};
 use crate::exec::ExecCtx;
 use crate::knobs::NativeOptions;
 use crate::physical::{Batch, BoxOperator, Operator};
@@ -54,6 +55,7 @@ use prefsql_rewrite::CompiledPreference;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics};
 use prefsql_storage::Table;
 use prefsql_types::{Column, DataType, Error, Result, Tuple, Value};
+use std::time::{Duration, Instant};
 
 /// Everything the preference operator needs, fixed at plan time.
 #[derive(Debug, Clone)]
@@ -138,6 +140,9 @@ pub(crate) struct PreferenceOp<'a> {
     comparisons: u64,
     /// Winners the last [`Operator::open`] selected, pulled or not.
     selected: u64,
+    /// Time the last [`Operator::open`] spent lowering candidates to
+    /// cells (slots and `GROUPING` keys), apart from the selection.
+    lower: Duration,
 }
 
 /// What the operator keeps of a candidate until the selection is made:
@@ -222,6 +227,7 @@ impl<'a> PreferenceOp<'a> {
             pos: 0,
             comparisons: 0,
             selected: 0,
+            lower: Duration::ZERO,
         }
     }
 
@@ -340,7 +346,16 @@ impl<'a> PreferenceOp<'a> {
         // While buffering, the matrix holds one row per buffered
         // candidate; once a sink is engaged, only the current pull's.
         let mut matrix = ScoreMatrix::new(preference);
-        let (mut keys, mut slots, mut scratch) = (Vec::new(), Vec::new(), Vec::<C>::new());
+        // A slot that is a column of the source row is lowered where it
+        // lies; only the others are evaluated, into `computed`.
+        let columns: Vec<Option<usize>> = (spec.slots.iter())
+            .map(|e| match e {
+                BoundExpr::Column { depth: 0, ordinal } => Some(*ordinal),
+                _ => None,
+            })
+            .collect();
+        let mut computed = vec![Value::Null; arity];
+        let (mut keys, mut scratch) = (Vec::new(), Vec::<C>::new());
         let mut best = vec![None; arity];
         let (mut buffered, mut buffered_bytes) = (Vec::new(), 0);
         let mut sink: Option<Sink<'_>> = None;
@@ -355,16 +370,22 @@ impl<'a> PreferenceOp<'a> {
                 matrix.clear();
             }
             let first = matrix.len();
+            let lowering = Instant::now();
             for row in pulled.rows() {
                 let env = Env::new(row, &[]);
-                slots.clear();
-                eval_row(&spec.slots, env, ctx, &mut slots)?;
-                matrix.push(preference, &slots);
+                for ((e, c), v) in spec.slots.iter().zip(&columns).zip(&mut computed) {
+                    if c.is_none() {
+                        *v = eval(e, env, ctx)?;
+                    }
+                }
+                let slots = columns.iter().zip(&computed);
+                matrix.push(preference, slots.map(|(c, v)| c.map_or(v, |o| &row[o])));
                 eval_row(&spec.groups, env, ctx, &mut keys)?;
                 if budget.is_some() && sink.is_none() {
                     buffered_bytes += tuple_spill_bytes(row) + CELL_BYTES * arity;
                 }
             }
+            self.lower += lowering.elapsed();
             C::take(pulled, &mut scratch)?;
             // Only quality functions ever read the optima.
             if !spec.quality.is_empty() {
@@ -442,6 +463,7 @@ impl<'a> PreferenceOp<'a> {
 impl Operator for PreferenceOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
+        self.lower = Duration::ZERO;
         let budget = self.spec.external_budget();
         let result = self.input.open().and_then(|()| match self.spec.rid_table {
             Some(_) => self.select::<usize>(budget),
@@ -468,6 +490,7 @@ impl Operator for PreferenceOp<'_> {
     fn counters(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("comparisons", self.comparisons),
+            ("lower_us", self.lower.as_micros() as u64),
             ("winners", self.selected),
         ]
     }

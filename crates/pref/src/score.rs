@@ -374,11 +374,18 @@ impl ScoreMatrix {
         m
     }
 
-    /// Lower one more candidate's slot vector as the last row.
-    pub fn push(&mut self, pref: &Preference, slots: &[Value]) {
+    /// Lower one more candidate's slot values, in slot order, as the
+    /// last row. The values are borrowed — from a slot vector, or each
+    /// straight from wherever it lies, such as a column of a source row.
+    pub fn push<'v, I>(&mut self, pref: &Preference, slots: I)
+    where
+        I: IntoIterator<Item = &'v Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let interned = &mut self.interned;
+        let slots = slots.into_iter();
         assert_eq!(slots.len(), self.arity, "one value per base preference");
-        self.cells.extend(slots.iter().enumerate().map(|(slot, v)| {
+        self.cells.extend(slots.enumerate().map(|(slot, v)| {
             pref.program().cell(pref.bases(), slot, v, |v| {
                 let key = ByKey(Cow::Borrowed(std::slice::from_ref(v)));
                 if let Some(&tag) = interned.get(&key) {
@@ -525,6 +532,31 @@ fn float_or_int(f: f64) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::arb::{arb_any_slots_of, arb_wide_pref};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Slot values borrowed where they lie (each slot a column of a
+        /// wider source row, in any order, one column read by two slots)
+        /// lower to the cells of the same values owned in a slot vector,
+        /// bit for bit, interned tags included.
+        #[test]
+        fn borrowed_slots_lower_to_the_cells_of_owned_ones(
+            pref in arb_wide_pref(),
+            rows in proptest::collection::vec(arb_any_slots_of(8), 1..6),
+            columns in proptest::collection::vec(0..8usize, 6),
+        ) {
+            let owned: Vec<Vec<Value>> = (rows.iter())
+                .map(|row| columns.iter().map(|&c| row[c].clone()).collect())
+                .collect();
+            let mut borrowed = ScoreMatrix::new(&pref);
+            for row in &rows {
+                borrowed.push(&pref, columns.iter().map(|&c| &row[c]));
+            }
+            let bits = |m: &ScoreMatrix| m.cells.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&borrowed), bits(&ScoreMatrix::lower(&pref, &owned)));
+        }
+    }
 
     #[test]
     fn cells_tell_scores_nan_scores_and_tags_apart() {

@@ -10,8 +10,14 @@
 //!
 //! Semantics differ from real proptest in one deliberate way: failing
 //! cases are **not shrunk** — a failure panics immediately with the
-//! generated inputs (printed via the assertion message). Generation is
-//! deterministic per test-function name, so failures reproduce.
+//! generated inputs (printed via the assertion message), then names the
+//! property, the case index and the seed. Generation is deterministic per
+//! test-function name and `PROPTEST_SEED`, so failures reproduce.
+//!
+//! Two environment variables steer a run: `PROPTEST_CASES` sets the
+//! cases of a property without a count of its own and is a floor for
+//! one with ([`ProptestConfig::with_cases`]); `PROPTEST_SEED` draws
+//! other cases than the default run's ([`seed_for`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,14 +59,52 @@ impl TestRng {
     }
 }
 
-/// Hash a test name into a stable seed (FNV-1a).
+/// Hash a test name into a stable seed (FNV-1a), with the run seed
+/// `PROPTEST_SEED`, if set, hashed in after it. Unset, the seed is the
+/// name's alone, so every run replays the same cases; a soak run varies
+/// `PROPTEST_SEED` to draw new ones.
 pub fn seed_for(name: &str) -> u64 {
+    mix_seed(name, run_seed().as_deref())
+}
+
+/// The `PROPTEST_SEED` a run was started with, if any.
+fn run_seed() -> Option<String> {
+    std::env::var("PROPTEST_SEED").ok()
+}
+
+/// [`seed_for`] with the run seed given.
+fn mix_seed(name: &str, run_seed: Option<&str>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
+    let run = run_seed.map(|s| format!("/{s}")).unwrap_or_default();
+    for b in name.bytes().chain(run.bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Names the failing case while a property's body unwinds: the property,
+/// the case index and the seed, and the run seed to replay it with.
+#[doc(hidden)]
+pub struct CaseGuard {
+    /// The property's name.
+    pub name: &'static str,
+    /// The case being run, from 0.
+    pub case: u32,
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let run = run_seed().map_or("unset".into(), |s| format!("{s:?}"));
+            eprintln!(
+                "proptest: {} failed at case {} (seed {:#018x}, PROPTEST_SEED {run})",
+                self.name,
+                self.case,
+                seed_for(self.name)
+            );
+        }
+    }
 }
 
 /// A generator of values for property tests.
@@ -526,20 +570,28 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// `PROPTEST_CASES` cases, 256 when it is unset.
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256);
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: env_cases().unwrap_or(256),
+        }
     }
 }
 
 impl ProptestConfig {
-    /// A config running `cases` iterations per property.
+    /// A config running `cases` iterations per property, or
+    /// `PROPTEST_CASES` if that is more: the variable is a floor, so a
+    /// run can widen a block that pins its own count, never narrow it.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: cases.max(env_cases().unwrap_or(0)),
+        }
     }
+}
+
+/// The `PROPTEST_CASES` a run was started with, if set and a number.
+fn env_cases() -> Option<u32> {
+    std::env::var("PROPTEST_CASES").ok()?.parse().ok()
 }
 
 /// The common imports, mirroring `proptest::prelude`.
@@ -600,8 +652,8 @@ macro_rules! __proptest_fns {
         fn $name() {
             let config: $crate::ProptestConfig = $cfg;
             let mut rng = $crate::TestRng::seed_from_u64($crate::seed_for(stringify!($name)));
-            for __case in 0..config.cases {
-                let _ = __case;
+            for case in 0..config.cases {
+                let _guard = $crate::CaseGuard { name: stringify!($name), case };
                 $(let $arg = $crate::Strategy::generate(&$strategy, &mut rng);)+
                 $body
             }
@@ -670,6 +722,20 @@ mod tests {
             saw_node |= matches!(t, Tree::Node(_));
         }
         assert!(saw_node, "recursion never produced a branch");
+    }
+
+    #[test]
+    fn run_seed_is_mixed_in_and_the_default_is_the_name_alone() {
+        // FNV-1a of the name, as it always was.
+        assert_eq!(mix_seed("", None), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(mix_seed("a", None), 0xaf63_dc4c_8601_ec8c);
+        let runs = [None, Some("0"), Some("1"), Some("12")];
+        let seeds: Vec<u64> = runs.iter().map(|r| mix_seed("p", *r)).collect();
+        for (i, a) in seeds.iter().enumerate() {
+            assert!(seeds[i + 1..].iter().all(|b| a != b), "{seeds:x?}");
+        }
+        // The name and the run seed cannot trade characters.
+        assert_ne!(mix_seed("p1", Some("2")), mix_seed("p", Some("12")));
     }
 
     proptest! {
