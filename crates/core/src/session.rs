@@ -850,6 +850,35 @@ mod tests {
         assert!(!header("ANALYZE SELECT * FROM t"));
     }
 
+    /// A 55 KB statement of 5 000 chained conjuncts once aborted the
+    /// process with a stack overflow on a 2 MiB thread, the stack the
+    /// server's workers get. It is a parse error now, in both modes, and
+    /// the session serves the next statement.
+    #[test]
+    fn a_hostile_operator_chain_is_a_parse_error_on_a_small_stack() {
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let run = worker.spawn(|| {
+            let mut s = Session::new();
+            s.execute("CREATE TABLE t (id INTEGER)").unwrap();
+            s.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+            let hostile = format!(
+                "SELECT id FROM t WHERE id = 1{}",
+                " AND id = 1".repeat(5_000)
+            );
+            assert!(hostile.len() > 55_000);
+            for mode in [ExecutionMode::Rewrite, ExecutionMode::native()] {
+                s.set_mode(mode);
+                match s.execute(&hostile) {
+                    Err(Error::Parse(m)) => assert!(m.contains("chained operators"), "{m}"),
+                    other => panic!("expected a parse error, got {other:?}"),
+                }
+                let rs = s.query("SELECT id FROM t WHERE id = 1 AND id = 1").unwrap();
+                assert_eq!(rs.column_as_ints(0), vec![1]);
+            }
+        });
+        run.unwrap().join().unwrap();
+    }
+
     #[test]
     fn spill_dir_is_private_and_removed_on_drop() {
         let mut s = Session::new();

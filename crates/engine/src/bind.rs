@@ -205,7 +205,7 @@ impl BoundExpr {
     /// Call `f` on this expression and every sub-expression, parents
     /// first. A sub-query is a leaf: its plan's expressions are not
     /// visited.
-    fn visit<F: FnMut(&BoundExpr)>(&self, f: &mut F) {
+    pub(crate) fn visit<F: FnMut(&BoundExpr)>(&self, f: &mut F) {
         f(self);
         match self {
             BoundExpr::Literal(_)

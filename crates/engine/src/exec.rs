@@ -34,7 +34,7 @@ use crate::catalog::Catalog;
 use crate::eval::{eval, Env};
 use crate::explain::{pool_line, spill_line};
 use crate::knobs::NativeOptions;
-use crate::plan::{plan_query, plan_target, QueryPlan};
+use crate::plan::{plan_statement, plan_target, QueryPlan};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
@@ -569,9 +569,10 @@ impl<'c> ExecCtx<'c> {
     /// per outer row. Every block with `PREFERRING` — this one, a derived
     /// table, a view body — plans its BMO as a
     /// [`crate::PlanNode::Preference`] (or a serving view scan); an
-    /// expression sub-query refuses one.
+    /// expression sub-query refuses one. The finished tree carries only
+    /// the columns it reads (the pruning pass).
     pub fn plan_for(&self, query: &Query) -> Result<Arc<QueryPlan>> {
-        Ok(Arc::new(plan_query(self, query)?))
+        Ok(Arc::new(plan_statement(self, query)?))
     }
 
     /// Plan and execute a top-level query block.
@@ -1003,7 +1004,7 @@ impl Engine {
                 // planning and running it once on an empty environment.
                 // A body is planned like any derived table: a PREFERRING
                 // body plans its BMO, and every read plans it again.
-                self.with_ctx_over(&cat, |ctx| ctx.run_plan(Arc::new(plan_query(ctx, query)?)))?;
+                self.with_ctx_over(&cat, |ctx| ctx.run_plan(ctx.plan_for(query)?))?;
                 cat.create_view(name, (**query).clone())?;
                 Ok(ExecOutcome::Ddl(format!("created view {name}")))
             }
@@ -1273,7 +1274,7 @@ impl Engine {
                     .collect::<Result<Vec<_>>>()?;
                 let mut new_rows = Vec::with_capacity(ids.len());
                 for &rid in &ids {
-                    let row = t.fetch_row(rid)?;
+                    let row = t.fetch_row(rid, None)?;
                     let mut values = row.values().to_vec();
                     for (expr, &pos) in exprs.iter().zip(&positions) {
                         let v = eval(expr, Env::new(&row, &[]), ctx)?;

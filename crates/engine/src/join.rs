@@ -49,7 +49,8 @@
 //! `WHERE … [NOT] EXISTS (SELECT … FROM r WHERE p)` with `p` reading the
 //! enclosing row is planned (`plan::exists_join`) as a [`JoinKind::Semi`]
 //! / [`JoinKind::Anti`] join: the block's source is the left input, the
-//! sub-query's FROM — narrowed to the columns the keys and residual read —
+//! sub-query's FROM — under a projection the pruning pass narrows to the
+//! columns the keys and residual read, so no wide row enters the build —
 //! the right, `p`'s equalities between the two sides the keys and the
 //! rest of `p` the residual, evaluated as the sub-query's own predicate
 //! (right row innermost, the left row one block out; no combined row).

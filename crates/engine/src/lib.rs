@@ -42,6 +42,7 @@ pub mod metrics;
 pub mod physical;
 pub mod plan;
 pub mod preference;
+mod prune;
 
 pub use catalog::{Catalog, ViewDef};
 pub use exec::{BackendKind, Engine, EngineCore, ExecCtx, ExecOutcome, ExecStats, Relation};

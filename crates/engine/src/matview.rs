@@ -370,7 +370,7 @@ pub(crate) fn after_update(
         |ctx, view, t| {
             let mut delta = Evaluated::default();
             for &rid in ids {
-                view.evaluate(ctx, &t.fetch_row(rid)?, &mut delta)?;
+                view.evaluate(ctx, &t.fetch_row(rid, None)?, &mut delta)?;
             }
             Ok(delta)
         },

@@ -42,7 +42,7 @@ use crate::exec::{ExecCtx, Relation};
 use crate::join::JoinOp;
 use crate::plan::{AggSpec, PlanNode, Projection, SortKey};
 use prefsql_storage::PageFilter;
-use prefsql_types::{Result, Schema, Tuple, Value};
+use prefsql_types::{Error, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -90,7 +90,8 @@ enum Held<'a> {
     /// The stream is exhausted.
     End,
     /// Rows lent from a buffer the producer keeps; `sel`, when present,
-    /// lists (ascending) the indices of `rows` the batch consists of, and
+    /// lists in order the indices of `rows` the batch consists of
+    /// (ascending, but for a gather by row id, [`Batch::gather`]), and
     /// `ids` the row ids of `rows` (all of them, not just the selected).
     Lent {
         rows: &'a [Tuple],
@@ -154,6 +155,22 @@ impl<'a> Batch<'a> {
                 Some(RowIds::Position) => Ids::From(start),
                 Some(RowIds::Listed(ids)) => Ids::Listed(&ids[start..end]),
             },
+        })
+    }
+
+    /// Lend the next run of up to `max` of the rows `ids` lists, in the
+    /// order listed, advancing the cursor `pos` over `ids`: a mem table's
+    /// rows by row id, which the batch carries along. No row is copied.
+    pub fn gather(rows: &'a [Tuple], ids: &'a [usize], pos: &mut usize, max: usize) -> Self {
+        if *pos >= ids.len() {
+            return Batch::end();
+        }
+        let (start, end) = (*pos, pos.saturating_add(max).min(ids.len()));
+        *pos = end;
+        Batch(Held::Lent {
+            rows,
+            sel: Some(&ids[start..end]),
+            ids: Ids::From(0),
         })
     }
 
@@ -319,12 +336,18 @@ fn build_plain<'a>(
             ctx,
             spec,
         )),
-        PlanNode::MatViewScan { table, winners, .. } => {
-            Box::new(RowIdScanOp::new(ctx, table, winners, false))
-        }
-        PlanNode::IndexScan { table, row_ids, .. } => {
-            Box::new(RowIdScanOp::new(ctx, table, row_ids, true))
-        }
+        PlanNode::MatViewScan {
+            table,
+            winners,
+            mask,
+            ..
+        } => Box::new(RowIdScanOp::new(ctx, table, winners, false, mask)),
+        PlanNode::IndexScan {
+            table,
+            row_ids,
+            mask,
+            ..
+        } => Box::new(RowIdScanOp::new(ctx, table, row_ids, true, mask)),
         PlanNode::Materialize {
             cache_key,
             input,
@@ -627,28 +650,45 @@ impl Operator for SeqScanOp<'_> {
     }
 }
 
-/// Row-id scan: fetch the row ids chosen at plan time from a table and
-/// lend them — an index probe's candidates (the parent filter re-checks
-/// the full predicate, so the probe is purely an optimization) or a
-/// materialized preference view's winners (whose score rows mirror the base
-/// table's row ids). The fetched rows count as scanned; only an index
-/// probe counts toward `index_probes`. The rows are lent with their ids.
+/// Row-id scan: the rows of a table whose ids were chosen at plan time,
+/// in the order listed — an index probe's candidates (the parent filter
+/// re-checks the full predicate, so the probe is purely an optimization)
+/// or a materialized preference view's winners (whose score rows mirror
+/// the base table's row ids). The mem backend's rows are lent where they
+/// lie, through a selection over the ids ([`Batch::gather`]): no row is
+/// copied. The paged backend fetches each row at open, decoding only the
+/// columns of the plan's mask, and lends those. The rows count as
+/// scanned; only an index probe counts toward `index_probes`. Either way
+/// the rows are lent with their ids.
 struct RowIdScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     table: &'a str,
     row_ids: &'a [usize],
     probe: bool,
+    /// Paged backend: the columns a fetch decodes (all when `None`).
+    mask: Option<&'a [bool]>,
+    /// Mem backend: the table's rows, lent by id.
+    lent: Option<&'a [Tuple]>,
+    /// Paged backend: the fetched rows.
     rows: Vec<Tuple>,
     pos: usize,
 }
 
 impl<'a> RowIdScanOp<'a> {
-    fn new(ctx: &'a ExecCtx<'a>, table: &'a str, row_ids: &'a [usize], probe: bool) -> Self {
+    fn new(
+        ctx: &'a ExecCtx<'a>,
+        table: &'a str,
+        row_ids: &'a [usize],
+        probe: bool,
+        mask: &'a Option<Vec<bool>>,
+    ) -> Self {
         RowIdScanOp {
             ctx,
             table,
             row_ids,
             probe,
+            mask: mask.as_deref(),
+            lent: None,
             rows: Vec::new(),
             pos: 0,
         }
@@ -663,20 +703,35 @@ impl Operator for RowIdScanOp<'_> {
         stats.index_probes += u64::from(self.probe);
         stats.rows_scanned += self.row_ids.len() as u64;
         drop(stats);
-        self.rows = self
-            .row_ids
-            .iter()
-            .map(|&rid| table.fetch_row(rid))
-            .collect::<Result<_>>()?;
+        match table.mem_rows() {
+            Some(rows) => {
+                if let Some(rid) = self.row_ids.iter().find(|&&rid| rid >= rows.len()) {
+                    return Err(Error::Io(format!("row {rid} out of bounds")));
+                }
+                self.lent = Some(rows);
+            }
+            None => {
+                self.lent = None;
+                self.rows = (self.row_ids.iter())
+                    .map(|&rid| table.fetch_row(rid, self.mask))
+                    .collect::<Result<_>>()?;
+            }
+        }
         Ok(())
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
-        let ids = RowIds::Listed(self.row_ids);
-        Ok(Batch::lend_ids(&self.rows, ids, &mut self.pos, max))
+        Ok(match self.lent {
+            Some(rows) => Batch::gather(rows, self.row_ids, &mut self.pos, max),
+            None => {
+                let ids = RowIds::Listed(self.row_ids);
+                Batch::lend_ids(&self.rows, ids, &mut self.pos, max)
+            }
+        })
     }
 
     fn close(&mut self) {
+        self.lent = None;
         self.rows = Vec::new();
     }
 }

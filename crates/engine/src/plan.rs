@@ -1,12 +1,16 @@
 //! The logical plan: a query block compiled into an operator tree.
 //!
-//! [`plan_query`] turns a parsed [`Query`] into a [`PlanNode`] tree exactly
+//! `plan_query` turns a parsed [`Query`] into a [`PlanNode`] tree exactly
 //! once per statement, absorbing all plan-time decisions — access-path
 //! selection ([`choose_access_path`]), view expansion, ORDER BY keys
 //! resolved against the select list, projection/aggregate output
 //! schemas. The tree is the single source of truth for execution:
 //! `EXPLAIN` renders it and the physical operators of [`crate::physical`]
-//! run it, so the two can never drift apart.
+//! run it, so the two can never drift apart. Once a statement's tree is
+//! finished, sub-query plans included, `plan_statement` runs the pruning
+//! pass (`crate::prune`) over it: derived tables, view bodies and join
+//! builds shrink to the columns their consumers read, and every scan
+//! decodes only those.
 //!
 //! Every block's select list is expanded by `projection_plan`, the one
 //! place the `prefsql_*` columns are hidden: a wildcard never expands a
@@ -29,12 +33,11 @@
 //! are the targets — one access-path decision for every statement.
 
 use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
-use crate::bind::{
-    bind, bind_aggregate, bind_over, bind_shown, columns_read, AggCall, Bound, BoundExpr,
-};
+use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggCall, Bound, BoundExpr};
 use crate::exec::ExecCtx;
 use crate::explain::children;
 use crate::preference::{PrefSpec, QualityCol};
+use crate::prune::prune;
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_rewrite::levels::{
     check_aliases, check_quality, default_quality_alias, quality_call, uses_quality, GEN_PREFIX,
@@ -45,7 +48,7 @@ use prefsql_types::{Column, DataType, Error, Result, Schema};
 /// One compiled query block, ready for execution and EXPLAIN.
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
-    root: PlanNode,
+    pub(crate) root: PlanNode,
 }
 
 impl QueryPlan {
@@ -111,10 +114,10 @@ pub enum PlanNode {
         /// (empty unless it is the block's only FROM item and sargs are
         /// on, [`crate::EngineCore::set_use_indexes`]).
         sargs: Vec<Sarg>,
-        /// The columns a paged scan decodes; the others read as `NULL`.
-        /// `None` (all of them) except at the bottom of a rid-mode
-        /// preference's source ([`PrefSpec::rid_table`]), which reads no
-        /// other column and fetches its winners whole. EXPLAIN omits it.
+        /// The columns a paged scan decodes; the others read as `NULL`
+        /// (`None`: all of them). Set by the pruning pass
+        /// (`crate::prune`) to the columns some node above reads, at
+        /// any depth. EXPLAIN omits it.
         mask: Option<Vec<bool>>,
         /// Output schema (table schema re-qualified).
         schema: Schema,
@@ -136,6 +139,8 @@ pub enum PlanNode {
         /// defines (EXPLAIN tags it `[view=… hit]`), rather than reading
         /// the view by name.
         serves: bool,
+        /// The columns a paged fetch decodes, as [`PlanNode::SeqScan`]'s.
+        mask: Option<Vec<bool>>,
         /// Output schema (base-table schema under the view's qualifier).
         schema: Schema,
     },
@@ -151,6 +156,8 @@ pub enum PlanNode {
         row_ids: Vec<usize>,
         /// Human-readable probe description (for EXPLAIN).
         describe: String,
+        /// The columns a paged fetch decodes, as [`PlanNode::SeqScan`]'s.
+        mask: Option<Vec<bool>>,
         /// Output schema (table schema re-qualified).
         schema: Schema,
     },
@@ -341,10 +348,19 @@ impl PlanNode {
     }
 }
 
+/// Plan a statement's query — a SELECT, an INSERT's source, a view body
+/// checked at CREATE — and narrow the finished tree, its sub-queries'
+/// plans included, to the columns it reads ([`prune`]).
+pub(crate) fn plan_statement(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
+    let mut plan = plan_query(ctx, query)?;
+    prune(&mut plan.root, true)?;
+    Ok(plan)
+}
+
 /// Compile one FROM-level query block — a statement's own, a derived
 /// table, a view body — into a plan tree; a block with `PREFERRING`
 /// plans its BMO (`plan_preference`).
-pub fn plan_query(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
+fn plan_query(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
     match &query.preferring {
         Some(pref) => plan_preference(ctx, query, pref),
         None => plan_query_in(ctx, query, &[]),
@@ -510,10 +526,10 @@ type ExistsJoin = (PlanNode, Vec<(Bound, Bound)>, Option<Bound>);
 /// holding a sub-query, whose reads that walk cannot see, is always
 /// residual.
 ///
-/// The build keeps only the right columns its keys and residual read
-/// (all of them when the residual holds a sub-query), so the right rows
-/// are never copied whole; the bound residual and keys are renumbered,
-/// not re-bound.
+/// The right input is topped by a [`PlanNode::Project`] of its columns:
+/// the build's row, which the pruning pass (`crate::prune`) narrows to
+/// the columns the keys and residual read (all of them when the residual
+/// holds a sub-query), renumbering both.
 fn exists_join(
     ctx: &ExecCtx<'_>,
     sub: &Query,
@@ -591,37 +607,16 @@ fn exists_join(
             pred,
         };
     }
-    let mut residual = conjoin(rest);
+    let residual = conjoin(rest);
 
-    // Narrow the build to the right columns its keys and residual read,
-    // renumbering their depth-0 reads.
-    let mut kept = vec![false; right.schema().len()];
-    for e in keys.iter().map(|k| &k.1).chain(&residual) {
-        match e.expr.reads() {
-            Some(reads) => reads.own_columns.into_iter().for_each(|o| kept[o] = true),
-            None => kept.fill(true),
-        }
-    }
-    if kept.contains(&false) {
-        let ords: Vec<usize> = (0..kept.len()).filter(|&i| kept[i]).collect();
-        let mut renumber = vec![0; kept.len()];
-        for (new, &old) in ords.iter().enumerate() {
-            renumber[old] = new;
-        }
-        for e in keys.iter_mut().map(|k| &mut k.1).chain(&mut residual) {
-            e.expr.visit_mut(&mut |x| {
-                if let BoundExpr::Column { depth: 0, ordinal } = x {
-                    *ordinal = renumber[*ordinal];
-                }
-            });
-        }
-        let columns = ords.iter().map(|&i| right.schema().column(i).clone());
-        right = PlanNode::Project {
-            schema: Schema::new(columns.collect())?,
-            projections: ords.into_iter().map(Projection::Passthrough).collect(),
-            input: Box::new(right),
-        };
-    }
+    // The build's row: the right columns, which the pruning pass narrows
+    // to those the keys and residual read.
+    let schema = right.schema().clone();
+    let right = PlanNode::Project {
+        projections: (0..schema.len()).map(Projection::Passthrough).collect(),
+        schema,
+        input: Box::new(right),
+    };
     // A left key is evaluated over the left row itself, one frame in.
     for (l, _) in &mut keys {
         l.expr.visit_mut(&mut |x| {
@@ -656,7 +651,7 @@ fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
 fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<QueryPlan> {
     check_aliases(&query.select)?;
     let compiled = compile_preference(pref)?;
-    let mut source = plan_source(ctx, query, &[])?;
+    let source = plan_source(ctx, query, &[])?;
 
     // The outer block, quality calls lowered to generated columns.
     let mut quality = Vec::new();
@@ -721,6 +716,7 @@ fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<
                 table: def.base_table.clone(),
                 winners: def.state.winners().to_vec(),
                 serves: true,
+                mask: None,
                 schema: def.schema.clone(),
             }
         }
@@ -748,8 +744,9 @@ fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<
                 knobs: ctx.knobs(),
                 view,
                 rid_table: None,
+                rid_mask: None,
             };
-            spec.rid_table = rid_mode(&mut source, &spec);
+            spec.rid_table = rid_mode(&source, &spec);
             let mut columns = source.schema().columns().to_vec();
             columns.extend(appended);
             PlanNode::Preference {
@@ -778,13 +775,14 @@ fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<
 ///   they are a large share of the candidates (a skyline's share falls
 ///   as its input grows), so copying the few candidate rows costs less.
 ///
-/// A sequential scan then decodes only the columns the filters, slots
-/// and `GROUPING` keys read ([`mask_scan`]).
-fn rid_mode(source: &mut PlanNode, spec: &PrefSpec) -> Option<String> {
+/// The pruning pass (`crate::prune`) then has the scan decode only the
+/// columns the filters, slots and `GROUPING` keys read, and the winner
+/// fetch only those read above the preference.
+fn rid_mode(source: &PlanNode, spec: &PrefSpec) -> Option<String> {
     if spec.but_only.is_some() || spec.external_budget().is_some() {
         return None;
     }
-    let mut scan = &*source;
+    let mut scan = source;
     while let PlanNode::Filter { input, .. } = scan {
         scan = input;
     }
@@ -796,30 +794,16 @@ fn rid_mode(source: &mut PlanNode, spec: &PrefSpec) -> Option<String> {
     if rows <= spec.knobs.batch.unwrap_or(1) {
         return None;
     }
-    let table = table.clone();
-    mask_scan(source, spec.slots.iter().chain(&spec.groups).collect());
-    Some(table)
-}
-
-/// Let the sequential scan under `node`'s chain of filters decode only
-/// the columns the filters and `reads` read ([`columns_read`]): its
-/// consumer fetches the rows it keeps by row id.
-fn mask_scan<'a>(node: &'a mut PlanNode, mut reads: Vec<&'a BoundExpr>) {
-    match node {
-        PlanNode::Filter { input, pred } => {
-            reads.push(&pred.expr);
-            mask_scan(input, reads);
-        }
-        PlanNode::SeqScan { mask, schema, .. } => *mask = columns_read(reads, schema.len()),
-        _ => {}
-    }
+    Some(table.clone())
 }
 
 /// Plan how UPDATE or DELETE reaches the rows of base table `table` its
 /// WHERE `pred` selects: a SELECT's access path (an index probe, or a
-/// scan skipping the pages the sargs rule out, masked to the columns
-/// `pred` reads) under one filter of the whole bound predicate, whose
-/// lent row ids ([`crate::physical::Batch::row_ids`]) are the targets.
+/// scan skipping the pages the sargs rule out) under one filter of the
+/// whole bound predicate, whose lent row ids
+/// ([`crate::physical::Batch::row_ids`]) are the targets. No column of
+/// the root is read, so the pruning pass masks the scan to the columns
+/// `pred` reads.
 pub(crate) fn plan_target(ctx: &ExecCtx<'_>, table: &str, pred: &Expr) -> Result<QueryPlan> {
     // A view's name is no target: fail as the catalog does.
     ctx.catalog().table(table)?;
@@ -828,7 +812,7 @@ pub(crate) fn plan_target(ctx: &ExecCtx<'_>, table: &str, pred: &Expr) -> Result
         pred: bind_shown(ctx, pred, scan.schema(), &[])?,
         input: Box::new(scan),
     };
-    mask_scan(&mut root, Vec::new());
+    prune(&mut root, false)?;
     Ok(QueryPlan { root })
 }
 
@@ -1321,6 +1305,7 @@ fn plan_named(
             table: mv.base_table.clone(),
             winners: mv.state.winners().to_vec(),
             serves: false,
+            mask: None,
             schema: mv.schema.clone(),
         };
         let project = PlanNode::Project {
@@ -1360,6 +1345,7 @@ fn plan_named(
             qualifier: qual,
             row_ids,
             describe,
+            mask: None,
             schema,
         },
     })

@@ -3,7 +3,7 @@
 //! (§3.3).
 //!
 //! [`PlanNode::Preference`](crate::plan::PlanNode::Preference) is planned
-//! for every FROM-level `PREFERRING` block by [`crate::plan::plan_query`],
+//! for every FROM-level `PREFERRING` block by `crate::plan::plan_query`,
 //! built here (only) through [`crate::physical::build`], and rendered by
 //! [`crate::explain`] like every other node. The operator is a pipeline breaker: it drains the
 //! FROM/WHERE source, representing each row once as it arrives — one
@@ -29,10 +29,12 @@
 //!   there is no `BUT ONLY` and no window budget (the planner's
 //!   `rid_mode` says why). The scan lends its rows with their row ids
 //!   ([`Batch::row_ids`]), the operator keeps only the ids, and the few
-//!   winners are fetched whole by id, in winner order, through
+//!   winners are fetched by id, in winner order, through
 //!   [`Table::fetch_row`] — not charged to `rows_scanned` again. Nothing
-//!   reads a candidate's other columns, so the planner has the sequential
-//!   scan decode only what the filters, slots and `GROUPING` keys read.
+//!   reads a candidate's other columns, so the pruning pass has the
+//!   sequential scan decode only what the filters, slots and `GROUPING`
+//!   keys read, and the winner fetch only what the plan above reads
+//!   ([`PrefSpec::rid_mask`]).
 //! * **The row path** — every other source (a join, a derived table or
 //!   view, a semi/anti join, a source of one pull), `BUT ONLY`, whose
 //!   threshold reads the source row, or a window budget, whose spill
@@ -84,6 +86,9 @@ pub struct PrefSpec {
     /// then keeps a candidate as its row id and cells and fetches only
     /// the winners; `None` keeps the candidates' rows (the row path).
     pub rid_table: Option<String>,
+    /// Rid mode: the columns a winner fetch decodes (all when `None`),
+    /// set by the pruning pass to those the plan above reads.
+    pub rid_mask: Option<Vec<bool>>,
 }
 
 impl PrefSpec {
@@ -145,6 +150,10 @@ pub(crate) struct PreferenceOp<'a> {
     lower: Duration,
 }
 
+/// Rid mode's winner fetch: the base table the candidates' row ids name,
+/// and the columns to decode ([`PrefSpec::rid_mask`]).
+type Fetch<'a> = (&'a Table, Option<&'a [bool]>);
+
 /// What the operator keeps of a candidate until the selection is made:
 /// its source row on the row path ([`Tuple`]), its row id in rid mode
 /// (`usize`). Either travels beside its cells.
@@ -153,8 +162,8 @@ trait Candidate: Sized {
     fn take(batch: Batch<'_>, out: &mut Vec<Self>) -> Result<()>;
     /// Does the candidate pass the `BUT ONLY` threshold?
     fn passes(&self, op: &PreferenceOp<'_>, cells: &[f64], best: &[Option<f64>]) -> Result<bool>;
-    /// The candidate's source row; `table` is the rid-mode base table.
-    fn into_row(self, table: Option<&Table>) -> Result<Tuple>;
+    /// The candidate's source row; `fetch` is the rid-mode winner fetch.
+    fn into_row(self, fetch: Option<Fetch<'_>>) -> Result<Tuple>;
 }
 
 impl Candidate for Tuple {
@@ -167,7 +176,7 @@ impl Candidate for Tuple {
         op.passes_but_only(self, cells, best)
     }
 
-    fn into_row(self, _: Option<&Table>) -> Result<Tuple> {
+    fn into_row(self, _: Option<Fetch<'_>>) -> Result<Tuple> {
         Ok(self)
     }
 }
@@ -186,9 +195,10 @@ impl Candidate for usize {
         Ok(true)
     }
 
-    fn into_row(self, table: Option<&Table>) -> Result<Tuple> {
-        let table = table.ok_or_else(|| Error::Exec("rid-mode winner without a table".into()))?;
-        table.fetch_row(self)
+    fn into_row(self, fetch: Option<Fetch<'_>>) -> Result<Tuple> {
+        let (table, mask) =
+            fetch.ok_or_else(|| Error::Exec("rid-mode winner without a table".into()))?;
+        table.fetch_row(self, mask)
     }
 }
 
@@ -235,14 +245,14 @@ impl<'a> PreferenceOp<'a> {
         &self.spec.compiled.preference
     }
 
-    /// The base table of rid mode, whose rows the candidates' ids name.
-    fn rid_table(&self) -> Result<Option<&'a Table>> {
-        let catalog = self.ctx.catalog();
-        self.spec
-            .rid_table
-            .as_ref()
-            .map(|t| catalog.table(t))
-            .transpose()
+    /// Rid mode's winner fetch, from the base table whose rows the
+    /// candidates' ids name.
+    fn rid_fetch(&self) -> Result<Option<Fetch<'a>>> {
+        let Some(table) = &self.spec.rid_table else {
+            return Ok(None);
+        };
+        let mask = self.spec.rid_mask.as_deref();
+        Ok(Some((self.ctx.catalog().table(table)?, mask)))
     }
 
     /// The quality-column values of a row whose lowered slots are `cells`.
@@ -269,9 +279,9 @@ impl<'a> PreferenceOp<'a> {
         winners: impl Iterator<Item = (C, Cells)>,
         best: &[Option<f64>],
     ) -> Result<()> {
-        let table = self.rid_table()?;
+        let fetch = self.rid_fetch()?;
         let winners = winners.map(|(winner, cells)| {
-            let row = winner.into_row(table)?;
+            let row = winner.into_row(fetch)?;
             if self.spec.quality.is_empty() {
                 return Ok(row);
             }
@@ -359,7 +369,7 @@ impl<'a> PreferenceOp<'a> {
         let mut best = vec![None; arity];
         let (mut buffered, mut buffered_bytes) = (Vec::new(), 0);
         let mut sink: Option<Sink<'_>> = None;
-        let table = self.rid_table()?;
+        let fetch = self.rid_fetch()?;
         let pull = spec.knobs.batch.unwrap_or(1).max(1);
         loop {
             let pulled = self.input.next_batch(pull)?;
@@ -394,7 +404,7 @@ impl<'a> PreferenceOp<'a> {
             match (&mut sink, budget) {
                 (Some(sink), _) => {
                     for (i, candidate) in (first..).zip(scratch.drain(..)) {
-                        sink.push(candidate.into_row(table)?, matrix.row(i))?;
+                        sink.push(candidate.into_row(fetch)?, matrix.row(i))?;
                     }
                 }
                 (None, Some(budget)) if buffered_bytes > budget => {
@@ -403,7 +413,7 @@ impl<'a> PreferenceOp<'a> {
                     let engaged = sink.insert(self.engage(budget)?);
                     let candidates = buffered.drain(..).chain(scratch.drain(..));
                     for (j, candidate) in candidates.enumerate() {
-                        engaged.push(candidate.into_row(table)?, matrix.row(j))?;
+                        engaged.push(candidate.into_row(fetch)?, matrix.row(j))?;
                     }
                 }
                 (None, _) => buffered.append(&mut scratch),

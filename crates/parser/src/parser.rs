@@ -60,11 +60,27 @@ pub fn parse_expression(sql: &str) -> Result<Expr> {
 /// 2 MiB thread stack while being far beyond any real query.
 const MAX_DEPTH: u32 = 48;
 
+/// Maximum binary operators (`AND`, `OR`, `+ - * /`) in one expression,
+/// counted from its outermost start through everything nested in it.
+/// The parser builds a chain of them iteratively, but the tree is as deep
+/// as the chain is long, and the binder, the rewriter, the evaluator and
+/// `Drop` all recurse over it. Measured on a 2 MiB thread (what
+/// `thread::spawn` gives the server's workers): a release build aborts
+/// with a stack overflow between 2 500 and 3 000 chained conjuncts, in
+/// every shape tried (WHERE, select list, `CASE`, derived table, either
+/// mode). 1 000 leaves a margin of 2.5 there. A debug build's frames are
+/// larger: it overflows near 350.
+const MAX_CHAIN: u32 = 1_000;
+
 /// The recursive-descent parser.
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     depth: u32,
+    /// Expressions being parsed, nested in each other.
+    open: u32,
+    /// Binary operators since the outermost of them began ([`MAX_CHAIN`]).
+    links: u32,
 }
 
 impl Parser {
@@ -74,6 +90,8 @@ impl Parser {
             tokens,
             pos: 0,
             depth: 0,
+            open: 0,
+            links: 0,
         }
     }
 
@@ -89,6 +107,17 @@ impl Parser {
 
     fn leave(&mut self) {
         self.depth -= 1;
+    }
+
+    /// Count one more binary operator of the expression being parsed.
+    fn link(&mut self) -> Result<()> {
+        self.links += 1;
+        if self.links > MAX_CHAIN {
+            return Err(Error::Parse(format!(
+                "expression with more than {MAX_CHAIN} chained operators"
+            )));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> &TokenKind {
@@ -615,8 +644,13 @@ impl Parser {
 
     /// Parse a scalar expression.
     pub fn expr(&mut self) -> Result<Expr> {
+        if self.open == 0 {
+            self.links = 0;
+        }
         self.enter()?;
+        self.open += 1;
         let r = self.or_expr();
+        self.open -= 1;
         self.leave();
         r
     }
@@ -624,6 +658,7 @@ impl Parser {
     fn or_expr(&mut self) -> Result<Expr> {
         let mut left = self.and_expr()?;
         while self.eat_kw(Keyword::Or) {
+            self.link()?;
             let right = self.and_expr()?;
             left = Expr::binary(left, BinaryOp::Or, right);
         }
@@ -633,6 +668,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr> {
         let mut left = self.not_expr()?;
         while self.eat_kw(Keyword::And) {
+            self.link()?;
             let right = self.not_expr()?;
             left = Expr::binary(left, BinaryOp::And, right);
         }
@@ -752,6 +788,7 @@ impl Parser {
                 _ => return Ok(left),
             };
             self.advance();
+            self.link()?;
             let right = self.multiplicative()?;
             left = Expr::binary(left, op, right);
         }
@@ -766,6 +803,7 @@ impl Parser {
                 _ => return Ok(left),
             };
             self.advance();
+            self.link()?;
             let right = self.unary()?;
             left = Expr::binary(left, op, right);
         }

@@ -115,6 +115,39 @@ fn nesting_depth_is_bounded_not_fatal() {
     assert!(parse_statement(&q).is_err());
 }
 
+/// A chain of binary operators parses iteratively, but its tree is as
+/// deep as it is long: the count is bounded per expression, counted from
+/// its outermost start through everything nested in it.
+#[test]
+fn operator_chains_are_bounded_not_fatal() {
+    let chain = |n: usize, op: &str| format!("SELECT id FROM t WHERE id = 1{}", op.repeat(n));
+    for op in [" AND id = 1", " OR id = 1", " + 1", " * 2"] {
+        assert!(parse_statement(&chain(1_000, op)).is_ok(), "{op}");
+        let err = parse_statement(&chain(1_001, op)).unwrap_err();
+        assert!(err.to_string().contains("chained operators"), "{err}");
+    }
+    // Nested parentheses and sub-queries count toward their outermost
+    // expression.
+    let nested = format!(
+        "SELECT id FROM t WHERE id = 1{} AND (id = 1{})",
+        " AND id = 1".repeat(600),
+        " OR id = 1".repeat(600)
+    );
+    assert!(parse_statement(&nested).is_err());
+    let sub = format!(
+        "SELECT id FROM t WHERE id = 1{} AND EXISTS (SELECT 1 FROM t WHERE id = 1{})",
+        " AND id = 1".repeat(600),
+        " OR id = 1".repeat(600)
+    );
+    assert!(parse_statement(&sub).is_err());
+    // Separate expressions each get the whole budget.
+    let items = format!(
+        "SELECT 1{c}, 1{c} FROM t WHERE id = 1{c}",
+        c = " + 1".repeat(900)
+    );
+    assert!(parse_statement(&items).is_ok());
+}
+
 #[test]
 fn huge_in_list_parses() {
     let values: Vec<String> = (0..2000).map(|i| i.to_string()).collect();

@@ -145,3 +145,40 @@ fn hostile_request_lines_are_refused_on_a_usable_connection() {
     assert_eq!(raw_reply(&mut reader), ["BYE"]);
     handle.stop().unwrap();
 }
+
+/// A statement of 5 000 chained conjuncts — 55 KB, far under
+/// `MAX_REQUEST_BYTES` — once overflowed a worker's stack, which aborts
+/// the whole server. It is answered `ERROR:` now, and the connection and
+/// the server go on serving.
+#[test]
+fn a_hostile_operator_chain_is_refused_and_the_server_keeps_serving() {
+    let server = Server::bind("127.0.0.1:0", loaded_core()).unwrap();
+    let handle = server.spawn().unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut greeting = String::new();
+    reader.read_line(&mut greeting).unwrap();
+
+    let hostile = format!(
+        "SELECT id FROM car WHERE id = 1{}\n",
+        " AND id = 1".repeat(5_000)
+    );
+    assert!(hostile.len() < MAX_REQUEST_BYTES);
+    writer.write_all(hostile.as_bytes()).unwrap();
+    let reply = raw_reply(&mut reader);
+    assert_eq!(reply.len(), 1, "{reply:?}");
+    assert!(reply[0].starts_with("ERROR: "), "{reply:?}");
+    assert!(reply[0].contains("chained operators"), "{reply:?}");
+
+    writer.write_all(b"SELECT COUNT(*) FROM car\n").unwrap();
+    assert_eq!(raw_reply(&mut reader).last().unwrap(), "OK 1 rows");
+    writer.write_all(b"\\q\n").unwrap();
+    assert_eq!(raw_reply(&mut reader), ["BYE"]);
+
+    // A fresh connection is served too.
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert!(client.request("SELECT COUNT(*) FROM car").unwrap().is_ok());
+    client.quit().unwrap();
+    handle.stop().unwrap();
+}

@@ -76,8 +76,9 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
     /// Number of stored rows (rids are dense `0..row_count`).
     fn row_count(&self) -> usize;
 
-    /// Fetch one row by rid.
-    fn fetch(&self, rid: usize) -> Result<Tuple>;
+    /// Fetch one row by rid. Columns whose `mask` entry is `false` need
+    /// not be decoded, as for [`StorageBackend::scan`].
+    fn fetch(&self, rid: usize, mask: Option<&[bool]>) -> Result<Tuple>;
 
     /// Refill `out` with up to `max` rows from rid `*pos` on, advancing
     /// `*pos` past them, and `rids` with their row ids. The buffer is
@@ -163,7 +164,7 @@ impl StorageBackend for MemBackend {
         self.rows.len()
     }
 
-    fn fetch(&self, rid: usize) -> Result<Tuple> {
+    fn fetch(&self, rid: usize, _mask: Option<&[bool]>) -> Result<Tuple> {
         self.rows
             .get(rid)
             .cloned()
@@ -506,13 +507,13 @@ impl StorageBackend for PagedBackend {
         self.dir.len()
     }
 
-    fn fetch(&self, rid: usize) -> Result<Tuple> {
+    fn fetch(&self, rid: usize, mask: Option<&[bool]>) -> Result<Tuple> {
         if rid >= self.dir.len() {
             return Err(Error::Io(format!("row {rid} out of bounds")));
         }
         let mut row = Tuple::default();
         self.for_each_encoded(rid, &mut PageFilter::default(), |_, bytes| {
-            codec::decode_slot(bytes, None, &mut row)?;
+            codec::decode_slot(bytes, mask, &mut row)?;
             Ok(false)
         })?;
         Ok(row)
@@ -712,7 +713,10 @@ mod tests {
             assert_eq!(mem.insert(row.clone()).unwrap(), paged.insert(row).unwrap());
         }
         assert_eq!(rows_of(&mem), rows_of(&paged));
-        assert_eq!(mem.fetch(123).unwrap(), paged.fetch(123).unwrap());
+        assert_eq!(
+            mem.fetch(123, None).unwrap(),
+            paged.fetch(123, None).unwrap()
+        );
         // Replace in place (same size class) and with growth.
         let small = tuple![1i64, "x", false];
         let big = tuple![1i64, "y".repeat(500), true];
@@ -783,7 +787,7 @@ mod tests {
         assert_eq!(reopened.row_count(), 199);
         assert_eq!(reopened.dead, 3, "open steps over the tombstones");
         assert_eq!(rows_of(&reopened), rows_of(&mem));
-        assert_eq!(reopened.fetch(198).unwrap(), tuple![201i64, "tail"]);
+        assert_eq!(reopened.fetch(198, None).unwrap(), tuple![201i64, "tail"]);
         // Deleting more than half the rows tips tombstones past the live
         // rows: the file is rewritten without them and shrinks.
         let pages_before = file.page_count().unwrap();
@@ -816,7 +820,7 @@ mod tests {
         assert_eq!(paged.delete(&[]).unwrap(), 0);
         assert_eq!(rows_of(&paged), rows_of(&mem));
         // Rids stay dense: the old rid 4 is rid 3 now.
-        assert_eq!(paged.fetch(3).unwrap(), tuple![4i64]);
+        assert_eq!(paged.fetch(3, None).unwrap(), tuple![4i64]);
     }
 
     #[test]
@@ -855,7 +859,7 @@ mod tests {
         assert_eq!(snapshot.row_count(), 1);
         assert_eq!(paged.row_count(), 2);
         // ...and still reads its row through the shared file.
-        assert_eq!(snapshot.fetch(0).unwrap(), tuple![1i64]);
+        assert_eq!(snapshot.fetch(0, None).unwrap(), tuple![1i64]);
     }
 
     /// A scan refills one buffer in place: every refill reports the rids

@@ -116,9 +116,11 @@ impl Table {
         self.len() == 0
     }
 
-    /// Fetch one row by id, whichever backend holds it.
-    pub fn fetch_row(&self, row_id: usize) -> Result<Tuple> {
-        self.backend.fetch(row_id)
+    /// Fetch one row by id, whichever backend holds it, decoding only
+    /// the columns `mask` selects (all when `None`) as
+    /// [`Table::scan_batch_where`] does.
+    pub fn fetch_row(&self, row_id: usize, mask: Option<&[bool]>) -> Result<Tuple> {
+        self.backend.fetch(row_id, mask)
     }
 
     /// Append up to `max` rows starting at rid `*pos` onto `out`,
@@ -517,7 +519,7 @@ mod tests {
         assert_eq!(t.backend_label(), "paged");
         assert!(t.mem_rows().is_none());
         assert_eq!(t.len(), 3);
-        assert_eq!(t.fetch_row(2).unwrap(), tuple![3, "vw", 20_000]);
+        assert_eq!(t.fetch_row(2, None).unwrap(), tuple![3, "vw", 20_000]);
         // Validation is backend-independent.
         assert!(t.insert(tuple!["bad", "x", 1]).is_err());
         // Index backfill scans pages; maintenance tracks inserts.
@@ -529,7 +531,7 @@ mod tests {
         // Delete compacts and reindexes.
         assert_eq!(t.delete_rows(&[1]).unwrap(), 1);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.fetch_row(1).unwrap()[1], Value::str("vw"));
+        assert_eq!(t.fetch_row(1, None).unwrap()[1], Value::str("vw"));
         let idx = t.find_hash_index(&[1]).unwrap();
         assert_eq!(idx.lookup(&[Value::str("vw")]), &[1]);
         // Replace in place, then scan everything in order.

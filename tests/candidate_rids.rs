@@ -9,14 +9,18 @@
 //! the row path (a drive pull larger than the table), and their plans must
 //! say rid mode; the row-path cases (`BUT ONLY`, a join, a derived table,
 //! a window budget, a source of one pull) must say the row path. Every
-//! plan is walked for the scan-mask invariant: only the scan at the bottom
-//! of a rid-mode preference's filter chain may decode fewer columns.
+//! plan is walked for the scan-mask invariant: a scan decodes at least
+//! the columns read above it, and the scan at the bottom of a rid-mode
+//! preference's filter chain exactly those its filters and slots read.
 
 use prefsql::{ExecutionMode, Session};
+use prefsql_engine::bind::{BoundExpr, LikeOperand};
 use prefsql_engine::physical::DEFAULT_BATCH;
-use prefsql_engine::{BackendKind, EngineCore, NativeOptions, PlanNode};
+use prefsql_engine::plan::{JoinKind, Projection};
+use prefsql_engine::{BackendKind, EngineCore, NativeOptions, PlanNode, QueryPlan};
 use prefsql_parser::ast::Statement;
 use prefsql_types::knobs::{DEFAULT_POOL_BYTES, MIN_POOL_BYTES};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Rows in `cars`: more than one default drive pull, so rid mode applies
@@ -129,7 +133,7 @@ fn rows(s: &mut Session, mode: ExecutionMode, sql: &str, ordered: bool) -> Vec<S
 /// mode, after checking the plan's scan masks.
 fn rid_mode(s: &Session, sql: &str) -> bool {
     let plan = planned(s, sql);
-    assert_masks_only_under_rid_mode(plan.root(), false);
+    assert_masks_cover_reads(plan.root());
     let mut node = Some(plan.root());
     while let Some(n) = node {
         if let PlanNode::Preference { spec, .. } = n {
@@ -148,28 +152,306 @@ fn planned(s: &Session, sql: &str) -> Arc<prefsql_engine::QueryPlan> {
     ctx.plan_for(&query).unwrap()
 }
 
-/// The mask invariant: a sequential scan decodes fewer columns only at
-/// the bottom of a chain of filters under a rid-mode preference
-/// (`rid_chain`: the node is in such a chain).
-fn assert_masks_only_under_rid_mode(node: &PlanNode, rid_chain: bool) {
-    let children: Vec<&PlanNode> = match node {
-        PlanNode::SeqScan { mask, table, .. } => {
-            assert!(
-                mask.is_none() || rid_chain,
-                "scan of {table} has a mask outside a rid-mode chain: {node:?}"
-            );
-            Vec::new()
+/// The mask invariant: every scan's mask — a sequential scan's, an index
+/// probe's, a view scan's, and a rid-mode preference's winner fetch —
+/// covers every column a node above it reads, at whatever depth the read
+/// comes from: a correlated sub-query's, a semi or anti join residual's
+/// left row, a `BUT ONLY` threshold's source row. A `Distinct` and the
+/// statement's root read every column. And the scan at the bottom of a
+/// rid-mode preference's filter chain decodes exactly what the filters,
+/// slots and `GROUPING` keys read, as it always has.
+fn assert_masks_cover_reads(root: &PlanNode) {
+    let mut masks = HashMap::new();
+    collect_masks(root, &mut masks);
+    check_reads(root, &[], true, &masks);
+}
+
+/// Where an output column comes from: column `c` of the scan (or rid-mode
+/// winner fetch) at plan address `s` — or nowhere, if it is computed.
+type Origin = Option<(usize, usize)>;
+
+fn addr(node: &PlanNode) -> usize {
+    node as *const PlanNode as usize
+}
+
+/// Every scan's mask, and every rid-mode preference's fetch mask, by
+/// node address, in every plan under `node` (sub-queries' included); and
+/// the exact mask check of each rid-mode chain.
+fn collect_masks(node: &PlanNode, masks: &mut HashMap<usize, Option<Vec<bool>>>) {
+    match node {
+        PlanNode::SeqScan { mask, .. }
+        | PlanNode::IndexScan { mask, .. }
+        | PlanNode::MatViewScan { mask, .. } => {
+            masks.insert(addr(node), mask.clone());
         }
+        PlanNode::Preference { input, spec, .. } if spec.rid_table.is_some() => {
+            masks.insert(addr(node), spec.rid_mask.clone());
+            let mut read: Vec<&BoundExpr> = spec.slots.iter().chain(&spec.groups).collect();
+            let mut scan = input.as_ref();
+            while let PlanNode::Filter { input, pred } = scan {
+                read.push(&pred.expr);
+                scan = input;
+            }
+            let width = scan.schema().len();
+            let mut expected = Some(vec![false; width]);
+            for e in read {
+                walk(e, &mut |x| match x {
+                    BoundExpr::Column { depth: 0, ordinal } => {
+                        if let Some(m) = expected.as_mut() {
+                            m[*ordinal] = true;
+                        }
+                    }
+                    BoundExpr::Exists { .. }
+                    | BoundExpr::InSubquery { .. }
+                    | BoundExpr::ScalarSubquery(_) => expected = None,
+                    _ => {}
+                });
+            }
+            let whole = |m: &Option<Vec<bool>>| m.clone().filter(|m| m.contains(&false));
+            let (PlanNode::SeqScan { mask, .. } | PlanNode::IndexScan { mask, .. }) = scan else {
+                panic!("a rid-mode chain ends in a scan: {scan:?}");
+            };
+            assert_eq!(
+                whole(mask),
+                whole(&expected),
+                "rid-mode scan mask: {scan:?}"
+            );
+        }
+        _ => {}
+    }
+    for_each_expr(node, &mut |e, _| {
+        walk(e, &mut |x| {
+            if let Some((plan, _)) = subplan(x) {
+                collect_masks(plan.root(), masks);
+            }
+        })
+    });
+    for child in children(node) {
+        collect_masks(child, masks);
+    }
+}
+
+/// The direct children of a plan node.
+fn children(node: &PlanNode) -> Vec<&PlanNode> {
+    match node {
         PlanNode::Join { left, right, .. } => vec![left, right],
         other => other.input().into_iter().collect(),
+    }
+}
+
+/// Where each output column of `node` comes from.
+fn origins(node: &PlanNode) -> Vec<Origin> {
+    let width = node.schema().len();
+    let own = |n: usize| (0..n).map(|c| Some((addr(node), c)));
+    match node {
+        PlanNode::SeqScan { .. } | PlanNode::IndexScan { .. } | PlanNode::MatViewScan { .. } => {
+            own(width).collect()
+        }
+        PlanNode::Project {
+            input, projections, ..
+        } => {
+            let from = origins(input);
+            let of = |p: &Projection| match p {
+                Projection::Passthrough(j) => from[*j],
+                Projection::Computed(_) => None,
+            };
+            projections.iter().map(of).collect()
+        }
+        PlanNode::Join {
+            kind, left, right, ..
+        } => {
+            let mut out = origins(left);
+            if *kind == JoinKind::Inner {
+                out.extend(origins(right));
+            }
+            out
+        }
+        PlanNode::Preference { input, spec, .. } if spec.rid_table.is_some() => {
+            let w = input.schema().len();
+            own(w).chain((w..width).map(|_| None)).collect()
+        }
+        PlanNode::Preference { input, .. } | PlanNode::Aggregate { input, .. } => {
+            let mut out = origins(input);
+            out.resize(width, None);
+            out
+        }
+        PlanNode::Nothing { .. } => Vec::new(),
+        other => origins(other.input().expect("a single-input node")),
+    }
+}
+
+/// Check every read under `node` against the masks. `scope` holds the
+/// origins of the enclosing rows, innermost first (a sub-query's outer
+/// rows); `whole` says whether `node`'s own consumer reads all of it.
+fn check_reads(
+    node: &PlanNode,
+    scope: &[Vec<Origin>],
+    whole: bool,
+    masks: &HashMap<usize, Option<Vec<bool>>>,
+) {
+    let covered = |origin: Origin, what: &dyn std::fmt::Debug| {
+        if let Some((at, c)) = origin {
+            if let Some(Some(mask)) = masks.get(&at) {
+                assert!(mask[c], "column {c} is read ({what:?}) but masked out");
+            }
+        }
     };
-    let chain = match node {
-        PlanNode::Preference { spec, .. } => spec.rid_table.is_some(),
-        PlanNode::Filter { .. } => rid_chain,
-        _ => false,
+    if whole || matches!(node, PlanNode::Distinct { .. }) {
+        let read = match node {
+            PlanNode::Distinct { input } => origins(input),
+            _ => origins(node),
+        };
+        read.into_iter().for_each(|o| covered(o, &"a whole row"));
+    }
+    // The frames an expression of `node` sees, innermost first.
+    let input = |n: &PlanNode| origins(n);
+    for_each_expr(node, &mut |e, frames_of| {
+        let mut frames: Vec<Vec<Origin>> = match (node, frames_of) {
+            (
+                PlanNode::Join {
+                    kind, left, right, ..
+                },
+                Frames::Residual,
+            ) => match kind {
+                JoinKind::Inner => {
+                    let mut both = input(left);
+                    both.extend(input(right));
+                    vec![both]
+                }
+                _ => vec![input(right), input(left)],
+            },
+            (PlanNode::Join { left, .. }, Frames::LeftKey) => vec![input(left)],
+            (PlanNode::Join { right, .. }, Frames::RightKey) => vec![input(right)],
+            (
+                PlanNode::Preference {
+                    input: i, schema, ..
+                },
+                Frames::ButOnly,
+            ) => {
+                let quality = schema.len() - i.schema().len();
+                vec![vec![None; quality], input(i)]
+            }
+            (other, _) => vec![other.input().map(input).unwrap_or_default()],
+        };
+        frames.extend_from_slice(scope);
+        walk(e, &mut |x| {
+            if let BoundExpr::Column { depth, ordinal } = x {
+                let origin = frames.get(*depth).and_then(|f| f.get(*ordinal)).copied();
+                covered(origin.flatten(), x);
+            }
+            if let Some((plan, whole)) = subplan(x) {
+                check_reads(plan.root(), &frames, whole, masks);
+            }
+        });
+    });
+    for child in children(node) {
+        check_reads(child, scope, false, masks);
+    }
+}
+
+/// Which frames an expression of a node is bound over.
+enum Frames {
+    /// The node's input row.
+    Input,
+    /// A join's combined row, or a semi/anti join's right then left row.
+    Residual,
+    LeftKey,
+    RightKey,
+    /// A preference's quality values, then its source row.
+    ButOnly,
+}
+
+/// Every expression a node holds (aggregate call arguments aside), with
+/// the frames it is bound over.
+fn for_each_expr(node: &PlanNode, f: &mut dyn FnMut(&BoundExpr, Frames)) {
+    match node {
+        PlanNode::Filter { pred, .. } => f(&pred.expr, Frames::Input),
+        PlanNode::Project { projections, .. } => {
+            for p in projections {
+                if let Projection::Computed(b) = p {
+                    f(&b.expr, Frames::Input);
+                }
+            }
+        }
+        PlanNode::Sort { keys, .. } => keys.iter().for_each(|k| f(&k.expr, Frames::Input)),
+        PlanNode::Join { keys, residual, .. } => {
+            for (l, r) in keys {
+                f(&l.expr, Frames::LeftKey);
+                f(&r.expr, Frames::RightKey);
+            }
+            if let Some(r) = residual {
+                f(&r.expr, Frames::Residual);
+            }
+        }
+        PlanNode::Preference { spec, .. } => {
+            for e in spec.slots.iter().chain(&spec.groups) {
+                f(e, Frames::Input);
+            }
+            if let Some(e) = &spec.but_only {
+                f(e, Frames::ButOnly);
+            }
+        }
+        PlanNode::Aggregate { spec, .. } => {
+            spec.group_by.iter().for_each(|e| f(e, Frames::Input));
+        }
+        _ => {}
+    }
+}
+
+/// The plan of a sub-query node, and whether its rows are read (all but
+/// a first-row `EXISTS` probe's).
+fn subplan(e: &BoundExpr) -> Option<(&QueryPlan, bool)> {
+    match e {
+        BoundExpr::Exists {
+            plan, first_row, ..
+        } => Some((plan, !*first_row)),
+        BoundExpr::InSubquery { plan, .. } | BoundExpr::ScalarSubquery(plan) => Some((plan, true)),
+        _ => None,
+    }
+}
+
+/// Call `f` on `e` and every sub-expression (not into sub-query plans).
+fn walk(e: &BoundExpr, f: &mut dyn FnMut(&BoundExpr)) {
+    f(e);
+    let kids: Vec<&BoundExpr> = match e {
+        BoundExpr::Literal(_)
+        | BoundExpr::Column { .. }
+        | BoundExpr::Exists { .. }
+        | BoundExpr::ScalarSubquery(_) => Vec::new(),
+        BoundExpr::Neg(a)
+        | BoundExpr::Not(a)
+        | BoundExpr::IsNull { expr: a, .. }
+        | BoundExpr::InSubquery { expr: a, .. } => vec![a],
+        BoundExpr::And(a, b)
+        | BoundExpr::Or(a, b)
+        | BoundExpr::Arith {
+            left: a, right: b, ..
+        }
+        | BoundExpr::Compare {
+            left: a, right: b, ..
+        } => vec![a, b],
+        BoundExpr::Between {
+            expr, low, high, ..
+        } => vec![expr, low, high],
+        BoundExpr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+        BoundExpr::Like { expr, pattern, .. } => match pattern {
+            LikeOperand::Dynamic(p) => vec![expr, p],
+            LikeOperand::Fixed(_) => vec![expr],
+        },
+        BoundExpr::Case {
+            operand,
+            branches,
+            else_result,
+        } => {
+            let mut kids: Vec<&BoundExpr> =
+                operand.iter().chain(else_result).map(|b| &**b).collect();
+            kids.extend(branches.iter().flat_map(|(w, t)| [w, t]));
+            kids
+        }
+        BoundExpr::Call { args, .. } => args.iter().collect(),
     };
-    for child in children {
-        assert_masks_only_under_rid_mode(child, chain);
+    for k in kids {
+        walk(k, f);
     }
 }
 
@@ -343,10 +625,10 @@ fn a_source_of_one_pull_keeps_the_row_path() {
     );
 }
 
-/// Plain SQL, sub-queries, views and every preference shape above: no
-/// plan but a rid-mode preference's carries a scan mask.
+/// Plain SQL, sub-queries, views and every preference shape above: every
+/// scan mask covers what the plan reads, and a rid-mode chain's is exact.
 #[test]
-fn scan_masks_appear_only_under_rid_mode() {
+fn scan_masks_cover_every_column_read_above() {
     for (_, core) in cores() {
         let mut s = loaded(core);
         run(
@@ -368,7 +650,7 @@ fn scan_masks_appear_only_under_rid_mode() {
              PREFERRING LOWEST(price)",
             "SELECT id FROM cars PREFERRING LOWEST(price) BUT ONLY TOP(price)",
         ] {
-            assert_masks_only_under_rid_mode(planned(&s, sql).root(), false);
+            assert_masks_cover_reads(planned(&s, sql).root());
         }
     }
 }
