@@ -22,13 +22,11 @@
 //! timing*: an ON expression that errors at evaluation may surface the
 //! error after a different number of emitted rows.
 //!
-//! Key equality is SQL equality restricted to the cases where it can
-//! hold: rows whose key contains NULL or NaN can never satisfy `=` and
-//! are dropped from both sides up front; `-0.0` is normalized to `0.0`
-//! (SQL-equal, but distinct under the total order backing
-//! [`Value::key_eq`]). After that, [`Value::key_eq`] coincides exactly
-//! with `sql_eq == TRUE` — including INT 1 matching FLOAT 1.0, whose
-//! shared hash the `prefsql-types` proptests pin.
+//! The build is keyed on [`Key`], the key contract of `prefsql-types`
+//! (`-0.0` equals `0.0`, INT 1 equals FLOAT 1.0, INT against FLOAT is
+//! exact). The join adds one rule of its own: a row whose key contains
+//! NULL or NaN can never satisfy `=` and is dropped from both sides up
+//! front. On the keys left, `Key` equality is exactly `sql_eq == TRUE`.
 //!
 //! When a keyed build outgrows the session window budget, both inputs
 //! are hash-partitioned into [`SpillManager`] runs with a depth-salted
@@ -83,12 +81,12 @@
 use crate::bind::{Bound, BoundExpr};
 use crate::eval::{eval, holds, Env};
 use crate::exec::ExecCtx;
-use crate::physical::{self, Batch, BoxOperator, Operator, RowKey, DEFAULT_BATCH};
+use crate::physical::{self, Batch, BoxOperator, Operator, DEFAULT_BATCH};
 use crate::plan::{JoinKind, PlanNode};
 use prefsql_storage::spill::{
     tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics, SpillRun,
 };
-use prefsql_types::{Result, Tuple, Value};
+use prefsql_types::{Key, Result, Tuple, Value};
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -112,29 +110,19 @@ const MAX_DEPTH: u32 = 2;
 
 // ----------------------------------------------------------- join keys
 
-/// The hash-table key over the evaluated key expressions of one row, or
-/// `None` when the row can never match: a NULL key field makes `=`
-/// UNKNOWN, a NaN field makes it FALSE (while both would compare equal to
-/// themselves under the total order). `-0.0` is folded to `0.0` so
-/// SQL-equal floats share a bucket. After this normalization
-/// [`RowKey`]'s equality matches SQL `=` exactly. A keyless join's key is
-/// the empty one, shared by every row.
-fn join_key(mut values: Vec<Value>) -> Option<RowKey> {
-    for v in &mut values {
-        match v {
-            Value::Null => return None,
-            Value::Float(f) if f.is_nan() => return None,
-            Value::Float(f) if *f == 0.0 => *f = 0.0,
-            _ => {}
-        }
-    }
-    Some(RowKey(values))
+/// The build key of one row's evaluated key expressions, or `None` when
+/// the row can never match: a NULL key field makes `=` UNKNOWN, a NaN
+/// field makes it FALSE (while both equal themselves as a [`Key`]). A
+/// keyless join's key is the empty one, shared by every row.
+fn join_key(values: Vec<Value>) -> Option<Key<'static>> {
+    let never = |v: &Value| v.is_null() || matches!(v, Value::Float(f) if f.is_nan());
+    (!values.iter().any(never)).then(|| Key::owned(values))
 }
 
 /// The Grace partition a key routes to at `depth`: a fresh salt per
 /// depth, so a re-partitioned pair actually redistributes instead of
 /// collapsing back into one bucket.
-fn partition_of(key: &RowKey, depth: u32) -> usize {
+fn partition_of(key: &Key<'_>, depth: u32) -> usize {
     let mut h = DefaultHasher::new();
     0x9e37_79b9_7f4a_7c15u64
         .wrapping_mul(u64::from(depth) + 1)
@@ -164,7 +152,7 @@ struct JoinCfg<'a> {
 
 impl JoinCfg<'_> {
     /// Evaluate one side's key expressions for one row.
-    fn key_of(&self, row: &Tuple, left_side: bool) -> Result<Option<RowKey>> {
+    fn key_of(&self, row: &Tuple, left_side: bool) -> Result<Option<Key<'static>>> {
         let env = Env::new(row, self.outer);
         let mut vals = Vec::with_capacity(self.keys.len());
         for (lk, rk) in self.keys {
@@ -190,7 +178,7 @@ impl JoinCfg<'_> {
 struct Build {
     rows: Vec<Tuple>,
     /// Key → bucket number.
-    index: HashMap<RowKey, usize>,
+    index: HashMap<Key<'static>, usize>,
     /// Row numbers per bucket, in arrival order.
     buckets: Vec<Vec<u32>>,
     /// The largest bucket's size: the most rows one left row can join.
@@ -1099,24 +1087,39 @@ mod tests {
 
     #[test]
     fn join_key_normalizes_sql_equality() {
+        // Keys SQL `=` calls equal are one build key and route to one
+        // Grace partition at every depth.
+        let same = |x: Value, y: Value| {
+            let (a, b) = (join_key(vec![x]).unwrap(), join_key(vec![y]).unwrap());
+            assert_eq!(a, b);
+            for depth in 0..MAX_DEPTH {
+                assert_eq!(partition_of(&a, depth), partition_of(&b, depth));
+            }
+            let index = HashMap::from([(a, 0usize)]);
+            assert_eq!(index.get(&b), Some(&0));
+        };
         // INT and FLOAT of equal value collide.
-        let a = join_key(vec![Value::Int(1)]).unwrap();
-        let b = join_key(vec![Value::Float(1.0)]).unwrap();
-        assert_eq!(a, b);
+        same(Value::Int(1), Value::Float(1.0));
         // -0.0 and 0.0 are SQL-equal and must share a key.
-        let n = join_key(vec![Value::Float(-0.0)]).unwrap();
-        let z = join_key(vec![Value::Int(0)]).unwrap();
-        assert_eq!(n, z);
-        // NULL and NaN keys can never satisfy `=`.
+        same(Value::Float(-0.0), Value::Int(0));
+        same(Value::Float(-0.0), Value::Float(0.0));
+        // INT against FLOAT is exact, also past 2^53 where `as f64` rounds.
+        let big = 1i64 << 53;
+        same(Value::Int(big), Value::Float(big as f64));
+        let (a, b) = (Value::Int(big + 1), Value::Float(big as f64));
+        assert_eq!(a.sql_eq(&b), Some(false));
+        assert_ne!(join_key(vec![a]), join_key(vec![b]));
+        // NULL and NaN keys can never satisfy `=`, in any field.
         assert!(join_key(vec![Value::Null]).is_none());
         assert!(join_key(vec![Value::Float(f64::NAN)]).is_none());
+        assert!(join_key(vec![Value::Int(1), Value::Float(-f64::NAN)]).is_none());
     }
 
     #[test]
     fn depth_salts_redistribute_partitions() {
         // Keys that collide at one depth must not all collide at the
         // next (otherwise re-partitioning a skewed pair is a no-op).
-        let keys: Vec<RowKey> = (0..64)
+        let keys: Vec<Key<'static>> = (0..64)
             .map(|i| join_key(vec![Value::Int(i)]).unwrap())
             .collect();
         let moved = keys
@@ -1124,5 +1127,35 @@ mod tests {
             .filter(|k| partition_of(k, 0) != partition_of(k, 1))
             .count();
         assert!(moved > 0, "depth salt must move at least some keys");
+    }
+
+    /// Grace routing is pinned: these keys go to these partitions at
+    /// depths 0 and 1, as they did under the join's earlier key type, so
+    /// a spilling join's runs and the spill counters stay put.
+    #[test]
+    fn grace_routing_is_pinned() {
+        use prefsql_types::Date;
+        let keys: [(Vec<Value>, [usize; 2]); 12] = [
+            (vec![Value::Int(0)], [5, 6]),
+            (vec![Value::Float(-0.0)], [5, 6]),
+            (vec![Value::Int(1)], [2, 4]),
+            (vec![Value::Float(1.0)], [2, 4]),
+            (vec![Value::Int(-7)], [7, 2]),
+            (vec![Value::Int(1 << 53)], [7, 6]),
+            (vec![Value::Float(2.5)], [6, 7]),
+            (vec![Value::Float(f64::INFINITY)], [0, 4]),
+            (vec![Value::str("audi")], [3, 7]),
+            (vec![Value::Date(Date::from_days(10_000))], [0, 6]),
+            (vec![Value::Bool(true)], [3, 4]),
+            (vec![Value::Int(1), Value::str("x")], [5, 6]),
+        ];
+        for (values, want) in keys {
+            let key = join_key(values).unwrap();
+            assert_eq!(
+                [partition_of(&key, 0), partition_of(&key, 1)],
+                want,
+                "{key:?}"
+            );
+        }
     }
 }

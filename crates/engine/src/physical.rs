@@ -9,7 +9,10 @@
 //! the semantics require it and nowhere else: the sort its rows, each
 //! cloned once; distinct its seen set; aggregation one row and one
 //! accumulator per call for each group; a view or derived table its
-//! per-statement materialization.
+//! per-statement materialization. The keyed ones — distinct's seen set,
+//! aggregation's group index and the join's build ([`crate::join`]) —
+//! key on [`prefsql_types::Key`], the one key contract, so they group
+//! and match exactly as SQL `=` does.
 //!
 //! There is one pull protocol. A [`Batch`] hides how its rows are held:
 //! buffered operators (scans, materializations, sort/BMO output) *lend*
@@ -42,10 +45,9 @@ use crate::exec::{ExecCtx, Relation};
 use crate::join::JoinOp;
 use crate::plan::{AggSpec, PlanNode, Projection, SortKey};
 use prefsql_storage::PageFilter;
-use prefsql_types::{Error, Result, Schema, Tuple, Value};
+use prefsql_types::{Error, Key, Result, Schema, Tuple, Value};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A Volcano-style physical operator: a pull-based cursor over batches
@@ -504,30 +506,6 @@ pub(crate) fn any_row(op: &mut (dyn Operator + '_)) -> Result<bool> {
     found
 }
 
-/// A hash key over the values of one row — a `DISTINCT` row, a
-/// `GROUP BY` key, a join key. Equality is [`Value::key_eq`] per field
-/// (NULLs are equal, INT 1 equals FLOAT 1.0); hashing uses [`Value`]'s
-/// `Hash`, consistent with `key_eq` by the type crate's proptest
-/// contract.
-#[derive(Debug, Clone)]
-pub(crate) struct RowKey(pub(crate) Vec<Value>);
-
-impl PartialEq for RowKey {
-    fn eq(&self, other: &RowKey) -> bool {
-        self.0.len() == other.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| a.key_eq(b))
-    }
-}
-
-impl Eq for RowKey {}
-
-impl Hash for RowKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in &self.0 {
-            v.hash(state);
-        }
-    }
-}
-
 // ------------------------------------------------------------- sources
 
 /// `SELECT` without `FROM`: one empty tuple.
@@ -905,7 +883,7 @@ impl Operator for SortOp<'_> {
 /// Duplicate elimination; first occurrence wins, input order preserved.
 struct DistinctOp<'a> {
     input: BoxOperator<'a>,
-    seen: HashSet<RowKey>,
+    seen: HashSet<Key<'static>>,
     /// Reused selection-vector scratch (first occurrences of a lent batch).
     sel: Vec<usize>,
 }
@@ -919,7 +897,8 @@ impl Operator for DistinctOp<'_> {
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         let seen = &mut self.seen;
         self.input.next_batch(max)?.retain(&mut self.sel, |t| {
-            Ok(seen.insert(RowKey(t.values().to_vec())))
+            let key = Key::borrowed(t.values());
+            Ok(!seen.contains(&key) && seen.insert(key.into_owned()))
         })
     }
 
@@ -989,7 +968,7 @@ impl Operator for AggregateOp<'_> {
         let calls = spec.calls.len();
         // Group `g`'s first row, and its accumulators at `g * calls..`.
         let (mut firsts, mut accs) = (Vec::new(), Vec::new());
-        let mut index: HashMap<RowKey, usize> = HashMap::new();
+        let mut index: HashMap<Key<'static>, usize> = HashMap::new();
         let mut key = Vec::new();
         let mut fold = |row: &Tuple| {
             let env = Env::new(row, outer);
@@ -997,13 +976,13 @@ impl Operator for AggregateOp<'_> {
             if !spec.group_by.is_empty() {
                 key.clear();
                 eval_row(&spec.group_by, env, ctx, &mut key)?;
-                let probe = RowKey(std::mem::take(&mut key));
+                let probe = Key::borrowed(&key);
                 g = match index.get(&probe) {
-                    Some(&g) => {
-                        key = probe.0;
-                        g
+                    Some(&g) => g,
+                    None => {
+                        index.insert(probe.into_owned(), firsts.len());
+                        firsts.len()
                     }
-                    None => *index.entry(probe).or_insert(firsts.len()),
                 };
             }
             if g == firsts.len() {

@@ -13,12 +13,13 @@
 //! slot — the rule guards for that). `BUT ONLY` thresholds are applied by
 //! the caller *before* the selection ("consider all other values within
 //! the quality threshold, but discard worse values on the fly" — §2.2.5).
+//! `GROUPING` partitions by [`Key`], the key contract of `prefsql-types`
+//! that `GROUP BY` uses too.
 
 use crate::algo::{select, SkylineAlgo};
 use crate::compose::Preference;
-use crate::score::{ByKey, ScoreMatrix};
-use prefsql_types::Value;
-use std::borrow::Cow;
+use crate::score::ScoreMatrix;
+use prefsql_types::{Key, Value};
 use std::collections::BTreeMap;
 
 /// Per-group BMO for the `GROUPING` clause: dominance is only tested
@@ -49,9 +50,10 @@ pub fn bmo_grouped(
 /// competing rows of `m`, `key_of(i)` the grouping key of row `i`. A
 /// group is an index subset of the one matrix, selected from like any
 /// other candidate set (`algo` and `threads` as in
-/// [`crate::maximal_scored`]); keys are equal when they are
-/// [`Value::key_eq`] field by field (`Int(5)` and `Float(5.0)` are the
-/// same group).
+/// [`crate::maximal_scored`]). Groups are [`Key`]s, the one key
+/// contract: SQL `=` with NULLs grouped together (`Int(5)` and
+/// `Float(5.0)` are one group, and so are `-0.0` and `0.0`), as in the
+/// rewrite.
 pub fn bmo_grouped_scored<'k>(
     m: &ScoreMatrix,
     pref: &Preference,
@@ -60,12 +62,9 @@ pub fn bmo_grouped_scored<'k>(
     algo: SkylineAlgo,
     threads: usize,
 ) -> Vec<usize> {
-    let mut groups: BTreeMap<ByKey<'k>, Vec<usize>> = BTreeMap::new();
+    let mut groups: BTreeMap<Key<'k>, Vec<usize>> = BTreeMap::new();
     for &i in ids {
-        groups
-            .entry(ByKey(Cow::Borrowed(key_of(i))))
-            .or_default()
-            .push(i);
+        groups.entry(Key::borrowed(key_of(i))).or_default().push(i);
     }
     let mut tests = 0;
     let mut out: Vec<usize> = groups

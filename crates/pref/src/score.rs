@@ -34,9 +34,10 @@
 //! every score without a branch, and two tagged cells are substitutable
 //! exactly when their bits are equal. Tag 0 is NULL, tags `1..=g` are the
 //! nodes of the slot's `EXPLICIT` graph, later tags are interned by
-//! [`Value::key_eq`]. A score that is itself NaN is stored as the one NaN
-//! bit pattern that is *not* a tag and equals nothing, itself included,
-//! as in SQL. `-0.0` is stored as `0.0`, so `f64::total_cmp` on cells
+//! [`prefsql_types::Key`], the one key contract (so `-0.0` and `0.0`, or
+//! INT 1 and FLOAT 1.0, share a tag). A score that is itself NaN is
+//! stored as the one NaN bit pattern that is *not* a tag and equals
+//! nothing, itself included, as in SQL. `-0.0` is stored as `0.0`, so `f64::total_cmp` on cells
 //! agrees with `<`/`==` on scores.
 //!
 //! Cells are only ever loaded, stored and compared, never fed to
@@ -45,9 +46,7 @@
 
 use crate::base::{BasePref, ExplicitGraph};
 use crate::compose::{PrefNode, Preference};
-use prefsql_types::Value;
-use std::borrow::Cow;
-use std::cmp::Ordering;
+use prefsql_types::{Key, Value};
 use std::collections::BTreeMap;
 
 /// Bits of the canonical NaN *score*; every other NaN cell is a tag.
@@ -307,37 +306,6 @@ fn graph_node(graph: &ExplicitGraph, cell: f64) -> Option<usize> {
     (1..=graph.len()).contains(&tag).then(|| tag - 1)
 }
 
-/// Slot values ordered by [`Value::total_cmp`], so that equality is
-/// exactly [`Value::key_eq`] per field (NULLs are equal, `Int(1)` equals
-/// `Float(1.0)`): the interning and `GROUPING` key.
-#[derive(Debug)]
-pub(crate) struct ByKey<'a>(pub(crate) Cow<'a, [Value]>);
-
-impl Ord for ByKey<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let (a, b) = (&self.0, &other.0);
-        a.iter()
-            .zip(b.iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| o.is_ne())
-            .unwrap_or_else(|| a.len().cmp(&b.len()))
-    }
-}
-
-impl PartialOrd for ByKey<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for ByKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for ByKey<'_> {}
-
 /// A candidate set lowered to cells: row-major, one row per candidate,
 /// one cell per base-preference slot. Build it once per query, then run
 /// [`crate::maximal_scored`] / [`crate::bmo_grouped_scored`] over index
@@ -350,7 +318,7 @@ pub struct ScoreMatrix {
     /// Tags handed to values with neither score nor graph node. One
     /// table for all slots: equal values under different slots may share
     /// a tag, cells are only ever compared within a slot.
-    interned: BTreeMap<ByKey<'static>, u32>,
+    interned: BTreeMap<Key<'static>, u32>,
 }
 
 impl ScoreMatrix {
@@ -387,12 +355,12 @@ impl ScoreMatrix {
         assert_eq!(slots.len(), self.arity, "one value per base preference");
         self.cells.extend(slots.enumerate().map(|(slot, v)| {
             pref.program().cell(pref.bases(), slot, v, |v| {
-                let key = ByKey(Cow::Borrowed(std::slice::from_ref(v)));
+                let key = Key::borrowed(std::slice::from_ref(v));
                 if let Some(&tag) = interned.get(&key) {
                     return tag;
                 }
                 let tag = interned.len() as u32;
-                interned.insert(ByKey(Cow::Owned(vec![v.clone()])), tag);
+                interned.insert(key.into_owned(), tag);
                 tag
             })
         }));

@@ -29,8 +29,7 @@
 //! **Page synopses.** The paged store keeps, for every slotted page and
 //! every column, the least and greatest value any row placed on the page
 //! has held (a zone map, [`crate::synopsis`]): NULL and NaN left out,
-//! `-0.0` recorded as `0.0`, `None` when the page never held a comparable
-//! value in that column. Insert, in-place replace and the compaction
+//! `None` when the page never held a comparable value in that column. Insert, in-place replace and the compaction
 //! rewrite widen it; nothing else changes it, so deletes and key-changing
 //! updates leave it loose but never wrong, and a rewrite — which places
 //! every survivor afresh — is the only narrowing. Jumbo chains have

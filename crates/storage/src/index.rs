@@ -7,14 +7,14 @@
 //! * [`BTreeIndex`] — ordered lookups and range scans
 //!   (`WHERE salary BETWEEN 40000 AND 60000`).
 //!
-//! Both map a key (one or more column values) to the row ids holding it.
-//! Keys are stored and looked up [canonical](Value::canonical), so the
-//! two zeros SQL calls equal are one key.
+//! Both map a [`Key`] (one or more column values) to the row ids holding
+//! it. `Key` is the one key contract of `prefsql-types`: its order is
+//! [`Value::total_cmp`], whose equality is SQL `=` (the two zeros are one
+//! key, INT 1 equals FLOAT 1.0), so a lookup finds what `=` finds and a
+//! range scan what `BETWEEN` does. A lookup borrows its probe values.
 
-use prefsql_types::{Tuple, Value};
-use std::cmp::Ordering;
+use prefsql_types::{Key, Tuple, Value};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 
 /// Which physical structure an index uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,51 +25,9 @@ pub enum IndexKind {
     BTree,
 }
 
-/// Key wrapper giving `Vec<Value>` the total order of
-/// [`Value::total_cmp`], so it can live in a `BTreeMap` — and the
-/// equality of that order ([`Value::key_eq`]: INT 1 equals FLOAT 1.0),
-/// so a hash lookup finds what SQL `=` finds. [`Value`]'s hash agrees
-/// with `key_eq`.
-#[derive(Debug, Clone)]
-pub struct IndexKey(pub Vec<Value>);
-
-impl IndexKey {
-    fn canonical<'v>(values: impl IntoIterator<Item = &'v Value>) -> IndexKey {
-        IndexKey(values.into_iter().cloned().map(Value::canonical).collect())
-    }
-}
-
-impl PartialEq for IndexKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for IndexKey {}
-
-impl Hash for IndexKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
-    }
-}
-
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let n = self.0.len().min(other.0.len());
-        for i in 0..n {
-            match self.0[i].total_cmp(&other.0[i]) {
-                Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        self.0.len().cmp(&other.0.len())
-    }
+/// The key of `row` over `columns`.
+fn key_of(columns: &[usize], row: &Tuple) -> Key<'static> {
+    Key::owned(columns.iter().map(|&i| row[i].clone()).collect())
 }
 
 /// Hash index on one or more columns.
@@ -77,7 +35,7 @@ impl Ord for IndexKey {
 pub struct HashIndex {
     /// Indices of the key columns within the table schema.
     key_columns: Vec<usize>,
-    map: HashMap<IndexKey, Vec<usize>>,
+    map: HashMap<Key<'static>, Vec<usize>>,
 }
 
 impl HashIndex {
@@ -94,19 +52,19 @@ impl HashIndex {
         &self.key_columns
     }
 
-    fn key_of(&self, row: &Tuple) -> IndexKey {
-        IndexKey::canonical(self.key_columns.iter().map(|&i| &row[i]))
-    }
-
     /// Index `row` stored at `row_id`.
     pub fn insert(&mut self, row_id: usize, row: &Tuple) {
-        self.map.entry(self.key_of(row)).or_default().push(row_id);
+        self.map
+            .entry(key_of(&self.key_columns, row))
+            .or_default()
+            .push(row_id);
     }
 
-    /// Row ids whose key equals `key`.
-    pub fn lookup(&self, key: &[Value]) -> &[usize] {
+    /// Row ids whose key equals `key`. The probe is borrowed, not
+    /// copied, so the answer lives no longer than it.
+    pub fn lookup<'a>(&'a self, key: &'a [Value]) -> &'a [usize] {
         self.map
-            .get(&IndexKey::canonical(key))
+            .get(&Key::borrowed(key))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -121,7 +79,7 @@ impl HashIndex {
 #[derive(Debug, Clone, Default)]
 pub struct BTreeIndex {
     key_columns: Vec<usize>,
-    map: BTreeMap<IndexKey, Vec<usize>>,
+    map: BTreeMap<Key<'static>, Vec<usize>>,
 }
 
 impl BTreeIndex {
@@ -138,19 +96,19 @@ impl BTreeIndex {
         &self.key_columns
     }
 
-    fn key_of(&self, row: &Tuple) -> IndexKey {
-        IndexKey::canonical(self.key_columns.iter().map(|&i| &row[i]))
-    }
-
     /// Index `row` stored at `row_id`.
     pub fn insert(&mut self, row_id: usize, row: &Tuple) {
-        self.map.entry(self.key_of(row)).or_default().push(row_id);
+        self.map
+            .entry(key_of(&self.key_columns, row))
+            .or_default()
+            .push(row_id);
     }
 
-    /// Row ids whose key equals `key`.
-    pub fn lookup(&self, key: &[Value]) -> &[usize] {
+    /// Row ids whose key equals `key`. The probe is borrowed, not
+    /// copied, so the answer lives no longer than it.
+    pub fn lookup<'a>(&'a self, key: &'a [Value]) -> &'a [usize] {
         self.map
-            .get(&IndexKey::canonical(key))
+            .get(&Key::borrowed(key))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
@@ -163,17 +121,16 @@ impl BTreeIndex {
     /// leading component falls inside the bounds all qualify.
     pub fn range(&self, low: Option<&Value>, high: Option<&Value>) -> Vec<usize> {
         use std::ops::Bound;
-        // IndexKey compares prefixes as smaller, so [v] is <= every key
-        // whose first component is v — a correct inclusive lower bound.
+        // A proper prefix sorts first, so [v] is <= every key whose first
+        // component is v — a correct inclusive lower bound.
         let lo = match low {
-            Some(v) => Bound::Included(IndexKey::canonical([v])),
+            Some(v) => Bound::Included(Key::borrowed(std::slice::from_ref(v))),
             None => Bound::Unbounded,
         };
-        let high = high.map(|h| h.clone().canonical());
         self.map
-            .range((lo, Bound::<IndexKey>::Unbounded))
-            .take_while(|(key, _)| match (&high, key.0.first()) {
-                (Some(h), Some(f)) => f.total_cmp(h) != Ordering::Greater,
+            .range((lo, Bound::Unbounded))
+            .take_while(|(key, _)| match (high, key.values().first()) {
+                (Some(h), Some(f)) => f.total_cmp(h).is_le(),
                 _ => true,
             })
             .flat_map(|(_, ids)| ids.iter().copied())
@@ -239,9 +196,9 @@ mod tests {
 
     #[test]
     fn index_key_ordering_is_lexicographic() {
-        let a = IndexKey(vec![Value::Int(1), Value::Int(2)]);
-        let b = IndexKey(vec![Value::Int(1), Value::Int(3)]);
-        let c = IndexKey(vec![Value::Int(1)]);
+        let a = Key::owned(vec![Value::Int(1), Value::Int(2)]);
+        let b = Key::owned(vec![Value::Int(1), Value::Int(3)]);
+        let c = Key::owned(vec![Value::Int(1)]);
         assert!(a < b);
         assert!(c < a); // prefix sorts first
     }

@@ -39,12 +39,11 @@ pub enum Sarg {
 impl Sarg {
     /// A literal compared with a column of type `ty`, as index keys and
     /// synopses hold that column's values: coerced where SQL coerces
-    /// implicitly (INT into FLOAT, a string into DATE), then
-    /// [`Value::canonical`]. A literal that does not coerce stays as it
-    /// is — the comparison then never holds, or holds numerically, the
-    /// same either way.
+    /// implicitly (INT into FLOAT, a string into DATE). A literal that
+    /// does not coerce stays as it is — the comparison then never holds,
+    /// or holds numerically, the same either way.
     pub fn literal(v: &Value, ty: DataType) -> Value {
-        v.coerce_to(ty).unwrap_or_else(|_| v.clone()).canonical()
+        v.coerce_to(ty).unwrap_or_else(|_| v.clone())
     }
 
     /// The column the conjunct constrains.
@@ -66,9 +65,8 @@ impl Sarg {
 
 /// Per column, the least and greatest comparable value any row placed on
 /// one heap page has held, under [`Value::total_cmp`] — `None` when no
-/// row has held one. NULL and NaN are left out, `-0.0` is recorded as
-/// `0.0` ([`Value::canonical`]). A synopsis only widens; see
-/// [`crate::backend`] for when.
+/// row has held one. NULL and NaN are left out. A synopsis only widens;
+/// see [`crate::backend`] for when.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Synopsis(Vec<Option<(Value, Value)>>);
 
@@ -85,7 +83,6 @@ impl Synopsis {
             if v.is_null() || matches!(v, Value::Float(f) if f.is_nan()) {
                 continue;
             }
-            let v = v.canonical();
             match bounds {
                 None => *bounds = Some((v.clone(), v)),
                 Some((min, max)) => {
@@ -104,13 +101,9 @@ impl Synopsis {
     /// Soundness: a row satisfies `col` in `[low, high]` only if
     /// `sql_cmp` finds its value comparable with both bounds, which rules
     /// out NULL and NaN — the values a synopsis leaves out, so a column
-    /// with no bounds (`None`) can satisfy no conjunct. On comparable
-    /// non-NaN values `total_cmp` agrees with `sql_cmp` once `-0.0` is
-    /// normalised, as both the recorded values and the literals are. The
-    /// one place `total_cmp` is not exact is INT against FLOAT, which
-    /// both orders compare through `f64`, and rounding to `f64` is
-    /// monotone — so a value between the page's min and max is also
-    /// between them as the literal sees it. Hence `max < low` or
+    /// with no bounds (`None`) can satisfy no conjunct. Wherever
+    /// `sql_cmp` is defined, `total_cmp` agrees with it (`-0.0` equals
+    /// `0.0`, INT against FLOAT is exact). Hence `max < low` or
     /// `min > high` means no row on the page is inside the range, and
     /// the page can be skipped. An incomparable literal makes the
     /// conjunct never TRUE, so skipping on it is sound too. A `false`
@@ -206,7 +199,7 @@ mod tests {
         s.widen(Tuple::new(vec![Value::Float(f64::NAN), Value::Float(0.0)]));
         // Column 0 holds no comparable value: no conjunct can hold.
         assert!(!s.admits(&[range(0, None, Some(Value::Float(f64::INFINITY)))]));
-        // -0.0 was recorded as 0.0: `= 0` and `<= -0.0` both read it.
+        // -0.0 and 0.0 are one value: `= 0` and `<= -0.0` both read them.
         let zero = Sarg::literal(&Value::Int(0), DataType::Float);
         assert_eq!(zero, Value::Float(0.0));
         assert!(s.admits(&[Sarg::Eq {

@@ -22,4 +22,4 @@ pub use date::Date;
 pub use error::{Error, Result};
 pub use schema::{Column, Schema};
 pub use tuple::Tuple;
-pub use value::{DataType, Value};
+pub use value::{DataType, Key, Value};

@@ -7,7 +7,7 @@ use std::fmt;
 use std::ops::Index;
 
 /// A row of values. Positionally aligned with some [`Schema`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tuple {
     values: Vec<Value>,
 }

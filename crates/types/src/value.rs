@@ -1,14 +1,20 @@
-//! SQL values and data types with SQL92 comparison semantics.
+//! SQL values and data types with SQL92 comparison semantics, and the
+//! one key contract every keyed structure uses.
 //!
 //! [`Value`] is the runtime representation used by the storage layer, the
 //! expression evaluator and the preference model. Comparisons follow SQL's
 //! three-valued logic (`NULL`-propagating [`Value::sql_eq`] /
-//! [`Value::sql_cmp`]) while [`Value::total_cmp`] provides the total order
-//! used by `ORDER BY` and B-tree indexes (NULLs sort first, mixed numerics
-//! compare numerically).
+//! [`Value::sql_cmp`]). [`Value::total_cmp`] is that comparison made
+//! total, the order of `ORDER BY`: NULLs sort first and equal each other,
+//! `-0.0` equals `0.0`, INT against FLOAT compares exactly, and NaN keeps
+//! a rank of its own. [`Key`] orders, compares and hashes a sequence of
+//! values by it — the one key type of `DISTINCT`, `GROUP BY`, the hash
+//! join, `GROUPING`, the preference tag interning and both secondary
+//! indexes, so each of them groups and matches exactly as SQL `=` does.
 
 use crate::date::Date;
 use crate::error::{Error, Result};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -141,32 +147,31 @@ impl Value {
 
     /// SQL ordering comparison under three-valued logic.
     ///
-    /// Returns `None` if either side is NULL or the types are incomparable
-    /// (the engine's type checker rejects incomparable comparisons earlier;
-    /// `None` here is a defensive fallback treated as UNKNOWN).
+    /// Returns `None` if either side is NULL or NaN, or the types are
+    /// incomparable (the engine's type checker rejects incomparable
+    /// comparisons earlier; `None` here is a defensive fallback treated as
+    /// UNKNOWN). INT against FLOAT compares exactly, not through `f64`.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
+            (Value::Int(i), Value::Float(f)) => int_float_cmp(*i, *f),
+            (Value::Float(f), Value::Int(i)) => int_float_cmp(*i, *f).map(Ordering::reverse),
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
             (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                // Mixed INT/FLOAT compare numerically; dates only compare
-                // with dates (handled above), not with bare numbers.
-                (Some(x), Some(y))
-                    if a.data_type() != Some(DataType::Date)
-                        && b.data_type() != Some(DataType::Date) =>
-                {
-                    x.partial_cmp(&y)
-                }
-                _ => None,
-            },
+            // NULL, and every other pairing (dates only compare with
+            // dates, not with bare numbers).
+            _ => None,
         }
     }
 
-    /// Total order for sorting and index keys: NULL first, then by type
-    /// group; numerics (INT/FLOAT) compare numerically with NaN last.
+    /// [`Value::sql_cmp`] made total, for sorting and every key: NULL
+    /// first, then BOOL, the numbers, DATE and STR. NULL equals NULL, and
+    /// `-0.0` equals `0.0`. A NaN sorts by its bits as in
+    /// [`f64::total_cmp`] — above `+inf`, or below `-inf` when its sign
+    /// bit is set — and equals only a NaN of the same bits. Wherever
+    /// `sql_cmp` is `Some`, the two agree.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -178,35 +183,22 @@ impl Value {
             }
         }
         match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Date(a), Value::Date(b)) => a.cmp(b),
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                let x = a.as_f64().unwrap_or(f64::NAN);
-                let y = b.as_f64().unwrap_or(f64::NAN);
-                x.total_cmp(&y)
+            (Value::Float(a), Value::Float(b)) if a == b => Ordering::Equal,
+            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            // A NaN is the one float `int_float_cmp` cannot place, and no
+            // integer lies between the NaNs and the infinities.
+            (Value::Int(i), Value::Float(f)) => {
+                int_float_cmp(*i, *f).unwrap_or_else(|| 0.0f64.total_cmp(f))
             }
-            (a, b) => rank(a).cmp(&rank(b)),
+            (Value::Float(_), Value::Int(_)) => other.total_cmp(self).reverse(),
+            (a, b) => a.sql_cmp(b).unwrap_or_else(|| rank(a).cmp(&rank(b))),
         }
     }
 
-    /// Equality for grouping/keys: NULLs group together, INT 1 == FLOAT 1.0.
+    /// SQL's "not distinct": equal under [`Value::total_cmp`] (NULLs
+    /// equal, `-0.0` equals `0.0`, INT 1 equals FLOAT 1.0).
     pub fn key_eq(&self, other: &Value) -> bool {
         self.total_cmp(other) == Ordering::Equal
-    }
-
-    /// The representative index keys, sargable literals and page
-    /// synopses hold: `-0.0` becomes `0.0`, everything else is unchanged.
-    /// SQL compares the two zeros equal, [`Value::total_cmp`] does not,
-    /// so an ordered structure must never see both.
-    pub fn canonical(self) -> Value {
-        match self {
-            // IEEE-754: `x + 0.0` is `x`, except that `-0.0 + 0.0` is `0.0`.
-            Value::Float(f) => Value::Float(f + 0.0),
-            v => v,
-        }
     }
 
     /// SQL `+`.
@@ -322,6 +314,31 @@ impl Value {
     }
 }
 
+/// `i` against `f`, exactly — `None` iff `f` is NaN. A float from 2^63
+/// up is above every `i64`, one below -2^63 under every `i64`; in
+/// between, its integral part fits an `i64`, so the integral parts decide
+/// and then `f`'s fraction does.
+fn int_float_cmp(i: i64, f: f64) -> Option<Ordering> {
+    // `i64::MAX as f64` is exactly 2^63, `i64::MIN as f64` exactly -2^63.
+    if f.is_nan() {
+        None
+    } else if f >= i64::MAX as f64 {
+        Some(Ordering::Less)
+    } else if f < i64::MIN as f64 {
+        Some(Ordering::Greater)
+    } else {
+        let whole = f.trunc();
+        let by_fraction = if f > whole {
+            Ordering::Less
+        } else if f < whole {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        };
+        Some(i.cmp(&(whole as i64)).then(by_fraction))
+    }
+}
+
 /// An integer result, or the overflow error naming the operation
 /// `what` describes.
 fn checked(result: Option<i64>, what: impl FnOnce() -> String) -> Result<i64> {
@@ -339,7 +356,8 @@ impl Hash for Value {
                 b.hash(state);
             }
             // INT and FLOAT that compare key-equal must hash equally: hash
-            // integral floats as their integer value.
+            // integral floats as their integer value (`-0.0` as 0; 2^63,
+            // equal to no INT, shares `i64::MAX`'s hash, which is harmless).
             Value::Int(i) => {
                 state.write_u8(2);
                 i.hash(state);
@@ -365,6 +383,73 @@ impl Hash for Value {
                 state.write_u8(5);
                 s.hash(state);
             }
+        }
+    }
+}
+
+/// A key over a sequence of values — a `DISTINCT` row, a `GROUP BY` or
+/// `GROUPING` key, a join key, an index key, an interned slot value.
+/// `Ord` is lexicographic by [`Value::total_cmp`] (a proper prefix sorts
+/// first), and equality is that order's: [`Value::key_eq`] field by
+/// field. `Hash` feeds each field's [`Value`] hash in turn, with no length
+/// prefix; keys `Ord` calls equal hash equally.
+///
+/// A map holds `Key<'static>`s and is probed with a key borrowing the
+/// probe's values (`Key::borrowed`), so a hit allocates nothing.
+#[derive(Debug, Clone)]
+pub struct Key<'a>(Cow<'a, [Value]>);
+
+impl<'a> Key<'a> {
+    /// A key borrowing `values`.
+    pub fn borrowed(values: &'a [Value]) -> Self {
+        Key(Cow::Borrowed(values))
+    }
+
+    /// A key owning `values`.
+    pub fn owned(values: Vec<Value>) -> Key<'static> {
+        Key(Cow::Owned(values))
+    }
+
+    /// The same key, owning its values (cloned if borrowed).
+    pub fn into_owned(self) -> Key<'static> {
+        Key::owned(self.0.into_owned())
+    }
+
+    /// The key's values, in order.
+    pub fn values(&self) -> &[Value] {
+        &self.0
+    }
+}
+
+impl Ord for Key<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (self.values(), other.values());
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| x.total_cmp(y))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.len().cmp(&b.len()))
+    }
+}
+
+impl PartialOrd for Key<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.values() {
+            v.hash(state);
         }
     }
 }
@@ -537,13 +622,55 @@ mod tests {
 
     #[test]
     fn hash_consistent_with_key_eq() {
-        use std::collections::hash_map::DefaultHasher;
-        fn h(v: &Value) -> u64 {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        }
-        assert_eq!(h(&Value::Int(5)), h(&Value::Float(5.0)));
+        assert_eq!(hash_of(&Value::Int(5)), hash_of(&Value::Float(5.0)));
+        assert_eq!(hash_of(&Value::Float(-0.0)), hash_of(&Value::Int(0)));
+    }
+
+    #[test]
+    fn signed_zeros_are_one_value() {
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(neg.total_cmp(&pos), Ordering::Equal);
+        assert!(neg.key_eq(&Value::Int(0)));
+        assert_eq!(neg.sql_cmp(&pos), Some(Ordering::Equal));
+        // Nothing sits between them: they order like 0 against the rest.
+        assert_eq!(
+            neg.total_cmp(&Value::Float(-f64::MIN_POSITIVE)),
+            Ordering::Greater
+        );
+        assert_eq!(
+            pos.total_cmp(&Value::Float(f64::MIN_POSITIVE)),
+            Ordering::Less
+        );
+    }
+
+    #[test]
+    fn int_against_float_is_exact() {
+        let p53 = 1i64 << 53;
+        let cmp = |i: i64, f: f64| Value::Int(i).total_cmp(&Value::Float(f));
+        // `as f64` rounds 2^53 + 1 to 2^53; the comparison does not.
+        assert_eq!(cmp(p53 + 1, p53 as f64), Ordering::Greater);
+        assert_eq!(cmp(p53, p53 as f64), Ordering::Equal);
+        assert_eq!(cmp(-p53 - 1, -p53 as f64), Ordering::Less);
+        assert_eq!(
+            Value::Int(p53 + 1).sql_eq(&Value::Float(p53 as f64)),
+            Some(false)
+        );
+        // At the ends of i64: 2^63 is above every INT, -2^63 is i64::MIN.
+        assert_eq!(cmp(i64::MAX, 9_223_372_036_854_775_808.0), Ordering::Less);
+        assert_eq!(
+            cmp(i64::MAX - 1, 9_223_372_036_854_775_808.0),
+            Ordering::Less
+        );
+        assert_eq!(cmp(i64::MIN, -9_223_372_036_854_775_808.0), Ordering::Equal);
+        assert_eq!(cmp(i64::MIN, f64::NEG_INFINITY), Ordering::Greater);
+        // Fractions decide between equal integral parts, either sign.
+        assert_eq!(cmp(2, 2.5), Ordering::Less);
+        assert_eq!(cmp(-2, -2.5), Ordering::Greater);
+        assert_eq!(cmp(0, -0.5), Ordering::Greater);
+        // NaN: no SQL order; in the total order by its sign, as before.
+        assert_eq!(Value::Int(1).sql_cmp(&Value::Float(f64::NAN)), None);
+        assert_eq!(cmp(i64::MAX, f64::NAN), Ordering::Less);
+        assert_eq!(cmp(i64::MIN, -f64::NAN), Ordering::Greater);
     }
 
     #[test]
@@ -564,6 +691,69 @@ mod tests {
         assert_eq!(Value::Bool(true).to_string(), "TRUE");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::str("hi").to_string(), "hi");
+    }
+
+    fn hash_of(v: &impl Hash) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut s = DefaultHasher::new();
+        v.hash(&mut s);
+        s.finish()
+    }
+
+    /// Values at the edges of the key contract, or one step from one:
+    /// INTs at ±2^53 and at the ends of i64 next to the FLOATs `as f64`
+    /// makes of them (2^53 + 1 rounds to 2^53, i64::MAX to 2^63), both
+    /// zeros, NaN of either sign, the infinities, a fraction, and NULL,
+    /// BOOL, STR and DATE. Three draws in four are an edge as it is, so
+    /// the pairs SQL calls equal, and the near misses, are common.
+    fn arb_key_value() -> impl Strategy<Value = Value> {
+        let p53 = 1i64 << 53;
+        let mut edges = vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::str(""),
+            Value::str("a"),
+            Value::Date(Date::from_days(0)),
+            Value::Date(Date::from_days(1)),
+        ];
+        for i in [
+            0,
+            1,
+            p53,
+            p53 + 1,
+            -p53 - 1,
+            i64::MAX - 1,
+            i64::MAX,
+            i64::MIN,
+        ] {
+            edges.extend([Value::Int(i), Value::Float(i as f64)]);
+        }
+        for f in [
+            -0.0,
+            0.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            edges.push(Value::Float(f));
+        }
+        // The fourth draw steps one INT, or one float bit pattern (an
+        // ulp; past ±0 and the infinities it reaches NaNs), away.
+        (0..edges.len(), -1i64..=1, 0..4u8).prop_map(move |(i, step, nudge)| {
+            match (&edges[i], nudge) {
+                (Value::Int(n), 0) => Value::Int(n.saturating_add(step)),
+                (Value::Float(f), 0) => Value::Float(f64::from_bits(
+                    (f.to_bits() as i64).wrapping_add(step) as u64,
+                )),
+                (v, _) => v.clone(),
+            }
+        })
+    }
+
+    fn arb_key() -> impl Strategy<Value = Key<'static>> {
+        proptest::collection::vec(arb_key_value(), 0..3).prop_map(Key::owned)
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {
@@ -615,6 +805,48 @@ mod tests {
             let x = Value::Int(a).add(&Value::Int(b)).unwrap();
             let y = Value::Int(b).add(&Value::Int(a)).unwrap();
             prop_assert_eq!(x, y);
+        }
+    }
+
+    // The key contract's properties draw from a few dozen edge values,
+    // so a given pair turns up about once per 700 cases: they run 4096
+    // at least, which takes a fraction of a second.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn key_ord_is_a_total_order(a in arb_key(), b in arb_key(), c in arb_key()) {
+            prop_assert_eq!(a.cmp(&a), Ordering::Equal);
+            prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+            if a <= b && b <= c {
+                prop_assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+            }
+            if a == b && b == c {
+                prop_assert!(a == c, "{a:?} = {b:?} = {c:?}");
+            }
+        }
+
+        #[test]
+        fn key_eq_is_ord_equal_and_implies_equal_hash(a in arb_key(), b in arb_key()) {
+            prop_assert_eq!(a == b, a.cmp(&b) == Ordering::Equal);
+            prop_assert_eq!(a == b, a.values().len() == b.values().len()
+                && a.values().iter().zip(b.values()).all(|(x, y)| x.key_eq(y)));
+            if a == b {
+                prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} = {:?}", a, b);
+            }
+        }
+
+        #[test]
+        fn key_values_sql_cmp_agrees_with_total_cmp(
+            a in arb_key_value(), b in arb_key_value(), c in arb_key_value()
+        ) {
+            if let Some(ord) = a.sql_cmp(&b) {
+                prop_assert_eq!(ord, a.total_cmp(&b), "{:?} vs {:?}", a, b);
+            }
+            // Transitivity of the one-value order on the edge values too.
+            if a.total_cmp(&b).is_le() && b.total_cmp(&c).is_le() {
+                prop_assert!(a.total_cmp(&c).is_le(), "{a:?} <= {b:?} <= {c:?}");
+            }
         }
     }
 }
