@@ -2,23 +2,27 @@
 //!
 //! "Having the right indices available current SQL optimizers can
 //! efficiently process this SQL query" (paper §3.2) — this module is the
-//! engine's version of that: given a single-table scan with a WHERE
-//! predicate, find an equality or range conjunct that an existing index can
-//! answer, and return the candidate row ids. The full predicate is always
-//! re-evaluated on the candidates, so index selection is purely an
-//! optimization and never changes results. The A2 ablation benchmark flips
-//! [`crate::Engine::set_use_indexes`] to measure the difference.
-//!
-//! The planner ([`crate::plan`]) is the one caller of [`sargs`] and
-//! [`choose_access_path`], for a SELECT's table and a DML target alike.
+//! engine's version of that. The planner ([`crate::plan`]) puts every
+//! bound filter on its input through `filter`, the one place an access
+//! path is chosen: on a base-table scan, the conjuncts comparing a column
+//! of the scanned row with a literal (sargs) pick an index probe or ride
+//! on the scan, whose paged form skips the pages they rule out. The filter
+//! still checks every row, so the choice never changes results. The A2
+//! ablation benchmark flips [`crate::EngineCore::set_use_indexes`] to
+//! measure the difference.
 
+use crate::bind::{Bound, BoundExpr, CmpOp};
+use crate::exec::ExecCtx;
+use crate::plan::PlanNode;
 use prefsql_parser::ast::{BinaryOp, Expr};
 use prefsql_storage::Table;
-use prefsql_types::{Schema, Value};
+use prefsql_types::{Result, Schema};
+use std::mem::take;
 
 pub use prefsql_storage::Sarg;
 
-/// Split a predicate into its top-level AND conjuncts.
+/// Split a predicate into its top-level AND conjuncts (the planner lifts
+/// a WHERE's `[NOT] EXISTS` conjuncts into joins before binding it).
 pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     match expr {
         Expr::Binary {
@@ -34,88 +38,99 @@ pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// The sargable conjuncts of `predicate` for a scan of one table whose
-/// columns `schema` exposes (the table's schema under the scan's
-/// qualifier), literals [normalised](Sarg::literal) to their column's
-/// type. Index choice ([`choose_access_path`]) and paged-scan pruning
-/// both read this one list.
-pub fn sargs(schema: &Schema, predicate: Option<&Expr>) -> Vec<Sarg> {
-    predicate.map_or_else(Vec::new, |pred| {
-        conjuncts(pred)
-            .into_iter()
-            .filter_map(|c| sarg_of(c, schema))
-            .collect()
+/// `pred`, bound over `input`'s row, as a [`PlanNode::Filter`] on
+/// `input`. A base table's [`PlanNode::SeqScan`] first becomes the access
+/// path `pred`'s sargs choose, if sargs are on: an index probe, or the
+/// scan carrying the sargs.
+pub(crate) fn filter(ctx: &ExecCtx<'_>, mut input: PlanNode, pred: Bound) -> Result<PlanNode> {
+    if let (
+        true,
+        PlanNode::SeqScan {
+            table,
+            qualifier,
+            sargs,
+            mask,
+            schema,
+            ..
+        },
+    ) = (ctx.use_indexes(), &mut input)
+    {
+        *sargs = sargs_of(schema, &pred.expr);
+        // The probe counter is bumped at operator open, not here: EXPLAIN
+        // plans without executing and must not disturb the statistics.
+        if let AccessPath::Index { row_ids, describe } =
+            choose_access_path(ctx.catalog().table(table)?, sargs)
+        {
+            input = PlanNode::IndexScan {
+                table: take(table),
+                qualifier: take(qualifier),
+                row_ids,
+                describe,
+                mask: take(mask),
+                schema: take(schema),
+            };
+        }
+    }
+    Ok(PlanNode::Filter {
+        input: Box::new(input),
+        pred,
     })
 }
 
-/// Try to interpret one conjunct as a sargable predicate over `schema`.
-/// Only column references that resolve in it, compared against non-NULL
-/// literals, qualify.
-fn sarg_of(conjunct: &Expr, schema: &Schema) -> Option<Sarg> {
-    let resolve = |e: &Expr| -> Option<usize> {
-        match e {
-            Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
-            _ => None,
-        }
+/// The sargs of `pred`, bound over a row `schema` describes, in conjunct
+/// order: what index choice and paged-scan pruning both read.
+fn sargs_of(schema: &Schema, pred: &BoundExpr) -> Vec<Sarg> {
+    match pred {
+        BoundExpr::And(left, right) => [sargs_of(schema, left), sargs_of(schema, right)].concat(),
+        conjunct => sarg_of(conjunct, schema).into_iter().collect(),
+    }
+}
+
+/// One conjunct as a sarg: a column of the row itself (depth 0) compared
+/// with a non-NULL literal in either order, or non-negated `BETWEEN` two,
+/// literals [normalised](Sarg::literal) to the column's type.
+fn sarg_of(conjunct: &BoundExpr, schema: &Schema) -> Option<Sarg> {
+    let column = |e: &BoundExpr| match e {
+        BoundExpr::Column { depth: 0, ordinal } => Some(*ordinal),
+        _ => None,
     };
-    let literal = |col: usize, e: &Expr| -> Option<Value> {
-        match e {
-            Expr::Literal(v) if !v.is_null() => {
-                Some(Sarg::literal(v, schema.column(col).data_type))
-            }
-            _ => None,
+    let literal = |col: usize, e: &BoundExpr| match e {
+        BoundExpr::Literal(v) if !v.is_null() => {
+            Some(Sarg::literal(v, schema.column(col).data_type))
         }
+        _ => None,
     };
-    match conjunct {
-        Expr::Binary { left, op, right } => {
-            // Normalize to column-op-literal.
-            let (col, op, val) = if let Some(c) = resolve(left) {
-                (c, *op, literal(c, right)?)
-            } else {
-                let c = resolve(right)?;
-                (c, flip(*op)?, literal(c, left)?)
+    let (col, low, high) = match conjunct {
+        BoundExpr::Compare { op, left, right } => {
+            // `col op literal`, or `literal op col` read the other way.
+            let (col, value, column_left) = match column(left) {
+                Some(c) => (c, literal(c, right)?, true),
+                None => {
+                    let c = column(right)?;
+                    (c, literal(c, left)?, false)
+                }
             };
-            match op {
-                BinaryOp::Eq => Some(Sarg::Eq { col, value: val }),
-                BinaryOp::GtEq | BinaryOp::Gt => Some(Sarg::Range {
-                    col,
-                    low: Some(val),
-                    high: None,
-                }),
-                BinaryOp::LtEq | BinaryOp::Lt => Some(Sarg::Range {
-                    col,
-                    low: None,
-                    high: Some(val),
-                }),
-                _ => None,
+            match (op, column_left) {
+                (CmpOp::Eq, _) => return Some(Sarg::Eq { col, value }),
+                (CmpOp::NotEq, _) => return None,
+                (CmpOp::Gt | CmpOp::GtEq, true) | (CmpOp::Lt | CmpOp::LtEq, false) => {
+                    (col, Some(value), None)
+                }
+                _ => (col, None, Some(value)),
             }
         }
-        Expr::Between {
+        BoundExpr::Between {
             expr,
             low,
             high,
             negated: false,
         } => {
-            let col = resolve(expr)?;
-            Some(Sarg::Range {
-                col,
-                low: Some(literal(col, low)?),
-                high: Some(literal(col, high)?),
-            })
+            let col = column(expr)?;
+            (col, Some(literal(col, low)?), Some(literal(col, high)?))
         }
-        _ => None,
-    }
-}
-
-fn flip(op: BinaryOp) -> Option<BinaryOp> {
-    Some(match op {
-        BinaryOp::Eq => BinaryOp::Eq,
-        BinaryOp::Lt => BinaryOp::Gt,
-        BinaryOp::LtEq => BinaryOp::GtEq,
-        BinaryOp::Gt => BinaryOp::Lt,
-        BinaryOp::GtEq => BinaryOp::LtEq,
         _ => return None,
-    })
+    };
+    Some(Sarg::Range { col, low, high })
 }
 
 /// The access path chosen for a table scan.
@@ -133,8 +148,8 @@ pub enum AccessPath {
     },
 }
 
-/// Choose an access path for `table` given the [`sargs`] of its scan's
-/// WHERE. Strict `>`/`<` bounds are widened to inclusive index ranges;
+/// Choose an access path for `table` given the sargs of the filter on
+/// its scan. Strict `>`/`<` bounds are widened to inclusive index ranges;
 /// the residual predicate re-check (always applied by the caller)
 /// restores exactness. No sargs means a full scan.
 pub fn choose_access_path(table: &Table, sargs: &[Sarg]) -> AccessPath {
@@ -200,10 +215,14 @@ pub fn choose_access_path(table: &Table, sargs: &[Sarg]) -> AccessPath {
 
 #[cfg(test)]
 mod tests {
+    //! Sargs read off bound predicates — bound through an [`ExecCtx`] as
+    //! the planner binds a scan's filter — and the paths they choose.
     use super::*;
+    use crate::bind::bind_over;
+    use crate::exec::Engine;
     use prefsql_parser::parse_expression;
     use prefsql_storage::IndexKind;
-    use prefsql_types::{tuple, Column, DataType, Date};
+    use prefsql_types::{tuple, Column, DataType, Date, Value};
 
     fn table_with_indexes() -> Table {
         let schema = Schema::new(vec![
@@ -226,9 +245,17 @@ mod tests {
         t
     }
 
+    /// The sargs of `pred` bound over `schema`'s row inside the
+    /// enclosing scopes `outer`.
+    fn sargs(schema: &Schema, outer: &[&Schema], pred: &str) -> Vec<Sarg> {
+        let engine = Engine::new();
+        let ctx = engine.read_ctx().unwrap();
+        let bound = bind_over(&ctx, &parse_expression(pred).unwrap(), schema, outer).unwrap();
+        sargs_of(schema, &bound)
+    }
+
     fn path(t: &Table, pred: &str) -> AccessPath {
-        let e = parse_expression(pred).unwrap();
-        choose_access_path(t, &sargs(t.schema(), Some(&e)))
+        choose_access_path(t, &sargs(t.schema(), &[], pred))
     }
 
     #[test]
@@ -299,12 +326,16 @@ mod tests {
         ])
         .unwrap()
         .with_qualifier("t");
-        let of = |pred: &str| sargs(&schema, Some(&parse_expression(pred).unwrap()));
+        let outer = Schema::new(vec![Column::new("x", DataType::Int)])
+            .unwrap()
+            .with_qualifier("u");
+        let of = |pred: &str| sargs(&schema, &[&outer], pred);
         let zero = Sarg::Eq {
             col: 0,
             value: Value::Float(0.0),
         };
         assert_eq!(of("x = 0"), vec![zero.clone()]);
+        // `u.x` is the enclosing block's column, at depth 1.
         assert_eq!(of("t.x = -0.0 AND u.x = 1"), vec![zero]);
         assert_eq!(
             of("'2001-02-03' < d"),
@@ -315,6 +346,7 @@ mod tests {
             }]
         );
         assert_eq!(of("x = NULL OR x = 1"), vec![]);
+        assert_eq!(of("x = NULL AND x NOT BETWEEN 1 AND 2"), vec![]);
     }
 
     #[test]

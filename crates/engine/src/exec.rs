@@ -1189,10 +1189,7 @@ impl Engine {
         // Map the incoming positions onto the target columns.
         let positions: Vec<usize> = match columns {
             None => (0..schema.len()).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| schema.resolve(None, c))
-                .collect::<Result<_>>()?,
+            Some(cols) => target_positions(&schema, cols.iter().collect(), "the column list")?,
         };
         let mut staged = Vec::with_capacity(incoming.len());
         for row in &incoming {
@@ -1206,13 +1203,9 @@ impl Engine {
             let mut values = vec![Value::Null; schema.len()];
             for (v, &pos) in row.values().iter().zip(&positions) {
                 // Implicit coercions (INT into FLOAT, string into DATE).
-                values[pos] = match schema.column(pos).data_type {
-                    dt if v.is_null() => {
-                        let _ = dt;
-                        Value::Null
-                    }
-                    dt => v.coerce_to(dt).unwrap_or_else(|_| v.clone()),
-                };
+                values[pos] = v
+                    .coerce_to(schema.column(pos).data_type)
+                    .unwrap_or_else(|_| v.clone());
             }
             // Validate every row before the first is stored: a statement
             // that fails here leaves the table as it was.
@@ -1262,10 +1255,8 @@ impl Engine {
         let (positions, new_rows) = {
             let t = cat.table(table)?;
             let schema = t.schema().clone();
-            let positions: Vec<usize> = assignments
-                .iter()
-                .map(|(c, _)| schema.resolve(None, c))
-                .collect::<Result<_>>()?;
+            let positions =
+                target_positions(&schema, assignments.iter().map(|(c, _)| c).collect(), "SET")?;
             let eval_schema = schema.without_qualifiers().with_qualifier(t.name());
             let new_rows = self.with_ctx_over(cat, |ctx| {
                 let exprs = assignments
@@ -1302,6 +1293,22 @@ impl Engine {
         })?;
         Ok(ids)
     }
+}
+
+/// The positions in `schema` of an INSERT column list's or a SET clause's
+/// target columns `names`, which SQL92 forbids to name a column twice.
+fn target_positions(schema: &Schema, names: Vec<&String>, clause: &str) -> Result<Vec<usize>> {
+    let mut positions = Vec::new();
+    for name in names {
+        let pos = schema.resolve(None, name)?;
+        if positions.contains(&pos) {
+            let name = &schema.column(pos).name;
+            let why = format!("column '{name}' is named twice in {clause}");
+            return Err(Error::Plan(why));
+        }
+        positions.push(pos);
+    }
+    Ok(positions)
 }
 
 /// Run a DML statement's storage step on `table`. A step that fails may

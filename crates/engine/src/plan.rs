@@ -2,7 +2,7 @@
 //!
 //! `plan_query` turns a parsed [`Query`] into a [`PlanNode`] tree exactly
 //! once per statement, absorbing all plan-time decisions — access-path
-//! selection ([`choose_access_path`]), view expansion, ORDER BY keys
+//! selection (`access::filter`), view expansion, ORDER BY keys
 //! resolved against the select list, projection/aggregate output
 //! schemas. The tree is the single source of truth for execution:
 //! `EXPLAIN` renders it and the physical operators of [`crate::physical`]
@@ -30,9 +30,10 @@
 //!
 //! UPDATE and DELETE plan here too (`plan_target`): a SELECT's access
 //! path to the table under one filter of the WHERE, whose lent row ids
-//! are the targets — one access-path decision for every statement.
+//! are the targets. A base table plans as a plain [`PlanNode::SeqScan`];
+//! the bound filter put on it picks its access path (`access::filter`).
 
-use crate::access::{self, choose_access_path, conjuncts, AccessPath, Sarg};
+use crate::access::{self, conjuncts, Sarg};
 use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggCall, Bound, BoundExpr};
 use crate::exec::ExecCtx;
 use crate::explain::children;
@@ -110,9 +111,9 @@ pub enum PlanNode {
         /// Storage backend serving the scan (`"mem"` or `"paged"`; EXPLAIN
         /// tags non-default backends).
         backend: &'static str,
-        /// The sargable conjuncts of the block's WHERE over this table
-        /// (empty unless it is the block's only FROM item and sargs are
-        /// on, [`crate::EngineCore::set_use_indexes`]).
+        /// The sargable conjuncts of the [`PlanNode::Filter`] on this
+        /// scan (`access::filter`; empty when none sits on it or sargs
+        /// are off, [`crate::EngineCore::set_use_indexes`]).
         sargs: Vec<Sarg>,
         /// The columns a paged scan decodes; the others read as `NULL`
         /// (`None`: all of them). Set by the pruning pass
@@ -446,7 +447,8 @@ fn first_row_probe(root: PlanNode) -> (PlanNode, bool) {
 }
 
 /// Compile only the FROM/WHERE part of a query block (the native
-/// preference path's candidate fetch is this plus the slot projection).
+/// preference path's candidate fetch is this plus the slot projection),
+/// the WHERE bound and put on the source by [`access::filter`].
 ///
 /// A top-level AND conjunct of the WHERE clause that is a correlated
 /// `[NOT] EXISTS` ([`exists_join`]) becomes a semi/anti
@@ -476,10 +478,8 @@ pub(crate) fn plan_source(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -
         rest.push(conjunct);
     }
     let filter = |pred: &Expr, input: PlanNode| -> Result<PlanNode> {
-        Ok(PlanNode::Filter {
-            pred: bind_shown(ctx, pred, input.schema(), outer)?,
-            input: Box::new(input),
-        })
+        let pred = bind_shown(ctx, pred, input.schema(), outer)?;
+        access::filter(ctx, input, pred)
     };
     if joins.is_empty() {
         return filter(pred, input);
@@ -518,7 +518,8 @@ type ExistsJoin = (PlanNode, Vec<(Bound, Bound)>, Option<Bound>);
 ///
 /// The WHERE is bound once, as the sub-query's own predicate: its right
 /// row at depth 0, the left row at depth 1. Its conjuncts reading only
-/// the right row filter the right input. An `=` between an operand
+/// the right row filter the right input and choose its access path
+/// ([`access::filter`]). An `=` between an operand
 /// reading only the right row and one reading only the left row is a
 /// hash key (none with the hash-join toggle off), split by what each
 /// operand reads ([`BoundExpr::reads`]) as [`split_on`] splits ON.
@@ -602,10 +603,7 @@ fn exists_join(
     }
     let mut right = *right;
     if let Some(pred) = conjoin(pushed) {
-        right = PlanNode::Filter {
-            input: Box::new(right),
-            pred,
-        };
+        right = access::filter(ctx, right, pred)?;
     }
     let residual = conjoin(rest);
 
@@ -800,18 +798,16 @@ fn rid_mode(source: &PlanNode, spec: &PrefSpec) -> Option<String> {
 /// Plan how UPDATE or DELETE reaches the rows of base table `table` its
 /// WHERE `pred` selects: a SELECT's access path (an index probe, or a
 /// scan skipping the pages the sargs rule out) under one filter of the
-/// whole bound predicate, whose lent row ids
+/// whole bound predicate ([`access::filter`]), whose lent row ids
 /// ([`crate::physical::Batch::row_ids`]) are the targets. No column of
 /// the root is read, so the pruning pass masks the scan to the columns
 /// `pred` reads.
 pub(crate) fn plan_target(ctx: &ExecCtx<'_>, table: &str, pred: &Expr) -> Result<QueryPlan> {
     // A view's name is no target: fail as the catalog does.
     ctx.catalog().table(table)?;
-    let scan = plan_named(ctx, table, None, Some(pred))?;
-    let mut root = PlanNode::Filter {
-        pred: bind_shown(ctx, pred, scan.schema(), &[])?,
-        input: Box::new(scan),
-    };
+    let scan = plan_named(ctx, table, None)?;
+    let pred = bind_shown(ctx, pred, scan.schema(), &[])?;
+    let mut root = access::filter(ctx, scan, pred)?;
     prune(&mut root, false)?;
     Ok(QueryPlan { root })
 }
@@ -1057,8 +1053,8 @@ fn plan_aggregate(
     Ok((node, keys, projections, schema))
 }
 
-/// Resolve the FROM clause into a source node. Multiple FROM items
-/// cross-join left to right.
+/// Resolve the FROM clause into a source node, base tables as plain
+/// scans. Multiple FROM items cross-join left to right.
 ///
 /// Only the leftmost item streams inside the block's environment; every
 /// item joined on to the right is materialized once per statement with
@@ -1070,15 +1066,10 @@ fn plan_from(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<Plan
             schema: Schema::empty(),
         });
     }
-    // Index access only applies when one named table is the *only* FROM
-    // item (the sargable conjunct analysis resolves against its schema;
-    // with joins the residual re-check could not see the other side).
-    let sole = query.from.len() == 1 && matches!(&query.from[0], TableRef::Named { .. });
-    let sargable = query.where_clause.as_ref().filter(|_| sole);
     let mut acc: Option<PlanNode> = None;
     for item in &query.from {
         let scope = if acc.is_none() { outer } else { &[] };
-        let next = plan_table_ref(ctx, item, sargable, scope)?;
+        let next = plan_table_ref(ctx, item, scope)?;
         acc = Some(match acc {
             None => next,
             Some(left) => join(ctx, JoinKind::Inner, left, next, Vec::new(), None),
@@ -1087,14 +1078,9 @@ fn plan_from(ctx: &ExecCtx<'_>, query: &Query, outer: &[&Schema]) -> Result<Plan
     Ok(acc.expect("non-empty FROM"))
 }
 
-fn plan_table_ref(
-    ctx: &ExecCtx<'_>,
-    item: &TableRef,
-    sargable: Option<&Expr>,
-    outer: &[&Schema],
-) -> Result<PlanNode> {
+fn plan_table_ref(ctx: &ExecCtx<'_>, item: &TableRef, outer: &[&Schema]) -> Result<PlanNode> {
     match item {
-        TableRef::Named { name, alias } => plan_named(ctx, name, alias.as_deref(), sargable),
+        TableRef::Named { name, alias } => plan_named(ctx, name, alias.as_deref()),
         TableRef::Derived { query: sub, alias } => {
             let body = plan_query(ctx, sub)?;
             let schema = body
@@ -1110,8 +1096,8 @@ fn plan_table_ref(
             })
         }
         TableRef::Join { left, right, on } => {
-            let l = plan_table_ref(ctx, left, None, outer)?;
-            let r = plan_table_ref(ctx, right, None, &[])?;
+            let l = plan_table_ref(ctx, left, outer)?;
+            let r = plan_table_ref(ctx, right, &[])?;
             let (keys, residual) = match on {
                 Some(on) => split_on(ctx, on, l.schema(), r.schema(), outer)?,
                 None => (Vec::new(), None),
@@ -1253,14 +1239,8 @@ fn input_of(operand: &BoundExpr, split: usize) -> Option<bool> {
     (left != right).then_some(left)
 }
 
-/// Plan the FROM item `name`; a base table's access path follows the
-/// sargs of `sargable`, the WHERE when the table is the only FROM item.
-fn plan_named(
-    ctx: &ExecCtx<'_>,
-    name: &str,
-    alias: Option<&str>,
-    sargable: Option<&Expr>,
-) -> Result<PlanNode> {
+/// Plan the FROM item `name`; a base table's access path is chosen by the filter on it.
+fn plan_named(ctx: &ExecCtx<'_>, name: &str, alias: Option<&str>) -> Result<PlanNode> {
     let qual = alias.unwrap_or(name).to_ascii_lowercase();
     // How EXPLAIN names an expanded (materialized) view.
     let shown = match alias {
@@ -1322,32 +1302,14 @@ fn plan_named(
         });
     }
     let table = ctx.catalog().table(name)?;
-    let schema = table.schema().without_qualifiers().with_qualifier(&qual);
-    let sargs = if ctx.use_indexes() {
-        access::sargs(&schema, sargable)
-    } else {
-        Vec::new()
-    };
-    Ok(match choose_access_path(table, &sargs) {
-        AccessPath::SeqScan => PlanNode::SeqScan {
-            table: name.to_string(),
-            qualifier: qual,
-            rows: table.len(),
-            backend: table.backend_label(),
-            sargs,
-            mask: None,
-            schema,
-        },
-        // The probe counter is bumped at operator open, not here: EXPLAIN
-        // plans without executing and must not disturb the statistics.
-        AccessPath::Index { row_ids, describe } => PlanNode::IndexScan {
-            table: name.to_string(),
-            qualifier: qual,
-            row_ids,
-            describe,
-            mask: None,
-            schema,
-        },
+    Ok(PlanNode::SeqScan {
+        table: name.to_string(),
+        schema: table.schema().without_qualifiers().with_qualifier(&qual),
+        qualifier: qual,
+        rows: table.len(),
+        backend: table.backend_label(),
+        sargs: Vec::new(),
+        mask: None,
     })
 }
 

@@ -645,3 +645,42 @@ fn a_rewritten_query_on_the_bare_engine_hides_its_level_columns() {
     assert_eq!(names, ["x", "y", "prefsql_p0"]);
     assert_eq!(got[0][2], Value::Int(1));
 }
+
+/// SQL92 forbids naming a column twice in an INSERT column list or an
+/// UPDATE's SET clause. Both are plan errors naming the column, raised
+/// before any row is stored; the connection then runs the next
+/// statement.
+#[test]
+fn a_column_named_twice_as_a_target_is_refused() {
+    let mut e = Engine::new();
+    e.execute_sql("CREATE TABLE t (a INTEGER, b INTEGER)")
+        .unwrap();
+    e.execute_sql("INSERT INTO t VALUES (1, 10)").unwrap();
+    for (sql, column) in [
+        ("INSERT INTO t (a, a) VALUES (1, 2)", "'a'"),
+        ("INSERT INTO t (b, a, B) VALUES (1, 2, 3)", "'b'"),
+        ("UPDATE t SET a = 5, a = 6", "'a'"),
+        ("UPDATE t SET a = 5, b = 7, A = 6 WHERE a = 1", "'a'"),
+    ] {
+        let err = e.execute_sql(sql).expect_err(sql);
+        assert!(
+            matches!(err, prefsql_types::Error::Plan(_)),
+            "{sql}: {err:?}"
+        );
+        assert!(err.to_string().contains(column), "{sql}: {err}");
+        assert_eq!(
+            rows(&mut e, "SELECT a, b FROM t"),
+            vec![vec![Value::Int(1), Value::Int(10)]],
+            "{sql}"
+        );
+    }
+    e.execute_sql("UPDATE t SET a = 5, b = 6").unwrap();
+    e.execute_sql("INSERT INTO t (b, a) VALUES (8, 7)").unwrap();
+    assert_eq!(
+        rows(&mut e, "SELECT a, b FROM t ORDER BY a"),
+        vec![
+            vec![Value::Int(5), Value::Int(6)],
+            vec![Value::Int(7), Value::Int(8)]
+        ]
+    );
+}

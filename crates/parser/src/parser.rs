@@ -65,11 +65,11 @@ const MAX_DEPTH: u32 = 48;
 /// The parser builds a chain of them iteratively, but the tree is as deep
 /// as the chain is long, and the binder, the rewriter, the evaluator and
 /// `Drop` all recurse over it. Measured on a 2 MiB thread (what
-/// `thread::spawn` gives the server's workers): a release build aborts
-/// with a stack overflow between 2 500 and 3 000 chained conjuncts, in
-/// every shape tried (WHERE, select list, `CASE`, derived table, either
-/// mode). 1 000 leaves a margin of 2.5 there. A debug build's frames are
-/// larger: it overflows near 350.
+/// `thread::spawn` gives): a release build aborts with a stack overflow
+/// between 2 500 and 3 000 chained conjuncts, in every shape tried
+/// (WHERE, select list, `CASE`, derived table, either mode). 1 000 leaves
+/// a margin of 2.5 there. A debug build's frames are larger: it overflows
+/// near 350, and needs 5–6 MiB for 1 000 (the server's workers get 16).
 const MAX_CHAIN: u32 = 1_000;
 
 /// The recursive-descent parser.

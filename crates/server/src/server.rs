@@ -28,6 +28,10 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 256;
 /// hold more than this much of a request.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
+/// A connection worker's stack: the deepest statement the parser accepts
+/// (1 000 chained operators) needs 5–6 MiB in a debug build, either mode.
+const WORKER_STACK_BYTES: usize = 16 << 20;
+
 /// One request line as read off the wire ([`read_request`]).
 #[derive(Debug, PartialEq, Eq)]
 enum Request<'b> {
@@ -207,11 +211,22 @@ impl Server {
             let guard = ConnectionGuard(Arc::clone(&active));
             let core = Arc::clone(&self.core);
             let slow_query_ms = self.slow_query_ms;
-            workers.push(thread::spawn(move || {
-                let _guard = guard;
-                // Connection I/O errors just end that connection.
-                let _ = serve_connection(stream, core, slow_query_ms);
-            }));
+            // A failed spawn drops `stream`; its clone answers the refusal.
+            let refusal = stream.try_clone();
+            let spawned = thread::Builder::new()
+                .stack_size(WORKER_STACK_BYTES)
+                .spawn(move || {
+                    let _guard = guard;
+                    // Connection I/O errors just end that connection.
+                    let _ = serve_connection(stream, core, slow_query_ms);
+                });
+            match (spawned, refusal) {
+                (Ok(worker), _) => workers.push(worker),
+                (Err(e), Ok(mut refused)) => {
+                    let _ = writeln!(refused, "ERROR: cannot start a connection worker: {e}");
+                }
+                (Err(_), Err(_)) => {}
+            }
             workers.retain(|w| !w.is_finished());
         }
         for w in workers {

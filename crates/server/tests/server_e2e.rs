@@ -182,3 +182,27 @@ fn a_hostile_operator_chain_is_refused_and_the_server_keeps_serving() {
     client.quit().unwrap();
     handle.stop().unwrap();
 }
+
+/// The longest operator chain the parser accepts — 1 000 chained
+/// conjuncts — is answered with its rows in rewrite and in native mode,
+/// and the connection goes on serving. On a worker with a 2 MiB stack it
+/// aborted a debug-built server from about 500 conjuncts.
+#[test]
+fn the_longest_accepted_operator_chain_runs_in_both_modes() {
+    let server = Server::bind("127.0.0.1:0", loaded_core()).unwrap();
+    let handle = server.spawn().unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let chain = format!(
+        "SELECT id FROM car WHERE id = 1{}",
+        " AND id = 1".repeat(1_000)
+    );
+    for mode in ["\\mode rewrite", "\\mode native"] {
+        assert!(client.request(mode).unwrap().is_ok());
+        let reply = client.request(&chain).unwrap();
+        assert_eq!(reply.rows(), [["1"]], "{}", reply.transcript());
+        let count = client.request("SELECT COUNT(*) FROM car").unwrap();
+        assert_eq!(count.rows(), [["400"]], "{}", count.transcript());
+    }
+    client.quit().unwrap();
+    handle.stop().unwrap();
+}
