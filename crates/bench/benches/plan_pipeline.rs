@@ -13,11 +13,23 @@
 //!
 //! The last two are the pair ROADMAP item 2 reads: the paper's own path
 //! against native BMO over the same rows.
+//!
+//! Two ORDER BY … LIMIT shapes at fixed sizes follow, as `p1_order_limit`:
+//!
+//! * `ordered_probe_limit` — a B-tree range probe on `products` (5 000
+//!   rows) whose key order serves `ORDER BY price`: no Sort, and the
+//!   LIMIT stops the probe after ten rows;
+//! * `top_k_sort` — `ORDER BY price LIMIT 10` over `cars::market(64 000)`
+//!   with no index: the Sort keeps ten rows, copying only those that rank
+//!   among the best ten seen.
+//!
+//! `streamed_scan_filter_limit` above takes the second path too (`ORDER
+//! BY salary DESC` has no ordered probe).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prefsql::{ExecutionMode, SkylineAlgo};
 use prefsql_bench::{bench_rows, conn_with, run};
-use prefsql_workload::jobs;
+use prefsql_workload::{cars, jobs, products};
 
 fn preference_sql() -> String {
     let soft: Vec<&str> = jobs::second_selection(0).iter().map(|&(_, s)| s).collect();
@@ -72,5 +84,30 @@ fn bench_streaming_stages(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_streaming_stages);
+fn bench_order_limit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("p1_order_limit");
+    group.sample_size(10);
+
+    let mut conn = conn_with(products::table(5_000, 21));
+    conn.execute("CREATE INDEX idx_price ON products (price)")
+        .expect("index on price");
+    group.bench_function("ordered_probe_limit", |b| {
+        b.iter(|| {
+            run(
+                &mut conn,
+                "SELECT id, price FROM products WHERE price BETWEEN 1500 AND 1700 \
+                 ORDER BY price LIMIT 10",
+            )
+            .len()
+        })
+    });
+
+    let mut conn = conn_with(cars::market(64_000, 21));
+    group.bench_function("top_k_sort", |b| {
+        b.iter(|| run(&mut conn, "SELECT id FROM car ORDER BY price LIMIT 10").len())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_streaming_stages, bench_order_limit);
 criterion_main!(benches);

@@ -10,10 +10,16 @@
 //! still checks every row, so the choice never changes results. The A2
 //! ablation benchmark flips [`crate::EngineCore::set_use_indexes`] to
 //! measure the difference.
+//!
+//! An index probe yields its candidates in key order, and `sort`, the
+//! one place an ORDER BY becomes a [`PlanNode::Sort`], reads that order:
+//! over a chain of filters on such a probe, ascending keys that are a
+//! prefix of it need no Sort, and LIMIT stops the probe after the rows it
+//! keeps.
 
 use crate::bind::{Bound, BoundExpr, CmpOp};
 use crate::exec::ExecCtx;
-use crate::plan::PlanNode;
+use crate::plan::{PlanNode, SortKey};
 use prefsql_parser::ast::{BinaryOp, Expr};
 use prefsql_storage::Table;
 use prefsql_types::{Result, Schema};
@@ -58,13 +64,17 @@ pub(crate) fn filter(ctx: &ExecCtx<'_>, mut input: PlanNode, pred: Bound) -> Res
         *sargs = sargs_of(schema, &pred.expr);
         // The probe counter is bumped at operator open, not here: EXPLAIN
         // plans without executing and must not disturb the statistics.
-        if let AccessPath::Index { row_ids, describe } =
-            choose_access_path(ctx.catalog().table(table)?, sargs)
+        if let AccessPath::Index {
+            row_ids,
+            order,
+            describe,
+        } = choose_access_path(ctx.catalog().table(table)?, sargs)
         {
             input = PlanNode::IndexScan {
                 table: take(table),
                 qualifier: take(qualifier),
                 row_ids,
+                order,
                 describe,
                 mask: take(mask),
                 schema: take(schema),
@@ -75,6 +85,39 @@ pub(crate) fn filter(ctx: &ExecCtx<'_>, mut input: PlanNode, pred: Bound) -> Res
         input: Box::new(input),
         pred,
     })
+}
+
+/// ORDER BY `keys` over `input`: a [`PlanNode::Sort`] that keeps the
+/// first `limit` rows of the order (all of them when `None`), or `input`
+/// itself when there are no keys or `input` already yields its rows in
+/// their order — a chain of filters over an index probe whose key order
+/// ([`PlanNode::IndexScan`]'s `order`) starts with the keys, each a bare
+/// column of the row, ascending. A stable sort of rows already in key
+/// order is the identity, ties included, so dropping it never changes
+/// results. DESC keys, expressions, other columns and anything but a
+/// filter between the keys and the probe keep the Sort.
+pub(crate) fn sort(input: PlanNode, keys: Vec<SortKey>, limit: Option<u64>) -> PlanNode {
+    let mut scan = &input;
+    while let PlanNode::Filter { input, .. } = scan {
+        scan = input;
+    }
+    let in_order = match scan {
+        PlanNode::IndexScan { order, .. } => {
+            keys.len() <= order.len() && keys.iter().zip(order).all(|(key, &col)| {
+                key.asc
+                    && matches!(key.expr, BoundExpr::Column { depth: 0, ordinal } if ordinal == col)
+            })
+        }
+        _ => false,
+    };
+    if keys.is_empty() || in_order {
+        return input;
+    }
+    PlanNode::Sort {
+        input: Box::new(input),
+        keys,
+        limit,
+    }
 }
 
 /// The sargs of `pred`, bound over a row `schema` describes, in conjunct
@@ -143,6 +186,10 @@ pub enum AccessPath {
     Index {
         /// Row ids to re-check against the full predicate.
         row_ids: Vec<usize>,
+        /// The columns whose order the row ids come in (ascending, ties
+        /// in the index's arrival order): a B-tree index's key columns,
+        /// or a hash probe's column, on which every candidate ties.
+        order: Vec<usize>,
         /// Human-readable probe description.
         describe: String,
     },
@@ -159,6 +206,7 @@ pub fn choose_access_path(table: &Table, sargs: &[Sarg]) -> AccessPath {
             if let Some(idx) = table.find_hash_index(&[*col]) {
                 return AccessPath::Index {
                     row_ids: idx.lookup(std::slice::from_ref(value)).to_vec(),
+                    order: vec![*col],
                     describe: format!(
                         "hash index on {} = {value}",
                         table.schema().column(*col).name
@@ -168,6 +216,7 @@ pub fn choose_access_path(table: &Table, sargs: &[Sarg]) -> AccessPath {
             if let Some(idx) = table.find_btree_index(*col) {
                 return AccessPath::Index {
                     row_ids: idx.range(Some(value), Some(value)),
+                    order: idx.key_columns().to_vec(),
                     describe: format!(
                         "btree index on {} = {value}",
                         table.schema().column(*col).name
@@ -200,6 +249,7 @@ pub fn choose_access_path(table: &Table, sargs: &[Sarg]) -> AccessPath {
                 }
                 return AccessPath::Index {
                     row_ids: idx.range(lo.as_ref(), hi.as_ref()),
+                    order: idx.key_columns().to_vec(),
                     describe: format!(
                         "btree index on {} range [{}, {}]",
                         table.schema().column(*col).name,
@@ -262,8 +312,13 @@ mod tests {
     fn equality_uses_hash_index() {
         let t = table_with_indexes();
         match path(&t, "make = 'audi'") {
-            AccessPath::Index { row_ids, describe } => {
+            AccessPath::Index {
+                row_ids,
+                order,
+                describe,
+            } => {
                 assert_eq!(row_ids, vec![0, 2]);
+                assert_eq!(order, vec![1]);
                 assert!(describe.contains("hash index"));
             }
             other => panic!("expected index path, got {other:?}"),
@@ -280,11 +335,11 @@ mod tests {
     fn range_uses_btree() {
         let t = table_with_indexes();
         match path(&t, "price >= 25 AND price <= 35") {
-            AccessPath::Index { row_ids, .. } => {
-                // candidates with price in [25, 35]: rows 1 (35) and 3 (25)
-                let mut r = row_ids;
-                r.sort_unstable();
-                assert_eq!(r, vec![1, 3]);
+            AccessPath::Index { row_ids, order, .. } => {
+                // candidates with price in [25, 35], in price order: rows
+                // 3 (25) and 1 (35)
+                assert_eq!(row_ids, vec![3, 1]);
+                assert_eq!(order, vec![2]);
             }
             other => panic!("expected index path, got {other:?}"),
         }

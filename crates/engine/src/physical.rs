@@ -6,8 +6,9 @@
 //! of at most `max` rows from its children, so large inputs stream
 //! through filters, joins, projections and limits instead of
 //! materializing at every step. Pipeline breakers buffer exactly where
-//! the semantics require it and nowhere else: the sort its rows, each
-//! cloned once; distinct its seen set; aggregation one row and one
+//! the semantics require it and nowhere else: the sort the rows it keeps
+//! (all of them, or under a LIMIT the best k so far), each cloned once;
+//! distinct its seen set; aggregation one row and one
 //! accumulator per call for each group; a view or derived table its
 //! per-statement materialization. The keyed ones — distinct's seen set,
 //! aggregation's group index and the join's build ([`crate::join`]) —
@@ -46,6 +47,7 @@ use crate::join::JoinOp;
 use crate::plan::{AggSpec, PlanNode, Projection, SortKey};
 use prefsql_storage::PageFilter;
 use prefsql_types::{Error, Key, Result, Schema, Tuple, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -226,6 +228,23 @@ impl<'a> Batch<'a> {
         Some(selected(rows.len(), *sel).map(move |i| listed.map_or(first + i, |ids| ids[i])))
     }
 
+    /// The rows, in order: borrowed when the producer lent them, moved
+    /// out when it handed them over — a consumer keeping only some of
+    /// them copies those alone ([`Cow::into_owned`]).
+    pub fn into_rows(self) -> impl Iterator<Item = Cow<'a, Tuple>> {
+        let (lent, owned) = match self.0 {
+            Held::End => (None, None),
+            Held::Lent { rows, sel, .. } => (
+                Some(selected(rows.len(), sel).map(move |i| Cow::Borrowed(&rows[i]))),
+                None,
+            ),
+            Held::Owned(rows) => (None, Some(rows.drain(..).map(Cow::Owned))),
+        };
+        lent.into_iter()
+            .flatten()
+            .chain(owned.into_iter().flatten())
+    }
+
     /// Append the rows to `out`: moved when the producer handed them
     /// over, cloned when it only lent them.
     pub fn take_into(self, out: &mut Vec<Tuple>) {
@@ -397,10 +416,11 @@ fn build_plain<'a>(
             outer,
             out: Vec::new(),
         }),
-        PlanNode::Sort { input, keys } => Box::new(SortOp {
+        PlanNode::Sort { input, keys, limit } => Box::new(SortOp {
             ctx,
             input: build(ctx, input, outer),
             keys,
+            keep: limit.map_or(usize::MAX, |k| usize::try_from(k).unwrap_or(usize::MAX)),
             outer,
             sorted: Vec::new(),
             pos: 0,
@@ -634,10 +654,11 @@ impl Operator for SeqScanOp<'_> {
 /// or a materialized preference view's winners (whose score rows mirror
 /// the base table's row ids). The mem backend's rows are lent where they
 /// lie, through a selection over the ids ([`Batch::gather`]): no row is
-/// copied. The paged backend fetches each row at open, decoding only the
-/// columns of the plan's mask, and lends those. The rows count as
-/// scanned; only an index probe counts toward `index_probes`. Either way
-/// the rows are lent with their ids.
+/// copied. The paged backend fetches each pull's rows when pulled,
+/// decoding only the columns of the plan's mask, and lends those. As for
+/// [`SeqScanOp`], rows count as scanned when lent, so a LIMIT that stops
+/// early fetched and charged fewer; only an index probe counts toward
+/// `index_probes`, at open. Either way the rows are lent with their ids.
 struct RowIdScanOp<'a> {
     ctx: &'a ExecCtx<'a>,
     table: &'a str,
@@ -647,8 +668,11 @@ struct RowIdScanOp<'a> {
     mask: Option<&'a [bool]>,
     /// Mem backend: the table's rows, lent by id.
     lent: Option<&'a [Tuple]>,
-    /// Paged backend: the fetched rows.
+    /// Paged backend: the table rows are fetched from.
+    paged: Option<&'a prefsql_storage::Table>,
+    /// Paged backend: the rows fetched by the last pull.
     rows: Vec<Tuple>,
+    /// Position in `row_ids` of the next row to lend.
     pos: usize,
 }
 
@@ -667,6 +691,7 @@ impl<'a> RowIdScanOp<'a> {
             probe,
             mask: mask.as_deref(),
             lent: None,
+            paged: None,
             rows: Vec::new(),
             pos: 0,
         }
@@ -677,39 +702,47 @@ impl Operator for RowIdScanOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
         let table = self.ctx.catalog().table(self.table)?;
-        let mut stats = self.ctx.stats.borrow_mut();
-        stats.index_probes += u64::from(self.probe);
-        stats.rows_scanned += self.row_ids.len() as u64;
-        drop(stats);
+        self.ctx.stats.borrow_mut().index_probes += u64::from(self.probe);
         match table.mem_rows() {
             Some(rows) => {
                 if let Some(rid) = self.row_ids.iter().find(|&&rid| rid >= rows.len()) {
                     return Err(Error::Io(format!("row {rid} out of bounds")));
                 }
                 self.lent = Some(rows);
+                self.paged = None;
             }
             None => {
                 self.lent = None;
-                self.rows = (self.row_ids.iter())
-                    .map(|&rid| table.fetch_row(rid, self.mask))
-                    .collect::<Result<_>>()?;
+                self.paged = Some(table);
             }
         }
         Ok(())
     }
 
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
-        Ok(match self.lent {
-            Some(rows) => Batch::gather(rows, self.row_ids, &mut self.pos, max),
-            None => {
-                let ids = RowIds::Listed(self.row_ids);
-                Batch::lend_ids(&self.rows, ids, &mut self.pos, max)
+        let batch = match (self.lent, self.paged) {
+            (Some(rows), _) => Batch::gather(rows, self.row_ids, &mut self.pos, max),
+            (None, Some(table)) => {
+                let start = self.pos;
+                let ids = &self.row_ids[start..start.saturating_add(max).min(self.row_ids.len())];
+                self.rows.clear();
+                for &rid in ids {
+                    self.rows.push(table.fetch_row(rid, self.mask)?);
+                }
+                self.pos += ids.len();
+                Batch::lend_ids(&self.rows, RowIds::Listed(ids), &mut 0, max)
             }
-        })
+            (None, None) => Batch::end(),
+        };
+        if !batch.is_empty() {
+            self.ctx.stats.borrow_mut().rows_scanned += batch.len() as u64;
+        }
+        Ok(batch)
     }
 
     fn close(&mut self) {
         self.lent = None;
+        self.paged = None;
         self.rows = Vec::new();
     }
 }
@@ -830,11 +863,20 @@ impl Operator for ProjectOp<'_> {
     }
 }
 
-/// Stable sort — a pipeline breaker: drains its input at `open`.
+/// Stable sort — a pipeline breaker: consumes its input at `open` and
+/// keeps the first `keep` rows of the order, the LIMIT above it
+/// (`usize::MAX` for all). Every row's keys are evaluated, a pull at a
+/// time, but a row is copied only if it ranks among the best `keep`
+/// seen so far: once that many are kept, they form a max-heap on (keys,
+/// arrival), and a later row replaces the top only if it ranks strictly
+/// before it — a tie arrived later, so it ranks after. A full sort
+/// never fills the heap and is the same loop. Nothing is reserved for
+/// `keep` rows up front.
 struct SortOp<'a> {
     ctx: &'a ExecCtx<'a>,
     input: BoxOperator<'a>,
     keys: &'a [SortKey],
+    keep: usize,
     outer: &'a [&'a Tuple],
     sorted: Vec<Tuple>,
     pos: usize,
@@ -843,26 +885,84 @@ struct SortOp<'a> {
 impl Operator for SortOp<'_> {
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
-        // The drain is the one copy of a lent row: the keys are kept
-        // flat, row `i`'s at `i * n..`, and the sorted permutation moves
-        // the rows.
-        let mut rows = drain(self.input.as_mut())?;
-        let n = self.keys.len();
-        let mut keys = Vec::with_capacity(rows.len() * n);
-        for row in &rows {
-            for k in self.keys {
-                keys.push(eval(&k.expr, Env::new(row, self.outer), self.ctx)?);
-            }
-        }
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (ka, kb) = (&keys[a * n..], &keys[b * n..]);
-            let mut ords = self.keys.iter().zip(ka.iter().zip(kb)).map(|(k, (x, y))| {
+        let (ctx, outer, sort_keys, keep) = (self.ctx, self.outer, self.keys, self.keep);
+        let n = sort_keys.len();
+        // Kept row `s`, its keys flat at `s * n..`, and its arrival number.
+        let (mut rows, mut keys, mut seqs) = (Vec::new(), Vec::new(), Vec::new());
+        // Once `keep` rows are kept: their slots, the last-ranked on top.
+        let mut heap: Vec<usize> = Vec::new();
+        // One pull's keys, evaluated before any of its rows is copied: a
+        // full sort then compares keys lying together in memory.
+        let mut pulled_keys = Vec::new();
+        let mut seq = 0;
+        // A key error is returned once the input is drained, so an error
+        // of the input itself still comes first.
+        let mut failed = None;
+        let cmp_keys = |a: &[Value], b: &[Value]| {
+            let mut ords = sort_keys.iter().zip(a.iter().zip(b)).map(|(k, (x, y))| {
                 let (x, y) = if k.asc { (x, y) } else { (y, x) };
                 x.total_cmp(y)
             });
             ords.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
-        });
+        };
+        let slot = |s: usize| s * n..(s + 1) * n;
+        let cmp = |keys: &[Value], seqs: &[usize], a: usize, b: usize| {
+            cmp_keys(&keys[slot(a)], &keys[slot(b)]).then_with(|| seqs[a].cmp(&seqs[b]))
+        };
+        for_each_batch(self.input.as_mut(), DEFAULT_BATCH, |batch| {
+            if failed.is_some() {
+                return Ok(());
+            }
+            let pulled: Vec<Cow<'_, Tuple>> = batch.into_rows().collect();
+            pulled_keys.clear();
+            let evaluated = pulled.iter().try_for_each(|row| {
+                sort_keys.iter().try_for_each(|k| {
+                    pulled_keys.push(eval(&k.expr, Env::new(row, outer), ctx)?);
+                    Ok(())
+                })
+            });
+            if let Err(e) = evaluated {
+                failed = Some(e);
+                return Ok(());
+            }
+            for (row, row_keys) in pulled.into_iter().zip(pulled_keys.chunks_mut(n)) {
+                seq += 1;
+                if rows.len() < keep {
+                    rows.push(row.into_owned());
+                    keys.extend(
+                        row_keys
+                            .iter_mut()
+                            .map(|v| std::mem::replace(v, Value::Null)),
+                    );
+                    seqs.push(seq);
+                    if rows.len() == keep {
+                        heap = (0..keep).collect();
+                        for i in (0..keep / 2).rev() {
+                            sift_down(&mut heap, i, |a, b| cmp(&keys, &seqs, a, b));
+                        }
+                    }
+                    continue;
+                }
+                let Some(&top) = heap.first() else {
+                    continue;
+                };
+                if cmp_keys(row_keys, &keys[slot(top)]).is_lt() {
+                    rows[top] = row.into_owned();
+                    keys[slot(top)].swap_with_slice(row_keys);
+                    seqs[top] = seq;
+                    sift_down(&mut heap, 0, |a, b| cmp(&keys, &seqs, a, b));
+                }
+            }
+            Ok(())
+        })?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        // The kept rows in arrival order (a heap's replacements moved
+        // them), then the stable sort by their keys.
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_by_key(|&s| seqs[s]);
+        order.sort_by(|&a, &b| cmp_keys(&keys[slot(a)], &keys[slot(b)]));
         self.sorted = order
             .into_iter()
             .map(|i| std::mem::take(&mut rows[i]))
@@ -877,6 +977,24 @@ impl Operator for SortOp<'_> {
     fn close(&mut self) {
         self.input.close();
         self.sorted = Vec::new();
+    }
+}
+
+/// Restore the max-heap property of `heap` below position `i`, where
+/// `cmp` orders the entries; the greatest ends on top.
+fn sift_down(heap: &mut [usize], mut i: usize, cmp: impl Fn(usize, usize) -> Ordering) {
+    loop {
+        let mut top = i;
+        for child in [2 * i + 1, 2 * i + 2] {
+            if child < heap.len() && cmp(heap[child], heap[top]).is_gt() {
+                top = child;
+            }
+        }
+        if top == i {
+            return;
+        }
+        heap.swap(i, top);
+        i = top;
     }
 }
 

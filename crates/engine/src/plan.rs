@@ -3,8 +3,9 @@
 //! `plan_query` turns a parsed [`Query`] into a [`PlanNode`] tree exactly
 //! once per statement, absorbing all plan-time decisions — access-path
 //! selection (`access::filter`), view expansion, ORDER BY keys
-//! resolved against the select list, projection/aggregate output
-//! schemas. The tree is the single source of truth for execution:
+//! resolved against the select list and served by an ordered index probe
+//! where one yields their order (`access::sort`), projection/aggregate
+//! output schemas. The tree is the single source of truth for execution:
 //! `EXPLAIN` renders it and the physical operators of [`crate::physical`]
 //! run it, so the two can never drift apart. Once a statement's tree is
 //! finished, sub-query plans included, `plan_statement` runs the pruning
@@ -147,7 +148,9 @@ pub enum PlanNode {
     },
     /// Index probe of a base table: candidate row ids were computed at
     /// plan time; the full predicate is re-checked by the parent
-    /// [`PlanNode::Filter`], so the probe never changes results.
+    /// [`PlanNode::Filter`], so the probe never changes results. The rows
+    /// come in the order of `order`, which an ORDER BY on a prefix of it
+    /// needs no Sort for (`access::sort`).
     IndexScan {
         /// Table name in the catalog.
         table: String,
@@ -155,6 +158,11 @@ pub enum PlanNode {
         qualifier: String,
         /// Candidate row ids.
         row_ids: Vec<usize>,
+        /// The columns whose ascending order the row ids come in, ties
+        /// in the index's arrival order: a B-tree probe's index key
+        /// columns, a hash equality probe's column (every candidate ties
+        /// on it).
+        order: Vec<usize>,
         /// Human-readable probe description (for EXPLAIN).
         describe: String,
         /// The columns a paged fetch decodes, as [`PlanNode::SeqScan`]'s.
@@ -225,12 +233,17 @@ pub enum PlanNode {
         schema: Schema,
     },
     /// Stable sort (runs below [`PlanNode::Project`]: sort keys may use
-    /// non-projected columns).
+    /// non-projected columns). Planned only where the input's order does
+    /// not already satisfy the keys (`access::sort`).
     Sort {
         /// Input node.
         input: Box<PlanNode>,
         /// Sort keys, select aliases already substituted.
         keys: Vec<SortKey>,
+        /// The block's LIMIT, when nothing between it and the sort drops
+        /// rows (no DISTINCT): only the first `limit` rows of the order
+        /// are kept. `None` keeps them all.
+        limit: Option<u64>,
     },
     /// Duplicate elimination (first occurrence wins).
     Distinct {
@@ -885,6 +898,9 @@ fn classify_view(
 /// list as a Project ([`projection_plan`]), DISTINCT and LIMIT. An ORDER
 /// BY key reads the select list's output as the items computing it
 /// ([`computed_by`]); any other key is bound over the source as written.
+/// The Sort goes where the source already yields the keys' order — an
+/// index probe under filters ([`access::sort`]) — and otherwise keeps
+/// only the LIMIT's rows when no DISTINCT sits between the two.
 fn plan_block(
     ctx: &ExecCtx<'_>,
     query: &Query,
@@ -928,16 +944,10 @@ fn plan_block(
             .collect::<Result<_>>()?;
         (source, keys, projections, schema)
     };
-    let mut node = if keys.is_empty() {
-        input
-    } else {
-        PlanNode::Sort {
-            input: Box::new(input),
-            keys,
-        }
-    };
-    node = PlanNode::Project {
-        input: Box::new(node),
+    // The Project between LIMIT and Sort keeps every row, DISTINCT may not.
+    let limit = query.limit.filter(|_| !query.distinct);
+    let mut node = PlanNode::Project {
+        input: Box::new(access::sort(input, keys, limit)),
         projections,
         schema,
     };

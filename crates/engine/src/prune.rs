@@ -209,7 +209,7 @@ impl Pass {
                 narrow(schema, &map)?;
                 Ok(map)
             }
-            PlanNode::Sort { input, keys } => {
+            PlanNode::Sort { input, keys, .. } => {
                 for k in keys.iter_mut() {
                     self.expr(&mut k.expr, 0, &mut need)?;
                 }
