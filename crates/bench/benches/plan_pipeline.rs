@@ -25,8 +25,22 @@
 //!
 //! `streamed_scan_filter_limit` above takes the second path too (`ORDER
 //! BY salary DESC` has no ordered probe).
+//!
+//! `p1_residual` times the rewrite's dominance residual alone, at fixed
+//! size: the anti join's residual of the four-way Pareto rewrite over
+//! `jobs::table(2 000, 21)`'s region-3 rows, taken from the planned
+//! statement and evaluated over every (build row, left row) pair of its
+//! two inputs — once as the compiled program the join runs
+//! (`compiled`), once through `eval::holds`, the tree walk (`tree_walk`).
+//! Its throughput is residual tests per second: 10^9 over it is the ns
+//! per test ROADMAP item 2 quotes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use prefsql::engine::eval::{holds, Env};
+use prefsql::engine::physical;
+use prefsql::engine::plan::{JoinKind, PlanNode};
+use prefsql::engine::program::Regs;
+use prefsql::parser::{ast::Statement, parse_statement};
 use prefsql::{ExecutionMode, SkylineAlgo};
 use prefsql_bench::{bench_rows, conn_with, run};
 use prefsql_workload::{cars, jobs, products};
@@ -109,5 +123,89 @@ fn bench_order_limit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_streaming_stages, bench_order_limit);
+/// The anti join of `node`'s plan, if it has one.
+fn anti_join(node: &PlanNode) -> Option<&PlanNode> {
+    match node {
+        PlanNode::Join {
+            kind: JoinKind::Anti,
+            ..
+        } => Some(node),
+        PlanNode::Join { left, right, .. } => anti_join(left).or_else(|| anti_join(right)),
+        other => other.input().and_then(anti_join),
+    }
+}
+
+fn bench_residual(c: &mut Criterion) {
+    let mut group = c.benchmark_group("p1_residual");
+    group.sample_size(20);
+
+    let mut conn = conn_with(jobs::table(2_000, 21));
+    let sql = conn
+        .rewritten_sql(&preference_sql())
+        .expect("rewrite")
+        .expect("a preference query is rewritten");
+    let Ok(Statement::Select(query)) = parse_statement(&sql) else {
+        panic!("the rewrite is one SELECT: {sql}");
+    };
+    let engine = conn.engine();
+    let plan = engine.plan_for(&query).expect("plan");
+    let Some(PlanNode::Join {
+        left,
+        right,
+        residual: Some(residual),
+        ..
+    }) = anti_join(plan.root())
+    else {
+        panic!("the rewrite plans one anti join with a residual");
+    };
+    let ctx = engine.read_ctx().expect("context");
+    let lefts = physical::execute(&ctx, left, &[]).expect("left").rows;
+    let builds = physical::execute(&ctx, right, &[]).expect("right").rows;
+    let pairs = (lefts.len() * builds.len()) as u64;
+    group.throughput(Throughput::Elements(pairs));
+
+    // Each variant counts the pairs it accepts; both must agree.
+    let mut regs = Regs::default();
+    let mut compiled = || {
+        let mut accepted = 0u64;
+        for l in &lefts {
+            let outer = [l];
+            for b in &builds {
+                let env = Env::new(b, &outer);
+                accepted += u64::from(residual.prog.holds(env, &ctx, &mut regs).unwrap());
+            }
+        }
+        accepted
+    };
+    let tree_walk = || {
+        let mut accepted = 0u64;
+        for l in &lefts {
+            let outer = [l];
+            for b in &builds {
+                let env = Env::new(b, &outer);
+                accepted += u64::from(holds(&residual.expr, env, &ctx).unwrap());
+            }
+        }
+        accepted
+    };
+    assert_eq!(
+        compiled(),
+        tree_walk(),
+        "the program and the tree walk agree"
+    );
+    group.bench_function(BenchmarkId::new("compiled", pairs), |b| {
+        b.iter(|| black_box(compiled()))
+    });
+    group.bench_function(BenchmarkId::new("tree_walk", pairs), |b| {
+        b.iter(|| black_box(tree_walk()))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_streaming_stages,
+    bench_order_limit,
+    bench_residual
+);
 criterion_main!(benches);

@@ -879,6 +879,41 @@ mod tests {
         run.unwrap().join().unwrap();
     }
 
+    /// The longest chains the parser admits — 1 000 `AND`s, `OR`s or
+    /// `+`s — compile to flat programs and run in both modes on a 16 MiB
+    /// thread, the stack a server connection worker gets
+    /// (`WORKER_STACK_BYTES` in `prefsql-server`), in a debug build too: the
+    /// expression compiler walks with a work stack of its own, so it adds
+    /// no depth to what parsing, binding and pruning such a chain take.
+    #[test]
+    fn the_longest_operator_chains_compile_and_run_on_a_worker_stack() {
+        let worker = std::thread::Builder::new().stack_size(16 << 20);
+        let run = worker.spawn(|| {
+            let mut s = Session::new();
+            s.execute("CREATE TABLE t (id INTEGER)").unwrap();
+            s.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+            let chains = [
+                format!("id = 1{}", " AND id = 1".repeat(1_000)),
+                format!("id = 9{} OR id = 1", " OR id = 9".repeat(999)),
+                format!("id{} = 1", " + 0".repeat(1_000)),
+            ];
+            let sum = format!("id{}", " + 1".repeat(1_000));
+            for mode in [ExecutionMode::Rewrite, ExecutionMode::native()] {
+                s.set_mode(mode);
+                for chain in &chains {
+                    let sql = format!("SELECT id FROM t WHERE {chain} PREFERRING LOWEST(id)");
+                    let rs = s.query(&sql).unwrap();
+                    assert_eq!(rs.column_as_ints(0), vec![1], "{}", mode.label());
+                }
+                let rs = s
+                    .query(&format!("SELECT {sum} FROM t WHERE id = 2"))
+                    .unwrap();
+                assert_eq!(rs.column_as_ints(0), vec![1_002]);
+            }
+        });
+        run.unwrap().join().unwrap();
+    }
+
     #[test]
     fn spill_dir_is_private_and_removed_on_drop() {
         let mut s = Session::new();

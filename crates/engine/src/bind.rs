@@ -29,6 +29,7 @@
 use crate::eval::LikePattern;
 use crate::exec::ExecCtx;
 use crate::plan::{plan_exists, plan_query_in, QueryPlan};
+use crate::program::Program;
 use prefsql_parser::ast::{BinaryOp, Expr, Query, UnaryOp};
 use prefsql_types::{Error, Result, Schema, Value};
 use std::fmt;
@@ -436,6 +437,8 @@ impl AggFunc {
 pub(crate) struct AggCall {
     pub(crate) func: AggFunc,
     pub(crate) arg: Option<BoundExpr>,
+    /// `arg`'s program, once the plan is compiled.
+    pub(crate) prog: Program,
 }
 
 /// A bound expression together with its source, which is what `EXPLAIN`
@@ -446,6 +449,20 @@ pub struct Bound {
     pub source: Expr,
     /// What the operators evaluate.
     pub expr: BoundExpr,
+    /// `expr`'s program, once the plan is compiled
+    /// (`program::compile_plan`).
+    pub prog: Program,
+}
+
+impl Bound {
+    /// `expr`, written as `source`, not compiled yet.
+    pub fn new(source: Expr, expr: BoundExpr) -> Self {
+        Bound {
+            source,
+            expr,
+            prog: Program::default(),
+        }
+    }
 }
 
 impl fmt::Display for Bound {
@@ -477,10 +494,10 @@ pub(crate) fn bind_shown(
     input: &Schema,
     outer: &[&Schema],
 ) -> Result<Bound> {
-    Ok(Bound {
-        source: expr.clone(),
-        expr: bind_over(ctx, expr, input, outer)?,
-    })
+    Ok(Bound::new(
+        expr.clone(),
+        bind_over(ctx, expr, input, outer)?,
+    ))
 }
 
 /// Bind an expression of an aggregate block (a SELECT item, HAVING, an
@@ -720,7 +737,11 @@ impl<'a, 'c> Binder<'a, 'c> {
         };
         let width = self.scope[0].len();
         let aggs = self.aggs.as_mut().expect("checked above");
-        aggs.push(AggCall { func, arg });
+        aggs.push(AggCall {
+            func,
+            arg,
+            prog: Program::default(),
+        });
         Ok(BoundExpr::Column {
             depth: 0,
             ordinal: width + aggs.len() - 1,

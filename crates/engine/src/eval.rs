@@ -9,17 +9,32 @@
 //! neither. A sub-query is a plan bound with this environment's shape as
 //! its outer scope, so its operators see the current row as depth 1.
 //!
-//! The shapes the hot loops run take a typed arm. A `Compare` or
-//! `Between` whose operands are each a column (at any depth, so join
-//! residuals and the rewrite's anti join take it too) or a literal reads
+//! The operators do not walk these trees. Each expression a hot operator
+//! evaluates — a filter, a computed column, join keys and residuals, sort
+//! and GROUP BY keys, aggregate arguments, preference slots and
+//! `GROUPING` keys — is compiled once per finished plan into a flat
+//! [`crate::program::Program`]: column and literal operands read where
+//! they lie, typed compare, `BETWEEN`, `IN` and `IS NULL` ops, Kleene
+//! `AND`/`OR` as jumps in the short-circuit order of this walk, checked
+//! arithmetic raising the same `Error`s, constants folded once, and one
+//! fused op for the rewrite's per-slot dominance shape `x < y OR (x = y
+//! OR (x IS NULL AND y IS NULL))` (INT×INT decides `x <= y`). The
+//! recursive walk here is what a program falls back to — one op calls
+//! [`eval`] for a sub-query, `LIKE`, `CASE` or a call other than `ABS` —
+//! and the oracle `program_properties` checks every program against,
+//! value for value and error for error. Only what runs once per
+//! statement (an `INSERT … VALUES` row) calls it directly.
+//!
+//! The walk takes a typed arm where it can. A `Compare` or `Between`
+//! whose operands are each a column (at any depth) or a literal reads
 //! them as `&Value` where they lie, with no `Result` and no `Cow` per
-//! operand. INT×INT and STR `=`/`<>` are then decided on the payloads;
-//! every other pair goes through [`Value::sql_cmp`], as on the general
-//! path. That is exact: for those pairs `sql_cmp` is `i64::cmp` and the
-//! byte-wise `str` order, whose `Equal` is byte equality, and NULL,
-//! FLOAT (NaN, −0.0), INT×FLOAT, DATE and BOOL never leave it. The
-//! engine's `compare_properties` test checks both arms against
-//! `sql_cmp` over those values.
+//! operand. A comparison — here and in every program — decides INT×INT
+//! and STR `=`/`<>` on the payloads (`compare`) and every other pair
+//! through [`Value::sql_cmp`]. That is exact: for those pairs `sql_cmp`
+//! is `i64::cmp` and the byte-wise `str` order, whose `Equal` is byte
+//! equality, and NULL, FLOAT (NaN, −0.0), INT×FLOAT, DATE and BOOL never
+//! leave it. The engine's `compare_properties` test checks both arms
+//! against `sql_cmp` over those values.
 //!
 //! Predicate truth follows SQL three-valued logic: `NULL` comparisons
 //! produce `NULL`, `AND`/`OR`/`NOT` use Kleene logic, and a `WHERE` clause
@@ -32,6 +47,7 @@ use crate::bind::{AggCall, AggFunc, ArithOp, BoundExpr, CmpOp, Func, LikeOperand
 use crate::exec::ExecCtx;
 use crate::physical;
 use crate::plan::QueryPlan;
+use crate::program::Regs;
 use prefsql_types::{DataType, Error, Result, Tuple, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -52,7 +68,8 @@ impl<'a> Env<'a> {
         Env { row, outer }
     }
 
-    fn column(self, depth: usize, ordinal: usize) -> &'a Value {
+    #[inline]
+    pub(crate) fn column(self, depth: usize, ordinal: usize) -> &'a Value {
         match depth {
             0 => &self.row[ordinal],
             d => &self.outer[d - 1][ordinal],
@@ -73,12 +90,6 @@ pub fn eval(expr: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Value> 
     value(expr, env, ctx).map(Cow::into_owned)
 }
 
-/// Evaluate a row of expressions in `env` into `out`, a reused buffer.
-pub fn eval_row(exprs: &[BoundExpr], env: Env, ctx: &ExecCtx, out: &mut Vec<Value>) -> Result<()> {
-    let mut push = |v| out.push(v);
-    (exprs.iter()).try_for_each(|e| eval(e, env, ctx).map(&mut push))
-}
-
 /// Is `pred` exactly TRUE in `env` (the `WHERE` / `ON` / `HAVING` test)?
 pub fn holds(pred: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<bool> {
     Ok(truth_of(pred, env, ctx)? == Some(true))
@@ -95,12 +106,7 @@ fn value<'v>(e: &'v BoundExpr, env: Env<'v>, ctx: &ExecCtx<'_>) -> Result<Cow<'v
         BoundExpr::Neg(x) => value(x, env, ctx)?.neg()?,
         BoundExpr::Arith { op, left, right } => {
             let (l, r) = (value(left, env, ctx)?, value(right, env, ctx)?);
-            match op {
-                ArithOp::Add => l.add(&r)?,
-                ArithOp::Sub => l.sub(&r)?,
-                ArithOp::Mul => l.mul(&r)?,
-                ArithOp::Div => l.div(&r)?,
-            }
+            arith(*op, &l, &r)?
         }
         BoundExpr::ScalarSubquery(plan) => {
             let mut rows = run_subquery(plan, env, ctx)?;
@@ -145,7 +151,7 @@ fn value<'v>(e: &'v BoundExpr, env: Env<'v>, ctx: &ExecCtx<'_>) -> Result<Cow<'v
 /// The SQL truth of an expression: predicates are decided without
 /// building a [`Value`]; any other expression is evaluated and its value
 /// read as a truth (non-boolean values are UNKNOWN).
-fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<bool>> {
+pub(crate) fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<bool>> {
     Ok(match e {
         BoundExpr::And(l, r) => {
             let a = truth_of(l, env, ctx)?;
@@ -161,16 +167,7 @@ fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<boo
             }
             three_or(a, truth_of(r, env, ctx)?)
         }
-        BoundExpr::Not(x) => match value(x, env, ctx)?.as_ref() {
-            Value::Bool(b) => Some(!b),
-            Value::Null => None,
-            other => {
-                return Err(Error::Type(format!(
-                    "NOT expects a boolean, got {}",
-                    other.type_name()
-                )))
-            }
-        },
+        BoundExpr::Not(x) => not(value(x, env, ctx)?.as_ref())?,
         BoundExpr::Compare { op, left, right } => match (operand(left, env), operand(right, env)) {
             (Some(l), Some(r)) => compare(*op, l, r),
             _ => compare(*op, &*value(left, env, ctx)?, &*value(right, env, ctx)?),
@@ -182,19 +179,15 @@ fn truth_of(e: &BoundExpr, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<Option<boo
             high,
             negated,
         } => {
-            let within = |v: &Value, lo: &Value, hi: &Value| {
-                three_and(compare(CmpOp::GtEq, v, lo), compare(CmpOp::LtEq, v, hi))
-            };
             let bounds = (operand(low, env), operand(high, env));
             match (operand(expr, env), bounds) {
-                (Some(v), (Some(lo), Some(hi))) => within(v, lo, hi),
+                (Some(v), (Some(lo), Some(hi))) => between(v, lo, hi, *negated),
                 _ => {
                     let v = value(expr, env, ctx)?;
                     let lo = value(low, env, ctx)?;
-                    within(&v, &lo, &*value(high, env, ctx)?)
+                    between(&v, &lo, &*value(high, env, ctx)?, *negated)
                 }
             }
-            .map(|b| b != *negated)
         }
         BoundExpr::InList {
             expr,
@@ -267,7 +260,8 @@ fn operand<'v>(e: &'v BoundExpr, env: Env<'v>) -> Option<&'v Value> {
 /// `l op r` under three-valued logic. INT×INT and STR `=`/`<>` are
 /// decided on the payloads, which is what [`Value::sql_cmp`] does for
 /// them too; every other pair goes through it.
-fn compare(op: CmpOp, l: &Value, r: &Value) -> Option<bool> {
+#[inline]
+pub(crate) fn compare(op: CmpOp, l: &Value, r: &Value) -> Option<bool> {
     let ord = match (l, r) {
         (Value::Int(a), Value::Int(b)) => a.cmp(b),
         (Value::Str(a), Value::Str(b)) if matches!(op, CmpOp::Eq | CmpOp::NotEq) => {
@@ -283,6 +277,35 @@ fn compare(op: CmpOp, l: &Value, r: &Value) -> Option<bool> {
         CmpOp::Gt => ord == Ordering::Greater,
         CmpOp::GtEq => ord != Ordering::Less,
     })
+}
+
+/// `v [NOT] BETWEEN lo AND hi`: the Kleene AND of both bounds.
+#[inline]
+pub(crate) fn between(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Option<bool> {
+    three_and(compare(CmpOp::GtEq, v, lo), compare(CmpOp::LtEq, v, hi)).map(|b| b != negated)
+}
+
+/// `l op r`, checked: the `Error`s of [`Value::add`] and its siblings.
+pub(crate) fn arith(op: ArithOp, l: &Value, r: &Value) -> Result<Value> {
+    match op {
+        ArithOp::Add => l.add(r),
+        ArithOp::Sub => l.sub(r),
+        ArithOp::Mul => l.mul(r),
+        ArithOp::Div => l.div(r),
+    }
+}
+
+/// Kleene `NOT` of a value: a BOOL negated, NULL unknown, anything else
+/// a type error.
+pub(crate) fn not(v: &Value) -> Result<Option<bool>> {
+    match v {
+        Value::Bool(b) => Ok(Some(!b)),
+        Value::Null => Ok(None),
+        other => Err(Error::Type(format!(
+            "NOT expects a boolean, got {}",
+            other.type_name()
+        ))),
+    }
 }
 
 fn like_type_error(subject: &str, pattern: &str) -> Error {
@@ -450,15 +473,21 @@ impl AggCall {
 
     /// Fold the group's next row, the row of `env`, into `acc`; a NULL
     /// argument is skipped.
-    pub(crate) fn fold(&self, acc: &mut Acc, env: Env<'_>, ctx: &ExecCtx<'_>) -> Result<()> {
-        let Some(arg) = &self.arg else {
+    pub(crate) fn fold(
+        &self,
+        acc: &mut Acc,
+        env: Env<'_>,
+        ctx: &ExecCtx<'_>,
+        regs: &mut Regs,
+    ) -> Result<()> {
+        if self.arg.is_none() {
             // COUNT(*) counts every row.
             if let Acc::Count(n) = acc {
                 *n += 1;
             }
             return Ok(());
-        };
-        let v = eval(arg, env, ctx)?;
+        }
+        let v = self.prog.eval(env, ctx, regs)?;
         if v.is_null() {
             return Ok(());
         }
@@ -590,14 +619,14 @@ pub fn truth(v: &Value) -> Option<bool> {
     }
 }
 
-fn truth_to_value(t: Option<bool>) -> Value {
+pub(crate) fn truth_to_value(t: Option<bool>) -> Value {
     match t {
         Some(b) => Value::Bool(b),
         None => Value::Null,
     }
 }
 
-fn three_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+pub(crate) fn three_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(false), _) | (_, Some(false)) => Some(false),
         (Some(true), Some(true)) => Some(true),
@@ -605,7 +634,7 @@ fn three_and(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     }
 }
 
-fn three_or(a: Option<bool>, b: Option<bool>) -> Option<bool> {
+pub(crate) fn three_or(a: Option<bool>, b: Option<bool>) -> Option<bool> {
     match (a, b) {
         (Some(true), _) | (_, Some(true)) => Some(true),
         (Some(false), Some(false)) => Some(false),

@@ -35,6 +35,7 @@ use crate::eval::{eval, Env};
 use crate::explain::{pool_line, spill_line};
 use crate::knobs::NativeOptions;
 use crate::plan::{plan_statement, plan_target, QueryPlan};
+use crate::program::{compile_subplans, compiled, Regs};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
@@ -1172,14 +1173,17 @@ impl Engine {
         let incoming: Vec<Tuple> = self.with_ctx_over(cat, |ctx| match source {
             InsertSource::Values(rows) => {
                 // VALUES see no columns: bound in an empty scope,
-                // evaluated against an empty row.
+                // evaluated against an empty row. Each is evaluated once,
+                // so the tree walk runs it: a program would not pay back
+                // its compilation.
                 let empty = Tuple::default();
+                let value = |e| {
+                    let mut expr = bind(ctx, e, &[])?;
+                    compile_subplans(&mut expr);
+                    eval(&expr, Env::new(&empty, &[]), ctx)
+                };
                 rows.iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|e| eval(&bind(ctx, e, &[])?, Env::new(&empty, &[]), ctx))
-                            .collect()
-                    })
+                    .map(|row| row.iter().map(value).collect())
                     .collect()
             }
             InsertSource::Query(q) => Ok(ctx.run_query(q)?.rows),
@@ -1259,16 +1263,17 @@ impl Engine {
                 target_positions(&schema, assignments.iter().map(|(c, _)| c).collect(), "SET")?;
             let eval_schema = schema.without_qualifiers().with_qualifier(t.name());
             let new_rows = self.with_ctx_over(cat, |ctx| {
-                let exprs = assignments
+                let progs = assignments
                     .iter()
-                    .map(|(_, e)| bind(ctx, e, &[&eval_schema]))
+                    .map(|(_, e)| Ok(compiled(&mut bind(ctx, e, &[&eval_schema])?)))
                     .collect::<Result<Vec<_>>>()?;
                 let mut new_rows = Vec::with_capacity(ids.len());
+                let mut regs = Regs::default();
                 for &rid in &ids {
                     let row = t.fetch_row(rid, None)?;
                     let mut values = row.values().to_vec();
-                    for (expr, &pos) in exprs.iter().zip(&positions) {
-                        let v = eval(expr, Env::new(&row, &[]), ctx)?;
+                    for (prog, &pos) in progs.iter().zip(&positions) {
+                        let v = prog.eval(Env::new(&row, &[]), ctx, &mut regs)?;
                         let target_type = schema.column(pos).data_type;
                         values[pos] = v.coerce_to(target_type).unwrap_or(v);
                     }

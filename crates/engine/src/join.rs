@@ -66,12 +66,23 @@
 //! * **Match-first probing.** Existence does not depend on the order a
 //!   bucket is searched in, so each operator keeps the `MATCH_FIRST` (8)
 //!   build rows that most recently satisfied the residual and tries
-//!   those (of the probed bucket) before walking the bucket in order. A
-//!   row dominating one candidate tends to dominate the next: on the
-//!   rewrite's `NOT EXISTS` this cuts the rows examined per probe from
-//!   51–80 to 14–41. The build and its order stay untouched — the
-//!   statement cache shares them — and error timing is, as above, the
-//!   one permitted divergence.
+//!   those (of the probed bucket) before walking the bucket in order,
+//!   skipping them there by a per-build-row flag. A row dominating one
+//!   candidate tends to dominate the next: on the rewrite's `NOT EXISTS`
+//!   this cuts the rows examined per probe from 51–80 to 14–41. The
+//!   build and its order stay untouched — the statement cache shares
+//!   them, so the list and its flags are the operator's — and error
+//!   timing is, as above, the one permitted divergence.
+//! * **The residual is a program.** The residual (and every key) is
+//!   compiled once per plan into a flat [`crate::program::Program`]; the
+//!   rewrite's dominance residual is a predicate program of four fused
+//!   slot ops and the strictness comparisons, 27–29 ns per test against
+//!   the tree walk's 74–82 on a 2-CPU host (`p1_residual` in the
+//!   `plan_pipeline` bench).
+//!   A probe evaluates the left row's key into operator-owned scratch
+//!   and lays the residual's frames — the build row inside the left row
+//!   inside the enclosing rows — out on the stack, so probing a left row
+//!   allocates nothing.
 //! * A keyed build over the window takes the Grace path with the same
 //!   NULL-key rule (an anti join's unkeyed and partner-less left rows are
 //!   output as they are); each pair tests its left rows against every
@@ -79,10 +90,11 @@
 //!   in memory.
 
 use crate::bind::{Bound, BoundExpr};
-use crate::eval::{eval, holds, Env};
+use crate::eval::Env;
 use crate::exec::ExecCtx;
 use crate::physical::{self, Batch, BoxOperator, Operator, DEFAULT_BATCH};
 use crate::plan::{JoinKind, PlanNode};
+use crate::program::Regs;
 use prefsql_storage::spill::{
     tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics, SpillRun,
 };
@@ -114,9 +126,9 @@ const MAX_DEPTH: u32 = 2;
 /// the row can never match: a NULL key field makes `=` UNKNOWN, a NaN
 /// field makes it FALSE (while both equal themselves as a [`Key`]). A
 /// keyless join's key is the empty one, shared by every row.
-fn join_key(values: Vec<Value>) -> Option<Key<'static>> {
+fn join_key(values: &[Value]) -> Option<Key<'_>> {
     let never = |v: &Value| v.is_null() || matches!(v, Value::Float(f) if f.is_nan());
-    (!values.iter().any(never)).then(|| Key::owned(values))
+    (!values.iter().any(never)).then(|| Key::borrowed(values))
 }
 
 /// The Grace partition a key routes to at `depth`: a fresh salt per
@@ -144,29 +156,97 @@ struct JoinCfg<'a> {
     keys: &'a [(Bound, Bound)],
     /// Bound against the combined row (inner), or as the sub-query's
     /// predicate over the right row inside the left one (semi/anti).
-    residual: Option<&'a BoundExpr>,
+    residual: Option<&'a Bound>,
     outer: &'a [&'a Tuple],
     /// The build-side byte budget (`usize::MAX` = never spill).
     window: usize,
 }
 
 impl JoinCfg<'_> {
-    /// Evaluate one side's key expressions for one row.
-    fn key_of(&self, row: &Tuple, left_side: bool) -> Result<Option<Key<'static>>> {
+    /// Evaluate one side's key expressions for one row into `s.key`, and
+    /// give its build key ([`join_key`]).
+    fn key_of<'s>(
+        &self,
+        row: &Tuple,
+        left_side: bool,
+        s: &'s mut Scratch,
+    ) -> Result<Option<Key<'s>>> {
         let env = Env::new(row, self.outer);
-        let mut vals = Vec::with_capacity(self.keys.len());
+        s.key.clear();
         for (lk, rk) in self.keys {
             let key = if left_side { lk } else { rk };
-            vals.push(eval(&key.expr, env, self.ctx)?);
+            s.key.push(key.prog.eval(env, self.ctx, &mut s.regs)?);
         }
-        Ok(join_key(vals))
+        Ok(join_key(&s.key))
     }
 
     /// Does the residual predicate accept this combined row?
-    fn residual_ok(&self, joined: &Tuple) -> Result<bool> {
+    fn residual_ok(&self, joined: &Tuple, regs: &mut Regs) -> Result<bool> {
         match self.residual {
             None => Ok(true),
-            Some(p) => holds(p, Env::new(joined, self.outer), self.ctx),
+            Some(p) => p.prog.holds(Env::new(joined, self.outer), self.ctx, regs),
+        }
+    }
+}
+
+/// Run `f` over the frames a semi/anti residual sees: `left`, one block
+/// out from the build row, then the enclosing rows `outer`. They are
+/// laid out on the stack — a join is nested in at most a few sub-queries
+/// — so probing a left row allocates nothing.
+fn with_frames<R>(left: &Tuple, outer: &[&Tuple], f: impl FnOnce(&[&Tuple]) -> R) -> R {
+    match *outer {
+        [] => f(&[left]),
+        [a] => f(&[left, a]),
+        [a, b] => f(&[left, a, b]),
+        _ => {
+            let mut scope = Vec::with_capacity(outer.len() + 1);
+            scope.push(left);
+            scope.extend_from_slice(outer);
+            f(&scope)
+        }
+    }
+}
+
+/// What one join's probes reuse from row to row: the registers its
+/// programs run in and the evaluated key of the row at hand, so a key
+/// allocates only when it enters a build.
+#[derive(Default)]
+struct Scratch {
+    regs: Regs,
+    key: Vec<Value>,
+}
+
+/// The build rows a semi/anti join tries first ([`Build::exists`]):
+/// those that most recently were a partner, most recent first, at most
+/// [`MATCH_FIRST`]. The flags say which rows are in the list, so the
+/// walk of a bucket skips them without searching it. They are the
+/// operator's own, never the build's, which the statement cache shares.
+#[derive(Default)]
+struct Recent {
+    /// `(bucket, build row)` pairs.
+    list: Vec<(u32, u32)>,
+    /// Per build row: is it in `list`?
+    held: Vec<bool>,
+}
+
+impl Recent {
+    /// Forget every partner.
+    fn clear(&mut self) {
+        for &(_, i) in &self.list {
+            self.held[i as usize] = false;
+        }
+        self.list.clear();
+    }
+
+    /// Put row `i` of bucket `b` first, dropping the least recent past
+    /// [`MATCH_FIRST`].
+    fn insert(&mut self, b: u32, i: u32) {
+        self.list.insert(0, (b, i));
+        self.held[i as usize] = true;
+        if self.list.len() > MATCH_FIRST {
+            if let Some((_, gone)) = self.list.pop() {
+                self.held[gone as usize] = false;
+            }
         }
     }
 }
@@ -187,18 +267,23 @@ struct Build {
 
 impl Build {
     /// Hash `rows`; a row whose key can never match lands in no bucket.
-    fn new(cfg: &JoinCfg<'_>, rows: Vec<Tuple>) -> Result<Build> {
-        let mut index = HashMap::with_capacity(if cfg.keys.is_empty() { 1 } else { rows.len() });
+    fn new(cfg: &JoinCfg<'_>, rows: Vec<Tuple>, s: &mut Scratch) -> Result<Build> {
+        let mut index: HashMap<Key<'static>, usize> =
+            HashMap::with_capacity(if cfg.keys.is_empty() { 1 } else { rows.len() });
         let mut buckets: Vec<Vec<u32>> = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            if let Some(key) = cfg.key_of(row, false)? {
-                let fresh = buckets.len();
-                let b = *index.entry(key).or_insert(fresh);
-                if b == fresh {
+            let Some(key) = cfg.key_of(row, false, s)? else {
+                continue;
+            };
+            let b = match index.get(&key) {
+                Some(&b) => b,
+                None => {
+                    index.insert(key.into_owned(), buckets.len());
                     buckets.push(Vec::new());
+                    buckets.len() - 1
                 }
-                buckets[b].push(i as u32);
-            }
+            };
+            buckets[b].push(i as u32);
         }
         let widest = buckets.iter().map(Vec::len).max().unwrap_or(0);
         Ok(Build {
@@ -210,56 +295,58 @@ impl Build {
     }
 
     /// The bucket `left` joins, if any.
-    fn bucket(&self, cfg: &JoinCfg<'_>, left: &Tuple) -> Result<Option<usize>> {
+    fn bucket(&self, cfg: &JoinCfg<'_>, left: &Tuple, s: &mut Scratch) -> Result<Option<usize>> {
         if cfg.keys.is_empty() {
             return Ok((!self.buckets.is_empty()).then_some(0));
         }
-        Ok(cfg
-            .key_of(left, true)?
-            .and_then(|key| self.index.get(&key).copied()))
+        let key = cfg.key_of(left, true, s)?;
+        Ok(key.and_then(|key| self.index.get(&key).copied()))
     }
 
     /// Semi/anti: does `left` have a partner — a row of its bucket the
-    /// residual accepts? The rows of that bucket in `recent` (the build
-    /// rows that most recently were a partner, most recent first) are
-    /// tried first, then the rest of the bucket in order; a partner found
-    /// moves to the front of `recent`. Every residual evaluation ticks
+    /// residual accepts? The rows of that bucket in `recent` are tried
+    /// first, then the rest of the bucket in order; a partner found moves
+    /// to the front of `recent`. Every residual evaluation — the
+    /// residual's program over the build row inside `left` — ticks
     /// `tests`.
     fn exists(
         &self,
         cfg: &JoinCfg<'_>,
         left: &Tuple,
-        recent: &mut Vec<(u32, u32)>,
+        recent: &mut Recent,
+        s: &mut Scratch,
         tests: &Cell<u64>,
     ) -> Result<bool> {
-        let Some(bucket) = self.bucket(cfg, left)? else {
+        let Some(bucket) = self.bucket(cfg, left, s)? else {
             return Ok(false);
         };
         let Some(residual) = cfg.residual else {
             return Ok(true);
         };
-        let mut scope = Vec::with_capacity(cfg.outer.len() + 1);
-        scope.push(left);
-        scope.extend_from_slice(cfg.outer);
-        let partner = |i: u32| {
-            tests.set(tests.get() + 1);
-            holds(residual, Env::new(&self.rows[i as usize], &scope), cfg.ctx)
-        };
-        let b = bucket as u32;
-        for k in 0..recent.len() {
-            if recent[k].0 == b && partner(recent[k].1)? {
-                recent[..=k].rotate_right(1);
-                return Ok(true);
-            }
+        if recent.held.len() < self.rows.len() {
+            recent.held.resize(self.rows.len(), false);
         }
-        for &i in &self.buckets[bucket] {
-            if !recent.contains(&(b, i)) && partner(i)? {
-                recent.insert(0, (b, i));
-                recent.truncate(MATCH_FIRST);
-                return Ok(true);
+        let (prog, regs) = (&residual.prog, &mut s.regs);
+        with_frames(left, cfg.outer, |scope| {
+            let mut partner = |i: u32| {
+                tests.set(tests.get() + 1);
+                prog.holds(Env::new(&self.rows[i as usize], scope), cfg.ctx, regs)
+            };
+            let b = bucket as u32;
+            for k in 0..recent.list.len() {
+                if recent.list[k].0 == b && partner(recent.list[k].1)? {
+                    recent.list[..=k].rotate_right(1);
+                    return Ok(true);
+                }
             }
-        }
-        Ok(false)
+            for &i in &self.buckets[bucket] {
+                if !recent.held[i as usize] && partner(i)? {
+                    recent.insert(b, i);
+                    return Ok(true);
+                }
+            }
+            Ok(false)
+        })
     }
 
     /// Join `left` with the rows of `bucket` from `*pos` on, handing each
@@ -271,13 +358,14 @@ impl Build {
         left: &Tuple,
         bucket: usize,
         pos: &mut usize,
+        regs: &mut Regs,
         mut emit: impl FnMut(usize, Tuple) -> Result<bool>,
     ) -> Result<()> {
         let members = &self.buckets[bucket];
         while let Some(&i) = members.get(*pos) {
             *pos += 1;
             let joined = left.join(&self.rows[i as usize]);
-            if cfg.residual_ok(&joined)? && !emit(i as usize, joined)? {
+            if cfg.residual_ok(&joined, regs)? && !emit(i as usize, joined)? {
                 break;
             }
         }
@@ -291,7 +379,8 @@ impl Build {
 pub struct JoinOp<'a> {
     cfg: JoinCfg<'a>,
     /// Semi/anti: the most recent partners ([`Build::exists`]).
-    recent: Vec<(u32, u32)>,
+    recent: Recent,
+    scratch: Scratch,
     /// Semi/anti: the selection-vector scratch a left batch is narrowed
     /// with.
     sel: Vec<usize>,
@@ -344,7 +433,7 @@ impl<'a> JoinOp<'a> {
         left: BoxOperator<'a>,
         right: &'a PlanNode,
         keys: &'a [(Bound, Bound)],
-        residual: Option<&'a BoundExpr>,
+        residual: Option<&'a Bound>,
         window: Option<usize>,
         outer: &'a [&'a Tuple],
     ) -> Self {
@@ -357,7 +446,8 @@ impl<'a> JoinOp<'a> {
                 outer,
                 window: window.unwrap_or(usize::MAX),
             },
-            recent: Vec::new(),
+            recent: Recent::default(),
+            scratch: Scratch::default(),
             sel: Vec::new(),
             left,
             right,
@@ -399,7 +489,7 @@ impl<'a> JoinOp<'a> {
         }
         self.build_rows
             .set(self.build_rows.get() + rows.len() as u64);
-        let build = Build::new(&cfg, rows)?;
+        let build = Build::new(&cfg, rows, &mut self.scratch)?;
         let build = match key {
             Some(key) => cfg.ctx.cache(key, build),
             None => Arc::new(build),
@@ -418,6 +508,7 @@ impl<'a> JoinOp<'a> {
         let cfg = self.cfg;
         let mut mgr = cfg.ctx.spill_manager()?;
         let mut passes = 1u32;
+        let s = &mut self.scratch;
         let counts = Counts {
             spilled: &self.spilled_rows,
             tests: &self.residual_tests,
@@ -426,18 +517,28 @@ impl<'a> JoinOp<'a> {
         // rows drained so far, then the rest of its operator.
         let (right_runs, _) = {
             let mut src = operator_source(collected, right, &self.build_rows);
-            partition_pass(&cfg, &mut mgr, &mut src, false, 0, counts.spilled)?
+            partition_pass(&cfg, &mut mgr, &mut src, false, 0, counts.spilled, s)?
         };
         let (left_runs, unkeyed) = {
             let mut src = operator_source(Vec::new(), self.left.as_mut(), &self.probe_rows);
-            partition_pass(&cfg, &mut mgr, &mut src, true, 0, counts.spilled)?
+            partition_pass(&cfg, &mut mgr, &mut src, true, 0, counts.spilled, s)?
         };
 
         // An anti join's left rows with a NULL or NaN key have no
         // partner: they are output as they are.
         let mut out_runs: Vec<SpillRun> = unkeyed.into_iter().collect();
         for (l, r) in left_runs.into_iter().zip(right_runs) {
-            process_pair(&cfg, &mut mgr, l, r, 1, &mut out_runs, &mut passes, counts)?;
+            process_pair(
+                &cfg,
+                &mut mgr,
+                l,
+                r,
+                1,
+                &mut out_runs,
+                &mut passes,
+                counts,
+                s,
+            )?;
         }
 
         cfg.ctx.note_spill(SpillMetrics {
@@ -504,10 +605,11 @@ impl Operator for JoinOp<'_> {
             // keeps the quota, and lent left rows stay lent.
             let (recent, probed, tests) =
                 (&mut self.recent, &self.probe_rows, &self.residual_tests);
+            let s = &mut self.scratch;
             let keep = cfg.kind == JoinKind::Semi;
             return self.left.next_batch(max)?.retain(&mut self.sel, |left| {
                 probed.set(probed.get() + 1);
-                Ok(build.exists(&cfg, left, recent, tests)? == keep)
+                Ok(build.exists(&cfg, left, recent, s, tests)? == keep)
             });
         }
         let out = &mut self.out;
@@ -532,7 +634,8 @@ impl Operator for JoinOp<'_> {
             } => {
                 while out.len() < max {
                     if let Some(b) = *bucket {
-                        build.probe(&cfg, &lbuf[*lpos - 1], b, pos, |_, joined| {
+                        let regs = &mut self.scratch.regs;
+                        build.probe(&cfg, &lbuf[*lpos - 1], b, pos, regs, |_, joined| {
                             out.push(joined);
                             Ok(out.len() < max)
                         })?;
@@ -558,7 +661,7 @@ impl Operator for JoinOp<'_> {
                         batch.take_into(lbuf);
                         continue;
                     }
-                    *bucket = build.bucket(&cfg, &lbuf[*lpos])?;
+                    *bucket = build.bucket(&cfg, &lbuf[*lpos], &mut self.scratch)?;
                     *pos = 0;
                     *lpos += 1;
                     self.probe_rows.set(self.probe_rows.get() + 1);
@@ -700,12 +803,13 @@ fn partition_pass(
     left_side: bool,
     depth: u32,
     spilled: &Cell<u64>,
+    s: &mut Scratch,
 ) -> Result<(Vec<Option<SpillRun>>, Option<SpillRun>)> {
     let mut writers: Vec<Option<RunWriter>> = (0..FANOUT).map(|_| None).collect();
     let mut unkeyed = None;
     let keep_unkeyed = left_side && cfg.kind == JoinKind::Anti;
     while let Some((seq, row)) = src()? {
-        let writer = match cfg.key_of(&row, left_side)? {
+        let writer = match cfg.key_of(&row, left_side, s)? {
             Some(key) => &mut writers[partition_of(&key, depth)],
             None if keep_unkeyed => &mut unkeyed,
             None => continue,
@@ -737,6 +841,7 @@ fn process_pair(
     out_runs: &mut Vec<SpillRun>,
     passes: &mut u32,
     counts: Counts<'_>,
+    s: &mut Scratch,
 ) -> Result<()> {
     let (left, right) = match (left, right) {
         (Some(l), Some(r)) => (l, r),
@@ -760,24 +865,26 @@ fn process_pair(
             let mut reader = RunReader::open(&left)?;
             let mut src =
                 move || -> Result<Option<(i64, Tuple)>> { Ok(reader.next_tuple()?.map(untag1)) };
-            partition_pass(cfg, mgr, &mut src, true, depth, counts.spilled)?.0
+            partition_pass(cfg, mgr, &mut src, true, depth, counts.spilled, s)?.0
         };
         let right_subs = {
             let mut reader = RunReader::open(&right)?;
             let mut src =
                 move || -> Result<Option<(i64, Tuple)>> { Ok(reader.next_tuple()?.map(untag1)) };
-            partition_pass(cfg, mgr, &mut src, false, depth, counts.spilled)?.0
+            partition_pass(cfg, mgr, &mut src, false, depth, counts.spilled, s)?.0
         };
         let _ = left.delete();
         let _ = right.delete();
         for (l, r) in left_subs.into_iter().zip(right_subs) {
-            process_pair(cfg, mgr, l, r, depth + 1, out_runs, passes, counts)?;
+            process_pair(cfg, mgr, l, r, depth + 1, out_runs, passes, counts, s)?;
         }
         return Ok(());
     }
     match cfg.kind {
-        JoinKind::Inner => pair_chunks(cfg, mgr, &left, &right, out_runs),
-        JoinKind::Semi | JoinKind::Anti => pair_filter(cfg, mgr, &left, &right, out_runs, counts),
+        JoinKind::Inner => pair_chunks(cfg, mgr, &left, &right, out_runs, s),
+        JoinKind::Semi | JoinKind::Anti => {
+            pair_filter(cfg, mgr, &left, &right, out_runs, counts, s)
+        }
     }
     .map(|()| {
         let _ = left.delete();
@@ -817,6 +924,7 @@ fn pair_chunks(
     left: &SpillRun,
     right: &SpillRun,
     out_runs: &mut Vec<SpillRun>,
+    s: &mut Scratch,
 ) -> Result<()> {
     let mut right_reader = RunReader::open(right)?;
     loop {
@@ -824,15 +932,15 @@ fn pair_chunks(
         if rows.is_empty() {
             return Ok(());
         }
-        let chunk = Build::new(cfg, rows)?;
+        let chunk = Build::new(cfg, rows, s)?;
         let mut reader = RunReader::open(left)?;
         let mut writer: Option<RunWriter> = None;
         while let Some(t) = reader.next_tuple()? {
             let (lseq, lrow) = untag1(t);
-            let Some(b) = chunk.bucket(cfg, &lrow)? else {
+            let Some(b) = chunk.bucket(cfg, &lrow, s)? else {
                 continue;
             };
-            chunk.probe(cfg, &lrow, b, &mut 0, |i, joined| {
+            chunk.probe(cfg, &lrow, b, &mut 0, &mut s.regs, |i, joined| {
                 write_to(mgr, &mut writer, &tag2(lseq, seqs[i], &joined))?;
                 Ok(true)
             })?;
@@ -853,6 +961,7 @@ fn pair_filter(
     right: &SpillRun,
     out_runs: &mut Vec<SpillRun>,
     counts: Counts<'_>,
+    s: &mut Scratch,
 ) -> Result<()> {
     // Per left-run position: has the row found a partner yet?
     let mut matched: Vec<bool> = Vec::new();
@@ -862,8 +971,8 @@ fn pair_filter(
         if rows.is_empty() {
             break;
         }
-        let chunk = Build::new(cfg, rows)?;
-        let mut recent = Vec::new();
+        let chunk = Build::new(cfg, rows, s)?;
+        let mut recent = Recent::default();
         let mut reader = RunReader::open(left)?;
         let mut pos = 0;
         while let Some(t) = reader.next_tuple()? {
@@ -871,7 +980,7 @@ fn pair_filter(
                 matched.push(false);
             }
             if !matched[pos] {
-                matched[pos] = chunk.exists(cfg, &untag1(t).1, &mut recent, counts.tests)?;
+                matched[pos] = chunk.exists(cfg, &untag1(t).1, &mut recent, s, counts.tests)?;
             }
             pos += 1;
         }
@@ -1090,7 +1199,8 @@ mod tests {
         // Keys SQL `=` calls equal are one build key and route to one
         // Grace partition at every depth.
         let same = |x: Value, y: Value| {
-            let (a, b) = (join_key(vec![x]).unwrap(), join_key(vec![y]).unwrap());
+            let (x, y) = ([x], [y]);
+            let (a, b) = (join_key(&x).unwrap(), join_key(&y).unwrap());
             assert_eq!(a, b);
             for depth in 0..MAX_DEPTH {
                 assert_eq!(partition_of(&a, depth), partition_of(&b, depth));
@@ -1108,11 +1218,11 @@ mod tests {
         same(Value::Int(big), Value::Float(big as f64));
         let (a, b) = (Value::Int(big + 1), Value::Float(big as f64));
         assert_eq!(a.sql_eq(&b), Some(false));
-        assert_ne!(join_key(vec![a]), join_key(vec![b]));
+        assert_ne!(join_key(&[a]), join_key(&[b]));
         // NULL and NaN keys can never satisfy `=`, in any field.
-        assert!(join_key(vec![Value::Null]).is_none());
-        assert!(join_key(vec![Value::Float(f64::NAN)]).is_none());
-        assert!(join_key(vec![Value::Int(1), Value::Float(-f64::NAN)]).is_none());
+        assert!(join_key(&[Value::Null]).is_none());
+        assert!(join_key(&[Value::Float(f64::NAN)]).is_none());
+        assert!(join_key(&[Value::Int(1), Value::Float(-f64::NAN)]).is_none());
     }
 
     #[test]
@@ -1120,7 +1230,7 @@ mod tests {
         // Keys that collide at one depth must not all collide at the
         // next (otherwise re-partitioning a skewed pair is a no-op).
         let keys: Vec<Key<'static>> = (0..64)
-            .map(|i| join_key(vec![Value::Int(i)]).unwrap())
+            .map(|i| join_key(&[Value::Int(i)]).unwrap().into_owned())
             .collect();
         let moved = keys
             .iter()
@@ -1150,7 +1260,7 @@ mod tests {
             (vec![Value::Int(1), Value::str("x")], [5, 6]),
         ];
         for (values, want) in keys {
-            let key = join_key(values).unwrap();
+            let key = join_key(&values).unwrap();
             assert_eq!(
                 [partition_of(&key, 0), partition_of(&key, 1)],
                 want,

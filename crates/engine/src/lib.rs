@@ -42,6 +42,7 @@ pub mod metrics;
 pub mod physical;
 pub mod plan;
 pub mod preference;
+pub mod program;
 mod prune;
 
 pub use catalog::{Catalog, ViewDef};

@@ -10,8 +10,8 @@
 //! DML statement against the base table then calls one of the `after_*`
 //! hooks here — still under the statement's catalog write lock, so
 //! readers never observe a view out of sync with its table. The hooks
-//! evaluate the stored bound expressions over the changed rows
-//! ([`eval_row`], as the preference operator does) and hand them to the
+//! run the stored expressions' programs over the changed rows (as the
+//! preference operator does, [`crate::program`]) and hand them to the
 //! incremental skyline algebra of `prefsql_pref::incremental`, which
 //! lowers each once and keeps the winner list equal to the BMO result
 //! without recomputation: a new row is tested against the winners only,
@@ -30,11 +30,12 @@
 //! maintenance until `REFRESH MATERIALIZED PREFERENCE VIEW` rebuilds
 //! them from scratch.
 
-use crate::bind::{bind, columns_read, BoundExpr};
+use crate::bind::{bind, columns_read};
 use crate::catalog::Catalog;
-use crate::eval::{eval_row, holds, Env};
+use crate::eval::Env;
 use crate::exec::{Engine, ExecCtx};
 use crate::plan::{projection_plan, Projection};
+use crate::program::{Compiled, Regs};
 use prefsql_parser::ast::{Expr, Query, SelectItem, TableRef};
 use prefsql_pref::ViewSkyline;
 use prefsql_rewrite::levels::{check_aliases, uses_quality};
@@ -171,8 +172,8 @@ pub(crate) fn validate_definition(query: &Query) -> Result<(String, String)> {
 /// list a read by name projects the winners through.
 #[derive(Debug)]
 pub(crate) struct BoundView {
-    where_clause: Option<BoundExpr>,
-    slots: Vec<BoundExpr>,
+    where_clause: Option<Compiled>,
+    slots: Vec<Compiled>,
     /// Output schema and columns of the view's select list.
     pub(crate) output: Schema,
     pub(crate) projections: Vec<Projection>,
@@ -190,13 +191,20 @@ impl BoundView {
     ) -> Result<BoundView> {
         let scope = [schema];
         let (output, projections) = projection_plan(ctx, &query.select, schema, &[])?;
+        let bound = |e, predicate| {
+            let mut c = Compiled::new(bind(ctx, e, &scope)?);
+            match predicate {
+                true => c.compile_predicate(),
+                false => c.compile(),
+            }
+            Ok(c)
+        };
+        let slots = compiled.base_exprs.iter().map(|e| bound(e, false));
         Ok(BoundView {
             where_clause: (query.where_clause.as_ref())
-                .map(|w| bind(ctx, w, &scope))
+                .map(|w| bound(w, true))
                 .transpose()?,
-            slots: (compiled.base_exprs.iter())
-                .map(|e| bind(ctx, e, &scope))
-                .collect::<Result<_>>()?,
+            slots: slots.collect::<Result<_>>()?,
             output,
             projections,
         })
@@ -204,12 +212,20 @@ impl BoundView {
 
     /// Evaluate one base-table row into `out`: its base-preference values,
     /// and whether its WHERE clause is exactly TRUE.
-    fn evaluate(&self, ctx: &ExecCtx<'_>, row: &Tuple, out: &mut Evaluated) -> Result<()> {
+    fn evaluate(
+        &self,
+        ctx: &ExecCtx<'_>,
+        row: &Tuple,
+        out: &mut Evaluated,
+        regs: &mut Regs,
+    ) -> Result<()> {
         let env = Env::new(row, &[]);
-        eval_row(&self.slots, env, ctx, &mut out.0)?;
+        for slot in &self.slots {
+            out.0.push(slot.prog.eval(env, ctx, regs)?);
+        }
         out.1.push(match &self.where_clause {
             None => true,
-            Some(pred) => holds(pred, env, ctx)?,
+            Some(pred) => pred.prog.holds(env, ctx, regs)?,
         });
         Ok(())
     }
@@ -245,9 +261,10 @@ pub(crate) fn build_def(
         let view = BoundView::new(ctx, query, &compiled, &schema)?;
         // A definition holds no sub-query, so the mask is never `None`.
         let reads = view.where_clause.iter().chain(&view.slots);
-        let mask = columns_read(reads, schema.len());
+        let mask = columns_read(reads.map(|c| &c.expr), schema.len());
+        let mut regs = Regs::default();
         table.for_each_row_where(0, mask.as_deref(), |_, row| {
-            view.evaluate(ctx, row, &mut evaluated)
+            view.evaluate(ctx, row, &mut evaluated, &mut regs)
         })?;
         Ok(view)
     })?;
@@ -316,8 +333,10 @@ pub(crate) fn after_insert(
         cat,
         table,
         |ctx, view, t| {
-            let mut delta = Evaluated::default();
-            t.for_each_row_where(from_rid, None, |_, row| view.evaluate(ctx, row, &mut delta))?;
+            let (mut delta, mut regs) = (Evaluated::default(), Regs::default());
+            t.for_each_row_where(from_rid, None, |_, row| {
+                view.evaluate(ctx, row, &mut delta, &mut regs)
+            })?;
             Ok(delta)
         },
         |def, delta| {
@@ -368,9 +387,9 @@ pub(crate) fn after_update(
         cat,
         table,
         |ctx, view, t| {
-            let mut delta = Evaluated::default();
+            let (mut delta, mut regs) = (Evaluated::default(), Regs::default());
             for &rid in ids {
-                view.evaluate(ctx, &t.fetch_row(rid, None)?, &mut delta)?;
+                view.evaluate(ctx, &t.fetch_row(rid, None)?, &mut delta, &mut regs)?;
             }
             Ok(delta)
         },

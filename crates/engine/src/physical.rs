@@ -40,11 +40,12 @@
 //! operator of [`crate::preference`] included — so the instrumentation
 //! shim wraps every node of every plan alike.
 
-use crate::bind::{AggCall, BoundExpr};
-use crate::eval::{eval, eval_row, holds, Env};
+use crate::bind::{AggCall, Bound};
+use crate::eval::Env;
 use crate::exec::{ExecCtx, Relation};
 use crate::join::JoinOp;
 use crate::plan::{AggSpec, PlanNode, Projection, SortKey};
+use crate::program::Regs;
 use prefsql_storage::PageFilter;
 use prefsql_types::{Error, Key, Result, Schema, Tuple, Value};
 use std::borrow::Cow;
@@ -396,16 +397,17 @@ fn build_plain<'a>(
             build(ctx, left, outer),
             right,
             keys,
-            residual.as_ref().map(|b| &b.expr),
+            residual.as_ref(),
             *window,
             outer,
         )),
         PlanNode::Filter { input, pred } => Box::new(FilterOp {
             ctx,
             input: build(ctx, input, outer),
-            pred: &pred.expr,
+            pred,
             outer,
             sel: Vec::new(),
+            regs: Regs::default(),
         }),
         PlanNode::Project {
             input, projections, ..
@@ -415,6 +417,7 @@ fn build_plain<'a>(
             projections,
             outer,
             out: Vec::new(),
+            regs: Regs::default(),
         }),
         PlanNode::Sort { input, keys, limit } => Box::new(SortOp {
             ctx,
@@ -795,10 +798,11 @@ impl Operator for MaterializeOp<'_> {
 struct FilterOp<'a> {
     ctx: &'a ExecCtx<'a>,
     input: BoxOperator<'a>,
-    pred: &'a BoundExpr,
+    pred: &'a Bound,
     outer: &'a [&'a Tuple],
     /// Reused selection-vector scratch (survivors of a lent batch).
     sel: Vec<usize>,
+    regs: Regs,
 }
 
 impl Operator for FilterOp<'_> {
@@ -809,10 +813,10 @@ impl Operator for FilterOp<'_> {
     fn next_batch(&mut self, max: usize) -> Result<Batch<'_>> {
         // A filter only shrinks a batch, so forwarding `max` keeps the
         // quota; survivors are selected, not copied.
-        let (ctx, pred, outer) = (self.ctx, self.pred, self.outer);
+        let (ctx, pred, outer, regs) = (self.ctx, &self.pred.prog, self.outer, &mut self.regs);
         self.input
             .next_batch(max)?
-            .retain(&mut self.sel, |t| holds(pred, Env::new(t, outer), ctx))
+            .retain(&mut self.sel, |t| pred.holds(Env::new(t, outer), ctx, regs))
     }
 
     fn close(&mut self) {
@@ -829,6 +833,7 @@ struct ProjectOp<'a> {
     outer: &'a [&'a Tuple],
     /// Output scratch handed to the consumer.
     out: Vec<Tuple>,
+    regs: Regs,
 }
 
 impl Operator for ProjectOp<'_> {
@@ -849,7 +854,9 @@ impl Operator for ProjectOp<'_> {
             for p in self.projections {
                 values.push(match p {
                     Projection::Passthrough(idx) => t[*idx].clone(),
-                    Projection::Computed(b) => eval(&b.expr, Env::new(t, self.outer), self.ctx)?,
+                    Projection::Computed(b) => {
+                        (b.prog).eval(Env::new(t, self.outer), self.ctx, &mut self.regs)?
+                    }
                 });
             }
             self.out.push(Tuple::new(values));
@@ -895,6 +902,7 @@ impl Operator for SortOp<'_> {
         // full sort then compares keys lying together in memory.
         let mut pulled_keys = Vec::new();
         let mut seq = 0;
+        let mut regs = Regs::default();
         // A key error is returned once the input is drained, so an error
         // of the input itself still comes first.
         let mut failed = None;
@@ -917,7 +925,7 @@ impl Operator for SortOp<'_> {
             pulled_keys.clear();
             let evaluated = pulled.iter().try_for_each(|row| {
                 sort_keys.iter().try_for_each(|k| {
-                    pulled_keys.push(eval(&k.expr, Env::new(row, outer), ctx)?);
+                    pulled_keys.push(k.prog.eval(Env::new(row, outer), ctx, &mut regs)?);
                     Ok(())
                 })
             });
@@ -1087,13 +1095,15 @@ impl Operator for AggregateOp<'_> {
         // Group `g`'s first row, and its accumulators at `g * calls..`.
         let (mut firsts, mut accs) = (Vec::new(), Vec::new());
         let mut index: HashMap<Key<'static>, usize> = HashMap::new();
-        let mut key = Vec::new();
+        let (mut key, mut regs) = (Vec::new(), Regs::default());
         let mut fold = |row: &Tuple| {
             let env = Env::new(row, outer);
             let mut g = 0;
             if !spec.group_by.is_empty() {
                 key.clear();
-                eval_row(&spec.group_by, env, ctx, &mut key)?;
+                for c in &spec.group_by {
+                    key.push(c.prog.eval(env, ctx, &mut regs)?);
+                }
                 let probe = Key::borrowed(&key);
                 g = match index.get(&probe) {
                     Some(&g) => g,
@@ -1110,7 +1120,7 @@ impl Operator for AggregateOp<'_> {
                 accs.extend(spec.calls.iter().map(AggCall::start));
             }
             for (call, acc) in spec.calls.iter().zip(&mut accs[g * calls..]) {
-                call.fold(acc, env, ctx)?;
+                call.fold(acc, env, ctx, &mut regs)?;
             }
             Ok(())
         };
@@ -1337,7 +1347,14 @@ mod tests {
         let engine = Engine::new();
         let ctx = engine.read_ctx().unwrap();
         let schema = x_schema();
-        let bound = |e: Expr| bind(&ctx, &e, &[&schema]).unwrap();
+        let bound = |e: Expr| {
+            let expr = bind(&ctx, &e, &[&schema]).unwrap();
+            Bound {
+                source: e,
+                prog: crate::program::Program::compile(&expr),
+                expr,
+            }
+        };
         let pred = bound(equals(column("x"), Expr::Literal(Value::Int(7))));
         let (src, served, largest) = probe(100);
         let mut filter = FilterOp {
@@ -1346,6 +1363,7 @@ mod tests {
             pred: &pred,
             outer: &[],
             sel: Vec::new(),
+            regs: Regs::default(),
         };
         assert!(any_row(&mut filter).unwrap());
         assert_eq!(served.get(), 8, "rows 0..=7, nothing past the match");
@@ -1360,6 +1378,7 @@ mod tests {
             pred: &pred,
             outer: &[],
             sel: Vec::new(),
+            regs: Regs::default(),
         };
         assert!(!any_row(&mut filter).unwrap());
         assert_eq!(served.get(), 20);
@@ -1386,7 +1405,13 @@ mod tests {
         let ctx = engine.read_ctx().unwrap();
         let right = ctx.plan_for(&query).unwrap();
         let schema = x_schema().join(right.root().schema());
-        let on = bind(&ctx, &equals(column("x"), column("y")), &[&schema]).unwrap();
+        let source = equals(column("x"), column("y"));
+        let expr = bind(&ctx, &source, &[&schema]).unwrap();
+        let on = Bound {
+            source,
+            prog: crate::program::Program::compile(&expr),
+            expr,
+        };
         let (src, served, largest) = probe(100);
         let mut join = JoinOp::new(
             &ctx,
@@ -1432,9 +1457,13 @@ mod tests {
         let (engine, query) = right_input();
         let ctx = engine.read_ctx().unwrap();
         let right = ctx.plan_for(&query).unwrap();
-        let key = |name: &str, schema: &Schema| Bound {
-            source: column(name),
-            expr: bind(&ctx, &column(name), &[schema]).unwrap(),
+        let key = |name: &str, schema: &Schema| {
+            let expr = bind(&ctx, &column(name), &[schema]).unwrap();
+            Bound {
+                source: column(name),
+                prog: crate::program::Program::compile(&expr),
+                expr,
+            }
         };
         let keys = [(key("x", &x_schema()), key("y", right.root().schema()))];
         let (src, served, largest) = probe(100);

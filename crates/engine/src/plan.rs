@@ -39,6 +39,7 @@ use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggCall, Bound, B
 use crate::exec::ExecCtx;
 use crate::explain::children;
 use crate::preference::{PrefSpec, QualityCol};
+use crate::program::{compile_plan, Compiled, Program};
 use crate::prune::prune;
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_rewrite::levels::{
@@ -314,13 +315,26 @@ pub struct SortKey {
     pub expr: BoundExpr,
     /// Ascending (default) or descending.
     pub asc: bool,
+    /// `expr`'s program, once the plan is compiled.
+    pub prog: Program,
+}
+
+impl SortKey {
+    /// The key `expr`, ascending when `asc`, not compiled yet.
+    pub fn new(expr: BoundExpr, asc: bool) -> Self {
+        SortKey {
+            expr,
+            asc,
+            prog: Program::default(),
+        }
+    }
 }
 
 /// What a [`PlanNode::Aggregate`] folds.
 #[derive(Debug, Clone)]
 pub struct AggSpec {
     /// GROUP BY expressions.
-    pub group_by: Vec<BoundExpr>,
+    pub group_by: Vec<Compiled>,
     /// The block's aggregate calls — those of its select list, HAVING and
     /// ORDER BY — in the order of the columns they fill.
     pub(crate) calls: Vec<AggCall>,
@@ -363,11 +377,13 @@ impl PlanNode {
 }
 
 /// Plan a statement's query — a SELECT, an INSERT's source, a view body
-/// checked at CREATE — and narrow the finished tree, its sub-queries'
-/// plans included, to the columns it reads ([`prune`]).
+/// checked at CREATE — narrow the finished tree, its sub-queries' plans
+/// included, to the columns it reads ([`prune`]), and compile the
+/// expressions its operators evaluate ([`compile_plan`]).
 pub(crate) fn plan_statement(ctx: &ExecCtx<'_>, query: &Query) -> Result<QueryPlan> {
     let mut plan = plan_query(ctx, query)?;
     prune(&mut plan.root, true)?;
+    compile_plan(&mut plan.root);
     Ok(plan)
 }
 
@@ -569,10 +585,7 @@ fn exists_join(
     };
 
     fn bound(source: &Expr, expr: &BoundExpr) -> Bound {
-        Bound {
-            source: source.clone(),
-            expr: expr.clone(),
-        }
+        Bound::new(source.clone(), expr.clone())
     }
     let frames = |e: &BoundExpr| e.reads().map(|r| r.depths);
     let mut conjuncts = Vec::new();
@@ -641,9 +654,11 @@ fn exists_join(
 
 /// AND the conjuncts together, in order.
 fn conjoin(conjuncts: Vec<Bound>) -> Option<Bound> {
-    conjuncts.into_iter().reduce(|a, b| Bound {
-        source: Expr::binary(a.source, BinaryOp::And, b.source),
-        expr: BoundExpr::And(Box::new(a.expr), Box::new(b.expr)),
+    conjuncts.into_iter().reduce(|a, b| {
+        Bound::new(
+            Expr::binary(a.source, BinaryOp::And, b.source),
+            BoundExpr::And(Box::new(a.expr), Box::new(b.expr)),
+        )
     })
 }
 
@@ -734,8 +749,10 @@ fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<
         _ => {
             // The operator evaluates the slot and GROUPING expressions.
             let scope = [source.schema()];
-            let bind_all = |exprs: &[Expr]| -> Result<Vec<BoundExpr>> {
-                exprs.iter().map(|e| bind(ctx, e, &scope)).collect()
+            let bind_all = |exprs: &[Expr]| -> Result<Vec<Compiled>> {
+                (exprs.iter())
+                    .map(|e| bind(ctx, e, &scope).map(Compiled::new))
+                    .collect()
             };
             let appended: Vec<Column> = quality
                 .iter()
@@ -748,7 +765,7 @@ fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<
                 slots: bind_all(&compiled.base_exprs)?,
                 groups: bind_all(&query.grouping)?,
                 but_only: (but_only.as_ref())
-                    .map(|e| bind(ctx, e, &[&quality_schema, source.schema()]))
+                    .map(|e| bind(ctx, e, &[&quality_schema, source.schema()]).map(Compiled::new))
                     .transpose()?,
                 compiled,
                 quality,
@@ -822,6 +839,7 @@ pub(crate) fn plan_target(ctx: &ExecCtx<'_>, table: &str, pred: &Expr) -> Result
     let pred = bind_shown(ctx, pred, scan.schema(), &[])?;
     let mut root = access::filter(ctx, scan, pred)?;
     prune(&mut root, false)?;
+    compile_plan(&mut root);
     Ok(QueryPlan { root })
 }
 
@@ -936,10 +954,7 @@ fn plan_block(
                     Ok(key) if key.reads().is_some() => computed_by(&o.expr, &schema, item)?,
                     _ => o.expr.clone(),
                 };
-                Ok(SortKey {
-                    expr: bind_over(ctx, &key, input, outer)?,
-                    asc: o.asc,
-                })
+                Ok(SortKey::new(bind_over(ctx, &key, input, outer)?, o.asc))
             })
             .collect::<Result<_>>()?;
         (source, keys, projections, schema)
@@ -1008,14 +1023,12 @@ fn plan_aggregate(
     let group_by = query
         .group_by
         .iter()
-        .map(|e| bind_over(ctx, e, &input, outer))
+        .map(|e| bind_over(ctx, e, &input, outer).map(Compiled::new))
         .collect::<Result<_>>()?;
     let mut calls = Vec::new();
     let mut agg = |e: &Expr| {
-        Ok(Bound {
-            source: e.clone(),
-            expr: bind_aggregate(ctx, e, &input, outer, &mut calls)?,
-        })
+        let expr = bind_aggregate(ctx, e, &input, outer, &mut calls)?;
+        Ok(Bound::new(e.clone(), expr))
     };
     let having = query.having.as_ref().map(&mut agg).transpose()?;
     let select: Vec<Bound> = select.into_iter().map(&mut agg).collect::<Result<_>>()?;
@@ -1037,10 +1050,7 @@ fn plan_aggregate(
                 }
                 Err(_) => o.expr.clone(),
             };
-            Ok(SortKey {
-                expr: agg(&key)?.expr,
-                asc: o.asc,
-            })
+            Ok(SortKey::new(agg(&key)?.expr, o.asc))
         })
         .collect::<Result<_>>()?;
     // Nothing reads the types of the call columns.
@@ -1202,10 +1212,7 @@ pub(crate) fn split_on(
                 continue;
             }
         }
-        rest.push(Bound {
-            source: source.clone(),
-            expr: expr.clone(),
-        });
+        rest.push(Bound::new(source.clone(), expr.clone()));
     }
     if keys.is_empty() {
         return Ok((keys, Some(on)));

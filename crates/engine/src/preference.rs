@@ -46,10 +46,11 @@
 //! exact `actual rows=`.
 
 use crate::bind::BoundExpr;
-use crate::eval::{eval, eval_row, holds, Env};
+use crate::eval::Env;
 use crate::exec::ExecCtx;
 use crate::knobs::NativeOptions;
 use crate::physical::{Batch, BoxOperator, Operator};
+use crate::program::{Compiled, Regs};
 use prefsql_pref::external::{split_cells, with_cells, ExternalSkyline, CELL_BYTES};
 use prefsql_pref::{bmo_grouped_scored, maximal_scored, Preference, ScoreMatrix, SkylineAlgo};
 use prefsql_rewrite::levels::GEN_PREFIX;
@@ -57,6 +58,7 @@ use prefsql_rewrite::CompiledPreference;
 use prefsql_storage::spill::{tuple_spill_bytes, RunReader, RunWriter, SpillManager, SpillMetrics};
 use prefsql_storage::Table;
 use prefsql_types::{Column, DataType, Error, Result, Tuple, Value};
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 /// Everything the preference operator needs, fixed at plan time.
@@ -65,14 +67,14 @@ pub struct PrefSpec {
     /// The compiled preference.
     pub compiled: CompiledPreference,
     /// `compiled.base_exprs` bound against the source.
-    pub slots: Vec<BoundExpr>,
+    pub slots: Vec<Compiled>,
     /// The `GROUPING` expressions, bound against the source.
-    pub groups: Vec<BoundExpr>,
+    pub groups: Vec<Compiled>,
     /// `BUT ONLY` threshold with quality calls lowered to column
     /// references into [`PrefSpec::quality`], bound against two frames:
     /// the candidate's quality values (depth 0), then its source row
     /// (depth 1).
-    pub but_only: Option<BoundExpr>,
+    pub but_only: Option<Compiled>,
     /// The quality-function columns appended to every winner.
     pub quality: Vec<QualityCol>,
     /// The session knobs — algorithm, degree ceiling, drive batch and
@@ -148,6 +150,8 @@ pub(crate) struct PreferenceOp<'a> {
     /// Time the last [`Operator::open`] spent lowering candidates to
     /// cells (slots and `GROUPING` keys), apart from the selection.
     lower: Duration,
+    /// The registers the `BUT ONLY` threshold runs in.
+    regs: RefCell<Regs>,
 }
 
 /// Rid mode's winner fetch: the base table the candidates' row ids name,
@@ -238,6 +242,7 @@ impl<'a> PreferenceOp<'a> {
             comparisons: 0,
             selected: 0,
             lower: Duration::ZERO,
+            regs: RefCell::default(),
         }
     }
 
@@ -269,7 +274,9 @@ impl<'a> PreferenceOp<'a> {
             return Ok(true);
         };
         let quality = Tuple::new(self.quality_values(cells, best));
-        holds(threshold, Env::new(&quality, &[row]), self.ctx)
+        let source = [row];
+        let env = Env::new(&quality, &source);
+        (threshold.prog).holds(env, self.ctx, &mut self.regs.borrow_mut())
     }
 
     /// Buffer the winners — fetched by row id in rid mode, in winner
@@ -359,11 +366,12 @@ impl<'a> PreferenceOp<'a> {
         // A slot that is a column of the source row is lowered where it
         // lies; only the others are evaluated, into `computed`.
         let columns: Vec<Option<usize>> = (spec.slots.iter())
-            .map(|e| match e {
-                BoundExpr::Column { depth: 0, ordinal } => Some(*ordinal),
+            .map(|c| match c.expr {
+                BoundExpr::Column { depth: 0, ordinal } => Some(ordinal),
                 _ => None,
             })
             .collect();
+        let mut regs = Regs::default();
         let mut computed = vec![Value::Null; arity];
         let (mut keys, mut scratch) = (Vec::new(), Vec::<C>::new());
         let mut best = vec![None; arity];
@@ -383,14 +391,16 @@ impl<'a> PreferenceOp<'a> {
             let lowering = Instant::now();
             for row in pulled.rows() {
                 let env = Env::new(row, &[]);
-                for ((e, c), v) in spec.slots.iter().zip(&columns).zip(&mut computed) {
+                for ((s, c), v) in spec.slots.iter().zip(&columns).zip(&mut computed) {
                     if c.is_none() {
-                        *v = eval(e, env, ctx)?;
+                        *v = s.prog.eval(env, ctx, &mut regs)?;
                     }
                 }
                 let slots = columns.iter().zip(&computed);
                 matrix.push(preference, slots.map(|(c, v)| c.map_or(v, |o| &row[o])));
-                eval_row(&spec.groups, env, ctx, &mut keys)?;
+                for g in &spec.groups {
+                    keys.push(g.prog.eval(env, ctx, &mut regs)?);
+                }
                 if budget.is_some() && sink.is_none() {
                     buffered_bytes += tuple_spill_bytes(row) + CELL_BYTES * arity;
                 }

@@ -238,13 +238,13 @@ impl Pass {
                 } else {
                     need[..w].to_vec()
                 };
-                for e in spec.slots.iter_mut().chain(&mut spec.groups) {
-                    self.expr(e, 0, &mut inner)?;
+                for c in spec.slots.iter_mut().chain(&mut spec.groups) {
+                    self.expr(&mut c.expr, 0, &mut inner)?;
                 }
                 // Its quality values innermost, then the source row.
-                if let Some(e) = spec.but_only.as_mut() {
-                    reads(e, 1, &mut inner);
-                    self.subplans(e)?;
+                if let Some(c) = spec.but_only.as_mut() {
+                    reads(&c.expr, 1, &mut inner);
+                    self.subplans(&mut c.expr)?;
                 }
                 let map = self.node(input, inner)?;
                 if !self.apply {
@@ -253,11 +253,11 @@ impl Pass {
                 if rid {
                     spec.rid_mask = need[..w].contains(&false).then(|| need[..w].to_vec());
                 }
-                for e in spec.slots.iter_mut().chain(&mut spec.groups) {
-                    renumber(e, 0, &map);
+                for c in spec.slots.iter_mut().chain(&mut spec.groups) {
+                    renumber(&mut c.expr, 0, &map);
                 }
-                if let Some(e) = spec.but_only.as_mut() {
-                    renumber(e, 1, &map);
+                if let Some(c) = spec.but_only.as_mut() {
+                    renumber(&mut c.expr, 1, &map);
                 }
                 extend(schema, input.schema(), w, map)
             }
@@ -269,7 +269,8 @@ impl Pass {
                 let w = input.schema().len();
                 let mut inner = need[..w].to_vec();
                 let args = spec.calls.iter_mut().filter_map(|c| c.arg.as_mut());
-                for e in spec.group_by.iter_mut().chain(args) {
+                let keys = spec.group_by.iter_mut().map(|c| &mut c.expr);
+                for e in keys.chain(args) {
                     self.expr(e, 0, &mut inner)?;
                 }
                 let map = self.node(input, inner)?;
@@ -277,7 +278,8 @@ impl Pass {
                     return Ok(None);
                 }
                 let args = spec.calls.iter_mut().filter_map(|c| c.arg.as_mut());
-                for e in spec.group_by.iter_mut().chain(args) {
+                let keys = spec.group_by.iter_mut().map(|c| &mut c.expr);
+                for e in keys.chain(args) {
                     renumber(e, 0, &map);
                 }
                 extend(schema, input.schema(), w, map)

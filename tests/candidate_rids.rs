@@ -186,7 +186,8 @@ fn collect_masks(node: &PlanNode, masks: &mut HashMap<usize, Option<Vec<bool>>>)
         }
         PlanNode::Preference { input, spec, .. } if spec.rid_table.is_some() => {
             masks.insert(addr(node), spec.rid_mask.clone());
-            let mut read: Vec<&BoundExpr> = spec.slots.iter().chain(&spec.groups).collect();
+            let slots = spec.slots.iter().chain(&spec.groups);
+            let mut read: Vec<&BoundExpr> = slots.map(|c| &c.expr).collect();
             let mut scan = input.as_ref();
             while let PlanNode::Filter { input, pred } = scan {
                 read.push(&pred.expr);
@@ -384,15 +385,15 @@ fn for_each_expr(node: &PlanNode, f: &mut dyn FnMut(&BoundExpr, Frames)) {
             }
         }
         PlanNode::Preference { spec, .. } => {
-            for e in spec.slots.iter().chain(&spec.groups) {
-                f(e, Frames::Input);
+            for c in spec.slots.iter().chain(&spec.groups) {
+                f(&c.expr, Frames::Input);
             }
-            if let Some(e) = &spec.but_only {
-                f(e, Frames::ButOnly);
+            if let Some(c) = &spec.but_only {
+                f(&c.expr, Frames::ButOnly);
             }
         }
         PlanNode::Aggregate { spec, .. } => {
-            spec.group_by.iter().for_each(|e| f(e, Frames::Input));
+            spec.group_by.iter().for_each(|c| f(&c.expr, Frames::Input));
         }
         _ => {}
     }
