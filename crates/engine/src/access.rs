@@ -105,7 +105,7 @@ pub(crate) fn sort(input: PlanNode, keys: Vec<SortKey>, limit: Option<u64>) -> P
         PlanNode::IndexScan { order, .. } => {
             keys.len() <= order.len() && keys.iter().zip(order).all(|(key, &col)| {
                 key.asc
-                    && matches!(key.expr, BoundExpr::Column { depth: 0, ordinal } if ordinal == col)
+                    && matches!(key.key.expr, BoundExpr::Column { depth: 0, ordinal } if ordinal == col)
             })
         }
         _ => false,

@@ -436,13 +436,13 @@ impl AggFunc {
 #[derive(Debug, Clone)]
 pub(crate) struct AggCall {
     pub(crate) func: AggFunc,
-    pub(crate) arg: Option<BoundExpr>,
-    /// `arg`'s program, once the plan is compiled.
-    pub(crate) prog: Program,
+    pub(crate) arg: Option<Bound>,
 }
 
 /// A bound expression together with its source, which is what `EXPLAIN`
-/// prints (Display) for filters, join conditions and projections.
+/// prints (Display) for filters, join conditions and projections, and
+/// the program it compiles to: the one form of every expression an
+/// operator evaluates.
 #[derive(Debug, Clone)]
 pub struct Bound {
     /// The expression as written.
@@ -728,7 +728,10 @@ impl<'a, 'c> Binder<'a, 'c> {
         }
         let arg = match args {
             [Expr::Wildcard] if func == AggFunc::Count => None,
-            [arg] => Some(Binder::new(self.ctx, self.scope).expr(arg)?),
+            [arg] => Some(Bound::new(
+                arg.clone(),
+                Binder::new(self.ctx, self.scope).expr(arg)?,
+            )),
             _ => {
                 return Err(Error::Type(format!(
                     "{name}() expects exactly one argument"
@@ -737,11 +740,7 @@ impl<'a, 'c> Binder<'a, 'c> {
         };
         let width = self.scope[0].len();
         let aggs = self.aggs.as_mut().expect("checked above");
-        aggs.push(AggCall {
-            func,
-            arg,
-            prog: Program::default(),
-        });
+        aggs.push(AggCall { func, arg });
         Ok(BoundExpr::Column {
             depth: 0,
             ordinal: width + aggs.len() - 1,

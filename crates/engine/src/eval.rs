@@ -480,14 +480,14 @@ impl AggCall {
         ctx: &ExecCtx<'_>,
         regs: &mut Regs,
     ) -> Result<()> {
-        if self.arg.is_none() {
+        let Some(arg) = &self.arg else {
             // COUNT(*) counts every row.
             if let Acc::Count(n) = acc {
                 *n += 1;
             }
             return Ok(());
-        }
-        let v = self.prog.eval(env, ctx, regs)?;
+        };
+        let v = arg.prog.eval(env, ctx, regs)?;
         if v.is_null() {
             return Ok(());
         }

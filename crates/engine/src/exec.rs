@@ -29,13 +29,13 @@
 //! path lends; that plan is the statement's, so `EXPLAIN [ANALYZE]` and
 //! the slow-query log show it.
 
-use crate::bind::bind;
+use crate::bind::{bind, Bound};
 use crate::catalog::Catalog;
 use crate::eval::{eval, Env};
 use crate::explain::{pool_line, spill_line};
 use crate::knobs::NativeOptions;
 use crate::plan::{plan_statement, plan_target, QueryPlan};
-use crate::program::{compile_subplans, compiled, Regs};
+use crate::program::{compile_subplans, Regs};
 use prefsql_parser::ast::{Expr, InsertSource, Query, Statement};
 use prefsql_parser::parse_statement;
 use prefsql_storage::spill::{SpillManager, SpillMetrics};
@@ -1263,17 +1263,21 @@ impl Engine {
                 target_positions(&schema, assignments.iter().map(|(c, _)| c).collect(), "SET")?;
             let eval_schema = schema.without_qualifiers().with_qualifier(t.name());
             let new_rows = self.with_ctx_over(cat, |ctx| {
-                let progs = assignments
+                let exprs = assignments
                     .iter()
-                    .map(|(_, e)| Ok(compiled(&mut bind(ctx, e, &[&eval_schema])?)))
+                    .map(|(_, e)| {
+                        let mut b = Bound::new(e.clone(), bind(ctx, e, &[&eval_schema])?);
+                        b.compile();
+                        Ok(b)
+                    })
                     .collect::<Result<Vec<_>>>()?;
                 let mut new_rows = Vec::with_capacity(ids.len());
                 let mut regs = Regs::default();
                 for &rid in &ids {
                     let row = t.fetch_row(rid, None)?;
                     let mut values = row.values().to_vec();
-                    for (prog, &pos) in progs.iter().zip(&positions) {
-                        let v = prog.eval(Env::new(&row, &[]), ctx, &mut regs)?;
+                    for (b, &pos) in exprs.iter().zip(&positions) {
+                        let v = b.prog.eval(Env::new(&row, &[]), ctx, &mut regs)?;
                         let target_type = schema.column(pos).data_type;
                         values[pos] = v.coerce_to(target_type).unwrap_or(v);
                     }

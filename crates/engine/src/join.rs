@@ -75,10 +75,10 @@
 //!   timing is, as above, the one permitted divergence.
 //! * **The residual is a program.** The residual (and every key) is
 //!   compiled once per plan into a flat [`crate::program::Program`]; the
-//!   rewrite's dominance residual is a predicate program of four fused
-//!   slot ops and the strictness comparisons, 27–29 ns per test against
-//!   the tree walk's 74–82 on a 2-CPU host (`p1_residual` in the
-//!   `plan_pipeline` bench).
+//!   rewrite's dominance residual is four fused slot ops, each leaving
+//!   the residual in one jump when it fails, and the strictness
+//!   comparisons, 30–42 ns per test against the tree walk's 67–101 on a
+//!   shared 2-CPU host (`p1_residual` in the `plan_pipeline` bench).
 //!   A probe evaluates the left row's key into operator-owned scratch
 //!   and lays the residual's frames — the build row inside the left row
 //!   inside the enclosing rows — out on the stack, so probing a left row

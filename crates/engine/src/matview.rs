@@ -30,12 +30,12 @@
 //! maintenance until `REFRESH MATERIALIZED PREFERENCE VIEW` rebuilds
 //! them from scratch.
 
-use crate::bind::{bind, columns_read};
+use crate::bind::{bind, columns_read, Bound};
 use crate::catalog::Catalog;
 use crate::eval::Env;
 use crate::exec::{Engine, ExecCtx};
 use crate::plan::{projection_plan, Projection};
-use crate::program::{Compiled, Regs};
+use crate::program::Regs;
 use prefsql_parser::ast::{Expr, Query, SelectItem, TableRef};
 use prefsql_pref::ViewSkyline;
 use prefsql_rewrite::levels::{check_aliases, uses_quality};
@@ -172,8 +172,8 @@ pub(crate) fn validate_definition(query: &Query) -> Result<(String, String)> {
 /// list a read by name projects the winners through.
 #[derive(Debug)]
 pub(crate) struct BoundView {
-    where_clause: Option<Compiled>,
-    slots: Vec<Compiled>,
+    where_clause: Option<Bound>,
+    slots: Vec<Bound>,
     /// Output schema and columns of the view's select list.
     pub(crate) output: Schema,
     pub(crate) projections: Vec<Projection>,
@@ -191,19 +191,14 @@ impl BoundView {
     ) -> Result<BoundView> {
         let scope = [schema];
         let (output, projections) = projection_plan(ctx, &query.select, schema, &[])?;
-        let bound = |e, predicate| {
-            let mut c = Compiled::new(bind(ctx, e, &scope)?);
-            match predicate {
-                true => c.compile_predicate(),
-                false => c.compile(),
-            }
-            Ok(c)
+        let bound = |e: &Expr| {
+            let mut b = Bound::new(e.clone(), bind(ctx, e, &scope)?);
+            b.compile();
+            Ok(b)
         };
-        let slots = compiled.base_exprs.iter().map(|e| bound(e, false));
+        let slots = compiled.base_exprs.iter().map(bound);
         Ok(BoundView {
-            where_clause: (query.where_clause.as_ref())
-                .map(|w| bound(w, true))
-                .transpose()?,
+            where_clause: query.where_clause.as_ref().map(bound).transpose()?,
             slots: slots.collect::<Result<_>>()?,
             output,
             projections,

@@ -925,7 +925,7 @@ impl Operator for SortOp<'_> {
             pulled_keys.clear();
             let evaluated = pulled.iter().try_for_each(|row| {
                 sort_keys.iter().try_for_each(|k| {
-                    pulled_keys.push(k.prog.eval(Env::new(row, outer), ctx, &mut regs)?);
+                    pulled_keys.push(k.key.prog.eval(Env::new(row, outer), ctx, &mut regs)?);
                     Ok(())
                 })
             });
@@ -1348,12 +1348,9 @@ mod tests {
         let ctx = engine.read_ctx().unwrap();
         let schema = x_schema();
         let bound = |e: Expr| {
-            let expr = bind(&ctx, &e, &[&schema]).unwrap();
-            Bound {
-                source: e,
-                prog: crate::program::Program::compile(&expr),
-                expr,
-            }
+            let mut pred = Bound::new(e.clone(), bind(&ctx, &e, &[&schema]).unwrap());
+            pred.compile();
+            pred
         };
         let pred = bound(equals(column("x"), Expr::Literal(Value::Int(7))));
         let (src, served, largest) = probe(100);
@@ -1407,11 +1404,8 @@ mod tests {
         let schema = x_schema().join(right.root().schema());
         let source = equals(column("x"), column("y"));
         let expr = bind(&ctx, &source, &[&schema]).unwrap();
-        let on = Bound {
-            source,
-            prog: crate::program::Program::compile(&expr),
-            expr,
-        };
+        let mut on = Bound::new(source, expr);
+        on.compile();
         let (src, served, largest) = probe(100);
         let mut join = JoinOp::new(
             &ctx,
@@ -1458,12 +1452,9 @@ mod tests {
         let ctx = engine.read_ctx().unwrap();
         let right = ctx.plan_for(&query).unwrap();
         let key = |name: &str, schema: &Schema| {
-            let expr = bind(&ctx, &column(name), &[schema]).unwrap();
-            Bound {
-                source: column(name),
-                prog: crate::program::Program::compile(&expr),
-                expr,
-            }
+            let mut key = Bound::new(column(name), bind(&ctx, &column(name), &[schema]).unwrap());
+            key.compile();
+            key
         };
         let keys = [(key("x", &x_schema()), key("y", right.root().schema()))];
         let (src, served, largest) = probe(100);

@@ -39,7 +39,7 @@ use crate::bind::{bind, bind_aggregate, bind_over, bind_shown, AggCall, Bound, B
 use crate::exec::ExecCtx;
 use crate::explain::children;
 use crate::preference::{PrefSpec, QualityCol};
-use crate::program::{compile_plan, Compiled, Program};
+use crate::program::compile_plan;
 use crate::prune::prune;
 use prefsql_parser::ast::{BinaryOp, Expr, OrderByItem, PrefExpr, Query, SelectItem, TableRef};
 use prefsql_rewrite::levels::{
@@ -312,29 +312,16 @@ pub enum Projection {
 #[derive(Debug, Clone)]
 pub struct SortKey {
     /// The key expression (aliases substituted).
-    pub expr: BoundExpr,
+    pub key: Bound,
     /// Ascending (default) or descending.
     pub asc: bool,
-    /// `expr`'s program, once the plan is compiled.
-    pub prog: Program,
-}
-
-impl SortKey {
-    /// The key `expr`, ascending when `asc`, not compiled yet.
-    pub fn new(expr: BoundExpr, asc: bool) -> Self {
-        SortKey {
-            expr,
-            asc,
-            prog: Program::default(),
-        }
-    }
 }
 
 /// What a [`PlanNode::Aggregate`] folds.
 #[derive(Debug, Clone)]
 pub struct AggSpec {
     /// GROUP BY expressions.
-    pub group_by: Vec<Compiled>,
+    pub group_by: Vec<Bound>,
     /// The block's aggregate calls — those of its select list, HAVING and
     /// ORDER BY — in the order of the columns they fill.
     pub(crate) calls: Vec<AggCall>,
@@ -749,9 +736,9 @@ fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<
         _ => {
             // The operator evaluates the slot and GROUPING expressions.
             let scope = [source.schema()];
-            let bind_all = |exprs: &[Expr]| -> Result<Vec<Compiled>> {
+            let bind_all = |exprs: &[Expr]| -> Result<Vec<Bound>> {
                 (exprs.iter())
-                    .map(|e| bind(ctx, e, &scope).map(Compiled::new))
+                    .map(|e| bind(ctx, e, &scope).map(|x| Bound::new(e.clone(), x)))
                     .collect()
             };
             let appended: Vec<Column> = quality
@@ -765,7 +752,10 @@ fn plan_preference(ctx: &ExecCtx<'_>, query: &Query, pref: &PrefExpr) -> Result<
                 slots: bind_all(&compiled.base_exprs)?,
                 groups: bind_all(&query.grouping)?,
                 but_only: (but_only.as_ref())
-                    .map(|e| bind(ctx, e, &[&quality_schema, source.schema()]).map(Compiled::new))
+                    .map(|e| {
+                        let expr = bind(ctx, e, &[&quality_schema, source.schema()]);
+                        expr.map(|x| Bound::new(e.clone(), x))
+                    })
                     .transpose()?,
                 compiled,
                 quality,
@@ -954,7 +944,11 @@ fn plan_block(
                     Ok(key) if key.reads().is_some() => computed_by(&o.expr, &schema, item)?,
                     _ => o.expr.clone(),
                 };
-                Ok(SortKey::new(bind_over(ctx, &key, input, outer)?, o.asc))
+                let expr = bind_over(ctx, &key, input, outer)?;
+                Ok(SortKey {
+                    key: Bound::new(key, expr),
+                    asc: o.asc,
+                })
             })
             .collect::<Result<_>>()?;
         (source, keys, projections, schema)
@@ -1023,7 +1017,7 @@ fn plan_aggregate(
     let group_by = query
         .group_by
         .iter()
-        .map(|e| bind_over(ctx, e, &input, outer).map(Compiled::new))
+        .map(|e| bind_over(ctx, e, &input, outer).map(|x| Bound::new(e.clone(), x)))
         .collect::<Result<_>>()?;
     let mut calls = Vec::new();
     let mut agg = |e: &Expr| {
@@ -1050,7 +1044,10 @@ fn plan_aggregate(
                 }
                 Err(_) => o.expr.clone(),
             };
-            Ok(SortKey::new(agg(&key)?.expr, o.asc))
+            Ok(SortKey {
+                key: agg(&key)?,
+                asc: o.asc,
+            })
         })
         .collect::<Result<_>>()?;
     // Nothing reads the types of the call columns.

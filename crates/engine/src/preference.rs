@@ -45,12 +45,12 @@
 //! and filters under the preference run as operators and report their
 //! exact `actual rows=`.
 
-use crate::bind::BoundExpr;
+use crate::bind::{Bound, BoundExpr};
 use crate::eval::Env;
 use crate::exec::ExecCtx;
 use crate::knobs::NativeOptions;
 use crate::physical::{Batch, BoxOperator, Operator};
-use crate::program::{Compiled, Regs};
+use crate::program::Regs;
 use prefsql_pref::external::{split_cells, with_cells, ExternalSkyline, CELL_BYTES};
 use prefsql_pref::{bmo_grouped_scored, maximal_scored, Preference, ScoreMatrix, SkylineAlgo};
 use prefsql_rewrite::levels::GEN_PREFIX;
@@ -67,14 +67,14 @@ pub struct PrefSpec {
     /// The compiled preference.
     pub compiled: CompiledPreference,
     /// `compiled.base_exprs` bound against the source.
-    pub slots: Vec<Compiled>,
+    pub slots: Vec<Bound>,
     /// The `GROUPING` expressions, bound against the source.
-    pub groups: Vec<Compiled>,
+    pub groups: Vec<Bound>,
     /// `BUT ONLY` threshold with quality calls lowered to column
     /// references into [`PrefSpec::quality`], bound against two frames:
     /// the candidate's quality values (depth 0), then its source row
     /// (depth 1).
-    pub but_only: Option<Compiled>,
+    pub but_only: Option<Bound>,
     /// The quality-function columns appended to every winner.
     pub quality: Vec<QualityCol>,
     /// The session knobs — algorithm, degree ceiling, drive batch and

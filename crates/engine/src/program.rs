@@ -29,15 +29,8 @@
 //! compiled; one that would raise an error is kept, so the error surfaces
 //! when, and only when, the row reaches it.
 //!
-//! A condition — a filter, a join residual, `BUT ONLY`, a materialized
-//! view's WHERE — compiles as a *predicate* program ([`Program::predicate`]),
-//! which answers only whether it is TRUE: where the right operand of an
-//! `AND` or `OR` cannot raise an error, the junction is a jump unless the
-//! left is TRUE (is TRUE) and nothing combines, FALSE and UNKNOWN no
-//! longer told apart. The rewrite's residual is then four fused slot ops
-//! and four comparisons, with one register. A lone comparison — most
-//! filters — and a bare column or literal — most keys — are evaluated
-//! without the loop.
+//! A lone comparison — most filters — and a bare column or literal —
+//! most keys — are evaluated without the loop.
 //!
 //! `compile_plan` compiles a finished plan — after the pruning pass has
 //! renumbered its columns, sub-query plans first — so a plan re-opened by
@@ -48,12 +41,11 @@
 //!
 //! Compiling adds no recursion of its own: the compiler walks with a work
 //! stack, so the 1 000-operator chains the parser admits cost it no
-//! stack, the error check of a junction's right operand looks at most 32
-//! levels deep (past them, the junction keeps its full form), and finding
-//! the sub-query plans to compile first is `BoundExpr::visit_mut`, the
-//! walk the pruning pass has just run over the same expression.
+//! stack, and finding the sub-query plans to compile first is
+//! `BoundExpr::visit_mut`, the walk the pruning pass has just run over the
+//! same expression.
 
-use crate::bind::{ArithOp, BoundExpr, CmpOp, Func};
+use crate::bind::{ArithOp, Bound, BoundExpr, CmpOp, Func};
 use crate::eval::{self, between, compare, three_and, three_or, truth_to_value, Env};
 use crate::exec::ExecCtx;
 use crate::plan::{PlanNode, Projection};
@@ -155,16 +147,6 @@ enum Op {
         t: u32,
         to: u32,
     },
-    /// Predicate programs only: jump unless TRUE.
-    JumpUnlessTrue {
-        t: u32,
-        to: u32,
-    },
-    /// Predicate programs only: a folded right operand's truth.
-    Set {
-        value: Option<bool>,
-        dst: u32,
-    },
     ToValue {
         t: Tv,
         dst: u32,
@@ -203,9 +185,6 @@ const PENDING: u32 = u32::MAX;
 enum Out {
     Value(Arg),
     Truth(Tv),
-    /// A predicate program's: TRUE exactly when the expression is,
-    /// with FALSE and UNKNOWN not told apart.
-    Holds(Tv),
 }
 
 /// One bound expression compiled into a flat list of ops
@@ -252,16 +231,7 @@ pub struct Regs {
 impl Program {
     /// Compile `expr`.
     pub fn compile(expr: &BoundExpr) -> Program {
-        Compiler::new().run(expr, false)
-    }
-
-    /// Compile `expr` for [`Program::holds`] only — a WHERE, HAVING or
-    /// join condition. An `AND` jumps past its right operand unless the
-    /// left is TRUE, and an `OR` past its right operand when the left is
-    /// TRUE, whenever that operand can raise no error: the tree walk
-    /// would run it, but it cannot change whether the whole is TRUE.
-    pub fn predicate(expr: &BoundExpr) -> Program {
-        Compiler::new().run(expr, true)
+        Compiler::new().run(expr)
     }
 
     /// The expression's value in `env`, as [`crate::eval::eval`] gives it.
@@ -295,14 +265,13 @@ impl Code {
             Out::Value(Arg::Reg(r)) => std::mem::replace(&mut regs.vals[r as usize], Value::Null),
             Out::Value(a) => load(a, env, &self.consts, &regs.vals).clone(),
             Out::Truth(t) => truth_to_value(read(t, &regs.truths)),
-            Out::Holds(_) => return Err(Error::Exec("a predicate program has no value".into())),
         })
     }
 
     #[inline]
     fn holds(&self, env: Env<'_>, ctx: &ExecCtx<'_>, regs: &mut Regs) -> Result<bool> {
         // A lone comparison — most filters — needs no register.
-        if let ([Op::Cmp { op, l, r, dst }], Out::Holds(Tv::Reg(t))) = (&self.ops[..], self.out) {
+        if let ([Op::Cmp { op, l, r, dst }], Out::Truth(Tv::Reg(t))) = (&self.ops[..], self.out) {
             if *dst == t {
                 let (l, r) = (
                     load(*l, env, &self.consts, &[]),
@@ -313,7 +282,7 @@ impl Code {
         }
         Ok(match self.run(env, ctx, regs)? {
             Out::Value(a) => eval::truth(load(a, env, &self.consts, &regs.vals)) == Some(true),
-            Out::Truth(t) | Out::Holds(t) => read(t, &regs.truths) == Some(true),
+            Out::Truth(t) => read(t, &regs.truths) == Some(true),
         })
     }
 
@@ -370,11 +339,6 @@ impl Code {
                         pc = to as usize;
                     }
                 }
-                Op::JumpUnlessTrue { t, to } => {
-                    if truths[t as usize] != Some(true) {
-                        pc = to as usize;
-                    }
-                }
                 Op::ToValue { t, dst } => vals[dst as usize] = truth_to_value(read(t, truths)),
                 Op::Arith { op, l, r, dst } => {
                     let v = arith(op, load(l, env, consts, vals), load(r, env, consts, vals))?;
@@ -405,7 +369,6 @@ impl Code {
         let consts = &self.consts[..];
         match *op {
             Op::InStart { dst } => truths[dst as usize] = Some(false),
-            Op::Set { value, dst } => truths[dst as usize] = value,
             Op::InItem { v, item, dst, end } => {
                 let (v, item) = (load(v, env, consts, vals), load(item, env, consts, vals));
                 match v.sql_eq(item) {
@@ -577,37 +540,6 @@ fn same_operand(a: &BoundExpr, b: &BoundExpr) -> bool {
     }
 }
 
-/// How deep [`cannot_fail`] looks.
-const CANNOT_FAIL_DEPTH: u32 = 32;
-
-/// Can evaluating `e` raise no error? Columns, literals, comparisons,
-/// `BETWEEN`, `IN (list)`, `IS NULL` and the Kleene connectives over
-/// them never do; arithmetic (overflow), `NOT` over a value (its type),
-/// `LIKE`, calls and sub-queries may. Past `depth` levels the answer is
-/// "may fail", which costs only the faster form of a junction — and
-/// bounds the recursion.
-fn cannot_fail(e: &BoundExpr, depth: u32) -> bool {
-    let Some(depth) = depth.checked_sub(1) else {
-        return false;
-    };
-    let ok = |x: &BoundExpr| cannot_fail(x, depth);
-    match e {
-        BoundExpr::Literal(_) | BoundExpr::Column { .. } => true,
-        BoundExpr::Not(x) => is_predicate(x) && ok(x),
-        BoundExpr::IsNull { expr, .. } => ok(expr),
-        BoundExpr::And(a, b)
-        | BoundExpr::Or(a, b)
-        | BoundExpr::Compare {
-            left: a, right: b, ..
-        } => ok(a) && ok(b),
-        BoundExpr::Between {
-            expr, low, high, ..
-        } => ok(expr) && ok(low) && ok(high),
-        BoundExpr::InList { expr, list, .. } => ok(expr) && list.iter().all(ok),
-        _ => false,
-    }
-}
-
 /// Does `e` decide a truth (rather than compute a value)?
 fn is_predicate(e: &BoundExpr) -> bool {
     matches!(
@@ -662,16 +594,6 @@ enum Task<'e> {
     Value(&'e BoundExpr),
     /// Compile `e` for its truth: one `Res::Truth` more on the stack.
     Truth(&'e BoundExpr),
-    /// Compile `e` for whether it is TRUE: one `Res::Truth` more on the
-    /// stack, TRUE exactly when `e` is (predicate programs only).
-    Holds(&'e BoundExpr),
-    /// The left operand of an AND (`and`) or OR compiled by `Holds` is on
-    /// top and `right` can raise no error: compile `right` in its place
-    /// unless the left decides.
-    HoldsJunction { right: &'e BoundExpr, and: bool },
-    /// The right operand of a `HoldsJunction` is on top; `jump` is the
-    /// jump over it.
-    HoldsJoin { jump: Option<usize> },
     /// Apply an op to the results on top of the stack.
     Emit(Emit),
     /// The left operand of an AND (`and`) or OR is on top: jump past the
@@ -707,16 +629,15 @@ impl Compiler {
         }
     }
 
-    fn run(mut self, expr: &BoundExpr, predicate: bool) -> Program {
+    fn run(mut self, expr: &BoundExpr) -> Program {
         // A bare column — most keys — needs no op.
-        if let (BoundExpr::Column { depth, ordinal }, false) = (expr, predicate) {
+        if let BoundExpr::Column { depth, ordinal } = expr {
             self.prog.out = Out::Value(column(*depth, *ordinal));
             return Program(Some(Box::new(self.prog)));
         }
-        let root = match (predicate, is_predicate(expr)) {
-            (true, _) => Task::Holds(expr),
-            (false, true) => Task::Truth(expr),
-            (false, false) => Task::Value(expr),
+        let root = match is_predicate(expr) {
+            true => Task::Truth(expr),
+            false => Task::Value(expr),
         };
         let mut tasks = Vec::with_capacity(16);
         tasks.push(root);
@@ -725,7 +646,6 @@ impl Compiler {
         }
         let out = match self.stack.pop() {
             Some(Res::Val(a)) => Out::Value(a),
-            Some(Res::Truth(t)) if predicate => Out::Holds(t),
             Some(Res::Truth(t)) => Out::Truth(t),
             None => unreachable!("every walk leaves one result"),
         };
@@ -831,70 +751,6 @@ impl Compiler {
                 }
                 e => tasks.extend([Task::Emit(Emit::Truth), Task::Value(e)]),
             },
-            Task::Holds(e) => match e {
-                BoundExpr::And(l, r) | BoundExpr::Or(l, r)
-                    if slot_shape(e).is_none() && cannot_fail(r, CANNOT_FAIL_DEPTH) =>
-                {
-                    let and = matches!(e, BoundExpr::And(..));
-                    tasks.extend([Task::HoldsJunction { right: r, and }, Task::Holds(l)]);
-                }
-                e => tasks.push(Task::Truth(e)),
-            },
-            Task::HoldsJunction { right, and } => {
-                let left = self.pop_truth();
-                // A literal TRUE decides an OR, any other literal an AND.
-                if matches!(left, Tv::Const(c) if (c == Some(true)) != and) {
-                    self.stack.push(Res::Truth(left));
-                    return;
-                }
-                let jump = match left {
-                    Tv::Reg(t) => {
-                        let to = PENDING;
-                        self.prog.ops.push(if and {
-                            Op::JumpUnlessTrue { t, to }
-                        } else {
-                            Op::JumpIfTrue { t, to }
-                        });
-                        Some(self.prog.ops.len() - 1)
-                    }
-                    Tv::Const(_) => None,
-                };
-                // The right operand lands in the left's register, and
-                // decides wherever the jump is not taken.
-                tasks.extend([Task::HoldsJoin { jump }, Task::Holds(right)]);
-            }
-            Task::HoldsJoin { jump } => {
-                let res = self.pop_truth();
-                let res = match (jump, res) {
-                    // A literal right operand either agrees with what a
-                    // taken jump leaves (FALSE-ish past an AND, TRUE past
-                    // an OR) — the result is that literal — or the two
-                    // paths differ, and the literal is written to the
-                    // jump's register: the right operand's ops may have
-                    // used it.
-                    (Some(at), Tv::Const(c)) => {
-                        let (t, and) = match self.prog.ops[at] {
-                            Op::JumpUnlessTrue { t, .. } => (t, true),
-                            Op::JumpIfTrue { t, .. } => (t, false),
-                            _ => unreachable!("a holds junction jumps on its left operand"),
-                        };
-                        let res = if (c == Some(true)) != and {
-                            Tv::Const(c)
-                        } else {
-                            self.prog.ops.push(Op::Set { value: c, dst: t });
-                            Tv::Reg(t)
-                        };
-                        self.patch(at, self.prog.ops.len());
-                        res
-                    }
-                    (Some(at), res) => {
-                        self.patch(at, self.prog.ops.len());
-                        res
-                    }
-                    (None, res) => res,
-                };
-                self.stack.push(Res::Truth(res));
-            }
             Task::Emit(emit) => self.emit(emit),
             Task::Junction { right, and } => {
                 let Some(&Res::Truth(left)) = self.stack.last() else {
@@ -1159,9 +1015,7 @@ impl Compiler {
 
     fn patch(&mut self, at: usize, to: usize) {
         match &mut self.prog.ops[at] {
-            Op::JumpIfFalse { to: t, .. }
-            | Op::JumpIfTrue { to: t, .. }
-            | Op::JumpUnlessTrue { to: t, .. } => *t = to as u32,
+            Op::JumpIfFalse { to: t, .. } | Op::JumpIfTrue { to: t, .. } => *t = to as u32,
             _ => unreachable!("only jumps are patched"),
         }
     }
@@ -1173,16 +1027,13 @@ impl Compiler {
         let ops = &mut self.prog.ops;
         for i in 0..ops.len() {
             let mut target = match ops[i] {
-                Op::JumpIfFalse { to, .. }
-                | Op::JumpIfTrue { to, .. }
-                | Op::JumpUnlessTrue { to, .. } => to,
+                Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } => to,
                 _ => continue,
             };
             loop {
                 let next = match (&ops[i], ops.get(target as usize)) {
                     (Op::JumpIfFalse { t, .. }, Some(Op::JumpIfFalse { t: u, to }))
                     | (Op::JumpIfTrue { t, .. }, Some(Op::JumpIfTrue { t: u, to }))
-                    | (Op::JumpUnlessTrue { t, .. }, Some(Op::JumpUnlessTrue { t: u, to }))
                         if t == u =>
                     {
                         *to
@@ -1191,10 +1042,7 @@ impl Compiler {
                 };
                 target = next;
             }
-            if let Op::JumpIfFalse { to, .. }
-            | Op::JumpIfTrue { to, .. }
-            | Op::JumpUnlessTrue { to, .. } = &mut ops[i]
-            {
+            if let Op::JumpIfFalse { to, .. } | Op::JumpIfTrue { to, .. } = &mut ops[i] {
                 *to = target;
             }
         }
@@ -1228,16 +1076,14 @@ pub(crate) fn compile_plan(node: &mut PlanNode) {
             compile_plan(left);
             compile_plan(right);
             for (l, r) in keys {
-                l.prog = compiled(&mut l.expr);
-                r.prog = compiled(&mut r.expr);
+                l.compile();
+                r.compile();
             }
-            if let Some(res) = residual {
-                res.prog = compiled_predicate(&mut res.expr);
-            }
+            residual.iter_mut().for_each(Bound::compile);
         }
         PlanNode::Filter { input, pred } => {
             compile_plan(input);
-            pred.prog = compiled_predicate(&mut pred.expr);
+            pred.compile();
         }
         PlanNode::Project {
             input, projections, ..
@@ -1245,51 +1091,38 @@ pub(crate) fn compile_plan(node: &mut PlanNode) {
             compile_plan(input);
             for p in projections {
                 if let Projection::Computed(b) = p {
-                    b.prog = compiled(&mut b.expr);
+                    b.compile();
                 }
             }
         }
         PlanNode::Sort { input, keys, .. } => {
             compile_plan(input);
-            for k in keys {
-                k.prog = compiled(&mut k.expr);
-            }
+            keys.iter_mut().for_each(|k| k.key.compile());
         }
         PlanNode::Preference { input, spec, .. } => {
             compile_plan(input);
             let spec = &mut **spec;
-            for c in spec.slots.iter_mut().chain(&mut spec.groups) {
-                c.compile();
-            }
-            if let Some(c) = &mut spec.but_only {
-                c.compile_predicate();
-            }
+            let exprs = spec.slots.iter_mut().chain(&mut spec.groups);
+            exprs.chain(&mut spec.but_only).for_each(Bound::compile);
         }
         PlanNode::Aggregate { input, spec, .. } => {
             compile_plan(input);
-            for c in &mut spec.group_by {
-                c.compile();
-            }
-            for call in &mut spec.calls {
-                if let Some(arg) = &mut call.arg {
-                    call.prog = compiled(arg);
-                }
-            }
+            let args = spec.calls.iter_mut().filter_map(|c| c.arg.as_mut());
+            spec.group_by
+                .iter_mut()
+                .chain(args)
+                .for_each(Bound::compile);
         }
     }
 }
 
-/// The program of `expr`, once the plans of its sub-queries are
-/// compiled.
-pub(crate) fn compiled(expr: &mut BoundExpr) -> Program {
-    compile_subplans(expr);
-    Program::compile(expr)
-}
-
-/// [`compiled`], for [`Program::holds`] only ([`Program::predicate`]).
-pub(crate) fn compiled_predicate(expr: &mut BoundExpr) -> Program {
-    compile_subplans(expr);
-    Program::predicate(expr)
+impl Bound {
+    /// Compile the expression, once the plans of its sub-queries are
+    /// compiled.
+    pub(crate) fn compile(&mut self) {
+        compile_subplans(&mut self.expr);
+        self.prog = Program::compile(&self.expr);
+    }
 }
 
 /// Compile the plans of the sub-queries `expr` holds — all an expression
@@ -1301,37 +1134,6 @@ pub(crate) fn compile_subplans(expr: &mut BoundExpr) {
         | BoundExpr::ScalarSubquery(plan) => compile_plan(&mut Arc::make_mut(plan).root),
         _ => {}
     });
-}
-
-/// A bound expression beside the program it compiles to — the form of
-/// the preference's slots, `GROUPING` keys and `BUT ONLY` threshold, and
-/// of GROUP BY keys.
-#[derive(Debug, Clone)]
-pub struct Compiled {
-    /// The expression.
-    pub expr: BoundExpr,
-    /// Its program, once the plan is compiled.
-    pub prog: Program,
-}
-
-impl Compiled {
-    /// `expr`, not compiled yet.
-    pub fn new(expr: BoundExpr) -> Self {
-        Compiled {
-            expr,
-            prog: Program::default(),
-        }
-    }
-
-    /// Compile the expression (and its sub-queries' plans).
-    pub(crate) fn compile(&mut self) {
-        self.prog = compiled(&mut self.expr);
-    }
-
-    /// Compile the expression for [`Program::holds`] only.
-    pub(crate) fn compile_predicate(&mut self) {
-        self.prog = compiled_predicate(&mut self.expr);
-    }
 }
 
 #[cfg(test)]
@@ -1392,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn the_dominance_residual_is_one_register_of_jumps_as_a_predicate() {
+    fn the_dominance_residual_is_slots_and_comparisons_left_in_one_jump() {
         let lt = |i| {
             Box::new(BoundExpr::Compare {
                 op: CmpOp::Lt,
@@ -1404,26 +1206,29 @@ mod tests {
             BoundExpr::And(Box::new(acc), Box::new(slot(col(0, i), col(1, i))))
         });
         let one = (1..4).fold(*lt(0), |acc, i| BoundExpr::Or(Box::new(acc), lt(i)));
-        let residual = BoundExpr::And(Box::new(all), Box::new(one));
-        let p = *Program::predicate(&residual).0.expect("compiled");
+        let p = code(&BoundExpr::And(Box::new(all), Box::new(one)));
+        let count = |f: fn(&Op) -> bool| p.ops.iter().filter(|op| f(op)).count();
+        assert_eq!(
+            count(|op| matches!(op, Op::SlotLe { .. })),
+            4,
+            "{:?}",
+            p.ops
+        );
+        assert_eq!(count(|op| matches!(op, Op::Cmp { .. })), 4, "{:?}", p.ops);
+        let fallback = |op: &Op| matches!(op, Op::Eval { .. } | Op::EvalTruth { .. });
+        assert_eq!(count(fallback), 0, "{:?}", p.ops);
+        // A slot that fails leaves the whole residual in one jump.
         let end = p.ops.len() as u32;
-        let shape: Vec<&str> = (p.ops.iter())
-            .map(|op| match op {
-                Op::SlotLe { .. } => "slot",
-                Op::JumpUnlessTrue { to, .. } if *to == end => "exit unless",
-                Op::Cmp { .. } => "cmp",
-                Op::JumpIfTrue { to, .. } if *to == end => "exit if",
-                other => panic!("unexpected {other:?} in {:?}", p.ops),
-            })
-            .collect();
-        let mut want = ["slot", "exit unless"].repeat(4);
-        want.extend(["cmp", "exit if"].repeat(3));
-        want.push("cmp");
-        assert_eq!(shape, want);
-        assert_eq!((p.truths, p.vals), (1, 0));
-        // The full program keeps every Kleene combine.
-        let full = code(&residual);
-        assert!(full.ops.iter().any(|op| matches!(op, Op::And { .. })));
+        let exits = (p.ops.iter()).filter(|op| matches!(op, Op::JumpIfFalse { .. }));
+        assert!(
+            exits
+                .clone()
+                .all(|op| matches!(op, Op::JumpIfFalse { to, .. } if *to == end)),
+            "{:?}",
+            p.ops
+        );
+        assert_eq!(exits.count(), 4, "{:?}", p.ops);
+        assert_eq!(p.vals, 0);
     }
 
     #[test]

@@ -211,11 +211,11 @@ impl Pass {
             }
             PlanNode::Sort { input, keys, .. } => {
                 for k in keys.iter_mut() {
-                    self.expr(&mut k.expr, 0, &mut need)?;
+                    self.expr(&mut k.key.expr, 0, &mut need)?;
                 }
                 let map = self.node(input, need)?;
                 for k in keys.iter_mut() {
-                    renumber(&mut k.expr, 0, &map);
+                    renumber(&mut k.key.expr, 0, &map);
                 }
                 Ok(map)
             }
@@ -269,18 +269,16 @@ impl Pass {
                 let w = input.schema().len();
                 let mut inner = need[..w].to_vec();
                 let args = spec.calls.iter_mut().filter_map(|c| c.arg.as_mut());
-                let keys = spec.group_by.iter_mut().map(|c| &mut c.expr);
-                for e in keys.chain(args) {
-                    self.expr(e, 0, &mut inner)?;
+                for b in spec.group_by.iter_mut().chain(args) {
+                    self.expr(&mut b.expr, 0, &mut inner)?;
                 }
                 let map = self.node(input, inner)?;
                 if !self.apply {
                     return Ok(None);
                 }
                 let args = spec.calls.iter_mut().filter_map(|c| c.arg.as_mut());
-                let keys = spec.group_by.iter_mut().map(|c| &mut c.expr);
-                for e in keys.chain(args) {
-                    renumber(e, 0, &map);
+                for b in spec.group_by.iter_mut().chain(args) {
+                    renumber(&mut b.expr, 0, &map);
                 }
                 extend(schema, input.schema(), w, map)
             }

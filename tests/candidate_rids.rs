@@ -374,7 +374,7 @@ fn for_each_expr(node: &PlanNode, f: &mut dyn FnMut(&BoundExpr, Frames)) {
                 }
             }
         }
-        PlanNode::Sort { keys, .. } => keys.iter().for_each(|k| f(&k.expr, Frames::Input)),
+        PlanNode::Sort { keys, .. } => keys.iter().for_each(|k| f(&k.key.expr, Frames::Input)),
         PlanNode::Join { keys, residual, .. } => {
             for (l, r) in keys {
                 f(&l.expr, Frames::LeftKey);
